@@ -315,17 +315,14 @@ fn print_report(r: &NetReport, pattern: &str) {
         "  latency    : mean {:.2} ms  p50 {:.2}  p95 {:.2}  max {:.2}",
         r.latency.mean_ms, r.latency.p50_ms, r.latency.p95_ms, r.latency.max_ms
     );
+    println!("  round trips: bulk-step p95 {:.2} ms", r.data_rtt.p95_ms);
     println!(
-        "  round trips: control p95 {:.2} ms, bulk-step p95 {:.2} ms",
-        r.ctrl_rtt.p95_ms, r.data_rtt.p95_ms
-    );
-    println!(
-        "  messages   : {} sent ({:.1} per commit) — {} submits, {} grants, \
+        "  messages   : {} sent ({:.1} per commit) — {} submits, {} commit acks, \
          {} accesses, {} stats deltas",
         r.messages_sent,
         r.msgs_per_commit(),
         r.msgs.submit,
-        r.msgs.grant,
+        r.msgs.commit,
         r.msgs.access,
         r.msgs.stats_delta
     );

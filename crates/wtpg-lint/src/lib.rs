@@ -52,7 +52,7 @@
 //! brace block (for example an `fn`), the waiver covers the whole block, so
 //! one waiver can cover an index-heavy function with a locally provable
 //! bound. A waiver may scope itself to specific findings with a detail
-//! list — `lint:allow(protocol: Grant, Reject) reason` waives only those
+//! list — `lint:allow(protocol: Access, Commit) reason` waives only those
 //! `Msg` variants. Waivers that suppress nothing are themselves findings —
 //! stale waivers must not accumulate. `schema` findings are deliberately
 //! not waivable: drift is fixed by regenerating the lock, never waived.
@@ -215,7 +215,7 @@ impl RuleSet {
 struct Waiver {
     line: usize,
     rule: Option<Rule>,
-    /// Optional finding keys (`lint:allow(protocol: Grant, Reject)`): when
+    /// Optional finding keys (`lint:allow(protocol: Access, Commit)`): when
     /// non-empty, the waiver only suppresses findings with a matching key.
     details: Vec<String>,
     reason: String,

@@ -4,7 +4,7 @@
 //!
 //! 1. **Exhaustiveness** — every variant of `enum Msg` (parsed from
 //!    `msg.rs`) must be *named* in some match-arm pattern of the file, or
-//!    explicitly waived (`lint:allow(protocol: Grant, Reject) reason`).
+//!    explicitly waived (`lint:allow(protocol: Access, Commit) reason`).
 //!    Wildcard arms deliberately don't count: when a variant is added to
 //!    the protocol, every actor must make a conscious decision about it.
 //! 2. **Batch recursion** — a `Msg::Batch` arm whose body re-dispatches
@@ -32,17 +32,18 @@ pub struct DedupRule {
     pub effects: &'static [&'static str],
 }
 
-/// Control actor: `completed`/`chunk_cursor` gate `step_complete` and
-/// `progress` (see `wtpg-net/src/control.rs`).
+/// Control actor: the in-flight step's `outstanding` entry (and the chunk
+/// cursor inside it) gates `step_complete` and `progress` (see
+/// `wtpg-net/src/control.rs`).
 const CONTROL_DEDUP: &[DedupRule] = &[
     DedupRule {
         variant: "AccessDone",
-        dedup: &["completed"],
+        dedup: &["outstanding"],
         effects: &["step_complete"],
     },
     DedupRule {
         variant: "StatsDelta",
-        dedup: &["completed", "chunk_cursor"],
+        dedup: &["outstanding"],
         effects: &["progress"],
     },
 ];
@@ -54,11 +55,11 @@ const DATA_DEDUP: &[DedupRule] = &[DedupRule {
     effects: &["apply_chunk"],
 }];
 
-/// Client: the inflight map gates latency recording.
+/// Client: the inflight map gates latency booking.
 const CLIENT_DEDUP: &[DedupRule] = &[DedupRule {
     variant: "Commit",
     dedup: &["inflight"],
-    effects: &["latencies_us", "ctrl_rtts_us"],
+    effects: &["book_commit"],
 }];
 
 /// The actor files of the net runtime, by file-name suffix, with their

@@ -131,11 +131,11 @@ mod tests {
     #[test]
     fn single_message_flush_sends_plain() {
         let (mut c, q) = wired(8);
-        assert!(c.push(Msg::Reject { txn: TxnId(1) }));
+        assert!(c.push(Msg::Commit { client: 0, txn: TxnId(1) }));
         assert_eq!(q.len(), 0, "push buffers, nothing on the wire yet");
         assert!(c.flush());
-        assert_eq!(q.try_pop(), PopResult::Item(Msg::Reject { txn: TxnId(1) }));
-        assert_eq!(c.tx.reject, 1);
+        assert_eq!(q.try_pop(), PopResult::Item(Msg::Commit { client: 0, txn: TxnId(1) }));
+        assert_eq!(c.tx.commit, 1);
         assert_eq!(c.tx.batch, 0, "one message never becomes a Batch");
         assert_eq!(c.batched_inner, 0);
         assert!(c.flush(), "empty flush is a no-op");
@@ -145,7 +145,7 @@ mod tests {
     fn multiple_messages_coalesce_into_one_batch() {
         let (mut c, q) = wired(8);
         for i in 0..3 {
-            assert!(c.push(Msg::Reject { txn: TxnId(i) }));
+            assert!(c.push(Msg::Commit { client: 0, txn: TxnId(i) }));
         }
         assert_eq!(c.pending(), 3);
         assert!(c.flush());

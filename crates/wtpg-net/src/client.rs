@@ -12,8 +12,8 @@
 //! id rather than position.
 //!
 //! The client keeps the run's latency books: submit-to-commit-ack per
-//! transaction (which under this protocol *is* the control round trip —
-//! one sample feeds both series).
+//! transaction, on the reader or the writer ledger by the spec's declared
+//! steps.
 //!
 //! **Open loop.** [`run_client_open_loop`] replaces the closed-loop
 //! submission policy (submit whenever a slot frees) with a fixed arrival
@@ -49,19 +49,13 @@ use crate::transport::{Inbox, MsgTx};
 /// Everything one client actor measured.
 #[derive(Default)]
 pub struct ClientOutcome {
-    /// Submit-to-commit-ack latency per transaction, microseconds.
-    pub latencies_us: Vec<u64>,
-    /// The read-only subset of `latencies_us`, booked whether those specs
-    /// rode the snapshot plane or the S-lock path — the split is what the
-    /// MVCC-vs-baseline comparison reads.
+    /// Submit-to-commit-ack latency, microseconds, of each read-only
+    /// transaction — booked whether the spec rode the snapshot plane or the
+    /// S-lock path; the split is what the MVCC-vs-baseline comparison reads.
     pub reader_latencies_us: Vec<u64>,
-    /// The complement: latencies of transactions with at least one write
-    /// step.
+    /// The same for each transaction with at least one write step. Every
+    /// committed transaction is on exactly one of the two ledgers.
     pub writer_latencies_us: Vec<u64>,
-    /// Control-node round trip per request. Under the pipelined protocol
-    /// the only request is `Submit` and the only reply is the commit ack,
-    /// so this mirrors `latencies_us` (kept separate for report shape).
-    pub ctrl_rtts_us: Vec<u64>,
     /// Arrivals offered (open loop: the schedule; closed loop: the slice).
     pub offered: u64,
     /// Open-loop arrivals shed because the in-flight bound was full.
@@ -85,7 +79,6 @@ struct ClientTel {
     inflight: Gauge,
     commit_lat: HistHandle,
     reader_lat: HistHandle,
-    ctrl_rtt: HistHandle,
 }
 
 impl ClientTel {
@@ -99,16 +92,17 @@ impl ClientTel {
             inflight: reg.gauge(metric::INFLIGHT),
             commit_lat: reg.hist(metric::COMMIT_LAT_US),
             reader_lat: reg.hist(metric::READER_LAT_US),
-            ctrl_rtt: reg.hist(metric::CTRL_RTT_US),
         }
     }
 }
 
+/// Submissions awaiting their ack: when each was sent, and whether it is
+/// read-only (which latency ledger it lands on).
+type Inflight = BTreeMap<TxnId, (Instant, bool)>;
+
 struct ClientActor<'a> {
     client: u32,
-    inbox: &'a Inbox,
     to_control: &'a Arc<dyn MsgTx>,
-    watchdog: Duration,
     tel: Option<ClientTel>,
     out: ClientOutcome,
 }
@@ -125,22 +119,38 @@ impl ClientActor<'_> {
         Ok(())
     }
 
-    // lint:allow(protocol: Submit, Grant, Reject, Delay, Access, AccessDone, Abort, StatsDelta, Batch, Recover, RecoverAck, SnapshotRead, SnapshotReply) a client receives only Commit acks and Shutdown; the rest is control/data-plane, recovery, and snapshot traffic it never sees
-    fn recv(&mut self) -> Result<Msg, NetError> {
-        match self.inbox.pop_timeout(self.watchdog) {
-            PopResult::Item(Msg::Shutdown) => Err(NetError::Protocol(format!(
-                "client {}: control node shut the run down mid-transaction",
+    /// Books whatever one inbox pop produced; `Ok(true)` if it was a
+    /// message. A `Commit` ack retires its in-flight entry — an ack for a
+    /// transaction not in flight is a duplicate delivery (flaky links
+    /// re-send), tallied in `rx` and otherwise ignored. Any other message,
+    /// a control-side `Shutdown` included, is a protocol error for a client
+    /// still owed acks.
+    // lint:allow(protocol: Submit, Access, AccessDone, StatsDelta, Batch, Recover, RecoverAck, SnapshotRead, SnapshotReply) a client receives only Commit acks and Shutdown; the rest is control/data-plane, recovery, and snapshot traffic it never sees
+    fn take(&mut self, popped: PopResult<Msg>, inflight: &mut Inflight) -> Result<bool, NetError> {
+        let m = match popped {
+            PopResult::Item(m) => m,
+            PopResult::Empty => return Ok(false),
+            PopResult::Closed => {
+                return Err(NetError::Protocol(format!(
+                    "client {}: link closed mid-run",
+                    self.client
+                )))
+            }
+        };
+        match m {
+            Msg::Commit { txn, .. } => {
+                m.count(&mut self.out.rx);
+                if let Some((started, reader)) = inflight.remove(&txn) {
+                    self.book_commit(started, reader);
+                }
+                Ok(true)
+            }
+            Msg::Shutdown => Err(NetError::Protocol(format!(
+                "client {}: control node shut the run down with acks still owed",
                 self.client
             ))),
-            PopResult::Item(m) => {
-                m.count(&mut self.out.rx);
-                Ok(m)
-            }
-            PopResult::Empty => Err(NetError::RecvTimeout {
-                actor: format!("client {}", self.client),
-            }),
-            PopResult::Closed => Err(NetError::Protocol(format!(
-                "client {}: link closed mid-run",
+            other => Err(NetError::Protocol(format!(
+                "client {}: expected a Commit ack, got {other:?}",
                 self.client
             ))),
         }
@@ -166,18 +176,15 @@ impl ClientActor<'_> {
     /// spec's declared steps), windowed counters, gauge.
     fn book_commit(&mut self, started: Instant, reader: bool) {
         let us = elapsed_us(started);
-        self.out.latencies_us.push(us);
         if reader {
             self.out.reader_latencies_us.push(us);
         } else {
             self.out.writer_latencies_us.push(us);
         }
-        self.out.ctrl_rtts_us.push(us);
         if let Some(t) = &self.tel {
             t.commits.inc();
             t.inflight.sub(1);
             t.commit_lat.record(us);
-            t.ctrl_rtt.record(us);
             if reader {
                 t.reader_commits.inc();
                 t.reader_lat.record(us);
@@ -198,37 +205,6 @@ impl ClientActor<'_> {
 
 fn elapsed_us(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX)
-}
-
-/// Books one open-loop inbox item: a Commit ack retires its in-flight
-/// entry; anything else (including a control-side `Shutdown`) is a
-/// protocol error for a client mid-stream.
-fn absorb_reply(
-    actor: &mut ClientActor<'_>,
-    inflight: &mut BTreeMap<TxnId, (Instant, bool)>,
-    m: Msg,
-    last_ack: &mut Instant,
-) -> Result<(), NetError> {
-    if matches!(m, Msg::Shutdown) {
-        return Err(NetError::Protocol(format!(
-            "client {}: control node shut the run down mid-stream",
-            actor.client
-        )));
-    }
-    m.count(&mut actor.out.rx);
-    match m {
-        Msg::Commit { txn, .. } => {
-            if let Some((started, reader)) = inflight.remove(&txn) {
-                actor.book_commit(started, reader);
-            }
-            *last_ack = Instant::now();
-            Ok(())
-        }
-        other => Err(NetError::Protocol(format!(
-            "client {}: expected a Commit ack, got {other:?}",
-            actor.client
-        ))),
-    }
 }
 
 /// Drives `specs` to commit as client `client`, keeping up to `pipeline`
@@ -254,14 +230,12 @@ pub fn run_client(
 ) -> Result<ClientOutcome, NetError> {
     let mut actor = ClientActor {
         client,
-        inbox,
         to_control,
-        watchdog,
         tel: reg.map(ClientTel::new),
         out: ClientOutcome::default(),
     };
     let depth = pipeline.max(1);
-    let mut inflight: BTreeMap<TxnId, (Instant, bool)> = BTreeMap::new();
+    let mut inflight = Inflight::new();
     let mut next = 0usize;
     while next < specs.len() || !inflight.is_empty() {
         while inflight.len() < depth {
@@ -270,20 +244,10 @@ pub fn run_client(
             inflight.insert(spec.id, (Instant::now(), spec.is_read_only()));
             next += 1;
         }
-        match actor.recv()? {
-            Msg::Commit { txn, .. } => {
-                // An ack for a transaction not in flight is a duplicate
-                // delivery (flaky links re-send); it is tallied in `rx`
-                // and otherwise ignored.
-                if let Some((started, reader)) = inflight.remove(&txn) {
-                    actor.book_commit(started, reader);
-                }
-            }
-            other => {
-                return Err(NetError::Protocol(format!(
-                    "client {client}: expected a Commit ack, got {other:?}"
-                )))
-            }
+        if !actor.take(inbox.pop_timeout(watchdog), &mut inflight)? {
+            return Err(NetError::RecvTimeout {
+                actor: format!("client {client}"),
+            });
         }
     }
     Ok(actor.out)
@@ -326,30 +290,20 @@ pub fn run_client_open_loop(
 ) -> Result<ClientOutcome, NetError> {
     let mut actor = ClientActor {
         client,
-        inbox,
         to_control,
-        watchdog,
         tel: reg.map(ClientTel::new),
         out: ClientOutcome::default(),
     };
     let depth = plan.inflight.max(1);
     let n = specs.len().min(plan.arrivals_us.len());
-    let mut inflight: BTreeMap<TxnId, (Instant, bool)> = BTreeMap::new();
+    let mut inflight = Inflight::new();
     let mut next = 0usize;
     let mut last_ack = Instant::now();
     while next < n || !inflight.is_empty() {
         // Absorb whatever acks are already waiting, so an arrival is only
         // shed when the window is genuinely still full.
-        loop {
-            match inbox.try_pop() {
-                PopResult::Item(m) => absorb_reply(&mut actor, &mut inflight, m, &mut last_ack)?,
-                PopResult::Empty => break,
-                PopResult::Closed => {
-                    return Err(NetError::Protocol(format!(
-                        "client {client}: link closed mid-run"
-                    )));
-                }
-            }
+        while actor.take(inbox.try_pop(), &mut inflight)? {
+            last_ack = Instant::now();
         }
         // Fire every arrival already due. Shedding is decided *now*, at
         // the arrival instant — open loop means the schedule never waits
@@ -381,16 +335,8 @@ pub fn run_client_open_loop(
             }
             _ => OPEN_LOOP_NAP,
         };
-        if !nap.is_zero() {
-            match inbox.pop_timeout(nap) {
-                PopResult::Item(m) => absorb_reply(&mut actor, &mut inflight, m, &mut last_ack)?,
-                PopResult::Empty => {}
-                PopResult::Closed => {
-                    return Err(NetError::Protocol(format!(
-                        "client {client}: link closed mid-run"
-                    )));
-                }
-            }
+        if !nap.is_zero() && actor.take(inbox.pop_timeout(nap), &mut inflight)? {
+            last_ack = Instant::now();
         }
         // Starvation guard only while something is actually owed to us.
         if !inflight.is_empty() && last_ack.elapsed() > watchdog {

@@ -110,15 +110,6 @@ pub fn encode_payload(msg: &Msg) -> Vec<u8> {
                 }
             }
         }
-        Msg::Grant { txn, step } => {
-            put_u64(&mut b, txn.0);
-            put_opt_u32(&mut b, *step);
-        }
-        Msg::Reject { txn } => put_u64(&mut b, txn.0),
-        Msg::Delay { txn, step } => {
-            put_u64(&mut b, txn.0);
-            put_u32(&mut b, *step);
-        }
         Msg::Access {
             txn,
             step,
@@ -147,7 +138,7 @@ pub fn encode_payload(msg: &Msg) -> Vec<u8> {
             put_u64(&mut b, *checksum);
             put_u64(&mut b, *units);
         }
-        Msg::Commit { client, txn } | Msg::Abort { client, txn } => {
+        Msg::Commit { client, txn } => {
             put_u32(&mut b, *client);
             put_u64(&mut b, txn.0);
         }
@@ -414,17 +405,6 @@ fn read_msg(c: &mut Cur<'_>, allow_batch: bool) -> Result<Msg, CodecError> {
                 spec,
             })
         }
-        1 => Ok(Msg::Grant {
-            txn: TxnId(c.u64()?),
-            step: c.opt_u32()?,
-        }),
-        2 => Ok(Msg::Reject {
-            txn: TxnId(c.u64()?),
-        }),
-        3 => Ok(Msg::Delay {
-            txn: TxnId(c.u64()?),
-            step: c.u32()?,
-        }),
         4 => Ok(Msg::Access {
             txn: TxnId(c.u64()?),
             step: c.u32()?,
@@ -441,10 +421,6 @@ fn read_msg(c: &mut Cur<'_>, allow_batch: bool) -> Result<Msg, CodecError> {
             units: c.u64()?,
         }),
         6 => Ok(Msg::Commit {
-            client: c.u32()?,
-            txn: TxnId(c.u64()?),
-        }),
-        7 => Ok(Msg::Abort {
             client: c.u32()?,
             txn: TxnId(c.u64()?),
         }),
@@ -552,19 +528,6 @@ mod tests {
                 step: Some(1),
                 spec: None,
             },
-            Msg::Grant {
-                txn: TxnId(7),
-                step: Some(0),
-            },
-            Msg::Grant {
-                txn: TxnId(7),
-                step: None,
-            },
-            Msg::Reject { txn: TxnId(7) },
-            Msg::Delay {
-                txn: TxnId(7),
-                step: 1,
-            },
             Msg::Access {
                 txn: TxnId(7),
                 step: 1,
@@ -581,10 +544,6 @@ mod tests {
                 units: 2500,
             },
             Msg::Commit {
-                client: 2,
-                txn: TxnId(7),
-            },
-            Msg::Abort {
                 client: 2,
                 txn: TxnId(7),
             },
@@ -664,18 +623,17 @@ mod tests {
         // Byte-stability contract: these exact encodings are the protocol.
         // If this test fails, the format changed — that is a breaking
         // protocol change, not a test to update casually.
-        let grant = Msg::Grant {
+        let commit = Msg::Commit {
+            client: 5,
             txn: TxnId(0x0102_0304),
-            step: Some(5),
         };
         assert_eq!(
-            encode_frame(&grant),
+            encode_frame(&commit),
             vec![
-                14, 0, 0, 0, // payload length
-                1, // tag: Grant
+                13, 0, 0, 0, // payload length
+                6, // tag: Commit
+                5, 0, 0, 0, // client u32 LE
                 4, 3, 2, 1, 0, 0, 0, 0, // txn u64 LE
-                1, // step present
-                5, 0, 0, 0, // step u32 LE
             ]
         );
         let delta = Msg::StatsDelta {
@@ -761,7 +719,13 @@ mod tests {
             ]
         );
         // A batch is [tag=10][count u32][per-inner: len u32 + payload].
-        let batch = Msg::Batch(vec![Msg::Shutdown, Msg::Reject { txn: TxnId(1) }]);
+        let batch = Msg::Batch(vec![
+            Msg::Shutdown,
+            Msg::Commit {
+                client: 2,
+                txn: TxnId(1),
+            },
+        ]);
         assert_eq!(
             encode_payload(&batch),
             vec![
@@ -769,8 +733,9 @@ mod tests {
                 2, 0, 0, 0, // two inner messages
                 1, 0, 0, 0, // inner 0: 1 byte
                 9, // Shutdown
-                9, 0, 0, 0, // inner 1: 9 bytes
-                2, // tag: Reject
+                13, 0, 0, 0, // inner 1: 13 bytes
+                6, // tag: Commit
+                2, 0, 0, 0, // client u32 LE
                 1, 0, 0, 0, 0, 0, 0, 0, // txn u64 LE
             ]
         );
@@ -859,10 +824,11 @@ mod tests {
     #[test]
     fn bad_bytes_are_rejected_not_panicked_on() {
         assert_eq!(decode_payload(&[42]), Err(CodecError::BadTag(42)));
-        // Grant with a bad option flag.
-        let mut b = vec![1u8];
-        b.extend_from_slice(&7u64.to_le_bytes());
-        b.push(9); // neither 0 nor 1
+        // Submit with a bad option flag.
+        let mut b = vec![0u8];
+        b.extend_from_slice(&0u32.to_le_bytes()); // client
+        b.extend_from_slice(&7u64.to_le_bytes()); // txn
+        b.push(9); // step flag: neither 0 nor 1
         assert_eq!(decode_payload(&b), Err(CodecError::BadFlag(9)));
         // Access with a bad mode byte.
         let mut b = vec![4u8];

@@ -41,11 +41,13 @@
 //!   periodically persists its commit count, completed-step count, and
 //!   per-node chunk-credit tallies, so post-run tooling can cross-check the
 //!   control plane's view against the data nodes' logs.
-//! * **Duplicate absorption** — `StatsDelta` chunks for a step that already
-//!   completed are dropped (the fault layer duplicates whole batches, so a
-//!   duplicated `[StatsDelta…, AccessDone]` frame can trail the original's
-//!   completion), in-flight duplicates are filtered by the chunk cursor,
-//!   and a second `AccessDone` for a completed step is dropped. Without
+//! * **Duplicate absorption** — a writer has at most one step in flight,
+//!   and that step's entry in the outstanding table is its whole dedup
+//!   state: the entry's chunk cursor filters in-flight `StatsDelta`
+//!   duplicates, and the first `AccessDone` removes the entry, so anything
+//!   that trails it (the fault layer duplicates whole batches, so a
+//!   duplicated `[StatsDelta…, AccessDone]` frame can follow the original's
+//!   completion, or even the commit) finds no entry and is dropped. Without
 //!   this, a duplicated delivery would double-count bulk progress and break
 //!   certification.
 
@@ -119,8 +121,9 @@ pub struct ControlParams {
     /// Live certification stream: with a sender attached, the wrapped
     /// [`ControlNode`] records no in-memory history — every event goes to
     /// a per-shard [`StreamingCertifier`](wtpg_core::StreamingCertifier)
-    /// thread, and the actor prunes per-transaction state at commit so
-    /// its footprint is bounded by the live population.
+    /// thread. Per-transaction state is retired at commit in every mode, so
+    /// with the history gone the actor's footprint is bounded by the live
+    /// population.
     pub stream: Option<SyncSender<StreamItem>>,
     /// Shared windowed-metric registry (`None` disables telemetry).
     pub reg: Option<Arc<Registry>>,
@@ -180,7 +183,8 @@ pub struct MvccAudit {
     pub readers: Vec<ReaderRecord>,
 }
 
-/// One unanswered `Access` order awaiting its `AccessDone`.
+/// One unanswered `Access` (or `SnapshotRead`) order awaiting its reply.
+/// For a writer this is also the in-flight step's whole dedup state.
 struct Outstanding {
     node: usize,
     attempts: u32,
@@ -188,6 +192,13 @@ struct Outstanding {
     /// When the order was first issued (data-plane RTT origin).
     sent_at: Instant,
     msg: Msg,
+    /// Next expected `StatsDelta` chunk index (data nodes report chunks in
+    /// order; anything below is a duplicate delivery).
+    next_chunk: u64,
+    /// The owning node blew past the redelivery budget: the order is
+    /// parked, still re-sending at the capped interval, waiting for the
+    /// node to rejoin.
+    unavailable: bool,
 }
 
 /// Pre-resolved per-shard windowed-metric handles.
@@ -292,9 +303,6 @@ struct ControlActor<'a> {
     active: usize,
     admit_window: usize,
     outstanding: BTreeMap<(TxnId, u32), Outstanding>,
-    /// Orders whose node blew past the redelivery budget: parked, still
-    /// re-sending at the capped interval, waiting for the node to rejoin.
-    unavailable: BTreeSet<(TxnId, u32)>,
     /// Cumulative count of orders ever parked as node-unavailable.
     node_unavailable: u64,
     /// Chunk credits applied per data node (checkpoint cross-check datum).
@@ -302,10 +310,10 @@ struct ControlActor<'a> {
     /// Control-checkpoint destination (`None` disables checkpointing).
     ckpt: Option<PathBuf>,
     ckpt_writes: u64,
-    /// Next expected chunk index per in-flight step (StatsDelta dedup).
-    chunk_cursor: BTreeMap<(TxnId, u32), u64>,
-    /// Steps already reported complete (AccessDone + StatsDelta dedup).
-    completed: BTreeSet<(TxnId, u32)>,
+    /// Write-plane steps reported complete (checkpoint cross-check datum).
+    completed_steps: u64,
+    /// Committed writers. A transaction's drive-state is retired at commit;
+    /// this set is what absorbs its late duplicates afterwards.
     committed: BTreeSet<TxnId>,
     rx: MsgCounts,
     tx: MsgCounts,
@@ -316,10 +324,6 @@ struct ControlActor<'a> {
     chunk_units: u64,
     /// Per-shard windowed gauges and counters (`None` disables).
     tel: Option<CtrlTel>,
-    /// Prune per-transaction state at commit (streaming/drain runs, which
-    /// must stay memory-bounded over millions of transactions; duplicate
-    /// deliveries after the prune are absorbed by the `committed` set).
-    prune: bool,
     /// Drain exit (see [`ControlParams::drain_clients`]).
     drain: Option<usize>,
     /// End-of-stream markers received (one `Shutdown` per finished client).
@@ -332,17 +336,6 @@ struct ControlActor<'a> {
 }
 
 impl ControlActor<'_> {
-    fn send_client(&mut self, txn: TxnId, m: &Msg) -> Result<(), NetError> {
-        let client = self
-            .txns
-            .get(&txn)
-            .map(|t| t.client)
-            .ok_or_else(|| NetError::Protocol(format!("no owner recorded for txn {}", txn.0)))?;
-        self.send_to_client(client, m)
-    }
-
-    /// Sends directly to a known client index (readers have no `TxnState`
-    /// to resolve an owner from).
     fn send_to_client(&mut self, client: u32, m: &Msg) -> Result<(), NetError> {
         let tx = self
             .to_clients
@@ -372,6 +365,23 @@ impl ControlActor<'_> {
                 self.shard
             )));
         }
+        Ok(())
+    }
+
+    /// Sends `order` for `(txn, step)` to `node` and files it in the
+    /// outstanding table until its reply arrives.
+    fn issue(&mut self, txn: TxnId, step: u32, node: usize, order: Msg) -> Result<(), NetError> {
+        self.send_data(node, order.clone(), false)?;
+        let now = Instant::now();
+        self.outstanding.insert((txn, step), Outstanding {
+            node,
+            attempts: 0,
+            deadline: now + Duration::from_micros(self.retry.delay_us(0)),
+            sent_at: now,
+            msg: order,
+            next_chunk: 0,
+            unavailable: false,
+        });
         Ok(())
     }
 
@@ -425,7 +435,6 @@ impl ControlActor<'_> {
             .expect("invariant: drive() is only called for tracked txns");
         if state.next_step == state.spec.len() {
             let client = state.client;
-            let steps = state.spec.len() as u32;
             let parts: Vec<u32> = if self.mvcc.is_some() {
                 state.spec.steps().iter().map(|s| s.partition.0).collect()
             } else {
@@ -450,18 +459,11 @@ impl ControlActor<'_> {
                 t.commits.inc();
             }
             self.maybe_checkpoint()?;
-            self.send_client(txn, &Msg::Commit { client, txn })?;
-            if self.prune {
-                // Bounded-memory mode: the transaction is over; drop its
-                // drive-state and step books. Late duplicates are absorbed
-                // by the `committed` set (Submit) and by the outstanding /
-                // cursor maps being empty (data-plane replies).
-                self.txns.remove(&txn);
-                for step in 0..steps {
-                    self.completed.remove(&(txn, step));
-                }
-            }
-            return Ok(());
+            // The transaction is over: retire its drive-state. Late
+            // duplicates (Submit or data-plane replies) are absorbed by
+            // the `committed` set.
+            self.txns.remove(&txn);
+            return self.send_to_client(client, &Msg::Commit { client, txn });
         }
         let step = state.next_step;
         match self.control.request(txn, step)? {
@@ -505,17 +507,7 @@ impl ControlActor<'_> {
                     chunk_units: self.chunk_units,
                     seal,
                 };
-                self.send_data(node, order.clone(), false)?;
-                self.chunk_cursor.insert((txn, step), 0);
-                let now = Instant::now();
-                self.outstanding.insert((txn, step), Outstanding {
-                    node,
-                    attempts: 0,
-                    deadline: now + Duration::from_micros(self.retry.delay_us(0)),
-                    sent_at: now,
-                    msg: order,
-                });
-                Ok(())
+                self.issue(txn, step, node, order)
             }
             LockOutcome::Blocked | LockOutcome::Delayed => self.park(txn),
         }
@@ -594,15 +586,7 @@ impl ControlActor<'_> {
             );
         }
         for (node, step, order) in orders {
-            self.send_data(node, order.clone(), false)?;
-            let now = Instant::now();
-            self.outstanding.insert((txn, step), Outstanding {
-                node,
-                attempts: 0,
-                deadline: now + Duration::from_micros(self.retry.delay_us(0)),
-                sent_at: now,
-                msg: order,
-            });
+            self.issue(txn, step, node, order)?;
         }
         Ok(())
     }
@@ -660,7 +644,28 @@ impl ControlActor<'_> {
         Ok(())
     }
 
-    // lint:allow(protocol: Grant, Reject, Delay, Access, SnapshotRead, Commit, RecoverAck) send-only for the control actor: it emits the verdicts, accesses, snapshot-read orders, and recovery acks
+    /// A write-plane reply that finds no order in flight under its key. A
+    /// writer's only in-flight step is the one in the outstanding table, so
+    /// the reply either duplicates a step that already completed (or whose
+    /// transaction already committed) and is dropped, or answers an order
+    /// this actor never issued.
+    fn late_reply(&self, txn: TxnId, step: u32, what: &str) -> Result<(), NetError> {
+        let done = self.committed.contains(&txn)
+            || self
+                .txns
+                .get(&txn)
+                .is_some_and(|t| (step as usize) < t.next_step);
+        if done {
+            Ok(())
+        } else {
+            Err(NetError::Protocol(format!(
+                "{what} for txn {} step {step}, which has no order in flight",
+                txn.0
+            )))
+        }
+    }
+
+    // lint:allow(protocol: Access, SnapshotRead, Commit, RecoverAck) send-only for the control actor: it emits the accesses, snapshot-read orders, commit acks, and recovery acks
     fn handle(&mut self, m: Msg) -> Result<(), NetError> {
         m.count(&mut self.rx);
         match m {
@@ -710,48 +715,36 @@ impl ControlActor<'_> {
                 chunk,
                 units,
             } => {
-                if self.completed.contains(&(txn, step)) || self.committed.contains(&txn) {
-                    // A duplicated batch can trail the step's completion
-                    // (or, once per-step books are pruned, the commit);
-                    // its progress was already applied.
-                    return Ok(());
+                let Some(o) = self.outstanding.get_mut(&(txn, step)) else {
+                    return self.late_reply(txn, step, "StatsDelta");
+                };
+                if chunk < o.next_chunk {
+                    return Ok(()); // duplicate delivery: already applied
                 }
-                let cursor = self.chunk_cursor.entry((txn, step)).or_insert(0);
-                if chunk == *cursor {
-                    *cursor += 1;
-                    if let Some(o) = self.outstanding.get(&(txn, step)) {
-                        let n = o.node;
-                        if self.node_chunks.len() <= n {
-                            self.node_chunks.resize(n + 1, 0);
-                        }
-                        if let Some(slot) = self.node_chunks.get_mut(n) {
-                            *slot += 1;
-                        }
-                    }
-                    self.control.progress(txn, Work::from_units(units))?;
-                    Ok(())
-                } else if chunk < *cursor {
-                    Ok(()) // duplicate delivery: already applied
-                } else {
-                    Err(NetError::Protocol(format!(
+                if chunk > o.next_chunk {
+                    return Err(NetError::Protocol(format!(
                         "txn {} step {step}: chunk {chunk} arrived before chunk {}",
-                        txn.0, *cursor
-                    )))
+                        txn.0, o.next_chunk
+                    )));
                 }
+                o.next_chunk += 1;
+                let n = o.node;
+                if self.node_chunks.len() <= n {
+                    self.node_chunks.resize(n + 1, 0);
+                }
+                if let Some(slot) = self.node_chunks.get_mut(n) {
+                    *slot += 1;
+                }
+                self.control.progress(txn, Work::from_units(units))?;
+                Ok(())
             }
             Msg::AccessDone { txn, step, .. } => {
-                if self.committed.contains(&txn) {
-                    return Ok(()); // late duplicate after the commit prune
-                }
-                if !self.completed.insert((txn, step)) {
-                    return Ok(()); // duplicate (redelivery or dup fault)
-                }
+                let Some(o) = self.outstanding.remove(&(txn, step)) else {
+                    return self.late_reply(txn, step, "AccessDone");
+                };
                 self.control.step_complete(txn, step as usize)?;
-                if let Some(o) = self.outstanding.remove(&(txn, step)) {
-                    self.data_rtts_us.push(elapsed_us(o.sent_at));
-                }
-                self.unavailable.remove(&(txn, step));
-                self.chunk_cursor.remove(&(txn, step));
+                self.data_rtts_us.push(elapsed_us(o.sent_at));
+                self.completed_steps += 1;
                 if let Some(t) = self.txns.get_mut(&txn) {
                     t.next_step = step as usize + 1;
                 }
@@ -796,7 +789,6 @@ impl ControlActor<'_> {
                         }
                     }
                 }
-                self.unavailable.remove(&(txn, step));
                 let Some(plane) = self.mvcc.as_mut() else {
                     return Err(NetError::Protocol(format!(
                         "SnapshotReply for txn {} with the snapshot plane off",
@@ -865,28 +857,6 @@ impl ControlActor<'_> {
                     txn,
                 })
             }
-            Msg::Abort { client, txn } => {
-                // Defensive: our clients never abort, but the protocol
-                // carries it and the scheduler supports it.
-                self.control.abort(txn)?;
-                let steps: Vec<(TxnId, u32)> = self
-                    .outstanding
-                    .keys()
-                    .filter(|(t, _)| *t == txn)
-                    .copied()
-                    .collect();
-                for key in steps {
-                    self.outstanding.remove(&key);
-                    self.unavailable.remove(&key);
-                    self.chunk_cursor.remove(&key);
-                }
-                self.parked.remove(&txn);
-                self.backlog.retain(|&t| t != txn);
-                if self.txns.get(&txn).is_some_and(|t| t.admitted) {
-                    self.active = self.active.saturating_sub(1);
-                }
-                self.send_client(txn, &Msg::Abort { client, txn })
-            }
             Msg::Recover { node, .. } => {
                 // A killed data node restarted from its log and rejoined:
                 // re-send everything still outstanding on it right away
@@ -895,27 +865,18 @@ impl ControlActor<'_> {
                 // and un-park whatever went node-unavailable while it was
                 // dark.
                 let node = node as usize;
-                let keys: Vec<(TxnId, u32)> = self
-                    .outstanding
-                    .iter()
-                    .filter(|(_, o)| o.node == node)
-                    .map(|(k, _)| *k)
-                    .collect();
-                let now = Instant::now();
-                let mut resent = 0u32;
-                for key in keys {
-                    let msg = match self.outstanding.get_mut(&key) {
-                        Some(o) => {
-                            o.attempts = 0;
-                            o.deadline = now + Duration::from_micros(self.retry.delay_us(0));
-                            o.msg.clone()
-                        }
-                        None => continue,
-                    };
-                    self.unavailable.remove(&key);
+                let deadline = Instant::now() + Duration::from_micros(self.retry.delay_us(0));
+                let mut resend = Vec::new();
+                for o in self.outstanding.values_mut().filter(|o| o.node == node) {
+                    o.attempts = 0;
+                    o.deadline = deadline;
+                    o.unavailable = false;
+                    resend.push(o.msg.clone());
+                }
+                let resent = u32::try_from(resend.len()).unwrap_or(u32::MAX);
+                for msg in resend {
                     self.send_data(node, msg, false)?;
                     self.access_retries += 1;
-                    resent = resent.saturating_add(1);
                 }
                 // Flush the re-send burst as its own frame first: the ack
                 // then leaves as a plain single-message frame, so the
@@ -966,34 +927,25 @@ impl ControlActor<'_> {
             return Ok(());
         }
         let now = Instant::now();
-        let expired: Vec<(TxnId, u32)> = self
-            .outstanding
-            .iter()
-            .filter(|(_, o)| o.deadline <= now)
-            .map(|(k, _)| *k)
-            .collect();
-        for key in expired {
-            let (node, msg, parked) = match self.outstanding.get_mut(&key) {
-                Some(o) => {
-                    o.attempts = o.attempts.saturating_add(1);
-                    let parked = o.attempts >= self.retry.max_attempts;
-                    if parked {
-                        // The owning node blew past the redelivery budget.
-                        // Don't fail the run: park the order as
-                        // node-unavailable and keep re-sending at the
-                        // capped interval — a killed node restarts from
-                        // its log and answers. The receive watchdog still
-                        // bounds a run whose node is truly gone.
-                        o.attempts = self.retry.max_attempts;
-                    }
-                    o.deadline = now + Duration::from_micros(self.retry.delay_us(o.attempts));
-                    (o.node, o.msg.clone(), parked)
+        let mut resend = Vec::new();
+        for o in self.outstanding.values_mut().filter(|o| o.deadline <= now) {
+            o.attempts = o.attempts.saturating_add(1);
+            if o.attempts >= self.retry.max_attempts {
+                // The owning node blew past the redelivery budget. Don't
+                // fail the run: park the order as node-unavailable and keep
+                // re-sending at the capped interval — a killed node
+                // restarts from its log and answers. The receive watchdog
+                // still bounds a run whose node is truly gone.
+                o.attempts = self.retry.max_attempts;
+                if !o.unavailable {
+                    o.unavailable = true;
+                    self.node_unavailable += 1;
                 }
-                None => continue,
-            };
-            if parked && self.unavailable.insert(key) {
-                self.node_unavailable += 1;
             }
+            o.deadline = now + Duration::from_micros(self.retry.delay_us(o.attempts));
+            resend.push((o.node, o.msg.clone()));
+        }
+        for (node, msg) in resend {
             self.send_data(node, msg, true)?;
             self.access_retries += 1;
         }
@@ -1016,7 +968,7 @@ impl ControlActor<'_> {
         };
         let ckpt = ControlCheckpoint {
             committed: self.committed.len() as u64,
-            completed_steps: self.completed.len() as u64,
+            completed_steps: self.completed_steps,
             node_chunks: self.node_chunks.clone(),
         };
         write_control_checkpoint(path, &ckpt)?;
@@ -1087,7 +1039,6 @@ pub fn run_control(
     to_data: &[Arc<dyn MsgTx>],
     to_clients: &[Arc<dyn MsgTx>],
 ) -> Result<ControlOutcome, NetError> {
-    let streaming = params.stream.is_some();
     let control = ControlNode::with_telemetry(
         params.sched,
         None,
@@ -1114,13 +1065,11 @@ pub fn run_control(
         active: 0,
         admit_window: params.admit_window.max(1),
         outstanding: BTreeMap::new(),
-        unavailable: BTreeSet::new(),
         node_unavailable: 0,
         node_chunks: Vec::new(),
         ckpt: params.ckpt,
         ckpt_writes: 0,
-        chunk_cursor: BTreeMap::new(),
-        completed: BTreeSet::new(),
+        completed_steps: 0,
         committed: BTreeSet::new(),
         rx: MsgCounts::default(),
         tx: MsgCounts::default(),
@@ -1129,7 +1078,6 @@ pub fn run_control(
         max_retry_streak: 0,
         chunk_units,
         tel: params.reg.as_deref().map(|r| CtrlTel::new(r, params.shard)),
-        prune: streaming || params.drain_clients.is_some(),
         drain: params.drain_clients,
         done_clients: 0,
         submits_seen: 0,

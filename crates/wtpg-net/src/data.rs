@@ -357,7 +357,7 @@ impl<'a> DataActor<'a> {
         }
     }
 
-    // lint:allow(protocol: Submit, Grant, Reject, Delay, AccessDone, Commit, Abort, StatsDelta, Recover, SnapshotReply) a data node only receives Access/SnapshotRead/Batch/Shutdown/RecoverAck; the rest is control<->client traffic, and Recover/SnapshotReply are what it *sends*
+    // lint:allow(protocol: Submit, AccessDone, Commit, StatsDelta, Recover, SnapshotReply) a data node only receives Access/SnapshotRead/Batch/Shutdown/RecoverAck; the rest is control<->client traffic, and Recover/SnapshotReply are what it *sends*
     fn handle(&mut self, m: Msg) -> Result<Flow, NetError> {
         m.count(&mut self.rx);
         match m {

@@ -315,7 +315,7 @@ mod tests {
         );
         let total = 200u64;
         for i in 0..total {
-            assert!(link.send(&Msg::Reject { txn: TxnId(i) }));
+            assert!(link.send(&Msg::Commit { client: 0, txn: TxnId(i) }));
         }
         drop(link); // closes the queue; forwarder drains and exits
         pump.join().expect("forwarder exits after drain");
@@ -323,7 +323,7 @@ mod tests {
         let mut delivered = 0u64;
         loop {
             match out.try_pop() {
-                PopResult::Item(Msg::Reject { txn }) => {
+                PopResult::Item(Msg::Commit { txn, .. }) => {
                     assert!(txn.0 >= last, "FIFO violated: {} after {last}", txn.0);
                     last = txn.0;
                     delivered += 1;
@@ -359,7 +359,7 @@ mod tests {
                 Arc::clone(&counters),
             );
             for i in 0..100 {
-                link.send(&Msg::Reject { txn: TxnId(i) });
+                link.send(&Msg::Commit { client: 0, txn: TxnId(i) });
             }
             drop(link);
             pump.join().expect("forwarder exits");

@@ -48,6 +48,6 @@ pub use wtpg_dur::Durability;
 pub use fault::{CrashPlan, FaultPlan, KillPlan, LinkFaults};
 pub use msg::Msg;
 pub use report::{MsgBreakdown, NetReport};
-pub use runtime::{run_cell, run_cell_load, run_cell_obs, NetConfig, OpenLoop};
+pub use runtime::{run_cell, run_cell_load, NetConfig, OpenLoop};
 pub use tcp::Tcp;
 pub use transport::{InProc, Transport};

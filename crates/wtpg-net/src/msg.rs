@@ -4,22 +4,25 @@
 //! shared mutable state to fall back on:
 //!
 //! ```text
-//!   client ──Submit(spec)──► control ──Access──────────► data node
-//!   client ◄─Commit ack────   control ◄─StatsDelta/AccessDone─
+//!   client ──Submit(spec)──► control ──Access | SnapshotRead────► data node
+//!   client ◄─Commit ack────   control ◄─StatsDelta/AccessDone | SnapshotReply─
 //!                             control | runtime ──Shutdown──► data node
 //! ```
 //!
-//! The protocol is *pipelined*: a client sends one `Submit` carrying the
-//! full declaration and hears back exactly once, on commit. The control
-//! node drives the whole lifecycle — admission, per-step lock grants,
-//! routing the bulk-access order to the owning partition, retrying parked
-//! (rejected or delayed) transactions when a completion frees capacity —
-//! without any per-step client round trip. Bursty links coalesce messages
-//! into flat [`Msg::Batch`] frames. `Grant`/`Reject`/`Delay` survive as
-//! wire types for observability and replay tooling, but the steady-state
-//! cost is two client messages per transaction, and the recorded history
-//! keeps the engine's per-transaction call shape because only the control
-//! node ever talks to the scheduler.
+//! The client protocol is two messages: one `Submit` carrying the full
+//! declaration, one `Commit` ack when the transaction has committed. A BAT
+//! declares its whole access set up front and is too expensive to abort
+//! once running, so everything in between — admission, per-step lock
+//! requests, routing each bulk-access order to the owning partition,
+//! parking a turned-away transaction and retrying it when a completion
+//! frees capacity — is the control node's business and never crosses the
+//! client link: there is no grant, reject, delay or abort message. Bursty
+//! links coalesce messages into flat [`Msg::Batch`] frames. The recorded
+//! history keeps the engine's per-transaction call shape because only the
+//! control node ever talks to the scheduler.
+//!
+//! Wire tags 1, 2, 3 and 7 belonged to the retired per-step client protocol
+//! and stay unassigned: the codec rejects them as unknown tags.
 
 use wtpg_core::partition::PartitionId;
 use wtpg_core::txn::{AccessMode, TxnId, TxnSpec};
@@ -29,41 +32,19 @@ use wtpg_obs::MsgCounts;
 /// refers to), so handlers are idempotent under duplicate delivery.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Msg {
-    /// Client → control. With `step: None`, an admission request carrying
-    /// the full declaration (`spec` must be `Some`); with `step: Some(i)`, a
-    /// lock request for step `i` of an already-admitted transaction.
+    /// Client → control: run this transaction to commit. Clients always
+    /// send `step: None` with `spec: Some(..)`; the control node refuses any
+    /// other shape (the two `Option`s are what is left of the per-step
+    /// request the field layout once carried).
     Submit {
-        /// The requesting client, so the control node can route the reply.
+        /// The requesting client, so the control node can route the ack.
         client: u32,
         /// The transaction.
         txn: TxnId,
-        /// `None` = admission, `Some(i)` = lock request for step `i`.
+        /// Always `None`.
         step: Option<u32>,
-        /// The declaration; present only on admission requests.
+        /// The full declaration.
         spec: Option<TxnSpec>,
-    },
-    /// Control → client: the admission (`step: None`) or lock request
-    /// (`step: Some(i)`) was granted.
-    Grant {
-        /// The transaction.
-        txn: TxnId,
-        /// Which request was granted.
-        step: Option<u32>,
-    },
-    /// Control → client: admission rejected (CHAIN non-chain-form, K-WTPG
-    /// conflict bound, ASL lock failure). The client backs off and
-    /// resubmits the same spec under the same id.
-    Reject {
-        /// The rejected transaction.
-        txn: TxnId,
-    },
-    /// Control → client: the step's lock request was blocked or delayed.
-    /// The client backs off and re-requests.
-    Delay {
-        /// The transaction.
-        txn: TxnId,
-        /// The step whose request was turned away.
-        step: u32,
     },
     /// Control → data node: run one bulk step against the owned partition.
     /// Redelivered verbatim by the control node's retry watchdog until the
@@ -89,8 +70,7 @@ pub enum Msg {
         /// deliveries). Zero for read steps.
         seal: u64,
     },
-    /// Data node → control (forwarded to the client): the bulk step
-    /// finished all its units.
+    /// Data node → control: the bulk step finished all its units.
     AccessDone {
         /// The transaction.
         txn: TxnId,
@@ -102,19 +82,11 @@ pub enum Msg {
         /// Units applied, echoing the order.
         units: u64,
     },
-    /// Client → control: commit request; control → client: commit ack
-    /// (same variant both directions, idempotently re-acked).
+    /// Control → client: the transaction committed (an ack for a
+    /// transaction the client no longer tracks is a duplicate delivery and
+    /// is ignored).
     Commit {
         /// The committing client.
-        client: u32,
-        /// The transaction.
-        txn: TxnId,
-    },
-    /// Client → control: cancel a transaction mid-flight; control → client:
-    /// abort ack. Never sent on the happy path — the paper's BATs are too
-    /// expensive to abort — but the protocol carries it.
-    Abort {
-        /// The aborting client.
         client: u32,
         /// The transaction.
         txn: TxnId,
@@ -205,18 +177,14 @@ pub enum Msg {
 }
 
 impl Msg {
-    /// The codec wire tag of this message type (also its index in
-    /// [`MsgCounts`]'s field order).
+    /// The codec wire tag of this message type. Tags are pinned by
+    /// `wire-schema.lock` and have gaps where variants were retired.
     pub fn tag(&self) -> u8 {
         match self {
             Msg::Submit { .. } => 0,
-            Msg::Grant { .. } => 1,
-            Msg::Reject { .. } => 2,
-            Msg::Delay { .. } => 3,
             Msg::Access { .. } => 4,
             Msg::AccessDone { .. } => 5,
             Msg::Commit { .. } => 6,
-            Msg::Abort { .. } => 7,
             Msg::StatsDelta { .. } => 8,
             Msg::Shutdown => 9,
             Msg::Batch(_) => 10,
@@ -231,13 +199,9 @@ impl Msg {
     pub fn count(&self, counts: &mut MsgCounts) {
         match self {
             Msg::Submit { .. } => counts.submit += 1,
-            Msg::Grant { .. } => counts.grant += 1,
-            Msg::Reject { .. } => counts.reject += 1,
-            Msg::Delay { .. } => counts.delay += 1,
             Msg::Access { .. } => counts.access += 1,
             Msg::AccessDone { .. } => counts.access_done += 1,
             Msg::Commit { .. } => counts.commit += 1,
-            Msg::Abort { .. } => counts.abort += 1,
             Msg::StatsDelta { .. } => counts.stats_delta += 1,
             Msg::Shutdown => counts.shutdown += 1,
             Msg::Batch(_) => counts.batch += 1,
@@ -263,94 +227,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tags_are_dense_and_match_count_fields() {
-        let msgs = [
-            Msg::Submit {
-                client: 0,
-                txn: TxnId(1),
-                step: None,
-                spec: None,
-            },
-            Msg::Grant {
-                txn: TxnId(1),
-                step: None,
-            },
-            Msg::Reject { txn: TxnId(1) },
-            Msg::Delay {
-                txn: TxnId(1),
-                step: 0,
-            },
-            Msg::Access {
-                txn: TxnId(1),
-                step: 0,
-                partition: PartitionId(0),
-                mode: AccessMode::Read,
-                units: 1,
-                chunk_units: 1,
-                seal: 0,
-            },
-            Msg::AccessDone {
-                txn: TxnId(1),
-                step: 0,
-                checksum: 0,
-                units: 1,
-            },
+    fn inner_len_counts_batched_messages() {
+        assert_eq!(Msg::Shutdown.inner_len(), 1);
+        assert_eq!(Msg::Batch(vec![]).inner_len(), 0);
+        let b = Msg::Batch(vec![
+            Msg::Shutdown,
             Msg::Commit {
                 client: 0,
                 txn: TxnId(1),
             },
-            Msg::Abort {
-                client: 0,
-                txn: TxnId(1),
-            },
-            Msg::StatsDelta {
-                txn: TxnId(1),
-                step: 0,
-                chunk: 0,
-                units: 1,
-            },
-            Msg::Shutdown,
-            Msg::Batch(vec![Msg::Shutdown]),
-            Msg::Recover {
-                node: 0,
-                last_lsn: 1,
-                replayed_chunks: 1,
-            },
-            Msg::RecoverAck {
-                node: 0,
-                outstanding: 1,
-            },
-            Msg::SnapshotRead {
-                txn: TxnId(1),
-                step: 0,
-                partition: PartitionId(0),
-                units: 1,
-                horizon: 1,
-                exclude: vec![0],
-                floor: 0,
-            },
-            Msg::SnapshotReply {
-                txn: TxnId(1),
-                step: 0,
-                checksum: 0,
-                units: 1,
-            },
-        ];
-        let mut counts = MsgCounts::default();
-        for (i, m) in msgs.iter().enumerate() {
-            assert_eq!(m.tag() as usize, i, "{m:?}");
-            m.count(&mut counts);
-            let (_, v) = counts.fields()[i];
-            assert_eq!(v, 1, "tag {i} must bump field {i}");
-        }
-        assert_eq!(counts.total(), 15);
-    }
-
-    #[test]
-    fn inner_len_counts_batched_messages() {
-        assert_eq!(Msg::Shutdown.inner_len(), 1);
-        assert_eq!(Msg::Batch(vec![]).inner_len(), 0);
-        let b = Msg::Batch(vec![Msg::Shutdown, Msg::Reject { txn: TxnId(1) }]);
+        ]);
         assert_eq!(b.inner_len(), 2);
     }
 }

@@ -5,26 +5,19 @@ use serde::Serialize;
 use wtpg_obs::MsgCounts;
 use wtpg_rt::metrics::LatencySummary;
 
-/// Message tallies by protocol type, in wire-tag order — the serializable
-/// mirror of [`MsgCounts`] (`wtpg-obs` stays serde-free by design).
+/// Message tallies by protocol type, in `Msg` declaration order — the
+/// serializable mirror of [`MsgCounts`] (`wtpg-obs` stays serde-free by
+/// design).
 #[derive(Clone, Copy, Debug, Default, Serialize)]
 pub struct MsgBreakdown {
-    /// Admission and step-lock requests.
+    /// Whole-transaction submissions.
     pub submit: u64,
-    /// Admission and step-lock grants.
-    pub grant: u64,
-    /// Admission rejections.
-    pub reject: u64,
-    /// Blocked/delayed step requests.
-    pub delay: u64,
     /// Bulk-step orders to data nodes.
     pub access: u64,
-    /// Completed bulk steps (data node → control → client).
+    /// Completed bulk steps (data node → control).
     pub access_done: u64,
-    /// Commit requests and acks.
+    /// Commit acks.
     pub commit: u64,
-    /// Abort requests and acks.
-    pub abort: u64,
     /// Per-chunk progress reports.
     pub stats_delta: u64,
     /// Teardown broadcasts.
@@ -38,7 +31,7 @@ pub struct MsgBreakdown {
     pub recover_ack: u64,
     /// Lock-free snapshot-read orders to data nodes (read-only BATs).
     pub snapshot_read: u64,
-    /// Completed snapshot reads (data node → control → client).
+    /// Completed snapshot reads (data node → control).
     pub snapshot_reply: u64,
 }
 
@@ -46,13 +39,9 @@ impl From<MsgCounts> for MsgBreakdown {
     fn from(c: MsgCounts) -> MsgBreakdown {
         MsgBreakdown {
             submit: c.submit,
-            grant: c.grant,
-            reject: c.reject,
-            delay: c.delay,
             access: c.access,
             access_done: c.access_done,
             commit: c.commit,
-            abort: c.abort,
             stats_delta: c.stats_delta,
             shutdown: c.shutdown,
             batch: c.batch,
@@ -94,9 +83,11 @@ pub struct NetReport {
     pub shed: u64,
     /// Transactions committed (equals `submitted` when no one starves).
     pub committed: u64,
-    /// Rejected admissions — each one is a backoff-and-resubmit cycle.
+    /// Rejected admissions — each one returns the transaction to the head
+    /// of the control node's admission queue.
     pub rejected_admissions: u64,
-    /// Step requests answered with `Delay` (blocked or scheduler-delayed).
+    /// Step requests the scheduler blocked or delayed (each one parks the
+    /// transaction on the control node for a retry).
     pub delayed_retries: u64,
     /// Longest reject/delay retry streak any single transaction saw.
     pub max_retry_streak: u32,
@@ -106,8 +97,6 @@ pub struct NetReport {
     pub throughput_tps: f64,
     /// Submit-to-commit-ack latency.
     pub latency: LatencySummary,
-    /// Control-node round trip per request.
-    pub ctrl_rtt: LatencySummary,
     /// Grant-to-`AccessDone` round trip per bulk step.
     pub data_rtt: LatencySummary,
     /// Events in the recorded history.

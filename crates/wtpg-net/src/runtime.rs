@@ -232,7 +232,6 @@ fn msg_txn(m: &Msg) -> Option<TxnId> {
     match *m {
         Msg::Submit { txn, .. }
         | Msg::Commit { txn, .. }
-        | Msg::Abort { txn, .. }
         | Msg::AccessDone { txn, .. }
         | Msg::StatsDelta { txn, .. }
         | Msg::SnapshotReply { txn, .. } => Some(txn),
@@ -300,37 +299,23 @@ pub fn run_cell(
     transport: &dyn Transport,
     fault: &FaultPlan,
 ) -> Result<NetReport, NetError> {
-    run_cell_obs(cfg, sched, catalog, specs, transport, fault, None)
+    run_cell_load(cfg, sched, catalog, specs, transport, fault, None, None)
 }
 
-/// [`run_cell`] with an optional trace sink: after the run, cumulative
-/// network-plane counters ([`NetStats`]), per-shard admission/commit
-/// counters, and the RTT / batch-size histograms are emitted on track 0.
-/// Passing `None` changes nothing.
+/// [`run_cell`] with two optional telemetry taps; passing `None` for
+/// either changes nothing.
 ///
-/// # Errors
-/// As [`run_cell`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_cell_obs(
-    cfg: &NetConfig,
-    sched: &(dyn Fn() -> SendScheduler + Sync),
-    catalog: &Catalog,
-    specs: &[TxnSpec],
-    transport: &dyn Transport,
-    fault: &FaultPlan,
-    obs: Option<Arc<dyn Observer>>,
-) -> Result<NetReport, NetError> {
-    run_cell_load(cfg, sched, catalog, specs, transport, fault, obs, None)
-}
-
-/// [`run_cell_obs`] plus an optional shared windowed-metric [`Registry`]:
-/// with one attached, every actor (clients, control shards, the wrapped
-/// scheduler, data nodes) publishes its load, latency, queue-depth, and
-/// WAL counters into it live, under the canonical
-/// [`metric`](wtpg_obs::window::metric) names. The *caller* owns the flush
-/// cadence (a `WindowFlusher` snapshotting on its own clock) — the runtime
-/// never flushes, so a `None` registry costs nothing and an attached one
-/// costs only atomic bumps on the hot paths.
+/// `obs` is a trace sink: after the run, cumulative network-plane counters
+/// ([`NetStats`]), per-shard admission/commit counters, and the data-RTT /
+/// batch-size histograms are emitted on track 0.
+///
+/// `reg` is a shared windowed-metric [`Registry`]: with one attached, every
+/// actor (clients, control shards, the wrapped scheduler, data nodes)
+/// publishes its load, latency, queue-depth, and WAL counters into it live,
+/// under the canonical [`metric`](wtpg_obs::window::metric) names. The
+/// *caller* owns the flush cadence (a `WindowFlusher` snapshotting on its
+/// own clock) — the runtime never flushes, so a `None` registry costs
+/// nothing and an attached one costs only atomic bumps on the hot paths.
 ///
 /// # Errors
 /// As [`run_cell`], plus [`NetError::Certify`] when a streaming certifier
@@ -700,20 +685,16 @@ pub fn run_cell_load(
     // merge re-checks the sharding premise — component disjointness — and
     // refuses histories a sharded scheduler could never have produced.
     let audit = merge_audits(audits).map_err(NetError::Certify)?;
-    let mut latencies = Vec::with_capacity(specs.len());
     let mut reader_lats = Vec::new();
     let mut writer_lats = Vec::new();
-    let mut ctrl_rtts = Vec::new();
     let mut offered = 0u64;
     let mut shed = 0u64;
     let mut shed_ids: BTreeSet<TxnId> = BTreeSet::new();
     for c in &clients_out {
         sent.merge(&c.tx);
         processed.merge(&c.rx);
-        latencies.extend_from_slice(&c.latencies_us);
         reader_lats.extend_from_slice(&c.reader_latencies_us);
         writer_lats.extend_from_slice(&c.writer_latencies_us);
-        ctrl_rtts.extend_from_slice(&c.ctrl_rtts_us);
         offered += c.offered;
         shed += c.shed;
         shed_ids.extend(c.shed_ids.iter().copied());
@@ -779,8 +760,10 @@ pub fn run_cell_load(
         } else {
             0.0
         },
-        latency: LatencySummary::from_us(latencies),
-        ctrl_rtt: LatencySummary::from_us(ctrl_rtts.clone()),
+        // Every commit is on exactly one of the two client ledgers.
+        latency: LatencySummary::from_us(
+            reader_lats.iter().chain(&writer_lats).copied().collect(),
+        ),
         data_rtt: LatencySummary::from_us(data_rtts.clone()),
         history_events: if cfg.stream_certify {
             stream_events
@@ -910,11 +893,6 @@ pub fn run_cell_load(
             ));
         }
         o.record(ObsEvent::hist(0, 0, "net_batch_size", batch_sizes));
-        let mut ctrl_hist = Histogram::new();
-        for us in ctrl_rtts {
-            ctrl_hist.record(us);
-        }
-        o.record(ObsEvent::hist(0, 0, "net_ctrl_rtt_us", ctrl_hist));
         let mut data_hist = Histogram::new();
         for us in data_rtts {
             data_hist.record(us);
@@ -956,11 +934,9 @@ mod tests {
         assert_eq!(r.fault, "none");
         assert_eq!(r.shards, 1, "Pattern 1 is one conflict component");
         assert_eq!(r.msgs.shutdown as usize, r.data_nodes);
-        // Pipelined protocol: one Submit and one Commit ack per txn, no
-        // Grants/Rejects/Delays on the wire at all.
+        // The whole client protocol: one Submit and one Commit ack per txn.
         assert_eq!(r.msgs.submit, 40);
-        assert_eq!(r.msgs.commit, 40, "only the control-side ack remains");
-        assert_eq!(r.msgs.grant + r.msgs.reject + r.msgs.delay, 0);
+        assert_eq!(r.msgs.commit, 40);
         assert!(r.msgs.access >= r.msgs.access_done / 2);
         assert!(r.msgs.batch > 0, "data-node replies must coalesce");
         assert!(r.batched_inner > r.msgs.batch, "batches carry > 1 message");
@@ -1162,7 +1138,7 @@ mod tests {
         use wtpg_obs::MemorySink;
         let (catalog, specs) = pattern_specs(Pattern::One, 20, 7);
         let sink = Arc::new(MemorySink::new());
-        let r = run_cell_obs(
+        let r = run_cell_load(
             &NetConfig::default(),
             &|| sched_by_name("c2pl", 2, 2000).expect("known scheduler"),
             &catalog,
@@ -1170,6 +1146,7 @@ mod tests {
             &InProc,
             &FaultPlan::none(),
             Some(sink.clone()),
+            None,
         )
         .expect("traced run");
         assert_eq!(r.committed, 20);
@@ -1180,7 +1157,7 @@ mod tests {
         assert!(has("net_commits"), "missing commit counter");
         assert!(has("net_shard0_commits"), "missing per-shard counters");
         assert!(has("net_batch_size"), "missing batch-size histogram");
-        assert!(has("net_ctrl_rtt_us") && has("net_data_rtt_us"), "missing RTT histograms");
+        assert!(has("net_data_rtt_us"), "missing data-RTT histogram");
     }
 
     /// What the run *computes* (commits, store contents, conservation,

@@ -289,10 +289,10 @@ mod tests {
             PopResult::Item(Msg::Shutdown)
         );
         // control → client 0, client 0 → control
-        assert!(f.to_clients[0].send(&Msg::Reject { txn: TxnId(8) }));
+        assert!(f.to_clients[0].send(&Msg::Commit { client: 0, txn: TxnId(8) }));
         assert_eq!(
             f.client_inboxes[0].pop_timeout(std::time::Duration::from_secs(5)),
-            PopResult::Item(Msg::Reject { txn: TxnId(8) })
+            PopResult::Item(Msg::Commit { client: 0, txn: TxnId(8) })
         );
         assert!(f.client_to_control[0].send(&Msg::Commit {
             client: 0,

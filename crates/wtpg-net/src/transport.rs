@@ -135,7 +135,7 @@ mod tests {
     #[test]
     fn inproc_links_deliver_to_the_right_inbox() {
         let f = InProc.build(2, 1).expect("inproc build is infallible");
-        let m = Msg::Reject { txn: TxnId(4) };
+        let m = Msg::Commit { client: 0, txn: TxnId(4) };
         assert!(f.client_to_control[0].send(&m));
         assert_eq!(f.control_inbox.try_pop(), PopResult::Item(m.clone()));
         assert!(f.to_data[1].send(&m));

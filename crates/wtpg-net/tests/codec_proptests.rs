@@ -49,13 +49,6 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
             step: Some(step),
             spec: None,
         }),
-        txn().prop_map(|txn| Msg::Grant { txn, step: None }),
-        (txn(), 0u32..8).prop_map(|(txn, step)| Msg::Grant {
-            txn,
-            step: Some(step)
-        }),
-        txn().prop_map(|txn| Msg::Reject { txn }),
-        (txn(), 0u32..8).prop_map(|(txn, step)| Msg::Delay { txn, step }),
         (
             (txn(), 0u32..8, 0u32..64, proptest::bool::ANY),
             (0u64..100_000, 1u64..5_000, 0u64..1_000),
@@ -84,7 +77,6 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
             }
         ),
         (0u32..16, txn()).prop_map(|(client, txn)| Msg::Commit { client, txn }),
-        (0u32..16, txn()).prop_map(|(client, txn)| Msg::Abort { client, txn }),
         (txn(), 0u32..8, 0u64..1_000, 0u64..5_000).prop_map(|(txn, step, chunk, units)| {
             Msg::StatsDelta {
                 txn,
@@ -122,6 +114,36 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
         ),
         Just(Msg::Shutdown),
     ]
+}
+
+/// Tags 1, 2, 3 and 7 carried the retired Grant/Reject/Delay/Abort messages:
+/// `[tag] ++ body`, bare or as the inner message of a batch, must decode to
+/// the unknown-tag error — never a panic, never a `Msg`.
+fn expect_unknown_tag(tag: u8, body: &[u8]) -> Result<(), TestCaseError> {
+    let payload = [&[tag][..], body].concat();
+    prop_assert_eq!(decode_payload(&payload), Err(CodecError::BadTag(tag)));
+    let mut batch = vec![10u8];
+    batch.extend(1u32.to_le_bytes());
+    batch.extend((payload.len() as u32).to_le_bytes());
+    batch.extend(&payload);
+    prop_assert_eq!(decode_payload(&batch), Err(CodecError::BadTag(tag)));
+    Ok(())
+}
+
+/// What an old peer would still send: the retired variants' exact encodings.
+#[test]
+fn retired_encodings_are_unknown_tags() {
+    let txn = 7u64.to_le_bytes();
+    let step = 1u32.to_le_bytes();
+    let old: [(u8, Vec<u8>); 4] = [
+        (1, [&txn[..], &[1], &step[..]].concat()), // Grant { txn, step: Some(1) }
+        (2, txn.to_vec()),                         // Reject { txn }
+        (3, [&txn[..], &step[..]].concat()),       // Delay { txn, step }
+        (7, [&2u32.to_le_bytes()[..], &txn[..]].concat()), // Abort { client, txn }
+    ];
+    for (tag, body) in old {
+        expect_unknown_tag(tag, &body).expect("retired tag must not decode");
+    }
 }
 
 /// Strategy: a flat coalesced batch of 1–8 inner messages. `arb_msg` never
@@ -285,6 +307,16 @@ proptest! {
             Err(CodecError::TrailingGarbage { extra }) => prop_assert_eq!(extra, junk),
             other => prop_assert!(false, "expected TrailingGarbage, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn retired_tags_never_decode(
+        which in 0usize..4,
+        body in proptest::collection::vec(0u8..=255, 0..32),
+    ) {
+        // Whatever follows a retired tag is never looked at.
+        let tag = [1u8, 2, 3, 7][which];
+        expect_unknown_tag(tag, &body)?;
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::path::{Path, PathBuf};
 use wtpg_dur::checkpoint::{files, read_control_checkpoint};
 use wtpg_dur::{recover, Durability};
 use wtpg_net::fault::{FaultPlan, KillPlan, LinkFaults};
-use wtpg_net::runtime::{run_cell, NetConfig};
+use wtpg_net::runtime::{run_cell, NetConfig, OpenLoop};
 use wtpg_net::transport::InProc;
 use wtpg_net::NetError;
 use wtpg_rt::backoff::Backoff;
@@ -210,5 +210,44 @@ fn flaky_links_with_kill_still_certify() {
     assert!(r.store_consistent, "{r:?}");
     assert_eq!(r.fault, "fault+kill");
     assert!(r.recoveries >= 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn open_loop_checkpoint_counts_every_completed_step() {
+    // The `wtpg load --durability buffered` shape: Poisson arrivals, the
+    // streaming certifier, a WAL. The in-flight bound exceeds each
+    // client's slice, so nothing can be shed and every spec is a committed
+    // writer. The final control checkpoint must account for all of them —
+    // retiring a transaction's drive-state at commit must not take its
+    // completed steps out of the count.
+    let (catalog, specs) = pattern_specs(Pattern::One, 120, 23);
+    let dir = wal_dir("open-loop-ckpt");
+    let cfg = NetConfig {
+        open_loop: Some(OpenLoop {
+            lambda_tps: 20_000.0,
+            seed: 5,
+            inflight: 64,
+        }),
+        stream_certify: true,
+        ..dur_cfg(Durability::Buffered, &dir)
+    };
+    let r = run_cell(
+        &cfg,
+        &|| sched_by_name("chain", 2, 2000).expect("known scheduler"),
+        &catalog,
+        &specs,
+        &InProc,
+        &FaultPlan::none(),
+    )
+    .expect("open-loop WAL run completes cleanly");
+    assert_eq!((r.shed, r.committed), (0, 120), "{r:?}");
+    assert!(r.certified && r.store_consistent, "{r:?}");
+    let ckpt = read_control_checkpoint(&files::control_ckpt(&dir))
+        .expect("checkpoint reads")
+        .expect("checkpoint written");
+    assert_eq!(ckpt.committed, r.committed);
+    let declared_steps: usize = specs.iter().map(|s| s.len()).sum();
+    assert_eq!(ckpt.completed_steps, declared_steps as u64);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,5 +1,6 @@
-//! Golden wire-schema test: pins every `Msg` variant's tag byte and the
-//! codec ceilings against the checked-in `wire-schema.lock` — the same
+//! Golden wire-schema test: pins every `Msg` variant's tag byte, its
+//! `MsgCounts` field, and the codec ceilings against the checked-in
+//! `wire-schema.lock` — the same
 //! file `wtpg-lint`'s schema pass diffs against the source, so a protocol
 //! change that skips the deliberate `--write-schema-lock` bump fails both
 //! the lint (at the source side) and this test (at the runtime side).
@@ -22,21 +23,6 @@ fn exemplars() -> Vec<(&'static str, Msg)> {
                 txn: TxnId(1),
                 step: None,
                 spec: None,
-            },
-        ),
-        (
-            "Grant",
-            Msg::Grant {
-                txn: TxnId(1),
-                step: None,
-            },
-        ),
-        ("Reject", Msg::Reject { txn: TxnId(1) }),
-        (
-            "Delay",
-            Msg::Delay {
-                txn: TxnId(1),
-                step: 0,
             },
         ),
         (
@@ -63,13 +49,6 @@ fn exemplars() -> Vec<(&'static str, Msg)> {
         (
             "Commit",
             Msg::Commit {
-                client: 0,
-                txn: TxnId(1),
-            },
-        ),
-        (
-            "Abort",
-            Msg::Abort {
                 client: 0,
                 txn: TxnId(1),
             },
@@ -144,6 +123,21 @@ fn every_variant_tag_matches_the_lock() {
             "wire tag of Msg::{name} drifted from the lock"
         );
     }
+}
+
+/// `MsgCounts` keeps one counter per variant, in declaration order, named
+/// after the variant in snake case; `Msg::count` must bump exactly that one.
+#[test]
+fn every_variant_bumps_its_own_count_field() {
+    let mut counts = wtpg_obs::MsgCounts::default();
+    let ex = exemplars();
+    for (i, (name, msg)) in ex.iter().enumerate() {
+        msg.count(&mut counts);
+        let (field, n) = counts.fields()[i];
+        assert_eq!(field.replace('_', ""), name.to_lowercase());
+        assert_eq!(n, 1, "Msg::{name} must bump `{field}`");
+    }
+    assert_eq!(counts.total(), ex.len() as u64);
 }
 
 #[test]

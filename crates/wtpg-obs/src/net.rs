@@ -11,26 +11,18 @@
 use crate::event::ObsEvent;
 use crate::observer::Observer;
 
-/// Cumulative message tallies, one counter per protocol message type. The
-/// field order matches the wire-tag order of `wtpg-net`'s codec.
+/// Cumulative message tallies, one counter per protocol message type, in
+/// the declaration (and ascending wire-tag) order of `wtpg-net`'s `Msg`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MsgCounts {
-    /// `Submit` — client asks the control node for admission or a step lock.
+    /// `Submit` — client hands the control node a whole transaction.
     pub submit: u64,
-    /// `Grant` — control node granted an admission or a step lock.
-    pub grant: u64,
-    /// `Reject` — control node rejected an admission (client backs off).
-    pub reject: u64,
-    /// `Delay` — control node blocked/delayed a step request.
-    pub delay: u64,
     /// `Access` — control node orders a data node to run a bulk step.
     pub access: u64,
     /// `AccessDone` — data node finished a bulk step (carries the checksum).
     pub access_done: u64,
-    /// `Commit` — client commit request / control-node commit ack.
+    /// `Commit` — control node's commit ack to the client.
     pub commit: u64,
-    /// `Abort` — abort request / ack.
-    pub abort: u64,
     /// `StatsDelta` — data node's per-chunk progress report.
     pub stats_delta: u64,
     /// `Shutdown` — orderly teardown.
@@ -54,16 +46,12 @@ pub struct MsgCounts {
 
 impl MsgCounts {
     /// The counters as `(name, value)` pairs, in wire-tag order.
-    pub fn fields(&self) -> [(&'static str, u64); 15] {
+    pub fn fields(&self) -> [(&'static str, u64); 11] {
         [
             ("submit", self.submit),
-            ("grant", self.grant),
-            ("reject", self.reject),
-            ("delay", self.delay),
             ("access", self.access),
             ("access_done", self.access_done),
             ("commit", self.commit),
-            ("abort", self.abort),
             ("stats_delta", self.stats_delta),
             ("shutdown", self.shutdown),
             ("batch", self.batch),
@@ -82,13 +70,9 @@ impl MsgCounts {
     /// Adds every counter of `other` into `self` (merge after a join).
     pub fn merge(&mut self, other: &MsgCounts) {
         self.submit += other.submit;
-        self.grant += other.grant;
-        self.reject += other.reject;
-        self.delay += other.delay;
         self.access += other.access;
         self.access_done += other.access_done;
         self.commit += other.commit;
-        self.abort += other.abort;
         self.stats_delta += other.stats_delta;
         self.shutdown += other.shutdown;
         self.batch += other.batch;
@@ -275,17 +259,17 @@ mod tests {
     fn totals_and_merge() {
         let mut a = MsgCounts {
             submit: 2,
-            grant: 3,
+            commit: 3,
             ..MsgCounts::default()
         };
         let b = MsgCounts {
-            grant: 1,
+            commit: 1,
             shutdown: 4,
             ..MsgCounts::default()
         };
         a.merge(&b);
         assert_eq!(a.submit, 2);
-        assert_eq!(a.grant, 4);
+        assert_eq!(a.commit, 4);
         assert_eq!(a.shutdown, 4);
         assert_eq!(a.total(), 10);
         assert_eq!(MsgCounts::default().total(), 0);
@@ -319,7 +303,7 @@ mod tests {
                 ..MsgCounts::default()
             },
             sent: MsgCounts {
-                grant: 5,
+                commit: 5,
                 ..MsgCounts::default()
             },
             bytes: ByteCounts {
@@ -333,7 +317,7 @@ mod tests {
         let evs = sink.take();
         assert_eq!(evs.len(), 4, "only nonzero counters are emitted: {evs:?}");
         assert!(evs.contains(&ObsEvent::counter(7, 3, "net_rx_submit", 5)));
-        assert!(evs.contains(&ObsEvent::counter(7, 3, "net_tx_grant", 5)));
+        assert!(evs.contains(&ObsEvent::counter(7, 3, "net_tx_commit", 5)));
         assert!(evs.contains(&ObsEvent::counter(7, 3, "net_bytes_sent", 80)));
         assert!(evs.contains(&ObsEvent::counter(7, 3, "net_dup_deliveries", 1)));
     }

@@ -186,8 +186,6 @@ pub mod metric {
     /// Read-only (snapshot) BAT commits acked by clients (counter). A
     /// subset of [`COMMITS`]; never bumped when the run has no readers.
     pub const READER_COMMITS: &str = "load/reader_commits";
-    /// Control-plane round trip, µs (histogram).
-    pub const CTRL_RTT_US: &str = "lat/ctrl_rtt_us";
     /// Clients' in-flight transactions (gauge, summed over clients).
     pub const INFLIGHT: &str = "load/inflight";
     /// Per-shard admission backlog depth (gauge): `ctrl/s<i>/backlog`.

@@ -331,20 +331,6 @@ impl ControlNode {
         self.clock.now()
     }
 
-    /// Aborts `txn` mid-flight: the scheduler releases everything it holds
-    /// and forgets it. The paper's model never aborts a running BAT, so the
-    /// engine's workers never call this; it exists for drivers (wtpg-net's
-    /// control actor) that must handle a client-issued cancel defensively.
-    /// Aborts leave no history event — a history containing aborted bulk
-    /// work is not expected to certify.
-    pub fn abort(&self, txn: TxnId) -> Result<(), CoreError> {
-        let mut s = self.locked();
-        let now = self.clock.next();
-        s.sched.on_abort(txn, now)?;
-        self.emit_stats(&mut s);
-        Ok(())
-    }
-
     /// The scheduler's display name.
     pub fn sched_name(&self) -> String {
         self.locked().sched.name().to_string()
