@@ -11,10 +11,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use crate::error::CoreError;
+use crate::lock::ArrivalConflict;
 use crate::txn::TxnId;
 use crate::wtpg::{Dir, Wtpg};
 
-use super::ChainProblem;
+use super::{threshold, ChainProblem};
 
 /// Witness that the WTPG is not chain-form, with the offending transaction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -134,6 +136,176 @@ fn build_component(wtpg: &Wtpg, nodes: Vec<TxnId>) -> ChainComponent {
     }
     let problem = ChainProblem::with_forced(r, a, b, forced);
     ChainComponent { nodes, problem }
+}
+
+// ---- The schedulers' change-proportional path (DESIGN.md §9) ----
+//
+// `chain_components` above rebuilds the whole conflict structure and is the
+// oracle (certifiers, `wtpg plan`, tests). The schedulers keep the WTPG
+// chain-form by construction — every admission goes through
+// `arrival_keeps_chain_form`, and neither a grant nor a commit ever joins
+// two transactions that were not adjacent already — so they read degrees
+// and paths straight off the slot arena instead.
+
+/// Slots adjacent to `s` in the undirected conflict structure. A pair
+/// carries at most one edge of any kind, so there are no repeats.
+fn neighbours(wtpg: &Wtpg, s: u32) -> impl Iterator<Item = u32> + '_ {
+    let conf = wtpg.conf_of(s).iter().map(|e| e.slot);
+    let out = wtpg.out_of(s).iter().map(|e| e.slot);
+    let inc = wtpg.inc_of(s).iter().map(|e| e.slot);
+    conf.chain(out).chain(inc)
+}
+
+fn degree(wtpg: &Wtpg, s: u32) -> usize {
+    wtpg.conf_of(s).len() + wtpg.out_of(s).len() + wtpg.inc_of(s).len()
+}
+
+/// The CHAIN admission test, read-only: would a chain-form `wtpg` still be
+/// chain-form with a new transaction adjacent to every `other` named in
+/// `conflicts` (its [`LockTable::arrival_conflicts`])?
+///
+/// The newcomer's degree is the number of distinct transactions it
+/// conflicts with, each of which gains exactly one neighbour, and a new
+/// cycle has to pass through the newcomer. So: at most two of them, each a
+/// path endpoint today (degree ≤ 1), and — when there are two — not the two
+/// ends of one path.
+///
+/// [`LockTable::arrival_conflicts`]: crate::lock::LockTable::arrival_conflicts
+pub(crate) fn arrival_keeps_chain_form(
+    wtpg: &Wtpg,
+    conflicts: &[ArrivalConflict],
+) -> Result<bool, CoreError> {
+    let mut ends: [Option<u32>; 2] = [None, None];
+    for c in conflicts {
+        let other = c.other();
+        let s = wtpg.slot_of(other).ok_or(CoreError::UnknownTxn(other))?;
+        if ends.contains(&Some(s)) {
+            continue;
+        }
+        let Some(free) = ends.iter_mut().find(|e| e.is_none()) else {
+            return Ok(false); // a third neighbour
+        };
+        if degree(wtpg, s) > 1 {
+            return Ok(false); // `other` is interior to its path already
+        }
+        *free = Some(s);
+    }
+    let [Some(from), Some(to)] = ends else {
+        return Ok(true);
+    };
+    // Walk from one endpoint to the far end of its path.
+    let (mut prev, mut cur) = (from, from);
+    for _ in 0..wtpg.len() {
+        match neighbours(wtpg, cur).find(|&n| n != prev) {
+            Some(next) => (prev, cur) = (cur, next),
+            None => break,
+        }
+    }
+    Ok(cur != to)
+}
+
+/// CHAIN's `W` recomputation with its working memory: walks every path
+/// component off the slot arena, solves each through one reusable
+/// [`threshold::Solver`], and allocates nothing in steady state.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct WPlanner {
+    /// Per-slot visited flags of the current walk.
+    visited: Vec<bool>,
+    /// The component being solved: transactions in path order and their
+    /// [`ChainProblem`] weights.
+    nodes: Vec<TxnId>,
+    r: Vec<u64>,
+    a: Vec<u64>,
+    b: Vec<u64>,
+    forced: Vec<Option<Dir>>,
+    solver: threshold::Solver,
+}
+
+impl WPlanner {
+    /// Replaces `w` with the full SR-order of shortest critical path: one
+    /// oriented pair `(from, to)` per chain edge, sorted. Components and
+    /// path directions are those of [`chain_components`] (ascending
+    /// smaller-id endpoint, walked from that endpoint), so the optimiser
+    /// sees identical problems and breaks ties identically.
+    pub(crate) fn recompute(
+        &mut self,
+        wtpg: &Wtpg,
+        w: &mut Vec<(TxnId, TxnId)>,
+    ) -> Result<(), NotChainForm> {
+        w.clear();
+        self.visited.clear();
+        self.visited.resize(wtpg.slot_count(), false);
+        let mut walked = 0;
+        for start in wtpg.live_slots() {
+            match degree(wtpg, start) {
+                0 | 1 => {}
+                2 => continue,
+                _ => return Err(NotChainForm::DegreeTooHigh(wtpg.slot_txn(start))),
+            }
+            if self.visited[start as usize] {
+                continue; // the far end of a path already walked
+            }
+            self.walk(wtpg, start);
+            walked += self.nodes.len();
+            if self.nodes.len() == 1 {
+                continue;
+            }
+            self.solver.solve(&self.r, &self.a, &self.b, &self.forced);
+            for (pair, dir) in self.nodes.windows(2).zip(self.solver.orient()) {
+                w.push(match dir {
+                    Dir::Down => (pair[0], pair[1]),
+                    Dir::Up => (pair[1], pair[0]),
+                });
+            }
+        }
+        if walked != wtpg.len() {
+            // Every node no walk reached has degree exactly 2: a cycle.
+            let on_cycle = wtpg.live_slots().find(|&s| !self.visited[s as usize]);
+            return Err(NotChainForm::Cycle(wtpg.slot_txn(
+                on_cycle.expect("fewer walked than live leaves one unvisited"),
+            )));
+        }
+        w.sort_unstable();
+        Ok(())
+    }
+
+    /// Fills `nodes`/`r`/`a`/`b`/`forced` with the path starting at the
+    /// endpoint `start`, marking it visited.
+    fn walk(&mut self, wtpg: &Wtpg, start: u32) {
+        self.nodes.clear();
+        self.r.clear();
+        self.a.clear();
+        self.b.clear();
+        self.forced.clear();
+        let mut cur = start;
+        loop {
+            self.visited[cur as usize] = true;
+            self.nodes.push(wtpg.slot_txn(cur));
+            self.r.push(wtpg.slot_t0(cur).units());
+            let unvisited = |s: u32| !self.visited[s as usize];
+            // The edge to the next node: an unresolved pair carries both
+            // weights (the reverse one in the partner's list); a precedence
+            // edge only its own direction's.
+            let (next, a, b, forced) =
+                if let Some(e) = wtpg.conf_of(cur).iter().find(|e| unvisited(e.slot)) {
+                    let back = wtpg.conf_of(e.slot).iter().find(|c| c.slot == cur);
+                    let back = back.expect("invariant: conflict edges are symmetric");
+                    (e.slot, e.w.units(), back.w.units(), None)
+                } else if let Some(e) = wtpg.out_of(cur).iter().find(|e| unvisited(e.slot)) {
+                    (e.slot, e.w.units(), 0, Some(Dir::Down))
+                } else if let Some(e) = wtpg.inc_of(cur).iter().find(|e| unvisited(e.slot)) {
+                    let back = wtpg.out_of(e.slot).iter().find(|o| o.slot == cur);
+                    let back = back.expect("invariant: inc mirrors the source's out edge");
+                    (e.slot, 0, back.w.units(), Some(Dir::Up))
+                } else {
+                    return;
+                };
+            self.a.push(a);
+            self.b.push(b);
+            self.forced.push(forced);
+            cur = next;
+        }
+    }
 }
 
 #[cfg(test)]

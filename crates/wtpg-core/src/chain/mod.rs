@@ -122,30 +122,7 @@ impl ChainProblem {
     /// # Panics
     /// Panics if `orient.len() != self.num_edges()`.
     pub fn critical_path(&self, orient: &[Dir]) -> u64 {
-        assert_eq!(orient.len(), self.num_edges());
-        let n = self.len();
-        let mut best = 0u64;
-        // Longest path ending at node i that arrived moving rightward.
-        let mut down = 0u64;
-        for i in 0..n {
-            down = if i > 0 && orient[i - 1] == Dir::Down {
-                self.r[i].max(down + self.a[i - 1])
-            } else {
-                self.r[i]
-            };
-            best = best.max(down);
-        }
-        // Longest path ending at node i that arrived moving leftward.
-        let mut up = 0u64;
-        for i in (0..n).rev() {
-            up = if i + 1 < n && orient[i] == Dir::Up {
-                self.r[i].max(up + self.b[i])
-            } else {
-                self.r[i]
-            };
-            best = best.max(up);
-        }
-        best
+        critical_path_of(&self.r, &self.a, &self.b, orient)
     }
 
     /// A trivially feasible orientation: forced edges as forced, free edges
@@ -153,6 +130,35 @@ impl ChainProblem {
     pub fn default_orientation(&self) -> Vec<Dir> {
         self.forced.iter().map(|f| f.unwrap_or(Dir::Down)).collect()
     }
+}
+
+/// [`ChainProblem::critical_path`] over borrowed weights, for callers that
+/// keep them in reusable buffers.
+pub(crate) fn critical_path_of(r: &[u64], a: &[u64], b: &[u64], orient: &[Dir]) -> u64 {
+    assert_eq!(orient.len(), r.len() - 1);
+    let n = r.len();
+    let mut best = 0u64;
+    // Longest path ending at node i that arrived moving rightward.
+    let mut down = 0u64;
+    for i in 0..n {
+        down = if i > 0 && orient[i - 1] == Dir::Down {
+            r[i].max(down + a[i - 1])
+        } else {
+            r[i]
+        };
+        best = best.max(down);
+    }
+    // Longest path ending at node i that arrived moving leftward.
+    let mut up = 0u64;
+    for i in (0..n).rev() {
+        up = if i + 1 < n && orient[i] == Dir::Up {
+            r[i].max(up + b[i])
+        } else {
+            r[i]
+        };
+        best = best.max(up);
+    }
+    best
 }
 
 #[cfg(test)]

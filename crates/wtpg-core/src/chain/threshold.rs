@@ -23,7 +23,7 @@
 
 use crate::wtpg::Dir;
 
-use super::{ChainProblem, ChainSolution};
+use super::{critical_path_of, ChainProblem, ChainSolution};
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum From {
@@ -31,125 +31,156 @@ enum From {
     UpState,
 }
 
-/// Minimal feasibility state per node: carry values for the two directions.
-struct DpRow {
-    down: Option<u64>,
-    up: Option<u64>,
-}
-
 /// Solves the chain problem optimally, honouring forced edges.
 pub fn solve(problem: &ChainProblem) -> ChainSolution {
-    let n = problem.len();
-    if n == 1 {
-        return ChainSolution {
-            orient: Vec::new(),
-            critical_path: problem.r[0],
-        };
-    }
-    // The answer is at least the largest r (every node is reachable from T0)
-    // and at most the cost of any feasible orientation.
-    let default = problem.default_orientation();
-    let mut lo = problem.r.iter().copied().max().unwrap_or(0);
-    let mut hi = problem.critical_path(&default);
-    debug_assert!(lo <= hi);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if feasible(problem, mid).is_some() {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    let orient = feasible(problem, lo).unwrap_or(default); // lo == hi is feasible by construction
-    debug_assert_eq!(problem.critical_path(&orient), lo);
+    let mut solver = Solver::new();
+    let critical_path = solver.solve(&problem.r, &problem.a, &problem.b, &problem.forced);
     ChainSolution {
-        orient,
-        critical_path: lo,
+        orient: solver.orient,
+        critical_path,
     }
 }
 
-/// Returns a witness orientation with critical path `≤ m`, if one exists.
-fn feasible(problem: &ChainProblem, m: u64) -> Option<Vec<Dir>> {
-    let n = problem.len();
-    let (r, a, b) = (&problem.r, &problem.a, &problem.b);
-    if r[0] > m {
-        return None;
+/// The optimiser's working memory, reusable across problems of any size:
+/// the CHAIN scheduler owns one and re-solves every component of the WTPG
+/// through it without allocating. [`solve`] is this on fresh buffers.
+#[derive(Clone, Debug, Default)]
+pub struct Solver {
+    /// `parents[k]` = for each state (down, up) of node `k`, the state at
+    /// node `k-1` its carry came from. Only entries written by the current
+    /// probe are ever read back, so the buffer is never cleared.
+    parents: Vec<[From; 2]>,
+    orient: Vec<Dir>,
+}
+
+impl Solver {
+    /// A solver with empty buffers.
+    pub fn new() -> Solver {
+        Solver::default()
     }
-    // DP rows + parent pointers: parent[k][state] = the state at node k-1 the
-    // carry came from; reaching DownState at node k means edge k-1 is Down.
-    let mut rows: Vec<DpRow> = Vec::with_capacity(n);
-    let mut parents: Vec<[Option<From>; 2]> = vec![[None; 2]; n];
-    // Node 0: degenerate start of a down run (carry r[0]) or left end of an
-    // up run (carry 0); both require only r[0] ≤ m, checked above.
-    rows.push(DpRow {
-        down: Some(r[0]),
-        up: Some(0),
-    });
-    for k in 0..n - 1 {
-        let prev = &rows[k];
-        let mut next = DpRow {
-            down: None,
-            up: None,
-        };
-        let allow = |d: Dir| problem.forced[k].is_none_or(|f| f == d);
-        if allow(Dir::Down) {
-            // Continue a down run.
-            if let Some(v) = prev.down {
-                let nv = r[k + 1].max(v + a[k]);
-                if nv <= m {
-                    next.down = Some(nv);
-                    parents[k + 1][0] = Some(From::DownState);
-                }
-            }
-            // Close an up run at node k and start a fresh down run there.
-            if prev.up.is_some() {
-                let nv = r[k + 1].max(r[k] + a[k]);
-                if nv <= m && next.down.is_none_or(|cur| nv < cur) {
-                    next.down = Some(nv);
-                    parents[k + 1][0] = Some(From::UpState);
-                }
+
+    /// The witness orientation of the most recent [`Self::solve`].
+    pub fn orient(&self) -> &[Dir] {
+        &self.orient
+    }
+
+    /// Solves the chain with node weights `r`, edge weights `a` (down) and
+    /// `b` (up) and pre-resolved edges `forced`; returns the optimal
+    /// critical-path length and leaves the witness in [`Self::orient`].
+    ///
+    /// # Panics
+    /// Panics unless `r` is nonempty and `a`, `b`, `forced` have
+    /// `r.len() - 1` entries — the [`ChainProblem`] shape.
+    pub fn solve(&mut self, r: &[u64], a: &[u64], b: &[u64], forced: &[Option<Dir>]) -> u64 {
+        let n = r.len();
+        assert!(n >= 1 && a.len() == n - 1 && b.len() == n - 1 && forced.len() == n - 1);
+        // A trivially feasible start: forced edges as forced, free ones down.
+        self.orient.clear();
+        self.orient
+            .extend(forced.iter().map(|f| f.unwrap_or(Dir::Down)));
+        if n == 1 {
+            return r[0];
+        }
+        if self.parents.len() < n {
+            self.parents.resize(n, [From::DownState; 2]);
+        }
+        // The answer is at least the largest r (every node is reachable from
+        // T0) and at most the cost of any feasible orientation.
+        let mut lo = r.iter().copied().max().unwrap_or(0);
+        let mut hi = critical_path_of(r, a, b, &self.orient);
+        debug_assert!(lo <= hi);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.feasible(r, a, b, forced, mid).is_some() {
+                hi = mid;
+            } else {
+                lo = mid + 1;
             }
         }
-        if allow(Dir::Up) {
-            // Continue an up run: extend the accumulated b-sum.
-            if let Some(bsum) = prev.up {
-                let nb = bsum + b[k];
-                if r[k + 1] + nb <= m {
-                    next.up = Some(nb);
-                    parents[k + 1][1] = Some(From::UpState);
-                }
-            }
-            // Close a down run at node k and open an up run with left end k.
-            if prev.down.is_some() {
-                let nb = b[k];
-                if r[k + 1] + nb <= m && next.up.is_none_or(|cur| nb < cur) {
-                    next.up = Some(nb);
-                    parents[k + 1][1] = Some(From::DownState);
-                }
+        // lo == hi is feasible by construction; the default stands otherwise.
+        if let Some(mut state) = self.feasible(r, a, b, forced, lo) {
+            for k in (0..n - 1).rev() {
+                let (dir, idx) = match state {
+                    From::DownState => (Dir::Down, 0),
+                    From::UpState => (Dir::Up, 1),
+                };
+                self.orient[k] = dir;
+                state = self.parents[k + 1][idx];
             }
         }
-        if next.down.is_none() && next.up.is_none() {
+        debug_assert_eq!(critical_path_of(r, a, b, &self.orient), lo);
+        lo
+    }
+
+    /// Whether an orientation with critical path `≤ m` exists; if so, the
+    /// surviving state at the last node, from which `parents` backtracks to
+    /// a witness (reaching `DownState` at node `k` means edge `k-1` is Down).
+    fn feasible(
+        &mut self,
+        r: &[u64],
+        a: &[u64],
+        b: &[u64],
+        forced: &[Option<Dir>],
+        m: u64,
+    ) -> Option<From> {
+        if r[0] > m {
             return None;
         }
-        rows.push(next);
+        // Minimal carries at the current node. Node 0: degenerate start of a
+        // down run (carry r[0]) or left end of an up run (carry 0); both
+        // require only r[0] ≤ m, checked above.
+        let (mut down, mut up) = (Some(r[0]), Some(0u64));
+        for k in 0..r.len() - 1 {
+            let (mut next_down, mut next_up) = (None, None);
+            let parent = &mut self.parents[k + 1];
+            let allow = |d: Dir| forced[k].is_none_or(|f| f == d);
+            if allow(Dir::Down) {
+                // Continue a down run.
+                if let Some(v) = down {
+                    let nv = r[k + 1].max(v + a[k]);
+                    if nv <= m {
+                        next_down = Some(nv);
+                        parent[0] = From::DownState;
+                    }
+                }
+                // Close an up run at node k and start a fresh down run there.
+                if up.is_some() {
+                    let nv = r[k + 1].max(r[k] + a[k]);
+                    if nv <= m && next_down.is_none_or(|cur| nv < cur) {
+                        next_down = Some(nv);
+                        parent[0] = From::UpState;
+                    }
+                }
+            }
+            if allow(Dir::Up) {
+                // Continue an up run: extend the accumulated b-sum.
+                if let Some(bsum) = up {
+                    let nb = bsum + b[k];
+                    if r[k + 1] + nb <= m {
+                        next_up = Some(nb);
+                        parent[1] = From::UpState;
+                    }
+                }
+                // Close a down run at node k and open an up run with left end k.
+                if down.is_some() {
+                    let nb = b[k];
+                    if r[k + 1] + nb <= m && next_up.is_none_or(|cur| nb < cur) {
+                        next_up = Some(nb);
+                        parent[1] = From::DownState;
+                    }
+                }
+            }
+            if next_down.is_none() && next_up.is_none() {
+                return None;
+            }
+            (down, up) = (next_down, next_up);
+        }
+        Some(if down.is_some() {
+            From::DownState
+        } else {
+            From::UpState
+        })
     }
-    // Backtrack from any surviving final state.
-    let last = &rows[n - 1];
-    let mut state = if last.down.is_some() {
-        From::DownState
-    } else {
-        From::UpState
-    };
-    let mut orient = vec![Dir::Down; n - 1];
-    for k in (0..n - 1).rev() {
-        let (dir, idx) = match state {
-            From::DownState => (Dir::Down, 0),
-            From::UpState => (Dir::Up, 1),
-        };
-        orient[k] = dir;
-        state = parents[k + 1][idx].expect("surviving state has a parent");
-    }
-    Some(orient)
 }
 
 #[cfg(test)]

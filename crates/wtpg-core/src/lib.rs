@@ -50,6 +50,8 @@ pub mod partition;
 pub mod planner;
 pub mod sched;
 pub mod stream_certify;
+#[cfg(test)]
+mod test_streams;
 pub mod time;
 pub mod txn;
 pub mod work;

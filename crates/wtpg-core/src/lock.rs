@@ -15,6 +15,7 @@
 //! * the conflict structure a newly arrived transaction induces (which the
 //!   WTPG turns into conflicting and precedence edges).
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use crate::error::CoreError;
@@ -87,6 +88,15 @@ pub enum ArrivalConflict {
     },
 }
 
+impl ArrivalConflict {
+    /// The live transaction the arrival conflicts with.
+    pub fn other(&self) -> TxnId {
+        match *self {
+            ArrivalConflict::Declared { other, .. } | ArrivalConflict::Held { other, .. } => other,
+        }
+    }
+}
+
 #[derive(Clone, Debug, Default)]
 struct Granule {
     /// Current holders. Invariant: either any number of Shared entries, or a
@@ -126,14 +136,21 @@ impl LockTable {
         }
     }
 
-    /// Removes every declaration and held lock of `txn` (admission rollback).
-    pub fn undeclare(&mut self, txn: TxnId) {
-        for g in self.granules.values_mut() {
-            g.decls.retain(|d| d.txn != txn);
-            g.holders.retain(|&(t, _)| t != txn);
+    /// Removes every declaration and held lock of `spec`'s transaction
+    /// (admission rollback). Only the granules `spec` names are visited;
+    /// one left with nothing on it is dropped.
+    pub fn undeclare(&mut self, spec: &TxnSpec) {
+        for s in spec.steps() {
+            let Entry::Occupied(mut e) = self.granules.entry(s.partition) else {
+                continue; // emptied at an earlier step on the same partition
+            };
+            let g = e.get_mut();
+            g.decls.retain(|d| d.txn != spec.id);
+            g.holders.retain(|&(t, _)| t != spec.id);
+            if g.decls.is_empty() && g.holders.is_empty() {
+                e.remove();
+            }
         }
-        self.granules
-            .retain(|_, g| !g.decls.is_empty() || !g.holders.is_empty());
     }
 
     /// Conflicts the (already declared) transaction `spec` has with *other*
@@ -529,11 +546,43 @@ mod tests {
         let mut lt = LockTable::new();
         lt.declare(&t1);
         lt.declare(&t2);
-        lt.undeclare(TxnId(2));
+        lt.undeclare(&t2);
         assert_eq!(lt.declaration_count(), 3);
         assert!(lt
             .conflicting_declarations(TxnId(1), PartitionId(0), AccessMode::Write)
             .is_empty());
+    }
+
+    /// `undeclare` touches the transaction's own granules only: the ones it
+    /// leaves empty disappear, every other one keeps its declarations (in
+    /// arrival order) and holders.
+    #[test]
+    fn undeclare_visits_only_its_own_partitions() {
+        let (t1, t2, t3) = figure1();
+        let mut lt = LockTable::new();
+        lt.declare(&t1);
+        lt.grant(TxnId(1), 0, PartitionId(0), AccessMode::Read)
+            .unwrap();
+        lt.declare(&t3);
+        let before = lt.clone();
+        lt.declare(&t2); // r(C) next to T3's w(C); w(A) next to T1's S on A
+        lt.undeclare(&t2);
+        assert_eq!(lt.granules.len(), before.granules.len());
+        for (p, g) in &before.granules {
+            let now = &lt.granules[p];
+            assert_eq!(now.decls, g.decls, "{p}");
+            assert_eq!(now.holders, g.holders, "{p}");
+        }
+        // T3 alone is on C and D: rolling it back removes both granules and
+        // leaves A and B (T1's) as they were.
+        lt.undeclare(&t3);
+        assert!(!lt.granules.contains_key(&PartitionId(2)));
+        assert!(!lt.granules.contains_key(&PartitionId(3)));
+        assert_eq!(
+            lt.granules[&PartitionId(0)].holders,
+            before.granules[&PartitionId(0)].holders
+        );
+        assert_eq!(lt.declaration_count(), 2); // T1's r(B) and w(A)
     }
 
     #[test]

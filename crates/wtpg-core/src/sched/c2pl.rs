@@ -26,7 +26,6 @@ use std::collections::BTreeMap;
 
 use wtpg_obs::ControlStats;
 
-use crate::chain::form::is_chain_form;
 use crate::error::CoreError;
 use crate::time::Tick;
 use crate::txn::{TxnId, TxnSpec};
@@ -117,23 +116,30 @@ impl Scheduler for C2plScheduler {
         spec: &TxnSpec,
         _now: Tick,
     ) -> Result<(Admission, ControlOps), CoreError> {
-        self.core.arrive(spec)?;
         let ok = match self.constraint {
-            Constraint::None => true,
-            Constraint::ChainForm => is_chain_form(&self.core.wtpg),
-            Constraint::KConflict(k) => self.core.locks.k_constraint_ok(&spec.clone(), k),
+            Constraint::None => {
+                self.core.arrive(spec)?;
+                true
+            }
+            Constraint::ChainForm => self.core.arrive_if_chain_form(spec)?,
+            Constraint::KConflict(k) => {
+                self.core.arrive(spec)?;
+                let ok = self.core.locks.k_constraint_ok(spec, k);
+                if !ok {
+                    self.core.rollback_arrival(spec.id);
+                }
+                ok
+            }
         };
         if ok {
-            Ok((Admission::Admitted, ControlOps::NONE))
-        } else {
-            self.core.rollback_arrival(spec.id);
-            match self.constraint {
-                Constraint::ChainForm => self.stats.aborts_non_chain += 1,
-                Constraint::KConflict(_) => self.stats.aborts_k_conflict += 1,
-                Constraint::None => {}
-            }
-            Ok((Admission::Rejected, ControlOps::NONE))
+            return Ok((Admission::Admitted, ControlOps::NONE));
         }
+        match self.constraint {
+            Constraint::ChainForm => self.stats.aborts_non_chain += 1,
+            Constraint::KConflict(_) => self.stats.aborts_k_conflict += 1,
+            Constraint::None => {}
+        }
+        Ok((Admission::Rejected, ControlOps::NONE))
     }
 
     fn on_request(
@@ -413,5 +419,37 @@ mod tests {
             s.on_request(TxnId(1), 1, Tick(0)),
             Err(CoreError::OutOfOrder { .. })
         ));
+    }
+
+    /// CHAIN-C2PL's read-only admission test against Definition 2 itself:
+    /// over the differential's seeded streams, an arrival is rejected iff
+    /// declaring it would leave a WTPG that `is_chain_form` refuses.
+    #[test]
+    fn chain_c2pl_admission_agrees_with_is_chain_form() {
+        use crate::chain::form::is_chain_form;
+        use crate::test_streams::{drive, pattern_one, pattern_two, random_specs, Call};
+        for seed in 0..70u64 {
+            for specs in [
+                pattern_one(seed, 200),
+                pattern_two(seed, 200, 4),
+                random_specs(seed, 150, 4 + (seed % 9) as u32),
+            ] {
+                let mut s = C2plScheduler::chain_c2pl();
+                let verdicts = drive(&mut s, &specs, |s, spec, call| match call {
+                    Call::Arrive(_, Admission::Admitted) => {
+                        assert!(is_chain_form(s.wtpg()), "seed {seed}: admitted {spec:?}");
+                        Some(true)
+                    }
+                    Call::Arrive(_, Admission::Rejected) => {
+                        let mut declared = s.core.clone();
+                        declared.arrive(spec).unwrap();
+                        assert!(!is_chain_form(&declared.wtpg), "seed {seed}: {spec:?}");
+                        Some(false)
+                    }
+                    Call::Request(..) => None,
+                });
+                assert!(verdicts.contains(&Some(true)) && verdicts.contains(&Some(false)));
+            }
+        }
     }
 }

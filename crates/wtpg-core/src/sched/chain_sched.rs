@@ -16,16 +16,14 @@
 //! by construction*, so after a grant the cached order is re-pinned to the
 //! post-grant version instead of being recomputed.
 
-use std::collections::BTreeSet;
-
 use wtpg_obs::ControlStats;
 
-use crate::chain::{chain_components, threshold};
+use crate::chain::form::WPlanner;
 use crate::error::CoreError;
 use crate::time::Tick;
 use crate::txn::{TxnId, TxnSpec};
 use crate::work::Work;
-use crate::wtpg::{Dir, Wtpg};
+use crate::wtpg::Wtpg;
 
 use super::common::SchedCore;
 use super::{Admission, CommitResult, ControlOps, LockOutcome, Scheduler};
@@ -36,8 +34,10 @@ pub struct ChainScheduler {
     core: SchedCore,
     /// Control-saving period, in ms (paper Table 1 `keeptime`).
     keeptime: u64,
-    /// The cached full SR-order: the set of oriented pairs `(from, to)`.
-    w_order: Option<BTreeSet<(TxnId, TxnId)>>,
+    /// The cached full SR-order: the oriented pairs `(from, to)`, sorted.
+    w_order: Option<Vec<(TxnId, TxnId)>>,
+    /// Working memory of the `W` recomputation.
+    planner: WPlanner,
     last_compute: Tick,
     /// WTPG structural version `w_order` is valid for.
     w_version: u64,
@@ -52,6 +52,7 @@ impl ChainScheduler {
             core: SchedCore::new(),
             keeptime,
             w_order: None,
+            planner: WPlanner::default(),
             last_compute: Tick::ZERO,
             w_version: 0,
             stats: ControlStats::default(),
@@ -67,29 +68,21 @@ impl ChainScheduler {
             return Ok(0);
         }
         self.stats.w_recomputes += 1;
-        let comps = chain_components(&self.core.wtpg)
+        // Refill the old order's buffer; a failed recomputation leaves none.
+        let mut order = self.w_order.take().unwrap_or_default();
+        self.planner
+            .recompute(&self.core.wtpg, &mut order)
             .map_err(|_| CoreError::Invariant("CHAIN admission must keep the WTPG chain-form"))?;
-        let mut order = BTreeSet::new();
-        for comp in comps {
-            let sol = threshold::solve(&comp.problem);
-            for (i, &dir) in sol.orient.iter().enumerate() {
-                // lint:allow(panic-safety) orient has nodes.len()-1 entries, i+1 is in bounds
-                let (x, y) = (comp.nodes[i], comp.nodes[i + 1]);
-                match dir {
-                    Dir::Down => order.insert((x, y)),
-                    Dir::Up => order.insert((y, x)),
-                };
-            }
-        }
         self.w_order = Some(order);
         self.last_compute = now;
         self.w_version = self.core.wtpg.version();
         Ok(1)
     }
 
-    /// The most recently computed `W`, for inspection by examples/tests.
-    pub fn current_w(&self) -> Option<&BTreeSet<(TxnId, TxnId)>> {
-        self.w_order.as_ref()
+    /// The most recently computed `W` as sorted `(from, to)` pairs, for
+    /// inspection by examples/tests.
+    pub fn current_w(&self) -> Option<&[(TxnId, TxnId)]> {
+        self.w_order.as_deref()
     }
 }
 
@@ -103,9 +96,7 @@ impl Scheduler for ChainScheduler {
         spec: &TxnSpec,
         _now: Tick,
     ) -> Result<(Admission, ControlOps), CoreError> {
-        self.core.arrive(spec)?;
-        if chain_components(&self.core.wtpg).is_err() {
-            self.core.rollback_arrival(spec.id);
+        if !self.core.arrive_if_chain_form(spec)? {
             self.stats.aborts_non_chain += 1;
             return Ok((Admission::Rejected, ControlOps::NONE));
         }
@@ -129,12 +120,15 @@ impl Scheduler for ChainScheduler {
             ..ControlOps::NONE
         };
         let implied = self.core.implied_resolutions(txn, s.partition, s.mode);
-        let Some(w) = self.w_order.as_ref() else {
+        let Some(w) = self.w_order.as_deref() else {
             return Err(CoreError::Invariant("ensure_w must populate the W order"));
         };
         // Step 3 of CC1: the grant must not make the schedule inconsistent
         // with W — every implied resolution txn → other must agree with it.
-        if implied.iter().any(|&other| !w.contains(&(txn, other))) {
+        if implied
+            .iter()
+            .any(|&other| w.binary_search(&(txn, other)).is_err())
+        {
             self.stats.delays_minimality += 1;
             return Ok((LockOutcome::Delayed, ops));
         }
@@ -189,8 +183,13 @@ impl Scheduler for ChainScheduler {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
+    use crate::chain::{chain_components, threshold};
+    use crate::test_streams::{drive, pattern_one, pattern_two, random_specs, Call};
     use crate::txn::StepSpec;
+    use crate::wtpg::Dir;
 
     fn t(id: u64, steps: Vec<StepSpec>) -> TxnSpec {
         TxnSpec::new(TxnId(id), steps)
@@ -342,5 +341,231 @@ mod tests {
 
     fn self_next_step(s: &ChainScheduler, id: TxnId) -> usize {
         s.core.txns[&id].next_step
+    }
+
+    /// The decision procedure `ChainScheduler` ran before its admission and
+    /// `W` became change-proportional, kept as the differential's reference:
+    /// declare, rebuild every component with `chain_components`, roll back
+    /// on failure; `W` from `chain_components` + `threshold::solve` into a
+    /// fresh set.
+    struct ReferenceChain {
+        core: SchedCore,
+        keeptime: u64,
+        w_order: Option<BTreeSet<(TxnId, TxnId)>>,
+        last_compute: Tick,
+        w_version: u64,
+        stats: ControlStats,
+    }
+
+    impl ReferenceChain {
+        fn new(keeptime: u64) -> ReferenceChain {
+            ReferenceChain {
+                core: SchedCore::new(),
+                keeptime,
+                w_order: None,
+                last_compute: Tick::ZERO,
+                w_version: 0,
+                stats: ControlStats::default(),
+            }
+        }
+
+        fn ensure_w(&mut self, now: Tick) -> u32 {
+            let stale = now.saturating_since(self.last_compute) >= self.keeptime;
+            if self.w_order.is_some() && self.w_version == self.core.wtpg.version() && !stale {
+                self.stats.w_reuses += 1;
+                return 0;
+            }
+            self.stats.w_recomputes += 1;
+            let mut order = BTreeSet::new();
+            for comp in chain_components(&self.core.wtpg).expect("admission keeps chain form") {
+                let sol = threshold::solve(&comp.problem);
+                for (pair, dir) in comp.nodes.windows(2).zip(sol.orient) {
+                    order.insert(match dir {
+                        Dir::Down => (pair[0], pair[1]),
+                        Dir::Up => (pair[1], pair[0]),
+                    });
+                }
+            }
+            self.w_order = Some(order);
+            self.last_compute = now;
+            self.w_version = self.core.wtpg.version();
+            1
+        }
+    }
+
+    impl Scheduler for ReferenceChain {
+        fn name(&self) -> &str {
+            "CHAIN-reference"
+        }
+
+        fn on_arrive(
+            &mut self,
+            spec: &TxnSpec,
+            _now: Tick,
+        ) -> Result<(Admission, ControlOps), CoreError> {
+            self.core.arrive(spec)?;
+            if chain_components(&self.core.wtpg).is_err() {
+                self.core.rollback_arrival(spec.id);
+                self.stats.aborts_non_chain += 1;
+                return Ok((Admission::Rejected, ControlOps::NONE));
+            }
+            Ok((Admission::Admitted, ControlOps::NONE))
+        }
+
+        fn on_request(
+            &mut self,
+            txn: TxnId,
+            step: usize,
+            now: Tick,
+        ) -> Result<(LockOutcome, ControlOps), CoreError> {
+            let s = self.core.request_step(txn, step)?;
+            if self.core.locks.is_blocked(txn, s.partition, s.mode) {
+                return Ok((LockOutcome::Blocked, ControlOps::NONE));
+            }
+            let ops = ControlOps {
+                chain_opts: self.ensure_w(now),
+                ..ControlOps::NONE
+            };
+            let implied = self.core.implied_resolutions(txn, s.partition, s.mode);
+            let w = self.w_order.as_ref().expect("ensure_w populates W");
+            if implied.iter().any(|&other| !w.contains(&(txn, other))) {
+                self.stats.delays_minimality += 1;
+                return Ok((LockOutcome::Delayed, ops));
+            }
+            self.core.grant(txn, step, s, &implied)?;
+            self.w_version = self.core.wtpg.version();
+            Ok((LockOutcome::Granted, ops))
+        }
+
+        fn on_progress(&mut self, txn: TxnId, amount: Work) -> Result<(), CoreError> {
+            self.core.progress(txn, amount)
+        }
+
+        fn on_step_complete(&mut self, txn: TxnId, step: usize) -> Result<(), CoreError> {
+            self.core.step_complete(txn, step)
+        }
+
+        fn on_commit(&mut self, txn: TxnId, _now: Tick) -> Result<CommitResult, CoreError> {
+            let freed = self.core.commit(txn)?;
+            Ok(CommitResult {
+                freed,
+                ops: ControlOps::NONE,
+            })
+        }
+
+        fn on_abort(&mut self, txn: TxnId, now: Tick) -> Result<CommitResult, CoreError> {
+            self.on_commit(txn, now)
+        }
+
+        fn active_txns(&self) -> usize {
+            self.core.active_txns()
+        }
+
+        fn wtpg(&self) -> &Wtpg {
+            self.core.wtpg()
+        }
+
+        fn obs_stats(&self) -> ControlStats {
+            self.stats
+        }
+    }
+
+    /// What the differential compares after every decision: the decision
+    /// itself (verdict + `ControlOps`), the cumulative stats, the WTPG
+    /// version, and — whenever `W` was just recomputed — all of `W`.
+    type Observed = (Call, ControlStats, u64, Option<Vec<(TxnId, TxnId)>>);
+
+    fn recomputed(call: Call) -> bool {
+        matches!(call, Call::Request(_, _, _, ops) if ops.chain_opts == 1)
+    }
+
+    /// Drives `specs` through both implementations and compares every step.
+    /// Odd seeds run a short `keeptime`, so the elapsed-time trigger of
+    /// `ensure_w` fires between structural changes too.
+    fn assert_matches_reference_chain(what: &str, seed: u64, specs: &[TxnSpec]) {
+        let keeptime = if seed % 2 == 1 { 40 } else { 5000 };
+        let mut production = ChainScheduler::new(keeptime);
+        let got: Vec<Observed> = drive(&mut production, specs, |s, _, call| {
+            let w = recomputed(call).then(|| s.current_w().expect("just computed").to_vec());
+            (call, s.obs_stats(), s.wtpg().version(), w)
+        });
+        let mut reference = ReferenceChain::new(keeptime);
+        let want: Vec<Observed> = drive(&mut reference, specs, |s, _, call| {
+            let w = recomputed(call).then(|| s.w_order.iter().flatten().copied().collect());
+            (call, s.obs_stats(), s.wtpg().version(), w)
+        });
+        if let Some(i) = got.iter().zip(&want).position(|(g, w)| g != w) {
+            panic!(
+                "{what} seed {seed}: call {i} diverges\n  production {:?}\n  reference  {:?}",
+                got[i], want[i]
+            );
+        }
+        assert_eq!(got.len(), want.len(), "{what} seed {seed}");
+        assert!(
+            got.iter().any(|o| o.3.is_some()),
+            "{what} seed {seed}: W never computed"
+        );
+    }
+
+    // 3 × 70 seeded streams; ten times longer in release (CI's `tier1` runs
+    // both), where no `debug_validate` rides on every WTPG mutation.
+    const SEEDS: std::ops::Range<u64> = 0..70;
+    const TXNS: u64 = if cfg!(debug_assertions) { 300 } else { 3000 };
+
+    #[test]
+    fn reference_chain_differential_pattern_one() {
+        for seed in SEEDS {
+            assert_matches_reference_chain("pattern one", seed, &pattern_one(seed, TXNS));
+        }
+    }
+
+    #[test]
+    fn reference_chain_differential_pattern_two_hots_4() {
+        for seed in SEEDS {
+            assert_matches_reference_chain("pattern two", seed, &pattern_two(seed, TXNS, 4));
+        }
+    }
+
+    #[test]
+    fn reference_chain_differential_random_specs() {
+        for seed in SEEDS {
+            let parts = 4 + (seed % 9) as u32;
+            assert_matches_reference_chain("random", seed, &random_specs(seed, TXNS, parts));
+        }
+    }
+
+    /// A rejected admission is a pure read: WTPG version, active set and
+    /// lock-table declarations are exactly what they were.
+    #[test]
+    fn rejected_admission_mutates_nothing() {
+        let mut s = ChainScheduler::new(5000);
+        for (id, parts) in [(1, vec![0]), (2, vec![0, 1]), (3, vec![1])] {
+            let steps = parts.into_iter().map(|p| StepSpec::write(p, 1.0)).collect();
+            s.on_arrive(&t(id, steps), Tick(0)).unwrap();
+        }
+        s.on_request(TxnId(1), 0, Tick(1)).unwrap(); // a held lock and a cached W
+        let version = s.wtpg().version();
+        let locks = format!("{:?}", s.core.locks);
+        let slots = s.wtpg().slot_count();
+        let w = s.current_w().map(<[_]>::to_vec);
+        // Interior neighbour (T2), a third neighbour, and a closed cycle.
+        for steps in [
+            vec![StepSpec::write(0, 1.0), StepSpec::write(1, 1.0)],
+            vec![StepSpec::read(0, 1.0)],
+            vec![StepSpec::write(1, 1.0), StepSpec::write(5, 1.0)],
+        ] {
+            let (adm, ops) = s.on_arrive(&t(9, steps), Tick(2)).unwrap();
+            assert_eq!((adm, ops), (Admission::Rejected, ControlOps::NONE));
+            assert_eq!(s.wtpg().version(), version);
+            assert_eq!(s.active_txns(), 3);
+            assert_eq!(format!("{:?}", s.core.locks), locks);
+            assert_eq!(s.wtpg().slot_count(), slots);
+            assert!(!s.wtpg().contains(TxnId(9)));
+        }
+        assert_eq!(s.obs_stats().aborts_non_chain, 3);
+        // The cached W survived: the next request reuses it.
+        let (_, ops) = s.on_request(TxnId(3), 0, Tick(3)).unwrap();
+        assert_eq!(ops.chain_opts, 0);
+        assert_eq!(s.current_w().map(<[_]>::to_vec), w);
     }
 }

@@ -4,8 +4,9 @@
 
 use std::collections::BTreeMap;
 
+use crate::chain::form::arrival_keeps_chain_form;
 use crate::error::CoreError;
-use crate::lock::LockTable;
+use crate::lock::{ArrivalConflict, LockTable};
 use crate::partition::PartitionId;
 use crate::txn::{StepSpec, TxnId, TxnSpec};
 use crate::work::Work;
@@ -64,14 +65,38 @@ impl SchedCore {
     /// The caller can still [`Self::rollback_arrival`] if an admission
     /// constraint fails afterwards.
     pub(crate) fn arrive(&mut self, spec: &TxnSpec) -> Result<(), CoreError> {
+        let conflicts = self.arrival_conflicts(spec)?;
+        self.admit(spec, &conflicts)
+    }
+
+    /// [`Self::arrive`] under the chain-form constraint (CHAIN, CHAIN-C2PL),
+    /// tested on the arrival's conflicts *before* anything is declared: a
+    /// `false` return changed nothing, so there is nothing to roll back.
+    pub(crate) fn arrive_if_chain_form(&mut self, spec: &TxnSpec) -> Result<bool, CoreError> {
+        let conflicts = self.arrival_conflicts(spec)?;
+        let ok = arrival_keeps_chain_form(&self.wtpg, &conflicts)?;
+        if ok {
+            self.admit(spec, &conflicts)?;
+        }
+        Ok(ok)
+    }
+
+    /// What the not-yet-declared `spec` conflicts with among the live
+    /// transactions (its own declarations never count, so this is also what
+    /// the lock table reports once it is declared).
+    fn arrival_conflicts(&self, spec: &TxnSpec) -> Result<Vec<ArrivalConflict>, CoreError> {
         if self.txns.contains_key(&spec.id) {
             return Err(CoreError::DuplicateTxn(spec.id));
         }
+        Ok(self.locks.arrival_conflicts(spec))
+    }
+
+    /// Registers a new transaction whose `arrival_conflicts` are `conflicts`.
+    fn admit(&mut self, spec: &TxnSpec, conflicts: &[ArrivalConflict]) -> Result<(), CoreError> {
         self.pre_arrival_version = self.wtpg.version();
         self.locks.declare(spec);
         self.wtpg.add_txn(spec.id, spec.total_declared())?;
-        let conflicts = self.locks.arrival_conflicts(spec);
-        self.wtpg.ingest_arrival(spec.id, &conflicts)?;
+        self.wtpg.ingest_arrival(spec.id, conflicts)?;
         self.txns.insert(
             spec.id,
             ActiveTxn {
@@ -88,9 +113,10 @@ impl SchedCore {
     /// back in its pre-arrival logical state, so its version is restored
     /// too — schedulers' version-keyed caches stay warm across rejections.
     pub(crate) fn rollback_arrival(&mut self, txn: TxnId) {
-        self.locks.undeclare(txn);
+        if let Some(a) = self.txns.remove(&txn) {
+            self.locks.undeclare(&a.spec);
+        }
         let _ = self.wtpg.remove_txn(txn);
-        self.txns.remove(&txn);
         self.wtpg.restore_version(self.pre_arrival_version);
     }
 

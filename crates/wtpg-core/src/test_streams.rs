@@ -1,0 +1,158 @@
+//! Seeded spec streams and the deterministic drive the schedulers'
+//! differential tests share: up to [`WINDOW`] transactions active, a rejected
+//! admission or an ungranted request goes to the back of a FIFO and is
+//! retried when it comes round again — the discipline of `bench/src/drive.rs`,
+//! so the tests walk the trajectories the benchmark measures.
+
+use std::collections::VecDeque;
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use crate::partition::PartitionId;
+use crate::time::Tick;
+use crate::txn::{AccessMode, StepSpec, TxnId, TxnSpec};
+use crate::work::Work;
+
+use crate::sched::{Admission, ControlOps, LockOutcome, Scheduler};
+
+const WINDOW: usize = 32;
+
+fn distinct_pair(rng: &mut StdRng, base: u32, count: u32) -> (u32, u32) {
+    let f1 = rng.gen_range(0..count);
+    let mut f2 = rng.gen_range(0..count - 1);
+    if f2 >= f1 {
+        f2 += 1;
+    }
+    (base + f1, base + f2)
+}
+
+/// Pattern One (§4.2): `r(F1:1) → r(F2:5) → w(F1:0.2) → w(F2:1)` over 16
+/// partitions, every step exclusive (lock-mode promotion).
+pub(crate) fn pattern_one(seed: u64, n: u64) -> Vec<TxnSpec> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (1..=n)
+        .map(|id| {
+            let (f1, f2) = distinct_pair(&mut rng, 0, 16);
+            let steps = [(f1, 1.0), (f2, 5.0), (f1, 0.2), (f2, 1.0)];
+            let steps = steps.map(|(p, cost)| StepSpec::write(p, cost)).to_vec();
+            TxnSpec::new(TxnId(id), steps)
+        })
+        .collect()
+}
+
+/// Pattern Two (§4.3): `r(B:5) → w(F1:1) → w(F2:1)`, `B` one of 8 read-only
+/// partitions, `F1 ≠ F2` from `hots` hot ones.
+pub(crate) fn pattern_two(seed: u64, n: u64, hots: u32) -> Vec<TxnSpec> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (1..=n)
+        .map(|id| {
+            let b = rng.gen_range(0..8u32);
+            let (f1, f2) = distinct_pair(&mut rng, 8, hots);
+            let steps = vec![
+                StepSpec::read(b, 5.0),
+                StepSpec::write(f1, 1.0),
+                StepSpec::write(f2, 1.0),
+            ];
+            TxnSpec::new(TxnId(id), steps)
+        })
+        .collect()
+}
+
+/// Random BATs shaped like `tests/sched_proptests.rs::arb_workload`: 1–4
+/// steps over `parts` partitions, read or write, 0.2–5 objects each.
+pub(crate) fn random_specs(seed: u64, n: u64, parts: u32) -> Vec<TxnSpec> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (1..=n)
+        .map(|id| {
+            let steps = (0..rng.gen_range(1..=4u32))
+                .map(|_| {
+                    let mode = if rng.gen_bool(0.5) {
+                        AccessMode::Write
+                    } else {
+                        AccessMode::Read
+                    };
+                    let cost = Work::from_units(rng.gen_range(1..=25u64) * 200);
+                    StepSpec::new(PartitionId(rng.gen_range(0..parts)), mode, cost)
+                })
+                .collect();
+            TxnSpec::new(TxnId(id), steps)
+        })
+        .collect()
+}
+
+/// One scheduler decision of a drive.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Call {
+    Arrive(TxnId, Admission),
+    Request(TxnId, usize, LockOutcome, ControlOps),
+}
+
+/// Drives every spec to commit through `sched` — one tick per call, progress
+/// reported one object at a time — and returns what `observe` made of each
+/// decision, in order.
+///
+/// # Panics
+/// Panics on a protocol error or a wedge (a long run of calls in which
+/// nothing was admitted or granted).
+pub(crate) fn drive<S: Scheduler, L>(
+    sched: &mut S,
+    specs: &[TxnSpec],
+    mut observe: impl FnMut(&S, &TxnSpec, Call) -> L,
+) -> Vec<L> {
+    let mut log = Vec::new();
+    // (index into `specs`, next step to request; `None` = not yet admitted).
+    let mut fifo: VecDeque<(usize, Option<usize>)> = VecDeque::new();
+    let mut next = 0;
+    let mut idle_turns = 0;
+    let mut tick = 0u64;
+    let mut now = || {
+        tick += 1;
+        Tick(tick)
+    };
+    while next < specs.len() || !fifo.is_empty() {
+        while fifo.len() < WINDOW && next < specs.len() {
+            fifo.push_back((next, None));
+            next += 1;
+        }
+        let (idx, state) = fifo.pop_front().expect("loop condition");
+        let spec = &specs[idx];
+        let id = spec.id;
+        let mut moved = false;
+        match state {
+            None => {
+                let (admission, _) = sched.on_arrive(spec, now()).unwrap();
+                log.push(observe(sched, spec, Call::Arrive(id, admission)));
+                moved = admission == Admission::Admitted;
+                fifo.push_back((idx, moved.then_some(0)));
+            }
+            Some(step) => {
+                let (outcome, ops) = sched.on_request(id, step, now()).unwrap();
+                log.push(observe(sched, spec, Call::Request(id, step, outcome, ops)));
+                if outcome == LockOutcome::Granted {
+                    moved = true;
+                    let mut left = spec.steps()[step].actual_cost.units();
+                    while left > 0 {
+                        let chunk = left.min(1000);
+                        now();
+                        sched.on_progress(id, Work::from_units(chunk)).unwrap();
+                        left -= chunk;
+                    }
+                    now();
+                    sched.on_step_complete(id, step).unwrap();
+                    if step + 1 == spec.len() {
+                        sched.on_commit(id, now()).unwrap();
+                    } else {
+                        fifo.push_back((idx, Some(step + 1)));
+                    }
+                } else {
+                    fifo.push_back((idx, state));
+                }
+            }
+        }
+        idle_turns = if moved { 0 } else { idle_turns + 1 };
+        assert!(idle_turns <= 64 * WINDOW, "{} wedged", sched.name());
+    }
+    assert_eq!(sched.active_txns(), 0);
+    log
+}

@@ -100,4 +100,22 @@ proptest! {
         let t = threshold::solve(&p);
         prop_assert!(t.critical_path >= p.r.iter().copied().max().unwrap());
     }
+
+    /// One `Solver` reused across differently sized problems (forced edges
+    /// included) answers each exactly as a fresh `threshold::solve` does —
+    /// orientation and length — and as long as the oracle. A stale `parents`
+    /// or `orient` entry from a longer earlier problem would show here.
+    #[test]
+    fn reused_solver_matches_fresh_solves(
+        problems in proptest::collection::vec(arb_forced_problem(12, 50), 1..12)
+    ) {
+        let mut solver = threshold::Solver::new();
+        for p in &problems {
+            let length = solver.solve(&p.r, &p.a, &p.b, &p.forced);
+            let fresh = threshold::solve(p);
+            prop_assert_eq!(solver.orient(), &fresh.orient[..], "{:?}", p);
+            prop_assert_eq!(length, fresh.critical_path, "{:?}", p);
+            prop_assert_eq!(length, brute::solve(p).critical_path, "{:?}", p);
+        }
+    }
 }

@@ -749,12 +749,16 @@ impl ControlActor<'_> {
                     t.next_step = step as usize + 1;
                 }
                 // Pipeline: request the next step (or commit) immediately,
-                // then re-drive whatever the released state unblocks. A
-                // step completion can free a *lock* (chained schedulers
-                // release as later steps acquire), so parked requests retry
-                // here — but an admission verdict only changes at commit or
-                // abort, so the backlog is drained only when this round of
-                // driving actually freed an admission slot.
+                // then re-drive the parked requests. The completion itself
+                // releases nothing — every lock is held to commit — but it
+                // sets the transaction's `T0` weight to what its remaining
+                // steps declare, and the follow-up request either commits
+                // (which does release) or is granted: a declaration becomes
+                // a held lock and its conflicting edges are resolved, so the
+                // `W` / `E(q)` inputs of the parked requests moved. An
+                // admission verdict only changes at commit or abort, so the
+                // backlog is drained only when this round of driving
+                // actually freed an admission slot.
                 let active_before = self.active;
                 self.drive(txn)?;
                 self.retry_parked()?;
