@@ -91,6 +91,23 @@ impl std::error::Error for CodecError {}
 /// Encodes `msg` as a bare payload (no length prefix).
 pub fn encode_payload(msg: &Msg) -> Vec<u8> {
     let mut b = Vec::with_capacity(64);
+    put_msg(&mut b, msg);
+    b
+}
+
+/// Appends `[len: u32 LE][body]` to `b`, where `body` is whatever `fill`
+/// appends: the header is reserved first and patched once the length is
+/// known, so the body is encoded in place.
+fn put_len_prefixed(b: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) {
+    let header = b.len();
+    put_u32(b, 0);
+    fill(b);
+    let len = (b.len() - header - 4) as u32;
+    b[header..header + 4].copy_from_slice(&len.to_le_bytes()); // lint:allow(panic-safety) the four bytes at `header` were pushed just above
+}
+
+/// Appends `msg`'s payload encoding to `b` — the crate's one encoder.
+fn put_msg(b: &mut Vec<u8>, msg: &Msg) {
     b.push(msg.tag());
     match msg {
         Msg::Submit {
@@ -99,14 +116,14 @@ pub fn encode_payload(msg: &Msg) -> Vec<u8> {
             step,
             spec,
         } => {
-            put_u32(&mut b, *client);
-            put_u64(&mut b, txn.0);
-            put_opt_u32(&mut b, *step);
+            put_u32(b, *client);
+            put_u64(b, txn.0);
+            put_opt_u32(b, *step);
             match spec {
                 None => b.push(0),
                 Some(s) => {
                     b.push(1);
-                    put_spec(&mut b, s);
+                    put_spec(b, s);
                 }
             }
         }
@@ -119,13 +136,13 @@ pub fn encode_payload(msg: &Msg) -> Vec<u8> {
             chunk_units,
             seal,
         } => {
-            put_u64(&mut b, txn.0);
-            put_u32(&mut b, *step);
-            put_u32(&mut b, partition.0);
+            put_u64(b, txn.0);
+            put_u32(b, *step);
+            put_u32(b, partition.0);
             b.push(mode_byte(*mode));
-            put_u64(&mut b, *units);
-            put_u64(&mut b, *chunk_units);
-            put_u64(&mut b, *seal);
+            put_u64(b, *units);
+            put_u64(b, *chunk_units);
+            put_u64(b, *seal);
         }
         Msg::AccessDone {
             txn,
@@ -133,14 +150,14 @@ pub fn encode_payload(msg: &Msg) -> Vec<u8> {
             checksum,
             units,
         } => {
-            put_u64(&mut b, txn.0);
-            put_u32(&mut b, *step);
-            put_u64(&mut b, *checksum);
-            put_u64(&mut b, *units);
+            put_u64(b, txn.0);
+            put_u32(b, *step);
+            put_u64(b, *checksum);
+            put_u64(b, *units);
         }
         Msg::Commit { client, txn } => {
-            put_u32(&mut b, *client);
-            put_u64(&mut b, txn.0);
+            put_u32(b, *client);
+            put_u64(b, txn.0);
         }
         Msg::StatsDelta {
             txn,
@@ -148,10 +165,10 @@ pub fn encode_payload(msg: &Msg) -> Vec<u8> {
             chunk,
             units,
         } => {
-            put_u64(&mut b, txn.0);
-            put_u32(&mut b, *step);
-            put_u64(&mut b, *chunk);
-            put_u64(&mut b, *units);
+            put_u64(b, txn.0);
+            put_u32(b, *step);
+            put_u64(b, *chunk);
+            put_u64(b, *units);
         }
         Msg::Shutdown => {}
         Msg::Batch(inner) => {
@@ -159,11 +176,9 @@ pub fn encode_payload(msg: &Msg) -> Vec<u8> {
                 inner.iter().all(|m| !matches!(m, Msg::Batch(_))),
                 "batches are flat: senders never nest them"
             );
-            put_u32(&mut b, inner.len() as u32);
+            put_u32(b, inner.len() as u32);
             for m in inner {
-                let sub = encode_payload(m);
-                put_u32(&mut b, sub.len() as u32);
-                b.extend_from_slice(&sub);
+                put_len_prefixed(b, |b| put_msg(b, m));
             }
         }
         Msg::Recover {
@@ -171,13 +186,13 @@ pub fn encode_payload(msg: &Msg) -> Vec<u8> {
             last_lsn,
             replayed_chunks,
         } => {
-            put_u32(&mut b, *node);
-            put_u64(&mut b, *last_lsn);
-            put_u64(&mut b, *replayed_chunks);
+            put_u32(b, *node);
+            put_u64(b, *last_lsn);
+            put_u64(b, *replayed_chunks);
         }
         Msg::RecoverAck { node, outstanding } => {
-            put_u32(&mut b, *node);
-            put_u32(&mut b, *outstanding);
+            put_u32(b, *node);
+            put_u32(b, *outstanding);
         }
         Msg::SnapshotRead {
             txn,
@@ -188,22 +203,22 @@ pub fn encode_payload(msg: &Msg) -> Vec<u8> {
             exclude,
             floor,
         } => {
-            put_u64(&mut b, txn.0);
-            put_u32(&mut b, *step);
-            put_u32(&mut b, partition.0);
-            put_u64(&mut b, *units);
-            put_u64(&mut b, *horizon);
+            put_u64(b, txn.0);
+            put_u32(b, *step);
+            put_u32(b, partition.0);
+            put_u64(b, *units);
+            put_u64(b, *horizon);
             debug_assert!(
                 exclude.len() <= MAX_EXCLUDE as usize,
                 "exclusion set of {} violates the wire bound the decoder enforces \
                  (the control actor rejects oversize sets before encoding)",
                 exclude.len()
             );
-            put_u32(&mut b, exclude.len() as u32);
+            put_u32(b, exclude.len() as u32);
             for &seq in exclude {
-                put_u64(&mut b, seq);
+                put_u64(b, seq);
             }
-            put_u64(&mut b, *floor);
+            put_u64(b, *floor);
         }
         Msg::SnapshotReply {
             txn,
@@ -211,22 +226,26 @@ pub fn encode_payload(msg: &Msg) -> Vec<u8> {
             checksum,
             units,
         } => {
-            put_u64(&mut b, txn.0);
-            put_u32(&mut b, *step);
-            put_u64(&mut b, *checksum);
-            put_u64(&mut b, *units);
+            put_u64(b, txn.0);
+            put_u32(b, *step);
+            put_u64(b, *checksum);
+            put_u64(b, *units);
         }
     }
-    b
 }
 
 /// Encodes `msg` as a full frame: `[payload_len: u32 LE][payload]`.
 pub fn encode_frame(msg: &Msg) -> Vec<u8> {
-    let payload = encode_payload(msg);
-    let mut frame = Vec::with_capacity(payload.len() + 4);
-    put_u32(&mut frame, payload.len() as u32);
-    frame.extend_from_slice(&payload);
+    let mut frame = Vec::with_capacity(64);
+    encode_frame_into(&mut frame, msg);
     frame
+}
+
+/// [`encode_frame`] into a caller-owned buffer, replacing its contents: a
+/// sender that keeps `frame` between sends allocates nothing per message.
+pub fn encode_frame_into(frame: &mut Vec<u8>, msg: &Msg) {
+    frame.clear();
+    put_len_prefixed(frame, |b| put_msg(b, msg));
 }
 
 /// Decodes a bare payload. The entire buffer must be consumed: leftover

@@ -21,8 +21,9 @@
 //! [`Coalescer`], so bursts of `Access` orders for one node leave as a
 //! single [`Msg::Batch`] frame. Coalescers are flushed before the actor
 //! blocks on its inbox (deadlock avoidance) and when the flush window
-//! expires. Commit acks to clients are sent directly — a client has one
-//! transaction in flight, so there is never anything to coalesce with.
+//! expires. Commit acks to clients are sent directly, one frame each: a
+//! client pipelines up to `pipeline` (16) submissions, but an ack is the
+//! end of the latency the client measures, so none waits for company.
 //!
 //! Reliability duties beyond the engine's:
 //!

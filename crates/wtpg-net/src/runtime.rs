@@ -44,7 +44,6 @@ use wtpg_obs::{Histogram, MsgCounts, NetStats, ObsEvent, Observer, Registry, Wal
 use wtpg_rt::backoff::Backoff;
 use wtpg_rt::engine::SendScheduler;
 use wtpg_rt::metrics::LatencySummary;
-use wtpg_rt::queue::BoundedQueue;
 use wtpg_rt::shard::{merge_audits, ShardMap};
 use wtpg_rt::StreamItem;
 use wtpg_workload::poisson_arrivals_us;
@@ -56,13 +55,15 @@ use crate::error::NetError;
 use crate::fault::{FaultCounters, FaultLink, FaultPlan};
 use crate::msg::Msg;
 use crate::report::NetReport;
-use crate::transport::{control_inbox_capacity, Inbox, MsgTx, Transport};
+use crate::transport::{
+    control_inbox_capacity, spawn_pump, Inbox, Mailbox, MsgTx, Transport, ACTOR_INBOX_CAPACITY,
+};
 
 /// Tuning knobs for one shared-nothing run.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
-    /// Client actors (each drives a slice of the workload, one transaction
-    /// in flight at a time).
+    /// Client actors (each drives a slice of the workload, `pipeline`
+    /// transactions in flight at a time).
     pub clients: usize,
     /// Milli-objects per progress chunk (default: one object, the paper's
     /// per-object weight-adjustment granularity).
@@ -386,7 +387,23 @@ pub fn run_cell_load(
     let client_to_control = fabric.client_to_control;
     let control_inbox = fabric.control_inbox;
     let data_inboxes = fabric.data_inboxes;
-    let client_inboxes = fabric.client_inboxes;
+    // The open-loop driver sheds on what `try_pop` sees and paces arrivals
+    // with sub-millisecond timed waits; a socket mailbox offers neither
+    // (frames already read; the kernel's tick-rounded receive timeout), so
+    // each one is pumped into a queue the driver reads instead.
+    let client_inboxes: Vec<Inbox> = fabric
+        .client_inboxes
+        .into_iter()
+        .map(|inbox| {
+            if cfg.open_loop.is_some() && matches!(*inbox, Mailbox::Socket(_)) {
+                let queue = Mailbox::queue(ACTOR_INBOX_CAPACITY);
+                pumps.push(spawn_pump(inbox, Arc::clone(&queue), true));
+                queue
+            } else {
+                inbox
+            }
+        })
+        .collect();
 
     // One shard reads the fabric inbox directly (no router, identical
     // trajectories to the unsharded engine); S > 1 gets routed inboxes.
@@ -394,11 +411,7 @@ pub fn run_cell_load(
         vec![Arc::clone(&control_inbox)]
     } else {
         (0..shards)
-            .map(|_| -> Inbox {
-                Arc::new(BoundedQueue::new(control_inbox_capacity(
-                    data_nodes, clients,
-                )))
-            })
+            .map(|_| Mailbox::queue(control_inbox_capacity(data_nodes, clients)))
             .collect()
     };
 
@@ -602,20 +615,22 @@ pub fn run_cell_load(
 
     // Teardown: dropping our sender handles closes the fault queues (their
     // forwarders drain and exit) and — on TCP — FINs the writer sockets so
-    // the frame readers EOF. Only then are the service threads joinable.
+    // every socket's reader sees EOF. Only then are the pumps (ours and the
+    // transport's service threads) joinable, and only once they are joined
+    // has every frame that was sent been counted as received.
     drop(to_data);
     drop(data_to_control);
     drop(to_clients);
     drop(client_to_control);
     for pump in pumps {
         pump.join()
-            .expect("invariant: fault forwarders exit once their queue closes");
+            .expect("invariant: fault forwarders and client pumps exit once their source ends");
     }
-    let bytes = (fabric.bytes)();
     for svc in fabric.service {
         svc.join()
-            .expect("invariant: transport readers exit on EOF");
+            .expect("invariant: transport pumps exit on EOF");
     }
+    let bytes = (fabric.bytes)();
     // Every stream sender travelled into a control actor and dropped when
     // it returned (success or failure), so the certifiers have hit EOF and
     // these joins cannot block.

@@ -4,29 +4,52 @@
 //! node and client opens one connection to it and announces itself with a
 //! 5-byte preamble `[role: u8][id: u32 LE]` (`0` = client, `1` = data
 //! node). Each connection carries [`codec`](crate::codec) frames both
-//! ways: a writer half (shared behind a mutex so a message is one atomic
-//! `write_all`) and a reader thread that decodes frames into the owning
-//! actor's inbox. Readers exit on EOF — dropping the last sender handle of
-//! a connection is how the fabric tears itself down — and the reader
-//! feeding a single-producer inbox closes it, waking any blocked actor.
+//! ways.
+//!
+//! **Sending.** Each end's writer half is a [`MsgTx`] behind a mutex that
+//! also guards a reusable frame buffer: a message is encoded in place and
+//! leaves as one atomic `write_all`, with no allocation.
+//!
+//! **Receiving.** Every socket is read by exactly one [`FrameReader`] — a
+//! buffer the kernel fills with as many frames as it holds per `read`,
+//! decoded in place — wrapped in a [`Mailbox::Socket`]:
+//!
+//! * *Peer side* (data nodes, clients): the mailbox **is** the actor's
+//!   inbox. The actor blocks in `read` on its own link; there is no reader
+//!   thread and no queue between the wire and the actor.
+//! * *Control side*: many links meet in one actor, and without `poll(2)`
+//!   (the crate forbids `unsafe`) one thread cannot wait on several
+//!   sockets. So each accepted connection keeps one **pump** thread moving
+//!   its socket mailbox into the shared control queue. These
+//!   `data_nodes + clients` pumps are the fabric's only service threads.
+//!
+//! **Teardown.** A socket's read half never learns that the local writer
+//! was dropped — the mailbox (or pump) holds its own clone of the
+//! descriptor — so a dropped writer sends a socket-level FIN instead.
+//! Dropping the peer-side writers EOFs the control-side pumps, which is
+//! what makes them joinable; dropping the control-side writers EOFs the
+//! peer mailboxes, waking any actor still blocked on one with `Closed`.
+//! The runtime therefore joins [`Fabric::service`] only after every actor
+//! has exited and all four sender vectors are gone.
 //!
 //! All sockets run with `TCP_NODELAY`: the protocol is request/response
 //! with small frames, exactly the shape Nagle's algorithm penalises.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use wtpg_obs::ByteCounts;
-use wtpg_rt::queue::BoundedQueue;
+use wtpg_rt::queue::PopResult;
 
-use crate::codec::{decode_payload, encode_frame, MAX_FRAME};
+use crate::codec::{decode_payload, encode_frame_into, MAX_FRAME};
 use crate::error::NetError;
 use crate::msg::Msg;
 use crate::transport::{
-    control_inbox_capacity, Fabric, Inbox, MsgTx, Transport, ACTOR_INBOX_CAPACITY,
+    control_inbox_capacity, spawn_pump, Fabric, Inbox, Mailbox, MsgTx, Transport,
 };
 
 /// Preamble role byte for a client connection.
@@ -54,33 +77,51 @@ impl Counters {
     }
 }
 
+/// A socket's writer half and the buffer its frames are encoded into.
+struct Wire {
+    stream: TcpStream,
+    frame: Vec<u8>,
+}
+
 /// A sender handle writing frames to one socket.
 struct TcpTx {
-    stream: Mutex<TcpStream>,
+    wire: Mutex<Wire>,
     counters: Arc<Counters>,
+}
+
+impl TcpTx {
+    fn over(stream: TcpStream, counters: &Arc<Counters>) -> Arc<dyn MsgTx> {
+        Arc::new(TcpTx {
+            wire: Mutex::new(Wire {
+                stream,
+                frame: Vec::new(),
+            }),
+            counters: Arc::clone(counters),
+        })
+    }
 }
 
 impl Drop for TcpTx {
     fn drop(&mut self) {
-        // The reader thread keeps its own clone of this socket, so merely
-        // dropping the writer would never EOF the peer. A socket-level
-        // write shutdown sends the FIN that lets both sides' readers
-        // unwind: peer reader EOFs → peer actor exits → peer writer drops
-        // → its FIN EOFs our reader.
-        if let Ok(s) = self.stream.lock() {
-            let _ = s.shutdown(Shutdown::Write);
+        // This socket's reader holds its own clone of the descriptor, so
+        // merely dropping the writer would never EOF the peer. A
+        // socket-level write shutdown sends the FIN the peer's reader
+        // unwinds on (module docs, "Teardown").
+        if let Ok(w) = self.wire.lock() {
+            let _ = w.stream.shutdown(Shutdown::Write);
         }
     }
 }
 
 impl MsgTx for TcpTx {
     fn send(&self, m: &Msg) -> bool {
-        let frame = encode_frame(m);
-        let mut s = self
-            .stream
+        let mut w = self
+            .wire
             .lock()
             .expect("invariant: socket lock is never poisoned (no panics while held)");
-        if s.write_all(&frame).is_err() {
+        let Wire { stream, frame } = &mut *w;
+        encode_frame_into(frame, m);
+        if stream.write_all(frame).is_err() {
             return false;
         }
         self.counters
@@ -91,59 +132,179 @@ impl MsgTx for TcpTx {
     }
 }
 
-/// Reads frames off `stream` into `inbox` until EOF or a malformed frame.
-/// Closes the inbox on exit when `close_on_eof` (single-producer inboxes).
-fn read_frames(
-    mut stream: TcpStream,
-    inbox: Inbox,
+/// The reader's buffer before any frame has asked for more.
+const READ_BUF: usize = 8 * 1024;
+
+/// The one place frames are read: a buffer filled by a single `read` per
+/// wake-up — however many frames that returns — and decoded in place.
+///
+/// The stream is down for good (`Closed`) on EOF, on an I/O error, on a
+/// header announcing more than [`MAX_FRAME`], or on a payload that does not
+/// decode: a malformed frame means the stream is desynchronized and there
+/// is no resync point, so the link is dropped (the peer's watchdog or the
+/// control retry layer surfaces the failure).
+pub(crate) struct FrameReader<R> {
+    src: R,
+    /// `buf[start..end]` holds bytes read and not yet consumed. Grows to
+    /// the frame in hand; a consumed frame is gone by the next `fill`.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    closed: bool,
     counters: Arc<Counters>,
-    close_on_eof: bool,
-) {
-    let mut header = [0u8; 4];
-    loop {
-        if stream.read_exact(&mut header).is_err() {
-            break;
-        }
-        let len = u32::from_le_bytes(header) as usize;
-        if len > MAX_FRAME {
-            break;
-        }
-        let mut payload = vec![0u8; len];
-        if stream.read_exact(&mut payload).is_err() {
-            break;
-        }
-        counters
-            .bytes_received
-            .fetch_add(4 + len as u64, Ordering::Relaxed);
-        let msg = match decode_payload(&payload) {
-            Ok(m) => m,
-            // A malformed frame means the stream is desynchronized; there
-            // is no resync point, so drop the link (the peer's watchdog or
-            // the control retry layer surfaces the failure).
-            Err(_) => break,
-        };
-        counters.frames_received.fetch_add(1, Ordering::Relaxed);
-        if !inbox.push(msg) {
-            break;
+}
+
+impl<R: Read> FrameReader<R> {
+    fn new(src: R, counters: Arc<Counters>) -> FrameReader<R> {
+        FrameReader {
+            src,
+            buf: vec![0; READ_BUF],
+            start: 0,
+            end: 0,
+            closed: false,
+            counters,
         }
     }
-    if close_on_eof {
-        inbox.close();
+
+    /// Payload length announced by the header at the front of the unread
+    /// bytes, once all four of its bytes are in.
+    fn announced(&self) -> Option<usize> {
+        let unread = self.buf.get(self.start..self.end)?;
+        let header: [u8; 4] = unread.get(..4)?.try_into().ok()?;
+        Some(u32::from_le_bytes(header) as usize)
+    }
+
+    /// Decodes the next frame if it is already in the buffer: `Empty` means
+    /// the bytes read so far end before it does.
+    fn buffered(&mut self) -> PopResult<Msg> {
+        if self.closed {
+            return PopResult::Closed;
+        }
+        let Some(len) = self.announced() else {
+            return PopResult::Empty;
+        };
+        if len > MAX_FRAME {
+            self.closed = true;
+            return PopResult::Closed;
+        }
+        let payload_at = self.start + 4;
+        let Some(payload) = self
+            .buf
+            .get(payload_at..self.end)
+            .and_then(|unread| unread.get(..len))
+        else {
+            return PopResult::Empty;
+        };
+        let decoded = decode_payload(payload);
+        self.start = payload_at + len;
+        self.counters
+            .bytes_received
+            .fetch_add(4 + len as u64, Ordering::Relaxed);
+        match decoded {
+            Ok(m) => {
+                self.counters.frames_received.fetch_add(1, Ordering::Relaxed);
+                PopResult::Item(m)
+            }
+            Err(_) => {
+                self.closed = true;
+                PopResult::Closed
+            }
+        }
+    }
+
+    /// One `read` into the free tail of the buffer, after moving the
+    /// unconsumed bytes to its front and growing it to the frame in hand.
+    /// Only called once `buffered` has vetted the header (if one is in).
+    fn fill(&mut self) -> std::io::Result<usize> {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if let Some(len) = self.announced() {
+            if self.buf.len() < 4 + len {
+                self.buf.resize(4 + len, 0);
+            }
+        }
+        let free = self.buf.get_mut(self.end..).ok_or(ErrorKind::InvalidData)?;
+        let n = self.src.read(free)?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// The next frame, reading as often as it takes. `Empty` only when a
+    /// `read` timed out (a source with a receive timeout set).
+    fn next(&mut self) -> PopResult<Msg> {
+        loop {
+            match self.buffered() {
+                PopResult::Empty => {}
+                done => return done,
+            }
+            match self.fill() {
+                Ok(0) => self.closed = true,
+                Ok(_) => {}
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    return PopResult::Empty
+                }
+                Err(_) => self.closed = true,
+            }
+        }
     }
 }
 
-fn spawn_reader(
-    stream: &TcpStream,
-    inbox: &Inbox,
-    counters: &Arc<Counters>,
-    close_on_eof: bool,
-) -> Result<JoinHandle<()>, NetError> {
-    let stream = stream.try_clone()?;
-    let inbox = Arc::clone(inbox);
-    let counters = Arc::clone(counters);
-    Ok(std::thread::spawn(move || {
-        read_frames(stream, inbox, counters, close_on_eof)
-    }))
+/// The read half of one TCP link: what a [`Mailbox::Socket`] locks.
+pub struct SocketRx {
+    frames: FrameReader<TcpStream>,
+    /// The receive timeout the socket currently has, so a steady run of
+    /// equal waits (a client's watchdog, a data node's blocking pops)
+    /// costs no `setsockopt`.
+    timeout: Option<Duration>,
+}
+
+impl SocketRx {
+    fn set_timeout(&mut self, timeout: Option<Duration>) {
+        if self.timeout != timeout {
+            // On failure the socket keeps its old timeout and so does the
+            // cache: the wait is mistimed once and the next call retries.
+            if self.frames.src.set_read_timeout(timeout).is_ok() {
+                self.timeout = timeout;
+            }
+        }
+    }
+
+    pub(crate) fn try_pop(&mut self) -> PopResult<Msg> {
+        self.frames.buffered()
+    }
+
+    pub(crate) fn pop(&mut self) -> Option<Msg> {
+        self.set_timeout(None);
+        loop {
+            match self.frames.next() {
+                PopResult::Item(m) => return Some(m),
+                PopResult::Closed => return None,
+                // Only if `set_timeout` failed to clear an old timeout.
+                PopResult::Empty => {}
+            }
+        }
+    }
+
+    /// The timeout bounds each wait for bytes; a frame the peer has begun
+    /// to send is waited out (peers write whole frames).
+    pub(crate) fn pop_timeout(&mut self, timeout: Duration) -> PopResult<Msg> {
+        // A zero receive timeout is an error to std and "forever" to the
+        // kernel; the shortest real one is what a zero wait means here.
+        self.set_timeout(Some(timeout.max(Duration::from_micros(1))));
+        self.frames.next()
+    }
+}
+
+/// A socket mailbox reading `stream` (a clone; the writer keeps its own).
+fn socket_mailbox(stream: &TcpStream, counters: &Arc<Counters>) -> Result<Inbox, NetError> {
+    Ok(Arc::new(Mailbox::Socket(Mutex::new(SocketRx {
+        frames: FrameReader::new(stream.try_clone()?, Arc::clone(counters)),
+        timeout: None,
+    }))))
 }
 
 /// The loopback-TCP transport.
@@ -159,9 +320,7 @@ impl Transport for Tcp {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
 
-        let control_inbox: Inbox = Arc::new(BoundedQueue::new(control_inbox_capacity(
-            data_nodes, clients,
-        )));
+        let control_inbox = Mailbox::queue(control_inbox_capacity(data_nodes, clients));
         let mut data_inboxes: Vec<Inbox> = Vec::with_capacity(data_nodes);
         let mut client_inboxes: Vec<Inbox> = Vec::with_capacity(clients);
         let mut data_to_control: Vec<Arc<dyn MsgTx>> = Vec::with_capacity(data_nodes);
@@ -175,14 +334,10 @@ impl Transport for Tcp {
             stream.set_nodelay(true)?;
             let [b0, b1, b2, b3] = id.to_le_bytes();
             stream.write_all(&[role, b0, b1, b2, b3])?;
-            let inbox: Inbox = Arc::new(BoundedQueue::new(ACTOR_INBOX_CAPACITY));
-            // The peer-side reader is this actor's only inbox producer:
-            // when the control node drops its writer, EOF closes the inbox.
-            service.push(spawn_reader(&stream, &inbox, &counters, true)?);
-            let tx: Arc<dyn MsgTx> = Arc::new(TcpTx {
-                stream: Mutex::new(stream),
-                counters: Arc::clone(&counters),
-            });
+            // The actor reads its own link: when the control node drops its
+            // writer, the FIN is the mailbox's `Closed`.
+            let inbox = socket_mailbox(&stream, &counters)?;
+            let tx = TcpTx::over(stream, &counters);
             if role == ROLE_DATA {
                 data_inboxes.push(inbox);
                 data_to_control.push(tx);
@@ -210,13 +365,14 @@ impl Transport for Tcp {
             stream.read_exact(&mut preamble)?;
             let [role, b0, b1, b2, b3] = preamble;
             let id = u32::from_le_bytes([b0, b1, b2, b3]) as usize;
-            // These readers all feed the shared control inbox; none of them
+            // These pumps all feed the shared control inbox; none of them
             // may close it for the others.
-            service.push(spawn_reader(&stream, &control_inbox, &counters, false)?);
-            let tx: Arc<dyn MsgTx> = Arc::new(TcpTx {
-                stream: Mutex::new(stream),
-                counters: Arc::clone(&counters),
-            });
+            service.push(spawn_pump(
+                socket_mailbox(&stream, &counters)?,
+                Arc::clone(&control_inbox),
+                false,
+            ));
+            let tx = TcpTx::over(stream, &counters);
             let slot = match role {
                 ROLE_DATA => to_data.get_mut(id),
                 ROLE_CLIENT => to_clients.get_mut(id),
@@ -264,8 +420,12 @@ impl Transport for Tcp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wtpg_core::txn::TxnId;
-    use wtpg_rt::queue::PopResult;
+    use crate::codec::encode_frame;
+    use proptest::prelude::*;
+    use std::time::Instant;
+    use wtpg_core::partition::PartitionId;
+    use wtpg_core::txn::{AccessMode, StepSpec, TxnId, TxnSpec};
+    use wtpg_core::work::Work;
 
     #[test]
     fn frames_cross_the_loopback_fabric() {
@@ -311,7 +471,7 @@ mod tests {
         assert!(bytes.bytes_sent >= 4 * 5, "each frame has ≥ 5 bytes");
         assert_eq!(bytes.bytes_sent, bytes.bytes_received);
 
-        // Teardown: dropping the writers EOFs the readers.
+        // Teardown: dropping the writers EOFs every reader.
         let Fabric {
             to_data,
             to_clients,
@@ -326,8 +486,221 @@ mod tests {
         drop(data_to_control);
         drop(client_to_control);
         for h in service {
-            h.join().expect("reader threads exit on EOF");
+            h.join().expect("pumps exit on EOF");
         }
-        assert_eq!(data_inboxes[0].pop(), None, "EOF closed the data inbox");
+        assert_eq!(data_inboxes[0].pop(), None, "EOF closed the data mailbox");
+    }
+
+    /// The census: one pump per accepted connection and nothing else — no
+    /// thread on the peer side of any link — and dropping the four sender
+    /// vectors is all it takes to join them.
+    #[test]
+    fn the_only_service_threads_are_the_control_side_pumps() {
+        let f = Tcp.build(8, 2).expect("loopback fabric");
+        assert_eq!(f.service.len(), 10);
+        assert!(matches!(*f.control_inbox, Mailbox::Queue(_)));
+        for inbox in f.data_inboxes.iter().chain(&f.client_inboxes) {
+            assert!(matches!(**inbox, Mailbox::Socket(_)));
+        }
+        let Fabric {
+            to_data,
+            to_clients,
+            data_to_control,
+            client_to_control,
+            service,
+            ..
+        } = f;
+        drop((to_data, to_clients, data_to_control, client_to_control));
+        for h in service {
+            h.join().expect("pumps exit on EOF");
+        }
+    }
+
+    #[test]
+    fn a_timed_pop_on_an_idle_socket_waits_and_caches_its_timeout() {
+        let f = Tcp.build(1, 0).expect("loopback fabric");
+        let Mailbox::Socket(rx) = &*f.data_inboxes[0] else {
+            panic!("a TCP data node reads its own socket");
+        };
+        let wait = Duration::from_millis(30);
+        let t0 = Instant::now();
+        assert_eq!(f.data_inboxes[0].pop_timeout(wait), PopResult::Empty);
+        assert!(t0.elapsed() >= wait, "must actually wait");
+        assert!(t0.elapsed() < Duration::from_secs(5), "and not for ever");
+        assert_eq!(rx.lock().expect("mailbox lock").timeout, Some(wait));
+        // The same wait again leaves the socket option alone: the cache is
+        // what `set_timeout` compares against. Poison the kernel's copy
+        // behind its back; an equal timeout must not repair it.
+        rx.lock()
+            .expect("mailbox lock")
+            .frames
+            .src
+            .set_read_timeout(Some(Duration::from_millis(1)))
+            .expect("set_read_timeout");
+        let t1 = Instant::now();
+        assert_eq!(f.data_inboxes[0].pop_timeout(wait), PopResult::Empty);
+        assert!(
+            t1.elapsed() < wait,
+            "an equal timeout made a setsockopt: waited {:?}",
+            t1.elapsed()
+        );
+        // A zero wait is clamped, not an error, and still returns.
+        assert_eq!(f.data_inboxes[0].pop_timeout(Duration::ZERO), PopResult::Empty);
+        assert_eq!(f.data_inboxes[0].try_pop(), PopResult::Empty);
+        // A blocking pop clears the timeout and sees the next frame.
+        assert!(f.to_data[0].send(&Msg::Shutdown));
+        assert_eq!(f.data_inboxes[0].pop(), Some(Msg::Shutdown));
+        assert_eq!(rx.lock().expect("mailbox lock").timeout, None);
+    }
+
+    /// A `Read` that hands out `data` in slices of the caller's choosing
+    /// (cycled), then EOF.
+    struct Chunked {
+        data: Vec<u8>,
+        pos: usize,
+        cuts: Vec<usize>,
+        reads: usize,
+    }
+
+    impl Read for Chunked {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let cut = self.cuts[self.reads % self.cuts.len()].max(1);
+            self.reads += 1;
+            let n = cut.min(out.len()).min(self.data.len() - self.pos);
+            out[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    fn reader(data: Vec<u8>, cuts: Vec<usize>) -> FrameReader<Chunked> {
+        let src = Chunked {
+            data,
+            pos: 0,
+            cuts,
+            reads: 0,
+        };
+        FrameReader::new(src, Arc::new(Counters::default()))
+    }
+
+    fn delta(i: u64) -> Msg {
+        Msg::StatsDelta {
+            txn: TxnId(i),
+            step: 1,
+            chunk: i,
+            units: 1000,
+        }
+    }
+
+    /// Strategy: a message of every size class — a few bytes, a batch, and
+    /// a `Submit` whose spec outgrows the reader's initial buffer.
+    fn arb_msg() -> impl Strategy<Value = Msg> {
+        prop_oneof![
+            Just(Msg::Shutdown),
+            (0u64..1_000_000).prop_map(delta),
+            (0u32..16, 0u64..1_000_000).prop_map(|(client, t)| Msg::Commit {
+                client,
+                txn: TxnId(t)
+            }),
+            (0u64..1_000, 1usize..40)
+                .prop_map(|(t, n)| Msg::Batch((0..n as u64).map(|i| delta(t + i)).collect())),
+            (0u64..1_000, 1usize..700).prop_map(|(t, steps)| {
+                let step = |p: usize| StepSpec {
+                    partition: PartitionId(p as u32 % 64),
+                    mode: AccessMode::Write,
+                    cost: Work::from_units(1000),
+                    actual_cost: Work::from_units(1000),
+                };
+                Msg::Submit {
+                    client: 0,
+                    txn: TxnId(t),
+                    step: None,
+                    spec: Some(TxnSpec::new(TxnId(t), (0..steps).map(step).collect())),
+                }
+            }),
+        ]
+    }
+
+    proptest! {
+        /// However the byte stream is sliced — one byte at a time, a header
+        /// split across reads, a frame straddling the buffer's end or larger
+        /// than it, many frames in one read — the decoded sequence is the
+        /// sent one, then `Closed`, and every byte is counted once.
+        #[test]
+        fn a_chunked_stream_decodes_to_what_was_sent(
+            msgs in proptest::collection::vec(arb_msg(), 1..24),
+            cuts in proptest::collection::vec(
+                prop_oneof![Just(1usize), 1usize..8, 1usize..200, Just(usize::MAX)],
+                1..6,
+            ),
+        ) {
+            let wire: Vec<u8> = msgs.iter().flat_map(encode_frame).collect();
+            let total = wire.len();
+            let mut r = reader(wire, cuts);
+            for m in &msgs {
+                prop_assert_eq!(r.next(), PopResult::Item(m.clone()));
+                // Nothing consumed is retained: what the buffer holds is at
+                // most what the source has handed over and no frame has
+                // claimed yet.
+                let consumed = r.counters.bytes_received.load(Ordering::Relaxed) as usize;
+                prop_assert_eq!(r.end - r.start, r.src.pos - consumed);
+            }
+            prop_assert_eq!(r.next(), PopResult::Closed);
+            let c = r.counters.snapshot();
+            prop_assert_eq!(c.frames_received, msgs.len() as u64);
+            prop_assert_eq!(c.bytes_received, total as u64);
+        }
+    }
+
+    #[test]
+    fn many_frames_in_one_read_are_popped_without_another() {
+        let wire: Vec<u8> = (0..50).flat_map(|i| encode_frame(&delta(i))).collect();
+        let mut r = reader(wire, vec![usize::MAX]);
+        assert_eq!(r.next(), PopResult::Item(delta(0)));
+        for i in 1..50 {
+            assert_eq!(r.buffered(), PopResult::Item(delta(i)));
+        }
+        assert_eq!(r.src.reads, 1, "one read fetched every frame");
+        assert_eq!(r.buffered(), PopResult::Empty, "try_pop never reads");
+        assert_eq!(r.src.reads, 1);
+        assert_eq!(r.next(), PopResult::Closed);
+    }
+
+    #[test]
+    fn an_oversize_header_closes_the_link_without_allocating_the_frame() {
+        let mut wire = encode_frame(&delta(1));
+        wire.extend(((MAX_FRAME + 1) as u32).to_le_bytes());
+        wire.extend([0u8; 64]);
+        let mut r = reader(wire, vec![usize::MAX]);
+        assert_eq!(r.next(), PopResult::Item(delta(1)));
+        assert_eq!(r.next(), PopResult::Closed);
+        assert_eq!(r.buf.len(), READ_BUF, "the announced megabyte was never reserved");
+        assert_eq!(r.next(), PopResult::Closed, "closed is for good");
+    }
+
+    #[test]
+    fn eof_mid_frame_closes_the_link() {
+        let mut wire = encode_frame(&delta(1));
+        let whole = encode_frame(&delta(2));
+        wire.extend(&whole[..whole.len() - 3]);
+        let mut r = reader(wire, vec![7]);
+        assert_eq!(r.next(), PopResult::Item(delta(1)));
+        assert_eq!(r.next(), PopResult::Closed);
+        assert_eq!(r.counters.snapshot().frames_received, 1);
+    }
+
+    #[test]
+    fn a_retired_tag_closes_the_link() {
+        for tag in [1u8, 2, 3, 7] {
+            let mut wire = encode_frame(&delta(1));
+            let payload = [&[tag][..], &7u64.to_le_bytes()].concat();
+            wire.extend((payload.len() as u32).to_le_bytes());
+            wire.extend(&payload);
+            wire.extend(encode_frame(&delta(2)));
+            let mut r = reader(wire, vec![usize::MAX]);
+            assert_eq!(r.next(), PopResult::Item(delta(1)));
+            assert_eq!(r.next(), PopResult::Closed, "tag {tag} must not decode");
+            assert_eq!(r.next(), PopResult::Closed, "nothing after it is trusted");
+        }
     }
 }

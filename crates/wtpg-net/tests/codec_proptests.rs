@@ -7,7 +7,8 @@ use proptest::prelude::*;
 use wtpg_core::txn::{AccessMode, StepSpec, TxnId, TxnSpec};
 use wtpg_core::work::Work;
 use wtpg_net::codec::{
-    decode_frame, decode_payload, encode_frame, encode_payload, CodecError, MAX_BATCH, MAX_FRAME,
+    decode_frame, decode_payload, encode_frame, encode_frame_into, encode_payload, CodecError,
+    MAX_BATCH, MAX_FRAME,
 };
 use wtpg_net::Msg;
 
@@ -154,6 +155,24 @@ fn arb_batch() -> impl Strategy<Value = Msg> {
 }
 
 proptest! {
+    /// A sender's reused frame buffer — whatever the last send left in it —
+    /// ends up holding exactly the frame a fresh encode produces, for plain
+    /// messages and batches alike.
+    #[test]
+    fn encoding_into_a_dirty_buffer_equals_a_fresh_frame(
+        m in prop_oneof![arb_msg(), arb_batch()],
+        previous in prop_oneof![arb_msg(), arb_batch()],
+        junk in proptest::collection::vec(0u8..=255, 0..64),
+    ) {
+        let mut frame = junk;
+        encode_frame_into(&mut frame, &previous);
+        encode_frame_into(&mut frame, &m);
+        prop_assert_eq!(&frame, &encode_frame(&m));
+        let payload = encode_payload(&m);
+        prop_assert_eq!(&frame[..4], &(payload.len() as u32).to_le_bytes()[..]);
+        prop_assert_eq!(&frame[4..], &payload[..]);
+    }
+
     #[test]
     fn batch_payload_round_trips_byte_stably(b in arb_batch()) {
         let bytes = encode_payload(&b);

@@ -12,7 +12,8 @@ use wtpg_dur::checkpoint::{files, read_control_checkpoint};
 use wtpg_dur::{recover, Durability};
 use wtpg_net::fault::{FaultPlan, KillPlan, LinkFaults};
 use wtpg_net::runtime::{run_cell, NetConfig, OpenLoop};
-use wtpg_net::transport::InProc;
+use wtpg_net::tcp::Tcp;
+use wtpg_net::transport::{InProc, Transport};
 use wtpg_net::NetError;
 use wtpg_rt::backoff::Backoff;
 use wtpg_rt::sched_by_name;
@@ -33,16 +34,18 @@ fn dur_cfg(durability: Durability, dir: &Path) -> NetConfig {
     }
 }
 
-#[test]
-fn single_node_kill_recovers_and_certifies_under_sync() {
+/// Node 0 is killed mid-run under sync durability and restarts from its
+/// log. The node's mailbox outlives the incarnation on either transport: a
+/// queue keeps what was pushed, a socket keeps what the kernel holds.
+fn single_node_kill_under_sync(transport: &dyn Transport, name: &str) {
     let (catalog, specs) = pattern_specs(Pattern::One, 60, 7);
-    let dir = wal_dir("sync-kill");
+    let dir = wal_dir(name);
     let r = run_cell(
         &dur_cfg(Durability::Sync, &dir),
         &|| sched_by_name("chain", 2, 2000).expect("known scheduler"),
         &catalog,
         &specs,
-        &InProc,
+        transport,
         &FaultPlan::kill_node(0),
     )
     .expect("killed run completes cleanly");
@@ -64,6 +67,16 @@ fn single_node_kill_recovers_and_certifies_under_sync() {
         .expect("checkpoint written");
     assert_eq!(ckpt.committed, 60);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn single_node_kill_recovers_and_certifies_under_sync() {
+    single_node_kill_under_sync(&InProc, "sync-kill");
+}
+
+#[test]
+fn single_node_kill_recovers_and_certifies_under_sync_over_tcp() {
+    single_node_kill_under_sync(&Tcp, "sync-kill-tcp");
 }
 
 #[test]

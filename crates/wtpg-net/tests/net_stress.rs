@@ -2,7 +2,7 @@
 //! without injected faults, must commit everything, replay-certify, and
 //! conserve every committed milli-object — the issue's acceptance bar.
 
-use wtpg_net::{run_cell, FaultPlan, InProc, NetConfig, NetReport, Tcp, Transport};
+use wtpg_net::{run_cell, FaultPlan, InProc, NetConfig, NetReport, OpenLoop, Tcp, Transport};
 use wtpg_rt::sched_by_name;
 use wtpg_rt::workload::pattern_specs;
 use wtpg_workload::Pattern;
@@ -61,6 +61,10 @@ fn tcp_clean_run_reports_wire_traffic() {
         r.frames_sent, r.frames_received,
         "every frame written is read: {r:?}"
     );
+    assert_eq!(
+        r.bytes_sent, r.bytes_received,
+        "and every byte of it is counted where it is decoded: {r:?}"
+    );
     // Loopback TCP costs real bytes; in-proc the same workload costs none.
     assert!(r.bytes_per_commit() > 0.0);
     assert!(
@@ -69,4 +73,36 @@ fn tcp_clean_run_reports_wire_traffic() {
         r.msgs_per_commit()
     );
     assert!(r.batched_inner > 0, "TCP runs must coalesce frames: {r:?}");
+}
+
+/// The open-loop driver sheds on what `try_pop` sees and naps for less than
+/// a millisecond, so over TCP the runtime pumps each client's socket into a
+/// queue. At a rate the box sustains with room to spare that path must
+/// deliver every ack: everything offered commits and nothing is shed.
+#[test]
+fn tcp_open_loop_commits_everything_it_offers() {
+    let (catalog, specs) = pattern_specs(Pattern::One, 300, 11);
+    let cfg = NetConfig {
+        open_loop: Some(OpenLoop {
+            lambda_tps: 1000.0,
+            seed: 11,
+            inflight: 256,
+        }),
+        stream_certify: true,
+        ..NetConfig::default()
+    };
+    let r = run_cell(
+        &cfg,
+        &|| sched_by_name("chain", 2, 2000).expect("known scheduler"),
+        &catalog,
+        &specs,
+        &Tcp,
+        &FaultPlan::none(),
+    )
+    .expect("open-loop TCP run completes cleanly");
+    assert_eq!(r.offered, 300);
+    assert_eq!(r.shed, 0, "a sustainable rate sheds nothing: {r:?}");
+    assert_eq!(r.committed, 300);
+    assert!(r.certified && r.store_consistent, "{r:?}");
+    assert_eq!(r.frames_sent, r.frames_received, "{r:?}");
 }
