@@ -1,53 +1,21 @@
 //! `wtpg engine`: run a batch of pattern transactions on the real
 //! multi-threaded execution engine and print (or record) the report.
 //!
-//! Single cell:
-//!
 //! ```text
 //! wtpg engine --sched chain --threads 8 --txns 1000
 //! ```
 //!
-//! Grid mode sweeps scheduler × threads × contention and writes one JSON
-//! report per cell to `BENCH_engine.json`:
-//!
-//! ```text
-//! wtpg engine --grid --out BENCH_engine.json
-//! ```
-//!
-//! `--trace FILE` (single-cell mode) records a structured trace of the run:
+//! `--trace FILE` records a structured trace of the run:
 //! JSONL when `FILE` ends in `.jsonl` (inspect with `wtpg obs summary`),
 //! Chrome trace_event JSON otherwise (open in chrome://tracing or Perfetto).
 
 use std::sync::Arc;
 
-use serde::Serialize;
 use wtpg_obs::MemorySink;
 use wtpg_rt::engine::run_engine_obs;
 use wtpg_rt::workload::pattern_specs;
 use wtpg_rt::{sched_by_name, EngineConfig, EngineReport};
 use wtpg_workload::Pattern;
-
-/// One grid cell of `BENCH_engine.json`.
-#[derive(Serialize)]
-struct GridCell {
-    contention: &'static str,
-    pattern: String,
-    report: EngineReport,
-}
-
-/// The whole `BENCH_engine.json` document, stamped with enough run
-/// metadata to reproduce it: build provenance plus the swept grid.
-#[derive(Serialize)]
-struct GridDoc {
-    bench: &'static str,
-    git_describe: String,
-    git_sha: String,
-    txns: usize,
-    seed: u64,
-    schedulers: Vec<String>,
-    thread_grid: Vec<usize>,
-    cells: Vec<GridCell>,
-}
 
 struct EngineArgs {
     sched: String,
@@ -60,7 +28,6 @@ struct EngineArgs {
     k: usize,
     keeptime: u64,
     certify: bool,
-    grid: bool,
     out: Option<String>,
     trace: Option<String>,
 }
@@ -77,7 +44,6 @@ fn parse(args: &[String]) -> Result<EngineArgs, String> {
         k: 2,
         keeptime: 5000,
         certify: true,
-        grid: false,
         out: None,
         trace: None,
     };
@@ -100,7 +66,6 @@ fn parse(args: &[String]) -> Result<EngineArgs, String> {
             "--k" => a.k = take(&mut i)?.parse().map_err(|_| "bad --k")?,
             "--keeptime" => a.keeptime = take(&mut i)?.parse().map_err(|_| "bad --keeptime")?,
             "--no-certify" => a.certify = false,
-            "--grid" => a.grid = true,
             "--out" => a.out = Some(take(&mut i)?),
             "--trace" => a.trace = Some(take(&mut i)?),
             other => return Err(format!("unknown option {other:?}")),
@@ -117,27 +82,6 @@ fn pattern_of(pattern: u32, hots: u32) -> Result<Pattern, String> {
         3 => Ok(Pattern::Three { num_hots: hots }),
         other => Err(format!("--pattern must be 1, 2 or 3, got {other}")),
     }
-}
-
-fn run_cell(
-    a: &EngineArgs,
-    sched: &str,
-    threads: usize,
-    pattern: Pattern,
-    sink: Option<Arc<MemorySink>>,
-) -> Result<EngineReport, String> {
-    let (catalog, specs) = pattern_specs(pattern, a.txns, a.seed);
-    let cfg = EngineConfig {
-        threads,
-        queue_depth: a.queue,
-        certify: a.certify,
-        seed: a.seed,
-        ..EngineConfig::default()
-    };
-    let sched = sched_by_name(sched, a.k, a.keeptime)
-        .ok_or_else(|| format!("unknown scheduler {sched:?}"))?;
-    let obs = sink.map(|s| s as Arc<dyn wtpg_obs::Observer>);
-    run_engine_obs(&cfg, sched, &catalog, &specs, obs).map_err(|e| e.to_string())
 }
 
 fn print_report(r: &EngineReport, pattern: &str) {
@@ -185,71 +129,31 @@ fn print_report(r: &EngineReport, pattern: &str) {
 
 pub(crate) fn run(args: &[String]) -> Result<(), String> {
     let a = parse(args)?;
-    if !a.grid {
-        let pattern = pattern_of(a.pattern, a.hots)?;
-        let sink = a.trace.as_ref().map(|_| Arc::new(MemorySink::new()));
-        let report = run_cell(&a, &a.sched, a.threads, pattern, sink.clone())?;
-        print_report(&report, &pattern.label());
-        if let (Some(path), Some(sink)) = (&a.trace, sink) {
-            // Engine events are wall-clock µs, so Chrome's ts unit is 1:1.
-            crate::obs::write_trace(path, &sink.snapshot(), 1)?;
-            println!("wrote trace {path}");
-        }
-        if let Some(path) = &a.out {
-            let json = serde_json::to_string_pretty(&report)
-                .map_err(|e| format!("cannot serialise report: {e}"))?;
-            std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
-            println!("wrote {path}");
-        }
-        return Ok(());
-    }
-
-    // Grid mode: scheduler × threads × contention, one report per cell.
-    let scheds = ["chain", "k2", "c2pl"];
-    let thread_grid = [2usize, 4, 8];
-    let contentions = [
-        ("low", Pattern::One),
-        ("high", Pattern::Two { num_hots: a.hots }),
-    ];
-    let mut cells = Vec::new();
-    for sched in scheds {
-        for &threads in &thread_grid {
-            for (label, pattern) in contentions {
-                let report = run_cell(&a, sched, threads, pattern, None)?;
-                println!(
-                    "{:>6} | {} threads | {:>4} contention | {:>8.1} TPS | p95 {:>8.2} ms \
-                     | abort {:>5.1} % | {}",
-                    report.scheduler,
-                    threads,
-                    label,
-                    report.throughput_tps,
-                    report.latency.p95_ms,
-                    report.abort_rate * 100.0,
-                    if report.certified { "certified" } else { "uncertified" }
-                );
-                cells.push(GridCell {
-                    contention: label,
-                    pattern: pattern.label(),
-                    report,
-                });
-            }
-        }
-    }
-    let out = a.out.as_deref().unwrap_or("BENCH_engine.json");
-    let n_cells = cells.len();
-    let doc = GridDoc {
-        bench: "engine",
-        git_describe: wtpg_obs::meta::git_describe().to_string(),
-        git_sha: wtpg_obs::meta::git_sha().to_string(),
-        txns: a.txns,
+    let pattern = pattern_of(a.pattern, a.hots)?;
+    let sink = a.trace.as_ref().map(|_| Arc::new(MemorySink::new()));
+    let (catalog, specs) = pattern_specs(pattern, a.txns, a.seed);
+    let cfg = EngineConfig {
+        threads: a.threads,
+        queue_depth: a.queue,
+        certify: a.certify,
         seed: a.seed,
-        schedulers: scheds.iter().map(|s| s.to_string()).collect(),
-        thread_grid: thread_grid.to_vec(),
-        cells,
+        ..EngineConfig::default()
     };
-    let json =
-        serde_json::to_string_pretty(&doc).map_err(|e| format!("cannot serialise grid: {e}"))?;
-    std::fs::write(out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!("wrote {out} ({n_cells} cells)");
+    let sched = sched_by_name(&a.sched, a.k, a.keeptime)
+        .ok_or_else(|| format!("unknown scheduler {:?}", a.sched))?;
+    let obs = sink.clone().map(|s| s as Arc<dyn wtpg_obs::Observer>);
+    let report = run_engine_obs(&cfg, sched, &catalog, &specs, obs).map_err(|e| e.to_string())?;
+    print_report(&report, &pattern.label());
+    if let (Some(path), Some(sink)) = (&a.trace, sink) {
+        // Engine events are wall-clock µs, so Chrome's ts unit is 1:1.
+        crate::obs::write_trace(path, &sink.snapshot(), 1)?;
+        println!("wrote trace {path}");
+    }
+    if let Some(path) = &a.out {
+        let json = serde_json::to_string_pretty(&report)
+            .map_err(|e| format!("cannot serialise report: {e}"))?;
+        std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
+        println!("wrote {path}");
+    }
     Ok(())
 }

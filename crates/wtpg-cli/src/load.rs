@@ -4,38 +4,28 @@
 //! is replay-certified incrementally (bounded memory — no full history),
 //! and the per-window telemetry is judged against a declarative SLO.
 //!
-//! Single cell — run λ transactions/s for `--secs` and print the
-//! per-window verdict stream plus the final SLO outcome:
+//! Runs λ transactions/s for `--secs` and prints the per-window verdict
+//! stream plus the final SLO outcome:
 //!
 //! ```text
 //! wtpg load --sched chain --lambda 4000 --secs 3 --slo "p99<50ms,abort<5%,sustain=4"
 //! wtpg load --lambda 2000 --transport tcp --jsonl load.jsonl   # live-tail with `wtpg top`
 //! ```
 //!
-//! Grid mode finds the max sustainable throughput under the SLO per
-//! (scheduler, transport, durability) by bisecting λ, reruns each cell at
-//! its sustainable rate to record the window stream, appends one
-//! ≥1M-transaction endurance cell at the best measured rate, and writes
-//! `BENCH_load.json`:
-//!
-//! ```text
-//! wtpg load --grid --out BENCH_load.json
-//! ```
+//! The flags that describe the cell itself are shared with `wtpg net` and
+//! parsed in [`crate::cell`]; this file owns the arrival process, the
+//! window tap, the SLO verdict and the report.
 
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use serde::Serialize;
-use wtpg_net::{
-    run_cell_load, Durability, FaultPlan, InProc, NetConfig, NetReport, OpenLoop, Tcp, Transport,
-};
-use wtpg_obs::slo::{bisect_max, evaluate, SloOutcome, SloSpec, WindowStats, WindowVerdict};
-use wtpg_obs::wclock::{WindowFlusher, DEFAULT_WINDOW_MS};
+use wtpg_net::{run_cell_load, FaultPlan, NetConfig, NetReport, OpenLoop};
+use wtpg_obs::slo::{evaluate, SloOutcome, SloSpec, WindowStats, WindowVerdict};
 use wtpg_obs::wall::WallClock;
+use wtpg_obs::wclock::{WindowFlusher, DEFAULT_WINDOW_MS};
 use wtpg_obs::{EventKind, ObsEvent, Observer, Registry};
-use wtpg_rt::sched_by_name;
-use wtpg_rt::workload::pattern_specs;
-use wtpg_workload::{Pattern, ReadMix};
+
+use crate::cell::{self, value};
 
 /// Observer track the load harness emits window records on. Distinct from
 /// track 0 (the runtime's end-of-run cumulative records) so a trace holds
@@ -107,278 +97,19 @@ impl Observer for WindowTap {
     }
 }
 
+/// What `wtpg load` takes beyond the shared cell flags.
 struct LoadArgs {
-    sched: String,
     lambda: f64,
     secs: f64,
-    txns: Option<usize>,
-    clients: usize,
     inflight: usize,
-    pattern: u32,
-    hots: u32,
-    groups: u32,
-    seed: u64,
-    transport: String,
-    shards: usize,
-    chunk: u64,
-    k: usize,
-    keeptime: u64,
     window_ms: u64,
     slo: String,
-    durability: Option<String>,
-    wal_dir: Option<String>,
-    read_mix: f64,
-    read_theta: f64,
-    mvcc: bool,
     jsonl: Option<String>,
     telemetry: bool,
-    grid: bool,
-    endurance_txns: usize,
-    bisect_iters: u32,
-    probe_secs: f64,
     out: Option<String>,
 }
 
-fn parse(args: &[String]) -> Result<LoadArgs, String> {
-    let mut a = LoadArgs {
-        sched: "chain".into(),
-        lambda: 2000.0,
-        secs: 3.0,
-        txns: None,
-        clients: 4,
-        inflight: 32,
-        pattern: 1,
-        hots: 8,
-        groups: 4,
-        seed: 42,
-        transport: "inproc".into(),
-        shards: 1,
-        chunk: 1000,
-        k: 2,
-        keeptime: 5000,
-        window_ms: DEFAULT_WINDOW_MS,
-        slo: "p99<50ms,abort<5%,sustain=4".into(),
-        durability: None,
-        wal_dir: None,
-        read_mix: 0.0,
-        read_theta: 0.0,
-        mvcc: false,
-        jsonl: None,
-        telemetry: true,
-        grid: false,
-        endurance_txns: 1_000_000,
-        bisect_iters: 6,
-        probe_secs: 2.5,
-        out: None,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let take = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            args.get(*i)
-                .cloned()
-                .ok_or_else(|| "missing option value".to_string())
-        };
-        match args[i].as_str() {
-            "--sched" | "--scheduler" => a.sched = take(&mut i)?,
-            "--lambda" | "--tps" => a.lambda = take(&mut i)?.parse().map_err(|_| "bad --lambda")?,
-            "--secs" => a.secs = take(&mut i)?.parse().map_err(|_| "bad --secs")?,
-            "--txns" => a.txns = Some(take(&mut i)?.parse().map_err(|_| "bad --txns")?),
-            "--clients" => a.clients = take(&mut i)?.parse().map_err(|_| "bad --clients")?,
-            "--inflight" => a.inflight = take(&mut i)?.parse().map_err(|_| "bad --inflight")?,
-            "--pattern" => a.pattern = take(&mut i)?.parse().map_err(|_| "bad --pattern")?,
-            "--hots" => a.hots = take(&mut i)?.parse().map_err(|_| "bad --hots")?,
-            "--groups" => a.groups = take(&mut i)?.parse().map_err(|_| "bad --groups")?,
-            "--seed" => a.seed = take(&mut i)?.parse().map_err(|_| "bad --seed")?,
-            "--transport" => a.transport = take(&mut i)?,
-            "--shards" => a.shards = take(&mut i)?.parse().map_err(|_| "bad --shards")?,
-            "--chunk" => a.chunk = take(&mut i)?.parse().map_err(|_| "bad --chunk")?,
-            "--k" => a.k = take(&mut i)?.parse().map_err(|_| "bad --k")?,
-            "--keeptime" => a.keeptime = take(&mut i)?.parse().map_err(|_| "bad --keeptime")?,
-            "--window" => a.window_ms = take(&mut i)?.parse().map_err(|_| "bad --window")?,
-            "--slo" => a.slo = take(&mut i)?,
-            "--durability" => a.durability = Some(take(&mut i)?),
-            "--wal-dir" => a.wal_dir = Some(take(&mut i)?),
-            "--read-mix" => a.read_mix = take(&mut i)?.parse().map_err(|_| "bad --read-mix")?,
-            "--read-theta" => {
-                a.read_theta = take(&mut i)?.parse().map_err(|_| "bad --read-theta")?
-            }
-            "--mvcc" => a.mvcc = true,
-            "--jsonl" => a.jsonl = Some(take(&mut i)?),
-            // Telemetry off: no registry, no flusher — the baseline side
-            // of the window-flush overhead experiment (EXPERIMENTS.md).
-            "--no-telemetry" => a.telemetry = false,
-            "--grid" => a.grid = true,
-            "--endurance-txns" => {
-                a.endurance_txns =
-                    take(&mut i)?.parse().map_err(|_| "bad --endurance-txns")?
-            }
-            "--bisect-iters" => {
-                a.bisect_iters = take(&mut i)?.parse().map_err(|_| "bad --bisect-iters")?
-            }
-            "--probe-secs" => {
-                a.probe_secs = take(&mut i)?.parse().map_err(|_| "bad --probe-secs")?
-            }
-            "--out" => a.out = Some(take(&mut i)?),
-            other => return Err(format!("unknown option {other:?}")),
-        }
-        i += 1;
-    }
-    if a.lambda <= 0.0 {
-        return Err("--lambda must be positive".into());
-    }
-    if !(0.0..=1.0).contains(&a.read_mix) {
-        return Err("--read-mix must be within 0..=1".into());
-    }
-    if a.read_theta < 0.0 {
-        return Err("--read-theta must be non-negative".into());
-    }
-    Ok(a)
-}
-
-fn pattern_of(pattern: u32, hots: u32, groups: u32) -> Result<Pattern, String> {
-    match pattern {
-        1 => Ok(Pattern::One),
-        2 => Ok(Pattern::Two { num_hots: hots }),
-        3 => Ok(Pattern::Three { num_hots: hots }),
-        4 => Ok(Pattern::Clustered {
-            groups,
-            hots_per_group: hots,
-        }),
-        other => Err(format!("--pattern must be 1, 2, 3 or 4, got {other}")),
-    }
-}
-
-fn transport_of(name: &str) -> Result<&'static dyn Transport, String> {
-    match name {
-        "inproc" => Ok(&InProc),
-        "tcp" => Ok(&Tcp),
-        other => Err(format!("--transport must be inproc or tcp, got {other:?}")),
-    }
-}
-
-/// Everything one open-loop cell needs beyond the shared knobs.
-#[derive(Clone)]
-struct CellPlan {
-    sched: String,
-    transport: String,
-    durability: Durability,
-    lambda: f64,
-    txns: usize,
-    pattern: Pattern,
-    shards: usize,
-}
-
-/// One finished open-loop run: the network report plus the judged window
-/// stream.
-struct CellRun {
-    report: NetReport,
-    verdicts: Vec<WindowVerdict>,
-    outcome: SloOutcome,
-}
-
-/// Runs one open-loop cell: Poisson arrivals at `plan.lambda`, windowed
-/// telemetry on `a.window_ms`, streaming certification, SLO judging.
-/// `jsonl` tee-writes the live trace for `wtpg top`.
-fn run_cell(
-    a: &LoadArgs,
-    plan: &CellPlan,
-    spec: &SloSpec,
-    jsonl: Option<&str>,
-) -> Result<CellRun, String> {
-    let transport = transport_of(&plan.transport)?;
-    let (catalog, mut specs) = pattern_specs(plan.pattern, plan.txns, a.seed);
-    // `fraction == 0` is a guaranteed no-op, so plain cells stay untouched.
-    ReadMix::skewed(a.read_mix, a.read_theta).apply(&catalog, &mut specs, a.seed);
-
-    // A log-keeping durability level gets a fresh per-run temp directory
-    // unless the user pinned one.
-    let (wal_dir, created) = if !plan.durability.requires_log() {
-        (None, false)
-    } else if let Some(d) = &a.wal_dir {
-        (Some(PathBuf::from(d)), false)
-    } else {
-        let dir = std::env::temp_dir().join(format!(
-            "wtpg-load-wal-{}-{}-{}",
-            std::process::id(),
-            plan.sched,
-            plan.transport
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        (Some(dir), true)
-    };
-
-    let cfg = NetConfig {
-        clients: a.clients,
-        chunk_units: a.chunk,
-        shards: plan.shards,
-        certify: false,
-        stream_certify: true,
-        open_loop: Some(OpenLoop {
-            lambda_tps: plan.lambda,
-            seed: a.seed,
-            inflight: a.inflight,
-        }),
-        durability: plan.durability,
-        wal_dir: wal_dir.clone(),
-        mvcc: a.mvcc,
-        ..NetConfig::default()
-    };
-    if sched_by_name(&plan.sched, a.k, a.keeptime).is_none() {
-        return Err(format!("unknown scheduler {:?}", plan.sched));
-    }
-    let factory =
-        || sched_by_name(&plan.sched, a.k, a.keeptime).expect("scheduler name checked above");
-
-    let tee = jsonl.map(JsonlFileSink::create).transpose()?;
-    let tap = Arc::new(WindowTap::new(tee));
-    // The flusher shares the run's own µs epoch only approximately (it
-    // starts its clock here, the runtime starts another inside); windows
-    // are judged on their own lengths, so a small epoch skew is harmless.
-    // `--no-telemetry` drops the registry and flusher entirely — the
-    // observer-off baseline the overhead experiment compares against.
-    let (reg, flusher) = if a.telemetry {
-        let reg = Arc::new(Registry::new());
-        let flusher = WindowFlusher::spawn(
-            Arc::clone(&reg),
-            Arc::clone(&tap) as Arc<dyn Observer>,
-            WallClock::start(),
-            a.window_ms,
-            WINDOW_TRACK,
-        );
-        (Some(reg), Some(flusher))
-    } else {
-        (None, None)
-    };
-    let result = run_cell_load(
-        &cfg,
-        &factory,
-        &catalog,
-        &specs,
-        transport,
-        &FaultPlan::none(),
-        Some(Arc::clone(&tap) as Arc<dyn Observer>),
-        reg,
-    );
-    if let Some(f) = flusher {
-        f.stop();
-    }
-    if created {
-        if let Some(d) = &wal_dir {
-            let _ = std::fs::remove_dir_all(d);
-        }
-    }
-    let report = result.map_err(|e| e.to_string())?;
-    let windows = tap.stats();
-    let (verdicts, outcome) = evaluate(spec, &windows);
-    Ok(CellRun {
-        report,
-        verdicts,
-        outcome,
-    })
-}
-
-/// One window row of the committed benchmark: the judged stats plus the
+/// One window row of the `--out` document: the judged stats plus the
 /// derived rates, so the JSON is readable without recomputing.
 #[derive(Serialize)]
 struct WindowRow {
@@ -439,17 +170,14 @@ fn slo_doc(spec: &SloSpec, outcome: &SloOutcome) -> SloDoc {
     }
 }
 
-/// One grid cell of `BENCH_load.json`.
+/// The `--out` document of one run.
 #[derive(Serialize)]
 struct LoadCell {
     scheduler: String,
     transport: String,
     durability: String,
     pattern: String,
-    /// Max λ (arrivals/s) at which the SLO held during the bisection, or
-    /// 0 when even the lowest probe failed.
-    sustainable_tps: f64,
-    /// λ the recorded confirmation run used (the sustainable rate).
+    /// Target arrival rate, transactions per second.
     lambda_tps: f64,
     txns: usize,
     slo: SloDoc,
@@ -457,30 +185,12 @@ struct LoadCell {
     report: NetReport,
 }
 
-/// The whole `BENCH_load.json` document.
-#[derive(Serialize)]
-struct LoadDoc {
-    bench: &'static str,
-    git_describe: String,
-    git_sha: String,
-    seed: u64,
-    clients: usize,
-    inflight: usize,
-    window_ms: u64,
-    slo: String,
-    probe_secs: f64,
-    bisect_iters: u32,
-    cells_certified: usize,
-    cells_total: usize,
-    cells: Vec<LoadCell>,
-}
-
-fn print_verdicts(run: &CellRun, spec: &SloSpec) {
+fn print_verdicts(verdicts: &[WindowVerdict], o: &SloOutcome, spec: &SloSpec) {
     println!(
         "  {:>4} | {:>8} | {:>8} | {:>5} | {:>8} | {:>8} | {:>8} | verdict",
         "win", "tps", "offered", "shed", "p50 ms", "p99 ms", "p99.9 ms"
     );
-    for v in &run.verdicts {
+    for v in verdicts {
         println!(
             "  {:>4} | {:>8.1} | {:>8} | {:>5} | {:>8.2} | {:>8.2} | {:>8.2} | {}",
             v.stats.seq,
@@ -497,7 +207,6 @@ fn print_verdicts(run: &CellRun, spec: &SloSpec) {
             }
         );
     }
-    let o = &run.outcome;
     println!(
         "  SLO [{}]: {} — {}",
         spec.label(),
@@ -506,15 +215,14 @@ fn print_verdicts(run: &CellRun, spec: &SloSpec) {
     );
 }
 
-fn print_run(run: &CellRun, plan: &CellPlan, spec: &SloSpec) {
-    let r = &run.report;
+fn print_run(r: &NetReport, lambda: f64) {
     println!(
         "{} | {} transport | {} durability | λ={:.0}/s open loop | {} clients × {} data nodes \
          × {} shards",
         r.scheduler,
         r.transport,
         r.durability,
-        plan.lambda,
+        lambda,
         r.clients,
         r.data_nodes,
         r.shards
@@ -559,256 +267,109 @@ fn print_run(run: &CellRun, plan: &CellPlan, spec: &SloSpec) {
             r.reader_latency.p99_ms, r.writer_latency.p99_ms
         );
     }
-    print_verdicts(run, spec);
-}
-
-/// Bisects λ to the max sustainable rate under `spec`, then reruns the
-/// cell at that rate (backing off 5 % on a flaky miss) until a run
-/// actually sustains it; that confirmed rate and that run's window
-/// stream are what the cell records. Probe failures (errors *or* SLO
-/// misses) push the bisection down.
-fn sustain_cell(
-    a: &LoadArgs,
-    plan: &CellPlan,
-    spec: &SloSpec,
-    lo: f64,
-    hi: f64,
-) -> Result<(f64, CellRun), String> {
-    let probe = |lambda: f64| -> bool {
-        let mut p = plan.clone();
-        p.lambda = lambda;
-        p.txns = (lambda * a.probe_secs).ceil() as usize;
-        match run_cell(a, &p, spec, None) {
-            Ok(run) => {
-                eprintln!(
-                    "    probe λ={lambda:>8.0}/s → {} ({})",
-                    if run.outcome.pass { "pass" } else { "fail" },
-                    run.outcome.reason
-                );
-                run.outcome.pass && run.report.certified && run.report.store_consistent
-            }
-            Err(e) => {
-                eprintln!("    probe λ={lambda:>8.0}/s → error ({e})");
-                false
-            }
-        }
-    };
-    let sustainable = bisect_max(lo, hi, a.bisect_iters, probe).unwrap_or(0.0);
-    // Confirmation runs at the bisected rate. The bisection's last passing
-    // probe sits right at the knee, where run-to-run jitter on a shared box
-    // can flip the verdict, so a failed confirmation backs the rate off 5 %
-    // and tries again (down to the floor): the recorded sustainable_tps is
-    // always a rate the cell actually sustained in its committed window
-    // stream, not just one the search once got lucky at. If even the floor
-    // fails, the cell still records its window stream and a FAIL slo.
-    let mut lambda = if sustainable > 0.0 { sustainable } else { lo };
-    loop {
-        let mut p = plan.clone();
-        p.lambda = lambda;
-        p.txns = (lambda * a.probe_secs).ceil() as usize;
-        let run = run_cell(a, &p, spec, None)?;
-        if run.outcome.pass || lambda <= lo {
-            return Ok((lambda, run));
-        }
-        eprintln!(
-            "    confirm λ={lambda:>8.0}/s → fail ({}); backing off 5 %",
-            run.outcome.reason
-        );
-        lambda = (lambda * 0.95).max(lo);
-    }
 }
 
 pub(crate) fn run(args: &[String]) -> Result<(), String> {
-    let a = parse(args)?;
+    let mut a = LoadArgs {
+        lambda: 2000.0,
+        secs: 3.0,
+        inflight: 32,
+        window_ms: DEFAULT_WINDOW_MS,
+        slo: "p99<50ms,abort<5%,sustain=4".into(),
+        jsonl: None,
+        telemetry: true,
+        out: None,
+    };
+    let shared = cell::parse(args, |flag, take| {
+        match flag {
+            "--lambda" | "--tps" => a.lambda = value(flag, take()?)?,
+            "--secs" => a.secs = value(flag, take()?)?,
+            "--inflight" => a.inflight = value(flag, take()?)?,
+            "--window" => a.window_ms = value(flag, take()?)?,
+            "--slo" => a.slo = take()?,
+            "--jsonl" => a.jsonl = Some(take()?),
+            // Telemetry off: no registry, no flusher — the baseline side
+            // of the window-flush overhead experiment (EXPERIMENTS.md).
+            "--no-telemetry" => a.telemetry = false,
+            "--out" => a.out = Some(take()?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    if a.lambda <= 0.0 {
+        return Err("--lambda must be positive".into());
+    }
     let spec = SloSpec::parse(&a.slo)?;
-    let pattern = pattern_of(a.pattern, a.hots, a.groups)?;
+    let txns = shared.txns.unwrap_or((a.lambda * a.secs).ceil() as usize);
+    let cell = shared.build(FaultPlan::none(), txns)?;
+    let cfg = NetConfig {
+        certify: false,
+        stream_certify: true,
+        open_loop: Some(OpenLoop {
+            lambda_tps: a.lambda,
+            seed: shared.seed,
+            inflight: a.inflight,
+        }),
+        ..cell.cfg.clone()
+    };
 
-    if !a.grid {
-        let durability = match a.durability.as_deref() {
-            Some(s) => Durability::parse(s)
-                .ok_or_else(|| format!("--durability must be none, buffered or sync, got {s:?}"))?,
-            None => Durability::None,
-        };
-        let plan = CellPlan {
-            sched: a.sched.clone(),
-            transport: a.transport.clone(),
-            durability,
-            lambda: a.lambda,
-            txns: a.txns.unwrap_or((a.lambda * a.secs).ceil() as usize),
-            pattern,
-            shards: a.shards,
-        };
-        let run = run_cell(&a, &plan, &spec, a.jsonl.as_deref())?;
-        print_run(&run, &plan, &spec);
-        if let Some(path) = &a.jsonl {
-            println!("  trace      : {path} (follow live with `wtpg top {path}`)");
-        }
-        if let Some(path) = &a.out {
-            let cell = LoadCell {
-                scheduler: run.report.scheduler.clone(),
-                transport: run.report.transport.clone(),
-                durability: run.report.durability.clone(),
-                pattern: pattern.label(),
-                sustainable_tps: 0.0,
-                lambda_tps: plan.lambda,
-                txns: plan.txns,
-                slo: slo_doc(&spec, &run.outcome),
-                windows: window_rows(&run.verdicts),
-                report: run.report,
-            };
-            let json = serde_json::to_string_pretty(&cell)
-                .map_err(|e| format!("cannot serialise cell: {e}"))?;
-            std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
-            println!("wrote {path}");
-        }
-        return Ok(());
-    }
-
-    // Grid provenance: same dirty-build policy as `wtpg net --grid`.
-    let describe = wtpg_obs::meta::git_describe();
-    if describe.ends_with("-dirty") {
-        if std::env::var_os("CI").is_some() {
-            return Err(format!(
-                "refusing to write a grid benchmark from a dirty build ({describe}) under CI; \
-                 commit (or stash) and rebuild first"
-            ));
-        }
-        eprintln!(
-            "warning: benchmarking a dirty build ({describe}); \
-             BENCH_load.json will carry the -dirty stamp"
+    let tee = a.jsonl.as_deref().map(JsonlFileSink::create).transpose()?;
+    let tap = Arc::new(WindowTap::new(tee));
+    // The flusher shares the run's own µs epoch only approximately (it
+    // starts its clock here, the runtime starts another inside); windows
+    // are judged on their own lengths, so a small epoch skew is harmless.
+    // `--no-telemetry` drops the registry and flusher entirely — the
+    // observer-off baseline the overhead experiment compares against.
+    let (reg, flusher) = if a.telemetry {
+        let reg = Arc::new(Registry::new());
+        let flusher = WindowFlusher::spawn(
+            Arc::clone(&reg),
+            Arc::clone(&tap) as Arc<dyn Observer>,
+            WallClock::start(),
+            a.window_ms,
+            WINDOW_TRACK,
         );
+        (Some(reg), Some(flusher))
+    } else {
+        (None, None)
+    };
+    let result = run_cell_load(
+        &cfg,
+        &|| cell.sched.make(),
+        &cell.catalog,
+        &cell.specs,
+        cell.transport,
+        &cell.fault,
+        Some(Arc::clone(&tap) as Arc<dyn Observer>),
+        reg,
+    );
+    if let Some(f) = flusher {
+        f.stop();
     }
+    let report = result.map_err(|e| e.to_string())?;
+    let (verdicts, outcome) = evaluate(&spec, &tap.stats());
 
-    // The sweep: scheduler × transport under no durability, plus the
-    // buffered-WAL cell (what group-commit logging costs under sustained
-    // load). λ search bounds reflect the transport: in-proc commits run
-    // tens of thousands per second on one box, TCP a fraction of that.
-    let sweeps: [(&str, &str, Durability); 5] = [
-        ("chain", "inproc", Durability::None),
-        ("k2", "inproc", Durability::None),
-        ("chain", "tcp", Durability::None),
-        ("k2", "tcp", Durability::None),
-        ("chain", "inproc", Durability::Buffered),
-    ];
-    let mut cells: Vec<LoadCell> = Vec::new();
-    let mut best_inproc = 0.0_f64;
-    for (sched, transport, durability) in sweeps {
-        println!(
-            "cell {sched} × {transport} × {} — bisecting λ…",
-            durability.label()
-        );
-        let plan = CellPlan {
-            sched: sched.into(),
-            transport: transport.into(),
-            durability,
-            lambda: 0.0,
-            txns: 0,
-            pattern,
-            shards: a.shards,
-        };
-        let hi = if transport == "tcp" { 12_000.0 } else { 30_000.0 };
-        let (sustainable, run) = sustain_cell(&a, &plan, &spec, 250.0, hi)?;
-        println!(
-            "  sustainable: {sustainable:.0}/s under [{}] — confirmation {} @ {:.1} TPS",
-            spec.label(),
-            if run.outcome.pass { "PASS" } else { "FAIL" },
-            run.report.throughput_tps
-        );
-        if transport == "inproc" && durability == Durability::None {
-            best_inproc = best_inproc.max(sustainable);
-        }
-        cells.push(LoadCell {
-            scheduler: run.report.scheduler.clone(),
-            transport: run.report.transport.clone(),
-            durability: run.report.durability.clone(),
-            pattern: pattern.label(),
-            sustainable_tps: sustainable,
-            lambda_tps: if sustainable > 0.0 { sustainable } else { 250.0 },
-            txns: run.report.offered as usize,
-            slo: slo_doc(&spec, &run.outcome),
-            windows: window_rows(&run.verdicts),
-            report: run.report,
-        });
+    print_run(&report, a.lambda);
+    print_verdicts(&verdicts, &outcome, &spec);
+    if let Some(path) = &a.jsonl {
+        println!("  trace      : {path} (follow live with `wtpg top {path}`)");
     }
-
-    // Endurance cell: ≥1M transactions through the streaming certifier at
-    // ~85% of the best measured in-proc rate (backing off from the edge
-    // keeps the long run inside the SLO, which is the point: certify a
-    // million-transaction history in bounded memory, not find the knee
-    // twice). A minutes-long run sees noise a 2.5 s probe never meets, so
-    // an SLO miss backs the rate off 10 % and retries — bounded attempts,
-    // and the last run is recorded honestly either way.
-    let mut lambda = (best_inproc * 0.85).max(1000.0);
-    let txns = a.endurance_txns;
-    let mut attempts_left = 3u32;
-    let run = loop {
-        println!("cell chain × inproc endurance — {txns} txns at λ={lambda:.0}/s…");
-        let plan = CellPlan {
-            sched: "chain".into(),
-            transport: "inproc".into(),
-            durability: Durability::None,
-            lambda,
+    if let Some(path) = &a.out {
+        let doc = LoadCell {
+            scheduler: report.scheduler.clone(),
+            transport: report.transport.clone(),
+            durability: report.durability.clone(),
+            pattern: cell.pattern.label(),
+            lambda_tps: a.lambda,
             txns,
-            pattern,
-            shards: a.shards,
+            slo: slo_doc(&spec, &outcome),
+            windows: window_rows(&verdicts),
+            report,
         };
-        let run = run_cell(&a, &plan, &spec, None)?;
-        println!(
-            "  endurance: {} committed @ {:.1} TPS, {} events stream-certified, SLO {}",
-            run.report.committed,
-            run.report.throughput_tps,
-            run.report.history_events,
-            if run.outcome.pass { "PASS" } else { "FAIL" }
-        );
-        attempts_left -= 1;
-        if run.outcome.pass || lambda <= 1000.0 || attempts_left == 0 {
-            break run;
-        }
-        eprintln!("  endurance missed its SLO ({}); backing off 10 %", run.outcome.reason);
-        lambda = (lambda * 0.9).max(1000.0);
-    };
-    cells.push(LoadCell {
-        scheduler: run.report.scheduler.clone(),
-        transport: run.report.transport.clone(),
-        durability: run.report.durability.clone(),
-        pattern: pattern.label(),
-        sustainable_tps: lambda,
-        lambda_tps: lambda,
-        txns,
-        slo: slo_doc(&spec, &run.outcome),
-        windows: window_rows(&run.verdicts),
-        report: run.report,
-    });
-
-    let certified = cells
-        .iter()
-        .filter(|c| c.report.certified && c.report.store_consistent)
-        .count();
-    let n_cells = cells.len();
-    println!("{certified}/{n_cells} cells certified and conserved");
-    if certified < n_cells {
-        return Err("grid run left uncertified or inconsistent cells".into());
+        let json = serde_json::to_string_pretty(&doc)
+            .map_err(|e| format!("cannot serialise cell: {e}"))?;
+        std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
+        println!("wrote {path}");
     }
-
-    let out = a.out.as_deref().unwrap_or("BENCH_load.json");
-    let doc = LoadDoc {
-        bench: "load",
-        git_describe: wtpg_obs::meta::git_describe().to_string(),
-        git_sha: wtpg_obs::meta::git_sha().to_string(),
-        seed: a.seed,
-        clients: a.clients,
-        inflight: a.inflight,
-        window_ms: a.window_ms,
-        slo: spec.label(),
-        probe_secs: a.probe_secs,
-        bisect_iters: a.bisect_iters,
-        cells_certified: certified,
-        cells_total: n_cells,
-        cells,
-    };
-    let json =
-        serde_json::to_string_pretty(&doc).map_err(|e| format!("cannot serialise grid: {e}"))?;
-    std::fs::write(out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!("wrote {out} ({n_cells} cells)");
     Ok(())
 }

@@ -11,24 +11,22 @@
 //!               [--lambda F] [--sim-ms N] [--hots N] [--sigma F] [--seed N]
 //!               [--certify]               record the history and certify it
 //! wtpg engine   [--sched NAME]          execute a batch on the real
-//!               [--threads N]           multi-threaded engine; --grid
+//!               [--threads N]           multi-threaded engine
 //!               [--txns N] [--pattern 1|2|3] [--hots N] [--seed N]
 //!               [--queue N] [--k N] [--keeptime MS] [--no-certify]
-//!               [--grid] [--out FILE]   sweeps sched × threads × contention
+//!               [--out FILE]            write the report as JSON
 //!               [--trace FILE]          record a structured trace
 //! wtpg net      [--sched NAME]          execute a batch on the shared-
 //!               [--transport inproc|tcp]  nothing message-passing runtime
 //!               [--fault none|fault|crash|kill] with injected link faults
 //!               [--durability none|buffered|sync] or a mid-run node kill
 //!               [--wal-dir DIR]         restarted from its write-ahead log
-//!               [--clients N] [--txns N] [--pattern 1|2|3] [--hots N]
+//!               [--clients N] [--txns N] [--pattern 1|2|3|4] [--hots N]
 //!               [--seed N] [--chunk N] [--k N] [--keeptime MS]
-//!               [--no-certify]
-//!               [--grid] [--out FILE]   sweeps sched × transport × fault
+//!               [--no-certify] [--out FILE]
 //! wtpg load     [--lambda TPS] [--secs F] open-loop Poisson load with
-//!               [--slo SPEC] [--jsonl F]  windowed SLO verdicts; --grid
-//!               [--grid] [--out FILE]     bisects max sustainable tps and
-//!                                         writes BENCH_load.json
+//!               [--slo SPEC] [--jsonl F]  windowed SLO verdicts; takes the
+//!               [--out FILE]              cell flags of `wtpg net` too
 //! wtpg top      <trace.jsonl> [--once]    live windowed-telemetry view
 //! wtpg obs      summary <trace.jsonl>   percentiles, abort causes, cache
 //!               diff <a.jsonl> <b.jsonl>  hit ratios; counter/span deltas
@@ -44,6 +42,7 @@
 
 use std::io::Read as _;
 
+mod cell;
 mod engine;
 mod load;
 mod net;
@@ -94,19 +93,18 @@ fn print_help() {
                          [--trace FILE]\n\
            wtpg engine   [--sched S] [--threads N] [--txns N] [--pattern 1|2|3]\n\
                          [--hots N] [--seed N] [--queue N] [--k N] [--keeptime MS]\n\
-                         [--no-certify] [--grid] [--out FILE] [--trace FILE]\n\
+                         [--no-certify] [--out FILE] [--trace FILE]\n\
            wtpg net      [--sched S] [--transport inproc|tcp] [--fault none|fault|crash|kill]\n\
                          [--durability none|buffered|sync] [--wal-dir DIR]\n\
                          [--clients N] [--txns N] [--pattern 1|2|3|4] [--hots N] [--groups N]\n\
                          [--seed N] [--chunk N] [--k N] [--keeptime MS] [--shards N]\n\
                          [--batch-max N] [--batch-window USEC] [--pipeline N]\n\
-                         [--admit-window N] [--no-certify] [--grid] [--out FILE]\n\
-           wtpg load     [--sched S] [--lambda TPS] [--secs F] [--transport inproc|tcp]\n\
-                         [--clients N] [--inflight N] [--slo SPEC] [--window MS]\n\
-                         [--durability none|buffered|sync] [--jsonl FILE]\n\
-                         [--grid] [--probe-secs F] [--bisect-iters N]\n\
-                         [--endurance-txns N] [--out FILE]   open-loop Poisson load,\n\
-                         windowed SLO verdicts; --grid bisects max sustainable tps\n\
+                         [--admit-window N] [--read-mix F] [--read-theta F] [--mvcc]\n\
+                         [--no-certify] [--out FILE]\n\
+           wtpg load     [--lambda TPS] [--secs F] [--inflight N] [--slo SPEC]\n\
+                         [--window MS] [--jsonl FILE] [--no-telemetry] [--out FILE]\n\
+                         plus the cell flags of `wtpg net` (--sched … --mvcc):\n\
+                         open-loop Poisson load, windowed SLO verdicts\n\
            wtpg top      <trace.jsonl> [--once] [--interval MS] [--rows N]\n\
                          live view of a run's windowed telemetry\n\
            wtpg obs      summary <trace.jsonl> | diff <a.jsonl> <b.jsonl>\n\

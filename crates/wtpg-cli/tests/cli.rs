@@ -240,3 +240,113 @@ fn help_lists_commands() {
         assert!(stderr.contains(cmd));
     }
 }
+
+#[test]
+fn illegal_cells_fail_with_the_plan_error_text() {
+    let (_, stderr, ok) = wtpg(&["net", "--txns", "20", "--mvcc", "--fault", "kill"], None);
+    assert!(!ok, "mvcc + kill must exit non-zero");
+    assert!(
+        stderr.contains("the MVCC snapshot plane is incompatible with kill faults"),
+        "{stderr}"
+    );
+    let (_, stderr, ok) = wtpg(
+        &["net", "--txns", "20", "--fault", "kill", "--durability", "none"],
+        None,
+    );
+    assert!(!ok, "kill without a log must exit non-zero");
+    assert!(
+        stderr.contains("a kill fault needs durability buffered or sync"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn a_used_wal_dir_is_refused_and_an_empty_one_accepted() {
+    let dir = std::env::temp_dir().join(format!("wtpg-cli-wal-test-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create the empty wal dir");
+    let dir_str = dir.to_str().expect("utf-8 temp path");
+    let cell = ["net", "--txns", "40", "--durability", "sync", "--wal-dir", dir_str];
+    let (stdout, stderr, ok) = wtpg(&cell, None);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("committed  : 40"), "{stdout}");
+    let (_, stderr, ok) = wtpg(&[&cell[..], &["--fault", "kill"]].concat(), None);
+    assert!(!ok, "a second run into the same directory must exit non-zero");
+    assert!(stderr.contains("already holds a run's state"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn grid_mode_is_gone_like_any_unknown_flag() {
+    for cmd in ["net", "load", "engine"] {
+        let (_, stderr, ok) = wtpg(&[cmd, "--grid"], None);
+        assert!(!ok, "{cmd} --grid must fail");
+        assert!(stderr.contains("unknown option \"--grid\""), "{cmd}: {stderr}");
+    }
+    for flag in ["--endurance-txns", "--bisect-iters", "--probe-secs"] {
+        let (_, stderr, ok) = wtpg(&["load", flag, "1"], None);
+        assert!(!ok, "load {flag} must fail");
+        assert!(stderr.contains("unknown option"), "{flag}: {stderr}");
+    }
+}
+
+/// One description of a cell: every flag that describes the cell itself is
+/// taken by `net` and `load` alike, with the same spelling and meaning.
+#[test]
+fn net_and_load_accept_the_same_cell_flags() {
+    let dir = std::env::temp_dir().join(format!("wtpg-cli-shared-test-{}", std::process::id()));
+    let dir_str = dir.to_str().expect("utf-8 temp path");
+    let shared: &[&[&str]] = &[
+        &["--sched", "k2"],
+        &["--transport", "tcp"],
+        &["--pattern", "4"],
+        &["--hots", "4"],
+        &["--groups", "2"],
+        &["--clients", "2"],
+        &["--shards", "2"],
+        &["--durability", "buffered"],
+        &["--wal-dir", dir_str],
+        &["--read-mix", "0.5"],
+        &["--read-theta", "0.9"],
+        &["--mvcc"],
+        &["--seed", "7"],
+        &["--txns", "60"],
+        &["--k", "2"],
+        &["--keeptime", "2000"],
+        &["--chunk", "500"],
+    ];
+    let flags: Vec<&str> = shared.iter().flat_map(|f| f.iter().copied()).collect();
+    for cmd in [&["net"][..], &["load", "--lambda", "20000"][..]] {
+        let _ = std::fs::remove_dir_all(&dir);
+        let args = [cmd, &flags[..]].concat();
+        let (stdout, stderr, ok) = wtpg(&args, None);
+        assert!(ok, "{cmd:?}: {stderr}");
+        assert!(stdout.contains("K-WTPG | tcp transport"), "{cmd:?}: {stdout}");
+        assert!(stdout.contains("2 clients × 8 data nodes"), "{cmd:?}: {stdout}");
+        assert!(stdout.contains("readers"), "{cmd:?}: {stdout}");
+        assert!(dir.join("node0.wal").exists(), "{cmd:?}: --wal-dir ignored");
+    }
+    // One flag at a time, so a flag one command forgot cannot hide behind
+    // the others.
+    for flag in shared {
+        for cmd in [&["net"][..], &["load", "--lambda", "20000"][..]] {
+            let _ = std::fs::remove_dir_all(&dir);
+            let args = [cmd, &["--txns", "20"][..], flag].concat();
+            let (_, stderr, ok) = wtpg(&args, None);
+            assert!(ok, "{cmd:?} {flag:?}: {stderr}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn help_no_longer_mentions_the_retired_flags() {
+    let (_, stderr, ok) = wtpg(&["--help"], None);
+    assert!(ok);
+    for gone in ["--grid", "--endurance-txns", "--bisect-iters", "--probe-secs"] {
+        assert!(!stderr.contains(gone), "help still mentions {gone}");
+    }
+    for kept in ["--lambda", "--slo", "--fault", "--wal-dir", "--mvcc"] {
+        assert!(stderr.contains(kept), "help lost {kept}");
+    }
+}

@@ -636,7 +636,8 @@ fn crate_of(path_slash: &str) -> Option<&str> {
 /// - `api-docs`: all of `wtpg-core/src`, `wtpg-rt/src`, `wtpg-obs/src`,
 ///   `wtpg-net/src` and `wtpg-lint/src`.
 /// - `wtpg-net` splits on determinism: the pure protocol layer (`msg.rs`,
-///   `codec.rs`, `fault.rs` decisions, `report.rs`) must be deterministic —
+///   `codec.rs`, `fault.rs` decisions, `plan.rs`, `report.rs`) must be
+///   deterministic —
 ///   the wire format and fault schedules are replayable by seed — while the
 ///   actor loops (`control.rs`, `client.rs`, `data.rs`, `runtime.rs`), the
 ///   flush-window coalescer (`batch.rs`) and the socket transport

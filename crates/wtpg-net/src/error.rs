@@ -6,10 +6,15 @@ use wtpg_core::txn::TxnId;
 use wtpg_mvcc::SnapshotError;
 
 use crate::codec::CodecError;
+use crate::plan::PlanError;
 
 /// A failed shared-nothing run.
 #[derive(Clone, Debug)]
 pub enum NetError {
+    /// The requested combination is not a run: refused by
+    /// [`RunPlan::new`](crate::plan::RunPlan::new) before any directory,
+    /// socket, thread or scheduler existed.
+    Plan(PlanError),
     /// An actor drove the scheduler protocol into an error — a runtime bug.
     Core(CoreError),
     /// The recorded history failed replay certification — a scheduler or
@@ -61,14 +66,14 @@ pub enum NetError {
         actor: String,
     },
     /// The durability layer failed: a write-ahead-log or checkpoint I/O
-    /// error, corrupt durable state, or a kill plan configured without the
-    /// log it needs to restart from.
+    /// error, or corrupt durable state.
     Dur(String),
 }
 
 impl std::fmt::Display for NetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            NetError::Plan(e) => write!(f, "{e}"),
             NetError::Core(e) => write!(f, "scheduler protocol error: {e}"),
             NetError::Certify(v) => write!(f, "history failed certification: {v}"),
             NetError::Snapshot(v) => write!(f, "{v}"),
@@ -107,6 +112,12 @@ impl std::fmt::Display for NetError {
 }
 
 impl std::error::Error for NetError {}
+
+impl From<PlanError> for NetError {
+    fn from(e: PlanError) -> NetError {
+        NetError::Plan(e)
+    }
+}
 
 impl From<CoreError> for NetError {
     fn from(e: CoreError) -> NetError {

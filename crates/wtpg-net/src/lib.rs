@@ -35,6 +35,7 @@ pub mod data;
 pub mod error;
 pub mod fault;
 pub mod msg;
+pub mod plan;
 pub mod report;
 pub mod runtime;
 pub mod tcp;
@@ -47,6 +48,7 @@ pub use error::NetError;
 pub use wtpg_dur::Durability;
 pub use fault::{CrashPlan, FaultPlan, KillPlan, LinkFaults};
 pub use msg::Msg;
+pub use plan::{PlanError, RunPlan};
 pub use report::{MsgBreakdown, NetReport};
 pub use runtime::{run_cell, run_cell_load, NetConfig, OpenLoop};
 pub use tcp::Tcp;

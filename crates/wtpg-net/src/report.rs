@@ -53,8 +53,8 @@ impl From<MsgCounts> for MsgBreakdown {
     }
 }
 
-/// The result of one shared-nothing run — everything `BENCH_net.json`
-/// records per (scheduler, transport, fault) cell.
+/// The result of one shared-nothing run — what `wtpg net --out` writes for
+/// one (scheduler, transport, fault) cell.
 #[derive(Clone, Debug, Serialize)]
 pub struct NetReport {
     /// Scheduler display name ("CHAIN", "K2", …).

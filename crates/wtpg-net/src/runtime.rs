@@ -1,52 +1,60 @@
-//! Run orchestration: build a fabric, spawn the actors, certify the result.
+//! Run orchestration: plan a cell, build its actors, drive them, assemble
+//! the report.
 //!
 //! [`run_cell`] is the crate's entry point — one (scheduler, transport,
-//! fault plan) cell executed end to end:
+//! fault plan) cell executed end to end in four phases, each with one
+//! caller ([`run_cell_load`]) and one owner of its concerns:
 //!
-//! 1. the [`Transport`] wires the control plane, one data-node actor per
-//!    catalog node, and `clients` client actors into a star fabric;
-//! 2. if the [`FaultPlan`] is active, every control ↔ data link is wrapped
-//!    in a [`FaultLink`] (seeded delay + duplicate delivery) and the doomed
-//!    data node gets its [`CrashPlan`](crate::fault::CrashPlan);
-//! 3. the control plane is **sharded by conflict component**
-//!    ([`ShardMap`]): with one effective shard the control actor reads the
+//! 1. **plan** — [`RunPlan::new`] refuses the combinations that are not a
+//!    run and fixes every derived value (effective clients and shards, the
+//!    conflict-component [`ShardMap`], checkpoint paths, the workload split
+//!    and arrival schedule). Nothing has been created yet.
+//! 2. **build** — `ActorSet::build` creates the WAL directory, has the
+//!    [`Transport`] wire the control plane, one data-node actor per catalog
+//!    node and the client actors into a star fabric, wraps every control ↔
+//!    data link in a [`FaultLink`] (seeded delay + duplicate delivery) if
+//!    the [`FaultPlan`] is active, and lays each actor's parameters out as
+//!    plain values. With one effective shard the control actor reads the
 //!    fabric inbox directly (trajectories identical to the unsharded
-//!    engine); with `S > 1` a router thread deals inbound messages to `S`
+//!    engine); with `S > 1` a router deals inbound messages to `S`
 //!    independent control actors, each running its own scheduler over a
-//!    disjoint slice of the WTPG;
-//! 4. all actors run to completion on scoped threads — clients submit their
-//!    transaction slices and wait for commit acks, each control shard exits
-//!    after its last commit, and the *runtime* broadcasts `Shutdown` to the
-//!    data nodes once every shard is done;
-//! 5. the per-shard audits are merged ([`merge_audits`] — the canonical
-//!    cross-shard history merge, which refuses non-disjoint shards), the
-//!    merged history is replay-certified, and the data nodes' store tallies
-//!    are checked against the workload's declared write units — the same
-//!    proofs the threaded engine demands, now under real message passing,
-//!    batched frames, and injected faults.
+//!    disjoint slice of the WTPG.
+//! 3. **drive** — `drive_threads` runs all actors to completion on scoped
+//!    threads: clients submit their transaction slices and wait for commit
+//!    acks, each control shard exits after its last commit, and the
+//!    *runtime* broadcasts `Shutdown` to the data nodes once every shard is
+//!    done, then tears the plumbing down in the order that lets every
+//!    thread be joined.
+//! 4. **assemble** — the per-shard audits are merged ([`merge_audits`] —
+//!    the canonical cross-shard history merge, which refuses non-disjoint
+//!    shards), the merged history is replay-certified, and the data nodes'
+//!    store tallies are checked against the workload's declared write units
+//!    — the same proofs the threaded engine demands, now under real message
+//!    passing, batched frames, and injected faults.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
-use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use wtpg_core::certify::{certify_history, CertifyReport, CertifyViolation};
+use wtpg_core::certify::{certify_history, CertifyMode, CertifyReport, CertifyViolation};
 use wtpg_core::partition::Catalog;
 use wtpg_core::txn::{AccessMode, TxnId, TxnSpec};
 use wtpg_core::StreamingCertifier;
-use wtpg_dur::checkpoint::files as dur_files;
 use wtpg_dur::Durability;
 use wtpg_mvcc::{certify_snapshots, CommitLog, GcWatermark, ReaderRecord};
 use wtpg_obs::wall::WallClock;
-use wtpg_obs::{Histogram, MsgCounts, NetStats, ObsEvent, Observer, Registry, WalStats};
+use wtpg_obs::{
+    ByteCounts, Histogram, MsgCounts, NetStats, ObsEvent, Observer, Registry, WalStats,
+};
 use wtpg_rt::backoff::Backoff;
+use wtpg_rt::control::ControlAudit;
 use wtpg_rt::engine::SendScheduler;
 use wtpg_rt::metrics::LatencySummary;
 use wtpg_rt::shard::{merge_audits, ShardMap};
 use wtpg_rt::StreamItem;
-use wtpg_workload::poisson_arrivals_us;
 
 use crate::client::{run_client, run_client_open_loop, ClientOutcome, OpenLoopPlan};
 use crate::control::{run_control, ControlOutcome, ControlParams};
@@ -54,6 +62,7 @@ use crate::data::{run_data_node, DataNodeParams, DataOutcome};
 use crate::error::NetError;
 use crate::fault::{FaultCounters, FaultLink, FaultPlan};
 use crate::msg::Msg;
+use crate::plan::RunPlan;
 use crate::report::NetReport;
 use crate::transport::{
     control_inbox_capacity, spawn_pump, Inbox, Mailbox, MsgTx, Transport, ACTOR_INBOX_CAPACITY,
@@ -100,8 +109,12 @@ pub struct NetConfig {
     /// `Buffered`/`Sync` require `wal_dir` and enable kill-restart faults.
     pub durability: Durability,
     /// Directory for data-node logs, node snapshots, and control
-    /// checkpoints. Required whenever `durability` keeps a log; created if
-    /// missing, never cleaned up (the artifacts are the point).
+    /// checkpoints. Required whenever `durability` keeps a log (and ignored
+    /// otherwise); created if missing, never cleaned up (the artifacts are
+    /// the point). It must be *fresh* — missing, or existing but holding no
+    /// `node*.wal` / `*.ckpt` from an earlier run: logs open append-only and
+    /// recovery replays all it finds, so a used directory is refused
+    /// ([`PlanError::WalDirNotFresh`](crate::plan::PlanError)).
     pub wal_dir: Option<PathBuf>,
     /// Open-loop arrival schedule: `Some` replaces the closed-loop clients
     /// with Poisson arrivals at a fixed rate, sheds arrivals that find the
@@ -120,8 +133,8 @@ pub struct NetConfig {
     /// data-node version chains), certified post-run against the
     /// committed-prefix rule. `false` keeps every code path — wire
     /// traffic, histories, counters — identical to a build without the
-    /// plane. Incompatible with kill faults: version chains are in-memory
-    /// only, so a restarted node could not answer snapshot reads.
+    /// plane. Not combinable with kill faults
+    /// ([`PlanError::MvccWithKill`](crate::plan::PlanError)).
     pub mvcc: bool,
 }
 
@@ -176,7 +189,7 @@ const RETIRE_EVERY: usize = 4096;
 /// prefix retires every [`RETIRE_EVERY`] events, so the live graph tracks
 /// the in-flight population rather than the run length.
 fn certify_stream(
-    mode: wtpg_core::certify::CertifyMode,
+    mode: CertifyMode,
     rx: &Receiver<StreamItem>,
 ) -> Result<(CertifyReport, usize), CertifyViolation> {
     let mut cert = StreamingCertifier::new(mode);
@@ -288,7 +301,8 @@ fn run_router(inbox: &Inbox, map: &ShardMap, shard_inboxes: &[Inbox]) -> MsgCoun
 /// phases.
 ///
 /// # Errors
-/// Any [`NetError`]: an actor protocol violation, a transport failure, a
+/// Any [`NetError`]: a combination [`RunPlan::new`] refuses (before anything
+/// is created), an actor protocol violation, a transport failure, a
 /// starved transaction, an unanswerable data node, a history that fails
 /// certification (or shard histories that are not component-disjoint), or
 /// a store that lost committed units.
@@ -332,285 +346,324 @@ pub fn run_cell_load(
     obs: Option<Arc<dyn Observer>>,
     reg: Option<Arc<Registry>>,
 ) -> Result<NetReport, NetError> {
-    let data_nodes = catalog.num_nodes() as usize;
-    let clients = cfg.clients.clamp(1, specs.len().max(1));
-    let watchdog = Duration::from_millis(cfg.watchdog_ms.max(1));
+    let plan = RunPlan::new(cfg, fault, transport, catalog, specs)?;
+    let set = ActorSet::build(&plan, transport, sched, reg.as_ref())?;
+    let joined = drive_threads(set, &plan);
+    assemble(&plan, joined, obs.as_deref())
+}
 
-    // Version chains are in-memory only: a killed-and-restarted node would
-    // come back with empty chains and serve wrong snapshots. (A *crash* is
-    // fine — the actor's memory survives a message-drop window.)
-    if cfg.mvcc && fault.kill.is_some() {
-        return Err(NetError::Protocol(
-            "the MVCC snapshot plane is incompatible with kill faults: \
-             version chains do not survive a restart-from-log"
-                .to_string(),
-        ));
-    }
-    // Durability plumbing: a kill fault restarts nodes *from disk*, so it
-    // is meaningless without a log to replay.
-    if fault.kill.is_some() && (!cfg.durability.requires_log() || cfg.wal_dir.is_none()) {
-        return Err(NetError::Dur(
-            "a kill fault plan needs --durability buffered|sync and a wal dir to restart from"
-                .to_string(),
-        ));
-    }
-    if cfg.durability.requires_log() {
-        let Some(dir) = cfg.wal_dir.as_deref() else {
-            return Err(NetError::Dur(format!(
-                "durability '{}' needs a wal dir",
-                cfg.durability.label()
-            )));
-        };
-        std::fs::create_dir_all(dir)?;
-    }
+/// What one shard's certifier thread returns.
+type StreamVerdict = Result<(CertifyReport, usize), CertifyViolation>;
 
-    // Conflict components decide how many control shards actually run.
-    let map = ShardMap::build(specs, cfg.shards.max(1));
-    let shards = map.shards();
+/// One client actor's inputs (its id is its index).
+struct ClientParams<'a> {
+    specs: &'a [TxnSpec],
+    /// The client's share of the Poisson schedule; `Some` drives open loop.
+    arrivals: Option<&'a [u64]>,
+    reg: Option<&'a Registry>,
+}
 
-    // One shared GC watermark per run: control shards publish floors into
-    // it, data nodes poll it. `None` keeps the plane off everywhere.
-    let watermark: Option<Arc<GcWatermark>> = cfg.mvcc.then(|| Arc::new(GcWatermark::new()));
+/// Phase 2 of a run: everything the actors need, built from a validated
+/// plan and not yet running — the fabric with its fault-wrapped links and
+/// pumps, the certifier channels, and each actor's parameters as plain
+/// values. The only threads alive are plumbing (transport service threads,
+/// fault forwarders, client pumps, stream certifiers), all of them idle
+/// until an actor sends something.
+pub(crate) struct ActorSet<'a> {
+    /// One per control shard, with the inbox it reads.
+    controls: Vec<ControlParams>,
+    shard_inboxes: Vec<Inbox>,
+    /// One per data node, with its inbox and its link to control.
+    data: Vec<DataNodeParams<'a>>,
+    data_inboxes: Vec<Inbox>,
+    data_to_control: Vec<Arc<dyn MsgTx>>,
+    /// One per client, likewise.
+    clients: Vec<ClientParams<'a>>,
+    client_inboxes: Vec<Inbox>,
+    client_to_control: Vec<Arc<dyn MsgTx>>,
+    /// The fabric's control inbox: the sole shard's own, or what the
+    /// router deals from.
+    control_inbox: Inbox,
+    to_data: Vec<Arc<dyn MsgTx>>,
+    to_clients: Vec<Arc<dyn MsgTx>>,
+    /// Fault forwarders and open-loop client pumps.
+    pumps: Vec<JoinHandle<()>>,
+    /// The transport's own threads.
+    service: Vec<JoinHandle<()>>,
+    bytes: Arc<dyn Fn() -> ByteCounts + Send + Sync>,
+    fault_counters: Arc<FaultCounters>,
+    certifiers: Vec<JoinHandle<StreamVerdict>>,
+    /// The clock open-loop arrivals are due on. It starts here, ahead of
+    /// the certifier channels (whose 64 Ki slots take a millisecond or two
+    /// to lay out) and of `drive_threads`' own stopwatch, as it always has:
+    /// `wall_ms` of an open-loop run is measured against that.
+    run_wall: WallClock,
+}
 
-    let fabric = transport.build(data_nodes, clients)?;
-    let fault_counters = Arc::new(FaultCounters::default());
-    let mut pumps: Vec<JoinHandle<()>> = Vec::new();
-    let to_data = wrap_links(fabric.to_data, fault, 1, &fault_counters, &mut pumps);
-    let data_to_control = wrap_links(
-        fabric.data_to_control,
-        fault,
-        2,
-        &fault_counters,
-        &mut pumps,
-    );
-    let to_clients = fabric.to_clients;
-    let client_to_control = fabric.client_to_control;
-    let control_inbox = fabric.control_inbox;
-    let data_inboxes = fabric.data_inboxes;
-    // The open-loop driver sheds on what `try_pop` sees and paces arrivals
-    // with sub-millisecond timed waits; a socket mailbox offers neither
-    // (frames already read; the kernel's tick-rounded receive timeout), so
-    // each one is pumped into a queue the driver reads instead.
-    let client_inboxes: Vec<Inbox> = fabric
-        .client_inboxes
-        .into_iter()
-        .map(|inbox| {
-            if cfg.open_loop.is_some() && matches!(*inbox, Mailbox::Socket(_)) {
-                let queue = Mailbox::queue(ACTOR_INBOX_CAPACITY);
-                pumps.push(spawn_pump(inbox, Arc::clone(&queue), true));
-                queue
-            } else {
-                inbox
-            }
-        })
-        .collect();
+impl<'a> ActorSet<'a> {
+    /// Creates the WAL directory, the fabric and the actors' parameters.
+    ///
+    /// # Errors
+    /// [`NetError::Io`] if the directory or the transport's links cannot
+    /// be created.
+    pub(crate) fn build(
+        plan: &'a RunPlan<'_>,
+        transport: &dyn Transport,
+        sched: &(dyn Fn() -> SendScheduler + Sync),
+        reg: Option<&'a Arc<Registry>>,
+    ) -> Result<ActorSet<'a>, NetError> {
+        let cfg = plan.cfg;
+        let fault = plan.fault;
+        let shards = plan.map.shards();
+        if let Some(dir) = plan.wal_dir {
+            std::fs::create_dir_all(dir)?;
+        }
 
-    // One shard reads the fabric inbox directly (no router, identical
-    // trajectories to the unsharded engine); S > 1 gets routed inboxes.
-    let shard_inboxes: Vec<Inbox> = if shards == 1 {
-        vec![Arc::clone(&control_inbox)]
-    } else {
-        (0..shards)
-            .map(|_| Mailbox::queue(control_inbox_capacity(data_nodes, clients)))
-            .collect()
-    };
+        // One shared GC watermark per run: control shards publish floors into
+        // it, data nodes poll it. `None` keeps the plane off everywhere.
+        let watermark: Option<Arc<GcWatermark>> = cfg.mvcc.then(|| Arc::new(GcWatermark::new()));
 
-    // Round-robin workload split: client c drives specs[c], specs[c+N], …
-    let slices: Vec<Vec<TxnSpec>> = (0..clients)
-        .map(|c| specs.iter().skip(c).step_by(clients).cloned().collect())
-        .collect();
-    // Open loop: one shared Poisson schedule, dealt round-robin exactly
-    // like the specs so arrival i still drives spec i.
-    let arrival_slices: Option<Vec<Vec<u64>>> = cfg.open_loop.map(|ol| {
-        let all = poisson_arrivals_us(specs.len(), ol.lambda_tps, ol.seed);
-        (0..clients)
-            .map(|c| all.iter().skip(c).step_by(clients).copied().collect())
-            .collect()
-    });
-    let run_wall = WallClock::start();
-
-    // Streaming certification: one certifier thread per shard, fed the
-    // shard's linearized events live over a bounded channel (the control
-    // node records nothing in memory). The senders travel into the control
-    // actors and drop when they exit, which is the certifiers' EOF.
-    let mut certifiers: Vec<JoinHandle<Result<(CertifyReport, usize), CertifyViolation>>> =
-        Vec::new();
-    let stream_txs: Vec<Option<SyncSender<StreamItem>>> = if cfg.stream_certify {
-        let mode = sched().certify_mode();
-        (0..shards)
-            .map(|_| {
-                let (tx, rx) = mpsc::sync_channel::<StreamItem>(STREAM_DEPTH);
-                certifiers.push(std::thread::spawn(move || certify_stream(mode, &rx)));
-                Some(tx)
+        let fabric = transport.build(plan.data_nodes, plan.clients)?;
+        let fault_counters = Arc::new(FaultCounters::default());
+        let mut pumps: Vec<JoinHandle<()>> = Vec::new();
+        let to_data = wrap_links(fabric.to_data, fault, 1, &fault_counters, &mut pumps);
+        let data_to_control = wrap_links(
+            fabric.data_to_control,
+            fault,
+            2,
+            &fault_counters,
+            &mut pumps,
+        );
+        let client_inboxes: Vec<Inbox> = fabric
+            .client_inboxes
+            .into_iter()
+            .map(|inbox| {
+                if plan.pump_client_sockets && matches!(*inbox, Mailbox::Socket(_)) {
+                    let queue = Mailbox::queue(ACTOR_INBOX_CAPACITY);
+                    pumps.push(spawn_pump(inbox, Arc::clone(&queue), true));
+                    queue
+                } else {
+                    inbox
+                }
             })
-            .collect()
-    } else {
-        (0..shards).map(|_| None).collect()
-    };
+            .collect();
 
+        // One shard reads the fabric inbox directly (no router, identical
+        // trajectories to the unsharded engine); S > 1 gets routed inboxes.
+        let shard_inboxes: Vec<Inbox> = if shards == 1 {
+            vec![Arc::clone(&fabric.control_inbox)]
+        } else {
+            (0..shards)
+                .map(|_| Mailbox::queue(control_inbox_capacity(plan.data_nodes, plan.clients)))
+                .collect()
+        };
+
+        let run_wall = WallClock::start();
+
+        // Streaming certification: one certifier thread per shard, fed the
+        // shard's linearized events live over a bounded channel (the control
+        // node records nothing in memory). The senders travel into the control
+        // actors and drop when they exit, which is the certifiers' EOF.
+        let mut certifiers: Vec<JoinHandle<StreamVerdict>> = Vec::new();
+        // One control actor per shard; the plan holds one checkpoint path
+        // (or `None`) for each.
+        let controls = plan
+            .ckpts
+            .iter()
+            .enumerate()
+            .map(|(si, ckpt)| {
+                let sched = sched();
+                let stream = cfg.stream_certify.then(|| {
+                    let mode = sched.certify_mode();
+                    let (tx, rx) = mpsc::sync_channel::<StreamItem>(STREAM_DEPTH);
+                    certifiers.push(std::thread::spawn(move || certify_stream(mode, &rx)));
+                    tx
+                });
+                ControlParams {
+                    sched,
+                    expected_commits: plan.map.assigned(si),
+                    retry: cfg.retry,
+                    watchdog: plan.watchdog,
+                    batch_max: cfg.batch_max,
+                    batch_window: Duration::from_micros(cfg.batch_window_us),
+                    admit_window: cfg.admit_window,
+                    shard: si,
+                    ckpt: ckpt.clone(),
+                    stream,
+                    reg: reg.cloned(),
+                    drain_clients: cfg.open_loop.map(|_| plan.clients),
+                    mvcc: watermark.clone(),
+                }
+            })
+            .collect();
+        let data = (0..plan.data_nodes)
+            .map(|n| DataNodeParams {
+                catalog: plan.catalog,
+                node: n as u32,
+                crash: fault.crash,
+                kill: fault.kill,
+                batch_max: cfg.batch_max,
+                durability: cfg.durability,
+                wal_dir: plan.wal_dir,
+                reg: reg.map(Arc::as_ref),
+                mvcc: watermark.clone(),
+            })
+            .collect();
+        let clients = plan
+            .slices
+            .iter()
+            .enumerate()
+            .map(|(c, slice)| ClientParams {
+                specs: slice,
+                arrivals: plan
+                    .arrivals
+                    .as_ref()
+                    .and_then(|a| a.get(c))
+                    .map(Vec::as_slice),
+                reg: reg.map(Arc::as_ref),
+            })
+            .collect();
+        Ok(ActorSet {
+            controls,
+            shard_inboxes,
+            data,
+            data_inboxes: fabric.data_inboxes,
+            data_to_control,
+            clients,
+            client_inboxes,
+            client_to_control: fabric.client_to_control,
+            control_inbox: fabric.control_inbox,
+            to_data,
+            to_clients: fabric.to_clients,
+            pumps,
+            service: fabric.service,
+            bytes: fabric.bytes,
+            fault_counters,
+            certifiers,
+            run_wall,
+        })
+    }
+}
+
+/// What the threads of one run returned, before any of it is judged.
+struct Joined {
+    controls: Vec<Result<ControlOutcome, NetError>>,
+    data: Vec<Result<DataOutcome, NetError>>,
+    clients: Vec<Result<ClientOutcome, NetError>>,
+    /// The `Batch` frames a router unpacked (zero without one).
+    router_rx: MsgCounts,
+    /// The runtime's own `Shutdown` broadcasts.
+    runtime_tx: MsgCounts,
+    stream_certs: Vec<StreamVerdict>,
+    wall: Duration,
+    bytes: ByteCounts,
+    dup_deliveries: u64,
+    delayed_deliveries: u64,
+}
+
+/// Phase 3: runs every actor of `set` to completion on scoped threads,
+/// broadcasts `Shutdown`, and tears the plumbing down in the one order that
+/// lets every thread be joined.
+fn drive_threads(set: ActorSet<'_>, plan: &RunPlan<'_>) -> Joined {
+    let cfg = plan.cfg;
+    let catalog = plan.catalog;
+    let watchdog = plan.watchdog;
+    let run_wall = set.run_wall;
     let started = Instant::now();
-    type Joined = (
-        Vec<Result<ControlOutcome, NetError>>,
-        MsgCounts,
-        MsgCounts,
-        Vec<Result<DataOutcome, NetError>>,
-        Vec<Result<ClientOutcome, NetError>>,
-    );
-    let (control_res, router_rx, runtime_tx, data_res, client_res): Joined =
-        std::thread::scope(|s| {
-            let router = (shards > 1)
-                .then(|| s.spawn(|| run_router(&control_inbox, &map, &shard_inboxes)));
-            let controls: Vec<_> = shard_inboxes
-                .iter()
-                .zip(stream_txs)
-                .enumerate()
-                .map(|(si, (inbox, stream))| {
-                    let to_data = &to_data;
-                    let to_clients = &to_clients;
-                    let expected_commits = map.assigned(si);
-                    let shard_reg = reg.clone();
-                    let ckpt = cfg
-                        .wal_dir
-                        .as_ref()
-                        .filter(|_| cfg.durability.requires_log())
-                        .map(|d| {
-                            if si == 0 {
-                                dur_files::control_ckpt(d)
-                            } else {
-                                d.join(format!("control{si}.ckpt"))
-                            }
-                        });
-                    let mvcc = watermark.clone();
-                    s.spawn(move || {
-                        let params = ControlParams {
-                            sched: sched(),
-                            expected_commits,
-                            retry: cfg.retry,
-                            watchdog,
-                            batch_max: cfg.batch_max,
-                            batch_window: Duration::from_micros(cfg.batch_window_us),
-                            admit_window: cfg.admit_window,
-                            shard: si,
-                            ckpt,
-                            stream,
-                            reg: shard_reg,
-                            drain_clients: cfg.open_loop.map(|_| clients),
-                            mvcc,
+    let (control_res, router_rx, runtime_tx, data_res, client_res) = std::thread::scope(|s| {
+        let router = (set.controls.len() > 1)
+            .then(|| s.spawn(|| run_router(&set.control_inbox, &plan.map, &set.shard_inboxes)));
+        let control_handles: Vec<_> = set
+            .controls
+            .into_iter()
+            .zip(&set.shard_inboxes)
+            .map(|(params, inbox)| {
+                let to_data = &set.to_data;
+                let to_clients = &set.to_clients;
+                s.spawn(move || {
+                    run_control(params, catalog, cfg.chunk_units, inbox, to_data, to_clients)
+                })
+            })
+            .collect();
+        let data_handles: Vec<_> = set
+            .data
+            .into_iter()
+            .zip(&set.data_inboxes)
+            .zip(&set.data_to_control)
+            .map(|((params, inbox), tx)| s.spawn(move || run_data_node(params, inbox, tx)))
+            .collect();
+        let client_handles: Vec<_> = set
+            .clients
+            .into_iter()
+            .zip(&set.client_inboxes)
+            .zip(&set.client_to_control)
+            .enumerate()
+            .map(|(c, ((params, inbox), tx))| {
+                s.spawn(move || match (params.arrivals, cfg.open_loop) {
+                    (Some(arrivals_us), Some(ol)) => {
+                        let schedule = OpenLoopPlan {
+                            arrivals_us,
+                            inflight: ol.inflight,
+                            wall: run_wall,
                         };
-                        run_control(
-                            params,
-                            catalog,
-                            cfg.chunk_units,
-                            inbox,
-                            to_data,
-                            to_clients,
-                        )
-                    })
-                })
-                .collect();
-            let data: Vec<_> = data_inboxes
-                .iter()
-                .zip(&data_to_control)
-                .enumerate()
-                .map(|(n, (inbox, tx))| {
-                    let wal_dir = cfg.wal_dir.as_deref();
-                    let node_reg = reg.clone();
-                    let mvcc = watermark.clone();
-                    s.spawn(move || {
-                        run_data_node(
-                            DataNodeParams {
-                                catalog,
-                                node: n as u32,
-                                crash: fault.crash,
-                                kill: fault.kill,
-                                batch_max: cfg.batch_max,
-                                durability: cfg.durability,
-                                wal_dir,
-                                reg: node_reg.as_deref(),
-                                mvcc,
-                            },
-                            inbox,
-                            tx,
-                        )
-                    })
-                })
-                .collect();
-            let clis: Vec<_> = client_inboxes
-                .iter()
-                .zip(&client_to_control)
-                .zip(&slices)
-                .enumerate()
-                .map(|(c, ((inbox, tx), slice))| {
-                    let client_reg = reg.clone();
-                    let arrivals = arrival_slices
-                        .as_ref()
-                        .and_then(|a| a.get(c))
-                        .map(Vec::as_slice);
-                    s.spawn(move || match (arrivals, cfg.open_loop) {
-                        (Some(arrivals_us), Some(ol)) => {
-                            let plan = OpenLoopPlan {
-                                arrivals_us,
-                                inflight: ol.inflight,
-                                wall: run_wall,
-                            };
-                            run_client_open_loop(
-                                c as u32,
-                                slice.as_slice(),
-                                &plan,
-                                inbox,
-                                tx,
-                                watchdog,
-                                client_reg.as_deref(),
-                            )
-                        }
-                        _ => run_client(
+                        run_client_open_loop(
                             c as u32,
-                            slice.as_slice(),
+                            params.specs,
+                            &schedule,
                             inbox,
                             tx,
                             watchdog,
-                            cfg.pipeline,
-                            client_reg.as_deref(),
-                        ),
-                    })
+                            params.reg,
+                        )
+                    }
+                    _ => run_client(
+                        c as u32,
+                        params.specs,
+                        inbox,
+                        tx,
+                        watchdog,
+                        cfg.pipeline,
+                        params.reg,
+                    ),
                 })
-                .collect();
-            fn join<T>(h: std::thread::ScopedJoinHandle<'_, T>) -> T {
-                h.join()
-                    .expect("invariant: actors return errors instead of panicking")
+            })
+            .collect();
+        fn join<T>(h: std::thread::ScopedJoinHandle<'_, T>) -> T {
+            h.join()
+                .expect("invariant: actors return errors instead of panicking")
+        }
+        let control_res: Vec<_> = control_handles.into_iter().map(join).collect();
+        // Every shard is done (or failed): stop the router, then tear
+        // the run down — the runtime owns the Shutdown broadcast.
+        let router_rx = router
+            .map(|h| {
+                set.control_inbox.close();
+                join(h)
+            })
+            .unwrap_or_default();
+        let mut runtime_tx = MsgCounts::default();
+        for tx in &set.to_data {
+            if tx.send(&Msg::Shutdown) {
+                runtime_tx.shutdown += 1;
             }
-            let control_res: Vec<_> = controls.into_iter().map(join).collect();
-            // Every shard is done (or failed): stop the router, then tear
-            // the run down — the runtime owns the Shutdown broadcast.
-            let router_rx = router
-                .map(|h| {
-                    control_inbox.close();
-                    join(h)
-                })
-                .unwrap_or_default();
-            let mut runtime_tx = MsgCounts::default();
-            for tx in &to_data {
+        }
+        if control_res.iter().any(|r| r.is_err()) {
+            // Fast failure: clients blocked on a commit ack that will
+            // never come get released instead of riding the watchdog.
+            for tx in &set.to_clients {
                 if tx.send(&Msg::Shutdown) {
                     runtime_tx.shutdown += 1;
                 }
             }
-            if control_res.iter().any(|r| r.is_err()) {
-                // Fast failure: clients blocked on a commit ack that will
-                // never come get released instead of riding the watchdog.
-                for tx in &to_clients {
-                    if tx.send(&Msg::Shutdown) {
-                        runtime_tx.shutdown += 1;
-                    }
-                }
-            }
-            (
-                control_res,
-                router_rx,
-                runtime_tx,
-                data.into_iter().map(join).collect(),
-                clis.into_iter().map(join).collect(),
-            )
-        });
+        }
+        (
+            control_res,
+            router_rx,
+            runtime_tx,
+            data_handles.into_iter().map(join).collect::<Vec<_>>(),
+            client_handles.into_iter().map(join).collect::<Vec<_>>(),
+        )
+    });
     let wall = started.elapsed();
 
     // Teardown: dropping our sender handles closes the fault queues (their
@@ -618,125 +671,172 @@ pub fn run_cell_load(
     // every socket's reader sees EOF. Only then are the pumps (ours and the
     // transport's service threads) joinable, and only once they are joined
     // has every frame that was sent been counted as received.
-    drop(to_data);
-    drop(data_to_control);
-    drop(to_clients);
-    drop(client_to_control);
-    for pump in pumps {
+    drop(set.to_data);
+    drop(set.data_to_control);
+    drop(set.to_clients);
+    drop(set.client_to_control);
+    for pump in set.pumps {
         pump.join()
             .expect("invariant: fault forwarders and client pumps exit once their source ends");
     }
-    for svc in fabric.service {
+    for svc in set.service {
         svc.join()
             .expect("invariant: transport pumps exit on EOF");
     }
-    let bytes = (fabric.bytes)();
     // Every stream sender travelled into a control actor and dropped when
     // it returned (success or failure), so the certifiers have hit EOF and
     // these joins cannot block.
-    let stream_certs: Vec<Result<(CertifyReport, usize), CertifyViolation>> = certifiers
+    let stream_certs = set
+        .certifiers
         .into_iter()
         .map(|h| {
             h.join()
                 .expect("invariant: certifier threads return errors instead of panicking")
         })
         .collect();
+    Joined {
+        controls: control_res,
+        data: data_res,
+        clients: client_res,
+        router_rx,
+        runtime_tx,
+        stream_certs,
+        wall,
+        bytes: (set.bytes)(),
+        dup_deliveries: set.fault_counters.duplicated(),
+        delayed_deliveries: set.fault_counters.delayed(),
+    }
+}
 
+/// The run's merged books: every actor's tallies folded together.
+#[derive(Default)]
+struct Books {
+    sent: MsgCounts,
+    processed: MsgCounts,
+    data_rtts: Vec<u64>,
+    access_retries: u64,
+    max_retry_streak: u32,
+    batched_inner: u64,
+    batch_sizes: Histogram,
+    /// Per shard: (admissions, commits).
+    per_shard: Vec<(u64, u64)>,
+    node_unavailable: u64,
+    wal: WalStats,
+    /// The run's merged snapshot books: shard-disjoint transactions seal
+    /// into shard-owned logs, so a plain merge is the whole-run seal order.
+    mvcc_log: CommitLog,
+    readers: Vec<ReaderRecord>,
+    reader_lats: Vec<u64>,
+    writer_lats: Vec<u64>,
+    offered: u64,
+    shed: u64,
+    shed_ids: BTreeSet<TxnId>,
+    crash_drops: u64,
+    read_checksum: u64,
+    cell_sum: u64,
+    store_write_units: u64,
+    recoveries: u64,
+    replay_chains: Histogram,
+    chain_totals: wtpg_mvcc::ChainTotals,
+}
+
+impl Books {
+    /// Folds the actors' outcomes together, on top of what the runtime
+    /// itself sent and its router consumed. Returns the merged control audit
+    /// alongside (single-shard: untouched).
+    ///
+    /// # Errors
+    /// [`NetError::Certify`] when the shard audits are not
+    /// component-disjoint — histories a sharded scheduler could never have
+    /// produced.
+    fn merge(
+        runtime_tx: MsgCounts,
+        router_rx: MsgCounts,
+        controls: Vec<ControlOutcome>,
+        clients: &[ClientOutcome],
+        data: &[DataOutcome],
+    ) -> Result<(Books, ControlAudit), NetError> {
+        let mut b = Books {
+            sent: runtime_tx,
+            processed: router_rx,
+            ..Books::default()
+        };
+        let mut audits = Vec::with_capacity(controls.len());
+        for c in controls {
+            b.sent.merge(&c.tx);
+            b.processed.merge(&c.rx);
+            b.data_rtts.extend_from_slice(&c.data_rtts_us);
+            b.access_retries += c.access_retries;
+            b.max_retry_streak = b.max_retry_streak.max(c.max_retry_streak);
+            b.batched_inner += c.batched_inner;
+            b.batch_sizes.merge(&c.batch_sizes);
+            b.node_unavailable += c.node_unavailable;
+            b.wal.checkpoints += c.ckpt_writes;
+            b.per_shard
+                .push((c.audit.counters.admissions, c.audit.counters.commits));
+            audits.push(c.audit);
+            if let Some(audit) = c.mvcc {
+                b.mvcc_log.merge(audit.log);
+                b.readers.extend(audit.readers);
+            }
+        }
+        // The merge re-checks the sharding premise — component disjointness.
+        let audit = merge_audits(audits).map_err(NetError::Certify)?;
+        for c in clients {
+            b.sent.merge(&c.tx);
+            b.processed.merge(&c.rx);
+            b.reader_lats.extend_from_slice(&c.reader_latencies_us);
+            b.writer_lats.extend_from_slice(&c.writer_latencies_us);
+            b.offered += c.offered;
+            b.shed += c.shed;
+            b.shed_ids.extend(c.shed_ids.iter().copied());
+        }
+        for d in data {
+            b.sent.merge(&d.tx);
+            b.processed.merge(&d.rx);
+            b.crash_drops += d.crash_drops;
+            b.read_checksum = b.read_checksum.wrapping_add(d.read_checksum);
+            b.cell_sum += d.cell_sum;
+            b.store_write_units += d.write_units;
+            b.batched_inner += d.batched_inner;
+            b.batch_sizes.merge(&d.batch_sizes);
+            b.recoveries += d.recoveries;
+            b.wal.merge(&d.wal);
+            b.replay_chains.merge(&d.replay_chains);
+            b.chain_totals.merge(d.chains);
+        }
+        Ok((b, audit))
+    }
+}
+
+/// Phase 4: judges what the threads returned — actor errors first, then
+/// the books, conservation, certification — and emits the run's
+/// cumulative records to `obs`.
+fn assemble(
+    plan: &RunPlan<'_>,
+    joined: Joined,
+    obs: Option<&dyn Observer>,
+) -> Result<NetReport, NetError> {
+    let cfg = plan.cfg;
     // Error priority: a control shard's verdict names the root cause
     // (client/data failures usually cascade from it or into it).
-    let mut controls: Vec<ControlOutcome> = Vec::with_capacity(shards);
-    for r in control_res {
-        controls.push(r?);
-    }
-    let mut clients_out: Vec<ClientOutcome> = Vec::with_capacity(clients);
-    for r in client_res {
-        clients_out.push(r?);
-    }
-    let mut data_out: Vec<DataOutcome> = Vec::with_capacity(data_nodes);
-    for r in data_res {
-        data_out.push(r?);
-    }
-
-    // Aggregate the books.
+    let controls = joined.controls.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let clients_out = joined.clients.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let data_out = joined.data.into_iter().collect::<Result<Vec<_>, _>>()?;
     let head = controls
         .first()
         .expect("invariant: shards >= 1, so at least one control outcome");
-    let name = head.name.clone();
-    let mode = head.mode;
-    let mut sent = runtime_tx;
-    let mut processed = router_rx;
-    let mut data_rtts = Vec::new();
-    let mut access_retries = 0u64;
-    let mut max_retry_streak = 0u32;
-    let mut batched_inner = 0u64;
-    let mut batch_sizes = Histogram::new();
-    let mut per_shard: Vec<(u64, u64)> = Vec::with_capacity(shards); // (admissions, commits)
-    let mut audits = Vec::with_capacity(shards);
-    let mut node_unavailable = 0u64;
-    let mut wal = WalStats::default();
-    // The run's merged snapshot books: shard-disjoint transactions seal
-    // into shard-owned logs, so a plain merge is the whole-run seal order.
-    let mut mvcc_log: Option<CommitLog> = None;
-    let mut readers: Vec<ReaderRecord> = Vec::new();
-    for c in controls {
-        sent.merge(&c.tx);
-        processed.merge(&c.rx);
-        data_rtts.extend_from_slice(&c.data_rtts_us);
-        access_retries += c.access_retries;
-        max_retry_streak = max_retry_streak.max(c.max_retry_streak);
-        batched_inner += c.batched_inner;
-        batch_sizes.merge(&c.batch_sizes);
-        node_unavailable += c.node_unavailable;
-        wal.checkpoints += c.ckpt_writes;
-        per_shard.push((c.audit.counters.admissions, c.audit.counters.commits));
-        audits.push(c.audit);
-        if let Some(audit) = c.mvcc {
-            mvcc_log.get_or_insert_with(CommitLog::new).merge(audit.log);
-            readers.extend(audit.readers);
-        }
-    }
-    let reader_commits = readers.len() as u64;
-    // Merge the per-shard audits (single-shard: returned untouched). The
-    // merge re-checks the sharding premise — component disjointness — and
-    // refuses histories a sharded scheduler could never have produced.
-    let audit = merge_audits(audits).map_err(NetError::Certify)?;
-    let mut reader_lats = Vec::new();
-    let mut writer_lats = Vec::new();
-    let mut offered = 0u64;
-    let mut shed = 0u64;
-    let mut shed_ids: BTreeSet<TxnId> = BTreeSet::new();
-    for c in &clients_out {
-        sent.merge(&c.tx);
-        processed.merge(&c.rx);
-        reader_lats.extend_from_slice(&c.reader_latencies_us);
-        writer_lats.extend_from_slice(&c.writer_latencies_us);
-        offered += c.offered;
-        shed += c.shed;
-        shed_ids.extend(c.shed_ids.iter().copied());
-    }
+    let (name, mode, shards) = (head.name.clone(), head.mode, controls.len());
+    let (mut b, audit) = Books::merge(
+        joined.runtime_tx,
+        joined.router_rx,
+        controls,
+        &clients_out,
+        &data_out,
+    )?;
+    let reader_commits = b.readers.len() as u64;
     // What actually entered the system — the open-loop commit target.
-    let accepted = offered - shed;
-    let mut crash_drops = 0u64;
-    let mut read_checksum = 0u64;
-    let mut cell_sum = 0u64;
-    let mut store_write_units = 0u64;
-    let mut recoveries = 0u64;
-    let mut replay_chains = Histogram::new();
-    let mut chain_totals = wtpg_mvcc::ChainTotals::default();
-    for d in &data_out {
-        sent.merge(&d.tx);
-        processed.merge(&d.rx);
-        crash_drops += d.crash_drops;
-        read_checksum = read_checksum.wrapping_add(d.read_checksum);
-        cell_sum += d.cell_sum;
-        store_write_units += d.write_units;
-        batched_inner += d.batched_inner;
-        batch_sizes.merge(&d.batch_sizes);
-        recoveries += d.recoveries;
-        wal.merge(&d.wal);
-        replay_chains.merge(&d.replay_chains);
-        chain_totals.merge(d.chains);
-    }
+    let accepted = b.offered - b.shed;
 
     // Streaming certification verdicts (empty when `stream_certify` is
     // off). A violation outranks everything but an actor error: the run
@@ -744,7 +844,7 @@ pub fn run_cell_load(
     let mut stream_grants = 0usize;
     let mut stream_eq_checks = 0usize;
     let mut stream_events = 0usize;
-    for r in stream_certs {
+    for r in joined.stream_certs {
         let (rep, fed) = r.map_err(NetError::Certify)?;
         stream_grants += rep.grants;
         stream_eq_checks += rep.eq_checks;
@@ -752,95 +852,98 @@ pub fn run_cell_load(
     }
 
     let counters = audit.counters;
+    let wall = joined.wall.as_secs_f64();
     let mut report = NetReport {
         scheduler: name,
-        transport: transport.name().to_string(),
-        fault: fault.label().to_string(),
+        transport: plan.transport.to_string(),
+        fault: plan.fault.label().to_string(),
         durability: cfg.durability.label().to_string(),
-        clients,
-        data_nodes,
+        clients: plan.clients,
+        data_nodes: plan.data_nodes,
         shards,
         submitted: accepted as usize,
-        offered,
-        shed,
+        offered: b.offered,
+        shed: b.shed,
         // Readers commit on the snapshot plane, outside the scheduler's
         // counters; both kinds are commits to the workload.
         committed: counters.commits + reader_commits,
         rejected_admissions: counters.rejections,
         delayed_retries: counters.blocks + counters.delays,
-        max_retry_streak,
-        wall_ms: wall.as_secs_f64() * 1e3,
-        throughput_tps: if wall.as_secs_f64() > 0.0 {
-            (counters.commits + reader_commits) as f64 / wall.as_secs_f64()
+        max_retry_streak: b.max_retry_streak,
+        wall_ms: wall * 1e3,
+        throughput_tps: if wall > 0.0 {
+            (counters.commits + reader_commits) as f64 / wall
         } else {
             0.0
         },
         // Every commit is on exactly one of the two client ledgers.
         latency: LatencySummary::from_us(
-            reader_lats.iter().chain(&writer_lats).copied().collect(),
+            b.reader_lats.iter().chain(&b.writer_lats).copied().collect(),
         ),
-        data_rtt: LatencySummary::from_us(data_rtts.clone()),
+        data_rtt: LatencySummary::from_us(b.data_rtts.clone()),
         history_events: if cfg.stream_certify {
             stream_events
         } else {
             audit.history.len()
         },
         logical_ticks: audit.final_tick.millis(),
-        messages_sent: sent.total(),
-        batched_inner,
-        msgs: sent.into(),
-        bytes_sent: bytes.bytes_sent,
-        bytes_received: bytes.bytes_received,
-        frames_sent: bytes.frames_sent,
-        frames_received: bytes.frames_received,
-        dup_deliveries: fault_counters.duplicated(),
-        delayed_deliveries: fault_counters.delayed(),
-        access_retries,
-        crash_drops,
-        recoveries,
-        node_unavailable,
-        wal_records: wal.records,
-        wal_flushes: wal.flushes,
-        wal_fsyncs: wal.fsyncs,
-        wal_bytes: wal.bytes,
-        wal_replayed_chunks: wal.replayed_chunks,
-        wal_checkpoints: wal.checkpoints,
+        messages_sent: b.sent.total(),
+        batched_inner: b.batched_inner,
+        msgs: b.sent.into(),
+        bytes_sent: joined.bytes.bytes_sent,
+        bytes_received: joined.bytes.bytes_received,
+        frames_sent: joined.bytes.frames_sent,
+        frames_received: joined.bytes.frames_received,
+        dup_deliveries: joined.dup_deliveries,
+        delayed_deliveries: joined.delayed_deliveries,
+        access_retries: b.access_retries,
+        crash_drops: b.crash_drops,
+        recoveries: b.recoveries,
+        node_unavailable: b.node_unavailable,
+        wal_records: b.wal.records,
+        wal_flushes: b.wal.flushes,
+        wal_fsyncs: b.wal.fsyncs,
+        wal_bytes: b.wal.bytes,
+        wal_replayed_chunks: b.wal.replayed_chunks,
+        wal_checkpoints: b.wal.checkpoints,
         certified: false,
         certify_grants: 0,
         certify_eq_checks: 0,
         expected_write_units: 0,
-        store_write_units,
-        store_cell_sum: cell_sum,
+        store_write_units: b.store_write_units,
+        store_cell_sum: b.cell_sum,
         store_consistent: false,
-        read_checksum,
+        read_checksum: b.read_checksum,
         reader_commits,
-        reader_latency: LatencySummary::from_us(reader_lats),
-        writer_latency: LatencySummary::from_us(writer_lats),
-        snapshot_reads: chain_totals.snapshot_reads,
-        chain_appended: chain_totals.appended,
-        chain_pruned: chain_totals.pruned,
-        chain_live_peak: chain_totals.live_peak,
+        reader_latency: LatencySummary::from_us(std::mem::take(&mut b.reader_lats)),
+        writer_latency: LatencySummary::from_us(std::mem::take(&mut b.writer_lats)),
+        snapshot_reads: b.chain_totals.snapshot_reads,
+        chain_appended: b.chain_totals.appended,
+        chain_pruned: b.chain_totals.pruned,
+        chain_live_peak: b.chain_totals.live_peak,
         snapshot_certified: false,
     };
 
     // Conservation: every committed write step's declared units must be
     // visible as cell increments across the data nodes. Shed arrivals
     // never entered the system, so their declared writes don't count.
-    let expected: u64 = specs
+    let expected: u64 = plan
+        .specs
         .iter()
-        .filter(|t| !shed_ids.contains(&t.id))
+        .filter(|t| !b.shed_ids.contains(&t.id))
         .flat_map(|t| t.steps().iter())
         .filter(|st| st.mode == AccessMode::Write)
         .map(|st| st.actual_cost.units())
         .sum();
     report.expected_write_units = expected;
-    report.store_consistent =
-        report.committed == accepted && store_write_units == expected && cell_sum == expected;
+    report.store_consistent = report.committed == accepted
+        && b.store_write_units == expected
+        && b.cell_sum == expected;
     if report.committed == accepted && !report.store_consistent {
         return Err(NetError::StoreDiverged {
             expected,
-            cells: cell_sum,
-            tallied: store_write_units,
+            cells: b.cell_sum,
+            tallied: b.store_write_units,
         });
     }
 
@@ -853,8 +956,8 @@ pub fn run_cell_load(
     } else if cfg.certify {
         // Single shard: the untouched history, replayed exactly as the
         // unsharded engine's. Sharded: the canonical merge built above.
-        let cert = certify_history(&audit.history, &audit.specs, mode)
-            .map_err(NetError::Certify)?;
+        let cert =
+            certify_history(&audit.history, &audit.specs, mode).map_err(NetError::Certify)?;
         report.certified = true;
         report.certify_grants = cert.grants;
         report.certify_eq_checks = cert.eq_checks;
@@ -865,61 +968,72 @@ pub fn run_cell_load(
     // snapshot tick. Rebuilt from the control plane's seal/commit books
     // alone — the data nodes' answers are what is being checked.
     if cfg.mvcc {
-        let log = mvcc_log.unwrap_or_default();
-        let rows: BTreeMap<u32, u64> = catalog
+        let rows: BTreeMap<u32, u64> = plan
+            .catalog
             .partitions()
-            .map(|p| (p.0, catalog.size(p).units().max(1)))
+            .map(|p| (p.0, plan.catalog.size(p).units().max(1)))
             .collect();
-        certify_snapshots(&log, &readers, &rows)?;
-        report.snapshot_certified = true;
-    } else {
-        report.snapshot_certified = true; // vacuous: no snapshot plane
+        certify_snapshots(&b.mvcc_log, &b.readers, &rows)?;
     }
+    // Vacuously true without a snapshot plane.
+    report.snapshot_certified = true;
 
     if let Some(o) = obs {
-        let stats = NetStats {
-            processed,
-            sent,
-            bytes,
-            dup_deliveries: report.dup_deliveries,
-            delayed_deliveries: report.delayed_deliveries,
-            access_retries: report.access_retries,
-            crash_drops,
-            batched_inner,
-        };
-        stats.emit(o.as_ref(), 0, 0);
-        wal.emit(o.as_ref(), 0, 0);
-        if recoveries > 0 {
-            o.record(ObsEvent::hist(0, 0, "net_wal_replay_chain", replay_chains));
-        }
-        o.record(ObsEvent::counter(0, 0, "net_commits", counters.commits));
-        for (si, &(admissions, commits)) in per_shard.iter().enumerate() {
-            o.record(ObsEvent::counter(
-                0,
-                0,
-                format!("net_shard{si}_admissions"),
-                admissions,
-            ));
-            o.record(ObsEvent::counter(
-                0,
-                0,
-                format!("net_shard{si}_commits"),
-                commits,
-            ));
-        }
-        o.record(ObsEvent::hist(0, 0, "net_batch_size", batch_sizes));
-        let mut data_hist = Histogram::new();
-        for us in data_rtts {
-            data_hist.record(us);
-        }
-        o.record(ObsEvent::hist(0, 0, "net_data_rtt_us", data_hist));
+        emit_cumulative(o, &report, counters.commits, b, joined.bytes);
     }
     Ok(report)
+}
+
+/// Emits the run's cumulative network-plane records on track 0.
+fn emit_cumulative(
+    o: &dyn Observer,
+    report: &NetReport,
+    sched_commits: u64,
+    b: Books,
+    bytes: ByteCounts,
+) {
+    let stats = NetStats {
+        processed: b.processed,
+        sent: b.sent,
+        bytes,
+        dup_deliveries: report.dup_deliveries,
+        delayed_deliveries: report.delayed_deliveries,
+        access_retries: report.access_retries,
+        crash_drops: b.crash_drops,
+        batched_inner: b.batched_inner,
+    };
+    stats.emit(o, 0, 0);
+    b.wal.emit(o, 0, 0);
+    if b.recoveries > 0 {
+        o.record(ObsEvent::hist(0, 0, "net_wal_replay_chain", b.replay_chains));
+    }
+    o.record(ObsEvent::counter(0, 0, "net_commits", sched_commits));
+    for (si, &(admissions, commits)) in b.per_shard.iter().enumerate() {
+        o.record(ObsEvent::counter(
+            0,
+            0,
+            format!("net_shard{si}_admissions"),
+            admissions,
+        ));
+        o.record(ObsEvent::counter(
+            0,
+            0,
+            format!("net_shard{si}_commits"),
+            commits,
+        ));
+    }
+    o.record(ObsEvent::hist(0, 0, "net_batch_size", b.batch_sizes));
+    let mut data_hist = Histogram::new();
+    for us in b.data_rtts {
+        data_hist.record(us);
+    }
+    o.record(ObsEvent::hist(0, 0, "net_data_rtt_us", data_hist));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::PlanError;
     use crate::transport::InProc;
     use wtpg_rt::sched_by_name;
     use wtpg_rt::workload::pattern_specs;
@@ -1321,7 +1435,7 @@ mod tests {
         )
         .expect_err("kill + mvcc must be rejected up front");
         assert!(
-            matches!(err, NetError::Protocol(ref m) if m.contains("kill")),
+            matches!(err, NetError::Plan(PlanError::MvccWithKill)),
             "{err:?}"
         );
     }

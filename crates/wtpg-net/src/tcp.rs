@@ -39,7 +39,6 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use wtpg_obs::ByteCounts;
@@ -307,6 +306,61 @@ fn socket_mailbox(stream: &TcpStream, counters: &Arc<Counters>) -> Result<Inbox,
     }))))
 }
 
+/// The control side of a fabric's connections: a writer to each data node,
+/// a writer to each client, and the socket mailboxes still to be pumped.
+type Accepted = (Vec<Arc<dyn MsgTx>>, Vec<Arc<dyn MsgTx>>, Vec<Inbox>);
+
+/// Accepts `data_nodes + clients` connections and sorts the writer halves
+/// by the announced (role, id).
+fn accept_peers(
+    listener: &TcpListener,
+    data_nodes: usize,
+    clients: usize,
+    counters: &Arc<Counters>,
+) -> Result<Accepted, NetError> {
+    let mut to_data: Vec<Option<Arc<dyn MsgTx>>> = (0..data_nodes).map(|_| None).collect();
+    let mut to_clients: Vec<Option<Arc<dyn MsgTx>>> = (0..clients).map(|_| None).collect();
+    let mut control_rx: Vec<Inbox> = Vec::with_capacity(data_nodes + clients);
+    for _ in 0..(data_nodes + clients) {
+        let (mut stream, _) = listener.accept()?;
+        stream.set_nodelay(true)?;
+        let mut preamble = [0u8; 5];
+        stream.read_exact(&mut preamble)?;
+        let [role, b0, b1, b2, b3] = preamble;
+        let id = u32::from_le_bytes([b0, b1, b2, b3]) as usize;
+        control_rx.push(socket_mailbox(&stream, counters)?);
+        let tx = TcpTx::over(stream, counters);
+        let slot = match role {
+            ROLE_DATA => to_data.get_mut(id),
+            ROLE_CLIENT => to_clients.get_mut(id),
+            other => {
+                return Err(NetError::Protocol(format!(
+                    "unknown preamble role byte {other}"
+                )))
+            }
+        };
+        match slot {
+            Some(s @ None) => *s = Some(tx),
+            Some(Some(_)) => {
+                return Err(NetError::Protocol(format!(
+                    "duplicate preamble for role {role} id {id}"
+                )))
+            }
+            None => {
+                return Err(NetError::Protocol(format!(
+                    "preamble id {id} out of range for role {role}"
+                )))
+            }
+        }
+    }
+    let unwrap_all = |v: Vec<Option<Arc<dyn MsgTx>>>| -> Result<Vec<Arc<dyn MsgTx>>, NetError> {
+        v.into_iter()
+            .map(|o| o.ok_or_else(|| NetError::Protocol("missing peer connection".into())))
+            .collect()
+    };
+    Ok((unwrap_all(to_data)?, unwrap_all(to_clients)?, control_rx))
+}
+
 /// The loopback-TCP transport.
 pub struct Tcp;
 
@@ -325,7 +379,6 @@ impl Transport for Tcp {
         let mut client_inboxes: Vec<Inbox> = Vec::with_capacity(clients);
         let mut data_to_control: Vec<Arc<dyn MsgTx>> = Vec::with_capacity(data_nodes);
         let mut client_to_control: Vec<Arc<dyn MsgTx>> = Vec::with_capacity(clients);
-        let mut service: Vec<JoinHandle<()>> = Vec::new();
 
         // Open every peer connection. Connects complete against the listen
         // backlog, so it is safe to connect them all before accepting any.
@@ -354,58 +407,20 @@ impl Transport for Tcp {
             connect(ROLE_CLIENT, c as u32)?;
         }
 
-        // Accept the control side of every connection and sort the writer
-        // halves by the announced (role, id).
-        let mut to_data: Vec<Option<Arc<dyn MsgTx>>> = (0..data_nodes).map(|_| None).collect();
-        let mut to_clients: Vec<Option<Arc<dyn MsgTx>>> = (0..clients).map(|_| None).collect();
-        for _ in 0..(data_nodes + clients) {
-            let (mut stream, _) = listener.accept()?;
-            stream.set_nodelay(true)?;
-            let mut preamble = [0u8; 5];
-            stream.read_exact(&mut preamble)?;
-            let [role, b0, b1, b2, b3] = preamble;
-            let id = u32::from_le_bytes([b0, b1, b2, b3]) as usize;
-            // These pumps all feed the shared control inbox; none of them
-            // may close it for the others.
-            service.push(spawn_pump(
-                socket_mailbox(&stream, &counters)?,
-                Arc::clone(&control_inbox),
-                false,
-            ));
-            let tx = TcpTx::over(stream, &counters);
-            let slot = match role {
-                ROLE_DATA => to_data.get_mut(id),
-                ROLE_CLIENT => to_clients.get_mut(id),
-                other => {
-                    return Err(NetError::Protocol(format!(
-                        "unknown preamble role byte {other}"
-                    )))
-                }
-            };
-            match slot {
-                Some(s @ None) => *s = Some(tx),
-                Some(Some(_)) => {
-                    return Err(NetError::Protocol(format!(
-                        "duplicate preamble for role {role} id {id}"
-                    )))
-                }
-                None => {
-                    return Err(NetError::Protocol(format!(
-                        "preamble id {id} out of range for role {role}"
-                    )))
-                }
-            }
-        }
-        let unwrap_all = |v: Vec<Option<Arc<dyn MsgTx>>>| -> Result<Vec<Arc<dyn MsgTx>>, NetError> {
-            v.into_iter()
-                .map(|o| o.ok_or_else(|| NetError::Protocol("missing peer connection".into())))
-                .collect()
-        };
+        let (to_data, to_clients, control_rx) =
+            accept_peers(&listener, data_nodes, clients, &counters)?;
+        // Nothing from here on can fail, so no early return can strand a
+        // thread: only now does each accepted connection get its pump. They
+        // all feed the shared control inbox; none may close it for the others.
+        let service = control_rx
+            .into_iter()
+            .map(|rx| spawn_pump(rx, Arc::clone(&control_inbox), false))
+            .collect();
 
         let bytes_counters = Arc::clone(&counters);
         Ok(Fabric {
-            to_data: unwrap_all(to_data)?,
-            to_clients: unwrap_all(to_clients)?,
+            to_data,
+            to_clients,
             data_to_control,
             client_to_control,
             control_inbox,
@@ -489,6 +504,38 @@ mod tests {
             h.join().expect("pumps exit on EOF");
         }
         assert_eq!(data_inboxes[0].pop(), None, "EOF closed the data mailbox");
+    }
+
+    /// A connection that announces an unknown role fails the build — and,
+    /// because pumps are spawned only after every connection checked out,
+    /// the connections accepted before it left no thread behind.
+    #[test]
+    fn a_bad_preamble_fails_the_accept_without_spawning_anything() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("loopback listener");
+        let addr = listener.local_addr().expect("bound address");
+        let mut good = TcpStream::connect(addr).expect("connect");
+        good.write_all(&[ROLE_DATA, 0, 0, 0, 0]).expect("preamble");
+        let mut bad = TcpStream::connect(addr).expect("connect");
+        bad.write_all(&[9, 0, 0, 0, 0]).expect("preamble");
+        let counters = Arc::new(Counters::default());
+        let Err(err) = accept_peers(&listener, 1, 1, &counters) else {
+            panic!("an unknown role byte must fail the accept");
+        };
+        assert!(
+            matches!(err, NetError::Protocol(ref m) if m.contains("role byte 9")),
+            "{err:?}"
+        );
+        let mut dup = TcpStream::connect(addr).expect("connect");
+        dup.write_all(&[ROLE_DATA, 0, 0, 0, 0]).expect("preamble");
+        let mut dup2 = TcpStream::connect(addr).expect("connect");
+        dup2.write_all(&[ROLE_DATA, 0, 0, 0, 0]).expect("preamble");
+        let Err(err) = accept_peers(&listener, 1, 1, &counters) else {
+            panic!("two connections for one slot must fail the accept");
+        };
+        assert!(
+            matches!(err, NetError::Protocol(ref m) if m.contains("duplicate preamble")),
+            "{err:?}"
+        );
     }
 
     /// The census: one pump per accepted connection and nothing else — no

@@ -14,7 +14,7 @@ use wtpg_net::fault::{FaultPlan, KillPlan, LinkFaults};
 use wtpg_net::runtime::{run_cell, NetConfig, OpenLoop};
 use wtpg_net::tcp::Tcp;
 use wtpg_net::transport::{InProc, Transport};
-use wtpg_net::NetError;
+use wtpg_net::{NetError, PlanError};
 use wtpg_rt::backoff::Backoff;
 use wtpg_rt::sched_by_name;
 use wtpg_rt::workload::pattern_specs;
@@ -202,7 +202,10 @@ fn kill_without_durability_is_rejected() {
         &FaultPlan::kill_node(0),
     )
     .expect_err("a kill without a log to restart from must be refused");
-    assert!(matches!(err, NetError::Dur(_)), "{err:?}");
+    assert!(
+        matches!(err, NetError::Plan(PlanError::KillWithoutLog)),
+        "{err:?}"
+    );
 }
 
 #[test]
@@ -262,5 +265,74 @@ fn open_loop_checkpoint_counts_every_completed_step() {
     assert_eq!(ckpt.committed, r.committed);
     let declared_steps: usize = specs.iter().map(|s| s.len()).sum();
     assert_eq!(ckpt.completed_steps, declared_steps as u64);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A log directory belongs to one run. A second run into a directory that
+/// still holds the first run's logs would *append* to them, and a node
+/// killed in the second run would replay both runs' records — recovery is
+/// only sound over the log of this run — so the plan is refused before any
+/// thread, socket or file exists. (Before the plan existed this wedged
+/// until the control watchdog fired.)
+#[test]
+fn a_used_wal_dir_is_refused_before_the_run_starts() {
+    let (catalog, specs) = pattern_specs(Pattern::One, 60, 7);
+    let dir = wal_dir("reused");
+    // Short watchdog: the wedge this guards against costs < 2 s to show.
+    let cfg = NetConfig {
+        watchdog_ms: 1_500,
+        ..dur_cfg(Durability::Sync, &dir)
+    };
+    let sched = || sched_by_name("chain", 2, 2000).expect("known scheduler");
+    let first = run_cell(&cfg, &sched, &catalog, &specs, &InProc, &FaultPlan::none())
+        .expect("first run into a fresh directory completes cleanly");
+    assert_eq!(first.committed, 60);
+    let before: Vec<_> = dir_listing(&dir);
+    let err = run_cell(&cfg, &sched, &catalog, &specs, &InProc, &FaultPlan::kill_node(0))
+        .expect_err("a second run into the same directory must be refused");
+    match err {
+        NetError::Plan(PlanError::WalDirNotFresh { dir: refused, found }) => {
+            assert_eq!(refused, dir);
+            assert!(
+                found.ends_with(".wal") || found.ends_with(".ckpt"),
+                "{found}"
+            );
+        }
+        other => panic!("expected WalDirNotFresh, got {other:?}"),
+    }
+    assert_eq!(dir_listing(&dir), before, "a refused plan touches nothing");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `(file name, length)` of everything in `dir`, sorted.
+fn dir_listing(dir: &Path) -> Vec<(String, u64)> {
+    let mut files: Vec<(String, u64)> = std::fs::read_dir(dir)
+        .expect("wal dir lists")
+        .map(|e| {
+            let e = e.expect("dir entry reads");
+            let len = e.metadata().expect("entry metadata").len();
+            (e.file_name().to_string_lossy().into_owned(), len)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn an_empty_existing_wal_dir_is_accepted() {
+    let (catalog, specs) = pattern_specs(Pattern::One, 40, 7);
+    let dir = wal_dir("empty-existing");
+    std::fs::create_dir_all(&dir).expect("create the empty directory");
+    let r = run_cell(
+        &dur_cfg(Durability::Buffered, &dir),
+        &|| sched_by_name("chain", 2, 2000).expect("known scheduler"),
+        &catalog,
+        &specs,
+        &InProc,
+        &FaultPlan::none(),
+    )
+    .expect("an empty pre-existing directory is a fresh one");
+    assert_eq!(r.committed, 40);
+    assert!(r.wal_records > 0);
     let _ = std::fs::remove_dir_all(&dir);
 }

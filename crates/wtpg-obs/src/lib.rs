@@ -31,7 +31,6 @@ pub mod chrome;
 pub mod event;
 pub mod hist;
 pub mod jsonl;
-pub mod meta;
 pub mod net;
 pub mod observer;
 pub mod slo;

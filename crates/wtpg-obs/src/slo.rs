@@ -10,10 +10,6 @@
 //! [`WindowVerdict`] per loaded window (the machine-readable verdict
 //! stream) and a final [`SloOutcome`].
 //!
-//! [`bisect_max`] is the max-sustainable-tps driver: binary search over
-//! the arrival rate λ for the largest offered load whose run still meets
-//! the SLO.
-//!
 //! Everything here is pure arithmetic over [`WindowStats`] values —
 //! deterministic and clock-free, like the rest of the crate.
 
@@ -335,33 +331,6 @@ pub fn evaluate(spec: &SloSpec, windows: &[WindowStats]) -> (Vec<WindowVerdict>,
     )
 }
 
-/// Binary search for the largest `x` in `[lo, hi]` for which `probe(x)`
-/// holds, assuming (approximate) monotonicity — the max-sustainable-tps
-/// driver. Runs `iters` probes after checking `lo`; returns the highest
-/// passing value found, or `None` when even `lo` fails.
-pub fn bisect_max(
-    lo: f64,
-    hi: f64,
-    iters: u32,
-    mut probe: impl FnMut(f64) -> bool,
-) -> Option<f64> {
-    if !probe(lo) {
-        return None;
-    }
-    let (mut lo, mut hi) = (lo, hi);
-    let mut best = lo;
-    for _ in 0..iters {
-        let mid = (lo + hi) / 2.0;
-        if probe(mid) {
-            best = mid;
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    Some(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -473,20 +442,5 @@ mod tests {
         assert!((s.abort_rate() - 0.1).abs() < 1e-9);
         assert!((w(0, 0, 0, 0, 0).abort_rate()).abs() < 1e-12);
         assert!((w(0, 100, 50, 0, 0).tps() - 200.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn bisect_finds_the_threshold() {
-        let mut probes = Vec::new();
-        let max = bisect_max(100.0, 6500.0, 12, |x| {
-            probes.push(x);
-            x <= 4200.0
-        });
-        let max = max.expect("lo passes");
-        assert!((max - 4200.0).abs() < 5.0, "{max}");
-        assert_eq!(probes.len(), 13);
-        assert_eq!(bisect_max(100.0, 500.0, 4, |_| false), None);
-        let all = bisect_max(100.0, 500.0, 4, |_| true).unwrap_or(0.0);
-        assert!(all > 470.0, "{all}");
     }
 }

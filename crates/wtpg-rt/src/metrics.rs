@@ -42,8 +42,8 @@ impl LatencySummary {
     }
 }
 
-/// The result of one engine run — everything `BENCH_engine.json` records
-/// per (scheduler, threads, contention) cell.
+/// The result of one engine run — what `wtpg engine --out` writes for one
+/// (scheduler, threads, contention) cell.
 #[derive(Clone, Debug, Serialize)]
 pub struct EngineReport {
     /// Scheduler display name ("CHAIN", "K2", …).
