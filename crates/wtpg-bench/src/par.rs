@@ -10,9 +10,8 @@
 //!
 //! Set `WTPG_BENCH_THREADS` to pin the pool size; unset, the pool matches
 //! the machine's available parallelism. `0`, `1`, or an unparsable value
-//! force the bit-identical serial path — the same convention the engine's
-//! `WTPG_ENGINE_THREADS` uses, via the shared parser in
-//! [`wtpg_rt::env::env_threads`].
+//! force the bit-identical serial path (parsed by
+//! [`wtpg_rt::env::env_threads`]).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use wtpg_core::partition::Catalog;
 use wtpg_core::txn::TxnSpec;
 use wtpg_net::{Durability, FaultPlan, InProc, NetConfig, Tcp, Transport};
-use wtpg_rt::engine::SendScheduler;
+use wtpg_rt::SendScheduler;
 use wtpg_rt::sched_by_name;
 use wtpg_rt::workload::pattern_specs;
 use wtpg_workload::{Pattern, ReadMix};

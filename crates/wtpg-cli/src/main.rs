@@ -10,12 +10,7 @@
 //!               [--scheduler NAME]      the run report
 //!               [--lambda F] [--sim-ms N] [--hots N] [--sigma F] [--seed N]
 //!               [--certify]               record the history and certify it
-//! wtpg engine   [--sched NAME]          execute a batch on the real
-//!               [--threads N]           multi-threaded engine
-//!               [--txns N] [--pattern 1|2|3] [--hots N] [--seed N]
-//!               [--queue N] [--k N] [--keeptime MS] [--no-certify]
-//!               [--out FILE]            write the report as JSON
-//!               [--trace FILE]          record a structured trace
+//!               [--trace FILE]            record a structured trace
 //! wtpg net      [--sched NAME]          execute a batch on the shared-
 //!               [--transport inproc|tcp]  nothing message-passing runtime
 //!               [--fault none|fault|crash|kill] with injected link faults
@@ -43,7 +38,6 @@
 use std::io::Read as _;
 
 mod cell;
-mod engine;
 mod load;
 mod net;
 mod obs;
@@ -59,7 +53,6 @@ fn main() {
         Some("dot") => plan::run(&args[1..], true),
         Some("trace") => trace::run(&args[1..]),
         Some("simulate") => simulate::run(&args[1..]),
-        Some("engine") => engine::run(&args[1..]),
         Some("net") => net::run(&args[1..]),
         Some("load") => load::run(&args[1..]),
         Some("top") => top::run(&args[1..]),
@@ -91,9 +84,6 @@ fn print_help() {
            wtpg simulate [--pattern 1|2|3] [--scheduler S] [--lambda F]\n\
                          [--sim-ms N] [--hots N] [--sigma F] [--seed N] [--certify]\n\
                          [--trace FILE]\n\
-           wtpg engine   [--sched S] [--threads N] [--txns N] [--pattern 1|2|3]\n\
-                         [--hots N] [--seed N] [--queue N] [--k N] [--keeptime MS]\n\
-                         [--no-certify] [--out FILE] [--trace FILE]\n\
            wtpg net      [--sched S] [--transport inproc|tcp] [--fault none|fault|crash|kill]\n\
                          [--durability none|buffered|sync] [--wal-dir DIR]\n\
                          [--clients N] [--txns N] [--pattern 1|2|3|4] [--hots N] [--groups N]\n\
@@ -127,22 +117,4 @@ pub(crate) fn read_workload(path: Option<&String>) -> Result<Vec<wtpg_core::txn:
         Some(p) => std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"))?,
     };
     wtpg_workload::notation::parse_workload(&text).map_err(|e| e.to_string())
-}
-
-/// Builds a scheduler by CLI name.
-pub(crate) fn scheduler_by_name(
-    name: &str,
-) -> Result<Box<dyn wtpg_core::sched::Scheduler>, String> {
-    use wtpg_core::sched::*;
-    Ok(match name.to_ascii_lowercase().as_str() {
-        "chain" => Box::new(ChainScheduler::new(5000)),
-        "k2" | "kwtpg" | "k-wtpg" => Box::new(KWtpgScheduler::new(2, 5000)),
-        "gwtpg" | "g-wtpg" => Box::new(GWtpgScheduler::new(5000)),
-        "asl" => Box::new(AslScheduler::new()),
-        "c2pl" => Box::new(C2plScheduler::new()),
-        "chain-c2pl" => Box::new(C2plScheduler::chain_c2pl()),
-        "k2-c2pl" => Box::new(C2plScheduler::k_c2pl(2)),
-        "nodc" => Box::new(NodcScheduler::new()),
-        other => return Err(format!("unknown scheduler {other:?}")),
-    })
 }

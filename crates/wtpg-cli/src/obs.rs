@@ -1,5 +1,5 @@
-//! `wtpg obs`: inspect JSONL traces produced by `wtpg engine --trace` or
-//! `wtpg simulate --trace`.
+//! `wtpg obs`: inspect JSONL traces produced by `wtpg simulate --trace`
+//! (or any other writer of the `wtpg-obs` JSONL event format).
 //!
 //! ```text
 //! wtpg obs summary <trace.jsonl>             percentiles, abort causes,
@@ -20,9 +20,9 @@ fn load_trace(path: &str) -> Result<Vec<ObsEvent>, String> {
     wtpg_obs::jsonl::decode(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Wall-clock engine traces are in µs, simulator traces in ms ticks. The
-/// heuristic matters only for Chrome's `ts` scaling: engine traces carry
-/// µs-resolution histograms named `*_us`.
+/// Wall-clock traces (`wtpg load --jsonl`) are in µs, simulator traces in
+/// ms ticks. The heuristic matters only for Chrome's `ts` scaling:
+/// wall-clock traces carry µs-resolution histograms named `*_us`.
 fn us_per_unit(events: &[ObsEvent]) -> u64 {
     let wall_clock = events
         .iter()

@@ -3,7 +3,6 @@
 
 use wtpg_sim::config::SimParams;
 use wtpg_sim::machine::Machine;
-use wtpg_sim::sched_kind::SchedKind;
 use wtpg_workload::{ErrorModel, Pattern, PatternWorkload};
 
 pub(crate) fn run(args: &[String]) -> Result<(), String> {
@@ -44,25 +43,17 @@ pub(crate) fn run(args: &[String]) -> Result<(), String> {
         3 => Pattern::Three { num_hots: hots },
         other => return Err(format!("--pattern must be 1, 2 or 3, got {other}")),
     };
-    let kind = match sched.to_ascii_lowercase().as_str() {
-        "chain" => SchedKind::Chain,
-        "k2" | "kwtpg" => SchedKind::KWtpg,
-        "gwtpg" | "g-wtpg" => SchedKind::GWtpg,
-        "asl" => SchedKind::Asl,
-        "c2pl" => SchedKind::C2pl,
-        "nodc" => SchedKind::Nodc,
-        "chain-c2pl" => SchedKind::ChainC2pl,
-        "k2-c2pl" => SchedKind::KC2pl,
-        other => return Err(format!("unknown scheduler {other:?}")),
-    };
     let params = SimParams {
         sim_length_ms: sim_ms,
         seed,
         certify,
         ..SimParams::paper_defaults()
     };
+    let sched = wtpg_rt::sched_by_name(&sched, params.k, params.keeptime_ms)
+        .ok_or_else(|| format!("unknown scheduler {sched:?}"))?;
+    let label = sched.name().to_string();
     let workload = PatternWorkload::with_error(pattern, seed, ErrorModel::new(sigma));
-    let mut machine = Machine::new(params.clone(), kind.build(&params), workload);
+    let mut machine = Machine::new(params, sched, workload);
     let sink = trace.as_ref().map(|_| std::sync::Arc::new(wtpg_obs::MemorySink::new()));
     if let Some(s) = &sink {
         machine.set_observer(s.clone());
@@ -76,7 +67,7 @@ pub(crate) fn run(args: &[String]) -> Result<(), String> {
     println!(
         "pattern {} | scheduler {} | λ = {lambda} TPS | {} s simulated | σ = {sigma}",
         pattern.label(),
-        kind.label(&params),
+        label,
         sim_ms / 1000
     );
     println!("  completed     : {}", r.completed);

@@ -21,7 +21,8 @@ pub(crate) fn run(args: &[String]) -> Result<(), String> {
         i += 1;
     }
     let specs = crate::read_workload(path.as_ref())?;
-    let mut sched = crate::scheduler_by_name(&sched_name)?;
+    let mut sched = wtpg_rt::sched_by_name(&sched_name, 2, 5000)
+        .ok_or_else(|| format!("unknown scheduler {sched_name:?}"))?;
     println!("scheduler: {}", sched.name());
 
     #[derive(Clone)]

@@ -70,6 +70,10 @@ fn trace_supports_every_scheduler_name() {
         "chain-c2pl",
         "k2-c2pl",
         "nodc",
+        // The aliases `net` and `load` take: one name table serves all.
+        "2pl",
+        "kwtpg",
+        "g-wtpg",
     ] {
         let (stdout, stderr, ok) = wtpg(&["trace", "-", "--scheduler", name], Some(FIGURE1));
         assert!(ok, "{name}: {stderr}");
@@ -102,58 +106,23 @@ fn simulate_prints_a_report() {
 }
 
 #[test]
-fn engine_runs_a_certified_batch() {
-    let (stdout, stderr, ok) = wtpg(
-        &[
-            "engine", "--sched", "chain", "--threads", "4", "--txns", "50", "--seed", "11",
-        ],
-        None,
-    );
-    assert!(ok, "{stderr}");
-    assert!(stdout.contains("CHAIN | 4 threads"));
-    assert!(stdout.contains("committed  : 50"));
-    assert!(stdout.contains("certified  : clean"));
-    assert!(stdout.contains("consistent"));
-}
-
-#[test]
-fn engine_writes_a_json_report() {
-    let dir = std::env::temp_dir().join("wtpg-cli-engine-test");
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    let out = dir.join("engine_cell.json");
-    let out_str = out.to_str().expect("utf-8 temp path");
-    let (stdout, stderr, ok) = wtpg(
-        &[
-            "engine", "--sched", "k2", "--threads", "2", "--txns", "30", "--out", out_str,
-        ],
-        None,
-    );
-    assert!(ok, "{stderr}");
-    assert!(stdout.contains("wrote"));
-    let json = std::fs::read_to_string(&out).expect("report written");
-    assert!(json.contains("\"scheduler\""));
-    assert!(json.contains("\"throughput_tps\""));
-    std::fs::remove_file(&out).ok();
-}
-
-#[test]
-fn engine_trace_feeds_obs_summary_diff_and_chrome() {
+fn simulate_trace_feeds_obs_summary_diff_and_chrome() {
     let dir = std::env::temp_dir().join("wtpg-cli-obs-test");
     std::fs::create_dir_all(&dir).expect("create temp dir");
-    let trace = dir.join("engine_trace.jsonl");
+    let trace = dir.join("sim_trace.jsonl");
     let trace_str = trace.to_str().expect("utf-8 temp path");
     let (stdout, stderr, ok) = wtpg(
         &[
-            "engine", "--sched", "k2", "--threads", "4", "--txns", "40", "--pattern", "2",
-            "--hots", "4", "--trace", trace_str,
+            "simulate", "--pattern", "1", "--scheduler", "chain", "--lambda", "0.5", "--sim-ms",
+            "60000", "--trace", trace_str,
         ],
         None,
     );
     assert!(ok, "{stderr}");
     assert!(stdout.contains("wrote trace"), "{stdout}");
-
     let (summary, stderr, ok) = wtpg(&["obs", "summary", trace_str], None);
     assert!(ok, "{stderr}");
+    assert!(summary.contains("txn_response_ms"), "{summary}");
     assert!(summary.contains("cache: hits="), "{summary}");
     assert!(summary.contains("lock_wait"), "{summary}");
     assert!(summary.contains("txn"), "{summary}");
@@ -198,28 +167,6 @@ fn engine_trace_feeds_obs_summary_diff_and_chrome() {
 }
 
 #[test]
-fn simulate_trace_is_summarisable() {
-    let dir = std::env::temp_dir().join("wtpg-cli-obs-test");
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    let trace = dir.join("sim_trace.jsonl");
-    let trace_str = trace.to_str().expect("utf-8 temp path");
-    let (stdout, stderr, ok) = wtpg(
-        &[
-            "simulate", "--pattern", "1", "--scheduler", "chain", "--lambda", "0.5", "--sim-ms",
-            "60000", "--trace", trace_str,
-        ],
-        None,
-    );
-    assert!(ok, "{stderr}");
-    assert!(stdout.contains("wrote trace"), "{stdout}");
-    let (summary, stderr, ok) = wtpg(&["obs", "summary", trace_str], None);
-    assert!(ok, "{stderr}");
-    assert!(summary.contains("txn_response_ms"), "{summary}");
-    assert!(summary.contains("cache: hits="), "{summary}");
-    std::fs::remove_file(&trace).ok();
-}
-
-#[test]
 fn bad_input_fails_cleanly() {
     let (_, stderr, ok) = wtpg(&["plan", "-"], Some("T1: fly(A:1)"));
     assert!(!ok);
@@ -236,7 +183,7 @@ fn bad_input_fails_cleanly() {
 fn help_lists_commands() {
     let (_, stderr, ok) = wtpg(&["--help"], None);
     assert!(ok);
-    for cmd in ["plan", "dot", "trace", "simulate", "engine", "obs"] {
+    for cmd in ["plan", "dot", "trace", "simulate", "net", "load", "obs"] {
         assert!(stderr.contains(cmd));
     }
 }
@@ -278,7 +225,7 @@ fn a_used_wal_dir_is_refused_and_an_empty_one_accepted() {
 
 #[test]
 fn grid_mode_is_gone_like_any_unknown_flag() {
-    for cmd in ["net", "load", "engine"] {
+    for cmd in ["net", "load"] {
         let (_, stderr, ok) = wtpg(&[cmd, "--grid"], None);
         assert!(!ok, "{cmd} --grid must fail");
         assert!(stderr.contains("unknown option \"--grid\""), "{cmd}: {stderr}");
@@ -288,6 +235,17 @@ fn grid_mode_is_gone_like_any_unknown_flag() {
         assert!(!ok, "load {flag} must fail");
         assert!(stderr.contains("unknown option"), "{flag}: {stderr}");
     }
+    // The worker-thread engine went the same way, as a whole command: it
+    // is refused like any word `wtpg` never knew, with the help after it.
+    let out = Command::new(env!("CARGO_BIN_EXE_wtpg"))
+        .args(["engine", "--sched", "chain"])
+        .output()
+        .expect("run wtpg");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown command \"engine\""), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
+    assert!(!stderr.contains("wtpg engine"), "help still lists the command: {stderr}");
 }
 
 /// One description of a cell: every flag that describes the cell itself is

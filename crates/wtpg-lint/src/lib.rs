@@ -12,24 +12,24 @@
 //!   platform-dependent), no `SystemTime`/`std::time::Instant`
 //!   (wall-clock reads), no ambient `thread_rng`. Applied to `wtpg-core`,
 //!   `wtpg-sim`, `wtpg-workload`, `wtpg-graph`, `wtpg-lint`, `wtpg-mvcc`,
-//!   `wtpg-obs` (minus `wall.rs`, the engine-only clock) and `wtpg-net`'s
+//!   `wtpg-obs` (minus `wall.rs`, the wall-clock epoch) and `wtpg-net`'s
 //!   protocol layer. An `Instant` token qualified by a non-`time` path — such as the
 //!   observer's `EventKind::Instant` trace phase — is recognized as not
 //!   being the clock type and does not fire.
 //! - `panic-safety` — no `unwrap()`, undocumented `expect()`, panic-family
 //!   macros, or possibly-panicking slice indexing on the scheduler hot
 //!   path (`wtpg-core/src/wtpg.rs`, `estimate.rs`, `sched/*`) or anywhere
-//!   in `wtpg-rt`/`wtpg-obs`/`wtpg-net` (a worker panic while holding the
-//!   control mutex poisons the whole engine). The accepted documented form
-//!   is `expect("invariant: ...")`.
+//!   in `wtpg-rt`/`wtpg-obs`/`wtpg-net` (an actor thread that panics poisons
+//!   the mailbox locks its peers share and wedges everyone waiting on it).
+//!   The accepted documented form is `expect("invariant: ...")`.
 //! - `api-docs` — every `pub fn` carries a doc comment.
 //!
 //! Workspace passes (run by [`lint_workspace`], each with its own module):
 //!
 //! - [`locks`] — lock-order analysis against the checked-in
-//!   `lint-locks.toml` hierarchy (control mutex → submission queue → node
-//!   store), propagated through the call graph; undeclared `.lock()` sites
-//!   are findings (fail-closed).
+//!   `lint-locks.toml` hierarchy (strictly increasing ranks: the mailbox
+//!   queue, then the leaf classes), propagated through the call graph;
+//!   undeclared `.lock()` sites are findings (fail-closed).
 //! - [`protocol`] — `Msg` exhaustiveness, `Batch`-recursion guards and
 //!   dedup-before-side-effect checks for the `wtpg-net` actor loops.
 //! - [`taint`] — call-graph determinism taint replacing the old per-file
@@ -625,12 +625,12 @@ fn crate_of(path_slash: &str) -> Option<&str> {
 ///   certification instead). `wtpg-obs` event/histogram/sink code is also
 ///   held to determinism (traces of deterministic runs must be
 ///   byte-deterministic); its sanctioned clock sources are `wall.rs` (the
-///   µs epoch the engine stamps events with) and `wclock.rs` (the window
-///   flusher sleeping on that same epoch) — both exempt like the engine
+///   µs epoch the runtime stamps events with) and `wclock.rs` (the window
+///   flusher sleeping on that same epoch) — both exempt like the runtime
 ///   they serve, and both only *producing* timestamps: the snapshot and
 ///   merge code they feed stays under the determinism rule.
 /// - `panic-safety`: `wtpg-core/src/wtpg.rs`, `estimate.rs`, `sched/*`, and
-///   all of `wtpg-rt/src` (a panic on an engine thread poisons shared locks),
+///   all of `wtpg-rt/src` (a panic on an actor thread poisons shared locks),
 ///   `wtpg-obs/src` (observers are called from those same threads) and
 ///   `wtpg-net/src` (a panicking actor deadlocks every peer waiting on it).
 /// - `api-docs`: all of `wtpg-core/src`, `wtpg-rt/src`, `wtpg-obs/src`,
@@ -642,7 +642,7 @@ fn crate_of(path_slash: &str) -> Option<&str> {
 ///   actor loops (`control.rs`, `client.rs`, `data.rs`, `runtime.rs`), the
 ///   flush-window coalescer (`batch.rs`) and the socket transport
 ///   (`tcp.rs`) run on wall clocks and OS threads by design, certified by
-///   replay like the engine. The taint pass still reaches into the exempt
+///   replay. The taint pass still reaches into the exempt
 ///   files: a protocol-layer function calling a tainted actor-side helper
 ///   is a finding.
 /// - `wtpg-bench` and `wtpg-cli` are measurement/driver tooling: they read

@@ -3,12 +3,11 @@
 //! The manifest (`lint-locks.toml`) declares lock *classes* — a name, a
 //! rank, the file whose `.lock()` sites belong to it, and optionally the
 //! receiver expression (`self.state`) to disambiguate several mutexes in
-//! one file. Legal nesting acquires strictly increasing ranks (control
-//! mutex → submission queue → node store); acquiring a class of rank ≤ any
-//! held rank — including a second lock of the same class or rank, the
-//! "two same-rank store locks" deadlock shape — is a finding, whether the
-//! acquisition is in the function itself or anywhere in its (approximate,
-//! intra-crate) call graph.
+//! one file. Legal nesting acquires strictly increasing ranks; acquiring a
+//! class of rank ≤ any held rank — including a second lock of the same
+//! class or rank, the "two same-rank locks" deadlock shape — is a finding,
+//! whether the acquisition is in the function itself or anywhere in its
+//! (approximate, intra-crate) call graph.
 //!
 //! What counts as *held*: a `let`-bound guard — a statement whose
 //! right-hand side is a `.lock()` chain post-processed only by
@@ -17,7 +16,7 @@
 //! (`self.nodes[i].lock().expect(…).apply(…)` tail calls, `if let Ok(g) =
 //! m.lock()`) are temporaries: they are checked against the held set at
 //! the acquisition point but conservatively not tracked as held. A
-//! function whose signature returns a `MutexGuard` (`ControlNode::locked`)
+//! function whose signature returns a `MutexGuard` (a `locked()` helper)
 //! is treated as an acquisition of its first acquired class at every call
 //! site.
 //!

@@ -57,14 +57,14 @@ fn waived_fixture_is_clean() {
 }
 
 #[test]
-fn rt_scope_fixture_is_clean_under_engine_rules_only() {
-    // The engine rule set: determinism off, panic-safety and api-docs on.
-    let engine_rules = RuleSet {
+fn rt_scope_fixture_is_clean_under_runtime_rules_only() {
+    // The `wtpg-rt` rule set: determinism off, panic-safety and api-docs on.
+    let rt_rules = RuleSet {
         determinism: false,
         panic_safety: true,
         api_docs: true,
     };
-    let clean = lint_file(&fixture("rt_scope.rs"), engine_rules).expect("fixture readable");
+    let clean = lint_file(&fixture("rt_scope.rs"), rt_rules).expect("fixture readable");
     assert!(clean.is_empty(), "{clean:?}");
     // Under the full rule set the same file has determinism findings
     // (Instant) and nothing else — proving the exemption is what keeps it
@@ -76,9 +76,9 @@ fn rt_scope_fixture_is_clean_under_engine_rules_only() {
 
 #[test]
 fn workspace_policy_scopes_wtpg_rt() {
-    // Engine sources: determinism exempt, panic-safety + api-docs enforced.
+    // Runtime sources: determinism exempt, panic-safety + api-docs enforced.
     for file in [
-        "crates/wtpg-rt/src/engine.rs",
+        "crates/wtpg-rt/src/control.rs",
         "crates/wtpg-rt/src/queue.rs",
         "crates/wtpg-rt/src/lib.rs",
     ] {
@@ -119,7 +119,7 @@ fn workspace_policy_scopes_wtpg_obs() {
         assert!(r.api_docs, "{file}: api-docs must be enforced");
     }
     // The one sanctioned clock: wall.rs is determinism-exempt like the
-    // engine it serves, but keeps panic-safety and api-docs.
+    // runtime it serves, but keeps panic-safety and api-docs.
     let wall = rules_for(Path::new("crates/wtpg-obs/src/wall.rs"));
     assert!(!wall.determinism, "wall.rs: determinism must be exempt");
     assert!(wall.panic_safety && wall.api_docs);

@@ -7,7 +7,7 @@
 //! acquire a snapshot timestamp at admission, bypass the WTPG entirely, and
 //! still be certified against an exact consistency rule.
 //!
-//! The layer exploits one property of the engine's storage model: a write
+//! The layer exploits one property of the `NodeStore` storage model: a write
 //! step's total effect on a partition's cells is a *commutative* function of
 //! its unit count (every step starts at logical offset zero and cycles, so
 //! the effect is `units / rows` added to every cell plus one to the first

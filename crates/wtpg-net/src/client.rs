@@ -1,7 +1,7 @@
 //! A client actor: submits transactions and awaits commit acks.
 //!
-//! Plays the role of the engine's worker thread, but across the wire and
-//! under the *pipelined* protocol: up to `pipeline` transactions in flight
+//! The paper's transaction source, across the wire and under the
+//! *pipelined* protocol: up to `pipeline` transactions in flight
 //! at a time, each costing exactly two client messages — one `Submit`
 //! carrying the full declaration, one `Commit` ack when the control plane
 //! has driven every step and committed. Admission rejections, lock delays,
@@ -209,8 +209,8 @@ fn elapsed_us(since: Instant) -> u64 {
 
 /// Drives `specs` to commit as client `client`, keeping up to `pipeline`
 /// transactions in flight (`pipeline` is clamped to ≥ 1; 1 recovers the
-/// strict one-at-a-time stream whose history is tick-identical to the
-/// engine's). `reg`, when present, receives windowed load metrics.
+/// strict one-at-a-time stream whose history is tick-identical to a serial
+/// drive of the control node). `reg`, when present, receives windowed load metrics.
 /// Read-only specs are booked on the reader latency ledger regardless of
 /// the plane they rode — with MVCC off they take the S-lock path, and the
 /// baseline reader tail is exactly what the snapshot plane is compared to.

@@ -1,9 +1,8 @@
 //! The control actor: an admission/lock-grant authority driven entirely by
 //! messages, pipelined so no client round-trips per step.
 //!
-//! Wraps the engine's [`ControlNode`] — the same scheduler-plus-history-
-//! plus-logical-clock bundle the threaded engine shares behind a mutex —
-//! but here it is owned by one actor thread and never contended: every
+//! Wraps `wtpg-rt`'s [`ControlNode`] — a scheduler, a history and a logical
+//! clock as one plain value — owned by this one actor thread: every
 //! protocol decision is a message handled in arrival order, so the recorded
 //! history is a linearization by construction.
 //!
@@ -25,7 +24,7 @@
 //! client pipelines up to `pipeline` (16) submissions, but an ack is the
 //! end of the latency the client measures, so none waits for company.
 //!
-//! Reliability duties beyond the engine's:
+//! Reliability duties on top of the protocol:
 //!
 //! * **Access redelivery** — every `Access` order sent to a data node is
 //!   tracked in an outstanding table; if the matching `AccessDone` does not
@@ -66,7 +65,6 @@ use wtpg_core::txn::{AccessMode, TxnId, TxnSpec};
 use wtpg_core::work::Work;
 use wtpg_dur::checkpoint::{write_control_checkpoint, ControlCheckpoint};
 use wtpg_mvcc::{gc_floor, ActiveSnapshots, CommitLog, GcWatermark, ReadObservation, ReaderRecord};
-use wtpg_obs::wall::WallClock;
 use wtpg_obs::window::metric;
 use wtpg_obs::{Counter, Gauge, Histogram, MsgCounts, Registry};
 use wtpg_rt::backoff::Backoff;
@@ -1044,13 +1042,7 @@ pub fn run_control(
     to_data: &[Arc<dyn MsgTx>],
     to_clients: &[Arc<dyn MsgTx>],
 ) -> Result<ControlOutcome, NetError> {
-    let control = ControlNode::with_telemetry(
-        params.sched,
-        None,
-        WallClock::start(),
-        params.reg.as_deref(),
-        params.stream,
-    );
+    let control = ControlNode::with_telemetry(params.sched, params.reg.as_deref(), params.stream);
     let name = control.sched_name();
     let mode = control.certify_mode();
     let mut actor = ControlActor {

@@ -1,15 +1,15 @@
 //! `wtpg-net`: the shared-nothing machine as real message-passing actors.
 //!
-//! The threaded engine (`wtpg-rt`) proves the paper's schedulers correct
-//! under shared-memory concurrency — workers call the control node through
-//! a mutex. This crate removes the shared memory: the control node and
-//! every data node become *actors* that own their state outright and
+//! The workspace's one wall-clock execution plane, and the paper's own
+//! topology (§1: nodes exchange messages and never share memory): the
+//! control node and every data node are *actors* that own their state
+//! outright (`wtpg-rt`'s `ControlNode` and `NodeStore`, plain values) and
 //! communicate exclusively through typed messages ([`Msg`]) over a
 //! pluggable [`Transport`] — bounded in-process channels ([`InProc`]) or
 //! one loopback TCP socket per node ([`Tcp`]), framed by a dependency-free
 //! byte-stable [`codec`].
 //!
-//! The paper's claims are then re-proven in the harsher model: a seeded
+//! The paper's claims are re-proven in a harsher model than its own: a seeded
 //! [`FaultPlan`] delays and duplicates control ↔ data messages and
 //! crash-restarts a data node mid-run, and the run must *still* commit
 //! every transaction, pass replay certification, and conserve every

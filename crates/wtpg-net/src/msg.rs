@@ -18,8 +18,9 @@
 //! frees capacity — is the control node's business and never crosses the
 //! client link: there is no grant, reject, delay or abort message. Bursty
 //! links coalesce messages into flat [`Msg::Batch`] frames. The recorded
-//! history keeps the engine's per-transaction call shape because only the
-//! control node ever talks to the scheduler.
+//! history keeps the serial per-transaction call shape (arrive, request,
+//! progress × chunks, step-complete, commit) because only the control node
+//! ever talks to the scheduler.
 //!
 //! Wire tags 1, 2, 3 and 7 belonged to the retired per-step client protocol
 //! and stay unassigned: the codec rejects them as unknown tags.

@@ -15,8 +15,7 @@
 //!    data link in a [`FaultLink`] (seeded delay + duplicate delivery) if
 //!    the [`FaultPlan`] is active, and lays each actor's parameters out as
 //!    plain values. With one effective shard the control actor reads the
-//!    fabric inbox directly (trajectories identical to the unsharded
-//!    engine); with `S > 1` a router deals inbound messages to `S`
+//!    fabric inbox directly (no router on the path); with `S > 1` a router deals inbound messages to `S`
 //!    independent control actors, each running its own scheduler over a
 //!    disjoint slice of the WTPG.
 //! 3. **drive** — `drive_threads` runs all actors to completion on scoped
@@ -29,8 +28,8 @@
 //!    the canonical cross-shard history merge, which refuses non-disjoint
 //!    shards), the merged history is replay-certified, and the data nodes'
 //!    store tallies are checked against the workload's declared write units
-//!    — the same proofs the threaded engine demands, now under real message
-//!    passing, batched frames, and injected faults.
+//!    — the proofs hold under real message passing, batched frames, and
+//!    injected faults.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
@@ -51,7 +50,7 @@ use wtpg_obs::{
 };
 use wtpg_rt::backoff::Backoff;
 use wtpg_rt::control::ControlAudit;
-use wtpg_rt::engine::SendScheduler;
+use wtpg_rt::SendScheduler;
 use wtpg_rt::metrics::LatencySummary;
 use wtpg_rt::shard::{merge_audits, ShardMap};
 use wtpg_rt::StreamItem;
@@ -96,8 +95,9 @@ pub struct NetConfig {
     /// mid-burst before its coalescer is flushed anyway.
     pub batch_window_us: u64,
     /// Transactions each client keeps in flight at once. `1` recovers the
-    /// strict one-at-a-time submission stream (tick-identical to the
-    /// engine for a single client); higher depths decouple committed
+    /// strict one-at-a-time submission stream (for a single client,
+    /// tick-identical to a serial drive of the control node — pinned by
+    /// `tests/differential.rs`); higher depths decouple committed
     /// throughput from per-transaction latency.
     pub pipeline: usize,
     /// Concurrently admitted transactions each control shard allows;
@@ -448,8 +448,8 @@ impl<'a> ActorSet<'a> {
             })
             .collect();
 
-        // One shard reads the fabric inbox directly (no router, identical
-        // trajectories to the unsharded engine); S > 1 gets routed inboxes.
+        // One shard reads the fabric inbox directly (no router on the
+        // path); S > 1 gets routed inboxes.
         let shard_inboxes: Vec<Inbox> = if shards == 1 {
             vec![Arc::clone(&fabric.control_inbox)]
         } else {
@@ -954,8 +954,8 @@ fn assemble(
         report.certify_grants = stream_grants;
         report.certify_eq_checks = stream_eq_checks;
     } else if cfg.certify {
-        // Single shard: the untouched history, replayed exactly as the
-        // unsharded engine's. Sharded: the canonical merge built above.
+        // Single shard: the control actor's history, untouched. Sharded:
+        // the canonical merge built above.
         let cert =
             certify_history(&audit.history, &audit.specs, mode).map_err(NetError::Certify)?;
         report.certified = true;

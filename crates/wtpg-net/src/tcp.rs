@@ -145,7 +145,8 @@ const READ_BUF: usize = 8 * 1024;
 pub(crate) struct FrameReader<R> {
     src: R,
     /// `buf[start..end]` holds bytes read and not yet consumed. Grows to
-    /// the frame in hand; a consumed frame is gone by the next `fill`.
+    /// the frame in hand; a consumed frame is gone by the next `fill`, and
+    /// so is the room it grew once a `fill` finds nothing unconsumed.
     buf: Vec<u8>,
     start: usize,
     end: usize,
@@ -212,13 +213,21 @@ impl<R: Read> FrameReader<R> {
     }
 
     /// One `read` into the free tail of the buffer, after moving the
-    /// unconsumed bytes to its front and growing it to the frame in hand.
+    /// unconsumed bytes to its front, cutting an emptied buffer back to
+    /// [`READ_BUF`] and growing it to the frame in hand.
     /// Only called once `buffered` has vetted the header (if one is in).
     fn fill(&mut self) -> std::io::Result<usize> {
         if self.start > 0 {
             self.buf.copy_within(self.start..self.end, 0);
             self.end -= self.start;
             self.start = 0;
+        }
+        if self.end == 0 && self.buf.len() > READ_BUF {
+            // The frame the buffer grew for is gone and nothing trails it:
+            // give the room back, or one large `Batch` makes every later
+            // 30-byte frame on this link carry it for the rest of the run.
+            self.buf.truncate(READ_BUF);
+            self.buf.shrink_to(READ_BUF);
         }
         if let Some(len) = self.announced() {
             if self.buf.len() < 4 + len {
@@ -711,6 +720,38 @@ mod tests {
         assert_eq!(r.buffered(), PopResult::Empty, "try_pop never reads");
         assert_eq!(r.src.reads, 1);
         assert_eq!(r.next(), PopResult::Closed);
+    }
+
+    #[test]
+    fn a_large_frame_does_not_keep_its_buffer_after_it_is_consumed() {
+        let step = |p: u32| StepSpec {
+            partition: PartitionId(p % 64),
+            mode: AccessMode::Write,
+            cost: Work::from_units(1000),
+            actual_cost: Work::from_units(1000),
+        };
+        let big = Msg::Submit {
+            client: 0,
+            txn: TxnId(9),
+            step: None,
+            spec: Some(TxnSpec::new(TxnId(9), (0..4000).map(step).collect())),
+        };
+        let mut sent = vec![delta(0), big];
+        sent.extend((1..40).map(delta));
+        let wire: Vec<u8> = sent.iter().flat_map(encode_frame).collect();
+        assert!(wire.len() > 4 * READ_BUF, "the large frame dwarfs the initial buffer");
+        for cuts in [vec![usize::MAX], vec![1000], vec![1, 7, 300]] {
+            let mut r = reader(wire.clone(), cuts.clone());
+            let mut grown = 0;
+            for m in &sent {
+                assert_eq!(r.next(), PopResult::Item(m.clone()), "{cuts:?}");
+                grown = grown.max(r.buf.capacity());
+            }
+            assert!(grown > 4 * READ_BUF, "{cuts:?}: the buffer grew to the frame in hand");
+            assert_eq!(r.next(), PopResult::Closed, "{cuts:?}");
+            assert_eq!(r.buf.len(), READ_BUF, "{cuts:?}");
+            assert_eq!(r.buf.capacity(), READ_BUF, "{cuts:?}: the high-water buffer was kept");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! control node — matching the paper's single control site.
 //!
 //! A mailbox is one of two things. [`Mailbox::Queue`] is a bounded MPMC
-//! queue (the one the engine uses for submission backpressure): every
+//! queue (`wtpg-rt`'s [`BoundedQueue`]; a full one blocks the sender): every
 //! in-process link, and the control node's fan-in on any transport, because
 //! many producers meet there. [`Mailbox::Socket`] is the read half of a TCP
 //! connection behind a buffered frame reader: an actor with a single

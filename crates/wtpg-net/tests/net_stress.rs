@@ -52,6 +52,17 @@ fn tcp_kwtpg_500_with_faults_certifies() {
     assert!(r.crash_drops > 0, "crash window must drop messages: {r:?}");
 }
 
+/// Every name `sched_by_name` maps runs on the one wall-clock plane — the
+/// matrix tests range over three of them; G-WTPG, ASL, the two hybrids and
+/// NODC (whose history certifies in exempt mode, and whose additive updates
+/// still conserve units) get their concurrent run here.
+#[test]
+fn every_named_scheduler_runs_clean_in_proc() {
+    for name in ["chain", "k2", "gwtpg", "asl", "c2pl", "chain-c2pl", "k2-c2pl", "nodc"] {
+        stress(name, 100, &InProc, &FaultPlan::none());
+    }
+}
+
 #[test]
 fn tcp_clean_run_reports_wire_traffic() {
     let r = stress("c2pl", 200, &Tcp, &FaultPlan::none());

@@ -11,9 +11,10 @@
 //!    every pair of axis values some legal cell contains is executed at
 //!    least once;
 //! 3. **named cells** — the cells the retired grid sweeps of the CLI ran,
-//!    cell for cell: the 32 of `wtpg net`'s, the 18 of `wtpg engine`'s (as
-//!    `run_engine` calls) and one open-loop cell per (scheduler, transport,
-//!    durability) `wtpg load`'s swept.
+//!    cell for cell: the 32 of `wtpg net`'s, one open-loop cell per
+//!    (scheduler, transport, durability) `wtpg load`'s swept, and the 18
+//!    contention cells of the retired worker-thread engine's grid, as InProc
+//!    cells with one client per worker it ran.
 //!
 //! Every cell that runs must commit all it accepted, replay- (or stream-)
 //! certify, snapshot-certify, conserve its write units, and — on a clean
@@ -28,8 +29,8 @@ use wtpg_net::{
     run_cell, Durability, FaultPlan, InProc, NetConfig, NetError, NetReport, OpenLoop, PlanError,
     RunPlan, Tcp, Transport,
 };
+use wtpg_rt::sched_by_name;
 use wtpg_rt::workload::pattern_specs;
-use wtpg_rt::{run_engine, sched_by_name, EngineConfig};
 use wtpg_workload::{Pattern, ReadMix};
 
 const SEED: u64 = 42;
@@ -395,7 +396,7 @@ fn every_combination_is_a_plan_or_its_predicted_refusal() {
     };
     let err = run_cell(
         &cfg,
-        &|| -> wtpg_rt::engine::SendScheduler { panic!("a refused plan builds no scheduler") },
+        &|| -> wtpg_rt::SendScheduler { panic!("a refused plan builds no scheduler") },
         &catalog,
         &specs,
         &Tcp,
@@ -550,30 +551,45 @@ fn the_retired_load_grid_runs_clean_cell_for_cell() {
     println!("plan_matrix: ran the {} cells of the retired load grid", sweeps.len());
 }
 
+/// The contention the retired engine's grid exercised — every scheduler at
+/// 2-, 4- and 8-way concurrency, spread (Pattern 1) and fighting over eight
+/// hot partitions — with clients where it had worker threads.
 #[test]
-fn the_retired_engine_grid_runs_clean_cell_for_cell() {
+fn the_contention_grid_runs_clean_cell_for_cell() {
     let mut ran = 0usize;
     for &sched in SCHEDULERS {
-        for threads in [2usize, 4, 8] {
+        for clients in [2usize, 4, 8] {
             for pattern in [Pattern::One, Pattern::Two { num_hots: 8 }] {
                 let (catalog, specs) = pattern_specs(pattern, TXNS, SEED);
-                let r = run_engine(
-                    &EngineConfig {
-                        threads,
-                        ..EngineConfig::default()
+                let r = run_cell(
+                    &NetConfig {
+                        clients,
+                        watchdog_ms: 10_000,
+                        ..NetConfig::default()
                     },
-                    sched_by_name(sched, 2, 5000).expect("known scheduler"),
+                    &|| sched_by_name(sched, 2, 5000).expect("known scheduler"),
                     &catalog,
                     &specs,
+                    &InProc,
+                    &FaultPlan::none(),
                 )
-                .unwrap_or_else(|e| panic!("{sched} × {threads} threads × {pattern:?}: {e}"));
-                assert_eq!(r.committed, TXNS as u64, "{sched} × {threads}");
-                assert!(r.certified && r.store_consistent, "{sched} × {threads}: {r:?}");
+                .unwrap_or_else(|e| panic!("{sched} × {clients} clients × {pattern:?}: {e}"));
+                assert_eq!(r.clients, clients, "{sched} × {pattern:?}");
+                assert_eq!(r.committed, TXNS as u64, "{sched} × {clients}");
+                assert!(r.certified && r.store_consistent, "{sched} × {clients}: {r:?}");
                 assert_eq!(r.store_write_units, r.expected_write_units);
+                match sched {
+                    "chain" => assert!(r.certify_grants > 0, "the certifier checked no grant"),
+                    "k2" => assert!(
+                        r.certify_eq_checks >= r.certify_grants,
+                        "K-WTPG certification spot-checks E(q) on every grant: {r:?}"
+                    ),
+                    _ => assert_eq!(r.rejected_admissions, 0, "C2PL never rejects admissions"),
+                }
                 ran += 1;
             }
         }
     }
     assert_eq!(ran, 18);
-    println!("plan_matrix: ran the {ran} cells of the retired engine grid");
+    println!("plan_matrix: ran the {ran} cells of the contention grid");
 }

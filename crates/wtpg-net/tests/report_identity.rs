@@ -9,7 +9,7 @@
 //! Two load shapes per (seed, scheduler):
 //!
 //! * **closed**, `pipeline = 1`: strict one-at-a-time submission (the shape
-//!   `differential.rs` proves tick-identical to the engine);
+//!   `differential.rs` proves tick-identical to a serial drive);
 //! * **open**: a Poisson schedule so fast that every arrival is due before
 //!   the client's first look at the clock — the first `inflight` arrivals
 //!   are submitted, the rest shed, in one pass — and `admit_window = 1`, so

@@ -8,8 +8,8 @@
 //! share `pid` 1; the event track becomes the `tid`.
 //!
 //! `ts` must be microseconds. Producers using logical ticks (milliseconds
-//! of simulated time) pass `us_per_unit = 1000`; the engine's wall-clock
-//! traces are already in µs and pass 1.
+//! of simulated time) pass `us_per_unit = 1000`; wall-clock traces are
+//! already in µs and pass 1.
 
 use crate::event::{EventKind, ObsEvent};
 

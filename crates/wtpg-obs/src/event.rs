@@ -26,7 +26,7 @@ pub struct ObsEvent {
     /// Producer-defined timestamp (logical ticks or wall-clock µs).
     pub at: u64,
     /// Track (Chrome "thread") the event belongs to: 0 = control plane,
-    /// `1 + worker_index` for engine workers, `1 + node` for sim data nodes.
+    /// `1 + node` for sim data nodes.
     pub track: u32,
     /// What happened.
     pub kind: EventKind,

@@ -6,7 +6,7 @@
 //! increment of a fixed `[u64; 65]` array — no allocation, no floating
 //! point, no data-dependent layout — so histograms are safe inside the
 //! deterministic core/sim paths and cheap enough for per-event use in the
-//! engine.
+//! wall-clock runtime.
 //!
 //! Percentile queries locate the bucket containing the requested rank and
 //! *interpolate* within it, assuming samples spread uniformly across the

@@ -4,14 +4,14 @@
 //! fully-formed events and the observer never influences scheduling, so a
 //! run with [`NullObserver`] (or no observer at all) takes the exact same
 //! trajectory as an uninstrumented run — the zero-cost-when-off contract
-//! the sim/engine tests pin byte-for-byte.
+//! the simulator's tests pin byte-for-byte.
 
 use std::sync::Mutex;
 
 use crate::event::ObsEvent;
 
 /// A passive sink for trace events. Implementations must be thread-safe:
-/// the engine records from every worker concurrently.
+/// actor threads record concurrently.
 pub trait Observer: Send + Sync {
     /// Accepts one event. Must not block on anything scheduling-visible.
     fn record(&self, ev: ObsEvent);

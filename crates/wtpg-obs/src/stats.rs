@@ -2,9 +2,10 @@
 //!
 //! [`ControlStats`] is a plain bundle of cumulative `u64` counters — no
 //! clocks, no maps — so schedulers can maintain one inline without
-//! threatening determinism. Drivers (the simulator's `Machine`, the
-//! engine's `ControlNode`) snapshot the stats around each scheduler call
-//! and emit counter events for whatever changed via [`emit_deltas`].
+//! threatening determinism. The simulator's `Machine` snapshots the stats
+//! around each scheduler call and emits counter events for whatever
+//! changed via [`emit_deltas`]; `wtpg-rt`'s `ControlNode` hands the final
+//! totals over in its audit.
 //!
 //! The abort/delay cause taxonomy follows the paper's protocols: CHAIN
 //! rejects non-chain BATs, K-WTPG rejects K-conflict violations, ASL

@@ -1,10 +1,10 @@
-//! Wall-clock timestamps for the real-time engine — the **only** file in
+//! Wall-clock timestamps for the wall-clock runtime — the **only** file in
 //! this crate allowed to touch `std::time`.
 //!
 //! Everything else in `wtpg-obs` is deterministic by construction and
 //! wtpg-lint enforces that scoping (see `rules_for`): the determinism rule
 //! covers all of `wtpg-obs/src` except this module, which exists solely so
-//! `wtpg-rt` workers can stamp events with microseconds-since-run-start.
+//! `wtpg-net` actors can stamp events with microseconds-since-run-start.
 //! Core and simulator code must never import this module; their events are
 //! keyed by `LogicalClock` ticks supplied by the caller.
 

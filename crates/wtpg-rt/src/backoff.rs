@@ -1,41 +1,13 @@
-//! Capped exponential backoff with deterministic jitter.
+//! A capped exponential retry schedule and a seeded jitter source.
 //!
 //! The paper's retry discipline is "resubmitted after a fixed delay"; a real
-//! engine under contention needs the delay to grow (or rejected CHAIN
-//! admissions hammer the control-node mutex) and to be jittered (or every
-//! rejected worker wakes in lock-step and collides again). Delays double per
-//! attempt up to a cap; the actual sleep is drawn uniformly from
-//! `[delay/2, delay]` using a per-worker xorshift generator so tests can
-//! seed workers deterministically without `rand`'s thread-local state.
-//!
-//! A retry loop driven by this policy is *bounded*: once `max_attempts`
-//! consecutive retries have slept at the cap without progress, `sleep`
-//! returns [`BackoffExhausted`] instead of spinning forever. Callers surface
-//! that as an error (engine: `EngineError::BackoffExhausted`; net runtime:
-//! a failed run) rather than silently looping at the cap.
-
-use std::fmt;
-use std::time::Duration;
-
-/// Raised when a retry loop has performed `attempts` consecutive backoff
-/// sleeps without progress — the caller's operation is not converging.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BackoffExhausted {
-    /// Consecutive attempts performed before giving up.
-    pub attempts: u32,
-}
-
-impl fmt::Display for BackoffExhausted {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "backoff exhausted after {} consecutive attempts",
-            self.attempts
-        )
-    }
-}
-
-impl std::error::Error for BackoffExhausted {}
+//! runtime needs the delay to grow, or an unanswered data node is hammered
+//! with redeliveries. Delays double per attempt up to a cap
+//! ([`Backoff::delay_us`]); `max_attempts` is the budget after which the
+//! caller stops treating silence as slowness (`wtpg-net`'s control actor
+//! then parks the node's orders as node-unavailable and keeps re-sending at
+//! the cap). [`XorShift`] is the deterministic generator the fault layer
+//! seeds per link, so injected faults need no `rand` thread-local state.
 
 /// Backoff policy: delays double from `base_us` up to `cap_us`, for at most
 /// `max_attempts` consecutive retries.
@@ -45,21 +17,11 @@ pub struct Backoff {
     pub base_us: u64,
     /// Ceiling on the uncapped exponential, microseconds.
     pub cap_us: u64,
-    /// Consecutive retries allowed before `sleep` reports exhaustion.
+    /// Consecutive retries before the caller reports the budget exhausted.
     pub max_attempts: u32,
 }
 
 impl Backoff {
-    /// The engine default: 50 µs doubling up to 5 ms — long enough to let a
-    /// conflicting bulk step finish, short enough not to idle the pool — and
-    /// 25 000 consecutive attempts (≳ 2 minutes at the cap) before a stuck
-    /// retry loop is reported instead of spinning silently.
-    pub const DEFAULT: Backoff = Backoff {
-        base_us: 50,
-        cap_us: 5_000,
-        max_attempts: 25_000,
-    };
-
     /// The full (pre-jitter) delay for the `attempt`-th consecutive retry
     /// (attempt 0 is the first retry).
     pub fn delay_us(self, attempt: u32) -> u64 {
@@ -68,32 +30,10 @@ impl Backoff {
             .saturating_mul(1u64 << shift)
             .min(self.cap_us.max(self.base_us))
     }
-
-    /// Sleeps for the jittered delay of `attempt`, drawing jitter from `rng`.
-    /// Returns [`BackoffExhausted`] without sleeping once `attempt` reaches
-    /// `max_attempts` — the caller's loop is not making progress.
-    pub fn sleep(self, attempt: u32, rng: &mut XorShift) -> Result<(), BackoffExhausted> {
-        if attempt >= self.max_attempts {
-            return Err(BackoffExhausted { attempts: attempt });
-        }
-        let full = self.delay_us(attempt);
-        let half = full / 2;
-        let jittered = half + rng.next_below(half + 1);
-        if jittered > 0 {
-            std::thread::sleep(Duration::from_micros(jittered));
-        }
-        Ok(())
-    }
 }
 
-impl Default for Backoff {
-    fn default() -> Backoff {
-        Backoff::DEFAULT
-    }
-}
-
-/// A tiny xorshift64* generator — one per worker, seeded from the engine
-/// seed and the worker index, so backoff jitter needs no shared state.
+/// A tiny xorshift64* generator — one per fault-injected link, seeded from
+/// the plan's seed and the link's identity, so draws need no shared state.
 #[derive(Clone, Debug)]
 pub struct XorShift(u64);
 
@@ -149,26 +89,6 @@ mod tests {
             max_attempts: 100,
         };
         assert_eq!(b.delay_us(0), 500);
-    }
-
-    #[test]
-    fn sleep_reports_exhaustion_at_max_attempts() {
-        let b = Backoff {
-            base_us: 1,
-            cap_us: 1,
-            max_attempts: 3,
-        };
-        let mut rng = XorShift::new(42);
-        assert_eq!(b.sleep(0, &mut rng), Ok(()));
-        assert_eq!(b.sleep(2, &mut rng), Ok(()));
-        assert_eq!(
-            b.sleep(3, &mut rng),
-            Err(BackoffExhausted { attempts: 3 }),
-            "attempt == max_attempts must be refused"
-        );
-        assert_eq!(b.sleep(4, &mut rng), Err(BackoffExhausted { attempts: 4 }));
-        let msg = BackoffExhausted { attempts: 3 }.to_string();
-        assert!(msg.contains("3"), "display names the attempt count: {msg}");
     }
 
     #[test]

@@ -1,14 +1,16 @@
-//! The control node: one mutex, one scheduler, one certified history.
+//! The control node: one owner, one scheduler, one certified history.
 //!
 //! The paper's machine has a single control node that owns the lock table
-//! and the WTPG (§2.2). The engine mirrors that literally: every scheduler
-//! interaction — admission, lock request, progress, step completion, commit
-//! — takes the one control mutex, draws the next instant from a shared
-//! [`LogicalClock`], and appends the outcome to a [`History`]. The recorded
-//! log is therefore a *linearization* of the concurrent run in exactly the
-//! order the scheduler saw it, which is what makes post-run replay
-//! certification ([`wtpg_core::certify::certify_history`]) sound for real
-//! multi-threaded executions.
+//! and the WTPG (§2.2). [`ControlNode`] is that node as a plain value with
+//! `&mut self` operations: whoever drives it (`wtpg-net`'s control actor,
+//! a test's serial loop) owns it outright, so there is nothing to lock.
+//! Every scheduler interaction — admission, lock request, progress, step
+//! completion, commit — draws the next instant from a [`LogicalClock`] and
+//! appends the outcome to a [`History`]. The recorded log is therefore a
+//! *linearization* of the run in exactly the order the scheduler saw it,
+//! which is what makes post-run replay certification
+//! ([`wtpg_core::certify::certify_history`]) sound for real multi-threaded
+//! executions: the threads meet at the owner's mailbox, not here.
 //!
 //! **Streaming mode.** With a [`StreamItem`] channel attached
 //! ([`ControlNode::with_telemetry`]), the node records *nothing*: every
@@ -29,11 +31,9 @@
 
 use std::collections::BTreeMap;
 use std::sync::mpsc::SyncSender;
-use std::sync::{Arc, Mutex};
 
-use wtpg_obs::wall::WallClock;
 use wtpg_obs::window::metric;
-use wtpg_obs::{emit_deltas, ControlStats, Counter, Observer, Registry};
+use wtpg_obs::{ControlStats, Counter, Registry};
 
 use wtpg_core::error::CoreError;
 use wtpg_core::history::{Event, History};
@@ -42,7 +42,7 @@ use wtpg_core::time::{LogicalClock, Tick};
 use wtpg_core::txn::{TxnId, TxnSpec};
 use wtpg_core::work::Work;
 
-/// Counters of every control-node decision, aggregated across workers.
+/// Counters of every control-node decision.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ControlCounters {
     /// Successful admissions.
@@ -92,23 +92,13 @@ impl SchedTelemetry {
     }
 }
 
-struct ControlState {
+/// The machine's single admission/lock-grant authority.
+pub struct ControlNode {
     sched: Box<dyn Scheduler + Send>,
     history: History,
     specs: BTreeMap<TxnId, TxnSpec>,
     counters: ControlCounters,
-    /// Scheduler statistics at the last trace emission.
-    last_stats: ControlStats,
-}
-
-/// The engine's single admission/lock-grant authority.
-pub struct ControlNode {
-    state: Mutex<ControlState>,
     clock: LogicalClock,
-    /// Trace sink; control-plane counter deltas are emitted on track 0,
-    /// stamped with wall-clock µs since run start.
-    obs: Option<Arc<dyn Observer>>,
-    wall: WallClock,
     /// Streaming mode: events go down this channel instead of into the
     /// in-memory history. A send failure means the certifier already died
     /// on a violation; the node keeps running and the runtime surfaces the
@@ -118,7 +108,7 @@ pub struct ControlNode {
     tel: Option<SchedTelemetry>,
 }
 
-/// Everything the control node recorded, released after the workers stop.
+/// Everything the control node recorded, released when its owner is done.
 pub struct ControlAudit {
     /// The linearized event log.
     pub history: History,
@@ -133,90 +123,52 @@ pub struct ControlAudit {
 }
 
 impl ControlNode {
-    /// Wraps `sched` as the machine's control node, without tracing.
+    /// Wraps `sched` as the machine's control node, recording the history
+    /// in memory.
     pub fn new(sched: Box<dyn Scheduler + Send>) -> ControlNode {
-        ControlNode::with_observer(sched, None, WallClock::start())
+        ControlNode::with_telemetry(sched, None, None)
     }
 
-    /// Wraps `sched` with an optional trace sink whose events are stamped
-    /// with µs elapsed on `wall` (shared with the workers so all tracks use
-    /// one origin).
-    pub fn with_observer(
-        sched: Box<dyn Scheduler + Send>,
-        obs: Option<Arc<dyn Observer>>,
-        wall: WallClock,
-    ) -> ControlNode {
-        ControlNode::with_telemetry(sched, obs, wall, None, None)
-    }
-
-    /// The fully-plumbed constructor: optional trace sink, optional
-    /// windowed-metric registry (scheduler decision counters), and an
-    /// optional live certification stream (see the module docs on
-    /// streaming mode).
+    /// [`ControlNode::new`] with an optional windowed-metric registry
+    /// (scheduler decision counters) and an optional live certification
+    /// stream (see the module docs on streaming mode).
     pub fn with_telemetry(
         sched: Box<dyn Scheduler + Send>,
-        obs: Option<Arc<dyn Observer>>,
-        wall: WallClock,
         reg: Option<&Registry>,
         stream: Option<SyncSender<StreamItem>>,
     ) -> ControlNode {
         ControlNode {
-            state: Mutex::new(ControlState {
-                sched,
-                history: History::new(),
-                specs: BTreeMap::new(),
-                counters: ControlCounters::default(),
-                last_stats: ControlStats::default(),
-            }),
+            sched,
+            history: History::new(),
+            specs: BTreeMap::new(),
+            counters: ControlCounters::default(),
             clock: LogicalClock::new(),
-            obs,
-            wall,
             stream,
             tel: reg.map(SchedTelemetry::new),
         }
     }
 
     /// Routes one linearized event: down the stream in streaming mode,
-    /// into the in-memory history otherwise. Called with the lock held so
-    /// channel order matches linearization order.
-    fn record(&self, s: &mut ControlState, now: Tick, ev: Event) {
+    /// into the in-memory history otherwise.
+    fn record(&mut self, now: Tick, ev: Event) {
         match &self.stream {
             Some(tx) => {
                 let _ = tx.send(StreamItem::Event(now, ev));
             }
-            None => s.history.push(now, ev),
-        }
-    }
-
-    fn locked(&self) -> std::sync::MutexGuard<'_, ControlState> {
-        self.state
-            .lock()
-            .expect("invariant: control lock is never poisoned (worker panics abort the run)")
-    }
-
-    /// Emits counter events for every scheduler statistic that changed since
-    /// the previous emission (no-op without an observer). Called with the
-    /// control lock held, so snapshots are consistent.
-    fn emit_stats(&self, s: &mut ControlState) {
-        if let Some(o) = &self.obs {
-            let after = s.sched.obs_stats();
-            emit_deltas(o.as_ref(), self.wall.now_us(), 0, &s.last_stats, &after);
-            s.last_stats = after;
+            None => self.history.push(now, ev),
         }
     }
 
     /// Submits a transaction's declarations. On rejection the scheduler has
-    /// rolled everything back; the caller backs off and resubmits the same
-    /// spec under the same id.
-    pub fn arrive(&self, spec: &TxnSpec) -> Result<Admission, CoreError> {
-        let mut s = self.locked();
+    /// rolled everything back; the caller resubmits the same spec under the
+    /// same id.
+    pub fn arrive(&mut self, spec: &TxnSpec) -> Result<Admission, CoreError> {
         let now = self.clock.next();
-        let (admission, ops) = s.sched.on_arrive(spec, now)?;
-        s.counters.ops = s.counters.ops.merge(ops);
-        self.emit_stats(&mut s);
+        let (admission, ops) = self.sched.on_arrive(spec, now)?;
+        self.counters.ops = self.counters.ops.merge(ops);
         // First sight of this id: the certifier needs the declaration
         // before either admission verdict (re-admission reuses the id).
-        if let std::collections::btree_map::Entry::Vacant(e) = s.specs.entry(spec.id) {
+        if let std::collections::btree_map::Entry::Vacant(e) = self.specs.entry(spec.id) {
             if let Some(tx) = &self.stream {
                 let _ = tx.send(StreamItem::Spec(spec.clone()));
             }
@@ -224,15 +176,15 @@ impl ControlNode {
         }
         match admission {
             Admission::Admitted => {
-                s.counters.admissions += 1;
-                self.record(&mut s, now, Event::Admitted(spec.id));
+                self.counters.admissions += 1;
+                self.record(now, Event::Admitted(spec.id));
             }
             Admission::Rejected => {
-                s.counters.rejections += 1;
+                self.counters.rejections += 1;
                 if let Some(t) = &self.tel {
                     t.rejects.inc();
                 }
-                self.record(&mut s, now, Event::Rejected(spec.id));
+                self.record(now, Event::Rejected(spec.id));
             }
         }
         Ok(admission)
@@ -240,27 +192,24 @@ impl ControlNode {
 
     /// Requests the lock for `txn`'s step `step`. Grants record the history
     /// event; blocked/delayed outcomes leave no trace (matching the
-    /// simulator) and the caller retries after a backoff.
-    pub fn request(&self, txn: TxnId, step: usize) -> Result<LockOutcome, CoreError> {
-        let mut s = self.locked();
+    /// simulator) and the caller retries later.
+    pub fn request(&mut self, txn: TxnId, step: usize) -> Result<LockOutcome, CoreError> {
         let now = self.clock.next();
-        let (outcome, ops) = s.sched.on_request(txn, step, now)?;
-        s.counters.ops = s.counters.ops.merge(ops);
-        self.emit_stats(&mut s);
+        let (outcome, ops) = self.sched.on_request(txn, step, now)?;
+        self.counters.ops = self.counters.ops.merge(ops);
         match outcome {
             LockOutcome::Granted => {
-                s.counters.grants += 1;
+                self.counters.grants += 1;
                 if let Some(t) = &self.tel {
                     t.grants.inc();
                 }
-                let declared = s
+                let declared = self
                     .specs
                     .get(&txn)
                     .and_then(|spec| spec.steps().get(step))
                     .copied()
                     .ok_or(CoreError::BadStep { txn, step })?;
                 self.record(
-                    &mut s,
                     now,
                     Event::Granted {
                         txn,
@@ -271,13 +220,13 @@ impl ControlNode {
                 );
             }
             LockOutcome::Blocked => {
-                s.counters.blocks += 1;
+                self.counters.blocks += 1;
                 if let Some(t) = &self.tel {
                     t.delays.inc();
                 }
             }
             LockOutcome::Delayed => {
-                s.counters.delays += 1;
+                self.counters.delays += 1;
                 if let Some(t) = &self.tel {
                     t.delays.inc();
                 }
@@ -288,37 +237,33 @@ impl ControlNode {
 
     /// Reports `amount` of bulk work done at a data node — the per-object
     /// weight-adjustment message.
-    pub fn progress(&self, txn: TxnId, amount: Work) -> Result<(), CoreError> {
-        let mut s = self.locked();
+    pub fn progress(&mut self, txn: TxnId, amount: Work) -> Result<(), CoreError> {
         let now = self.clock.next();
-        s.sched.on_progress(txn, amount)?;
-        self.record(&mut s, now, Event::Progress { txn, amount });
+        self.sched.on_progress(txn, amount)?;
+        self.record(now, Event::Progress { txn, amount });
         Ok(())
     }
 
     /// Reports that `txn`'s step `step` finished all its declared work.
-    pub fn step_complete(&self, txn: TxnId, step: usize) -> Result<(), CoreError> {
-        let mut s = self.locked();
+    pub fn step_complete(&mut self, txn: TxnId, step: usize) -> Result<(), CoreError> {
         let now = self.clock.next();
-        s.sched.on_step_complete(txn, step)?;
-        self.record(&mut s, now, Event::StepCompleted { txn, step });
+        self.sched.on_step_complete(txn, step)?;
+        self.record(now, Event::StepCompleted { txn, step });
         Ok(())
     }
 
     /// Commits `txn`, releasing its locks. Returns the commit tick — the
     /// logical timestamp MVCC snapshot certification orders commits by.
-    pub fn commit(&self, txn: TxnId) -> Result<Tick, CoreError> {
-        let mut s = self.locked();
+    pub fn commit(&mut self, txn: TxnId) -> Result<Tick, CoreError> {
         let now = self.clock.next();
-        s.sched.on_commit(txn, now)?;
-        s.counters.commits += 1;
-        self.emit_stats(&mut s);
-        self.record(&mut s, now, Event::Committed(txn));
+        self.sched.on_commit(txn, now)?;
+        self.counters.commits += 1;
+        self.record(now, Event::Committed(txn));
         if self.stream.is_some() {
             // Streaming mode keeps the spec map bounded by the *live*
             // population: the certifier owns its copy until retirement,
             // and a committed id never returns (ids are unique per run).
-            s.specs.remove(&txn);
+            self.specs.remove(&txn);
         }
         Ok(now)
     }
@@ -333,34 +278,28 @@ impl ControlNode {
 
     /// The scheduler's display name.
     pub fn sched_name(&self) -> String {
-        self.locked().sched.name().to_string()
+        self.sched.name().to_string()
     }
 
     /// The certification mode the wrapped scheduler claims.
     pub fn certify_mode(&self) -> wtpg_core::certify::CertifyMode {
-        self.locked().sched.certify_mode()
+        self.sched.certify_mode()
     }
 
     /// Admitted, uncommitted transactions right now.
     pub fn active_txns(&self) -> usize {
-        self.locked().sched.active_txns()
+        self.sched.active_txns()
     }
 
     /// Consumes the control node, releasing the recorded history, the spec
     /// log, and the counters.
     pub fn into_audit(self) -> ControlAudit {
-        let final_tick = self.clock.now();
-        let state = self
-            .state
-            .into_inner()
-            .expect("invariant: control lock is never poisoned (worker panics abort the run)");
-        let stats = state.sched.obs_stats();
         ControlAudit {
-            history: state.history,
-            specs: state.specs,
-            counters: state.counters,
-            final_tick,
-            stats,
+            final_tick: self.clock.now(),
+            stats: self.sched.obs_stats(),
+            history: self.history,
+            specs: self.specs,
+            counters: self.counters,
         }
     }
 }
@@ -378,7 +317,7 @@ mod tests {
 
     #[test]
     fn full_lifecycle_records_a_certifiable_history() {
-        let cn = ControlNode::new(Box::new(C2plScheduler::new()));
+        let mut cn = ControlNode::new(Box::new(C2plScheduler::new()));
         let t = spec(1, vec![StepSpec::write(0, 2.0), StepSpec::read(1, 1.0)]);
         assert_eq!(cn.arrive(&t).unwrap(), Admission::Admitted);
         for step in 0..2 {
@@ -406,13 +345,8 @@ mod tests {
 
         let (tx, rx) = mpsc::sync_channel(1024);
         let reg = Registry::new();
-        let cn = ControlNode::with_telemetry(
-            Box::new(C2plScheduler::new()),
-            None,
-            WallClock::start(),
-            Some(&reg),
-            Some(tx),
-        );
+        let mut cn =
+            ControlNode::with_telemetry(Box::new(C2plScheduler::new()), Some(&reg), Some(tx));
         for id in 1..=3u64 {
             let t = spec(id, vec![StepSpec::write(id as u32, 1.0)]);
             assert_eq!(cn.arrive(&t).unwrap(), Admission::Admitted);
@@ -443,28 +377,5 @@ mod tests {
         // Scheduler decision counters landed in the registry.
         let w = reg.flush_snapshot(1);
         assert_eq!(w.counter(wtpg_obs::window::metric::SCHED_GRANTS), 3);
-    }
-
-    #[test]
-    fn concurrent_nonconflicting_txns_interleave_cleanly() {
-        let cn = ControlNode::new(Box::new(C2plScheduler::new()));
-        std::thread::scope(|s| {
-            for id in 1..=8u64 {
-                let cn = &cn;
-                s.spawn(move || {
-                    // Each transaction touches its own partition: no contention.
-                    let t = spec(id, vec![StepSpec::write(id as u32, 1.0)]);
-                    assert_eq!(cn.arrive(&t).unwrap(), Admission::Admitted);
-                    assert_eq!(cn.request(TxnId(id), 0).unwrap(), LockOutcome::Granted);
-                    cn.progress(TxnId(id), Work::from_objects(1)).unwrap();
-                    cn.step_complete(TxnId(id), 0).unwrap();
-                    cn.commit(TxnId(id)).unwrap();
-                });
-            }
-        });
-        let audit = cn.into_audit();
-        assert_eq!(audit.counters.commits, 8);
-        certify_history(&audit.history, &audit.specs, CertifyMode::General)
-            .expect("interleaved run certifies");
     }
 }

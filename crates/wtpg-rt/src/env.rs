@@ -1,8 +1,7 @@
-//! Thread-count environment overrides, shared across the workspace.
+//! Thread-count environment overrides.
 //!
-//! Both the engine (`WTPG_ENGINE_THREADS`) and the benchmark harness
-//! (`WTPG_BENCH_THREADS`, see `wtpg-bench/src/par.rs`) accept the same
-//! override shape, so the parsing lives here once.
+//! The sweep harness reads its pool size from `WTPG_BENCH_THREADS` (see
+//! `wtpg-bench/src/par.rs`) through this parser.
 
 /// Reads a thread-count override from environment variable `var`.
 ///

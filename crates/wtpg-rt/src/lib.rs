@@ -1,67 +1,66 @@
 //! # wtpg-rt
 //!
-//! A real-time, multi-threaded execution engine for bulk-access transactions.
+//! Runtime building blocks for executing bulk-access transactions on
+//! wall-clock threads. `wtpg-net` assembles them into the paper's
+//! shared-nothing machine (one control actor, `NumNodes` data-node actors,
+//! messages in between); nothing here spawns a thread of its own.
 //!
-//! Everything else in this workspace drives the paper's schedulers from a
-//! single-threaded discrete-event simulator. This crate instead mirrors the
-//! paper's Figure-5 topology with *wall-clock* concurrency:
+//! * [`control::ControlNode`] — the paper's centralized admission/lock-grant
+//!   layer as a plain single-owner value: any
+//!   [`wtpg_core::sched::Scheduler`] plus a [`wtpg_core::time::LogicalClock`]
+//!   (one tick per operation) plus a [`wtpg_core::history::History`], so the
+//!   recorded log is a linearization
+//!   [`wtpg_core::certify::certify_history`] can replay.
+//! * [`queue::BoundedQueue`] — the blocking MPMC queue behind every in-proc
+//!   mailbox; a full queue blocks the sender (backpressure).
+//! * [`store::NodeStore`] — one data node's partitions (`node = partition
+//!   mod NumNodes`): real bulk scans / updates over `costof(s)` milli-object
+//!   cells, with the conservation invariant every run checks.
+//! * [`shard::ShardMap`] — conflict-component placement of transactions
+//!   onto control shards, and the merge of their audits.
+//! * [`backoff::Backoff`] — the capped exponential schedule the control
+//!   actor redelivers unanswered orders on, and the seeded
+//!   [`backoff::XorShift`] the fault layer draws from.
+//! * [`sched_by_name`] / [`workload::pattern_specs`] — the one scheduler-name
+//!   table and the seeded pattern batches every front end shares.
 //!
-//! ```text
-//!   clients ──► bounded submission queue (backpressure)
-//!                      │ pop
-//!   workers ◄──────────┘            ┌──────────────────────────┐
-//!      │   on_arrive / on_request   │ control node             │
-//!      ├──────────────────────────► │  Mutex< Box<dyn          │
-//!      │   granted?                 │    Scheduler> + History  │
-//!      │                            │    + LogicalClock >      │
-//!      ▼                            └──────────────────────────┘
-//!   sharded partition stores (one per data node, shared-nothing)
-//!      │  real bulk scans / updates, per-object progress reports
-//!      ▼
-//!   commit ──► recorded history ──► `wtpg_core::certify::certify_history`
-//! ```
-//!
-//! * The **control node** is a single mutex around any
-//!   [`wtpg_core::sched::Scheduler`] — exactly the paper's centralized
-//!   admission/lock-grant layer. Every operation draws one tick from a
-//!   [`wtpg_core::time::LogicalClock`] and appends to a
-//!   [`wtpg_core::history::History`], so the recorded log is a certified
-//!   linearization of the real concurrent run ([`control`]).
-//! * **Workers** are OS threads pulling transactions off a bounded
-//!   [`queue::BoundedQueue`]; a full queue blocks the submitter
-//!   (backpressure). A worker owns its transaction to completion: rejected
-//!   admissions (CHAIN's non-chain-form, ASL's lock failure) and
-//!   blocked/delayed lock requests are resubmitted after a capped
-//!   exponential backoff with deterministic jitter ([`backoff`]).
-//! * **Bulk steps** run for real against sharded in-memory partition stores,
-//!   one store per simulated data node (`node = partition mod NumNodes`),
-//!   scanning or updating `costof(s)` milli-object cells and reporting
-//!   progress to the scheduler one object at a time — the paper's
-//!   per-object weight-adjustment messages ([`store`]).
-//! * After the run the engine **certifies** the recorded history by replay
-//!   and checks a store-level conservation invariant (every committed bulk
-//!   update is visible in the cells), then reports wall-clock throughput,
-//!   latency percentiles, and abort/retry counts ([`metrics`]).
-//!
-//! Unlike the rest of the workspace, code here may read wall clocks and
-//! spawn threads — `wtpg-lint` exempts `wtpg-rt` from the determinism rule
-//! (and only from that rule). Runs are *not* reproducible interleavings;
-//! their correctness argument is the certifier, not replayability.
+//! Unlike the simulator crates, code here may read wall clocks and block on
+//! condition variables — `wtpg-lint` exempts `wtpg-rt` from the determinism
+//! rule (and only from that rule). Runs built from these parts are *not*
+//! reproducible interleavings; their correctness argument is the certifier,
+//! not replayability.
 //!
 //! ## Quickstart
 //!
+//! One transaction through a control node and its data node's store, the
+//! call sequence `wtpg-net`'s actors exchange as messages:
+//!
 //! ```
-//! use wtpg_rt::engine::{run_engine, EngineConfig};
+//! use wtpg_core::certify::certify_history;
+//! use wtpg_core::sched::{Admission, LockOutcome};
+//! use wtpg_rt::control::ControlNode;
 //! use wtpg_rt::sched_by_name;
+//! use wtpg_rt::store::NodeStore;
 //! use wtpg_rt::workload::pattern_specs;
 //! use wtpg_workload::Pattern;
 //!
-//! let (catalog, specs) = pattern_specs(Pattern::One, 40, 42);
-//! let sched = sched_by_name("chain", 2, 5000).expect("known scheduler");
-//! let cfg = EngineConfig { threads: 4, ..EngineConfig::default() };
-//! let report = run_engine(&cfg, sched, &catalog, &specs).expect("clean run");
-//! assert_eq!(report.committed, 40);
-//! assert!(report.certified);
+//! let (catalog, specs) = pattern_specs(Pattern::One, 1, 42);
+//! let mut control = ControlNode::new(sched_by_name("chain", 2, 5000).expect("known scheduler"));
+//! let mut stores: Vec<NodeStore> =
+//!     (0..catalog.num_nodes()).map(|n| NodeStore::for_node(&catalog, n)).collect();
+//! let mode = control.certify_mode();
+//! let spec = &specs[0];
+//! assert_eq!(control.arrive(spec).unwrap(), Admission::Admitted);
+//! for (i, step) in spec.steps().iter().enumerate() {
+//!     assert_eq!(control.request(spec.id, i).unwrap(), LockOutcome::Granted);
+//!     let store = &mut stores[catalog.node_of(step.partition) as usize];
+//!     store.apply_chunk(step.partition, step.mode, 0, step.actual_cost.units()).unwrap();
+//!     control.progress(spec.id, step.actual_cost).unwrap();
+//!     control.step_complete(spec.id, i).unwrap();
+//! }
+//! control.commit(spec.id).unwrap();
+//! let audit = control.into_audit();
+//! certify_history(&audit.history, &audit.specs, mode).expect("certifies");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -69,7 +68,6 @@
 
 pub mod backoff;
 pub mod control;
-pub mod engine;
 pub mod env;
 pub mod metrics;
 pub mod queue;
@@ -78,13 +76,23 @@ pub mod store;
 pub mod workload;
 
 pub use control::StreamItem;
-pub use engine::{run_engine, run_engine_obs, EngineConfig, EngineError, SendScheduler};
-pub use metrics::EngineReport;
 pub use shard::{merge_audits, ShardMap};
 
 use wtpg_core::sched::{
     AslScheduler, C2plScheduler, ChainScheduler, GWtpgScheduler, KWtpgScheduler, NodcScheduler,
+    Scheduler,
 };
+
+/// A scheduler that may be handed to another thread (the control actor's).
+pub type SendScheduler = Box<dyn Scheduler + Send>;
+
+/// COMPATIBILITY PATH: the frozen `bench/` package names
+/// `wtpg_rt::engine::SendScheduler`. The engine it was declared beside is
+/// gone; the next `benchmark`-archetype PR switches `bench/` to
+/// [`SendScheduler`] at the crate root and deletes this module.
+pub mod engine {
+    pub use crate::SendScheduler;
+}
 
 /// Builds a thread-safe scheduler by its CLI name, or `None` for an unknown
 /// name. `k` parameterises the K-WTPG variants; `keeptime` is the CHAIN /

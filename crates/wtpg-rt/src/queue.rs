@@ -1,10 +1,11 @@
 //! A bounded MPMC queue with blocking backpressure and timed/non-blocking
 //! variants.
 //!
-//! The engine's client side pushes transactions here; worker threads pop.
-//! A full queue blocks the submitter — the backpressure the paper's open
-//! arrival model lacks and a real service needs. Implemented on
-//! `Mutex<VecDeque> + Condvar` pairs so the crate stays dependency-free.
+//! Every in-process mailbox of `wtpg-net` is one of these: senders push,
+//! the owning actor pops. A full queue blocks the sender — the backpressure
+//! the paper's open arrival model lacks and a real service needs.
+//! Implemented on `Mutex<VecDeque> + Condvar` pairs so the crate stays
+//! dependency-free.
 //!
 //! Each condvar keeps books under the queue lock — how many threads sleep
 //! on it, and how many of those a wake-up is already on its way to — and a
@@ -19,10 +20,8 @@
 //! and re-checks the queue before anything else, so a wake-up that reached
 //! a sleeper which had just timed out is never counted against another.
 //!
-//! The queue is generic and deliberately free of engine-specific types: it
-//! also serves as the actor mailbox of `wtpg-net`'s in-process transport
-//! (one shared impl, no copy-paste). The lossy/timed operations exist for
-//! that use: [`BoundedQueue::try_push`] models a link that drops rather
+//! The queue is generic and free of protocol types. The lossy/timed
+//! operations exist for the mailbox use: [`BoundedQueue::try_push`] models a link that drops rather
 //! than blocks its sender, and [`BoundedQueue::pop_timeout`] lets an actor
 //! interleave message handling with periodic retry scans.
 

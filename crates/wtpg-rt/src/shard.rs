@@ -21,8 +21,8 @@
 //! [`merge_audits`] is the inverse at run end: per-shard [`ControlAudit`]s
 //! merge into one — histories via the cross-shard certifier's canonical
 //! merge ([`merge_shard_histories`]), counters and stats by field-wise sum.
-//! A single-shard merge returns the audit untouched, so unsharded runs stay
-//! byte-identical to the pre-sharding engine.
+//! A single-shard merge returns the audit untouched, so an unsharded run's
+//! history is exactly what its one control node recorded.
 
 use std::collections::BTreeMap;
 

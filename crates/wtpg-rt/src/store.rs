@@ -1,14 +1,11 @@
-//! Sharded in-memory partition stores — the engine's data nodes.
+//! In-memory partition stores — the data nodes' storage.
 //!
-//! One store per simulated data node, shared-nothing style: partition `p`
-//! lives on node `p mod NumNodes` (paper §4.1, Figure 5) and nodes share no
-//! state. [`NodeStore`] is the single-node storage itself — a plain value
-//! with `&mut self` operations and no locking, so `wtpg-net`'s data-node
-//! actors can *own* one outright (true shared-nothing: the partition is
-//! reachable only through the actor's mailbox). [`ShardedStore`] is the
-//! in-process composition the engine uses: every node behind its own mutex,
-//! so bulk work on different nodes proceeds in parallel within one address
-//! space.
+//! One store per data node, shared-nothing style: partition `p` lives on
+//! node `p mod NumNodes` (paper §4.1, Figure 5) and nodes share no state.
+//! [`NodeStore`] is a plain value with `&mut self` operations and no
+//! locking, so `wtpg-net`'s data-node actors *own* one outright (true
+//! shared-nothing: the partition is reachable only through the actor's
+//! mailbox).
 //!
 //! A partition holds one `u64` cell per milli-object of its catalog size; a
 //! bulk step touches exactly `costof(s)` milli-object cells (cycling over
@@ -16,18 +13,16 @@
 //!
 //! * a **read** step folds the touched cells into a checksum (the scan is
 //!   real work the optimiser cannot discard);
-//! * a **write** step increments every touched cell, which gives the engine
-//!   a conservation invariant — after a run in which every admitted
-//!   transaction commits, the sum over all cells must equal the total
-//!   declared write units of the workload ([`ShardedStore::cell_sum`]).
+//! * a **write** step increments every touched cell, which gives a run its
+//!   conservation invariant — when every admitted transaction commits, the
+//!   sum over all cells of all nodes must equal the total declared write
+//!   units of the workload ([`NodeStore::cell_sum`]).
 //!
-//! Workers apply steps in *chunks* (one object at a time by default),
-//! releasing the node mutex between chunks so progress reports interleave
-//! with other workers exactly like the paper's per-object weight-adjustment
-//! messages.
+//! Steps are applied in *chunks* (one object at a time by default), each
+//! followed by a progress report, exactly like the paper's per-object
+//! weight-adjustment messages.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 use wtpg_core::error::CoreError;
 use wtpg_core::partition::{Catalog, PartitionId};
@@ -35,9 +30,8 @@ use wtpg_core::txn::AccessMode;
 
 /// One data node's storage: the cells of every partition homed on it.
 ///
-/// A plain value — no interior locking — so a caller can either own it
-/// exclusively (an actor's private state) or wrap it in a mutex
-/// ([`ShardedStore`] does the latter).
+/// A plain value — no interior locking — owned exclusively by whoever
+/// applies bulk steps to it (an actor's private state).
 pub struct NodeStore {
     /// Cells of each partition homed on this node, keyed by partition id.
     partitions: BTreeMap<u32, Vec<u64>>,
@@ -230,107 +224,18 @@ impl NodeStore {
     }
 }
 
-/// The engine's data layer: one mutex-protected [`NodeStore`] per data node.
-pub struct ShardedStore {
-    nodes: Vec<Mutex<NodeStore>>,
-    num_nodes: u32,
-}
-
-impl ShardedStore {
-    /// Builds zeroed stores for every partition of `catalog`, placed with
-    /// the paper's modulo rule.
-    pub fn new(catalog: &Catalog) -> ShardedStore {
-        let num_nodes = catalog.num_nodes();
-        ShardedStore {
-            nodes: (0..num_nodes)
-                .map(|n| Mutex::new(NodeStore::for_node(catalog, n)))
-                .collect(),
-            num_nodes,
-        }
-    }
-
-    /// Applies one chunk of a bulk step at the owning node; see
-    /// [`NodeStore::apply_chunk`].
-    ///
-    /// # Errors
-    /// [`CoreError::UnknownPartition`] if `p` is not in the catalog the
-    /// store was built from.
-    pub fn apply_chunk(
-        &self,
-        p: PartitionId,
-        mode: AccessMode,
-        start_unit: u64,
-        units: u64,
-    ) -> Result<u64, CoreError> {
-        let node = (p.0 % self.num_nodes) as usize;
-        self.nodes
-            .get(node)
-            .ok_or(CoreError::UnknownPartition(p))?
-            .lock()
-            .expect("invariant: store lock is never poisoned (no panics while held)")
-            .apply_chunk(p, mode, start_unit, units)
-    }
-
-    /// Sum of every cell across every node. Because cells start at zero and
-    /// each committed write unit adds exactly one, this equals the total
-    /// write units executed — the conservation side of the engine's
-    /// end-to-end check.
-    pub fn cell_sum(&self) -> u64 {
-        self.nodes
-            .iter()
-            .map(|n| {
-                n.lock()
-                    .expect("invariant: store lock is never poisoned (no panics while held)")
-                    .cell_sum()
-            })
-            .sum()
-    }
-
-    /// Total milli-object cells updated across all nodes, as tallied at
-    /// write time (must equal [`Self::cell_sum`]).
-    pub fn write_units(&self) -> u64 {
-        self.nodes
-            .iter()
-            .map(|n| {
-                n.lock()
-                    .expect("invariant: store lock is never poisoned (no panics while held)")
-                    .write_units()
-            })
-            .sum()
-    }
-
-    /// Number of data nodes.
-    pub fn num_nodes(&self) -> u32 {
-        self.num_nodes
-    }
-
-    /// Milli-object cells updated on each node, indexed by node id — the
-    /// per-node store occupancy the trace reports as counters.
-    pub fn node_write_units(&self) -> Vec<u64> {
-        self.nodes
-            .iter()
-            .map(|n| {
-                n.lock()
-                    .expect("invariant: store lock is never poisoned (no panics while held)")
-                    .write_units()
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wtpg_core::work::Work;
 
-    fn store() -> ShardedStore {
-        // 4 partitions of 2 objects (2000 cells) over 2 nodes.
-        ShardedStore::new(&Catalog::uniform(4, 2, 2))
+    fn store() -> NodeStore {
+        // 4 partitions of 2 objects (2000 cells), all on one node.
+        NodeStore::for_node(&Catalog::uniform(4, 2, 1), 0)
     }
 
     #[test]
     fn writes_are_visible_and_tallied() {
-        let s = store();
+        let mut s = store();
         s.apply_chunk(PartitionId(1), AccessMode::Write, 0, 1500).unwrap();
         assert_eq!(s.write_units(), 1500);
         assert_eq!(s.cell_sum(), 1500);
@@ -341,7 +246,7 @@ mod tests {
 
     #[test]
     fn reads_change_nothing() {
-        let s = store();
+        let mut s = store();
         s.apply_chunk(PartitionId(0), AccessMode::Write, 0, 10).unwrap();
         let before = s.cell_sum();
         let c1 = s.apply_chunk(PartitionId(0), AccessMode::Read, 0, 10).unwrap();
@@ -352,7 +257,7 @@ mod tests {
 
     #[test]
     fn unknown_partition_is_an_error() {
-        let s = store();
+        let mut s = store();
         let err = s
             .apply_chunk(PartitionId(9), AccessMode::Read, 0, 1)
             .unwrap_err();
@@ -374,26 +279,6 @@ mod tests {
         );
         assert_eq!(n0.write_units(), 10);
         assert_eq!(n0.cell_sum(), 10);
-    }
-
-    #[test]
-    fn node_store_matches_sharded_per_node_tallies() {
-        let catalog = Catalog::uniform(4, 2, 2);
-        let sharded = ShardedStore::new(&catalog);
-        let mut owned: Vec<NodeStore> =
-            (0..2).map(|n| NodeStore::for_node(&catalog, n)).collect();
-        for p in 0..4u32 {
-            sharded.apply_chunk(PartitionId(p), AccessMode::Write, 0, 100).unwrap();
-            owned[(p % 2) as usize]
-                .apply_chunk(PartitionId(p), AccessMode::Write, 0, 100)
-                .unwrap();
-        }
-        let per_node: Vec<u64> = owned.iter().map(NodeStore::write_units).collect();
-        assert_eq!(sharded.node_write_units(), per_node);
-        assert_eq!(
-            sharded.cell_sum(),
-            owned.iter().map(NodeStore::cell_sum).sum::<u64>()
-        );
     }
 
     #[test]
@@ -429,25 +314,5 @@ mod tests {
             assert_eq!(a, b, "chunk {i} checksum");
         }
         assert_eq!(store.snapshot_parts()[0].1, cells);
-    }
-
-    #[test]
-    fn parallel_writers_on_distinct_partitions_conserve_units() {
-        let s = store();
-        std::thread::scope(|scope| {
-            for p in 0..4u32 {
-                let s = &s;
-                scope.spawn(move || {
-                    for i in 0..20 {
-                        s.apply_chunk(PartitionId(p), AccessMode::Write, i * 100, 100)
-                            .unwrap();
-                    }
-                });
-            }
-        });
-        assert_eq!(s.cell_sum(), 4 * 20 * 100);
-        assert_eq!(s.write_units(), s.cell_sum());
-        // Catalog size is in whole objects here, so Work units line up.
-        assert_eq!(Work::from_units(s.cell_sum()), Work::from_objects(8));
     }
 }

@@ -1,4 +1,4 @@
-//! Seeded batch workloads for the engine, built from the paper's patterns.
+//! Seeded batch workloads, built from the paper's patterns.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -1,7 +1,6 @@
 //! Open-loop arrival schedules for the sustained-load harness.
 //!
-//! A closed-loop driver (the engine's workers, the net clients' pipelined
-//! submit window) slows its offered load down whenever the system slows —
+//! A closed-loop driver (the net clients' pipelined submit window) slows its offered load down whenever the system slows —
 //! latency hides saturation. The open-loop harness instead fixes the
 //! *arrival* process: transactions arrive at Poisson times with rate λ
 //! regardless of how the system is doing, and an arrival that finds the
