@@ -10,17 +10,26 @@
 //!
 //! Set `WTPG_BENCH_THREADS` to pin the pool size; unset, the pool matches
 //! the machine's available parallelism. `0`, `1`, or an unparsable value
-//! force the bit-identical serial path (parsed by
-//! [`wtpg_rt::env::env_threads`]).
+//! force the bit-identical serial path.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use wtpg_rt::env::env_threads_or_available;
+/// Reads a thread-count override from environment variable `var`: unset →
+/// `None`; a non-negative integer → `Some(n)`; anything unparseable →
+/// `Some(1)` — an explicit-but-broken override degrades to serial rather
+/// than silently going wide.
+fn env_threads(var: &str) -> Option<usize> {
+    match std::env::var(var) {
+        Ok(v) => Some(v.trim().parse().unwrap_or(1)),
+        Err(_) => None,
+    }
+}
 
 /// Worker count: `WTPG_BENCH_THREADS` if set (0 or 1 forces the serial
-/// path), otherwise the machine's available parallelism.
+/// path), otherwise the machine's available parallelism (1 when unknown).
 fn worker_count() -> usize {
-    env_threads_or_available("WTPG_BENCH_THREADS")
+    env_threads("WTPG_BENCH_THREADS")
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Computes `f(0), f(1), …, f(n-1)` across a pool of scoped threads and
@@ -74,6 +83,17 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn thread_override_parses_and_garbage_degrades_to_serial() {
+        assert_eq!(env_threads("WTPG_BENCH_TEST_UNSET_VAR"), None);
+        // Env mutation is process-global: a dedicated variable, one test.
+        std::env::set_var("WTPG_BENCH_TEST_SET_VAR", " 6 ");
+        assert_eq!(env_threads("WTPG_BENCH_TEST_SET_VAR"), Some(6));
+        std::env::set_var("WTPG_BENCH_TEST_SET_VAR", "lots");
+        assert_eq!(env_threads("WTPG_BENCH_TEST_SET_VAR"), Some(1));
+        std::env::remove_var("WTPG_BENCH_TEST_SET_VAR");
+    }
 
     #[test]
     fn preserves_index_order() {

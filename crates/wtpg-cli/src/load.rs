@@ -118,7 +118,6 @@ struct WindowRow {
     offered: u64,
     shed: u64,
     committed: u64,
-    rejected: u64,
     p50_us: u64,
     p99_us: u64,
     p999_us: u64,
@@ -137,7 +136,6 @@ fn window_rows(verdicts: &[WindowVerdict]) -> Vec<WindowRow> {
             offered: v.stats.offered,
             shed: v.stats.shed,
             committed: v.stats.committed,
-            rejected: v.stats.rejected,
             p50_us: v.stats.p50_us,
             p99_us: v.stats.p99_us,
             p999_us: v.stats.p999_us,

@@ -94,7 +94,9 @@ fn print_help() {
            wtpg load     [--lambda TPS] [--secs F] [--inflight N] [--slo SPEC]\n\
                          [--window MS] [--jsonl FILE] [--no-telemetry] [--out FILE]\n\
                          plus the cell flags of `wtpg net` (--sched … --mvcc):\n\
-                         open-loop Poisson load, windowed SLO verdicts\n\
+                         open-loop Poisson load, windowed SLO verdicts; SPEC is\n\
+                         e.g. p99<50ms,abort<5%,sustain=4 — abort is the share\n\
+                         of offered arrivals shed at the --inflight bound\n\
            wtpg top      <trace.jsonl> [--once] [--interval MS] [--rows N]\n\
                          live view of a run's windowed telemetry\n\
            wtpg obs      summary <trace.jsonl> | diff <a.jsonl> <b.jsonl>\n\

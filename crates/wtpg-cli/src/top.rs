@@ -3,7 +3,10 @@
 //! Tails a JSONL trace carrying [`WindowSnapshot`] records — typically one
 //! `wtpg load --jsonl FILE` is writing *right now* — and renders a
 //! top-style table: throughput, commit-latency tail, queue depths,
-//! backlog, abort rate, WAL flush lag, and the per-shard commit balance.
+//! backlog, abort rate (arrivals shed over arrivals offered — the SLO's
+//! `abort<N%` term), WAL flush lag, and the per-shard commit balance. A
+//! scheduler's admission rejections are retried inside the control actor
+//! and show on the queue line as `sched … aborts`.
 //!
 //! ```text
 //! wtpg load --lambda 4000 --secs 30 --jsonl load.jsonl &
@@ -15,6 +18,7 @@
 //! picked up on the next poll; parse errors on complete lines are
 //! reported once per line, not fatal.
 
+use wtpg_obs::slo::WindowStats;
 use wtpg_obs::window::{metric, WindowSnapshot};
 use wtpg_obs::{EventKind, ObsEvent};
 
@@ -85,29 +89,8 @@ fn windows_of(text: &str) -> Vec<WindowSnapshot> {
     out
 }
 
-fn pct_ms(w: &WindowSnapshot, q: f64) -> f64 {
-    w.hist(metric::COMMIT_LAT_US)
-        .map(|h| h.percentile(q) as f64 / 1000.0)
-        .unwrap_or(0.0)
-}
-
-fn tps(w: &WindowSnapshot) -> f64 {
-    if w.len == 0 {
-        0.0
-    } else {
-        w.counter(metric::COMMITS) as f64 * 1_000_000.0 / w.len as f64
-    }
-}
-
-fn abort_rate(w: &WindowSnapshot) -> f64 {
-    let rejected = w.counter(metric::REJECTS);
-    let shed = w.counter(metric::SHED);
-    let denom = (w.counter(metric::COMMITS) + rejected + shed).max(w.counter(metric::OFFERED));
-    if denom == 0 {
-        0.0
-    } else {
-        (rejected + shed) as f64 / denom as f64
-    }
+fn ms(us: u64) -> f64 {
+    us as f64 / 1000.0
 }
 
 fn render(windows: &[WindowSnapshot], path: &str, rows: usize, live: bool) {
@@ -120,13 +103,14 @@ fn render(windows: &[WindowSnapshot], path: &str, rows: usize, live: bool) {
         println!("  (no window records yet)");
         return;
     };
+    let now = WindowStats::from_snapshot(last);
     println!(
         "  now: {:>8.1} tps | p50 {:>7.2} ms  p99 {:>7.2} ms  p99.9 {:>7.2} ms | abort {:>5.2}%",
-        tps(last),
-        pct_ms(last, 0.50),
-        pct_ms(last, 0.99),
-        pct_ms(last, 0.999),
-        abort_rate(last) * 100.0
+        now.tps(),
+        ms(now.p50_us),
+        ms(now.p99_us),
+        ms(now.p999_us),
+        now.abort_rate() * 100.0
     );
     println!(
         "  queues: inflight {:>4} | backlog {:>4} parked {:>4} | wal lag {} B | sched {} grants \
@@ -158,17 +142,17 @@ fn render(windows: &[WindowSnapshot], path: &str, rows: usize, live: bool) {
         "win", "tps", "offered", "shed", "p50 ms", "p99 ms", "p99.9 ms", "abort%"
     );
     let start = windows.len().saturating_sub(rows);
-    for w in &windows[start..] {
+    for w in windows[start..].iter().map(WindowStats::from_snapshot) {
         println!(
             "  {:>5} | {:>8.1} | {:>8} | {:>5} | {:>8.2} | {:>8.2} | {:>8.2} | {:>6.2}",
             w.seq,
-            tps(w),
-            w.counter(metric::OFFERED),
-            w.counter(metric::SHED),
-            pct_ms(w, 0.50),
-            pct_ms(w, 0.99),
-            pct_ms(w, 0.999),
-            abort_rate(w) * 100.0
+            w.tps(),
+            w.offered,
+            w.shed,
+            ms(w.p50_us),
+            ms(w.p99_us),
+            ms(w.p999_us),
+            w.abort_rate() * 100.0
         );
     }
 }

@@ -216,28 +216,6 @@ pub fn merge_shard_histories(shards: &[&History]) -> Result<History, CertifyViol
     Ok(merged)
 }
 
-/// Certifies a sharded run: merges the per-shard histories (checking the
-/// component-disjointness premise), unions the per-shard spec maps, and
-/// replays the merged history under `mode` exactly like
-/// [`certify_history`].
-///
-/// # Errors
-/// The first [`CertifyViolation`] from the merge or the replay.
-pub fn certify_sharded(
-    shards: &[(&History, &BTreeMap<TxnId, TxnSpec>)],
-    mode: CertifyMode,
-) -> Result<CertifyReport, CertifyViolation> {
-    let hists: Vec<&History> = shards.iter().map(|&(h, _)| h).collect();
-    let merged = merge_shard_histories(&hists)?;
-    let mut specs: BTreeMap<TxnId, TxnSpec> = BTreeMap::new();
-    for &(_, shard_specs) in shards {
-        for (id, spec) in shard_specs {
-            specs.insert(*id, spec.clone());
-        }
-    }
-    certify_history(&merged, &specs, mode)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -642,15 +620,15 @@ mod tests {
                     )
                 })
                 .collect();
-            let refs: Vec<(&History, &BTreeMap<TxnId, TxnSpec>)> =
-                parts.iter().map(|(h, s)| (h, s)).collect();
-            let report =
-                certify_sharded(&refs, CertifyMode::Chain).expect("disjoint shards certify");
-            assert_eq!(report.commits, 4 * shards);
             let merged = merge_shard_histories(
                 &parts.iter().map(|(h, _)| h).collect::<Vec<_>>(),
             )
             .unwrap();
+            let specs: BTreeMap<TxnId, TxnSpec> =
+                parts.iter().flat_map(|(_, s)| s.clone()).collect();
+            let report = certify_history(&merged, &specs, CertifyMode::Chain)
+                .expect("disjoint shards certify");
+            assert_eq!(report.commits, 4 * shards);
             assert_eq!(
                 merged.len(),
                 parts.iter().map(|(h, _)| h.len()).sum::<usize>()
@@ -666,17 +644,17 @@ mod tests {
     fn swapped_cross_shard_grants_are_rejected() {
         // Both "shards" claim a grant on partition 0 — the disjointness
         // premise of sharded certification, so the merge must refuse.
-        let (h1, s1) = drive_component(
+        let (h1, _) = drive_component(
             crate::sched::ChainScheduler::new(5000),
             &component_specs(0, 1, 2),
             0,
         );
-        let (h2, s2) = drive_component(
+        let (h2, _) = drive_component(
             crate::sched::ChainScheduler::new(5000),
             &component_specs(0, 100, 2),
             0,
         );
-        let err = certify_sharded(&[(&h1, &s1), (&h2, &s2)], CertifyMode::Chain).unwrap_err();
+        let err = merge_shard_histories(&[&h1, &h2]).unwrap_err();
         assert_eq!(err.at, usize::MAX);
         assert!(err.what.contains("granted by shard"), "{err}");
 
@@ -698,7 +676,7 @@ mod tests {
         let merged = merge_shard_histories(&[&h]).unwrap();
         assert_eq!(merged.events(), h.events(), "ticks and order untouched");
         let direct = certify_history(&h, &specs, CertifyMode::Chain).unwrap();
-        let sharded = certify_sharded(&[(&h, &specs)], CertifyMode::Chain).unwrap();
+        let sharded = certify_history(&merged, &specs, CertifyMode::Chain).unwrap();
         assert_eq!(direct, sharded);
     }
 }

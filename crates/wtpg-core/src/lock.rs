@@ -15,7 +15,6 @@
 //! * the conflict structure a newly arrived transaction induces (which the
 //!   WTPG turns into conflicting and precedence edges).
 
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use crate::error::CoreError;
@@ -133,23 +132,6 @@ impl LockTable {
                     mode: s.mode,
                     due: spec.due(i),
                 });
-        }
-    }
-
-    /// Removes every declaration and held lock of `spec`'s transaction
-    /// (admission rollback). Only the granules `spec` names are visited;
-    /// one left with nothing on it is dropped.
-    pub fn undeclare(&mut self, spec: &TxnSpec) {
-        for s in spec.steps() {
-            let Entry::Occupied(mut e) = self.granules.entry(s.partition) else {
-                continue; // emptied at an earlier step on the same partition
-            };
-            let g = e.get_mut();
-            g.decls.retain(|d| d.txn != spec.id);
-            g.holders.retain(|&(t, _)| t != spec.id);
-            if g.decls.is_empty() && g.holders.is_empty() {
-                e.remove();
-            }
         }
     }
 
@@ -317,6 +299,8 @@ impl LockTable {
     /// K-conflict constraint test (paper §3.3): with `spec` freshly declared,
     /// does every outstanding declaration — the newcomer's *and* everyone
     /// else's — conflict with at most `k` declarations of other transactions?
+    /// The certifier's check on a replayed admission, and the oracle
+    /// [`Self::arrival_keeps_k`] — what the schedulers ask — is tested against.
     pub fn k_constraint_ok(&self, spec: &TxnSpec, k: usize) -> bool {
         // Only granules the newcomer touches can have gained conflicts.
         let mut parts = spec.partitions();
@@ -338,6 +322,34 @@ impl LockTable {
             }
         }
         true
+    }
+
+    /// The K-conflict constraint as a read-only admission test (paper §3.3):
+    /// were the undeclared `spec` declared, would every declaration on the
+    /// granules it names — the outstanding ones and its own — conflict with at
+    /// most `k` declarations of other transactions? What
+    /// [`Self::k_constraint_ok`] answers after [`Self::declare`].
+    pub fn arrival_keeps_k(&self, spec: &TxnSpec, k: usize) -> bool {
+        let steps = spec.steps();
+        steps.iter().all(|s| {
+            let decls = self
+                .granules
+                .get(&s.partition)
+                .map_or(&[][..], |g| &g.decls);
+            // Conflicts of a `mode` declaration by `txn` on this granule: with
+            // other transactions' outstanding ones, plus — unless `txn` is
+            // the arrival itself — with the arrival's.
+            let within_k = |txn: TxnId, mode: AccessMode| {
+                let outstanding = decls
+                    .iter()
+                    .filter(|e| e.txn != txn && e.mode.conflicts_with(mode));
+                let arriving = steps.iter().filter(|t| {
+                    txn != spec.id && t.partition == s.partition && t.mode.conflicts_with(mode)
+                });
+                outstanding.count() + arriving.count() <= k
+            };
+            within_k(spec.id, s.mode) && decls.iter().all(|d| within_k(d.txn, d.mode))
+        })
     }
 
     /// Total outstanding declarations (diagnostics).
@@ -538,51 +550,6 @@ mod tests {
         lt.declare(&b);
         lt.declare(&c);
         assert!(lt.k_constraint_ok(&c, 0));
-    }
-
-    #[test]
-    fn undeclare_rolls_back_everything() {
-        let (t1, t2, _) = figure1();
-        let mut lt = LockTable::new();
-        lt.declare(&t1);
-        lt.declare(&t2);
-        lt.undeclare(&t2);
-        assert_eq!(lt.declaration_count(), 3);
-        assert!(lt
-            .conflicting_declarations(TxnId(1), PartitionId(0), AccessMode::Write)
-            .is_empty());
-    }
-
-    /// `undeclare` touches the transaction's own granules only: the ones it
-    /// leaves empty disappear, every other one keeps its declarations (in
-    /// arrival order) and holders.
-    #[test]
-    fn undeclare_visits_only_its_own_partitions() {
-        let (t1, t2, t3) = figure1();
-        let mut lt = LockTable::new();
-        lt.declare(&t1);
-        lt.grant(TxnId(1), 0, PartitionId(0), AccessMode::Read)
-            .unwrap();
-        lt.declare(&t3);
-        let before = lt.clone();
-        lt.declare(&t2); // r(C) next to T3's w(C); w(A) next to T1's S on A
-        lt.undeclare(&t2);
-        assert_eq!(lt.granules.len(), before.granules.len());
-        for (p, g) in &before.granules {
-            let now = &lt.granules[p];
-            assert_eq!(now.decls, g.decls, "{p}");
-            assert_eq!(now.holders, g.holders, "{p}");
-        }
-        // T3 alone is on C and D: rolling it back removes both granules and
-        // leaves A and B (T1's) as they were.
-        lt.undeclare(&t3);
-        assert!(!lt.granules.contains_key(&PartitionId(2)));
-        assert!(!lt.granules.contains_key(&PartitionId(3)));
-        assert_eq!(
-            lt.granules[&PartitionId(0)].holders,
-            before.granules[&PartitionId(0)].holders
-        );
-        assert_eq!(lt.declaration_count(), 2); // T1's r(B) and w(A)
     }
 
     #[test]

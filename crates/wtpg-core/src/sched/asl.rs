@@ -5,23 +5,17 @@
 //! admission is very conservative, which is exactly what Experiment 2's hot
 //! set punishes ("ASL keeps a WTPG to be a set of isolated points").
 
-use wtpg_obs::ControlStats;
-
 use crate::error::CoreError;
 use crate::time::Tick;
-use crate::txn::{TxnId, TxnSpec};
-use crate::work::Work;
-use crate::wtpg::Wtpg;
+use crate::txn::{StepSpec, TxnId, TxnSpec};
 
-use super::common::SchedCore;
-use super::{Admission, CommitResult, ControlOps, LockOutcome, Scheduler};
+use super::common::{Constraint, Policy, SchedCore};
+use super::{ControlOps, LockOutcome};
 
 /// The ASL scheduler.
 #[derive(Clone, Debug, Default)]
 pub struct AslScheduler {
     core: SchedCore,
-    /// Cumulative control-plane statistics (lock-denied rejections).
-    stats: ControlStats,
 }
 
 impl AslScheduler {
@@ -31,94 +25,54 @@ impl AslScheduler {
     }
 }
 
-impl Scheduler for AslScheduler {
-    fn name(&self) -> &str {
+impl Policy for AslScheduler {
+    fn core(&self) -> &SchedCore {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut SchedCore {
+        &mut self.core
+    }
+
+    fn label(&self) -> &str {
         "ASL"
     }
 
-    fn on_arrive(
-        &mut self,
-        spec: &TxnSpec,
-        _now: Tick,
-    ) -> Result<(Admission, ControlOps), CoreError> {
-        // Test-and-grab must be atomic: check against held locks only, then
-        // take everything. Other admitted transactions hold all their locks
-        // already, so declarations never linger in the table under ASL.
-        if !self.core.locks.can_lock_all(spec) {
-            self.stats.aborts_lock_denied += 1;
-            return Ok((Admission::Rejected, ControlOps::NONE));
-        }
-        self.core.arrive(spec)?;
+    // Test-and-grab must be atomic: the test is against held locks only, and
+    // `admitted` takes everything before any other event is handled. Other
+    // admitted transactions hold all their locks already, so declarations
+    // never linger in the table under ASL.
+    fn constraint(&self) -> Constraint {
+        Constraint::LockAll
+    }
+
+    fn admitted(&mut self, spec: &TxnSpec) -> Result<(), CoreError> {
         debug_assert!(
             self.core.wtpg.conflict_partners(spec.id).is_empty()
                 && self.core.wtpg.precedence_predecessors(spec.id).is_empty(),
             "ASL admission implies an isolated WTPG node"
         );
-        self.core.locks.grant_all(spec)?;
-        Ok((Admission::Admitted, ControlOps::NONE))
+        self.core.locks.grant_all(spec)
     }
 
-    fn on_request(
+    fn grant_rule(
         &mut self,
         txn: TxnId,
         step: usize,
+        _s: StepSpec,
         _now: Tick,
     ) -> Result<(LockOutcome, ControlOps), CoreError> {
         // All locks are already held; this only advances execution state.
-        let s = self.core.request_step(txn, step)?;
-        debug_assert!(!self.core.locks.is_blocked(txn, s.partition, s.mode));
-        let a = self
-            .core
-            .txns
-            .get_mut(&txn)
-            .ok_or(CoreError::UnknownTxn(txn))?;
-        a.current = Some(step);
-        a.next_step = step + 1;
-        a.declared_progress = Work::ZERO;
+        self.core.start_step(txn, step)?;
         Ok((LockOutcome::Granted, ControlOps::NONE))
-    }
-
-    fn on_progress(&mut self, txn: TxnId, amount: Work) -> Result<(), CoreError> {
-        self.core.progress(txn, amount)
-    }
-
-    fn on_step_complete(&mut self, txn: TxnId, step: usize) -> Result<(), CoreError> {
-        self.core.step_complete(txn, step)
-    }
-
-    fn on_commit(&mut self, txn: TxnId, _now: Tick) -> Result<CommitResult, CoreError> {
-        let freed = self.core.commit(txn)?;
-        Ok(CommitResult {
-            freed,
-            ops: ControlOps::NONE,
-        })
-    }
-
-    fn on_abort(&mut self, txn: TxnId, _now: Tick) -> Result<CommitResult, CoreError> {
-        let freed = self.core.abort(txn)?;
-        Ok(CommitResult {
-            freed,
-            ops: ControlOps::NONE,
-        })
-    }
-
-    fn active_txns(&self) -> usize {
-        self.core.active_txns()
-    }
-
-    fn wtpg(&self) -> &Wtpg {
-        self.core.wtpg()
-    }
-
-    fn obs_stats(&self) -> ControlStats {
-        self.stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::txn::StepSpec;
+    use crate::sched::{Admission, Scheduler};
+    use crate::work::Work;
 
     fn t(id: u64, steps: Vec<StepSpec>) -> TxnSpec {
         TxnSpec::new(TxnId(id), steps)

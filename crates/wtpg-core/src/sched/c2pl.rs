@@ -11,7 +11,7 @@
 //!
 //! Control saving: deadlock predictions are pure functions of the lock
 //! table and the precedence edges, so each verdict is cached per
-//! `(txn, step)` stamped with the WTPG [`version`](Wtpg::version) it was
+//! `(txn, step)` stamped with the WTPG [`version`] it was
 //! computed against — the same §3.4 scheme CHAIN and K-WTPG use for `W` and
 //! `E(q)`. Arrivals and commits bump the version; a grant changes the lock
 //! table *without* necessarily bumping it, so any grant also wipes the
@@ -21,27 +21,17 @@
 //! "safe" answer would be a real deadlock. Hits skip the graph traversal
 //! and report zero `deadlock_tests` to the control-node cost model; retry
 //! storms of delayed requests are the common beneficiary.
+//!
+//! [`version`]: crate::wtpg::Wtpg::version
 
 use std::collections::BTreeMap;
 
-use wtpg_obs::ControlStats;
-
 use crate::error::CoreError;
 use crate::time::Tick;
-use crate::txn::{TxnId, TxnSpec};
-use crate::work::Work;
-use crate::wtpg::Wtpg;
+use crate::txn::{StepSpec, TxnId};
 
-use super::common::SchedCore;
-use super::{Admission, CommitResult, ControlOps, LockOutcome, Scheduler};
-
-/// Optional structural admission constraint (the hybrids of §4.4).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Constraint {
-    None,
-    ChainForm,
-    KConflict(usize),
-}
+use super::common::{Constraint, Policy, SchedCore};
+use super::{ControlOps, LockOutcome};
 
 /// The cautious two-phase-lock scheduler, optionally constrained.
 #[derive(Clone, Debug)]
@@ -56,8 +46,6 @@ pub struct C2plScheduler {
     seen_version: u64,
     /// A grant changed the lock table since the last invalidation check.
     granted_any: bool,
-    /// Cumulative control-plane statistics (cache behaviour, causes).
-    stats: ControlStats,
 }
 
 impl C2plScheduler {
@@ -84,7 +72,6 @@ impl C2plScheduler {
             dd_cache: BTreeMap::new(),
             seen_version: 0,
             granted_any: false,
-            stats: ControlStats::default(),
         }
     }
 
@@ -106,52 +93,30 @@ impl Default for C2plScheduler {
     }
 }
 
-impl Scheduler for C2plScheduler {
-    fn name(&self) -> &str {
+impl Policy for C2plScheduler {
+    fn core(&self) -> &SchedCore {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut SchedCore {
+        &mut self.core
+    }
+
+    fn label(&self) -> &str {
         self.name
     }
 
-    fn on_arrive(
-        &mut self,
-        spec: &TxnSpec,
-        _now: Tick,
-    ) -> Result<(Admission, ControlOps), CoreError> {
-        let ok = match self.constraint {
-            Constraint::None => {
-                self.core.arrive(spec)?;
-                true
-            }
-            Constraint::ChainForm => self.core.arrive_if_chain_form(spec)?,
-            Constraint::KConflict(k) => {
-                self.core.arrive(spec)?;
-                let ok = self.core.locks.k_constraint_ok(spec, k);
-                if !ok {
-                    self.core.rollback_arrival(spec.id);
-                }
-                ok
-            }
-        };
-        if ok {
-            return Ok((Admission::Admitted, ControlOps::NONE));
-        }
-        match self.constraint {
-            Constraint::ChainForm => self.stats.aborts_non_chain += 1,
-            Constraint::KConflict(_) => self.stats.aborts_k_conflict += 1,
-            Constraint::None => {}
-        }
-        Ok((Admission::Rejected, ControlOps::NONE))
+    fn constraint(&self) -> Constraint {
+        self.constraint
     }
 
-    fn on_request(
+    fn grant_rule(
         &mut self,
         txn: TxnId,
         step: usize,
+        s: StepSpec,
         _now: Tick,
     ) -> Result<(LockOutcome, ControlOps), CoreError> {
-        let s = self.core.request_step(txn, step)?;
-        if self.core.locks.is_blocked(txn, s.partition, s.mode) {
-            return Ok((LockOutcome::Blocked, ControlOps::NONE));
-        }
         self.maybe_invalidate();
         let ver = self.core.wtpg.version();
         let implied = self.core.implied_resolutions(txn, s.partition, s.mode);
@@ -161,11 +126,11 @@ impl Scheduler for C2plScheduler {
             .and_then(|&(stamp, d)| (stamp == ver).then_some(d));
         let dangerous = match cached {
             Some(d) => {
-                self.stats.dd_cache_hits += 1;
+                self.core.stats.dd_cache_hits += 1;
                 d
             }
             None => {
-                self.stats.dd_cache_misses += 1;
+                self.core.stats.dd_cache_misses += 1;
                 let d = self.core.grant_would_deadlock(txn, &implied);
                 self.dd_cache.insert((txn, step), (ver, d));
                 d
@@ -177,7 +142,7 @@ impl Scheduler for C2plScheduler {
             ..ControlOps::NONE
         };
         if dangerous {
-            self.stats.delays_deadlock += 1;
+            self.core.stats.delays_deadlock += 1;
             return Ok((LockOutcome::Delayed, ops));
         }
         self.core.grant(txn, step, s, &implied)?;
@@ -185,51 +150,19 @@ impl Scheduler for C2plScheduler {
         Ok((LockOutcome::Granted, ops))
     }
 
-    fn on_progress(&mut self, txn: TxnId, amount: Work) -> Result<(), CoreError> {
-        self.core.progress(txn, amount)
-    }
-
-    fn on_step_complete(&mut self, txn: TxnId, step: usize) -> Result<(), CoreError> {
-        self.core.step_complete(txn, step)
-    }
-
-    fn on_commit(&mut self, txn: TxnId, _now: Tick) -> Result<CommitResult, CoreError> {
-        let freed = self.core.commit(txn)?;
+    fn left(&mut self, txn: TxnId) {
         // The removal bumped the version (expiring survivors' entries); drop
-        // the committed transaction's own entries so the map doesn't grow.
+        // the departed transaction's own entries so the map doesn't grow.
         self.dd_cache.retain(|&(t, _), _| t != txn);
-        Ok(CommitResult {
-            freed,
-            ops: ControlOps::NONE,
-        })
-    }
-
-    fn on_abort(&mut self, txn: TxnId, _now: Tick) -> Result<CommitResult, CoreError> {
-        let freed = self.core.abort(txn)?;
-        self.dd_cache.retain(|&(t, _), _| t != txn);
-        Ok(CommitResult {
-            freed,
-            ops: ControlOps::NONE,
-        })
-    }
-
-    fn active_txns(&self) -> usize {
-        self.core.active_txns()
-    }
-
-    fn wtpg(&self) -> &Wtpg {
-        self.core.wtpg()
-    }
-
-    fn obs_stats(&self) -> ControlStats {
-        self.stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::txn::StepSpec;
+    use crate::sched::{Admission, Scheduler};
+    use crate::txn::TxnSpec;
+    use crate::work::Work;
 
     fn t(id: u64, steps: Vec<StepSpec>) -> TxnSpec {
         TxnSpec::new(TxnId(id), steps)
@@ -419,37 +352,5 @@ mod tests {
             s.on_request(TxnId(1), 1, Tick(0)),
             Err(CoreError::OutOfOrder { .. })
         ));
-    }
-
-    /// CHAIN-C2PL's read-only admission test against Definition 2 itself:
-    /// over the differential's seeded streams, an arrival is rejected iff
-    /// declaring it would leave a WTPG that `is_chain_form` refuses.
-    #[test]
-    fn chain_c2pl_admission_agrees_with_is_chain_form() {
-        use crate::chain::form::is_chain_form;
-        use crate::test_streams::{drive, pattern_one, pattern_two, random_specs, Call};
-        for seed in 0..70u64 {
-            for specs in [
-                pattern_one(seed, 200),
-                pattern_two(seed, 200, 4),
-                random_specs(seed, 150, 4 + (seed % 9) as u32),
-            ] {
-                let mut s = C2plScheduler::chain_c2pl();
-                let verdicts = drive(&mut s, &specs, |s, spec, call| match call {
-                    Call::Arrive(_, Admission::Admitted) => {
-                        assert!(is_chain_form(s.wtpg()), "seed {seed}: admitted {spec:?}");
-                        Some(true)
-                    }
-                    Call::Arrive(_, Admission::Rejected) => {
-                        let mut declared = s.core.clone();
-                        declared.arrive(spec).unwrap();
-                        assert!(!is_chain_form(&declared.wtpg), "seed {seed}: {spec:?}");
-                        Some(false)
-                    }
-                    Call::Request(..) => None,
-                });
-                assert!(verdicts.contains(&Some(true)) && verdicts.contains(&Some(false)));
-            }
-        }
     }
 }

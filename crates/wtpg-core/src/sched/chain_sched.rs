@@ -8,25 +8,23 @@
 //! resubmitted by the driver.
 //!
 //! Control saving (§3.4): `W` is recomputed only when the WTPG's structural
-//! [`version`](Wtpg::version) moved past the one `W` was computed at — a
+//! [`version`] moved past the one `W` was computed at — a
 //! transaction started or committed, or a foreign precedence edge appeared —
 //! or when `keeptime` has elapsed (the `T0` weights drift as objects are
 //! processed, so a periodic refresh keeps `W` honest even without membership
 //! changes). The scheduler's own grants resolve edges *consistent with `W`
 //! by construction*, so after a grant the cached order is re-pinned to the
 //! post-grant version instead of being recomputed.
-
-use wtpg_obs::ControlStats;
+//!
+//! [`version`]: crate::wtpg::Wtpg::version
 
 use crate::chain::form::WPlanner;
 use crate::error::CoreError;
 use crate::time::Tick;
-use crate::txn::{TxnId, TxnSpec};
-use crate::work::Work;
-use crate::wtpg::Wtpg;
+use crate::txn::{StepSpec, TxnId};
 
-use super::common::SchedCore;
-use super::{Admission, CommitResult, ControlOps, LockOutcome, Scheduler};
+use super::common::{Constraint, Policy, SchedCore};
+use super::{ControlOps, LockOutcome};
 
 /// The CHAIN scheduler.
 #[derive(Clone, Debug)]
@@ -41,8 +39,6 @@ pub struct ChainScheduler {
     last_compute: Tick,
     /// WTPG structural version `w_order` is valid for.
     w_version: u64,
-    /// Cumulative control-plane statistics (recomputes, reuses, causes).
-    stats: ControlStats,
 }
 
 impl ChainScheduler {
@@ -55,7 +51,6 @@ impl ChainScheduler {
             planner: WPlanner::default(),
             last_compute: Tick::ZERO,
             w_version: 0,
-            stats: ControlStats::default(),
         }
     }
 
@@ -64,10 +59,10 @@ impl ChainScheduler {
     fn ensure_w(&mut self, now: Tick) -> Result<u32, CoreError> {
         let stale = now.saturating_since(self.last_compute) >= self.keeptime;
         if self.w_order.is_some() && self.w_version == self.core.wtpg.version() && !stale {
-            self.stats.w_reuses += 1;
+            self.core.stats.w_reuses += 1;
             return Ok(0);
         }
-        self.stats.w_recomputes += 1;
+        self.core.stats.w_recomputes += 1;
         // Refill the old order's buffer; a failed recomputation leaves none.
         let mut order = self.w_order.take().unwrap_or_default();
         self.planner
@@ -86,34 +81,34 @@ impl ChainScheduler {
     }
 }
 
-impl Scheduler for ChainScheduler {
-    fn name(&self) -> &str {
+impl Policy for ChainScheduler {
+    fn core(&self) -> &SchedCore {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut SchedCore {
+        &mut self.core
+    }
+
+    fn label(&self) -> &str {
         "CHAIN"
     }
 
-    fn on_arrive(
-        &mut self,
-        spec: &TxnSpec,
-        _now: Tick,
-    ) -> Result<(Admission, ControlOps), CoreError> {
-        if !self.core.arrive_if_chain_form(spec)? {
-            self.stats.aborts_non_chain += 1;
-            return Ok((Admission::Rejected, ControlOps::NONE));
-        }
-        // The arrival bumped the WTPG version; w_order is now stale.
-        Ok((Admission::Admitted, ControlOps::NONE))
+    fn constraint(&self) -> Constraint {
+        Constraint::ChainForm
     }
 
-    fn on_request(
+    fn guarantees(&self) -> crate::certify::CertifyMode {
+        crate::certify::CertifyMode::Chain
+    }
+
+    fn grant_rule(
         &mut self,
         txn: TxnId,
         step: usize,
+        s: StepSpec,
         now: Tick,
     ) -> Result<(LockOutcome, ControlOps), CoreError> {
-        let s = self.core.request_step(txn, step)?;
-        if self.core.locks.is_blocked(txn, s.partition, s.mode) {
-            return Ok((LockOutcome::Blocked, ControlOps::NONE));
-        }
         let chain_opts = self.ensure_w(now)?;
         let ops = ControlOps {
             chain_opts,
@@ -129,7 +124,7 @@ impl Scheduler for ChainScheduler {
             .iter()
             .any(|&other| w.binary_search(&(txn, other)).is_err())
         {
-            self.stats.delays_minimality += 1;
+            self.core.stats.delays_minimality += 1;
             return Ok((LockOutcome::Delayed, ops));
         }
         self.core.grant(txn, step, s, &implied)?;
@@ -138,57 +133,23 @@ impl Scheduler for ChainScheduler {
         self.w_version = self.core.wtpg.version();
         Ok((LockOutcome::Granted, ops))
     }
-
-    fn on_progress(&mut self, txn: TxnId, amount: Work) -> Result<(), CoreError> {
-        self.core.progress(txn, amount)
-    }
-
-    fn on_step_complete(&mut self, txn: TxnId, step: usize) -> Result<(), CoreError> {
-        self.core.step_complete(txn, step)
-    }
-
-    fn on_commit(&mut self, txn: TxnId, _now: Tick) -> Result<CommitResult, CoreError> {
-        // The removal bumps the WTPG version, invalidating w_order.
-        let freed = self.core.commit(txn)?;
-        Ok(CommitResult {
-            freed,
-            ops: ControlOps::NONE,
-        })
-    }
-
-    fn on_abort(&mut self, txn: TxnId, _now: Tick) -> Result<CommitResult, CoreError> {
-        let freed = self.core.abort(txn)?;
-        Ok(CommitResult {
-            freed,
-            ops: ControlOps::NONE,
-        })
-    }
-
-    fn active_txns(&self) -> usize {
-        self.core.active_txns()
-    }
-
-    fn wtpg(&self) -> &Wtpg {
-        self.core.wtpg()
-    }
-
-    fn certify_mode(&self) -> crate::certify::CertifyMode {
-        crate::certify::CertifyMode::Chain
-    }
-
-    fn obs_stats(&self) -> ControlStats {
-        self.stats
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeSet;
 
+    use wtpg_obs::ControlStats;
+
     use super::*;
     use crate::chain::{chain_components, threshold};
-    use crate::test_streams::{drive, pattern_one, pattern_two, random_specs, Call};
-    use crate::txn::StepSpec;
+    use crate::sched::common::reference_arrive;
+    use crate::sched::{Admission, Scheduler};
+    use crate::test_streams::{
+        drive, drive_admitting, pattern_one, pattern_two, random_specs, Call, SEEDS, TXNS,
+    };
+    use crate::txn::TxnSpec;
+    use crate::work::Work;
     use crate::wtpg::Dir;
 
     fn t(id: u64, steps: Vec<StepSpec>) -> TxnSpec {
@@ -345,16 +306,15 @@ mod tests {
 
     /// The decision procedure `ChainScheduler` ran before its admission and
     /// `W` became change-proportional, kept as the differential's reference:
-    /// declare, rebuild every component with `chain_components`, roll back
-    /// on failure; `W` from `chain_components` + `threshold::solve` into a
-    /// fresh set.
+    /// admission through `reference_arrive` (declare, rebuild every component
+    /// with `chain_components`, drop the declared state on failure); `W` from
+    /// `chain_components` + `threshold::solve` into a fresh set.
     struct ReferenceChain {
         core: SchedCore,
         keeptime: u64,
         w_order: Option<BTreeSet<(TxnId, TxnId)>>,
         last_compute: Tick,
         w_version: u64,
-        stats: ControlStats,
     }
 
     impl ReferenceChain {
@@ -365,17 +325,16 @@ mod tests {
                 w_order: None,
                 last_compute: Tick::ZERO,
                 w_version: 0,
-                stats: ControlStats::default(),
             }
         }
 
         fn ensure_w(&mut self, now: Tick) -> u32 {
             let stale = now.saturating_since(self.last_compute) >= self.keeptime;
             if self.w_order.is_some() && self.w_version == self.core.wtpg.version() && !stale {
-                self.stats.w_reuses += 1;
+                self.core.stats.w_reuses += 1;
                 return 0;
             }
-            self.stats.w_recomputes += 1;
+            self.core.stats.w_recomputes += 1;
             let mut order = BTreeSet::new();
             for comp in chain_components(&self.core.wtpg).expect("admission keeps chain form") {
                 let sol = threshold::solve(&comp.problem);
@@ -393,35 +352,31 @@ mod tests {
         }
     }
 
-    impl Scheduler for ReferenceChain {
-        fn name(&self) -> &str {
+    impl Policy for ReferenceChain {
+        fn core(&self) -> &SchedCore {
+            &self.core
+        }
+
+        fn core_mut(&mut self) -> &mut SchedCore {
+            &mut self.core
+        }
+
+        fn label(&self) -> &str {
             "CHAIN-reference"
         }
 
-        fn on_arrive(
-            &mut self,
-            spec: &TxnSpec,
-            _now: Tick,
-        ) -> Result<(Admission, ControlOps), CoreError> {
-            self.core.arrive(spec)?;
-            if chain_components(&self.core.wtpg).is_err() {
-                self.core.rollback_arrival(spec.id);
-                self.stats.aborts_non_chain += 1;
-                return Ok((Admission::Rejected, ControlOps::NONE));
-            }
-            Ok((Admission::Admitted, ControlOps::NONE))
+        // Tested the old way, on the declared state, by `reference_arrive`.
+        fn constraint(&self) -> Constraint {
+            Constraint::ChainForm
         }
 
-        fn on_request(
+        fn grant_rule(
             &mut self,
             txn: TxnId,
             step: usize,
+            s: StepSpec,
             now: Tick,
         ) -> Result<(LockOutcome, ControlOps), CoreError> {
-            let s = self.core.request_step(txn, step)?;
-            if self.core.locks.is_blocked(txn, s.partition, s.mode) {
-                return Ok((LockOutcome::Blocked, ControlOps::NONE));
-            }
             let ops = ControlOps {
                 chain_opts: self.ensure_w(now),
                 ..ControlOps::NONE
@@ -429,44 +384,12 @@ mod tests {
             let implied = self.core.implied_resolutions(txn, s.partition, s.mode);
             let w = self.w_order.as_ref().expect("ensure_w populates W");
             if implied.iter().any(|&other| !w.contains(&(txn, other))) {
-                self.stats.delays_minimality += 1;
+                self.core.stats.delays_minimality += 1;
                 return Ok((LockOutcome::Delayed, ops));
             }
             self.core.grant(txn, step, s, &implied)?;
             self.w_version = self.core.wtpg.version();
             Ok((LockOutcome::Granted, ops))
-        }
-
-        fn on_progress(&mut self, txn: TxnId, amount: Work) -> Result<(), CoreError> {
-            self.core.progress(txn, amount)
-        }
-
-        fn on_step_complete(&mut self, txn: TxnId, step: usize) -> Result<(), CoreError> {
-            self.core.step_complete(txn, step)
-        }
-
-        fn on_commit(&mut self, txn: TxnId, _now: Tick) -> Result<CommitResult, CoreError> {
-            let freed = self.core.commit(txn)?;
-            Ok(CommitResult {
-                freed,
-                ops: ControlOps::NONE,
-            })
-        }
-
-        fn on_abort(&mut self, txn: TxnId, now: Tick) -> Result<CommitResult, CoreError> {
-            self.on_commit(txn, now)
-        }
-
-        fn active_txns(&self) -> usize {
-            self.core.active_txns()
-        }
-
-        fn wtpg(&self) -> &Wtpg {
-            self.core.wtpg()
-        }
-
-        fn obs_stats(&self) -> ControlStats {
-            self.stats
         }
     }
 
@@ -490,10 +413,11 @@ mod tests {
             (call, s.obs_stats(), s.wtpg().version(), w)
         });
         let mut reference = ReferenceChain::new(keeptime);
-        let want: Vec<Observed> = drive(&mut reference, specs, |s, _, call| {
+        let observe = |s: &ReferenceChain, _: &TxnSpec, call| {
             let w = recomputed(call).then(|| s.w_order.iter().flatten().copied().collect());
             (call, s.obs_stats(), s.wtpg().version(), w)
-        });
+        };
+        let want: Vec<Observed> = drive_admitting(&mut reference, specs, reference_arrive, observe);
         if let Some(i) = got.iter().zip(&want).position(|(g, w)| g != w) {
             panic!(
                 "{what} seed {seed}: call {i} diverges\n  production {:?}\n  reference  {:?}",
@@ -506,11 +430,6 @@ mod tests {
             "{what} seed {seed}: W never computed"
         );
     }
-
-    // 3 × 70 seeded streams; ten times longer in release (CI's `tier1` runs
-    // both), where no `debug_validate` rides on every WTPG mutation.
-    const SEEDS: std::ops::Range<u64> = 0..70;
-    const TXNS: u64 = if cfg!(debug_assertions) { 300 } else { 3000 };
 
     #[test]
     fn reference_chain_differential_pattern_one() {

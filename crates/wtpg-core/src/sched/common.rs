@@ -1,16 +1,39 @@
 //! Shared scheduler plumbing: the lock table, the WTPG, and the per-
-//! transaction execution state, with the grant/commit/progress mechanics
-//! every lock-based scheduler shares.
+//! transaction execution state, with the admission gate and the
+//! grant/commit/progress mechanics every lock-based scheduler shares — and
+//! the one [`Scheduler`] implementation over them. A scheduler is a
+//! [`Policy`]: an admission [`Constraint`], a grant rule, and its caches.
 
 use std::collections::BTreeMap;
 
+use wtpg_obs::ControlStats;
+
+use crate::certify::CertifyMode;
 use crate::chain::form::arrival_keeps_chain_form;
 use crate::error::CoreError;
 use crate::lock::{ArrivalConflict, LockTable};
 use crate::partition::PartitionId;
+use crate::time::Tick;
 use crate::txn::{StepSpec, TxnId, TxnSpec};
 use crate::work::Work;
 use crate::wtpg::Wtpg;
+
+use super::{Admission, CommitResult, ControlOps, LockOutcome, Scheduler};
+
+/// A start-time constraint: what turns a BAT away "before doing any work".
+/// Every one is a read-only test on the undeclared arrival.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Constraint {
+    /// Everything is admitted (C2PL).
+    None,
+    /// The WTPG must stay chain-form (CC1 §3.2; CHAIN, CHAIN-C2PL).
+    ChainForm,
+    /// `|C(q)| ≤ K` for every declaration (CC2 §3.3; K-WTPG, K2-C2PL, and
+    /// G-WTPG's planner bound).
+    KConflict(usize),
+    /// Every declared lock must be free right now (ASL).
+    LockAll,
+}
 
 /// Execution state of one admitted transaction.
 #[derive(Clone, Debug)]
@@ -33,9 +56,9 @@ pub struct SchedCore {
     pub(crate) locks: LockTable,
     pub(crate) wtpg: Wtpg,
     pub(crate) txns: BTreeMap<TxnId, ActiveTxn>,
-    /// WTPG version at the start of the most recent [`Self::arrive`], so a
-    /// rejected admission can roll the version back along with the state.
-    pre_arrival_version: u64,
+    /// Cumulative control-plane statistics (cache behaviour, abort and delay
+    /// causes) of the scheduler built on this core.
+    pub(crate) stats: ControlStats,
 }
 
 impl SchedCore {
@@ -44,56 +67,48 @@ impl SchedCore {
         SchedCore::default()
     }
 
-    /// Number of admitted, uncommitted transactions.
-    pub fn active_txns(&self) -> usize {
-        self.txns.len()
-    }
-
-    /// The live WTPG.
-    pub fn wtpg(&self) -> &Wtpg {
-        &self.wtpg
-    }
-
-    /// The lock table.
-    pub fn locks(&self) -> &LockTable {
-        &self.locks
-    }
-
-    /// Declares `spec` everywhere: lock table declarations, WTPG node with
-    /// `w(T0→T) = due(s_0)`, and the conflict edges its arrival induces.
-    ///
-    /// The caller can still [`Self::rollback_arrival`] if an admission
-    /// constraint fails afterwards.
-    pub(crate) fn arrive(&mut self, spec: &TxnSpec) -> Result<(), CoreError> {
-        let conflicts = self.arrival_conflicts(spec)?;
-        self.admit(spec, &conflicts)
-    }
-
-    /// [`Self::arrive`] under the chain-form constraint (CHAIN, CHAIN-C2PL),
-    /// tested on the arrival's conflicts *before* anything is declared: a
-    /// `false` return changed nothing, so there is nothing to roll back.
-    pub(crate) fn arrive_if_chain_form(&mut self, spec: &TxnSpec) -> Result<bool, CoreError> {
-        let conflicts = self.arrival_conflicts(spec)?;
-        let ok = arrival_keeps_chain_form(&self.wtpg, &conflicts)?;
-        if ok {
-            self.admit(spec, &conflicts)?;
-        }
-        Ok(ok)
-    }
-
-    /// What the not-yet-declared `spec` conflicts with among the live
-    /// transactions (its own declarations never count, so this is also what
-    /// the lock table reports once it is declared).
-    fn arrival_conflicts(&self, spec: &TxnSpec) -> Result<Vec<ArrivalConflict>, CoreError> {
+    /// The admission gate: tests `constraint` on the undeclared `spec` and,
+    /// only if it holds, declares `spec` everywhere — lock table
+    /// declarations, WTPG node with `w(T0→T) = due(s_0)`, and the conflict
+    /// edges its arrival induces. A rejection changed nothing but the count
+    /// of its cause.
+    pub(crate) fn admit_under(
+        &mut self,
+        spec: &TxnSpec,
+        constraint: Constraint,
+    ) -> Result<Admission, CoreError> {
         if self.txns.contains_key(&spec.id) {
             return Err(CoreError::DuplicateTxn(spec.id));
         }
-        Ok(self.locks.arrival_conflicts(spec))
+        // Its own declarations never count, so this is also what the lock
+        // table reports once `spec` is declared.
+        let conflicts = self.locks.arrival_conflicts(spec);
+        let holds = match constraint {
+            Constraint::None => true,
+            Constraint::ChainForm => arrival_keeps_chain_form(&self.wtpg, &conflicts)?,
+            Constraint::KConflict(k) => self.locks.arrival_keeps_k(spec, k),
+            Constraint::LockAll => self.locks.can_lock_all(spec),
+        };
+        if !holds {
+            return Ok(self.refuse(constraint));
+        }
+        self.admit(spec, &conflicts)?;
+        Ok(Admission::Admitted)
+    }
+
+    /// Counts an arrival that `constraint` turned away under its cause.
+    pub(crate) fn refuse(&mut self, constraint: Constraint) -> Admission {
+        match constraint {
+            Constraint::None => {}
+            Constraint::ChainForm => self.stats.aborts_non_chain += 1,
+            Constraint::KConflict(_) => self.stats.aborts_k_conflict += 1,
+            Constraint::LockAll => self.stats.aborts_lock_denied += 1,
+        }
+        Admission::Rejected
     }
 
     /// Registers a new transaction whose `arrival_conflicts` are `conflicts`.
     fn admit(&mut self, spec: &TxnSpec, conflicts: &[ArrivalConflict]) -> Result<(), CoreError> {
-        self.pre_arrival_version = self.wtpg.version();
         self.locks.declare(spec);
         self.wtpg.add_txn(spec.id, spec.total_declared())?;
         self.wtpg.ingest_arrival(spec.id, conflicts)?;
@@ -109,24 +124,9 @@ impl SchedCore {
         Ok(())
     }
 
-    /// Undoes [`Self::arrive`] after a failed admission test. The WTPG is
-    /// back in its pre-arrival logical state, so its version is restored
-    /// too — schedulers' version-keyed caches stay warm across rejections.
-    pub(crate) fn rollback_arrival(&mut self, txn: TxnId) {
-        if let Some(a) = self.txns.remove(&txn) {
-            self.locks.undeclare(&a.spec);
-        }
-        let _ = self.wtpg.remove_txn(txn);
-        self.wtpg.restore_version(self.pre_arrival_version);
-    }
-
-    pub(crate) fn active(&self, txn: TxnId) -> Result<&ActiveTxn, CoreError> {
-        self.txns.get(&txn).ok_or(CoreError::UnknownTxn(txn))
-    }
-
     /// The declared step a request refers to, validating order.
     pub(crate) fn request_step(&self, txn: TxnId, step: usize) -> Result<StepSpec, CoreError> {
-        let a = self.active(txn)?;
+        let a = self.txns.get(&txn).ok_or(CoreError::UnknownTxn(txn))?;
         if step >= a.spec.len() {
             return Err(CoreError::BadStep { txn, step });
         }
@@ -199,6 +199,12 @@ impl SchedCore {
                 self.wtpg.resolve(txn, other)?;
             }
         }
+        self.start_step(txn, step)
+    }
+
+    /// Execution state on a grant: `step` runs, the one after it is requested
+    /// next.
+    pub(crate) fn start_step(&mut self, txn: TxnId, step: usize) -> Result<(), CoreError> {
         let a = self.txns.get_mut(&txn).ok_or(CoreError::UnknownTxn(txn))?;
         a.current = Some(step);
         a.next_step = step + 1;
@@ -252,26 +258,306 @@ impl SchedCore {
         self.wtpg.set_t0_weight(txn, remaining)
     }
 
-    /// Commit: release every lock, remove the node from the WTPG.
-    pub(crate) fn commit(&mut self, txn: TxnId) -> Result<Vec<PartitionId>, CoreError> {
+    /// The transaction leaves — `finished` by a commit after its last step, or
+    /// mid-flight by an abort, legal at any point of the step protocol.
+    /// Outstanding declarations, held locks and WTPG edges all disappear;
+    /// partially resolved orders simply lose their constraints. Returns the
+    /// partitions it held.
+    pub(crate) fn remove(
+        &mut self,
+        txn: TxnId,
+        finished: bool,
+    ) -> Result<Vec<PartitionId>, CoreError> {
         let a = self.txns.remove(&txn).ok_or(CoreError::UnknownTxn(txn))?;
-        debug_assert_eq!(
-            a.next_step,
-            a.spec.len(),
+        debug_assert!(
+            !finished || a.next_step == a.spec.len(),
             "{txn} committed before requesting every step"
         );
         let freed = self.locks.release_all(txn);
         self.wtpg.remove_txn(txn)?;
         Ok(freed)
     }
+}
 
-    /// Mid-flight abort: like a commit, but legal at any point of the step
-    /// protocol. Outstanding declarations, held locks and WTPG edges all
-    /// disappear; partially resolved orders simply lose their constraints.
-    pub(crate) fn abort(&mut self, txn: TxnId) -> Result<Vec<PartitionId>, CoreError> {
-        self.txns.remove(&txn).ok_or(CoreError::UnknownTxn(txn))?;
-        let freed = self.locks.release_all(txn);
-        self.wtpg.remove_txn(txn)?;
-        Ok(freed)
+/// What tells one [`SchedCore`]-backed scheduler from another: its
+/// admission constraint, its grant rule, and the caches the grant rule keeps.
+/// Everything else — the [`Scheduler`] lifecycle — is written once below.
+pub(crate) trait Policy {
+    /// The shared state.
+    fn core(&self) -> &SchedCore;
+
+    /// The shared state, mutably.
+    fn core_mut(&mut self) -> &mut SchedCore;
+
+    /// [`Scheduler::name`].
+    fn label(&self) -> &str;
+
+    /// The start-time constraint arrivals are admitted under.
+    fn constraint(&self) -> Constraint;
+
+    /// [`Scheduler::certify_mode`].
+    fn guarantees(&self) -> CertifyMode {
+        CertifyMode::General
+    }
+
+    /// The grant rule: decides the in-order request for `step` (declared as
+    /// `s`), which no held lock blocks.
+    fn grant_rule(
+        &mut self,
+        txn: TxnId,
+        step: usize,
+        s: StepSpec,
+        now: Tick,
+    ) -> Result<(LockOutcome, ControlOps), CoreError>;
+
+    /// `spec` has just been admitted.
+    fn admitted(&mut self, _spec: &TxnSpec) -> Result<(), CoreError> {
+        Ok(())
+    }
+
+    /// `txn` has just committed or aborted: drop what the caches keep on it.
+    fn left(&mut self, _txn: TxnId) {}
+}
+
+/// `txn` commits (`finished`) or aborts: out of the core, then out of the
+/// policy's caches.
+fn depart<P: Policy>(p: &mut P, txn: TxnId, finished: bool) -> Result<CommitResult, CoreError> {
+    let freed = p.core_mut().remove(txn, finished)?;
+    p.left(txn);
+    Ok(CommitResult {
+        freed,
+        ops: ControlOps::NONE,
+    })
+}
+
+impl<P: Policy> Scheduler for P {
+    fn name(&self) -> &str {
+        self.label()
+    }
+
+    fn on_arrive(
+        &mut self,
+        spec: &TxnSpec,
+        _now: Tick,
+    ) -> Result<(Admission, ControlOps), CoreError> {
+        let constraint = self.constraint();
+        let admission = self.core_mut().admit_under(spec, constraint)?;
+        if admission == Admission::Admitted {
+            self.admitted(spec)?;
+        }
+        Ok((admission, ControlOps::NONE))
+    }
+
+    fn on_request(
+        &mut self,
+        txn: TxnId,
+        step: usize,
+        now: Tick,
+    ) -> Result<(LockOutcome, ControlOps), CoreError> {
+        let s = self.core().request_step(txn, step)?;
+        if self.core().locks.is_blocked(txn, s.partition, s.mode) {
+            return Ok((LockOutcome::Blocked, ControlOps::NONE));
+        }
+        self.grant_rule(txn, step, s, now)
+    }
+
+    fn on_progress(&mut self, txn: TxnId, amount: Work) -> Result<(), CoreError> {
+        self.core_mut().progress(txn, amount)
+    }
+
+    fn on_step_complete(&mut self, txn: TxnId, step: usize) -> Result<(), CoreError> {
+        self.core_mut().step_complete(txn, step)
+    }
+
+    fn on_commit(&mut self, txn: TxnId, _now: Tick) -> Result<CommitResult, CoreError> {
+        depart(self, txn, true)
+    }
+
+    fn on_abort(&mut self, txn: TxnId, _now: Tick) -> Result<CommitResult, CoreError> {
+        depart(self, txn, false)
+    }
+
+    fn active_txns(&self) -> usize {
+        self.core().txns.len()
+    }
+
+    fn wtpg(&self) -> &Wtpg {
+        &self.core().wtpg
+    }
+
+    fn certify_mode(&self) -> CertifyMode {
+        self.guarantees()
+    }
+
+    fn obs_stats(&self) -> ControlStats {
+        self.core().stats
+    }
+}
+
+/// `on_arrive` the way it ran before the gate, the differentials' reference:
+/// declare the arrival (into a clone of the core), judge the *declared* state
+/// with the independent oracles — `k_constraint_ok`, `is_chain_form` — and
+/// keep the clone or drop it.
+#[cfg(test)]
+pub(super) fn reference_arrive<P: Policy>(
+    s: &mut P,
+    spec: &TxnSpec,
+    _now: Tick,
+) -> Result<(Admission, ControlOps), CoreError> {
+    let constraint = s.constraint();
+    let mut declared = s.core().clone();
+    declared.admit_under(spec, Constraint::None)?;
+    let holds = match constraint {
+        Constraint::ChainForm => crate::chain::form::is_chain_form(&declared.wtpg),
+        Constraint::KConflict(k) => declared.locks.k_constraint_ok(spec, k),
+        other => panic!("{other:?} never had a declare-then-test form"),
+    };
+    if !holds {
+        return Ok((s.core_mut().refuse(constraint), ControlOps::NONE));
+    }
+    *s.core_mut() = declared;
+    s.admitted(spec)?;
+    Ok((Admission::Admitted, ControlOps::NONE))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sched::{AslScheduler, C2plScheduler, GWtpgScheduler, KWtpgScheduler};
+    use crate::test_streams::{
+        drive, drive_admitting, pattern_one, pattern_two, random_specs, Call, SEEDS, TXNS,
+    };
+
+    /// Drives the three seeded stream families through `make()` twice — its
+    /// own `on_arrive`, and `reference_arrive` — and compares every decision
+    /// (verdict + `ControlOps`), the cumulative stats and the WTPG version
+    /// after every call. Every family must exercise the refusal path.
+    fn reference_admission_differential<P: Policy>(name: &str, txns: u64, make: impl Fn() -> P) {
+        fn observed<S: Scheduler>(s: &S, _: &TxnSpec, call: Call) -> (Call, ControlStats, u64) {
+            (call, s.obs_stats(), s.wtpg().version())
+        }
+        let mut rejected = [0usize; 3];
+        for seed in SEEDS {
+            let parts = 4 + (seed % 9) as u32;
+            let streams = [
+                ("pattern one", pattern_one(seed, txns)),
+                ("pattern two", pattern_two(seed, txns, 4)),
+                ("random", random_specs(seed, txns, parts)),
+            ];
+            for (n, (what, specs)) in rejected.iter_mut().zip(&streams) {
+                let got = drive(&mut make(), specs, observed);
+                let want = drive_admitting(&mut make(), specs, reference_arrive, observed);
+                if let Some(i) = got.iter().zip(&want).position(|(g, w)| g != w) {
+                    panic!(
+                        "{name} {what} seed {seed}: call {i} diverges\n  production {:?}\n  \
+                         reference  {:?}",
+                        got[i], want[i]
+                    );
+                }
+                assert_eq!(got.len(), want.len(), "{name} {what} seed {seed}");
+                *n += got
+                    .iter()
+                    .filter(|o| matches!(o.0, Call::Arrive(_, Admission::Rejected)))
+                    .count();
+            }
+        }
+        assert!(rejected.iter().all(|&n| n > 0), "{name}: {rejected:?}");
+    }
+
+    #[test]
+    fn reference_admission_differential_kwtpg() {
+        reference_admission_differential("K2", TXNS, || KWtpgScheduler::new(2, 5000));
+    }
+
+    // A tenth of the length: G-WTPG re-plans with a local search after every
+    // admission and departure, which costs some hundred times a K-WTPG call.
+    #[test]
+    fn reference_admission_differential_gwtpg() {
+        reference_admission_differential("G-WTPG", TXNS / 10, || GWtpgScheduler::new(5000));
+    }
+
+    #[test]
+    fn reference_admission_differential_k2_c2pl() {
+        reference_admission_differential("K2-C2PL", TXNS, || C2plScheduler::k_c2pl(2));
+    }
+
+    #[test]
+    fn reference_admission_differential_chain_c2pl() {
+        reference_admission_differential("CHAIN-C2PL", TXNS, C2plScheduler::chain_c2pl);
+    }
+
+    fn writes(id: u64, partitions: &[u32]) -> TxnSpec {
+        let steps = partitions.iter().map(|&p| StepSpec::write(p, 1.0));
+        TxnSpec::new(TxnId(id), steps.collect())
+    }
+
+    /// Admits `admitted`, grants the first one's first step (so a held lock
+    /// and, where the scheduler keeps them, warm caches are in play), then
+    /// checks that the refused `arrival` left nothing behind.
+    fn assert_rejection_is_pure<P: Policy>(mut s: P, admitted: &[TxnSpec], arrival: &TxnSpec) {
+        for spec in admitted {
+            assert_eq!(s.on_arrive(spec, Tick(0)).unwrap().0, Admission::Admitted);
+        }
+        let first = admitted.first().expect("someone to hold a lock").id;
+        assert_eq!(
+            s.on_request(first, 0, Tick(1)).unwrap().0,
+            LockOutcome::Granted
+        );
+        let state = |s: &P| {
+            let core = s.core();
+            (
+                core.wtpg.version(),
+                core.locks.declaration_count(),
+                core.locks.held_count(),
+                s.active_txns(),
+                core.wtpg.slot_count(),
+                format!("{:?}", core.locks),
+            )
+        };
+        let (before, stats) = (state(&s), s.obs_stats());
+        let verdict = s.on_arrive(arrival, Tick(2)).unwrap();
+        assert_eq!(verdict, (Admission::Rejected, ControlOps::NONE));
+        assert_eq!(state(&s), before);
+        assert!(!s.wtpg().contains(arrival.id));
+        s.wtpg().check_invariants().unwrap();
+        let refusals =
+            |c: ControlStats| c.aborts_non_chain + c.aborts_k_conflict + c.aborts_lock_denied;
+        assert_eq!(refusals(s.obs_stats()), refusals(stats) + 1);
+    }
+
+    /// T1 (holding P5), T2 and T3 all declare a write of P0: a fourth writer
+    /// would give every declaration there three conflicts.
+    fn three_writers_of_p0() -> [TxnSpec; 3] {
+        [writes(1, &[5, 0]), writes(2, &[0]), writes(3, &[0])]
+    }
+
+    #[test]
+    fn kwtpg_rejection_mutates_nothing() {
+        let s = KWtpgScheduler::new(2, 5000);
+        assert_rejection_is_pure(s, &three_writers_of_p0(), &writes(4, &[0]));
+    }
+
+    #[test]
+    fn gwtpg_rejection_mutates_nothing() {
+        let s = GWtpgScheduler::with_bound(5000, 2);
+        assert_rejection_is_pure(s, &three_writers_of_p0(), &writes(4, &[0]));
+    }
+
+    #[test]
+    fn k2_c2pl_rejection_mutates_nothing() {
+        let s = C2plScheduler::k_c2pl(2);
+        assert_rejection_is_pure(s, &three_writers_of_p0(), &writes(4, &[0]));
+    }
+
+    #[test]
+    fn chain_c2pl_rejection_mutates_nothing() {
+        // T1 – T2 – T3 is a chain; T4 would be a third neighbour of T2.
+        let chain = [writes(1, &[5, 0]), writes(2, &[0, 1]), writes(3, &[1])];
+        assert_rejection_is_pure(C2plScheduler::chain_c2pl(), &chain, &writes(4, &[0, 1]));
+    }
+
+    #[test]
+    fn asl_rejection_mutates_nothing() {
+        assert_rejection_is_pure(AslScheduler::new(), &[writes(1, &[5, 0])], &writes(4, &[0]));
     }
 }

@@ -24,14 +24,10 @@ use std::collections::BTreeSet;
 use crate::error::CoreError;
 use crate::planner;
 use crate::time::Tick;
-use crate::txn::{TxnId, TxnSpec};
-use crate::work::Work;
-use crate::wtpg::Wtpg;
+use crate::txn::{StepSpec, TxnId, TxnSpec};
 
-use wtpg_obs::ControlStats;
-
-use super::common::SchedCore;
-use super::{Admission, CommitResult, ControlOps, LockOutcome, Scheduler};
+use super::common::{Constraint, Policy, SchedCore};
+use super::{ControlOps, LockOutcome};
 
 /// Default K-conflict admission bound: far looser than chain form (which is
 /// K ≤ 2 *and* path-shaped) but keeps the planner's input bounded — an
@@ -51,9 +47,8 @@ pub struct GWtpgScheduler {
     bound: usize,
     w_order: Option<BTreeSet<(TxnId, TxnId)>>,
     last_compute: Tick,
+    /// A transaction was admitted or left since `w_order` was computed.
     dirty: bool,
-    /// Cumulative control-plane statistics (plan reuse, causes).
-    stats: ControlStats,
 }
 
 impl GWtpgScheduler {
@@ -73,17 +68,16 @@ impl GWtpgScheduler {
             w_order: None,
             last_compute: Tick::ZERO,
             dirty: true,
-            stats: ControlStats::default(),
         }
     }
 
     fn ensure_w(&mut self, now: Tick) -> u32 {
         let stale = now.saturating_since(self.last_compute) >= self.keeptime;
         if self.w_order.is_some() && !self.dirty && !stale {
-            self.stats.w_reuses += 1;
+            self.core.stats.w_reuses += 1;
             return 0;
         }
-        self.stats.w_recomputes += 1;
+        self.core.stats.w_recomputes += 1;
         let plan = if self.core.wtpg.conflict_edges().len() <= LOCAL_SEARCH_EDGE_LIMIT {
             planner::local_search(&self.core.wtpg)
         } else {
@@ -96,38 +90,32 @@ impl GWtpgScheduler {
     }
 }
 
-impl Scheduler for GWtpgScheduler {
-    fn name(&self) -> &str {
+impl Policy for GWtpgScheduler {
+    fn core(&self) -> &SchedCore {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut SchedCore {
+        &mut self.core
+    }
+
+    fn label(&self) -> &str {
         "G-WTPG"
     }
 
-    fn on_arrive(
-        &mut self,
-        spec: &TxnSpec,
-        _now: Tick,
-    ) -> Result<(Admission, ControlOps), CoreError> {
-        // No *shape* constraint — only the generous K-conflict bound that
-        // keeps the planner's input tractable.
-        self.core.arrive(spec)?;
-        if !self.core.locks.k_constraint_ok(spec, self.bound) {
-            self.core.rollback_arrival(spec.id);
-            self.stats.aborts_k_conflict += 1;
-            return Ok((Admission::Rejected, ControlOps::NONE));
-        }
-        self.dirty = true;
-        Ok((Admission::Admitted, ControlOps::NONE))
+    // No *shape* constraint — only the generous K-conflict bound that keeps
+    // the planner's input tractable.
+    fn constraint(&self) -> Constraint {
+        Constraint::KConflict(self.bound)
     }
 
-    fn on_request(
+    fn grant_rule(
         &mut self,
         txn: TxnId,
         step: usize,
+        s: StepSpec,
         now: Tick,
     ) -> Result<(LockOutcome, ControlOps), CoreError> {
-        let s = self.core.request_step(txn, step)?;
-        if self.core.locks.is_blocked(txn, s.partition, s.mode) {
-            return Ok((LockOutcome::Blocked, ControlOps::NONE));
-        }
         let chain_opts = self.ensure_w(now);
         let ops = ControlOps {
             chain_opts,
@@ -138,56 +126,28 @@ impl Scheduler for GWtpgScheduler {
             return Err(CoreError::Invariant("ensure_w must populate the W order"));
         };
         if implied.iter().any(|&other| !w.contains(&(txn, other))) {
-            self.stats.delays_minimality += 1;
+            self.core.stats.delays_minimality += 1;
             return Ok((LockOutcome::Delayed, ops));
         }
         self.core.grant(txn, step, s, &implied)?;
         Ok((LockOutcome::Granted, ops))
     }
 
-    fn on_progress(&mut self, txn: TxnId, amount: Work) -> Result<(), CoreError> {
-        self.core.progress(txn, amount)
-    }
-
-    fn on_step_complete(&mut self, txn: TxnId, step: usize) -> Result<(), CoreError> {
-        self.core.step_complete(txn, step)
-    }
-
-    fn on_commit(&mut self, txn: TxnId, _now: Tick) -> Result<CommitResult, CoreError> {
-        let freed = self.core.commit(txn)?;
+    fn admitted(&mut self, _spec: &TxnSpec) -> Result<(), CoreError> {
         self.dirty = true;
-        Ok(CommitResult {
-            freed,
-            ops: ControlOps::NONE,
-        })
+        Ok(())
     }
 
-    fn on_abort(&mut self, txn: TxnId, _now: Tick) -> Result<CommitResult, CoreError> {
-        let freed = self.core.abort(txn)?;
+    fn left(&mut self, _txn: TxnId) {
         self.dirty = true;
-        Ok(CommitResult {
-            freed,
-            ops: ControlOps::NONE,
-        })
-    }
-
-    fn active_txns(&self) -> usize {
-        self.core.active_txns()
-    }
-
-    fn wtpg(&self) -> &Wtpg {
-        self.core.wtpg()
-    }
-
-    fn obs_stats(&self) -> ControlStats {
-        self.stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::txn::StepSpec;
+    use crate::sched::{Admission, Scheduler};
+    use crate::work::Work;
 
     fn t(id: u64, steps: Vec<StepSpec>) -> TxnSpec {
         TxnSpec::new(TxnId(id), steps)

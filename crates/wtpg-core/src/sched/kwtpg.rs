@@ -30,20 +30,18 @@
 //! provided it does not deadlock. The guard never fires in the paper's
 //! experiments at their operating points; it exists to make the scheduler
 //! live on adversarial inputs.
+//!
+//! [`Wtpg::version`]: crate::wtpg::Wtpg::version
 
 use std::collections::BTreeMap;
-
-use wtpg_obs::ControlStats;
 
 use crate::error::CoreError;
 use crate::estimate::{eq_estimate_with, EqScratch, EqValue};
 use crate::time::Tick;
-use crate::txn::{TxnId, TxnSpec};
-use crate::work::Work;
-use crate::wtpg::Wtpg;
+use crate::txn::{StepSpec, TxnId};
 
-use super::common::SchedCore;
-use super::{Admission, CommitResult, ControlOps, LockOutcome, Scheduler};
+use super::common::{Constraint, Policy, SchedCore};
+use super::{ControlOps, LockOutcome};
 
 /// Consecutive lost `E` comparisons after which a deadlock-free request is
 /// granted regardless (liveness guard; see the module docs).
@@ -72,8 +70,6 @@ pub struct KWtpgScheduler {
     scratch: EqScratch,
     /// Consecutive comparison losses per outstanding request.
     starved: BTreeMap<(TxnId, usize), u32>,
-    /// Cumulative control-plane statistics (cache behaviour, causes).
-    stats: ControlStats,
 }
 
 impl KWtpgScheduler {
@@ -90,7 +86,6 @@ impl KWtpgScheduler {
             granted_edges: false,
             scratch: EqScratch::new(),
             starved: BTreeMap::new(),
-            stats: ControlStats::default(),
         }
     }
 
@@ -101,7 +96,7 @@ impl KWtpgScheduler {
 
     /// Expires the whole cache when the WTPG changed structurally since the
     /// last check (§3.4 conditions 1–3: start, commit, new precedence edge —
-    /// all of which bump [`Wtpg::version`]) or once `keeptime` has elapsed
+    /// all of which bump the WTPG version) or once `keeptime` has elapsed
     /// (condition 4). Either clear restarts the `keeptime` window, so the
     /// periodic refresh is anchored at the last invalidation like the
     /// paper's scheme; the per-entry version stamps in [`Self::eq_for`]
@@ -113,7 +108,7 @@ impl KWtpgScheduler {
             || now.saturating_since(self.last_compute) >= self.keeptime
         {
             if !self.cache.is_empty() {
-                self.stats.eq_cache_invalidations += 1;
+                self.core.stats.eq_cache_invalidations += 1;
             }
             self.cache.clear();
             self.last_compute = now;
@@ -136,11 +131,11 @@ impl KWtpgScheduler {
         let ver = self.core.wtpg.version();
         if let Some(&(stamp, v)) = self.cache.get(&(txn, step)) {
             if stamp == ver {
-                self.stats.eq_cache_hits += 1;
+                self.core.stats.eq_cache_hits += 1;
                 return (v, false);
             }
         }
-        self.stats.eq_cache_misses += 1;
+        self.core.stats.eq_cache_misses += 1;
         let implied = self.core.implied_resolutions(txn, partition, mode);
         let v = eq_estimate_with(&mut self.scratch, &self.core.wtpg, txn, &implied);
         self.cache.insert((txn, step), (ver, v));
@@ -148,44 +143,41 @@ impl KWtpgScheduler {
     }
 }
 
-impl Scheduler for KWtpgScheduler {
-    fn name(&self) -> &str {
+impl Policy for KWtpgScheduler {
+    fn core(&self) -> &SchedCore {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut SchedCore {
+        &mut self.core
+    }
+
+    fn label(&self) -> &str {
         "K-WTPG"
     }
 
-    fn on_arrive(
-        &mut self,
-        spec: &TxnSpec,
-        _now: Tick,
-    ) -> Result<(Admission, ControlOps), CoreError> {
-        self.core.arrive(spec)?;
-        if !self.core.locks.k_constraint_ok(spec, self.k) {
-            self.core.rollback_arrival(spec.id);
-            self.stats.aborts_k_conflict += 1;
-            return Ok((Admission::Rejected, ControlOps::NONE));
-        }
-        // An admitted arrival bumps the WTPG version, which is what expires
-        // the cached E values (§3.4 condition 1).
-        Ok((Admission::Admitted, ControlOps::NONE))
+    fn constraint(&self) -> Constraint {
+        Constraint::KConflict(self.k)
     }
 
-    fn on_request(
+    fn guarantees(&self) -> crate::certify::CertifyMode {
+        crate::certify::CertifyMode::KConflict(self.k)
+    }
+
+    fn grant_rule(
         &mut self,
         txn: TxnId,
         step: usize,
+        s: StepSpec,
         now: Tick,
     ) -> Result<(LockOutcome, ControlOps), CoreError> {
-        let s = self.core.request_step(txn, step)?;
-        if self.core.locks.is_blocked(txn, s.partition, s.mode) {
-            return Ok((LockOutcome::Blocked, ControlOps::NONE));
-        }
         self.maybe_invalidate(now);
         let mut evals = 0u32;
         let (my_eq, fresh) = self.eq_for(txn, step, s.partition, s.mode);
         evals += fresh as u32;
         if my_eq.is_infinite() {
             // Step 2 of CC2: a deadlock-causing request is delayed.
-            self.stats.delays_deadlock += 1;
+            self.core.stats.delays_deadlock += 1;
             let ops = ControlOps {
                 eq_evals: evals,
                 ..ControlOps::NONE
@@ -218,7 +210,7 @@ impl Scheduler for KWtpgScheduler {
             ..ControlOps::NONE
         };
         if !wins {
-            self.stats.delays_minimality += 1;
+            self.core.stats.delays_minimality += 1;
             *self.starved.entry((txn, step)).or_insert(0) += 1;
             return Ok((LockOutcome::Delayed, ops));
         }
@@ -234,57 +226,20 @@ impl Scheduler for KWtpgScheduler {
         Ok((LockOutcome::Granted, ops))
     }
 
-    fn on_progress(&mut self, txn: TxnId, amount: Work) -> Result<(), CoreError> {
-        self.core.progress(txn, amount)
-    }
-
-    fn on_step_complete(&mut self, txn: TxnId, step: usize) -> Result<(), CoreError> {
-        self.core.step_complete(txn, step)
-    }
-
-    fn on_commit(&mut self, txn: TxnId, _now: Tick) -> Result<CommitResult, CoreError> {
-        let freed = self.core.commit(txn)?;
+    fn left(&mut self, txn: TxnId) {
         self.starved.retain(|&(t, _), _| t != txn);
         // The removal bumped the version (expiring survivors' entries); drop
-        // the committed transaction's own entries so the map doesn't grow.
+        // the departed transaction's own entries so the map doesn't grow.
         self.cache.retain(|&(t, _), _| t != txn);
-        Ok(CommitResult {
-            freed,
-            ops: ControlOps::NONE,
-        })
-    }
-
-    fn on_abort(&mut self, txn: TxnId, _now: Tick) -> Result<CommitResult, CoreError> {
-        let freed = self.core.abort(txn)?;
-        self.starved.retain(|&(t, _), _| t != txn);
-        self.cache.retain(|&(t, _), _| t != txn);
-        Ok(CommitResult {
-            freed,
-            ops: ControlOps::NONE,
-        })
-    }
-
-    fn active_txns(&self) -> usize {
-        self.core.active_txns()
-    }
-
-    fn wtpg(&self) -> &Wtpg {
-        self.core.wtpg()
-    }
-
-    fn certify_mode(&self) -> crate::certify::CertifyMode {
-        crate::certify::CertifyMode::KConflict(self.k)
-    }
-
-    fn obs_stats(&self) -> ControlStats {
-        self.stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::txn::StepSpec;
+    use crate::sched::{Admission, Scheduler};
+    use crate::txn::TxnSpec;
+    use crate::work::Work;
 
     fn t(id: u64, steps: Vec<StepSpec>) -> TxnSpec {
         TxnSpec::new(TxnId(id), steps)

@@ -1,16 +1,25 @@
 //! The schedulers: the paper's two WTPG schedulers, its three baselines, and
 //! the Experiment-4 hybrids, all behind one event-driven [`Scheduler`] trait.
 //!
-//! | name | paper | strategy |
-//! |---|---|---|
-//! | [`ChainScheduler`] | CC1, "CHAIN" (§3.2) | global optimisation: enforce the full SR-order with the shortest critical path; chain-form WTPGs only |
-//! | [`KWtpgScheduler`] | CC2, "K-WTPG" (§3.3) | local optimisation: grant the conflicting request with the smallest `E(q)`; K-conflict constraint |
-//! | [`AslScheduler`] | ASL (§4.1, after Tay) | atomic static locking: start only with all locks in hand |
-//! | [`C2plScheduler`] | C2PL (§4.1, after Nishio) | cautious strict 2PL: grant unless blocked or deadlock-predicted; never aborts |
-//! | [`NodcScheduler`] | NODC (§4.1) | grants everything — the resource-contention-only upper bound |
-//! | [`C2plScheduler::chain_c2pl`] | CHAIN-C2PL (§4.4) | C2PL plus the chain-form admission constraint (no weights) |
-//! | [`C2plScheduler::k_c2pl`] | K2-C2PL (§4.4) | C2PL plus the K-conflict admission constraint (no weights) |
-//! | [`GWtpgScheduler`] | — (our extension) | CHAIN's global strategy on arbitrary conflict graphs via the heuristic planner |
+//! A scheduler is a start-time *admission constraint* — tested read-only on
+//! the arrival before anything is declared — plus a *grant rule* for
+//! unblocked lock requests; the hybrids are one scheduler's constraint under
+//! another's grant rule:
+//!
+//! | name | paper | admission constraint | grant rule |
+//! |---|---|---|---|
+//! | [`ChainScheduler`] | CC1, "CHAIN" (§3.2) | the WTPG stays chain-form | global: implied resolutions agree with `W`, the full SR-order with the shortest critical path |
+//! | [`KWtpgScheduler`] | CC2, "K-WTPG" (§3.3) | `\|C(q)\| ≤ K` | local: smallest `E(q)` among the conflicting declarations |
+//! | [`AslScheduler`] | ASL (§4.1, after Tay) | every declared lock is free, and is taken at once | always (nothing is left to ask for) |
+//! | [`C2plScheduler`] | C2PL (§4.1, after Nishio) | none — never aborts | cautious strict 2PL: no predicted precedence cycle |
+//! | [`NodcScheduler`] | NODC (§4.1) | none | grants everything — the resource-contention-only upper bound |
+//! | [`C2plScheduler::chain_c2pl`] | CHAIN-C2PL (§4.4) | CHAIN's | C2PL's (no weights) |
+//! | [`C2plScheduler::k_c2pl`] | K2-C2PL (§4.4) | K-WTPG's | C2PL's (no weights) |
+//! | [`GWtpgScheduler`] | — (our extension) | `\|C(q)\| ≤ 6`, to bound the planner's input | CHAIN's, with `W` from the heuristic planner on arbitrary conflict graphs |
+//!
+//! All but NODC keep their state in a [`SchedCore`], whose one gate admits
+//! under the constraint and over which the rest of the lifecycle is written
+//! once; a scheduler's module holds its grant rule and its caches.
 //!
 //! The driver (simulator or application) owns retry policy: a `Rejected`
 //! admission or `Delayed` request is resubmitted after a fixed delay, a
@@ -28,6 +37,7 @@ mod nodc;
 pub use asl::AslScheduler;
 pub use c2pl::C2plScheduler;
 pub use chain_sched::ChainScheduler;
+pub(crate) use common::Constraint;
 pub use common::SchedCore;
 pub use gwtpg::GWtpgScheduler;
 pub use kwtpg::KWtpgScheduler;
@@ -39,6 +49,25 @@ use crate::time::Tick;
 use crate::txn::{TxnId, TxnSpec};
 use crate::work::Work;
 use crate::wtpg::Wtpg;
+
+/// Builds a scheduler by its CLI name (case-insensitive), or `None` for an
+/// unknown name — the one name table every front end shares. `k`
+/// parameterises the K-WTPG variants; `keeptime` is the CHAIN / K-WTPG /
+/// G-WTPG control-saving period in the driver's ticks (milliseconds under
+/// the simulator, one tick per control-node operation under `wtpg-rt`).
+pub fn by_name(name: &str, k: usize, keeptime: u64) -> Option<Box<dyn Scheduler + Send>> {
+    Some(match name.to_ascii_lowercase().as_str() {
+        "chain" => Box::new(ChainScheduler::new(keeptime)),
+        "k2" | "kwtpg" | "k-wtpg" => Box::new(KWtpgScheduler::new(k, keeptime)),
+        "gwtpg" | "g-wtpg" => Box::new(GWtpgScheduler::new(keeptime)),
+        "asl" => Box::new(AslScheduler::new()),
+        "c2pl" | "2pl" => Box::new(C2plScheduler::new()),
+        "chain-c2pl" => Box::new(C2plScheduler::chain_c2pl()),
+        "k2-c2pl" => Box::new(C2plScheduler::k_c2pl(k)),
+        "nodc" => Box::new(NodcScheduler::new()),
+        _ => return None,
+    })
+}
 
 /// Outcome of a transaction's start request.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -170,5 +199,28 @@ pub trait Scheduler {
     /// (all zeros) suits schedulers with nothing to report (NODC).
     fn obs_stats(&self) -> wtpg_obs::ControlStats {
         wtpg_obs::ControlStats::default()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::by_name;
+
+    #[test]
+    fn by_name_covers_every_scheduler() {
+        for name in [
+            "chain",
+            "k2",
+            "gwtpg",
+            "asl",
+            "c2pl",
+            "2pl",
+            "chain-c2pl",
+            "k2-c2pl",
+            "nodc",
+        ] {
+            assert!(by_name(name, 2, 1000).is_some(), "{name}");
+        }
+        assert!(by_name("granite", 2, 1000).is_none());
     }
 }

@@ -56,7 +56,7 @@ use crate::error::CoreError;
 use crate::estimate::eq_estimate_naive;
 use crate::history::Event;
 use crate::partition::PartitionId;
-use crate::sched::SchedCore;
+use crate::sched::{Constraint, SchedCore};
 use crate::time::Tick;
 use crate::txn::{AccessMode, TxnId, TxnSpec};
 
@@ -322,10 +322,10 @@ impl StreamingCertifier {
                     .cloned()
                     .ok_or_else(|| violation(at, tick, format!("{txn} admitted without a spec")))?;
                 self.core
-                    .arrive(&spec)
+                    .admit_under(&spec, Constraint::None)
                     .map_err(|e| core_err(at, tick, "replaying admission", e))?;
                 match self.mode {
-                    CertifyMode::Chain if chain_components(self.core.wtpg()).is_err() => {
+                    CertifyMode::Chain if chain_components(&self.core.wtpg).is_err() => {
                         return Err(violation(
                             at,
                             tick,
@@ -343,7 +343,7 @@ impl StreamingCertifier {
                 }
             }
             Event::Rejected(_) => {
-                // Rolled back by the scheduler; nothing to replay.
+                // Turned away before anything was declared; nothing to replay.
             }
             Event::Granted {
                 txn,
@@ -384,7 +384,7 @@ impl StreamingCertifier {
                 }
                 if let CertifyMode::KConflict(_) = self.mode {
                     self.report.eq_checks += 1;
-                    let my_eq = eq_estimate_naive(self.core.wtpg(), txn, &implied);
+                    let my_eq = eq_estimate_naive(&self.core.wtpg, txn, &implied);
                     if my_eq.is_infinite() {
                         return Err(violation(
                             at,
@@ -400,7 +400,7 @@ impl StreamingCertifier {
                         .any(|d| {
                             let their_implied =
                                 self.core.implied_resolutions(d.txn, partition, d.mode);
-                            eq_estimate_naive(self.core.wtpg(), d.txn, &their_implied) < my_eq
+                            eq_estimate_naive(&self.core.wtpg, d.txn, &their_implied) < my_eq
                         });
                     if lost {
                         self.report.eq_losses += 1;
@@ -409,7 +409,7 @@ impl StreamingCertifier {
                 self.core
                     .grant(txn, step, spec_step, &implied)
                     .map_err(|e| core_err(at, tick, "replaying grant", e))?;
-                if self.core.wtpg().has_cycle() {
+                if self.core.wtpg.has_cycle() {
                     return Err(violation(
                         at,
                         tick,
@@ -448,7 +448,7 @@ impl StreamingCertifier {
                     ));
                 }
                 self.core
-                    .commit(txn)
+                    .remove(txn, true)
                     .map_err(|e| core_err(at, tick, "replaying commit", e))?;
                 for g in self.held.values_mut() {
                     g.remove(&txn);
@@ -458,7 +458,7 @@ impl StreamingCertifier {
                 }
             }
         }
-        let version = self.core.wtpg().version();
+        let version = self.core.wtpg.version();
         if version < self.last_version {
             return Err(violation(
                 at,
@@ -471,7 +471,7 @@ impl StreamingCertifier {
         }
         self.last_version = version;
         if structural {
-            if let Err(what) = self.core.wtpg().check_invariants() {
+            if let Err(what) = self.core.wtpg.check_invariants() {
                 return Err(violation(at, tick, format!("WTPG invariant: {what}")));
             }
         }

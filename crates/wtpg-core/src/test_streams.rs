@@ -9,6 +9,7 @@ use std::collections::VecDeque;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::error::CoreError;
 use crate::partition::PartitionId;
 use crate::time::Tick;
 use crate::txn::{AccessMode, StepSpec, TxnId, TxnSpec};
@@ -17,6 +18,12 @@ use crate::work::Work;
 use crate::sched::{Admission, ControlOps, LockOutcome, Scheduler};
 
 const WINDOW: usize = 32;
+
+/// The differentials run 3 × 70 seeded streams, ten times longer in release
+/// (CI's `tier1` runs both), where no `debug_validate` rides on every WTPG
+/// mutation.
+pub(crate) const SEEDS: std::ops::Range<u64> = 0..70;
+pub(crate) const TXNS: u64 = if cfg!(debug_assertions) { 300 } else { 3000 };
 
 fn distinct_pair(rng: &mut StdRng, base: u32, count: u32) -> (u32, u32) {
     let f1 = rng.gen_range(0..count);
@@ -98,6 +105,18 @@ pub(crate) enum Call {
 pub(crate) fn drive<S: Scheduler, L>(
     sched: &mut S,
     specs: &[TxnSpec],
+    observe: impl FnMut(&S, &TxnSpec, Call) -> L,
+) -> Vec<L> {
+    drive_admitting(sched, specs, S::on_arrive, observe)
+}
+
+/// [`drive`] with admissions decided by `arrive` in place of
+/// [`Scheduler::on_arrive`] — how a reference admission procedure is run
+/// against a scheduler's own grant rule.
+pub(crate) fn drive_admitting<S: Scheduler, L>(
+    sched: &mut S,
+    specs: &[TxnSpec],
+    mut arrive: impl FnMut(&mut S, &TxnSpec, Tick) -> Result<(Admission, ControlOps), CoreError>,
     mut observe: impl FnMut(&S, &TxnSpec, Call) -> L,
 ) -> Vec<L> {
     let mut log = Vec::new();
@@ -121,7 +140,7 @@ pub(crate) fn drive<S: Scheduler, L>(
         let mut moved = false;
         match state {
             None => {
-                let (admission, _) = sched.on_arrive(spec, now()).unwrap();
+                let (admission, _) = arrive(sched, spec, now()).unwrap();
                 log.push(observe(sched, spec, Call::Arrive(id, admission)));
                 moved = admission == Admission::Admitted;
                 fifo.push_back((idx, moved.then_some(0)));

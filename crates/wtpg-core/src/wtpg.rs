@@ -236,14 +236,6 @@ impl Wtpg {
         self.version
     }
 
-    /// Restores a previously observed version after a sequence of mutations
-    /// that provably returned the graph to its earlier logical state (a
-    /// rolled-back arrival). Callers must guarantee no version was observed
-    /// between the snapshot and the restore.
-    pub(crate) fn restore_version(&mut self, v: u64) {
-        self.version = v;
-    }
-
     fn lookup(&self, txn: TxnId) -> Result<u32, CoreError> {
         self.index.get(&txn).copied().ok_or(CoreError::UnknownTxn(txn))
     }

@@ -10,6 +10,7 @@
 use proptest::prelude::*;
 
 use wtpg_core::history::{Event, History};
+use wtpg_core::lock::LockTable;
 use wtpg_core::sched::{
     Admission, AslScheduler, C2plScheduler, ChainScheduler, GWtpgScheduler, KWtpgScheduler,
     LockOutcome, NodcScheduler, Scheduler,
@@ -221,6 +222,40 @@ proptest! {
         check_strict_scheduler(&mut GWtpgScheduler::new(5000), specs.clone());
         check_strict_scheduler(&mut AslScheduler::new(), specs.clone());
         check_strict_scheduler(&mut C2plScheduler::new(), specs);
+    }
+
+    /// The K admission test reads the table and answers what declaring the
+    /// arrival and then running `k_constraint_ok` would: on tables with S
+    /// and X declarations, held locks (each transaction's granted prefix),
+    /// and arrivals that name one partition in several steps.
+    #[test]
+    fn arrival_keeps_k_is_k_constraint_ok_after_declare(
+        live in arb_workload(8, 4),
+        grants in proptest::collection::vec(prop::bool::ANY, 32),
+        arrival in arb_spec(100, 4),
+    ) {
+        let mut table = LockTable::new();
+        for spec in &live {
+            table.declare(spec);
+        }
+        let mut granted = grants.into_iter();
+        for spec in &live {
+            for (i, s) in spec.steps().iter().enumerate() {
+                if !granted.next().unwrap_or(false) || table.is_blocked(spec.id, s.partition, s.mode) {
+                    break;
+                }
+                table.grant(spec.id, i, s.partition, s.mode).unwrap();
+            }
+        }
+        let mut declared = table.clone();
+        declared.declare(&arrival);
+        for k in [0, 1, 2, 4] {
+            prop_assert_eq!(
+                table.arrival_keeps_k(&arrival, k),
+                declared.k_constraint_ok(&arrival, k),
+                "k = {}", k
+            );
+        }
     }
 }
 

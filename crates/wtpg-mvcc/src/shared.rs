@@ -1,17 +1,17 @@
-//! The MVCC layer's two cross-actor cells.
+//! The MVCC layer's one cross-actor cell, and the chain totals each data
+//! actor reports.
 //!
 //! Everything else in this crate is single-owner state (a control actor's
-//! log, a data actor's chains). These two are shared and mutex-protected,
-//! and both are declared leaves in the workspace lock hierarchy
-//! (`lint-locks.toml`: `mvcc-chain` rank 8, `mvcc-watermark` rank 9) —
-//! neither is ever held across another acquisition.
+//! log, a data actor's chains). [`GcWatermark`] is shared and
+//! mutex-protected, a declared leaf in the workspace lock hierarchy
+//! (`lint-locks.toml`: `mvcc-watermark` rank 9) — never held across another
+//! acquisition. It carries the control plane's published per-partition GC
+//! floors: snapshot reads piggyback the floor on the wire, but a partition
+//! no reader ever visits would otherwise keep its chain forever; data actors
+//! poll this cell when they seal new writes.
 //!
-//! * [`GcWatermark`] — the control plane's published per-partition GC
-//!   floors. Snapshot reads piggyback the floor on the wire, but a
-//!   partition no reader ever visits would otherwise keep its chain
-//!   forever; data actors poll this cell when they seal new writes.
-//! * [`ChainStats`] — run-level version-chain telemetry, added by each data
-//!   actor at teardown and read once by the harness for the report.
+//! [`ChainTotals`] is a plain value: each data actor returns its own at
+//! teardown and the harness merges them for the report.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -73,35 +73,6 @@ impl ChainTotals {
     }
 }
 
-/// Shared collector of [`ChainTotals`] across data actors.
-#[derive(Debug, Default)]
-pub struct ChainStats {
-    inner: Mutex<ChainTotals>,
-}
-
-impl ChainStats {
-    /// An empty collector.
-    pub fn new() -> ChainStats {
-        ChainStats::default()
-    }
-
-    /// Merges one actor's totals into the run's.
-    pub fn add(&self, totals: ChainTotals) {
-        self.inner
-            .lock()
-            .expect("invariant: chain-stats lock is never poisoned (no panics while held)")
-            .merge(totals);
-    }
-
-    /// The run's totals so far.
-    pub fn totals(&self) -> ChainTotals {
-        *self
-            .inner
-            .lock()
-            .expect("invariant: chain-stats lock is never poisoned (no panics while held)")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,28 +87,5 @@ mod tests {
         w.publish(3, 9);
         assert_eq!(w.floor(3), 9);
         assert_eq!(w.floor(4), 0);
-    }
-
-    #[test]
-    fn chain_stats_merge_across_actors() {
-        let stats = ChainStats::new();
-        std::thread::scope(|s| {
-            for i in 1..=4u64 {
-                let stats = &stats;
-                s.spawn(move || {
-                    stats.add(ChainTotals {
-                        appended: i,
-                        pruned: 1,
-                        live_peak: i,
-                        snapshot_reads: 2,
-                    });
-                });
-            }
-        });
-        let t = stats.totals();
-        assert_eq!(t.appended, 10);
-        assert_eq!(t.pruned, 4);
-        assert_eq!(t.live_peak, 4);
-        assert_eq!(t.snapshot_reads, 8);
     }
 }

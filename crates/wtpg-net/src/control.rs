@@ -400,8 +400,7 @@ impl ControlActor<'_> {
                 self.backlog.push_back(txn);
                 return Ok(());
             }
-            let spec = state.spec.clone();
-            match self.control.arrive(&spec)? {
+            match self.control.arrive(&state.spec)? {
                 Admission::Admitted => {
                     self.active += 1;
                     if let Some(t) = &self.tel {

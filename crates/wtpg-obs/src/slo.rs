@@ -30,8 +30,6 @@ pub struct WindowStats {
     pub shed: u64,
     /// Commits acked this window.
     pub committed: u64,
-    /// Admission rejections observed this window.
-    pub rejected: u64,
     /// Commit-latency samples behind the percentiles below. Zero means the
     /// window's histogram was empty (or absent) — the percentiles are
     /// placeholders, not measurements, and must not be judged.
@@ -55,7 +53,6 @@ impl WindowStats {
             offered: w.counter(metric::OFFERED),
             shed: w.counter(metric::SHED),
             committed: w.counter(metric::COMMITS),
-            rejected: w.counter(metric::REJECTS),
             lat_samples: lat.map_or(0, |h| h.count()),
             p50_us: pct(0.50),
             p99_us: pct(0.99),
@@ -72,17 +69,17 @@ impl WindowStats {
         }
     }
 
-    /// Rejected admissions as a fraction of admission outcomes, plus shed
-    /// arrivals as a fraction of offers — the paper's BATs never abort
-    /// mid-run, so admission rejection *is* the abort signal, and load
-    /// shed counts against the same budget (turning work away is a
-    /// service failure either way).
+    /// Arrivals shed at the in-flight bound over arrivals offered (over
+    /// commits plus shed in a window working off a backlog). Shedding is the
+    /// one way work is turned away for good: BATs never abort mid-run, and a
+    /// scheduler's admission rejection is retried inside the control actor,
+    /// unseen by clients — those are counted as `sched/aborts`, not here.
     pub fn abort_rate(&self) -> f64 {
-        let denom = (self.committed + self.rejected + self.shed).max(self.offered);
+        let denom = (self.committed + self.shed).max(self.offered);
         if denom == 0 {
             0.0
         } else {
-            (self.rejected + self.shed) as f64 / denom as f64
+            self.shed as f64 / denom as f64
         }
     }
 }
@@ -97,8 +94,8 @@ pub struct SloSpec {
     pub p99_max_us: Option<u64>,
     /// p99.9 commit latency must stay under this, µs.
     pub p999_max_us: Option<u64>,
-    /// Abort rate (rejections + shed over outcomes) must stay under this
-    /// fraction.
+    /// Abort rate ([`WindowStats::abort_rate`]: shed over offers) must stay
+    /// under this fraction.
     pub abort_rate_max: Option<f64>,
     /// Throughput must stay above this, commits/s.
     pub min_tps: Option<f64>,
@@ -335,14 +332,13 @@ pub fn evaluate(spec: &SloSpec, windows: &[WindowStats]) -> (Vec<WindowVerdict>,
 mod tests {
     use super::*;
 
-    fn w(seq: u64, offered: u64, committed: u64, rejected: u64, p99_us: u64) -> WindowStats {
+    fn w(seq: u64, offered: u64, committed: u64, shed: u64, p99_us: u64) -> WindowStats {
         WindowStats {
             seq,
             dur_us: 250_000,
             offered,
-            shed: 0,
+            shed,
             committed,
-            rejected,
             lat_samples: committed,
             p50_us: p99_us / 2,
             p99_us,
@@ -393,7 +389,7 @@ mod tests {
         let bad = [
             w(1, 100, 100, 0, 10_000),
             w(2, 100, 100, 0, 10_000),
-            w(3, 100, 20, 30, 10_000), // abort storm
+            w(3, 100, 20, 30, 10_000), // shedding storm
             w(4, 100, 100, 0, 10_000),
         ];
         let (_, outcome) = evaluate(&spec, &bad);
@@ -437,9 +433,9 @@ mod tests {
 
     #[test]
     fn abort_rate_counts_shed_against_offers() {
-        let mut s = w(0, 100, 90, 0, 1000);
-        s.shed = 10;
-        assert!((s.abort_rate() - 0.1).abs() < 1e-9);
+        assert!((w(0, 100, 90, 10, 1000).abort_rate() - 0.1).abs() < 1e-9);
+        // Working off a backlog: more outcomes than offers this window.
+        assert!((w(0, 100, 150, 10, 1000).abort_rate() - 10.0 / 160.0).abs() < 1e-9);
         assert!((w(0, 0, 0, 0, 0).abort_rate()).abs() < 1e-12);
         assert!((w(0, 100, 50, 0, 0).tps() - 200.0).abs() < 1e-9);
     }

@@ -173,10 +173,6 @@ pub mod metric {
     pub const SUBMITTED: &str = "load/submitted";
     /// Commit acks received by clients (counter).
     pub const COMMITS: &str = "load/commits";
-    /// Admission rejections observed by clients (counter).
-    pub const REJECTS: &str = "load/rejects";
-    /// Step delays observed by clients (counter).
-    pub const DELAYS: &str = "load/delays";
     /// Submit-to-commit-ack latency, µs (histogram).
     pub const COMMIT_LAT_US: &str = "lat/commit_us";
     /// Submit-to-commit-ack latency of read-only (snapshot) BATs, µs
@@ -210,8 +206,6 @@ pub mod metric {
     pub const SCHED_ABORTS: &str = "sched/aborts";
     /// Scheduler delays, control-side (counter).
     pub const SCHED_DELAYS: &str = "sched/delays";
-    /// Scheduler control-saving cache hits (counter).
-    pub const SCHED_CACHE_HITS: &str = "sched/cache_hits";
     /// Bulk units applied across data nodes (counter).
     pub const DATA_UNITS: &str = "data/units";
     /// WAL records appended (counter).

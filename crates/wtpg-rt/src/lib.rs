@@ -21,8 +21,9 @@
 //! * [`backoff::Backoff`] — the capped exponential schedule the control
 //!   actor redelivers unanswered orders on, and the seeded
 //!   [`backoff::XorShift`] the fault layer draws from.
-//! * [`sched_by_name`] / [`workload::pattern_specs`] — the one scheduler-name
-//!   table and the seeded pattern batches every front end shares.
+//! * [`sched_by_name`] / [`workload::pattern_specs`] — `wtpg-core`'s
+//!   scheduler-name table and the seeded pattern batches every front end
+//!   shares.
 //!
 //! Unlike the simulator crates, code here may read wall clocks and block on
 //! condition variables — `wtpg-lint` exempts `wtpg-rt` from the determinism
@@ -68,7 +69,6 @@
 
 pub mod backoff;
 pub mod control;
-pub mod env;
 pub mod metrics;
 pub mod queue;
 pub mod shard;
@@ -78,10 +78,11 @@ pub mod workload;
 pub use control::StreamItem;
 pub use shard::{merge_audits, ShardMap};
 
-use wtpg_core::sched::{
-    AslScheduler, C2plScheduler, ChainScheduler, GWtpgScheduler, KWtpgScheduler, NodcScheduler,
-    Scheduler,
-};
+use wtpg_core::sched::Scheduler;
+
+/// The scheduler-name table, [`wtpg_core::sched::by_name`], under the name
+/// this crate's callers know it by.
+pub use wtpg_core::sched::by_name as sched_by_name;
 
 /// A scheduler that may be handed to another thread (the control actor's).
 pub type SendScheduler = Box<dyn Scheduler + Send>;
@@ -92,36 +93,4 @@ pub type SendScheduler = Box<dyn Scheduler + Send>;
 /// [`SendScheduler`] at the crate root and deletes this module.
 pub mod engine {
     pub use crate::SendScheduler;
-}
-
-/// Builds a thread-safe scheduler by its CLI name, or `None` for an unknown
-/// name. `k` parameterises the K-WTPG variants; `keeptime` is the CHAIN /
-/// K-WTPG starvation-guard horizon in *logical* ticks (one tick per
-/// control-node operation in this crate, not a millisecond).
-pub fn sched_by_name(name: &str, k: usize, keeptime: u64) -> Option<SendScheduler> {
-    Some(match name.to_ascii_lowercase().as_str() {
-        "chain" => Box::new(ChainScheduler::new(keeptime)),
-        "k2" | "kwtpg" | "k-wtpg" => Box::new(KWtpgScheduler::new(k, keeptime)),
-        "gwtpg" | "g-wtpg" => Box::new(GWtpgScheduler::new(keeptime)),
-        "asl" => Box::new(AslScheduler::new()),
-        "c2pl" | "2pl" => Box::new(C2plScheduler::new()),
-        "chain-c2pl" => Box::new(C2plScheduler::chain_c2pl()),
-        "k2-c2pl" => Box::new(C2plScheduler::k_c2pl(k)),
-        "nodc" => Box::new(NodcScheduler::new()),
-        _ => return None,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sched_by_name_covers_every_scheduler() {
-        for name in ["chain", "k2", "gwtpg", "asl", "c2pl", "2pl", "chain-c2pl", "k2-c2pl", "nodc"]
-        {
-            assert!(sched_by_name(name, 2, 1000).is_some(), "{name}");
-        }
-        assert!(sched_by_name("granite", 2, 1000).is_none());
-    }
 }

@@ -1,10 +1,7 @@
 //! Scheduler selection for runs and sweeps.
 
 use serde::{Deserialize, Serialize};
-use wtpg_core::sched::{
-    AslScheduler, C2plScheduler, ChainScheduler, GWtpgScheduler, KWtpgScheduler, NodcScheduler,
-    Scheduler,
-};
+use wtpg_core::sched::{by_name, Scheduler};
 
 use crate::config::SimParams;
 
@@ -47,16 +44,17 @@ impl SchedKind {
 
     /// Builds a fresh scheduler instance.
     pub fn build(self, params: &SimParams) -> Box<dyn Scheduler> {
-        match self {
-            SchedKind::Chain => Box::new(ChainScheduler::new(params.keeptime_ms)),
-            SchedKind::KWtpg => Box::new(KWtpgScheduler::new(params.k, params.keeptime_ms)),
-            SchedKind::Asl => Box::new(AslScheduler::new()),
-            SchedKind::C2pl => Box::new(C2plScheduler::new()),
-            SchedKind::Nodc => Box::new(NodcScheduler::new()),
-            SchedKind::ChainC2pl => Box::new(C2plScheduler::chain_c2pl()),
-            SchedKind::KC2pl => Box::new(C2plScheduler::k_c2pl(params.k)),
-            SchedKind::GWtpg => Box::new(GWtpgScheduler::new(params.keeptime_ms)),
-        }
+        let name = match self {
+            SchedKind::Chain => "chain",
+            SchedKind::KWtpg => "k2",
+            SchedKind::Asl => "asl",
+            SchedKind::C2pl => "c2pl",
+            SchedKind::Nodc => "nodc",
+            SchedKind::ChainC2pl => "chain-c2pl",
+            SchedKind::KC2pl => "k2-c2pl",
+            SchedKind::GWtpg => "gwtpg",
+        };
+        by_name(name, params.k, params.keeptime_ms).expect("every kind is in the name table")
     }
 
     /// The five schedulers of the main evaluation (§4.1).
