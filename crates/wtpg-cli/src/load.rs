@@ -27,9 +27,7 @@ use wtpg_obs::{EventKind, ObsEvent, Observer, Registry};
 
 use crate::cell::{self, value};
 
-/// Observer track the load harness emits window records on. Distinct from
-/// track 0 (the runtime's end-of-run cumulative records) so a trace holds
-/// both without collision.
+/// Observer track the load harness emits window records on.
 const WINDOW_TRACK: u32 = 9;
 
 /// Appends each event to a JSONL file as it is recorded, flushing per
@@ -58,10 +56,10 @@ impl Observer for JsonlFileSink {
     }
 }
 
-/// Buffers the window records (for judging after the run) while optionally
-/// tee-ing every event to a live JSONL file.
+/// Keeps each window's judged stats (for the verdict after the run) while
+/// optionally tee-ing the record to a live JSONL file.
 struct WindowTap {
-    windows: Mutex<Vec<ObsEvent>>,
+    windows: Mutex<Vec<WindowStats>>,
     tee: Option<JsonlFileSink>,
 }
 
@@ -74,25 +72,21 @@ impl WindowTap {
     }
 
     fn stats(&self) -> Vec<WindowStats> {
-        self.windows
-            .lock()
-            .expect("window tap poisoned")
-            .iter()
-            .filter_map(|ev| match &ev.kind {
-                EventKind::Window(snap) => Some(WindowStats::from_snapshot(snap)),
-                _ => None,
-            })
-            .collect()
+        self.windows.lock().expect("window tap poisoned").clone()
     }
 }
 
 impl Observer for WindowTap {
     fn record(&self, ev: ObsEvent) {
+        let stats = match &ev.kind {
+            EventKind::Window(snap) => Some(WindowStats::from_snapshot(snap)),
+            _ => None,
+        };
         if let Some(tee) = &self.tee {
-            tee.record(ev.clone());
+            tee.record(ev);
         }
-        if matches!(ev.kind, EventKind::Window(_)) {
-            self.windows.lock().expect("window tap poisoned").push(ev);
+        if let Some(stats) = stats {
+            self.windows.lock().expect("window tap poisoned").push(stats);
         }
     }
 }
@@ -105,7 +99,6 @@ struct LoadArgs {
     window_ms: u64,
     slo: String,
     jsonl: Option<String>,
-    telemetry: bool,
     out: Option<String>,
 }
 
@@ -275,7 +268,6 @@ pub(crate) fn run(args: &[String]) -> Result<(), String> {
         window_ms: DEFAULT_WINDOW_MS,
         slo: "p99<50ms,abort<5%,sustain=4".into(),
         jsonl: None,
-        telemetry: true,
         out: None,
     };
     let shared = cell::parse(args, |flag, take| {
@@ -286,9 +278,6 @@ pub(crate) fn run(args: &[String]) -> Result<(), String> {
             "--window" => a.window_ms = value(flag, take()?)?,
             "--slo" => a.slo = take()?,
             "--jsonl" => a.jsonl = Some(take()?),
-            // Telemetry off: no registry, no flusher — the baseline side
-            // of the window-flush overhead experiment (EXPERIMENTS.md).
-            "--no-telemetry" => a.telemetry = false,
             "--out" => a.out = Some(take()?),
             _ => return Ok(false),
         }
@@ -316,21 +305,17 @@ pub(crate) fn run(args: &[String]) -> Result<(), String> {
     // The flusher shares the run's own µs epoch only approximately (it
     // starts its clock here, the runtime starts another inside); windows
     // are judged on their own lengths, so a small epoch skew is harmless.
-    // `--no-telemetry` drops the registry and flusher entirely — the
-    // observer-off baseline the overhead experiment compares against.
-    let (reg, flusher) = if a.telemetry {
-        let reg = Arc::new(Registry::new());
-        let flusher = WindowFlusher::spawn(
-            Arc::clone(&reg),
-            Arc::clone(&tap) as Arc<dyn Observer>,
-            WallClock::start(),
-            a.window_ms,
-            WINDOW_TRACK,
-        );
-        (Some(reg), Some(flusher))
-    } else {
-        (None, None)
-    };
+    // The registry is the run's books; bringing it makes the flush cadence
+    // ours, and the final partial window carries what actors publish at
+    // exit (message tallies, the scheduler's cache statistics).
+    let reg = Arc::new(Registry::new());
+    let flusher = WindowFlusher::spawn(
+        Arc::clone(&reg),
+        Arc::clone(&tap) as Arc<dyn Observer>,
+        WallClock::start(),
+        a.window_ms,
+        WINDOW_TRACK,
+    );
     let result = run_cell_load(
         &cfg,
         &|| cell.sched.make(),
@@ -338,12 +323,10 @@ pub(crate) fn run(args: &[String]) -> Result<(), String> {
         &cell.specs,
         cell.transport,
         &cell.fault,
-        Some(Arc::clone(&tap) as Arc<dyn Observer>),
-        reg,
+        None,
+        Some(reg),
     );
-    if let Some(f) = flusher {
-        f.stop();
-    }
+    flusher.stop();
     let report = result.map_err(|e| e.to_string())?;
     let (verdicts, outcome) = evaluate(&spec, &tap.stats());
 

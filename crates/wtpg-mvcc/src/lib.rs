@@ -27,8 +27,7 @@
 //! * [`certify`] — the snapshot-consistency check: every read observed
 //!   exactly the committed-prefix state at its snapshot tick.
 //! * [`shared`] — the one cross-actor cell (the GC watermark, declared in
-//!   the workspace lock hierarchy, `lint-locks.toml`) and the chain totals
-//!   data actors report.
+//!   the workspace lock hierarchy, `lint-locks.toml`).
 
 pub mod certify;
 pub mod chain;
@@ -37,5 +36,5 @@ pub mod watermark;
 
 pub use certify::{certify_snapshots, ReadObservation, ReaderRecord, SnapshotError, SnapshotReport};
 pub use chain::{apply_write_effect, read_checksum, unapply_write_effect, SealedWrite, VersionChain};
-pub use shared::{ChainTotals, GcWatermark};
+pub use shared::GcWatermark;
 pub use watermark::{gc_floor, ActiveSnapshots, CommitLog, SealEntry};

@@ -1,5 +1,4 @@
-//! The MVCC layer's one cross-actor cell, and the chain totals each data
-//! actor reports.
+//! The MVCC layer's one cross-actor cell.
 //!
 //! Everything else in this crate is single-owner state (a control actor's
 //! log, a data actor's chains). [`GcWatermark`] is shared and
@@ -9,9 +8,6 @@
 //! floors: snapshot reads piggyback the floor on the wire, but a partition
 //! no reader ever visits would otherwise keep its chain forever; data actors
 //! poll this cell when they seal new writes.
-//!
-//! [`ChainTotals`] is a plain value: each data actor returns its own at
-//! teardown and the harness merges them for the report.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -47,29 +43,6 @@ impl GcWatermark {
             .get(&partition)
             .copied()
             .unwrap_or(0)
-    }
-}
-
-/// Run-level version-chain totals.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ChainTotals {
-    /// Chain entries recorded across all partitions.
-    pub appended: u64,
-    /// Chain entries pruned by the GC floor.
-    pub pruned: u64,
-    /// Largest per-partition live chain length observed.
-    pub live_peak: u64,
-    /// Snapshot reads served from chains.
-    pub snapshot_reads: u64,
-}
-
-impl ChainTotals {
-    /// Adds `other` into `self` (`live_peak` takes the max).
-    pub fn merge(&mut self, other: ChainTotals) {
-        self.appended += other.appended;
-        self.pruned += other.pruned;
-        self.live_peak = self.live_peak.max(other.live_peak);
-        self.snapshot_reads += other.snapshot_reads;
     }
 }
 

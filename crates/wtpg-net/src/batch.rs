@@ -12,14 +12,16 @@
 //! Accounting follows the protocol's contract: a sent `Batch` counts as
 //! *one* wire message (`tx.batch`), its payload size is recorded in the
 //! batch-size histogram, and the number of messages travelling inside
-//! batches accumulates in `batched_inner`. The fault layer operates on
+//! batches accumulates in `batched_inner`; the owner publishes all three
+//! into the run's registry when it is done. The fault layer operates on
 //! whole messages, so a duplicated or delayed `Batch` is duplicated or
 //! delayed as a unit and per-message idempotency downstream is untouched.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use wtpg_obs::{Histogram, MsgCounts};
+use wtpg_obs::window::metric;
+use wtpg_obs::{Histogram, MsgCounts, Registry};
 
 use crate::msg::Msg;
 use crate::transport::MsgTx;
@@ -107,6 +109,14 @@ impl Coalescer {
     /// Messages currently buffered.
     pub fn pending(&self) -> usize {
         self.buf.len()
+    }
+
+    /// Publishes this link's tallies into the run's registry — once, when
+    /// the owning actor (or incarnation) is done with it.
+    pub(crate) fn publish(&self, reg: &Registry) {
+        crate::publish(reg, metric::msg_tx, self.tx.fields());
+        reg.counter(metric::BATCHED_INNER).add(self.batched_inner);
+        reg.hist(metric::BATCH_SIZE).merge(&self.sizes);
     }
 }
 

@@ -27,10 +27,12 @@
 //! the control plane as an end-of-stream marker (the drain-exit protocol;
 //! closed-loop runs never send it).
 //!
-//! Both drivers feed the shared windowed-metric [`Registry`] when one is
-//! attached: offered/shed/submitted/commit counters, the in-flight gauge,
-//! and the commit-latency histogram, under the canonical
-//! [`metric`](wtpg_obs::window::metric) names.
+//! Both drivers book their counts in the run's [`Registry`] and nowhere
+//! else: offered/shed/submitted/commit counters, the in-flight gauge and
+//! the commit-latency histograms live, the per-type message tallies once at
+//! exit, under the [`metric`](wtpg_obs::window::metric) catalogue names.
+//! What the outcome carries is what is not a count: the exact latency
+//! samples and the shed ids.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -46,27 +48,21 @@ use crate::error::NetError;
 use crate::msg::Msg;
 use crate::transport::{Inbox, MsgTx};
 
-/// Everything one client actor measured.
+/// What one client actor measured that the registry cannot hold.
 #[derive(Default)]
 pub struct ClientOutcome {
     /// Submit-to-commit-ack latency, microseconds, of each read-only
     /// transaction — booked whether the spec rode the snapshot plane or the
     /// S-lock path; the split is what the MVCC-vs-baseline comparison reads.
+    /// Exact samples: the registry's histograms are log₂-bucketed, too
+    /// coarse for the report's percentiles.
     pub reader_latencies_us: Vec<u64>,
     /// The same for each transaction with at least one write step. Every
     /// committed transaction is on exactly one of the two ledgers.
     pub writer_latencies_us: Vec<u64>,
-    /// Arrivals offered (open loop: the schedule; closed loop: the slice).
-    pub offered: u64,
-    /// Open-loop arrivals shed because the in-flight bound was full.
-    pub shed: u64,
     /// Ids of shed transactions — never submitted, so the runtime drops
     /// their declared writes from conservation accounting.
     pub shed_ids: Vec<TxnId>,
-    /// Messages dequeued and handled, by type.
-    pub rx: MsgCounts,
-    /// Messages sent, by type.
-    pub tx: MsgCounts,
 }
 
 /// Pre-resolved windowed-metric handles for one client.
@@ -103,11 +99,31 @@ type Inflight = BTreeMap<TxnId, (Instant, bool)>;
 struct ClientActor<'a> {
     client: u32,
     to_control: &'a Arc<dyn MsgTx>,
-    tel: Option<ClientTel>,
+    tel: ClientTel,
+    rx: MsgCounts,
+    tx: MsgCounts,
     out: ClientOutcome,
 }
 
-impl ClientActor<'_> {
+impl<'a> ClientActor<'a> {
+    fn start(client: u32, to_control: &'a Arc<dyn MsgTx>, reg: &Registry) -> ClientActor<'a> {
+        ClientActor {
+            client,
+            to_control,
+            tel: ClientTel::new(reg),
+            rx: MsgCounts::default(),
+            tx: MsgCounts::default(),
+            out: ClientOutcome::default(),
+        }
+    }
+
+    /// Publishes the message tallies and hands the outcome over.
+    fn finish(self, reg: &Registry) -> ClientOutcome {
+        crate::publish(reg, metric::msg_rx, self.rx.fields());
+        crate::publish(reg, metric::msg_tx, self.tx.fields());
+        self.out
+    }
+
     fn send(&mut self, m: &Msg) -> Result<(), NetError> {
         if !self.to_control.send(m) {
             return Err(NetError::Protocol(format!(
@@ -115,7 +131,7 @@ impl ClientActor<'_> {
                 self.client
             )));
         }
-        m.count(&mut self.out.tx);
+        m.count(&mut self.tx);
         Ok(())
     }
 
@@ -139,7 +155,7 @@ impl ClientActor<'_> {
         };
         match m {
             Msg::Commit { txn, .. } => {
-                m.count(&mut self.out.rx);
+                m.count(&mut self.rx);
                 if let Some((started, reader)) = inflight.remove(&txn) {
                     self.book_commit(started, reader);
                 }
@@ -163,12 +179,9 @@ impl ClientActor<'_> {
             step: None,
             spec: Some(spec.clone()),
         })?;
-        self.out.offered += 1;
-        if let Some(t) = &self.tel {
-            t.offered.inc();
-            t.submitted.inc();
-            t.inflight.add(1);
-        }
+        self.tel.offered.inc();
+        self.tel.submitted.inc();
+        self.tel.inflight.add(1);
         Ok(())
     }
 
@@ -181,25 +194,20 @@ impl ClientActor<'_> {
         } else {
             self.out.writer_latencies_us.push(us);
         }
-        if let Some(t) = &self.tel {
-            t.commits.inc();
-            t.inflight.sub(1);
-            t.commit_lat.record(us);
-            if reader {
-                t.reader_commits.inc();
-                t.reader_lat.record(us);
-            }
+        let t = &self.tel;
+        t.commits.inc();
+        t.inflight.sub(1);
+        t.commit_lat.record(us);
+        if reader {
+            t.reader_commits.inc();
+            t.reader_lat.record(us);
         }
     }
 
     fn shed(&mut self, txn: TxnId) {
-        self.out.offered += 1;
-        self.out.shed += 1;
         self.out.shed_ids.push(txn);
-        if let Some(t) = &self.tel {
-            t.offered.inc();
-            t.shed.inc();
-        }
+        self.tel.offered.inc();
+        self.tel.shed.inc();
     }
 }
 
@@ -210,7 +218,7 @@ fn elapsed_us(since: Instant) -> u64 {
 /// Drives `specs` to commit as client `client`, keeping up to `pipeline`
 /// transactions in flight (`pipeline` is clamped to ≥ 1; 1 recovers the
 /// strict one-at-a-time stream whose history is tick-identical to a serial
-/// drive of the control node). `reg`, when present, receives windowed load metrics.
+/// drive of the control node). `reg` is the run's books.
 /// Read-only specs are booked on the reader latency ledger regardless of
 /// the plane they rode — with MVCC off they take the S-lock path, and the
 /// baseline reader tail is exactly what the snapshot plane is compared to.
@@ -226,14 +234,9 @@ pub fn run_client(
     to_control: &Arc<dyn MsgTx>,
     watchdog: Duration,
     pipeline: usize,
-    reg: Option<&Registry>,
+    reg: &Registry,
 ) -> Result<ClientOutcome, NetError> {
-    let mut actor = ClientActor {
-        client,
-        to_control,
-        tel: reg.map(ClientTel::new),
-        out: ClientOutcome::default(),
-    };
+    let mut actor = ClientActor::start(client, to_control, reg);
     let depth = pipeline.max(1);
     let mut inflight = Inflight::new();
     let mut next = 0usize;
@@ -250,7 +253,7 @@ pub fn run_client(
             });
         }
     }
-    Ok(actor.out)
+    Ok(actor.finish(reg))
 }
 
 /// The open-loop driver's per-client schedule (see the module docs).
@@ -286,14 +289,9 @@ pub fn run_client_open_loop(
     inbox: &Inbox,
     to_control: &Arc<dyn MsgTx>,
     watchdog: Duration,
-    reg: Option<&Registry>,
+    reg: &Registry,
 ) -> Result<ClientOutcome, NetError> {
-    let mut actor = ClientActor {
-        client,
-        to_control,
-        tel: reg.map(ClientTel::new),
-        out: ClientOutcome::default(),
-    };
+    let mut actor = ClientActor::start(client, to_control, reg);
     let depth = plan.inflight.max(1);
     let n = specs.len().min(plan.arrivals_us.len());
     let mut inflight = Inflight::new();
@@ -348,5 +346,5 @@ pub fn run_client_open_loop(
     // End-of-stream marker: the control plane's drain exit counts one
     // Shutdown per client.
     actor.send(&Msg::Shutdown)?;
-    Ok(actor.out)
+    Ok(actor.finish(reg))
 }

@@ -66,7 +66,7 @@ use wtpg_core::work::Work;
 use wtpg_dur::checkpoint::{write_control_checkpoint, ControlCheckpoint};
 use wtpg_mvcc::{gc_floor, ActiveSnapshots, CommitLog, GcWatermark, ReadObservation, ReaderRecord};
 use wtpg_obs::window::metric;
-use wtpg_obs::{Counter, Gauge, Histogram, MsgCounts, Registry};
+use wtpg_obs::{Counter, Gauge, HistHandle, MsgCounts, Registry};
 use wtpg_rt::backoff::Backoff;
 use wtpg_rt::control::{ControlAudit, ControlNode, StreamItem};
 use wtpg_rt::queue::PopResult;
@@ -97,7 +97,7 @@ const MAX_PARK_ATTEMPTS: u32 = 1_000_000;
 const CKPT_EVERY: u64 = 256;
 
 /// Tuning for one control-actor run.
-pub struct ControlParams {
+pub struct ControlParams<'a> {
     /// The wrapped admission/lock scheduler.
     pub sched: Box<dyn Scheduler + Send>,
     /// Commits to wait for before exiting.
@@ -124,8 +124,9 @@ pub struct ControlParams {
     /// with the history gone the actor's footprint is bounded by the live
     /// population.
     pub stream: Option<SyncSender<StreamItem>>,
-    /// Shared windowed-metric registry (`None` disables telemetry).
-    pub reg: Option<Arc<Registry>>,
+    /// The run's books: every count this shard observes lands here, under
+    /// its [`metric`] name, and nowhere else.
+    pub reg: &'a Registry,
     /// Drain exit for open-loop runs: `Some(n)` makes the actor exit once
     /// `n` clients signalled end-of-stream (one `Shutdown` each — shed
     /// arrivals never reach control, so a commit target is unknowable
@@ -141,7 +142,8 @@ pub struct ControlParams {
     pub mvcc: Option<Arc<GcWatermark>>,
 }
 
-/// Everything the control actor recorded.
+/// What the control actor recorded that is not a count (those are in the
+/// run's registry).
 pub struct ControlOutcome {
     /// The wrapped scheduler's display name ("CHAIN", "K2", …).
     pub name: String,
@@ -149,26 +151,10 @@ pub struct ControlOutcome {
     pub audit: ControlAudit,
     /// The certification mode the scheduler claimed.
     pub mode: CertifyMode,
-    /// Messages dequeued and handled, by type (inner messages of a received
-    /// batch are tallied under their own types, plus one `batch`).
-    pub rx: MsgCounts,
-    /// Messages sent, by type (a sent batch counts once).
-    pub tx: MsgCounts,
-    /// `Access` orders re-sent by the redelivery watchdog.
-    pub access_retries: u64,
-    /// Order-to-`AccessDone` round trip per bulk step, microseconds.
+    /// Order-to-`AccessDone` round trip per bulk step, microseconds — the
+    /// exact samples behind the report's percentiles (`data/rtt_us` is the
+    /// same series, log₂-bucketed).
     pub data_rtts_us: Vec<u64>,
-    /// Longest park-and-retry streak any single transaction saw.
-    pub max_retry_streak: u32,
-    /// Messages that travelled inside sent `Batch` frames.
-    pub batched_inner: u64,
-    /// Distribution of coalescer flush sizes.
-    pub batch_sizes: Histogram,
-    /// `(txn, step)` orders parked as node-unavailable after the owning
-    /// node blew past the redelivery budget.
-    pub node_unavailable: u64,
-    /// Control checkpoints written.
-    pub ckpt_writes: u64,
     /// MVCC audit (None when the snapshot plane was off).
     pub mvcc: Option<MvccAudit>,
 }
@@ -200,12 +186,18 @@ struct Outstanding {
     unavailable: bool,
 }
 
-/// Pre-resolved per-shard windowed-metric handles.
+/// Pre-resolved metric handles of one control shard.
 struct CtrlTel {
     backlog: Gauge,
     parked: Gauge,
     commits: Counter,
     admissions: Counter,
+    /// Longest park-and-retry streak any single transaction saw.
+    max_retry_streak: Gauge,
+    access_retries: Counter,
+    node_unavailable: Counter,
+    checkpoints: Counter,
+    data_rtt: HistHandle,
 }
 
 impl CtrlTel {
@@ -215,6 +207,11 @@ impl CtrlTel {
             parked: reg.gauge(&metric::shard_parked(shard)),
             commits: reg.counter(&metric::shard_commits(shard)),
             admissions: reg.counter(&metric::shard_admissions(shard)),
+            max_retry_streak: reg.gauge(&metric::shard_max_retry_streak(shard)),
+            access_retries: reg.counter(metric::ACCESS_RETRIES),
+            node_unavailable: reg.counter(metric::NODE_UNAVAILABLE),
+            checkpoints: reg.counter(metric::WAL_CHECKPOINTS),
+            data_rtt: reg.hist(metric::DATA_RTT_US),
         }
     }
 }
@@ -302,13 +299,10 @@ struct ControlActor<'a> {
     active: usize,
     admit_window: usize,
     outstanding: BTreeMap<(TxnId, u32), Outstanding>,
-    /// Cumulative count of orders ever parked as node-unavailable.
-    node_unavailable: u64,
     /// Chunk credits applied per data node (checkpoint cross-check datum).
     node_chunks: Vec<u64>,
     /// Control-checkpoint destination (`None` disables checkpointing).
     ckpt: Option<PathBuf>,
-    ckpt_writes: u64,
     /// Write-plane steps reported complete (checkpoint cross-check datum).
     completed_steps: u64,
     /// Committed writers. A transaction's drive-state is retired at commit;
@@ -316,13 +310,10 @@ struct ControlActor<'a> {
     committed: BTreeSet<TxnId>,
     rx: MsgCounts,
     tx: MsgCounts,
-    access_retries: u64,
     data_rtts_us: Vec<u64>,
-    max_retry_streak: u32,
     /// Milli-objects per progress chunk, stamped on every `Access` order.
     chunk_units: u64,
-    /// Per-shard windowed gauges and counters (`None` disables).
-    tel: Option<CtrlTel>,
+    tel: CtrlTel,
     /// Drain exit (see [`ControlParams::drain_clients`]).
     drain: Option<usize>,
     /// End-of-stream markers received (one `Shutdown` per finished client).
@@ -403,9 +394,7 @@ impl ControlActor<'_> {
             match self.control.arrive(&state.spec)? {
                 Admission::Admitted => {
                     self.active += 1;
-                    if let Some(t) = &self.tel {
-                        t.admissions.inc();
-                    }
+                    self.tel.admissions.inc();
                     let t = self
                         .txns
                         .get_mut(&txn)
@@ -453,9 +442,7 @@ impl ControlActor<'_> {
             }
             self.committed.insert(txn);
             self.active = self.active.saturating_sub(1);
-            if let Some(t) = &self.tel {
-                t.commits.inc();
-            }
+            self.tel.commits.inc();
             self.maybe_checkpoint()?;
             // The transaction is over: retire its drive-state. Late
             // duplicates (Submit or data-plane replies) are absorbed by
@@ -596,7 +583,9 @@ impl ControlActor<'_> {
             .get_mut(&txn)
             .expect("invariant: attempts are only charged to tracked txns");
         t.attempts = t.attempts.saturating_add(1);
-        self.max_retry_streak = self.max_retry_streak.max(t.attempts);
+        if u64::from(t.attempts) > self.tel.max_retry_streak.get() {
+            self.tel.max_retry_streak.set(u64::from(t.attempts));
+        }
         if t.attempts >= MAX_PARK_ATTEMPTS {
             return Err(NetError::BackoffExhausted {
                 txn,
@@ -741,7 +730,7 @@ impl ControlActor<'_> {
                     return self.late_reply(txn, step, "AccessDone");
                 };
                 self.control.step_complete(txn, step as usize)?;
-                self.data_rtts_us.push(elapsed_us(o.sent_at));
+                self.book_rtt(o.sent_at);
                 self.completed_steps += 1;
                 if let Some(t) = self.txns.get_mut(&txn) {
                     t.next_step = step as usize + 1;
@@ -772,7 +761,7 @@ impl ControlActor<'_> {
                 units,
             } => {
                 if let Some(o) = self.outstanding.remove(&(txn, step)) {
-                    self.data_rtts_us.push(elapsed_us(o.sent_at));
+                    self.book_rtt(o.sent_at);
                     // The certifier's expected checksum is computed with the
                     // unit count the *reply* echoes, so a node that scanned
                     // the wrong number of cells would self-consistently
@@ -851,9 +840,7 @@ impl ControlActor<'_> {
                         plane.publish_floor(p);
                     }
                 }
-                if let Some(t) = &self.tel {
-                    t.commits.inc();
-                }
+                self.tel.commits.inc();
                 self.send_to_client(r.client, &Msg::Commit {
                     client: r.client,
                     txn,
@@ -878,7 +865,7 @@ impl ControlActor<'_> {
                 let resent = u32::try_from(resend.len()).unwrap_or(u32::MAX);
                 for msg in resend {
                     self.send_data(node, msg, false)?;
-                    self.access_retries += 1;
+                    self.tel.access_retries.inc();
                 }
                 // Flush the re-send burst as its own frame first: the ack
                 // then leaves as a plain single-message frame, so the
@@ -941,7 +928,7 @@ impl ControlActor<'_> {
                 o.attempts = self.retry.max_attempts;
                 if !o.unavailable {
                     o.unavailable = true;
-                    self.node_unavailable += 1;
+                    self.tel.node_unavailable.inc();
                 }
             }
             o.deadline = now + Duration::from_micros(self.retry.delay_us(o.attempts));
@@ -949,7 +936,7 @@ impl ControlActor<'_> {
         }
         for (node, msg) in resend {
             self.send_data(node, msg, true)?;
-            self.access_retries += 1;
+            self.tel.access_retries.inc();
         }
         Ok(())
     }
@@ -974,19 +961,24 @@ impl ControlActor<'_> {
             node_chunks: self.node_chunks.clone(),
         };
         write_control_checkpoint(path, &ckpt)?;
-        self.ckpt_writes += 1;
+        self.tel.checkpoints.inc();
         Ok(())
     }
 
-    /// Publishes queue-depth gauges to the windowed registry (no-op
-    /// without one). Called at the periodic-scan cadence, not per message:
-    /// a window flush samples levels, so sub-scan churn is invisible
-    /// anyway.
+    /// Publishes the queue-depth gauges. Called at the periodic-scan
+    /// cadence, not per message: a window flush samples levels, so sub-scan
+    /// churn is invisible anyway.
     fn update_gauges(&self) {
-        if let Some(t) = &self.tel {
-            t.backlog.set(self.backlog.len() as u64);
-            t.parked.set(self.parked.len() as u64);
-        }
+        self.tel.backlog.set(self.backlog.len() as u64);
+        self.tel.parked.set(self.parked.len() as u64);
+    }
+
+    /// Books one order-to-reply round trip: the exact sample for the
+    /// report, the bucketed one for the live view.
+    fn book_rtt(&mut self, sent_at: Instant) {
+        let us = elapsed_us(sent_at);
+        self.data_rtts_us.push(us);
+        self.tel.data_rtt.record(us);
     }
 
     /// Flushes every coalescer (before blocking on the inbox).
@@ -1034,14 +1026,15 @@ fn elapsed_us(since: Instant) -> u64 {
 /// (an unanswered data node parks its orders as node-unavailable rather
 /// than erroring), [`NetError::Dur`] if a control-checkpoint write failed.
 pub fn run_control(
-    params: ControlParams,
+    params: ControlParams<'_>,
     catalog: &Catalog,
     chunk_units: u64,
     inbox: &Inbox,
     to_data: &[Arc<dyn MsgTx>],
     to_clients: &[Arc<dyn MsgTx>],
 ) -> Result<ControlOutcome, NetError> {
-    let control = ControlNode::with_telemetry(params.sched, params.reg.as_deref(), params.stream);
+    let reg = params.reg;
+    let control = ControlNode::with_telemetry(params.sched, Some(reg), params.stream);
     let name = control.sched_name();
     let mode = control.certify_mode();
     let mut actor = ControlActor {
@@ -1061,19 +1054,15 @@ pub fn run_control(
         active: 0,
         admit_window: params.admit_window.max(1),
         outstanding: BTreeMap::new(),
-        node_unavailable: 0,
         node_chunks: Vec::new(),
         ckpt: params.ckpt,
-        ckpt_writes: 0,
         completed_steps: 0,
         committed: BTreeSet::new(),
         rx: MsgCounts::default(),
         tx: MsgCounts::default(),
-        access_retries: 0,
         data_rtts_us: Vec::new(),
-        max_retry_streak: 0,
         chunk_units,
-        tel: params.reg.as_deref().map(|r| CtrlTel::new(r, params.shard)),
+        tel: CtrlTel::new(reg, params.shard),
         drain: params.drain_clients,
         done_clients: 0,
         submits_seen: 0,
@@ -1159,27 +1148,21 @@ pub fn run_control(
     })();
     result?;
 
-    let mut tx = actor.tx;
-    let mut batched_inner = 0u64;
-    let mut batch_sizes = Histogram::new();
+    // The tallies nobody reads live, published once: message counts (the
+    // shard's own and its coalescers') and the scheduler's cache / abort /
+    // delay statistics, under the bare names the simulator's trace uses.
+    crate::publish(reg, metric::msg_rx, actor.rx.fields());
+    crate::publish(reg, metric::msg_tx, actor.tx.fields());
     for c in &actor.to_data {
-        tx.merge(&c.tx);
-        batched_inner += c.batched_inner;
-        batch_sizes.merge(&c.sizes);
+        c.publish(reg);
     }
+    let audit = actor.control.into_audit();
+    crate::publish(reg, str::to_string, audit.stats.fields());
     Ok(ControlOutcome {
         name,
         mode,
-        audit: actor.control.into_audit(),
-        rx: actor.rx,
-        tx,
-        access_retries: actor.access_retries,
+        audit,
         data_rtts_us: actor.data_rtts_us,
-        max_retry_streak: actor.max_retry_streak,
-        batched_inner,
-        batch_sizes,
-        node_unavailable: actor.node_unavailable,
-        ckpt_writes: actor.ckpt_writes,
         mvcc: actor.mvcc.map(|p| MvccAudit {
             log: p.log,
             readers: p.records,

@@ -58,10 +58,10 @@ use wtpg_core::partition::Catalog;
 use wtpg_core::txn::{AccessMode, TxnId};
 use wtpg_dur::checkpoint::{files, snapshot_from_state, write_node_snapshot};
 use wtpg_dur::wal::{ChunkRecord, WalWriter};
-use wtpg_dur::{recover, Durability, Partial};
-use wtpg_mvcc::{read_checksum, ChainTotals, GcWatermark, VersionChain};
+use wtpg_dur::{recover, DurError, Durability, Partial};
+use wtpg_mvcc::{read_checksum, GcWatermark, VersionChain};
 use wtpg_obs::window::metric;
-use wtpg_obs::{Counter, Gauge, Histogram, MsgCounts, Registry, WalStats};
+use wtpg_obs::{Counter, Gauge, HistHandle, MsgCounts, Registry};
 use wtpg_rt::queue::PopResult;
 use wtpg_rt::store::NodeStore;
 
@@ -84,7 +84,10 @@ const REPLAY_WORKERS: usize = 8;
 /// at the next pre-block flush (see [`DataActor::wal_flush_idle`]).
 const WAL_AGE_WINDOW: Duration = Duration::from_millis(2);
 
-/// Everything one data-node actor tallied.
+/// What one data node's store holds after the run — the conservation
+/// values the runtime checks against the workload's declarations. They are
+/// fault-detection values, read off the store itself, and deliberately not
+/// metrics; every count the node observed is in the run's registry.
 pub struct DataOutcome {
     /// Sum over the node's cells after the run.
     pub cell_sum: u64,
@@ -92,26 +95,6 @@ pub struct DataOutcome {
     pub write_units: u64,
     /// Checksum folded over every bulk read this node served.
     pub read_checksum: u64,
-    /// Messages dequeued and handled, by type (inner messages of a received
-    /// batch are tallied under their own types, plus one `batch`).
-    pub rx: MsgCounts,
-    /// Messages sent, by type (a sent batch counts once).
-    pub tx: MsgCounts,
-    /// Messages discarded while simulated-crashed or killed.
-    pub crash_drops: u64,
-    /// Messages that travelled inside sent `Batch` frames.
-    pub batched_inner: u64,
-    /// Distribution of reply-coalescer flush sizes.
-    pub batch_sizes: Histogram,
-    /// Kill-and-restart recoveries this node performed.
-    pub recoveries: u64,
-    /// Write-ahead-log activity across all incarnations.
-    pub wal: WalStats,
-    /// Distribution of dependency-chain lengths replayed during recovery
-    /// (the replay-parallelism profile).
-    pub replay_chains: Histogram,
-    /// Version-chain totals (all zero when the snapshot plane was off).
-    pub chains: ChainTotals,
 }
 
 /// Everything [`run_data_node`] needs to run one node, bundled so the call
@@ -127,13 +110,15 @@ pub struct DataNodeParams<'a> {
     pub kill: Option<KillPlan>,
     /// Reply-coalescer buffer bound.
     pub batch_max: usize,
-    /// Whether (and how hard) applied chunks are made durable.
-    pub durability: Durability,
-    /// Directory holding this node's log and snapshot (required whenever
-    /// `durability` keeps a log).
-    pub wal_dir: Option<&'a Path>,
-    /// Shared windowed-metric registry (`None` disables telemetry).
-    pub reg: Option<&'a Registry>,
+    /// The node's write-ahead log: how hard applied chunks are made durable
+    /// (a level that keeps a log) and the directory holding the log and
+    /// snapshot. `None` keeps no log; a `kill` plan restarts from one, so
+    /// without it the plan never fires ([`RunPlan`](crate::RunPlan) refuses
+    /// that cell before any actor exists).
+    pub log: Option<(Durability, &'a Path)>,
+    /// The run's books: every count this node observes lands here, under
+    /// its [`metric`] name, and nowhere else.
+    pub reg: &'a Registry,
     /// Control-published GC floors. `Some` turns the MVCC layer on: write
     /// steps carry seal sequences into per-partition version chains, and
     /// `SnapshotRead` orders are served from them. Chains are in-memory
@@ -142,23 +127,43 @@ pub struct DataNodeParams<'a> {
     pub mvcc: Option<Arc<GcWatermark>>,
 }
 
-/// Pre-resolved data-plane windowed-metric handles. Cloned into each
-/// incarnation of the actor (a kill-restart must keep the same series).
-#[derive(Clone)]
+/// Pre-resolved metric handles of one data node. They belong to the node,
+/// not to an incarnation of its actor: a kill destroys the incarnation and
+/// the series carry on.
 struct DataTel {
     units: Counter,
+    crash_drops: Counter,
+    snapshot_reads: Counter,
     wal_records: Counter,
     wal_flushes: Counter,
+    wal_fsyncs: Counter,
+    wal_bytes: Counter,
     wal_lag: Gauge,
+    checkpoints: Counter,
+    recoveries: Counter,
+    replayed_chunks: Counter,
+    replayed_chains: Counter,
+    torn_tails: Counter,
+    replay_chain: HistHandle,
 }
 
 impl DataTel {
     fn new(reg: &Registry) -> DataTel {
         DataTel {
             units: reg.counter(metric::DATA_UNITS),
+            crash_drops: reg.counter(metric::CRASH_DROPS),
+            snapshot_reads: reg.counter(metric::SNAPSHOT_READS),
             wal_records: reg.counter(metric::WAL_RECORDS),
             wal_flushes: reg.counter(metric::WAL_FLUSHES),
+            wal_fsyncs: reg.counter(metric::WAL_FSYNCS),
+            wal_bytes: reg.counter(metric::WAL_BYTES),
             wal_lag: reg.gauge(metric::WAL_LAG),
+            checkpoints: reg.counter(metric::WAL_CHECKPOINTS),
+            recoveries: reg.counter(metric::WAL_RECOVERIES),
+            replayed_chunks: reg.counter(metric::WAL_REPLAYED_CHUNKS),
+            replayed_chains: reg.counter(metric::WAL_REPLAYED_CHAINS),
+            torn_tails: reg.counter(metric::WAL_TORN_TAILS),
+            replay_chain: reg.hist(metric::WAL_REPLAY_CHAIN),
         }
     }
 }
@@ -186,12 +191,7 @@ struct DataActor<'a> {
     /// Write a node snapshot once the log reaches this LSN.
     snapshot_due: u64,
     wal_dir: Option<&'a Path>,
-    checkpoints: u64,
-    /// Windowed data-plane metrics (`None` disables).
-    tel: Option<DataTel>,
-    /// WAL flushes already credited to the windowed counter (delta base —
-    /// the writer's own stats are cumulative per incarnation).
-    flushes_seen: u64,
+    tel: &'a DataTel,
     /// Per-partition version chains (empty while the snapshot plane is
     /// off: nothing inserts without a sealed write or a snapshot read).
     chains: BTreeMap<u32, VersionChain>,
@@ -208,8 +208,6 @@ struct DataActor<'a> {
     /// all its replies and can never redeliver; `gc_poll` drops such memos,
     /// keeping a sustained read mix from growing this map without bound.
     snap_mark_holds: BTreeMap<u32, BTreeSet<(u64, TxnId, u32)>>,
-    /// Snapshot reads served (telemetry).
-    snapshot_reads: u64,
     /// Control-published GC floors (`None` ⇒ snapshot plane off).
     mvcc: Option<Arc<GcWatermark>>,
 }
@@ -223,24 +221,36 @@ impl<'a> DataActor<'a> {
     /// additionally `fdatasync`s, extending the promise to machine
     /// crashes.
     fn wal_barrier(&mut self) -> Result<(), NetError> {
-        if let Some(w) = self.wal.as_mut() {
-            w.sync()?;
-        }
-        self.sync_wal_tel();
-        Ok(())
+        self.with_wal(WalWriter::sync)
     }
 
-    /// Publishes WAL flush/lag deltas to the windowed registry (no-op
-    /// without one). The lag gauge is the writer's userspace buffer in
+    /// Runs one operation on the log writer (a no-op without one) and books
+    /// what it did: every call on the writer goes through here, so the
+    /// `wal/*` counters are the writers' own tallies summed over
+    /// incarnations. The lag gauge is the writer's userspace buffer in
     /// bytes — what a kill would destroy right now.
-    fn sync_wal_tel(&mut self) {
-        let (Some(t), Some(w)) = (&self.tel, &self.wal) else {
-            return;
+    fn with_wal(
+        &mut self,
+        op: impl FnOnce(&mut WalWriter) -> Result<(), DurError>,
+    ) -> Result<(), NetError> {
+        let Some(w) = self.wal.as_mut() else {
+            return Ok(());
         };
-        let flushes = w.stats.flushes;
-        t.wal_flushes.add(flushes.saturating_sub(self.flushes_seen));
+        let before = w.stats;
+        op(w)?;
+        let (t, after) = (self.tel, w.stats);
+        for (counter, delta) in [
+            (&t.wal_records, after.records - before.records),
+            (&t.wal_flushes, after.flushes - before.flushes),
+            (&t.wal_fsyncs, after.fsyncs - before.fsyncs),
+            (&t.wal_bytes, after.bytes - before.bytes),
+        ] {
+            if delta != 0 {
+                counter.add(delta);
+            }
+        }
         t.wal_lag.set(w.buffered_bytes() as u64);
-        self.flushes_seen = flushes;
+        Ok(())
     }
 
     /// Pure-idle flush, for ticks where no replies are pending: nothing is
@@ -248,11 +258,7 @@ impl<'a> DataActor<'a> {
     /// are written — the age half of group commit, without paying a file
     /// write for every brief gap between bursts.
     fn wal_flush_aged(&mut self) -> Result<(), NetError> {
-        if let Some(w) = self.wal.as_mut() {
-            w.flush_aged(WAL_AGE_WINDOW)?;
-        }
-        self.sync_wal_tel();
-        Ok(())
+        self.with_wal(|w| w.flush_aged(WAL_AGE_WINDOW))
     }
 
     /// Pushes a reply, placing a log barrier first whenever this push will
@@ -275,14 +281,11 @@ impl<'a> DataActor<'a> {
         if !due {
             return Ok(());
         }
-        let next_lsn = match self.wal.as_mut() {
-            Some(w) => {
-                // The snapshot claims everything below next_lsn; barrier so
-                // the claim never outruns the file.
-                w.sync()?;
-                w.next_lsn()
-            }
-            None => return Ok(()),
+        // The snapshot claims everything below next_lsn; barrier so the
+        // claim never outruns the file.
+        self.wal_barrier()?;
+        let Some(next_lsn) = self.wal.as_ref().map(WalWriter::next_lsn) else {
+            return Ok(());
         };
         let snap = snapshot_from_state(
             next_lsn,
@@ -293,7 +296,7 @@ impl<'a> DataActor<'a> {
             &self.partials,
         );
         write_node_snapshot(&files::node_snapshot(dir, self.node), &snap)?;
-        self.checkpoints += 1;
+        self.tel.checkpoints.inc();
         self.snapshot_due = next_lsn + SNAPSHOT_EVERY;
         Ok(())
     }
@@ -429,30 +432,24 @@ impl<'a> DataActor<'a> {
                     let chunk = chunk_size.min(units - offset);
                     let sum = self.store.apply_chunk(partition, mode, offset, chunk)?;
                     checksum = checksum.wrapping_add(sum);
-                    if let Some(t) = &self.tel {
-                        t.units.add(chunk);
-                        if self.wal.is_some() {
-                            t.wal_records.inc();
-                        }
-                    }
-                    if let Some(w) = self.wal.as_mut() {
-                        // Log before the delta can leave: the record is in
-                        // the writer (and on any flush path, in the file)
-                        // before control can ever learn of the chunk.
-                        w.append(ChunkRecord {
-                            lsn: 0,
-                            prev_lsn: 0,
-                            txn,
-                            step,
-                            chunk: chunk_idx,
-                            partition,
-                            mode,
-                            start_unit: offset,
-                            units: chunk,
-                            checksum: sum,
-                            complete: offset + chunk >= units,
-                        })?;
-                    }
+                    self.tel.units.add(chunk);
+                    // Log before the delta can leave: the record is in the
+                    // writer (and on any flush path, in the file) before
+                    // control can ever learn of the chunk.
+                    let record = ChunkRecord {
+                        lsn: 0,
+                        prev_lsn: 0,
+                        txn,
+                        step,
+                        chunk: chunk_idx,
+                        partition,
+                        mode,
+                        start_unit: offset,
+                        units: chunk,
+                        checksum: sum,
+                        complete: offset + chunk >= units,
+                    };
+                    self.with_wal(|w| w.append(record).map(drop))?;
                     if !self.push_reply(Msg::StatsDelta {
                         txn,
                         step,
@@ -523,7 +520,7 @@ impl<'a> DataActor<'a> {
                     .entry(partition.0)
                     .or_default()
                     .insert((hold, txn, step));
-                self.snapshot_reads += 1;
+                self.tel.snapshot_reads.inc();
                 let ok = self.push_reply(Msg::SnapshotReply {
                     txn,
                     step,
@@ -536,6 +533,31 @@ impl<'a> DataActor<'a> {
                 "data node {} received {other:?}, which it never handles",
                 self.node
             ))),
+        }
+    }
+
+    /// Publishes the tallies this incarnation kept privately — message
+    /// counts, the reply coalescer's, its version chains' — and drops it.
+    /// On the kill path that drop IS the process death: store, marks,
+    /// buffered replies, and the log writer's userspace buffer are
+    /// destroyed together; the registry's handles are what outlives it.
+    fn publish(self, reg: &Registry) {
+        crate::publish(reg, metric::msg_rx, self.rx.fields());
+        self.replies.publish(reg);
+        let (mut appended, mut pruned, mut live_peak) = (0, 0, 0);
+        for c in self.chains.values() {
+            let (a, p, peak) = c.totals();
+            appended += a;
+            pruned += p;
+            live_peak = peak.max(live_peak);
+        }
+        crate::publish(
+            reg,
+            str::to_string,
+            [(metric::CHAIN_APPENDED, appended), (metric::CHAIN_PRUNED, pruned)],
+        );
+        if live_peak > 0 {
+            reg.gauge(&metric::node_chain_live_peak(self.node as usize)).set(live_peak);
         }
     }
 }
@@ -551,49 +573,6 @@ fn contains_shutdown(m: &Msg) -> bool {
     }
 }
 
-/// Observability that must survive an actor's death: the run-level books a
-/// killed incarnation banks into before it is dropped.
-#[derive(Default)]
-struct Banked {
-    rx: MsgCounts,
-    tx: MsgCounts,
-    batched_inner: u64,
-    batch_sizes: Histogram,
-    wal: WalStats,
-    chains: ChainTotals,
-}
-
-impl Banked {
-    fn bank(&mut self, actor: DataActor<'_>) {
-        self.rx.merge(&actor.rx);
-        self.tx.merge(&actor.replies.tx);
-        self.batched_inner += actor.replies.batched_inner;
-        self.batch_sizes.merge(&actor.replies.sizes);
-        let mut totals = ChainTotals::default();
-        for c in actor.chains.values() {
-            let (appended, pruned, live_peak) = c.totals();
-            totals.merge(ChainTotals {
-                appended,
-                pruned,
-                live_peak,
-                snapshot_reads: 0,
-            });
-        }
-        totals.snapshot_reads = actor.snapshot_reads;
-        self.chains.merge(totals);
-        if let Some(w) = &actor.wal {
-            self.wal.records += w.stats.records;
-            self.wal.flushes += w.stats.flushes;
-            self.wal.fsyncs += w.stats.fsyncs;
-            self.wal.bytes += w.stats.bytes;
-        }
-        self.wal.checkpoints += actor.checkpoints;
-        // `actor` drops here. On the kill path that drop IS the process
-        // death: store, marks, buffered replies, and the log writer's
-        // userspace buffer are destroyed together.
-    }
-}
-
 /// Runs data node `params.node` until it receives `Shutdown` (or its inbox
 /// closes under transport teardown), applying `Access` orders against an
 /// owned [`NodeStore`] — freshly zeroed, or rebuilt from the write-ahead
@@ -603,8 +582,7 @@ impl Banked {
 /// # Errors
 /// [`NetError::Core`] if an order addresses a partition this node does not
 /// own, [`NetError::Protocol`] on a message type only other actors may
-/// receive, [`NetError::Dur`] on a log/checkpoint failure or a kill plan
-/// without the log it needs to restart from.
+/// receive, [`NetError::Dur`] on a log/checkpoint failure.
 pub fn run_data_node(
     params: DataNodeParams<'_>,
     inbox: &Inbox,
@@ -616,36 +594,21 @@ pub fn run_data_node(
         crash,
         kill,
         batch_max,
-        durability,
-        wal_dir,
+        log,
         reg,
         mvcc,
     } = params;
-    let tel = reg.map(DataTel::new);
+    let tel = DataTel::new(reg);
     let mut crash = crash.filter(|c| c.node as u32 == node);
-    let mut kill = kill.filter(|k| k.node.is_none() || k.node == Some(node as usize));
-    if kill.is_some() && (!durability.requires_log() || wal_dir.is_none()) {
-        return Err(NetError::Dur(format!(
-            "data node {node}: a kill plan needs durability ('{}' given) and a wal dir",
-            durability.label()
-        )));
-    }
-    let open_writer = |next_lsn: u64,
-                       tails: BTreeMap<u32, u64>|
-     -> Result<Option<WalWriter>, NetError> {
-        match (durability.requires_log(), wal_dir) {
-            (true, Some(dir)) => Ok(Some(WalWriter::open(
-                &files::node_wal(dir, node),
-                durability,
-                next_lsn,
-                tails,
-            )?)),
-            (true, None) => Err(NetError::Dur(format!(
-                "data node {node}: durability '{}' needs a wal dir",
-                durability.label()
-            ))),
-            (false, _) => Ok(None),
-        }
+    // A kill restarts the node from its log, so the plan travels with it.
+    let mut kill = kill
+        .filter(|k| k.node.is_none() || k.node == Some(node as usize))
+        .zip(log);
+    let open_writer = |next_lsn: u64, tails: BTreeMap<u32, u64>| {
+        log.map(|(durability, dir)| {
+            WalWriter::open(&files::node_wal(dir, node), durability, next_lsn, tails)
+        })
+        .transpose()
     };
     let fresh_actor = |wal: Option<WalWriter>| DataActor {
         node,
@@ -659,21 +622,14 @@ pub fn run_data_node(
         read_checksum: 0,
         catalog,
         snapshot_due: SNAPSHOT_EVERY,
-        wal_dir,
-        checkpoints: 0,
-        tel: tel.clone(),
-        flushes_seen: 0,
+        wal_dir: log.map(|(_, dir)| dir),
+        tel: &tel,
         chains: BTreeMap::new(),
         snap_marks: BTreeMap::new(),
         snap_mark_holds: BTreeMap::new(),
-        snapshot_reads: 0,
         mvcc: mvcc.clone(),
     };
 
-    let mut acc = Banked::default();
-    let mut crash_drops = 0u64;
-    let mut recoveries = 0u64;
-    let mut replay_chains = Histogram::new();
     let mut processed = 0u64;
     let mut actor = fresh_actor(open_writer(0, BTreeMap::new())?);
 
@@ -706,15 +662,15 @@ pub fn run_data_node(
             Msg::Batch(inner) => inner.len().max(1) as u64,
             _ => 1,
         };
-        if let Some(plan) = kill {
+        if let Some((plan, (_, dir))) = kill {
             if processed >= plan.after_msgs {
                 // Process death: the triggering message is lost, the whole
                 // in-memory incarnation is destroyed (only what the log and
                 // snapshot files hold survives), and the node is dark for
                 // the down window.
                 kill = None;
-                crash_drops += 1;
-                acc.bank(actor);
+                tel.crash_drops.inc();
+                actor.publish(reg);
                 let mut saw_shutdown = contains_shutdown(&m);
                 let mut closed = false;
                 let deadline = Instant::now() + Duration::from_millis(plan.down_ms);
@@ -725,7 +681,7 @@ pub fn run_data_node(
                     }
                     match inbox.pop_timeout(left) {
                         PopResult::Item(dropped) => {
-                            crash_drops += 1;
+                            tel.crash_drops.inc();
                             saw_shutdown |= contains_shutdown(&dropped);
                         }
                         PopResult::Empty => break,
@@ -737,21 +693,17 @@ pub fn run_data_node(
                 }
                 // Restart: replay the log's dependency chains in parallel
                 // and rejoin with a Recover announcement.
-                let dir = wal_dir.ok_or_else(|| {
-                    NetError::Dur(format!("data node {node}: kill fired without a wal dir"))
-                })?;
                 let workers = std::thread::available_parallelism()
                     .map(std::num::NonZeroUsize::get)
                     .unwrap_or(1)
                     .min(REPLAY_WORKERS);
                 let rec = recover(catalog, node, dir, workers)?;
-                recoveries += 1;
-                acc.wal.recoveries += 1;
-                acc.wal.replayed_chunks += rec.replayed_chunks;
-                acc.wal.replayed_chains += rec.chains;
-                acc.wal.torn_tails += u64::from(rec.torn_tail);
+                tel.recoveries.inc();
+                tel.replayed_chunks.add(rec.replayed_chunks);
+                tel.replayed_chains.add(rec.chains);
+                tel.torn_tails.add(u64::from(rec.torn_tail));
                 for &len in &rec.chain_sizes {
-                    replay_chains.record(len);
+                    tel.replay_chain.record(len);
                 }
                 let wal = open_writer(rec.next_lsn, rec.tails)?;
                 actor = fresh_actor(wal);
@@ -786,7 +738,7 @@ pub fn run_data_node(
                 // is lost (a batch is lost whole). The durable store and
                 // marks survive the restart; buffered replies do not.
                 crash = None;
-                crash_drops += 1;
+                tel.crash_drops.inc();
                 let deadline = Instant::now() + Duration::from_millis(plan.down_ms);
                 loop {
                     let left = deadline.saturating_duration_since(Instant::now());
@@ -794,7 +746,7 @@ pub fn run_data_node(
                         continue 'main;
                     }
                     match inbox.pop_timeout(left) {
-                        PopResult::Item(_) => crash_drops += 1,
+                        PopResult::Item(_) => tel.crash_drops.inc(),
                         PopResult::Empty => continue 'main,
                         PopResult::Closed => break 'main,
                     }
@@ -813,22 +765,11 @@ pub fn run_data_node(
     actor.wal_barrier()?;
     actor.replies.flush();
 
-    let cell_sum = actor.store.cell_sum();
-    let write_units = actor.store.write_units();
-    let read_checksum = actor.read_checksum;
-    acc.bank(actor);
-    Ok(DataOutcome {
-        cell_sum,
-        write_units,
-        read_checksum,
-        rx: acc.rx,
-        tx: acc.tx,
-        crash_drops,
-        batched_inner: acc.batched_inner,
-        batch_sizes: acc.batch_sizes,
-        recoveries,
-        wal: acc.wal,
-        replay_chains,
-        chains: acc.chains,
-    })
+    let out = DataOutcome {
+        cell_sum: actor.store.cell_sum(),
+        write_units: actor.store.write_units(),
+        read_checksum: actor.read_checksum,
+    };
+    actor.publish(reg);
+    Ok(out)
 }

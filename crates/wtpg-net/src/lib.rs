@@ -53,3 +53,19 @@ pub use report::{MsgBreakdown, NetReport};
 pub use runtime::{run_cell, run_cell_load, NetConfig, OpenLoop};
 pub use tcp::Tcp;
 pub use transport::{InProc, Transport};
+
+/// Publishes a tally bundle its owner kept privately while it ran (a
+/// `MsgCounts`, a `ByteCounts`, a scheduler's `ControlStats`): each nonzero
+/// field is added to the counter `name(field)` of the run's registry. Called
+/// once per owner, at actor exit or incarnation death.
+pub(crate) fn publish<const N: usize>(
+    reg: &wtpg_obs::Registry,
+    name: fn(&str) -> String,
+    fields: [(&'static str, u64); N],
+) {
+    for (field, v) in fields {
+        if v != 0 {
+            reg.counter(&name(field)).add(v);
+        }
+    }
+}

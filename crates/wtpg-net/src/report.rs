@@ -2,12 +2,11 @@
 
 use serde::Serialize;
 
-use wtpg_obs::MsgCounts;
 use wtpg_rt::metrics::LatencySummary;
 
 /// Message tallies by protocol type, in `Msg` declaration order — the
-/// serializable mirror of [`MsgCounts`] (`wtpg-obs` stays serde-free by
-/// design).
+/// serializable mirror of [`MsgCounts`](wtpg_obs::MsgCounts) (`wtpg-obs`
+/// stays serde-free by design).
 #[derive(Clone, Copy, Debug, Default, Serialize)]
 pub struct MsgBreakdown {
     /// Whole-transaction submissions.
@@ -35,20 +34,23 @@ pub struct MsgBreakdown {
     pub snapshot_reply: u64,
 }
 
-impl From<MsgCounts> for MsgBreakdown {
-    fn from(c: MsgCounts) -> MsgBreakdown {
+impl MsgBreakdown {
+    /// Reads the breakdown back from the run's books: `sent(ty)` is the
+    /// total booked under `msg/tx/<ty>`, `ty` a
+    /// [`MsgCounts`](wtpg_obs::MsgCounts) field name.
+    pub(crate) fn read(sent: impl Fn(&str) -> u64) -> MsgBreakdown {
         MsgBreakdown {
-            submit: c.submit,
-            access: c.access,
-            access_done: c.access_done,
-            commit: c.commit,
-            stats_delta: c.stats_delta,
-            shutdown: c.shutdown,
-            batch: c.batch,
-            recover: c.recover,
-            recover_ack: c.recover_ack,
-            snapshot_read: c.snapshot_read,
-            snapshot_reply: c.snapshot_reply,
+            submit: sent("submit"),
+            access: sent("access"),
+            access_done: sent("access_done"),
+            commit: sent("commit"),
+            stats_delta: sent("stats_delta"),
+            shutdown: sent("shutdown"),
+            batch: sent("batch"),
+            recover: sent("recover"),
+            recover_ack: sent("recover_ack"),
+            snapshot_read: sent("snapshot_read"),
+            snapshot_reply: sent("snapshot_reply"),
         }
     }
 }

@@ -30,6 +30,15 @@
 //!    store tallies are checked against the workload's declared write units
 //!    — the proofs hold under real message passing, batched frames, and
 //!    injected faults.
+//!
+//! **One set of books.** Every count a run observes is booked once, in the
+//! run's [`Registry`], under its [`metric`] catalogue name — live by the
+//! actor that observes it, or once at that actor's exit for tallies nobody
+//! reads live — and the report's numeric fields are read back from
+//! [`Registry::totals`]. What travels beside the registry is what is not a
+//! count: audits, the MVCC seal log, shed ids, the exact latency samples
+//! (the registry's histograms are log₂-bucketed) and the three conservation
+//! values, which are fault-detection values read off the stores.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
@@ -45,9 +54,8 @@ use wtpg_core::StreamingCertifier;
 use wtpg_dur::Durability;
 use wtpg_mvcc::{certify_snapshots, CommitLog, GcWatermark, ReaderRecord};
 use wtpg_obs::wall::WallClock;
-use wtpg_obs::{
-    ByteCounts, Histogram, MsgCounts, NetStats, ObsEvent, Observer, Registry, WalStats,
-};
+use wtpg_obs::window::metric;
+use wtpg_obs::{ByteCounts, MsgCounts, Observer, Registry};
 use wtpg_rt::backoff::Backoff;
 use wtpg_rt::control::ControlAudit;
 use wtpg_rt::SendScheduler;
@@ -62,7 +70,7 @@ use crate::error::NetError;
 use crate::fault::{FaultCounters, FaultLink, FaultPlan};
 use crate::msg::Msg;
 use crate::plan::RunPlan;
-use crate::report::NetReport;
+use crate::report::{MsgBreakdown, NetReport};
 use crate::transport::{
     control_inbox_capacity, spawn_pump, Inbox, Mailbox, MsgTx, Transport, ACTOR_INBOX_CAPACITY,
 };
@@ -256,10 +264,10 @@ fn msg_txn(m: &Msg) -> Option<TxnId> {
 /// Deals messages from the shared control inbox to the per-shard actor
 /// inboxes, unpacking `Batch` frames (a reply batch from a data node can
 /// carry several transactions, so inner messages route independently).
-/// Exits when the shared inbox closes. Returns its message tallies — only
+/// Exits when the shared inbox closes, publishing its message tallies — only
 /// the `Batch` frames it consumed; inner messages are tallied by the shard
 /// that handles them.
-fn run_router(inbox: &Inbox, map: &ShardMap, shard_inboxes: &[Inbox]) -> MsgCounts {
+fn run_router(inbox: &Inbox, map: &ShardMap, shard_inboxes: &[Inbox], reg: &Registry) {
     let mut rx = MsgCounts::default();
     let route = |m: Msg, rx: &mut MsgCounts| {
         if matches!(m, Msg::Recover { .. } | Msg::Shutdown) {
@@ -292,7 +300,7 @@ fn run_router(inbox: &Inbox, map: &ShardMap, shard_inboxes: &[Inbox]) -> MsgCoun
             m => route(m, &mut rx),
         }
     }
-    rx
+    crate::publish(reg, metric::msg_rx, rx.fields());
 }
 
 /// Runs one (scheduler, transport, fault plan) cell over `specs` and
@@ -317,20 +325,20 @@ pub fn run_cell(
     run_cell_load(cfg, sched, catalog, specs, transport, fault, None, None)
 }
 
-/// [`run_cell`] with two optional telemetry taps; passing `None` for
-/// either changes nothing.
+/// [`run_cell`] with the run's books handed in, or handed out; passing
+/// `None` for both changes nothing the run computes.
 ///
-/// `obs` is a trace sink: after the run, cumulative network-plane counters
-/// ([`NetStats`]), per-shard admission/commit counters, and the data-RTT /
-/// batch-size histograms are emitted on track 0.
+/// `reg` is the run's [`Registry`] — its only numeric books (see the module
+/// docs): every actor bumps its [`metric`] handles live and the report is
+/// read back from it, so it must be fresh, one per run. A caller that brings
+/// one owns the flush cadence (a `WindowFlusher` snapshotting on its own
+/// clock) and the runtime never flushes it. With `None` the runtime books
+/// in a private registry.
 ///
-/// `reg` is a shared windowed-metric [`Registry`]: with one attached, every
-/// actor (clients, control shards, the wrapped scheduler, data nodes)
-/// publishes its load, latency, queue-depth, and WAL counters into it live,
-/// under the canonical [`metric`](wtpg_obs::window::metric) names. The
-/// *caller* owns the flush cadence (a `WindowFlusher` snapshotting on its
-/// own clock) — the runtime never flushes, so a `None` registry costs
-/// nothing and an attached one costs only atomic bumps on the hot paths.
+/// `obs` receives that private registry, flushed exactly once when every
+/// actor has exited: one `Window` record on track 0 spanning the whole run,
+/// whose counters are the report's. It is not used when the caller brought
+/// `reg`.
 ///
 /// # Errors
 /// As [`run_cell`], plus [`NetError::Certify`] when a streaming certifier
@@ -347,9 +355,15 @@ pub fn run_cell_load(
     reg: Option<Arc<Registry>>,
 ) -> Result<NetReport, NetError> {
     let plan = RunPlan::new(cfg, fault, transport, catalog, specs)?;
-    let set = ActorSet::build(&plan, transport, sched, reg.as_ref())?;
-    let joined = drive_threads(set, &plan);
-    assemble(&plan, joined, obs.as_deref())
+    let private = reg.is_none();
+    let reg = reg.unwrap_or_default();
+    let set = ActorSet::build(&plan, transport, sched, &reg)?;
+    let joined = drive_threads(set, &plan, &reg);
+    if let Some(obs) = obs.filter(|_| private) {
+        let us = u64::try_from(joined.wall.as_micros()).unwrap_or(u64::MAX);
+        obs.record(reg.flush(us, 0, us.max(1)));
+    }
+    assemble(&plan, joined, &reg)
 }
 
 /// What one shard's certifier thread returns.
@@ -360,7 +374,7 @@ struct ClientParams<'a> {
     specs: &'a [TxnSpec],
     /// The client's share of the Poisson schedule; `Some` drives open loop.
     arrivals: Option<&'a [u64]>,
-    reg: Option<&'a Registry>,
+    reg: &'a Registry,
 }
 
 /// Phase 2 of a run: everything the actors need, built from a validated
@@ -371,7 +385,7 @@ struct ClientParams<'a> {
 /// until an actor sends something.
 pub(crate) struct ActorSet<'a> {
     /// One per control shard, with the inbox it reads.
-    controls: Vec<ControlParams>,
+    controls: Vec<ControlParams<'a>>,
     shard_inboxes: Vec<Inbox>,
     /// One per data node, with its inbox and its link to control.
     data: Vec<DataNodeParams<'a>>,
@@ -410,7 +424,7 @@ impl<'a> ActorSet<'a> {
         plan: &'a RunPlan<'_>,
         transport: &dyn Transport,
         sched: &(dyn Fn() -> SendScheduler + Sync),
-        reg: Option<&'a Arc<Registry>>,
+        reg: &'a Registry,
     ) -> Result<ActorSet<'a>, NetError> {
         let cfg = plan.cfg;
         let fault = plan.fault;
@@ -490,7 +504,7 @@ impl<'a> ActorSet<'a> {
                     shard: si,
                     ckpt: ckpt.clone(),
                     stream,
-                    reg: reg.cloned(),
+                    reg,
                     drain_clients: cfg.open_loop.map(|_| plan.clients),
                     mvcc: watermark.clone(),
                 }
@@ -503,9 +517,8 @@ impl<'a> ActorSet<'a> {
                 crash: fault.crash,
                 kill: fault.kill,
                 batch_max: cfg.batch_max,
-                durability: cfg.durability,
-                wal_dir: plan.wal_dir,
-                reg: reg.map(Arc::as_ref),
+                log: plan.wal_dir.map(|dir| (cfg.durability, dir)),
+                reg,
                 mvcc: watermark.clone(),
             })
             .collect();
@@ -520,7 +533,7 @@ impl<'a> ActorSet<'a> {
                     .as_ref()
                     .and_then(|a| a.get(c))
                     .map(Vec::as_slice),
-                reg: reg.map(Arc::as_ref),
+                reg,
             })
             .collect();
         Ok(ActorSet {
@@ -550,29 +563,25 @@ struct Joined {
     controls: Vec<Result<ControlOutcome, NetError>>,
     data: Vec<Result<DataOutcome, NetError>>,
     clients: Vec<Result<ClientOutcome, NetError>>,
-    /// The `Batch` frames a router unpacked (zero without one).
-    router_rx: MsgCounts,
-    /// The runtime's own `Shutdown` broadcasts.
-    runtime_tx: MsgCounts,
     stream_certs: Vec<StreamVerdict>,
     wall: Duration,
-    bytes: ByteCounts,
-    dup_deliveries: u64,
-    delayed_deliveries: u64,
 }
 
 /// Phase 3: runs every actor of `set` to completion on scoped threads,
 /// broadcasts `Shutdown`, and tears the plumbing down in the one order that
-/// lets every thread be joined.
-fn drive_threads(set: ActorSet<'_>, plan: &RunPlan<'_>) -> Joined {
+/// lets every thread be joined. The runtime's own tallies — its `Shutdown`
+/// broadcasts, the wire's byte counts, the fault layer's — are published
+/// last, so on return `reg` holds the whole run.
+fn drive_threads(set: ActorSet<'_>, plan: &RunPlan<'_>, reg: &Registry) -> Joined {
     let cfg = plan.cfg;
     let catalog = plan.catalog;
     let watchdog = plan.watchdog;
     let run_wall = set.run_wall;
     let started = Instant::now();
-    let (control_res, router_rx, runtime_tx, data_res, client_res) = std::thread::scope(|s| {
-        let router = (set.controls.len() > 1)
-            .then(|| s.spawn(|| run_router(&set.control_inbox, &plan.map, &set.shard_inboxes)));
+    let (control_res, shutdowns, data_res, client_res) = std::thread::scope(|s| {
+        let router = (set.controls.len() > 1).then(|| {
+            s.spawn(|| run_router(&set.control_inbox, &plan.map, &set.shard_inboxes, reg))
+        });
         let control_handles: Vec<_> = set
             .controls
             .into_iter()
@@ -635,31 +644,24 @@ fn drive_threads(set: ActorSet<'_>, plan: &RunPlan<'_>) -> Joined {
         let control_res: Vec<_> = control_handles.into_iter().map(join).collect();
         // Every shard is done (or failed): stop the router, then tear
         // the run down — the runtime owns the Shutdown broadcast.
-        let router_rx = router
-            .map(|h| {
-                set.control_inbox.close();
-                join(h)
-            })
-            .unwrap_or_default();
-        let mut runtime_tx = MsgCounts::default();
+        if let Some(h) = router {
+            set.control_inbox.close();
+            join(h);
+        }
+        let mut shutdowns = 0u64;
         for tx in &set.to_data {
-            if tx.send(&Msg::Shutdown) {
-                runtime_tx.shutdown += 1;
-            }
+            shutdowns += u64::from(tx.send(&Msg::Shutdown));
         }
         if control_res.iter().any(|r| r.is_err()) {
             // Fast failure: clients blocked on a commit ack that will
             // never come get released instead of riding the watchdog.
             for tx in &set.to_clients {
-                if tx.send(&Msg::Shutdown) {
-                    runtime_tx.shutdown += 1;
-                }
+                shutdowns += u64::from(tx.send(&Msg::Shutdown));
             }
         }
         (
             control_res,
-            router_rx,
-            runtime_tx,
+            shutdowns,
             data_handles.into_iter().map(join).collect::<Vec<_>>(),
             client_handles.into_iter().map(join).collect::<Vec<_>>(),
         )
@@ -694,55 +696,51 @@ fn drive_threads(set: ActorSet<'_>, plan: &RunPlan<'_>) -> Joined {
                 .expect("invariant: certifier threads return errors instead of panicking")
         })
         .collect();
+    let runtime_tx = MsgCounts {
+        shutdown: shutdowns,
+        ..MsgCounts::default()
+    };
+    crate::publish(reg, metric::msg_tx, runtime_tx.fields());
+    crate::publish(reg, metric::wire, (set.bytes)().fields());
+    crate::publish(
+        reg,
+        str::to_string,
+        [
+            (metric::FAULT_DUPS, set.fault_counters.duplicated()),
+            (metric::FAULT_DELAYS, set.fault_counters.delayed()),
+        ],
+    );
     Joined {
         controls: control_res,
         data: data_res,
         clients: client_res,
-        router_rx,
-        runtime_tx,
         stream_certs,
         wall,
-        bytes: (set.bytes)(),
-        dup_deliveries: set.fault_counters.duplicated(),
-        delayed_deliveries: set.fault_counters.delayed(),
     }
 }
 
-/// The run's merged books: every actor's tallies folded together.
+/// What the actors hand back beside the registry, folded together: nothing
+/// here is a count (see the module docs).
 #[derive(Default)]
 struct Books {
-    sent: MsgCounts,
-    processed: MsgCounts,
+    /// Exact order-to-reply round trips, µs.
     data_rtts: Vec<u64>,
-    access_retries: u64,
-    max_retry_streak: u32,
-    batched_inner: u64,
-    batch_sizes: Histogram,
-    /// Per shard: (admissions, commits).
-    per_shard: Vec<(u64, u64)>,
-    node_unavailable: u64,
-    wal: WalStats,
     /// The run's merged snapshot books: shard-disjoint transactions seal
     /// into shard-owned logs, so a plain merge is the whole-run seal order.
     mvcc_log: CommitLog,
     readers: Vec<ReaderRecord>,
+    /// Exact submit-to-ack latencies, µs, by ledger.
     reader_lats: Vec<u64>,
     writer_lats: Vec<u64>,
-    offered: u64,
-    shed: u64,
     shed_ids: BTreeSet<TxnId>,
-    crash_drops: u64,
+    /// The three conservation values, summed over the data nodes' stores.
     read_checksum: u64,
     cell_sum: u64,
-    store_write_units: u64,
-    recoveries: u64,
-    replay_chains: Histogram,
-    chain_totals: wtpg_mvcc::ChainTotals,
+    write_units: u64,
 }
 
 impl Books {
-    /// Folds the actors' outcomes together, on top of what the runtime
-    /// itself sent and its router consumed. Returns the merged control audit
+    /// Folds the actors' outcomes together. Returns the merged control audit
     /// alongside (single-shard: untouched).
     ///
     /// # Errors
@@ -750,30 +748,14 @@ impl Books {
     /// component-disjoint — histories a sharded scheduler could never have
     /// produced.
     fn merge(
-        runtime_tx: MsgCounts,
-        router_rx: MsgCounts,
         controls: Vec<ControlOutcome>,
-        clients: &[ClientOutcome],
+        clients: Vec<ClientOutcome>,
         data: &[DataOutcome],
     ) -> Result<(Books, ControlAudit), NetError> {
-        let mut b = Books {
-            sent: runtime_tx,
-            processed: router_rx,
-            ..Books::default()
-        };
+        let mut b = Books::default();
         let mut audits = Vec::with_capacity(controls.len());
         for c in controls {
-            b.sent.merge(&c.tx);
-            b.processed.merge(&c.rx);
-            b.data_rtts.extend_from_slice(&c.data_rtts_us);
-            b.access_retries += c.access_retries;
-            b.max_retry_streak = b.max_retry_streak.max(c.max_retry_streak);
-            b.batched_inner += c.batched_inner;
-            b.batch_sizes.merge(&c.batch_sizes);
-            b.node_unavailable += c.node_unavailable;
-            b.wal.checkpoints += c.ckpt_writes;
-            b.per_shard
-                .push((c.audit.counters.admissions, c.audit.counters.commits));
+            b.data_rtts.extend(c.data_rtts_us);
             audits.push(c.audit);
             if let Some(audit) = c.mvcc {
                 b.mvcc_log.merge(audit.log);
@@ -783,40 +765,23 @@ impl Books {
         // The merge re-checks the sharding premise — component disjointness.
         let audit = merge_audits(audits).map_err(NetError::Certify)?;
         for c in clients {
-            b.sent.merge(&c.tx);
-            b.processed.merge(&c.rx);
-            b.reader_lats.extend_from_slice(&c.reader_latencies_us);
-            b.writer_lats.extend_from_slice(&c.writer_latencies_us);
-            b.offered += c.offered;
-            b.shed += c.shed;
-            b.shed_ids.extend(c.shed_ids.iter().copied());
+            b.reader_lats.extend(c.reader_latencies_us);
+            b.writer_lats.extend(c.writer_latencies_us);
+            b.shed_ids.extend(c.shed_ids);
         }
         for d in data {
-            b.sent.merge(&d.tx);
-            b.processed.merge(&d.rx);
-            b.crash_drops += d.crash_drops;
             b.read_checksum = b.read_checksum.wrapping_add(d.read_checksum);
             b.cell_sum += d.cell_sum;
-            b.store_write_units += d.write_units;
-            b.batched_inner += d.batched_inner;
-            b.batch_sizes.merge(&d.batch_sizes);
-            b.recoveries += d.recoveries;
-            b.wal.merge(&d.wal);
-            b.replay_chains.merge(&d.replay_chains);
-            b.chain_totals.merge(d.chains);
+            b.write_units += d.write_units;
         }
         Ok((b, audit))
     }
 }
 
 /// Phase 4: judges what the threads returned — actor errors first, then
-/// the books, conservation, certification — and emits the run's
-/// cumulative records to `obs`.
-fn assemble(
-    plan: &RunPlan<'_>,
-    joined: Joined,
-    obs: Option<&dyn Observer>,
-) -> Result<NetReport, NetError> {
+/// conservation and certification — and fills the report's counts from
+/// `reg`, which by now holds the whole run.
+fn assemble(plan: &RunPlan<'_>, joined: Joined, reg: &Registry) -> Result<NetReport, NetError> {
     let cfg = plan.cfg;
     // Error priority: a control shard's verdict names the root cause
     // (client/data failures usually cascade from it or into it).
@@ -827,16 +792,19 @@ fn assemble(
         .first()
         .expect("invariant: shards >= 1, so at least one control outcome");
     let (name, mode, shards) = (head.name.clone(), head.mode, controls.len());
-    let (mut b, audit) = Books::merge(
-        joined.runtime_tx,
-        joined.router_rx,
-        controls,
-        &clients_out,
-        &data_out,
-    )?;
+    let (mut b, audit) = Books::merge(controls, clients_out, &data_out)?;
+    let totals = reg.totals();
+    let total = |name: &str| totals.get(name).copied().unwrap_or(0);
+    let wire = |field: &str| total(&metric::wire(field));
+    // A high-water mark is kept per owner; the run's is the highest.
+    let peak = |name: fn(usize) -> String, owners: usize| {
+        (0..owners).map(|i| total(&name(i))).max().unwrap_or(0)
+    };
+    let sent_prefix = metric::msg_tx("");
     let reader_commits = b.readers.len() as u64;
+    let (offered, shed) = (total(metric::OFFERED), total(metric::SHED));
     // What actually entered the system — the open-loop commit target.
-    let accepted = b.offered - b.shed;
+    let accepted = offered - shed;
 
     // Streaming certification verdicts (empty when `stream_certify` is
     // off). A violation outranks everything but an actor error: the run
@@ -862,14 +830,15 @@ fn assemble(
         data_nodes: plan.data_nodes,
         shards,
         submitted: accepted as usize,
-        offered: b.offered,
-        shed: b.shed,
+        offered,
+        shed,
         // Readers commit on the snapshot plane, outside the scheduler's
         // counters; both kinds are commits to the workload.
         committed: counters.commits + reader_commits,
         rejected_admissions: counters.rejections,
         delayed_retries: counters.blocks + counters.delays,
-        max_retry_streak: b.max_retry_streak,
+        max_retry_streak: u32::try_from(peak(metric::shard_max_retry_streak, shards))
+            .unwrap_or(u32::MAX),
         wall_ms: wall * 1e3,
         throughput_tps: if wall > 0.0 {
             (counters.commits + reader_commits) as f64 / wall
@@ -880,47 +849,51 @@ fn assemble(
         latency: LatencySummary::from_us(
             b.reader_lats.iter().chain(&b.writer_lats).copied().collect(),
         ),
-        data_rtt: LatencySummary::from_us(b.data_rtts.clone()),
+        data_rtt: LatencySummary::from_us(std::mem::take(&mut b.data_rtts)),
         history_events: if cfg.stream_certify {
             stream_events
         } else {
             audit.history.len()
         },
         logical_ticks: audit.final_tick.millis(),
-        messages_sent: b.sent.total(),
-        batched_inner: b.batched_inner,
-        msgs: b.sent.into(),
-        bytes_sent: joined.bytes.bytes_sent,
-        bytes_received: joined.bytes.bytes_received,
-        frames_sent: joined.bytes.frames_sent,
-        frames_received: joined.bytes.frames_received,
-        dup_deliveries: joined.dup_deliveries,
-        delayed_deliveries: joined.delayed_deliveries,
-        access_retries: b.access_retries,
-        crash_drops: b.crash_drops,
-        recoveries: b.recoveries,
-        node_unavailable: b.node_unavailable,
-        wal_records: b.wal.records,
-        wal_flushes: b.wal.flushes,
-        wal_fsyncs: b.wal.fsyncs,
-        wal_bytes: b.wal.bytes,
-        wal_replayed_chunks: b.wal.replayed_chunks,
-        wal_checkpoints: b.wal.checkpoints,
+        messages_sent: totals
+            .iter()
+            .filter(|(name, _)| name.starts_with(&sent_prefix))
+            .map(|(_, v)| v)
+            .sum(),
+        batched_inner: total(metric::BATCHED_INNER),
+        msgs: MsgBreakdown::read(|ty| total(&metric::msg_tx(ty))),
+        bytes_sent: wire("bytes_sent"),
+        bytes_received: wire("bytes_received"),
+        frames_sent: wire("frames_sent"),
+        frames_received: wire("frames_received"),
+        dup_deliveries: total(metric::FAULT_DUPS),
+        delayed_deliveries: total(metric::FAULT_DELAYS),
+        access_retries: total(metric::ACCESS_RETRIES),
+        crash_drops: total(metric::CRASH_DROPS),
+        recoveries: total(metric::WAL_RECOVERIES),
+        node_unavailable: total(metric::NODE_UNAVAILABLE),
+        wal_records: total(metric::WAL_RECORDS),
+        wal_flushes: total(metric::WAL_FLUSHES),
+        wal_fsyncs: total(metric::WAL_FSYNCS),
+        wal_bytes: total(metric::WAL_BYTES),
+        wal_replayed_chunks: total(metric::WAL_REPLAYED_CHUNKS),
+        wal_checkpoints: total(metric::WAL_CHECKPOINTS),
         certified: false,
         certify_grants: 0,
         certify_eq_checks: 0,
         expected_write_units: 0,
-        store_write_units: b.store_write_units,
+        store_write_units: b.write_units,
         store_cell_sum: b.cell_sum,
         store_consistent: false,
         read_checksum: b.read_checksum,
         reader_commits,
         reader_latency: LatencySummary::from_us(std::mem::take(&mut b.reader_lats)),
         writer_latency: LatencySummary::from_us(std::mem::take(&mut b.writer_lats)),
-        snapshot_reads: b.chain_totals.snapshot_reads,
-        chain_appended: b.chain_totals.appended,
-        chain_pruned: b.chain_totals.pruned,
-        chain_live_peak: b.chain_totals.live_peak,
+        snapshot_reads: total(metric::SNAPSHOT_READS),
+        chain_appended: total(metric::CHAIN_APPENDED),
+        chain_pruned: total(metric::CHAIN_PRUNED),
+        chain_live_peak: peak(metric::node_chain_live_peak, plan.data_nodes),
         snapshot_certified: false,
     };
 
@@ -937,13 +910,13 @@ fn assemble(
         .sum();
     report.expected_write_units = expected;
     report.store_consistent = report.committed == accepted
-        && b.store_write_units == expected
+        && b.write_units == expected
         && b.cell_sum == expected;
     if report.committed == accepted && !report.store_consistent {
         return Err(NetError::StoreDiverged {
             expected,
             cells: b.cell_sum,
-            tallied: b.store_write_units,
+            tallied: b.write_units,
         });
     }
 
@@ -977,57 +950,7 @@ fn assemble(
     }
     // Vacuously true without a snapshot plane.
     report.snapshot_certified = true;
-
-    if let Some(o) = obs {
-        emit_cumulative(o, &report, counters.commits, b, joined.bytes);
-    }
     Ok(report)
-}
-
-/// Emits the run's cumulative network-plane records on track 0.
-fn emit_cumulative(
-    o: &dyn Observer,
-    report: &NetReport,
-    sched_commits: u64,
-    b: Books,
-    bytes: ByteCounts,
-) {
-    let stats = NetStats {
-        processed: b.processed,
-        sent: b.sent,
-        bytes,
-        dup_deliveries: report.dup_deliveries,
-        delayed_deliveries: report.delayed_deliveries,
-        access_retries: report.access_retries,
-        crash_drops: b.crash_drops,
-        batched_inner: b.batched_inner,
-    };
-    stats.emit(o, 0, 0);
-    b.wal.emit(o, 0, 0);
-    if b.recoveries > 0 {
-        o.record(ObsEvent::hist(0, 0, "net_wal_replay_chain", b.replay_chains));
-    }
-    o.record(ObsEvent::counter(0, 0, "net_commits", sched_commits));
-    for (si, &(admissions, commits)) in b.per_shard.iter().enumerate() {
-        o.record(ObsEvent::counter(
-            0,
-            0,
-            format!("net_shard{si}_admissions"),
-            admissions,
-        ));
-        o.record(ObsEvent::counter(
-            0,
-            0,
-            format!("net_shard{si}_commits"),
-            commits,
-        ));
-    }
-    o.record(ObsEvent::hist(0, 0, "net_batch_size", b.batch_sizes));
-    let mut data_hist = Histogram::new();
-    for us in b.data_rtts {
-        data_hist.record(us);
-    }
-    o.record(ObsEvent::hist(0, 0, "net_data_rtt_us", data_hist));
 }
 
 #[cfg(test)]
@@ -1262,9 +1185,11 @@ mod tests {
         assert_eq!(lat.count(), 40, "one latency sample per commit");
     }
 
+    /// A run given only `obs` books in a private registry and hands it over
+    /// as exactly one `Window`, whose counters are the report's.
     #[test]
-    fn observer_sees_net_counters() {
-        use wtpg_obs::MemorySink;
+    fn observer_receives_the_private_registry_as_one_window() {
+        use wtpg_obs::{EventKind, MemorySink};
         let (catalog, specs) = pattern_specs(Pattern::One, 20, 7);
         let sink = Arc::new(MemorySink::new());
         let r = run_cell_load(
@@ -1280,13 +1205,32 @@ mod tests {
         .expect("traced run");
         assert_eq!(r.committed, 20);
         let evs = sink.snapshot();
-        let has = |name: &str| evs.iter().any(|e| format!("{e:?}").contains(name));
-        assert!(has("net_rx_submit"), "missing rx counters: {} events", evs.len());
-        assert!(has("net_tx_commit"), "missing tx counters");
-        assert!(has("net_commits"), "missing commit counter");
-        assert!(has("net_shard0_commits"), "missing per-shard counters");
-        assert!(has("net_batch_size"), "missing batch-size histogram");
-        assert!(has("net_data_rtt_us"), "missing data-RTT histogram");
+        let [ev] = evs.as_slice() else {
+            panic!("one flush, one record: {evs:?}");
+        };
+        let EventKind::Window(w) = &ev.kind else {
+            panic!("the record is a window: {ev:?}");
+        };
+        assert_eq!((w.seq, ev.track), (0, 0));
+        assert_eq!(w.counter(metric::COMMITS), r.committed);
+        assert_eq!(w.counter(metric::OFFERED), r.offered);
+        assert_eq!(w.counter(&metric::msg_tx("submit")), r.msgs.submit);
+        assert_eq!(w.counter(&metric::msg_tx("batch")), r.msgs.batch);
+        assert_eq!(w.counter(&metric::msg_rx("submit")), r.msgs.submit);
+        assert_eq!(w.counter(metric::BATCHED_INNER), r.batched_inner);
+        assert_eq!(w.counter(&metric::shard_commits(0)), r.committed);
+        let sent: u64 = w.counter_matches(&metric::msg_tx(""), "").iter().map(|(_, v)| v).sum();
+        assert_eq!(sent, r.messages_sent);
+        let steps = w.counter(&metric::msg_rx("access_done"));
+        assert!(steps > 0, "steps completed");
+        assert_eq!(
+            w.hist(metric::DATA_RTT_US).map(wtpg_obs::Histogram::count),
+            Some(steps),
+            "one round trip per completed step"
+        );
+        assert!(w.hist(metric::BATCH_SIZE).is_some(), "missing batch-size histogram");
+        // C2PL's deadlock-prediction cache is consulted on every request.
+        assert!(w.counter("dd_cache_hits") + w.counter("dd_cache_misses") > 0);
     }
 
     /// What the run *computes* (commits, store contents, conservation,

@@ -14,7 +14,11 @@
 //! counters/gauges/streaming histograms, flushed snapshot-and-reset into
 //! [`EventKind::Window`] records), [`slo`] (declarative [`SloSpec`]
 //! thresholds evaluated per window into verdict streams) and [`wclock`]
-//! (the wall-driven flusher thread).
+//! (the wall-driven flusher thread). For a `wtpg-net` run the registry is
+//! the only numeric book there is: every count has one name in
+//! [`window::metric`], one handle, and no second copy — the run report is
+//! read back from [`Registry::totals`], and [`net`] holds the two plain
+//! tally bundles actors publish into it at exit.
 //!
 //! # Determinism contract
 //!
@@ -42,7 +46,7 @@ pub mod window;
 
 pub use event::{EventKind, Name, ObsEvent};
 pub use hist::Histogram;
-pub use net::{ByteCounts, MsgCounts, NetStats, WalStats};
+pub use net::{ByteCounts, MsgCounts};
 pub use observer::{MemorySink, NullObserver, Observer};
 pub use slo::{SloOutcome, SloSpec, WindowStats, WindowVerdict};
 pub use stats::{emit_deltas, ControlStats};

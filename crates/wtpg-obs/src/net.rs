@@ -1,15 +1,13 @@
-//! Network-plane statistics for the `wtpg-net` shared-nothing runtime.
+//! Network-plane tallies for the `wtpg-net` shared-nothing runtime.
 //!
 //! Like [`ControlStats`](crate::ControlStats), these are plain bundles of
-//! cumulative `u64` counters — no clocks, no maps — kept per actor or per
-//! transport endpoint and merged after the join. [`MsgCounts`] tallies
+//! cumulative `u64` counters — no clocks, no maps — that an actor or a
+//! transport endpoint keeps privately while it runs. [`MsgCounts`] tallies
 //! messages by protocol type (one field per `Msg` variant), [`ByteCounts`]
-//! tallies wire traffic, and [`NetStats`] bundles both sides of an actor's
-//! traffic with the fault-layer observations (duplicates delivered, delays
-//! injected, retries, crash drops).
-
-use crate::event::ObsEvent;
-use crate::observer::Observer;
+//! tallies wire traffic. Each owner publishes its bundle once, at exit,
+//! into the run's [`Registry`](crate::Registry) through `fields()`, under
+//! the [`metric`](crate::window::metric) families `msg/tx/<type>`,
+//! `msg/rx/<type>` and `wire/<field>`; nothing else carries them.
 
 /// Cumulative message tallies, one counter per protocol message type, in
 /// the declaration (and ascending wire-tag) order of `wtpg-net`'s `Msg`.
@@ -83,71 +81,6 @@ impl MsgCounts {
     }
 }
 
-/// Cumulative write-ahead-log statistics for one data node (or one run,
-/// after merging): append/flush/fsync activity on the hot path and replay
-/// work performed by kill-restart recoveries.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WalStats {
-    /// Chunk records appended to the log.
-    pub records: u64,
-    /// Userspace-buffer flushes to the log file (group commits).
-    pub flushes: u64,
-    /// `fdatasync` barriers issued (`Durability::Sync` only).
-    pub fsyncs: u64,
-    /// Log bytes written (frame headers included).
-    pub bytes: u64,
-    /// Chunk records re-applied by recovery replays.
-    pub replayed_chunks: u64,
-    /// Independent per-partition dependency chains replayed.
-    pub replayed_chains: u64,
-    /// Kill-and-restart recoveries performed.
-    pub recoveries: u64,
-    /// Recoveries that found (and healed past) a torn log tail.
-    pub torn_tails: u64,
-    /// Node snapshots written (replay-bounding checkpoints).
-    pub checkpoints: u64,
-}
-
-impl WalStats {
-    /// The counters as `(name, value)` pairs, in a fixed order.
-    pub fn fields(&self) -> [(&'static str, u64); 9] {
-        [
-            ("records", self.records),
-            ("flushes", self.flushes),
-            ("fsyncs", self.fsyncs),
-            ("bytes", self.bytes),
-            ("replayed_chunks", self.replayed_chunks),
-            ("replayed_chains", self.replayed_chains),
-            ("recoveries", self.recoveries),
-            ("torn_tails", self.torn_tails),
-            ("checkpoints", self.checkpoints),
-        ]
-    }
-
-    /// Adds every counter of `other` into `self` (merge after a join).
-    pub fn merge(&mut self, other: &WalStats) {
-        self.records += other.records;
-        self.flushes += other.flushes;
-        self.fsyncs += other.fsyncs;
-        self.bytes += other.bytes;
-        self.replayed_chunks += other.replayed_chunks;
-        self.replayed_chains += other.replayed_chains;
-        self.recoveries += other.recoveries;
-        self.torn_tails += other.torn_tails;
-        self.checkpoints += other.checkpoints;
-    }
-
-    /// Emits one cumulative counter event per nonzero statistic, stamped
-    /// `at` on `track`, with names prefixed `net_wal_`.
-    pub fn emit(&self, obs: &dyn Observer, at: u64, track: u32) {
-        for (name, v) in self.fields() {
-            if v != 0 {
-                obs.record(ObsEvent::counter(at, track, format!("net_wal_{name}"), v));
-            }
-        }
-    }
-}
-
 /// Cumulative wire-traffic tallies for one transport endpoint.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ByteCounts {
@@ -181,79 +114,9 @@ impl ByteCounts {
     }
 }
 
-/// One actor's (or one run's) network-plane statistics: messages processed
-/// and sent by type, wire traffic, and fault-layer observations.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NetStats {
-    /// Messages this actor dequeued and handled, by type.
-    pub processed: MsgCounts,
-    /// Messages this actor sent, by type.
-    pub sent: MsgCounts,
-    /// Wire traffic (zero for in-process transports).
-    pub bytes: ByteCounts,
-    /// Duplicate deliveries observed (fault layer sent a second copy).
-    pub dup_deliveries: u64,
-    /// Deliveries the fault layer held back before forwarding.
-    pub delayed_deliveries: u64,
-    /// `Access` orders re-sent by the control node's retry watchdog.
-    pub access_retries: u64,
-    /// Messages discarded by a crashed data node.
-    pub crash_drops: u64,
-    /// Messages that travelled *inside* sent `Batch` frames (each batch of
-    /// n messages adds n here but only 1 to `sent.batch`).
-    pub batched_inner: u64,
-}
-
-impl NetStats {
-    /// Adds every counter of `other` into `self` (merge after a join).
-    pub fn merge(&mut self, other: &NetStats) {
-        self.processed.merge(&other.processed);
-        self.sent.merge(&other.sent);
-        self.bytes.merge(&other.bytes);
-        self.dup_deliveries += other.dup_deliveries;
-        self.delayed_deliveries += other.delayed_deliveries;
-        self.access_retries += other.access_retries;
-        self.crash_drops += other.crash_drops;
-        self.batched_inner += other.batched_inner;
-    }
-
-    /// Emits one cumulative counter event per nonzero statistic, stamped
-    /// `at` on `track`, with names prefixed `net_` (message types become
-    /// `net_rx_<type>` / `net_tx_<type>`).
-    pub fn emit(&self, obs: &dyn Observer, at: u64, track: u32) {
-        for (name, v) in self.processed.fields() {
-            if v != 0 {
-                obs.record(ObsEvent::counter(at, track, format!("net_rx_{name}"), v));
-            }
-        }
-        for (name, v) in self.sent.fields() {
-            if v != 0 {
-                obs.record(ObsEvent::counter(at, track, format!("net_tx_{name}"), v));
-            }
-        }
-        for (name, v) in self.bytes.fields() {
-            if v != 0 {
-                obs.record(ObsEvent::counter(at, track, format!("net_{name}"), v));
-            }
-        }
-        for (name, v) in [
-            ("net_dup_deliveries", self.dup_deliveries),
-            ("net_delayed_deliveries", self.delayed_deliveries),
-            ("net_access_retries", self.access_retries),
-            ("net_crash_drops", self.crash_drops),
-            ("net_batched_inner", self.batched_inner),
-        ] {
-            if v != 0 {
-                obs.record(ObsEvent::counter(at, track, name, v));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observer::MemorySink;
 
     #[test]
     fn totals_and_merge() {
@@ -295,82 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn net_stats_emit_skips_zeros() {
-        let sink = MemorySink::new();
-        let stats = NetStats {
-            processed: MsgCounts {
-                submit: 5,
-                ..MsgCounts::default()
-            },
-            sent: MsgCounts {
-                commit: 5,
-                ..MsgCounts::default()
-            },
-            bytes: ByteCounts {
-                bytes_sent: 80,
-                ..ByteCounts::default()
-            },
-            dup_deliveries: 1,
-            ..NetStats::default()
-        };
-        stats.emit(&sink, 7, 3);
-        let evs = sink.take();
-        assert_eq!(evs.len(), 4, "only nonzero counters are emitted: {evs:?}");
-        assert!(evs.contains(&ObsEvent::counter(7, 3, "net_rx_submit", 5)));
-        assert!(evs.contains(&ObsEvent::counter(7, 3, "net_tx_commit", 5)));
-        assert!(evs.contains(&ObsEvent::counter(7, 3, "net_bytes_sent", 80)));
-        assert!(evs.contains(&ObsEvent::counter(7, 3, "net_dup_deliveries", 1)));
-    }
-
-    #[test]
-    fn net_stats_merge_covers_every_field() {
-        let mut a = NetStats {
-            dup_deliveries: 1,
-            delayed_deliveries: 2,
-            access_retries: 3,
-            crash_drops: 4,
-            batched_inner: 5,
-            ..NetStats::default()
-        };
-        a.merge(&a.clone());
-        assert_eq!(a.dup_deliveries, 2);
-        assert_eq!(a.delayed_deliveries, 4);
-        assert_eq!(a.access_retries, 6);
-        assert_eq!(a.crash_drops, 8);
-        assert_eq!(a.batched_inner, 10);
-    }
-
-    #[test]
-    fn wal_stats_merge_and_emit_skip_zeros() {
-        let mut a = WalStats {
-            records: 10,
-            flushes: 2,
-            bytes: 750,
-            recoveries: 1,
-            ..WalStats::default()
-        };
-        a.merge(&WalStats {
-            records: 5,
-            fsyncs: 3,
-            replayed_chunks: 7,
-            replayed_chains: 2,
-            torn_tails: 1,
-            checkpoints: 4,
-            ..WalStats::default()
-        });
-        assert_eq!(a.records, 15);
-        assert_eq!(a.fsyncs, 3);
-        assert_eq!(a.checkpoints, 4);
-        let sink = MemorySink::new();
-        a.emit(&sink, 2, 0);
-        let evs = sink.take();
-        assert_eq!(evs.len(), 9, "one event per nonzero counter: {evs:?}");
-        assert!(evs.contains(&ObsEvent::counter(2, 0, "net_wal_records", 15)));
-        assert!(evs.contains(&ObsEvent::counter(2, 0, "net_wal_replayed_chains", 2)));
-        assert!(evs.contains(&ObsEvent::counter(2, 0, "net_wal_torn_tails", 1)));
-    }
-
-    #[test]
     fn recover_counts_merge_into_totals() {
         let mut a = MsgCounts {
             recover: 1,
@@ -387,7 +174,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_counts_merge_and_emit() {
+    fn batch_counts_merge() {
         let mut a = MsgCounts {
             batch: 2,
             ..MsgCounts::default()
@@ -398,15 +185,5 @@ mod tests {
         });
         assert_eq!(a.batch, 5);
         assert_eq!(a.total(), 5);
-        let sink = MemorySink::new();
-        let stats = NetStats {
-            sent: a,
-            batched_inner: 9,
-            ..NetStats::default()
-        };
-        stats.emit(&sink, 1, 0);
-        let evs = sink.take();
-        assert!(evs.contains(&ObsEvent::counter(1, 0, "net_tx_batch", 5)));
-        assert!(evs.contains(&ObsEvent::counter(1, 0, "net_batched_inner", 9)));
     }
 }

@@ -19,6 +19,7 @@ use std::collections::BTreeMap;
 use crate::event::{EventKind, ObsEvent};
 use crate::hist::Histogram;
 use crate::stats::ControlStats;
+use crate::window::metric;
 
 /// Aggregated view of one trace.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -126,28 +127,29 @@ impl TraceSummary {
         self.spans.get(name)
     }
 
-    /// Network-plane messages sent per commit, when the trace carries the
-    /// runtime's `net_tx_*` and `net_commits` counters (a sent batch counts
-    /// as one message, its coalesced contents do not).
+    /// Network-plane messages sent per commit, when the trace carries a
+    /// shared-nothing run's `msg/tx/<type>` and `load/commits` counters (a
+    /// sent batch counts as one message, its coalesced contents do not).
     pub fn net_msgs_per_commit(&self) -> Option<f64> {
+        let prefix = metric::msg_tx("");
         let sent: u64 = self
             .counters
             .iter()
-            .filter(|(k, _)| k.starts_with("net_tx_"))
+            .filter(|(k, _)| k.starts_with(&prefix))
             .map(|(_, v)| *v)
             .sum();
-        let commits = self.counters.get("net_commits").copied().unwrap_or(0);
+        let commits = self.counters.get(metric::COMMITS).copied().unwrap_or(0);
         (sent > 0 && commits > 0).then(|| sent as f64 / commits as f64)
     }
 
     /// Per-shard `(admissions, commits)` pairs recovered from the trace's
-    /// `net_shard<i>_*` counters, in shard order; empty for traces of
-    /// unsharded (or non-network) runs.
+    /// `ctrl/s<i>/*` counters, in shard order; empty for traces of
+    /// non-network runs.
     pub fn shard_balance(&self) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         for i in 0usize.. {
-            let a = self.counters.get(&format!("net_shard{i}_admissions"));
-            let c = self.counters.get(&format!("net_shard{i}_commits"));
+            let a = self.counters.get(&metric::shard_admissions(i));
+            let c = self.counters.get(&metric::shard_commits(i));
             if a.is_none() && c.is_none() {
                 break;
             }
@@ -173,8 +175,8 @@ impl TraceSummary {
             stats.dd_cache_hits,
         ));
         if let Some(mpc) = self.net_msgs_per_commit() {
-            let commits = self.counters.get("net_commits").copied().unwrap_or(0);
-            let inner = self.counters.get("net_batched_inner").copied().unwrap_or(0);
+            let commits = self.counters.get(metric::COMMITS).copied().unwrap_or(0);
+            let inner = self.counters.get(metric::BATCHED_INNER).copied().unwrap_or(0);
             out.push_str(&format!(
                 "net: {commits} commits, {mpc:.2} msgs/commit, \
                  {inner} messages coalesced into batches\n"
@@ -312,18 +314,23 @@ mod tests {
 
     #[test]
     fn summary_renders_net_section_with_shard_balance() {
-        let evs = vec![
-            ObsEvent::counter(1, 0, "net_tx_submit", 40),
-            ObsEvent::counter(1, 0, "net_tx_access", 120),
-            ObsEvent::counter(1, 0, "net_tx_batch", 30),
-            ObsEvent::counter(1, 0, "net_batched_inner", 150),
-            ObsEvent::counter(1, 0, "net_commits", 40),
-            ObsEvent::counter(1, 0, "net_shard0_admissions", 22),
-            ObsEvent::counter(1, 0, "net_shard0_commits", 22),
-            ObsEvent::counter(1, 0, "net_shard1_admissions", 18),
-            ObsEvent::counter(1, 0, "net_shard1_commits", 18),
-        ];
-        let s = TraceSummary::from_events(&evs);
+        // What a two-shard run's registry flushes, as one window record.
+        let reg = crate::window::Registry::new();
+        for (name, v) in [
+            (metric::msg_tx("submit"), 40),
+            (metric::msg_tx("access"), 120),
+            (metric::msg_tx("batch"), 30),
+            (metric::msg_rx("submit"), 40),
+            (metric::BATCHED_INNER.to_string(), 150),
+            (metric::COMMITS.to_string(), 40),
+            (metric::shard_admissions(0), 22),
+            (metric::shard_commits(0), 22),
+            (metric::shard_admissions(1), 18),
+            (metric::shard_commits(1), 18),
+        ] {
+            reg.counter(&name).add(v);
+        }
+        let s = TraceSummary::from_events(&[reg.flush(1, 0, 1)]);
         let mpc = s.net_msgs_per_commit().expect("net counters present");
         assert!((mpc - 190.0 / 40.0).abs() < 1e-12, "{mpc}");
         assert_eq!(s.shard_balance(), vec![(22, 22), (18, 18)]);

@@ -89,6 +89,12 @@ impl HistHandle {
     pub fn record(&self, v: u64) {
         lock_unpoisoned(&self.0).record(v);
     }
+
+    /// Adds every sample of a finished histogram — how a tally an actor
+    /// kept privately (a coalescer's flush sizes) is published at exit.
+    pub fn merge(&self, other: &Histogram) {
+        lock_unpoisoned(&self.0).merge(other);
+    }
 }
 
 /// Locks a mutex, recovering the data from a poisoned lock (observability
@@ -159,10 +165,13 @@ impl WindowSnapshot {
     }
 }
 
-/// Canonical metric names shared by producers (clients, control shards,
-/// data nodes, the WAL writer) and consumers (the SLO engine, `wtpg top`,
-/// trace summaries). Names never contain `=`, `;`, `,` or `"` — the
-/// window JSONL codec packs them into flat string fields.
+/// The metric catalogue: every name a shared-nothing run books a number
+/// under, shared by producers (clients, control shards, data nodes, the
+/// runtime) and consumers (the run report, the SLO engine, `wtpg top`,
+/// trace summaries). A fact has one handle and no second copy; DESIGN.md
+/// §17 tabulates kind, producer and whether the handle is bumped live or
+/// published once at actor exit. Names never contain `=`, `;`, `,` or `"` —
+/// the window JSONL codec packs them into flat string fields.
 pub mod metric {
     /// Open-loop arrivals offered by the load driver (counter).
     pub const OFFERED: &str = "load/offered";
@@ -184,6 +193,106 @@ pub mod metric {
     pub const READER_COMMITS: &str = "load/reader_commits";
     /// Clients' in-flight transactions (gauge, summed over clients).
     pub const INFLIGHT: &str = "load/inflight";
+    /// Scheduler lock grants, control-side (counter).
+    pub const SCHED_GRANTS: &str = "sched/grants";
+    /// Scheduler aborts (admission rejections), control-side (counter).
+    pub const SCHED_ABORTS: &str = "sched/aborts";
+    /// Scheduler delays, control-side (counter).
+    pub const SCHED_DELAYS: &str = "sched/delays";
+    /// `Access` / `SnapshotRead` orders re-sent by a control shard's
+    /// redelivery watchdog or at a node's rejoin (counter).
+    pub const ACCESS_RETRIES: &str = "ctrl/access_retries";
+    /// Orders parked as node-unavailable after their node blew past the
+    /// redelivery budget (counter).
+    pub const NODE_UNAVAILABLE: &str = "ctrl/node_unavailable";
+    /// Order-to-reply round trip per bulk step or snapshot read, µs
+    /// (histogram).
+    pub const DATA_RTT_US: &str = "data/rtt_us";
+    /// Bulk units applied across data nodes (counter).
+    pub const DATA_UNITS: &str = "data/units";
+    /// Messages a crashed or killed data node discarded (counter).
+    pub const CRASH_DROPS: &str = "data/crash_drops";
+    /// WAL records appended (counter).
+    pub const WAL_RECORDS: &str = "wal/records";
+    /// WAL group-commit flushes (counter).
+    pub const WAL_FLUSHES: &str = "wal/flushes";
+    /// WAL `fdatasync` barriers (counter; `sync` durability only).
+    pub const WAL_FSYNCS: &str = "wal/fsyncs";
+    /// WAL bytes written to log files (counter).
+    pub const WAL_BYTES: &str = "wal/bytes";
+    /// WAL bytes buffered in the writer but not yet flushed to the file —
+    /// flush lag, what a kill would destroy right now (gauge).
+    pub const WAL_LAG: &str = "wal/lag";
+    /// Node snapshots plus control checkpoints written (counter).
+    pub const WAL_CHECKPOINTS: &str = "wal/checkpoints";
+    /// Kill-and-restart recoveries data nodes performed (counter).
+    pub const WAL_RECOVERIES: &str = "wal/recoveries";
+    /// Chunk records re-applied by recovery replays (counter).
+    pub const WAL_REPLAYED_CHUNKS: &str = "wal/replayed_chunks";
+    /// Per-partition dependency chains replayed by recoveries (counter).
+    pub const WAL_REPLAYED_CHAINS: &str = "wal/replayed_chains";
+    /// Recoveries that found, and healed past, a torn log tail (counter).
+    pub const WAL_TORN_TAILS: &str = "wal/torn_tails";
+    /// Lengths of the dependency chains recoveries replayed — the
+    /// replay-parallelism profile (histogram).
+    pub const WAL_REPLAY_CHAIN: &str = "wal/replay_chain";
+    /// Version-chain entries recorded by data nodes (counter).
+    pub const CHAIN_APPENDED: &str = "mvcc/chain_appended";
+    /// Version-chain entries pruned below the GC floor (counter).
+    pub const CHAIN_PRUNED: &str = "mvcc/chain_pruned";
+    /// Snapshot reads served from version chains (counter).
+    pub const SNAPSHOT_READS: &str = "mvcc/snapshot_reads";
+    /// Coalescer flush sizes, size-1 flushes included (histogram).
+    pub const BATCH_SIZE: &str = "batch/size";
+    /// Messages that travelled inside sent `Batch` frames (counter).
+    pub const BATCHED_INNER: &str = "batch/inner";
+    /// Second copies the fault layer delivered (counter).
+    pub const FAULT_DUPS: &str = "fault/dup_deliveries";
+    /// Deliveries the fault layer held back first (counter).
+    pub const FAULT_DELAYS: &str = "fault/delayed_deliveries";
+
+    /// Every fixed name above. The per-shard, per-node and per-type
+    /// families below, and the scheduler's
+    /// [`ControlStats::fields`](crate::ControlStats::fields) (published per
+    /// shard at exit under their bare names, as the simulator's trace
+    /// spells them), complete the catalogue.
+    pub const ALL: [&str; 34] = [
+        OFFERED,
+        SHED,
+        SUBMITTED,
+        COMMITS,
+        COMMIT_LAT_US,
+        READER_LAT_US,
+        READER_COMMITS,
+        INFLIGHT,
+        SCHED_GRANTS,
+        SCHED_ABORTS,
+        SCHED_DELAYS,
+        ACCESS_RETRIES,
+        NODE_UNAVAILABLE,
+        DATA_RTT_US,
+        DATA_UNITS,
+        CRASH_DROPS,
+        WAL_RECORDS,
+        WAL_FLUSHES,
+        WAL_FSYNCS,
+        WAL_BYTES,
+        WAL_LAG,
+        WAL_CHECKPOINTS,
+        WAL_RECOVERIES,
+        WAL_REPLAYED_CHUNKS,
+        WAL_REPLAYED_CHAINS,
+        WAL_TORN_TAILS,
+        WAL_REPLAY_CHAIN,
+        CHAIN_APPENDED,
+        CHAIN_PRUNED,
+        SNAPSHOT_READS,
+        BATCH_SIZE,
+        BATCHED_INNER,
+        FAULT_DUPS,
+        FAULT_DELAYS,
+    ];
+
     /// Per-shard admission backlog depth (gauge): `ctrl/s<i>/backlog`.
     pub fn shard_backlog(shard: usize) -> String {
         format!("ctrl/s{shard}/backlog")
@@ -200,21 +309,32 @@ pub mod metric {
     pub fn shard_admissions(shard: usize) -> String {
         format!("ctrl/s{shard}/admissions")
     }
-    /// Scheduler lock grants, control-side (counter).
-    pub const SCHED_GRANTS: &str = "sched/grants";
-    /// Scheduler aborts (admission rejections), control-side (counter).
-    pub const SCHED_ABORTS: &str = "sched/aborts";
-    /// Scheduler delays, control-side (counter).
-    pub const SCHED_DELAYS: &str = "sched/delays";
-    /// Bulk units applied across data nodes (counter).
-    pub const DATA_UNITS: &str = "data/units";
-    /// WAL records appended (counter).
-    pub const WAL_RECORDS: &str = "wal/records";
-    /// WAL group-commit flushes (counter).
-    pub const WAL_FLUSHES: &str = "wal/flushes";
-    /// WAL bytes buffered in the writer but not yet flushed to the file —
-    /// flush lag, what a kill would destroy right now (gauge).
-    pub const WAL_LAG: &str = "wal/lag";
+    /// Longest park-and-retry streak any transaction of the shard saw
+    /// (gauge — a high-water mark, so per owner; the run's is the max):
+    /// `ctrl/s<i>/max_retry_streak`.
+    pub fn shard_max_retry_streak(shard: usize) -> String {
+        format!("ctrl/s{shard}/max_retry_streak")
+    }
+    /// Longest live version chain a data node held (gauge, high-water mark
+    /// per owner like the above): `mvcc/n<i>/chain_live_peak`.
+    pub fn node_chain_live_peak(node: usize) -> String {
+        format!("mvcc/n{node}/chain_live_peak")
+    }
+    /// Messages sent, by [`MsgCounts`](crate::MsgCounts) field name
+    /// (counter; a sent batch counts once): `msg/tx/<type>`.
+    pub fn msg_tx(ty: &str) -> String {
+        format!("msg/tx/{ty}")
+    }
+    /// Messages dequeued and handled, by type (counter; inner messages of a
+    /// received batch count under their own types): `msg/rx/<type>`.
+    pub fn msg_rx(ty: &str) -> String {
+        format!("msg/rx/{ty}")
+    }
+    /// Wire traffic, by [`ByteCounts`](crate::ByteCounts) field name
+    /// (counter; all zero on in-process transports): `wire/<field>`.
+    pub fn wire(field: &str) -> String {
+        format!("wire/{field}")
+    }
 }
 
 #[derive(Default)]
@@ -267,6 +387,20 @@ impl Registry {
         HistHandle(Arc::clone(
             inner.hists.entry(name.to_string()).or_default(),
         ))
+    }
+
+    /// The run's cumulative books: every counter's value since creation
+    /// (flushing reports deltas but never resets a counter, so this holds
+    /// whoever flushed, and however often) and every gauge's current level,
+    /// by name. Histograms are per-window state and are not included.
+    pub fn totals(&self) -> BTreeMap<String, u64> {
+        let inner = lock_unpoisoned(&self.inner);
+        inner
+            .counters
+            .iter()
+            .chain(&inner.gauges)
+            .map(|(name, cell)| (name.clone(), cell.load(Ordering::Relaxed)))
+            .collect()
     }
 
     /// Snapshots one window and resets the streaming state: counters
@@ -374,6 +508,32 @@ mod tests {
         assert_eq!(w1.gauge("ctrl/s0/backlog"), Some(4));
         g.sub(100); // saturates at zero
         assert_eq!(reg.flush_snapshot(250).gauge("ctrl/s0/backlog"), Some(0));
+    }
+
+    #[test]
+    fn totals_are_cumulative_whoever_flushed_and_merge_publishes_a_finished_hist() {
+        let reg = Registry::new();
+        let c = reg.counter(metric::COMMITS);
+        c.add(5);
+        reg.flush_snapshot(250);
+        c.add(2);
+        reg.gauge(metric::WAL_LAG).set(9);
+        let totals = reg.totals();
+        assert_eq!(totals.get(metric::COMMITS), Some(&7), "flushing resets nothing");
+        assert_eq!(totals.get(metric::WAL_LAG), Some(&9));
+        assert_eq!(totals.len(), 2);
+
+        let mut finished = Histogram::new();
+        finished.record(3);
+        finished.record(40);
+        let h = reg.hist(metric::BATCH_SIZE);
+        h.record(3);
+        h.merge(&finished);
+        let w = reg.flush_snapshot(250);
+        assert_eq!(w.hist(metric::BATCH_SIZE).map(Histogram::count), Some(3));
+        // The catalogue's fixed names are distinct.
+        let names: std::collections::BTreeSet<&str> = metric::ALL.into_iter().collect();
+        assert_eq!(names.len(), metric::ALL.len());
     }
 
     #[test]
