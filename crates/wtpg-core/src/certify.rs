@@ -219,7 +219,8 @@ pub fn merge_shard_histories(shards: &[&History]) -> Result<History, CertifyViol
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::{Admission, LockOutcome, Scheduler};
+    use crate::sched::Scheduler;
+    use crate::test_streams::record;
     use crate::txn::StepSpec;
     use crate::work::Work;
 
@@ -227,67 +228,14 @@ mod tests {
         TxnSpec::new(TxnId(id), steps)
     }
 
-    /// Drives a scheduler through a toy workload while recording the
-    /// history by hand, exactly as the simulator does.
-    fn drive<S: Scheduler>(mut sched: S) -> (History, BTreeMap<TxnId, TxnSpec>, CertifyMode) {
-        let mut h = History::new();
-        let mut specs = BTreeMap::new();
+    /// Records a scheduler's run of a toy workload.
+    fn drive<S: Scheduler>(sched: S) -> (History, BTreeMap<TxnId, TxnSpec>, CertifyMode) {
         let ts = [
             spec(1, vec![StepSpec::write(0, 2.0), StepSpec::read(1, 1.0)]),
             spec(2, vec![StepSpec::write(2, 1.0)]),
             spec(3, vec![StepSpec::read(1, 1.0)]),
         ];
-        let mut now = Tick(0);
-        for t in &ts {
-            specs.insert(t.id, t.clone());
-            match sched.on_arrive(t, now).unwrap().0 {
-                Admission::Admitted => h.push(now, Event::Admitted(t.id)),
-                Admission::Rejected => h.push(now, Event::Rejected(t.id)),
-            }
-        }
-        // Round-robin requests until everyone commits.
-        let mut pending: Vec<(TxnId, usize, usize)> =
-            ts.iter().map(|t| (t.id, 0, t.len())).collect();
-        while !pending.is_empty() {
-            now += 1;
-            let mut next = Vec::new();
-            for (id, step, len) in pending {
-                match sched.on_request(id, step, now).unwrap().0 {
-                    LockOutcome::Granted => {
-                        let s = specs[&id].steps()[step];
-                        h.push(
-                            now,
-                            Event::Granted {
-                                txn: id,
-                                step,
-                                partition: s.partition,
-                                mode: s.mode,
-                            },
-                        );
-                        sched.on_progress(id, s.cost).unwrap();
-                        h.push(
-                            now,
-                            Event::Progress {
-                                txn: id,
-                                amount: s.cost,
-                            },
-                        );
-                        sched.on_step_complete(id, step).unwrap();
-                        h.push(now, Event::StepCompleted { txn: id, step });
-                        if step + 1 == len {
-                            sched.on_commit(id, now).unwrap();
-                            h.push(now, Event::Committed(id));
-                        } else {
-                            next.push((id, step + 1, len));
-                        }
-                    }
-                    _ => next.push((id, step, len)),
-                }
-            }
-            pending = next;
-        }
-        let mode = sched.certify_mode();
-        (h, specs, mode)
+        record(sched, &ts, 0)
     }
 
     #[test]
@@ -528,64 +476,14 @@ mod tests {
         assert!(err.what.contains("after commit"), "{err}");
     }
 
-    /// Drives `ts` through `sched` (round-robin, like the simulator),
-    /// recording the history from `start_tick` — a stand-in for one control
-    /// shard working its conflict component.
+    /// Records `ts` through `sched` from `start_tick` — a stand-in for one
+    /// control shard working its conflict component.
     fn drive_component<S: Scheduler>(
-        mut sched: S,
+        sched: S,
         ts: &[TxnSpec],
         start_tick: u64,
     ) -> (History, BTreeMap<TxnId, TxnSpec>) {
-        let mut h = History::new();
-        let mut specs = BTreeMap::new();
-        let mut now = Tick(start_tick);
-        for t in ts {
-            specs.insert(t.id, t.clone());
-            match sched.on_arrive(t, now).unwrap().0 {
-                Admission::Admitted => h.push(now, Event::Admitted(t.id)),
-                Admission::Rejected => h.push(now, Event::Rejected(t.id)),
-            }
-        }
-        let mut pending: Vec<(TxnId, usize, usize)> =
-            ts.iter().map(|t| (t.id, 0, t.len())).collect();
-        while !pending.is_empty() {
-            now += 1;
-            let mut next = Vec::new();
-            for (id, step, len) in pending {
-                match sched.on_request(id, step, now).unwrap().0 {
-                    LockOutcome::Granted => {
-                        let s = specs[&id].steps()[step];
-                        h.push(
-                            now,
-                            Event::Granted {
-                                txn: id,
-                                step,
-                                partition: s.partition,
-                                mode: s.mode,
-                            },
-                        );
-                        sched.on_progress(id, s.cost).unwrap();
-                        h.push(
-                            now,
-                            Event::Progress {
-                                txn: id,
-                                amount: s.cost,
-                            },
-                        );
-                        sched.on_step_complete(id, step).unwrap();
-                        h.push(now, Event::StepCompleted { txn: id, step });
-                        if step + 1 == len {
-                            sched.on_commit(id, now).unwrap();
-                            h.push(now, Event::Committed(id));
-                        } else {
-                            next.push((id, step + 1, len));
-                        }
-                    }
-                    _ => next.push((id, step, len)),
-                }
-            }
-            pending = next;
-        }
+        let (h, specs, _) = record(sched, ts, start_tick);
         (h, specs)
     }
 

@@ -540,96 +540,24 @@ mod tests {
     use super::*;
     use crate::certify::certify_history;
     use crate::history::History;
-    use crate::sched::{Admission, LockOutcome, Scheduler};
+    use crate::sched::Scheduler;
+    use crate::test_streams::record;
     use crate::txn::StepSpec;
 
-    /// Drives `count` two-step transactions over a rolling partition
-    /// window through `sched`, recording the history like the simulator.
+    /// Records `count` two-step transactions over a rolling partition
+    /// window through `sched`.
     fn drive<S: Scheduler>(
-        mut sched: S,
+        sched: S,
         count: u64,
     ) -> (History, BTreeMap<TxnId, TxnSpec>, CertifyMode) {
-        let mut h = History::new();
-        let mut specs = BTreeMap::new();
-        let mut now = Tick(0);
-        let mut pending: Vec<(TxnId, usize, usize)> = Vec::new();
-        for i in 0..count {
-            let base = (i % 7) as u32;
-            let t = TxnSpec::new(
-                TxnId(i + 1),
-                vec![StepSpec::write(base, 2.0), StepSpec::read(base + 1, 1.0)],
-            );
-            specs.insert(t.id, t.clone());
-            now += 1;
-            // Retry rejected admissions immediately at later ticks.
-            loop {
-                match sched.on_arrive(&t, now).expect("arrive").0 {
-                    Admission::Admitted => {
-                        h.push(now, Event::Admitted(t.id));
-                        pending.push((t.id, 0, t.len()));
-                        break;
-                    }
-                    Admission::Rejected => {
-                        h.push(now, Event::Rejected(t.id));
-                        // Drain one step of everyone to free capacity.
-                        now += 1;
-                        pending = pump(&mut sched, &specs, &mut h, pending, now);
-                        now += 1;
-                    }
-                }
-            }
-            now += 1;
-            pending = pump(&mut sched, &specs, &mut h, pending, now);
-        }
-        while !pending.is_empty() {
-            now += 1;
-            pending = pump(&mut sched, &specs, &mut h, pending, now);
-        }
-        (h, specs, sched.certify_mode())
-    }
-
-    fn pump<S: Scheduler>(
-        sched: &mut S,
-        specs: &BTreeMap<TxnId, TxnSpec>,
-        h: &mut History,
-        pending: Vec<(TxnId, usize, usize)>,
-        now: Tick,
-    ) -> Vec<(TxnId, usize, usize)> {
-        let mut next = Vec::new();
-        for (id, step, len) in pending {
-            match sched.on_request(id, step, now).expect("request").0 {
-                LockOutcome::Granted => {
-                    let s = specs[&id].steps()[step];
-                    h.push(
-                        now,
-                        Event::Granted {
-                            txn: id,
-                            step,
-                            partition: s.partition,
-                            mode: s.mode,
-                        },
-                    );
-                    sched.on_progress(id, s.cost).expect("progress");
-                    h.push(
-                        now,
-                        Event::Progress {
-                            txn: id,
-                            amount: s.cost,
-                        },
-                    );
-                    sched.on_step_complete(id, step).expect("step");
-                    h.push(now, Event::StepCompleted { txn: id, step });
-                    if step + 1 == len {
-                        sched.on_commit(id, now).expect("commit");
-                        h.push(now, Event::Committed(id));
-                    } else {
-                        next.push((id, step + 1, len));
-                    }
-                }
-                _ => next.push((id, step, len)),
-            }
-        }
-        next
+        let ts: Vec<TxnSpec> = (0..count)
+            .map(|i| {
+                let base = (i % 7) as u32;
+                let steps = vec![StepSpec::write(base, 2.0), StepSpec::read(base + 1, 1.0)];
+                TxnSpec::new(TxnId(i + 1), steps)
+            })
+            .collect();
+        record(sched, &ts, 1)
     }
 
     /// Streaming (with aggressive retirement) and whole-history replay

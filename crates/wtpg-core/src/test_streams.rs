@@ -4,12 +4,14 @@
 //! retried when it comes round again — the discipline of `bench/src/drive.rs`,
 //! so the tests walk the trajectories the benchmark measures.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::certify::CertifyMode;
 use crate::error::CoreError;
+use crate::history::{Event, History};
 use crate::partition::PartitionId;
 use crate::time::Tick;
 use crate::txn::{AccessMode, StepSpec, TxnId, TxnSpec};
@@ -174,4 +176,60 @@ pub(crate) fn drive_admitting<S: Scheduler, L>(
     }
     assert_eq!(sched.active_txns(), 0);
     log
+}
+
+/// Drives `ts` to commit through `sched`, recording the history by hand
+/// exactly as the simulator does — what the certifiers' tests replay. From
+/// `start_tick` on, each tick one more transaction arrives and then every
+/// transaction in hand takes a turn: a rejected arrival is retried, an
+/// admitted one requests its next step and, if granted, runs it to
+/// completion (and commits after its last).
+///
+/// # Panics
+/// Panics on a protocol error or a wedge.
+pub(crate) fn record<'a, S: Scheduler>(
+    mut sched: S,
+    ts: &'a [TxnSpec],
+    start_tick: u64,
+) -> (History, BTreeMap<TxnId, TxnSpec>, CertifyMode) {
+    let mut h = History::new();
+    let mut now = Tick(start_tick);
+    let mut arrivals = ts.iter();
+    // (transaction, next step to request; `None` = not yet admitted).
+    let mut hand: Vec<(&TxnSpec, Option<usize>)> = Vec::new();
+    loop {
+        hand.extend(arrivals.next().map(|t| (t, None)));
+        if hand.is_empty() {
+            break;
+        }
+        assert!(now.0 - start_tick < 64 * (ts.len() as u64 + 1), "{} wedged", sched.name());
+        let turn = |(t, state): (&'a TxnSpec, Option<usize>)| {
+            let Some(step) = state else {
+                let admitted = sched.on_arrive(t, now).unwrap().0 == Admission::Admitted;
+                let event = if admitted { Event::Admitted } else { Event::Rejected };
+                h.push(now, event(t.id));
+                return Some((t, admitted.then_some(0)));
+            };
+            if sched.on_request(t.id, step, now).unwrap().0 != LockOutcome::Granted {
+                return Some((t, state));
+            }
+            let (txn, s) = (t.id, t.steps()[step]);
+            let (partition, mode) = (s.partition, s.mode);
+            h.push(now, Event::Granted { txn, step, partition, mode });
+            sched.on_progress(txn, s.cost).unwrap();
+            h.push(now, Event::Progress { txn, amount: s.cost });
+            sched.on_step_complete(txn, step).unwrap();
+            h.push(now, Event::StepCompleted { txn, step });
+            if step + 1 < t.len() {
+                return Some((t, Some(step + 1)));
+            }
+            sched.on_commit(txn, now).unwrap();
+            h.push(now, Event::Committed(txn));
+            None
+        };
+        hand = hand.into_iter().filter_map(turn).collect();
+        now += 1;
+    }
+    let specs = ts.iter().map(|t| (t.id, t.clone())).collect();
+    (h, specs, sched.certify_mode())
 }

@@ -117,7 +117,7 @@ pub fn recover(
     // Serial pre-pass: control-state reconstruction and chain grouping.
     let mut chains: BTreeMap<u32, Vec<ChunkRecord>> = BTreeMap::new();
     for rec in &suffix {
-        if rec.partition.0 % catalog.num_nodes() != node {
+        if catalog.node_of(rec.partition) != node {
             return Err(DurError::Corrupt {
                 offset: 0,
                 what: format!(
@@ -260,6 +260,7 @@ mod tests {
     use crate::wal::WalWriter;
     use crate::Durability;
     use wtpg_core::partition::PartitionId;
+    use wtpg_rt::store::chunks;
 
     fn temp_dir(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir()
@@ -269,8 +270,8 @@ mod tests {
         dir
     }
 
-    /// Applies one bulk step the way the data actor does — chunk loop with
-    /// a record per chunk — against `store` and `wal`.
+    /// Applies one bulk step the way the data actor does — the store's chunk
+    /// walk with a record per chunk — against `store` and `wal`.
     #[allow(clippy::too_many_arguments)]
     fn apply_step(
         store: &mut NodeStore,
@@ -282,29 +283,24 @@ mod tests {
         units: u64,
         chunk_units: u64,
     ) {
-        let mut offset = 0u64;
-        let mut chunk_idx = 0u64;
-        while offset < units {
-            let chunk = chunk_units.min(units - offset);
+        for (chunk, start_unit, len) in chunks(units, chunk_units) {
             let sum = store
-                .apply_chunk(PartitionId(p), mode, offset, chunk)
+                .apply_chunk(PartitionId(p), mode, start_unit, len)
                 .unwrap();
-            offset += chunk;
             wal.append(ChunkRecord {
                 lsn: 0,
                 prev_lsn: 0,
                 txn: TxnId(txn),
                 step,
-                chunk: chunk_idx,
+                chunk,
                 partition: PartitionId(p),
                 mode,
-                start_unit: offset - chunk,
-                units: chunk,
+                start_unit,
+                units: len,
                 checksum: sum,
-                complete: offset >= units,
+                complete: start_unit + len >= units,
             })
             .unwrap();
-            chunk_idx += 1;
         }
     }
 

@@ -186,7 +186,7 @@ impl VersionChain {
 mod tests {
     use super::*;
     use wtpg_core::txn::AccessMode;
-    use wtpg_rt::store::NodeStore;
+    use wtpg_rt::store::{chunks, NodeStore};
 
     /// The effect algebra must reproduce the store kernel's chunked writes:
     /// a step of `units` applied chunk-by-chunk (offsets picking up where
@@ -196,11 +196,8 @@ mod tests {
         for (rows, units, chunk) in [(7usize, 23u64, 5u64), (100, 100, 1), (3, 1000, 17), (1, 5, 2)]
         {
             let mut kernel = vec![0u64; rows];
-            let mut offset = 0;
-            while offset < units {
-                let n = chunk.min(units - offset);
+            for (_, offset, n) in chunks(units, chunk) {
                 NodeStore::chunk_into_cells(&mut kernel, AccessMode::Write, offset, n);
-                offset += n;
             }
             let mut effect = vec![0u64; rows];
             apply_write_effect(&mut effect, units);

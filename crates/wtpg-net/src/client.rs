@@ -17,7 +17,7 @@
 //!
 //! **Open loop.** [`run_client_open_loop`] replaces the closed-loop
 //! submission policy (submit whenever a slot frees) with a fixed arrival
-//! schedule: transaction `i` of the client's slice *arrives* at a
+//! schedule: transaction `i` of the client's share *arrives* at a
 //! precomputed offset, and an arrival that finds the in-flight bound full
 //! is **shed** — counted, never submitted, its id reported so the runtime
 //! excludes its writes from conservation. Offered load therefore does not
@@ -215,10 +215,17 @@ fn elapsed_us(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Drives `specs` to commit as client `client`, keeping up to `pipeline`
-/// transactions in flight (`pipeline` is clamped to ≥ 1; 1 recovers the
-/// strict one-at-a-time stream whose history is tick-identical to a serial
-/// drive of the control node). `reg` is the run's books.
+/// Client `client`'s share of a run-wide sequence dealt round-robin over
+/// `clients` actors: items `client`, `client + clients`, … — read in place,
+/// so the workload exists once however many clients drive it.
+pub(crate) fn share<T>(all: &[T], client: u32, clients: usize) -> impl Iterator<Item = &T> {
+    all.iter().skip(client as usize).step_by(clients.max(1))
+}
+
+/// Drives client `client`'s [`share`] of `specs` to commit, keeping up to
+/// `pipeline` transactions in flight (`pipeline` is clamped to ≥ 1; 1
+/// recovers the strict one-at-a-time stream whose history is tick-identical
+/// to a serial drive of the control node). `reg` is the run's books.
 /// Read-only specs are booked on the reader latency ledger regardless of
 /// the plane they rode — with MVCC off they take the S-lock path, and the
 /// baseline reader tail is exactly what the snapshot plane is compared to.
@@ -227,8 +234,10 @@ fn elapsed_us(since: Instant) -> u64 {
 /// [`NetError::RecvTimeout`] if a commit ack never arrived within the
 /// watchdog, [`NetError::Protocol`] on an out-of-protocol reply or a run
 /// shut down from the control side.
+#[allow(clippy::too_many_arguments)]
 pub fn run_client(
     client: u32,
+    clients: usize,
     specs: &[TxnSpec],
     inbox: &Inbox,
     to_control: &Arc<dyn MsgTx>,
@@ -239,13 +248,12 @@ pub fn run_client(
     let mut actor = ClientActor::start(client, to_control, reg);
     let depth = pipeline.max(1);
     let mut inflight = Inflight::new();
-    let mut next = 0usize;
-    while next < specs.len() || !inflight.is_empty() {
+    let mut mine = share(specs, client, clients).peekable();
+    while mine.peek().is_some() || !inflight.is_empty() {
         while inflight.len() < depth {
-            let Some(spec) = specs.get(next) else { break };
+            let Some(spec) = mine.next() else { break };
             actor.submit(spec)?;
             inflight.insert(spec.id, (Instant::now(), spec.is_read_only()));
-            next += 1;
         }
         if !actor.take(inbox.pop_timeout(watchdog), &mut inflight)? {
             return Err(NetError::RecvTimeout {
@@ -258,9 +266,9 @@ pub fn run_client(
 
 /// The open-loop driver's per-client schedule (see the module docs).
 pub struct OpenLoopPlan<'a> {
-    /// Arrival offsets in µs on `wall`, one per spec of the client's
-    /// slice, nondecreasing (the runtime deals a shared Poisson schedule
-    /// round-robin, which preserves order).
+    /// Arrival offsets in µs on `wall`, nondecreasing, one per spec of the
+    /// *run*: the shared Poisson schedule, of which the client takes the
+    /// same [`share`] as of the specs, so arrival `i` still drives spec `i`.
     pub arrivals_us: &'a [u64],
     /// In-flight bound; an arrival that finds it full is shed.
     pub inflight: usize,
@@ -272,18 +280,20 @@ pub struct OpenLoopPlan<'a> {
 /// enough to fire the next arrival on time, long enough not to spin.
 const OPEN_LOOP_NAP: Duration = Duration::from_micros(500);
 
-/// Drives `specs` under a fixed arrival schedule (open loop): arrival `i`
-/// submits `specs[i]` if the in-flight window has room and sheds it
-/// otherwise. After the last arrival the window is drained, then one
-/// `Shutdown` is sent to the control plane as the end-of-stream marker
-/// for its drain exit.
+/// Drives client `client`'s [`share`] of `specs` under a fixed arrival
+/// schedule (open loop): arrival `i` submits `specs[i]` if the in-flight
+/// window has room and sheds it otherwise. After the last arrival the
+/// window is drained, then one `Shutdown` is sent to the control plane as
+/// the end-of-stream marker for its drain exit.
 ///
 /// # Errors
 /// [`NetError::RecvTimeout`] if, with transactions in flight, no ack
 /// arrived within the watchdog; [`NetError::Protocol`] on out-of-protocol
 /// replies or a control-initiated shutdown.
+#[allow(clippy::too_many_arguments)]
 pub fn run_client_open_loop(
     client: u32,
+    clients: usize,
     specs: &[TxnSpec],
     plan: &OpenLoopPlan<'_>,
     inbox: &Inbox,
@@ -293,11 +303,12 @@ pub fn run_client_open_loop(
 ) -> Result<ClientOutcome, NetError> {
     let mut actor = ClientActor::start(client, to_control, reg);
     let depth = plan.inflight.max(1);
-    let n = specs.len().min(plan.arrivals_us.len());
+    let mut due = share(specs, client, clients)
+        .zip(share(plan.arrivals_us, client, clients))
+        .peekable();
     let mut inflight = Inflight::new();
-    let mut next = 0usize;
     let mut last_ack = Instant::now();
-    while next < n || !inflight.is_empty() {
+    while due.peek().is_some() || !inflight.is_empty() {
         // Absorb whatever acks are already waiting, so an arrival is only
         // shed when the window is genuinely still full.
         while actor.take(inbox.try_pop(), &mut inflight)? {
@@ -307,31 +318,22 @@ pub fn run_client_open_loop(
         // the arrival instant — open loop means the schedule never waits
         // for the system.
         let now_us = plan.wall.now_us();
-        while next < n {
-            let (Some(&due), Some(spec)) = (plan.arrivals_us.get(next), specs.get(next)) else {
-                break;
-            };
-            if due > now_us {
-                break;
-            }
+        while let Some((spec, _)) = due.next_if(|(_, &at)| at <= now_us) {
             if inflight.len() < depth {
                 actor.submit(spec)?;
                 inflight.insert(spec.id, (Instant::now(), spec.is_read_only()));
             } else {
                 actor.shed(spec.id);
             }
-            next += 1;
-        }
-        if next >= n && inflight.is_empty() {
-            break;
         }
         // Sleep on the inbox until the next arrival is due (or an ack
         // lands first); in the drain phase just wait for acks.
-        let nap = match plan.arrivals_us.get(next) {
-            Some(&due) if next < n => {
-                Duration::from_micros(due.saturating_sub(plan.wall.now_us())).min(OPEN_LOOP_NAP)
+        let nap = match due.peek() {
+            Some((_, &at)) => {
+                Duration::from_micros(at.saturating_sub(plan.wall.now_us())).min(OPEN_LOOP_NAP)
             }
-            _ => OPEN_LOOP_NAP,
+            None if inflight.is_empty() => break,
+            None => OPEN_LOOP_NAP,
         };
         if !nap.is_zero() && actor.take(inbox.pop_timeout(nap), &mut inflight)? {
             last_ack = Instant::now();

@@ -250,6 +250,16 @@ impl MvccPlane {
         self.watermark.publish(partition, floor);
         floor
     }
+
+    /// Publishes the floor of each distinct partition of `parts`, once.
+    fn publish_floors(&mut self, parts: Vec<u32>) {
+        let mut seen = BTreeSet::new();
+        for p in parts {
+            if seen.insert(p) {
+                self.publish_floor(p);
+            }
+        }
+    }
 }
 
 /// One in-flight read-only BAT: its snapshot and the replies collected so
@@ -433,12 +443,7 @@ impl ControlActor<'_> {
                 // and raise GC floors: committed-prefix writes below every
                 // active snapshot's horizon no longer need inversion data.
                 plane.log.note_commit(txn, tick);
-                let mut seen = BTreeSet::new();
-                for p in parts {
-                    if seen.insert(p) {
-                        plane.publish_floor(p);
-                    }
-                }
+                plane.publish_floors(parts);
             }
             self.committed.insert(txn);
             self.active = self.active.saturating_sub(1);
@@ -834,39 +839,22 @@ impl ControlActor<'_> {
                     snapshot: r.snapshot,
                     reads: r.obs.into_iter().flatten().collect(),
                 });
-                let mut seen = BTreeSet::new();
-                for p in r.parts {
-                    if seen.insert(p) {
-                        plane.publish_floor(p);
-                    }
-                }
+                plane.publish_floors(r.parts);
                 self.tel.commits.inc();
                 self.send_to_client(r.client, &Msg::Commit {
                     client: r.client,
                     txn,
                 })
             }
-            Msg::Recover { node, .. } => {
+            Msg::Recover { node: rejoined, .. } => {
                 // A killed data node restarted from its log and rejoined:
                 // re-send everything still outstanding on it right away
                 // (the replayed applied-marks and partials make re-sends
                 // idempotent) instead of waiting out redelivery deadlines,
                 // and un-park whatever went node-unavailable while it was
                 // dark.
-                let node = node as usize;
-                let deadline = Instant::now() + Duration::from_micros(self.retry.delay_us(0));
-                let mut resend = Vec::new();
-                for o in self.outstanding.values_mut().filter(|o| o.node == node) {
-                    o.attempts = 0;
-                    o.deadline = deadline;
-                    o.unavailable = false;
-                    resend.push(o.msg.clone());
-                }
-                let resent = u32::try_from(resend.len()).unwrap_or(u32::MAX);
-                for msg in resend {
-                    self.send_data(node, msg, false)?;
-                    self.tel.access_retries.inc();
-                }
+                let node = rejoined as usize;
+                let resent = self.resend(Some(node))?;
                 // Flush the re-send burst as its own frame first: the ack
                 // then leaves as a plain single-message frame, so the
                 // rejoin handshake stays visible per-type in the wire
@@ -879,15 +867,11 @@ impl ControlActor<'_> {
                         )));
                     }
                 }
-                let node_u32 = u32::try_from(node).unwrap_or(u32::MAX);
-                self.send_data(
-                    node,
-                    Msg::RecoverAck {
-                        node: node_u32,
-                        outstanding: resent,
-                    },
-                    true,
-                )
+                let ack = Msg::RecoverAck {
+                    node: rejoined,
+                    outstanding: resent,
+                };
+                self.send_data(node, ack, true)
             }
             Msg::Shutdown => {
                 // In drain mode each open-loop client sends one `Shutdown`
@@ -910,35 +894,50 @@ impl ControlActor<'_> {
         }
     }
 
-    /// Re-sends every outstanding `Access` whose deadline has passed.
-    fn redeliver_expired(&mut self) -> Result<(), NetError> {
+    /// Re-sends outstanding orders and says how many. With `rejoined`, every
+    /// order on that node, its redelivery budget and deadline reset and the
+    /// burst left in the coalescer for the caller to flush; without, every
+    /// order whose deadline has passed, an attempt charged and the frame
+    /// forced out.
+    fn resend(&mut self, rejoined: Option<usize>) -> Result<u32, NetError> {
         if self.outstanding.is_empty() {
-            return Ok(());
+            return Ok(0);
         }
         let now = Instant::now();
         let mut resend = Vec::new();
-        for o in self.outstanding.values_mut().filter(|o| o.deadline <= now) {
-            o.attempts = o.attempts.saturating_add(1);
-            if o.attempts >= self.retry.max_attempts {
-                // The owning node blew past the redelivery budget. Don't
-                // fail the run: park the order as node-unavailable and keep
-                // re-sending at the capped interval — a killed node
-                // restarts from its log and answers. The receive watchdog
-                // still bounds a run whose node is truly gone.
-                o.attempts = self.retry.max_attempts;
-                if !o.unavailable {
-                    o.unavailable = true;
-                    self.tel.node_unavailable.inc();
+        for o in self.outstanding.values_mut() {
+            match rejoined {
+                Some(node) if o.node == node => {
+                    o.attempts = 0;
+                    o.unavailable = false;
                 }
+                None if o.deadline <= now => {
+                    o.attempts = o.attempts.saturating_add(1);
+                    if o.attempts >= self.retry.max_attempts {
+                        // The owning node blew past the redelivery budget.
+                        // Don't fail the run: park the order as
+                        // node-unavailable and keep re-sending at the capped
+                        // interval — a killed node restarts from its log and
+                        // answers. The receive watchdog still bounds a run
+                        // whose node is truly gone.
+                        o.attempts = self.retry.max_attempts;
+                        if !o.unavailable {
+                            o.unavailable = true;
+                            self.tel.node_unavailable.inc();
+                        }
+                    }
+                }
+                _ => continue,
             }
             o.deadline = now + Duration::from_micros(self.retry.delay_us(o.attempts));
             resend.push((o.node, o.msg.clone()));
         }
+        let resent = u32::try_from(resend.len()).unwrap_or(u32::MAX);
         for (node, msg) in resend {
-            self.send_data(node, msg, true)?;
+            self.send_data(node, msg, rejoined.is_none())?;
             self.tel.access_retries.inc();
         }
-        Ok(())
+        Ok(resent)
     }
 
     /// Persists a control checkpoint every [`CKPT_EVERY`] commits.
@@ -981,24 +980,12 @@ impl ControlActor<'_> {
         self.tel.data_rtt.record(us);
     }
 
-    /// Flushes every coalescer (before blocking on the inbox).
-    fn flush_all(&mut self) -> Result<(), NetError> {
+    /// Flushes the data links' coalescers: all of them (before blocking on
+    /// the inbox, and at exit), or only those whose oldest buffered message
+    /// has waited past the window (the mid-burst latency bound).
+    fn flush_data(&mut self, only_overdue: bool) -> Result<(), NetError> {
         for (node, c) in self.to_data.iter_mut().enumerate() {
-            if !c.flush() {
-                return Err(NetError::Protocol(format!(
-                    "control shard {}: data node {node} vanished at flush",
-                    self.shard
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Flushes only coalescers whose oldest buffered message has waited
-    /// past the window (mid-burst latency bound).
-    fn flush_overdue(&mut self) -> Result<(), NetError> {
-        for (node, c) in self.to_data.iter_mut().enumerate() {
-            if c.overdue(self.batch_window) && !c.flush() {
+            if (!only_overdue || c.overdue(self.batch_window)) && !c.flush() {
                 return Err(NetError::Protocol(format!(
                     "control shard {}: data node {node} vanished at flush",
                     self.shard
@@ -1100,7 +1087,7 @@ pub fn run_control(
                 PopResult::Empty => {
                     // Idle: everything buffered must go out before we
                     // block, or the peers we are starving never answer.
-                    actor.flush_all()?;
+                    actor.flush_data(false)?;
                     match inbox.pop_timeout(POLL) {
                         PopResult::Item(m) => Some(m),
                         PopResult::Empty => None,
@@ -1124,8 +1111,8 @@ pub fn run_control(
                     since_scan += 1;
                     if since_scan >= SCAN_EVERY {
                         since_scan = 0;
-                        actor.redeliver_expired()?;
-                        actor.flush_overdue()?;
+                        actor.resend(None)?;
+                        actor.flush_data(true)?;
                         actor.update_gauges();
                     }
                 }
@@ -1135,7 +1122,7 @@ pub fn run_control(
                             actor: format!("control shard {}", params.shard),
                         });
                     }
-                    actor.redeliver_expired()?;
+                    actor.resend(None)?;
                     actor.retry_parked()?;
                     actor.drain_backlog()?;
                     actor.update_gauges();
@@ -1144,7 +1131,7 @@ pub fn run_control(
         }
         // A final checkpoint so the persisted cursor covers the whole run.
         actor.write_ckpt()?;
-        actor.flush_all()
+        actor.flush_data(false)
     })();
     result?;
 

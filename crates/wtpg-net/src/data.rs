@@ -25,29 +25,32 @@
 //! snapshot checkpoint is written every [`SNAPSHOT_EVERY`] records to bound
 //! replay to a log suffix.
 //!
-//! **Idempotent redelivery.** Every applied step leaves a mark (its
-//! checksum and unit count). A redelivered or duplicated `Access` for a
-//! marked step replays the reply stream — the `StatsDelta`s and the
-//! `AccessDone` — without touching the store; the control node's chunk
-//! cursor and completed-set absorb whatever it already credited. The full
-//! replay matters after a kill, which can destroy buffered replies the
-//! control node never saw.
+//! **One reply path per order.** An applied step leaves a mark (checksum
+//! and unit count); a step a kill cut short leaves a [`Partial`] in the log.
+//! An `Access` order looks up how far its step already got — a mark is all
+//! of it, a `Partial` its `next_chunk`, otherwise nothing — and walks the
+//! step's chunks once ([`wtpg_rt::store::chunks`]): chunks already applied
+//! are re-announced, the rest applied, logged and announced, and one
+//! `AccessDone` closes the stream. First delivery, redelivery and
+//! resume-after-kill are that one loop; control's chunk cursor and
+//! completed-set absorb what it already credited, and the re-announced
+//! deltas heal what a kill destroyed in the reply buffer.
 //!
-//! **Crash simulation.** A [`CrashPlan`] makes the actor discard everything
-//! it receives for a window — including the wire message that triggered it,
-//! batches dropped whole — modelling a node that is down while its durable
-//! state (store and applied-marks) survives. Recovery needs no protocol:
-//! the control node's redelivery watchdog re-sends unanswered orders until
-//! the node is back.
-//!
-//! **Kill and restart.** A [`KillPlan`] goes further: the actor itself is
-//! torn down — store, marks, mid-step progress, buffered replies, and the
-//! log writer's userspace buffer all destroyed — and rebuilt from disk by
-//! [`wtpg_dur::recover`], which replays the log's partition dependency
-//! chains in parallel. The restarted node announces [`Msg::Recover`] so the
-//! control plane re-sends its outstanding orders immediately; applied-marks
-//! and partial progress recovered from the log make those re-sends exactly
-//! as idempotent as ordinary redelivery.
+//! **A state machine and one loop.** [`DataActor::deliver`] is the actor's
+//! whole input: a message and the instant it arrived. Being down is a
+//! state: a [`CrashPlan`] or [`KillPlan`] that comes due puts the node in
+//! `Down` until an instant, and until then every delivery — the triggering
+//! one included, a batch whole — is lost and counted; a lost `Shutdown`
+//! stops the node. The plans differ only in how the window ends. A crash
+//! models durable state (store, marks) that outlives the process: nothing
+//! happens, and control's redelivery watchdog heals what was lost. A kill
+//! destroyed the incarnation — store, marks, mid-step progress, buffered
+//! replies, the log writer's userspace buffer — so the node is rebuilt from
+//! disk by [`wtpg_dur::recover`] and announces [`Msg::Recover`], on which
+//! control re-sends its outstanding orders at once. [`run_data_node`] is the
+//! only code that touches the inbox. Time that *steers* (windows, triggers)
+//! is an argument, so a test can own it; time that is only *measured*
+//! (group-commit age, the coalescer's window) is read where it is used.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -63,7 +66,7 @@ use wtpg_mvcc::{read_checksum, GcWatermark, VersionChain};
 use wtpg_obs::window::metric;
 use wtpg_obs::{Counter, Gauge, HistHandle, MsgCounts, Registry};
 use wtpg_rt::queue::PopResult;
-use wtpg_rt::store::NodeStore;
+use wtpg_rt::store::{chunks, NodeStore};
 
 use crate::batch::Coalescer;
 use crate::error::NetError;
@@ -168,15 +171,35 @@ impl DataTel {
     }
 }
 
-/// What one handled message asks of the main loop.
-enum Flow {
+/// What one delivery asks of the loop.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Flow {
     Continue,
-    /// `Shutdown` arrived or the control link is gone.
+    /// `Shutdown` arrived, or the control link is gone.
     Stop,
 }
 
-struct DataActor<'a> {
-    node: u32,
+/// Being down: until `until`, whatever is delivered is lost.
+struct Down {
+    until: Instant,
+    /// A kill destroyed the incarnation, so the window's end rebuilds the
+    /// node from its log and announces `Recover`; a crash window just ends.
+    restart_from_log: bool,
+}
+
+/// One data node as a state machine (see the module docs); public so that
+/// `tests/data_node.rs` can drive it one delivery at a time.
+#[doc(hidden)]
+pub struct DataActor<'a> {
+    /// What the node was started with. Its fault plans are taken as they
+    /// fire; what they count is `processed`, protocol messages handled.
+    cfg: DataNodeParams<'a>,
+    tel: DataTel,
+    to_control: Arc<dyn MsgTx>,
+    processed: u64,
+    down: Option<Down>,
+    // From here on, the incarnation: what a kill destroys.
     store: NodeStore,
     marks: BTreeMap<(TxnId, u32), (u64, u64)>,
     /// Mid-step progress recovered from the log: the next redelivered
@@ -184,14 +207,10 @@ struct DataActor<'a> {
     partials: BTreeMap<(TxnId, u32), Partial>,
     wal: Option<WalWriter>,
     replies: Coalescer,
-    batch_max: usize,
     rx: MsgCounts,
     read_checksum: u64,
-    catalog: &'a Catalog,
     /// Write a node snapshot once the log reaches this LSN.
     snapshot_due: u64,
-    wal_dir: Option<&'a Path>,
-    tel: &'a DataTel,
     /// Per-partition version chains (empty while the snapshot plane is
     /// off: nothing inserts without a sealed write or a snapshot read).
     chains: BTreeMap<u32, VersionChain>,
@@ -208,11 +227,179 @@ struct DataActor<'a> {
     /// all its replies and can never redeliver; `gc_poll` drops such memos,
     /// keeping a sustained read mix from growing this map without bound.
     snap_mark_holds: BTreeMap<u32, BTreeSet<(u64, TxnId, u32)>>,
-    /// Control-published GC floors (`None` ⇒ snapshot plane off).
-    mvcc: Option<Arc<GcWatermark>>,
+}
+
+fn open_writer(
+    cfg: &DataNodeParams<'_>,
+    next_lsn: u64,
+    tails: BTreeMap<u32, u64>,
+) -> Result<Option<WalWriter>, DurError> {
+    let open = |(level, dir)| WalWriter::open(&files::node_wal(dir, cfg.node), level, next_lsn, tails);
+    cfg.log.map(open).transpose()
 }
 
 impl<'a> DataActor<'a> {
+    /// Node `cfg.node`, up, with a zeroed store and a fresh log.
+    pub fn start(
+        mut cfg: DataNodeParams<'a>,
+        to_control: &Arc<dyn MsgTx>,
+    ) -> Result<DataActor<'a>, NetError> {
+        let (node, logs) = (cfg.node as usize, cfg.log.is_some());
+        cfg.crash = cfg.crash.filter(|c| c.node == node);
+        // A kill restarts the node from its log: without one it never fires.
+        cfg.kill = cfg.kill.filter(|k| logs && k.node.is_none_or(|n| n == node));
+        Ok(DataActor {
+            tel: DataTel::new(cfg.reg),
+            to_control: Arc::clone(to_control),
+            processed: 0,
+            down: None,
+            store: NodeStore::for_node(cfg.catalog, cfg.node),
+            marks: BTreeMap::new(),
+            partials: BTreeMap::new(),
+            wal: open_writer(&cfg, 0, BTreeMap::new())?,
+            replies: Coalescer::new(Arc::clone(to_control), cfg.batch_max),
+            rx: MsgCounts::default(),
+            read_checksum: 0,
+            snapshot_due: SNAPSHOT_EVERY,
+            chains: BTreeMap::new(),
+            snap_marks: BTreeMap::new(),
+            snap_mark_holds: BTreeMap::new(),
+            cfg,
+        })
+    }
+
+    /// The actor's whole input: one message and the instant it arrived. A
+    /// window `now` is past ends first; a fault plan that has come due opens
+    /// one; a down node loses the message; an up node handles it.
+    pub fn deliver(&mut self, m: Msg, now: Instant) -> Result<Flow, NetError> {
+        if let Flow::Stop = self.window_over(now)? {
+            return Ok(Flow::Stop);
+        }
+        if self.down.is_none() {
+            self.down = self.trip(now);
+        }
+        if self.down.is_some() {
+            // Lost and counted, a batch whole. If the run's `Shutdown` was
+            // (in) it, control will never speak again: stop now instead of
+            // waiting out the window for orders that cannot come.
+            self.tel.crash_drops.inc();
+            let last = contains_shutdown(&m);
+            return Ok(if last { Flow::Stop } else { Flow::Continue });
+        }
+        // Fault triggers count protocol messages, not wire frames: a Batch
+        // weighs its payload, so a kill or crash scheduled "after N
+        // messages" fires however the coalescers grouped them.
+        self.processed += if let Msg::Batch(inner) = &m { inner.len().max(1) as u64 } else { 1 };
+        let flow = self.handle(m)?;
+        if flow == Flow::Continue {
+            self.maybe_snapshot()?;
+        }
+        Ok(flow)
+    }
+
+    /// Ends the dark window if `now` is past it; a no-op otherwise.
+    pub fn window_over(&mut self, now: Instant) -> Result<Flow, NetError> {
+        match self.down {
+            Some(Down { until, .. }) if now >= until => self.wake(true),
+            _ => Ok(Flow::Continue),
+        }
+    }
+
+    /// Whether `now` steers this node at all: a window is open or a fault
+    /// plan has yet to fire. The fault-free path never looks at the clock.
+    fn timed(&self) -> bool {
+        self.down.is_some() || self.cfg.kill.is_some() || self.cfg.crash.is_some()
+    }
+
+    /// The fault plan that has come due, as the window it opens. A kill is
+    /// process death on the spot: the incarnation's tallies are published
+    /// and the log writer dropped with whatever its userspace buffer held —
+    /// only what the log and snapshot files hold survives the window.
+    fn trip(&mut self, now: Instant) -> Option<Down> {
+        let n = self.processed;
+        let (down_ms, restart_from_log) = match self.cfg.kill.take_if(|k| n >= k.after_msgs) {
+            Some(k) => (k.down_ms, true),
+            None => (self.cfg.crash.take_if(|c| n >= c.after_msgs)?.down_ms, false),
+        };
+        if restart_from_log {
+            self.retire();
+            self.wal = None;
+        }
+        let until = now + Duration::from_millis(down_ms);
+        Some(Down { until, restart_from_log })
+    }
+
+    /// Leaves `Down` (a no-op when up). A crashed node's store, marks and
+    /// buffered replies survived: it just carries on. A killed node is
+    /// rebuilt from disk — the log's dependency chains replayed in
+    /// parallel — and, if anyone is left to hear it, announces `Recover`.
+    fn wake(&mut self, announce: bool) -> Result<Flow, NetError> {
+        let killed = self.down.take().filter(|d| d.restart_from_log);
+        let Some((_, (_, dir))) = killed.zip(self.cfg.log) else {
+            return Ok(Flow::Continue);
+        };
+        let workers = std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+            .min(REPLAY_WORKERS);
+        let rec = recover(self.cfg.catalog, self.cfg.node, dir, workers)?;
+        self.tel.recoveries.inc();
+        self.tel.replayed_chunks.add(rec.replayed_chunks);
+        self.tel.replayed_chains.add(rec.chains);
+        self.tel.torn_tails.add(u64::from(rec.torn_tail));
+        for &len in &rec.chain_sizes {
+            self.tel.replay_chain.record(len);
+        }
+        self.wal = open_writer(&self.cfg, rec.next_lsn, rec.tails)?;
+        self.store = rec.store;
+        self.marks = rec.marks;
+        self.partials = rec.partials;
+        self.read_checksum = rec.read_checksum;
+        self.snapshot_due = rec.next_lsn + SNAPSHOT_EVERY;
+        let announced = !announce
+            || self.replies.push(Msg::Recover {
+                node: self.cfg.node,
+                last_lsn: rec.next_lsn,
+                replayed_chunks: rec.replayed_chunks,
+            }) && self.replies.flush();
+        Ok(if announced { Flow::Continue } else { Flow::Stop })
+    }
+
+    /// What must happen before the loop may block on an empty inbox: the
+    /// log barrier (or, with nothing about to escape, the aged flush), the
+    /// GC poll, and the reply flush — control is never starved of a reply
+    /// the actor is sitting on. A down node neither writes nor speaks; what
+    /// a crashed one had buffered waits for the window's end.
+    pub fn before_block(&mut self) -> Result<Flow, NetError> {
+        if self.down.is_some() {
+            return Ok(Flow::Continue);
+        }
+        if self.replies.pending() > 0 {
+            self.wal_barrier()?;
+        } else {
+            self.wal_flush_aged()?;
+        }
+        self.gc_poll();
+        Ok(if self.replies.flush() { Flow::Continue } else { Flow::Stop })
+    }
+
+    /// Orderly exit. A node stopped while down still wakes — a killed one
+    /// restarts from its log, because the recovered state feeds the outcome
+    /// — but control has moved past it, so nothing is announced. The
+    /// teardown barrier drains the group-commit buffer at every level, so
+    /// the log on disk is complete; on link loss the reply flush is a no-op.
+    pub fn finish(mut self) -> Result<DataOutcome, NetError> {
+        self.wake(false)?;
+        self.wal_barrier()?;
+        self.replies.flush();
+        self.retire();
+        Ok(DataOutcome {
+            cell_sum: self.store.cell_sum(),
+            write_units: self.store.write_units(),
+            read_checksum: self.read_checksum,
+        })
+    }
+
     /// Reply barrier: nothing escaping the node may outrun the log. At
     /// every level this writes the buffered records to the file — a kill
     /// destroys only the process's userspace, so the `write` is what makes
@@ -238,7 +425,7 @@ impl<'a> DataActor<'a> {
         };
         let before = w.stats;
         op(w)?;
-        let (t, after) = (self.tel, w.stats);
+        let (t, after) = (&self.tel, w.stats);
         for (counter, delta) in [
             (&t.wal_records, after.records - before.records),
             (&t.wal_flushes, after.flushes - before.flushes),
@@ -263,30 +450,27 @@ impl<'a> DataActor<'a> {
 
     /// Pushes a reply, placing a log barrier first whenever this push will
     /// flush the reply batch — the invariant that nothing escaping the node
-    /// outruns the log. Returns `Ok(false)` once the peer is gone.
-    fn push_reply(&mut self, m: Msg) -> Result<bool, NetError> {
-        if self.replies.pending() + 1 >= self.batch_max {
+    /// outruns the log. `Stop` once the peer is gone.
+    fn push_reply(&mut self, m: Msg) -> Result<Flow, NetError> {
+        if self.replies.pending() + 1 >= self.cfg.batch_max {
             self.wal_barrier()?;
         }
-        Ok(self.replies.push(m))
+        Ok(if self.replies.push(m) { Flow::Continue } else { Flow::Stop })
     }
 
     /// Writes a snapshot checkpoint when the log has grown past the due
     /// mark, bounding any future replay to the records that follow.
     fn maybe_snapshot(&mut self) -> Result<(), NetError> {
-        let due = self.wal.as_ref().is_some_and(|w| w.next_lsn() >= self.snapshot_due);
-        let Some(dir) = self.wal_dir else {
+        let next_lsn = self.wal.as_ref().map(WalWriter::next_lsn);
+        let (Some((_, dir)), Some(next_lsn)) = (self.cfg.log, next_lsn) else {
             return Ok(());
         };
-        if !due {
+        if next_lsn < self.snapshot_due {
             return Ok(());
         }
         // The snapshot claims everything below next_lsn; barrier so the
         // claim never outruns the file.
         self.wal_barrier()?;
-        let Some(next_lsn) = self.wal.as_ref().map(WalWriter::next_lsn) else {
-            return Ok(());
-        };
         let snap = snapshot_from_state(
             next_lsn,
             self.store.snapshot_parts(),
@@ -295,45 +479,10 @@ impl<'a> DataActor<'a> {
             &self.marks,
             &self.partials,
         );
-        write_node_snapshot(&files::node_snapshot(dir, self.node), &snap)?;
+        write_node_snapshot(&files::node_snapshot(dir, self.cfg.node), &snap)?;
         self.tel.checkpoints.inc();
         self.snapshot_due = next_lsn + SNAPSHOT_EVERY;
         Ok(())
-    }
-
-    /// Replays the full reply stream of an already-applied step: every
-    /// `StatsDelta` plus the `AccessDone`. Control's chunk cursor drops the
-    /// ones it already credited and applies the ones a kill destroyed.
-    fn replay_marked(
-        &mut self,
-        txn: TxnId,
-        step: u32,
-        checksum: u64,
-        done_units: u64,
-        chunk_size: u64,
-    ) -> Result<Flow, NetError> {
-        let mut offset = 0u64;
-        let mut chunk_idx = 0u64;
-        while offset < done_units {
-            let chunk = chunk_size.min(done_units - offset);
-            if !self.push_reply(Msg::StatsDelta {
-                txn,
-                step,
-                chunk: chunk_idx,
-                units: chunk,
-            })? {
-                return Ok(Flow::Stop);
-            }
-            offset += chunk;
-            chunk_idx += 1;
-        }
-        let ok = self.push_reply(Msg::AccessDone {
-            txn,
-            step,
-            checksum,
-            units: done_units,
-        })?;
-        Ok(if ok { Flow::Continue } else { Flow::Stop })
     }
 
     /// Prunes every chain to the control-published GC floor, and drops
@@ -342,7 +491,7 @@ impl<'a> DataActor<'a> {
     /// partition only writers touch would keep its chain forever without
     /// this idle-time poll.
     fn gc_poll(&mut self) {
-        let Some(w) = &self.mvcc else {
+        let Some(w) = &self.cfg.mvcc else {
             return;
         };
         for (p, chain) in self.chains.iter_mut() {
@@ -375,7 +524,7 @@ impl<'a> DataActor<'a> {
             }
             Msg::Shutdown => Ok(Flow::Stop),
             Msg::RecoverAck { node, .. } => {
-                debug_assert_eq!(node, self.node);
+                debug_assert_eq!(node, self.cfg.node);
                 // Informational: outstanding orders are already being
                 // re-sent; the marks/partials make them idempotent.
                 Ok(Flow::Continue)
@@ -389,13 +538,18 @@ impl<'a> DataActor<'a> {
                 chunk_units,
                 seal,
             } => {
-                debug_assert_eq!(self.catalog.node_of(partition), self.node);
-                let chunk_size = chunk_units.max(1);
-                if let Some(&(checksum, done_units)) = self.marks.get(&(txn, step)) {
-                    // Redelivery of an applied step: answer, don't re-apply.
-                    return self.replay_marked(txn, step, checksum, done_units, chunk_size);
-                }
-                if self.mvcc.is_some() && mode == AccessMode::Write {
+                debug_assert_eq!(self.cfg.catalog.node_of(partition), self.cfg.node);
+                // How far the step already got: a mark is all of it (answer,
+                // don't re-apply), a recovered partial its durable prefix.
+                let marked = self.marks.get(&(txn, step)).copied();
+                let (applied_chunks, mut checksum) = match marked {
+                    Some((checksum, _)) => (u64::MAX, checksum),
+                    None => {
+                        let p = self.partials.remove(&(txn, step)).unwrap_or_default();
+                        (p.next_chunk, p.checksum)
+                    }
+                };
+                if marked.is_none() && self.cfg.mvcc.is_some() && mode == AccessMode::Write {
                     // Record the write in the partition's version chain
                     // under its control-assigned seal sequence. The whole
                     // step applies within this handle() call, so between
@@ -406,72 +560,54 @@ impl<'a> DataActor<'a> {
                         .or_default()
                         .record(seal, txn, units);
                 }
-                // Resume point: chunks below `next_chunk` were applied and
-                // logged before a kill; their deltas re-send (control
-                // de-duplicates or heals) and application continues from
-                // the durable progress mark.
-                let resumed = self.partials.remove(&(txn, step)).unwrap_or_default();
-                for i in 0..resumed.next_chunk {
-                    let prior = chunk_size.min(units.saturating_sub(i * chunk_size));
-                    if prior == 0 {
-                        break;
+                for (chunk, offset, len) in chunks(units, chunk_units) {
+                    if chunk >= applied_chunks {
+                        let sum = self.store.apply_chunk(partition, mode, offset, len)?;
+                        checksum = checksum.wrapping_add(sum);
+                        self.tel.units.add(len);
+                        // Log before the delta can leave: the record is in
+                        // the writer (and on any flush path, in the file)
+                        // before control can ever learn of the chunk.
+                        let record = ChunkRecord {
+                            lsn: 0,
+                            prev_lsn: 0,
+                            txn,
+                            step,
+                            chunk,
+                            partition,
+                            mode,
+                            start_unit: offset,
+                            units: len,
+                            checksum: sum,
+                            complete: offset + len >= units,
+                        };
+                        self.with_wal(|w| w.append(record).map(drop))?;
                     }
-                    if !self.push_reply(Msg::StatsDelta {
+                    // Chunks already applied are only re-announced:
+                    // control's cursor drops the deltas it already credited
+                    // and applies the ones a kill destroyed.
+                    let delta = Msg::StatsDelta {
                         txn,
                         step,
-                        chunk: i,
-                        units: prior,
-                    })? {
-                        return Ok(Flow::Stop);
-                    }
-                }
-                let mut offset = resumed.units_done;
-                let mut chunk_idx = resumed.next_chunk;
-                let mut checksum = resumed.checksum;
-                while offset < units {
-                    let chunk = chunk_size.min(units - offset);
-                    let sum = self.store.apply_chunk(partition, mode, offset, chunk)?;
-                    checksum = checksum.wrapping_add(sum);
-                    self.tel.units.add(chunk);
-                    // Log before the delta can leave: the record is in the
-                    // writer (and on any flush path, in the file) before
-                    // control can ever learn of the chunk.
-                    let record = ChunkRecord {
-                        lsn: 0,
-                        prev_lsn: 0,
-                        txn,
-                        step,
-                        chunk: chunk_idx,
-                        partition,
-                        mode,
-                        start_unit: offset,
-                        units: chunk,
-                        checksum: sum,
-                        complete: offset + chunk >= units,
+                        chunk,
+                        units: len,
                     };
-                    self.with_wal(|w| w.append(record).map(drop))?;
-                    if !self.push_reply(Msg::StatsDelta {
-                        txn,
-                        step,
-                        chunk: chunk_idx,
-                        units: chunk,
-                    })? {
+                    if let Flow::Stop = self.push_reply(delta)? {
                         return Ok(Flow::Stop);
                     }
-                    offset += chunk;
-                    chunk_idx += 1;
                 }
-                if mode == AccessMode::Read {
-                    self.read_checksum = self.read_checksum.wrapping_add(checksum);
+                if marked.is_none() {
+                    if mode == AccessMode::Read {
+                        self.read_checksum = self.read_checksum.wrapping_add(checksum);
+                    }
+                    self.marks.insert((txn, step), (checksum, units));
                 }
-                self.marks.insert((txn, step), (checksum, units));
-                let ok = self.push_reply(Msg::AccessDone {
+                self.push_reply(Msg::AccessDone {
                     txn,
                     step,
                     checksum,
                     units,
-                })?;
-                Ok(if ok { Flow::Continue } else { Flow::Stop })
+                })
             }
             Msg::SnapshotRead {
                 txn,
@@ -482,88 +618,83 @@ impl<'a> DataActor<'a> {
                 exclude,
                 floor,
             } => {
-                debug_assert_eq!(self.catalog.node_of(partition), self.node);
-                if self.mvcc.is_none() {
+                debug_assert_eq!(self.cfg.catalog.node_of(partition), self.cfg.node);
+                if self.cfg.mvcc.is_none() {
                     return Err(NetError::Protocol(format!(
                         "data node {} received SnapshotRead with the snapshot plane off",
-                        self.node
+                        self.cfg.node
                     )));
                 }
-                if let Some(&(checksum, marked_units)) = self.snap_marks.get(&(txn, step)) {
-                    // Redelivery: answer from the memo (see `snap_marks`).
-                    let ok = self.push_reply(Msg::SnapshotReply {
-                        txn,
-                        step,
-                        checksum,
-                        units: marked_units,
+                let (checksum, units) = if let Some(&memo) = self.snap_marks.get(&(txn, step)) {
+                    memo // Redelivery: answer from the memo (see `snap_marks`).
+                } else {
+                    let chain = self.chains.entry(partition.0).or_default();
+                    // The piggybacked floor lets the chain shed entries no
+                    // active snapshot can need, before reconstructing this one.
+                    chain.prune_below(floor);
+                    let current = self.store.cells(partition).ok_or_else(|| {
+                        NetError::Protocol(format!(
+                            "data node {} owns no cells for partition {}",
+                            self.cfg.node, partition.0
+                        ))
                     })?;
-                    return Ok(if ok { Flow::Continue } else { Flow::Stop });
-                }
-                let chain = self.chains.entry(partition.0).or_default();
-                // The piggybacked floor lets the chain shed entries no
-                // active snapshot can need, before reconstructing this one.
-                chain.prune_below(floor);
-                let current = self.store.cells(partition).ok_or_else(|| {
-                    NetError::Protocol(format!(
-                        "data node {} owns no cells for partition {}",
-                        self.node, partition.0
-                    ))
-                })?;
-                let cells = chain.snapshot_cells(current, horizon, &exclude);
-                let checksum = read_checksum(&cells, units);
-                self.snap_marks.insert((txn, step), (checksum, units));
-                // Same hold the control side registered for this read (the
-                // exclusion list arrives sorted ascending): the memo is
-                // evictable once the floor passes it.
-                let hold = exclude.first().copied().unwrap_or(horizon);
-                self.snap_mark_holds
-                    .entry(partition.0)
-                    .or_default()
-                    .insert((hold, txn, step));
-                self.tel.snapshot_reads.inc();
-                let ok = self.push_reply(Msg::SnapshotReply {
+                    let cells = chain.snapshot_cells(current, horizon, &exclude);
+                    let fresh = (read_checksum(&cells, units), units);
+                    self.snap_marks.insert((txn, step), fresh);
+                    // Same hold the control side registered for this read
+                    // (the exclusion list arrives sorted ascending): the memo
+                    // is evictable once the floor passes it.
+                    let hold = exclude.first().copied().unwrap_or(horizon);
+                    self.snap_mark_holds
+                        .entry(partition.0)
+                        .or_default()
+                        .insert((hold, txn, step));
+                    self.tel.snapshot_reads.inc();
+                    fresh
+                };
+                self.push_reply(Msg::SnapshotReply {
                     txn,
                     step,
                     checksum,
                     units,
-                })?;
-                Ok(if ok { Flow::Continue } else { Flow::Stop })
+                })
             }
             other => Err(NetError::Protocol(format!(
                 "data node {} received {other:?}, which it never handles",
-                self.node
+                self.cfg.node
             ))),
         }
     }
 
     /// Publishes the tallies this incarnation kept privately — message
-    /// counts, the reply coalescer's, its version chains' — and drops it.
-    /// On the kill path that drop IS the process death: store, marks,
-    /// buffered replies, and the log writer's userspace buffer are
-    /// destroyed together; the registry's handles are what outlives it.
-    fn publish(self, reg: &Registry) {
-        crate::publish(reg, metric::msg_rx, self.rx.fields());
-        self.replies.publish(reg);
-        let (mut appended, mut pruned, mut live_peak) = (0, 0, 0);
-        for c in self.chains.values() {
-            let (a, p, peak) = c.totals();
-            appended += a;
-            pruned += p;
-            live_peak = peak.max(live_peak);
-        }
+    /// counts, the reply coalescer's, its version chains' — and leaves
+    /// fresh ones behind, buffered replies and snapshot memos gone: on the
+    /// kill path this is the in-memory half of process death, and the
+    /// registry's handles are what outlives it.
+    fn retire(&mut self) {
+        let reg = self.cfg.reg;
+        crate::publish(reg, metric::msg_rx, std::mem::take(&mut self.rx).fields());
+        let fresh = Coalescer::new(Arc::clone(&self.to_control), self.cfg.batch_max);
+        std::mem::replace(&mut self.replies, fresh).publish(reg);
+        let (appended, pruned, live_peak) = std::mem::take(&mut self.chains)
+            .values()
+            .map(VersionChain::totals)
+            .fold((0, 0, 0), |(a, p, peak), (da, dp, k)| (a + da, p + dp, k.max(peak)));
+        self.snap_marks.clear();
+        self.snap_mark_holds.clear();
         crate::publish(
             reg,
             str::to_string,
             [(metric::CHAIN_APPENDED, appended), (metric::CHAIN_PRUNED, pruned)],
         );
         if live_peak > 0 {
-            reg.gauge(&metric::node_chain_live_peak(self.node as usize)).set(live_peak);
+            reg.gauge(&metric::node_chain_live_peak(self.cfg.node as usize)).set(live_peak);
         }
     }
 }
 
 /// Whether a lost message (or any message inside a lost batch) was the
-/// run's `Shutdown` — a killed node that swallowed it must exit instead of
+/// run's `Shutdown` — a down node that swallowed it must exit instead of
 /// rejoining, because control will never speak to it again.
 fn contains_shutdown(m: &Msg) -> bool {
     match m {
@@ -588,188 +719,33 @@ pub fn run_data_node(
     inbox: &Inbox,
     to_control: &Arc<dyn MsgTx>,
 ) -> Result<DataOutcome, NetError> {
-    let DataNodeParams {
-        catalog,
-        node,
-        crash,
-        kill,
-        batch_max,
-        log,
-        reg,
-        mvcc,
-    } = params;
-    let tel = DataTel::new(reg);
-    let mut crash = crash.filter(|c| c.node as u32 == node);
-    // A kill restarts the node from its log, so the plan travels with it.
-    let mut kill = kill
-        .filter(|k| k.node.is_none() || k.node == Some(node as usize))
-        .zip(log);
-    let open_writer = |next_lsn: u64, tails: BTreeMap<u32, u64>| {
-        log.map(|(durability, dir)| {
-            WalWriter::open(&files::node_wal(dir, node), durability, next_lsn, tails)
-        })
-        .transpose()
-    };
-    let fresh_actor = |wal: Option<WalWriter>| DataActor {
-        node,
-        store: NodeStore::for_node(catalog, node),
-        marks: BTreeMap::new(),
-        partials: BTreeMap::new(),
-        wal,
-        replies: Coalescer::new(Arc::clone(to_control), batch_max),
-        batch_max,
-        rx: MsgCounts::default(),
-        read_checksum: 0,
-        catalog,
-        snapshot_due: SNAPSHOT_EVERY,
-        wal_dir: log.map(|(_, dir)| dir),
-        tel: &tel,
-        chains: BTreeMap::new(),
-        snap_marks: BTreeMap::new(),
-        snap_mark_holds: BTreeMap::new(),
-        mvcc: mvcc.clone(),
-    };
-
-    let mut processed = 0u64;
-    let mut actor = fresh_actor(open_writer(0, BTreeMap::new())?);
-
-    'main: loop {
+    let mut actor = DataActor::start(params, to_control)?;
+    let started = Instant::now();
+    loop {
         // Drain bursts without blocking so consecutive orders' replies
-        // coalesce; barrier the log and flush buffered replies before idle.
-        let m = match inbox.try_pop() {
-            PopResult::Item(m) => m,
+        // coalesce; block only after `before_block`, and while down only
+        // until the window ends.
+        let popped = match inbox.try_pop() {
             PopResult::Empty => {
-                if actor.replies.pending() > 0 {
-                    actor.wal_barrier()?;
-                } else {
-                    actor.wal_flush_aged()?;
+                if let Flow::Stop = actor.before_block()? {
+                    break;
                 }
-                actor.gc_poll();
-                if !actor.replies.flush() {
-                    break 'main;
-                }
-                match inbox.pop() {
-                    Some(m) => m,
-                    None => break 'main,
-                }
+                inbox.pop_timeout(match &actor.down {
+                    Some(d) => d.until.saturating_duration_since(Instant::now()),
+                    None => Duration::MAX,
+                })
             }
-            PopResult::Closed => break 'main,
+            ready => ready,
         };
-        // Fault triggers count protocol messages, not wire frames: a Batch
-        // weighs its payload, so a kill or crash scheduled "after N
-        // messages" fires however the coalescers grouped them.
-        let weight = match &m {
-            Msg::Batch(inner) => inner.len().max(1) as u64,
-            _ => 1,
+        let now = if actor.timed() { Instant::now() } else { started };
+        let flow = match popped {
+            PopResult::Item(m) => actor.deliver(m, now)?,
+            PopResult::Empty => actor.window_over(now)?,
+            PopResult::Closed => Flow::Stop,
         };
-        if let Some((plan, (_, dir))) = kill {
-            if processed >= plan.after_msgs {
-                // Process death: the triggering message is lost, the whole
-                // in-memory incarnation is destroyed (only what the log and
-                // snapshot files hold survives), and the node is dark for
-                // the down window.
-                kill = None;
-                tel.crash_drops.inc();
-                actor.publish(reg);
-                let mut saw_shutdown = contains_shutdown(&m);
-                let mut closed = false;
-                let deadline = Instant::now() + Duration::from_millis(plan.down_ms);
-                loop {
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        break;
-                    }
-                    match inbox.pop_timeout(left) {
-                        PopResult::Item(dropped) => {
-                            tel.crash_drops.inc();
-                            saw_shutdown |= contains_shutdown(&dropped);
-                        }
-                        PopResult::Empty => break,
-                        PopResult::Closed => {
-                            closed = true;
-                            break;
-                        }
-                    }
-                }
-                // Restart: replay the log's dependency chains in parallel
-                // and rejoin with a Recover announcement.
-                let workers = std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-                    .min(REPLAY_WORKERS);
-                let rec = recover(catalog, node, dir, workers)?;
-                tel.recoveries.inc();
-                tel.replayed_chunks.add(rec.replayed_chunks);
-                tel.replayed_chains.add(rec.chains);
-                tel.torn_tails.add(u64::from(rec.torn_tail));
-                for &len in &rec.chain_sizes {
-                    tel.replay_chain.record(len);
-                }
-                let wal = open_writer(rec.next_lsn, rec.tails)?;
-                actor = fresh_actor(wal);
-                actor.store = rec.store;
-                actor.marks = rec.marks;
-                actor.partials = rec.partials;
-                actor.read_checksum = rec.read_checksum;
-                actor.snapshot_due = rec.next_lsn + SNAPSHOT_EVERY;
-                if closed || saw_shutdown {
-                    // Transport teardown hit mid-window, or the run's
-                    // Shutdown was among the lost messages — control has
-                    // already moved past this node, so a Recover would
-                    // never be answered and blocking for new orders would
-                    // hang the join. The recovered state still feeds the
-                    // outcome; exit orderly instead.
-                    break 'main;
-                }
-                let announced = actor.replies.push(Msg::Recover {
-                    node,
-                    last_lsn: rec.next_lsn,
-                    replayed_chunks: rec.replayed_chunks,
-                }) && actor.replies.flush();
-                if !announced {
-                    break 'main;
-                }
-                continue 'main;
-            }
-        }
-        if let Some(plan) = crash {
-            if processed >= plan.after_msgs {
-                // Down: this wire message and everything else in the window
-                // is lost (a batch is lost whole). The durable store and
-                // marks survive the restart; buffered replies do not.
-                crash = None;
-                tel.crash_drops.inc();
-                let deadline = Instant::now() + Duration::from_millis(plan.down_ms);
-                loop {
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        continue 'main;
-                    }
-                    match inbox.pop_timeout(left) {
-                        PopResult::Item(_) => tel.crash_drops.inc(),
-                        PopResult::Empty => continue 'main,
-                        PopResult::Closed => break 'main,
-                    }
-                }
-            }
-        }
-        processed += weight;
-        if let Flow::Stop = actor.handle(m)? {
+        if let Flow::Stop = flow {
             break;
         }
-        actor.maybe_snapshot()?;
     }
-    // Best-effort final flush: the teardown barrier drains the group-commit
-    // buffer at every level, so an orderly exit leaves a complete log on
-    // disk; on link loss the reply flush is a no-op anyway.
-    actor.wal_barrier()?;
-    actor.replies.flush();
-
-    let out = DataOutcome {
-        cell_sum: actor.store.cell_sum(),
-        write_units: actor.store.write_units(),
-        read_checksum: actor.read_checksum,
-    };
-    actor.publish(reg);
-    Ok(out)
+    actor.finish()
 }

@@ -99,11 +99,10 @@ pub struct RunPlan<'a> {
     pub(crate) wal_dir: Option<&'a Path>,
     /// Each shard's control-checkpoint path (`None` without a log).
     pub(crate) ckpts: Vec<Option<PathBuf>>,
-    /// Round-robin workload split: client c drives specs[c], specs[c+N], …
-    pub(crate) slices: Vec<Vec<TxnSpec>>,
-    /// Open loop: one shared Poisson schedule, dealt round-robin exactly
-    /// like the specs so arrival i still drives spec i.
-    pub(crate) arrivals: Option<Vec<Vec<u64>>>,
+    /// Open loop: one shared Poisson schedule, one arrival per spec. Client
+    /// c of N takes every N-th from c of both (`client::share`), so arrival
+    /// i still drives spec i.
+    pub(crate) arrivals: Option<Vec<u64>>,
     /// The open-loop driver sheds on what `try_pop` sees and paces arrivals
     /// with sub-millisecond timed waits; a socket mailbox offers neither
     /// (frames already read; the kernel's tick-rounded receive timeout), so
@@ -171,15 +170,9 @@ impl<'a> RunPlan<'a> {
                 })
             })
             .collect();
-        let slices = (0..clients)
-            .map(|c| specs.iter().skip(c).step_by(clients).cloned().collect())
-            .collect();
-        let arrivals = cfg.open_loop.map(|ol| {
-            let all = poisson_arrivals_us(specs.len(), ol.lambda_tps, ol.seed);
-            (0..clients)
-                .map(|c| all.iter().skip(c).step_by(clients).copied().collect())
-                .collect()
-        });
+        let arrivals = cfg
+            .open_loop
+            .map(|ol| poisson_arrivals_us(specs.len(), ol.lambda_tps, ol.seed));
         Ok(RunPlan {
             cfg,
             fault,
@@ -192,7 +185,6 @@ impl<'a> RunPlan<'a> {
             map,
             wal_dir,
             ckpts,
-            slices,
             arrivals,
             pump_client_sockets: cfg.open_loop.is_some(),
         })
@@ -212,6 +204,7 @@ impl<'a> RunPlan<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::share;
     use crate::runtime::OpenLoop;
     use crate::transport::InProc;
     use wtpg_dur::Durability;
@@ -239,9 +232,15 @@ mod tests {
         assert_eq!(plan.clients(), 10, "never more clients than transactions");
         assert_eq!(plan.shards(), 2, "never more shards than conflict components");
         assert_eq!(plan.watchdog, Duration::from_millis(1));
-        assert_eq!(plan.slices.iter().map(Vec::len).sum::<usize>(), 10);
-        let arrivals = plan.arrivals.as_ref().expect("open loop deals arrivals");
-        assert_eq!(arrivals.iter().map(Vec::len).sum::<usize>(), 10);
+        // Nothing is dealt out: each client strides the one workload and the
+        // one schedule, and between them they cover every index once.
+        let arrivals = plan.arrivals.as_deref().expect("open loop has a schedule");
+        assert_eq!(arrivals.len(), specs.len());
+        let ids = |c| share(&specs, c, plan.clients()).map(|s| s.id).collect::<Vec<_>>();
+        assert_eq!(ids(3), vec![specs[3].id], "ten clients, ten specs: one each");
+        let mut dealt: Vec<_> = (0..10).flat_map(ids).collect();
+        dealt.sort();
+        assert_eq!(dealt, specs.iter().map(|s| s.id).collect::<Vec<_>>());
         assert!(plan.pump_client_sockets);
         assert_eq!(plan.wal_dir, None, "no log: the directory is dropped, not inspected");
         assert_eq!(plan.ckpts, vec![None, None]);

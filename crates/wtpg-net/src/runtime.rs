@@ -19,7 +19,7 @@
 //!    independent control actors, each running its own scheduler over a
 //!    disjoint slice of the WTPG.
 //! 3. **drive** — `drive_threads` runs all actors to completion on scoped
-//!    threads: clients submit their transaction slices and wait for commit
+//!    threads: clients submit their shares of the workload and wait for commit
 //!    acks, each control shard exits after its last commit, and the
 //!    *runtime* broadcasts `Shutdown` to the data nodes once every shard is
 //!    done, then tears the plumbing down in the order that lets every
@@ -369,14 +369,6 @@ pub fn run_cell_load(
 /// What one shard's certifier thread returns.
 type StreamVerdict = Result<(CertifyReport, usize), CertifyViolation>;
 
-/// One client actor's inputs (its id is its index).
-struct ClientParams<'a> {
-    specs: &'a [TxnSpec],
-    /// The client's share of the Poisson schedule; `Some` drives open loop.
-    arrivals: Option<&'a [u64]>,
-    reg: &'a Registry,
-}
-
 /// Phase 2 of a run: everything the actors need, built from a validated
 /// plan and not yet running — the fabric with its fault-wrapped links and
 /// pumps, the certifier channels, and each actor's parameters as plain
@@ -391,8 +383,8 @@ pub(crate) struct ActorSet<'a> {
     data: Vec<DataNodeParams<'a>>,
     data_inboxes: Vec<Inbox>,
     data_to_control: Vec<Arc<dyn MsgTx>>,
-    /// One per client, likewise.
-    clients: Vec<ClientParams<'a>>,
+    /// One per client, likewise. A client has no parameters of its own:
+    /// each strides its share of the plan's workload (`client::share`).
     client_inboxes: Vec<Inbox>,
     client_to_control: Vec<Arc<dyn MsgTx>>,
     /// The fabric's control inbox: the sole shard's own, or what the
@@ -522,27 +514,12 @@ impl<'a> ActorSet<'a> {
                 mvcc: watermark.clone(),
             })
             .collect();
-        let clients = plan
-            .slices
-            .iter()
-            .enumerate()
-            .map(|(c, slice)| ClientParams {
-                specs: slice,
-                arrivals: plan
-                    .arrivals
-                    .as_ref()
-                    .and_then(|a| a.get(c))
-                    .map(Vec::as_slice),
-                reg,
-            })
-            .collect();
         Ok(ActorSet {
             controls,
             shard_inboxes,
             data,
             data_inboxes: fabric.data_inboxes,
             data_to_control,
-            clients,
             client_inboxes,
             client_to_control: fabric.client_to_control,
             control_inbox: fabric.control_inbox,
@@ -601,39 +578,21 @@ fn drive_threads(set: ActorSet<'_>, plan: &RunPlan<'_>, reg: &Registry) -> Joine
             .zip(&set.data_to_control)
             .map(|((params, inbox), tx)| s.spawn(move || run_data_node(params, inbox, tx)))
             .collect();
-        let client_handles: Vec<_> = set
-            .clients
-            .into_iter()
+        let client_handles: Vec<_> = (0u32..)
             .zip(&set.client_inboxes)
             .zip(&set.client_to_control)
-            .enumerate()
-            .map(|(c, ((params, inbox), tx))| {
-                s.spawn(move || match (params.arrivals, cfg.open_loop) {
+            .map(|((c, inbox), tx)| {
+                let (n, specs) = (plan.clients, plan.specs);
+                s.spawn(move || match (plan.arrivals.as_deref(), cfg.open_loop) {
                     (Some(arrivals_us), Some(ol)) => {
                         let schedule = OpenLoopPlan {
                             arrivals_us,
                             inflight: ol.inflight,
                             wall: run_wall,
                         };
-                        run_client_open_loop(
-                            c as u32,
-                            params.specs,
-                            &schedule,
-                            inbox,
-                            tx,
-                            watchdog,
-                            params.reg,
-                        )
+                        run_client_open_loop(c, n, specs, &schedule, inbox, tx, watchdog, reg)
                     }
-                    _ => run_client(
-                        c as u32,
-                        params.specs,
-                        inbox,
-                        tx,
-                        watchdog,
-                        cfg.pipeline,
-                        params.reg,
-                    ),
+                    _ => run_client(c, n, specs, inbox, tx, watchdog, cfg.pipeline, reg),
                 })
             })
             .collect();

@@ -609,7 +609,7 @@ mod tests {
         assert_eq!(rx.lock().expect("mailbox lock").timeout, None);
     }
 
-    /// A `Read` that hands out `data` in slices of the caller's choosing
+    /// A `Read` that hands out `data` in pieces of the caller's choosing
     /// (cycled), then EOF.
     struct Chunked {
         data: Vec<u8>,

@@ -97,8 +97,13 @@ impl Mailbox {
     /// Pops the next message, waiting at most about `timeout` for one. A
     /// socket's wait is the kernel's receive timeout, which rounds up to a
     /// scheduler tick: good for watchdogs and fault windows, too coarse
-    /// for sub-millisecond pacing.
+    /// for sub-millisecond pacing. `Duration::MAX` is no timeout at all —
+    /// [`Self::pop`], with neither a clock read nor a timer armed — so an
+    /// actor whose wait is only sometimes bounded needs one blocking call.
     pub fn pop_timeout(&self, timeout: Duration) -> PopResult<Msg> {
+        if timeout == Duration::MAX {
+            return self.pop().map_or(PopResult::Closed, PopResult::Item);
+        }
         match self {
             Mailbox::Queue(q) => q.pop_timeout(timeout),
             Mailbox::Socket(rx) => locked(rx).pop_timeout(timeout),

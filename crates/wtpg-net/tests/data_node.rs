@@ -1,0 +1,339 @@
+//! The data node as a state machine, driven single-threaded: every message
+//! goes in through `DataActor::deliver` with a hand-advanced `now`, every
+//! reply comes out of a `MsgTx` that records into a `Vec`. Nothing here
+//! sleeps, blocks or reads a clock to wait on — the one `Instant::now()` is
+//! the origin the test's own time is counted from.
+
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+
+use proptest::prelude::*;
+use wtpg_core::partition::{Catalog, PartitionId};
+use wtpg_core::txn::{AccessMode, TxnId};
+use wtpg_dur::checkpoint::files;
+use wtpg_dur::wal::{ChunkRecord, WalWriter};
+use wtpg_dur::{recover, Durability};
+use wtpg_net::data::{DataActor, DataNodeParams, Flow};
+use wtpg_net::transport::MsgTx;
+use wtpg_net::{CrashPlan, KillPlan, Msg};
+use wtpg_obs::window::metric;
+use wtpg_obs::Registry;
+use wtpg_rt::store::{chunks, NodeStore};
+
+/// The control end of the node's link: keeps every reply, batches unpacked.
+#[derive(Default)]
+struct Recorder(Mutex<Vec<Msg>>);
+
+impl MsgTx for Recorder {
+    fn send(&self, m: &Msg) -> bool {
+        let mut seen = self.0.lock().expect("recorder lock");
+        match m {
+            Msg::Batch(inner) => seen.extend(inner.iter().cloned()),
+            plain => seen.push(plain.clone()),
+        }
+        true
+    }
+}
+
+impl Recorder {
+    /// Everything heard since the last call.
+    fn take(&self) -> Vec<Msg> {
+        std::mem::take(&mut *self.0.lock().expect("recorder lock"))
+    }
+}
+
+/// Two nodes, four 2-object partitions: node 0 homes partitions 0 and 2.
+fn catalog() -> Catalog {
+    Catalog::uniform(4, 2, 2)
+}
+
+fn fresh_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("wtpg-data-node-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
+fn params<'a>(catalog: &'a Catalog, reg: &'a Registry, log: Option<&'a Path>) -> DataNodeParams<'a> {
+    DataNodeParams {
+        catalog,
+        node: 0,
+        crash: None,
+        kill: None,
+        batch_max: 3,
+        log: log.map(|dir| (Durability::Buffered, dir)),
+        reg,
+        mvcc: None,
+    }
+}
+
+fn access(txn: u64, partition: u32, mode: AccessMode, units: u64, chunk_units: u64) -> Msg {
+    Msg::Access {
+        txn: TxnId(txn),
+        step: 0,
+        partition: PartitionId(partition),
+        mode,
+        units,
+        chunk_units,
+        seal: 0,
+    }
+}
+
+fn ms(n: u64) -> Duration {
+    Duration::from_millis(n)
+}
+
+#[test]
+fn a_dark_window_loses_and_counts_exactly_what_arrives_inside_it() {
+    let (catalog, reg) = (catalog(), Registry::new());
+    let heard = Arc::new(Recorder::default());
+    let tx: Arc<dyn MsgTx> = heard.clone();
+    let mut p = params(&catalog, &reg, None);
+    p.crash = Some(CrashPlan { node: 0, after_msgs: 1, down_ms: 10 });
+    let mut node = DataActor::start(p, &tx).expect("starts");
+    let t0 = Instant::now();
+    let order = |txn| access(txn, 0, AccessMode::Write, 1500, 1500);
+    let drops = || reg.totals().get(metric::CRASH_DROPS).copied().unwrap_or(0);
+
+    assert_eq!(node.deliver(order(1), t0).unwrap(), Flow::Continue);
+    assert_eq!(drops(), 0, "the plan counts one handled message first");
+    // The second message trips the plan and is lost with it; a batch inside
+    // the window is lost whole and counts once.
+    assert_eq!(node.deliver(order(2), t0 + ms(1)).unwrap(), Flow::Continue);
+    let batch = Msg::Batch(vec![order(3), order(4)]);
+    assert_eq!(node.deliver(batch, t0 + ms(5)).unwrap(), Flow::Continue);
+    assert_eq!(node.window_over(t0 + ms(10)).unwrap(), Flow::Continue);
+    assert_eq!(node.deliver(order(5), t0 + ms(10)).unwrap(), Flow::Continue);
+    assert_eq!(drops(), 3, "10 ms after the trip at 1 ms is still inside");
+    // A down node does not speak: order 1's replies are still buffered.
+    assert_eq!(node.before_block().unwrap(), Flow::Continue);
+    assert_eq!(heard.take(), vec![]);
+    // At 11 ms the window is over: the delivery itself ends it and is handled.
+    assert_eq!(node.deliver(order(2), t0 + ms(11)).unwrap(), Flow::Continue);
+    assert_eq!(drops(), 3);
+    assert_eq!(node.before_block().unwrap(), Flow::Continue);
+    let done: Vec<u64> = heard
+        .take()
+        .iter()
+        .filter_map(|m| match m {
+            Msg::AccessDone { txn, .. } => Some(txn.0),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(done, vec![1, 2], "what was lost stays lost until redelivered");
+    let out = node.finish().expect("finishes");
+    assert_eq!(out.write_units, 3000);
+}
+
+#[test]
+fn a_shutdown_nested_in_a_lost_batch_stops_the_node() {
+    for kill in [false, true] {
+        let (catalog, reg) = (catalog(), Registry::new());
+        let dir = fresh_dir(if kill { "stop-kill" } else { "stop-crash" });
+        let heard = Arc::new(Recorder::default());
+        let tx: Arc<dyn MsgTx> = heard.clone();
+        let mut p = params(&catalog, &reg, Some(&dir));
+        if kill {
+            p.kill = Some(KillPlan { node: None, after_msgs: 1, down_ms: 50 });
+        } else {
+            p.crash = Some(CrashPlan { node: 0, after_msgs: 1, down_ms: 50 });
+        }
+        let mut node = DataActor::start(p, &tx).expect("starts");
+        let t0 = Instant::now();
+        let order = |txn| access(txn, 2, AccessMode::Write, 700, 300);
+        assert_eq!(node.deliver(order(1), t0).unwrap(), Flow::Continue);
+        assert_eq!(node.before_block().unwrap(), Flow::Continue);
+        assert_eq!(node.deliver(order(2), t0 + ms(1)).unwrap(), Flow::Continue);
+        let last = Msg::Batch(vec![order(3), Msg::Shutdown]);
+        assert_eq!(node.deliver(last, t0 + ms(2)).unwrap(), Flow::Stop, "kill={kill}");
+        assert_eq!(reg.totals().get(metric::CRASH_DROPS), Some(&2));
+        // Whichever way it went down, what it applied and made durable is
+        // what it reports — and a stopped node announces nothing.
+        heard.take();
+        let out = node.finish().expect("finishes");
+        assert_eq!((out.cell_sum, out.write_units), (700, 700), "kill={kill}");
+        assert_eq!(heard.take(), vec![]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The reply stream of one order: `(chunk, units)*`, then the `AccessDone`'s
+/// `(checksum, units)`. Anything else the node said is a failure.
+fn stream(heard: &[Msg]) -> (Vec<(u64, u64)>, (u64, u64)) {
+    let (last, deltas) = heard.split_last().expect("an order is always answered");
+    let deltas = deltas
+        .iter()
+        .map(|m| match m {
+            Msg::StatsDelta { chunk, units, .. } => (*chunk, *units),
+            other => panic!("expected a StatsDelta, heard {other:?}"),
+        })
+        .collect();
+    match last {
+        Msg::AccessDone { checksum, units, .. } => (deltas, (*checksum, *units)),
+        other => panic!("expected the AccessDone last, heard {other:?}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// First delivery, redelivery after completion, and resume from a
+    /// `Partial` at chunk `k` are one loop: the same deltas, the same
+    /// `AccessDone`, the same checksum.
+    #[test]
+    fn one_reply_stream_however_far_the_step_already_got(
+        units in 0u64..6000,
+        chunk_units in 0u64..1500,
+        k in 0u64..8,
+        write in prop::bool::ANY,
+    ) {
+        let mode = if write { AccessMode::Write } else { AccessMode::Read };
+        let catalog = catalog();
+        let order = access(9, 2, mode, units, chunk_units);
+        let expected: Vec<(u64, u64)> = chunks(units, chunk_units).map(|(i, _, len)| (i, len)).collect();
+        let t0 = Instant::now();
+
+        let reg = Registry::new();
+        let heard = Arc::new(Recorder::default());
+        let tx: Arc<dyn MsgTx> = heard.clone();
+        let mut node = DataActor::start(params(&catalog, &reg, None), &tx).expect("starts");
+        node.deliver(order.clone(), t0).unwrap();
+        node.before_block().unwrap();
+        let first = stream(&heard.take());
+        prop_assert_eq!(&first.0, &expected);
+        prop_assert_eq!(first.1 .1, units);
+        node.deliver(order.clone(), t0).unwrap();
+        node.before_block().unwrap();
+        prop_assert_eq!(&stream(&heard.take()), &first, "redelivery after completion");
+        let whole = node.finish().expect("finishes");
+
+        // The durable prefix a kill would leave behind: the step's first k
+        // chunks (but never all of them), logged and nothing else.
+        let k = k.min((expected.len() as u64).saturating_sub(1));
+        let dir = fresh_dir("resume");
+        let mut scratch = NodeStore::for_node(&catalog, 0);
+        let mut wal = WalWriter::open(&files::node_wal(&dir, 0), Durability::Buffered, 0, BTreeMap::new())
+            .expect("log opens");
+        for (chunk, start_unit, len) in chunks(units, chunk_units).take(k as usize) {
+            let checksum = scratch.apply_chunk(PartitionId(2), mode, start_unit, len).unwrap();
+            wal.append(ChunkRecord {
+                lsn: 0,
+                prev_lsn: 0,
+                txn: TxnId(9),
+                step: 0,
+                chunk,
+                partition: PartitionId(2),
+                mode,
+                start_unit,
+                units: len,
+                checksum,
+                complete: false,
+            })
+            .unwrap();
+        }
+        wal.flush().unwrap();
+        drop(wal);
+        let mut p = params(&catalog, &reg, Some(&dir));
+        p.kill = Some(KillPlan { node: Some(0), after_msgs: 0, down_ms: 5 });
+        let mut node = DataActor::start(p, &tx).expect("starts");
+        prop_assert_eq!(node.deliver(order.clone(), t0).unwrap(), Flow::Continue);
+        prop_assert_eq!(node.window_over(t0 + ms(4)).unwrap(), Flow::Continue);
+        prop_assert_eq!(heard.take(), vec![], "still down");
+        prop_assert_eq!(node.window_over(t0 + ms(5)).unwrap(), Flow::Continue);
+        let rejoin = heard.take();
+        prop_assert!(
+            matches!(rejoin[..], [Msg::Recover { node: 0, replayed_chunks, .. }] if replayed_chunks == k),
+            "a restarted node announces itself: {:?}", rejoin
+        );
+        node.deliver(order, t0 + ms(6)).unwrap();
+        node.before_block().unwrap();
+        prop_assert_eq!(&stream(&heard.take()), &first, "resume from chunk {}", k);
+        let resumed = node.finish().expect("finishes");
+        prop_assert_eq!(
+            (resumed.cell_sum, resumed.write_units, resumed.read_checksum),
+            (whole.cell_sum, whole.write_units, whole.read_checksum)
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// What a run of the script left behind, in memory and on disk.
+#[derive(Debug, PartialEq)]
+struct EndState {
+    outcome: (u64, u64, u64),
+    parts: Vec<(u32, Vec<u64>)>,
+    marks: BTreeMap<(TxnId, u32), (u64, u64)>,
+    read_checksum: u64,
+}
+
+/// Drives `script` the way a control node with two orders in flight would:
+/// bursts of two back to back (no flush in between, so a kill on the second
+/// destroys buffered records and replies of the first), each burst re-sent
+/// in order, past any dark window, until both orders are answered.
+fn run_script(script: &[Msg], kill_at: Option<u64>, name: &str) -> EndState {
+    let (catalog, reg) = (catalog(), Registry::new());
+    let dir = fresh_dir(name);
+    let heard = Arc::new(Recorder::default());
+    let tx: Arc<dyn MsgTx> = heard.clone();
+    let mut p = params(&catalog, &reg, Some(&dir));
+    p.kill = kill_at.map(|after_msgs| KillPlan { node: Some(0), after_msgs, down_ms: 5 });
+    let mut node = DataActor::start(p, &tx).expect("starts");
+    let mut now = Instant::now();
+    for burst in script.chunks(2) {
+        let mut owed: Vec<&Msg> = burst.iter().collect();
+        for round in 0.. {
+            assert!(round < 4, "a burst is answered within a kill and a redelivery");
+            for order in &owed {
+                assert_eq!(node.deliver((*order).clone(), now).unwrap(), Flow::Continue);
+            }
+            assert_eq!(node.before_block().unwrap(), Flow::Continue);
+            for reply in heard.take() {
+                if let Msg::AccessDone { txn: done, .. } = reply {
+                    owed.retain(|o| !matches!(o, Msg::Access { txn, .. } if *txn == done));
+                }
+            }
+            if owed.is_empty() {
+                break;
+            }
+            now += ms(10);
+        }
+    }
+    let out = node.finish().expect("finishes");
+    let recoveries = reg.totals().get(metric::WAL_RECOVERIES).copied().unwrap_or(0);
+    assert_eq!(recoveries, u64::from(kill_at.is_some()), "the kill fires exactly once");
+    // The exit barrier completed the log, so what recovery reads back is
+    // the node's final durable state.
+    let rec = recover(&catalog, 0, &dir, 1).expect("log replays");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(rec.partials.is_empty(), "every step ran to completion");
+    assert_eq!(rec.store.cell_sum(), out.cell_sum, "memory and log agree");
+    EndState {
+        outcome: (out.cell_sum, out.write_units, out.read_checksum),
+        parts: rec.store.snapshot_parts(),
+        marks: rec.marks,
+        read_checksum: rec.read_checksum,
+    }
+}
+
+#[test]
+fn a_kill_at_any_message_heals_to_the_unkilled_state() {
+    use AccessMode::{Read, Write};
+    let script = [
+        access(1, 0, Write, 2600, 500),
+        access(2, 2, Write, 900, 250),
+        access(3, 0, Read, 2000, 700),
+        access(4, 0, Write, 1200, 100),
+        access(5, 2, Read, 4100, 1000),
+        access(6, 2, Write, 333, 1000),
+    ];
+    let unkilled = run_script(&script, None, "unkilled");
+    assert_eq!(unkilled.marks.len(), script.len());
+    assert_eq!(unkilled.outcome.1, 2600 + 900 + 1200 + 333);
+    assert_ne!(unkilled.read_checksum, 0);
+    for kill_at in 0..script.len() as u64 {
+        let healed = run_script(&script, Some(kill_at), &format!("killed-{kill_at}"));
+        assert_eq!(healed, unkilled, "killed at message {kill_at}");
+    }
+}

@@ -2,7 +2,13 @@
 //! without injected faults, must commit everything, replay-certify, and
 //! conserve every committed milli-object — the issue's acceptance bar.
 
-use wtpg_net::{run_cell, FaultPlan, InProc, NetConfig, NetReport, OpenLoop, Tcp, Transport};
+use std::sync::mpsc;
+use std::time::Duration;
+
+use wtpg_net::{
+    run_cell, CrashPlan, Durability, FaultPlan, InProc, KillPlan, NetConfig, NetReport, OpenLoop,
+    Tcp, Transport,
+};
 use wtpg_rt::sched_by_name;
 use wtpg_rt::workload::pattern_specs;
 use wtpg_workload::Pattern;
@@ -116,4 +122,70 @@ fn tcp_open_loop_commits_everything_it_offers() {
     assert_eq!(r.committed, 300);
     assert!(r.certified && r.store_consistent, "{r:?}");
     assert_eq!(r.frames_sent, r.frames_received, "{r:?}");
+}
+
+/// A dark window that opens on the run's `Shutdown` itself: node 0's fault
+/// fires after exactly as many messages as the workload has steps homed on
+/// it, so — barring a redelivery — the triggering message is the teardown
+/// broadcast. The node must notice and exit; at `00db9ad` a crash window
+/// swallowed the `Shutdown`, went back to a blocking pop and wedged
+/// `run_cell` for good (the kill window always remembered it). The cell runs
+/// on a helper thread so a wedge fails the test instead of hanging the suite.
+fn window_opens_on_shutdown(tcp: bool, kill: bool) {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let (catalog, specs) = pattern_specs(Pattern::One, 12, 7);
+        let after_msgs = specs
+            .iter()
+            .flat_map(|s| s.steps())
+            .filter(|st| catalog.node_of(st.partition) == 0)
+            .count() as u64;
+        let dir = std::env::temp_dir().join(format!(
+            "wtpg-net-stress-{}-{}",
+            std::process::id(),
+            if tcp { "tcp" } else { "inproc" }
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut fault = FaultPlan::none();
+        let mut cfg = NetConfig::default();
+        if kill {
+            fault.kill = Some(KillPlan { node: Some(0), after_msgs, down_ms: 30 });
+            cfg.durability = Durability::Buffered;
+            cfg.wal_dir = Some(dir.clone());
+        } else {
+            fault.crash = Some(CrashPlan { node: 0, after_msgs, down_ms: 30 });
+        }
+        let sched = || sched_by_name("chain", 2, 2000).expect("known scheduler");
+        let transport: &dyn Transport = if tcp { &Tcp } else { &InProc };
+        let r = run_cell(&cfg, &sched, &catalog, &specs, transport, &fault);
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = tx.send(r);
+    });
+    let r = rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("run_cell wedged: a down data node swallowed the run's Shutdown")
+        .expect("the cell completes cleanly");
+    assert_eq!(r.committed, 12);
+    assert!(r.certified && r.store_consistent, "{r:?}");
+    assert!(r.crash_drops >= 1, "the window must have opened: {r:?}");
+}
+
+#[test]
+fn crash_window_opening_on_shutdown_does_not_wedge_inproc() {
+    window_opens_on_shutdown(false, false);
+}
+
+#[test]
+fn kill_window_opening_on_shutdown_does_not_wedge_inproc() {
+    window_opens_on_shutdown(false, true);
+}
+
+#[test]
+fn crash_window_opening_on_shutdown_does_not_wedge_tcp() {
+    window_opens_on_shutdown(true, false);
+}
+
+#[test]
+fn kill_window_opening_on_shutdown_does_not_wedge_tcp() {
+    window_opens_on_shutdown(true, true);
 }

@@ -28,6 +28,16 @@ use wtpg_core::error::CoreError;
 use wtpg_core::partition::{Catalog, PartitionId};
 use wtpg_core::txn::AccessMode;
 
+/// The one chunk rule: a bulk step of `units` milli-objects applied
+/// `chunk_units` at a time (clamped ≥ 1) is the chunks `(index, offset, len)`
+/// this yields, in order — every chunk full-sized except a short last one,
+/// none for an empty step. The data node's reply path, log replay's tests
+/// and anything else that must agree on where chunk `k` starts walk this.
+pub fn chunks(units: u64, chunk_units: u64) -> impl Iterator<Item = (u64, u64, u64)> {
+    let size = chunk_units.max(1);
+    (0..units.div_ceil(size)).map(move |i| (i, i * size, size.min(units - i * size)))
+}
+
 /// One data node's storage: the cells of every partition homed on it.
 ///
 /// A plain value — no interior locking — owned exclusively by whoever
@@ -231,6 +241,14 @@ mod tests {
     fn store() -> NodeStore {
         // 4 partitions of 2 objects (2000 cells), all on one node.
         NodeStore::for_node(&Catalog::uniform(4, 2, 1), 0)
+    }
+
+    #[test]
+    fn chunks_tile_a_step_exactly() {
+        let tiled: Vec<_> = chunks(2500, 1000).collect();
+        assert_eq!(tiled, vec![(0, 0, 1000), (1, 1000, 1000), (2, 2000, 500)]);
+        assert_eq!(chunks(0, 1000).count(), 0, "an empty step has no chunks");
+        assert_eq!(chunks(2, 0).collect::<Vec<_>>(), vec![(0, 0, 1), (1, 1, 1)], "size clamps to 1");
     }
 
     #[test]
