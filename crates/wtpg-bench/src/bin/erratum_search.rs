@@ -4,6 +4,8 @@
 //!
 //! Run: `cargo run -p wtpg-bench --bin erratum_search --release [trials]`
 
+#![forbid(unsafe_code)]
+
 use wtpg_core::chain::{brute, paper_dp, ChainProblem};
 
 fn main() {

@@ -14,6 +14,8 @@
 //!   --json FILE     also dump the structured results as JSON
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 
 use wtpg_bench::ablations::{self, render_ablation};

@@ -26,6 +26,8 @@
 //! wtpg obs      summary <trace.jsonl>   percentiles, abort causes, cache
 //!               diff <a.jsonl> <b.jsonl>  hit ratios; counter/span deltas
 //!               chrome <trace.jsonl>    convert to Chrome trace_event JSON
+//! wtpg help                             the usage; so do `-h`, and `--help`
+//!                                       anywhere on a command line
 //! ```
 //!
 //! Workloads use the paper's notation, one transaction per line:
@@ -34,6 +36,8 @@
 //! T1: r(A:1) -> r(B:3) -> w(A:1)
 //! T2: r(C:1) -> w(A:1)
 //! ```
+
+#![forbid(unsafe_code)]
 
 use std::io::Read as _;
 
@@ -48,7 +52,13 @@ mod trace;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
+    // `wtpg <cmd> --help` is a request for the usage, not an unknown option.
+    let command = if args.iter().any(|a| a == "--help") {
+        Some("help")
+    } else {
+        args.first().map(String::as_str)
+    };
+    let code = match command {
         Some("plan") => plan::run(&args[1..], false),
         Some("dot") => plan::run(&args[1..], true),
         Some("trace") => trace::run(&args[1..]),
@@ -57,7 +67,7 @@ fn main() {
         Some("load") => load::run(&args[1..]),
         Some("top") => top::run(&args[1..]),
         Some("obs") => obs::run(&args[1..]),
-        Some("--help") | Some("-h") | None => {
+        Some("help") | Some("-h") | None => {
             print_help();
             Ok(())
         }
@@ -101,6 +111,7 @@ fn print_help() {
                          live view of a run's windowed telemetry\n\
            wtpg obs      summary <trace.jsonl> | diff <a.jsonl> <b.jsonl>\n\
                          | chrome <trace.jsonl> [--out FILE]\n\
+           wtpg help     this text (also -h, and --help after any command)\n\
          \n\
          workload lines use the paper's notation: T1: r(A:1) -> w(B:0.2)"
     );

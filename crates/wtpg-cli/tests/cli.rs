@@ -211,6 +211,30 @@ fn help_lists_commands() {
     }
 }
 
+/// Every way of asking for the usage gets it, and exits 0 — as a command,
+/// as a flag, and as a flag of any command (where it used to be an unknown
+/// option and exit 1).
+#[test]
+fn every_spelling_of_help_prints_the_usage_and_succeeds() {
+    let (_, usage, ok) = wtpg(&["--help"], None);
+    assert!(ok && usage.contains("usage:"));
+    for args in [
+        &["help"][..],
+        &["-h"],
+        &["net", "--help"],
+        &["load", "--lambda", "100", "--help"],
+        &["simulate", "--help"],
+        &["plan", "--help"],
+        &["obs", "summary", "--help"],
+        &["top", "--help"],
+    ] {
+        let (stdout, stderr, ok) = wtpg(args, None);
+        assert!(ok, "{args:?}: {stderr}");
+        assert_eq!(stderr, usage, "{args:?}");
+        assert_eq!(stdout, "", "{args:?} ran something");
+    }
+}
+
 #[test]
 fn illegal_cells_fail_with_the_plan_error_text() {
     let (_, stderr, ok) = wtpg(&["net", "--txns", "20", "--mvcc", "--fault", "kill"], None);

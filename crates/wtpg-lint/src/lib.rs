@@ -3,7 +3,7 @@
 //! v2 is built around a dependency-free token stream ([`lex`]) and item
 //! outline ([`outline`]) — functions, enums, consts, match arms and call
 //! sites, no full AST — feeding an approximate intra-crate call graph
-//! ([`callgraph`]). On top of that sit three per-line rules and four
+//! ([`callgraph`]). On top of that sit three per-line rules and five
 //! workspace passes:
 //!
 //! Per-line rules (scoped per crate by [`rules_for`], see DESIGN.md §10/§15):
@@ -37,6 +37,10 @@
 //!   hash-ordered collections) propagate along intra-crate calls, and a
 //!   determinism-protected function calling into a tainted exempt-file
 //!   function is a finding even though its own file is clean.
+//! - [`unsafe_scope`] — the token `unsafe` appears in
+//!   `wtpg-net/src/poll.rs` and nowhere else, and every crate root carries
+//!   `#![forbid(unsafe_code)]` (`wtpg-net`'s: `deny`, so that one file can
+//!   opt out).
 //! - [`schema`] — wire-schema stability: `msg.rs`/`codec.rs` are parsed
 //!   and diffed against the checked-in `wire-schema.lock` (tags, field
 //!   order, `MAX_FRAME`/`MAX_STEPS`/`MAX_BATCH`); drift is a finding until
@@ -57,6 +61,8 @@
 //! stale waivers must not accumulate. `schema` findings are deliberately
 //! not waivable: drift is fixed by regenerating the lock, never waived.
 
+#![forbid(unsafe_code)]
+
 pub mod callgraph;
 pub mod lex;
 pub mod locks;
@@ -64,6 +70,7 @@ pub mod outline;
 pub mod protocol;
 pub mod schema;
 pub mod taint;
+pub mod unsafe_scope;
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -90,6 +97,9 @@ pub enum Rule {
     Protocol,
     /// Wire-schema drift against `wire-schema.lock`. Not waivable.
     Schema,
+    /// `unsafe` outside its one home, or a crate root without
+    /// `#![forbid(unsafe_code)]`. Not waivable.
+    UnsafeScope,
     /// Problems with the waiver mechanism itself (unknown rule, missing
     /// reason, waiver that suppresses nothing).
     Waiver,
@@ -105,12 +115,14 @@ impl Rule {
             Rule::LockOrder => "lock-order",
             Rule::Protocol => "protocol",
             Rule::Schema => "schema",
+            Rule::UnsafeScope => "unsafe-scope",
             Rule::Waiver => "waiver",
         }
     }
 
     /// Parses a waiver rule name. `waiver` itself is not waivable, and
-    /// neither is `schema` (drift is fixed by regenerating the lock).
+    /// neither are `schema` (drift is fixed by regenerating the lock) and
+    /// `unsafe-scope` (the boundary moves by editing the pass).
     pub fn parse(name: &str) -> Option<Rule> {
         match name {
             "determinism" => Some(Rule::Determinism),
@@ -778,10 +790,11 @@ fn collect_quoted(s: &str, out: &mut Vec<String>) {
 }
 
 /// Lints the whole workspace rooted at `root`: per-line rules under the
-/// [`rules_for`] policy, plus the four workspace passes — determinism
+/// [`rules_for`] policy, plus the five workspace passes — determinism
 /// taint (which owns the determinism rule here, adding call-graph
 /// propagation to the direct token scan), lock-order against
-/// `lint-locks.toml`, and the `wtpg-net` protocol and wire-schema passes.
+/// `lint-locks.toml`, unsafe-scope, and the `wtpg-net` protocol and
+/// wire-schema passes.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
     let manifest_path = root.join("lint-locks.toml");
@@ -828,6 +841,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
         if let Some(m) = &manifest {
             locks::check(&mut sfs, m, &mut findings);
         }
+        unsafe_scope::check(&mut sfs, &mut findings);
         if member.ends_with("wtpg-net") {
             protocol::check_net(&mut sfs, &mut findings);
             schema::check_against_lock(&sfs, &root.join("wire-schema.lock"), &mut findings);

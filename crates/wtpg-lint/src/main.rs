@@ -1,9 +1,9 @@
 //! `wtpg-lint` entry point.
 //!
 //! - `cargo run -p wtpg-lint` — lints the workspace: per-line rules under
-//!   the scoping policy in [`wtpg_lint::rules_for`] plus the four v2
-//!   passes (lock-order, protocol, taint, wire-schema); exits non-zero on
-//!   any unwaived finding.
+//!   the scoping policy in [`wtpg_lint::rules_for`] plus the five
+//!   workspace passes (lock-order, protocol, taint, wire-schema,
+//!   unsafe-scope); exits non-zero on any unwaived finding.
 //! - `--format json` — emit findings as a JSON array (CI artifact).
 //! - `--write-schema-lock` — regenerate `wire-schema.lock` from
 //!   `msg.rs`/`codec.rs` (the deliberate protocol-bump path).
@@ -18,6 +18,8 @@
 //! - `--pass taint --protected <substr> <path>...` — run only the
 //!   determinism-taint pass; files whose path contains the substring are
 //!   the protected set (fixture corpus).
+
+#![forbid(unsafe_code)]
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;

@@ -5,7 +5,7 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use wtpg_lint::{lint_file, rules_for, Rule, RuleSet};
+use wtpg_lint::{lint_file, rules_for, rust_files, unsafe_scope, Rule, RuleSet, SourceFile};
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -238,6 +238,40 @@ fn schema_fixture_detects_drift_and_accepts_matching_lock() {
     assert!(!ok, "drifted lock must fail the lint:\n{out}");
     assert!(out.contains("wire tag for `Msg::Pong`"), "{out}");
     assert!(out.contains("`MAX_FRAME`"), "{out}");
+}
+
+#[test]
+fn unsafe_scope_fixture_fires_outside_the_keywords_one_home() {
+    let mut files: Vec<SourceFile> = rust_files(&fixture("unsafe_scope"))
+        .expect("fixture tree")
+        .iter()
+        .map(|p| SourceFile::read(p).expect("fixture readable"))
+        .collect();
+    assert_eq!(files.len(), 5);
+    let mut findings = Vec::new();
+    unsafe_scope::check(&mut files, &mut findings);
+    assert!(findings.iter().all(|f| f.rule == Rule::UnsafeScope), "{findings:?}");
+    let at = |file: &str| -> Vec<(usize, &str)> {
+        findings
+            .iter()
+            .filter(|f| f.file.ends_with(file))
+            .map(|f| (f.line, f.message.as_str()))
+            .collect()
+    };
+    // `wtpg-net`: `deny` at the root, the keyword in `poll.rs` — clean.
+    assert!(at("wtpg-net/src/lib.rs").is_empty() && at("wtpg-net/src/poll.rs").is_empty());
+    assert!(at("wtpg-rt/src/queue.rs").is_empty());
+    // Any other crate: `deny` is not `forbid`, and each use of the keyword
+    // fires — a block, an `unsafe impl`, a test module — but not the
+    // comment, the string literal or the lint name.
+    let rt = at("wtpg-rt/src/lib.rs");
+    assert_eq!(rt.len(), 4, "{rt:?}");
+    assert!(rt.contains(&(1, "crate root lacks `#![forbid(unsafe_code)]`")), "{rt:?}");
+    for line in [11, 17, 25] {
+        assert!(rt.iter().any(|(l, m)| *l == line && m.contains("`unsafe` outside")), "{rt:?}");
+    }
+    let bin = at("wtpg-rt/src/bin/tool.rs");
+    assert_eq!(bin, [(1, "crate root lacks `#![forbid(unsafe_code)]`")]);
 }
 
 #[test]

@@ -29,6 +29,8 @@
 //! * [`shared`] — the one cross-actor cell (the GC watermark, declared in
 //!   the workspace lock hierarchy, `lint-locks.toml`).
 
+#![forbid(unsafe_code)]
+
 pub mod certify;
 pub mod chain;
 pub mod shared;

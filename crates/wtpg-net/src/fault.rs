@@ -222,10 +222,11 @@ pub struct FaultLink {
 }
 
 impl FaultLink {
-    /// Wraps `inner` with `faults`, spawning the forwarder thread. The
-    /// forwarder drains remaining messages and exits when the last sender
-    /// handle is dropped; join the handle after that.
+    /// Wraps `inner` with `faults`, spawning the forwarder thread under
+    /// `name`. The forwarder drains remaining messages and exits when the
+    /// last sender handle is dropped; join the handle after that.
     pub fn spawn(
+        name: String,
         inner: Arc<dyn MsgTx>,
         faults: LinkFaults,
         seed: u64,
@@ -233,7 +234,7 @@ impl FaultLink {
     ) -> (Arc<FaultLink>, JoinHandle<()>) {
         let q: Arc<BoundedQueue<Msg>> = Arc::new(BoundedQueue::new(4096));
         let pump = Arc::clone(&q);
-        let handle = std::thread::spawn(move || {
+        let handle = crate::spawn_named(name, move || {
             let mut rng = XorShift::new(seed);
             while let Some(m) = pump.pop() {
                 if faults.delay_prob_pct > 0
@@ -308,6 +309,7 @@ mod tests {
             dup_prob_pct: 40,
         };
         let (link, pump) = FaultLink::spawn(
+            "fault".into(),
             Arc::new(SinkTx(Arc::clone(&out))),
             faults,
             7,
@@ -349,6 +351,7 @@ mod tests {
             let out: Arc<BoundedQueue<Msg>> = Arc::new(BoundedQueue::new(4096));
             let counters = Arc::new(FaultCounters::default());
             let (link, pump) = FaultLink::spawn(
+                "fault".into(),
                 Arc::new(SinkTx(out)),
                 LinkFaults {
                     delay_prob_pct: 25,

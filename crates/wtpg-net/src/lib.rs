@@ -24,7 +24,9 @@
 //!   client C ─┘   history)      └─ data node N
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny`, not the workspace's `forbid`: `poll.rs` alone allows itself the one
+// foreign call a single-threaded wait on many sockets needs.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;
@@ -36,6 +38,7 @@ pub mod error;
 pub mod fault;
 pub mod msg;
 pub mod plan;
+mod poll;
 pub mod report;
 pub mod runtime;
 pub mod tcp;
@@ -53,6 +56,20 @@ pub use report::{MsgBreakdown, NetReport};
 pub use runtime::{run_cell, run_cell_load, NetConfig, OpenLoop};
 pub use tcp::Tcp;
 pub use transport::{InProc, Transport};
+
+/// `std::thread::spawn` with a name. Every thread of a run carries its role
+/// (`control-0`, `data-3`, `client-1`, `router`, `certifier-0`, `fault-c2d-2`,
+/// `client-pump-0`), so `/proc/<pid>/task/*/comm` beside `schedstat`
+/// attributes on-CPU time by role from outside the process.
+pub(crate) fn spawn_named<T: Send + 'static>(
+    name: String,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> std::thread::JoinHandle<T> {
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(f)
+        .expect("invariant: the OS starts a thread (std::thread::spawn panics on the same failure)")
+}
 
 /// Publishes a tally bundle its owner kept privately while it ran (a
 /// `MsgCounts`, a `ByteCounts`, a scheduler's `ControlStats`): each nonzero

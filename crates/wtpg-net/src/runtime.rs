@@ -224,7 +224,9 @@ fn certify_stream(
 
 /// Wraps each link in `links` with the plan's fault layer, collecting the
 /// forwarder handles. `dir` salts the per-link seed so the two directions
-/// of a node's connection draw different decision streams.
+/// of a node's connection draw different decision streams, and names the
+/// forwarder threads (`fault-c2d-<node>` towards the data nodes, `fault-d2c-<node>`
+/// back).
 fn wrap_links(
     links: Vec<Arc<dyn MsgTx>>,
     fault: &FaultPlan,
@@ -242,7 +244,9 @@ fn wrap_links(
             let seed = fault.seed
                 ^ dir.wrapping_mul(0x9e37_79b9_7f4a_7c15)
                 ^ (i as u64 + 1).wrapping_mul(0xff51_afd7_ed55_8ccd);
-            let (link, pump) = FaultLink::spawn(inner, fault.link, seed, Arc::clone(counters));
+            let name = format!("fault-{}-{i}", if dir == 1 { "c2d" } else { "d2c" });
+            let (link, pump) =
+                FaultLink::spawn(name, inner, fault.link, seed, Arc::clone(counters));
             pumps.push(pump);
             link as Arc<dyn MsgTx>
         })
@@ -372,9 +376,9 @@ type StreamVerdict = Result<(CertifyReport, usize), CertifyViolation>;
 /// Phase 2 of a run: everything the actors need, built from a validated
 /// plan and not yet running — the fabric with its fault-wrapped links and
 /// pumps, the certifier channels, and each actor's parameters as plain
-/// values. The only threads alive are plumbing (transport service threads,
-/// fault forwarders, client pumps, stream certifiers), all of them idle
-/// until an actor sends something.
+/// values. The only threads alive are plumbing (fault forwarders, open-loop
+/// client pumps, stream certifiers), all of them idle until an actor sends
+/// something.
 pub(crate) struct ActorSet<'a> {
     /// One per control shard, with the inbox it reads.
     controls: Vec<ControlParams<'a>>,
@@ -443,10 +447,12 @@ impl<'a> ActorSet<'a> {
         let client_inboxes: Vec<Inbox> = fabric
             .client_inboxes
             .into_iter()
-            .map(|inbox| {
+            .enumerate()
+            .map(|(c, inbox)| {
                 if plan.pump_client_sockets && matches!(*inbox, Mailbox::Socket(_)) {
                     let queue = Mailbox::queue(ACTOR_INBOX_CAPACITY);
-                    pumps.push(spawn_pump(inbox, Arc::clone(&queue), true));
+                    let name = format!("client-pump-{c}");
+                    pumps.push(spawn_pump(name, inbox, Arc::clone(&queue)));
                     queue
                 } else {
                     inbox
@@ -482,7 +488,9 @@ impl<'a> ActorSet<'a> {
                 let stream = cfg.stream_certify.then(|| {
                     let mode = sched.certify_mode();
                     let (tx, rx) = mpsc::sync_channel::<StreamItem>(STREAM_DEPTH);
-                    certifiers.push(std::thread::spawn(move || certify_stream(mode, &rx)));
+                    certifiers.push(crate::spawn_named(format!("certifier-{si}"), move || {
+                        certify_stream(mode, &rx)
+                    }));
                     tx
                 });
                 ControlParams {
@@ -535,6 +543,18 @@ impl<'a> ActorSet<'a> {
     }
 }
 
+/// `Scope::spawn` with a name (see [`crate::spawn_named`]).
+fn spawn_scoped<'scope, T: Send + 'scope>(
+    s: &'scope std::thread::Scope<'scope, '_>,
+    name: String,
+    f: impl FnOnce() -> T + Send + 'scope,
+) -> std::thread::ScopedJoinHandle<'scope, T> {
+    std::thread::Builder::new()
+        .name(name)
+        .spawn_scoped(s, f)
+        .expect("invariant: the OS starts a thread (Scope::spawn panics on the same failure)")
+}
+
 /// What the threads of one run returned, before any of it is judged.
 struct Joined {
     controls: Vec<Result<ControlOutcome, NetError>>,
@@ -557,7 +577,9 @@ fn drive_threads(set: ActorSet<'_>, plan: &RunPlan<'_>, reg: &Registry) -> Joine
     let started = Instant::now();
     let (control_res, shutdowns, data_res, client_res) = std::thread::scope(|s| {
         let router = (set.controls.len() > 1).then(|| {
-            s.spawn(|| run_router(&set.control_inbox, &plan.map, &set.shard_inboxes, reg))
+            spawn_scoped(s, "router".into(), || {
+                run_router(&set.control_inbox, &plan.map, &set.shard_inboxes, reg)
+            })
         });
         let control_handles: Vec<_> = set
             .controls
@@ -566,7 +588,7 @@ fn drive_threads(set: ActorSet<'_>, plan: &RunPlan<'_>, reg: &Registry) -> Joine
             .map(|(params, inbox)| {
                 let to_data = &set.to_data;
                 let to_clients = &set.to_clients;
-                s.spawn(move || {
+                spawn_scoped(s, format!("control-{}", params.shard), move || {
                     run_control(params, catalog, cfg.chunk_units, inbox, to_data, to_clients)
                 })
             })
@@ -576,14 +598,18 @@ fn drive_threads(set: ActorSet<'_>, plan: &RunPlan<'_>, reg: &Registry) -> Joine
             .into_iter()
             .zip(&set.data_inboxes)
             .zip(&set.data_to_control)
-            .map(|((params, inbox), tx)| s.spawn(move || run_data_node(params, inbox, tx)))
+            .map(|((params, inbox), tx)| {
+                spawn_scoped(s, format!("data-{}", params.node), move || {
+                    run_data_node(params, inbox, tx)
+                })
+            })
             .collect();
         let client_handles: Vec<_> = (0u32..)
             .zip(&set.client_inboxes)
             .zip(&set.client_to_control)
             .map(|((c, inbox), tx)| {
                 let (n, specs) = (plan.clients, plan.specs);
-                s.spawn(move || match (plan.arrivals.as_deref(), cfg.open_loop) {
+                let run = move || match (plan.arrivals.as_deref(), cfg.open_loop) {
                     (Some(arrivals_us), Some(ol)) => {
                         let schedule = OpenLoopPlan {
                             arrivals_us,
@@ -593,7 +619,8 @@ fn drive_threads(set: ActorSet<'_>, plan: &RunPlan<'_>, reg: &Registry) -> Joine
                         run_client_open_loop(c, n, specs, &schedule, inbox, tx, watchdog, reg)
                     }
                     _ => run_client(c, n, specs, inbox, tx, watchdog, cfg.pipeline, reg),
-                })
+                };
+                spawn_scoped(s, format!("client-{c}"), run)
             })
             .collect();
         fn join<T>(h: std::thread::ScopedJoinHandle<'_, T>) -> T {
@@ -629,9 +656,9 @@ fn drive_threads(set: ActorSet<'_>, plan: &RunPlan<'_>, reg: &Registry) -> Joine
 
     // Teardown: dropping our sender handles closes the fault queues (their
     // forwarders drain and exit) and — on TCP — FINs the writer sockets so
-    // every socket's reader sees EOF. Only then are the pumps (ours and the
-    // transport's service threads) joinable, and only once they are joined
-    // has every frame that was sent been counted as received.
+    // every socket's reader sees EOF. Only then are the fault forwarders,
+    // the open-loop client pumps and whatever service threads a transport
+    // brought (neither of ours has any) joinable.
     drop(set.to_data);
     drop(set.data_to_control);
     drop(set.to_clients);
@@ -642,7 +669,7 @@ fn drive_threads(set: ActorSet<'_>, plan: &RunPlan<'_>, reg: &Registry) -> Joine
     }
     for svc in set.service {
         svc.join()
-            .expect("invariant: transport pumps exit on EOF");
+            .expect("invariant: transport service threads exit once every sender is dropped");
     }
     // Every stream sender travelled into a control actor and dropped when
     // it returned (success or failure), so the certifiers have hit EOF and

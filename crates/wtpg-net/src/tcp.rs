@@ -12,34 +12,47 @@
 //!
 //! **Receiving.** Every socket is read by exactly one [`FrameReader`] — a
 //! buffer the kernel fills with as many frames as it holds per `read`,
-//! decoded in place — wrapped in a [`Mailbox::Socket`]:
+//! decoded in place — and by exactly one thread, the actor the frames are
+//! for. No thread of the fabric moves a frame from one place to another:
 //!
-//! * *Peer side* (data nodes, clients): the mailbox **is** the actor's
-//!   inbox. The actor blocks in `read` on its own link; there is no reader
-//!   thread and no queue between the wire and the actor.
-//! * *Control side*: many links meet in one actor, and without `poll(2)`
-//!   (the crate forbids `unsafe`) one thread cannot wait on several
-//!   sockets. So each accepted connection keeps one **pump** thread moving
-//!   its socket mailbox into the shared control queue. These
-//!   `data_nodes + clients` pumps are the fabric's only service threads.
+//! * *Peer side* (data nodes, clients): a [`Mailbox::Socket`] **is** the
+//!   actor's inbox. The actor blocks in `read` on its own link.
+//! * *Control side*: many links meet in one actor, so its inbox is a
+//!   [`Mailbox::FanIn`] over every accepted socket, one `FrameReader` each.
+//!   The control actor (or, in a sharded run, the router) pops frames
+//!   already read, round-robin across the links so a chatty one cannot
+//!   starve the rest; with nothing buffered it blocks in one
+//!   [`poll(2)`](crate::poll) over the open links and then makes one `read`
+//!   per readable link. A link that reaches EOF, announces an oversized
+//!   frame or fails to decode is closed *alone* and leaves the poll set;
+//!   the mailbox is `Closed` once every link is down, or once
+//!   [`Mailbox::close`] was called and what had been read is drained.
+//!   `close` reaches a thread blocked in `poll` through a pipe whose read
+//!   end sits in the poll set.
+//!
+//! The accepted sockets stay **blocking**: `O_NONBLOCK` lives on the open
+//! file description, which the writer half ([`TcpTx`], a `try_clone`) shares,
+//! and a non-blocking `write_all` fails with `WouldBlock` the first time the
+//! peer's buffer is full. A blocking socket is read only after `poll` called
+//! it readable, which never blocks.
 //!
 //! **Teardown.** A socket's read half never learns that the local writer
-//! was dropped — the mailbox (or pump) holds its own clone of the
-//! descriptor — so a dropped writer sends a socket-level FIN instead.
-//! Dropping the peer-side writers EOFs the control-side pumps, which is
-//! what makes them joinable; dropping the control-side writers EOFs the
-//! peer mailboxes, waking any actor still blocked on one with `Closed`.
-//! The runtime therefore joins [`Fabric::service`] only after every actor
-//! has exited and all four sender vectors are gone.
+//! was dropped — the mailbox holds its own clone of the descriptor — so a
+//! dropped writer sends a socket-level FIN instead. Dropping the
+//! control-side writers EOFs the peer mailboxes, waking any actor still
+//! blocked on one with `Closed`; dropping the peer-side writers EOFs the
+//! fan-in's links. There is no transport thread to join:
+//! [`Fabric::service`] is empty.
 //!
 //! All sockets run with `TCP_NODELAY`: the protocol is request/response
 //! with small frames, exactly the shape Nagle's algorithm penalises.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, PipeReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::os::fd::AsFd;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use wtpg_obs::ByteCounts;
 use wtpg_rt::queue::PopResult;
@@ -47,9 +60,8 @@ use wtpg_rt::queue::PopResult;
 use crate::codec::{decode_payload, encode_frame_into, MAX_FRAME};
 use crate::error::NetError;
 use crate::msg::Msg;
-use crate::transport::{
-    control_inbox_capacity, spawn_pump, Fabric, Inbox, Mailbox, MsgTx, Transport,
-};
+use crate::poll::PollSet;
+use crate::transport::{Fabric, Inbox, Mailbox, MsgTx, Transport};
 
 /// Preamble role byte for a client connection.
 const ROLE_CLIENT: u8 = 0;
@@ -212,15 +224,27 @@ impl<R: Read> FrameReader<R> {
         }
     }
 
-    /// One `read` into the free tail of the buffer, after moving the
-    /// unconsumed bytes to its front, cutting an emptied buffer back to
-    /// [`READ_BUF`] and growing it to the frame in hand.
-    /// Only called once `buffered` has vetted the header (if one is in).
+    /// One `read` into the free tail of the buffer, which is first cut back
+    /// to [`READ_BUF`] if a large frame left it empty and grown to the frame
+    /// in hand. The unconsumed bytes move to the front only when the tail
+    /// behind them is short — under half of [`READ_BUF`], or less than the
+    /// frame in hand still lacks — so a reader filled in bursts does not
+    /// copy its leftovers on every call.
     fn fill(&mut self) -> std::io::Result<usize> {
-        if self.start > 0 {
+        let unread = self.end - self.start;
+        let frame = match self.announced() {
+            // `buffered` closes the link on such a header; a caller that
+            // skipped it must not make this reserve the announced size.
+            Some(len) if len > MAX_FRAME => return Err(ErrorKind::InvalidData.into()),
+            Some(len) => 4 + len,
+            None => 0,
+        };
+        let tail = self.buf.len() - self.end;
+        if unread == 0 {
+            (self.start, self.end) = (0, 0);
+        } else if self.start > 0 && tail < frame.saturating_sub(unread).max(READ_BUF / 2) {
             self.buf.copy_within(self.start..self.end, 0);
-            self.end -= self.start;
-            self.start = 0;
+            (self.start, self.end) = (0, unread);
         }
         if self.end == 0 && self.buf.len() > READ_BUF {
             // The frame the buffer grew for is gone and nothing trails it:
@@ -229,10 +253,8 @@ impl<R: Read> FrameReader<R> {
             self.buf.truncate(READ_BUF);
             self.buf.shrink_to(READ_BUF);
         }
-        if let Some(len) = self.announced() {
-            if self.buf.len() < 4 + len {
-                self.buf.resize(4 + len, 0);
-            }
+        if self.buf.len() < self.start + frame {
+            self.buf.resize(self.start + frame, 0);
         }
         let free = self.buf.get_mut(self.end..).ok_or(ErrorKind::InvalidData)?;
         let n = self.src.read(free)?;
@@ -240,22 +262,32 @@ impl<R: Read> FrameReader<R> {
         Ok(n)
     }
 
+    /// One [`fill`](Self::fill), its outcome folded into the reader's state:
+    /// EOF and I/O errors close the link. `false` only when the `read` timed
+    /// out (a source with a receive timeout set).
+    fn refill(&mut self) -> bool {
+        match self.fill() {
+            Ok(0) => self.closed = true,
+            Ok(_) => {}
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                return false
+            }
+            Err(_) => self.closed = true,
+        }
+        true
+    }
+
     /// The next frame, reading as often as it takes. `Empty` only when a
-    /// `read` timed out (a source with a receive timeout set).
+    /// `read` timed out.
     fn next(&mut self) -> PopResult<Msg> {
         loop {
             match self.buffered() {
                 PopResult::Empty => {}
                 done => return done,
             }
-            match self.fill() {
-                Ok(0) => self.closed = true,
-                Ok(_) => {}
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    return PopResult::Empty
-                }
-                Err(_) => self.closed = true,
+            if !self.refill() {
+                return PopResult::Empty;
             }
         }
     }
@@ -315,9 +347,110 @@ fn socket_mailbox(stream: &TcpStream, counters: &Arc<Counters>) -> Result<Inbox,
     }))))
 }
 
+/// The control node's inbox: the read halves of every accepted link behind
+/// one `poll` (module docs, "Receiving"). What a [`Mailbox::FanIn`] locks.
+pub struct FanInRx {
+    /// One reader per accepted link, in accept order; a link that went down
+    /// keeps its slot (and its `closed` flag) and is skipped by the poll.
+    links: Vec<FrameReader<TcpStream>>,
+    /// Where the next [`try_pop`](Self::try_pop) starts looking: one past
+    /// the link that delivered last.
+    cursor: usize,
+    /// Readable once [`Mailbox::close`] wrote to the other end.
+    wake: PipeReader,
+    /// `close` was seen, or `poll` itself failed: `Closed` once drained.
+    closed: bool,
+    polled: PollSet,
+}
+
+impl FanInRx {
+    /// The next frame some link has already read, one link after another.
+    pub(crate) fn try_pop(&mut self) -> PopResult<Msg> {
+        let n = self.links.len();
+        for k in (self.cursor..n).chain(0..self.cursor) {
+            if let Some(PopResult::Item(m)) = self.links.get_mut(k).map(FrameReader::buffered) {
+                self.cursor = (k + 1) % n;
+                return PopResult::Item(m);
+            }
+        }
+        if self.closed || self.links.iter().all(|l| l.closed) {
+            PopResult::Closed
+        } else {
+            PopResult::Empty
+        }
+    }
+
+    /// One `poll` over the open links and the wake pipe, then one `read` on
+    /// each readable link. Call only after `try_pop` came back `Empty`:
+    /// that scan is what vets the headers `fill` trusts.
+    fn wait(&mut self, timeout: Option<Duration>) {
+        let fds = self
+            .links
+            .iter()
+            .map(|l| (!l.closed).then(|| l.src.as_fd()))
+            .chain([Some(self.wake.as_fd())]);
+        if self.polled.wait(fds, timeout).is_err() {
+            self.closed = true;
+            return;
+        }
+        for (k, link) in self.links.iter_mut().enumerate() {
+            if self.polled.readable(k) {
+                link.refill();
+            }
+        }
+        self.closed |= self.polled.readable(self.links.len());
+    }
+
+    pub(crate) fn pop(&mut self) -> Option<Msg> {
+        loop {
+            match self.try_pop() {
+                PopResult::Item(m) => return Some(m),
+                PopResult::Closed => return None,
+                PopResult::Empty => self.wait(None),
+            }
+        }
+    }
+
+    /// The timeout bounds the whole call: a wake-up that delivered only part
+    /// of a frame polls again for what is left of it.
+    pub(crate) fn pop_timeout(&mut self, timeout: Duration) -> PopResult<Msg> {
+        let deadline = Instant::now().checked_add(timeout);
+        loop {
+            match self.try_pop() {
+                PopResult::Empty => {}
+                done => return done,
+            }
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if left.is_some_and(|l| l.is_zero()) {
+                return PopResult::Empty;
+            }
+            self.wait(left);
+        }
+    }
+}
+
+/// A fan-in mailbox reading `streams` (clones; the writers keep their own).
+fn fan_in_mailbox(streams: Vec<TcpStream>, counters: &Arc<Counters>) -> Result<Inbox, NetError> {
+    let links = streams
+        .into_iter()
+        .map(|s| FrameReader::new(s, Arc::clone(counters)))
+        .collect();
+    let (wake, waker) = std::io::pipe()?;
+    Ok(Arc::new(Mailbox::FanIn {
+        rx: Mutex::new(FanInRx {
+            links,
+            cursor: 0,
+            wake,
+            closed: false,
+            polled: PollSet::default(),
+        }),
+        waker,
+    }))
+}
+
 /// The control side of a fabric's connections: a writer to each data node,
-/// a writer to each client, and the socket mailboxes still to be pumped.
-type Accepted = (Vec<Arc<dyn MsgTx>>, Vec<Arc<dyn MsgTx>>, Vec<Inbox>);
+/// a writer to each client, and every link's read half for the fan-in.
+type Accepted = (Vec<Arc<dyn MsgTx>>, Vec<Arc<dyn MsgTx>>, Vec<TcpStream>);
 
 /// Accepts `data_nodes + clients` connections and sorts the writer halves
 /// by the announced (role, id).
@@ -329,7 +462,7 @@ fn accept_peers(
 ) -> Result<Accepted, NetError> {
     let mut to_data: Vec<Option<Arc<dyn MsgTx>>> = (0..data_nodes).map(|_| None).collect();
     let mut to_clients: Vec<Option<Arc<dyn MsgTx>>> = (0..clients).map(|_| None).collect();
-    let mut control_rx: Vec<Inbox> = Vec::with_capacity(data_nodes + clients);
+    let mut control_rx: Vec<TcpStream> = Vec::with_capacity(data_nodes + clients);
     for _ in 0..(data_nodes + clients) {
         let (mut stream, _) = listener.accept()?;
         stream.set_nodelay(true)?;
@@ -337,7 +470,7 @@ fn accept_peers(
         stream.read_exact(&mut preamble)?;
         let [role, b0, b1, b2, b3] = preamble;
         let id = u32::from_le_bytes([b0, b1, b2, b3]) as usize;
-        control_rx.push(socket_mailbox(&stream, counters)?);
+        control_rx.push(stream.try_clone()?);
         let tx = TcpTx::over(stream, counters);
         let slot = match role {
             ROLE_DATA => to_data.get_mut(id),
@@ -383,7 +516,6 @@ impl Transport for Tcp {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
 
-        let control_inbox = Mailbox::queue(control_inbox_capacity(data_nodes, clients));
         let mut data_inboxes: Vec<Inbox> = Vec::with_capacity(data_nodes);
         let mut client_inboxes: Vec<Inbox> = Vec::with_capacity(clients);
         let mut data_to_control: Vec<Arc<dyn MsgTx>> = Vec::with_capacity(data_nodes);
@@ -418,13 +550,7 @@ impl Transport for Tcp {
 
         let (to_data, to_clients, control_rx) =
             accept_peers(&listener, data_nodes, clients, &counters)?;
-        // Nothing from here on can fail, so no early return can strand a
-        // thread: only now does each accepted connection get its pump. They
-        // all feed the shared control inbox; none may close it for the others.
-        let service = control_rx
-            .into_iter()
-            .map(|rx| spawn_pump(rx, Arc::clone(&control_inbox), false))
-            .collect();
+        let control_inbox = fan_in_mailbox(control_rx, &counters)?;
 
         let bytes_counters = Arc::clone(&counters);
         Ok(Fabric {
@@ -435,7 +561,7 @@ impl Transport for Tcp {
             control_inbox,
             data_inboxes,
             client_inboxes,
-            service,
+            service: Vec::new(),
             bytes: Arc::new(move || bytes_counters.snapshot()),
         })
     }
@@ -503,23 +629,23 @@ mod tests {
             client_to_control,
             data_inboxes,
             service,
+            control_inbox,
             ..
         } = f;
         drop(to_data);
         drop(to_clients);
         drop(data_to_control);
         drop(client_to_control);
-        for h in service {
-            h.join().expect("pumps exit on EOF");
-        }
+        assert!(service.is_empty(), "there is no transport thread to join");
         assert_eq!(data_inboxes[0].pop(), None, "EOF closed the data mailbox");
+        assert_eq!(control_inbox.pop(), None, "and every link of the fan-in");
     }
 
-    /// A connection that announces an unknown role fails the build — and,
-    /// because pumps are spawned only after every connection checked out,
-    /// the connections accepted before it left no thread behind.
+    /// A connection that announces an unknown role fails the build, and the
+    /// connections accepted before it leave nothing behind but sockets that
+    /// close with the error.
     #[test]
-    fn a_bad_preamble_fails_the_accept_without_spawning_anything() {
+    fn a_bad_preamble_fails_the_accept() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("loopback listener");
         let addr = listener.local_addr().expect("bound address");
         let mut good = TcpStream::connect(addr).expect("connect");
@@ -547,29 +673,195 @@ mod tests {
         );
     }
 
-    /// The census: one pump per accepted connection and nothing else — no
-    /// thread on the peer side of any link — and dropping the four sender
-    /// vectors is all it takes to join them.
+    /// The census: no thread anywhere in the fabric. The control inbox is the
+    /// accepted sockets themselves; every peer reads its own.
     #[test]
-    fn the_only_service_threads_are_the_control_side_pumps() {
+    fn a_tcp_fabric_has_no_service_threads() {
         let f = Tcp.build(8, 2).expect("loopback fabric");
-        assert_eq!(f.service.len(), 10);
-        assert!(matches!(*f.control_inbox, Mailbox::Queue(_)));
+        assert!(f.service.is_empty());
+        let Mailbox::FanIn { rx, .. } = &*f.control_inbox else {
+            panic!("the TCP control inbox is a fan-in");
+        };
+        assert_eq!(rx.lock().expect("mailbox lock").links.len(), 10);
         for inbox in f.data_inboxes.iter().chain(&f.client_inboxes) {
             assert!(matches!(**inbox, Mailbox::Socket(_)));
         }
-        let Fabric {
-            to_data,
-            to_clients,
-            data_to_control,
-            client_to_control,
-            service,
-            ..
-        } = f;
-        drop((to_data, to_clients, data_to_control, client_to_control));
-        for h in service {
-            h.join().expect("pumps exit on EOF");
+        assert!(!f.control_inbox.push(Msg::Shutdown), "fed by its links alone");
+    }
+
+    /// A fan-in over `n` raw loopback connections, with the peer ends to
+    /// write arbitrary bytes into.
+    fn fan_in(n: usize) -> (Inbox, Vec<TcpStream>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("loopback listener");
+        let addr = listener.local_addr().expect("bound address");
+        let (mut peers, mut accepted) = (Vec::new(), Vec::new());
+        for _ in 0..n {
+            let peer = TcpStream::connect(addr).expect("connect");
+            peer.set_nodelay(true).expect("nodelay");
+            peers.push(peer);
+            accepted.push(listener.accept().expect("accept").0);
         }
+        let inbox = fan_in_mailbox(accepted, &Arc::new(Counters::default())).expect("pipe");
+        (inbox, peers)
+    }
+
+    const LONG: Duration = Duration::from_secs(5);
+
+    #[test]
+    fn frames_from_several_links_arrive_in_each_links_order() {
+        let (inbox, mut peers) = fan_in(3);
+        for round in 0..40u64 {
+            for (l, peer) in peers.iter_mut().enumerate() {
+                peer.write_all(&encode_frame(&delta(1000 * l as u64 + round)))
+                    .expect("write");
+            }
+        }
+        let mut next = [0u64; 3];
+        for _ in 0..120 {
+            let PopResult::Item(Msg::StatsDelta { chunk, .. }) = inbox.pop_timeout(LONG) else {
+                panic!("120 frames were written");
+            };
+            let l = (chunk / 1000) as usize;
+            assert_eq!(chunk % 1000, next[l], "link {l} out of order");
+            next[l] += 1;
+        }
+        assert_eq!(next, [40; 3]);
+        assert_eq!(inbox.try_pop(), PopResult::Empty);
+    }
+
+    #[test]
+    fn a_frame_torn_across_writes_is_delivered_once_and_whole() {
+        let (inbox, mut peers) = fan_in(2);
+        let frame = encode_frame(&delta(7));
+        let tears = [&frame[..4], &frame[4..9], &frame[9..]];
+        let short = Duration::from_millis(5);
+        for (i, tear) in tears.iter().enumerate() {
+            peers[1].write_all(tear).expect("write");
+            if i + 1 < tears.len() {
+                let t0 = Instant::now();
+                assert_eq!(inbox.pop_timeout(short), PopResult::Empty, "after tear {i}");
+                // The partial frame woke the poll; the wait went on for
+                // what was left of it and no longer.
+                assert!(t0.elapsed() >= short && t0.elapsed() < LONG);
+            }
+        }
+        assert_eq!(inbox.pop_timeout(LONG), PopResult::Item(delta(7)));
+        assert_eq!(inbox.try_pop(), PopResult::Empty, "delivered once");
+        assert_eq!(inbox.pop_timeout(short), PopResult::Empty);
+    }
+
+    /// Round-robin: once the quiet link's frame has been read, it is popped
+    /// after at most one frame of the flooding link — and it is read by the
+    /// first poll that follows its arrival, so the flood can only be ahead
+    /// by what one `fill` of its buffer held.
+    #[test]
+    fn a_flooding_link_does_not_starve_a_quiet_one() {
+        const FLOOD: u64 = 10_000;
+        let (inbox, mut peers) = fan_in(2);
+        let quiet = peers.pop().expect("two peers");
+        let mut loud = peers.pop().expect("two peers");
+        let one = encode_frame(&delta(0)).len();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                for i in 0..FLOOD {
+                    loud.write_all(&encode_frame(&delta(i))).expect("write");
+                }
+            });
+            (&quiet).write_all(&encode_frame(&delta(FLOOD))).expect("write");
+            let mut ahead = 0;
+            for popped in 0..=FLOOD {
+                let PopResult::Item(Msg::StatsDelta { chunk, .. }) = inbox.pop_timeout(LONG)
+                else {
+                    panic!("{popped} of {} frames arrived", FLOOD + 1);
+                };
+                if chunk == FLOOD {
+                    ahead = popped;
+                }
+            }
+            assert!(
+                ahead <= READ_BUF.div_ceil(one) as u64 + 1,
+                "{ahead} flood frames were popped before the quiet link's one"
+            );
+        });
+    }
+
+    #[test]
+    fn a_link_that_goes_bad_is_closed_alone() {
+        let (inbox, mut peers) = fan_in(4);
+        let eof = peers.remove(0);
+        (&eof).write_all(&encode_frame(&delta(1))).expect("write");
+        drop(eof);
+        // An oversized announcement, then a frame that must not be trusted.
+        peers[0]
+            .write_all(&((MAX_FRAME + 1) as u32).to_le_bytes())
+            .expect("write");
+        peers[0].write_all(&encode_frame(&delta(66))).expect("write");
+        // A well-framed payload that is not a message.
+        peers[1].write_all(&5u32.to_le_bytes()).expect("write");
+        peers[1].write_all(&[0xEE; 5]).expect("write");
+        peers[1].write_all(&encode_frame(&delta(66))).expect("write");
+        assert_eq!(inbox.pop_timeout(LONG), PopResult::Item(delta(1)));
+        // The healthy link keeps flowing however often the others are polled.
+        for i in 10..20 {
+            peers[2].write_all(&encode_frame(&delta(i))).expect("write");
+            assert_eq!(inbox.pop_timeout(LONG), PopResult::Item(delta(i)));
+        }
+        assert_eq!(inbox.pop_timeout(Duration::from_millis(5)), PopResult::Empty);
+        {
+            let Mailbox::FanIn { rx, .. } = &*inbox else {
+                panic!("a fan-in");
+            };
+            let rx = rx.lock().expect("mailbox lock");
+            let down: Vec<bool> = rx.links.iter().map(|l| l.closed).collect();
+            assert_eq!(down, [true, true, true, false]);
+            assert!(!rx.closed);
+        }
+        // The last link hanging up is the mailbox closing.
+        peers.truncate(2);
+        assert_eq!(inbox.pop_timeout(LONG), PopResult::Closed);
+        assert_eq!(inbox.pop(), None);
+        assert_eq!(inbox.try_pop(), PopResult::Closed);
+    }
+
+    #[test]
+    fn close_wakes_a_blocked_pop_and_drains_what_was_read() {
+        let (inbox, mut peers) = fan_in(2);
+        peers[0].write_all(&encode_frame(&delta(1))).expect("write");
+        peers[0].write_all(&encode_frame(&delta(2))).expect("write");
+        assert_eq!(inbox.pop_timeout(LONG), PopResult::Item(delta(1)));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let popper = {
+            let inbox = Arc::clone(&inbox);
+            std::thread::spawn(move || {
+                let first = inbox.pop();
+                tx.send((first, inbox.pop())).expect("the test is waiting");
+            })
+        };
+        // Whether the popper is already in `poll` or not yet there, the
+        // close must reach it: the pipe stays readable.
+        inbox.close();
+        let (first, second) = rx.recv_timeout(LONG).expect("close must wake the pop");
+        popper.join().expect("popper");
+        // Frames already read drain first; whether delta(2) had been read
+        // when the close was seen is the kernel's business.
+        assert!(first.is_none() || first == Some(delta(2)), "{first:?}");
+        assert_eq!(second, None);
+        assert_eq!(inbox.pop_timeout(LONG), PopResult::Closed, "closed is for good");
+    }
+
+    #[test]
+    fn a_timed_pop_on_idle_links_waits_whole_milliseconds() {
+        let (inbox, _peers) = fan_in(3);
+        let t0 = Instant::now();
+        assert_eq!(inbox.pop_timeout(Duration::from_millis(2)), PopResult::Empty);
+        assert!(t0.elapsed() >= Duration::from_millis(2), "{:?}", t0.elapsed());
+        // A sub-millisecond wait rounds up to one `poll(.., 1)`; rounded
+        // down it would be a zero-timeout poll in a loop.
+        let t1 = Instant::now();
+        assert_eq!(inbox.pop_timeout(Duration::from_micros(100)), PopResult::Empty);
+        assert!(t1.elapsed() >= Duration::from_millis(1), "{:?}", t1.elapsed());
+        assert!(t1.elapsed() < LONG);
+        assert_eq!(inbox.pop_timeout(Duration::ZERO), PopResult::Empty);
     }
 
     #[test]
@@ -720,6 +1012,33 @@ mod tests {
         assert_eq!(r.buffered(), PopResult::Empty, "try_pop never reads");
         assert_eq!(r.src.reads, 1);
         assert_eq!(r.next(), PopResult::Closed);
+    }
+
+    #[test]
+    fn a_fill_moves_the_unread_tail_only_when_room_runs_short() {
+        let one = encode_frame(&delta(0)).len();
+        let frames = READ_BUF / one + 10;
+        let wire: Vec<u8> = (0..frames as u64).flat_map(|i| encode_frame(&delta(i))).collect();
+        // Two and a half frames per read: plenty of room behind the half.
+        let cut = 2 * one + one / 2;
+        let mut r = reader(wire.clone(), vec![cut]);
+        assert_eq!(r.next(), PopResult::Item(delta(0)));
+        assert_eq!(r.buffered(), PopResult::Item(delta(1)));
+        assert_eq!(r.buffered(), PopResult::Empty);
+        r.fill().expect("read");
+        assert_eq!((r.start, r.end), (2 * one, 2 * cut), "appended in place");
+        // A buffer read full: the half frame at its very end has to move.
+        let mut r = reader(wire, vec![usize::MAX]);
+        let whole = READ_BUF / one;
+        for i in 0..whole as u64 {
+            assert_eq!(r.next(), PopResult::Item(delta(i)));
+        }
+        assert_eq!((r.start, r.end), (whole * one, READ_BUF));
+        assert_eq!(r.buffered(), PopResult::Empty);
+        r.fill().expect("read");
+        assert_eq!(r.start, 0, "moved to the front");
+        assert_eq!(r.buffered(), PopResult::Item(delta(whole as u64)));
+        assert_eq!(r.buf.len(), READ_BUF, "small frames never grow the buffer");
     }
 
     #[test]

@@ -5,15 +5,20 @@
 //! star — clients and data nodes each hold exactly one link, to the
 //! control node — matching the paper's single control site.
 //!
-//! A mailbox is one of two things. [`Mailbox::Queue`] is a bounded MPMC
-//! queue (`wtpg-rt`'s [`BoundedQueue`]; a full one blocks the sender): every
-//! in-process link, and the control node's fan-in on any transport, because
-//! many producers meet there. [`Mailbox::Socket`] is the read half of a TCP
-//! connection behind a buffered frame reader: an actor with a single
+//! A mailbox is one of three things, by how many links meet in it and what
+//! they are made of. [`Mailbox::Queue`] is a bounded MPMC queue (`wtpg-rt`'s
+//! [`BoundedQueue`]; a full one blocks the sender): every in-process link,
+//! the control fan-in included, and the queue the runtime puts in front of
+//! an open-loop client's socket. [`Mailbox::Socket`] is the read half of a
+//! TCP connection behind a buffered frame reader: an actor with a single
 //! inbound link — a data node, a closed-loop client — blocks in `read` on
 //! its own socket, so a message costs it one wake-up and no hand-off.
-//! Both answer to the same three calls (`try_pop`, `pop`, `pop_timeout`),
-//! which is all an actor ever makes.
+//! [`Mailbox::FanIn`] is the control node's inbox over TCP: the read halves
+//! of every accepted connection, which the control actor waits on together
+//! in one `poll(2)` and reads itself — many links, still no hand-off and no
+//! thread but the actor's own. All three answer to the same three calls
+//! (`try_pop`, `pop`, `pop_timeout`), which is all an actor ever makes, and
+//! each blocks in exactly one place: a condvar, a `read`, a `poll`.
 //!
 //! [`InProc`] wires queues directly: a sender handle is the receiving
 //! actor's queue, so messages are moved, never serialized.
@@ -27,9 +32,10 @@
 //! answers each with a bounded burst of progress reports (≤ 2× under
 //! duplicate faults). Every in-flight message therefore fits the control
 //! inbox, and what control sends to one peer fits that peer's queue — or,
-//! on a socket mailbox, the kernel's send and receive buffers, which play
-//! the queue's part there.
+//! on a socket or fan-in mailbox, the kernel's send and receive buffers,
+//! which play the queue's part there.
 
+use std::io::{PipeWriter, Write};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -39,7 +45,7 @@ use wtpg_rt::queue::{BoundedQueue, PopResult};
 
 use crate::error::NetError;
 use crate::msg::Msg;
-use crate::tcp::SocketRx;
+use crate::tcp::{FanInRx, SocketRx};
 
 /// A sender handle for one directed link. `send` blocks on a full peer
 /// inbox (the fabric's capacities make that transient) and returns `false`
@@ -57,12 +63,23 @@ pub enum Mailbox {
     /// The read half of the actor's one TCP link. The lock is a leaf held
     /// across the blocking `read`; the owning actor is its only taker.
     Socket(Mutex<SocketRx>),
+    /// The read halves of every TCP link into the control node, waited on
+    /// together with `poll(2)`. The lock is a leaf held across the `poll`
+    /// and the `read`s; its one taker is the control actor, or the router of
+    /// a sharded run.
+    FanIn {
+        /// The links and what has been read off them.
+        rx: Mutex<FanInRx>,
+        /// Write end of the pipe in `rx`'s poll set: how [`Mailbox::close`]
+        /// reaches a taker blocked in `poll`, without the lock.
+        waker: PipeWriter,
+    },
 }
 
 /// An actor's mailbox.
 pub type Inbox = Arc<Mailbox>;
 
-fn locked(rx: &Mutex<SocketRx>) -> MutexGuard<'_, SocketRx> {
+fn locked<T>(rx: &Mutex<T>) -> MutexGuard<'_, T> {
     rx.lock()
         .expect("invariant: mailbox lock is never poisoned (no panics while held)")
 }
@@ -73,31 +90,37 @@ impl Mailbox {
         Arc::new(Mailbox::Queue(BoundedQueue::new(capacity)))
     }
 
-    /// Pops without blocking. On a socket that means *frames already read*:
-    /// bytes still in the kernel are not looked at, so `Empty` does not say
-    /// the link is idle. An actor that needs that answer (the open-loop
-    /// client, which decides to shed on it) must sit behind a queue — the
-    /// runtime pumps its socket into one.
+    /// Pops without blocking. On a socket or a fan-in that means *frames
+    /// already read*: bytes still in the kernel are not looked at, so
+    /// `Empty` does not say the links are idle (nor, on a fan-in, that
+    /// [`close`](Self::close) was not called — the next blocking pop tells).
+    /// An actor that needs that answer (the open-loop client, which decides
+    /// to shed on it) must sit behind a queue — the runtime pumps its
+    /// socket into one.
     pub fn try_pop(&self) -> PopResult<Msg> {
         match self {
             Mailbox::Queue(q) => q.try_pop(),
             Mailbox::Socket(rx) => locked(rx).try_pop(),
+            Mailbox::FanIn { rx, .. } => locked(rx).try_pop(),
         }
     }
 
     /// Pops the next message, blocking until one arrives. `None` once the
-    /// mailbox is closed and drained (queue) or the link is down (socket).
+    /// mailbox is closed and drained (queue, fan-in), the link is down
+    /// (socket) or every link is (fan-in).
     pub fn pop(&self) -> Option<Msg> {
         match self {
             Mailbox::Queue(q) => q.pop(),
             Mailbox::Socket(rx) => locked(rx).pop(),
+            Mailbox::FanIn { rx, .. } => locked(rx).pop(),
         }
     }
 
     /// Pops the next message, waiting at most about `timeout` for one. A
     /// socket's wait is the kernel's receive timeout, which rounds up to a
-    /// scheduler tick: good for watchdogs and fault windows, too coarse
-    /// for sub-millisecond pacing. `Duration::MAX` is no timeout at all —
+    /// scheduler tick, and a fan-in's is `poll`'s, in whole milliseconds
+    /// rounded up: good for watchdogs and fault windows, too coarse for
+    /// sub-millisecond pacing. `Duration::MAX` is no timeout at all —
     /// [`Self::pop`], with neither a clock read nor a timer armed — so an
     /// actor whose wait is only sometimes bounded needs one blocking call.
     pub fn pop_timeout(&self, timeout: Duration) -> PopResult<Msg> {
@@ -107,42 +130,50 @@ impl Mailbox {
         match self {
             Mailbox::Queue(q) => q.pop_timeout(timeout),
             Mailbox::Socket(rx) => locked(rx).pop_timeout(timeout),
+            Mailbox::FanIn { rx, .. } => locked(rx).pop_timeout(timeout),
         }
     }
 
     /// Delivers `m` to a queue mailbox, blocking while it is full; `false`
-    /// once it is closed. A socket mailbox is fed by its peer alone and
-    /// refuses.
+    /// once it is closed. A socket or fan-in mailbox is fed by its peers
+    /// alone and refuses.
     pub fn push(&self, m: Msg) -> bool {
         match self {
             Mailbox::Queue(q) => q.push(m),
-            Mailbox::Socket(_) => false,
+            Mailbox::Socket(_) | Mailbox::FanIn { .. } => false,
         }
     }
 
-    /// Closes a queue mailbox: pending messages drain, pushes fail, blocked
-    /// poppers wake. A socket mailbox closes when its peer's writer does.
+    /// Closes a queue or fan-in mailbox: pending messages (on a fan-in,
+    /// frames already read) drain, pushes fail, blocked poppers wake. A
+    /// socket mailbox closes when its peer's writer does.
     pub fn close(&self) {
-        if let Mailbox::Queue(q) = self {
-            q.close();
+        match self {
+            Mailbox::Queue(q) => q.close(),
+            Mailbox::Socket(_) => {}
+            // One byte, never read: the pipe stays readable, so the close is
+            // seen by the poll in progress and by every later one. (A full
+            // pipe — 65 536 closes — would block; a failed write means the
+            // read end is gone.)
+            Mailbox::FanIn { waker, .. } => {
+                let _ = (&*waker).write(&[1]);
+            }
         }
     }
 }
 
-/// Spawns a thread that moves messages from `from` into `into` until
-/// either ends, then closes `into` if `from` was its only producer
-/// (`close_when_done`). This is how a socket comes to feed a queue: the
-/// control fan-in, and a client that needs queue semantics.
-pub(crate) fn spawn_pump(from: Inbox, into: Inbox, close_when_done: bool) -> JoinHandle<()> {
-    std::thread::spawn(move || {
+/// Spawns a thread, named `name`, that moves messages from `from` into
+/// `into` until either ends, then closes `into`: `from` is its only
+/// producer. This is how a socket comes to feed a queue, for a client that
+/// needs queue semantics.
+pub(crate) fn spawn_pump(name: String, from: Inbox, into: Inbox) -> JoinHandle<()> {
+    crate::spawn_named(name, move || {
         while let Some(m) = from.pop() {
             if !into.push(m) {
                 break;
             }
         }
-        if close_when_done {
-            into.close();
-        }
+        into.close();
     })
 }
 
@@ -162,9 +193,10 @@ pub struct Fabric {
     pub data_to_control: Vec<Arc<dyn MsgTx>>,
     /// Each client's sender to control.
     pub client_to_control: Vec<Arc<dyn MsgTx>>,
-    /// Transport service threads (the TCP control fan-in's socket pumps);
-    /// joined by the runtime after every actor has exited and every sender
-    /// is dropped.
+    /// Transport service threads, joined by the runtime after every actor
+    /// has exited and every sender is dropped. Neither [`InProc`] nor
+    /// [`Tcp`](crate::tcp::Tcp) has any: every mailbox is read by the actor
+    /// it belongs to.
     pub service: Vec<JoinHandle<()>>,
     /// Wire-traffic snapshot hook (all-zero for in-process transports).
     pub bytes: Arc<dyn Fn() -> ByteCounts + Send + Sync>,
@@ -265,7 +297,7 @@ mod tests {
     #[test]
     fn a_pump_moves_everything_then_closes_its_sink() {
         let (from, into) = (Mailbox::queue(4), Mailbox::queue(4));
-        let pump = spawn_pump(Arc::clone(&from), Arc::clone(&into), true);
+        let pump = spawn_pump("pump".into(), Arc::clone(&from), Arc::clone(&into));
         for i in 0..100 {
             assert!(from.push(Msg::Commit { client: 0, txn: TxnId(i) }));
             assert_eq!(into.pop(), Some(Msg::Commit { client: 0, txn: TxnId(i) }));
