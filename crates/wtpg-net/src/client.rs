@@ -15,26 +15,29 @@
 //! transaction, on the reader or the writer ledger by the spec's declared
 //! steps.
 //!
-//! **Open loop.** [`run_client_open_loop`] replaces the closed-loop
-//! submission policy (submit whenever a slot frees) with a fixed arrival
-//! schedule: transaction `i` of the client's share *arrives* at a
-//! precomputed offset, and an arrival that finds the in-flight bound full
-//! is **shed** — counted, never submitted, its id reported so the runtime
-//! excludes its writes from conservation. Offered load therefore does not
-//! bend to the system's latency, which is what makes the measured
-//! sustainable-throughput-under-SLO meaningful. When its schedule is
-//! exhausted and its window drained, the client sends one `Shutdown` to
-//! the control plane as an end-of-stream marker (the drain-exit protocol;
-//! closed-loop runs never send it).
+//! **One driver, two arrival policies.** [`run_client`] drives both load
+//! shapes; they differ only in when an arrival is due. In a closed loop the
+//! next arrival is due whenever the in-flight window has room, and is never
+//! shed. In an open loop ([`OpenLoopPlan`]) transaction `i` of the client's
+//! share *arrives* at a precomputed offset, and an arrival that finds the
+//! window full is **shed** — counted, never submitted, its id reported so
+//! the runtime excludes its writes from conservation. Offered load
+//! therefore does not bend to the system's latency, which is what makes the
+//! measured sustainable-throughput-under-SLO meaningful. Either way, once
+//! its arrivals are exhausted and its window drained, the client sends one
+//! `Shutdown` to the control plane as its end-of-stream marker: a control
+//! shard stops once every client has sent one and nothing is live.
 //!
-//! Both drivers book their counts in the run's [`Registry`] and nowhere
-//! else: offered/shed/submitted/commit counters, the in-flight gauge and
-//! the commit-latency histograms live, the per-type message tallies once at
+//! The driver books its counts in the run's [`Registry`] and nowhere else:
+//! offered/shed/submitted/commit counters, the in-flight gauge and the
+//! commit-latency histograms live, the per-type message tallies once at
 //! exit, under the [`metric`](wtpg_obs::window::metric) catalogue names.
 //! What the outcome carries is what is not a count: the exact latency
 //! samples and the shed ids.
 
 use std::collections::BTreeMap;
+use std::iter::{Peekable, StepBy};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -92,12 +95,21 @@ impl ClientTel {
     }
 }
 
-/// Submissions awaiting their ack: when each was sent, and whether it is
-/// read-only (which latency ledger it lands on).
-type Inflight = BTreeMap<TxnId, (Instant, bool)>;
-
 struct ClientActor<'a> {
     client: u32,
+    specs: &'a [TxnSpec],
+    /// Indices into `specs` of the arrivals still to come (the client's
+    /// [`share`]).
+    due: Peekable<StepBy<Range<usize>>>,
+    /// The open-loop schedule; `None` is the closed loop.
+    open: Option<&'a OpenLoopPlan<'a>>,
+    /// In-flight bound.
+    depth: usize,
+    /// Submissions awaiting their ack: when each was sent, and whether it
+    /// is read-only (which latency ledger it lands on).
+    inflight: BTreeMap<TxnId, (Instant, bool)>,
+    /// When the last message arrived: the watchdog's origin.
+    last_ack: Instant,
     to_control: &'a Arc<dyn MsgTx>,
     tel: ClientTel,
     rx: MsgCounts,
@@ -105,25 +117,7 @@ struct ClientActor<'a> {
     out: ClientOutcome,
 }
 
-impl<'a> ClientActor<'a> {
-    fn start(client: u32, to_control: &'a Arc<dyn MsgTx>, reg: &Registry) -> ClientActor<'a> {
-        ClientActor {
-            client,
-            to_control,
-            tel: ClientTel::new(reg),
-            rx: MsgCounts::default(),
-            tx: MsgCounts::default(),
-            out: ClientOutcome::default(),
-        }
-    }
-
-    /// Publishes the message tallies and hands the outcome over.
-    fn finish(self, reg: &Registry) -> ClientOutcome {
-        crate::publish(reg, metric::msg_rx, self.rx.fields());
-        crate::publish(reg, metric::msg_tx, self.tx.fields());
-        self.out
-    }
-
+impl ClientActor<'_> {
     fn send(&mut self, m: &Msg) -> Result<(), NetError> {
         if !self.to_control.send(m) {
             return Err(NetError::Protocol(format!(
@@ -142,7 +136,7 @@ impl<'a> ClientActor<'a> {
     /// a control-side `Shutdown` included, is a protocol error for a client
     /// still owed acks.
     // lint:allow(protocol: Submit, Access, AccessDone, StatsDelta, Batch, Recover, RecoverAck, SnapshotRead, SnapshotReply) a client receives only Commit acks and Shutdown; the rest is control/data-plane, recovery, and snapshot traffic it never sees
-    fn take(&mut self, popped: PopResult<Msg>, inflight: &mut Inflight) -> Result<bool, NetError> {
+    fn take(&mut self, popped: PopResult<Msg>) -> Result<bool, NetError> {
         let m = match popped {
             PopResult::Item(m) => m,
             PopResult::Empty => return Ok(false),
@@ -153,10 +147,11 @@ impl<'a> ClientActor<'a> {
                 )))
             }
         };
+        self.last_ack = Instant::now();
         match m {
             Msg::Commit { txn, .. } => {
                 m.count(&mut self.rx);
-                if let Some((started, reader)) = inflight.remove(&txn) {
+                if let Some((started, reader)) = self.inflight.remove(&txn) {
                     self.book_commit(started, reader);
                 }
                 Ok(true)
@@ -172,23 +167,65 @@ impl<'a> ClientActor<'a> {
         }
     }
 
-    fn submit(&mut self, spec: &TxnSpec) -> Result<(), NetError> {
-        self.send(&Msg::Submit {
-            client: self.client,
-            txn: spec.id,
-            step: None,
-            spec: Some(spec.clone()),
-        })?;
-        self.tel.offered.inc();
-        self.tel.submitted.inc();
-        self.tel.inflight.add(1);
+    /// Fires every arrival that is due (see the module docs): closed loop,
+    /// while the window has room; open loop, each whose instant has come —
+    /// the schedule never waits for the system — shed if the window is
+    /// full. `now` stamps the submissions.
+    fn fire(&mut self, now: Instant) -> Result<(), NetError> {
+        let (specs, now_us) = (self.specs, self.open.map_or(0, |p| p.wall.now_us()));
+        while let Some(&i) = self.due.peek() {
+            let room = self.inflight.len() < self.depth;
+            let due = match self.open {
+                Some(p) => p.arrivals_us.get(i).is_some_and(|&at| at <= now_us),
+                None => room,
+            };
+            let Some(spec) = specs.get(i).filter(|_| due) else {
+                break;
+            };
+            self.due.next();
+            self.tel.offered.inc();
+            if !room {
+                self.out.shed_ids.push(spec.id);
+                self.tel.shed.inc();
+                continue;
+            }
+            self.send(&Msg::Submit {
+                client: self.client,
+                txn: spec.id,
+                step: None,
+                spec: Some(spec.clone()),
+            })?;
+            self.inflight.insert(spec.id, (now, spec.is_read_only()));
+            self.tel.submitted.inc();
+            self.tel.inflight.add(1);
+        }
         Ok(())
+    }
+
+    /// How long the loop may block on its inbox, or `None` once nothing is
+    /// left to arrive and nothing is owed. Closed loop: the watchdog, a
+    /// constant (a socket caches its receive timeout). Open loop: until the
+    /// next arrival is due, at most [`OPEN_LOOP_NAP`].
+    fn wait(&mut self, watchdog: Duration) -> Option<Duration> {
+        let next = self.due.peek().copied();
+        if next.is_none() && self.inflight.is_empty() {
+            return None;
+        }
+        let Some(p) = self.open else {
+            return Some(watchdog);
+        };
+        let due_in = |&at: &u64| Duration::from_micros(at.saturating_sub(p.wall.now_us()));
+        Some(
+            next.and_then(|i| p.arrivals_us.get(i))
+                .map_or(OPEN_LOOP_NAP, due_in)
+                .min(OPEN_LOOP_NAP),
+        )
     }
 
     /// Books one commit ack: latency series (split reader/writer by the
     /// spec's declared steps), windowed counters, gauge.
     fn book_commit(&mut self, started: Instant, reader: bool) {
-        let us = elapsed_us(started);
+        let us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
         if reader {
             self.out.reader_latencies_us.push(us);
         } else {
@@ -203,68 +240,17 @@ impl<'a> ClientActor<'a> {
             t.reader_lat.record(us);
         }
     }
-
-    fn shed(&mut self, txn: TxnId) {
-        self.out.shed_ids.push(txn);
-        self.tel.offered.inc();
-        self.tel.shed.inc();
-    }
 }
 
-fn elapsed_us(since: Instant) -> u64 {
-    u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX)
+/// The indices of client `client`'s share of a run-wide sequence of `len`
+/// items dealt round-robin over `clients` actors: `client`,
+/// `client + clients`, … — read in place, so the workload exists once
+/// however many clients drive it.
+pub(crate) fn share(len: usize, client: u32, clients: usize) -> StepBy<Range<usize>> {
+    (client as usize..len).step_by(clients.max(1))
 }
 
-/// Client `client`'s share of a run-wide sequence dealt round-robin over
-/// `clients` actors: items `client`, `client + clients`, … — read in place,
-/// so the workload exists once however many clients drive it.
-pub(crate) fn share<T>(all: &[T], client: u32, clients: usize) -> impl Iterator<Item = &T> {
-    all.iter().skip(client as usize).step_by(clients.max(1))
-}
-
-/// Drives client `client`'s [`share`] of `specs` to commit, keeping up to
-/// `pipeline` transactions in flight (`pipeline` is clamped to ≥ 1; 1
-/// recovers the strict one-at-a-time stream whose history is tick-identical
-/// to a serial drive of the control node). `reg` is the run's books.
-/// Read-only specs are booked on the reader latency ledger regardless of
-/// the plane they rode — with MVCC off they take the S-lock path, and the
-/// baseline reader tail is exactly what the snapshot plane is compared to.
-///
-/// # Errors
-/// [`NetError::RecvTimeout`] if a commit ack never arrived within the
-/// watchdog, [`NetError::Protocol`] on an out-of-protocol reply or a run
-/// shut down from the control side.
-#[allow(clippy::too_many_arguments)]
-pub fn run_client(
-    client: u32,
-    clients: usize,
-    specs: &[TxnSpec],
-    inbox: &Inbox,
-    to_control: &Arc<dyn MsgTx>,
-    watchdog: Duration,
-    pipeline: usize,
-    reg: &Registry,
-) -> Result<ClientOutcome, NetError> {
-    let mut actor = ClientActor::start(client, to_control, reg);
-    let depth = pipeline.max(1);
-    let mut inflight = Inflight::new();
-    let mut mine = share(specs, client, clients).peekable();
-    while mine.peek().is_some() || !inflight.is_empty() {
-        while inflight.len() < depth {
-            let Some(spec) = mine.next() else { break };
-            actor.submit(spec)?;
-            inflight.insert(spec.id, (Instant::now(), spec.is_read_only()));
-        }
-        if !actor.take(inbox.pop_timeout(watchdog), &mut inflight)? {
-            return Err(NetError::RecvTimeout {
-                actor: format!("client {client}"),
-            });
-        }
-    }
-    Ok(actor.finish(reg))
-}
-
-/// The open-loop driver's per-client schedule (see the module docs).
+/// The open-loop arrival policy's per-client schedule (see the module docs).
 pub struct OpenLoopPlan<'a> {
     /// Arrival offsets in µs on `wall`, nondecreasing, one per spec of the
     /// *run*: the shared Poisson schedule, of which the client takes the
@@ -280,73 +266,67 @@ pub struct OpenLoopPlan<'a> {
 /// enough to fire the next arrival on time, long enough not to spin.
 const OPEN_LOOP_NAP: Duration = Duration::from_micros(500);
 
-/// Drives client `client`'s [`share`] of `specs` under a fixed arrival
-/// schedule (open loop): arrival `i` submits `specs[i]` if the in-flight
-/// window has room and sheds it otherwise. After the last arrival the
-/// window is drained, then one `Shutdown` is sent to the control plane as
-/// the end-of-stream marker for its drain exit.
+/// Drives client `client`'s [`share`] of `specs` to commit — closed loop
+/// (`open` is `None`), keeping up to `pipeline` transactions in flight, or
+/// open loop, under `open`'s arrival schedule and in-flight bound — then
+/// sends the control plane one `Shutdown` as its end-of-stream marker.
+/// `pipeline` is clamped to ≥ 1; 1 recovers the strict one-at-a-time stream
+/// whose history is tick-identical to a serial drive of the control node.
+/// `reg` is the run's books. Read-only specs are booked on the reader
+/// latency ledger regardless of the plane they rode — with MVCC off they
+/// take the S-lock path, and the baseline reader tail is exactly what the
+/// snapshot plane is compared to.
 ///
 /// # Errors
 /// [`NetError::RecvTimeout`] if, with transactions in flight, no ack
-/// arrived within the watchdog; [`NetError::Protocol`] on out-of-protocol
-/// replies or a control-initiated shutdown.
+/// arrived within the watchdog, [`NetError::Protocol`] on an out-of-protocol
+/// reply or a run shut down from the control side.
 #[allow(clippy::too_many_arguments)]
-pub fn run_client_open_loop(
+pub fn run_client(
     client: u32,
     clients: usize,
     specs: &[TxnSpec],
-    plan: &OpenLoopPlan<'_>,
+    open: Option<&OpenLoopPlan<'_>>,
     inbox: &Inbox,
     to_control: &Arc<dyn MsgTx>,
     watchdog: Duration,
+    pipeline: usize,
     reg: &Registry,
 ) -> Result<ClientOutcome, NetError> {
-    let mut actor = ClientActor::start(client, to_control, reg);
-    let depth = plan.inflight.max(1);
-    let mut due = share(specs, client, clients)
-        .zip(share(plan.arrivals_us, client, clients))
-        .peekable();
-    let mut inflight = Inflight::new();
-    let mut last_ack = Instant::now();
-    while due.peek().is_some() || !inflight.is_empty() {
+    let mut actor = ClientActor {
+        client,
+        specs,
+        due: share(specs.len(), client, clients).peekable(),
+        open,
+        depth: open.map_or(pipeline, |p| p.inflight).max(1),
+        inflight: BTreeMap::new(),
+        last_ack: Instant::now(),
+        to_control,
+        tel: ClientTel::new(reg),
+        rx: MsgCounts::default(),
+        tx: MsgCounts::default(),
+        out: ClientOutcome::default(),
+    };
+    loop {
         // Absorb whatever acks are already waiting, so an arrival is only
         // shed when the window is genuinely still full.
-        while actor.take(inbox.try_pop(), &mut inflight)? {
-            last_ack = Instant::now();
-        }
-        // Fire every arrival already due. Shedding is decided *now*, at
-        // the arrival instant — open loop means the schedule never waits
-        // for the system.
-        let now_us = plan.wall.now_us();
-        while let Some((spec, _)) = due.next_if(|(_, &at)| at <= now_us) {
-            if inflight.len() < depth {
-                actor.submit(spec)?;
-                inflight.insert(spec.id, (Instant::now(), spec.is_read_only()));
-            } else {
-                actor.shed(spec.id);
-            }
-        }
-        // Sleep on the inbox until the next arrival is due (or an ack
-        // lands first); in the drain phase just wait for acks.
-        let nap = match due.peek() {
-            Some((_, &at)) => {
-                Duration::from_micros(at.saturating_sub(plan.wall.now_us())).min(OPEN_LOOP_NAP)
-            }
-            None if inflight.is_empty() => break,
-            None => OPEN_LOOP_NAP,
+        while actor.take(inbox.try_pop())? {}
+        actor.fire(Instant::now())?;
+        let Some(wait) = actor.wait(watchdog) else {
+            break;
         };
-        if !nap.is_zero() && actor.take(inbox.pop_timeout(nap), &mut inflight)? {
-            last_ack = Instant::now();
+        if !wait.is_zero() {
+            actor.take(inbox.pop_timeout(wait))?;
         }
-        // Starvation guard only while something is actually owed to us.
-        if !inflight.is_empty() && last_ack.elapsed() > watchdog {
+        // Starvation guard, only while something is actually owed to us.
+        if !actor.inflight.is_empty() && actor.last_ack.elapsed() >= watchdog {
             return Err(NetError::RecvTimeout {
                 actor: format!("client {client}"),
             });
         }
     }
-    // End-of-stream marker: the control plane's drain exit counts one
-    // Shutdown per client.
     actor.send(&Msg::Shutdown)?;
-    Ok(actor.finish(reg))
+    crate::publish(reg, metric::msg_rx, actor.rx.fields());
+    crate::publish(reg, metric::msg_tx, actor.tx.fields());
+    Ok(actor.out)
 }

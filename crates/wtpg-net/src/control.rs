@@ -11,10 +11,19 @@
 //! transaction. The control actor drives the whole lifecycle internally:
 //! admission, one `Access` order per granted step (issued the moment the
 //! previous step's `AccessDone` arrives), and the commit after the last
-//! step. Rejected admissions and blocked/delayed step requests are *parked*
-//! and retried whenever a commit or step completion changes the scheduler's
-//! state (plus a periodic poll), replacing the old client-side backoff
-//! sleeps with event-driven retries.
+//! step. A rejected admission queues in the FIFO admission backlog (a
+//! re-attempted head keeps its turn), a blocked/delayed step request is
+//! *parked*, and both are retried when a commit or step completion changes
+//! the scheduler's state (plus a periodic poll): event-driven retries, no
+//! client-side backoff sleeps.
+//!
+//! **A state machine and one loop.** [`ControlActor::deliver`] (a popped
+//! message and its instant) and [`ControlActor::idle`] (a quiet [`POLL`])
+//! are the actor's whole input; [`run_control`] alone touches the inbox and
+//! reads the clock. Time that steers (redelivery deadlines, send times, the
+//! round trips booked) is the `now` handed in, so a test can own it; time
+//! only measured (a coalescer's flush-window age) is read where it is used.
+//! One exit rule serves both load shapes (see `flow`).
 //!
 //! **Batched sends.** Orders to each data node flow through a
 //! [`Coalescer`], so bursts of `Access` orders for one node leave as a
@@ -73,6 +82,7 @@ use wtpg_rt::queue::PopResult;
 
 use crate::batch::Coalescer;
 use crate::codec::MAX_EXCLUDE;
+use crate::data::Flow;
 use crate::error::NetError;
 use crate::msg::Msg;
 use crate::transport::{Inbox, MsgTx};
@@ -100,8 +110,9 @@ const CKPT_EVERY: u64 = 256;
 pub struct ControlParams<'a> {
     /// The wrapped admission/lock scheduler.
     pub sched: Box<dyn Scheduler + Send>,
-    /// Commits to wait for before exiting.
-    pub expected_commits: u64,
+    /// Clients in the run, each of which ends its stream with one `Shutdown`
+    /// (shed arrivals never reach control: no commit target is knowable).
+    pub clients: usize,
     /// Redelivery schedule for unanswered `Access` orders.
     pub retry: Backoff,
     /// Give up after this long without any inbound message.
@@ -127,12 +138,6 @@ pub struct ControlParams<'a> {
     /// The run's books: every count this shard observes lands here, under
     /// its [`metric`] name, and nowhere else.
     pub reg: &'a Registry,
-    /// Drain exit for open-loop runs: `Some(n)` makes the actor exit once
-    /// `n` clients signalled end-of-stream (one `Shutdown` each — shed
-    /// arrivals never reach control, so a commit target is unknowable
-    /// up front) *and* every submission it did receive has committed.
-    /// `None` keeps the `expected_commits` exit.
-    pub drain_clients: Option<usize>,
     /// MVCC snapshot plane. With the shared watermark attached, write
     /// steps are sealed into a [`CommitLog`], read-only submissions bypass
     /// the scheduler entirely (snapshot at admission, one `SnapshotRead`
@@ -219,9 +224,10 @@ impl CtrlTel {
 /// The control actor's MVCC state: seal/commit bookkeeping plus every
 /// in-flight read-only BAT.
 ///
-/// Memory note: `log`, `reader_done`, and `records` grow with run length —
-/// they are the post-run snapshot certifier's input, which (unlike the
-/// writer history under `stream_certify`) is not yet certified as a stream.
+/// Memory note: `log` and `records` grow with run length (as does the
+/// actor's `finished` set) — they are the post-run snapshot certifier's
+/// input, which (unlike the writer history under `stream_certify`) is not
+/// yet certified as a stream.
 /// Endurance cells that must stay memory-bounded should run the snapshot
 /// plane off (`--read-mix 0` keeps every byte identical to a plane-less
 /// run); the data-plane side stays bounded regardless (served-read memos
@@ -233,9 +239,6 @@ struct MvccPlane {
     active: ActiveSnapshots,
     /// In-flight read-only BATs by id.
     readers: BTreeMap<TxnId, ReaderState>,
-    /// Retired read-only BATs (duplicate-submission absorption + exit
-    /// accounting).
-    reader_done: BTreeSet<TxnId>,
     /// Certification records of retired readers.
     records: Vec<ReaderRecord>,
     /// Published per-partition GC floors (data actors poll this for
@@ -289,9 +292,31 @@ struct TxnState {
     attempts: u32,
 }
 
-struct ControlActor<'a> {
+impl TxnState {
+    /// Charges one failed attempt against `txn`'s starvation bound, raising
+    /// `streak` to the longest seen.
+    fn charge_attempt(&mut self, txn: TxnId, streak: &Gauge) -> Result<(), NetError> {
+        self.attempts = self.attempts.saturating_add(1);
+        if u64::from(self.attempts) > streak.get() {
+            streak.set(u64::from(self.attempts));
+        }
+        if self.attempts >= MAX_PARK_ATTEMPTS {
+            return Err(NetError::BackoffExhausted {
+                txn,
+                attempts: self.attempts,
+            });
+        }
+        Ok(())
+    }
+}
+
+/// One control shard as a state machine (see the module docs); public so
+/// that `tests/control_node.rs` can drive it one delivery at a time.
+#[doc(hidden)]
+pub struct ControlActor<'a> {
     control: ControlNode,
     catalog: &'a Catalog,
+    reg: &'a Registry,
     retry: Backoff,
     to_data: Vec<Coalescer>,
     to_clients: &'a [Arc<dyn MsgTx>],
@@ -303,7 +328,7 @@ struct ControlActor<'a> {
     /// Admission flow control: submissions beyond `admit_window`
     /// concurrently-admitted transactions queue here (FIFO) without ever
     /// touching the scheduler, so pipelined clients cannot flood the WTPG
-    /// with hopeless admission attempts.
+    /// with hopeless admission attempts; rejected ones wait here too.
     backlog: VecDeque<TxnId>,
     /// Transactions currently admitted and not yet committed or aborted.
     active: usize,
@@ -315,27 +340,149 @@ struct ControlActor<'a> {
     ckpt: Option<PathBuf>,
     /// Write-plane steps reported complete (checkpoint cross-check datum).
     completed_steps: u64,
-    /// Committed writers. A transaction's drive-state is retired at commit;
-    /// this set is what absorbs its late duplicates afterwards.
-    committed: BTreeSet<TxnId>,
+    /// Writers committed (the checkpoint's count).
+    commits: u64,
+    /// Committed writers and retired readers. A transaction's drive-state
+    /// is retired when it finishes; this set absorbs its late duplicates.
+    finished: BTreeSet<TxnId>,
     rx: MsgCounts,
     tx: MsgCounts,
     data_rtts_us: Vec<u64>,
     /// Milli-objects per progress chunk, stamped on every `Access` order.
     chunk_units: u64,
     tel: CtrlTel,
-    /// Drain exit (see [`ControlParams::drain_clients`]).
-    drain: Option<usize>,
-    /// End-of-stream markers received (one `Shutdown` per finished client).
+    /// Clients in the run, and the end-of-stream `Shutdown`s received.
+    clients: usize,
     done_clients: usize,
-    /// Distinct submissions received (drain-exit commit target).
-    submits_seen: u64,
+    /// Deliveries since the last busy scan.
+    since_scan: u32,
     /// MVCC snapshot plane (`None` ⇒ fully off; see
     /// [`ControlParams::mvcc`]).
     mvcc: Option<MvccPlane>,
 }
 
-impl ControlActor<'_> {
+impl<'a> ControlActor<'a> {
+    /// Shard `params.shard`, with nothing submitted and nothing in flight.
+    pub fn start(
+        params: ControlParams<'a>,
+        catalog: &'a Catalog,
+        chunk_units: u64,
+        to_data: &[Arc<dyn MsgTx>],
+        to_clients: &'a [Arc<dyn MsgTx>],
+    ) -> ControlActor<'a> {
+        let reg = params.reg;
+        ControlActor {
+            control: ControlNode::with_telemetry(params.sched, Some(reg), params.stream),
+            catalog,
+            reg,
+            retry: params.retry,
+            to_data: to_data
+                .iter()
+                .map(|tx| Coalescer::new(Arc::clone(tx), params.batch_max))
+                .collect(),
+            to_clients,
+            batch_window: params.batch_window,
+            shard: params.shard,
+            txns: BTreeMap::new(),
+            parked: BTreeSet::new(),
+            backlog: VecDeque::new(),
+            active: 0,
+            admit_window: params.admit_window.max(1),
+            outstanding: BTreeMap::new(),
+            node_chunks: vec![0; to_data.len()],
+            ckpt: params.ckpt,
+            completed_steps: 0,
+            commits: 0,
+            finished: BTreeSet::new(),
+            rx: MsgCounts::default(),
+            tx: MsgCounts::default(),
+            data_rtts_us: Vec::new(),
+            chunk_units,
+            tel: CtrlTel::new(reg, params.shard),
+            clients: params.clients,
+            done_clients: 0,
+            since_scan: 0,
+            mvcc: params.mvcc.map(|watermark| MvccPlane {
+                log: CommitLog::new(),
+                active: ActiveSnapshots::new(),
+                readers: BTreeMap::new(),
+                records: Vec::new(),
+                watermark,
+            }),
+        }
+    }
+
+    /// Handles one popped message, a `Batch` whole, popped at `now`; every
+    /// [`SCAN_EVERY`] deliveries the busy scan runs too (due re-sends,
+    /// overdue flushes, gauges). `Stop` once the exit rule holds.
+    pub fn deliver(&mut self, m: Msg, now: Instant) -> Result<Flow, NetError> {
+        self.handle(m, now)?;
+        self.since_scan += 1;
+        if self.since_scan >= SCAN_EVERY {
+            self.since_scan = 0;
+            self.resend(None, now)?;
+            self.flush_data(true)?;
+            self.update_gauges();
+        }
+        Ok(self.flow())
+    }
+
+    /// What a [`POLL`] without a message does: due re-sends, parked
+    /// retries, backlog admissions, gauges.
+    pub fn idle(&mut self, now: Instant) -> Result<Flow, NetError> {
+        self.resend(None, now)?;
+        self.retry_parked(now)?;
+        self.drain_backlog(now)?;
+        self.update_gauges();
+        Ok(self.flow())
+    }
+
+    /// The exit rule: every client ended its stream with `Shutdown`, and
+    /// nothing is live. Per-link FIFO (and the router's in-order dealing)
+    /// puts each client's `Submit`s ahead of its `Shutdown`.
+    fn flow(&self) -> Flow {
+        let readers = self.mvcc.as_ref().map_or(0, |p| p.readers.len());
+        if self.done_clients < self.clients || self.txns.len() + readers > 0 {
+            return Flow::Continue;
+        }
+        Flow::Stop
+    }
+
+    /// What must happen before the loop blocks on an empty inbox: every
+    /// buffered order goes out, or the peers it starves never answer.
+    pub fn before_block(&mut self) -> Result<(), NetError> {
+        self.flush_data(false)
+    }
+
+    /// Orderly exit: a final checkpoint, so the persisted cursor covers the
+    /// whole run, and a last flush.
+    pub fn finish(mut self) -> Result<ControlOutcome, NetError> {
+        self.write_ckpt()?;
+        self.flush_data(false)?;
+        // The tallies nobody reads live, published once: message counts (the
+        // shard's own and its coalescers') and the scheduler's cache / abort /
+        // delay statistics, under the bare names the simulator's trace uses.
+        let reg = self.reg;
+        crate::publish(reg, metric::msg_rx, self.rx.fields());
+        crate::publish(reg, metric::msg_tx, self.tx.fields());
+        for c in &self.to_data {
+            c.publish(reg);
+        }
+        let (name, mode) = (self.control.sched_name(), self.control.certify_mode());
+        let audit = self.control.into_audit();
+        crate::publish(reg, str::to_string, audit.stats.fields());
+        Ok(ControlOutcome {
+            name,
+            mode,
+            audit,
+            data_rtts_us: self.data_rtts_us,
+            mvcc: self.mvcc.map(|p| MvccAudit {
+                log: p.log,
+                readers: p.records,
+            }),
+        })
+    }
+
     fn send_to_client(&mut self, client: u32, m: &Msg) -> Result<(), NetError> {
         let tx = self
             .to_clients
@@ -370,9 +517,15 @@ impl ControlActor<'_> {
 
     /// Sends `order` for `(txn, step)` to `node` and files it in the
     /// outstanding table until its reply arrives.
-    fn issue(&mut self, txn: TxnId, step: u32, node: usize, order: Msg) -> Result<(), NetError> {
+    fn issue(
+        &mut self,
+        txn: TxnId,
+        step: u32,
+        node: usize,
+        order: Msg,
+        now: Instant,
+    ) -> Result<(), NetError> {
         self.send_data(node, order.clone(), false)?;
-        let now = Instant::now();
         self.outstanding.insert((txn, step), Outstanding {
             node,
             attempts: 0,
@@ -388,10 +541,10 @@ impl ControlActor<'_> {
     /// Advances `txn` as far as the scheduler allows right now: admission,
     /// then its next step request, then the commit once every step is done.
     /// A turned-away decision parks the transaction for event-driven retry.
-    fn drive(&mut self, txn: TxnId) -> Result<(), NetError> {
+    fn drive(&mut self, txn: TxnId, now: Instant) -> Result<(), NetError> {
         let state = self
             .txns
-            .get(&txn)
+            .get_mut(&txn)
             .ok_or_else(|| NetError::Protocol(format!("driving unknown txn {}", txn.0)))?;
         if !state.admitted {
             if self.active >= self.admit_window {
@@ -405,74 +558,50 @@ impl ControlActor<'_> {
                 Admission::Admitted => {
                     self.active += 1;
                     self.tel.admissions.inc();
-                    let t = self
-                        .txns
-                        .get_mut(&txn)
-                        .expect("invariant: drive() is only called for tracked txns");
-                    t.admitted = true;
-                    t.attempts = 0;
+                    state.admitted = true;
+                    state.attempts = 0;
                     // Fall through to the first step request.
                 }
                 Admission::Rejected => {
                     // A chain-form/K-conflict rejection depends on who is
                     // active right now, which mostly changes at commits —
-                    // so the transaction returns to the HEAD of the
-                    // admission queue (it keeps its turn) instead of the
+                    // so the transaction joins the admission queue, not the
                     // hot parked set, and is re-attempted once per freed
-                    // slot rather than on every step completion.
-                    self.charge_attempt(txn)?;
-                    self.backlog.push_front(txn);
+                    // slot rather than on every step completion. A fresh
+                    // one queues at the back; `drain_backlog` returns a
+                    // re-attempted head to the front (it keeps its turn).
+                    state.charge_attempt(txn, &self.tel.max_retry_streak)?;
+                    self.backlog.push_back(txn);
                     return Ok(());
                 }
             }
         }
-        let state = self
-            .txns
-            .get(&txn)
-            .expect("invariant: drive() is only called for tracked txns");
-        if state.next_step == state.spec.len() {
+        let step = state.next_step;
+        let Some(declared) = state.spec.steps().get(step).copied() else {
+            // Every step is done: commit.
             let client = state.client;
-            let parts: Vec<u32> = if self.mvcc.is_some() {
-                state.spec.steps().iter().map(|s| s.partition.0).collect()
-            } else {
-                Vec::new()
-            };
             let tick = self.control.commit(txn)?;
             if let Some(plane) = self.mvcc.as_mut() {
                 // Stamp the commit tick on this writer's sealed entries
                 // and raise GC floors: committed-prefix writes below every
                 // active snapshot's horizon no longer need inversion data.
                 plane.log.note_commit(txn, tick);
-                plane.publish_floors(parts);
+                plane.publish_floors(state.spec.steps().iter().map(|s| s.partition.0).collect());
             }
-            self.committed.insert(txn);
+            self.finished.insert(txn);
+            self.commits += 1;
             self.active = self.active.saturating_sub(1);
             self.tel.commits.inc();
             self.maybe_checkpoint()?;
             // The transaction is over: retire its drive-state. Late
             // duplicates (Submit or data-plane replies) are absorbed by
-            // the `committed` set.
+            // the `finished` set.
             self.txns.remove(&txn);
             return self.send_to_client(client, &Msg::Commit { client, txn });
-        }
-        let step = state.next_step;
+        };
         match self.control.request(txn, step)? {
             LockOutcome::Granted => {
-                let declared = self
-                    .txns
-                    .get(&txn)
-                    .and_then(|t| t.spec.steps().get(step))
-                    .copied()
-                    .ok_or_else(|| {
-                        NetError::Protocol(format!(
-                            "granted step {step} of txn {} has no declaration",
-                            txn.0
-                        ))
-                    })?;
-                self.txns
-                    .get_mut(&txn)
-                    .expect("invariant: drive() is only called for tracked txns")
-                    .attempts = 0;
+                state.attempts = 0;
                 let step = step as u32;
                 let node = self.catalog.node_of(declared.partition) as usize;
                 // Seal write steps into the partition's version order at
@@ -497,9 +626,13 @@ impl ControlActor<'_> {
                     chunk_units: self.chunk_units,
                     seal,
                 };
-                self.issue(txn, step, node, order)
+                self.issue(txn, step, node, order, now)
             }
-            LockOutcome::Blocked | LockOutcome::Delayed => self.park(txn),
+            LockOutcome::Blocked | LockOutcome::Delayed => {
+                state.charge_attempt(txn, &self.tel.max_retry_streak)?;
+                self.parked.insert(txn);
+                Ok(())
+            }
         }
     }
 
@@ -510,7 +643,13 @@ impl ControlActor<'_> {
     /// blocks it. Orders land in the same outstanding table as `Access`,
     /// so redelivery, `Recover` re-sends, and data-RTT accounting are
     /// uniform across both planes.
-    fn admit_reader(&mut self, client: u32, txn: TxnId, spec: &TxnSpec) -> Result<(), NetError> {
+    fn admit_reader(
+        &mut self,
+        client: u32,
+        txn: TxnId,
+        spec: &TxnSpec,
+        now: Instant,
+    ) -> Result<(), NetError> {
         let snapshot = self.control.now();
         let mut orders: Vec<(usize, u32, Msg)> = Vec::with_capacity(spec.len());
         {
@@ -576,60 +715,38 @@ impl ControlActor<'_> {
             );
         }
         for (node, step, order) in orders {
-            self.issue(txn, step, node, order)?;
+            self.issue(txn, step, node, order, now)?;
         }
-        Ok(())
-    }
-
-    /// Charges one failed attempt against `txn`'s starvation bound.
-    fn charge_attempt(&mut self, txn: TxnId) -> Result<(), NetError> {
-        let t = self
-            .txns
-            .get_mut(&txn)
-            .expect("invariant: attempts are only charged to tracked txns");
-        t.attempts = t.attempts.saturating_add(1);
-        if u64::from(t.attempts) > self.tel.max_retry_streak.get() {
-            self.tel.max_retry_streak.set(u64::from(t.attempts));
-        }
-        if t.attempts >= MAX_PARK_ATTEMPTS {
-            return Err(NetError::BackoffExhausted {
-                txn,
-                attempts: t.attempts,
-            });
-        }
-        Ok(())
-    }
-
-    fn park(&mut self, txn: TxnId) -> Result<(), NetError> {
-        self.charge_attempt(txn)?;
-        self.parked.insert(txn);
         Ok(())
     }
 
     /// Re-drives every parked transaction once. Called after commits and
     /// step completions (the only events that change what the scheduler
     /// will answer) and on the idle poll.
-    fn retry_parked(&mut self) -> Result<(), NetError> {
+    fn retry_parked(&mut self, now: Instant) -> Result<(), NetError> {
         if self.parked.is_empty() {
             return Ok(());
         }
         let waiting: Vec<TxnId> = std::mem::take(&mut self.parked).into_iter().collect();
         for txn in waiting {
-            self.drive(txn)?;
+            self.drive(txn, now)?;
         }
         Ok(())
     }
 
     /// Admits queued submissions into freed admission-window slots, FIFO.
-    /// Stops as soon as the queue head bounces (scheduler rejection puts
-    /// it straight back), so one drain costs at most one futile `arrive`.
-    fn drain_backlog(&mut self) -> Result<(), NetError> {
+    /// Stops as soon as the queue head bounces — the rejection queued it at
+    /// the back, and it returns to the front, keeping its turn — so one
+    /// drain costs at most one futile `arrive`.
+    fn drain_backlog(&mut self, now: Instant) -> Result<(), NetError> {
         while self.active < self.admit_window {
             let Some(txn) = self.backlog.pop_front() else {
                 return Ok(());
             };
-            self.drive(txn)?;
-            if self.backlog.front() == Some(&txn) {
+            self.drive(txn, now)?;
+            if self.backlog.back() == Some(&txn) {
+                self.backlog.pop_back();
+                self.backlog.push_front(txn);
                 return Ok(());
             }
         }
@@ -642,29 +759,24 @@ impl ControlActor<'_> {
     /// transaction already committed) and is dropped, or answers an order
     /// this actor never issued.
     fn late_reply(&self, txn: TxnId, step: u32, what: &str) -> Result<(), NetError> {
-        let done = self.committed.contains(&txn)
-            || self
-                .txns
-                .get(&txn)
-                .is_some_and(|t| (step as usize) < t.next_step);
-        if done {
-            Ok(())
-        } else {
-            Err(NetError::Protocol(format!(
-                "{what} for txn {} step {step}, which has no order in flight",
-                txn.0
-            )))
+        let next_step = self.txns.get(&txn).map_or(0, |t| t.next_step);
+        if self.finished.contains(&txn) || (step as usize) < next_step {
+            return Ok(());
         }
+        Err(NetError::Protocol(format!(
+            "{what} for txn {} step {step}, which has no order in flight",
+            txn.0
+        )))
     }
 
     // lint:allow(protocol: Access, SnapshotRead, Commit, RecoverAck) send-only for the control actor: it emits the accesses, snapshot-read orders, commit acks, and recovery acks
-    fn handle(&mut self, m: Msg) -> Result<(), NetError> {
+    fn handle(&mut self, m: Msg, now: Instant) -> Result<(), NetError> {
         m.count(&mut self.rx);
         match m {
             Msg::Batch(inner) => {
                 for sub in inner {
                     debug_assert!(!matches!(sub, Msg::Batch(_)), "codec rejects nesting");
-                    self.handle(sub)?;
+                    self.handle(sub, now)?;
                 }
                 Ok(())
             }
@@ -674,20 +786,20 @@ impl ControlActor<'_> {
                 step: None,
                 spec: Some(spec),
             } => {
-                if self.txns.contains_key(&txn) || self.committed.contains(&txn) {
+                if self.txns.contains_key(&txn)
+                    || self.finished.contains(&txn)
+                    || self
+                        .mvcc
+                        .as_ref()
+                        .is_some_and(|p| p.readers.contains_key(&txn))
+                {
                     // Duplicate delivery of a submission already being
-                    // driven (or already committed): ignore, or the txn
+                    // driven (or already finished): ignore, or the txn
                     // would enter the backlog twice.
                     return Ok(());
                 }
-                if let Some(plane) = &self.mvcc {
-                    if plane.readers.contains_key(&txn) || plane.reader_done.contains(&txn) {
-                        return Ok(()); // duplicate reader submission
-                    }
-                }
-                self.submits_seen += 1;
                 if self.mvcc.is_some() && spec.is_read_only() {
-                    return self.admit_reader(client, txn, &spec);
+                    return self.admit_reader(client, txn, &spec, now);
                 }
                 self.txns.insert(
                     txn,
@@ -699,7 +811,7 @@ impl ControlActor<'_> {
                         attempts: 0,
                     },
                 );
-                self.drive(txn)
+                self.drive(txn, now)
             }
             Msg::StatsDelta {
                 txn,
@@ -720,11 +832,7 @@ impl ControlActor<'_> {
                     )));
                 }
                 o.next_chunk += 1;
-                let n = o.node;
-                if self.node_chunks.len() <= n {
-                    self.node_chunks.resize(n + 1, 0);
-                }
-                if let Some(slot) = self.node_chunks.get_mut(n) {
+                if let Some(slot) = self.node_chunks.get_mut(o.node) {
                     *slot += 1;
                 }
                 self.control.progress(txn, Work::from_units(units))?;
@@ -735,7 +843,7 @@ impl ControlActor<'_> {
                     return self.late_reply(txn, step, "AccessDone");
                 };
                 self.control.step_complete(txn, step as usize)?;
-                self.book_rtt(o.sent_at);
+                self.book_rtt(o.sent_at, now);
                 self.completed_steps += 1;
                 if let Some(t) = self.txns.get_mut(&txn) {
                     t.next_step = step as usize + 1;
@@ -752,10 +860,10 @@ impl ControlActor<'_> {
                 // backlog is drained only when this round of driving
                 // actually freed an admission slot.
                 let active_before = self.active;
-                self.drive(txn)?;
-                self.retry_parked()?;
+                self.drive(txn, now)?;
+                self.retry_parked(now)?;
                 if self.active < active_before {
-                    self.drain_backlog()?;
+                    self.drain_backlog(now)?;
                 }
                 Ok(())
             }
@@ -766,7 +874,7 @@ impl ControlActor<'_> {
                 units,
             } => {
                 if let Some(o) = self.outstanding.remove(&(txn, step)) {
-                    self.book_rtt(o.sent_at);
+                    self.book_rtt(o.sent_at, now);
                     // The certifier's expected checksum is computed with the
                     // unit count the *reply* echoes, so a node that scanned
                     // the wrong number of cells would self-consistently
@@ -791,7 +899,7 @@ impl ControlActor<'_> {
                         txn.0
                     )));
                 };
-                if plane.reader_done.contains(&txn) {
+                if self.finished.contains(&txn) {
                     return Ok(()); // late duplicate after the reader retired
                 }
                 let Some(r) = plane.readers.get_mut(&txn) else {
@@ -832,7 +940,7 @@ impl ControlActor<'_> {
                     .readers
                     .remove(&txn)
                     .expect("invariant: reader was just borrowed from this map");
-                plane.reader_done.insert(txn);
+                self.finished.insert(txn);
                 plane.active.end(txn);
                 plane.records.push(ReaderRecord {
                     txn,
@@ -854,7 +962,7 @@ impl ControlActor<'_> {
                 // and un-park whatever went node-unavailable while it was
                 // dark.
                 let node = rejoined as usize;
-                let resent = self.resend(Some(node))?;
+                let resent = self.resend(Some(node), now)?;
                 // Flush the re-send burst as its own frame first: the ack
                 // then leaves as a plain single-message frame, so the
                 // rejoin handshake stays visible per-type in the wire
@@ -874,19 +982,9 @@ impl ControlActor<'_> {
                 self.send_data(node, ack, true)
             }
             Msg::Shutdown => {
-                // In drain mode each open-loop client sends one `Shutdown`
-                // as its end-of-stream marker (shed arrivals never reach
-                // control, so this is the only way to learn the submission
-                // stream is over). Outside drain mode control *sends*
-                // Shutdown at teardown and must never receive it.
-                if self.drain.is_some() {
-                    self.done_clients += 1;
-                    Ok(())
-                } else {
-                    Err(NetError::Protocol(
-                        "control received Shutdown outside a drain-mode run".to_string(),
-                    ))
-                }
+                // A client's end-of-stream marker (see `flow`).
+                self.done_clients += 1;
+                Ok(())
             }
             other => Err(NetError::Protocol(format!(
                 "control received {other:?}, which the pipelined protocol never routes here"
@@ -899,11 +997,7 @@ impl ControlActor<'_> {
     /// burst left in the coalescer for the caller to flush; without, every
     /// order whose deadline has passed, an attempt charged and the frame
     /// forced out.
-    fn resend(&mut self, rejoined: Option<usize>) -> Result<u32, NetError> {
-        if self.outstanding.is_empty() {
-            return Ok(0);
-        }
-        let now = Instant::now();
+    fn resend(&mut self, rejoined: Option<usize>, now: Instant) -> Result<u32, NetError> {
         let mut resend = Vec::new();
         for o in self.outstanding.values_mut() {
             match rejoined {
@@ -942,7 +1036,7 @@ impl ControlActor<'_> {
 
     /// Persists a control checkpoint every [`CKPT_EVERY`] commits.
     fn maybe_checkpoint(&mut self) -> Result<(), NetError> {
-        if self.ckpt.is_none() || !(self.committed.len() as u64).is_multiple_of(CKPT_EVERY) {
+        if self.ckpt.is_none() || !self.commits.is_multiple_of(CKPT_EVERY) {
             return Ok(());
         }
         self.write_ckpt()
@@ -955,7 +1049,7 @@ impl ControlActor<'_> {
             return Ok(());
         };
         let ckpt = ControlCheckpoint {
-            committed: self.committed.len() as u64,
+            committed: self.commits,
             completed_steps: self.completed_steps,
             node_chunks: self.node_chunks.clone(),
         };
@@ -972,10 +1066,11 @@ impl ControlActor<'_> {
         self.tel.parked.set(self.parked.len() as u64);
     }
 
-    /// Books one order-to-reply round trip: the exact sample for the
-    /// report, the bucketed one for the live view.
-    fn book_rtt(&mut self, sent_at: Instant) {
-        let us = elapsed_us(sent_at);
+    /// Books one order-to-reply round trip, sent to popped: the exact
+    /// sample for the report, the bucketed one for the live view.
+    fn book_rtt(&mut self, sent_at: Instant, now: Instant) {
+        let rtt = now.saturating_duration_since(sent_at);
+        let us = u64::try_from(rtt.as_micros()).unwrap_or(u64::MAX);
         self.data_rtts_us.push(us);
         self.tel.data_rtt.record(us);
     }
@@ -996,14 +1091,10 @@ impl ControlActor<'_> {
     }
 }
 
-fn elapsed_us(since: Instant) -> u64 {
-    u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX)
-}
-
-/// Runs the control actor until `expected_commits` transactions have
-/// committed, then returns the audit. Teardown (`Shutdown` broadcasts) is
-/// the runtime's job — in sharded runs only the runtime knows when *every*
-/// shard is done.
+/// Runs one control shard until its exit rule holds — every client ended
+/// its stream and nothing is live — then returns the audit. Teardown
+/// (`Shutdown` broadcasts) is the runtime's job — in sharded runs only the
+/// runtime knows when *every* shard is done.
 ///
 /// # Errors
 /// [`NetError::Core`] if a message drove the scheduler protocol into an
@@ -1020,139 +1111,39 @@ pub fn run_control(
     to_data: &[Arc<dyn MsgTx>],
     to_clients: &[Arc<dyn MsgTx>],
 ) -> Result<ControlOutcome, NetError> {
-    let reg = params.reg;
-    let control = ControlNode::with_telemetry(params.sched, Some(reg), params.stream);
-    let name = control.sched_name();
-    let mode = control.certify_mode();
-    let mut actor = ControlActor {
-        control,
-        catalog,
-        retry: params.retry,
-        to_data: to_data
-            .iter()
-            .map(|tx| Coalescer::new(Arc::clone(tx), params.batch_max))
-            .collect(),
-        to_clients,
-        batch_window: params.batch_window,
-        shard: params.shard,
-        txns: BTreeMap::new(),
-        parked: BTreeSet::new(),
-        backlog: VecDeque::new(),
-        active: 0,
-        admit_window: params.admit_window.max(1),
-        outstanding: BTreeMap::new(),
-        node_chunks: Vec::new(),
-        ckpt: params.ckpt,
-        completed_steps: 0,
-        committed: BTreeSet::new(),
-        rx: MsgCounts::default(),
-        tx: MsgCounts::default(),
-        data_rtts_us: Vec::new(),
-        chunk_units,
-        tel: CtrlTel::new(reg, params.shard),
-        drain: params.drain_clients,
-        done_clients: 0,
-        submits_seen: 0,
-        mvcc: params.mvcc.map(|watermark| MvccPlane {
-            log: CommitLog::new(),
-            active: ActiveSnapshots::new(),
-            readers: BTreeMap::new(),
-            reader_done: BTreeSet::new(),
-            records: Vec::new(),
-            watermark,
-        }),
-    };
-
-    let result = (|| -> Result<(), NetError> {
-        let mut last_activity = Instant::now();
-        let mut since_scan = 0u32;
-        // Drain mode exits once every client said goodbye AND everything
-        // they submitted has committed; otherwise the commit target is
-        // known up front.
-        let done = |a: &ControlActor| {
-            // Retired readers count toward the finish line alongside
-            // committed writers — a read-only BAT's commit is its last
-            // SnapshotReply, never a scheduler commit.
-            let finished = a.committed.len() as u64
-                + a.mvcc.as_ref().map_or(0, |p| p.reader_done.len() as u64);
-            match a.drain {
-                Some(n) => a.done_clients >= n && finished >= a.submits_seen,
-                None => finished >= params.expected_commits,
+    let (watchdog, shard) = (params.watchdog, params.shard);
+    let mut actor = ControlActor::start(params, catalog, chunk_units, to_data, to_clients);
+    let mut last_message = Instant::now();
+    loop {
+        // Drain bursts without blocking so coalescers fill; block only
+        // after `before_block`.
+        let popped = match inbox.try_pop() {
+            PopResult::Empty => {
+                actor.before_block()?;
+                inbox.pop_timeout(POLL)
+            }
+            ready => ready,
+        };
+        let now = Instant::now();
+        let flow = match popped {
+            PopResult::Item(m) => {
+                last_message = now;
+                actor.deliver(m, now)?
+            }
+            PopResult::Empty if now.duration_since(last_message) > watchdog => {
+                return Err(NetError::RecvTimeout {
+                    actor: format!("control shard {shard}"),
+                });
+            }
+            PopResult::Empty => actor.idle(now)?,
+            PopResult::Closed => {
+                return Err(NetError::Protocol(
+                    "control inbox closed mid-run".to_string(),
+                ));
             }
         };
-        while !done(&actor) {
-            // Drain bursts without blocking; coalescers fill up meanwhile.
-            let next = match inbox.try_pop() {
-                PopResult::Item(m) => Some(m),
-                PopResult::Empty => {
-                    // Idle: everything buffered must go out before we
-                    // block, or the peers we are starving never answer.
-                    actor.flush_data(false)?;
-                    match inbox.pop_timeout(POLL) {
-                        PopResult::Item(m) => Some(m),
-                        PopResult::Empty => None,
-                        PopResult::Closed => {
-                            return Err(NetError::Protocol(
-                                "control inbox closed mid-run".to_string(),
-                            ));
-                        }
-                    }
-                }
-                PopResult::Closed => {
-                    return Err(NetError::Protocol(
-                        "control inbox closed mid-run".to_string(),
-                    ));
-                }
-            };
-            match next {
-                Some(m) => {
-                    last_activity = Instant::now();
-                    actor.handle(m)?;
-                    since_scan += 1;
-                    if since_scan >= SCAN_EVERY {
-                        since_scan = 0;
-                        actor.resend(None)?;
-                        actor.flush_data(true)?;
-                        actor.update_gauges();
-                    }
-                }
-                None => {
-                    if last_activity.elapsed() > params.watchdog {
-                        return Err(NetError::RecvTimeout {
-                            actor: format!("control shard {}", params.shard),
-                        });
-                    }
-                    actor.resend(None)?;
-                    actor.retry_parked()?;
-                    actor.drain_backlog()?;
-                    actor.update_gauges();
-                }
-            }
+        if let Flow::Stop = flow {
+            return actor.finish();
         }
-        // A final checkpoint so the persisted cursor covers the whole run.
-        actor.write_ckpt()?;
-        actor.flush_data(false)
-    })();
-    result?;
-
-    // The tallies nobody reads live, published once: message counts (the
-    // shard's own and its coalescers') and the scheduler's cache / abort /
-    // delay statistics, under the bare names the simulator's trace uses.
-    crate::publish(reg, metric::msg_rx, actor.rx.fields());
-    crate::publish(reg, metric::msg_tx, actor.tx.fields());
-    for c in &actor.to_data {
-        c.publish(reg);
     }
-    let audit = actor.control.into_audit();
-    crate::publish(reg, str::to_string, audit.stats.fields());
-    Ok(ControlOutcome {
-        name,
-        mode,
-        audit,
-        data_rtts_us: actor.data_rtts_us,
-        mvcc: actor.mvcc.map(|p| MvccAudit {
-            log: p.log,
-            readers: p.records,
-        }),
-    })
 }

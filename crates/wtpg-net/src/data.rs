@@ -171,12 +171,14 @@ impl DataTel {
     }
 }
 
-/// What one delivery asks of the loop.
+/// What one delivery asks of an actor's loop (the data node's and the
+/// control node's alike).
 #[doc(hidden)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Flow {
     Continue,
-    /// `Shutdown` arrived, or the control link is gone.
+    /// The actor is done: for a data node, `Shutdown` arrived or the
+    /// control link is gone; for a control shard, its exit rule holds.
     Stop,
 }
 

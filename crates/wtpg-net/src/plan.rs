@@ -236,7 +236,10 @@ mod tests {
         // one schedule, and between them they cover every index once.
         let arrivals = plan.arrivals.as_deref().expect("open loop has a schedule");
         assert_eq!(arrivals.len(), specs.len());
-        let ids = |c| share(&specs, c, plan.clients()).map(|s| s.id).collect::<Vec<_>>();
+        let ids = |c| {
+            let mine = share(specs.len(), c, plan.clients());
+            mine.map(|i| specs[i].id).collect::<Vec<_>>()
+        };
         assert_eq!(ids(3), vec![specs[3].id], "ten clients, ten specs: one each");
         let mut dealt: Vec<_> = (0..10).flat_map(ids).collect();
         dealt.sort();

@@ -19,8 +19,9 @@
 //!    independent control actors, each running its own scheduler over a
 //!    disjoint slice of the WTPG.
 //! 3. **drive** — `drive_threads` runs all actors to completion on scoped
-//!    threads: clients submit their shares of the workload and wait for commit
-//!    acks, each control shard exits after its last commit, and the
+//!    threads: clients submit their shares of the workload, wait for commit
+//!    acks and end their streams with one `Shutdown` each, each control
+//!    shard exits once every client has and nothing is live, and the
 //!    *runtime* broadcasts `Shutdown` to the data nodes once every shard is
 //!    done, then tears the plumbing down in the order that lets every
 //!    thread be joined.
@@ -63,7 +64,7 @@ use wtpg_rt::metrics::LatencySummary;
 use wtpg_rt::shard::{merge_audits, ShardMap};
 use wtpg_rt::StreamItem;
 
-use crate::client::{run_client, run_client_open_loop, ClientOutcome, OpenLoopPlan};
+use crate::client::{run_client, ClientOutcome, OpenLoopPlan};
 use crate::control::{run_control, ControlOutcome, ControlParams};
 use crate::data::{run_data_node, DataNodeParams, DataOutcome};
 use crate::error::NetError;
@@ -124,10 +125,9 @@ pub struct NetConfig {
     /// recovery replays all it finds, so a used directory is refused
     /// ([`PlanError::WalDirNotFresh`](crate::plan::PlanError)).
     pub wal_dir: Option<PathBuf>,
-    /// Open-loop arrival schedule: `Some` replaces the closed-loop clients
-    /// with Poisson arrivals at a fixed rate, sheds arrivals that find the
-    /// in-flight bound full, and switches the control plane to its
-    /// drain-exit protocol. `None` keeps the closed loop.
+    /// Open-loop arrival schedule: `Some` replaces the closed-loop arrival
+    /// policy with Poisson arrivals at a fixed rate and sheds arrivals that
+    /// find the in-flight bound full. `None` keeps the closed loop.
     pub open_loop: Option<OpenLoop>,
     /// Certify on live per-shard event streams instead of replaying a
     /// recorded history after the run: the control plane records nothing
@@ -277,9 +277,10 @@ fn run_router(inbox: &Inbox, map: &ShardMap, shard_inboxes: &[Inbox], reg: &Regi
         if matches!(m, Msg::Recover { .. } | Msg::Shutdown) {
             // A recovery announcement has no transaction: every shard
             // tracks its own outstanding orders on the rejoined node, so
-            // it is broadcast rather than dealt. Likewise an open-loop
-            // client's end-of-stream `Shutdown` — every shard counts its
-            // own drain exit.
+            // it is broadcast rather than dealt. Likewise a client's
+            // end-of-stream `Shutdown` — every shard's exit rule counts
+            // one per client, and dealing in order keeps it behind that
+            // client's `Submit`s.
             for inbox in shard_inboxes {
                 let _ = inbox.push(m.clone());
             }
@@ -495,7 +496,7 @@ impl<'a> ActorSet<'a> {
                 });
                 ControlParams {
                     sched,
-                    expected_commits: plan.map.assigned(si),
+                    clients: plan.clients,
                     retry: cfg.retry,
                     watchdog: plan.watchdog,
                     batch_max: cfg.batch_max,
@@ -505,7 +506,6 @@ impl<'a> ActorSet<'a> {
                     ckpt: ckpt.clone(),
                     stream,
                     reg,
-                    drain_clients: cfg.open_loop.map(|_| plan.clients),
                     mvcc: watermark.clone(),
                 }
             })
@@ -573,7 +573,16 @@ fn drive_threads(set: ActorSet<'_>, plan: &RunPlan<'_>, reg: &Registry) -> Joine
     let cfg = plan.cfg;
     let catalog = plan.catalog;
     let watchdog = plan.watchdog;
-    let run_wall = set.run_wall;
+    let open = plan
+        .arrivals
+        .as_deref()
+        .zip(cfg.open_loop)
+        .map(|(arrivals_us, ol)| OpenLoopPlan {
+            arrivals_us,
+            inflight: ol.inflight,
+            wall: set.run_wall,
+        });
+    let open = open.as_ref();
     let started = Instant::now();
     let (control_res, shutdowns, data_res, client_res) = std::thread::scope(|s| {
         let router = (set.controls.len() > 1).then(|| {
@@ -609,18 +618,9 @@ fn drive_threads(set: ActorSet<'_>, plan: &RunPlan<'_>, reg: &Registry) -> Joine
             .zip(&set.client_to_control)
             .map(|((c, inbox), tx)| {
                 let (n, specs) = (plan.clients, plan.specs);
-                let run = move || match (plan.arrivals.as_deref(), cfg.open_loop) {
-                    (Some(arrivals_us), Some(ol)) => {
-                        let schedule = OpenLoopPlan {
-                            arrivals_us,
-                            inflight: ol.inflight,
-                            wall: run_wall,
-                        };
-                        run_client_open_loop(c, n, specs, &schedule, inbox, tx, watchdog, reg)
-                    }
-                    _ => run_client(c, n, specs, inbox, tx, watchdog, cfg.pipeline, reg),
-                };
-                spawn_scoped(s, format!("client-{c}"), run)
+                spawn_scoped(s, format!("client-{c}"), move || {
+                    run_client(c, n, specs, open, inbox, tx, watchdog, cfg.pipeline, reg)
+                })
             })
             .collect();
         fn join<T>(h: std::thread::ScopedJoinHandle<'_, T>) -> T {
@@ -971,7 +971,9 @@ mod tests {
         assert_eq!(r.transport, "inproc");
         assert_eq!(r.fault, "none");
         assert_eq!(r.shards, 1, "Pattern 1 is one conflict component");
-        assert_eq!(r.msgs.shutdown as usize, r.data_nodes);
+        // One end-of-stream Shutdown per client, plus the runtime's
+        // teardown broadcast to each data node.
+        assert_eq!(r.msgs.shutdown as usize, r.clients + r.data_nodes);
         // The whole client protocol: one Submit and one Commit ack per txn.
         assert_eq!(r.msgs.submit, 40);
         assert_eq!(r.msgs.commit, 40);

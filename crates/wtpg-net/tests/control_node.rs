@@ -1,0 +1,416 @@
+//! The control actor as a state machine, driven single-threaded: every
+//! message goes in through `ControlActor::deliver` (or a quiet poll through
+//! `idle`) with a hand-advanced `now`, every order and ack comes out of a
+//! `MsgTx` that records. Nothing here pauses, blocks or reads a clock to
+//! wait on — the one `Instant::now()` per test is the origin its own time
+//! is counted from. The links are never flushed by age: the flush window is
+//! an hour, so every frame seen here left at `before_block`, at a re-send,
+//! or at a rejoin.
+
+mod common;
+
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use common::Recorder;
+use wtpg_core::partition::Catalog;
+use wtpg_core::txn::{StepSpec, TxnId, TxnSpec};
+use wtpg_dur::checkpoint::read_control_checkpoint;
+use wtpg_mvcc::GcWatermark;
+use wtpg_net::control::{ControlActor, ControlParams};
+use wtpg_net::data::Flow;
+use wtpg_net::transport::MsgTx;
+use wtpg_net::{Msg, NetError};
+use wtpg_obs::window::metric;
+use wtpg_obs::Registry;
+use wtpg_rt::backoff::Backoff;
+use wtpg_rt::sched_by_name;
+
+/// Redelivery: 1 ms, doubling to a 4 ms cap; the fourth unanswered re-send
+/// declares the node unavailable.
+const RETRY: Backoff = Backoff {
+    base_us: 1_000,
+    cap_us: 4_000,
+    max_attempts: 4,
+};
+
+/// Deliveries between busy scans (`control.rs`'s `SCAN_EVERY`).
+const SCAN_EVERY: usize = 64;
+
+/// Two nodes, four 2-object partitions: node 0 homes partitions 0 and 2.
+fn catalog() -> Catalog {
+    Catalog::uniform(4, 2, 2)
+}
+
+fn params<'a>(reg: &'a Registry, sched: &str, clients: usize) -> ControlParams<'a> {
+    ControlParams {
+        sched: sched_by_name(sched, 2, 2000).expect("known scheduler"),
+        clients,
+        retry: RETRY,
+        watchdog: Duration::from_secs(30),
+        batch_max: 64,
+        batch_window: Duration::from_secs(3600),
+        admit_window: 4,
+        shard: 0,
+        ckpt: None,
+        stream: None,
+        reg,
+        mvcc: None,
+    }
+}
+
+/// Recording links to two data nodes and `clients` clients.
+struct Links {
+    data: Vec<Arc<Recorder>>,
+    clients: Vec<Arc<Recorder>>,
+    to_data: Vec<Arc<dyn MsgTx>>,
+    to_clients: Vec<Arc<dyn MsgTx>>,
+}
+
+fn links(clients: usize) -> Links {
+    let data: Vec<Arc<Recorder>> = (0..2).map(|_| Arc::default()).collect();
+    let clients: Vec<Arc<Recorder>> = (0..clients).map(|_| Arc::default()).collect();
+    let tx = |r: &Arc<Recorder>| Arc::clone(r) as Arc<dyn MsgTx>;
+    Links {
+        to_data: data.iter().map(tx).collect(),
+        to_clients: clients.iter().map(tx).collect(),
+        data,
+        clients,
+    }
+}
+
+fn start<'a>(p: ControlParams<'a>, cat: &'a Catalog, units: u64, l: &'a Links) -> ControlActor<'a> {
+    ControlActor::start(p, cat, units, &l.to_data, &l.to_clients)
+}
+
+fn submit(client: u32, txn: u64, steps: Vec<StepSpec>) -> Msg {
+    Msg::Submit {
+        client,
+        txn: TxnId(txn),
+        step: None,
+        spec: Some(TxnSpec::new(TxnId(txn), steps)),
+    }
+}
+
+fn delta(txn: u64, chunk: u64) -> Msg {
+    Msg::StatsDelta {
+        txn: TxnId(txn),
+        step: 0,
+        chunk,
+        units: 500,
+    }
+}
+
+fn done(txn: u64, units: u64) -> Msg {
+    Msg::AccessDone {
+        txn: TxnId(txn),
+        step: 0,
+        checksum: 0,
+        units,
+    }
+}
+
+/// The transactions of the `Access` orders in `heard`, in order; anything
+/// else heard is a failure.
+fn accesses(heard: Vec<Msg>) -> Vec<u64> {
+    heard
+        .into_iter()
+        .map(|m| match m {
+            Msg::Access { txn, .. } => txn.0,
+            other => panic!("expected an Access order, heard {other:?}"),
+        })
+        .collect()
+}
+
+/// The transactions acked to a client.
+fn acks(heard: Vec<Msg>) -> Vec<u64> {
+    heard
+        .into_iter()
+        .map(|m| match m {
+            Msg::Commit { txn, .. } => txn.0,
+            other => panic!("expected a Commit ack, heard {other:?}"),
+        })
+        .collect()
+}
+
+fn count(reg: &Registry, name: &str) -> u64 {
+    reg.totals().get(name).copied().unwrap_or(0)
+}
+
+fn us(n: u64) -> Duration {
+    Duration::from_micros(n)
+}
+
+#[test]
+fn redelivery_follows_the_backoff_schedule_exactly() {
+    assert_eq!(
+        (0..5).map(|a| RETRY.delay_us(a)).collect::<Vec<_>>(),
+        [1_000, 2_000, 4_000, 4_000, 4_000],
+        "the schedule under test doubles, then caps"
+    );
+    let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
+    let mut ctl = start(params(&reg, "chain", 1), &catalog, 1000, &l);
+    let t0 = Instant::now();
+    ctl.deliver(submit(0, 1, vec![StepSpec::write(0, 1.0)]), t0)
+        .unwrap();
+    ctl.before_block().unwrap();
+    assert_eq!(accesses(l.data[0].take()), [1]);
+    let mut deadline = t0 + us(RETRY.delay_us(0));
+    for attempt in 1..=6u32 {
+        assert_eq!(ctl.idle(deadline - us(1)).unwrap(), Flow::Continue);
+        assert_eq!(
+            accesses(l.data[0].take()),
+            [0u64; 0],
+            "early at attempt {attempt}"
+        );
+        ctl.idle(deadline).unwrap();
+        assert_eq!(accesses(l.data[0].take()), [1], "due at attempt {attempt}");
+        assert_eq!(count(&reg, metric::ACCESS_RETRIES), u64::from(attempt));
+        assert_eq!(
+            count(&reg, metric::NODE_UNAVAILABLE),
+            u64::from(attempt >= RETRY.max_attempts),
+            "the node is declared unavailable once, at the budget (attempt {attempt})"
+        );
+        deadline += us(RETRY.delay_us(attempt.min(RETRY.max_attempts)));
+    }
+    assert!(l.data[1].take().is_empty());
+}
+
+#[test]
+fn recover_resends_the_nodes_orders_as_one_frame_then_a_plain_ack() {
+    let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
+    let mut ctl = start(params(&reg, "chain", 1), &catalog, 1000, &l);
+    let t0 = Instant::now();
+    // Two orders on node 0 (partitions 0 and 2), one on node 1.
+    for (txn, partition) in [(1, 0), (2, 2), (3, 1)] {
+        ctl.deliver(submit(0, txn, vec![StepSpec::write(partition, 1.0)]), t0)
+            .unwrap();
+    }
+    ctl.before_block().unwrap();
+    assert_eq!(accesses(l.data[0].take()), [1, 2]);
+    assert_eq!(accesses(l.data[1].take()), [3]);
+
+    let rejoin = t0 + us(500);
+    let recover = Msg::Recover {
+        node: 0,
+        last_lsn: 0,
+        replayed_chunks: 0,
+    };
+    assert_eq!(ctl.deliver(recover, rejoin).unwrap(), Flow::Continue);
+    let frames = l.data[0].frames();
+    let [Msg::Batch(burst), ack] = frames.as_slice() else {
+        panic!("expected the re-send burst and the ack as two frames: {frames:?}");
+    };
+    assert_eq!(accesses(burst.clone()), [1, 2]);
+    assert_eq!(
+        ack,
+        &Msg::RecoverAck {
+            node: 0,
+            outstanding: 2
+        }
+    );
+    assert!(
+        l.data[1].frames().is_empty(),
+        "another node's orders stay put"
+    );
+    assert_eq!(count(&reg, metric::ACCESS_RETRIES), 2);
+
+    // The rejoin restarted node 0's schedule; node 1's is untouched.
+    ctl.idle(rejoin + us(RETRY.delay_us(0) - 1)).unwrap();
+    assert_eq!(accesses(l.data[0].take()), [0u64; 0]);
+    assert_eq!(accesses(l.data[1].take()), [3]);
+    ctl.idle(rejoin + us(RETRY.delay_us(0))).unwrap();
+    assert_eq!(accesses(l.data[0].take()), [1, 2]);
+}
+
+#[test]
+fn a_busy_inbox_still_redelivers_every_scan() {
+    let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
+    let mut ctl = start(params(&reg, "chain", 1), &catalog, 1000, &l);
+    let t0 = Instant::now();
+    let first = submit(0, 1, vec![StepSpec::write(0, 1.0)]);
+    ctl.deliver(first.clone(), t0).unwrap();
+    ctl.before_block().unwrap();
+    assert_eq!(accesses(l.data[0].take()), [1]);
+    // Past the deadline, but never idle: duplicate submissions keep the
+    // inbox busy, and only the scan on the SCAN_EVERY-th delivery re-sends.
+    let late = t0 + us(RETRY.delay_us(0));
+    for _ in 2..SCAN_EVERY {
+        ctl.deliver(first.clone(), late).unwrap();
+    }
+    assert_eq!(accesses(l.data[0].take()), [0u64; 0]);
+    ctl.deliver(first, late).unwrap();
+    assert_eq!(
+        accesses(l.data[0].take()),
+        [1],
+        "the busy scan re-sent the due order"
+    );
+}
+
+#[test]
+fn duplicates_are_absorbed_on_both_planes() {
+    let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
+    let name = format!("wtpg-control-node-{}.ckpt", std::process::id());
+    let path = std::env::temp_dir().join(name);
+    let mut p = params(&reg, "chain", 1);
+    p.ckpt = Some(path.clone());
+    p.mvcc = Some(Arc::new(GcWatermark::new()));
+    let mut ctl = start(p, &catalog, 500, &l);
+    let t0 = Instant::now();
+
+    // A writer of three chunks: a chunk below the cursor is dropped, and
+    // everything that trails the commit finds nothing to do.
+    ctl.deliver(submit(0, 1, vec![StepSpec::write(0, 1.5)]), t0)
+        .unwrap();
+    for m in [
+        delta(1, 0),
+        delta(1, 0),
+        delta(1, 1),
+        delta(1, 2),
+        done(1, 1500),
+    ] {
+        assert_eq!(ctl.deliver(m, t0).unwrap(), Flow::Continue);
+    }
+    for late in [
+        delta(1, 2),
+        done(1, 1500),
+        submit(0, 1, vec![StepSpec::write(0, 1.5)]),
+    ] {
+        assert_eq!(ctl.deliver(late, t0).unwrap(), Flow::Continue);
+    }
+    ctl.before_block().unwrap();
+    assert_eq!(
+        accesses(l.data[0].take()),
+        [1],
+        "one order, never re-issued"
+    );
+    assert_eq!(acks(l.clients[0].take()), [1], "one ack");
+
+    // A reader: a reply after it retired, and its submission again.
+    ctl.deliver(submit(0, 7, vec![StepSpec::read(2, 1.0)]), t0)
+        .unwrap();
+    ctl.before_block().unwrap();
+    assert!(matches!(
+        l.data[0].take()[..],
+        [Msg::SnapshotRead { txn: TxnId(7), .. }]
+    ));
+    let reply = Msg::SnapshotReply {
+        txn: TxnId(7),
+        step: 0,
+        checksum: 9,
+        units: 1000,
+    };
+    for m in [
+        reply.clone(),
+        reply,
+        submit(0, 7, vec![StepSpec::read(2, 1.0)]),
+    ] {
+        assert_eq!(ctl.deliver(m, t0).unwrap(), Flow::Continue);
+    }
+    ctl.before_block().unwrap();
+    assert!(l.data[0].take().is_empty());
+    assert_eq!(acks(l.clients[0].take()), [7]);
+
+    assert_eq!(ctl.deliver(Msg::Shutdown, t0).unwrap(), Flow::Stop);
+    let out = ctl.finish().expect("finishes");
+    assert_eq!(out.mvcc.expect("the plane was on").readers.len(), 1);
+    let ckpt = read_control_checkpoint(&path)
+        .expect("reads")
+        .expect("written at exit");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(
+        (ckpt.committed, ckpt.completed_steps),
+        (1, 1),
+        "writers only"
+    );
+    assert_eq!(
+        ckpt.node_chunks,
+        [3, 0],
+        "each chunk credited once, every node counted"
+    );
+}
+
+#[test]
+fn a_chunk_ahead_of_the_cursor_is_a_protocol_error() {
+    let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
+    let mut ctl = start(params(&reg, "chain", 1), &catalog, 500, &l);
+    let t0 = Instant::now();
+    ctl.deliver(submit(0, 1, vec![StepSpec::write(0, 1.5)]), t0)
+        .unwrap();
+    let err = ctl.deliver(delta(1, 1), t0).unwrap_err();
+    assert!(matches!(err, NetError::Protocol(_)), "{err:?}");
+}
+
+#[test]
+fn the_run_ends_after_every_goodbye_and_the_last_commit_in_either_order() {
+    for goodbyes_first in [false, true] {
+        let (catalog, reg, l) = (catalog(), Registry::new(), links(2));
+        let mut ctl = start(params(&reg, "chain", 2), &catalog, 1000, &l);
+        let t0 = Instant::now();
+        let first = submit(1, 1, vec![StepSpec::write(0, 1.0)]);
+        assert_eq!(ctl.deliver(first, t0).unwrap(), Flow::Continue);
+        if goodbyes_first {
+            assert_eq!(ctl.deliver(Msg::Shutdown, t0).unwrap(), Flow::Continue);
+            assert_eq!(
+                ctl.deliver(Msg::Shutdown, t0).unwrap(),
+                Flow::Continue,
+                "txn 1 is live"
+            );
+            assert_eq!(ctl.idle(t0).unwrap(), Flow::Continue);
+            assert_eq!(ctl.deliver(done(1, 1000), t0).unwrap(), Flow::Stop);
+        } else {
+            let commit = ctl.deliver(done(1, 1000), t0).unwrap();
+            assert_eq!(commit, Flow::Continue, "nobody said goodbye yet");
+            assert_eq!(ctl.idle(t0).unwrap(), Flow::Continue);
+            let one = ctl.deliver(Msg::Shutdown, t0).unwrap();
+            assert_eq!(one, Flow::Continue, "one client to go");
+            assert_eq!(ctl.deliver(Msg::Shutdown, t0).unwrap(), Flow::Stop);
+        }
+        assert_eq!(acks(l.clients[1].take()), [1]);
+        let out = ctl.finish().expect("finishes");
+        assert_eq!(
+            out.audit.counters.commits, 1,
+            "goodbyes_first={goodbyes_first}"
+        );
+    }
+    // A client with nothing to submit still says goodbye, and that ends it.
+    let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
+    let mut ctl = start(params(&reg, "chain", 1), &catalog, 1000, &l);
+    assert_eq!(
+        ctl.deliver(Msg::Shutdown, Instant::now()).unwrap(),
+        Flow::Stop
+    );
+}
+
+/// ASL admits a transaction only if every lock it declares is free, so with
+/// txn 1 holding partition 0, txns 2 and 3 (both on partition 0) are
+/// rejected, in that order. The older rejection keeps its turn: a fresh one
+/// queues behind it, and a re-attempted head bounces back to the front.
+#[test]
+fn a_fresh_rejection_queues_behind_an_older_one() {
+    let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
+    let mut ctl = start(params(&reg, "asl", 1), &catalog, 1000, &l);
+    let t0 = Instant::now();
+    for txn in 1..=3 {
+        ctl.deliver(submit(0, txn, vec![StepSpec::write(0, 1.0)]), t0)
+            .unwrap();
+    }
+    ctl.idle(t0).unwrap(); // re-attempts the head, which bounces
+    ctl.before_block().unwrap();
+    assert_eq!(
+        accesses(l.data[0].take()),
+        [1],
+        "2 and 3 wait in the backlog"
+    );
+    ctl.deliver(done(1, 1000), t0).unwrap();
+    ctl.before_block().unwrap();
+    assert_eq!(acks(l.clients[0].take()), [1]);
+    assert_eq!(
+        accesses(l.data[0].take()),
+        [2],
+        "the older rejection goes first"
+    );
+    ctl.deliver(done(2, 1000), t0).unwrap();
+    ctl.before_block().unwrap();
+    assert_eq!(accesses(l.data[0].take()), [3]);
+}

@@ -4,11 +4,14 @@
 //! sleeps, blocks or reads a clock to wait on — the one `Instant::now()` is
 //! the origin the test's own time is counted from.
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use common::Recorder;
 use proptest::prelude::*;
 use wtpg_core::partition::{Catalog, PartitionId};
 use wtpg_core::txn::{AccessMode, TxnId};
@@ -21,28 +24,6 @@ use wtpg_net::{CrashPlan, KillPlan, Msg};
 use wtpg_obs::window::metric;
 use wtpg_obs::Registry;
 use wtpg_rt::store::{chunks, NodeStore};
-
-/// The control end of the node's link: keeps every reply, batches unpacked.
-#[derive(Default)]
-struct Recorder(Mutex<Vec<Msg>>);
-
-impl MsgTx for Recorder {
-    fn send(&self, m: &Msg) -> bool {
-        let mut seen = self.0.lock().expect("recorder lock");
-        match m {
-            Msg::Batch(inner) => seen.extend(inner.iter().cloned()),
-            plain => seen.push(plain.clone()),
-        }
-        true
-    }
-}
-
-impl Recorder {
-    /// Everything heard since the last call.
-    fn take(&self) -> Vec<Msg> {
-        std::mem::take(&mut *self.0.lock().expect("recorder lock"))
-    }
-}
 
 /// Two nodes, four 2-object partitions: node 0 homes partitions 0 and 2.
 fn catalog() -> Catalog {

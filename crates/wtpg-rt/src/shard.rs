@@ -40,7 +40,6 @@ use crate::control::{ControlAudit, ControlCounters};
 pub struct ShardMap {
     shards: usize,
     assign: BTreeMap<TxnId, usize>,
-    loads: Vec<u64>,
 }
 
 impl ShardMap {
@@ -124,11 +123,7 @@ impl ShardMap {
             .into_iter()
             .map(|(txn, root)| (txn, comp_shard.get(&root).copied().unwrap_or(0)))
             .collect();
-        ShardMap {
-            shards,
-            assign,
-            loads,
-        }
+        ShardMap { shards, assign }
     }
 
     /// Effective shard count (≤ requested, ≤ component count, ≥ 1).
@@ -139,11 +134,6 @@ impl ShardMap {
     /// The shard owning `txn`'s conflict component.
     pub fn shard_of(&self, txn: TxnId) -> usize {
         self.assign.get(&txn).copied().unwrap_or(0)
-    }
-
-    /// Transactions assigned to `shard`.
-    pub fn assigned(&self, shard: usize) -> u64 {
-        self.loads.get(shard).copied().unwrap_or(0)
     }
 }
 
@@ -242,9 +232,10 @@ mod tests {
         ];
         let map = ShardMap::build(&specs, 2);
         assert_eq!(map.shards(), 2);
-        assert_eq!(map.assigned(0) + map.assigned(1), 8);
+        let on = |shard| specs.iter().filter(|s| map.shard_of(s.id) == shard).count();
+        assert_eq!(on(0) + on(1), 8);
         // Largest component (3 txns) one side, the rest dealt to balance.
-        assert_eq!(map.assigned(0).max(map.assigned(1)), 4);
+        assert_eq!(on(0).max(on(1)), 4);
         // A component never straddles shards.
         assert_eq!(map.shard_of(TxnId(1)), map.shard_of(TxnId(2)));
         assert_eq!(map.shard_of(TxnId(1)), map.shard_of(TxnId(3)));
@@ -272,6 +263,6 @@ mod tests {
     fn empty_workload_still_has_one_shard() {
         let map = ShardMap::build(&[], 4);
         assert_eq!(map.shards(), 1);
-        assert_eq!(map.assigned(0), 0);
+        assert_eq!(map.shard_of(TxnId(1)), 0, "an unknown id lands on shard 0");
     }
 }
