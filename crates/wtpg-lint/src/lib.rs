@@ -651,7 +651,7 @@ fn crate_of(path_slash: &str) -> Option<&str> {
 ///   `codec.rs`, `fault.rs` decisions, `plan.rs`, `report.rs`) must be
 ///   deterministic —
 ///   the wire format and fault schedules are replayable by seed — while the
-///   actor loops (`control.rs`, `client.rs`, `data.rs`, `runtime.rs`), the
+///   actor loops (`actor.rs`, `control.rs`, `client.rs`, `data.rs`, `runtime.rs`), the
 ///   flush-window coalescer (`batch.rs`) and the socket transport
 ///   (`tcp.rs`) run on wall clocks and OS threads by design, certified by
 ///   replay. The taint pass still reaches into the exempt
@@ -689,6 +689,7 @@ pub fn rules_for(path: &Path) -> RuleSet {
         "wtpg-net" => {
             let wall_clock = [
                 "/tcp.rs",
+                "/actor.rs",
                 "/control.rs",
                 "/client.rs",
                 "/data.rs",

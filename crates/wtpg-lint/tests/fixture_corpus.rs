@@ -147,6 +147,7 @@ fn workspace_policy_scopes_wtpg_net() {
     // Actor loops and the socket transport: wall clocks by design, but
     // panic-safety and api-docs still enforced.
     for file in [
+        "crates/wtpg-net/src/actor.rs",
         "crates/wtpg-net/src/control.rs",
         "crates/wtpg-net/src/client.rs",
         "crates/wtpg-net/src/data.rs",

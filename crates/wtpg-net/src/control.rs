@@ -17,10 +17,10 @@
 //! the scheduler's state (plus a periodic poll): event-driven retries, no
 //! client-side backoff sleeps.
 //!
-//! **A state machine and one loop.** [`ControlActor::deliver`] (a popped
-//! message and its instant) and [`ControlActor::idle`] (a quiet [`POLL`])
-//! are the actor's whole input; [`run_control`] alone touches the inbox and
-//! reads the clock. Time that steers (redelivery deadlines, send times, the
+//! **A state machine behind the one loop.** [`ControlActor`]'s [`Actor`]
+//! steps — a popped message and its instant, a quiet [`POLL`] — are the
+//! actor's whole input; `actor::run` alone touches the inbox and reads the
+//! clock. Time that steers (redelivery deadlines, send times, the
 //! round trips booked) is the `now` handed in, so a test can own it; time
 //! only measured (a coalescer's flush-window age) is read where it is used.
 //! One exit rule serves both load shapes (see `flow`).
@@ -78,14 +78,13 @@ use wtpg_obs::window::metric;
 use wtpg_obs::{Counter, Gauge, HistHandle, MsgCounts, Registry};
 use wtpg_rt::backoff::Backoff;
 use wtpg_rt::control::{ControlAudit, ControlNode, StreamItem};
-use wtpg_rt::queue::PopResult;
 
+use crate::actor::{Actor, Flow};
 use crate::batch::Coalescer;
 use crate::codec::MAX_EXCLUDE;
-use crate::data::Flow;
 use crate::error::NetError;
 use crate::msg::Msg;
-use crate::transport::{Inbox, MsgTx};
+use crate::transport::MsgTx;
 
 /// How often the control loop wakes to scan redelivery deadlines and retry
 /// parked transactions when its inbox is idle.
@@ -322,6 +321,10 @@ pub struct ControlActor<'a> {
     to_clients: &'a [Arc<dyn MsgTx>],
     batch_window: Duration,
     shard: usize,
+    watchdog: Duration,
+    /// When the last message was popped: the silence watchdog's origin
+    /// (the first idle wake-up, until one is).
+    last_message: Option<Instant>,
     txns: BTreeMap<TxnId, TxnState>,
     /// Transactions waiting for the scheduler's state to change.
     parked: BTreeSet<TxnId>,
@@ -383,6 +386,8 @@ impl<'a> ControlActor<'a> {
             to_clients,
             batch_window: params.batch_window,
             shard: params.shard,
+            watchdog: params.watchdog,
+            last_message: None,
             txns: BTreeMap::new(),
             parked: BTreeSet::new(),
             backlog: VecDeque::new(),
@@ -411,11 +416,16 @@ impl<'a> ControlActor<'a> {
             }),
         }
     }
+}
+
+impl Actor for ControlActor<'_> {
+    type Outcome = ControlOutcome;
 
     /// Handles one popped message, a `Batch` whole, popped at `now`; every
     /// [`SCAN_EVERY`] deliveries the busy scan runs too (due re-sends,
     /// overdue flushes, gauges). `Stop` once the exit rule holds.
-    pub fn deliver(&mut self, m: Msg, now: Instant) -> Result<Flow, NetError> {
+    fn deliver(&mut self, m: Msg, now: Instant) -> Result<Flow, NetError> {
+        self.last_message = Some(now);
         self.handle(m, now)?;
         self.since_scan += 1;
         if self.since_scan >= SCAN_EVERY {
@@ -427,9 +437,14 @@ impl<'a> ControlActor<'a> {
         Ok(self.flow())
     }
 
-    /// What a [`POLL`] without a message does: due re-sends, parked
-    /// retries, backlog admissions, gauges.
-    pub fn idle(&mut self, now: Instant) -> Result<Flow, NetError> {
+    /// What a [`POLL`] without a message does: the silence watchdog, due
+    /// re-sends, parked retries, backlog admissions, gauges.
+    fn idle(&mut self, now: Instant) -> Result<Flow, NetError> {
+        let last = *self.last_message.get_or_insert(now);
+        if now.saturating_duration_since(last) > self.watchdog {
+            let actor = format!("control shard {}", self.shard);
+            return Err(NetError::RecvTimeout { actor });
+        }
         self.resend(None, now)?;
         self.retry_parked(now)?;
         self.drain_backlog(now)?;
@@ -437,26 +452,22 @@ impl<'a> ControlActor<'a> {
         Ok(self.flow())
     }
 
-    /// The exit rule: every client ended its stream with `Shutdown`, and
-    /// nothing is live. Per-link FIFO (and the router's in-order dealing)
-    /// puts each client's `Submit`s ahead of its `Shutdown`.
-    fn flow(&self) -> Flow {
-        let readers = self.mvcc.as_ref().map_or(0, |p| p.readers.len());
-        if self.done_clients < self.clients || self.txns.len() + readers > 0 {
-            return Flow::Continue;
-        }
-        Flow::Stop
-    }
-
     /// What must happen before the loop blocks on an empty inbox: every
-    /// buffered order goes out, or the peers it starves never answer.
-    pub fn before_block(&mut self) -> Result<(), NetError> {
-        self.flush_data(false)
+    /// buffered order goes out, or the peers it starves never answer. The
+    /// loop then waits a [`POLL`] at most.
+    fn before_block(&mut self, _now: Instant) -> Result<Option<Duration>, NetError> {
+        self.flush_data(false)?;
+        Ok(Some(POLL))
     }
 
     /// Orderly exit: a final checkpoint, so the persisted cursor covers the
-    /// whole run, and a last flush.
-    pub fn finish(mut self) -> Result<ControlOutcome, NetError> {
+    /// whole run, and a last flush. Refused while the exit rule does not
+    /// hold: the inbox closed mid-run.
+    fn finish(mut self) -> Result<ControlOutcome, NetError> {
+        if self.flow() == Flow::Continue {
+            let shard = self.shard;
+            return Err(NetError::Protocol(format!("control shard {shard}: inbox closed mid-run")));
+        }
         self.write_ckpt()?;
         self.flush_data(false)?;
         // The tallies nobody reads live, published once: message counts (the
@@ -481,6 +492,19 @@ impl<'a> ControlActor<'a> {
                 readers: p.records,
             }),
         })
+    }
+}
+
+impl ControlActor<'_> {
+    /// The exit rule: every client ended its stream with `Shutdown`, and
+    /// nothing is live. Per-link FIFO (and the router's in-order dealing)
+    /// puts each client's `Submit`s ahead of its `Shutdown`.
+    fn flow(&self) -> Flow {
+        let readers = self.mvcc.as_ref().map_or(0, |p| p.readers.len());
+        if self.done_clients < self.clients || self.txns.len() + readers > 0 {
+            return Flow::Continue;
+        }
+        Flow::Stop
     }
 
     fn send_to_client(&mut self, client: u32, m: &Msg) -> Result<(), NetError> {
@@ -1088,62 +1112,5 @@ impl<'a> ControlActor<'a> {
             }
         }
         Ok(())
-    }
-}
-
-/// Runs one control shard until its exit rule holds — every client ended
-/// its stream and nothing is live — then returns the audit. Teardown
-/// (`Shutdown` broadcasts) is the runtime's job — in sharded runs only the
-/// runtime knows when *every* shard is done.
-///
-/// # Errors
-/// [`NetError::Core`] if a message drove the scheduler protocol into an
-/// error, [`NetError::Protocol`] on a message the protocol does not allow,
-/// [`NetError::BackoffExhausted`] if a parked transaction starved,
-/// [`NetError::RecvTimeout`] if the inbox stays silent past the watchdog
-/// (an unanswered data node parks its orders as node-unavailable rather
-/// than erroring), [`NetError::Dur`] if a control-checkpoint write failed.
-pub fn run_control(
-    params: ControlParams<'_>,
-    catalog: &Catalog,
-    chunk_units: u64,
-    inbox: &Inbox,
-    to_data: &[Arc<dyn MsgTx>],
-    to_clients: &[Arc<dyn MsgTx>],
-) -> Result<ControlOutcome, NetError> {
-    let (watchdog, shard) = (params.watchdog, params.shard);
-    let mut actor = ControlActor::start(params, catalog, chunk_units, to_data, to_clients);
-    let mut last_message = Instant::now();
-    loop {
-        // Drain bursts without blocking so coalescers fill; block only
-        // after `before_block`.
-        let popped = match inbox.try_pop() {
-            PopResult::Empty => {
-                actor.before_block()?;
-                inbox.pop_timeout(POLL)
-            }
-            ready => ready,
-        };
-        let now = Instant::now();
-        let flow = match popped {
-            PopResult::Item(m) => {
-                last_message = now;
-                actor.deliver(m, now)?
-            }
-            PopResult::Empty if now.duration_since(last_message) > watchdog => {
-                return Err(NetError::RecvTimeout {
-                    actor: format!("control shard {shard}"),
-                });
-            }
-            PopResult::Empty => actor.idle(now)?,
-            PopResult::Closed => {
-                return Err(NetError::Protocol(
-                    "control inbox closed mid-run".to_string(),
-                ));
-            }
-        };
-        if let Flow::Stop = flow {
-            return actor.finish();
-        }
     }
 }

@@ -36,8 +36,8 @@
 //! completed-set absorb what it already credited, and the re-announced
 //! deltas heal what a kill destroyed in the reply buffer.
 //!
-//! **A state machine and one loop.** [`DataActor::deliver`] is the actor's
-//! whole input: a message and the instant it arrived. Being down is a
+//! **A state machine behind the one loop.** [`DataActor`]'s [`Actor`] steps
+//! are its whole input: a message and the instant it arrived. Being down is a
 //! state: a [`CrashPlan`] or [`KillPlan`] that comes due puts the node in
 //! `Down` until an instant, and until then every delivery — the triggering
 //! one included, a batch whole — is lost and counted; a lost `Shutdown`
@@ -47,9 +47,9 @@
 //! destroyed the incarnation — store, marks, mid-step progress, buffered
 //! replies, the log writer's userspace buffer — so the node is rebuilt from
 //! disk by [`wtpg_dur::recover`] and announces [`Msg::Recover`], on which
-//! control re-sends its outstanding orders at once. [`run_data_node`] is the
-//! only code that touches the inbox. Time that *steers* (windows, triggers)
-//! is an argument, so a test can own it; time that is only *measured*
+//! control re-sends its outstanding orders at once. `actor::run` alone
+//! touches the inbox and reads the clock. Time that *steers* (windows,
+//! triggers) is an argument, so a test can own it; time that is only *measured*
 //! (group-commit age, the coalescer's window) is read where it is used.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -65,14 +65,14 @@ use wtpg_dur::{recover, DurError, Durability, Partial};
 use wtpg_mvcc::{read_checksum, GcWatermark, VersionChain};
 use wtpg_obs::window::metric;
 use wtpg_obs::{Counter, Gauge, HistHandle, MsgCounts, Registry};
-use wtpg_rt::queue::PopResult;
 use wtpg_rt::store::{chunks, NodeStore};
 
+use crate::actor::{Actor, Flow};
 use crate::batch::Coalescer;
 use crate::error::NetError;
 use crate::fault::{CrashPlan, KillPlan};
 use crate::msg::Msg;
-use crate::transport::{Inbox, MsgTx};
+use crate::transport::MsgTx;
 
 /// Log records between node snapshot checkpoints. Snapshots serialize the
 /// node's whole store, so a tight interval dominates the durability cost
@@ -100,8 +100,8 @@ pub struct DataOutcome {
     pub read_checksum: u64,
 }
 
-/// Everything [`run_data_node`] needs to run one node, bundled so the call
-/// site stays readable as knobs accumulate.
+/// Everything one data node is started with, bundled so the call site stays
+/// readable as knobs accumulate.
 pub struct DataNodeParams<'a> {
     /// The partition layout (decides which partitions this node owns).
     pub catalog: &'a Catalog,
@@ -169,17 +169,6 @@ impl DataTel {
             replay_chain: reg.hist(metric::WAL_REPLAY_CHAIN),
         }
     }
-}
-
-/// What one delivery asks of an actor's loop (the data node's and the
-/// control node's alike).
-#[doc(hidden)]
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Flow {
-    Continue,
-    /// The actor is done: for a data node, `Shutdown` arrived or the
-    /// control link is gone; for a control shard, its exit rule holds.
-    Stop,
 }
 
 /// Being down: until `until`, whatever is delivered is lost.
@@ -269,12 +258,16 @@ impl<'a> DataActor<'a> {
             cfg,
         })
     }
+}
+
+impl Actor for DataActor<'_> {
+    type Outcome = DataOutcome;
 
     /// The actor's whole input: one message and the instant it arrived. A
     /// window `now` is past ends first; a fault plan that has come due opens
     /// one; a down node loses the message; an up node handles it.
-    pub fn deliver(&mut self, m: Msg, now: Instant) -> Result<Flow, NetError> {
-        if let Flow::Stop = self.window_over(now)? {
+    fn deliver(&mut self, m: Msg, now: Instant) -> Result<Flow, NetError> {
+        if let Flow::Stop = self.idle(now)? {
             return Ok(Flow::Stop);
         }
         if self.down.is_none() {
@@ -300,19 +293,51 @@ impl<'a> DataActor<'a> {
     }
 
     /// Ends the dark window if `now` is past it; a no-op otherwise.
-    pub fn window_over(&mut self, now: Instant) -> Result<Flow, NetError> {
+    fn idle(&mut self, now: Instant) -> Result<Flow, NetError> {
         match self.down {
             Some(Down { until, .. }) if now >= until => self.wake(true),
             _ => Ok(Flow::Continue),
         }
     }
 
-    /// Whether `now` steers this node at all: a window is open or a fault
-    /// plan has yet to fire. The fault-free path never looks at the clock.
-    fn timed(&self) -> bool {
-        self.down.is_some() || self.cfg.kill.is_some() || self.cfg.crash.is_some()
+    /// What must happen before the loop may block on an empty inbox: the
+    /// log barrier (or, with nothing about to escape, the aged flush), the
+    /// GC poll, and the reply flush — control is never starved of a reply
+    /// the actor is sitting on. A down node neither writes nor speaks; what
+    /// a crashed one had buffered waits for the window's end, which is as
+    /// long as it blocks. An up node blocks until a message comes.
+    fn before_block(&mut self, now: Instant) -> Result<Option<Duration>, NetError> {
+        if let Some(d) = &self.down {
+            return Ok(Some(d.until.saturating_duration_since(now)));
+        }
+        if self.replies.pending() > 0 {
+            self.wal_barrier()?;
+        } else {
+            self.wal_flush_aged()?;
+        }
+        self.gc_poll();
+        Ok(self.replies.flush().then_some(Duration::MAX))
     }
 
+    /// Orderly exit. A node stopped while down still wakes — a killed one
+    /// restarts from its log, because the recovered state feeds the outcome
+    /// — but control has moved past it, so nothing is announced. The
+    /// teardown barrier drains the group-commit buffer at every level, so
+    /// the log on disk is complete; on link loss the reply flush is a no-op.
+    fn finish(mut self) -> Result<DataOutcome, NetError> {
+        self.wake(false)?;
+        self.wal_barrier()?;
+        self.replies.flush();
+        self.retire();
+        Ok(DataOutcome {
+            cell_sum: self.store.cell_sum(),
+            write_units: self.store.write_units(),
+            read_checksum: self.read_checksum,
+        })
+    }
+}
+
+impl DataActor<'_> {
     /// The fault plan that has come due, as the window it opens. A kill is
     /// process death on the spot: the incarnation's tallies are published
     /// and the log writer dropped with whatever its userspace buffer held —
@@ -365,41 +390,6 @@ impl<'a> DataActor<'a> {
                 replayed_chunks: rec.replayed_chunks,
             }) && self.replies.flush();
         Ok(if announced { Flow::Continue } else { Flow::Stop })
-    }
-
-    /// What must happen before the loop may block on an empty inbox: the
-    /// log barrier (or, with nothing about to escape, the aged flush), the
-    /// GC poll, and the reply flush — control is never starved of a reply
-    /// the actor is sitting on. A down node neither writes nor speaks; what
-    /// a crashed one had buffered waits for the window's end.
-    pub fn before_block(&mut self) -> Result<Flow, NetError> {
-        if self.down.is_some() {
-            return Ok(Flow::Continue);
-        }
-        if self.replies.pending() > 0 {
-            self.wal_barrier()?;
-        } else {
-            self.wal_flush_aged()?;
-        }
-        self.gc_poll();
-        Ok(if self.replies.flush() { Flow::Continue } else { Flow::Stop })
-    }
-
-    /// Orderly exit. A node stopped while down still wakes — a killed one
-    /// restarts from its log, because the recovered state feeds the outcome
-    /// — but control has moved past it, so nothing is announced. The
-    /// teardown barrier drains the group-commit buffer at every level, so
-    /// the log on disk is complete; on link loss the reply flush is a no-op.
-    pub fn finish(mut self) -> Result<DataOutcome, NetError> {
-        self.wake(false)?;
-        self.wal_barrier()?;
-        self.replies.flush();
-        self.retire();
-        Ok(DataOutcome {
-            cell_sum: self.store.cell_sum(),
-            write_units: self.store.write_units(),
-            read_checksum: self.read_checksum,
-        })
     }
 
     /// Reply barrier: nothing escaping the node may outrun the log. At
@@ -704,50 +694,4 @@ fn contains_shutdown(m: &Msg) -> bool {
         Msg::Batch(inner) => inner.iter().any(|im| matches!(im, Msg::Shutdown)),
         _ => false,
     }
-}
-
-/// Runs data node `params.node` until it receives `Shutdown` (or its inbox
-/// closes under transport teardown), applying `Access` orders against an
-/// owned [`NodeStore`] — freshly zeroed, or rebuilt from the write-ahead
-/// log after each planned kill. Replies coalesce into `Batch` frames of at
-/// most `batch_max` messages.
-///
-/// # Errors
-/// [`NetError::Core`] if an order addresses a partition this node does not
-/// own, [`NetError::Protocol`] on a message type only other actors may
-/// receive, [`NetError::Dur`] on a log/checkpoint failure.
-pub fn run_data_node(
-    params: DataNodeParams<'_>,
-    inbox: &Inbox,
-    to_control: &Arc<dyn MsgTx>,
-) -> Result<DataOutcome, NetError> {
-    let mut actor = DataActor::start(params, to_control)?;
-    let started = Instant::now();
-    loop {
-        // Drain bursts without blocking so consecutive orders' replies
-        // coalesce; block only after `before_block`, and while down only
-        // until the window ends.
-        let popped = match inbox.try_pop() {
-            PopResult::Empty => {
-                if let Flow::Stop = actor.before_block()? {
-                    break;
-                }
-                inbox.pop_timeout(match &actor.down {
-                    Some(d) => d.until.saturating_duration_since(Instant::now()),
-                    None => Duration::MAX,
-                })
-            }
-            ready => ready,
-        };
-        let now = if actor.timed() { Instant::now() } else { started };
-        let flow = match popped {
-            PopResult::Item(m) => actor.deliver(m, now)?,
-            PopResult::Empty => actor.window_over(now)?,
-            PopResult::Closed => Flow::Stop,
-        };
-        if let Flow::Stop = flow {
-            break;
-        }
-    }
-    actor.finish()
 }

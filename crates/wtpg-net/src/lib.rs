@@ -29,6 +29,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod actor;
 pub mod batch;
 pub mod client;
 pub mod codec;

@@ -17,8 +17,8 @@ use wtpg_core::partition::Catalog;
 use wtpg_core::txn::{StepSpec, TxnId, TxnSpec};
 use wtpg_dur::checkpoint::read_control_checkpoint;
 use wtpg_mvcc::GcWatermark;
+use wtpg_net::actor::{Actor, Flow};
 use wtpg_net::control::{ControlActor, ControlParams};
-use wtpg_net::data::Flow;
 use wtpg_net::transport::MsgTx;
 use wtpg_net::{Msg, NetError};
 use wtpg_obs::window::metric;
@@ -153,7 +153,7 @@ fn redelivery_follows_the_backoff_schedule_exactly() {
     let t0 = Instant::now();
     ctl.deliver(submit(0, 1, vec![StepSpec::write(0, 1.0)]), t0)
         .unwrap();
-    ctl.before_block().unwrap();
+    ctl.before_block(t0).unwrap();
     assert_eq!(accesses(l.data[0].take()), [1]);
     let mut deadline = t0 + us(RETRY.delay_us(0));
     for attempt in 1..=6u32 {
@@ -186,7 +186,7 @@ fn recover_resends_the_nodes_orders_as_one_frame_then_a_plain_ack() {
         ctl.deliver(submit(0, txn, vec![StepSpec::write(partition, 1.0)]), t0)
             .unwrap();
     }
-    ctl.before_block().unwrap();
+    ctl.before_block(t0).unwrap();
     assert_eq!(accesses(l.data[0].take()), [1, 2]);
     assert_eq!(accesses(l.data[1].take()), [3]);
 
@@ -230,7 +230,7 @@ fn a_busy_inbox_still_redelivers_every_scan() {
     let t0 = Instant::now();
     let first = submit(0, 1, vec![StepSpec::write(0, 1.0)]);
     ctl.deliver(first.clone(), t0).unwrap();
-    ctl.before_block().unwrap();
+    ctl.before_block(t0).unwrap();
     assert_eq!(accesses(l.data[0].take()), [1]);
     // Past the deadline, but never idle: duplicate submissions keep the
     // inbox busy, and only the scan on the SCAN_EVERY-th delivery re-sends.
@@ -278,7 +278,7 @@ fn duplicates_are_absorbed_on_both_planes() {
     ] {
         assert_eq!(ctl.deliver(late, t0).unwrap(), Flow::Continue);
     }
-    ctl.before_block().unwrap();
+    ctl.before_block(t0).unwrap();
     assert_eq!(
         accesses(l.data[0].take()),
         [1],
@@ -289,7 +289,7 @@ fn duplicates_are_absorbed_on_both_planes() {
     // A reader: a reply after it retired, and its submission again.
     ctl.deliver(submit(0, 7, vec![StepSpec::read(2, 1.0)]), t0)
         .unwrap();
-    ctl.before_block().unwrap();
+    ctl.before_block(t0).unwrap();
     assert!(matches!(
         l.data[0].take()[..],
         [Msg::SnapshotRead { txn: TxnId(7), .. }]
@@ -307,7 +307,7 @@ fn duplicates_are_absorbed_on_both_planes() {
     ] {
         assert_eq!(ctl.deliver(m, t0).unwrap(), Flow::Continue);
     }
-    ctl.before_block().unwrap();
+    ctl.before_block(t0).unwrap();
     assert!(l.data[0].take().is_empty());
     assert_eq!(acks(l.clients[0].take()), [7]);
 
@@ -396,14 +396,14 @@ fn a_fresh_rejection_queues_behind_an_older_one() {
             .unwrap();
     }
     ctl.idle(t0).unwrap(); // re-attempts the head, which bounces
-    ctl.before_block().unwrap();
+    ctl.before_block(t0).unwrap();
     assert_eq!(
         accesses(l.data[0].take()),
         [1],
         "2 and 3 wait in the backlog"
     );
     ctl.deliver(done(1, 1000), t0).unwrap();
-    ctl.before_block().unwrap();
+    ctl.before_block(t0).unwrap();
     assert_eq!(acks(l.clients[0].take()), [1]);
     assert_eq!(
         accesses(l.data[0].take()),
@@ -411,6 +411,28 @@ fn a_fresh_rejection_queues_behind_an_older_one() {
         "the older rejection goes first"
     );
     ctl.deliver(done(2, 1000), t0).unwrap();
-    ctl.before_block().unwrap();
+    ctl.before_block(t0).unwrap();
     assert_eq!(accesses(l.data[0].take()), [3]);
+}
+
+/// Silence counts from the last delivery, duplicates included: a whole
+/// watchdog of it passes, a microsecond more is a wedged run.
+#[test]
+fn the_silence_watchdog_counts_from_the_last_delivery() {
+    let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
+    let p = params(&reg, "chain", 1);
+    let watchdog = p.watchdog;
+    let mut ctl = start(p, &catalog, 1000, &l);
+    let t0 = Instant::now();
+    let first = submit(0, 1, vec![StepSpec::write(0, 1.0)]);
+    ctl.deliver(first.clone(), t0).unwrap();
+    assert_eq!(ctl.idle(t0 + watchdog).unwrap(), Flow::Continue);
+    let last = t0 + watchdog;
+    ctl.deliver(first, last).unwrap();
+    assert_eq!(ctl.idle(last + watchdog).unwrap(), Flow::Continue);
+    let err = ctl.idle(last + watchdog + us(1)).unwrap_err();
+    assert!(
+        matches!(&err, NetError::RecvTimeout { actor } if actor == "control shard 0"),
+        "{err:?}"
+    );
 }

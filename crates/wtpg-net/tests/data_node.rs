@@ -18,7 +18,8 @@ use wtpg_core::txn::{AccessMode, TxnId};
 use wtpg_dur::checkpoint::files;
 use wtpg_dur::wal::{ChunkRecord, WalWriter};
 use wtpg_dur::{recover, Durability};
-use wtpg_net::data::{DataActor, DataNodeParams, Flow};
+use wtpg_net::actor::{Actor, Flow};
+use wtpg_net::data::{DataActor, DataNodeParams};
 use wtpg_net::transport::MsgTx;
 use wtpg_net::{CrashPlan, KillPlan, Msg};
 use wtpg_obs::window::metric;
@@ -85,16 +86,16 @@ fn a_dark_window_loses_and_counts_exactly_what_arrives_inside_it() {
     assert_eq!(node.deliver(order(2), t0 + ms(1)).unwrap(), Flow::Continue);
     let batch = Msg::Batch(vec![order(3), order(4)]);
     assert_eq!(node.deliver(batch, t0 + ms(5)).unwrap(), Flow::Continue);
-    assert_eq!(node.window_over(t0 + ms(10)).unwrap(), Flow::Continue);
+    assert_eq!(node.idle(t0 + ms(10)).unwrap(), Flow::Continue);
     assert_eq!(node.deliver(order(5), t0 + ms(10)).unwrap(), Flow::Continue);
     assert_eq!(drops(), 3, "10 ms after the trip at 1 ms is still inside");
     // A down node does not speak: order 1's replies are still buffered.
-    assert_eq!(node.before_block().unwrap(), Flow::Continue);
+    assert_eq!(node.before_block(t0 + ms(10)).unwrap(), Some(ms(1)));
     assert_eq!(heard.take(), vec![]);
     // At 11 ms the window is over: the delivery itself ends it and is handled.
     assert_eq!(node.deliver(order(2), t0 + ms(11)).unwrap(), Flow::Continue);
     assert_eq!(drops(), 3);
-    assert_eq!(node.before_block().unwrap(), Flow::Continue);
+    assert_eq!(node.before_block(t0 + ms(11)).unwrap(), Some(Duration::MAX));
     let done: Vec<u64> = heard
         .take()
         .iter()
@@ -125,7 +126,7 @@ fn a_shutdown_nested_in_a_lost_batch_stops_the_node() {
         let t0 = Instant::now();
         let order = |txn| access(txn, 2, AccessMode::Write, 700, 300);
         assert_eq!(node.deliver(order(1), t0).unwrap(), Flow::Continue);
-        assert_eq!(node.before_block().unwrap(), Flow::Continue);
+        assert_eq!(node.before_block(t0).unwrap(), Some(Duration::MAX));
         assert_eq!(node.deliver(order(2), t0 + ms(1)).unwrap(), Flow::Continue);
         let last = Msg::Batch(vec![order(3), Msg::Shutdown]);
         assert_eq!(node.deliver(last, t0 + ms(2)).unwrap(), Flow::Stop, "kill={kill}");
@@ -181,12 +182,12 @@ proptest! {
         let tx: Arc<dyn MsgTx> = heard.clone();
         let mut node = DataActor::start(params(&catalog, &reg, None), &tx).expect("starts");
         node.deliver(order.clone(), t0).unwrap();
-        node.before_block().unwrap();
+        node.before_block(t0).unwrap();
         let first = stream(&heard.take());
         prop_assert_eq!(&first.0, &expected);
         prop_assert_eq!(first.1 .1, units);
         node.deliver(order.clone(), t0).unwrap();
-        node.before_block().unwrap();
+        node.before_block(t0).unwrap();
         prop_assert_eq!(&stream(&heard.take()), &first, "redelivery after completion");
         let whole = node.finish().expect("finishes");
 
@@ -220,16 +221,16 @@ proptest! {
         p.kill = Some(KillPlan { node: Some(0), after_msgs: 0, down_ms: 5 });
         let mut node = DataActor::start(p, &tx).expect("starts");
         prop_assert_eq!(node.deliver(order.clone(), t0).unwrap(), Flow::Continue);
-        prop_assert_eq!(node.window_over(t0 + ms(4)).unwrap(), Flow::Continue);
+        prop_assert_eq!(node.idle(t0 + ms(4)).unwrap(), Flow::Continue);
         prop_assert_eq!(heard.take(), vec![], "still down");
-        prop_assert_eq!(node.window_over(t0 + ms(5)).unwrap(), Flow::Continue);
+        prop_assert_eq!(node.idle(t0 + ms(5)).unwrap(), Flow::Continue);
         let rejoin = heard.take();
         prop_assert!(
             matches!(rejoin[..], [Msg::Recover { node: 0, replayed_chunks, .. }] if replayed_chunks == k),
             "a restarted node announces itself: {:?}", rejoin
         );
         node.deliver(order, t0 + ms(6)).unwrap();
-        node.before_block().unwrap();
+        node.before_block(t0 + ms(6)).unwrap();
         prop_assert_eq!(&stream(&heard.take()), &first, "resume from chunk {}", k);
         let resumed = node.finish().expect("finishes");
         prop_assert_eq!(
@@ -269,7 +270,7 @@ fn run_script(script: &[Msg], kill_at: Option<u64>, name: &str) -> EndState {
             for order in &owed {
                 assert_eq!(node.deliver((*order).clone(), now).unwrap(), Flow::Continue);
             }
-            assert_eq!(node.before_block().unwrap(), Flow::Continue);
+            assert!(node.before_block(now).unwrap().is_some());
             for reply in heard.take() {
                 if let Msg::AccessDone { txn: done, .. } = reply {
                     owed.retain(|o| !matches!(o, Msg::Access { txn, .. } if *txn == done));
@@ -317,4 +318,24 @@ fn a_kill_at_any_message_heals_to_the_unkilled_state() {
         let healed = run_script(&script, Some(kill_at), &format!("killed-{kill_at}"));
         assert_eq!(healed, unkilled, "killed at message {kill_at}");
     }
+}
+
+#[test]
+fn a_down_node_blocks_only_for_what_is_left_of_its_window() {
+    let (catalog, reg) = (catalog(), Registry::new());
+    let heard = Arc::new(Recorder::default());
+    let tx: Arc<dyn MsgTx> = heard.clone();
+    let mut p = params(&catalog, &reg, None);
+    p.crash = Some(CrashPlan { node: 0, after_msgs: 0, down_ms: 10 });
+    let mut node = DataActor::start(p, &tx).expect("starts");
+    let t0 = Instant::now();
+    assert_eq!(node.before_block(t0).unwrap(), Some(Duration::MAX), "up: until a message");
+    let order = access(1, 0, AccessMode::Write, 1000, 1000);
+    assert_eq!(node.deliver(order, t0).unwrap(), Flow::Continue, "trips and is lost");
+    for left in [10, 7, 1] {
+        assert_eq!(node.before_block(t0 + ms(10 - left)).unwrap(), Some(ms(left)));
+    }
+    assert_eq!(node.idle(t0 + ms(10)).unwrap(), Flow::Continue);
+    assert_eq!(node.before_block(t0 + ms(10)).unwrap(), Some(Duration::MAX), "up again");
+    assert_eq!(heard.take(), vec![]);
 }

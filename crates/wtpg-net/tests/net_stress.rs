@@ -6,12 +6,12 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 use wtpg_net::{
-    run_cell, CrashPlan, Durability, FaultPlan, InProc, KillPlan, NetConfig, NetReport, OpenLoop,
-    Tcp, Transport,
+    run_cell, CrashPlan, Durability, FaultPlan, InProc, KillPlan, LinkFaults, NetConfig,
+    NetReport, OpenLoop, Tcp, Transport,
 };
 use wtpg_rt::sched_by_name;
 use wtpg_rt::workload::pattern_specs;
-use wtpg_workload::Pattern;
+use wtpg_workload::{poisson_arrivals_us, Pattern};
 
 fn stress(name: &str, txns: usize, transport: &dyn Transport, fault: &FaultPlan) -> NetReport {
     let (catalog, specs) = pattern_specs(Pattern::One, txns, 11);
@@ -122,6 +122,55 @@ fn tcp_open_loop_commits_everything_it_offers() {
     assert_eq!(r.committed, 300);
     assert!(r.certified && r.store_consistent, "{r:?}");
     assert_eq!(r.frames_sent, r.frames_received, "{r:?}");
+}
+
+/// Sixteen clients share a slow Poisson stream, so each one's window sits
+/// empty far longer than the watchdog between its own arrivals, while the
+/// run-wide stream keeps control hearing from someone well inside it. Nothing
+/// is owed across such a gap: a client's watchdog counts from the later of
+/// its last message and its window last going from empty to non-empty. At
+/// `404fc55` it counted from the last message alone, so the first arrival
+/// after a long gap tripped it unless its ack beat the client's sub-ms nap;
+/// delaying every control ↔ data message up to 5 ms makes sure none does.
+#[test]
+fn a_sparse_open_loop_client_does_not_trip_its_watchdog() {
+    let (txns, clients, lambda_tps, seed) = (64, 16, 40.0, 9);
+    let arrivals = poisson_arrivals_us(txns, lambda_tps, seed);
+    let gaps = |step: usize, from: usize| -> Vec<u64> {
+        let mine: Vec<u64> = arrivals.iter().skip(from).step_by(step).copied().collect();
+        mine.windows(2).map(|w| w[1] - w[0]).collect()
+    };
+    assert!(arrivals[0] < 125_000 && gaps(1, 0).iter().all(|&g| g < 125_000));
+    assert!((0..clients).flat_map(|c| gaps(clients, c)).any(|g| g > 250_000));
+    let (catalog, specs) = pattern_specs(Pattern::One, txns, 11);
+    let cfg = NetConfig {
+        clients,
+        watchdog_ms: 250,
+        open_loop: Some(OpenLoop {
+            lambda_tps,
+            seed,
+            inflight: 4,
+        }),
+        ..NetConfig::default()
+    };
+    let r = run_cell(
+        &cfg,
+        &|| sched_by_name("chain", 2, 2000).expect("known scheduler"),
+        &catalog,
+        &specs,
+        &InProc,
+        &FaultPlan {
+            link: LinkFaults {
+                delay_prob_pct: 100,
+                max_delay_us: 5_000,
+                dup_prob_pct: 0,
+            },
+            ..FaultPlan::none()
+        },
+    )
+    .expect("a sparse open loop completes cleanly");
+    assert_eq!((r.offered, r.shed, r.committed), (64, 0, 64), "{r:?}");
+    assert!(r.certified && r.store_consistent, "{r:?}");
 }
 
 /// A dark window that opens on the run's `Shutdown` itself: node 0's fault
