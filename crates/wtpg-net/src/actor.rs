@@ -1,15 +1,31 @@
-//! One loop for every actor. A control shard, a data node and a client are
-//! each a state machine behind [`Actor`], and `run` alone touches an actor's
-//! inbox and reads the clock for it: every step is handed the latest instant
-//! the loop read, so a test can drive the unmodified machines by hand.
+//! How every actor moves. A control shard, a data node and a client are each
+//! a state machine behind [`Actor`], and all three are moved one way: take
+//! the mail while there is some, reading the clock once per pop; once the
+//! inbox is empty, `before_block`; then sleep until mail comes or the wait it
+//! asked for runs out, and get `idle` if it did. A stopped actor gets
+//! `finish`. Every step is handed the latest instant read, so a test can
+//! drive the unmodified machines by hand.
+//!
+//! Two drivers make those moves, chosen by what the inboxes are made of.
+//! [`run`] gives one actor a thread of its own and blocks in its inbox's one
+//! blocking call: a TCP actor waits in `read` or `poll` on its own socket.
+//! [`step_all`] is the executor of an in-process run: every actor, each in a
+//! [`Slot`] with its queue, moves on the calling thread. A `pick` names which
+//! ready actor moves next ([`round_robin`] in a run); when none is ready, the
+//! [`Clock`] waits for the earliest wait to run out or for mail. In a run the
+//! clock is [`RealTime`], whose wait a push into any of the run's inboxes
+//! cuts short: a fault forwarder or the router of a sharded run pushes from
+//! a thread of its own. `tests/interleave.rs` gives the same executor a
+//! seeded pick and a virtual clock.
 
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use wtpg_rt::queue::PopResult;
 
 use crate::error::NetError;
 use crate::msg::Msg;
-use crate::transport::Inbox;
+use crate::transport::{Inbox, Mailbox};
 
 /// What one step asks of the loop.
 #[doc(hidden)]
@@ -39,8 +55,9 @@ pub trait Actor {
     fn finish(self) -> Result<Self::Outcome, NetError>;
 }
 
-/// Runs `actor` on `inbox`: drain without blocking, `before_block`, one
-/// blocking pop. The clock is read at the start and once per pop.
+/// Runs `actor` on `inbox` on this thread: drain without blocking,
+/// `before_block`, one blocking pop. The clock is read at the start and once
+/// per pop.
 pub(crate) fn run<A: Actor>(mut actor: A, inbox: &Inbox) -> Result<A::Outcome, NetError> {
     let mut now = Instant::now();
     loop {
@@ -60,5 +77,359 @@ pub(crate) fn run<A: Actor>(mut actor: A, inbox: &Inbox) -> Result<A::Outcome, N
         if flow == Flow::Stop {
             return actor.finish();
         }
+    }
+}
+
+/// How an executor tells the time.
+#[doc(hidden)]
+pub trait Clock {
+    /// The time now, read once per pop.
+    fn now(&mut self) -> Instant;
+    /// No actor can move before `until` (`None`: before mail comes): returns
+    /// once it has come, or mail has.
+    ///
+    /// # Errors
+    /// A clock that can tell nothing will ever come may refuse.
+    fn wait_until(&mut self, until: Option<Instant>) -> Result<(), NetError>;
+}
+
+/// An actor on an executor, whatever its type (see [`Slot`]).
+#[doc(hidden)]
+pub trait Step {
+    /// `None` while the actor runs; once it stopped, whether cleanly.
+    fn ended(&self) -> Option<bool>;
+    /// Whether it can move at `now`: it is awake, mail (or its inbox's close)
+    /// is waiting, or its wait has run out.
+    fn ready(&self, now: Instant) -> bool;
+    /// Its next move, as [`run`] makes it: a pop delivered, `before_block` on
+    /// an empty inbox, `idle` once the wait ran out. `now` is the latest
+    /// reading of `clock`, read again for each pop. `true` if the move
+    /// stopped the actor.
+    fn step(&mut self, clock: &mut dyn Clock, now: &mut Instant) -> bool;
+    /// When its wait runs out, while it sleeps on one.
+    fn wakes_at(&self) -> Option<Instant>;
+}
+
+/// One actor on an executor: the machine, the inbox it reads, and what it
+/// returned.
+#[doc(hidden)]
+pub struct Slot<'i, A: Actor> {
+    actor: Option<A>,
+    inbox: &'i Mailbox,
+    /// Since its `before_block`, asleep: until this instant, or (`None`)
+    /// until mail.
+    asleep: Option<Option<Instant>>,
+    /// What `finish` returned, or the error that stopped the actor.
+    out: Option<Result<A::Outcome, NetError>>,
+}
+
+impl<'i, A: Actor> Slot<'i, A> {
+    /// The `started` actor on `inbox`, awake; one that failed to start has
+    /// stopped already.
+    pub fn new(started: Result<A, NetError>, inbox: &'i Mailbox) -> Self {
+        let (actor, out) = match started {
+            Ok(actor) => (Some(actor), None),
+            Err(e) => (None, Some(Err(e))),
+        };
+        Slot {
+            actor,
+            inbox,
+            asleep: None,
+            out,
+        }
+    }
+
+    /// What the actor returned.
+    ///
+    /// # Errors
+    /// The actor's own error, or [`NetError::Protocol`] if it never stopped.
+    pub fn outcome(self) -> Result<A::Outcome, NetError> {
+        self.out
+            .unwrap_or_else(|| Err(NetError::Protocol("an actor was left running".into())))
+    }
+}
+
+impl<A: Actor> Step for Slot<'_, A> {
+    fn ended(&self) -> Option<bool> {
+        self.out.as_ref().map(Result::is_ok)
+    }
+
+    fn ready(&self, now: Instant) -> bool {
+        self.actor.is_some()
+            && match self.asleep {
+                None => true,
+                Some(until) => until.is_some_and(|t| t <= now) || self.inbox.can_pop(),
+            }
+    }
+
+    fn step(&mut self, clock: &mut dyn Clock, now: &mut Instant) -> bool {
+        let Some(actor) = self.actor.as_mut() else {
+            return false;
+        };
+        let flow = match self.inbox.try_pop() {
+            PopResult::Item(m) => {
+                *now = clock.now();
+                self.asleep = None;
+                actor.deliver(m, *now)
+            }
+            PopResult::Closed => Ok(Flow::Stop),
+            PopResult::Empty => match self.asleep {
+                None => match actor.before_block(*now) {
+                    Ok(Some(wait)) => {
+                        self.asleep = Some(now.checked_add(wait));
+                        return false;
+                    }
+                    Ok(None) => Ok(Flow::Stop),
+                    Err(e) => Err(e),
+                },
+                Some(Some(until)) if until <= *now => {
+                    *now = clock.now();
+                    self.asleep = None;
+                    actor.idle(*now)
+                }
+                Some(_) => return false,
+            },
+        };
+        match flow {
+            Ok(Flow::Continue) => false,
+            Ok(Flow::Stop) => {
+                self.out = self.actor.take().map(Actor::finish);
+                true
+            }
+            Err(e) => {
+                self.actor = None;
+                self.out = Some(Err(e));
+                true
+            }
+        }
+    }
+
+    fn wakes_at(&self) -> Option<Instant> {
+        self.asleep.flatten().filter(|_| self.actor.is_some())
+    }
+}
+
+/// The executor: moves every actor in `slots` on this thread until all have
+/// stopped. `pick` names the one to move, of those ready at the latest
+/// reading of `clock`; with none ready, the clock waits for the earliest
+/// wait or for mail. `stopped` runs after each move that stopped an actor.
+///
+/// # Errors
+/// What `pick` or the clock refuses with.
+pub fn step_all(
+    slots: &mut [&mut dyn Step],
+    clock: &mut dyn Clock,
+    mut pick: impl FnMut(&[&mut dyn Step], Instant) -> Result<Option<usize>, NetError>,
+    mut stopped: impl FnMut(&[&mut dyn Step]),
+) -> Result<(), NetError> {
+    let mut now = clock.now();
+    let mut live = slots.iter().filter(|s| s.ended().is_none()).count();
+    while live > 0 {
+        match pick(slots, now)?.and_then(|i| slots.get_mut(i)) {
+            Some(slot) => {
+                if slot.step(clock, &mut now) {
+                    live -= 1;
+                    stopped(slots);
+                }
+            }
+            None => {
+                clock.wait_until(slots.iter().filter_map(|s| s.wakes_at()).min())?;
+                now = clock.now();
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The executor's pick in a run: the actor that moved last, for as long as
+/// it is ready — so it drains its inbox as [`run`] would — then the next
+/// ready one round the ring. It never refuses.
+pub fn round_robin() -> impl FnMut(&[&mut dyn Step], Instant) -> Result<Option<usize>, NetError> {
+    let mut at = 0;
+    move |slots, now| {
+        let next = (at..slots.len())
+            .chain(0..at)
+            .find(|&i| slots.get(i).is_some_and(|s| s.ready(now)));
+        at = next.unwrap_or(at);
+        Ok(next)
+    }
+}
+
+/// How a push reaches a sleeping executor. Every queue an executor adopted
+/// rings its bell on push and on close; the executor waits on it only once
+/// nobody is ready, and not at all if it rang since the last wait began. A
+/// push from the executor's own thread finds it awake: one uncontended lock,
+/// no wake-up.
+#[doc(hidden)]
+#[derive(Default)]
+pub struct Bell {
+    state: Mutex<Rung>,
+    woken: Condvar,
+}
+
+#[derive(Default)]
+struct Rung {
+    /// A push since the last wait began.
+    rung: bool,
+    /// The executor is inside a wait that no ring has cut short yet.
+    asleep: bool,
+}
+
+impl Bell {
+    fn locked(&self) -> MutexGuard<'_, Rung> {
+        self.state
+            .lock()
+            .expect("invariant: the bell's lock is never poisoned (no panics while held)")
+    }
+
+    /// Books a push, and wakes the executor if it waits.
+    pub(crate) fn ring(&self) {
+        let mut s = self.locked();
+        s.rung = true;
+        let wake = std::mem::take(&mut s.asleep);
+        drop(s);
+        if wake {
+            self.woken.notify_one();
+        }
+    }
+
+    /// Waits until rung or `until`, at once if rung since the last wait: a
+    /// pass that found nobody ready may have missed that push's mail.
+    fn doze(&self, until: Option<Instant>) {
+        let mut s = self.locked();
+        if !s.rung {
+            s.asleep = true;
+            // `Duration::MAX` overflows the deadline, which std waits out as none.
+            let left = until.map_or(Duration::MAX, |t| t.saturating_duration_since(Instant::now()));
+            (s, _) = self
+                .woken
+                .wait_timeout(s, left)
+                .expect("invariant: the bell's lock is never poisoned (no panics while held)");
+            s.asleep = false;
+        }
+        s.rung = false;
+    }
+}
+
+/// The executor's clock in a run: `Instant::now`, and a wait that a push
+/// into any adopted inbox cuts short.
+#[doc(hidden)]
+pub struct RealTime(Arc<Bell>);
+
+impl RealTime {
+    /// A clock whose waits a push into (or the close of) any of `inboxes`
+    /// ends.
+    pub fn ringing_on<'i>(inboxes: impl IntoIterator<Item = &'i Mailbox>) -> RealTime {
+        let bell = Arc::new(Bell::default());
+        for inbox in inboxes {
+            inbox.adopt(&bell);
+        }
+        RealTime(bell)
+    }
+}
+
+impl Clock for RealTime {
+    fn now(&mut self) -> Instant {
+        Instant::now()
+    }
+
+    fn wait_until(&mut self, until: Option<Instant>) -> Result<(), NetError> {
+        self.0.doze(until);
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+    use wtpg_core::txn::TxnId;
+
+    /// Sleeps once for `wait`, then stops at its first wake-up, by mail or by
+    /// `idle`; returns when it fell asleep and when (and how) it woke.
+    struct Nap {
+        wait: Duration,
+        slept: Option<Instant>,
+        woke: Option<(Instant, bool)>,
+    }
+
+    impl Actor for Nap {
+        type Outcome = (Instant, Instant, bool);
+        fn deliver(&mut self, _: Msg, now: Instant) -> Result<Flow, NetError> {
+            self.woke = Some((now, true));
+            Ok(Flow::Stop)
+        }
+        fn idle(&mut self, now: Instant) -> Result<Flow, NetError> {
+            self.woke = Some((now, false));
+            Ok(Flow::Stop)
+        }
+        fn before_block(&mut self, now: Instant) -> Result<Option<Duration>, NetError> {
+            self.slept.get_or_insert(now);
+            Ok(Some(self.wait))
+        }
+        fn finish(self) -> Result<Self::Outcome, NetError> {
+            let (woke, mail) = self.woke.expect("stopped by a wake-up");
+            Ok((self.slept.expect("slept first"), woke, mail))
+        }
+    }
+
+    /// This thread's on-CPU ns so far (`None` where /proc does not say).
+    fn cpu_ns() -> Option<u64> {
+        let stat = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
+        stat.split_whitespace().next()?.parse().ok()
+    }
+
+    type Napped = (Result<(Instant, Instant, bool), NetError>, Option<u64>);
+
+    /// Steps a [`Nap`] of `wait` alone on an executor thread of its own,
+    /// which reports what it returned and the on-CPU ns it spent; the bell
+    /// lets the caller see it asleep.
+    fn nap_on_executor(wait: Duration, inbox: &Inbox) -> (Arc<Bell>, mpsc::Receiver<Napped>) {
+        let (tx, rx) = mpsc::channel();
+        let inbox = Arc::clone(inbox);
+        let mut clock = RealTime::ringing_on([&*inbox]);
+        let bell = Arc::clone(&clock.0);
+        std::thread::spawn(move || {
+            let cpu = cpu_ns();
+            let nap = Nap { wait, slept: None, woke: None };
+            let mut slot = Slot::new(Ok(nap), &inbox);
+            let ran = step_all(&mut [&mut slot], &mut clock, round_robin(), |_| {});
+            let spent = cpu.zip(cpu_ns()).map(|(a, b)| b - a);
+            let _ = tx.send((ran.and_then(|()| slot.outcome()), spent));
+        });
+        (bell, rx)
+    }
+
+    #[test]
+    fn an_actor_asleep_until_a_deadline_idles_at_it_without_spinning() {
+        let wait = Duration::from_millis(20);
+        let (_, rx) = nap_on_executor(wait, &Mailbox::queue(usize::MAX));
+        let (out, cpu) = rx.recv_timeout(Duration::from_secs(20)).expect("the nap ends");
+        let (slept, woke, mail) = out.expect("a clean stop");
+        assert!(!mail, "nothing was sent: the wait ran out");
+        assert!(woke >= slept + wait, "idle came {:?} early", slept + wait - woke);
+        if let Some(ns) = cpu {
+            assert!(ns < 5_000_000, "a 20 ms wait cost {ns} ns on-CPU: the executor spun");
+        }
+    }
+
+    #[test]
+    fn a_push_from_another_thread_wakes_a_sleeping_executor() {
+        let inbox = Mailbox::queue(usize::MAX);
+        let (bell, rx) = nap_on_executor(Duration::from_secs(3600), &inbox);
+        // The push must find the executor inside its wait, as a fault
+        // forwarder's does: wait for the bell's books to say so.
+        let give_up = Instant::now() + Duration::from_secs(20);
+        while !bell.locked().asleep {
+            assert!(Instant::now() < give_up, "the executor never fell asleep");
+            std::thread::yield_now();
+        }
+        let pushed = Instant::now();
+        assert!(inbox.push(Msg::Commit { client: 0, txn: TxnId(1) }));
+        let (out, _) = rx.recv_timeout(Duration::from_secs(20)).expect("the push wakes it");
+        let (_, woke, mail) = out.expect("a clean stop");
+        assert!(mail, "woken by the push, not by its hour-long wait");
+        let late = woke.saturating_duration_since(pushed);
+        assert!(late < Duration::from_millis(50), "woken {late:?} after the push");
     }
 }

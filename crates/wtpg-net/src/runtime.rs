@@ -18,13 +18,18 @@
 //!    fabric inbox directly (no router on the path); with `S > 1` a router deals inbound messages to `S`
 //!    independent control actors, each running its own scheduler over a
 //!    disjoint slice of the WTPG.
-//! 3. **drive** — `drive_threads` runs all actors to completion on scoped
-//!    threads: clients submit their shares of the workload, wait for commit
-//!    acks and end their streams with one `Shutdown` each, each control
-//!    shard exits once every client has and nothing is live, and the
-//!    *runtime* broadcasts `Shutdown` to the data nodes once every shard is
-//!    done, then tears the plumbing down in the order that lets every
-//!    thread be joined.
+//! 3. **drive** — `drive` runs all actors to completion: clients submit
+//!    their shares of the workload, wait for commit acks and end their
+//!    streams with one `Shutdown` each, each control shard exits once every
+//!    client has and nothing is live, and the *runtime* broadcasts
+//!    `Shutdown` to the data nodes once every shard is done, then tears the
+//!    plumbing down in the order that lets every thread be joined. What the
+//!    inboxes are made of picks the driver: a fabric of queues alone
+//!    ([`InProc`](crate::InProc)) is stepped by one executor on the calling
+//!    thread (`drive_stepped`), while a socket needs a thread blocked on it,
+//!    so over TCP each actor gets a scoped thread of its own. Plumbing —
+//!    the router, fault forwarders, stream certifiers, open-loop TCP client
+//!    pumps — is threads either way.
 //! 4. **assemble** — the per-shard audits are merged ([`merge_audits`] —
 //!    the canonical cross-shard history merge, which refuses non-disjoint
 //!    shards), the merged history is replay-certified, and the data nodes'
@@ -45,7 +50,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
 use wtpg_core::certify::{certify_history, CertifyMode, CertifyReport, CertifyViolation};
@@ -63,7 +68,7 @@ use wtpg_rt::metrics::LatencySummary;
 use wtpg_rt::shard::{merge_audits, ShardMap};
 use wtpg_rt::StreamItem;
 
-use crate::actor;
+use crate::actor::{self, Actor, RealTime, Slot, Step};
 use crate::client::{ClientActor, ClientOutcome, OpenLoopPlan};
 use crate::control::{ControlActor, ControlOutcome, ControlParams};
 use crate::data::{DataActor, DataNodeParams, DataOutcome};
@@ -72,9 +77,7 @@ use crate::fault::{FaultCounters, FaultLink, FaultPlan};
 use crate::msg::Msg;
 use crate::plan::RunPlan;
 use crate::report::{MsgBreakdown, NetReport};
-use crate::transport::{
-    control_inbox_capacity, spawn_pump, Inbox, Mailbox, MsgTx, Transport, ACTOR_INBOX_CAPACITY,
-};
+use crate::transport::{spawn_pump, Inbox, Mailbox, MsgTx, Transport};
 
 /// Tuning knobs for one shared-nothing run.
 #[derive(Clone, Debug)]
@@ -191,6 +194,10 @@ const STREAM_DEPTH: usize = 1 << 16;
 
 /// Events between prefix-retirement sweeps on a streaming certifier.
 const RETIRE_EVERY: usize = 4096;
+
+/// Bound on an open-loop TCP client's pump queue: the pump blocks while it
+/// is full, and the client, on a thread of its own, drains it.
+const PUMP_DEPTH: usize = 1024;
 
 /// One shard's certifier thread: declarations and linearized events in,
 /// a final [`CertifyReport`] (plus the events-fed tally) out. The committed
@@ -363,7 +370,7 @@ pub fn run_cell_load(
     let private = reg.is_none();
     let reg = reg.unwrap_or_default();
     let set = ActorSet::lay_out(&plan, transport, sched, &reg)?;
-    let joined = drive_threads(set, &plan, &reg);
+    let joined = drive(set, &plan, &reg);
     if let Some(obs) = obs.filter(|_| private) {
         let us = u64::try_from(joined.wall.as_micros()).unwrap_or(u64::MAX);
         obs.record(reg.flush(us, 0, us.max(1)));
@@ -406,7 +413,7 @@ pub(crate) struct ActorSet<'a> {
     certifiers: Vec<JoinHandle<StreamVerdict>>,
     /// The instant open-loop arrivals are due from. It is taken here, ahead of
     /// the certifier channels (whose 64 Ki slots take a millisecond or two
-    /// to lay out) and of `drive_threads`' own stopwatch, as it always has:
+    /// to lay out) and of `drive`'s own stopwatch, as it always has:
     /// `wall_ms` of an open-loop run is measured against that.
     run_wall: Instant,
 }
@@ -453,7 +460,7 @@ impl<'a> ActorSet<'a> {
             .enumerate()
             .map(|(c, inbox)| {
                 if plan.pump_client_sockets && matches!(*inbox, Mailbox::Socket(_)) {
-                    let queue = Mailbox::queue(ACTOR_INBOX_CAPACITY);
+                    let queue = Mailbox::queue(PUMP_DEPTH);
                     let name = format!("client-pump-{c}");
                     pumps.push(spawn_pump(name, inbox, Arc::clone(&queue)));
                     queue
@@ -464,13 +471,12 @@ impl<'a> ActorSet<'a> {
             .collect();
 
         // One shard reads the fabric inbox directly (no router on the
-        // path); S > 1 gets routed inboxes.
+        // path); S > 1 gets routed inboxes, unbounded like every in-process
+        // link (the router must never block on a shard the executor runs).
         let shard_inboxes: Vec<Inbox> = if shards == 1 {
             vec![Arc::clone(&fabric.control_inbox)]
         } else {
-            (0..shards)
-                .map(|_| Mailbox::queue(control_inbox_capacity(plan.data_nodes, plan.clients)))
-                .collect()
+            (0..shards).map(|_| Mailbox::queue(usize::MAX)).collect()
         };
 
         let run_wall = Instant::now();
@@ -547,10 +553,10 @@ impl<'a> ActorSet<'a> {
 
 /// `Scope::spawn` with a name (see [`crate::spawn_named`]).
 fn spawn_scoped<'scope, T: Send + 'scope>(
-    s: &'scope std::thread::Scope<'scope, '_>,
+    s: &'scope Scope<'scope, '_>,
     name: String,
     f: impl FnOnce() -> T + Send + 'scope,
-) -> std::thread::ScopedJoinHandle<'scope, T> {
+) -> ScopedJoinHandle<'scope, T> {
     std::thread::Builder::new()
         .name(name)
         .spawn_scoped(s, f)
@@ -566,15 +572,61 @@ struct Joined {
     wall: Duration,
 }
 
-/// Phase 3: runs every actor of `set` to completion on scoped threads,
-/// broadcasts `Shutdown`, and tears the plumbing down in the one order that
-/// lets every thread be joined. The runtime's own tallies — its `Shutdown`
-/// broadcasts, the wire's byte counts, the fault layer's — are published
-/// last, so on return `reg` holds the whole run.
-fn drive_threads(set: ActorSet<'_>, plan: &RunPlan<'_>, reg: &Registry) -> Joined {
+/// What each actor of a run returned, by kind.
+type Outcomes = (
+    Vec<Result<ControlOutcome, NetError>>,
+    Vec<Result<DataOutcome, NetError>>,
+    Vec<Result<ClientOutcome, NetError>>,
+);
+
+/// Actors of one kind, not started yet: for each, its thread's name, how it
+/// starts, and the inbox it reads.
+type Pending<'i, F> = Vec<(String, F, &'i Inbox)>;
+
+fn join<T>(h: ScopedJoinHandle<'_, T>) -> T {
+    h.join()
+        .expect("invariant: actors return errors instead of panicking")
+}
+
+/// Outcomes still running on threads of their own.
+type Running<'s, A> = Vec<ScopedJoinHandle<'s, Result<<A as Actor>::Outcome, NetError>>>;
+
+/// Gives each actor a thread of its own, named for its role, that starts it
+/// and runs it ([`actor::run`]).
+fn spawn_all<'s, A, F>(s: &'s Scope<'s, '_>, actors: Pending<'s, F>) -> Running<'s, A>
+where
+    A: Actor,
+    A::Outcome: Send + 's,
+    F: FnOnce() -> Result<A, NetError> + Send + 's,
+{
+    let spawn = |(name, start, inbox): (String, F, &'s Inbox)| {
+        spawn_scoped(s, name, move || start().and_then(|a| actor::run(a, inbox)))
+    };
+    actors.into_iter().map(spawn).collect()
+}
+
+/// Starts each actor on this thread, in a [`Slot`] for the executor.
+fn start_all<'i, A, F>(actors: Pending<'i, F>) -> Vec<Slot<'i, A>>
+where
+    A: Actor,
+    F: FnOnce() -> Result<A, NetError>,
+{
+    let start = |(_, start, inbox): (String, F, &'i Inbox)| Slot::new(start(), inbox);
+    actors.into_iter().map(start).collect()
+}
+
+/// Phase 3: runs every actor of `set` to completion, broadcasts `Shutdown`,
+/// and tears the plumbing down in the one order that lets every thread be
+/// joined. The inboxes choose the driver: a fabric of queues alone is
+/// stepped on this thread by one executor ([`drive_stepped`]); a socket needs
+/// a thread blocked on it, so over TCP every actor gets one. The runtime's
+/// own tallies — its `Shutdown` broadcasts, the wire's byte counts, the
+/// fault layer's — are published last, so on return `reg` holds the whole
+/// run.
+fn drive(set: ActorSet<'_>, plan: &RunPlan<'_>, reg: &Registry) -> Joined {
     let cfg = plan.cfg;
-    let (catalog, units) = (plan.catalog, cfg.chunk_units);
-    let (watchdog, depth) = (plan.watchdog, cfg.pipeline);
+    let (catalog, units, specs) = (plan.catalog, cfg.chunk_units, plan.specs);
+    let (watchdog, depth, n) = (plan.watchdog, cfg.pipeline, plan.clients);
     let open = plan
         .arrivals
         .as_deref()
@@ -585,75 +637,75 @@ fn drive_threads(set: ActorSet<'_>, plan: &RunPlan<'_>, reg: &Registry) -> Joine
             origin: set.run_wall,
         });
     let open = open.as_ref();
+    let (to_data, to_clients) = (&set.to_data, &set.to_clients);
+    let inboxes = || set.shard_inboxes.iter().chain(&set.data_inboxes).chain(&set.client_inboxes);
+    let stepped = inboxes().all(|inbox| matches!(**inbox, Mailbox::Queue { .. }));
+    let mut shutdowns = 0u64;
     let started = Instant::now();
-    let (control_res, shutdowns, data_res, client_res) = std::thread::scope(|s| {
+    let (control_res, data_res, client_res) = std::thread::scope(|s| {
         let router = (set.controls.len() > 1).then(|| {
             spawn_scoped(s, "router".into(), || {
                 run_router(&set.control_inbox, &plan.map, &set.shard_inboxes, reg)
             })
         });
-        let control_handles: Vec<_> = set
+        let sharded = router.is_some();
+        // Every shard is done (or failed): stop the router and tear the run
+        // down — the runtime owns the Shutdown broadcast. A failed shard
+        // releases the clients too: an ack they wait for will never come.
+        let mut teardown = |failed: bool| {
+            if sharded {
+                set.control_inbox.close();
+            }
+            let clients: &[Arc<dyn MsgTx>] = if failed { to_clients } else { &[] };
+            for tx in to_data.iter().chain(clients) {
+                shutdowns += u64::from(tx.send(&Msg::Shutdown));
+            }
+        };
+        let controls: Pending<'_, _> = set
             .controls
             .into_iter()
             .zip(&set.shard_inboxes)
             .map(|(params, inbox)| {
-                let (to_data, to_clients) = (&set.to_data, &set.to_clients);
-                spawn_scoped(s, format!("control-{}", params.shard), move || {
-                    let shard = ControlActor::start(params, catalog, units, to_data, to_clients);
-                    actor::run(shard, inbox)
-                })
+                let name = format!("control-{}", params.shard);
+                let start =
+                    move || Ok(ControlActor::start(params, catalog, units, to_data, to_clients));
+                (name, start, inbox)
             })
             .collect();
-        let data_handles: Vec<_> = set
+        let data: Pending<'_, _> = set
             .data
             .into_iter()
             .zip(&set.data_inboxes)
             .zip(&set.data_to_control)
             .map(|((params, inbox), tx)| {
-                spawn_scoped(s, format!("data-{}", params.node), move || {
-                    DataActor::start(params, tx).and_then(|node| actor::run(node, inbox))
-                })
+                (format!("data-{}", params.node), move || DataActor::start(params, tx), inbox)
             })
             .collect();
-        let client_handles: Vec<_> = (0u32..)
+        let clients: Pending<'_, _> = (0u32..)
             .zip(&set.client_inboxes)
             .zip(&set.client_to_control)
             .map(|((c, inbox), tx)| {
-                let (n, specs) = (plan.clients, plan.specs);
-                spawn_scoped(s, format!("client-{c}"), move || {
-                    let client = ClientActor::start(c, n, specs, open, tx, watchdog, depth, reg);
-                    actor::run(client, inbox)
-                })
+                let start =
+                    move || Ok(ClientActor::start(c, n, specs, open, tx, watchdog, depth, reg));
+                (format!("client-{c}"), start, inbox)
             })
             .collect();
-        fn join<T>(h: std::thread::ScopedJoinHandle<'_, T>) -> T {
-            h.join()
-                .expect("invariant: actors return errors instead of panicking")
-        }
-        let control_res: Vec<_> = control_handles.into_iter().map(join).collect();
-        // Every shard is done (or failed): stop the router, then tear
-        // the run down — the runtime owns the Shutdown broadcast.
+        let out = if stepped {
+            let clock = RealTime::ringing_on(inboxes().map(|inbox| &**inbox));
+            let (controls, data) = (start_all(controls), start_all(data));
+            drive_stepped(clock, controls, data, start_all(clients), &mut teardown)
+        } else {
+            let (controls, data, clients) =
+                (spawn_all(s, controls), spawn_all(s, data), spawn_all(s, clients));
+            let controls: Vec<_> = controls.into_iter().map(join).collect();
+            teardown(controls.iter().any(Result::is_err));
+            let data = data.into_iter().map(join).collect();
+            (controls, data, clients.into_iter().map(join).collect())
+        };
         if let Some(h) = router {
-            set.control_inbox.close();
             join(h);
         }
-        let mut shutdowns = 0u64;
-        for tx in &set.to_data {
-            shutdowns += u64::from(tx.send(&Msg::Shutdown));
-        }
-        if control_res.iter().any(|r| r.is_err()) {
-            // Fast failure: clients blocked on a commit ack that will
-            // never come get released instead of riding the watchdog.
-            for tx in &set.to_clients {
-                shutdowns += u64::from(tx.send(&Msg::Shutdown));
-            }
-        }
-        (
-            control_res,
-            shutdowns,
-            data_handles.into_iter().map(join).collect::<Vec<_>>(),
-            client_handles.into_iter().map(join).collect::<Vec<_>>(),
-        )
+        out
     });
     let wall = started.elapsed();
 
@@ -706,6 +758,41 @@ fn drive_threads(set: ActorSet<'_>, plan: &RunPlan<'_>, reg: &Registry) -> Joine
         stream_certs,
         wall,
     }
+}
+
+/// The driver of a fabric of queues alone: every actor of the run on this
+/// thread, moved by one executor ([`actor::step_all`] with
+/// [`actor::round_robin`]) on the real clock. `teardown` runs once every
+/// shard has stopped, told whether one failed.
+fn drive_stepped(
+    mut clock: RealTime,
+    mut controls: Vec<Slot<'_, ControlActor<'_>>>,
+    mut data: Vec<Slot<'_, DataActor<'_>>>,
+    mut clients: Vec<Slot<'_, ClientActor<'_>>>,
+    teardown: &mut dyn FnMut(bool),
+) -> Outcomes {
+    let shards = controls.len();
+    let mut slots: Vec<&mut dyn Step> = controls
+        .iter_mut()
+        .map(|s| s as &mut dyn Step)
+        .chain(data.iter_mut().map(|s| s as &mut dyn Step))
+        .chain(clients.iter_mut().map(|s| s as &mut dyn Step))
+        .collect();
+    let mut torn_down = false;
+    actor::step_all(&mut slots, &mut clock, actor::round_robin(), |slots| {
+        let shards = || slots.iter().take(shards).map(|s| s.ended());
+        if !torn_down && shards().all(|e| e.is_some()) {
+            torn_down = true;
+            teardown(shards().any(|e| e == Some(false)));
+        }
+    })
+    .expect("invariant: the real clock and round_robin never refuse");
+    drop(slots);
+    (
+        controls.into_iter().map(Slot::outcome).collect(),
+        data.into_iter().map(Slot::outcome).collect(),
+        clients.into_iter().map(Slot::outcome).collect(),
+    )
 }
 
 /// What the actors hand back beside the registry, folded together: nothing
@@ -1114,6 +1201,37 @@ mod tests {
         // One end-of-stream Shutdown per client, plus the runtime's
         // teardown broadcast to each data node.
         assert_eq!(r.msgs.shutdown as usize, r.clients + r.data_nodes);
+    }
+
+    /// One open-loop client with a 4096-deep window fires its first burst,
+    /// far more than the 1,024 messages an in-process inbox used to hold,
+    /// into the control inbox from the executor's own thread: a send that
+    /// blocked on a full inbox would hang the run there.
+    #[test]
+    fn an_open_loop_burst_past_the_old_inbox_bound_never_blocks_the_executor() {
+        let (catalog, specs) = pattern_specs(Pattern::One, 5000, 5);
+        let cfg = NetConfig {
+            clients: 1,
+            open_loop: Some(OpenLoop {
+                lambda_tps: 1e9,
+                seed: 5,
+                inflight: 4096,
+            }),
+            ..NetConfig::default()
+        };
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let sched = || sched_by_name("chain", 2, 2000).expect("known scheduler");
+            let _ = tx.send(run_cell(&cfg, &sched, &catalog, &specs, &InProc, &FaultPlan::none()));
+        });
+        let r = rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("the run ends")
+            .expect("the run completes cleanly");
+        assert_eq!(r.offered, 5000);
+        assert!(r.submitted > 1024, "the first burst must pass the old bound: {r:?}");
+        assert_eq!(r.committed, r.submitted as u64);
+        assert!(r.certified && r.store_consistent, "{r:?}");
     }
 
     #[test]

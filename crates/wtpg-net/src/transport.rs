@@ -6,50 +6,61 @@
 //! control node — matching the paper's single control site.
 //!
 //! A mailbox is one of three things, by how many links meet in it and what
-//! they are made of. [`Mailbox::Queue`] is a bounded MPMC queue (`wtpg-rt`'s
-//! [`BoundedQueue`]; a full one blocks the sender): every in-process link,
-//! the control fan-in included, and the queue the runtime puts in front of
-//! an open-loop client's socket. [`Mailbox::Socket`] is the read half of a
-//! TCP connection behind a buffered frame reader: an actor with a single
-//! inbound link — a data node, a closed-loop client — blocks in `read` on
-//! its own socket, so a message costs it one wake-up and no hand-off.
-//! [`Mailbox::FanIn`] is the control node's inbox over TCP: the read halves
-//! of every accepted connection, which the control actor waits on together
-//! in one `poll(2)` and reads itself — many links, still no hand-off and no
-//! thread but the actor's own. All three answer to the same three calls
-//! (`try_pop`, `pop`, `pop_timeout`), which is all an actor ever makes, and
-//! each blocks in exactly one place: a condvar, a `read`, a `poll`.
+//! they are made of. [`Mailbox::Queue`] is an MPMC queue (`wtpg-rt`'s
+//! [`BoundedQueue`]): every in-process link, the control fan-in included,
+//! and the queue the runtime puts in front of an open-loop client's socket.
+//! [`Mailbox::Socket`] is the read half of a TCP connection behind a
+//! buffered frame reader: an actor with a single inbound link — a data node,
+//! a closed-loop client — blocks in `read` on its own socket, so a message
+//! costs it one wake-up and no hand-off. [`Mailbox::FanIn`] is the control
+//! node's inbox over TCP: the read halves of every accepted connection,
+//! which the control actor waits on together in one `poll(2)` and reads
+//! itself — many links, still no hand-off and no thread but the actor's
+//! own. All three answer to the same three calls (`try_pop`, `pop`,
+//! `pop_timeout`), and each blocks in exactly one place: a condvar, a
+//! `read`, a `poll`. The kind decides the driver (`actor.rs`): a run whose
+//! inboxes are all queues is stepped by one executor on one thread, which
+//! never blocks in a pop; a socket needs a thread blocked on it.
 //!
 //! [`InProc`] wires queues directly: a sender handle is the receiving
 //! actor's queue, so messages are moved, never serialized.
 //! [`Tcp`](crate::tcp::Tcp) runs every link over a loopback socket framed
 //! by the [`codec`](crate::codec) — same protocol, real wire.
 //!
-//! Capacities are sized so the blocking-send fabric cannot deadlock. A
-//! client pipelines at most `pipeline` (16) submissions and is owed one ack
-//! for each; a control shard keeps at most `admit_window` transactions
+//! **In-process sends never block.** One thread steps every in-process
+//! actor, and it cannot drain a queue it is blocked pushing into, so
+//! [`InProc`]'s queues (and a sharded run's shard inboxes) have no bound.
+//! What bounds them is the protocol: a client has at most `pipeline`
+//! submissions (open loop: `inflight`) outstanding and is owed one ack for
+//! each; a control shard keeps at most `admit_window` transactions
 //! admitted, so a data node holds at most that many outstanding orders and
 //! answers each with a bounded burst of progress reports (≤ 2× under
-//! duplicate faults). Every in-flight message therefore fits the control
-//! inbox, and what control sends to one peer fits that peer's queue — or,
-//! on a socket or fan-in mailbox, the kernel's send and receive buffers,
-//! which play the queue's part there.
+//! duplicate faults). Over TCP the kernel's send and receive buffers play
+//! the queue's part, and a writer blocks while its peer's are full — each
+//! TCP actor has a thread of its own, so a full buffer only waits on a
+//! reader that is running. Two queues still have a bound, each with a
+//! thread of its own behind it to drain it: a [`FaultLink`]'s
+//! (`crate::fault`), which its forwarder empties, and the open-loop TCP
+//! client's pump queue, which the client thread empties.
+//!
+//! [`FaultLink`]: crate::fault::FaultLink
 
 use std::io::{PipeWriter, Write};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use wtpg_obs::ByteCounts;
 use wtpg_rt::queue::{BoundedQueue, PopResult};
 
+use crate::actor::Bell;
 use crate::error::NetError;
 use crate::msg::Msg;
 use crate::tcp::{FanInRx, SocketRx};
 
-/// A sender handle for one directed link. `send` blocks on a full peer
-/// inbox (the fabric's capacities make that transient) and returns `false`
-/// once the peer is gone — the caller treats that as the run ending.
+/// A sender handle for one directed link. `send` blocks only where the
+/// module docs say a link is bounded, and returns `false` once the peer is
+/// gone — the caller treats that as the run ending.
 pub trait MsgTx: Send + Sync {
     /// Delivers `m` to the link's receiver. `false` = receiver gone.
     fn send(&self, m: &Msg) -> bool;
@@ -58,8 +69,14 @@ pub trait MsgTx: Send + Sync {
 /// Where an actor's messages arrive (see the module docs for which actor
 /// gets which).
 pub enum Mailbox {
-    /// A bounded queue any number of senders push into.
-    Queue(BoundedQueue<Msg>),
+    /// A queue any number of senders push into.
+    Queue {
+        /// The messages.
+        q: BoundedQueue<Msg>,
+        /// The bell of the executor stepping the queue's reader, once one
+        /// adopted it: every push and the close ring it.
+        bell: OnceLock<Arc<Bell>>,
+    },
     /// The read half of the actor's one TCP link. The lock is a leaf held
     /// across the blocking `read`; the owning actor is its only taker.
     Socket(Mutex<SocketRx>),
@@ -85,9 +102,30 @@ fn locked<T>(rx: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl Mailbox {
-    /// A queue mailbox holding at most `capacity` messages.
+    /// A queue mailbox holding at most `capacity` messages; `usize::MAX` is
+    /// no bound, and a push into it never blocks.
     pub fn queue(capacity: usize) -> Inbox {
-        Arc::new(Mailbox::Queue(BoundedQueue::new(capacity)))
+        Arc::new(Mailbox::Queue {
+            q: BoundedQueue::new(capacity),
+            bell: OnceLock::new(),
+        })
+    }
+
+    /// Has every push into (and the close of) a queue mailbox ring `bell`,
+    /// the bell of the executor that steps its reader. A no-op on sockets.
+    pub(crate) fn adopt(&self, bell: &Arc<Bell>) {
+        if let Mailbox::Queue { bell: cell, .. } = self {
+            let _ = cell.set(Arc::clone(bell));
+        }
+    }
+
+    /// Whether a pop would return at once: a message is queued or the queue
+    /// closed. A socket or fan-in cannot tell without reading, and says yes.
+    pub(crate) fn can_pop(&self) -> bool {
+        match self {
+            Mailbox::Queue { q, .. } => q.can_pop(),
+            Mailbox::Socket(_) | Mailbox::FanIn { .. } => true,
+        }
     }
 
     /// Pops without blocking. On a socket or a fan-in that means *frames
@@ -99,7 +137,7 @@ impl Mailbox {
     /// socket into one.
     pub fn try_pop(&self) -> PopResult<Msg> {
         match self {
-            Mailbox::Queue(q) => q.try_pop(),
+            Mailbox::Queue { q, .. } => q.try_pop(),
             Mailbox::Socket(rx) => locked(rx).try_pop(),
             Mailbox::FanIn { rx, .. } => locked(rx).try_pop(),
         }
@@ -110,7 +148,7 @@ impl Mailbox {
     /// (socket) or every link is (fan-in).
     pub fn pop(&self) -> Option<Msg> {
         match self {
-            Mailbox::Queue(q) => q.pop(),
+            Mailbox::Queue { q, .. } => q.pop(),
             Mailbox::Socket(rx) => locked(rx).pop(),
             Mailbox::FanIn { rx, .. } => locked(rx).pop(),
         }
@@ -128,18 +166,24 @@ impl Mailbox {
             return self.pop().map_or(PopResult::Closed, PopResult::Item);
         }
         match self {
-            Mailbox::Queue(q) => q.pop_timeout(timeout),
+            Mailbox::Queue { q, .. } => q.pop_timeout(timeout),
             Mailbox::Socket(rx) => locked(rx).pop_timeout(timeout),
             Mailbox::FanIn { rx, .. } => locked(rx).pop_timeout(timeout),
         }
     }
 
-    /// Delivers `m` to a queue mailbox, blocking while it is full; `false`
-    /// once it is closed. A socket or fan-in mailbox is fed by its peers
-    /// alone and refuses.
+    /// Delivers `m` to a queue mailbox, blocking while a bounded one is full;
+    /// `false` once it is closed. A socket or fan-in mailbox is fed by its
+    /// peers alone and refuses.
     pub fn push(&self, m: Msg) -> bool {
         match self {
-            Mailbox::Queue(q) => q.push(m),
+            Mailbox::Queue { q, bell } => {
+                let pushed = q.push(m);
+                if let Some(bell) = bell.get().filter(|_| pushed) {
+                    bell.ring();
+                }
+                pushed
+            }
             Mailbox::Socket(_) | Mailbox::FanIn { .. } => false,
         }
     }
@@ -149,7 +193,12 @@ impl Mailbox {
     /// socket mailbox closes when its peer's writer does.
     pub fn close(&self) {
         match self {
-            Mailbox::Queue(q) => q.close(),
+            Mailbox::Queue { q, bell } => {
+                q.close();
+                if let Some(bell) = bell.get() {
+                    bell.ring();
+                }
+            }
             Mailbox::Socket(_) => {}
             // One byte, never read: the pipe stays readable, so the close is
             // seen by the poll in progress and by every later one. (A full
@@ -215,17 +264,6 @@ pub trait Transport {
     fn build(&self, data_nodes: usize, clients: usize) -> Result<Fabric, NetError>;
 }
 
-/// Capacity of the control inbox: large enough for every in-flight message
-/// (each client has ≤ `pipeline` submissions outstanding; each data node ≤
-/// one step's progress burst per outstanding order, ≤ 2× under duplicate
-/// faults).
-pub fn control_inbox_capacity(data_nodes: usize, clients: usize) -> usize {
-    1024.max(64 * (data_nodes + clients))
-}
-
-/// Capacity of data-node and client queue mailboxes.
-pub const ACTOR_INBOX_CAPACITY: usize = 1024;
-
 /// A sender that pushes straight into the receiver's queue.
 struct QueueTx {
     q: Inbox,
@@ -237,7 +275,7 @@ impl MsgTx for QueueTx {
     }
 }
 
-/// The in-process transport: every link is a bounded channel.
+/// The in-process transport: every link is a queue without a bound.
 pub struct InProc;
 
 impl Transport for InProc {
@@ -246,13 +284,10 @@ impl Transport for InProc {
     }
 
     fn build(&self, data_nodes: usize, clients: usize) -> Result<Fabric, NetError> {
-        let control_inbox = Mailbox::queue(control_inbox_capacity(data_nodes, clients));
-        let data_inboxes: Vec<Inbox> = (0..data_nodes)
-            .map(|_| Mailbox::queue(ACTOR_INBOX_CAPACITY))
-            .collect();
-        let client_inboxes: Vec<Inbox> = (0..clients)
-            .map(|_| Mailbox::queue(ACTOR_INBOX_CAPACITY))
-            .collect();
+        let queue = || Mailbox::queue(usize::MAX);
+        let control_inbox = queue();
+        let data_inboxes: Vec<Inbox> = (0..data_nodes).map(|_| queue()).collect();
+        let client_inboxes: Vec<Inbox> = (0..clients).map(|_| queue()).collect();
         let tx_to = |q: &Inbox| -> Arc<dyn MsgTx> { Arc::new(QueueTx { q: Arc::clone(q) }) };
         Ok(Fabric {
             to_data: data_inboxes.iter().map(tx_to).collect(),

@@ -2,10 +2,11 @@
 //! variants.
 //!
 //! Every in-process mailbox of `wtpg-net` is one of these: senders push,
-//! the owning actor pops. A full queue blocks the sender — the backpressure
-//! the paper's open arrival model lacks and a real service needs.
-//! Implemented on `Mutex<VecDeque> + Condvar` pairs so the crate stays
-//! dependency-free.
+//! the owning actor pops. A full queue blocks the sender; the mailboxes
+//! themselves are built with no bound (an in-process send never blocks),
+//! and the fault layer's link queues and the open-loop client's pump queue
+//! keep one. Implemented on `Mutex<VecDeque> + Condvar` pairs so the crate
+//! stays dependency-free.
 //!
 //! Each condvar keeps books under the queue lock — how many threads sleep
 //! on it, and how many of those a wake-up is already on its way to — and a
@@ -254,6 +255,13 @@ impl<T> BoundedQueue<T> {
         self.not_full.notify_all();
     }
 
+    /// Whether a pop would return at once: an item is queued or the queue
+    /// is closed (racy against other poppers; exact for the only one).
+    pub fn can_pop(&self) -> bool {
+        let s = self.locked();
+        s.closed || !s.items.is_empty()
+    }
+
     /// Items currently queued (racy; diagnostics only).
     pub fn len(&self) -> usize {
         self.locked().items.len()
@@ -350,9 +358,12 @@ mod tests {
     fn try_pop_distinguishes_empty_from_closed() {
         let q = BoundedQueue::new(2);
         assert_eq!(q.try_pop(), PopResult::<u32>::Empty);
+        assert!(!q.can_pop());
         q.push(5);
+        assert!(q.can_pop());
         assert_eq!(q.try_pop(), PopResult::Item(5));
         q.close();
+        assert!(q.can_pop(), "a closed queue pops at once");
         assert_eq!(q.try_pop(), PopResult::<u32>::Closed);
         assert_eq!(PopResult::Item(7).item(), Some(7));
         assert_eq!(PopResult::<u32>::Empty.item(), None);
