@@ -12,10 +12,14 @@
 //! admission, one `Access` order per granted step (issued the moment the
 //! previous step's `AccessDone` arrives), and the commit after the last
 //! step. A rejected admission queues in the FIFO admission backlog (a
-//! re-attempted head keeps its turn), a blocked/delayed step request is
-//! *parked*, and both are retried when a commit or step completion changes
-//! the scheduler's state (plus a periodic poll): event-driven retries, no
-//! client-side backoff sleeps.
+//! re-attempted head keeps its turn) and is re-attempted when a commit
+//! frees a slot. A step request *blocked* by a held lock waits on its
+//! partition until the commit that frees it, as the paper's CC1/CC2 Step 1
+//! and the simulator have it: no lock is released before commit, so an
+//! earlier re-ask could only be blocked again. A *delayed* one is parked
+//! and re-asked on every step completion, commit and quiet poll, the
+//! events that move the scheduler's `W` / `E(q)` inputs. Event-driven
+//! retries, no client-side backoff sleeps.
 //!
 //! **A state machine behind the one loop.** [`ControlActor`]'s [`Actor`]
 //! steps — a popped message and its instant, a quiet [`POLL`] — are the
@@ -67,7 +71,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use wtpg_core::certify::CertifyMode;
-use wtpg_core::partition::Catalog;
+use wtpg_core::partition::{Catalog, PartitionId};
 use wtpg_core::sched::{Admission, LockOutcome, Scheduler};
 use wtpg_core::time::Tick;
 use wtpg_core::txn::{AccessMode, TxnId, TxnSpec};
@@ -326,8 +330,13 @@ pub struct ControlActor<'a> {
     /// (the first idle wake-up, until one is).
     last_message: Option<Instant>,
     txns: BTreeMap<TxnId, TxnState>,
-    /// Transactions waiting for the scheduler's state to change.
+    /// Delayed requests, re-asked on every step completion, commit and
+    /// quiet poll; a freeing commit moves its partitions' waiters here too.
     parked: BTreeSet<TxnId>,
+    /// Blocked requests by the partition a held lock keeps them from, in
+    /// arrival order: nothing but a commit frees a lock, so nothing else
+    /// re-asks them.
+    blocked: BTreeMap<PartitionId, Vec<TxnId>>,
     /// Admission flow control: submissions beyond `admit_window`
     /// concurrently-admitted transactions queue here (FIFO) without ever
     /// touching the scheduler, so pipelined clients cannot flood the WTPG
@@ -390,6 +399,7 @@ impl<'a> ControlActor<'a> {
             last_message: None,
             txns: BTreeMap::new(),
             parked: BTreeSet::new(),
+            blocked: BTreeMap::new(),
             backlog: VecDeque::new(),
             active: 0,
             admit_window: params.admit_window.max(1),
@@ -604,7 +614,14 @@ impl ControlActor<'_> {
         let Some(declared) = state.spec.steps().get(step).copied() else {
             // Every step is done: commit.
             let client = state.client;
-            let tick = self.control.commit(txn)?;
+            let (tick, freed) = self.control.commit(txn)?;
+            // Wake the requests blocked on what the commit released; the
+            // caller's `retry_parked` re-asks them.
+            for p in freed {
+                if let Some(waiters) = self.blocked.remove(&p) {
+                    self.parked.extend(waiters);
+                }
+            }
             if let Some(plane) = self.mvcc.as_mut() {
                 // Stamp the commit tick on this writer's sealed entries
                 // and raise GC floors: committed-prefix writes below every
@@ -652,9 +669,13 @@ impl ControlActor<'_> {
                 };
                 self.issue(txn, step, node, order, now)
             }
-            LockOutcome::Blocked | LockOutcome::Delayed => {
+            outcome => {
                 state.charge_attempt(txn, &self.tel.max_retry_streak)?;
-                self.parked.insert(txn);
+                if outcome == LockOutcome::Blocked {
+                    self.blocked.entry(declared.partition).or_default().push(txn);
+                } else {
+                    self.parked.insert(txn);
+                }
                 Ok(())
             }
         }
@@ -744,8 +765,9 @@ impl ControlActor<'_> {
         Ok(())
     }
 
-    /// Re-drives every parked transaction once. Called after commits and
-    /// step completions (the only events that change what the scheduler
+    /// Re-drives every parked transaction once, in id order: the delayed
+    /// requests and the blocked ones a commit just woke. Called after step
+    /// completions and commits (the events that change what the scheduler
     /// will answer) and on the idle poll.
     fn retry_parked(&mut self, now: Instant) -> Result<(), NetError> {
         if self.parked.is_empty() {
@@ -877,9 +899,10 @@ impl ControlActor<'_> {
                 // releases nothing — every lock is held to commit — but it
                 // sets the transaction's `T0` weight to what its remaining
                 // steps declare, and the follow-up request either commits
-                // (which does release) or is granted: a declaration becomes
-                // a held lock and its conflicting edges are resolved, so the
-                // `W` / `E(q)` inputs of the parked requests moved. An
+                // (which releases, waking the requests blocked on what it
+                // held) or is granted: a declaration becomes a held lock and
+                // its conflicting edges are resolved, so the `W` / `E(q)`
+                // inputs of the delayed requests moved. An
                 // admission verdict only changes at commit or abort, so the
                 // backlog is drained only when this round of driving
                 // actually freed an admission slot.
@@ -1082,12 +1105,14 @@ impl ControlActor<'_> {
         Ok(())
     }
 
-    /// Publishes the queue-depth gauges. Called at the periodic-scan
-    /// cadence, not per message: a window flush samples levels, so sub-scan
-    /// churn is invisible anyway.
+    /// Publishes the queue-depth gauges; `parked` counts every request
+    /// waiting, delayed or blocked. Called at the periodic-scan cadence, not
+    /// per message: a window flush samples levels, so sub-scan churn is
+    /// invisible anyway.
     fn update_gauges(&self) {
         self.tel.backlog.set(self.backlog.len() as u64);
-        self.tel.parked.set(self.parked.len() as u64);
+        let blocked: usize = self.blocked.values().map(Vec::len).sum();
+        self.tel.parked.set((self.parked.len() + blocked) as u64);
     }
 
     /// Books one order-to-reply round trip, sent to popped: the exact

@@ -102,9 +102,13 @@ fn delta(txn: u64, chunk: u64) -> Msg {
 }
 
 fn done(txn: u64, units: u64) -> Msg {
+    done_at(txn, 0, units)
+}
+
+fn done_at(txn: u64, step: u32, units: u64) -> Msg {
     Msg::AccessDone {
         txn: TxnId(txn),
-        step: 0,
+        step,
         checksum: 0,
         units,
     }
@@ -434,5 +438,87 @@ fn the_silence_watchdog_counts_from_the_last_delivery() {
     assert!(
         matches!(&err, NetError::RecvTimeout { actor } if actor == "control shard 0"),
         "{err:?}"
+    );
+}
+
+/// C2PL never rejects an admission, so every turn-away here is a step
+/// request's: readers 2 and 4 are `Blocked` on partition 0, which txn 1
+/// writes and holds to its commit. Nothing before that commit re-asks them
+/// — not the step completions and commit of txn 3, on other partitions, not
+/// a quiet poll — and the commit grants both in the same delivery.
+/// `batch_max` 1 sends every order the moment it is issued.
+#[test]
+fn a_blocked_request_waits_for_the_commit_that_frees_its_partition() {
+    let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
+    let mut p = params(&reg, "c2pl", 1);
+    p.batch_max = 1;
+    let mut ctl = start(p, &catalog, 1000, &l);
+    let t0 = Instant::now();
+    for (txn, steps) in [
+        (1, vec![StepSpec::write(0, 1.0)]),
+        (2, vec![StepSpec::read(0, 1.0)]),
+        (3, vec![StepSpec::write(1, 1.0), StepSpec::write(3, 1.0)]),
+        (4, vec![StepSpec::read(0, 1.0)]),
+    ] {
+        ctl.deliver(submit(0, txn, steps), t0).unwrap();
+    }
+    assert_eq!(accesses(l.data[0].take()), [1]);
+    assert_eq!(accesses(l.data[1].take()), [3]);
+    assert_eq!(count(&reg, metric::SCHED_DELAYS), 2, "2 and 4 asked once");
+
+    ctl.deliver(done_at(3, 0, 1000), t0).unwrap();
+    assert_eq!(accesses(l.data[1].take()), [3]);
+    ctl.idle(t0).unwrap();
+    assert_eq!(
+        count(&reg, &metric::shard_parked(0)),
+        2,
+        "the live view still counts the blocked requests"
+    );
+    ctl.deliver(done_at(3, 1, 1000), t0).unwrap();
+    assert_eq!(acks(l.clients[0].take()), [3]);
+    assert_eq!(
+        count(&reg, metric::SCHED_DELAYS),
+        2,
+        "txn 3's completions and commit free nothing 2 and 4 wait on"
+    );
+
+    ctl.deliver(done(1, 1000), t0).unwrap();
+    assert_eq!(acks(l.clients[0].take()), [1]);
+    assert_eq!(
+        accesses(l.data[0].take()),
+        [2, 4],
+        "the freeing commit grants every waiter in the same delivery"
+    );
+    assert_eq!(count(&reg, metric::SCHED_DELAYS), 2);
+    ctl.idle(t0).unwrap();
+    assert_eq!(count(&reg, &metric::shard_parked(0)), 0);
+}
+
+/// C2PL predicts a deadlock for txn 2's first step (it would take
+/// partition 1 while txn 1, holding partition 0, still needs it) and delays
+/// it. A delay can end without a commit, so every step completion re-asks.
+#[test]
+fn a_delayed_request_is_re_asked_on_every_step_completion() {
+    let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
+    let mut p = params(&reg, "c2pl", 1);
+    p.batch_max = 1;
+    let mut ctl = start(p, &catalog, 1000, &l);
+    let t0 = Instant::now();
+    for (txn, steps) in [
+        (1, vec![StepSpec::write(0, 1.0), StepSpec::write(1, 1.0)]),
+        (2, vec![StepSpec::write(1, 1.0), StepSpec::write(0, 1.0)]),
+        (3, vec![StepSpec::write(2, 1.0), StepSpec::write(3, 1.0)]),
+    ] {
+        ctl.deliver(submit(0, txn, steps), t0).unwrap();
+    }
+    assert_eq!(accesses(l.data[0].take()), [1, 3]);
+    assert_eq!(count(&reg, metric::SCHED_DELAYS), 1, "txn 2 asked once");
+
+    ctl.deliver(done_at(3, 0, 1000), t0).unwrap();
+    assert_eq!(accesses(l.data[1].take()), [3]);
+    assert_eq!(
+        count(&reg, metric::SCHED_DELAYS),
+        2,
+        "txn 3's step completion re-asked txn 2"
     );
 }

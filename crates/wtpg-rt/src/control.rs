@@ -37,6 +37,7 @@ use wtpg_obs::{ControlStats, Counter, Registry};
 
 use wtpg_core::error::CoreError;
 use wtpg_core::history::{Event, History};
+use wtpg_core::partition::PartitionId;
 use wtpg_core::sched::{Admission, ControlOps, LockOutcome, Scheduler};
 use wtpg_core::time::{LogicalClock, Tick};
 use wtpg_core::txn::{TxnId, TxnSpec};
@@ -253,10 +254,12 @@ impl ControlNode {
     }
 
     /// Commits `txn`, releasing its locks. Returns the commit tick — the
-    /// logical timestamp MVCC snapshot certification orders commits by.
-    pub fn commit(&mut self, txn: TxnId) -> Result<Tick, CoreError> {
+    /// logical timestamp MVCC snapshot certification orders commits by —
+    /// and the partitions whose locks it released: the only partitions on
+    /// which a `Blocked` request can now be granted.
+    pub fn commit(&mut self, txn: TxnId) -> Result<(Tick, Vec<PartitionId>), CoreError> {
         let now = self.clock.next();
-        self.sched.on_commit(txn, now)?;
+        let freed = self.sched.on_commit(txn, now)?.freed;
         self.counters.commits += 1;
         self.record(now, Event::Committed(txn));
         if self.stream.is_some() {
@@ -265,7 +268,7 @@ impl ControlNode {
             // and a committed id never returns (ids are unique per run).
             self.specs.remove(&txn);
         }
-        Ok(now)
+        Ok((now, freed))
     }
 
     /// The logical clock's current reading, without advancing it. A
@@ -377,5 +380,31 @@ mod tests {
         // Scheduler decision counters landed in the registry.
         let w = reg.flush_snapshot(1);
         assert_eq!(w.counter(wtpg_obs::window::metric::SCHED_GRANTS), 3);
+    }
+
+    #[test]
+    fn commit_returns_exactly_the_partitions_the_transaction_held() {
+        let mut cn = ControlNode::new(Box::new(C2plScheduler::new()));
+        // T1 takes partitions 2 then 0; T2 takes 1, then is blocked on 0.
+        let t1 = spec(1, vec![StepSpec::write(2, 1.0), StepSpec::read(0, 1.0)]);
+        let t2 = spec(2, vec![StepSpec::write(1, 1.0), StepSpec::write(0, 1.0)]);
+        for t in [&t1, &t2] {
+            assert_eq!(cn.arrive(t).unwrap(), Admission::Admitted);
+        }
+        assert_eq!(cn.request(TxnId(1), 0).unwrap(), LockOutcome::Granted);
+        assert_eq!(cn.request(TxnId(2), 0).unwrap(), LockOutcome::Granted);
+        cn.step_complete(TxnId(1), 0).unwrap();
+        cn.step_complete(TxnId(2), 0).unwrap();
+        assert_eq!(cn.request(TxnId(1), 1).unwrap(), LockOutcome::Granted);
+        assert_eq!(cn.request(TxnId(2), 1).unwrap(), LockOutcome::Blocked);
+        cn.step_complete(TxnId(1), 1).unwrap();
+        let before = cn.now();
+        let (tick, freed) = cn.commit(TxnId(1)).unwrap();
+        assert_eq!(tick, Tick(before.0 + 1), "the commit draws the next instant");
+        assert_eq!(freed, [PartitionId(0), PartitionId(2)], "release_all's list");
+        assert_eq!(cn.request(TxnId(2), 1).unwrap(), LockOutcome::Granted);
+        cn.step_complete(TxnId(2), 1).unwrap();
+        let (_, freed) = cn.commit(TxnId(2)).unwrap();
+        assert_eq!(freed, [PartitionId(0), PartitionId(1)]);
     }
 }
