@@ -1,7 +1,7 @@
 //! Unsafe-scope pass: the keyword `unsafe` lives in one file.
 //!
 //! The workspace makes exactly one foreign call from library code —
-//! `poll(2)`, in `wtpg-net/src/poll.rs`, behind a safe function. Two checks
+//! `ppoll(2)`, in `wtpg-net/src/poll.rs`, behind a safe function. Two checks
 //! keep it that way:
 //!
 //! - the token `unsafe` (in code — not in a comment, a string or a longer

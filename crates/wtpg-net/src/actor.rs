@@ -8,7 +8,7 @@
 //!
 //! Two drivers make those moves, chosen by what the inboxes are made of.
 //! [`run`] gives one actor a thread of its own and blocks in its inbox's one
-//! blocking call: a TCP actor waits in `read` or `poll` on its own socket.
+//! blocking call: a TCP actor waits in one `ppoll` on its own sockets.
 //! [`step_all`] is the executor of an in-process run: every actor, each in a
 //! [`Slot`] with its queue, moves on the calling thread. A `pick` names which
 //! ready actor moves next ([`round_robin`] in a run); when none is ready, the

@@ -269,20 +269,19 @@ impl Actor for ClientActor<'_> {
 
     /// Fires what is due at `now` — the inbox drained first, so an arrival is
     /// only shed when the window is genuinely still full — then says how long
-    /// to wait, or `None` once nothing is left to arrive or owed. Closed loop:
-    /// the watchdog, a constant (a socket caches its receive timeout). Open
-    /// loop: until the next arrival is due, at most [`OPEN_LOOP_NAP`].
+    /// to wait, or `None` once nothing is left to arrive or owed: until the
+    /// next arrival is due, at most the watchdog. A closed loop's arrivals
+    /// are due on acks, not at an instant, so it waits the watchdog.
     fn before_block(&mut self, now: Instant) -> Result<Option<Duration>, NetError> {
         self.fire(now)?;
         let next = self.due.peek().copied();
         if next.is_none() && self.inflight.is_empty() {
             return Ok(None);
         }
-        let due_in = |at: Instant| at.saturating_duration_since(now).min(OPEN_LOOP_NAP);
-        Ok(Some(match self.open {
-            Some(p) => next.and_then(|i| p.arrival(i)).map_or(OPEN_LOOP_NAP, due_in),
-            None => self.watchdog,
-        }))
+        let due_at = next.and_then(|i| self.open?.arrival(i));
+        Ok(Some(due_at.map_or(self.watchdog, |at| {
+            at.saturating_duration_since(now).min(self.watchdog)
+        })))
     }
 
     /// Sends the end-of-stream `Shutdown` and publishes the message tallies.
@@ -325,7 +324,3 @@ impl OpenLoopPlan<'_> {
         Some(self.origin + Duration::from_micros(*self.arrivals_us.get(i)?))
     }
 }
-
-/// How long the open-loop client blocks on its inbox per wait: short
-/// enough to fire the next arrival on time, long enough not to spin.
-const OPEN_LOOP_NAP: Duration = Duration::from_micros(500);

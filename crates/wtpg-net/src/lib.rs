@@ -26,7 +26,7 @@
 //! ```
 
 // `deny`, not the workspace's `forbid`: `poll.rs` alone allows itself the one
-// foreign call a single-threaded wait on many sockets needs.
+// foreign call a TCP actor's wait on its sockets needs.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -62,7 +62,7 @@ pub use transport::{InProc, Transport};
 /// `std::thread::spawn` with a name. Every thread of a run carries its role
 /// (`control-0`, `data-3`, `client-1` — TCP runs only: an in-process run
 /// steps every actor on the caller's thread — and `router`, `certifier-0`,
-/// `fault-c2d-2`, `client-pump-0`), so `/proc/<pid>/task/*/comm` beside
+/// `fault-c2d-2`), so `/proc/<pid>/task/*/comm` beside
 /// `schedstat` attributes on-CPU time by role from outside the process.
 pub(crate) fn spawn_named<T: Send + 'static>(
     name: String,

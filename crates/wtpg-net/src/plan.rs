@@ -8,7 +8,7 @@
 //! first thread exists: the effective client and shard counts, the
 //! watchdog, the [`ShardMap`], per-shard checkpoint paths, the round-robin
 //! workload split and (open loop) the Poisson arrival schedule dealt the
-//! same way.
+//! same way. Of the [`Transport`] it keeps only the report label.
 //!
 //! Building a plan has no side effect: it reads the WAL directory's
 //! listing and nothing else, so a rejected plan leaves no directory,
@@ -103,11 +103,6 @@ pub struct RunPlan<'a> {
     /// c of N takes every N-th from c of both (`client::share`), so arrival
     /// i still drives spec i.
     pub(crate) arrivals: Option<Vec<u64>>,
-    /// The open-loop driver sheds on what `try_pop` sees and paces arrivals
-    /// with sub-millisecond timed waits; a socket mailbox offers neither
-    /// (frames already read; the kernel's tick-rounded receive timeout), so
-    /// each client socket is pumped into a queue the driver reads instead.
-    pub(crate) pump_client_sockets: bool,
 }
 
 /// The first file in `dir` a previous run's data nodes or control shards
@@ -186,7 +181,6 @@ impl<'a> RunPlan<'a> {
             wal_dir,
             ckpts,
             arrivals,
-            pump_client_sockets: cfg.open_loop.is_some(),
         })
     }
 
@@ -244,7 +238,6 @@ mod tests {
         let mut dealt: Vec<_> = (0..10).flat_map(ids).collect();
         dealt.sort();
         assert_eq!(dealt, specs.iter().map(|s| s.id).collect::<Vec<_>>());
-        assert!(plan.pump_client_sockets);
         assert_eq!(plan.wal_dir, None, "no log: the directory is dropped, not inspected");
         assert_eq!(plan.ckpts, vec![None, None]);
 

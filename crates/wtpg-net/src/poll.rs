@@ -1,12 +1,13 @@
-//! `poll(2)`: how one thread waits on several descriptors at once — the
-//! workspace's only foreign call outside `bench/`, and this crate's only
-//! `unsafe` block.
+//! `ppoll(2)`: how one thread waits on one or several descriptors at once,
+//! for as long as it asks — the workspace's only foreign call outside
+//! `bench/`, and this crate's only `unsafe` block. Linux only, as CI and
+//! `bench/` are.
 
 #![allow(unsafe_code)]
 
 use std::io;
 use std::os::fd::{AsRawFd, BorrowedFd};
-use std::os::raw::{c_int, c_short, c_ulong};
+use std::os::raw::{c_int, c_long, c_short, c_ulong, c_void};
 use std::time::Duration;
 
 /// `struct pollfd`.
@@ -17,10 +18,22 @@ struct PollFd {
     revents: c_short,
 }
 
+/// `struct timespec` (`time_t` is a `long` on every Linux target CI runs).
+#[repr(C)]
+struct Timespec {
+    tv_sec: c_long,
+    tv_nsec: c_long,
+}
+
 const POLLIN: c_short = 0x001;
 
 extern "C" {
-    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+    fn ppoll(
+        fds: *mut PollFd,
+        nfds: c_ulong,
+        timeout: *const Timespec,
+        sigmask: *const c_void,
+    ) -> c_int;
 }
 
 /// A reusable descriptor table: filled by [`PollSet::wait`], read back by
@@ -31,15 +44,15 @@ pub(crate) struct PollSet {
 }
 
 impl PollSet {
-    /// One `poll` for readability over `fds`, blocking for at most `timeout`
-    /// (`None`: until something is readable). `None` entries keep their
-    /// position and are never readable. The timeout is rounded **up** to a
-    /// whole millisecond — a short wait must not turn into a busy loop of
-    /// zero-timeout polls. A signal (`EINTR`) reads as an early wake-up with
-    /// nothing readable: the caller owns the deadline and polls again.
+    /// One `ppoll` for readability over `fds`, blocking for at most
+    /// `timeout` (`None`: until something is readable), to the nanosecond
+    /// the kernel's timer slack allows — no rounding to milliseconds or
+    /// ticks. `None` entries keep their position and are never readable. A
+    /// signal (`EINTR`) reads as an early wake-up with nothing readable: the
+    /// caller owns the deadline and polls again.
     ///
     /// # Errors
-    /// Whatever else `poll` fails with (`ENOMEM`, `EINVAL` past
+    /// Whatever else `ppoll` fails with (`ENOMEM`, `EINVAL` past
     /// `RLIMIT_NOFILE`).
     pub(crate) fn wait<'fd>(
         &mut self,
@@ -53,15 +66,27 @@ impl PollSet {
             events: POLLIN,
             revents: 0,
         }));
-        let ms = timeout.map_or(-1, |t| {
-            c_int::try_from(t.as_nanos().div_ceil(1_000_000)).unwrap_or(c_int::MAX)
+        let ts = timeout.map(|t| Timespec {
+            tv_sec: c_long::try_from(t.as_secs()).unwrap_or(c_long::MAX),
+            // Under 10⁹: fits any `long`.
+            tv_nsec: t.subsec_nanos() as c_long,
         });
+        let ts_ptr = ts.as_ref().map_or(std::ptr::null(), std::ptr::from_ref);
         // SAFETY: the pointer and the count describe `self.fds`, an exclusive
         // borrow of `#[repr(C)]` records laid out as `struct pollfd`, and the
         // kernel writes only their `revents` fields. Every descriptor in it
         // is borrowed for `'fd`, which outlives this call, so none can be
-        // closed and reused meanwhile.
-        let n = unsafe { poll(self.fds.as_mut_ptr(), self.fds.len() as c_ulong, ms) };
+        // closed and reused meanwhile. The timeout is null or points at `ts`,
+        // a `struct timespec` alive across the call that the kernel only
+        // reads; the null signal mask leaves the thread's own in place.
+        let n = unsafe {
+            ppoll(
+                self.fds.as_mut_ptr(),
+                self.fds.len() as c_ulong,
+                ts_ptr,
+                std::ptr::null(),
+            )
+        };
         if n < 0 {
             let err = io::Error::last_os_error();
             if err.kind() != io::ErrorKind::Interrupted {
@@ -93,10 +118,9 @@ mod tests {
         let (rx, mut tx) = std::io::pipe().expect("pipe");
         let mut set = PollSet::default();
         let t0 = Instant::now();
-        // 100 µs rounds up to one millisecond, not down to a zero-timeout poll.
         set.wait([None, Some(rx.as_fd())].into_iter(), Some(Duration::from_micros(100)))
             .expect("poll");
-        assert!(t0.elapsed() >= Duration::from_millis(1), "{:?}", t0.elapsed());
+        assert!(t0.elapsed() >= Duration::from_micros(100), "{:?}", t0.elapsed());
         assert!(!set.readable(0) && !set.readable(1) && !set.readable(2));
         tx.write_all(&[7]).expect("write");
         set.wait([None, Some(rx.as_fd())].into_iter(), None).expect("poll");

@@ -28,8 +28,8 @@
 //!    ([`InProc`](crate::InProc)) is stepped by one executor on the calling
 //!    thread (`drive_stepped`), while a socket needs a thread blocked on it,
 //!    so over TCP each actor gets a scoped thread of its own. Plumbing —
-//!    the router, fault forwarders, stream certifiers, open-loop TCP client
-//!    pumps — is threads either way.
+//!    the router, fault forwarders, stream certifiers — is threads either
+//!    way.
 //! 4. **assemble** — the per-shard audits are merged ([`merge_audits`] —
 //!    the canonical cross-shard history merge, which refuses non-disjoint
 //!    shards), the merged history is replay-certified, and the data nodes'
@@ -77,7 +77,7 @@ use crate::fault::{FaultCounters, FaultLink, FaultPlan};
 use crate::msg::Msg;
 use crate::plan::RunPlan;
 use crate::report::{MsgBreakdown, NetReport};
-use crate::transport::{spawn_pump, Inbox, Mailbox, MsgTx, Transport};
+use crate::transport::{Inbox, Mailbox, MsgTx, Transport};
 
 /// Tuning knobs for one shared-nothing run.
 #[derive(Clone, Debug)]
@@ -195,10 +195,6 @@ const STREAM_DEPTH: usize = 1 << 16;
 /// Events between prefix-retirement sweeps on a streaming certifier.
 const RETIRE_EVERY: usize = 4096;
 
-/// Bound on an open-loop TCP client's pump queue: the pump blocks while it
-/// is full, and the client, on a thread of its own, drains it.
-const PUMP_DEPTH: usize = 1024;
-
 /// One shard's certifier thread: declarations and linearized events in,
 /// a final [`CertifyReport`] (plus the events-fed tally) out. The committed
 /// prefix retires every [`RETIRE_EVERY`] events, so the live graph tracks
@@ -239,7 +235,7 @@ fn wrap_links(
     fault: &FaultPlan,
     dir: u64,
     counters: &Arc<FaultCounters>,
-    pumps: &mut Vec<JoinHandle<()>>,
+    forwarders: &mut Vec<JoinHandle<()>>,
 ) -> Vec<Arc<dyn MsgTx>> {
     if !fault.link.active() {
         return links;
@@ -252,9 +248,9 @@ fn wrap_links(
                 ^ dir.wrapping_mul(0x9e37_79b9_7f4a_7c15)
                 ^ (i as u64 + 1).wrapping_mul(0xff51_afd7_ed55_8ccd);
             let name = format!("fault-{}-{i}", if dir == 1 { "c2d" } else { "d2c" });
-            let (link, pump) =
+            let (link, forwarder) =
                 FaultLink::spawn(name, inner, fault.link, seed, Arc::clone(counters));
-            pumps.push(pump);
+            forwarders.push(forwarder);
             link as Arc<dyn MsgTx>
         })
         .collect()
@@ -382,11 +378,10 @@ pub fn run_cell_load(
 type StreamVerdict = Result<(CertifyReport, usize), CertifyViolation>;
 
 /// Phase 2 of a run: everything the actors need, built from a validated
-/// plan and not yet running — the fabric with its fault-wrapped links and
-/// pumps, the certifier channels, and each actor's parameters as plain
-/// values. The only threads alive are plumbing (fault forwarders, open-loop
-/// client pumps, stream certifiers), all of them idle until an actor sends
-/// something.
+/// plan and not yet running — the fabric with its fault-wrapped links, the
+/// certifier channels, and each actor's parameters as plain values. The only
+/// threads alive are plumbing (fault forwarders, stream certifiers), all of
+/// them idle until an actor sends something.
 pub(crate) struct ActorSet<'a> {
     /// One per control shard, with the inbox it reads.
     controls: Vec<ControlParams<'a>>,
@@ -404,8 +399,8 @@ pub(crate) struct ActorSet<'a> {
     control_inbox: Inbox,
     to_data: Vec<Arc<dyn MsgTx>>,
     to_clients: Vec<Arc<dyn MsgTx>>,
-    /// Fault forwarders and open-loop client pumps.
-    pumps: Vec<JoinHandle<()>>,
+    /// Fault forwarders.
+    forwarders: Vec<JoinHandle<()>>,
     /// The transport's own threads.
     service: Vec<JoinHandle<()>>,
     bytes: Arc<dyn Fn() -> ByteCounts + Send + Sync>,
@@ -445,30 +440,15 @@ impl<'a> ActorSet<'a> {
 
         let fabric = transport.build(plan.data_nodes, plan.clients)?;
         let fault_counters = Arc::new(FaultCounters::default());
-        let mut pumps: Vec<JoinHandle<()>> = Vec::new();
-        let to_data = wrap_links(fabric.to_data, fault, 1, &fault_counters, &mut pumps);
+        let mut forwarders: Vec<JoinHandle<()>> = Vec::new();
+        let to_data = wrap_links(fabric.to_data, fault, 1, &fault_counters, &mut forwarders);
         let data_to_control = wrap_links(
             fabric.data_to_control,
             fault,
             2,
             &fault_counters,
-            &mut pumps,
+            &mut forwarders,
         );
-        let client_inboxes: Vec<Inbox> = fabric
-            .client_inboxes
-            .into_iter()
-            .enumerate()
-            .map(|(c, inbox)| {
-                if plan.pump_client_sockets && matches!(*inbox, Mailbox::Socket(_)) {
-                    let queue = Mailbox::queue(PUMP_DEPTH);
-                    let name = format!("client-pump-{c}");
-                    pumps.push(spawn_pump(name, inbox, Arc::clone(&queue)));
-                    queue
-                } else {
-                    inbox
-                }
-            })
-            .collect();
 
         // One shard reads the fabric inbox directly (no router on the
         // path); S > 1 gets routed inboxes, unbounded like every in-process
@@ -536,12 +516,12 @@ impl<'a> ActorSet<'a> {
             data,
             data_inboxes: fabric.data_inboxes,
             data_to_control,
-            client_inboxes,
+            client_inboxes: fabric.client_inboxes,
             client_to_control: fabric.client_to_control,
             control_inbox: fabric.control_inbox,
             to_data,
             to_clients: fabric.to_clients,
-            pumps,
+            forwarders,
             service: fabric.service,
             bytes: fabric.bytes,
             fault_counters,
@@ -711,16 +691,17 @@ fn drive(set: ActorSet<'_>, plan: &RunPlan<'_>, reg: &Registry) -> Joined {
 
     // Teardown: dropping our sender handles closes the fault queues (their
     // forwarders drain and exit) and — on TCP — FINs the writer sockets so
-    // every socket's reader sees EOF. Only then are the fault forwarders,
-    // the open-loop client pumps and whatever service threads a transport
-    // brought (neither of ours has any) joinable.
+    // every socket's reader sees EOF. Only then are the fault forwarders and
+    // whatever service threads a transport brought (neither of ours has any)
+    // joinable.
     drop(set.to_data);
     drop(set.data_to_control);
     drop(set.to_clients);
     drop(set.client_to_control);
-    for pump in set.pumps {
-        pump.join()
-            .expect("invariant: fault forwarders and client pumps exit once their source ends");
+    for forwarder in set.forwarders {
+        forwarder
+            .join()
+            .expect("invariant: fault forwarders exit once every sender is dropped");
     }
     for svc in set.service {
         svc.join()

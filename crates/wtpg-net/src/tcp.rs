@@ -13,27 +13,24 @@
 //! **Receiving.** Every socket is read by exactly one [`FrameReader`] — a
 //! buffer the kernel fills with as many frames as it holds per `read`,
 //! decoded in place — and by exactly one thread, the actor the frames are
-//! for. No thread of the fabric moves a frame from one place to another:
+//! for. No thread of the fabric moves a frame from one place to another.
+//! Every inbox is one kind, a [`Mailbox::FanIn`]: the read halves of the
+//! actor's links, one `FrameReader` each — one link for a data node or a
+//! client, one per accepted connection for the control node. The actor (or,
+//! in a sharded run, the router) pops frames already read, round-robin
+//! across the links so a chatty one cannot starve the rest; with nothing
+//! buffered it blocks in one [`ppoll(2)`](crate::poll) over the open links,
+//! for as long as it asked and no longer, and then makes one `read` per
+//! readable link. A link that reaches EOF, announces an oversized frame or
+//! fails to decode is closed *alone* and leaves the poll set; the mailbox is
+//! `Closed` once every link is down, or once [`Mailbox::close`] was called
+//! and what had been read is drained. `close` reaches a thread blocked in
+//! `ppoll` through a pipe whose read end sits in the poll set.
 //!
-//! * *Peer side* (data nodes, clients): a [`Mailbox::Socket`] **is** the
-//!   actor's inbox. The actor blocks in `read` on its own link.
-//! * *Control side*: many links meet in one actor, so its inbox is a
-//!   [`Mailbox::FanIn`] over every accepted socket, one `FrameReader` each.
-//!   The control actor (or, in a sharded run, the router) pops frames
-//!   already read, round-robin across the links so a chatty one cannot
-//!   starve the rest; with nothing buffered it blocks in one
-//!   [`poll(2)`](crate::poll) over the open links and then makes one `read`
-//!   per readable link. A link that reaches EOF, announces an oversized
-//!   frame or fails to decode is closed *alone* and leaves the poll set;
-//!   the mailbox is `Closed` once every link is down, or once
-//!   [`Mailbox::close`] was called and what had been read is drained.
-//!   `close` reaches a thread blocked in `poll` through a pipe whose read
-//!   end sits in the poll set.
-//!
-//! The accepted sockets stay **blocking**: `O_NONBLOCK` lives on the open
+//! Every socket stays **blocking**: `O_NONBLOCK` lives on the open
 //! file description, which the writer half ([`TcpTx`], a `try_clone`) shares,
 //! and a non-blocking `write_all` fails with `WouldBlock` the first time the
-//! peer's buffer is full. A blocking socket is read only after `poll` called
+//! peer's buffer is full. A blocking socket is read only after `ppoll` called
 //! it readable, which never blocks.
 //!
 //! **Teardown.** A socket's read half never learns that the local writer
@@ -41,7 +38,7 @@
 //! dropped writer sends a socket-level FIN instead. Dropping the
 //! control-side writers EOFs the peer mailboxes, waking any actor still
 //! blocked on one with `Closed`; dropping the peer-side writers EOFs the
-//! fan-in's links. There is no transport thread to join:
+//! control node's. There is no transport thread to join:
 //! [`Fabric::service`] is empty.
 //!
 //! All sockets run with `TCP_NODELAY`: the protocol is request/response
@@ -263,102 +260,27 @@ impl<R: Read> FrameReader<R> {
     }
 
     /// One [`fill`](Self::fill), its outcome folded into the reader's state:
-    /// EOF and I/O errors close the link. `false` only when the `read` timed
-    /// out (a source with a receive timeout set).
-    fn refill(&mut self) -> bool {
+    /// EOF and I/O errors close the link.
+    fn refill(&mut self) {
         match self.fill() {
-            Ok(0) => self.closed = true,
-            Ok(_) => {}
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                return false
-            }
-            Err(_) => self.closed = true,
-        }
-        true
-    }
-
-    /// The next frame, reading as often as it takes. `Empty` only when a
-    /// `read` timed out.
-    fn next(&mut self) -> PopResult<Msg> {
-        loop {
-            match self.buffered() {
-                PopResult::Empty => {}
-                done => return done,
-            }
-            if !self.refill() {
-                return PopResult::Empty;
-            }
+            Ok(n) => self.closed |= n == 0,
+            Err(e) => self.closed |= e.kind() != ErrorKind::Interrupted,
         }
     }
 }
 
-/// The read half of one TCP link: what a [`Mailbox::Socket`] locks.
-pub struct SocketRx {
-    frames: FrameReader<TcpStream>,
-    /// The receive timeout the socket currently has, so a steady run of
-    /// equal waits (a client's watchdog, a data node's blocking pops)
-    /// costs no `setsockopt`.
-    timeout: Option<Duration>,
-}
-
-impl SocketRx {
-    fn set_timeout(&mut self, timeout: Option<Duration>) {
-        if self.timeout != timeout {
-            // On failure the socket keeps its old timeout and so does the
-            // cache: the wait is mistimed once and the next call retries.
-            if self.frames.src.set_read_timeout(timeout).is_ok() {
-                self.timeout = timeout;
-            }
-        }
-    }
-
-    pub(crate) fn try_pop(&mut self) -> PopResult<Msg> {
-        self.frames.buffered()
-    }
-
-    pub(crate) fn pop(&mut self) -> Option<Msg> {
-        self.set_timeout(None);
-        loop {
-            match self.frames.next() {
-                PopResult::Item(m) => return Some(m),
-                PopResult::Closed => return None,
-                // Only if `set_timeout` failed to clear an old timeout.
-                PopResult::Empty => {}
-            }
-        }
-    }
-
-    /// The timeout bounds each wait for bytes; a frame the peer has begun
-    /// to send is waited out (peers write whole frames).
-    pub(crate) fn pop_timeout(&mut self, timeout: Duration) -> PopResult<Msg> {
-        // A zero receive timeout is an error to std and "forever" to the
-        // kernel; the shortest real one is what a zero wait means here.
-        self.set_timeout(Some(timeout.max(Duration::from_micros(1))));
-        self.frames.next()
-    }
-}
-
-/// A socket mailbox reading `stream` (a clone; the writer keeps its own).
-fn socket_mailbox(stream: &TcpStream, counters: &Arc<Counters>) -> Result<Inbox, NetError> {
-    Ok(Arc::new(Mailbox::Socket(Mutex::new(SocketRx {
-        frames: FrameReader::new(stream.try_clone()?, Arc::clone(counters)),
-        timeout: None,
-    }))))
-}
-
-/// The control node's inbox: the read halves of every accepted link behind
-/// one `poll` (module docs, "Receiving"). What a [`Mailbox::FanIn`] locks.
+/// A TCP actor's inbox: the read halves of its links behind one `ppoll`
+/// (module docs, "Receiving"). What a [`Mailbox::FanIn`] locks.
 pub struct FanInRx {
-    /// One reader per accepted link, in accept order; a link that went down
-    /// keeps its slot (and its `closed` flag) and is skipped by the poll.
+    /// One reader per link, in accept order; a link that went down keeps its
+    /// slot (and its `closed` flag) and is skipped by the poll.
     links: Vec<FrameReader<TcpStream>>,
     /// Where the next [`try_pop`](Self::try_pop) starts looking: one past
     /// the link that delivered last.
     cursor: usize,
     /// Readable once [`Mailbox::close`] wrote to the other end.
     wake: PipeReader,
-    /// `close` was seen, or `poll` itself failed: `Closed` once drained.
+    /// `close` was seen, or `ppoll` itself failed: `Closed` once drained.
     closed: bool,
     polled: PollSet,
 }
@@ -380,7 +302,7 @@ impl FanInRx {
         }
     }
 
-    /// One `poll` over the open links and the wake pipe, then one `read` on
+    /// One `ppoll` over the open links and the wake pipe, then one `read` on
     /// each readable link. Call only after `try_pop` came back `Empty`:
     /// that scan is what vets the headers `fill` trusts.
     fn wait(&mut self, timeout: Option<Duration>) {
@@ -530,7 +452,7 @@ impl Transport for Tcp {
             stream.write_all(&[role, b0, b1, b2, b3])?;
             // The actor reads its own link: when the control node drops its
             // writer, the FIN is the mailbox's `Closed`.
-            let inbox = socket_mailbox(&stream, &counters)?;
+            let inbox = fan_in_mailbox(vec![stream.try_clone()?], &counters)?;
             let tx = TcpTx::over(stream, &counters);
             if role == ROLE_DATA {
                 data_inboxes.push(inbox);
@@ -674,17 +596,21 @@ mod tests {
     }
 
     /// The census: no thread anywhere in the fabric. The control inbox is the
-    /// accepted sockets themselves; every peer reads its own.
+    /// accepted sockets themselves; every peer reads its own, a fan-in of one.
     #[test]
     fn a_tcp_fabric_has_no_service_threads() {
         let f = Tcp.build(8, 2).expect("loopback fabric");
         assert!(f.service.is_empty());
-        let Mailbox::FanIn { rx, .. } = &*f.control_inbox else {
-            panic!("the TCP control inbox is a fan-in");
+        let links = |inbox: &Inbox| {
+            let Mailbox::FanIn { rx, .. } = &**inbox else {
+                panic!("every TCP inbox is a fan-in");
+            };
+            rx.lock().expect("mailbox lock").links.len()
         };
-        assert_eq!(rx.lock().expect("mailbox lock").links.len(), 10);
+        assert_eq!(links(&f.control_inbox), 10);
         for inbox in f.data_inboxes.iter().chain(&f.client_inboxes) {
-            assert!(matches!(**inbox, Mailbox::Socket(_)));
+            assert_eq!(links(inbox), 1, "a peer reads its one link");
+            assert!(!inbox.push(Msg::Shutdown), "fed by its link alone");
         }
         assert!(!f.control_inbox.push(Msg::Shutdown), "fed by its links alone");
     }
@@ -823,82 +749,82 @@ mod tests {
         assert_eq!(inbox.try_pop(), PopResult::Closed);
     }
 
+    /// On the control node's many links and on a peer's one alike.
     #[test]
     fn close_wakes_a_blocked_pop_and_drains_what_was_read() {
-        let (inbox, mut peers) = fan_in(2);
-        peers[0].write_all(&encode_frame(&delta(1))).expect("write");
-        peers[0].write_all(&encode_frame(&delta(2))).expect("write");
-        assert_eq!(inbox.pop_timeout(LONG), PopResult::Item(delta(1)));
-        let (tx, rx) = std::sync::mpsc::channel();
-        let popper = {
-            let inbox = Arc::clone(&inbox);
-            std::thread::spawn(move || {
-                let first = inbox.pop();
-                tx.send((first, inbox.pop())).expect("the test is waiting");
-            })
-        };
-        // Whether the popper is already in `poll` or not yet there, the
-        // close must reach it: the pipe stays readable.
-        inbox.close();
-        let (first, second) = rx.recv_timeout(LONG).expect("close must wake the pop");
-        popper.join().expect("popper");
-        // Frames already read drain first; whether delta(2) had been read
-        // when the close was seen is the kernel's business.
-        assert!(first.is_none() || first == Some(delta(2)), "{first:?}");
-        assert_eq!(second, None);
-        assert_eq!(inbox.pop_timeout(LONG), PopResult::Closed, "closed is for good");
-    }
-
-    #[test]
-    fn a_timed_pop_on_idle_links_waits_whole_milliseconds() {
-        let (inbox, _peers) = fan_in(3);
-        let t0 = Instant::now();
-        assert_eq!(inbox.pop_timeout(Duration::from_millis(2)), PopResult::Empty);
-        assert!(t0.elapsed() >= Duration::from_millis(2), "{:?}", t0.elapsed());
-        // A sub-millisecond wait rounds up to one `poll(.., 1)`; rounded
-        // down it would be a zero-timeout poll in a loop.
-        let t1 = Instant::now();
-        assert_eq!(inbox.pop_timeout(Duration::from_micros(100)), PopResult::Empty);
-        assert!(t1.elapsed() >= Duration::from_millis(1), "{:?}", t1.elapsed());
-        assert!(t1.elapsed() < LONG);
-        assert_eq!(inbox.pop_timeout(Duration::ZERO), PopResult::Empty);
-    }
-
-    #[test]
-    fn a_timed_pop_on_an_idle_socket_waits_and_caches_its_timeout() {
+        let (fan, peers) = fan_in(2);
         let f = Tcp.build(1, 0).expect("loopback fabric");
-        let Mailbox::Socket(rx) = &*f.data_inboxes[0] else {
-            panic!("a TCP data node reads its own socket");
+        let raw = |m: &Msg| (&peers[0]).write_all(&encode_frame(m)).is_ok();
+        let framed = |m: &Msg| f.to_data[0].send(m);
+        let check = |inbox: &Inbox, send: &dyn Fn(&Msg) -> bool, what: &str| {
+            assert!(send(&delta(1)) && send(&delta(2)));
+            assert_eq!(inbox.pop_timeout(LONG), PopResult::Item(delta(1)));
+            let (tx, rx) = std::sync::mpsc::channel();
+            let popper = {
+                let inbox = Arc::clone(inbox);
+                std::thread::spawn(move || {
+                    let first = inbox.pop();
+                    tx.send((first, inbox.pop())).expect("the test is waiting");
+                })
+            };
+            // Whether the popper is already in `ppoll` or not yet there, the
+            // close must reach it: the pipe stays readable.
+            inbox.close();
+            let (first, second) = rx.recv_timeout(LONG).expect("close must wake the pop");
+            popper.join().expect("popper");
+            // Frames already read drain first; whether delta(2) had been read
+            // when the close was seen is the kernel's business.
+            assert!(first.is_none() || first == Some(delta(2)), "{what}: {first:?}");
+            assert_eq!(second, None, "{what}");
+            assert_eq!(inbox.pop_timeout(LONG), PopResult::Closed, "{what}: closed for good");
         };
-        let wait = Duration::from_millis(30);
-        let t0 = Instant::now();
-        assert_eq!(f.data_inboxes[0].pop_timeout(wait), PopResult::Empty);
-        assert!(t0.elapsed() >= wait, "must actually wait");
-        assert!(t0.elapsed() < Duration::from_secs(5), "and not for ever");
-        assert_eq!(rx.lock().expect("mailbox lock").timeout, Some(wait));
-        // The same wait again leaves the socket option alone: the cache is
-        // what `set_timeout` compares against. Poison the kernel's copy
-        // behind its back; an equal timeout must not repair it.
-        rx.lock()
-            .expect("mailbox lock")
-            .frames
-            .src
-            .set_read_timeout(Some(Duration::from_millis(1)))
-            .expect("set_read_timeout");
-        let t1 = Instant::now();
-        assert_eq!(f.data_inboxes[0].pop_timeout(wait), PopResult::Empty);
-        assert!(
-            t1.elapsed() < wait,
-            "an equal timeout made a setsockopt: waited {:?}",
-            t1.elapsed()
-        );
-        // A zero wait is clamped, not an error, and still returns.
-        assert_eq!(f.data_inboxes[0].pop_timeout(Duration::ZERO), PopResult::Empty);
-        assert_eq!(f.data_inboxes[0].try_pop(), PopResult::Empty);
-        // A blocking pop clears the timeout and sees the next frame.
+        check(&fan, &raw, "two links");
+        check(&f.data_inboxes[0], &framed, "one link");
+    }
+
+    /// A timed pop sleeps what it asks — not a millisecond, not a tick — on
+    /// the control node's many links and on a peer's one alike, and a zero
+    /// one does not sleep at all.
+    #[test]
+    fn a_timed_pop_waits_what_it_asks_and_a_zero_one_not_at_all() {
+        let (fan, _peers) = fan_in(3);
+        let f = Tcp.build(1, 0).expect("loopback fabric");
+        for (inbox, what) in [(&fan, "three links"), (&f.data_inboxes[0], "one link")] {
+            let t0 = Instant::now();
+            assert_eq!(inbox.pop_timeout(Duration::from_millis(2)), PopResult::Empty);
+            assert!(t0.elapsed() >= Duration::from_millis(2), "{what}: {:?}", t0.elapsed());
+            let t1 = Instant::now();
+            assert_eq!(inbox.pop_timeout(Duration::ZERO), PopResult::Empty);
+            assert!(t1.elapsed() < Duration::from_millis(1), "{what}: {:?}", t1.elapsed());
+            let ask = Duration::from_micros(100);
+            let mut waits: Vec<Duration> = (0..20)
+                .map(|_| {
+                    let t = Instant::now();
+                    assert_eq!(inbox.pop_timeout(ask), PopResult::Empty);
+                    t.elapsed()
+                })
+                .collect();
+            waits.sort();
+            let median = waits[waits.len() / 2];
+            assert!(median >= ask, "{what}: median {median:?} of {waits:?}");
+            assert!(median < Duration::from_micros(700), "{what}: median {median:?}");
+            assert_eq!(inbox.try_pop(), PopResult::Empty);
+        }
+        // A blocking pop on the one link still sees the next frame.
         assert!(f.to_data[0].send(&Msg::Shutdown));
         assert_eq!(f.data_inboxes[0].pop(), Some(Msg::Shutdown));
-        assert_eq!(rx.lock().expect("mailbox lock").timeout, None);
+    }
+
+    impl<R: Read> FrameReader<R> {
+        /// The next frame, reading as often as it takes.
+        fn next(&mut self) -> PopResult<Msg> {
+            loop {
+                match self.buffered() {
+                    PopResult::Empty => self.refill(),
+                    done => return done,
+                }
+            }
+        }
     }
 
     /// A `Read` that hands out `data` in pieces of the caller's choosing

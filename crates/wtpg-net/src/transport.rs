@@ -5,22 +5,18 @@
 //! star — clients and data nodes each hold exactly one link, to the
 //! control node — matching the paper's single control site.
 //!
-//! A mailbox is one of three things, by how many links meet in it and what
-//! they are made of. [`Mailbox::Queue`] is an MPMC queue (`wtpg-rt`'s
-//! [`BoundedQueue`]): every in-process link, the control fan-in included,
-//! and the queue the runtime puts in front of an open-loop client's socket.
-//! [`Mailbox::Socket`] is the read half of a TCP connection behind a
-//! buffered frame reader: an actor with a single inbound link — a data node,
-//! a closed-loop client — blocks in `read` on its own socket, so a message
-//! costs it one wake-up and no hand-off. [`Mailbox::FanIn`] is the control
-//! node's inbox over TCP: the read halves of every accepted connection,
-//! which the control actor waits on together in one `poll(2)` and reads
-//! itself — many links, still no hand-off and no thread but the actor's
-//! own. All three answer to the same three calls (`try_pop`, `pop`,
-//! `pop_timeout`), and each blocks in exactly one place: a condvar, a
-//! `read`, a `poll`. The kind decides the driver (`actor.rs`): a run whose
-//! inboxes are all queues is stepped by one executor on one thread, which
-//! never blocks in a pop; a socket needs a thread blocked on it.
+//! A mailbox is one of two things, by what its links are made of.
+//! [`Mailbox::Queue`] is an MPMC queue (`wtpg-rt`'s [`BoundedQueue`]): every
+//! in-process link, the control fan-in included. [`Mailbox::FanIn`] is a TCP
+//! actor's inbox: the read halves of its links — one for a data node or a
+//! client, one per peer for the control node — which the actor waits on
+//! together in one `ppoll(2)` and reads itself, so a message costs it one
+//! wake-up, no hand-off and no thread but its own. Both answer to the same
+//! three calls (`try_pop`, `pop`, `pop_timeout`), each blocks in exactly one
+//! place (a condvar, a `ppoll`), and each timed wait lasts what it asks. The
+//! kind decides the driver (`actor.rs`): a run whose inboxes are all queues
+//! is stepped by one executor on one thread, which never blocks in a pop; a
+//! socket needs a thread blocked on it.
 //!
 //! [`InProc`] wires queues directly: a sender handle is the receiving
 //! actor's queue, so messages are moved, never serialized.
@@ -38,10 +34,9 @@
 //! duplicate faults). Over TCP the kernel's send and receive buffers play
 //! the queue's part, and a writer blocks while its peer's are full — each
 //! TCP actor has a thread of its own, so a full buffer only waits on a
-//! reader that is running. Two queues still have a bound, each with a
-//! thread of its own behind it to drain it: a [`FaultLink`]'s
-//! (`crate::fault`), which its forwarder empties, and the open-loop TCP
-//! client's pump queue, which the client thread empties.
+//! reader that is running. One queue still has a bound, with a thread of its
+//! own behind it to drain it: a [`FaultLink`]'s (`crate::fault`), which its
+//! forwarder empties.
 //!
 //! [`FaultLink`]: crate::fault::FaultLink
 
@@ -56,7 +51,7 @@ use wtpg_rt::queue::{BoundedQueue, PopResult};
 use crate::actor::Bell;
 use crate::error::NetError;
 use crate::msg::Msg;
-use crate::tcp::{FanInRx, SocketRx};
+use crate::tcp::FanInRx;
 
 /// A sender handle for one directed link. `send` blocks only where the
 /// module docs say a link is bounded, and returns `false` once the peer is
@@ -77,18 +72,15 @@ pub enum Mailbox {
         /// adopted it: every push and the close ring it.
         bell: OnceLock<Arc<Bell>>,
     },
-    /// The read half of the actor's one TCP link. The lock is a leaf held
-    /// across the blocking `read`; the owning actor is its only taker.
-    Socket(Mutex<SocketRx>),
-    /// The read halves of every TCP link into the control node, waited on
-    /// together with `poll(2)`. The lock is a leaf held across the `poll`
-    /// and the `read`s; its one taker is the control actor, or the router of
-    /// a sharded run.
+    /// The read halves of an actor's TCP links, waited on together with
+    /// `ppoll(2)`. The lock is a leaf held across the `ppoll` and the
+    /// `read`s; its one taker is the actor that owns the mailbox, or the
+    /// router of a sharded run.
     FanIn {
         /// The links and what has been read off them.
         rx: Mutex<FanInRx>,
         /// Write end of the pipe in `rx`'s poll set: how [`Mailbox::close`]
-        /// reaches a taker blocked in `poll`, without the lock.
+        /// reaches a taker blocked in `ppoll`, without the lock.
         waker: PipeWriter,
     },
 }
@@ -112,7 +104,7 @@ impl Mailbox {
     }
 
     /// Has every push into (and the close of) a queue mailbox ring `bell`,
-    /// the bell of the executor that steps its reader. A no-op on sockets.
+    /// the bell of the executor that steps its reader. A no-op on a fan-in.
     pub(crate) fn adopt(&self, bell: &Arc<Bell>) {
         if let Mailbox::Queue { bell: cell, .. } = self {
             let _ = cell.set(Arc::clone(bell));
@@ -120,61 +112,56 @@ impl Mailbox {
     }
 
     /// Whether a pop would return at once: a message is queued or the queue
-    /// closed. A socket or fan-in cannot tell without reading, and says yes.
+    /// closed. A fan-in cannot tell without reading, and says yes.
     pub(crate) fn can_pop(&self) -> bool {
         match self {
             Mailbox::Queue { q, .. } => q.can_pop(),
-            Mailbox::Socket(_) | Mailbox::FanIn { .. } => true,
+            Mailbox::FanIn { .. } => true,
         }
     }
 
-    /// Pops without blocking. On a socket or a fan-in that means *frames
-    /// already read*: bytes still in the kernel are not looked at, so
-    /// `Empty` does not say the links are idle (nor, on a fan-in, that
-    /// [`close`](Self::close) was not called — the next blocking pop tells).
-    /// An actor that needs that answer (the open-loop client, which decides
-    /// to shed on it) must sit behind a queue — the runtime pumps its
-    /// socket into one.
+    /// Pops without blocking. On a fan-in that means *frames already read*:
+    /// bytes still in the kernel are not looked at, so `Empty` does not say
+    /// the links are idle (nor that [`close`](Self::close) was not called —
+    /// the next blocking pop tells). An actor's driver pops this way only
+    /// after a wait that read whatever had arrived, so what `Empty` misses is
+    /// what landed since — for the open-loop client, which sheds on it, the
+    /// same race a queue has with its pusher.
     pub fn try_pop(&self) -> PopResult<Msg> {
         match self {
             Mailbox::Queue { q, .. } => q.try_pop(),
-            Mailbox::Socket(rx) => locked(rx).try_pop(),
             Mailbox::FanIn { rx, .. } => locked(rx).try_pop(),
         }
     }
 
     /// Pops the next message, blocking until one arrives. `None` once the
-    /// mailbox is closed and drained (queue, fan-in), the link is down
-    /// (socket) or every link is (fan-in).
+    /// mailbox is closed and drained, or (fan-in) every link is down.
     pub fn pop(&self) -> Option<Msg> {
         match self {
             Mailbox::Queue { q, .. } => q.pop(),
-            Mailbox::Socket(rx) => locked(rx).pop(),
             Mailbox::FanIn { rx, .. } => locked(rx).pop(),
         }
     }
 
-    /// Pops the next message, waiting at most about `timeout` for one. A
-    /// socket's wait is the kernel's receive timeout, which rounds up to a
-    /// scheduler tick, and a fan-in's is `poll`'s, in whole milliseconds
-    /// rounded up: good for watchdogs and fault windows, too coarse for
-    /// sub-millisecond pacing. `Duration::MAX` is no timeout at all —
-    /// [`Self::pop`], with neither a clock read nor a timer armed — so an
-    /// actor whose wait is only sometimes bounded needs one blocking call.
+    /// Pops the next message, waiting at most `timeout` for one: a condvar's
+    /// wait, or a fan-in's `ppoll`, each as long as it asks (to the kernel's
+    /// timer slack, tens of µs), and a zero wait on a fan-in returns before
+    /// any syscall. `Duration::MAX` is no timeout at all — [`Self::pop`],
+    /// with neither a clock read nor a timer armed — so an actor whose wait
+    /// is only sometimes bounded needs one blocking call.
     pub fn pop_timeout(&self, timeout: Duration) -> PopResult<Msg> {
         if timeout == Duration::MAX {
             return self.pop().map_or(PopResult::Closed, PopResult::Item);
         }
         match self {
             Mailbox::Queue { q, .. } => q.pop_timeout(timeout),
-            Mailbox::Socket(rx) => locked(rx).pop_timeout(timeout),
             Mailbox::FanIn { rx, .. } => locked(rx).pop_timeout(timeout),
         }
     }
 
     /// Delivers `m` to a queue mailbox, blocking while a bounded one is full;
-    /// `false` once it is closed. A socket or fan-in mailbox is fed by its
-    /// peers alone and refuses.
+    /// `false` once it is closed. A fan-in is fed by its links alone and
+    /// refuses.
     pub fn push(&self, m: Msg) -> bool {
         match self {
             Mailbox::Queue { q, bell } => {
@@ -184,13 +171,12 @@ impl Mailbox {
                 }
                 pushed
             }
-            Mailbox::Socket(_) | Mailbox::FanIn { .. } => false,
+            Mailbox::FanIn { .. } => false,
         }
     }
 
-    /// Closes a queue or fan-in mailbox: pending messages (on a fan-in,
-    /// frames already read) drain, pushes fail, blocked poppers wake. A
-    /// socket mailbox closes when its peer's writer does.
+    /// Closes the mailbox: pending messages (on a fan-in, frames already
+    /// read) drain, pushes fail, blocked poppers wake.
     pub fn close(&self) {
         match self {
             Mailbox::Queue { q, bell } => {
@@ -199,9 +185,8 @@ impl Mailbox {
                     bell.ring();
                 }
             }
-            Mailbox::Socket(_) => {}
             // One byte, never read: the pipe stays readable, so the close is
-            // seen by the poll in progress and by every later one. (A full
+            // seen by the `ppoll` in progress and by every later one. (A full
             // pipe — 65 536 closes — would block; a failed write means the
             // read end is gone.)
             Mailbox::FanIn { waker, .. } => {
@@ -209,21 +194,6 @@ impl Mailbox {
             }
         }
     }
-}
-
-/// Spawns a thread, named `name`, that moves messages from `from` into
-/// `into` until either ends, then closes `into`: `from` is its only
-/// producer. This is how a socket comes to feed a queue, for a client that
-/// needs queue semantics.
-pub(crate) fn spawn_pump(name: String, from: Inbox, into: Inbox) -> JoinHandle<()> {
-    crate::spawn_named(name, move || {
-        while let Some(m) = from.pop() {
-            if !into.push(m) {
-                break;
-            }
-        }
-        into.close();
-    })
 }
 
 /// The wired-up run: inboxes and sender handles for every actor.
@@ -327,18 +297,5 @@ mod tests {
         let f = InProc.build(1, 1).expect("inproc build is infallible");
         f.data_inboxes[0].close();
         assert!(!f.to_data[0].send(&Msg::Shutdown));
-    }
-
-    #[test]
-    fn a_pump_moves_everything_then_closes_its_sink() {
-        let (from, into) = (Mailbox::queue(4), Mailbox::queue(4));
-        let pump = spawn_pump("pump".into(), Arc::clone(&from), Arc::clone(&into));
-        for i in 0..100 {
-            assert!(from.push(Msg::Commit { client: 0, txn: TxnId(i) }));
-            assert_eq!(into.pop(), Some(Msg::Commit { client: 0, txn: TxnId(i) }));
-        }
-        from.close();
-        pump.join().expect("a pump exits when its source ends");
-        assert_eq!(into.pop(), None, "the sole producer closed the sink");
     }
 }

@@ -21,9 +21,6 @@ use wtpg_obs::Registry;
 
 const WATCHDOG: Duration = Duration::from_millis(250);
 
-/// The longest an open-loop client blocks (`client.rs`'s `OPEN_LOOP_NAP`).
-const NAP: Duration = Duration::from_micros(500);
-
 /// Transactions 1..=n, one write each.
 fn writes(n: u64) -> Vec<TxnSpec> {
     (1..=n)
@@ -232,9 +229,9 @@ fn the_wait_is_the_watchdog_closed_and_the_next_arrival_open() {
         origin: t0,
     };
     let mut c = r.client(&specs, Some(&plan), 16);
-    assert_eq!(c.before_block(t0).unwrap(), Some(NAP), "capped by the nap");
+    assert_eq!(c.before_block(t0).unwrap(), Some(ms(1)), "until the first arrival");
     assert_eq!(c.before_block(t0 + us(700)).unwrap(), Some(us(300)));
     assert_eq!(c.before_block(t0 + us(1_000)).unwrap(), Some(us(200)));
-    assert_eq!(c.before_block(t0 + us(1_200)).unwrap(), Some(NAP), "owed, none to come");
+    assert_eq!(c.before_block(t0 + us(1_200)).unwrap(), Some(WATCHDOG), "owed, none to come");
     assert_eq!(submitted(r.heard.take()), [1, 2]);
 }

@@ -92,10 +92,11 @@ fn tcp_clean_run_reports_wire_traffic() {
     assert!(r.batched_inner > 0, "TCP runs must coalesce frames: {r:?}");
 }
 
-/// The open-loop driver sheds on what `try_pop` sees and naps for less than
-/// a millisecond, so over TCP the runtime pumps each client's socket into a
-/// queue. At a rate the box sustains with room to spare that path must
-/// deliver every ack: everything offered commits and nothing is shed.
+/// The open-loop client sheds on what its inbox has read and sleeps until its
+/// next arrival is due; over TCP both are its own socket's, read after one
+/// `ppoll` as long as the gap. At a rate the box sustains with room to spare
+/// that path must deliver every ack: everything offered commits and nothing
+/// is shed.
 #[test]
 fn tcp_open_loop_commits_everything_it_offers() {
     let (catalog, specs) = pattern_specs(Pattern::One, 300, 11);
@@ -130,8 +131,9 @@ fn tcp_open_loop_commits_everything_it_offers() {
 /// is owed across such a gap: a client's watchdog counts from the later of
 /// its last message and its window last going from empty to non-empty. At
 /// `404fc55` it counted from the last message alone, so the first arrival
-/// after a long gap tripped it unless its ack beat the client's sub-ms nap;
-/// delaying every control ↔ data message up to 5 ms makes sure none does.
+/// after a long gap tripped it unless its ack came back before the client's
+/// next wake-up; delaying every control ↔ data message up to 5 ms makes sure
+/// none does.
 #[test]
 fn a_sparse_open_loop_client_does_not_trip_its_watchdog() {
     let (txns, clients, lambda_tps, seed) = (64, 16, 40.0, 9);

@@ -4,8 +4,7 @@
 //! Every in-process mailbox of `wtpg-net` is one of these: senders push,
 //! the owning actor pops. A full queue blocks the sender; the mailboxes
 //! themselves are built with no bound (an in-process send never blocks),
-//! and the fault layer's link queues and the open-loop client's pump queue
-//! keep one. Implemented on `Mutex<VecDeque> + Condvar` pairs so the crate
+//! and only the fault layer's link queues keep one. Implemented on `Mutex<VecDeque> + Condvar` pairs so the crate
 //! stays dependency-free.
 //!
 //! Each condvar keeps books under the queue lock — how many threads sleep
