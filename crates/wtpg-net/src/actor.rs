@@ -6,25 +6,29 @@
 //! `finish`. Every step is handed the latest instant read, so a test can
 //! drive the unmodified machines by hand.
 //!
-//! Two drivers make those moves, chosen by what the inboxes are made of.
-//! [`run`] gives one actor a thread of its own and blocks in its inbox's one
-//! blocking call: a TCP actor waits in one `ppoll` on its own sockets.
-//! [`step_all`] is the executor of an in-process run: every actor, each in a
-//! [`Slot`] with its queue, moves on the calling thread. A `pick` names which
-//! ready actor moves next ([`round_robin`] in a run); when none is ready, the
-//! [`Clock`] waits for the earliest wait to run out or for mail. In a run the
-//! clock is [`RealTime`], whose wait a push into any of the run's inboxes
-//! cuts short: a fault forwarder or the router of a sharded run pushes from
-//! a thread of its own. `tests/interleave.rs` gives the same executor a
-//! seeded pick and a virtual clock.
+//! One driver makes those moves in every run, on either transport:
+//! [`step_all`], the executor. Every actor, each in a [`Slot`] with its
+//! inbox, moves on the calling thread. A `pick` names which ready actor
+//! moves next ([`round_robin`] in a run); when none is ready, the [`Clock`]
+//! waits for the earliest wait to run out or for mail. In a run the clock is
+//! [`RealTime`]: its wait pushes out what TCP sends held, then is one
+//! `ppoll` over every link of the run's socket inboxes and a wake pipe, then
+//! one `read` on each readable link. The pipe is the [`Bell`]'s, which a
+//! push into a queue inbox from another thread rings: the router of a
+//! sharded run, a fault forwarder. An in-process run is the same clock with
+//! no links. `tests/interleave.rs` gives the same executor a seeded pick and
+//! a virtual clock.
 
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::io::{PipeWriter, Write};
+use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use wtpg_rt::queue::PopResult;
 
 use crate::error::NetError;
 use crate::msg::Msg;
+use crate::tcp::Sockets;
 use crate::transport::{Inbox, Mailbox};
 
 /// What one step asks of the loop.
@@ -55,31 +59,6 @@ pub trait Actor {
     fn finish(self) -> Result<Self::Outcome, NetError>;
 }
 
-/// Runs `actor` on `inbox` on this thread: drain without blocking,
-/// `before_block`, one blocking pop. The clock is read at the start and once
-/// per pop.
-pub(crate) fn run<A: Actor>(mut actor: A, inbox: &Inbox) -> Result<A::Outcome, NetError> {
-    let mut now = Instant::now();
-    loop {
-        let popped = match inbox.try_pop() {
-            PopResult::Empty => match actor.before_block(now)? {
-                Some(wait) => inbox.pop_timeout(wait),
-                None => return actor.finish(),
-            },
-            ready => ready,
-        };
-        now = Instant::now();
-        let flow = match popped {
-            PopResult::Item(m) => actor.deliver(m, now)?,
-            PopResult::Empty => actor.idle(now)?,
-            PopResult::Closed => Flow::Stop,
-        };
-        if flow == Flow::Stop {
-            return actor.finish();
-        }
-    }
-}
-
 /// How an executor tells the time.
 #[doc(hidden)]
 pub trait Clock {
@@ -101,10 +80,9 @@ pub trait Step {
     /// Whether it can move at `now`: it is awake, mail (or its inbox's close)
     /// is waiting, or its wait has run out.
     fn ready(&self, now: Instant) -> bool;
-    /// Its next move, as [`run`] makes it: a pop delivered, `before_block` on
-    /// an empty inbox, `idle` once the wait ran out. `now` is the latest
-    /// reading of `clock`, read again for each pop. `true` if the move
-    /// stopped the actor.
+    /// Its next move: a pop delivered, `before_block` on an empty inbox,
+    /// `idle` once the wait ran out. `now` is the latest reading of `clock`,
+    /// read again for each pop. `true` if the move stopped the actor.
     fn step(&mut self, clock: &mut dyn Clock, now: &mut Instant) -> bool;
     /// When its wait runs out, while it sleeps on one.
     fn wakes_at(&self) -> Option<Instant>;
@@ -242,8 +220,8 @@ pub fn step_all(
 }
 
 /// The executor's pick in a run: the actor that moved last, for as long as
-/// it is ready — so it drains its inbox as [`run`] would — then the next
-/// ready one round the ring. It never refuses.
+/// it is ready — so it drains its inbox before anyone else moves — then the
+/// next ready one round the ring. It never refuses.
 pub fn round_robin() -> impl FnMut(&[&mut dyn Step], Instant) -> Result<Option<usize>, NetError> {
     let mut at = 0;
     move |slots, now| {
@@ -255,76 +233,66 @@ pub fn round_robin() -> impl FnMut(&[&mut dyn Step], Instant) -> Result<Option<u
     }
 }
 
-/// How a push reaches a sleeping executor. Every queue an executor adopted
-/// rings its bell on push and on close; the executor waits on it only once
-/// nobody is ready, and not at all if it rang since the last wait began. A
-/// push from the executor's own thread finds it awake: one uncontended lock,
-/// no wake-up.
+/// How a push from another thread reaches a sleeping executor. Every queue
+/// an executor adopted rings its bell on push and on close. A ring writes
+/// one byte into the executor's wake pipe, and only while the executor
+/// sleeps; a ring since the last wait began keeps the next wait from
+/// sleeping. A push from the executor's own thread finds it awake: two
+/// atomic operations, no syscall.
 #[doc(hidden)]
-#[derive(Default)]
 pub struct Bell {
-    state: Mutex<Rung>,
-    woken: Condvar,
-}
-
-#[derive(Default)]
-struct Rung {
     /// A push since the last wait began.
-    rung: bool,
+    rung: AtomicBool,
     /// The executor is inside a wait that no ring has cut short yet.
-    asleep: bool,
+    asleep: AtomicBool,
+    /// Write end of the pipe in the executor's poll set.
+    waker: PipeWriter,
 }
 
 impl Bell {
-    fn locked(&self) -> MutexGuard<'_, Rung> {
-        self.state
-            .lock()
-            .expect("invariant: the bell's lock is never poisoned (no panics while held)")
-    }
-
     /// Books a push, and wakes the executor if it waits.
     pub(crate) fn ring(&self) {
-        let mut s = self.locked();
-        s.rung = true;
-        let wake = std::mem::take(&mut s.asleep);
-        drop(s);
-        if wake {
-            self.woken.notify_one();
+        self.rung.store(true, SeqCst);
+        if self.asleep.swap(false, SeqCst) {
+            // One byte per sleep, which the wait reads back; a failed write
+            // means the executor is gone.
+            let _ = (&self.waker).write(&[1]);
         }
-    }
-
-    /// Waits until rung or `until`, at once if rung since the last wait: a
-    /// pass that found nobody ready may have missed that push's mail.
-    fn doze(&self, until: Option<Instant>) {
-        let mut s = self.locked();
-        if !s.rung {
-            s.asleep = true;
-            // `Duration::MAX` overflows the deadline, which std waits out as none.
-            let left = until.map_or(Duration::MAX, |t| t.saturating_duration_since(Instant::now()));
-            (s, _) = self
-                .woken
-                .wait_timeout(s, left)
-                .expect("invariant: the bell's lock is never poisoned (no panics while held)");
-            s.asleep = false;
-        }
-        s.rung = false;
     }
 }
 
-/// The executor's clock in a run: `Instant::now`, and a wait that a push
-/// into any adopted inbox cuts short.
+/// The executor's clock in a run: `Instant::now`, and a wait that ends at
+/// its deadline, on a frame on any link of a fan-in it steps, or on a push
+/// into a queue it steps.
 #[doc(hidden)]
-pub struct RealTime(Arc<Bell>);
+pub struct RealTime {
+    bell: Arc<Bell>,
+    /// Every link of the fan-ins it steps, and the read end of the bell's
+    /// pipe.
+    sockets: Sockets,
+}
 
 impl RealTime {
-    /// A clock whose waits a push into (or the close of) any of `inboxes`
-    /// ends.
-    pub fn ringing_on<'i>(inboxes: impl IntoIterator<Item = &'i Mailbox>) -> RealTime {
-        let bell = Arc::new(Bell::default());
-        for inbox in inboxes {
+    /// A clock for an executor that steps the actors reading `inboxes`.
+    ///
+    /// # Errors
+    /// [`NetError::Io`] if the pipe, or a descriptor for a link, cannot be
+    /// had.
+    pub fn over<'i>(inboxes: impl IntoIterator<Item = &'i Inbox>) -> Result<RealTime, NetError> {
+        let (wake, waker) = std::io::pipe()?;
+        let bell = Arc::new(Bell {
+            rung: AtomicBool::new(false),
+            asleep: AtomicBool::new(false),
+            waker,
+        });
+        let inboxes: Vec<&Inbox> = inboxes.into_iter().collect();
+        for inbox in &inboxes {
             inbox.adopt(&bell);
         }
-        RealTime(bell)
+        Ok(RealTime {
+            bell,
+            sockets: Sockets::of(inboxes, wake)?,
+        })
     }
 }
 
@@ -333,9 +301,23 @@ impl Clock for RealTime {
         Instant::now()
     }
 
+    /// Pushes out what sends held, then makes one `ppoll` over every link
+    /// and the wake pipe until `until`, then one `read` on each readable
+    /// link. A ring since the last wait began makes it look without
+    /// sleeping: a pass that found nobody ready may have missed that push's
+    /// mail.
     fn wait_until(&mut self, until: Option<Instant>) -> Result<(), NetError> {
-        self.0.doze(until);
-        Ok(())
+        let bell = &*self.bell;
+        bell.asleep.store(true, SeqCst);
+        let timeout = if bell.rung.swap(false, SeqCst) {
+            Some(Duration::ZERO)
+        } else {
+            until.map(|t| t.saturating_duration_since(Instant::now()))
+        };
+        let waited = self.sockets.wait(timeout);
+        bell.asleep.store(false, SeqCst);
+        bell.rung.store(false, SeqCst);
+        Ok(waited?)
     }
 }
 
@@ -387,8 +369,8 @@ mod tests {
     fn nap_on_executor(wait: Duration, inbox: &Inbox) -> (Arc<Bell>, mpsc::Receiver<Napped>) {
         let (tx, rx) = mpsc::channel();
         let inbox = Arc::clone(inbox);
-        let mut clock = RealTime::ringing_on([&*inbox]);
-        let bell = Arc::clone(&clock.0);
+        let mut clock = RealTime::over([&inbox]).expect("a pipe");
+        let bell = Arc::clone(&clock.bell);
         std::thread::spawn(move || {
             let cpu = cpu_ns();
             let nap = Nap { wait, slept: None, woke: None };
@@ -420,7 +402,7 @@ mod tests {
         // The push must find the executor inside its wait, as a fault
         // forwarder's does: wait for the bell's books to say so.
         let give_up = Instant::now() + Duration::from_secs(20);
-        while !bell.locked().asleep {
+        while !bell.asleep.load(SeqCst) {
             assert!(Instant::now() < give_up, "the executor never fell asleep");
             std::thread::yield_now();
         }

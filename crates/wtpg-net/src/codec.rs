@@ -241,10 +241,10 @@ pub fn encode_frame(msg: &Msg) -> Vec<u8> {
     frame
 }
 
-/// [`encode_frame`] into a caller-owned buffer, replacing its contents: a
-/// sender that keeps `frame` between sends allocates nothing per message.
+/// [`encode_frame`] appended to a caller-owned buffer, behind whatever it
+/// holds: a sender that keeps `frame` between sends allocates nothing per
+/// message, and queues each frame behind bytes the kernel has not taken.
 pub fn encode_frame_into(frame: &mut Vec<u8>, msg: &Msg) {
-    frame.clear();
     put_len_prefixed(frame, |b| put_msg(b, msg));
 }
 

@@ -2,7 +2,7 @@
 //! messages, pipelined so no client round-trips per step.
 //!
 //! Wraps `wtpg-rt`'s [`ControlNode`] — a scheduler, a history and a logical
-//! clock as one plain value — owned by this one actor thread: every
+//! clock as one plain value — owned by this one actor: every
 //! protocol decision is a message handled in arrival order, so the recorded
 //! history is a linearization by construction.
 //!
@@ -23,8 +23,8 @@
 //!
 //! **A state machine behind the one loop.** [`ControlActor`]'s [`Actor`]
 //! steps — a popped message and its instant, a quiet [`POLL`] — are the
-//! actor's whole input; `actor::run` alone touches the inbox and reads the
-//! clock. Time that steers (redelivery deadlines, send times, the
+//! actor's whole input; the executor (`actor::step_all`) alone touches the
+//! inbox and reads the clock. Time that steers (redelivery deadlines, send times, the
 //! round trips booked) is the `now` handed in, so a test can own it; time
 //! only measured (a coalescer's flush-window age) is read where it is used.
 //! One exit rule serves both load shapes (see `flow`).
@@ -134,10 +134,11 @@ pub struct ControlParams<'a> {
     /// Live certification stream: with a sender attached, the wrapped
     /// [`ControlNode`] records no in-memory history — every event goes to
     /// a per-shard [`StreamingCertifier`](wtpg_core::StreamingCertifier)
-    /// thread. Per-transaction state is retired at commit in every mode, so
-    /// with the history gone the actor's footprint is bounded by the live
-    /// population.
-    pub stream: Option<SyncSender<StreamItem>>,
+    /// thread, in blocks, a partial one handed over at each quiet
+    /// [`POLL`]. Per-transaction state is retired at commit in every mode,
+    /// so with the history gone the actor's footprint is bounded by the
+    /// live population.
+    pub stream: Option<SyncSender<Vec<StreamItem>>>,
     /// The run's books: every count this shard observes lands here, under
     /// its [`metric`] name, and nowhere else.
     pub reg: &'a Registry,
@@ -448,13 +449,15 @@ impl Actor for ControlActor<'_> {
     }
 
     /// What a [`POLL`] without a message does: the silence watchdog, due
-    /// re-sends, parked retries, backlog admissions, gauges.
+    /// re-sends, parked retries, backlog admissions, gauges, and the
+    /// certification stream's partial block.
     fn idle(&mut self, now: Instant) -> Result<Flow, NetError> {
         let last = *self.last_message.get_or_insert(now);
         if now.saturating_duration_since(last) > self.watchdog {
             let actor = format!("control shard {}", self.shard);
             return Err(NetError::RecvTimeout { actor });
         }
+        self.control.hand_over();
         self.resend(None, now)?;
         self.retry_parked(now)?;
         self.drain_backlog(now)?;

@@ -47,8 +47,8 @@
 //! destroyed the incarnation — store, marks, mid-step progress, buffered
 //! replies, the log writer's userspace buffer — so the node is rebuilt from
 //! disk by [`wtpg_dur::recover`] and announces [`Msg::Recover`], on which
-//! control re-sends its outstanding orders at once. `actor::run` alone
-//! touches the inbox and reads the clock. Time that *steers* (windows,
+//! control re-sends its outstanding orders at once. The executor
+//! (`actor::step_all`) alone touches the inbox and reads the clock. Time that *steers* (windows,
 //! triggers) is an argument, so a test can own it; time that is only *measured*
 //! (group-commit age, the coalescer's window) is read where it is used.
 

@@ -5,10 +5,10 @@
 //! control node and every data node are *actors* that own their state
 //! outright (`wtpg-rt`'s `ControlNode` and `NodeStore`, plain values) and
 //! communicate exclusively through typed messages ([`Msg`]) over a
-//! pluggable [`Transport`] — in-process queues ([`InProc`]), whose actors
-//! one executor steps on one thread, or one loopback TCP socket per node
-//! ([`Tcp`]), each actor on a thread of its own, framed by a
-//! dependency-free byte-stable [`codec`].
+//! pluggable [`Transport`] — in-process queues ([`InProc`]) or one loopback
+//! TCP socket per node ([`Tcp`]), framed by a dependency-free byte-stable
+//! [`codec`] — and one executor steps every actor of a run on one thread,
+//! on either transport.
 //!
 //! The paper's claims are re-proven in a harsher model than its own: a seeded
 //! [`FaultPlan`] delays and duplicates control ↔ data messages and
@@ -59,10 +59,9 @@ pub use runtime::{run_cell, run_cell_load, NetConfig, OpenLoop};
 pub use tcp::Tcp;
 pub use transport::{InProc, Transport};
 
-/// `std::thread::spawn` with a name. Every thread of a run carries its role
-/// (`control-0`, `data-3`, `client-1` — TCP runs only: an in-process run
-/// steps every actor on the caller's thread — and `router`, `certifier-0`,
-/// `fault-c2d-2`), so `/proc/<pid>/task/*/comm` beside
+/// `std::thread::spawn` with a name. Every thread of a run besides the
+/// caller's, which steps every actor, carries its role (`router`,
+/// `certifier-0`, `fault-c2d-2`), so `/proc/<pid>/task/*/comm` beside
 /// `schedstat` attributes on-CPU time by role from outside the process.
 pub(crate) fn spawn_named<T: Send + 'static>(
     name: String,

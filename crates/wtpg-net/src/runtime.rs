@@ -13,23 +13,22 @@
 //!    [`Transport`] wire the control plane, one data-node actor per catalog
 //!    node and the client actors into a star fabric, wraps every control ↔
 //!    data link in a [`FaultLink`] (seeded delay + duplicate delivery) if
-//!    the [`FaultPlan`] is active, and lays each actor's parameters out as
-//!    plain values. With one effective shard the control actor reads the
-//!    fabric inbox directly (no router on the path); with `S > 1` a router deals inbound messages to `S`
-//!    independent control actors, each running its own scheduler over a
-//!    disjoint slice of the WTPG.
+//!    the [`FaultPlan`] is active, lays each actor's parameters out as
+//!    plain values and builds the executor's clock over their inboxes.
+//!    With one effective shard the control actor reads the fabric inbox
+//!    directly (no router on the path); with `S > 1` a router deals inbound
+//!    messages to `S` independent control actors, each running its own
+//!    scheduler over a disjoint slice of the WTPG.
 //! 3. **drive** — `drive` runs all actors to completion: clients submit
 //!    their shares of the workload, wait for commit acks and end their
 //!    streams with one `Shutdown` each, each control shard exits once every
 //!    client has and nothing is live, and the *runtime* broadcasts
 //!    `Shutdown` to the data nodes once every shard is done, then tears the
-//!    plumbing down in the order that lets every thread be joined. What the
-//!    inboxes are made of picks the driver: a fabric of queues alone
-//!    ([`InProc`](crate::InProc)) is stepped by one executor on the calling
-//!    thread (`drive_stepped`), while a socket needs a thread blocked on it,
-//!    so over TCP each actor gets a scoped thread of its own. Plumbing —
-//!    the router, fault forwarders, stream certifiers — is threads either
-//!    way.
+//!    plumbing down in the order that lets every thread be joined. One
+//!    executor steps every actor on the calling thread (`drive_stepped`),
+//!    whatever the transport; its clock waits on the run's sockets and on
+//!    pushes from the plumbing — the router, fault forwarders — which, with
+//!    the stream certifiers, are the run's only other threads.
 //! 4. **assemble** — the per-shard audits are merged ([`merge_audits`] —
 //!    the canonical cross-shard history merge, which refuses non-disjoint
 //!    shards), the merged history is replay-certified, and the data nodes'
@@ -50,7 +49,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
-use std::thread::{JoinHandle, Scope, ScopedJoinHandle};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use wtpg_core::certify::{certify_history, CertifyMode, CertifyReport, CertifyViolation};
@@ -62,13 +61,13 @@ use wtpg_mvcc::{certify_snapshots, CommitLog, GcWatermark, ReaderRecord};
 use wtpg_obs::window::metric;
 use wtpg_obs::{ByteCounts, MsgCounts, Observer, Registry};
 use wtpg_rt::backoff::Backoff;
-use wtpg_rt::control::ControlAudit;
+use wtpg_rt::control::{ControlAudit, STREAM_BLOCK};
 use wtpg_rt::SendScheduler;
 use wtpg_rt::metrics::LatencySummary;
 use wtpg_rt::shard::{merge_audits, ShardMap};
 use wtpg_rt::StreamItem;
 
-use crate::actor::{self, Actor, RealTime, Slot, Step};
+use crate::actor::{self, RealTime, Slot, Step};
 use crate::client::{ClientActor, ClientOutcome, OpenLoopPlan};
 use crate::control::{ControlActor, ControlOutcome, ControlParams};
 use crate::data::{DataActor, DataNodeParams, DataOutcome};
@@ -186,26 +185,28 @@ impl Default for NetConfig {
     }
 }
 
-/// Bound on each shard's certifier channel: deep enough that the certifier
-/// thread never stalls a healthy control actor, bounded so a lagging
-/// certifier throttles the control plane instead of buffering the whole
-/// run in memory.
+/// Bound on each shard's certifier channel, in items: deep enough that the
+/// certifier thread never stalls a healthy control actor, bounded so a
+/// lagging certifier throttles the control plane instead of buffering the
+/// whole run in memory. The channel carries blocks of at most
+/// [`STREAM_BLOCK`] items, so it holds `STREAM_DEPTH / STREAM_BLOCK` of
+/// them.
 const STREAM_DEPTH: usize = 1 << 16;
 
 /// Events between prefix-retirement sweeps on a streaming certifier.
 const RETIRE_EVERY: usize = 4096;
 
-/// One shard's certifier thread: declarations and linearized events in,
-/// a final [`CertifyReport`] (plus the events-fed tally) out. The committed
-/// prefix retires every [`RETIRE_EVERY`] events, so the live graph tracks
-/// the in-flight population rather than the run length.
+/// One shard's certifier thread: blocks of declarations and linearized
+/// events in, a final [`CertifyReport`] (plus the events-fed tally) out.
+/// The committed prefix retires every [`RETIRE_EVERY`] events, so the live
+/// graph tracks the in-flight population rather than the run length.
 fn certify_stream(
     mode: CertifyMode,
-    rx: &Receiver<StreamItem>,
+    rx: &Receiver<Vec<StreamItem>>,
 ) -> Result<(CertifyReport, usize), CertifyViolation> {
     let mut cert = StreamingCertifier::new(mode);
     let mut since_retire = 0usize;
-    while let Ok(item) = rx.recv() {
+    for item in rx.iter().flatten() {
         match item {
             StreamItem::Spec(spec) => cert.declare(spec),
             StreamItem::Event(tick, ev) => {
@@ -379,9 +380,9 @@ type StreamVerdict = Result<(CertifyReport, usize), CertifyViolation>;
 
 /// Phase 2 of a run: everything the actors need, built from a validated
 /// plan and not yet running — the fabric with its fault-wrapped links, the
-/// certifier channels, and each actor's parameters as plain values. The only
-/// threads alive are plumbing (fault forwarders, stream certifiers), all of
-/// them idle until an actor sends something.
+/// certifier channels, each actor's parameters as plain values, and the
+/// executor's clock. The only threads alive are plumbing (fault forwarders,
+/// stream certifiers), all of them idle until an actor sends something.
 pub(crate) struct ActorSet<'a> {
     /// One per control shard, with the inbox it reads.
     controls: Vec<ControlParams<'a>>,
@@ -406,19 +407,22 @@ pub(crate) struct ActorSet<'a> {
     bytes: Arc<dyn Fn() -> ByteCounts + Send + Sync>,
     fault_counters: Arc<FaultCounters>,
     certifiers: Vec<JoinHandle<StreamVerdict>>,
-    /// The instant open-loop arrivals are due from. It is taken here, ahead of
-    /// the certifier channels (whose 64 Ki slots take a millisecond or two
-    /// to lay out) and of `drive`'s own stopwatch, as it always has:
-    /// `wall_ms` of an open-loop run is measured against that.
+    /// The instant open-loop arrivals are due from, taken ahead of the
+    /// certifier threads and the executor's clock. `wall_ms` runs from
+    /// `drive`'s own stopwatch, a little later: what lay-out costs after
+    /// this instant, an open loop's `wall_ms` does not see.
     run_wall: Instant,
+    /// The executor's clock, over the inboxes of every actor it steps.
+    clock: RealTime,
 }
 
 impl<'a> ActorSet<'a> {
-    /// Creates the WAL directory, the fabric and the actors' parameters.
+    /// Creates the WAL directory, the fabric, the actors' parameters and the
+    /// executor's clock.
     ///
     /// # Errors
-    /// [`NetError::Io`] if the directory or the transport's links cannot
-    /// be created.
+    /// [`NetError::Io`] if the directory, the transport's links or the
+    /// clock's pipe cannot be created.
     // Not `build`: this reads the clock, and wtpg-lint's taint pass resolves
     // calls by bare name, so `ShardMap::build` in `plan.rs` would reach it.
     pub(crate) fn lay_out(
@@ -476,7 +480,7 @@ impl<'a> ActorSet<'a> {
                 let sched = sched();
                 let stream = cfg.stream_certify.then(|| {
                     let mode = sched.certify_mode();
-                    let (tx, rx) = mpsc::sync_channel::<StreamItem>(STREAM_DEPTH);
+                    let (tx, rx) = mpsc::sync_channel(STREAM_DEPTH / STREAM_BLOCK);
                     certifiers.push(crate::spawn_named(format!("certifier-{si}"), move || {
                         certify_stream(mode, &rx)
                     }));
@@ -510,6 +514,8 @@ impl<'a> ActorSet<'a> {
                 mvcc: watermark.clone(),
             })
             .collect();
+        let stepped = shard_inboxes.iter().chain(&fabric.data_inboxes);
+        let clock = RealTime::over(stepped.chain(&fabric.client_inboxes))?;
         Ok(ActorSet {
             controls,
             shard_inboxes,
@@ -527,23 +533,12 @@ impl<'a> ActorSet<'a> {
             fault_counters,
             certifiers,
             run_wall,
+            clock,
         })
     }
 }
 
-/// `Scope::spawn` with a name (see [`crate::spawn_named`]).
-fn spawn_scoped<'scope, T: Send + 'scope>(
-    s: &'scope Scope<'scope, '_>,
-    name: String,
-    f: impl FnOnce() -> T + Send + 'scope,
-) -> ScopedJoinHandle<'scope, T> {
-    std::thread::Builder::new()
-        .name(name)
-        .spawn_scoped(s, f)
-        .expect("invariant: the OS starts a thread (Scope::spawn panics on the same failure)")
-}
-
-/// What the threads of one run returned, before any of it is judged.
+/// What the actors of one run returned, before any of it is judged.
 struct Joined {
     controls: Vec<Result<ControlOutcome, NetError>>,
     data: Vec<Result<DataOutcome, NetError>>,
@@ -559,50 +554,11 @@ type Outcomes = (
     Vec<Result<ClientOutcome, NetError>>,
 );
 
-/// Actors of one kind, not started yet: for each, its thread's name, how it
-/// starts, and the inbox it reads.
-type Pending<'i, F> = Vec<(String, F, &'i Inbox)>;
-
-fn join<T>(h: ScopedJoinHandle<'_, T>) -> T {
-    h.join()
-        .expect("invariant: actors return errors instead of panicking")
-}
-
-/// Outcomes still running on threads of their own.
-type Running<'s, A> = Vec<ScopedJoinHandle<'s, Result<<A as Actor>::Outcome, NetError>>>;
-
-/// Gives each actor a thread of its own, named for its role, that starts it
-/// and runs it ([`actor::run`]).
-fn spawn_all<'s, A, F>(s: &'s Scope<'s, '_>, actors: Pending<'s, F>) -> Running<'s, A>
-where
-    A: Actor,
-    A::Outcome: Send + 's,
-    F: FnOnce() -> Result<A, NetError> + Send + 's,
-{
-    let spawn = |(name, start, inbox): (String, F, &'s Inbox)| {
-        spawn_scoped(s, name, move || start().and_then(|a| actor::run(a, inbox)))
-    };
-    actors.into_iter().map(spawn).collect()
-}
-
-/// Starts each actor on this thread, in a [`Slot`] for the executor.
-fn start_all<'i, A, F>(actors: Pending<'i, F>) -> Vec<Slot<'i, A>>
-where
-    A: Actor,
-    F: FnOnce() -> Result<A, NetError>,
-{
-    let start = |(_, start, inbox): (String, F, &'i Inbox)| Slot::new(start(), inbox);
-    actors.into_iter().map(start).collect()
-}
-
-/// Phase 3: runs every actor of `set` to completion, broadcasts `Shutdown`,
-/// and tears the plumbing down in the one order that lets every thread be
-/// joined. The inboxes choose the driver: a fabric of queues alone is
-/// stepped on this thread by one executor ([`drive_stepped`]); a socket needs
-/// a thread blocked on it, so over TCP every actor gets one. The runtime's
-/// own tallies — its `Shutdown` broadcasts, the wire's byte counts, the
-/// fault layer's — are published last, so on return `reg` holds the whole
-/// run.
+/// Phase 3: runs every actor of `set` to completion on this thread
+/// ([`drive_stepped`]), broadcasts `Shutdown`, and tears the plumbing down in
+/// the one order that lets every thread be joined. The runtime's own tallies
+/// — its `Shutdown` broadcasts, the wire's byte counts, the fault layer's —
+/// are published last, so on return `reg` holds the whole run.
 fn drive(set: ActorSet<'_>, plan: &RunPlan<'_>, reg: &Registry) -> Joined {
     let cfg = plan.cfg;
     let (catalog, units, specs) = (plan.catalog, cfg.chunk_units, plan.specs);
@@ -618,15 +574,17 @@ fn drive(set: ActorSet<'_>, plan: &RunPlan<'_>, reg: &Registry) -> Joined {
         });
     let open = open.as_ref();
     let (to_data, to_clients) = (&set.to_data, &set.to_clients);
-    let inboxes = || set.shard_inboxes.iter().chain(&set.data_inboxes).chain(&set.client_inboxes);
-    let stepped = inboxes().all(|inbox| matches!(**inbox, Mailbox::Queue { .. }));
+    let mut clock = set.clock;
     let mut shutdowns = 0u64;
     let started = Instant::now();
     let (control_res, data_res, client_res) = std::thread::scope(|s| {
         let router = (set.controls.len() > 1).then(|| {
-            spawn_scoped(s, "router".into(), || {
-                run_router(&set.control_inbox, &plan.map, &set.shard_inboxes, reg)
-            })
+            std::thread::Builder::new()
+                .name("router".into())
+                .spawn_scoped(s, || {
+                    run_router(&set.control_inbox, &plan.map, &set.shard_inboxes, reg)
+                })
+                .expect("invariant: the OS starts a thread (Scope::spawn panics likewise)")
         });
         let sharded = router.is_some();
         // Every shard is done (or failed): stop the router and tear the run
@@ -641,49 +599,33 @@ fn drive(set: ActorSet<'_>, plan: &RunPlan<'_>, reg: &Registry) -> Joined {
                 shutdowns += u64::from(tx.send(&Msg::Shutdown));
             }
         };
-        let controls: Pending<'_, _> = set
+        let controls = set
             .controls
             .into_iter()
             .zip(&set.shard_inboxes)
             .map(|(params, inbox)| {
-                let name = format!("control-{}", params.shard);
-                let start =
-                    move || Ok(ControlActor::start(params, catalog, units, to_data, to_clients));
-                (name, start, inbox)
+                let shard = ControlActor::start(params, catalog, units, to_data, to_clients);
+                Slot::new(Ok(shard), inbox)
             })
             .collect();
-        let data: Pending<'_, _> = set
+        let data = set
             .data
             .into_iter()
             .zip(&set.data_inboxes)
             .zip(&set.data_to_control)
-            .map(|((params, inbox), tx)| {
-                (format!("data-{}", params.node), move || DataActor::start(params, tx), inbox)
-            })
+            .map(|((params, inbox), tx)| Slot::new(DataActor::start(params, tx), inbox))
             .collect();
-        let clients: Pending<'_, _> = (0u32..)
+        let clients = (0u32..)
             .zip(&set.client_inboxes)
             .zip(&set.client_to_control)
             .map(|((c, inbox), tx)| {
-                let start =
-                    move || Ok(ClientActor::start(c, n, specs, open, tx, watchdog, depth, reg));
-                (format!("client-{c}"), start, inbox)
+                let client = ClientActor::start(c, n, specs, open, tx, watchdog, depth, reg);
+                Slot::new(Ok(client), inbox)
             })
             .collect();
-        let out = if stepped {
-            let clock = RealTime::ringing_on(inboxes().map(|inbox| &**inbox));
-            let (controls, data) = (start_all(controls), start_all(data));
-            drive_stepped(clock, controls, data, start_all(clients), &mut teardown)
-        } else {
-            let (controls, data, clients) =
-                (spawn_all(s, controls), spawn_all(s, data), spawn_all(s, clients));
-            let controls: Vec<_> = controls.into_iter().map(join).collect();
-            teardown(controls.iter().any(Result::is_err));
-            let data = data.into_iter().map(join).collect();
-            (controls, data, clients.into_iter().map(join).collect())
-        };
+        let out = drive_stepped(&mut clock, controls, data, clients, &mut teardown);
         if let Some(h) = router {
-            join(h);
+            h.join().expect("invariant: the router returns instead of panicking");
         }
         out
     });
@@ -741,12 +683,13 @@ fn drive(set: ActorSet<'_>, plan: &RunPlan<'_>, reg: &Registry) -> Joined {
     }
 }
 
-/// The driver of a fabric of queues alone: every actor of the run on this
-/// thread, moved by one executor ([`actor::step_all`] with
-/// [`actor::round_robin`]) on the real clock. `teardown` runs once every
-/// shard has stopped, told whether one failed.
+/// Every actor of the run on this thread, moved by one executor
+/// ([`actor::step_all`] with [`actor::round_robin`]) on the real clock.
+/// `teardown` runs once every shard has stopped, told whether one failed;
+/// if the clock fails first, it runs then, as for a failed shard, and the
+/// first shard's outcome is the clock's error.
 fn drive_stepped(
-    mut clock: RealTime,
+    clock: &mut RealTime,
     mut controls: Vec<Slot<'_, ControlActor<'_>>>,
     mut data: Vec<Slot<'_, DataActor<'_>>>,
     mut clients: Vec<Slot<'_, ClientActor<'_>>>,
@@ -760,17 +703,23 @@ fn drive_stepped(
         .chain(clients.iter_mut().map(|s| s as &mut dyn Step))
         .collect();
     let mut torn_down = false;
-    actor::step_all(&mut slots, &mut clock, actor::round_robin(), |slots| {
+    let ran = actor::step_all(&mut slots, clock, actor::round_robin(), |slots| {
         let shards = || slots.iter().take(shards).map(|s| s.ended());
         if !torn_down && shards().all(|e| e.is_some()) {
             torn_down = true;
             teardown(shards().any(|e| e == Some(false)));
         }
-    })
-    .expect("invariant: the real clock and round_robin never refuse");
+    });
     drop(slots);
+    if !torn_down {
+        teardown(true);
+    }
+    let mut controls: Vec<_> = controls.into_iter().map(Slot::outcome).collect();
+    if let (Err(e), Some(first)) = (ran, controls.first_mut()) {
+        *first = Err(e);
+    }
     (
-        controls.into_iter().map(Slot::outcome).collect(),
+        controls,
         data.into_iter().map(Slot::outcome).collect(),
         clients.into_iter().map(Slot::outcome).collect(),
     )
@@ -1212,6 +1161,48 @@ mod tests {
         assert_eq!(r.offered, 5000);
         assert!(r.submitted > 1024, "the first burst must pass the old bound: {r:?}");
         assert_eq!(r.committed, r.submitted as u64);
+        assert!(r.certified && r.store_consistent, "{r:?}");
+    }
+
+    /// The same burst over TCP, megabytes of `Submit` frames — more than
+    /// loopback's buffers take unread (≈ 3.9 MB on the reference kernel):
+    /// the client writes them into its socket from the executor's thread,
+    /// which is also the thread that steps the control node reading them. A
+    /// send that waited for the reader would hang the run there.
+    #[test]
+    fn an_open_loop_tcp_burst_of_megabytes_never_blocks_the_executor() {
+        const TXNS: usize = 48_000;
+        let (catalog, specs) = pattern_specs(Pattern::One, TXNS, 5);
+        let burst: usize = specs
+            .iter()
+            .map(|s| {
+                let spec = Some(s.clone());
+                let submit = Msg::Submit { client: 0, txn: s.id, step: None, spec };
+                crate::codec::encode_frame(&submit).len()
+            })
+            .sum();
+        assert!(burst > 5 << 20, "{burst} bytes of submits: more than 5 MiB");
+        let cfg = NetConfig {
+            clients: 1,
+            open_loop: Some(OpenLoop {
+                lambda_tps: 1e9,
+                seed: 5,
+                inflight: TXNS,
+            }),
+            ..NetConfig::default()
+        };
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let sched = || sched_by_name("chain", 2, 2000).expect("known scheduler");
+            let faults = FaultPlan::none();
+            let _ = tx.send(run_cell(&cfg, &sched, &catalog, &specs, &crate::Tcp, &faults));
+        });
+        let r = rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("the run ends")
+            .expect("the run completes cleanly");
+        assert_eq!((r.offered, r.shed), (TXNS as u64, 0), "the window holds the whole burst");
+        assert_eq!(r.committed, TXNS as u64);
         assert!(r.certified && r.store_consistent, "{r:?}");
     }
 

@@ -6,50 +6,51 @@
 //! node). Each connection carries [`codec`](crate::codec) frames both
 //! ways.
 //!
-//! **Sending.** Each end's writer half is a [`MsgTx`] behind a mutex that
-//! also guards a reusable frame buffer: a message is encoded in place and
-//! leaves as one atomic `write_all`, with no allocation.
+//! **Sends never block.** One thread steps every actor of a run
+//! (`actor.rs`), and it cannot drain a socket it is blocked writing into, so
+//! every socket is `O_NONBLOCK`. Each end's writer half is a [`MsgTx`]
+//! behind a mutex that also guards its outgoing bytes: a message is encoded
+//! behind whatever the kernel has not taken yet, one `write` hands over what
+//! the kernel takes, and the rest is *held*, a cursor marking how far the
+//! kernel got. Held bytes go out with the next send, with the next wait on
+//! any link of the fabric, or when the writer drops, before its FIN. No
+//! timer is needed: a send holds bytes only while its link's kernel buffers
+//! are full, so the far end is readable and whoever waits on it (the
+//! executor, or the router of a sharded run) does not sleep; it reads,
+//! which makes room, and its next wait starts by pushing out what the
+//! fabric's writers hold.
 //!
 //! **Receiving.** Every socket is read by exactly one [`FrameReader`] — a
 //! buffer the kernel fills with as many frames as it holds per `read`,
-//! decoded in place — and by exactly one thread, the actor the frames are
-//! for. No thread of the fabric moves a frame from one place to another.
-//! Every inbox is one kind, a [`Mailbox::FanIn`]: the read halves of the
-//! actor's links, one `FrameReader` each — one link for a data node or a
-//! client, one per accepted connection for the control node. The actor (or,
-//! in a sharded run, the router) pops frames already read, round-robin
-//! across the links so a chatty one cannot starve the rest; with nothing
-//! buffered it blocks in one [`ppoll(2)`](crate::poll) over the open links,
-//! for as long as it asked and no longer, and then makes one `read` per
-//! readable link. A link that reaches EOF, announces an oversized frame or
-//! fails to decode is closed *alone* and leaves the poll set; the mailbox is
-//! `Closed` once every link is down, or once [`Mailbox::close`] was called
-//! and what had been read is drained. `close` reaches a thread blocked in
-//! `ppoll` through a pipe whose read end sits in the poll set.
-//!
-//! Every socket stays **blocking**: `O_NONBLOCK` lives on the open
-//! file description, which the writer half ([`TcpTx`], a `try_clone`) shares,
-//! and a non-blocking `write_all` fails with `WouldBlock` the first time the
-//! peer's buffer is full. A blocking socket is read only after `ppoll` called
-//! it readable, which never blocks.
+//! decoded in place. Every inbox is one kind, a [`Mailbox::FanIn`]: the read
+//! halves of the actor's links — one for a data node or a client, one per
+//! accepted connection for the control node — whose frames pop round-robin
+//! across the links, so a chatty one cannot starve the rest. The
+//! executor's clock ([`Sockets`]) reads them: one [`ppoll(2)`](crate::poll)
+//! over every open link of every fan-in it steps and its wake pipe, then
+//! one `read` per readable link, one mailbox lock at a time. A blocking
+//! [`Mailbox::pop`] (the router of a sharded run) waits in one `ppoll` over
+//! its own links and a pipe [`Mailbox::close`] writes to. A link that
+//! reaches EOF, announces an oversized frame or fails to decode is closed
+//! *alone* and leaves the poll set; the mailbox is `Closed` once every link
+//! is down, or once `close` was called and what had been read is drained.
 //!
 //! **Teardown.** A socket's read half never learns that the local writer
 //! was dropped — the mailbox holds its own clone of the descriptor — so a
 //! dropped writer sends a socket-level FIN instead. Dropping the
-//! control-side writers EOFs the peer mailboxes, waking any actor still
-//! blocked on one with `Closed`; dropping the peer-side writers EOFs the
-//! control node's. There is no transport thread to join:
+//! control-side writers EOFs the peer mailboxes; dropping the peer-side
+//! writers EOFs the control node's. There is no transport thread to join:
 //! [`Fabric::service`] is empty.
 //!
 //! All sockets run with `TCP_NODELAY`: the protocol is request/response
 //! with small frames, exactly the shape Nagle's algorithm penalises.
 
 use std::io::{ErrorKind, PipeReader, Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsFd;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
+use std::time::Duration;
 
 use wtpg_obs::ByteCounts;
 use wtpg_rt::queue::PopResult;
@@ -65,16 +66,33 @@ const ROLE_CLIENT: u8 = 0;
 /// Preamble role byte for a data-node connection.
 const ROLE_DATA: u8 = 1;
 
-/// Run-wide wire-traffic counters, shared by every socket of a fabric.
+/// What every socket of a fabric shares: run-wide wire-traffic counters,
+/// and the fabric's writers.
 #[derive(Default)]
 struct Counters {
     bytes_sent: AtomicU64,
     bytes_received: AtomicU64,
     frames_sent: AtomicU64,
     frames_received: AtomicU64,
+    /// Some writer may hold bytes: raised by a writer left holding, taken by
+    /// the flush that then visits every writer. A wait that misses a raise
+    /// has a readable link, so it does not sleep.
+    held: AtomicBool,
+    /// Every writer of the fabric, once it is built.
+    writers: OnceLock<Vec<Weak<TcpTx>>>,
 }
 
 impl Counters {
+    /// Pushes out what any writer holds: every wait does, before it polls.
+    fn flush(&self) {
+        if !self.held.load(Ordering::Acquire) || !self.held.swap(false, Ordering::AcqRel) {
+            return;
+        }
+        for tx in self.writers.get().into_iter().flatten().filter_map(Weak::upgrade) {
+            tx.flush();
+        }
+    }
+
     fn snapshot(&self) -> ByteCounts {
         ByteCounts {
             bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
@@ -85,37 +103,83 @@ impl Counters {
     }
 }
 
-/// A socket's writer half and the buffer its frames are encoded into.
+/// A socket's writer half and the bytes the kernel has not taken yet.
 struct Wire {
     stream: TcpStream,
-    frame: Vec<u8>,
+    /// Encoded frames; `out[sent..]` are the held bytes.
+    out: Vec<u8>,
+    sent: usize,
 }
 
-/// A sender handle writing frames to one socket.
+/// A sender handle writing frames to one socket; it never blocks (module
+/// docs, "Sends never block").
 struct TcpTx {
     wire: Mutex<Wire>,
     counters: Arc<Counters>,
 }
 
 impl TcpTx {
-    fn over(stream: TcpStream, counters: &Arc<Counters>) -> Arc<dyn MsgTx> {
-        Arc::new(TcpTx {
+    /// A writer on `stream`, which it makes non-blocking — and with it every
+    /// clone of the socket, the reader's included.
+    fn over(stream: TcpStream, counters: &Arc<Counters>) -> std::io::Result<Arc<TcpTx>> {
+        stream.set_nonblocking(true)?;
+        Ok(Arc::new(TcpTx {
             wire: Mutex::new(Wire {
                 stream,
-                frame: Vec::new(),
+                out: Vec::new(),
+                sent: 0,
             }),
             counters: Arc::clone(counters),
-        })
+        }))
+    }
+
+    fn wire(&self) -> MutexGuard<'_, Wire> {
+        self.wire
+            .lock()
+            .expect("invariant: socket lock is never poisoned (no panics while held)")
+    }
+
+    /// Hands the kernel what it takes of `w`'s held bytes, raising the
+    /// fabric's `held` flag if some are left; `false` once the socket failed.
+    fn push_held(&self, w: &mut Wire) -> bool {
+        while let Some(rest) = w.out.get(w.sent..).filter(|r| !r.is_empty()) {
+            match w.stream.write(rest) {
+                Ok(0) => return false,
+                Ok(n) => w.sent += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return false,
+            }
+        }
+        if w.sent == w.out.len() {
+            w.out.clear();
+            w.sent = 0;
+        } else {
+            self.counters.held.store(true, Ordering::Release);
+            if w.sent >= w.out.len() / 2 {
+                // Most of the buffer is bytes the kernel took: drop them, so
+                // a long hold costs a copy now and then, not unbounded room.
+                w.out.drain(..w.sent);
+                w.sent = 0;
+            }
+        }
+        true
+    }
+
+    /// Pushes out what this writer holds. A failure shows at the next send.
+    fn flush(&self) {
+        self.push_held(&mut self.wire());
     }
 }
 
 impl Drop for TcpTx {
     fn drop(&mut self) {
-        // This socket's reader holds its own clone of the descriptor, so
-        // merely dropping the writer would never EOF the peer. A
-        // socket-level write shutdown sends the FIN the peer's reader
-        // unwinds on (module docs, "Teardown").
-        if let Ok(w) = self.wire.lock() {
+        // What the kernel takes of the held bytes goes first — a dropping
+        // writer cannot wait for the rest — then the FIN: this socket's
+        // reader holds its own clone of the descriptor, so merely dropping
+        // the writer would never EOF the peer (module docs, "Teardown").
+        if let Ok(mut w) = self.wire.lock() {
+            self.push_held(&mut w);
             let _ = w.stream.shutdown(Shutdown::Write);
         }
     }
@@ -123,18 +187,14 @@ impl Drop for TcpTx {
 
 impl MsgTx for TcpTx {
     fn send(&self, m: &Msg) -> bool {
-        let mut w = self
-            .wire
-            .lock()
-            .expect("invariant: socket lock is never poisoned (no panics while held)");
-        let Wire { stream, frame } = &mut *w;
-        encode_frame_into(frame, m);
-        if stream.write_all(frame).is_err() {
+        let mut w = self.wire();
+        let before = w.out.len();
+        encode_frame_into(&mut w.out, m);
+        let len = (w.out.len() - before) as u64;
+        if !self.push_held(&mut w) {
             return false;
         }
-        self.counters
-            .bytes_sent
-            .fetch_add(frame.len() as u64, Ordering::Relaxed);
+        self.counters.bytes_sent.fetch_add(len, Ordering::Relaxed);
         self.counters.frames_sent.fetch_add(1, Ordering::Relaxed);
         true
     }
@@ -183,6 +243,15 @@ impl<R: Read> FrameReader<R> {
         Some(u32::from_le_bytes(header) as usize)
     }
 
+    /// Whether [`buffered`](Self::buffered) has something to say without
+    /// another read: a whole frame, or a header it refuses.
+    fn has_frame(&self) -> bool {
+        !self.closed
+            && self
+                .announced()
+                .is_some_and(|len| len > MAX_FRAME || self.end - self.start >= 4 + len)
+    }
+
     /// Decodes the next frame if it is already in the buffer: `Empty` means
     /// the bytes read so far end before it does.
     fn buffered(&mut self) -> PopResult<Msg> {
@@ -226,7 +295,8 @@ impl<R: Read> FrameReader<R> {
     /// in hand. The unconsumed bytes move to the front only when the tail
     /// behind them is short — under half of [`READ_BUF`], or less than the
     /// frame in hand still lacks — so a reader filled in bursts does not
-    /// copy its leftovers on every call.
+    /// copy its leftovers on every call. A buffer full of frames nobody has
+    /// popped has no tail: it reads nothing and says `WouldBlock`.
     fn fill(&mut self) -> std::io::Result<usize> {
         let unread = self.end - self.start;
         let frame = match self.announced() {
@@ -254,34 +324,42 @@ impl<R: Read> FrameReader<R> {
             self.buf.resize(self.start + frame, 0);
         }
         let free = self.buf.get_mut(self.end..).ok_or(ErrorKind::InvalidData)?;
+        if free.is_empty() {
+            // A `read` into no room returns 0, which is what EOF returns.
+            return Err(ErrorKind::WouldBlock.into());
+        }
         let n = self.src.read(free)?;
         self.end += n;
         Ok(n)
     }
 
     /// One [`fill`](Self::fill), its outcome folded into the reader's state:
-    /// EOF and I/O errors close the link.
+    /// EOF and I/O errors close the link; `WouldBlock` is "nothing yet".
     fn refill(&mut self) {
         match self.fill() {
             Ok(n) => self.closed |= n == 0,
-            Err(e) => self.closed |= e.kind() != ErrorKind::Interrupted,
+            Err(e) => {
+                self.closed |= !matches!(e.kind(), ErrorKind::Interrupted | ErrorKind::WouldBlock);
+            }
         }
     }
 }
 
-/// A TCP actor's inbox: the read halves of its links behind one `ppoll`
-/// (module docs, "Receiving"). What a [`Mailbox::FanIn`] locks.
+/// A TCP actor's inbox: the read halves of its links (module docs,
+/// "Receiving"). What a [`Mailbox::FanIn`] locks.
 pub struct FanInRx {
     /// One reader per link, in accept order; a link that went down keeps its
     /// slot (and its `closed` flag) and is skipped by the poll.
     links: Vec<FrameReader<TcpStream>>,
+    /// The links' fabric.
+    counters: Arc<Counters>,
     /// Where the next [`try_pop`](Self::try_pop) starts looking: one past
     /// the link that delivered last.
     cursor: usize,
     /// Readable once [`Mailbox::close`] wrote to the other end.
     wake: PipeReader,
-    /// `close` was seen, or `ppoll` itself failed: `Closed` once drained.
-    closed: bool,
+    /// `close` was called, or `ppoll` itself failed: `Closed` once drained.
+    pub(crate) closed: bool,
     polled: PollSet,
 }
 
@@ -295,23 +373,44 @@ impl FanInRx {
                 return PopResult::Item(m);
             }
         }
-        if self.closed || self.links.iter().all(|l| l.closed) {
+        if self.is_closed() {
             PopResult::Closed
         } else {
             PopResult::Empty
         }
     }
 
-    /// One `ppoll` over the open links and the wake pipe, then one `read` on
-    /// each readable link. Call only after `try_pop` came back `Empty`:
-    /// that scan is what vets the headers `fill` trusts.
-    fn wait(&mut self, timeout: Option<Duration>) {
+    fn is_closed(&self) -> bool {
+        self.closed || self.links.iter().all(|l| l.closed)
+    }
+
+    /// Whether [`try_pop`](Self::try_pop) would return at once, answered
+    /// from what has been read: a whole frame is in, or the mailbox closed.
+    pub(crate) fn can_pop(&self) -> bool {
+        self.is_closed() || self.links.iter().any(FrameReader::has_frame)
+    }
+
+    /// One `read` on link `k`, which a poll found readable; whether the
+    /// link is still open.
+    pub(crate) fn refill(&mut self, k: usize) -> bool {
+        self.links.get_mut(k).is_some_and(|l| {
+            l.refill();
+            !l.closed
+        })
+    }
+
+    /// Pushes out what the fabric's writers hold, then one `ppoll` over the
+    /// open links and the wake pipe, then one `read` on each readable link.
+    /// Call only after `try_pop` came back `Empty`: that scan is what vets
+    /// the headers `fill` trusts.
+    fn wait(&mut self) {
+        self.counters.flush();
         let fds = self
             .links
             .iter()
             .map(|l| (!l.closed).then(|| l.src.as_fd()))
             .chain([Some(self.wake.as_fd())]);
-        if self.polled.wait(fds, timeout).is_err() {
+        if self.polled.wait(fds, None).is_err() {
             self.closed = true;
             return;
         }
@@ -328,25 +427,8 @@ impl FanInRx {
             match self.try_pop() {
                 PopResult::Item(m) => return Some(m),
                 PopResult::Closed => return None,
-                PopResult::Empty => self.wait(None),
+                PopResult::Empty => self.wait(),
             }
-        }
-    }
-
-    /// The timeout bounds the whole call: a wake-up that delivered only part
-    /// of a frame polls again for what is left of it.
-    pub(crate) fn pop_timeout(&mut self, timeout: Duration) -> PopResult<Msg> {
-        let deadline = Instant::now().checked_add(timeout);
-        loop {
-            match self.try_pop() {
-                PopResult::Empty => {}
-                done => return done,
-            }
-            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-            if left.is_some_and(|l| l.is_zero()) {
-                return PopResult::Empty;
-            }
-            self.wait(left);
         }
     }
 }
@@ -361,6 +443,7 @@ fn fan_in_mailbox(streams: Vec<TcpStream>, counters: &Arc<Counters>) -> Result<I
     Ok(Arc::new(Mailbox::FanIn {
         rx: Mutex::new(FanInRx {
             links,
+            counters: Arc::clone(counters),
             cursor: 0,
             wake,
             closed: false,
@@ -370,21 +453,94 @@ fn fan_in_mailbox(streams: Vec<TcpStream>, counters: &Arc<Counters>) -> Result<I
     }))
 }
 
-/// The control side of a fabric's connections: a writer to each data node,
-/// a writer to each client, and every link's read half for the fan-in.
-type Accepted = (Vec<Arc<dyn MsgTx>>, Vec<Arc<dyn MsgTx>>, Vec<TcpStream>);
+/// Every open link of the fan-ins one executor steps, and the executor's
+/// wake pipe, waited on together: the clock's one wait (module docs,
+/// "Receiving").
+pub(crate) struct Sockets {
+    /// Per open link: a descriptor of its own (a `try_clone`, so the poll
+    /// takes no mailbox lock), its fan-in, and its index there.
+    links: Vec<(TcpStream, Inbox, usize)>,
+    /// The links' fabrics, whose writers a wait pushes out first.
+    fabrics: Vec<Arc<Counters>>,
+    /// Read end of the pipe the executor's bell writes to.
+    wake: PipeReader,
+    polled: PollSet,
+}
 
-/// Accepts `data_nodes + clients` connections and sorts the writer halves
-/// by the announced (role, id).
+impl Sockets {
+    /// The links of every fan-in among `inboxes` (a queue has none) and
+    /// `wake`.
+    pub(crate) fn of<'i>(
+        inboxes: impl IntoIterator<Item = &'i Inbox>,
+        wake: PipeReader,
+    ) -> std::io::Result<Sockets> {
+        let (mut links, mut fabrics) = (Vec::new(), Vec::<Arc<Counters>>::new());
+        for inbox in inboxes {
+            let fds = inbox.with_links(|rx| {
+                if !fabrics.iter().any(|c| Arc::ptr_eq(c, &rx.counters)) {
+                    fabrics.push(Arc::clone(&rx.counters));
+                }
+                let open = rx.links.iter().enumerate().filter(|(_, l)| !l.closed);
+                open.map(|(at, l)| Ok((l.src.try_clone()?, Arc::clone(inbox), at)))
+                    .collect::<std::io::Result<Vec<_>>>()
+            });
+            links.extend(fds.transpose()?.into_iter().flatten());
+        }
+        Ok(Sockets {
+            links,
+            fabrics,
+            wake,
+            polled: PollSet::default(),
+        })
+    }
+
+    /// Pushes out what the fabrics' writers hold; then one `ppoll` over
+    /// every open link and the wake pipe for at most `timeout` (`None`:
+    /// until something is readable); then one `read` on each readable link,
+    /// one mailbox lock at a time, and one on the pipe. A link that went
+    /// down leaves the set. With no link, a zero wait makes no syscall.
+    ///
+    /// # Errors
+    /// What `ppoll` fails with.
+    pub(crate) fn wait(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
+        self.fabrics.iter().for_each(|c| c.flush());
+        if self.links.is_empty() && timeout == Some(Duration::ZERO) {
+            return Ok(());
+        }
+        let n = self.links.len();
+        let fds = self.links.iter().map(|(fd, ..)| Some(fd.as_fd()));
+        self.polled.wait(fds.chain([Some(self.wake.as_fd())]), timeout)?;
+        let (polled, mut k) = (&self.polled, 0);
+        self.links.retain(|(_, inbox, at)| {
+            let open = !polled.readable(k) || inbox.with_links(|rx| rx.refill(*at)) == Some(true);
+            k += 1;
+            open
+        });
+        if self.polled.readable(n) {
+            // What rang while the wait slept: one byte per sleep.
+            let _ = self.wake.read(&mut [0; 64]);
+        }
+        Ok(())
+    }
+}
+
+/// Opens one connection to `addr` and announces it as `(role, id)`.
+fn connect(addr: SocketAddr, role: u8, id: usize) -> Result<TcpStream, NetError> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    let [b0, b1, b2, b3] = (id as u32).to_le_bytes();
+    stream.write_all(&[role, b0, b1, b2, b3])?;
+    Ok(stream)
+}
+
+/// Accepts `data_nodes + clients` connections and returns them in the
+/// order their preambles announce: data nodes by id, then clients by id.
 fn accept_peers(
     listener: &TcpListener,
     data_nodes: usize,
     clients: usize,
-    counters: &Arc<Counters>,
-) -> Result<Accepted, NetError> {
-    let mut to_data: Vec<Option<Arc<dyn MsgTx>>> = (0..data_nodes).map(|_| None).collect();
-    let mut to_clients: Vec<Option<Arc<dyn MsgTx>>> = (0..clients).map(|_| None).collect();
-    let mut control_rx: Vec<TcpStream> = Vec::with_capacity(data_nodes + clients);
+) -> Result<Vec<TcpStream>, NetError> {
+    let mut accepted: Vec<Option<TcpStream>> = (0..data_nodes + clients).map(|_| None).collect();
     for _ in 0..(data_nodes + clients) {
         let (mut stream, _) = listener.accept()?;
         stream.set_nodelay(true)?;
@@ -392,19 +548,17 @@ fn accept_peers(
         stream.read_exact(&mut preamble)?;
         let [role, b0, b1, b2, b3] = preamble;
         let id = u32::from_le_bytes([b0, b1, b2, b3]) as usize;
-        control_rx.push(stream.try_clone()?);
-        let tx = TcpTx::over(stream, counters);
-        let slot = match role {
-            ROLE_DATA => to_data.get_mut(id),
-            ROLE_CLIENT => to_clients.get_mut(id),
+        let (first, count) = match role {
+            ROLE_DATA => (0, data_nodes),
+            ROLE_CLIENT => (data_nodes, clients),
             other => {
                 return Err(NetError::Protocol(format!(
                     "unknown preamble role byte {other}"
                 )))
             }
         };
-        match slot {
-            Some(s @ None) => *s = Some(tx),
+        match accepted.get_mut(first + id).filter(|_| id < count) {
+            Some(s @ None) => *s = Some(stream),
             Some(Some(_)) => {
                 return Err(NetError::Protocol(format!(
                     "duplicate preamble for role {role} id {id}"
@@ -417,12 +571,10 @@ fn accept_peers(
             }
         }
     }
-    let unwrap_all = |v: Vec<Option<Arc<dyn MsgTx>>>| -> Result<Vec<Arc<dyn MsgTx>>, NetError> {
-        v.into_iter()
-            .map(|o| o.ok_or_else(|| NetError::Protocol("missing peer connection".into())))
-            .collect()
-    };
-    Ok((unwrap_all(to_data)?, unwrap_all(to_clients)?, control_rx))
+    accepted
+        .into_iter()
+        .map(|o| o.ok_or_else(|| NetError::Protocol("missing peer connection".into())))
+        .collect()
 }
 
 /// The loopback-TCP transport.
@@ -437,43 +589,36 @@ impl Transport for Tcp {
         let counters = Arc::new(Counters::default());
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
+        // Open every peer connection, data nodes first. Connects complete
+        // against the listen backlog, so it is safe to connect them all
+        // before accepting any.
+        let peers = (0..data_nodes)
+            .map(|n| connect(addr, ROLE_DATA, n))
+            .chain((0..clients).map(|c| connect(addr, ROLE_CLIENT, c)))
+            .collect::<Result<Vec<_>, _>>()?;
+        let accepted = accept_peers(&listener, data_nodes, clients)?;
 
-        let mut data_inboxes: Vec<Inbox> = Vec::with_capacity(data_nodes);
-        let mut client_inboxes: Vec<Inbox> = Vec::with_capacity(clients);
-        let mut data_to_control: Vec<Arc<dyn MsgTx>> = Vec::with_capacity(data_nodes);
-        let mut client_to_control: Vec<Arc<dyn MsgTx>> = Vec::with_capacity(clients);
-
-        // Open every peer connection. Connects complete against the listen
-        // backlog, so it is safe to connect them all before accepting any.
-        let mut connect = |role: u8, id: u32| -> Result<(), NetError> {
-            let mut stream = TcpStream::connect(addr)?;
-            stream.set_nodelay(true)?;
-            let [b0, b1, b2, b3] = id.to_le_bytes();
-            stream.write_all(&[role, b0, b1, b2, b3])?;
-            // The actor reads its own link: when the control node drops its
-            // writer, the FIN is the mailbox's `Closed`.
-            let inbox = fan_in_mailbox(vec![stream.try_clone()?], &counters)?;
-            let tx = TcpTx::over(stream, &counters);
-            if role == ROLE_DATA {
-                data_inboxes.push(inbox);
-                data_to_control.push(tx);
-            } else {
-                client_inboxes.push(inbox);
-                client_to_control.push(tx);
-            }
-            Ok(())
-        };
-        for n in 0..data_nodes {
-            connect(ROLE_DATA, n as u32)?;
+        // Each end writes through a clone of its socket and reads the
+        // original.
+        let (mut to_peers, mut from_peers) = (Vec::new(), Vec::new());
+        let (mut peer_inboxes, mut control_rx) = (Vec::new(), Vec::new());
+        for (peer, control) in peers.into_iter().zip(accepted) {
+            from_peers.push(TcpTx::over(peer.try_clone()?, &counters)?);
+            to_peers.push(TcpTx::over(control.try_clone()?, &counters)?);
+            peer_inboxes.push(fan_in_mailbox(vec![peer], &counters)?);
+            control_rx.push(control);
         }
-        for c in 0..clients {
-            connect(ROLE_CLIENT, c as u32)?;
-        }
-
-        let (to_data, to_clients, control_rx) =
-            accept_peers(&listener, data_nodes, clients, &counters)?;
         let control_inbox = fan_in_mailbox(control_rx, &counters)?;
+        let writers = to_peers.iter().chain(&from_peers).map(Arc::downgrade).collect();
+        let _ = counters.writers.set(writers);
 
+        let senders = |txs: Vec<Arc<TcpTx>>| -> Vec<Arc<dyn MsgTx>> {
+            txs.into_iter().map(|tx| tx as Arc<dyn MsgTx>).collect()
+        };
+        let (mut to_data, mut data_to_control) = (senders(to_peers), senders(from_peers));
+        let to_clients = to_data.split_off(data_nodes);
+        let client_to_control = data_to_control.split_off(data_nodes);
+        let client_inboxes = peer_inboxes.split_off(data_nodes);
         let bytes_counters = Arc::clone(&counters);
         Ok(Fabric {
             to_data,
@@ -481,7 +626,7 @@ impl Transport for Tcp {
             data_to_control,
             client_to_control,
             control_inbox,
-            data_inboxes,
+            data_inboxes: peer_inboxes,
             client_inboxes,
             service: Vec::new(),
             bytes: Arc::new(move || bytes_counters.snapshot()),
@@ -492,6 +637,7 @@ impl Transport for Tcp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actor::{Clock, RealTime};
     use crate::codec::encode_frame;
     use proptest::prelude::*;
     use std::time::Instant;
@@ -499,9 +645,30 @@ mod tests {
     use wtpg_core::txn::{AccessMode, StepSpec, TxnId, TxnSpec};
     use wtpg_core::work::Work;
 
+    const LONG: Duration = Duration::from_secs(5);
+
+    /// Pops as the executor does — a frame already read, else one wait of a
+    /// run's clock — until `within` has passed.
+    fn pop_within(clock: &mut RealTime, inbox: &Inbox, within: Duration) -> PopResult<Msg> {
+        let deadline = Instant::now() + within;
+        loop {
+            match inbox.try_pop() {
+                PopResult::Empty if Instant::now() < deadline => {
+                    clock.wait_until(Some(deadline)).expect("the poll works");
+                }
+                done => return done,
+            }
+        }
+    }
+
+    fn clock_over(inboxes: &[&Inbox]) -> RealTime {
+        RealTime::over(inboxes.iter().copied()).expect("a pipe and descriptors")
+    }
+
     #[test]
     fn frames_cross_the_loopback_fabric() {
         let f = Tcp.build(2, 1).expect("loopback fabric");
+        let mut clock = clock_over(&[&f.control_inbox, &f.data_inboxes[0], &f.client_inboxes[0]]);
         let m = Msg::AccessDone {
             txn: TxnId(3),
             step: 1,
@@ -510,33 +677,20 @@ mod tests {
         };
         // data node 1 → control
         assert!(f.data_to_control[1].send(&m));
-        assert_eq!(
-            f.control_inbox.pop_timeout(std::time::Duration::from_secs(5)),
-            PopResult::Item(m.clone())
-        );
+        assert_eq!(pop_within(&mut clock, &f.control_inbox, LONG), PopResult::Item(m.clone()));
         // control → data node 0
         assert!(f.to_data[0].send(&Msg::Shutdown));
         assert_eq!(
-            f.data_inboxes[0].pop_timeout(std::time::Duration::from_secs(5)),
+            pop_within(&mut clock, &f.data_inboxes[0], LONG),
             PopResult::Item(Msg::Shutdown)
         );
         // control → client 0, client 0 → control
-        assert!(f.to_clients[0].send(&Msg::Commit { client: 0, txn: TxnId(8) }));
-        assert_eq!(
-            f.client_inboxes[0].pop_timeout(std::time::Duration::from_secs(5)),
-            PopResult::Item(Msg::Commit { client: 0, txn: TxnId(8) })
-        );
-        assert!(f.client_to_control[0].send(&Msg::Commit {
-            client: 0,
-            txn: TxnId(8)
-        }));
-        assert_eq!(
-            f.control_inbox.pop_timeout(std::time::Duration::from_secs(5)),
-            PopResult::Item(Msg::Commit {
-                client: 0,
-                txn: TxnId(8)
-            })
-        );
+        let ack = Msg::Commit { client: 0, txn: TxnId(8) };
+        assert!(f.to_clients[0].send(&ack));
+        let to_client = pop_within(&mut clock, &f.client_inboxes[0], LONG);
+        assert_eq!(to_client, PopResult::Item(ack.clone()));
+        assert!(f.client_to_control[0].send(&ack));
+        assert_eq!(pop_within(&mut clock, &f.control_inbox, LONG), PopResult::Item(ack));
         let bytes = (f.bytes)();
         assert_eq!(bytes.frames_sent, 4);
         assert_eq!(bytes.frames_received, 4);
@@ -570,27 +724,30 @@ mod tests {
     fn a_bad_preamble_fails_the_accept() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("loopback listener");
         let addr = listener.local_addr().expect("bound address");
-        let mut good = TcpStream::connect(addr).expect("connect");
-        good.write_all(&[ROLE_DATA, 0, 0, 0, 0]).expect("preamble");
-        let mut bad = TcpStream::connect(addr).expect("connect");
-        bad.write_all(&[9, 0, 0, 0, 0]).expect("preamble");
-        let counters = Arc::new(Counters::default());
-        let Err(err) = accept_peers(&listener, 1, 1, &counters) else {
+        let _good = connect(addr, ROLE_DATA, 0).expect("connect");
+        let _bad = connect(addr, 9, 0).expect("connect");
+        let Err(err) = accept_peers(&listener, 1, 1) else {
             panic!("an unknown role byte must fail the accept");
         };
         assert!(
             matches!(err, NetError::Protocol(ref m) if m.contains("role byte 9")),
             "{err:?}"
         );
-        let mut dup = TcpStream::connect(addr).expect("connect");
-        dup.write_all(&[ROLE_DATA, 0, 0, 0, 0]).expect("preamble");
-        let mut dup2 = TcpStream::connect(addr).expect("connect");
-        dup2.write_all(&[ROLE_DATA, 0, 0, 0, 0]).expect("preamble");
-        let Err(err) = accept_peers(&listener, 1, 1, &counters) else {
+        let _dup = connect(addr, ROLE_DATA, 0).expect("connect");
+        let _dup2 = connect(addr, ROLE_DATA, 0).expect("connect");
+        let Err(err) = accept_peers(&listener, 1, 1) else {
             panic!("two connections for one slot must fail the accept");
         };
         assert!(
             matches!(err, NetError::Protocol(ref m) if m.contains("duplicate preamble")),
+            "{err:?}"
+        );
+        let _far = connect(addr, ROLE_CLIENT, 1).expect("connect");
+        let Err(err) = accept_peers(&listener, 1, 1) else {
+            panic!("a client id past the client count must fail the accept");
+        };
+        assert!(
+            matches!(err, NetError::Protocol(ref m) if m.contains("out of range")),
             "{err:?}"
         );
     }
@@ -627,15 +784,15 @@ mod tests {
             peers.push(peer);
             accepted.push(listener.accept().expect("accept").0);
         }
-        let inbox = fan_in_mailbox(accepted, &Arc::new(Counters::default())).expect("pipe");
+        let counters = Arc::new(Counters::default());
+        let inbox = fan_in_mailbox(accepted, &counters).expect("pipe");
         (inbox, peers)
     }
-
-    const LONG: Duration = Duration::from_secs(5);
 
     #[test]
     fn frames_from_several_links_arrive_in_each_links_order() {
         let (inbox, mut peers) = fan_in(3);
+        let mut clock = clock_over(&[&inbox]);
         for round in 0..40u64 {
             for (l, peer) in peers.iter_mut().enumerate() {
                 peer.write_all(&encode_frame(&delta(1000 * l as u64 + round)))
@@ -644,7 +801,8 @@ mod tests {
         }
         let mut next = [0u64; 3];
         for _ in 0..120 {
-            let PopResult::Item(Msg::StatsDelta { chunk, .. }) = inbox.pop_timeout(LONG) else {
+            let popped = pop_within(&mut clock, &inbox, LONG);
+            let PopResult::Item(Msg::StatsDelta { chunk, .. }) = popped else {
                 panic!("120 frames were written");
             };
             let l = (chunk / 1000) as usize;
@@ -658,6 +816,7 @@ mod tests {
     #[test]
     fn a_frame_torn_across_writes_is_delivered_once_and_whole() {
         let (inbox, mut peers) = fan_in(2);
+        let mut clock = clock_over(&[&inbox]);
         let frame = encode_frame(&delta(7));
         let tears = [&frame[..4], &frame[4..9], &frame[9..]];
         let short = Duration::from_millis(5);
@@ -665,15 +824,39 @@ mod tests {
             peers[1].write_all(tear).expect("write");
             if i + 1 < tears.len() {
                 let t0 = Instant::now();
-                assert_eq!(inbox.pop_timeout(short), PopResult::Empty, "after tear {i}");
-                // The partial frame woke the poll; the wait went on for
-                // what was left of it and no longer.
+                let popped = pop_within(&mut clock, &inbox, short);
+                assert_eq!(popped, PopResult::Empty, "after tear {i}");
+                // The partial frame woke the poll; the waits went on for
+                // what was left of the deadline and no longer.
                 assert!(t0.elapsed() >= short && t0.elapsed() < LONG);
             }
         }
-        assert_eq!(inbox.pop_timeout(LONG), PopResult::Item(delta(7)));
+        assert_eq!(pop_within(&mut clock, &inbox, LONG), PopResult::Item(delta(7)));
         assert_eq!(inbox.try_pop(), PopResult::Empty, "delivered once");
-        assert_eq!(inbox.pop_timeout(short), PopResult::Empty);
+        assert_eq!(pop_within(&mut clock, &inbox, short), PopResult::Empty);
+    }
+
+    /// The executor asks `can_pop` of every sleeping actor's inbox, so a
+    /// fan-in must answer from what it has read: saying yes on idle links
+    /// would spin the executor.
+    #[test]
+    fn a_fan_in_can_pop_only_once_a_whole_frame_is_read() {
+        let (inbox, mut peers) = fan_in(2);
+        let mut clock = clock_over(&[&inbox]);
+        assert!(!inbox.can_pop(), "idle links");
+        let frame = encode_frame(&delta(3));
+        peers[0].write_all(&frame[..6]).expect("write");
+        assert_eq!(pop_within(&mut clock, &inbox, Duration::from_millis(5)), PopResult::Empty);
+        assert!(!inbox.can_pop(), "a torn frame is not a frame");
+        peers[0].write_all(&frame[6..]).expect("write");
+        while !inbox.can_pop() {
+            clock.wait_until(Some(Instant::now() + LONG)).expect("the poll works");
+        }
+        assert_eq!(inbox.try_pop(), PopResult::Item(delta(3)));
+        assert!(!inbox.can_pop(), "popped");
+        inbox.close();
+        assert!(inbox.can_pop(), "a closed mailbox pops at once");
+        assert_eq!(inbox.try_pop(), PopResult::Closed);
     }
 
     /// Round-robin: once the quiet link's frame has been read, it is popped
@@ -684,6 +867,7 @@ mod tests {
     fn a_flooding_link_does_not_starve_a_quiet_one() {
         const FLOOD: u64 = 10_000;
         let (inbox, mut peers) = fan_in(2);
+        let mut clock = clock_over(&[&inbox]);
         let quiet = peers.pop().expect("two peers");
         let mut loud = peers.pop().expect("two peers");
         let one = encode_frame(&delta(0)).len();
@@ -696,7 +880,8 @@ mod tests {
             (&quiet).write_all(&encode_frame(&delta(FLOOD))).expect("write");
             let mut ahead = 0;
             for popped in 0..=FLOOD {
-                let PopResult::Item(Msg::StatsDelta { chunk, .. }) = inbox.pop_timeout(LONG)
+                let PopResult::Item(Msg::StatsDelta { chunk, .. }) =
+                    pop_within(&mut clock, &inbox, LONG)
                 else {
                     panic!("{popped} of {} frames arrived", FLOOD + 1);
                 };
@@ -714,6 +899,7 @@ mod tests {
     #[test]
     fn a_link_that_goes_bad_is_closed_alone() {
         let (inbox, mut peers) = fan_in(4);
+        let mut clock = clock_over(&[&inbox]);
         let eof = peers.remove(0);
         (&eof).write_all(&encode_frame(&delta(1))).expect("write");
         drop(eof);
@@ -726,13 +912,14 @@ mod tests {
         peers[1].write_all(&5u32.to_le_bytes()).expect("write");
         peers[1].write_all(&[0xEE; 5]).expect("write");
         peers[1].write_all(&encode_frame(&delta(66))).expect("write");
-        assert_eq!(inbox.pop_timeout(LONG), PopResult::Item(delta(1)));
+        assert_eq!(pop_within(&mut clock, &inbox, LONG), PopResult::Item(delta(1)));
         // The healthy link keeps flowing however often the others are polled.
         for i in 10..20 {
             peers[2].write_all(&encode_frame(&delta(i))).expect("write");
-            assert_eq!(inbox.pop_timeout(LONG), PopResult::Item(delta(i)));
+            assert_eq!(pop_within(&mut clock, &inbox, LONG), PopResult::Item(delta(i)));
         }
-        assert_eq!(inbox.pop_timeout(Duration::from_millis(5)), PopResult::Empty);
+        let short = Duration::from_millis(5);
+        assert_eq!(pop_within(&mut clock, &inbox, short), PopResult::Empty);
         {
             let Mailbox::FanIn { rx, .. } = &*inbox else {
                 panic!("a fan-in");
@@ -744,7 +931,7 @@ mod tests {
         }
         // The last link hanging up is the mailbox closing.
         peers.truncate(2);
-        assert_eq!(inbox.pop_timeout(LONG), PopResult::Closed);
+        assert_eq!(pop_within(&mut clock, &inbox, LONG), PopResult::Closed);
         assert_eq!(inbox.pop(), None);
         assert_eq!(inbox.try_pop(), PopResult::Closed);
     }
@@ -758,7 +945,7 @@ mod tests {
         let framed = |m: &Msg| f.to_data[0].send(m);
         let check = |inbox: &Inbox, send: &dyn Fn(&Msg) -> bool, what: &str| {
             assert!(send(&delta(1)) && send(&delta(2)));
-            assert_eq!(inbox.pop_timeout(LONG), PopResult::Item(delta(1)));
+            assert_eq!(inbox.pop(), Some(delta(1)));
             let (tx, rx) = std::sync::mpsc::channel();
             let popper = {
                 let inbox = Arc::clone(inbox);
@@ -776,31 +963,32 @@ mod tests {
             // when the close was seen is the kernel's business.
             assert!(first.is_none() || first == Some(delta(2)), "{what}: {first:?}");
             assert_eq!(second, None, "{what}");
-            assert_eq!(inbox.pop_timeout(LONG), PopResult::Closed, "{what}: closed for good");
+            assert_eq!(inbox.try_pop(), PopResult::Closed, "{what}: closed for good");
         };
         check(&fan, &raw, "two links");
         check(&f.data_inboxes[0], &framed, "one link");
     }
 
-    /// A timed pop sleeps what it asks — not a millisecond, not a tick — on
-    /// the control node's many links and on a peer's one alike, and a zero
-    /// one does not sleep at all.
+    /// The executor's clock sleeps what it asks over sockets — not a
+    /// millisecond, not a tick — on the control node's many links and on a
+    /// peer's one alike, and a zero wait does not sleep at all.
     #[test]
-    fn a_timed_pop_waits_what_it_asks_and_a_zero_one_not_at_all() {
+    fn a_timed_wait_over_sockets_sleeps_what_it_asks_and_a_zero_one_not_at_all() {
         let (fan, _peers) = fan_in(3);
         let f = Tcp.build(1, 0).expect("loopback fabric");
         for (inbox, what) in [(&fan, "three links"), (&f.data_inboxes[0], "one link")] {
+            let mut clock = clock_over(&[inbox]);
             let t0 = Instant::now();
-            assert_eq!(inbox.pop_timeout(Duration::from_millis(2)), PopResult::Empty);
+            clock.wait_until(Some(t0 + Duration::from_millis(2))).expect("poll");
             assert!(t0.elapsed() >= Duration::from_millis(2), "{what}: {:?}", t0.elapsed());
             let t1 = Instant::now();
-            assert_eq!(inbox.pop_timeout(Duration::ZERO), PopResult::Empty);
+            clock.wait_until(Some(t1)).expect("poll");
             assert!(t1.elapsed() < Duration::from_millis(1), "{what}: {:?}", t1.elapsed());
             let ask = Duration::from_micros(100);
             let mut waits: Vec<Duration> = (0..20)
                 .map(|_| {
                     let t = Instant::now();
-                    assert_eq!(inbox.pop_timeout(ask), PopResult::Empty);
+                    clock.wait_until(Some(t + ask)).expect("poll");
                     t.elapsed()
                 })
                 .collect();
@@ -813,6 +1001,49 @@ mod tests {
         // A blocking pop on the one link still sees the next frame.
         assert!(f.to_data[0].send(&Msg::Shutdown));
         assert_eq!(f.data_inboxes[0].pop(), Some(Msg::Shutdown));
+    }
+
+    /// Far more than the kernel buffers for a link nobody reads: every send
+    /// returns `true` at once, the kernel's refusal is held, and the reader's
+    /// waits push the held bytes out, every frame once and in order.
+    #[test]
+    fn a_send_into_a_link_nobody_reads_holds_what_the_kernel_refuses() {
+        const FRAMES: u64 = 1_500;
+        let listener = TcpListener::bind("127.0.0.1:0").expect("loopback listener");
+        let peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (writer, _) = listener.accept().expect("accept");
+        let counters = Arc::new(Counters::default());
+        let tx = TcpTx::over(writer, &counters).expect("non-blocking");
+        let inbox = fan_in_mailbox(vec![peer], &counters).expect("pipe");
+        let _ = counters.writers.set(vec![Arc::downgrade(&tx)]);
+        let batch = |i: u64| Msg::Batch((0..120).map(|j| delta(i * 1000 + j)).collect());
+        let sent = {
+            let tx = Arc::clone(&tx);
+            let (done, finished) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let ok = (0..FRAMES).all(|i| tx.send(&batch(i)));
+                let _ = done.send(ok);
+            });
+            // A send that waited for the reader would never return.
+            finished.recv_timeout(Duration::from_secs(60)).expect("the sends return")
+        };
+        assert!(sent, "every send returns true");
+        let written = counters.bytes_sent.load(Ordering::Relaxed);
+        assert!(written > 4 << 20, "{written} bytes: more than 4 MiB");
+        let held = {
+            let w = tx.wire();
+            w.out.len() - w.sent
+        };
+        assert!(held > 0, "nobody read: the kernel refused some");
+        assert!(counters.held.load(Ordering::Relaxed), "the flag is up");
+        for i in 0..FRAMES {
+            assert_eq!(inbox.pop(), Some(batch(i)), "frame {i}");
+        }
+        assert_eq!(tx.wire().out.len(), 0, "nothing is held");
+        assert!(!counters.held.load(Ordering::Relaxed), "and down again");
+        assert_eq!(counters.bytes_received.load(Ordering::Relaxed), written);
+        drop(tx);
+        assert_eq!(inbox.pop(), None, "the FIN follows the last frame");
     }
 
     impl<R: Read> FrameReader<R> {
@@ -937,6 +1168,26 @@ mod tests {
         assert_eq!(r.src.reads, 1, "one read fetched every frame");
         assert_eq!(r.buffered(), PopResult::Empty, "try_pop never reads");
         assert_eq!(r.src.reads, 1);
+        assert_eq!(r.next(), PopResult::Closed);
+    }
+
+    /// A joint poll refills every readable link, also one whose buffer is
+    /// full of frames its actor has not popped yet: that refill must read
+    /// nothing, not read into an empty slice and take the 0 for EOF.
+    #[test]
+    fn a_refill_with_no_room_reads_nothing_and_keeps_the_link() {
+        let frames = READ_BUF as u64;
+        let wire: Vec<u8> = (0..frames).flat_map(|i| encode_frame(&delta(i))).collect();
+        let mut r = reader(wire, vec![usize::MAX]);
+        r.refill();
+        assert_eq!((r.start, r.end, r.src.reads), (0, READ_BUF, 1), "read full");
+        assert!(r.has_frame());
+        r.refill();
+        assert!(!r.closed, "no room is not an EOF");
+        assert_eq!((r.end, r.src.reads), (READ_BUF, 1), "nothing was read");
+        for i in 0..frames {
+            assert_eq!(r.next(), PopResult::Item(delta(i)));
+        }
         assert_eq!(r.next(), PopResult::Closed);
     }
 

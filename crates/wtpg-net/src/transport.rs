@@ -9,41 +9,36 @@
 //! [`Mailbox::Queue`] is an MPMC queue (`wtpg-rt`'s [`BoundedQueue`]): every
 //! in-process link, the control fan-in included. [`Mailbox::FanIn`] is a TCP
 //! actor's inbox: the read halves of its links — one for a data node or a
-//! client, one per peer for the control node — which the actor waits on
-//! together in one `ppoll(2)` and reads itself, so a message costs it one
-//! wake-up, no hand-off and no thread but its own. Both answer to the same
-//! three calls (`try_pop`, `pop`, `pop_timeout`), each blocks in exactly one
-//! place (a condvar, a `ppoll`), and each timed wait lasts what it asks. The
-//! kind decides the driver (`actor.rs`): a run whose inboxes are all queues
-//! is stepped by one executor on one thread, which never blocks in a pop; a
-//! socket needs a thread blocked on it.
+//! client, one per peer for the control node — read in place. One executor
+//! steps every actor of a run (`actor.rs`): it pops without blocking and
+//! asks `can_pop` of a sleeping actor's inbox, both answered from what is
+//! already queued or read, and its clock is the one wait (`tcp.rs`,
+//! "Receiving"). A blocking [`Mailbox::pop`] is for the router of a sharded
+//! run, which reads one mailbox alone.
 //!
 //! [`InProc`] wires queues directly: a sender handle is the receiving
 //! actor's queue, so messages are moved, never serialized.
 //! [`Tcp`](crate::tcp::Tcp) runs every link over a loopback socket framed
 //! by the [`codec`](crate::codec) — same protocol, real wire.
 //!
-//! **In-process sends never block.** One thread steps every in-process
-//! actor, and it cannot drain a queue it is blocked pushing into, so
-//! [`InProc`]'s queues (and a sharded run's shard inboxes) have no bound.
-//! What bounds them is the protocol: a client has at most `pipeline`
-//! submissions (open loop: `inflight`) outstanding and is owed one ack for
-//! each; a control shard keeps at most `admit_window` transactions
-//! admitted, so a data node holds at most that many outstanding orders and
-//! answers each with a bounded burst of progress reports (≤ 2× under
-//! duplicate faults). Over TCP the kernel's send and receive buffers play
-//! the queue's part, and a writer blocks while its peer's are full — each
-//! TCP actor has a thread of its own, so a full buffer only waits on a
-//! reader that is running. One queue still has a bound, with a thread of its
-//! own behind it to drain it: a [`FaultLink`]'s (`crate::fault`), which its
-//! forwarder empties.
+//! **Sends never block, on either transport.** One thread steps every actor,
+//! and it cannot drain a queue or a socket it is blocked pushing into, so
+//! [`InProc`]'s queues (and a sharded run's shard inboxes) have no bound, and
+//! a TCP writer holds what the kernel refuses (`tcp.rs`, "Sends never
+//! block"). What bounds both is the protocol: a
+//! client has at most `pipeline` submissions (open loop: `inflight`)
+//! outstanding and is owed one ack for each; a control shard keeps at most
+//! `admit_window` transactions admitted, so a data node holds at most that
+//! many outstanding orders and answers each with a bounded burst of
+//! progress reports (≤ 2× under duplicate faults). One queue still has a
+//! bound, with a thread of its own behind it to drain it: a [`FaultLink`]'s
+//! (`crate::fault`), which its forwarder empties.
 //!
 //! [`FaultLink`]: crate::fault::FaultLink
 
 use std::io::{PipeWriter, Write};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use wtpg_obs::ByteCounts;
 use wtpg_rt::queue::{BoundedQueue, PopResult};
@@ -72,10 +67,11 @@ pub enum Mailbox {
         /// adopted it: every push and the close ring it.
         bell: OnceLock<Arc<Bell>>,
     },
-    /// The read halves of an actor's TCP links, waited on together with
-    /// `ppoll(2)`. The lock is a leaf held across the `ppoll` and the
-    /// `read`s; its one taker is the actor that owns the mailbox, or the
-    /// router of a sharded run.
+    /// The read halves of an actor's TCP links. Its takers are the executor
+    /// (a pop, or a read its clock's `ppoll` found due) or the router of a
+    /// sharded run, which holds the lock across its own `ppoll` and the
+    /// `read`s; under it only the fabric's writers are locked, to push out
+    /// what they hold.
     FanIn {
         /// The links and what has been read off them.
         rx: Mutex<FanInRx>,
@@ -111,22 +107,22 @@ impl Mailbox {
         }
     }
 
-    /// Whether a pop would return at once: a message is queued or the queue
-    /// closed. A fan-in cannot tell without reading, and says yes.
+    /// Whether a pop would return at once: a message is queued or a whole
+    /// frame has been read, or the mailbox closed. Bytes still in the
+    /// kernel are the clock's to read.
     pub(crate) fn can_pop(&self) -> bool {
         match self {
             Mailbox::Queue { q, .. } => q.can_pop(),
-            Mailbox::FanIn { .. } => true,
+            Mailbox::FanIn { rx, .. } => locked(rx).can_pop(),
         }
     }
 
     /// Pops without blocking. On a fan-in that means *frames already read*:
     /// bytes still in the kernel are not looked at, so `Empty` does not say
-    /// the links are idle (nor that [`close`](Self::close) was not called —
-    /// the next blocking pop tells). An actor's driver pops this way only
-    /// after a wait that read whatever had arrived, so what `Empty` misses is
-    /// what landed since — for the open-loop client, which sheds on it, the
-    /// same race a queue has with its pusher.
+    /// the links are idle. The executor pops this way only after a wait that
+    /// read whatever had arrived, so what `Empty` misses is what landed
+    /// since — for the open-loop client, which sheds on it, the same race a
+    /// queue has with its pusher.
     pub fn try_pop(&self) -> PopResult<Msg> {
         match self {
             Mailbox::Queue { q, .. } => q.try_pop(),
@@ -134,8 +130,9 @@ impl Mailbox {
         }
     }
 
-    /// Pops the next message, blocking until one arrives. `None` once the
-    /// mailbox is closed and drained, or (fan-in) every link is down.
+    /// Pops the next message, blocking until one arrives (a fan-in waits in
+    /// one `ppoll` over its own links). `None` once the mailbox is closed
+    /// and drained, or (fan-in) every link is down.
     pub fn pop(&self) -> Option<Msg> {
         match self {
             Mailbox::Queue { q, .. } => q.pop(),
@@ -143,19 +140,11 @@ impl Mailbox {
         }
     }
 
-    /// Pops the next message, waiting at most `timeout` for one: a condvar's
-    /// wait, or a fan-in's `ppoll`, each as long as it asks (to the kernel's
-    /// timer slack, tens of µs), and a zero wait on a fan-in returns before
-    /// any syscall. `Duration::MAX` is no timeout at all — [`Self::pop`],
-    /// with neither a clock read nor a timer armed — so an actor whose wait
-    /// is only sometimes bounded needs one blocking call.
-    pub fn pop_timeout(&self, timeout: Duration) -> PopResult<Msg> {
-        if timeout == Duration::MAX {
-            return self.pop().map_or(PopResult::Closed, PopResult::Item);
-        }
+    /// `f` on a fan-in's links, under its lock; `None` on a queue.
+    pub(crate) fn with_links<R>(&self, f: impl FnOnce(&mut FanInRx) -> R) -> Option<R> {
         match self {
-            Mailbox::Queue { q, .. } => q.pop_timeout(timeout),
-            Mailbox::FanIn { rx, .. } => locked(rx).pop_timeout(timeout),
+            Mailbox::Queue { .. } => None,
+            Mailbox::FanIn { rx, .. } => Some(f(&mut locked(rx))),
         }
     }
 
@@ -188,9 +177,11 @@ impl Mailbox {
             // One byte, never read: the pipe stays readable, so the close is
             // seen by the `ppoll` in progress and by every later one. (A full
             // pipe — 65 536 closes — would block; a failed write means the
-            // read end is gone.)
-            Mailbox::FanIn { waker, .. } => {
+            // read end is gone.) The flag then answers `can_pop` at once; the
+            // lock waits for a blocked taker, which that byte wakes.
+            Mailbox::FanIn { rx, waker } => {
                 let _ = (&*waker).write(&[1]);
+                locked(rx).closed = true;
             }
         }
     }

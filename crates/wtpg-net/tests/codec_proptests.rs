@@ -155,22 +155,23 @@ fn arb_batch() -> impl Strategy<Value = Msg> {
 }
 
 proptest! {
-    /// A sender's reused frame buffer — whatever the last send left in it —
-    /// ends up holding exactly the frame a fresh encode produces, for plain
-    /// messages and batches alike.
+    /// A sender's buffer — whatever it still holds — gains exactly the frame
+    /// a fresh encode produces behind what it held, for plain messages and
+    /// batches alike.
     #[test]
-    fn encoding_into_a_dirty_buffer_equals_a_fresh_frame(
+    fn encoding_into_a_held_buffer_appends_a_fresh_frame(
         m in prop_oneof![arb_msg(), arb_batch()],
         previous in prop_oneof![arb_msg(), arb_batch()],
         junk in proptest::collection::vec(0u8..=255, 0..64),
     ) {
-        let mut frame = junk;
+        let mut frame = junk.clone();
         encode_frame_into(&mut frame, &previous);
         encode_frame_into(&mut frame, &m);
-        prop_assert_eq!(&frame, &encode_frame(&m));
+        let fresh = encode_frame(&m);
+        prop_assert_eq!(&frame, &[junk, encode_frame(&previous), fresh.clone()].concat());
         let payload = encode_payload(&m);
-        prop_assert_eq!(&frame[..4], &(payload.len() as u32).to_le_bytes()[..]);
-        prop_assert_eq!(&frame[4..], &payload[..]);
+        prop_assert_eq!(&fresh[..4], &(payload.len() as u32).to_le_bytes()[..]);
+        prop_assert_eq!(&fresh[4..], &payload[..]);
     }
 
     #[test]

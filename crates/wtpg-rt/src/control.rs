@@ -14,11 +14,12 @@
 //!
 //! **Streaming mode.** With a [`StreamItem`] channel attached
 //! ([`ControlNode::with_telemetry`]), the node records *nothing*: every
-//! event is sent down the channel in linearization order (each spec once,
-//! before its first admission event) so a
-//! [`StreamingCertifier`](wtpg_core::StreamingCertifier) thread can replay
-//! and prefix-retire the history live. [`into_audit`](ControlNode::into_audit)
-//! then returns an empty history — the control node's memory footprint no
+//! event goes down the channel in linearization order (each spec once,
+//! before its first admission event), in blocks of at most [`STREAM_BLOCK`],
+//! so a [`StreamingCertifier`](wtpg_core::StreamingCertifier) thread can
+//! replay and prefix-retire the history live.
+//! [`into_audit`](ControlNode::into_audit) hands over the last block and
+//! returns an empty history — the control node's memory footprint no
 //! longer grows with run length, which is what makes million-transaction
 //! open-loop cells feasible. Committed specs are pruned for the same
 //! reason.
@@ -64,6 +65,10 @@ pub struct ControlCounters {
     pub ops: ControlOps,
 }
 
+/// Items per block of the live certification stream: one channel send, and
+/// one wake-up of the certifier thread, per block.
+pub const STREAM_BLOCK: usize = 4096;
+
 /// One item of the control node's live certification stream, in
 /// linearization order. Consumed by a
 /// [`StreamingCertifier`](wtpg_core::StreamingCertifier) thread.
@@ -104,7 +109,9 @@ pub struct ControlNode {
     /// in-memory history. A send failure means the certifier already died
     /// on a violation; the node keeps running and the runtime surfaces the
     /// verdict when it joins the certifier.
-    stream: Option<SyncSender<StreamItem>>,
+    stream: Option<SyncSender<Vec<StreamItem>>>,
+    /// Streaming mode: the items not handed over yet.
+    block: Vec<StreamItem>,
     /// Windowed scheduler counters (None disables).
     tel: Option<SchedTelemetry>,
 }
@@ -136,7 +143,7 @@ impl ControlNode {
     pub fn with_telemetry(
         sched: Box<dyn Scheduler + Send>,
         reg: Option<&Registry>,
-        stream: Option<SyncSender<StreamItem>>,
+        stream: Option<SyncSender<Vec<StreamItem>>>,
     ) -> ControlNode {
         ControlNode {
             sched,
@@ -145,18 +152,34 @@ impl ControlNode {
             counters: ControlCounters::default(),
             clock: LogicalClock::new(),
             stream,
+            block: Vec::new(),
             tel: reg.map(SchedTelemetry::new),
         }
     }
 
-    /// Routes one linearized event: down the stream in streaming mode,
-    /// into the in-memory history otherwise.
+    /// Routes one linearized event: into the stream's block in streaming
+    /// mode, into the in-memory history otherwise.
     fn record(&mut self, now: Tick, ev: Event) {
-        match &self.stream {
-            Some(tx) => {
-                let _ = tx.send(StreamItem::Event(now, ev));
-            }
-            None => self.history.push(now, ev),
+        if self.stream.is_some() {
+            self.stream_item(StreamItem::Event(now, ev));
+        } else {
+            self.history.push(now, ev);
+        }
+    }
+
+    /// Queues `item` for the certifier, handing the block over once full.
+    fn stream_item(&mut self, item: StreamItem) {
+        self.block.push(item);
+        if self.block.len() >= STREAM_BLOCK {
+            self.hand_over();
+        }
+    }
+
+    /// Streaming mode: hands the items queued so far to the certifier as one
+    /// block, as its owner does when it goes idle.
+    pub fn hand_over(&mut self) {
+        if let Some(tx) = self.stream.as_ref().filter(|_| !self.block.is_empty()) {
+            let _ = tx.send(std::mem::take(&mut self.block));
         }
     }
 
@@ -170,10 +193,10 @@ impl ControlNode {
         // First sight of this id: the certifier needs the declaration
         // before either admission verdict (re-admission reuses the id).
         if let std::collections::btree_map::Entry::Vacant(e) = self.specs.entry(spec.id) {
-            if let Some(tx) = &self.stream {
-                let _ = tx.send(StreamItem::Spec(spec.clone()));
-            }
             e.insert(spec.clone());
+            if self.stream.is_some() {
+                self.stream_item(StreamItem::Spec(spec.clone()));
+            }
         }
         match admission {
             Admission::Admitted => {
@@ -294,9 +317,10 @@ impl ControlNode {
         self.sched.active_txns()
     }
 
-    /// Consumes the control node, releasing the recorded history, the spec
-    /// log, and the counters.
-    pub fn into_audit(self) -> ControlAudit {
+    /// Consumes the control node (handing the stream's last block over),
+    /// releasing the recorded history, the spec log, and the counters.
+    pub fn into_audit(mut self) -> ControlAudit {
+        self.hand_over();
         ControlAudit {
             final_tick: self.clock.now(),
             stats: self.sched.obs_stats(),
@@ -346,40 +370,70 @@ mod tests {
         use std::sync::mpsc;
         use wtpg_core::StreamingCertifier;
 
+        const TXNS: u64 = 1000;
         let (tx, rx) = mpsc::sync_channel(1024);
         let reg = Registry::new();
         let mut cn =
             ControlNode::with_telemetry(Box::new(C2plScheduler::new()), Some(&reg), Some(tx));
-        for id in 1..=3u64 {
-            let t = spec(id, vec![StepSpec::write(id as u32, 1.0)]);
-            assert_eq!(cn.arrive(&t).unwrap(), Admission::Admitted);
-            assert_eq!(cn.request(TxnId(id), 0).unwrap(), LockOutcome::Granted);
-            cn.progress(TxnId(id), Work::from_objects(1)).unwrap();
-            cn.step_complete(TxnId(id), 0).unwrap();
-            cn.commit(TxnId(id)).unwrap();
+        // The same calls on a node that records: the linearization the
+        // stream must carry.
+        let mut twin = ControlNode::new(Box::new(C2plScheduler::new()));
+        for id in 1..=TXNS {
+            for node in [&mut cn, &mut twin] {
+                let t = spec(id, vec![StepSpec::write((id % 64) as u32, 1.0)]);
+                assert_eq!(node.arrive(&t).unwrap(), Admission::Admitted);
+                assert_eq!(node.request(TxnId(id), 0).unwrap(), LockOutcome::Granted);
+                node.progress(TxnId(id), Work::from_objects(1)).unwrap();
+                node.step_complete(TxnId(id), 0).unwrap();
+                node.commit(TxnId(id)).unwrap();
+            }
+            if id == 10 {
+                cn.hand_over(); // what an idle owner does with a partial block
+            }
         }
-        let audit = cn.into_audit(); // drops the stream sender
+        let audit = cn.into_audit(); // the last block, then the sender drops
         assert_eq!(audit.history.len(), 0, "streaming mode records nothing");
         assert!(audit.specs.is_empty(), "committed specs are pruned");
-        assert_eq!(audit.counters.commits, 3);
+        assert_eq!(audit.counters.commits, TXNS);
+
+        let blocks: Vec<Vec<StreamItem>> = rx.iter().collect();
+        let sizes: Vec<usize> = blocks.iter().map(Vec::len).collect();
+        // A spec and five events per transaction.
+        assert_eq!(sizes, [60, STREAM_BLOCK, 6 * TXNS as usize - 60 - STREAM_BLOCK]);
+        // Every event arrives once and in order, each spec before its
+        // transaction's first event.
+        let mut declared = std::collections::BTreeSet::new();
+        let mut streamed = Vec::new();
+        for item in blocks.iter().flatten() {
+            match item {
+                StreamItem::Spec(s) => assert!(declared.insert(s.id), "{:?} declared twice", s.id),
+                StreamItem::Event(t, e) => {
+                    if let Event::Admitted(id) = e {
+                        assert!(declared.contains(id), "{id:?} admitted before it was declared");
+                    }
+                    streamed.push((*t, *e));
+                }
+            }
+        }
+        assert_eq!(streamed, twin.into_audit().history.events());
 
         // The channel carries the full linearization: replaying it through
         // the streaming certifier proves the run exactly as the in-memory
         // history would have.
         let mut sc = StreamingCertifier::new(CertifyMode::General);
-        for item in rx {
+        for item in blocks.into_iter().flatten() {
             match item {
                 StreamItem::Spec(s) => sc.declare(s),
                 StreamItem::Event(t, e) => sc.feed(t, e).expect("clean run certifies"),
             }
         }
         let report = sc.finish().expect("clean run certifies");
-        assert_eq!(report.commits, 3);
-        assert_eq!(report.grants, 3);
+        assert_eq!(report.commits, TXNS as usize);
+        assert_eq!(report.grants, TXNS as usize);
 
         // Scheduler decision counters landed in the registry.
         let w = reg.flush_snapshot(1);
-        assert_eq!(w.counter(wtpg_obs::window::metric::SCHED_GRANTS), 3);
+        assert_eq!(w.counter(wtpg_obs::window::metric::SCHED_GRANTS), TXNS);
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! A bounded MPMC queue with blocking backpressure and timed/non-blocking
-//! variants.
+//! A bounded MPMC queue with blocking backpressure and a non-blocking pop.
 //!
 //! Every in-process mailbox of `wtpg-net` is one of these: senders push,
 //! the owning actor pops. A full queue blocks the sender; the mailboxes
@@ -18,24 +17,20 @@
 //! the queue next sees it on the books; and every thread that leaves a
 //! wait, for whatever reason, strikes one pending wake-up off the books
 //! and re-checks the queue before anything else, so a wake-up that reached
-//! a sleeper which had just timed out is never counted against another.
+//! a sleeper which had just woken spuriously is never counted against
+//! another.
 //!
-//! The queue is generic and free of protocol types. The lossy/timed
-//! operations exist for the mailbox use: [`BoundedQueue::try_push`] models a link that drops rather
-//! than blocks its sender, and [`BoundedQueue::pop_timeout`] lets an actor
-//! interleave message handling with periodic retry scans.
+//! The queue is generic and free of protocol types.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
 
-/// Outcome of a non-blocking or timed pop.
+/// Outcome of a non-blocking pop.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PopResult<T> {
     /// An item was dequeued.
     Item(T),
-    /// Nothing was available (within the timeout, for timed pops) but the
-    /// queue is still open.
+    /// Nothing was available, but the queue is still open.
     Empty,
     /// The queue is closed and fully drained; no item will ever arrive.
     Closed,
@@ -90,7 +85,7 @@ impl Sleepers {
 struct QueueState<T> {
     items: VecDeque<T>,
     closed: bool,
-    /// Books for `not_empty` (`pop`, `pop_timeout`).
+    /// Books for `not_empty` (a blocked `pop`).
     poppers: Sleepers,
     /// Books for `not_full` (a blocked `push`).
     pushers: Sleepers,
@@ -173,18 +168,6 @@ impl<T> BoundedQueue<T> {
         true
     }
 
-    /// Pushes `item` without blocking. A full or closed queue hands the item
-    /// back instead of waiting — the caller decides whether dropping it is
-    /// acceptable (lossy links back their loss with a retry layer).
-    pub fn try_push(&self, item: T) -> Result<(), T> {
-        let s = self.locked();
-        if s.closed || s.items.len() >= self.capacity {
-            return Err(item);
-        }
-        self.put(s, item);
-        Ok(())
-    }
-
     /// Pops without blocking: [`PopResult::Empty`] when nothing is queued
     /// right now, [`PopResult::Closed`] once closed and drained.
     pub fn try_pop(&self) -> PopResult<T> {
@@ -192,34 +175,6 @@ impl<T> BoundedQueue<T> {
             Ok(item) => PopResult::Item(item),
             Err(s) if s.closed => PopResult::Closed,
             Err(_) => PopResult::Empty,
-        }
-    }
-
-    /// Pops the next item, waiting at most `timeout` for one to arrive.
-    /// Returns [`PopResult::Empty`] on timeout while the queue is open, and
-    /// [`PopResult::Closed`] once it is closed and drained.
-    pub fn pop_timeout(&self, timeout: Duration) -> PopResult<T> {
-        let deadline = Instant::now() + timeout;
-        let mut s = self.locked();
-        loop {
-            s = match self.take(s) {
-                Ok(item) => return PopResult::Item(item),
-                Err(s) => s,
-            };
-            if s.closed {
-                return PopResult::Closed;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return PopResult::Empty;
-            }
-            s.poppers.enter();
-            let (guard, _) = self
-                .not_empty
-                .wait_timeout(s, deadline - now)
-                .expect("invariant: queue lock is never poisoned (no panics while held)");
-            s = guard;
-            s.poppers.leave();
         }
     }
 
@@ -287,7 +242,6 @@ impl<T> BoundedQueue<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-    use std::time::Duration;
 
     /// Every wait path — satisfied, timed out, spuriously woken, closed —
     /// must have left the sleeper books at zero.
@@ -341,19 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn try_push_hands_back_on_full_and_closed() {
-        let q = BoundedQueue::new(1);
-        assert_eq!(q.try_push(1), Ok(()));
-        assert_eq!(q.try_push(2), Err(2), "full queue refuses without blocking");
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.try_push(3), Ok(()));
-        q.close();
-        assert_eq!(q.try_push(4), Err(4), "closed queue refuses");
-        assert_eq!(q.pop(), Some(3), "closed queue still drains");
-        assert_no_sleepers(&q);
-    }
-
-    #[test]
     fn try_pop_distinguishes_empty_from_closed() {
         let q = BoundedQueue::new(2);
         assert_eq!(q.try_pop(), PopResult::<u32>::Empty);
@@ -366,24 +307,6 @@ mod tests {
         assert_eq!(q.try_pop(), PopResult::<u32>::Closed);
         assert_eq!(PopResult::Item(7).item(), Some(7));
         assert_eq!(PopResult::<u32>::Empty.item(), None);
-        assert_no_sleepers(&q);
-    }
-
-    #[test]
-    fn pop_timeout_times_out_then_delivers() {
-        let q = BoundedQueue::new(2);
-        let t0 = std::time::Instant::now();
-        assert_eq!(q.pop_timeout(Duration::from_millis(10)), PopResult::<u32>::Empty);
-        assert!(t0.elapsed() >= Duration::from_millis(9), "must actually wait");
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                std::thread::sleep(Duration::from_millis(5));
-                q.push(9);
-            });
-            assert_eq!(q.pop_timeout(Duration::from_secs(5)), PopResult::Item(9));
-        });
-        q.close();
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), PopResult::<u32>::Closed);
         assert_no_sleepers(&q);
     }
 
@@ -423,9 +346,9 @@ mod tests {
 
     /// The hand-off signals only when a sleeper is on the books, so the
     /// books must never under-count: a capacity-1 queue keeps producers and
-    /// consumers parking on both condvars constantly, and every blocking,
-    /// timed and non-blocking operation is in the mix. A lost wake-up hangs
-    /// the run; a double delivery or a drop fails the tally.
+    /// consumers parking on both condvars constantly, and blocking and
+    /// non-blocking pops are in the mix. A lost wake-up hangs the run; a
+    /// double delivery or a drop fails the tally.
     #[test]
     fn no_wakeup_is_lost_at_capacity_one() {
         const PRODUCERS: usize = 4;
@@ -439,15 +362,10 @@ mod tests {
                 let (q, seen, delivered) = (&q, &seen, &delivered);
                 s.spawn(move || {
                     for turn in c.. {
-                        let item = match turn % 3 {
+                        let item = match turn % 2 {
                             0 => match q.pop() {
                                 Some(item) => item,
                                 None => break,
-                            },
-                            1 => match q.pop_timeout(Duration::from_micros(50)) {
-                                PopResult::Item(item) => item,
-                                PopResult::Empty => continue,
-                                PopResult::Closed => break,
                             },
                             _ => match q.try_pop() {
                                 PopResult::Item(item) => item,
@@ -465,15 +383,7 @@ mod tests {
                     let q = &q;
                     s.spawn(move || {
                         for item in p * PER_PRODUCER..(p + 1) * PER_PRODUCER {
-                            if item % 2 == 0 {
-                                assert!(q.push(item));
-                            } else {
-                                let mut item = item;
-                                while let Err(back) = q.try_push(item) {
-                                    item = back;
-                                    std::thread::yield_now();
-                                }
-                            }
+                            assert!(q.push(item));
                         }
                     })
                 })
@@ -496,12 +406,11 @@ mod tests {
         // Two pushers parked on a full queue …
         let full = BoundedQueue::new(1);
         assert!(full.push(0));
-        // … and a blocking and a timed popper parked on an empty one.
+        // … and two poppers parked on an empty one.
         let empty: BoundedQueue<u32> = BoundedQueue::new(1);
         std::thread::scope(|s| {
             let pushers = [s.spawn(|| full.push(1)), s.spawn(|| full.push(2))];
-            let popper = s.spawn(|| empty.pop());
-            let timed = s.spawn(|| empty.pop_timeout(Duration::from_secs(3600)));
+            let poppers = [s.spawn(|| empty.pop()), s.spawn(|| empty.pop())];
             await_sleepers(&full, (0, 2));
             await_sleepers(&empty, (2, 0));
             full.close();
@@ -509,8 +418,9 @@ mod tests {
             for p in pushers {
                 assert!(!p.join().expect("pusher"), "a push woken by close fails");
             }
-            assert_eq!(popper.join().expect("popper"), None);
-            assert_eq!(timed.join().expect("timed popper"), PopResult::Closed);
+            for p in poppers {
+                assert_eq!(p.join().expect("popper"), None);
+            }
         });
         assert_eq!(full.pop(), Some(0), "a closed queue still drains");
         assert_no_sleepers(&full);
