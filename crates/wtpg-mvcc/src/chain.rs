@@ -12,8 +12,9 @@
 //! partition is fully determined by its unit count (see
 //! [`apply_write_effect`]), and effects commute, so the state any snapshot
 //! observed can be reconstructed from the current cells by subtracting the
-//! effects that are not part of the snapshot — in any order, without ever
-//! having copied a cell ([`VersionChain::snapshot_cells`]).
+//! effects that are not part of the snapshot, in any order. Effects are also
+//! linear: a snapshot read's checksum takes one scan and no copy of a cell
+//! ([`VersionChain::snapshot_checksum`], whose oracle is `snapshot_cells`).
 //!
 //! Garbage collection is a floor: once the control node's watermark says no
 //! active or future snapshot can exclude a sealed write (it is committed and
@@ -66,9 +67,9 @@ pub fn unapply_write_effect(cells: &mut [u64], units: u64) {
 
 /// The checksum a read step of `units` cells computes over a partition's
 /// cells, matching `NodeStore::chunk_into_cells` in read mode for one whole
-/// step (logical offset zero). Shared by the data node's snapshot-read path
-/// (over reconstructed cells) and the snapshot certifier (over reference
-/// cells) so both sides fold the same function.
+/// step (logical offset zero). The snapshot certifier folds it over
+/// reference cells; the data node's snapshot reads fold it in closed form
+/// ([`VersionChain::snapshot_checksum`]), so both sides compute one function.
 pub fn read_checksum(cells: &[u64], units: u64) -> u64 {
     let rows = (cells.len() as u64).max(1);
     let full = units / rows;
@@ -130,25 +131,60 @@ impl VersionChain {
     }
 
     /// Reconstructs the cells a snapshot with the given `horizon` and
-    /// exclusion set observed: clones `current`, subtracts every applied
-    /// write sealed at or above the horizon (sealed after the snapshot was
-    /// taken), then subtracts every excluded sequence that is present
-    /// (writes that were sealed but uncommitted when the snapshot was
-    /// taken). Excluded sequences that are absent were simply not applied
-    /// yet — skipping them lands on the same state.
+    /// exclusion set observed: clones `current` and subtracts every write
+    /// sealed after the snapshot was taken (at or above the horizon) or
+    /// sealed but uncommitted when it was (the present exclusions).
+    /// The oracle that [`VersionChain::snapshot_checksum`] is checked against.
     pub fn snapshot_cells(&self, current: &[u64], horizon: u64, exclude: &[u64]) -> Vec<u64> {
         let mut cells = current.to_vec();
-        for (_, e) in self.entries.range(horizon..) {
-            unapply_write_effect(&mut cells, e.units);
-        }
-        for &seq in exclude {
-            if seq < horizon {
-                if let Some(e) = self.entries.get(&seq) {
-                    unapply_write_effect(&mut cells, e.units);
-                }
-            }
+        for u in self.unapplied(horizon, exclude) {
+            unapply_write_effect(&mut cells, u);
         }
         cells
+    }
+
+    /// `read_checksum(&self.snapshot_cells(cells, horizon, exclude), units)`
+    /// without the copy. Effects are linear, so un-applying a write of `u`
+    /// units lowers the sum over all cells by exactly `u`, and the sum over
+    /// the first `part = units % rows` cells by `(u / rows) · part +
+    /// min(u % rows, part)`: one scan of the live cells plus O(effects) arithmetic.
+    pub fn snapshot_checksum(
+        &self,
+        cells: &[u64],
+        horizon: u64,
+        exclude: &[u64],
+        units: u64,
+    ) -> u64 {
+        if cells.is_empty() {
+            return read_checksum(cells, units); // No cells for effects to touch.
+        }
+        let rows = cells.len() as u64;
+        let (full, part) = (units / rows, units % rows);
+        let (mut whole_drop, mut head_drop) = (0u64, 0u64);
+        for u in self.unapplied(horizon, exclude) {
+            whole_drop = whole_drop.wrapping_add(u);
+            // Its share of the prefix: at most `u`, so it cannot overflow.
+            head_drop = head_drop.wrapping_add(u / rows * part + (u % rows).min(part));
+        }
+        let sum = |slice: &[u64]| slice.iter().fold(0u64, |s, &c| s.wrapping_add(c));
+        let (head_cells, tail) = cells.split_at(part as usize);
+        let head = sum(head_cells);
+        let mut checksum = head.wrapping_sub(head_drop);
+        if full > 0 {
+            let whole = head.wrapping_add(sum(tail)).wrapping_sub(whole_drop);
+            checksum = checksum.wrapping_add(whole.wrapping_mul(full));
+        }
+        checksum.rotate_left((units % 63) as u32 + 1)
+    }
+
+    /// Unit counts of the applied writes a snapshot at `(horizon, exclude)`
+    /// did not see: entries sealed at or above the horizon, then present
+    /// excluded sequences below it (an absent one was not applied yet, and
+    /// skipping it lands on the same state).
+    fn unapplied<'a>(&'a self, horizon: u64, exclude: &'a [u64]) -> impl Iterator<Item = u64> + 'a {
+        let later = self.entries.range(horizon..).map(|(_, e)| e.units);
+        let dirty = exclude.iter().filter(move |&&seq| seq < horizon);
+        later.chain(dirty.filter_map(|seq| Some(self.entries.get(seq)?.units)))
     }
 
     /// Prunes every entry with sequence below `floor` and returns how many
@@ -185,6 +221,7 @@ impl VersionChain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use wtpg_core::txn::AccessMode;
     use wtpg_rt::store::{chunks, NodeStore};
 
@@ -264,6 +301,47 @@ mod tests {
         assert_eq!(snap, expected);
         // Empty exclusion at full horizon: the current state.
         assert_eq!(chain.snapshot_cells(&current, 3, &[]), current);
+    }
+
+    /// A cell value or a write's unit count: small, or near `u64::MAX` so
+    /// that sums and un-applied effects wrap.
+    fn wrapping_or_small() -> impl Strategy<Value = u64> {
+        prop_oneof![0u64..1000, (u64::MAX - 1000)..=u64::MAX]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The closed form is the oracle's checksum: over 0- and 1-cell
+        /// slices, writes that are present, missing or pruned, horizons
+        /// below, inside and past the chain, exclusion lists naming absent
+        /// sequences or ones at or above the horizon, and units that are 0,
+        /// below, equal to or a multiple of the row count (or wrap).
+        #[test]
+        fn snapshot_checksum_is_the_checksum_of_the_snapshot_cells(
+            current in prop::collection::vec(wrapping_or_small(), 0..=9usize),
+            writes in prop::collection::vec((prop::bool::ANY, wrapping_or_small()), 0..12usize),
+            (horizon, prune) in (0u64..14, 0u64..8),
+            exclude in prop::collection::vec(0u64..14, 0..6usize),
+            (rounds, rest, wide) in (0u64..4, 0u64..9, prop::bool::ANY),
+        ) {
+            let mut chain = VersionChain::new();
+            for (seq, &(present, units)) in writes.iter().enumerate() {
+                if present {
+                    chain.record(seq as u64, TxnId(seq as u64 + 1), units);
+                }
+            }
+            chain.prune_below(prune);
+            let rows = current.len().max(1) as u64;
+            let units = rounds * rows + rest % rows;
+            let units = if wide { u64::MAX - units } else { units };
+            let oracle = read_checksum(&chain.snapshot_cells(&current, horizon, &exclude), units);
+            prop_assert_eq!(
+                chain.snapshot_checksum(&current, horizon, &exclude, units),
+                oracle,
+                "rows={} units={} horizon={} exclude={:?}", current.len(), units, horizon, exclude
+            );
+        }
     }
 
     #[test]

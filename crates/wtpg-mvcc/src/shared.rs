@@ -7,7 +7,7 @@
 //! acquisition. It carries the control plane's published per-partition GC
 //! floors: snapshot reads piggyback the floor on the wire, but a partition
 //! no reader ever visits would otherwise keep its chain forever; data actors
-//! poll this cell when they seal new writes.
+//! poll this cell on idle, at every `before_block`.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;

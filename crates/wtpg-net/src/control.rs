@@ -259,12 +259,11 @@ impl MvccPlane {
     }
 
     /// Publishes the floor of each distinct partition of `parts`, once.
-    fn publish_floors(&mut self, parts: Vec<u32>) {
-        let mut seen = BTreeSet::new();
+    fn publish_floors(&mut self, mut parts: Vec<u32>) {
+        parts.sort_unstable();
+        parts.dedup();
         for p in parts {
-            if seen.insert(p) {
-                self.publish_floor(p);
-            }
+            self.publish_floor(p);
         }
     }
 }

@@ -492,11 +492,10 @@ impl DataActor<'_> {
             if let Some(idx) = self.snap_mark_holds.get_mut(p) {
                 // Strictly below the floor: `hold < floor` is what proves
                 // retirement — an active reader caps the floor at its hold.
-                let keep = idx.split_off(&(floor, TxnId(0), 0));
-                for &(_, txn, step) in idx.iter() {
+                while let Some(&(_, txn, step)) = idx.first().filter(|&&(hold, ..)| hold < floor) {
+                    idx.pop_first();
                     self.snap_marks.remove(&(txn, step));
                 }
-                *idx = keep;
             }
         }
     }
@@ -630,8 +629,13 @@ impl DataActor<'_> {
                             self.cfg.node, partition.0
                         ))
                     })?;
-                    let cells = chain.snapshot_cells(current, horizon, &exclude);
-                    let fresh = (read_checksum(&cells, units), units);
+                    let checksum = chain.snapshot_checksum(current, horizon, &exclude, units);
+                    debug_assert_eq!(
+                        checksum,
+                        read_checksum(&chain.snapshot_cells(current, horizon, &exclude), units),
+                        "the closed form is the oracle's checksum"
+                    );
+                    let fresh = (checksum, units);
                     self.snap_marks.insert((txn, step), fresh);
                     // Same hold the control side registered for this read
                     // (the exclusion list arrives sorted ascending): the memo

@@ -68,7 +68,8 @@ pub enum Msg {
         /// sequence, under which the data node files the step in its
         /// version chain (the MVCC layer's total order per partition —
         /// agreed by both ends even when the fault layer reorders
-        /// deliveries). Zero for read steps.
+        /// deliveries). Zero for read steps, and for the first write of a
+        /// partition: sequences start at 0.
         seal: u64,
     },
     /// Data node → control: the bulk step finished all its units.
@@ -140,11 +141,10 @@ pub enum Msg {
     },
     /// Control → data node: serve one step of a read-only BAT against the
     /// snapshot its exclusion set describes, without taking any lock. The
-    /// node reconstructs the snapshot cells from its version chain
-    /// (current cells minus writes sealed at or above `horizon` minus the
-    /// applied `exclude` entries), folds the read checksum, and answers
-    /// [`Msg::SnapshotReply`]. Redelivered verbatim by the retry watchdog;
-    /// the node's snapshot-marks replay the original reply.
+    /// node folds the snapshot's read checksum in closed form (current cells
+    /// less writes sealed at or above `horizon` and applied `exclude` entries)
+    /// and answers [`Msg::SnapshotReply`]. Redelivered verbatim by the retry
+    /// watchdog; the node's snapshot-marks replay the original reply.
     SnapshotRead {
         /// The read-only transaction.
         txn: TxnId,

@@ -18,6 +18,7 @@ use wtpg_core::txn::{AccessMode, TxnId};
 use wtpg_dur::checkpoint::files;
 use wtpg_dur::wal::{ChunkRecord, WalWriter};
 use wtpg_dur::{recover, Durability};
+use wtpg_mvcc::{apply_write_effect, read_checksum, GcWatermark};
 use wtpg_net::actor::{Actor, Flow};
 use wtpg_net::data::{DataActor, DataNodeParams};
 use wtpg_net::transport::MsgTx;
@@ -318,6 +319,105 @@ fn a_kill_at_any_message_heals_to_the_unkilled_state() {
         let healed = run_script(&script, Some(kill_at), &format!("killed-{kill_at}"));
         assert_eq!(healed, unkilled, "killed at message {kill_at}");
     }
+}
+
+fn snapshot_read(txn: u64, horizon: u64, exclude: &[u64]) -> Msg {
+    Msg::SnapshotRead {
+        txn: TxnId(txn),
+        step: 0,
+        partition: PartitionId(0),
+        units: 2300,
+        horizon,
+        exclude: exclude.to_vec(),
+        floor: 0,
+    }
+}
+
+fn sealed_write(txn: u64, units: u64, seal: u64) -> Msg {
+    Msg::Access {
+        txn: TxnId(txn),
+        step: 0,
+        partition: PartitionId(0),
+        mode: AccessMode::Write,
+        units,
+        chunk_units: 1000,
+        seal,
+    }
+}
+
+/// Delivers `m`, lets the node reach its pre-block point (the GC poll and
+/// the reply flush), and returns what it said.
+fn exchange(node: &mut DataActor<'_>, heard: &Recorder, m: Msg, now: Instant) -> Vec<Msg> {
+    assert_eq!(node.deliver(m, now).unwrap(), Flow::Continue);
+    assert_eq!(node.before_block(now).unwrap(), Some(Duration::MAX));
+    heard.take()
+}
+
+/// What the node answers a snapshot read of partition 0 (2000 cells) whose
+/// snapshot is the write steps of `writes` units applied to zeroed cells.
+fn reply_over(txn: u64, writes: &[u64]) -> Msg {
+    let mut cells = vec![0u64; 2000];
+    for &units in writes {
+        apply_write_effect(&mut cells, units);
+    }
+    let checksum = read_checksum(&cells, 2300);
+    Msg::SnapshotReply { txn: TxnId(txn), step: 0, checksum, units: 2300 }
+}
+
+/// A served snapshot read keeps answering byte-identically while its reader
+/// may still be redelivered to — across racing writes and a floor at its
+/// hold — and its memo goes at the first `before_block` after the floor
+/// passes the hold, while memos at or above the floor stay.
+#[test]
+fn a_snapshot_memo_outlives_racing_writes_and_goes_once_the_floor_passes_its_hold() {
+    let (catalog, reg) = (catalog(), Registry::new());
+    let heard = Arc::new(Recorder::default());
+    let tx: Arc<dyn MsgTx> = heard.clone();
+    let watermark = Arc::new(GcWatermark::new());
+    let mut p = params(&catalog, &reg, None);
+    p.mvcc = Some(Arc::clone(&watermark));
+    let mut node = DataActor::start(p, &tx).expect("starts");
+    let now = Instant::now();
+    let reads = || reg.totals().get(metric::SNAPSHOT_READS).copied().unwrap_or(0);
+    let mut ask = |m: Msg| exchange(&mut node, &heard, m, now);
+
+    // 1. Seal 0 (2500 units) has applied; seal 1 is sealed, uncommitted and
+    // not applied yet. Reader 10 sees seal 0 alone: its hold is 1.
+    ask(sealed_write(1, 2500, 0));
+    let first = ask(snapshot_read(10, 2, &[1]));
+    assert_eq!(first, vec![reply_over(10, &[2500])]);
+    assert_eq!(reads(), 1);
+
+    // 2. The excluded writer's step and two writes sealed above the horizon
+    // apply; reader 11, whose snapshot has both seals below 2 committed,
+    // holds 2. Reader 10's redelivery answers from the memo.
+    ask(sealed_write(2, 700, 1));
+    ask(sealed_write(3, 900, 2));
+    ask(sealed_write(4, 4100, 3));
+    let second = ask(snapshot_read(11, 2, &[]));
+    assert_eq!(second, vec![reply_over(11, &[2500, 700])]);
+    assert_eq!(ask(snapshot_read(10, 2, &[1])), first);
+    assert_eq!(reads(), 2, "a redelivery is not a read");
+
+    // 3. A floor at reader 10's hold. Its redelivery is byte-identical, and
+    // the pre-block point after it drops seal 0 from the chain: a probe at
+    // horizon 0 un-applies every live entry, so it still sees seal 0.
+    watermark.publish(0, 1);
+    assert_eq!(ask(snapshot_read(10, 2, &[1])), first);
+    assert_eq!(ask(snapshot_read(12, 0, &[])), vec![reply_over(12, &[2500])]);
+    assert_eq!(reads(), 3);
+
+    // 4. The floor passes reader 10's hold. After the next pre-block point
+    // its memo is gone — a redelivery is read afresh, over a chain that no
+    // longer holds seal 1 — while reader 11's, at the floor, stays.
+    watermark.publish(0, 2);
+    assert_eq!(ask(snapshot_read(11, 2, &[])), second);
+    assert_eq!(ask(snapshot_read(10, 2, &[1])), vec![reply_over(10, &[2500, 700])]);
+    assert_eq!(reads(), 4, "the memo below the floor is gone");
+    assert_eq!(ask(snapshot_read(11, 2, &[])), second);
+    assert_eq!(reads(), 4, "the memo at the floor stays");
+    node.finish().expect("finishes");
+    assert_eq!(reg.totals().get(metric::CHAIN_PRUNED), Some(&2));
 }
 
 #[test]
