@@ -648,13 +648,13 @@ fn crate_of(path_slash: &str) -> Option<&str> {
 /// - `api-docs`: all of `wtpg-core/src`, `wtpg-rt/src`, `wtpg-obs/src`,
 ///   `wtpg-net/src` and `wtpg-lint/src`.
 /// - `wtpg-net` splits on determinism: the pure protocol layer (`msg.rs`,
-///   `codec.rs`, `fault.rs` decisions, `plan.rs`, `report.rs`) must be
-///   deterministic —
-///   the wire format and fault schedules are replayable by seed — while the
-///   actor loops (`actor.rs`, `control.rs`, `client.rs`, `data.rs`, `runtime.rs`), the
-///   flush-window coalescer (`batch.rs`) and the socket transport
-///   (`tcp.rs`) run on wall clocks and OS threads by design, certified by
-///   replay. The taint pass still reaches into the exempt
+///   `codec.rs`, `fault.rs` decisions, the coalescer and its delay line in
+///   `batch.rs`, `plan.rs`, `report.rs`) must be deterministic — the wire
+///   format and fault schedules are replayable by seed, and the coalescer
+///   runs on instants its actor hands in — while the actor loops
+///   (`actor.rs`, `control.rs`, `client.rs`, `data.rs`, `runtime.rs`) and
+///   the socket transport (`tcp.rs`) run on wall clocks and OS threads by
+///   design, certified by replay. The taint pass still reaches into the exempt
 ///   files: a protocol-layer function calling a tainted actor-side helper
 ///   is a finding.
 /// - `wtpg-bench` and `wtpg-cli` are measurement/driver tooling: they read
@@ -694,7 +694,6 @@ pub fn rules_for(path: &Path) -> RuleSet {
                 "/client.rs",
                 "/data.rs",
                 "/runtime.rs",
-                "/batch.rs",
             ]
             .iter()
             .any(|f| s.ends_with(f));

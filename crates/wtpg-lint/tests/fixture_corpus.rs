@@ -152,7 +152,6 @@ fn workspace_policy_scopes_wtpg_net() {
         "crates/wtpg-net/src/client.rs",
         "crates/wtpg-net/src/data.rs",
         "crates/wtpg-net/src/runtime.rs",
-        "crates/wtpg-net/src/batch.rs",
         "crates/wtpg-net/src/tcp.rs",
     ] {
         let r = rules_for(Path::new(file));
@@ -161,8 +160,10 @@ fn workspace_policy_scopes_wtpg_net() {
         assert!(r.api_docs, "{file}: api-docs must be enforced");
     }
     // The protocol layer keeps all three: codecs, message types, fault
-    // plans and reports must be deterministic for replay-by-seed.
+    // plans, the coalescer's delay line and reports must be deterministic
+    // for replay-by-seed.
     for file in [
+        "crates/wtpg-net/src/batch.rs",
         "crates/wtpg-net/src/msg.rs",
         "crates/wtpg-net/src/codec.rs",
         "crates/wtpg-net/src/error.rs",

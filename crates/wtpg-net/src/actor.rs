@@ -15,8 +15,8 @@
 //! `ppoll` over every link of the run's socket inboxes and a wake pipe, then
 //! one `read` on each readable link. The pipe is the [`Bell`]'s, which a
 //! push into a queue inbox from another thread rings: the router of a
-//! sharded run, a fault forwarder. An in-process run is the same clock with
-//! no links. `tests/interleave.rs` gives the same executor a seeded pick and
+//! sharded run is the one such pusher. An in-process run is the same clock
+//! with no links. `tests/interleave.rs` gives the same executor a seeded pick and
 //! a virtual clock.
 
 use std::io::{PipeWriter, Write};
@@ -385,7 +385,7 @@ mod tests {
     #[test]
     fn an_actor_asleep_until_a_deadline_idles_at_it_without_spinning() {
         let wait = Duration::from_millis(20);
-        let (_, rx) = nap_on_executor(wait, &Mailbox::queue(usize::MAX));
+        let (_, rx) = nap_on_executor(wait, &Mailbox::queue());
         let (out, cpu) = rx.recv_timeout(Duration::from_secs(20)).expect("the nap ends");
         let (slept, woke, mail) = out.expect("a clean stop");
         assert!(!mail, "nothing was sent: the wait ran out");
@@ -397,10 +397,10 @@ mod tests {
 
     #[test]
     fn a_push_from_another_thread_wakes_a_sleeping_executor() {
-        let inbox = Mailbox::queue(usize::MAX);
+        let inbox = Mailbox::queue();
         let (bell, rx) = nap_on_executor(Duration::from_secs(3600), &inbox);
-        // The push must find the executor inside its wait, as a fault
-        // forwarder's does: wait for the bell's books to say so.
+        // The push must find the executor inside its wait, as the router's
+        // does: wait for the bell's books to say so.
         let give_up = Instant::now() + Duration::from_secs(20);
         while !bell.asleep.load(SeqCst) {
             assert!(Instant::now() < give_up, "the executor never fell asleep");

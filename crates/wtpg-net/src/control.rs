@@ -24,10 +24,10 @@
 //! **A state machine behind the one loop.** [`ControlActor`]'s [`Actor`]
 //! steps — a popped message and its instant, a quiet [`POLL`] — are the
 //! actor's whole input; the executor (`actor::step_all`) alone touches the
-//! inbox and reads the clock. Time that steers (redelivery deadlines, send times, the
-//! round trips booked) is the `now` handed in, so a test can own it; time
-//! only measured (a coalescer's flush-window age) is read where it is used.
-//! One exit rule serves both load shapes (see `flow`).
+//! inbox and reads the clock. Time — redelivery deadlines, send times, the
+//! round trips booked, the coalescers' flush windows and link faults — is
+//! the `now` handed in, so a test can own it. One exit rule serves both load
+//! shapes (see `flow`).
 //!
 //! **Batched sends.** Orders to each data node flow through a
 //! [`Coalescer`], so bursts of `Access` orders for one node leave as a
@@ -35,7 +35,8 @@
 //! blocks on its inbox (deadlock avoidance) and when the flush window
 //! expires. Commit acks to clients are sent directly, one frame each: a
 //! client pipelines up to `pipeline` (16) submissions, but an ack is the
-//! end of the latency the client measures, so none waits for company.
+//! end of the latency the client measures, so none waits for company. Link
+//! faults hold frames in the coalescers: due ones go out before each block.
 //!
 //! Reliability duties on top of the protocol:
 //!
@@ -87,6 +88,7 @@ use crate::actor::{Actor, Flow};
 use crate::batch::Coalescer;
 use crate::codec::MAX_EXCLUDE;
 use crate::error::NetError;
+use crate::fault::FaultPlan;
 use crate::msg::Msg;
 use crate::transport::MsgTx;
 
@@ -127,8 +129,10 @@ pub struct ControlParams<'a> {
     /// Concurrently admitted transactions this shard allows; submissions
     /// beyond it queue in a FIFO backlog without touching the scheduler.
     pub admit_window: usize,
-    /// Shard index, for error labels (0 in unsharded runs).
+    /// Shard index, for error labels and link seeds (0 in unsharded runs).
     pub shard: usize,
+    /// The run's fault plan: its link faults ride this shard's data links.
+    pub fault: FaultPlan,
     /// Where to persist periodic control checkpoints (`None` disables).
     pub ckpt: Option<PathBuf>,
     /// Live certification stream: with a sender attached, the wrapped
@@ -388,9 +392,12 @@ impl<'a> ControlActor<'a> {
             catalog,
             reg,
             retry: params.retry,
-            to_data: to_data
-                .iter()
-                .map(|tx| Coalescer::new(Arc::clone(tx), params.batch_max))
+            to_data: (0..)
+                .zip(to_data)
+                .map(|(node, tx)| {
+                    let seed = params.fault.line_seed(1, node, params.shard);
+                    Coalescer::new(Arc::clone(tx), params.batch_max).with_faults(params.fault.link, seed)
+                })
                 .collect(),
             to_clients,
             batch_window: params.batch_window,
@@ -441,7 +448,7 @@ impl Actor for ControlActor<'_> {
         if self.since_scan >= SCAN_EVERY {
             self.since_scan = 0;
             self.resend(None, now)?;
-            self.flush_data(true)?;
+            self.flush_data(true, now)?;
             self.update_gauges();
         }
         Ok(self.flow())
@@ -466,22 +473,27 @@ impl Actor for ControlActor<'_> {
 
     /// What must happen before the loop blocks on an empty inbox: every
     /// buffered order goes out, or the peers it starves never answer. The
-    /// loop then waits a [`POLL`] at most.
-    fn before_block(&mut self, _now: Instant) -> Result<Option<Duration>, NetError> {
-        self.flush_data(false)?;
-        Ok(Some(POLL))
+    /// loop then waits a [`POLL`] at most, less if a link holds a frame due
+    /// sooner.
+    fn before_block(&mut self, now: Instant) -> Result<Option<Duration>, NetError> {
+        self.flush_data(false, now)?;
+        let due = self.to_data.iter().filter_map(Coalescer::next_due).min();
+        Ok(Some(due.map_or(POLL, |t| t.saturating_duration_since(now).min(POLL))))
     }
 
     /// Orderly exit: a final checkpoint, so the persisted cursor covers the
-    /// whole run, and a last flush. Refused while the exit rule does not
-    /// hold: the inbox closed mid-run.
+    /// whole run, and a last flush that delivers whatever the links still
+    /// hold. Refused while the exit rule does not hold: the inbox closed
+    /// mid-run.
     fn finish(mut self) -> Result<ControlOutcome, NetError> {
         if self.flow() == Flow::Continue {
             let shard = self.shard;
             return Err(NetError::Protocol(format!("control shard {shard}: inbox closed mid-run")));
         }
         self.write_ckpt()?;
-        self.flush_data(false)?;
+        if let Some(node) = self.to_data.iter_mut().position(|c| !c.drain()) {
+            return Err(self.vanished(node, "at exit"));
+        }
         // The tallies nobody reads live, published once: message counts (the
         // shard's own and its coalescers') and the scheduler's cache / abort /
         // delay statistics, under the bare names the simulator's trace uses.
@@ -534,19 +546,20 @@ impl ControlActor<'_> {
         Ok(())
     }
 
-    /// Queues `order` on `node`'s coalescer, optionally forcing the frame
-    /// out immediately (redelivery path).
-    fn send_data(&mut self, node: usize, order: Msg, flush: bool) -> Result<(), NetError> {
+    /// The error for a data link whose peer is gone.
+    fn vanished(&self, node: usize, when: &str) -> NetError {
+        NetError::Protocol(format!("control shard {}: data node {node} vanished {when}", self.shard))
+    }
+
+    /// Queues `order` on `node`'s coalescer at `now`, optionally forcing the
+    /// frame out immediately (redelivery path).
+    fn send_data(&mut self, node: usize, order: Msg, flush: bool, now: Instant) -> Result<(), NetError> {
         let c = self
             .to_data
             .get_mut(node)
             .ok_or_else(|| NetError::Protocol(format!("data node {node} out of range")))?;
-        let ok = if flush { c.push(order) && c.flush() } else { c.push(order) };
-        if !ok {
-            return Err(NetError::Protocol(format!(
-                "control shard {}: data node {node} vanished",
-                self.shard
-            )));
+        if !(c.advance(now) && c.push(order) && (!flush || c.flush())) {
+            return Err(self.vanished(node, "mid-run"));
         }
         Ok(())
     }
@@ -561,7 +574,7 @@ impl ControlActor<'_> {
         order: Msg,
         now: Instant,
     ) -> Result<(), NetError> {
-        self.send_data(node, order.clone(), false)?;
+        self.send_data(node, order.clone(), false, now)?;
         self.outstanding.insert((txn, step), Outstanding {
             node,
             attempts: 0,
@@ -1016,19 +1029,14 @@ impl ControlActor<'_> {
                 // then leaves as a plain single-message frame, so the
                 // rejoin handshake stays visible per-type in the wire
                 // accounting instead of disappearing inside a `Batch`.
-                if let Some(c) = self.to_data.get_mut(node) {
-                    if !c.flush() {
-                        return Err(NetError::Protocol(format!(
-                            "control shard {}: data node {node} vanished at rejoin",
-                            self.shard
-                        )));
-                    }
+                if !self.to_data.get_mut(node).is_none_or(Coalescer::flush) {
+                    return Err(self.vanished(node, "at rejoin"));
                 }
                 let ack = Msg::RecoverAck {
                     node: rejoined,
                     outstanding: resent,
                 };
-                self.send_data(node, ack, true)
+                self.send_data(node, ack, true, now)
             }
             Msg::Shutdown => {
                 // A client's end-of-stream marker (see `flow`).
@@ -1077,7 +1085,7 @@ impl ControlActor<'_> {
         }
         let resent = u32::try_from(resend.len()).unwrap_or(u32::MAX);
         for (node, msg) in resend {
-            self.send_data(node, msg, rejoined.is_none())?;
+            self.send_data(node, msg, rejoined.is_none(), now)?;
             self.tel.access_retries.inc();
         }
         Ok(resent)
@@ -1126,18 +1134,18 @@ impl ControlActor<'_> {
         self.tel.data_rtt.record(us);
     }
 
-    /// Flushes the data links' coalescers: all of them (before blocking on
-    /// the inbox, and at exit), or only those whose oldest buffered message
-    /// has waited past the window (the mid-burst latency bound).
-    fn flush_data(&mut self, only_overdue: bool) -> Result<(), NetError> {
-        for (node, c) in self.to_data.iter_mut().enumerate() {
-            if (!only_overdue || c.overdue(self.batch_window)) && !c.flush() {
-                return Err(NetError::Protocol(format!(
-                    "control shard {}: data node {node} vanished at flush",
-                    self.shard
-                )));
-            }
+    /// Moves the data links' coalescers to `now`, releasing what their lines
+    /// hold due, and flushes all of them (before blocking on the inbox), or
+    /// only those whose oldest buffered message has waited past the window
+    /// (the mid-burst latency bound).
+    fn flush_data(&mut self, only_overdue: bool, now: Instant) -> Result<(), NetError> {
+        let window = self.batch_window;
+        let failed = self.to_data.iter_mut().position(|c| {
+            !(c.advance(now) && ((only_overdue && !c.overdue(window)) || c.flush()))
+        });
+        match failed {
+            Some(node) => Err(self.vanished(node, "at flush")),
+            None => Ok(()),
         }
-        Ok(())
     }
 }

@@ -14,7 +14,8 @@
 //! before the actor blocks on an empty inbox, so the control node is never
 //! starved of a reply the actor is sitting on. Inbound `Batch` frames (the
 //! control side coalesces orders the same way) are unpacked and the inner
-//! orders applied in sequence.
+//! orders applied in sequence. Under link faults the coalescer's delay line
+//! releases what it holds as it comes due, down or up, and the rest at exit.
 //!
 //! **Durability.** Under [`Durability::Buffered`]/[`Durability::Sync`] the
 //! actor owns a [`WalWriter`]: every applied chunk is logged (with its
@@ -38,19 +39,19 @@
 //!
 //! **A state machine behind the one loop.** [`DataActor`]'s [`Actor`] steps
 //! are its whole input: a message and the instant it arrived. Being down is a
-//! state: a [`CrashPlan`] or [`KillPlan`] that comes due puts the node in
-//! `Down` until an instant, and until then every delivery — the triggering
-//! one included, a batch whole — is lost and counted; a lost `Shutdown`
-//! stops the node. The plans differ only in how the window ends. A crash
-//! models durable state (store, marks) that outlives the process: nothing
-//! happens, and control's redelivery watchdog heals what was lost. A kill
+//! state: a crash or kill plan that comes due puts the node in `Down` until
+//! an instant, and until then every delivery — the triggering one included,
+//! a batch whole — is lost and counted; a lost `Shutdown` stops the node.
+//! The plans differ only in how the window ends. A crash models durable
+//! state (store, marks) that outlives the process: nothing happens, and
+//! control's redelivery watchdog heals what was lost. A kill
 //! destroyed the incarnation — store, marks, mid-step progress, buffered
 //! replies, the log writer's userspace buffer — so the node is rebuilt from
 //! disk by [`wtpg_dur::recover`] and announces [`Msg::Recover`], on which
 //! control re-sends its outstanding orders at once. The executor
-//! (`actor::step_all`) alone touches the inbox and reads the clock. Time that *steers* (windows,
-//! triggers) is an argument, so a test can own it; time that is only *measured*
-//! (group-commit age, the coalescer's window) is read where it is used.
+//! (`actor::step_all`) alone touches the inbox and reads the clock. Time that
+//! *steers* (windows, triggers, link faults) is an argument, so a test can
+//! own it; time only *measured* (group-commit age) is read where it is used.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -70,7 +71,7 @@ use wtpg_rt::store::{chunks, NodeStore};
 use crate::actor::{Actor, Flow};
 use crate::batch::Coalescer;
 use crate::error::NetError;
-use crate::fault::{CrashPlan, KillPlan};
+use crate::fault::FaultPlan;
 use crate::msg::Msg;
 use crate::transport::MsgTx;
 
@@ -107,10 +108,9 @@ pub struct DataNodeParams<'a> {
     pub catalog: &'a Catalog,
     /// This node's id.
     pub node: u32,
-    /// Optional message-drop crash window.
-    pub crash: Option<CrashPlan>,
-    /// Optional kill-and-restart-from-log plan.
-    pub kill: Option<KillPlan>,
+    /// The run's fault plan: its crash window and kill (each fires only on
+    /// the node it names) and the link faults on this node's replies.
+    pub fault: FaultPlan,
     /// Reply-coalescer buffer bound.
     pub batch_max: usize,
     /// The node's write-ahead log: how hard applied chunks are made durable
@@ -183,11 +183,10 @@ struct Down {
 /// `tests/data_node.rs` can drive it one delivery at a time.
 #[doc(hidden)]
 pub struct DataActor<'a> {
-    /// What the node was started with. Its fault plans are taken as they
-    /// fire; what they count is `processed`, protocol messages handled.
+    /// What the node was started with. Its crash and kill plans are taken as
+    /// they fire; what they count is `processed`, protocol messages handled.
     cfg: DataNodeParams<'a>,
     tel: DataTel,
-    to_control: Arc<dyn MsgTx>,
     processed: u64,
     down: Option<Down>,
     // From here on, the incarnation: what a kill destroys.
@@ -235,20 +234,21 @@ impl<'a> DataActor<'a> {
         mut cfg: DataNodeParams<'a>,
         to_control: &Arc<dyn MsgTx>,
     ) -> Result<DataActor<'a>, NetError> {
-        let (node, logs) = (cfg.node as usize, cfg.log.is_some());
-        cfg.crash = cfg.crash.filter(|c| c.node == node);
+        let (node, logs, fault) = (cfg.node as usize, cfg.log.is_some(), &mut cfg.fault);
+        fault.crash = fault.crash.filter(|c| c.node == node);
         // A kill restarts the node from its log: without one it never fires.
-        cfg.kill = cfg.kill.filter(|k| logs && k.node.is_none_or(|n| n == node));
+        fault.kill = fault.kill.filter(|k| logs && k.node.is_none_or(|n| n == node));
+        let replies = Coalescer::new(Arc::clone(to_control), cfg.batch_max)
+            .with_faults(fault.link, fault.line_seed(2, node, 0));
         Ok(DataActor {
             tel: DataTel::new(cfg.reg),
-            to_control: Arc::clone(to_control),
             processed: 0,
             down: None,
             store: NodeStore::for_node(cfg.catalog, cfg.node),
             marks: BTreeMap::new(),
             partials: BTreeMap::new(),
             wal: open_writer(&cfg, 0, BTreeMap::new())?,
-            replies: Coalescer::new(Arc::clone(to_control), cfg.batch_max),
+            replies,
             rx: MsgCounts::default(),
             read_checksum: 0,
             snapshot_due: SNAPSHOT_EVERY,
@@ -292,8 +292,12 @@ impl Actor for DataActor<'_> {
         Ok(flow)
     }
 
-    /// Ends the dark window if `now` is past it; a no-op otherwise.
+    /// Releases the replies the link holds due by `now`, and ends the dark
+    /// window if `now` is past it.
     fn idle(&mut self, now: Instant) -> Result<Flow, NetError> {
+        if !self.replies.advance(now) {
+            return Ok(Flow::Stop);
+        }
         match self.down {
             Some(Down { until, .. }) if now >= until => self.wake(true),
             _ => Ok(Flow::Continue),
@@ -305,10 +309,15 @@ impl Actor for DataActor<'_> {
     /// GC poll, and the reply flush — control is never starved of a reply
     /// the actor is sitting on. A down node neither writes nor speaks; what
     /// a crashed one had buffered waits for the window's end, which is as
-    /// long as it blocks. An up node blocks until a message comes.
+    /// long as it blocks. An up node blocks until a message comes. Either
+    /// first releases the held replies now due, and wakes for the next.
     fn before_block(&mut self, now: Instant) -> Result<Option<Duration>, NetError> {
+        if !self.replies.advance(now) {
+            return Ok(None);
+        }
+        let until = |t: Instant| t.saturating_duration_since(now);
         if let Some(d) = &self.down {
-            return Ok(Some(d.until.saturating_duration_since(now)));
+            return Ok(Some(until(self.replies.next_due().map_or(d.until, |t| t.min(d.until)))));
         }
         if self.replies.pending() > 0 {
             self.wal_barrier()?;
@@ -316,18 +325,19 @@ impl Actor for DataActor<'_> {
             self.wal_flush_aged()?;
         }
         self.gc_poll();
-        Ok(self.replies.flush().then_some(Duration::MAX))
+        Ok(self.replies.flush().then(|| self.replies.next_due().map_or(Duration::MAX, until)))
     }
 
     /// Orderly exit. A node stopped while down still wakes — a killed one
     /// restarts from its log, because the recovered state feeds the outcome
     /// — but control has moved past it, so nothing is announced. The
     /// teardown barrier drains the group-commit buffer at every level, so
-    /// the log on disk is complete; on link loss the reply flush is a no-op.
+    /// the log on disk is complete; the last flush delivers whatever the
+    /// link still holds, and on link loss is a no-op.
     fn finish(mut self) -> Result<DataOutcome, NetError> {
         self.wake(false)?;
         self.wal_barrier()?;
-        self.replies.flush();
+        self.replies.drain();
         self.retire();
         Ok(DataOutcome {
             cell_sum: self.store.cell_sum(),
@@ -343,10 +353,10 @@ impl DataActor<'_> {
     /// and the log writer dropped with whatever its userspace buffer held —
     /// only what the log and snapshot files hold survives the window.
     fn trip(&mut self, now: Instant) -> Option<Down> {
-        let n = self.processed;
-        let (down_ms, restart_from_log) = match self.cfg.kill.take_if(|k| n >= k.after_msgs) {
+        let (n, fault) = (self.processed, &mut self.cfg.fault);
+        let (down_ms, restart_from_log) = match fault.kill.take_if(|k| n >= k.after_msgs) {
             Some(k) => (k.down_ms, true),
-            None => (self.cfg.crash.take_if(|c| n >= c.after_msgs)?.down_ms, false),
+            None => (fault.crash.take_if(|c| n >= c.after_msgs)?.down_ms, false),
         };
         if restart_from_log {
             self.retire();
@@ -666,11 +676,12 @@ impl DataActor<'_> {
     /// counts, the reply coalescer's, its version chains' — and leaves
     /// fresh ones behind, buffered replies and snapshot memos gone: on the
     /// kill path this is the in-memory half of process death, and the
-    /// registry's handles are what outlives it.
+    /// registry's handles are what outlives it — and the replies already on
+    /// the wire, which the fresh coalescer takes over.
     fn retire(&mut self) {
         let reg = self.cfg.reg;
         crate::publish(reg, metric::msg_rx, std::mem::take(&mut self.rx).fields());
-        let fresh = Coalescer::new(Arc::clone(&self.to_control), self.cfg.batch_max);
+        let fresh = self.replies.handover();
         std::mem::replace(&mut self.replies, fresh).publish(reg);
         let (appended, pruned, live_peak) = std::mem::take(&mut self.chains)
             .values()

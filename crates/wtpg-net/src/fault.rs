@@ -4,8 +4,8 @@
 //! must absorb for a run to certify clean:
 //!
 //! * **delay** — a message is held back a random interval before delivery
-//!   (FIFO order is preserved: the link forwards in order, so a delay
-//!   stalls everything behind it, like a congested link);
+//!   (FIFO order is preserved: a delay stalls everything behind it on the
+//!   link, like a congested link);
 //! * **duplicate delivery** — a message is delivered twice (handlers
 //!   de-duplicate via applied-marks and completed-sets);
 //! * **crash/restart** — one data node discards everything it receives for
@@ -17,22 +17,13 @@
 //! keeping them clean isolates the fault semantics to the shared-nothing
 //! boundary under test.
 //!
-//! Each faulty link is a [`FaultLink`]: a bounded queue plus a forwarder
-//! thread that pops in order, sleeps out injected delays, and delivers one
-//! or two copies downstream. Decisions come from a per-link
-//! [`XorShift`] stream seeded from the plan, so the *decision sequence* is
-//! reproducible even though wall-clock interleaving is not.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
-
-use wtpg_rt::backoff::XorShift;
-use wtpg_rt::queue::BoundedQueue;
-
-use crate::msg::Msg;
-use crate::transport::MsgTx;
+//! Delay and duplication are how a sender's frames are delivered, so they
+//! live in the sender's [`Coalescer`](crate::batch::Coalescer): each
+//! control ↔ data coalescer sends its flushed frames through a delay line
+//! whose decisions come from a per-link [`XorShift`](wtpg_rt::backoff::XorShift)
+//! seeded by `FaultPlan::line_seed`, and whose due times come from the
+//! instants its actor is stepped at. Under a virtual clock a run's faults
+//! therefore repeat exactly, by seed.
 
 /// Per-message fault probabilities for one link direction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -181,6 +172,17 @@ impl FaultPlan {
         }
     }
 
+    /// The seed of one delay line: the plan's seed mixed with the direction
+    /// (`dir` 1 towards data node `node`, 2 back) and the sending control
+    /// `shard`, so no two lines of a run draw the same stream. Shard 0 mixes
+    /// in nothing.
+    pub(crate) fn line_seed(&self, dir: u64, node: usize, shard: usize) -> u64 {
+        self.seed
+            ^ dir.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            ^ (node as u64 + 1).wrapping_mul(0xff51_afd7_ed55_8ccd)
+            ^ (shard as u64).wrapping_mul(0xc4ce_b9fe_1a85_ec53)
+    }
+
     /// The plan's report label.
     pub fn label(&self) -> &'static str {
         match (self.link.active(), self.crash.is_some(), self.kill.is_some()) {
@@ -196,98 +198,10 @@ impl FaultPlan {
     }
 }
 
-/// Counters of faults a [`FaultLink`] actually injected.
-#[derive(Default)]
-pub struct FaultCounters {
-    delayed: AtomicU64,
-    duplicated: AtomicU64,
-}
-
-impl FaultCounters {
-    /// Messages held back before delivery.
-    pub fn delayed(&self) -> u64 {
-        self.delayed.load(Ordering::Relaxed)
-    }
-
-    /// Messages delivered twice.
-    pub fn duplicated(&self) -> u64 {
-        self.duplicated.load(Ordering::Relaxed)
-    }
-}
-
-/// A fault-injecting wrapper around one link direction: senders enqueue,
-/// a forwarder thread delivers (late, twice, but never out of order).
-pub struct FaultLink {
-    q: Arc<BoundedQueue<Msg>>,
-}
-
-impl FaultLink {
-    /// Wraps `inner` with `faults`, spawning the forwarder thread under
-    /// `name`. The forwarder drains remaining messages and exits when the
-    /// last sender handle is dropped; join the handle after that.
-    pub fn spawn(
-        name: String,
-        inner: Arc<dyn MsgTx>,
-        faults: LinkFaults,
-        seed: u64,
-        counters: Arc<FaultCounters>,
-    ) -> (Arc<FaultLink>, JoinHandle<()>) {
-        let q: Arc<BoundedQueue<Msg>> = Arc::new(BoundedQueue::new(4096));
-        let pump = Arc::clone(&q);
-        let handle = crate::spawn_named(name, move || {
-            let mut rng = XorShift::new(seed);
-            while let Some(m) = pump.pop() {
-                if faults.delay_prob_pct > 0
-                    && rng.next_below(100) < u64::from(faults.delay_prob_pct)
-                {
-                    let us = rng.next_below(faults.max_delay_us + 1);
-                    if us > 0 {
-                        std::thread::sleep(Duration::from_micros(us));
-                    }
-                    counters.delayed.fetch_add(1, Ordering::Relaxed);
-                }
-                if !inner.send(&m) {
-                    // Receiver gone: drain-and-drop what remains.
-                    continue;
-                }
-                if faults.dup_prob_pct > 0
-                    && rng.next_below(100) < u64::from(faults.dup_prob_pct)
-                {
-                    counters.duplicated.fetch_add(1, Ordering::Relaxed);
-                    inner.send(&m);
-                }
-            }
-        });
-        (Arc::new(FaultLink { q }), handle)
-    }
-}
-
-impl MsgTx for FaultLink {
-    fn send(&self, m: &Msg) -> bool {
-        self.q.push(m.clone())
-    }
-}
-
-impl Drop for FaultLink {
-    fn drop(&mut self) {
-        // Closing on last-handle drop lets the forwarder drain and exit
-        // without a separate shutdown channel.
-        self.q.close();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wtpg_core::txn::TxnId;
-    use wtpg_rt::queue::PopResult;
-
-    struct SinkTx(Arc<BoundedQueue<Msg>>);
-    impl MsgTx for SinkTx {
-        fn send(&self, m: &Msg) -> bool {
-            self.0.push(m.clone())
-        }
-    }
+    use std::collections::BTreeSet;
 
     #[test]
     fn labels_cover_the_grid() {
@@ -300,75 +214,16 @@ mod tests {
     }
 
     #[test]
-    fn faulty_link_preserves_order_and_injects_dups() {
-        let out: Arc<BoundedQueue<Msg>> = Arc::new(BoundedQueue::new(4096));
-        let counters = Arc::new(FaultCounters::default());
-        let faults = LinkFaults {
-            delay_prob_pct: 30,
-            max_delay_us: 200,
-            dup_prob_pct: 40,
-        };
-        let (link, pump) = FaultLink::spawn(
-            "fault".into(),
-            Arc::new(SinkTx(Arc::clone(&out))),
-            faults,
-            7,
-            Arc::clone(&counters),
-        );
-        let total = 200u64;
-        for i in 0..total {
-            assert!(link.send(&Msg::Commit { client: 0, txn: TxnId(i) }));
-        }
-        drop(link); // closes the queue; forwarder drains and exits
-        pump.join().expect("forwarder exits after drain");
-        let mut last = 0u64;
-        let mut delivered = 0u64;
-        loop {
-            match out.try_pop() {
-                PopResult::Item(Msg::Commit { txn, .. }) => {
-                    assert!(txn.0 >= last, "FIFO violated: {} after {last}", txn.0);
-                    last = txn.0;
-                    delivered += 1;
-                }
-                PopResult::Item(m) => panic!("unexpected {m:?}"),
-                _ => break,
+    fn every_line_of_a_run_draws_its_own_stream() {
+        let plan = FaultPlan::flaky_links(9);
+        let mut seeds = BTreeSet::new();
+        for shard in 0..4 {
+            for node in 0..8 {
+                assert!(seeds.insert(plan.line_seed(1, node, shard)));
             }
         }
-        assert_eq!(
-            delivered,
-            total + counters.duplicated(),
-            "every message delivered once, plus one per injected duplicate"
-        );
-        assert!(counters.duplicated() > 0, "40% dup rate must fire in 200 msgs");
-        assert!(counters.delayed() > 0, "30% delay rate must fire in 200 msgs");
-    }
-
-    #[test]
-    fn decision_sequence_is_reproducible() {
-        // Two links with the same seed inject identical dup/delay counts
-        // over the same traffic.
-        let run = |seed: u64| {
-            let out: Arc<BoundedQueue<Msg>> = Arc::new(BoundedQueue::new(4096));
-            let counters = Arc::new(FaultCounters::default());
-            let (link, pump) = FaultLink::spawn(
-                "fault".into(),
-                Arc::new(SinkTx(out)),
-                LinkFaults {
-                    delay_prob_pct: 25,
-                    max_delay_us: 10,
-                    dup_prob_pct: 25,
-                },
-                seed,
-                Arc::clone(&counters),
-            );
-            for i in 0..100 {
-                link.send(&Msg::Commit { client: 0, txn: TxnId(i) });
-            }
-            drop(link);
-            pump.join().expect("forwarder exits");
-            (counters.delayed(), counters.duplicated())
-        };
-        assert_eq!(run(11), run(11));
-        assert_ne!(run(11), run(12), "different seeds draw different streams");
+        for node in 0..8 {
+            assert!(seeds.insert(plan.line_seed(2, node, 0)));
+        }
     }
 }

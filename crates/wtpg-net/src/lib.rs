@@ -61,8 +61,8 @@ pub use transport::{InProc, Transport};
 
 /// `std::thread::spawn` with a name. Every thread of a run besides the
 /// caller's, which steps every actor, carries its role (`router`,
-/// `certifier-0`, `fault-c2d-2`), so `/proc/<pid>/task/*/comm` beside
-/// `schedstat` attributes on-CPU time by role from outside the process.
+/// `certifier-0`), so `/proc/<pid>/task/*/comm` beside `schedstat`
+/// attributes on-CPU time by role from outside the process.
 pub(crate) fn spawn_named<T: Send + 'static>(
     name: String,
     f: impl FnOnce() -> T + Send + 'static,

@@ -11,10 +11,10 @@
 //!    and arrival schedule). Nothing has been created yet.
 //! 2. **build** — `ActorSet::lay_out` creates the WAL directory, has the
 //!    [`Transport`] wire the control plane, one data-node actor per catalog
-//!    node and the client actors into a star fabric, wraps every control ↔
-//!    data link in a [`FaultLink`] (seeded delay + duplicate delivery) if
-//!    the [`FaultPlan`] is active, lays each actor's parameters out as
-//!    plain values and builds the executor's clock over their inboxes.
+//!    node and the client actors into a star fabric, lays each actor's
+//!    parameters out as plain values — the [`FaultPlan`] among them: each
+//!    control ↔ data sender's coalescer delays and duplicates what it sends
+//!    — and builds the executor's clock over their inboxes.
 //!    With one effective shard the control actor reads the fabric inbox
 //!    directly (no router on the path); with `S > 1` a router deals inbound
 //!    messages to `S` independent control actors, each running its own
@@ -27,8 +27,10 @@
 //!    plumbing down in the order that lets every thread be joined. One
 //!    executor steps every actor on the calling thread (`drive_stepped`),
 //!    whatever the transport; its clock waits on the run's sockets and on
-//!    pushes from the plumbing — the router, fault forwarders — which, with
-//!    the stream certifiers, are the run's only other threads.
+//!    pushes from the router of a sharded run, which, with the stream
+//!    certifiers, are the run's only other threads. The teardown `Shutdown`
+//!    goes straight onto each data link, after every control shard has
+//!    released what its links held: it meets no link fault.
 //! 4. **assemble** — the per-shard audits are merged ([`merge_audits`] —
 //!    the canonical cross-shard history merge, which refuses non-disjoint
 //!    shards), the merged history is replay-certified, and the data nodes'
@@ -72,7 +74,7 @@ use crate::client::{ClientActor, ClientOutcome, OpenLoopPlan};
 use crate::control::{ControlActor, ControlOutcome, ControlParams};
 use crate::data::{DataActor, DataNodeParams, DataOutcome};
 use crate::error::NetError;
-use crate::fault::{FaultCounters, FaultLink, FaultPlan};
+use crate::fault::FaultPlan;
 use crate::msg::Msg;
 use crate::plan::RunPlan;
 use crate::report::{MsgBreakdown, NetReport};
@@ -226,37 +228,6 @@ fn certify_stream(
     Ok((cert.finish()?, fed))
 }
 
-/// Wraps each link in `links` with the plan's fault layer, collecting the
-/// forwarder handles. `dir` salts the per-link seed so the two directions
-/// of a node's connection draw different decision streams, and names the
-/// forwarder threads (`fault-c2d-<node>` towards the data nodes, `fault-d2c-<node>`
-/// back).
-fn wrap_links(
-    links: Vec<Arc<dyn MsgTx>>,
-    fault: &FaultPlan,
-    dir: u64,
-    counters: &Arc<FaultCounters>,
-    forwarders: &mut Vec<JoinHandle<()>>,
-) -> Vec<Arc<dyn MsgTx>> {
-    if !fault.link.active() {
-        return links;
-    }
-    links
-        .into_iter()
-        .enumerate()
-        .map(|(i, inner)| {
-            let seed = fault.seed
-                ^ dir.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                ^ (i as u64 + 1).wrapping_mul(0xff51_afd7_ed55_8ccd);
-            let name = format!("fault-{}-{i}", if dir == 1 { "c2d" } else { "d2c" });
-            let (link, forwarder) =
-                FaultLink::spawn(name, inner, fault.link, seed, Arc::clone(counters));
-            forwarders.push(forwarder);
-            link as Arc<dyn MsgTx>
-        })
-        .collect()
-}
-
 /// The transaction a control-bound message belongs to (shard routing key).
 fn msg_txn(m: &Msg) -> Option<TxnId> {
     match *m {
@@ -379,10 +350,10 @@ pub fn run_cell_load(
 type StreamVerdict = Result<(CertifyReport, usize), CertifyViolation>;
 
 /// Phase 2 of a run: everything the actors need, built from a validated
-/// plan and not yet running — the fabric with its fault-wrapped links, the
-/// certifier channels, each actor's parameters as plain values, and the
-/// executor's clock. The only threads alive are plumbing (fault forwarders,
-/// stream certifiers), all of them idle until an actor sends something.
+/// plan and not yet running — the fabric, the certifier channels, each
+/// actor's parameters as plain values, and the executor's clock. The only
+/// threads alive are the stream certifiers, idle until a control shard
+/// sends them something.
 pub(crate) struct ActorSet<'a> {
     /// One per control shard, with the inbox it reads.
     controls: Vec<ControlParams<'a>>,
@@ -400,12 +371,9 @@ pub(crate) struct ActorSet<'a> {
     control_inbox: Inbox,
     to_data: Vec<Arc<dyn MsgTx>>,
     to_clients: Vec<Arc<dyn MsgTx>>,
-    /// Fault forwarders.
-    forwarders: Vec<JoinHandle<()>>,
     /// The transport's own threads.
     service: Vec<JoinHandle<()>>,
     bytes: Arc<dyn Fn() -> ByteCounts + Send + Sync>,
-    fault_counters: Arc<FaultCounters>,
     certifiers: Vec<JoinHandle<StreamVerdict>>,
     /// The instant open-loop arrivals are due from, taken ahead of the
     /// certifier threads and the executor's clock. `wall_ms` runs from
@@ -443,16 +411,6 @@ impl<'a> ActorSet<'a> {
         let watermark: Option<Arc<GcWatermark>> = cfg.mvcc.then(|| Arc::new(GcWatermark::new()));
 
         let fabric = transport.build(plan.data_nodes, plan.clients)?;
-        let fault_counters = Arc::new(FaultCounters::default());
-        let mut forwarders: Vec<JoinHandle<()>> = Vec::new();
-        let to_data = wrap_links(fabric.to_data, fault, 1, &fault_counters, &mut forwarders);
-        let data_to_control = wrap_links(
-            fabric.data_to_control,
-            fault,
-            2,
-            &fault_counters,
-            &mut forwarders,
-        );
 
         // One shard reads the fabric inbox directly (no router on the
         // path); S > 1 gets routed inboxes, unbounded like every in-process
@@ -460,7 +418,7 @@ impl<'a> ActorSet<'a> {
         let shard_inboxes: Vec<Inbox> = if shards == 1 {
             vec![Arc::clone(&fabric.control_inbox)]
         } else {
-            (0..shards).map(|_| Mailbox::queue(usize::MAX)).collect()
+            (0..shards).map(|_| Mailbox::queue()).collect()
         };
 
         let run_wall = Instant::now();
@@ -495,6 +453,7 @@ impl<'a> ActorSet<'a> {
                     batch_window: Duration::from_micros(cfg.batch_window_us),
                     admit_window: cfg.admit_window,
                     shard: si,
+                    fault: *fault,
                     ckpt: ckpt.clone(),
                     stream,
                     reg,
@@ -506,8 +465,7 @@ impl<'a> ActorSet<'a> {
             .map(|n| DataNodeParams {
                 catalog: plan.catalog,
                 node: n as u32,
-                crash: fault.crash,
-                kill: fault.kill,
+                fault: *fault,
                 batch_max: cfg.batch_max,
                 log: plan.wal_dir.map(|dir| (cfg.durability, dir)),
                 reg,
@@ -521,16 +479,14 @@ impl<'a> ActorSet<'a> {
             shard_inboxes,
             data,
             data_inboxes: fabric.data_inboxes,
-            data_to_control,
+            data_to_control: fabric.data_to_control,
             client_inboxes: fabric.client_inboxes,
             client_to_control: fabric.client_to_control,
             control_inbox: fabric.control_inbox,
-            to_data,
+            to_data: fabric.to_data,
             to_clients: fabric.to_clients,
-            forwarders,
             service: fabric.service,
             bytes: fabric.bytes,
-            fault_counters,
             certifiers,
             run_wall,
             clock,
@@ -557,8 +513,8 @@ type Outcomes = (
 /// Phase 3: runs every actor of `set` to completion on this thread
 /// ([`drive_stepped`]), broadcasts `Shutdown`, and tears the plumbing down in
 /// the one order that lets every thread be joined. The runtime's own tallies
-/// — its `Shutdown` broadcasts, the wire's byte counts, the fault layer's —
-/// are published last, so on return `reg` holds the whole run.
+/// — its `Shutdown` broadcasts, the wire's byte counts — are published last,
+/// so on return `reg` holds the whole run.
 fn drive(set: ActorSet<'_>, plan: &RunPlan<'_>, reg: &Registry) -> Joined {
     let cfg = plan.cfg;
     let (catalog, units, specs) = (plan.catalog, cfg.chunk_units, plan.specs);
@@ -631,20 +587,14 @@ fn drive(set: ActorSet<'_>, plan: &RunPlan<'_>, reg: &Registry) -> Joined {
     });
     let wall = started.elapsed();
 
-    // Teardown: dropping our sender handles closes the fault queues (their
-    // forwarders drain and exit) and — on TCP — FINs the writer sockets so
-    // every socket's reader sees EOF. Only then are the fault forwarders and
-    // whatever service threads a transport brought (neither of ours has any)
+    // Teardown: dropping our sender handles — on TCP — FINs the writer
+    // sockets so every socket's reader sees EOF. Only then are whatever
+    // service threads a transport brought (neither of ours has any)
     // joinable.
     drop(set.to_data);
     drop(set.data_to_control);
     drop(set.to_clients);
     drop(set.client_to_control);
-    for forwarder in set.forwarders {
-        forwarder
-            .join()
-            .expect("invariant: fault forwarders exit once every sender is dropped");
-    }
     for svc in set.service {
         svc.join()
             .expect("invariant: transport service threads exit once every sender is dropped");
@@ -666,14 +616,6 @@ fn drive(set: ActorSet<'_>, plan: &RunPlan<'_>, reg: &Registry) -> Joined {
     };
     crate::publish(reg, metric::msg_tx, runtime_tx.fields());
     crate::publish(reg, metric::wire, (set.bytes)().fields());
-    crate::publish(
-        reg,
-        str::to_string,
-        [
-            (metric::FAULT_DUPS, set.fault_counters.duplicated()),
-            (metric::FAULT_DELAYS, set.fault_counters.delayed()),
-        ],
-    );
     Joined {
         controls: control_res,
         data: data_res,

@@ -30,11 +30,8 @@
 //! outstanding and is owed one ack for each; a control shard keeps at most
 //! `admit_window` transactions admitted, so a data node holds at most that
 //! many outstanding orders and answers each with a bounded burst of
-//! progress reports (≤ 2× under duplicate faults). One queue still has a
-//! bound, with a thread of its own behind it to drain it: a [`FaultLink`]'s
-//! (`crate::fault`), which its forwarder empties.
-//!
-//! [`FaultLink`]: crate::fault::FaultLink
+//! progress reports (≤ 2× under duplicate faults). Link faults hold frames
+//! in the sender's coalescer (`crate::batch`), not in a queue of their own.
 
 use std::io::{PipeWriter, Write};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -48,9 +45,9 @@ use crate::error::NetError;
 use crate::msg::Msg;
 use crate::tcp::FanInRx;
 
-/// A sender handle for one directed link. `send` blocks only where the
-/// module docs say a link is bounded, and returns `false` once the peer is
-/// gone — the caller treats that as the run ending.
+/// A sender handle for one directed link. `send` never blocks (see the
+/// module docs) and returns `false` once the peer is gone — the caller
+/// treats that as the run ending.
 pub trait MsgTx: Send + Sync {
     /// Delivers `m` to the link's receiver. `false` = receiver gone.
     fn send(&self, m: &Msg) -> bool;
@@ -90,11 +87,10 @@ fn locked<T>(rx: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl Mailbox {
-    /// A queue mailbox holding at most `capacity` messages; `usize::MAX` is
-    /// no bound, and a push into it never blocks.
-    pub fn queue(capacity: usize) -> Inbox {
+    /// A queue mailbox without a bound: a push into it never blocks.
+    pub fn queue() -> Inbox {
         Arc::new(Mailbox::Queue {
-            q: BoundedQueue::new(capacity),
+            q: BoundedQueue::new(usize::MAX),
             bell: OnceLock::new(),
         })
     }
@@ -148,9 +144,8 @@ impl Mailbox {
         }
     }
 
-    /// Delivers `m` to a queue mailbox, blocking while a bounded one is full;
-    /// `false` once it is closed. A fan-in is fed by its links alone and
-    /// refuses.
+    /// Delivers `m` to a queue mailbox; `false` once it is closed. A fan-in
+    /// is fed by its links alone and refuses.
     pub fn push(&self, m: Msg) -> bool {
         match self {
             Mailbox::Queue { q, bell } => {
@@ -245,10 +240,9 @@ impl Transport for InProc {
     }
 
     fn build(&self, data_nodes: usize, clients: usize) -> Result<Fabric, NetError> {
-        let queue = || Mailbox::queue(usize::MAX);
-        let control_inbox = queue();
-        let data_inboxes: Vec<Inbox> = (0..data_nodes).map(|_| queue()).collect();
-        let client_inboxes: Vec<Inbox> = (0..clients).map(|_| queue()).collect();
+        let control_inbox = Mailbox::queue();
+        let data_inboxes: Vec<Inbox> = (0..data_nodes).map(|_| Mailbox::queue()).collect();
+        let client_inboxes: Vec<Inbox> = (0..clients).map(|_| Mailbox::queue()).collect();
         let tx_to = |q: &Inbox| -> Arc<dyn MsgTx> { Arc::new(QueueTx { q: Arc::clone(q) }) };
         Ok(Fabric {
             to_data: data_inboxes.iter().map(tx_to).collect(),

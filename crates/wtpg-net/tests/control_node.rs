@@ -20,7 +20,7 @@ use wtpg_mvcc::GcWatermark;
 use wtpg_net::actor::{Actor, Flow};
 use wtpg_net::control::{ControlActor, ControlParams};
 use wtpg_net::transport::MsgTx;
-use wtpg_net::{Msg, NetError};
+use wtpg_net::{FaultPlan, Msg, NetError};
 use wtpg_obs::window::metric;
 use wtpg_obs::Registry;
 use wtpg_rt::backoff::Backoff;
@@ -52,6 +52,7 @@ fn params<'a>(reg: &'a Registry, sched: &str, clients: usize) -> ControlParams<'
         batch_window: Duration::from_secs(3600),
         admit_window: 4,
         shard: 0,
+        fault: FaultPlan::none(),
         ckpt: None,
         stream: None,
         reg,

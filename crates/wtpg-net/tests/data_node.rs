@@ -22,7 +22,7 @@ use wtpg_mvcc::{apply_write_effect, read_checksum, GcWatermark};
 use wtpg_net::actor::{Actor, Flow};
 use wtpg_net::data::{DataActor, DataNodeParams};
 use wtpg_net::transport::MsgTx;
-use wtpg_net::{CrashPlan, KillPlan, Msg};
+use wtpg_net::{CrashPlan, FaultPlan, KillPlan, LinkFaults, Msg};
 use wtpg_obs::window::metric;
 use wtpg_obs::Registry;
 use wtpg_rt::store::{chunks, NodeStore};
@@ -43,8 +43,7 @@ fn params<'a>(catalog: &'a Catalog, reg: &'a Registry, log: Option<&'a Path>) ->
     DataNodeParams {
         catalog,
         node: 0,
-        crash: None,
-        kill: None,
+        fault: FaultPlan::none(),
         batch_max: 3,
         log: log.map(|dir| (Durability::Buffered, dir)),
         reg,
@@ -74,7 +73,7 @@ fn a_dark_window_loses_and_counts_exactly_what_arrives_inside_it() {
     let heard = Arc::new(Recorder::default());
     let tx: Arc<dyn MsgTx> = heard.clone();
     let mut p = params(&catalog, &reg, None);
-    p.crash = Some(CrashPlan { node: 0, after_msgs: 1, down_ms: 10 });
+    p.fault.crash = Some(CrashPlan { node: 0, after_msgs: 1, down_ms: 10 });
     let mut node = DataActor::start(p, &tx).expect("starts");
     let t0 = Instant::now();
     let order = |txn| access(txn, 0, AccessMode::Write, 1500, 1500);
@@ -119,9 +118,9 @@ fn a_shutdown_nested_in_a_lost_batch_stops_the_node() {
         let tx: Arc<dyn MsgTx> = heard.clone();
         let mut p = params(&catalog, &reg, Some(&dir));
         if kill {
-            p.kill = Some(KillPlan { node: None, after_msgs: 1, down_ms: 50 });
+            p.fault.kill = Some(KillPlan { node: None, after_msgs: 1, down_ms: 50 });
         } else {
-            p.crash = Some(CrashPlan { node: 0, after_msgs: 1, down_ms: 50 });
+            p.fault.crash = Some(CrashPlan { node: 0, after_msgs: 1, down_ms: 50 });
         }
         let mut node = DataActor::start(p, &tx).expect("starts");
         let t0 = Instant::now();
@@ -219,7 +218,7 @@ proptest! {
         wal.flush().unwrap();
         drop(wal);
         let mut p = params(&catalog, &reg, Some(&dir));
-        p.kill = Some(KillPlan { node: Some(0), after_msgs: 0, down_ms: 5 });
+        p.fault.kill = Some(KillPlan { node: Some(0), after_msgs: 0, down_ms: 5 });
         let mut node = DataActor::start(p, &tx).expect("starts");
         prop_assert_eq!(node.deliver(order.clone(), t0).unwrap(), Flow::Continue);
         prop_assert_eq!(node.idle(t0 + ms(4)).unwrap(), Flow::Continue);
@@ -261,7 +260,7 @@ fn run_script(script: &[Msg], kill_at: Option<u64>, name: &str) -> EndState {
     let heard = Arc::new(Recorder::default());
     let tx: Arc<dyn MsgTx> = heard.clone();
     let mut p = params(&catalog, &reg, Some(&dir));
-    p.kill = kill_at.map(|after_msgs| KillPlan { node: Some(0), after_msgs, down_ms: 5 });
+    p.fault.kill = kill_at.map(|after_msgs| KillPlan { node: Some(0), after_msgs, down_ms: 5 });
     let mut node = DataActor::start(p, &tx).expect("starts");
     let mut now = Instant::now();
     for burst in script.chunks(2) {
@@ -426,7 +425,7 @@ fn a_down_node_blocks_only_for_what_is_left_of_its_window() {
     let heard = Arc::new(Recorder::default());
     let tx: Arc<dyn MsgTx> = heard.clone();
     let mut p = params(&catalog, &reg, None);
-    p.crash = Some(CrashPlan { node: 0, after_msgs: 0, down_ms: 10 });
+    p.fault.crash = Some(CrashPlan { node: 0, after_msgs: 0, down_ms: 10 });
     let mut node = DataActor::start(p, &tx).expect("starts");
     let t0 = Instant::now();
     assert_eq!(node.before_block(t0).unwrap(), Some(Duration::MAX), "up: until a message");
@@ -438,4 +437,83 @@ fn a_down_node_blocks_only_for_what_is_left_of_its_window() {
     assert_eq!(node.idle(t0 + ms(10)).unwrap(), Flow::Continue);
     assert_eq!(node.before_block(t0 + ms(10)).unwrap(), Some(Duration::MAX), "up again");
     assert_eq!(heard.take(), vec![]);
+}
+
+/// Every reply frame delayed, by up to a millisecond; none duplicated.
+const SLOW: LinkFaults = LinkFaults {
+    delay_prob_pct: 100,
+    max_delay_us: 1000,
+    dup_prob_pct: 0,
+};
+
+/// The txns whose `AccessDone` was heard since the last call.
+fn done(heard: &Recorder) -> Vec<u64> {
+    heard
+        .take()
+        .iter()
+        .filter_map(|m| match m {
+            Msg::AccessDone { txn, .. } => Some(txn.0),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Order 1 answered and its reply frame held on a slow link, then order 2
+/// delivered: the node, started with `p`, trips on it. Returns the node and
+/// how long after `t0` the held frame is due.
+fn held_then_tripped<'a>(
+    p: DataNodeParams<'a>,
+    tx: &Arc<dyn MsgTx>,
+    heard: &Recorder,
+    t0: Instant,
+) -> (DataActor<'a>, Duration) {
+    let mut p = p;
+    p.fault.link = SLOW;
+    p.fault.seed = 1;
+    let mut node = DataActor::start(p, tx).expect("starts");
+    let order = |txn| access(txn, 0, AccessMode::Write, 1500, 1500);
+    assert_eq!(node.deliver(order(1), t0).unwrap(), Flow::Continue);
+    let wait = node.before_block(t0).unwrap().expect("up");
+    assert!(wait > Duration::ZERO && wait <= ms(1), "the reply frame is held: {wait:?}");
+    assert_eq!(heard.take(), vec![], "nothing delivered before it is due");
+    assert_eq!(node.deliver(order(2), t0).unwrap(), Flow::Continue, "trips and is lost");
+    (node, wait)
+}
+
+#[test]
+fn a_reply_the_link_holds_when_a_kill_fires_still_reaches_control() {
+    let (catalog, reg) = (catalog(), Registry::new());
+    let dir = fresh_dir("held-kill");
+    let heard = Arc::new(Recorder::default());
+    let tx: Arc<dyn MsgTx> = heard.clone();
+    let mut p = params(&catalog, &reg, Some(&dir));
+    p.fault.kill = Some(KillPlan { node: Some(0), after_msgs: 1, down_ms: 5 });
+    let t0 = Instant::now();
+    let (mut node, wait) = held_then_tripped(p, &tx, &heard, t0);
+    // The process died; the frame on the wire did not. The dead node sleeps
+    // until it is due, not until the window's end.
+    assert_eq!(node.before_block(t0).unwrap(), Some(wait));
+    assert_eq!(node.idle(t0 + wait).unwrap(), Flow::Continue);
+    assert_eq!(done(&heard), vec![1], "the held reply reaches control after the kill");
+    assert_eq!(node.before_block(t0 + wait).unwrap(), Some(ms(5) - wait));
+    node.finish().expect("finishes");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_crashed_node_releases_a_due_frame_during_its_window() {
+    let (catalog, reg) = (catalog(), Registry::new());
+    let heard = Arc::new(Recorder::default());
+    let tx: Arc<dyn MsgTx> = heard.clone();
+    let mut p = params(&catalog, &reg, None);
+    p.fault.crash = Some(CrashPlan { node: 0, after_msgs: 1, down_ms: 10 });
+    let t0 = Instant::now();
+    let (mut node, wait) = held_then_tripped(p, &tx, &heard, t0);
+    assert_eq!(node.before_block(t0).unwrap(), Some(wait), "down: wakes when the frame is due");
+    assert_eq!(node.idle(t0 + wait).unwrap(), Flow::Continue);
+    assert_eq!(done(&heard), vec![1], "released inside the window");
+    assert_eq!(node.before_block(t0 + wait).unwrap(), Some(ms(10) - wait), "the window's rest");
+    assert_eq!(reg.totals().get(metric::FAULT_DELAYS), None, "booked when the coalescer retires");
+    node.finish().expect("finishes");
+    assert_eq!(reg.totals().get(metric::FAULT_DELAYS), Some(&1));
 }

@@ -10,9 +10,13 @@
 //! virtual clock jumps to the earliest wait and those actors can move, by
 //! `idle`. Nothing else moves the clock, and the flush window is an hour, so
 //! real time never changes how messages are framed. Once control stops, the
-//! run sends each data node `Shutdown`, as the runtime does. Faults and
-//! duplicates are not explored here. A failing seed is reported as the
-//! `run_seed` call that repeats it.
+//! run sends each data node `Shutdown`, as the runtime does.
+//!
+//! A faulted run puts `FaultPlan::flaky_links(seed)`'s link faults on every
+//! control ↔ data coalescer: frames are delayed and duplicated by a line
+//! seeded from the run's seed, due at instants of the same virtual clock,
+//! so a faulted seed repeats its run exactly. A failing seed is reported as
+//! the `run_seed` call that repeats it.
 
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
@@ -24,7 +28,8 @@ use wtpg_net::actor::{step_all, Clock, Slot, Step};
 use wtpg_net::client::ClientActor;
 use wtpg_net::control::{ControlActor, ControlParams};
 use wtpg_net::data::{DataActor, DataNodeParams};
-use wtpg_net::{InProc, Msg, NetConfig, NetError, Transport};
+use wtpg_net::{FaultPlan, InProc, Msg, NetConfig, NetError, Transport};
+use wtpg_obs::window::metric;
 use wtpg_obs::Registry;
 use wtpg_rt::backoff::XorShift;
 use wtpg_rt::sched_by_name;
@@ -49,17 +54,26 @@ impl Clock for Virtual {
     }
 }
 
-/// Steps one whole run of `sched` in the order `seed` picks, then checks
-/// what it left behind: every transaction committed, the control audit
-/// replay-certified, and every declared write unit in the stores. Returns
-/// the history, so that seeds can be told apart.
-fn run_seed(sched: &str, seed: u64) -> Result<String, String> {
+/// What a run left behind that tells seeds apart, and the link faults it
+/// met.
+struct Ran {
+    history: String,
+    dups: u64,
+    delays: u64,
+}
+
+/// Steps one whole run of `sched` in the order `seed` picks — with link
+/// faults seeded by `seed` too if `faulted` — then checks what it left
+/// behind: every transaction committed, the control audit replay-certified,
+/// and every declared write unit in the stores.
+fn run_seed(sched: &str, seed: u64, faulted: bool) -> Result<Ran, String> {
     let (paper, specs) = pattern_specs(Pattern::Two { num_hots: 4 }, 24, 11);
     let catalog = Catalog::new(paper.partitions().map(|p| paper.size(p)).collect(), 2);
     let cfg = NetConfig::default();
     let watchdog = Duration::from_millis(cfg.watchdog_ms);
     let reg = Registry::new();
     let f = InProc.build(2, 2).map_err(|e| e.to_string())?;
+    let fault = if faulted { FaultPlan::flaky_links(seed) } else { FaultPlan::none() };
 
     // A four-deep admission window under six-deep clients, and eight-message
     // frames: the backlog is used and a burst can split across frames.
@@ -72,6 +86,7 @@ fn run_seed(sched: &str, seed: u64) -> Result<String, String> {
         batch_window: Duration::from_secs(3600),
         admit_window: 4,
         shard: 0,
+        fault,
         ckpt: None,
         stream: None,
         reg: &reg,
@@ -83,8 +98,7 @@ fn run_seed(sched: &str, seed: u64) -> Result<String, String> {
         let params = DataNodeParams {
             catalog: &catalog,
             node: n as u32,
-            crash: None,
-            kill: None,
+            fault,
             batch_max: 8,
             log: None,
             reg: &reg,
@@ -145,29 +159,64 @@ fn run_seed(sched: &str, seed: u64) -> Result<String, String> {
     if (units, cells) != (expected, expected) {
         return Err(format!("stores hold {units} units, {cells} in cells; {expected} declared"));
     }
-    Ok(format!("{:?}", out.audit.history))
+    let totals = reg.totals();
+    let count = |name| totals.get(name).copied().unwrap_or(0);
+    Ok(Ran {
+        history: format!("{:?}", out.audit.history),
+        dups: count(metric::FAULT_DUPS),
+        delays: count(metric::FAULT_DELAYS),
+    })
 }
 
-#[test]
-fn seeded_interleavings_stop_certify_and_conserve() {
-    let mut failures = Vec::new();
-    let mut distinct = Vec::new();
+/// Runs 200 seeds × {chain, k2}; panics with the failing seeds' repro lines.
+/// Returns, per scheduler, how many distinct histories the seeds gave, and
+/// the faults met in all.
+fn explore(faulted: bool) -> (Vec<(&'static str, usize)>, u64, u64) {
+    let (mut failures, mut distinct, mut dups, mut delays) = (Vec::new(), Vec::new(), 0, 0);
     for sched in ["chain", "k2"] {
         let mut histories = BTreeSet::new();
         for seed in 1..=200 {
-            match run_seed(sched, seed) {
-                Ok(history) => {
-                    histories.insert(history);
+            match run_seed(sched, seed, faulted) {
+                Ok(ran) => {
+                    histories.insert(ran.history);
+                    (dups, delays) = (dups + ran.dups, delays + ran.delays);
                 }
-                Err(e) => failures.push(format!("run_seed({sched:?}, {seed}): {e}")),
+                Err(e) => failures.push(format!("run_seed({sched:?}, {seed}, {faulted}): {e}")),
             }
         }
         distinct.push((sched, histories.len()));
     }
     assert!(failures.is_empty(), "{} of 400 failed:\n{}", failures.len(), failures.join("\n"));
+    (distinct, dups, delays)
+}
+
+#[test]
+fn seeded_interleavings_stop_certify_and_conserve() {
+    let (distinct, dups, delays) = explore(false);
+    assert_eq!((dups, delays), (0, 0), "no link faults without a plan");
     // The seed must steer the run: one schedule for every seed explores
     // nothing.
     for (sched, n) in distinct {
         assert!(n >= 190, "{sched}: 200 seeds gave only {n} distinct histories");
+    }
+}
+
+#[test]
+fn seeded_interleavings_under_link_faults_stop_certify_and_conserve() {
+    let (distinct, dups, delays) = explore(true);
+    assert!(dups > 0 && delays > 0, "{dups} duplicated and {delays} delayed frames");
+    for (sched, n) in distinct {
+        assert!(n >= 190, "{sched}: 200 faulted seeds gave only {n} distinct histories");
+    }
+}
+
+#[test]
+fn a_faulted_seed_repeats_its_history_exactly() {
+    for sched in ["chain", "k2"] {
+        let run = || run_seed(sched, 17, true).unwrap_or_else(|e| panic!("{sched}: {e}"));
+        let (first, again) = (run(), run());
+        assert!(first.dups + first.delays > 0, "{sched}: seed 17 met no fault");
+        assert_eq!(first.history, again.history, "{sched}: seed 17 ran twice differently");
+        assert_eq!((first.dups, first.delays), (again.dups, again.delays));
     }
 }

@@ -32,8 +32,9 @@ impl Backoff {
     }
 }
 
-/// A tiny xorshift64* generator — one per fault-injected link, seeded from
-/// the plan's seed and the link's identity, so draws need no shared state.
+/// A tiny xorshift64* generator — one per fault-injected link's delay line,
+/// seeded from the plan's seed and the link's identity, so draws need no
+/// shared state.
 #[derive(Clone, Debug)]
 pub struct XorShift(u64);
 

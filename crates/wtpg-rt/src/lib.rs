@@ -11,8 +11,9 @@
 //!   (one tick per operation) plus a [`wtpg_core::history::History`], so the
 //!   recorded log is a linearization
 //!   [`wtpg_core::certify::certify_history`] can replay.
-//! * [`queue::BoundedQueue`] — the blocking MPMC queue behind every in-proc
-//!   mailbox; a full queue blocks the sender (backpressure).
+//! * [`queue::BoundedQueue`] — the MPMC queue behind every in-proc
+//!   mailbox, built there without a bound (a full bounded one blocks the
+//!   sender).
 //! * [`store::NodeStore`] — one data node's partitions (`node = partition
 //!   mod NumNodes`): real bulk scans / updates over `costof(s)` milli-object
 //!   cells, with the conservation invariant every run checks.

@@ -1,10 +1,10 @@
 //! A bounded MPMC queue with blocking backpressure and a non-blocking pop.
 //!
 //! Every in-process mailbox of `wtpg-net` is one of these: senders push,
-//! the owning actor pops. A full queue blocks the sender; the mailboxes
-//! themselves are built with no bound (an in-process send never blocks),
-//! and only the fault layer's link queues keep one. Implemented on `Mutex<VecDeque> + Condvar` pairs so the crate
-//! stays dependency-free.
+//! the owning actor pops. A full queue blocks the sender, but the mailboxes
+//! are built with no bound (an in-process send never blocks): only
+//! `bench/`'s hand-off micro still builds a bounded one. Implemented on
+//! `Mutex<VecDeque> + Condvar` pairs so the crate stays dependency-free.
 //!
 //! Each condvar keeps books under the queue lock — how many threads sleep
 //! on it, and how many of those a wake-up is already on its way to — and a
