@@ -54,6 +54,7 @@ pub mod stream_certify;
 mod test_streams;
 pub mod time;
 pub mod txn;
+pub mod window;
 pub mod work;
 pub mod wtpg;
 

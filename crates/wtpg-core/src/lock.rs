@@ -15,8 +15,6 @@
 //! * the conflict structure a newly arrived transaction induces (which the
 //!   WTPG turns into conflicting and precedence edges).
 
-use std::collections::BTreeMap;
-
 use crate::error::CoreError;
 use crate::partition::PartitionId;
 use crate::txn::{AccessMode, TxnId, TxnSpec};
@@ -106,10 +104,11 @@ struct Granule {
 }
 
 /// The centralized lock table of partition granules managed by the control
-/// node (paper §2.2).
+/// node (paper §2.2). Granules are indexed by partition id, grown to the
+/// highest partition ever declared: the catalog, for a run.
 #[derive(Clone, Debug, Default)]
 pub struct LockTable {
-    granules: BTreeMap<PartitionId, Granule>,
+    granules: Vec<Granule>,
 }
 
 impl LockTable {
@@ -118,20 +117,27 @@ impl LockTable {
         LockTable::default()
     }
 
+    fn granule(&self, p: PartitionId) -> Option<&Granule> {
+        self.granules.get(p.0 as usize)
+    }
+
     /// Registers all of a transaction's lock declarations (its start-time
     /// predeclaration). The caller must not declare the same id twice.
     pub fn declare(&mut self, spec: &TxnSpec) {
         for (i, s) in spec.steps().iter().enumerate() {
-            self.granules
-                .entry(s.partition)
-                .or_default()
-                .decls
-                .push(Declaration {
-                    txn: spec.id,
-                    step: i,
-                    mode: s.mode,
-                    due: spec.due(i),
-                });
+            let p = s.partition.0 as usize;
+            if p >= self.granules.len() {
+                self.granules.resize_with(p + 1, Granule::default);
+            }
+            let Some(g) = self.granules.get_mut(p) else {
+                continue;
+            };
+            g.decls.push(Declaration {
+                txn: spec.id,
+                step: i,
+                mode: s.mode,
+                due: spec.due(i),
+            });
         }
     }
 
@@ -144,7 +150,7 @@ impl LockTable {
     pub fn arrival_conflicts(&self, spec: &TxnSpec) -> Vec<ArrivalConflict> {
         let mut out = Vec::new();
         for (i, s) in spec.steps().iter().enumerate() {
-            let Some(g) = self.granules.get(&s.partition) else {
+            let Some(g) = self.granule(s.partition) else {
                 continue;
             };
             let my_due = spec.due(i);
@@ -172,7 +178,7 @@ impl LockTable {
     /// S→X upgrade path.
     pub fn is_blocked(&self, txn: TxnId, p: PartitionId, mode: AccessMode) -> bool {
         let want = LockMode::for_access(mode);
-        self.granules.get(&p).is_some_and(|g| {
+        self.granule(p).is_some_and(|g| {
             g.holders
                 .iter()
                 .any(|&(t, m)| t != txn && !m.compatible_with(want))
@@ -187,8 +193,7 @@ impl LockTable {
         p: PartitionId,
         mode: AccessMode,
     ) -> Vec<Declaration> {
-        self.granules
-            .get(&p)
+        self.granule(p)
             .map(|g| {
                 g.decls
                     .iter()
@@ -221,7 +226,7 @@ impl LockTable {
         );
         let g = self
             .granules
-            .get_mut(&p)
+            .get_mut(p.0 as usize)
             .ok_or(CoreError::BadStep { txn, step })?;
         let pos = g
             .decls
@@ -242,12 +247,21 @@ impl LockTable {
         Ok(())
     }
 
-    /// Releases every lock held by `txn` (commit time) and returns the
-    /// partitions that were freed — the simulator wakes requests blocked on
-    /// them. Any leftover declarations of `txn` are dropped as well.
-    pub fn release_all(&mut self, txn: TxnId) -> Vec<PartitionId> {
+    /// Releases every lock held by the transaction `spec` declares (commit
+    /// time) and returns the partitions that were freed, ascending — the
+    /// control node wakes requests blocked on them in that order. Any
+    /// leftover declarations of the transaction are dropped as well. Only the
+    /// granules `spec` names are visited: nothing else can hold its locks or
+    /// declarations.
+    pub fn release_all(&mut self, spec: &TxnSpec) -> Vec<PartitionId> {
+        let txn = spec.id;
+        let mut parts = spec.partitions();
+        parts.sort_unstable();
         let mut freed = Vec::new();
-        for (&p, g) in self.granules.iter_mut() {
+        for p in parts {
+            let Some(g) = self.granules.get_mut(p.0 as usize) else {
+                continue;
+            };
             let before = g.holders.len();
             g.holders.retain(|&(t, _)| t != txn);
             if g.holders.len() != before {
@@ -255,15 +269,12 @@ impl LockTable {
             }
             g.decls.retain(|d| d.txn != txn);
         }
-        self.granules
-            .retain(|_, g| !g.decls.is_empty() || !g.holders.is_empty());
         freed
     }
 
     /// Lock mode `txn` currently holds on `p`, if any.
     pub fn held_mode(&self, txn: TxnId, p: PartitionId) -> Option<LockMode> {
-        self.granules
-            .get(&p)?
+        self.granule(p)?
             .holders
             .iter()
             .find(|&&(t, _)| t == txn)
@@ -272,8 +283,7 @@ impl LockTable {
 
     /// All current holders of `p`.
     pub fn holders(&self, p: PartitionId) -> Vec<(TxnId, LockMode)> {
-        self.granules
-            .get(&p)
+        self.granule(p)
             .map(|g| g.holders.clone())
             .unwrap_or_default()
     }
@@ -307,7 +317,7 @@ impl LockTable {
         parts.sort_unstable();
         parts.dedup();
         for p in parts {
-            let Some(g) = self.granules.get(&p) else {
+            let Some(g) = self.granule(p) else {
                 continue;
             };
             for d in &g.decls {
@@ -332,10 +342,7 @@ impl LockTable {
     pub fn arrival_keeps_k(&self, spec: &TxnSpec, k: usize) -> bool {
         let steps = spec.steps();
         steps.iter().all(|s| {
-            let decls = self
-                .granules
-                .get(&s.partition)
-                .map_or(&[][..], |g| &g.decls);
+            let decls = self.granule(s.partition).map_or(&[][..], |g| &g.decls);
             // Conflicts of a `mode` declaration by `txn` on this granule: with
             // other transactions' outstanding ones, plus — unless `txn` is
             // the arrival itself — with the arrival's.
@@ -354,12 +361,12 @@ impl LockTable {
 
     /// Total outstanding declarations (diagnostics).
     pub fn declaration_count(&self) -> usize {
-        self.granules.values().map(|g| g.decls.len()).sum()
+        self.granules.iter().map(|g| g.decls.len()).sum()
     }
 
     /// Total held locks (diagnostics).
     pub fn held_count(&self) -> usize {
-        self.granules.values().map(|g| g.holders.len()).sum()
+        self.granules.iter().map(|g| g.holders.len()).sum()
     }
 }
 
@@ -502,7 +509,7 @@ mod tests {
             .unwrap();
         lt.grant(TxnId(1), 1, PartitionId(1), AccessMode::Read)
             .unwrap();
-        let freed = lt.release_all(TxnId(1));
+        let freed = lt.release_all(&t1);
         assert_eq!(freed, vec![PartitionId(0), PartitionId(1)]);
         assert_eq!(lt.held_count(), 0);
         assert_eq!(lt.declaration_count(), 0);
@@ -593,10 +600,10 @@ mod tests {
         let w = spec(9, vec![StepSpec::write(0, 1.0)]);
         lt.declare(&w);
         assert!(lt.is_blocked(w.id, PartitionId(0), AccessMode::Write));
-        lt.release_all(TxnId(1));
-        lt.release_all(TxnId(2));
+        lt.release_all(&readers[0]);
+        lt.release_all(&readers[1]);
         assert!(lt.is_blocked(w.id, PartitionId(0), AccessMode::Write));
-        lt.release_all(TxnId(3));
+        lt.release_all(&readers[2]);
         assert!(!lt.is_blocked(w.id, PartitionId(0), AccessMode::Write));
     }
 

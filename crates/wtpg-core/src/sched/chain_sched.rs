@@ -301,7 +301,11 @@ mod tests {
     }
 
     fn self_next_step(s: &ChainScheduler, id: TxnId) -> usize {
-        s.core.txns[&id].next_step
+        s.core
+            .txns
+            .get(id)
+            .expect("invariant: an active transaction")
+            .next_step
     }
 
     /// The decision procedure `ChainScheduler` ran before its admission and

@@ -4,8 +4,6 @@
 //! the one [`Scheduler`] implementation over them. A scheduler is a
 //! [`Policy`]: an admission [`Constraint`], a grant rule, and its caches.
 
-use std::collections::BTreeMap;
-
 use wtpg_obs::ControlStats;
 
 use crate::certify::CertifyMode;
@@ -15,6 +13,7 @@ use crate::lock::{ArrivalConflict, LockTable};
 use crate::partition::PartitionId;
 use crate::time::Tick;
 use crate::txn::{StepSpec, TxnId, TxnSpec};
+use crate::window::IdWindow;
 use crate::work::Work;
 use crate::wtpg::Wtpg;
 
@@ -50,12 +49,14 @@ pub(crate) struct ActiveTxn {
 }
 
 /// The state shared by every lock-based scheduler: lock table + WTPG +
-/// transaction registry, with the paper's weight bookkeeping built in.
+/// transaction registry, with the paper's weight bookkeeping built in. The
+/// registry is an [`IdWindow`]: every request, progress report and step
+/// completion finds its transaction by index.
 #[derive(Clone, Debug, Default)]
 pub struct SchedCore {
     pub(crate) locks: LockTable,
     pub(crate) wtpg: Wtpg,
-    pub(crate) txns: BTreeMap<TxnId, ActiveTxn>,
+    pub(crate) txns: IdWindow<ActiveTxn>,
     /// Cumulative control-plane statistics (cache behaviour, abort and delay
     /// causes) of the scheduler built on this core.
     pub(crate) stats: ControlStats,
@@ -77,7 +78,7 @@ impl SchedCore {
         spec: &TxnSpec,
         constraint: Constraint,
     ) -> Result<Admission, CoreError> {
-        if self.txns.contains_key(&spec.id) {
+        if self.txns.contains(spec.id) {
             return Err(CoreError::DuplicateTxn(spec.id));
         }
         // Its own declarations never count, so this is also what the lock
@@ -126,7 +127,7 @@ impl SchedCore {
 
     /// The declared step a request refers to, validating order.
     pub(crate) fn request_step(&self, txn: TxnId, step: usize) -> Result<StepSpec, CoreError> {
-        let a = self.txns.get(&txn).ok_or(CoreError::UnknownTxn(txn))?;
+        let a = self.txns.get(txn).ok_or(CoreError::UnknownTxn(txn))?;
         if step >= a.spec.len() {
             return Err(CoreError::BadStep { txn, step });
         }
@@ -180,7 +181,9 @@ impl SchedCore {
             return true;
         }
         let before = self.wtpg.before(txn);
-        implied.iter().any(|other| before.contains(other))
+        implied
+            .iter()
+            .any(|other| before.binary_search(other).is_ok())
     }
 
     /// Performs the grant: takes the lock, resolves the implied conflicting
@@ -205,7 +208,7 @@ impl SchedCore {
     /// Execution state on a grant: `step` runs, the one after it is requested
     /// next.
     pub(crate) fn start_step(&mut self, txn: TxnId, step: usize) -> Result<(), CoreError> {
-        let a = self.txns.get_mut(&txn).ok_or(CoreError::UnknownTxn(txn))?;
+        let a = self.txns.get_mut(txn).ok_or(CoreError::UnknownTxn(txn))?;
         a.current = Some(step);
         a.next_step = step + 1;
         a.declared_progress = Work::ZERO;
@@ -217,7 +220,7 @@ impl SchedCore {
     /// still to come (§3.1; the clamp matters only under Experiment 4's
     /// erroneous declarations).
     pub(crate) fn progress(&mut self, txn: TxnId, amount: Work) -> Result<(), CoreError> {
-        let a = self.txns.get_mut(&txn).ok_or(CoreError::UnknownTxn(txn))?;
+        let a = self.txns.get_mut(txn).ok_or(CoreError::UnknownTxn(txn))?;
         let Some(step) = a.current else {
             return Err(CoreError::BadStep {
                 txn,
@@ -245,7 +248,7 @@ impl SchedCore {
     /// Step completion: the remaining declared work is now exactly the `due`
     /// of the next step (zero after the last).
     pub(crate) fn step_complete(&mut self, txn: TxnId, step: usize) -> Result<(), CoreError> {
-        let a = self.txns.get_mut(&txn).ok_or(CoreError::UnknownTxn(txn))?;
+        let a = self.txns.get_mut(txn).ok_or(CoreError::UnknownTxn(txn))?;
         if a.current != Some(step) {
             return Err(CoreError::BadStep { txn, step });
         }
@@ -268,12 +271,12 @@ impl SchedCore {
         txn: TxnId,
         finished: bool,
     ) -> Result<Vec<PartitionId>, CoreError> {
-        let a = self.txns.remove(&txn).ok_or(CoreError::UnknownTxn(txn))?;
+        let a = self.txns.remove(txn).ok_or(CoreError::UnknownTxn(txn))?;
         debug_assert!(
             !finished || a.next_step == a.spec.len(),
             "{txn} committed before requesting every step"
         );
-        let freed = self.locks.release_all(txn);
+        let freed = self.locks.release_all(&a.spec);
         self.wtpg.remove_txn(txn)?;
         Ok(freed)
     }

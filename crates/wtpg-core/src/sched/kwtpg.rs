@@ -16,7 +16,10 @@
 //! resolved bumps nothing but still invalidates (the paper's condition is
 //! the grant, not the edge), and the `keeptime` horizon needs a clock.
 //! Estimates run through one reusable [`EqScratch`] overlay, so the hot
-//! path neither clones the graph nor reallocates per request.
+//! path neither clones the graph nor reallocates per request. The cache and
+//! the starvation counts are one record per request, kept per transaction in
+//! an [`IdWindow`]; expiring the whole cache starts a new epoch instead of
+//! touching any record.
 //!
 //! ## Liveness deviation from the paper
 //!
@@ -33,12 +36,11 @@
 //!
 //! [`Wtpg::version`]: crate::wtpg::Wtpg::version
 
-use std::collections::BTreeMap;
-
 use crate::error::CoreError;
 use crate::estimate::{eq_estimate_with, EqScratch, EqValue};
 use crate::time::Tick;
 use crate::txn::{StepSpec, TxnId};
+use crate::window::IdWindow;
 
 use super::common::{Constraint, Policy, SchedCore};
 use super::{ControlOps, LockOutcome};
@@ -47,6 +49,16 @@ use super::{ControlOps, LockOutcome};
 /// granted regardless (liveness guard; see the module docs).
 pub const STARVATION_LIMIT: u32 = 16;
 
+/// What K-WTPG keeps on one request (a transaction's step).
+#[derive(Clone, Copy, Debug, Default)]
+struct RequestBook {
+    /// Cached `E`, stamped with the cache epoch and the WTPG version it was
+    /// computed in; an entry of an earlier epoch is no entry.
+    eq: Option<(u64, u64, EqValue)>,
+    /// Consecutive comparison losses.
+    starved: u32,
+}
+
 /// The K-WTPG scheduler. The paper evaluates K = 2 ("K2").
 #[derive(Clone, Debug)]
 pub struct KWtpgScheduler {
@@ -54,9 +66,12 @@ pub struct KWtpgScheduler {
     k: usize,
     /// Control-saving period, in ms.
     keeptime: u64,
-    /// Cached `E` values keyed by the request they score (txn, step), each
-    /// stamped with the WTPG version it was computed against.
-    cache: BTreeMap<(TxnId, usize), (u64, EqValue)>,
+    /// Per live transaction, its requests' books, indexed by step.
+    books: IdWindow<Vec<RequestBook>>,
+    /// The cache's epoch: expiring the cache moves to the next one.
+    epoch: u64,
+    /// Cache entries of the current epoch.
+    cached: usize,
     last_compute: Tick,
     /// WTPG version at the last cache invalidation check, so a structural
     /// change resets the `keeptime` window exactly as §3.4's "new edge /
@@ -68,8 +83,6 @@ pub struct KWtpgScheduler {
     granted_edges: bool,
     /// Reusable overlay buffers for `eq_estimate_with`.
     scratch: EqScratch,
-    /// Consecutive comparison losses per outstanding request.
-    starved: BTreeMap<(TxnId, usize), u32>,
 }
 
 impl KWtpgScheduler {
@@ -80,18 +93,30 @@ impl KWtpgScheduler {
             core: SchedCore::new(),
             k,
             keeptime,
-            cache: BTreeMap::new(),
+            books: IdWindow::new(),
+            epoch: 1,
+            cached: 0,
             last_compute: Tick::ZERO,
             seen_version: 0,
             granted_edges: false,
             scratch: EqScratch::new(),
-            starved: BTreeMap::new(),
         }
     }
 
     /// The configured K.
     pub fn k(&self) -> usize {
         self.k
+    }
+
+    /// The book of `txn`'s request for `step`, made on first use.
+    fn book(&mut self, txn: TxnId, step: usize) -> &mut RequestBook {
+        let steps = self.books.get_or_insert_with(txn, Vec::new);
+        if steps.len() <= step {
+            steps.resize(step + 1, RequestBook::default());
+        }
+        steps
+            .get_mut(step)
+            .expect("invariant: the steps were just extended past `step`")
     }
 
     /// Expires the whole cache when the WTPG changed structurally since the
@@ -107,10 +132,11 @@ impl KWtpgScheduler {
             || ver != self.seen_version
             || now.saturating_since(self.last_compute) >= self.keeptime
         {
-            if !self.cache.is_empty() {
+            if self.cached > 0 {
                 self.core.stats.eq_cache_invalidations += 1;
             }
-            self.cache.clear();
+            self.epoch += 1;
+            self.cached = 0;
             self.last_compute = now;
             self.seen_version = ver;
             self.granted_edges = false;
@@ -128,8 +154,9 @@ impl KWtpgScheduler {
         partition: crate::partition::PartitionId,
         mode: crate::txn::AccessMode,
     ) -> (EqValue, bool) {
-        let ver = self.core.wtpg.version();
-        if let Some(&(stamp, v)) = self.cache.get(&(txn, step)) {
+        let (ver, epoch) = (self.core.wtpg.version(), self.epoch);
+        let cached = self.books.get(txn).and_then(|steps| steps.get(step)?.eq);
+        if let Some((_, stamp, v)) = cached.filter(|&(e, _, _)| e == epoch) {
             if stamp == ver {
                 self.core.stats.eq_cache_hits += 1;
                 return (v, false);
@@ -138,7 +165,10 @@ impl KWtpgScheduler {
         self.core.stats.eq_cache_misses += 1;
         let implied = self.core.implied_resolutions(txn, partition, mode);
         let v = eq_estimate_with(&mut self.scratch, &self.core.wtpg, txn, &implied);
-        self.cache.insert((txn, step), (ver, v));
+        if cached.is_none_or(|(e, _, _)| e != epoch) {
+            self.cached += 1;
+        }
+        self.book(txn, step).eq = Some((epoch, ver, v));
         (v, true)
     }
 }
@@ -187,9 +217,10 @@ impl Policy for KWtpgScheduler {
         // Step 3: q wins only with the smallest E among C(q) — unless it has
         // starved long enough that the liveness guard overrides the loss.
         let starving = self
-            .starved
-            .get(&(txn, step))
-            .is_some_and(|&c| c >= STARVATION_LIMIT);
+            .books
+            .get(txn)
+            .and_then(|steps| steps.get(step))
+            .is_some_and(|b| b.starved >= STARVATION_LIMIT);
         let mut wins = true;
         if !starving {
             let competitors = self
@@ -211,10 +242,16 @@ impl Policy for KWtpgScheduler {
         };
         if !wins {
             self.core.stats.delays_minimality += 1;
-            *self.starved.entry((txn, step)).or_insert(0) += 1;
+            self.book(txn, step).starved += 1;
             return Ok((LockOutcome::Delayed, ops));
         }
-        self.starved.remove(&(txn, step));
+        if let Some(b) = self
+            .books
+            .get_mut(txn)
+            .and_then(|steps| steps.get_mut(step))
+        {
+            b.starved = 0;
+        }
         let implied = self.core.implied_resolutions(txn, s.partition, s.mode);
         let new_edges = !implied.is_empty();
         self.core.grant(txn, step, s, &implied)?;
@@ -227,10 +264,15 @@ impl Policy for KWtpgScheduler {
     }
 
     fn left(&mut self, txn: TxnId) {
-        self.starved.retain(|&(t, _), _| t != txn);
         // The removal bumped the version (expiring survivors' entries); drop
-        // the departed transaction's own entries so the map doesn't grow.
-        self.cache.retain(|&(t, _), _| t != txn);
+        // the departed transaction's own books so the window doesn't grow.
+        let epoch = self.epoch;
+        let steps = self.books.remove(txn).unwrap_or_default();
+        let gone = steps
+            .iter()
+            .filter(|b| b.eq.is_some_and(|(e, _, _)| e == epoch))
+            .count();
+        self.cached = self.cached.saturating_sub(gone);
     }
 }
 

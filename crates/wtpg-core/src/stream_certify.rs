@@ -434,7 +434,7 @@ impl StreamingCertifier {
                 let a = self
                     .core
                     .txns
-                    .get(&txn)
+                    .get(txn)
                     .ok_or_else(|| violation(at, tick, format!("{txn} committed while inactive")))?;
                 if a.next_step != a.spec.len() {
                     return Err(violation(

@@ -26,8 +26,9 @@
 //!
 //! The schedulers hammer `critical_path`, `before`/`after` and
 //! `would_deadlock` on every grant decision, so nodes live in a slot arena:
-//! a contiguous `Vec<Slot>` with a free list, plus a `TxnId → slot` index
-//! that is only touched at admission (`add_txn`) and commit (`remove_txn`).
+//! a contiguous `Vec<Slot>` with a free list, plus a `TxnId → slot` index —
+//! an [`IdWindow`], so the lookup every operation starts with is one
+//! subtraction, and the live slots walk in ascending id order.
 //! Adjacency lists are `TxnId`-sorted `Vec`s carrying the partner's slot, so
 //! traversals walk dense `u32` indices instead of chasing `BTreeMap` nodes,
 //! and the public enumeration orders are unchanged from the map-based
@@ -43,11 +44,11 @@
 //! between structural changes already tolerates.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
 
 use crate::error::CoreError;
 use crate::lock::ArrivalConflict;
 use crate::txn::TxnId;
+use crate::window::IdWindow;
 use crate::work::Work;
 
 /// Orientation of a resolved chain edge, in chain-label order: `Down` means
@@ -167,7 +168,7 @@ impl Scratch {
 pub struct Wtpg {
     slots: Vec<Slot>,
     free: Vec<u32>,
-    index: BTreeMap<TxnId, u32>,
+    index: IdWindow<u32>,
     version: u64,
     scratch: RefCell<Scratch>,
 }
@@ -221,12 +222,12 @@ impl Wtpg {
 
     /// True if `txn` is a live node.
     pub fn contains(&self, txn: TxnId) -> bool {
-        self.index.contains_key(&txn)
+        self.index.contains(txn)
     }
 
     /// Live transaction ids, ascending.
     pub fn txn_ids(&self) -> impl Iterator<Item = TxnId> + '_ {
-        self.index.keys().copied()
+        self.index.keys()
     }
 
     /// Monotone structural version: bumped by every node or edge mutation
@@ -237,7 +238,7 @@ impl Wtpg {
     }
 
     fn lookup(&self, txn: TxnId) -> Result<u32, CoreError> {
-        self.index.get(&txn).copied().ok_or(CoreError::UnknownTxn(txn))
+        self.index.get(txn).copied().ok_or(CoreError::UnknownTxn(txn))
     }
 
     // lint:allow(panic-safety) slot ids are minted by add_txn and always < slots.len()
@@ -257,7 +258,7 @@ impl Wtpg {
     }
 
     pub(crate) fn slot_of(&self, txn: TxnId) -> Option<u32> {
-        self.index.get(&txn).copied()
+        self.index.get(txn).copied()
     }
 
     /// Live slots in ascending `TxnId` order.
@@ -290,7 +291,7 @@ impl Wtpg {
     /// # Errors
     /// [`CoreError::DuplicateTxn`] if the id is already live.
     pub fn add_txn(&mut self, txn: TxnId, t0_weight: Work) -> Result<(), CoreError> {
-        if self.index.contains_key(&txn) {
+        if self.index.contains(txn) {
             return Err(CoreError::DuplicateTxn(txn));
         }
         let s = match self.free.pop() {
@@ -323,7 +324,7 @@ impl Wtpg {
 
     /// Removes a committed (or aborted) transaction and every incident edge.
     pub fn remove_txn(&mut self, txn: TxnId) -> Result<(), CoreError> {
-        let s = self.index.remove(&txn).ok_or(CoreError::UnknownTxn(txn))?;
+        let s = self.index.remove(txn).ok_or(CoreError::UnknownTxn(txn))?;
         // Take the adjacency lists out, detach the partners, then hand the
         // cleared buffers back so a reused slot keeps its capacity.
         let mut out = std::mem::take(&mut self.slot_mut(s).out);
@@ -580,7 +581,7 @@ impl Wtpg {
     // lint:allow(panic-safety) back[j] is the Ok of a binary search on back
     pub fn conflict_edges(&self) -> Vec<(TxnId, TxnId, Work, Work)> {
         let mut out = Vec::new();
-        for (&a, &sa) in &self.index {
+        for (a, &sa) in self.index.iter() {
             for e in &self.slot(sa).conf {
                 if a < e.id {
                     let back = &self.slot(e.slot).conf;
@@ -595,7 +596,7 @@ impl Wtpg {
     /// All precedence edges as `(from, to, weight)`, ascending by source.
     pub fn precedence_edges(&self) -> Vec<(TxnId, TxnId, Work)> {
         let mut out = Vec::new();
-        for (&a, &sa) in &self.index {
+        for (a, &sa) in self.index.iter() {
             for e in &self.slot(sa).out {
                 out.push((a, e.id, e.w));
             }
@@ -604,10 +605,10 @@ impl Wtpg {
     }
 
     /// `before(txn)`: transactions that (transitively) precede `txn` along
-    /// precedence edges (paper §3.3 Step 1).
+    /// precedence edges (paper §3.3 Step 1), ascending.
     // lint:allow(panic-safety) begin_mark sizes `mark` to slots.len(); slot ids are in range
-    pub fn before(&self, txn: TxnId) -> BTreeSet<TxnId> {
-        let mut seen = BTreeSet::new();
+    pub fn before(&self, txn: TxnId) -> Vec<TxnId> {
+        let mut seen = Vec::new();
         let Some(s0) = self.slot_of(txn) else {
             return seen;
         };
@@ -620,17 +621,19 @@ impl Wtpg {
             if mark[s as usize] != epoch {
                 mark[s as usize] = epoch;
                 let slot = self.slot(s);
-                seen.insert(slot.id);
+                seen.push(slot.id);
                 stack.extend(slot.inc.iter().map(|e| e.slot));
             }
         }
+        seen.sort_unstable();
         seen
     }
 
-    /// `after(txn)`: transactions that `txn` (transitively) precedes.
+    /// `after(txn)`: transactions that `txn` (transitively) precedes,
+    /// ascending.
     // lint:allow(panic-safety) begin_mark sizes `mark` to slots.len(); slot ids are in range
-    pub fn after(&self, txn: TxnId) -> BTreeSet<TxnId> {
-        let mut seen = BTreeSet::new();
+    pub fn after(&self, txn: TxnId) -> Vec<TxnId> {
+        let mut seen = Vec::new();
         let Some(s0) = self.slot_of(txn) else {
             return seen;
         };
@@ -643,10 +646,11 @@ impl Wtpg {
             if mark[s as usize] != epoch {
                 mark[s as usize] = epoch;
                 let slot = self.slot(s);
-                seen.insert(slot.id);
+                seen.push(slot.id);
                 stack.extend(slot.out.iter().map(|e| e.slot));
             }
         }
+        seen.sort_unstable();
         seen
     }
 
@@ -765,15 +769,16 @@ impl Wtpg {
 
     /// If the precedence edges are cyclic, names one cycle — for diagnostics
     /// only; the schedulers' grant checks keep live WTPGs acyclic.
-    // lint:allow(panic-safety) nodes has an entry for every txn_id; edges name live txns
     pub fn find_precedence_cycle(&self) -> Option<Vec<TxnId>> {
         let mut dg: wtpg_graph::DiGraph<TxnId, ()> = wtpg_graph::DiGraph::new();
-        let mut nodes = BTreeMap::new();
+        let mut nodes = IdWindow::new();
         for t in self.txn_ids() {
             nodes.insert(t, dg.add_node(t));
         }
         for (a, b, _) in self.precedence_edges() {
-            dg.add_edge(nodes[&a], nodes[&b], ());
+            if let Some((&na, &nb)) = nodes.get(a).zip(nodes.get(b)) {
+                dg.add_edge(na, nb, ());
+            }
         }
         wtpg_graph::find_cycle(&dg).map(|cycle| {
             cycle
@@ -803,7 +808,7 @@ impl Wtpg {
     // lint:allow(panic-safety) indices are validated against slots.len() before use
     pub fn check_invariants(&self) -> Result<(), String> {
         let n = self.slots.len();
-        for (&txn, &s) in &self.index {
+        for (txn, &s) in self.index.iter() {
             let Some(slot) = self.slots.get(s as usize) else {
                 return Err(format!("index maps {txn} to out-of-bounds slot {s}"));
             };
@@ -933,7 +938,7 @@ impl Wtpg {
     pub fn to_dot(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::from("digraph wtpg {\n  rankdir=LR;\n  T0 [shape=doublecircle];\n");
-        for (&t, &st) in &self.index {
+        for (t, &st) in self.index.iter() {
             let _ = writeln!(s, "  \"{t}\";");
             let _ = writeln!(
                 s,
@@ -1060,8 +1065,8 @@ mod tests {
         let mut g = figure2a();
         g.resolve(TxnId(1), TxnId(2)).unwrap();
         g.resolve(TxnId(2), TxnId(3)).unwrap();
-        assert_eq!(g.before(TxnId(3)), BTreeSet::from([TxnId(1), TxnId(2)]));
-        assert_eq!(g.after(TxnId(1)), BTreeSet::from([TxnId(2), TxnId(3)]));
+        assert_eq!(g.before(TxnId(3)), [TxnId(1), TxnId(2)]);
+        assert_eq!(g.after(TxnId(1)), [TxnId(2), TxnId(3)]);
         assert!(g.before(TxnId(1)).is_empty());
     }
 

@@ -11,7 +11,6 @@
 //!   (committed transactions and completed steps) plus per-node
 //!   applied-chunk watermarks, refreshed every few commits.
 
-use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::Read;
 use std::path::Path;
@@ -40,7 +39,7 @@ pub struct NodeSnapshot {
     /// Cells of every partition homed on the node.
     pub parts: Vec<(u32, Vec<u64>)>,
     /// Applied-marks of completed steps: `(txn, step) -> (checksum, units)`.
-    pub marks: Vec<((TxnId, u32), (u64, u64))>,
+    pub marks: Vec<Mark>,
     /// Mid-step progress of incomplete steps.
     pub partials: Vec<((TxnId, u32), Partial)>,
 }
@@ -285,23 +284,27 @@ pub mod files {
     }
 }
 
+/// An applied-mark: `(txn, step) -> (checksum, units)`.
+pub type Mark = ((TxnId, u32), (u64, u64));
+
 /// Assembles a [`NodeSnapshot`] from live actor state — a convenience for
-/// the data actor's periodic checkpointing.
+/// the data actor's periodic checkpointing. `marks` and `partials` are the
+/// actor's books, ascending by key.
 pub fn snapshot_from_state(
     next_lsn: u64,
     store_parts: Vec<(u32, Vec<u64>)>,
     write_units: u64,
     read_checksum: u64,
-    marks: &BTreeMap<(TxnId, u32), (u64, u64)>,
-    partials: &BTreeMap<(TxnId, u32), Partial>,
+    marks: &[Mark],
+    partials: &[((TxnId, u32), Partial)],
 ) -> NodeSnapshot {
     NodeSnapshot {
         next_lsn,
         write_units,
         read_checksum,
         parts: store_parts,
-        marks: marks.iter().map(|(&k, &v)| (k, v)).collect(),
-        partials: partials.iter().map(|(&k, &v)| (k, v)).collect(),
+        marks: marks.to_vec(),
+        partials: partials.to_vec(),
     }
 }
 

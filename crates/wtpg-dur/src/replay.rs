@@ -340,8 +340,6 @@ mod tests {
         let mut wal =
             WalWriter::open(&files::node_wal(&dir, 0), Durability::Buffered, 0, BTreeMap::new())
                 .unwrap();
-        let marks = BTreeMap::new();
-        let partials = BTreeMap::new();
         apply_step(&mut store, &mut wal, 1, 0, 0, AccessMode::Write, 2000, 500);
         // Checkpoint here: replay must only redo what follows.
         let snap = snapshot_from_state(
@@ -349,8 +347,8 @@ mod tests {
             store.snapshot_parts(),
             store.write_units(),
             0,
-            &marks,
-            &partials,
+            &[],
+            &[],
         );
         write_node_snapshot(&files::node_snapshot(&dir, 0), &snap).unwrap();
         apply_step(&mut store, &mut wal, 2, 0, 1, AccessMode::Write, 750, 250);

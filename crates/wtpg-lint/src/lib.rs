@@ -641,7 +641,8 @@ fn crate_of(path_slash: &str) -> Option<&str> {
 ///   flusher sleeping on that same epoch) — both exempt like the runtime
 ///   they serve, and both only *producing* timestamps: the snapshot and
 ///   merge code they feed stays under the determinism rule.
-/// - `panic-safety`: `wtpg-core/src/wtpg.rs`, `estimate.rs`, `sched/*`, and
+/// - `panic-safety`: `wtpg-core/src/wtpg.rs`, `estimate.rs`, `window.rs`
+///   (the id-keyed window every per-transaction book sits on), `sched/*`, and
 ///   all of `wtpg-rt/src` (a panic on an actor thread poisons shared locks),
 ///   `wtpg-obs/src` (observers are called from those same threads) and
 ///   `wtpg-net/src` (a panicking actor deadlocks every peer waiting on it).
@@ -668,7 +669,8 @@ pub fn rules_for(path: &Path) -> RuleSet {
     match krate {
         "wtpg-core" => RuleSet {
             determinism: true,
-            panic_safety: s.ends_with("/wtpg.rs") || s.ends_with("/estimate.rs") || s.contains("/sched/"),
+            panic_safety: ["/wtpg.rs", "/estimate.rs", "/window.rs"].iter().any(|f| s.ends_with(f))
+                || s.contains("/sched/"),
             api_docs: true,
         },
         "wtpg-sim" | "wtpg-workload" | "wtpg-graph" => RuleSet {

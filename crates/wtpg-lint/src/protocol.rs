@@ -32,18 +32,19 @@ pub struct DedupRule {
     pub effects: &'static [&'static str],
 }
 
-/// Control actor: the in-flight step's `outstanding` entry (and the chunk
-/// cursor inside it) gates `step_complete` and `progress` (see
+/// Control actor: the in-flight step's order, filed in its transaction's
+/// record, gates `step_complete` (the reply takes it: `answered`) and, by
+/// the chunk cursor inside it, `progress` (`in_flight`; see
 /// `wtpg-net/src/control.rs`).
 const CONTROL_DEDUP: &[DedupRule] = &[
     DedupRule {
         variant: "AccessDone",
-        dedup: &["outstanding"],
+        dedup: &["answered"],
         effects: &["step_complete"],
     },
     DedupRule {
         variant: "StatsDelta",
-        dedup: &["outstanding"],
+        dedup: &["in_flight"],
         effects: &["progress"],
     },
 ];

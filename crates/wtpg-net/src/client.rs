@@ -35,13 +35,13 @@
 //! What the outcome carries is what is not a count: the exact latency
 //! samples and the shed ids.
 
-use std::collections::BTreeMap;
 use std::iter::{Peekable, StepBy};
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use wtpg_core::txn::{TxnId, TxnSpec};
+use wtpg_core::window::IdWindow;
 use wtpg_obs::window::metric;
 use wtpg_obs::{Counter, Gauge, HistHandle, MsgCounts, Registry};
 
@@ -109,7 +109,7 @@ pub struct ClientActor<'a> {
     watchdog: Duration,
     /// Submissions awaiting their ack: when each was sent, and whether it
     /// is read-only (which latency ledger it lands on).
-    inflight: BTreeMap<TxnId, (Instant, bool)>,
+    inflight: IdWindow<(Instant, bool)>,
     /// While acks are owed, the watchdog's origin: the later of the last
     /// message and the window last filling from empty (idle gaps owe nothing).
     owed_since: Option<Instant>,
@@ -150,7 +150,7 @@ impl<'a> ClientActor<'a> {
             open,
             depth: open.map_or(pipeline, |p| p.inflight).max(1),
             watchdog,
-            inflight: BTreeMap::new(),
+            inflight: IdWindow::new(),
             owed_since: None,
             to_control,
             reg,
@@ -241,7 +241,7 @@ impl Actor for ClientActor<'_> {
         match m {
             Msg::Commit { txn, .. } => {
                 m.count(&mut self.rx);
-                if let Some((sent, reader)) = self.inflight.remove(&txn) {
+                if let Some((sent, reader)) = self.inflight.remove(txn) {
                     self.book_commit(now.saturating_duration_since(sent), reader);
                 }
                 self.owed_since = (!self.inflight.is_empty()).then_some(now);

@@ -41,7 +41,7 @@
 //! Reliability duties on top of the protocol:
 //!
 //! * **Access redelivery** — every `Access` order sent to a data node is
-//!   tracked in an outstanding table; if the matching `AccessDone` does not
+//!   filed in its transaction's record; if the matching `AccessDone` does not
 //!   arrive before a [`Backoff`]-scheduled deadline, the order is re-sent
 //!   (the data node's applied-marks make redelivery idempotent). A node
 //!   that blows past the redelivery budget does *not* fail the run: its
@@ -56,26 +56,34 @@
 //!   per-node chunk-credit tallies, so post-run tooling can cross-check the
 //!   control plane's view against the data nodes' logs.
 //! * **Duplicate absorption** — a writer has at most one step in flight,
-//!   and that step's entry in the outstanding table is its whole dedup
-//!   state: the entry's chunk cursor filters in-flight `StatsDelta`
-//!   duplicates, and the first `AccessDone` removes the entry, so anything
+//!   and that step's order, filed in the writer's own record, is its whole
+//!   dedup state: the order's chunk cursor filters in-flight `StatsDelta`
+//!   duplicates, and the first `AccessDone` takes the order, so anything
 //!   that trails it (the fault layer duplicates whole batches, so a
 //!   duplicated `[StatsDelta…, AccessDone]` frame can follow the original's
-//!   completion, or even the commit) finds no entry and is dropped. Without
+//!   completion, or even the commit) finds no order and is dropped. Without
 //!   this, a duplicated delivery would double-count bulk progress and break
 //!   certification.
+//!
+//! **Indexed books.** Every per-transaction book — the live transactions
+//! with their orders in flight, the finished set — is an [`IdWindow`], and
+//! the blocked requests are one list per partition of the catalog: a
+//! message finds its transaction by index, not by search. Where order feeds
+//! a decision, the walk is the one the ordered maps gave: parked requests
+//! re-driven in ascending id, redeliveries in ascending `(txn, step)`.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use wtpg_core::certify::CertifyMode;
-use wtpg_core::partition::{Catalog, PartitionId};
+use wtpg_core::partition::Catalog;
 use wtpg_core::sched::{Admission, LockOutcome, Scheduler};
 use wtpg_core::time::Tick;
 use wtpg_core::txn::{AccessMode, TxnId, TxnSpec};
+use wtpg_core::window::IdWindow;
 use wtpg_core::work::Work;
 use wtpg_dur::checkpoint::{write_control_checkpoint, ControlCheckpoint};
 use wtpg_mvcc::{gc_floor, ActiveSnapshots, CommitLog, GcWatermark, ReadObservation, ReaderRecord};
@@ -183,7 +191,9 @@ pub struct MvccAudit {
 
 /// One unanswered `Access` (or `SnapshotRead`) order awaiting its reply.
 /// For a writer this is also the in-flight step's whole dedup state.
+#[derive(Clone)]
 struct Outstanding {
+    step: u32,
     node: usize,
     attempts: u32,
     deadline: Instant,
@@ -233,7 +243,7 @@ impl CtrlTel {
 /// in-flight read-only BAT.
 ///
 /// Memory note: `log` and `records` grow with run length (as does the
-/// actor's `finished` set) — they are the post-run snapshot certifier's
+/// actor's `finished` set, one byte per id) — they are the post-run snapshot certifier's
 /// input, which (unlike the writer history under `stream_certify`) is not
 /// yet certified as a stream.
 /// Endurance cells that must stay memory-bounded should run the snapshot
@@ -245,8 +255,6 @@ struct MvccPlane {
     log: CommitLog,
     /// Snapshots currently being read (GC floor input).
     active: ActiveSnapshots,
-    /// In-flight read-only BATs by id.
-    readers: BTreeMap<TxnId, ReaderState>,
     /// Certification records of retired readers.
     records: Vec<ReaderRecord>,
     /// Published per-partition GC floors (data actors poll this for
@@ -272,22 +280,24 @@ impl MvccPlane {
     }
 }
 
-/// One in-flight read-only BAT: its snapshot and the replies collected so
-/// far. Readers never touch the scheduler, the lock table, or the WTPG —
-/// their whole lifecycle is this struct plus the outstanding-order table.
+/// One in-flight read-only BAT: its snapshot, its orders and the replies
+/// collected so far. Readers never touch the scheduler, the lock table, or
+/// the WTPG — their whole lifecycle is this struct.
 struct ReaderState {
     client: u32,
     snapshot: Tick,
     /// Partition of each step (fills observations from replies).
     parts: Vec<u32>,
+    /// Per-step `SnapshotRead` order, until its first reply.
+    orders: Vec<Option<Outstanding>>,
     /// Per-step observation, filled as `SnapshotReply`s land (any order).
     obs: Vec<Option<ReadObservation>>,
     /// Steps still awaiting their first reply.
     pending: usize,
 }
 
-/// One transaction's drive-state: where the control actor will pick it up
-/// the next time it is drivable.
+/// One writer's drive-state: where the control actor will pick it up the
+/// next time it is drivable, and the one step order it has in flight.
 struct TxnState {
     client: u32,
     spec: TxnSpec,
@@ -297,6 +307,46 @@ struct TxnState {
     /// Consecutive failed drive attempts (admission rejections or
     /// blocked/delayed step requests) since the last success.
     attempts: u32,
+    /// The granted step's `Access` order, until its `AccessDone`.
+    order: Option<Outstanding>,
+}
+
+/// One live transaction of the shard: a writer on the scheduler path, or a
+/// reader on the snapshot plane.
+enum Live {
+    Writer(TxnState),
+    Reader(ReaderState),
+}
+
+impl Live {
+    /// Where an order for `step` is filed: a writer's one slot, a reader's
+    /// slot for that step.
+    fn slot(&mut self, step: u32) -> Option<&mut Option<Outstanding>> {
+        match self {
+            Live::Writer(t) => Some(&mut t.order),
+            Live::Reader(r) => r.orders.get_mut(step as usize),
+        }
+    }
+
+    /// The order in flight for `step`.
+    fn in_flight(&mut self, step: u32) -> Option<&mut Outstanding> {
+        self.slot(step)?.as_mut().filter(|o| o.step == step)
+    }
+
+    /// Takes the order in flight for `step`: its reply has come.
+    fn answered(&mut self, step: u32) -> Option<Outstanding> {
+        let slot = self.slot(step)?;
+        slot.take_if(|o| o.step == step)
+    }
+
+    /// Every order in flight, ascending by step.
+    fn orders_mut(&mut self) -> impl Iterator<Item = &mut Outstanding> {
+        let (one, many) = match self {
+            Live::Writer(t) => (t.order.as_mut(), None),
+            Live::Reader(r) => (None, Some(r.orders.iter_mut().flatten())),
+        };
+        one.into_iter().chain(many.into_iter().flatten())
+    }
 }
 
 impl TxnState {
@@ -333,14 +383,20 @@ pub struct ControlActor<'a> {
     /// When the last message was popped: the silence watchdog's origin
     /// (the first idle wake-up, until one is).
     last_message: Option<Instant>,
-    txns: BTreeMap<TxnId, TxnState>,
+    /// Every live transaction, writers and readers, with its orders in
+    /// flight.
+    txns: IdWindow<Live>,
     /// Delayed requests, re-asked on every step completion, commit and
     /// quiet poll; a freeing commit moves its partitions' waiters here too.
-    parked: BTreeSet<TxnId>,
-    /// Blocked requests by the partition a held lock keeps them from, in
-    /// arrival order: nothing but a commit frees a lock, so nothing else
-    /// re-asks them.
-    blocked: BTreeMap<PartitionId, Vec<TxnId>>,
+    /// Re-driven in ascending id, once each.
+    parked: Vec<TxnId>,
+    /// The buffer `retry_parked` walks while `parked` fills afresh: the two
+    /// swap, so no retry allocates.
+    retrying: Vec<TxnId>,
+    /// Blocked requests by the partition a held lock keeps them from (one
+    /// list per partition of the catalog), in arrival order: nothing but a
+    /// commit frees a lock, so nothing else re-asks them.
+    blocked: Vec<Vec<TxnId>>,
     /// Admission flow control: submissions beyond `admit_window`
     /// concurrently-admitted transactions queue here (FIFO) without ever
     /// touching the scheduler, so pipelined clients cannot flood the WTPG
@@ -349,7 +405,6 @@ pub struct ControlActor<'a> {
     /// Transactions currently admitted and not yet committed or aborted.
     active: usize,
     admit_window: usize,
-    outstanding: BTreeMap<(TxnId, u32), Outstanding>,
     /// Chunk credits applied per data node (checkpoint cross-check datum).
     node_chunks: Vec<u64>,
     /// Control-checkpoint destination (`None` disables checkpointing).
@@ -360,7 +415,7 @@ pub struct ControlActor<'a> {
     commits: u64,
     /// Committed writers and retired readers. A transaction's drive-state
     /// is retired when it finishes; this set absorbs its late duplicates.
-    finished: BTreeSet<TxnId>,
+    finished: IdWindow<()>,
     rx: MsgCounts,
     tx: MsgCounts,
     data_rtts_us: Vec<u64>,
@@ -404,18 +459,18 @@ impl<'a> ControlActor<'a> {
             shard: params.shard,
             watchdog: params.watchdog,
             last_message: None,
-            txns: BTreeMap::new(),
-            parked: BTreeSet::new(),
-            blocked: BTreeMap::new(),
+            txns: IdWindow::new(),
+            parked: Vec::new(),
+            retrying: Vec::new(),
+            blocked: vec![Vec::new(); catalog.num_parts() as usize],
             backlog: VecDeque::new(),
             active: 0,
             admit_window: params.admit_window.max(1),
-            outstanding: BTreeMap::new(),
             node_chunks: vec![0; to_data.len()],
             ckpt: params.ckpt,
             completed_steps: 0,
             commits: 0,
-            finished: BTreeSet::new(),
+            finished: IdWindow::new(),
             rx: MsgCounts::default(),
             tx: MsgCounts::default(),
             data_rtts_us: Vec::new(),
@@ -427,7 +482,6 @@ impl<'a> ControlActor<'a> {
             mvcc: params.mvcc.map(|watermark| MvccPlane {
                 log: CommitLog::new(),
                 active: ActiveSnapshots::new(),
-                readers: BTreeMap::new(),
                 records: Vec::new(),
                 watermark,
             }),
@@ -524,8 +578,7 @@ impl ControlActor<'_> {
     /// nothing is live. Per-link FIFO (and the router's in-order dealing)
     /// puts each client's `Submit`s ahead of its `Shutdown`.
     fn flow(&self) -> Flow {
-        let readers = self.mvcc.as_ref().map_or(0, |p| p.readers.len());
-        if self.done_clients < self.clients || self.txns.len() + readers > 0 {
+        if self.done_clients < self.clients || !self.txns.is_empty() {
             return Flow::Continue;
         }
         Flow::Stop
@@ -565,7 +618,7 @@ impl ControlActor<'_> {
     }
 
     /// Sends `order` for `(txn, step)` to `node` and files it in the
-    /// outstanding table until its reply arrives.
+    /// transaction's record until its reply arrives.
     fn issue(
         &mut self,
         txn: TxnId,
@@ -575,7 +628,18 @@ impl ControlActor<'_> {
         now: Instant,
     ) -> Result<(), NetError> {
         self.send_data(node, order.clone(), false, now)?;
-        self.outstanding.insert((txn, step), Outstanding {
+        let slot = self
+            .txns
+            .get_mut(txn)
+            .and_then(|t| t.slot(step))
+            .ok_or_else(|| {
+                NetError::Protocol(format!(
+                    "issuing step {step} of txn {}, which has no slot for it",
+                    txn.0
+                ))
+            })?;
+        *slot = Some(Outstanding {
+            step,
             node,
             attempts: 0,
             deadline: now + Duration::from_micros(self.retry.delay_us(0)),
@@ -591,10 +655,9 @@ impl ControlActor<'_> {
     /// then its next step request, then the commit once every step is done.
     /// A turned-away decision parks the transaction for event-driven retry.
     fn drive(&mut self, txn: TxnId, now: Instant) -> Result<(), NetError> {
-        let state = self
-            .txns
-            .get_mut(&txn)
-            .ok_or_else(|| NetError::Protocol(format!("driving unknown txn {}", txn.0)))?;
+        let Some(Live::Writer(state)) = self.txns.get_mut(txn) else {
+            return Err(NetError::Protocol(format!("driving unknown txn {}", txn.0)));
+        };
         if !state.admitted {
             if self.active >= self.admit_window {
                 // Flow control, not a scheduler verdict: hold the
@@ -633,8 +696,8 @@ impl ControlActor<'_> {
             // Wake the requests blocked on what the commit released; the
             // caller's `retry_parked` re-asks them.
             for p in freed {
-                if let Some(waiters) = self.blocked.remove(&p) {
-                    self.parked.extend(waiters);
+                if let Some(waiters) = self.blocked.get_mut(p.0 as usize) {
+                    self.parked.append(waiters);
                 }
             }
             if let Some(plane) = self.mvcc.as_mut() {
@@ -644,7 +707,7 @@ impl ControlActor<'_> {
                 plane.log.note_commit(txn, tick);
                 plane.publish_floors(state.spec.steps().iter().map(|s| s.partition.0).collect());
             }
-            self.finished.insert(txn);
+            self.finished.insert(txn, ());
             self.commits += 1;
             self.active = self.active.saturating_sub(1);
             self.tel.commits.inc();
@@ -652,7 +715,7 @@ impl ControlActor<'_> {
             // The transaction is over: retire its drive-state. Late
             // duplicates (Submit or data-plane replies) are absorbed by
             // the `finished` set.
-            self.txns.remove(&txn);
+            self.txns.remove(txn);
             return self.send_to_client(client, &Msg::Commit { client, txn });
         };
         match self.control.request(txn, step)? {
@@ -687,9 +750,12 @@ impl ControlActor<'_> {
             outcome => {
                 state.charge_attempt(txn, &self.tel.max_retry_streak)?;
                 if outcome == LockOutcome::Blocked {
-                    self.blocked.entry(declared.partition).or_default().push(txn);
+                    // In the catalog: `Submit` refuses any other partition.
+                    if let Some(waiters) = self.blocked.get_mut(declared.partition.0 as usize) {
+                        waiters.push(txn);
+                    }
                 } else {
-                    self.parked.insert(txn);
+                    self.parked.push(txn);
                 }
                 Ok(())
             }
@@ -700,9 +766,9 @@ impl ControlActor<'_> {
     /// tick, register it with the GC-floor bookkeeping, and issue one
     /// `SnapshotRead` per step. No scheduler, no locks, no WTPG node —
     /// the reader cannot block a writer or another reader, and nothing
-    /// blocks it. Orders land in the same outstanding table as `Access`,
-    /// so redelivery, `Recover` re-sends, and data-RTT accounting are
-    /// uniform across both planes.
+    /// blocks it. Orders are filed in the reader's record as a writer's are
+    /// in its own, so redelivery, `Recover` re-sends, and data-RTT
+    /// accounting are uniform across both planes.
     fn admit_reader(
         &mut self,
         client: u32,
@@ -763,15 +829,16 @@ impl ControlActor<'_> {
                     },
                 ));
             }
-            plane.readers.insert(
+            self.txns.insert(
                 txn,
-                ReaderState {
+                Live::Reader(ReaderState {
                     client,
                     snapshot,
                     parts,
+                    orders: vec![None; spec.len()],
                     obs: vec![None; spec.len()],
                     pending: spec.len(),
-                },
+                }),
             );
         }
         for (node, step, order) in orders {
@@ -783,15 +850,20 @@ impl ControlActor<'_> {
     /// Re-drives every parked transaction once, in id order: the delayed
     /// requests and the blocked ones a commit just woke. Called after step
     /// completions and commits (the events that change what the scheduler
-    /// will answer) and on the idle poll.
+    /// will answer) and on the idle poll. What the re-drives park again
+    /// waits in the other buffer for the next round.
     fn retry_parked(&mut self, now: Instant) -> Result<(), NetError> {
         if self.parked.is_empty() {
             return Ok(());
         }
-        let waiting: Vec<TxnId> = std::mem::take(&mut self.parked).into_iter().collect();
-        for txn in waiting {
+        let mut waiting = std::mem::replace(&mut self.parked, std::mem::take(&mut self.retrying));
+        waiting.sort_unstable();
+        waiting.dedup();
+        for &txn in &waiting {
             self.drive(txn, now)?;
         }
+        waiting.clear();
+        self.retrying = waiting;
         Ok(())
     }
 
@@ -815,13 +887,16 @@ impl ControlActor<'_> {
     }
 
     /// A write-plane reply that finds no order in flight under its key. A
-    /// writer's only in-flight step is the one in the outstanding table, so
-    /// the reply either duplicates a step that already completed (or whose
+    /// writer's only in-flight step is the one its record holds, so the
+    /// reply either duplicates a step that already completed (or whose
     /// transaction already committed) and is dropped, or answers an order
     /// this actor never issued.
     fn late_reply(&self, txn: TxnId, step: u32, what: &str) -> Result<(), NetError> {
-        let next_step = self.txns.get(&txn).map_or(0, |t| t.next_step);
-        if self.finished.contains(&txn) || (step as usize) < next_step {
+        let next_step = match self.txns.get(txn) {
+            Some(Live::Writer(t)) => t.next_step,
+            _ => 0,
+        };
+        if self.finished.contains(txn) || (step as usize) < next_step {
             return Ok(());
         }
         Err(NetError::Protocol(format!(
@@ -847,30 +922,32 @@ impl ControlActor<'_> {
                 step: None,
                 spec: Some(spec),
             } => {
-                if self.txns.contains_key(&txn)
-                    || self.finished.contains(&txn)
-                    || self
-                        .mvcc
-                        .as_ref()
-                        .is_some_and(|p| p.readers.contains_key(&txn))
-                {
+                if self.txns.contains(txn) || self.finished.contains(txn) {
                     // Duplicate delivery of a submission already being
                     // driven (or already finished): ignore, or the txn
                     // would enter the backlog twice.
                     return Ok(());
+                }
+                let parts = self.catalog.num_parts();
+                if let Some(s) = spec.steps().iter().find(|s| s.partition.0 >= parts) {
+                    return Err(NetError::Protocol(format!(
+                        "txn {} names partition {}, outside the {parts}-partition catalog",
+                        txn.0, s.partition.0
+                    )));
                 }
                 if self.mvcc.is_some() && spec.is_read_only() {
                     return self.admit_reader(client, txn, &spec, now);
                 }
                 self.txns.insert(
                     txn,
-                    TxnState {
+                    Live::Writer(TxnState {
                         client,
                         spec,
                         next_step: 0,
                         admitted: false,
                         attempts: 0,
-                    },
+                        order: None,
+                    }),
                 );
                 self.drive(txn, now)
             }
@@ -880,7 +957,7 @@ impl ControlActor<'_> {
                 chunk,
                 units,
             } => {
-                let Some(o) = self.outstanding.get_mut(&(txn, step)) else {
+                let Some(o) = self.txns.get_mut(txn).and_then(|t| t.in_flight(step)) else {
                     return self.late_reply(txn, step, "StatsDelta");
                 };
                 if chunk < o.next_chunk {
@@ -900,13 +977,13 @@ impl ControlActor<'_> {
                 Ok(())
             }
             Msg::AccessDone { txn, step, .. } => {
-                let Some(o) = self.outstanding.remove(&(txn, step)) else {
+                let Some(o) = self.txns.get_mut(txn).and_then(|t| t.answered(step)) else {
                     return self.late_reply(txn, step, "AccessDone");
                 };
                 self.control.step_complete(txn, step as usize)?;
                 self.book_rtt(o.sent_at, now);
                 self.completed_steps += 1;
-                if let Some(t) = self.txns.get_mut(&txn) {
+                if let Some(Live::Writer(t)) = self.txns.get_mut(txn) {
                     t.next_step = step as usize + 1;
                 }
                 // Pipeline: request the next step (or commit) immediately,
@@ -935,7 +1012,7 @@ impl ControlActor<'_> {
                 checksum,
                 units,
             } => {
-                if let Some(o) = self.outstanding.remove(&(txn, step)) {
+                if let Some(o) = self.txns.get_mut(txn).and_then(|t| t.answered(step)) {
                     self.book_rtt(o.sent_at, now);
                     // The certifier's expected checksum is computed with the
                     // unit count the *reply* echoes, so a node that scanned
@@ -961,10 +1038,10 @@ impl ControlActor<'_> {
                         txn.0
                     )));
                 };
-                if self.finished.contains(&txn) {
+                if self.finished.contains(txn) {
                     return Ok(()); // late duplicate after the reader retired
                 }
-                let Some(r) = plane.readers.get_mut(&txn) else {
+                let Some(Live::Reader(r)) = self.txns.get_mut(txn) else {
                     return Err(NetError::Protocol(format!(
                         "SnapshotReply for unknown reader {}",
                         txn.0
@@ -998,11 +1075,10 @@ impl ControlActor<'_> {
                 // Every step answered: retire the reader. Record it for
                 // certification, release its snapshot (raising GC floors
                 // it was holding down), and ack the client.
-                let r = plane
-                    .readers
-                    .remove(&txn)
-                    .expect("invariant: reader was just borrowed from this map");
-                self.finished.insert(txn);
+                let Some(Live::Reader(r)) = self.txns.remove(txn) else {
+                    return Err(NetError::Protocol(format!("reader {} vanished mid-reply", txn.0)));
+                };
+                self.finished.insert(txn, ());
                 plane.active.end(txn);
                 plane.records.push(ReaderRecord {
                     txn,
@@ -1056,7 +1132,7 @@ impl ControlActor<'_> {
     /// forced out.
     fn resend(&mut self, rejoined: Option<usize>, now: Instant) -> Result<u32, NetError> {
         let mut resend = Vec::new();
-        for o in self.outstanding.values_mut() {
+        for o in self.txns.values_mut().flat_map(Live::orders_mut) {
             match rejoined {
                 Some(node) if o.node == node => {
                     o.attempts = 0;
@@ -1121,7 +1197,7 @@ impl ControlActor<'_> {
     /// invisible anyway.
     fn update_gauges(&self) {
         self.tel.backlog.set(self.backlog.len() as u64);
-        let blocked: usize = self.blocked.values().map(Vec::len).sum();
+        let blocked: usize = self.blocked.iter().map(Vec::len).sum();
         self.tel.parked.set((self.parked.len() + blocked) as u64);
     }
 

@@ -28,6 +28,10 @@
 //!
 //! **One reply path per order.** An applied step leaves a mark (checksum
 //! and unit count); a step a kill cut short leaves a [`Partial`] in the log.
+//! Marks, partials and snapshot-read memos are [`StepBook`]s: one `Vec`
+//! sorted by `(txn, step)`, which orders arrive in nearly ascending — so a
+//! mark costs its 32 bytes, a lookup one binary search, an insert an append
+//! or a short shift — and which the node snapshot copies as it stands.
 //! An `Access` order looks up how far its step already got — a mark is all
 //! of it, a `Partial` its `next_chunk`, otherwise nothing — and walks the
 //! step's chunks once ([`wtpg_rt::store::chunks`]): chunks already applied
@@ -171,6 +175,45 @@ impl DataTel {
     }
 }
 
+/// A per-step book: `(txn, step) → V`, one `Vec` sorted by key (see the
+/// module docs).
+#[derive(Default)]
+struct StepBook<V>(Vec<((TxnId, u32), V)>);
+
+impl<V: Copy> StepBook<V> {
+    /// Where `key` is, or would go; keys at or past the last are one
+    /// comparison.
+    fn find(&self, key: (TxnId, u32)) -> Result<usize, usize> {
+        match self.0.last() {
+            None => Err(0),
+            Some(&(last, _)) if last < key => Err(self.0.len()),
+            Some(&(last, _)) if last == key => Ok(self.0.len() - 1),
+            Some(_) => self.0.binary_search_by(|(k, _)| k.cmp(&key)),
+        }
+    }
+
+    fn get(&self, key: (TxnId, u32)) -> Option<V> {
+        let i = self.find(key).ok()?;
+        self.0.get(i).map(|&(_, v)| v)
+    }
+
+    fn insert(&mut self, key: (TxnId, u32), value: V) {
+        match self.find(key) {
+            Ok(i) => {
+                if let Some(entry) = self.0.get_mut(i) {
+                    entry.1 = value;
+                }
+            }
+            Err(i) => self.0.insert(i, (key, value)),
+        }
+    }
+
+    fn remove(&mut self, key: (TxnId, u32)) -> Option<V> {
+        let i = self.find(key).ok()?;
+        Some(self.0.remove(i).1)
+    }
+}
+
 /// Being down: until `until`, whatever is delivered is lost.
 struct Down {
     until: Instant,
@@ -191,10 +234,11 @@ pub struct DataActor<'a> {
     down: Option<Down>,
     // From here on, the incarnation: what a kill destroys.
     store: NodeStore,
-    marks: BTreeMap<(TxnId, u32), (u64, u64)>,
+    /// Applied steps: `(txn, step) → (checksum, units)`.
+    marks: StepBook<(u64, u64)>,
     /// Mid-step progress recovered from the log: the next redelivered
     /// `Access` for the key resumes from `next_chunk` instead of chunk 0.
-    partials: BTreeMap<(TxnId, u32), Partial>,
+    partials: StepBook<Partial>,
     wal: Option<WalWriter>,
     replies: Coalescer,
     rx: MsgCounts,
@@ -208,7 +252,7 @@ pub struct DataActor<'a> {
     /// redelivered `SnapshotRead` answers from here — the chain may have
     /// pruned past the original horizon by then, so recomputing could
     /// diverge; the memo keeps redelivery byte-identical.
-    snap_marks: BTreeMap<(TxnId, u32), (u64, u64)>,
+    snap_marks: StepBook<(u64, u64)>,
     /// Eviction index over `snap_marks`: per partition, `(hold, txn, step)`
     /// ordered by the read's hold (`min(horizon, smallest excluded seq)` —
     /// the same value capping the control-side GC floor). The floor rising
@@ -245,15 +289,15 @@ impl<'a> DataActor<'a> {
             processed: 0,
             down: None,
             store: NodeStore::for_node(cfg.catalog, cfg.node),
-            marks: BTreeMap::new(),
-            partials: BTreeMap::new(),
+            marks: StepBook::default(),
+            partials: StepBook::default(),
             wal: open_writer(&cfg, 0, BTreeMap::new())?,
             replies,
             rx: MsgCounts::default(),
             read_checksum: 0,
             snapshot_due: SNAPSHOT_EVERY,
             chains: BTreeMap::new(),
-            snap_marks: BTreeMap::new(),
+            snap_marks: StepBook::default(),
             snap_mark_holds: BTreeMap::new(),
             cfg,
         })
@@ -389,8 +433,8 @@ impl DataActor<'_> {
         }
         self.wal = open_writer(&self.cfg, rec.next_lsn, rec.tails)?;
         self.store = rec.store;
-        self.marks = rec.marks;
-        self.partials = rec.partials;
+        self.marks = StepBook(rec.marks.into_iter().collect());
+        self.partials = StepBook(rec.partials.into_iter().collect());
         self.read_checksum = rec.read_checksum;
         self.snapshot_due = rec.next_lsn + SNAPSHOT_EVERY;
         let announced = !announce
@@ -478,8 +522,8 @@ impl DataActor<'_> {
             self.store.snapshot_parts(),
             self.store.write_units(),
             self.read_checksum,
-            &self.marks,
-            &self.partials,
+            &self.marks.0,
+            &self.partials.0,
         );
         write_node_snapshot(&files::node_snapshot(dir, self.cfg.node), &snap)?;
         self.tel.checkpoints.inc();
@@ -504,7 +548,7 @@ impl DataActor<'_> {
                 // retirement — an active reader caps the floor at its hold.
                 while let Some(&(_, txn, step)) = idx.first().filter(|&&(hold, ..)| hold < floor) {
                     idx.pop_first();
-                    self.snap_marks.remove(&(txn, step));
+                    self.snap_marks.remove((txn, step));
                 }
             }
         }
@@ -542,11 +586,11 @@ impl DataActor<'_> {
                 debug_assert_eq!(self.cfg.catalog.node_of(partition), self.cfg.node);
                 // How far the step already got: a mark is all of it (answer,
                 // don't re-apply), a recovered partial its durable prefix.
-                let marked = self.marks.get(&(txn, step)).copied();
+                let marked = self.marks.get((txn, step));
                 let (applied_chunks, mut checksum) = match marked {
                     Some((checksum, _)) => (u64::MAX, checksum),
                     None => {
-                        let p = self.partials.remove(&(txn, step)).unwrap_or_default();
+                        let p = self.partials.remove((txn, step)).unwrap_or_default();
                         (p.next_chunk, p.checksum)
                     }
                 };
@@ -626,7 +670,7 @@ impl DataActor<'_> {
                         self.cfg.node
                     )));
                 }
-                let (checksum, units) = if let Some(&memo) = self.snap_marks.get(&(txn, step)) {
+                let (checksum, units) = if let Some(memo) = self.snap_marks.get((txn, step)) {
                     memo // Redelivery: answer from the memo (see `snap_marks`).
                 } else {
                     let chain = self.chains.entry(partition.0).or_default();
@@ -687,7 +731,7 @@ impl DataActor<'_> {
             .values()
             .map(VersionChain::totals)
             .fold((0, 0, 0), |(a, p, peak), (da, dp, k)| (a + da, p + dp, k.max(peak)));
-        self.snap_marks.clear();
+        self.snap_marks.0.clear();
         self.snap_mark_holds.clear();
         crate::publish(
             reg,

@@ -523,3 +523,59 @@ fn a_delayed_request_is_re_asked_on_every_step_completion() {
         "txn 3's step completion re-asked txn 2"
     );
 }
+
+/// A TCP peer may name any transaction id. Ids far apart — which the
+/// shard's books keep beside their dense window, allocating no gap — are
+/// admitted, redelivered in ascending id order, committed, and their late
+/// duplicates absorbed, exactly as dense ones are.
+#[test]
+fn ids_far_apart_are_driven_like_dense_ones() {
+    let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
+    let mut ctl = start(params(&reg, "chain", 1), &catalog, 1000, &l);
+    let t0 = Instant::now();
+    let ids = [3, 1 << 40, u64::MAX];
+    for (txn, partition) in ids.into_iter().zip([0, 2, 0]) {
+        ctl.deliver(submit(0, txn, vec![StepSpec::write(partition, 1.0)]), t0)
+            .unwrap();
+    }
+    ctl.before_block(t0).unwrap();
+    assert_eq!(
+        accesses(l.data[0].take()),
+        [3, 1 << 40],
+        "the third waits on partition 0"
+    );
+    ctl.idle(t0 + us(RETRY.delay_us(0))).unwrap();
+    assert_eq!(
+        accesses(l.data[0].take()),
+        [3, 1 << 40],
+        "redelivered in ascending id order"
+    );
+    for txn in ids {
+        ctl.deliver(done(txn, 1000), t0).unwrap();
+        ctl.deliver(done(txn, 1000), t0).unwrap();
+    }
+    ctl.before_block(t0).unwrap();
+    assert_eq!(acks(l.clients[0].take()), ids);
+    assert_eq!(ctl.deliver(Msg::Shutdown, t0).unwrap(), Flow::Stop);
+    let out = ctl.finish().expect("finishes");
+    assert_eq!(out.audit.counters.commits, 3);
+    assert_eq!(out.audit.specs.keys().map(|t| t.0).collect::<Vec<_>>(), ids);
+}
+
+/// A submission naming a partition outside the catalog is refused as a
+/// protocol error before any book or lock table sizes itself by it.
+#[test]
+fn a_submission_outside_the_catalog_is_a_protocol_error() {
+    let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
+    let mut ctl = start(params(&reg, "chain", 1), &catalog, 1000, &l);
+    let err = ctl
+        .deliver(
+            submit(0, 1, vec![StepSpec::write(u32::MAX, 1.0)]),
+            Instant::now(),
+        )
+        .unwrap_err();
+    assert!(
+        matches!(&err, NetError::Protocol(m) if m.contains("outside")),
+        "{err:?}"
+    );
+}

@@ -210,6 +210,46 @@ fn seeded_interleavings_under_link_faults_stop_certify_and_conserve() {
     }
 }
 
+/// One line per seed — `sched faulted seed digest` — over seeds 1–50 ×
+/// {chain, k2} × {fault-free, faulted}, the digest being the FNV-1a hash of
+/// the run's history string.
+const DIGESTS: &str = include_str!("golden/interleave_digests.txt");
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Pins concurrent decisions by value: a change to a book's data structure
+/// that reorders any decision, message or wake shows as a changed digest.
+#[test]
+fn seeded_interleavings_match_the_committed_digests() {
+    let mut actual = String::new();
+    for faulted in [false, true] {
+        for sched in ["chain", "k2"] {
+            for seed in 1..=50 {
+                let ran = run_seed(sched, seed, faulted)
+                    .unwrap_or_else(|e| panic!("run_seed({sched:?}, {seed}, {faulted}): {e}"));
+                actual += &format!(
+                    "{sched} {faulted} {seed} {:016x}\n",
+                    fnv1a(ran.history.as_bytes())
+                );
+            }
+        }
+    }
+    if actual != DIGESTS {
+        let path = std::env::temp_dir().join("interleave_digests.actual.txt");
+        std::fs::write(&path, &actual).expect("write the observed digests");
+        panic!(
+            "interleaving histories drifted from tests/golden/interleave_digests.txt; \
+             observed digests written to {}",
+            path.display()
+        );
+    }
+}
+
 #[test]
 fn a_faulted_seed_repeats_its_history_exactly() {
     for sched in ["chain", "k2"] {

@@ -42,6 +42,7 @@ use wtpg_core::partition::PartitionId;
 use wtpg_core::sched::{Admission, ControlOps, LockOutcome, Scheduler};
 use wtpg_core::time::{LogicalClock, Tick};
 use wtpg_core::txn::{TxnId, TxnSpec};
+use wtpg_core::window::IdWindow;
 use wtpg_core::work::Work;
 
 /// Counters of every control-node decision.
@@ -101,9 +102,14 @@ impl SchedTelemetry {
 /// The machine's single admission/lock-grant authority.
 pub struct ControlNode {
     sched: Box<dyn Scheduler + Send>,
-    history: History,
-    specs: BTreeMap<TxnId, TxnSpec>,
-    counters: ControlCounters,
+    /// What the node records, kept as the audit it becomes: the history and
+    /// the counters, and — in-memory mode — the declarations of the
+    /// committed transactions, each moved there at its commit. The audit's
+    /// map is thus built once, as the run goes, and never copied.
+    audit: ControlAudit,
+    /// Declarations of the transactions not committed yet, by id: one
+    /// lookup per arrival and per grant.
+    live: IdWindow<TxnSpec>,
     clock: LogicalClock,
     /// Streaming mode: events go down this channel instead of into the
     /// in-memory history. A send failure means the certifier already died
@@ -147,9 +153,14 @@ impl ControlNode {
     ) -> ControlNode {
         ControlNode {
             sched,
-            history: History::new(),
-            specs: BTreeMap::new(),
-            counters: ControlCounters::default(),
+            audit: ControlAudit {
+                history: History::new(),
+                specs: BTreeMap::new(),
+                counters: ControlCounters::default(),
+                final_tick: Tick::ZERO,
+                stats: ControlStats::default(),
+            },
+            live: IdWindow::new(),
             clock: LogicalClock::new(),
             stream,
             block: Vec::new(),
@@ -163,7 +174,7 @@ impl ControlNode {
         if self.stream.is_some() {
             self.stream_item(StreamItem::Event(now, ev));
         } else {
-            self.history.push(now, ev);
+            self.audit.history.push(now, ev);
         }
     }
 
@@ -189,22 +200,23 @@ impl ControlNode {
     pub fn arrive(&mut self, spec: &TxnSpec) -> Result<Admission, CoreError> {
         let now = self.clock.next();
         let (admission, ops) = self.sched.on_arrive(spec, now)?;
-        self.counters.ops = self.counters.ops.merge(ops);
+        let counters = &mut self.audit.counters;
+        counters.ops = counters.ops.merge(ops);
         // First sight of this id: the certifier needs the declaration
         // before either admission verdict (re-admission reuses the id).
-        if let std::collections::btree_map::Entry::Vacant(e) = self.specs.entry(spec.id) {
-            e.insert(spec.clone());
+        if !self.live.contains(spec.id) {
+            self.live.insert(spec.id, spec.clone());
             if self.stream.is_some() {
                 self.stream_item(StreamItem::Spec(spec.clone()));
             }
         }
         match admission {
             Admission::Admitted => {
-                self.counters.admissions += 1;
+                self.audit.counters.admissions += 1;
                 self.record(now, Event::Admitted(spec.id));
             }
             Admission::Rejected => {
-                self.counters.rejections += 1;
+                self.audit.counters.rejections += 1;
                 if let Some(t) = &self.tel {
                     t.rejects.inc();
                 }
@@ -220,16 +232,17 @@ impl ControlNode {
     pub fn request(&mut self, txn: TxnId, step: usize) -> Result<LockOutcome, CoreError> {
         let now = self.clock.next();
         let (outcome, ops) = self.sched.on_request(txn, step, now)?;
-        self.counters.ops = self.counters.ops.merge(ops);
+        let counters = &mut self.audit.counters;
+        counters.ops = counters.ops.merge(ops);
         match outcome {
             LockOutcome::Granted => {
-                self.counters.grants += 1;
+                counters.grants += 1;
                 if let Some(t) = &self.tel {
                     t.grants.inc();
                 }
                 let declared = self
-                    .specs
-                    .get(&txn)
+                    .live
+                    .get(txn)
                     .and_then(|spec| spec.steps().get(step))
                     .copied()
                     .ok_or(CoreError::BadStep { txn, step })?;
@@ -244,13 +257,13 @@ impl ControlNode {
                 );
             }
             LockOutcome::Blocked => {
-                self.counters.blocks += 1;
+                counters.blocks += 1;
                 if let Some(t) = &self.tel {
                     t.delays.inc();
                 }
             }
             LockOutcome::Delayed => {
-                self.counters.delays += 1;
+                counters.delays += 1;
                 if let Some(t) = &self.tel {
                     t.delays.inc();
                 }
@@ -283,13 +296,14 @@ impl ControlNode {
     pub fn commit(&mut self, txn: TxnId) -> Result<(Tick, Vec<PartitionId>), CoreError> {
         let now = self.clock.next();
         let freed = self.sched.on_commit(txn, now)?.freed;
-        self.counters.commits += 1;
+        self.audit.counters.commits += 1;
         self.record(now, Event::Committed(txn));
-        if self.stream.is_some() {
-            // Streaming mode keeps the spec map bounded by the *live*
-            // population: the certifier owns its copy until retirement,
-            // and a committed id never returns (ids are unique per run).
-            self.specs.remove(&txn);
+        // A committed id never returns (ids are unique per run). Streaming
+        // mode keeps no spec past its commit — the certifier owns its copy
+        // until retirement — so the node's footprint is the live
+        // population's.
+        if let Some(spec) = self.live.remove(txn).filter(|_| self.stream.is_none()) {
+            self.audit.specs.insert(txn, spec);
         }
         Ok((now, freed))
     }
@@ -321,13 +335,11 @@ impl ControlNode {
     /// releasing the recorded history, the spec log, and the counters.
     pub fn into_audit(mut self) -> ControlAudit {
         self.hand_over();
-        ControlAudit {
-            final_tick: self.clock.now(),
-            stats: self.sched.obs_stats(),
-            history: self.history,
-            specs: self.specs,
-            counters: self.counters,
-        }
+        let mut audit = self.audit;
+        audit.specs.extend(self.live.into_entries());
+        audit.final_tick = self.clock.now();
+        audit.stats = self.sched.obs_stats();
+        audit
     }
 }
 
