@@ -1,27 +1,23 @@
-//! How every actor moves. A control shard, a data node and a client are each
-//! a state machine behind [`Actor`], and all three are moved one way: take
-//! the mail while there is some, reading the clock once per pop; once the
-//! inbox is empty, `before_block`; then sleep until mail comes or the wait it
-//! asked for runs out, and get `idle` if it did. A stopped actor gets
-//! `finish`. Every step is handed the latest instant read, so a test can
-//! drive the unmodified machines by hand.
+//! How every actor moves. A control shard, a data node, a client and the
+//! router of a sharded run are each a state machine behind [`Actor`], and all
+//! are moved one way: take the mail while there is some, reading the clock
+//! once per pop; once the inbox is empty, `before_block`; then sleep until
+//! mail comes or the wait it asked for runs out, and get `idle` if it did. A
+//! stopped actor gets `finish`. Every step is handed the latest instant read,
+//! so a test can drive the unmodified machines by hand.
 //!
 //! One driver makes those moves in every run, on either transport:
 //! [`step_all`], the executor. Every actor, each in a [`Slot`] with its
-//! inbox, moves on the calling thread. A `pick` names which ready actor
-//! moves next ([`round_robin`] in a run); when none is ready, the [`Clock`]
-//! waits for the earliest wait to run out or for mail. In a run the clock is
-//! [`RealTime`]: its wait pushes out what TCP sends held, then is one
-//! `ppoll` over every link of the run's socket inboxes and a wake pipe, then
-//! one `read` on each readable link. The pipe is the [`Bell`]'s, which a
-//! push into a queue inbox from another thread rings: the router of a
-//! sharded run is the one such pusher. An in-process run is the same clock
-//! with no links. `tests/interleave.rs` gives the same executor a seeded pick and
-//! a virtual clock.
+//! inbox, moves on the calling thread, and only an actor pushes into a
+//! queue inbox, so no mail arrives from outside but over a socket. A `pick`
+//! names which ready actor moves next ([`round_robin`] in a run); when none
+//! is ready, the [`Clock`] waits for the earliest wait to run out or for
+//! mail. In a run the clock is [`RealTime`]: its wait pushes out what TCP
+//! sends held, then is one `ppoll` over every link of the run's socket
+//! inboxes, then one `read` on each readable link. An in-process run is the
+//! same clock with no links. `tests/interleave.rs` gives the same executor a
+//! seeded pick and a virtual clock.
 
-use std::io::{PipeWriter, Write};
-use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use wtpg_rt::queue::PopResult;
@@ -233,42 +229,11 @@ pub fn round_robin() -> impl FnMut(&[&mut dyn Step], Instant) -> Result<Option<u
     }
 }
 
-/// How a push from another thread reaches a sleeping executor. Every queue
-/// an executor adopted rings its bell on push and on close. A ring writes
-/// one byte into the executor's wake pipe, and only while the executor
-/// sleeps; a ring since the last wait began keeps the next wait from
-/// sleeping. A push from the executor's own thread finds it awake: two
-/// atomic operations, no syscall.
-#[doc(hidden)]
-pub struct Bell {
-    /// A push since the last wait began.
-    rung: AtomicBool,
-    /// The executor is inside a wait that no ring has cut short yet.
-    asleep: AtomicBool,
-    /// Write end of the pipe in the executor's poll set.
-    waker: PipeWriter,
-}
-
-impl Bell {
-    /// Books a push, and wakes the executor if it waits.
-    pub(crate) fn ring(&self) {
-        self.rung.store(true, SeqCst);
-        if self.asleep.swap(false, SeqCst) {
-            // One byte per sleep, which the wait reads back; a failed write
-            // means the executor is gone.
-            let _ = (&self.waker).write(&[1]);
-        }
-    }
-}
-
 /// The executor's clock in a run: `Instant::now`, and a wait that ends at
-/// its deadline, on a frame on any link of a fan-in it steps, or on a push
-/// into a queue it steps.
+/// its deadline or on a frame on any link of a fan-in it steps.
 #[doc(hidden)]
 pub struct RealTime {
-    bell: Arc<Bell>,
-    /// Every link of the fan-ins it steps, and the read end of the bell's
-    /// pipe.
+    /// Every link of the fan-ins it steps.
     sockets: Sockets,
 }
 
@@ -276,22 +241,10 @@ impl RealTime {
     /// A clock for an executor that steps the actors reading `inboxes`.
     ///
     /// # Errors
-    /// [`NetError::Io`] if the pipe, or a descriptor for a link, cannot be
-    /// had.
+    /// [`NetError::Io`] if a descriptor for a link cannot be had.
     pub fn over<'i>(inboxes: impl IntoIterator<Item = &'i Inbox>) -> Result<RealTime, NetError> {
-        let (wake, waker) = std::io::pipe()?;
-        let bell = Arc::new(Bell {
-            rung: AtomicBool::new(false),
-            asleep: AtomicBool::new(false),
-            waker,
-        });
-        let inboxes: Vec<&Inbox> = inboxes.into_iter().collect();
-        for inbox in &inboxes {
-            inbox.adopt(&bell);
-        }
         Ok(RealTime {
-            bell,
-            sockets: Sockets::of(inboxes, wake)?,
+            sockets: Sockets::of(inboxes)?,
         })
     }
 }
@@ -302,30 +255,22 @@ impl Clock for RealTime {
     }
 
     /// Pushes out what sends held, then makes one `ppoll` over every link
-    /// and the wake pipe until `until`, then one `read` on each readable
-    /// link. A ring since the last wait began makes it look without
-    /// sleeping: a pass that found nobody ready may have missed that push's
-    /// mail.
+    /// until `until`, then one `read` on each readable link. A wait for mail
+    /// with no link open is refused: nothing but a link brings mail while
+    /// the executor waits, so it would never end.
     fn wait_until(&mut self, until: Option<Instant>) -> Result<(), NetError> {
-        let bell = &*self.bell;
-        bell.asleep.store(true, SeqCst);
-        let timeout = if bell.rung.swap(false, SeqCst) {
-            Some(Duration::ZERO)
-        } else {
-            until.map(|t| t.saturating_duration_since(Instant::now()))
-        };
-        let waited = self.sockets.wait(timeout);
-        bell.asleep.store(false, SeqCst);
-        bell.rung.store(false, SeqCst);
-        Ok(waited?)
+        if until.is_none() && self.sockets.is_empty() {
+            let stuck = "every actor sleeps until mail no link can bring";
+            return Err(NetError::Protocol(stuck.into()));
+        }
+        Ok(self.sockets.wait(until.map(|t| t.saturating_duration_since(Instant::now())))?)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
-    use wtpg_core::txn::TxnId;
+    use std::sync::{mpsc, Arc};
 
     /// Sleeps once for `wait`, then stops at its first wake-up, by mail or by
     /// `idle`; returns when it fell asleep and when (and how) it woke.
@@ -364,13 +309,11 @@ mod tests {
     type Napped = (Result<(Instant, Instant, bool), NetError>, Option<u64>);
 
     /// Steps a [`Nap`] of `wait` alone on an executor thread of its own,
-    /// which reports what it returned and the on-CPU ns it spent; the bell
-    /// lets the caller see it asleep.
-    fn nap_on_executor(wait: Duration, inbox: &Inbox) -> (Arc<Bell>, mpsc::Receiver<Napped>) {
+    /// which reports what it returned and the on-CPU ns it spent.
+    fn nap_on_executor(wait: Duration, inbox: &Inbox) -> mpsc::Receiver<Napped> {
         let (tx, rx) = mpsc::channel();
         let inbox = Arc::clone(inbox);
-        let mut clock = RealTime::over([&inbox]).expect("a pipe");
-        let bell = Arc::clone(&clock.bell);
+        let mut clock = RealTime::over([&inbox]).expect("no link to clone");
         std::thread::spawn(move || {
             let cpu = cpu_ns();
             let nap = Nap { wait, slept: None, woke: None };
@@ -379,13 +322,13 @@ mod tests {
             let spent = cpu.zip(cpu_ns()).map(|(a, b)| b - a);
             let _ = tx.send((ran.and_then(|()| slot.outcome()), spent));
         });
-        (bell, rx)
+        rx
     }
 
     #[test]
     fn an_actor_asleep_until_a_deadline_idles_at_it_without_spinning() {
         let wait = Duration::from_millis(20);
-        let (_, rx) = nap_on_executor(wait, &Mailbox::queue());
+        let rx = nap_on_executor(wait, &Mailbox::queue());
         let (out, cpu) = rx.recv_timeout(Duration::from_secs(20)).expect("the nap ends");
         let (slept, woke, mail) = out.expect("a clean stop");
         assert!(!mail, "nothing was sent: the wait ran out");
@@ -396,22 +339,14 @@ mod tests {
     }
 
     #[test]
-    fn a_push_from_another_thread_wakes_a_sleeping_executor() {
-        let inbox = Mailbox::queue();
-        let (bell, rx) = nap_on_executor(Duration::from_secs(3600), &inbox);
-        // The push must find the executor inside its wait, as the router's
-        // does: wait for the bell's books to say so.
-        let give_up = Instant::now() + Duration::from_secs(20);
-        while !bell.asleep.load(SeqCst) {
-            assert!(Instant::now() < give_up, "the executor never fell asleep");
-            std::thread::yield_now();
+    fn an_in_process_wait_for_mail_is_refused_not_slept() {
+        // Every actor on the executor sleeps until mail, and no link can
+        // bring any: the clock refuses at once instead of sleeping forever.
+        let rx = nap_on_executor(Duration::MAX, &Mailbox::queue());
+        let (out, _) = rx.recv_timeout(Duration::from_secs(20)).expect("the refusal returns");
+        match out {
+            Err(NetError::Protocol(why)) => assert!(why.contains("no link"), "{why}"),
+            other => panic!("a wait no mail can end must be refused, got {other:?}"),
         }
-        let pushed = Instant::now();
-        assert!(inbox.push(Msg::Commit { client: 0, txn: TxnId(1) }));
-        let (out, _) = rx.recv_timeout(Duration::from_secs(20)).expect("the push wakes it");
-        let (_, woke, mail) = out.expect("a clean stop");
-        assert!(mail, "woken by the push, not by its hour-long wait");
-        let late = woke.saturating_duration_since(pushed);
-        assert!(late < Duration::from_millis(50), "woken {late:?} after the push");
     }
 }

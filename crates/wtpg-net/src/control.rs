@@ -575,8 +575,9 @@ impl Actor for ControlActor<'_> {
 
 impl ControlActor<'_> {
     /// The exit rule: every client ended its stream with `Shutdown`, and
-    /// nothing is live. Per-link FIFO (and the router's in-order dealing)
-    /// puts each client's `Submit`s ahead of its `Shutdown`.
+    /// nothing is live. Per-link FIFO (and, sharded, the router actor
+    /// dealing in the order it pops) puts each client's `Submit`s ahead of
+    /// its `Shutdown`.
     fn flow(&self) -> Flow {
         if self.done_clients < self.clients || !self.txns.is_empty() {
             return Flow::Continue;

@@ -60,9 +60,9 @@ pub use tcp::Tcp;
 pub use transport::{InProc, Transport};
 
 /// `std::thread::spawn` with a name. Every thread of a run besides the
-/// caller's, which steps every actor, carries its role (`router`,
-/// `certifier-0`), so `/proc/<pid>/task/*/comm` beside `schedstat`
-/// attributes on-CPU time by role from outside the process.
+/// caller's, which steps every actor, carries its role (`certifier-0`), so
+/// `/proc/<pid>/task/*/comm` beside `schedstat` attributes on-CPU time by
+/// role from outside the process.
 pub(crate) fn spawn_named<T: Send + 'static>(
     name: String,
     f: impl FnOnce() -> T + Send + 'static,

@@ -16,19 +16,19 @@
 //!    control ↔ data sender's coalescer delays and duplicates what it sends
 //!    — and builds the executor's clock over their inboxes.
 //!    With one effective shard the control actor reads the fabric inbox
-//!    directly (no router on the path); with `S > 1` a router deals inbound
-//!    messages to `S` independent control actors, each running its own
-//!    scheduler over a disjoint slice of the WTPG.
+//!    directly (no router on the path); with `S > 1` a [`Router`] actor
+//!    deals inbound messages to `S` independent control actors, each
+//!    running its own scheduler over a disjoint slice of the WTPG.
 //! 3. **drive** — `drive` runs all actors to completion: clients submit
 //!    their shares of the workload, wait for commit acks and end their
 //!    streams with one `Shutdown` each, each control shard exits once every
 //!    client has and nothing is live, and the *runtime* broadcasts
 //!    `Shutdown` to the data nodes once every shard is done, then tears the
 //!    plumbing down in the order that lets every thread be joined. One
-//!    executor steps every actor on the calling thread (`drive_stepped`),
-//!    whatever the transport; its clock waits on the run's sockets and on
-//!    pushes from the router of a sharded run, which, with the stream
-//!    certifiers, are the run's only other threads. The teardown `Shutdown`
+//!    executor steps every actor, a sharded run's router among them, on the
+//!    calling thread (`drive_stepped`), whatever the transport; its clock
+//!    waits on the run's sockets. The stream certifiers are the run's only
+//!    other threads, and none of them pushes mail. The teardown `Shutdown`
 //!    goes straight onto each data link, after every control shard has
 //!    released what its links held: it meets no link fault.
 //! 4. **assemble** — the per-shard audits are merged ([`merge_audits`] —
@@ -69,7 +69,7 @@ use wtpg_rt::metrics::LatencySummary;
 use wtpg_rt::shard::{merge_audits, ShardMap};
 use wtpg_rt::StreamItem;
 
-use crate::actor::{self, RealTime, Slot, Step};
+use crate::actor::{self, Actor, Flow, RealTime, Slot, Step};
 use crate::client::{ClientActor, ClientOutcome, OpenLoopPlan};
 use crate::control::{ControlActor, ControlOutcome, ControlParams};
 use crate::data::{DataActor, DataNodeParams, DataOutcome};
@@ -240,15 +240,35 @@ fn msg_txn(m: &Msg) -> Option<TxnId> {
     }
 }
 
-/// Deals messages from the shared control inbox to the per-shard actor
-/// inboxes, unpacking `Batch` frames (a reply batch from a data node can
-/// carry several transactions, so inner messages route independently).
-/// Exits when the shared inbox closes, publishing its message tallies — only
-/// the `Batch` frames it consumed; inner messages are tallied by the shard
-/// that handles them.
-fn run_router(inbox: &Inbox, map: &ShardMap, shard_inboxes: &[Inbox], reg: &Registry) {
-    let mut rx = MsgCounts::default();
-    let route = |m: Msg, rx: &mut MsgCounts| {
+/// The router of a sharded run, an actor on the executor beside the shards:
+/// deals what arrives at the fabric's control inbox to the shard inboxes,
+/// unpacking `Batch` frames (a reply batch from a data node can carry
+/// several transactions, so inner messages route independently). It sleeps
+/// until mail, and stops once its inbox closes, which the runtime does when
+/// every shard has ended.
+#[doc(hidden)]
+pub struct Router<'a> {
+    map: &'a ShardMap,
+    /// One per shard, in shard order.
+    shards: &'a [Inbox],
+    reg: &'a Registry,
+    /// The `Batch` frames it unpacked and the unroutable messages it
+    /// dropped; inner messages are tallied by the shard that handles them.
+    rx: MsgCounts,
+}
+
+impl<'a> Router<'a> {
+    /// A router dealing by `map` to `shards`, booking into `reg`.
+    pub fn new(map: &'a ShardMap, shards: &'a [Inbox], reg: &'a Registry) -> Self {
+        Router {
+            map,
+            shards,
+            reg,
+            rx: MsgCounts::default(),
+        }
+    }
+
+    fn route(&mut self, m: Msg) {
         if matches!(m, Msg::Recover { .. } | Msg::Shutdown) {
             // A recovery announcement has no transaction: every shard
             // tracks its own outstanding orders on the rejoined node, so
@@ -256,31 +276,50 @@ fn run_router(inbox: &Inbox, map: &ShardMap, shard_inboxes: &[Inbox], reg: &Regi
             // end-of-stream `Shutdown` — every shard's exit rule counts
             // one per client, and dealing in order keeps it behind that
             // client's `Submit`s.
-            for inbox in shard_inboxes {
+            for inbox in self.shards {
                 let _ = inbox.push(m.clone());
             }
         } else if let Some(txn) = msg_txn(&m) {
             // A shard that already exited leaves its inbox open, so late
             // duplicates land harmlessly.
-            if let Some(inbox) = shard_inboxes.get(map.shard_of(txn)) {
+            if let Some(inbox) = self.shards.get(self.map.shard_of(txn)) {
                 let _ = inbox.push(m);
             }
         } else {
-            m.count(rx); // stray unroutable message: tally, drop
-        }
-    };
-    while let Some(m) = inbox.pop() {
-        match m {
-            Msg::Batch(inner) => {
-                rx.batch += 1;
-                for sub in inner {
-                    route(sub, &mut rx);
-                }
-            }
-            m => route(m, &mut rx),
+            m.count(&mut self.rx); // stray unroutable message: tally, drop
         }
     }
-    crate::publish(reg, metric::msg_rx, rx.fields());
+}
+
+impl Actor for Router<'_> {
+    type Outcome = ();
+
+    fn deliver(&mut self, m: Msg, _: Instant) -> Result<Flow, NetError> {
+        match m {
+            Msg::Batch(inner) => {
+                self.rx.batch += 1;
+                for sub in inner {
+                    self.route(sub);
+                }
+            }
+            m => self.route(m),
+        }
+        Ok(Flow::Continue)
+    }
+
+    fn idle(&mut self, _: Instant) -> Result<Flow, NetError> {
+        Ok(Flow::Continue)
+    }
+
+    fn before_block(&mut self, _: Instant) -> Result<Option<Duration>, NetError> {
+        Ok(Some(Duration::MAX))
+    }
+
+    /// Publishes its `msg/rx` tallies.
+    fn finish(self) -> Result<(), NetError> {
+        crate::publish(self.reg, metric::msg_rx, self.rx.fields());
+        Ok(())
+    }
 }
 
 /// Runs one (scheduler, transport, fault plan) cell over `specs` and
@@ -380,7 +419,7 @@ pub(crate) struct ActorSet<'a> {
     /// `drive`'s own stopwatch, a little later: what lay-out costs after
     /// this instant, an open loop's `wall_ms` does not see.
     run_wall: Instant,
-    /// The executor's clock, over the inboxes of every actor it steps.
+    /// The executor's clock, over the fabric's inboxes.
     clock: RealTime,
 }
 
@@ -390,7 +429,7 @@ impl<'a> ActorSet<'a> {
     ///
     /// # Errors
     /// [`NetError::Io`] if the directory, the transport's links or the
-    /// clock's pipe cannot be created.
+    /// clock's descriptors cannot be created.
     // Not `build`: this reads the clock, and wtpg-lint's taint pass resolves
     // calls by bare name, so `ShardMap::build` in `plan.rs` would reach it.
     pub(crate) fn lay_out(
@@ -472,7 +511,9 @@ impl<'a> ActorSet<'a> {
                 mvcc: watermark.clone(),
             })
             .collect();
-        let stepped = shard_inboxes.iter().chain(&fabric.data_inboxes);
+        // The shard inboxes are queues the router fills on the executor:
+        // the clock waits on the fabric's links alone.
+        let stepped = [&fabric.control_inbox].into_iter().chain(&fabric.data_inboxes);
         let clock = RealTime::over(stepped.chain(&fabric.client_inboxes))?;
         Ok(ActorSet {
             controls,
@@ -533,58 +574,47 @@ fn drive(set: ActorSet<'_>, plan: &RunPlan<'_>, reg: &Registry) -> Joined {
     let mut clock = set.clock;
     let mut shutdowns = 0u64;
     let started = Instant::now();
-    let (control_res, data_res, client_res) = std::thread::scope(|s| {
-        let router = (set.controls.len() > 1).then(|| {
-            std::thread::Builder::new()
-                .name("router".into())
-                .spawn_scoped(s, || {
-                    run_router(&set.control_inbox, &plan.map, &set.shard_inboxes, reg)
-                })
-                .expect("invariant: the OS starts a thread (Scope::spawn panics likewise)")
-        });
-        let sharded = router.is_some();
-        // Every shard is done (or failed): stop the router and tear the run
-        // down — the runtime owns the Shutdown broadcast. A failed shard
-        // releases the clients too: an ack they wait for will never come.
-        let mut teardown = |failed: bool| {
-            if sharded {
-                set.control_inbox.close();
-            }
-            let clients: &[Arc<dyn MsgTx>] = if failed { to_clients } else { &[] };
-            for tx in to_data.iter().chain(clients) {
-                shutdowns += u64::from(tx.send(&Msg::Shutdown));
-            }
-        };
-        let controls = set
-            .controls
-            .into_iter()
-            .zip(&set.shard_inboxes)
-            .map(|(params, inbox)| {
-                let shard = ControlActor::start(params, catalog, units, to_data, to_clients);
-                Slot::new(Ok(shard), inbox)
-            })
-            .collect();
-        let data = set
-            .data
-            .into_iter()
-            .zip(&set.data_inboxes)
-            .zip(&set.data_to_control)
-            .map(|((params, inbox), tx)| Slot::new(DataActor::start(params, tx), inbox))
-            .collect();
-        let clients = (0u32..)
-            .zip(&set.client_inboxes)
-            .zip(&set.client_to_control)
-            .map(|((c, inbox), tx)| {
-                let client = ClientActor::start(c, n, specs, open, tx, watchdog, depth, reg);
-                Slot::new(Ok(client), inbox)
-            })
-            .collect();
-        let out = drive_stepped(&mut clock, controls, data, clients, &mut teardown);
-        if let Some(h) = router {
-            h.join().expect("invariant: the router returns instead of panicking");
+    let sharded = set.controls.len() > 1;
+    // Every shard is done (or failed): stop the router and tear the run
+    // down — the runtime owns the Shutdown broadcast. A failed shard
+    // releases the clients too: an ack they wait for will never come.
+    let mut teardown = |failed: bool| {
+        if sharded {
+            set.control_inbox.close();
         }
-        out
-    });
+        let clients: &[Arc<dyn MsgTx>] = if failed { to_clients } else { &[] };
+        for tx in to_data.iter().chain(clients) {
+            shutdowns += u64::from(tx.send(&Msg::Shutdown));
+        }
+    };
+    let router = sharded.then(|| Router::new(&plan.map, &set.shard_inboxes, reg));
+    let router = router.map(|r| Slot::new(Ok(r), &set.control_inbox));
+    let controls = set
+        .controls
+        .into_iter()
+        .zip(&set.shard_inboxes)
+        .map(|(params, inbox)| {
+            let shard = ControlActor::start(params, catalog, units, to_data, to_clients);
+            Slot::new(Ok(shard), inbox)
+        })
+        .collect();
+    let data = set
+        .data
+        .into_iter()
+        .zip(&set.data_inboxes)
+        .zip(&set.data_to_control)
+        .map(|((params, inbox), tx)| Slot::new(DataActor::start(params, tx), inbox))
+        .collect();
+    let clients = (0u32..)
+        .zip(&set.client_inboxes)
+        .zip(&set.client_to_control)
+        .map(|((c, inbox), tx)| {
+            let client = ClientActor::start(c, n, specs, open, tx, watchdog, depth, reg);
+            Slot::new(Ok(client), inbox)
+        })
+        .collect();
+    let (control_res, data_res, client_res) =
+        drive_stepped(&mut clock, controls, router, data, clients, &mut teardown);
     let wall = started.elapsed();
 
     // Teardown: dropping our sender handles — on TCP — FINs the writer
@@ -629,10 +659,12 @@ fn drive(set: ActorSet<'_>, plan: &RunPlan<'_>, reg: &Registry) -> Joined {
 /// ([`actor::step_all`] with [`actor::round_robin`]) on the real clock.
 /// `teardown` runs once every shard has stopped, told whether one failed;
 /// if the clock fails first, it runs then, as for a failed shard, and the
-/// first shard's outcome is the clock's error.
+/// first shard's outcome is the clock's error. The router, which only deals,
+/// stops when `teardown` closes its inbox, and returns nothing to judge.
 fn drive_stepped(
     clock: &mut RealTime,
     mut controls: Vec<Slot<'_, ControlActor<'_>>>,
+    mut router: Option<Slot<'_, Router<'_>>>,
     mut data: Vec<Slot<'_, DataActor<'_>>>,
     mut clients: Vec<Slot<'_, ClientActor<'_>>>,
     teardown: &mut dyn FnMut(bool),
@@ -641,6 +673,7 @@ fn drive_stepped(
     let mut slots: Vec<&mut dyn Step> = controls
         .iter_mut()
         .map(|s| s as &mut dyn Step)
+        .chain(router.iter_mut().map(|s| s as &mut dyn Step))
         .chain(data.iter_mut().map(|s| s as &mut dyn Step))
         .chain(clients.iter_mut().map(|s| s as &mut dyn Step))
         .collect();
@@ -904,8 +937,10 @@ fn assemble(plan: &RunPlan<'_>, joined: Joined, reg: &Registry) -> Result<NetRep
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actor::{round_robin, step_all, Clock};
     use crate::plan::PlanError;
     use crate::transport::InProc;
+    use wtpg_rt::queue::PopResult;
     use wtpg_rt::sched_by_name;
     use wtpg_rt::workload::pattern_specs;
     use wtpg_workload::Pattern;
@@ -1468,5 +1503,118 @@ mod tests {
         assert_eq!(off.reader_commits, 0);
         assert!(on.snapshot_certified && off.snapshot_certified);
         assert_eq!(off.chain_appended, 0, "plane off: no chains at all");
+    }
+
+    /// Time that jumps to the earliest wait, and refuses a wait for mail:
+    /// nothing outside the executor sends any.
+    struct Virtual(Instant);
+
+    impl Clock for Virtual {
+        fn now(&mut self) -> Instant {
+            self.0
+        }
+
+        fn wait_until(&mut self, until: Option<Instant>) -> Result<(), NetError> {
+            let stuck = || NetError::Protocol("asleep until mail none sends".into());
+            self.0 = until.ok_or_else(stuck)?;
+            Ok(())
+        }
+    }
+
+    /// A two-shard map, and a transaction of each shard.
+    fn two_shards() -> (ShardMap, TxnId, TxnId) {
+        let groups = Pattern::Clustered { groups: 2, hots_per_group: 4 };
+        let (_, specs) = pattern_specs(groups, 20, 3);
+        let map = ShardMap::build(&specs, 2);
+        assert_eq!(map.shards(), 2, "two clustered groups → two shards");
+        let of = |s| specs.iter().map(|t| t.id).find(|&t| map.shard_of(t) == s);
+        let (a, b) = of(0).zip(of(1)).expect("both shards own a transaction");
+        (map, a, b)
+    }
+
+    /// Everything queued in `inbox`, in order.
+    fn drain(inbox: &Inbox) -> Vec<Msg> {
+        std::iter::from_fn(|| match inbox.try_pop() {
+            PopResult::Item(m) => Some(m),
+            _ => None,
+        })
+        .collect()
+    }
+
+    /// Routes `mail` by `map` on an executor of its own, then closes the
+    /// inbox; returns what each shard was dealt and the registry's totals.
+    fn deal(map: &ShardMap, mail: Vec<Msg>) -> (Vec<Vec<Msg>>, Registry) {
+        let (reg, inbox) = (Registry::new(), Mailbox::queue());
+        let shards = [Mailbox::queue(), Mailbox::queue()];
+        mail.into_iter().for_each(|m| assert!(inbox.push(m)));
+        inbox.close();
+        let mut slot = Slot::new(Ok(Router::new(map, &shards, &reg)), &inbox);
+        let mut clock = Virtual(Instant::now());
+        step_all(&mut [&mut slot], &mut clock, round_robin(), |_| {})
+            .expect("a closed inbox stops the router");
+        slot.outcome().expect("the router stops cleanly");
+        (shards.iter().map(drain).collect(), reg)
+    }
+
+    fn done(txn: TxnId, step: u32) -> Msg {
+        Msg::AccessDone { txn, step, checksum: 7, units: 1000 }
+    }
+
+    fn submit(txn: TxnId) -> Msg {
+        Msg::Submit { client: 0, txn, step: None, spec: None }
+    }
+
+    #[test]
+    fn a_batch_of_two_shards_is_dealt_by_the_map_in_order() {
+        let (map, a, b) = two_shards();
+        let batch = Msg::Batch(vec![done(a, 0), done(b, 0), done(a, 1), done(b, 1)]);
+        let tail = Msg::Commit { client: 1, txn: b };
+        let (dealt, reg) = deal(&map, vec![batch, done(a, 2), tail.clone()]);
+        assert_eq!(dealt[0], vec![done(a, 0), done(a, 1), done(a, 2)]);
+        assert_eq!(dealt[1], vec![done(b, 0), done(b, 1), tail]);
+        let totals = reg.totals();
+        assert_eq!(totals.get(&metric::msg_rx("batch")), Some(&1), "{totals:?}");
+        assert_eq!(totals.get(&metric::msg_rx("access_done")), None, "a shard tallies those");
+    }
+
+    #[test]
+    fn recover_and_shutdown_reach_every_shard_behind_earlier_submits() {
+        let (map, a, b) = two_shards();
+        let recover = Msg::Recover { node: 1, last_lsn: 9, replayed_chunks: 3 };
+        let mail = vec![submit(a), submit(b), recover.clone(), Msg::Shutdown];
+        let (dealt, _) = deal(&map, mail);
+        assert_eq!(dealt[0], vec![submit(a), recover.clone(), Msg::Shutdown]);
+        assert_eq!(dealt[1], vec![submit(b), recover, Msg::Shutdown]);
+    }
+
+    #[test]
+    fn an_unroutable_message_is_counted_once_and_dropped() {
+        let (map, a, _) = two_shards();
+        let stray = Msg::RecoverAck { node: 0, outstanding: 2 };
+        let (dealt, reg) = deal(&map, vec![stray, submit(a)]);
+        assert_eq!(dealt, vec![vec![submit(a)], vec![]]);
+        let totals = reg.totals();
+        assert_eq!(totals.get(&metric::msg_rx("recover_ack")), Some(&1), "{totals:?}");
+        assert_eq!(totals.get(&metric::msg_rx("submit")), None, "a shard tallies those");
+    }
+
+    #[test]
+    fn the_router_sleeps_until_mail_and_stops_once_its_inbox_closes() {
+        let (map, a, _) = two_shards();
+        let (reg, inbox) = (Registry::new(), Mailbox::queue());
+        let shards = [Mailbox::queue(), Mailbox::queue()];
+        let mut slot = Slot::new(Ok(Router::new(&map, &shards, &reg)), &inbox);
+        let mut clock = Virtual(Instant::now());
+        assert!(inbox.push(submit(a)));
+        // Once its inbox is empty it asks to sleep until mail: with no
+        // sender left, the clock refuses and the router is still running.
+        let asleep = step_all(&mut [&mut slot], &mut clock, round_robin(), |_| {});
+        assert!(matches!(asleep, Err(NetError::Protocol(_))), "{asleep:?}");
+        assert_eq!(drain(&shards[0]), vec![submit(a)]);
+        assert!(slot.ended().is_none(), "mail alone never stops it");
+        inbox.close();
+        step_all(&mut [&mut slot], &mut clock, round_robin(), |_| {})
+            .expect("the close wakes and stops it");
+        assert_eq!(slot.ended(), Some(true));
     }
 }

@@ -16,7 +16,7 @@
 //! any link of the fabric, or when the writer drops, before its FIN. No
 //! timer is needed: a send holds bytes only while its link's kernel buffers
 //! are full, so the far end is readable and whoever waits on it (the
-//! executor, or the router of a sharded run) does not sleep; it reads,
+//! executor, or a blocking [`Mailbox::pop`]) does not sleep; it reads,
 //! which makes room, and its next wait starts by pushing out what the
 //! fabric's writers hold.
 //!
@@ -27,10 +27,10 @@
 //! accepted connection for the control node — whose frames pop round-robin
 //! across the links, so a chatty one cannot starve the rest. The
 //! executor's clock ([`Sockets`]) reads them: one [`ppoll(2)`](crate::poll)
-//! over every open link of every fan-in it steps and its wake pipe, then
-//! one `read` per readable link, one mailbox lock at a time. A blocking
-//! [`Mailbox::pop`] (the router of a sharded run) waits in one `ppoll` over
-//! its own links and a pipe [`Mailbox::close`] writes to. A link that
+//! over every open link of every fan-in it steps, then one `read` per
+//! readable link, one mailbox lock at a time. A blocking [`Mailbox::pop`],
+//! outside any executor, waits in one `ppoll` over its own links and a pipe
+//! [`Mailbox::close`] writes to. A link that
 //! reaches EOF, announces an oversized frame or fails to decode is closed
 //! *alone* and leaves the poll set; the mailbox is `Closed` once every link
 //! is down, or once `close` was called and what had been read is drained.
@@ -400,7 +400,7 @@ impl FanInRx {
     }
 
     /// Pushes out what the fabric's writers hold, then one `ppoll` over the
-    /// open links and the wake pipe, then one `read` on each readable link.
+    /// open links and the close pipe, then one `read` on each readable link.
     /// Call only after `try_pop` came back `Empty`: that scan is what vets
     /// the headers `fill` trusts.
     fn wait(&mut self) {
@@ -453,27 +453,20 @@ fn fan_in_mailbox(streams: Vec<TcpStream>, counters: &Arc<Counters>) -> Result<I
     }))
 }
 
-/// Every open link of the fan-ins one executor steps, and the executor's
-/// wake pipe, waited on together: the clock's one wait (module docs,
-/// "Receiving").
+/// Every open link of the fan-ins one executor steps, waited on together:
+/// the clock's one wait (module docs, "Receiving").
 pub(crate) struct Sockets {
     /// Per open link: a descriptor of its own (a `try_clone`, so the poll
     /// takes no mailbox lock), its fan-in, and its index there.
     links: Vec<(TcpStream, Inbox, usize)>,
     /// The links' fabrics, whose writers a wait pushes out first.
     fabrics: Vec<Arc<Counters>>,
-    /// Read end of the pipe the executor's bell writes to.
-    wake: PipeReader,
     polled: PollSet,
 }
 
 impl Sockets {
-    /// The links of every fan-in among `inboxes` (a queue has none) and
-    /// `wake`.
-    pub(crate) fn of<'i>(
-        inboxes: impl IntoIterator<Item = &'i Inbox>,
-        wake: PipeReader,
-    ) -> std::io::Result<Sockets> {
+    /// The links of every fan-in among `inboxes` (a queue has none).
+    pub(crate) fn of<'i>(inboxes: impl IntoIterator<Item = &'i Inbox>) -> std::io::Result<Sockets> {
         let (mut links, mut fabrics) = (Vec::new(), Vec::<Arc<Counters>>::new());
         for inbox in inboxes {
             let fds = inbox.with_links(|rx| {
@@ -489,16 +482,20 @@ impl Sockets {
         Ok(Sockets {
             links,
             fabrics,
-            wake,
             polled: PollSet::default(),
         })
     }
 
+    /// Whether no link is open: no wait can end on mail.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.links.is_empty()
+    }
+
     /// Pushes out what the fabrics' writers hold; then one `ppoll` over
-    /// every open link and the wake pipe for at most `timeout` (`None`:
-    /// until something is readable); then one `read` on each readable link,
-    /// one mailbox lock at a time, and one on the pipe. A link that went
-    /// down leaves the set. With no link, a zero wait makes no syscall.
+    /// every open link for at most `timeout` (`None`: until something is
+    /// readable); then one `read` on each readable link, one mailbox lock at
+    /// a time. A link that went down leaves the set. With no link, a zero
+    /// wait makes no syscall.
     ///
     /// # Errors
     /// What `ppoll` fails with.
@@ -507,19 +504,14 @@ impl Sockets {
         if self.links.is_empty() && timeout == Some(Duration::ZERO) {
             return Ok(());
         }
-        let n = self.links.len();
         let fds = self.links.iter().map(|(fd, ..)| Some(fd.as_fd()));
-        self.polled.wait(fds.chain([Some(self.wake.as_fd())]), timeout)?;
+        self.polled.wait(fds, timeout)?;
         let (polled, mut k) = (&self.polled, 0);
         self.links.retain(|(_, inbox, at)| {
             let open = !polled.readable(k) || inbox.with_links(|rx| rx.refill(*at)) == Some(true);
             k += 1;
             open
         });
-        if self.polled.readable(n) {
-            // What rang while the wait slept: one byte per sleep.
-            let _ = self.wake.read(&mut [0; 64]);
-        }
         Ok(())
     }
 }
@@ -662,7 +654,7 @@ mod tests {
     }
 
     fn clock_over(inboxes: &[&Inbox]) -> RealTime {
-        RealTime::over(inboxes.iter().copied()).expect("a pipe and descriptors")
+        RealTime::over(inboxes.iter().copied()).expect("descriptors")
     }
 
     #[test]

@@ -7,14 +7,15 @@
 //!
 //! A mailbox is one of two things, by what its links are made of.
 //! [`Mailbox::Queue`] is an MPMC queue (`wtpg-rt`'s [`BoundedQueue`]): every
-//! in-process link, the control fan-in included. [`Mailbox::FanIn`] is a TCP
-//! actor's inbox: the read halves of its links — one for a data node or a
-//! client, one per peer for the control node — read in place. One executor
-//! steps every actor of a run (`actor.rs`): it pops without blocking and
-//! asks `can_pop` of a sleeping actor's inbox, both answered from what is
-//! already queued or read, and its clock is the one wait (`tcp.rs`,
-//! "Receiving"). A blocking [`Mailbox::pop`] is for the router of a sharded
-//! run, which reads one mailbox alone.
+//! in-process link, the control fan-in included, and a sharded run's shard
+//! inboxes. [`Mailbox::FanIn`] is a TCP actor's inbox: the read halves of
+//! its links — one for a data node or a client, one per peer for the control
+//! node — read in place. One executor steps every actor of a run
+//! (`actor.rs`), the router of a sharded run among them: it pops without
+//! blocking and asks `can_pop` of a sleeping actor's inbox, both answered
+//! from what is already queued or read, and its clock is the one wait
+//! (`tcp.rs`, "Receiving"). A blocking [`Mailbox::pop`] is for a reader
+//! outside any executor (`bench/`'s transport round trips).
 //!
 //! [`InProc`] wires queues directly: a sender handle is the receiving
 //! actor's queue, so messages are moved, never serialized.
@@ -34,13 +35,12 @@
 //! in the sender's coalescer (`crate::batch`), not in a queue of their own.
 
 use std::io::{PipeWriter, Write};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use wtpg_obs::ByteCounts;
 use wtpg_rt::queue::{BoundedQueue, PopResult};
 
-use crate::actor::Bell;
 use crate::error::NetError;
 use crate::msg::Msg;
 use crate::tcp::FanInRx;
@@ -57,18 +57,12 @@ pub trait MsgTx: Send + Sync {
 /// gets which).
 pub enum Mailbox {
     /// A queue any number of senders push into.
-    Queue {
-        /// The messages.
-        q: BoundedQueue<Msg>,
-        /// The bell of the executor stepping the queue's reader, once one
-        /// adopted it: every push and the close ring it.
-        bell: OnceLock<Arc<Bell>>,
-    },
+    Queue(BoundedQueue<Msg>),
     /// The read halves of an actor's TCP links. Its takers are the executor
-    /// (a pop, or a read its clock's `ppoll` found due) or the router of a
-    /// sharded run, which holds the lock across its own `ppoll` and the
-    /// `read`s; under it only the fabric's writers are locked, to push out
-    /// what they hold.
+    /// (a pop, or a read its clock's `ppoll` found due) or a blocking
+    /// [`pop`](Mailbox::pop), which holds the lock across its own `ppoll` and
+    /// the `read`s; under it only the fabric's writers are locked, to push
+    /// out what they hold.
     FanIn {
         /// The links and what has been read off them.
         rx: Mutex<FanInRx>,
@@ -89,18 +83,7 @@ fn locked<T>(rx: &Mutex<T>) -> MutexGuard<'_, T> {
 impl Mailbox {
     /// A queue mailbox without a bound: a push into it never blocks.
     pub fn queue() -> Inbox {
-        Arc::new(Mailbox::Queue {
-            q: BoundedQueue::new(usize::MAX),
-            bell: OnceLock::new(),
-        })
-    }
-
-    /// Has every push into (and the close of) a queue mailbox ring `bell`,
-    /// the bell of the executor that steps its reader. A no-op on a fan-in.
-    pub(crate) fn adopt(&self, bell: &Arc<Bell>) {
-        if let Mailbox::Queue { bell: cell, .. } = self {
-            let _ = cell.set(Arc::clone(bell));
-        }
+        Arc::new(Mailbox::Queue(BoundedQueue::new(usize::MAX)))
     }
 
     /// Whether a pop would return at once: a message is queued or a whole
@@ -108,7 +91,7 @@ impl Mailbox {
     /// kernel are the clock's to read.
     pub(crate) fn can_pop(&self) -> bool {
         match self {
-            Mailbox::Queue { q, .. } => q.can_pop(),
+            Mailbox::Queue(q) => q.can_pop(),
             Mailbox::FanIn { rx, .. } => locked(rx).can_pop(),
         }
     }
@@ -121,7 +104,7 @@ impl Mailbox {
     /// queue has with its pusher.
     pub fn try_pop(&self) -> PopResult<Msg> {
         match self {
-            Mailbox::Queue { q, .. } => q.try_pop(),
+            Mailbox::Queue(q) => q.try_pop(),
             Mailbox::FanIn { rx, .. } => locked(rx).try_pop(),
         }
     }
@@ -131,7 +114,7 @@ impl Mailbox {
     /// and drained, or (fan-in) every link is down.
     pub fn pop(&self) -> Option<Msg> {
         match self {
-            Mailbox::Queue { q, .. } => q.pop(),
+            Mailbox::Queue(q) => q.pop(),
             Mailbox::FanIn { rx, .. } => locked(rx).pop(),
         }
     }
@@ -139,7 +122,7 @@ impl Mailbox {
     /// `f` on a fan-in's links, under its lock; `None` on a queue.
     pub(crate) fn with_links<R>(&self, f: impl FnOnce(&mut FanInRx) -> R) -> Option<R> {
         match self {
-            Mailbox::Queue { .. } => None,
+            Mailbox::Queue(_) => None,
             Mailbox::FanIn { rx, .. } => Some(f(&mut locked(rx))),
         }
     }
@@ -148,13 +131,7 @@ impl Mailbox {
     /// is fed by its links alone and refuses.
     pub fn push(&self, m: Msg) -> bool {
         match self {
-            Mailbox::Queue { q, bell } => {
-                let pushed = q.push(m);
-                if let Some(bell) = bell.get().filter(|_| pushed) {
-                    bell.ring();
-                }
-                pushed
-            }
+            Mailbox::Queue(q) => q.push(m),
             Mailbox::FanIn { .. } => false,
         }
     }
@@ -163,12 +140,7 @@ impl Mailbox {
     /// read) drain, pushes fail, blocked poppers wake.
     pub fn close(&self) {
         match self {
-            Mailbox::Queue { q, bell } => {
-                q.close();
-                if let Some(bell) = bell.get() {
-                    bell.ring();
-                }
-            }
+            Mailbox::Queue(q) => q.close(),
             // One byte, never read: the pipe stays readable, so the close is
             // seen by the `ppoll` in progress and by every later one. (A full
             // pipe — 65 536 closes — would block; a failed write means the

@@ -31,6 +31,7 @@ use wtpg_core::history::History;
 use wtpg_core::partition::PartitionId;
 use wtpg_core::time::Tick;
 use wtpg_core::txn::{TxnId, TxnSpec};
+use wtpg_core::window::IdWindow;
 use wtpg_obs::ControlStats;
 
 use crate::control::{ControlAudit, ControlCounters};
@@ -39,7 +40,9 @@ use crate::control::{ControlAudit, ControlCounters};
 #[derive(Clone, Debug)]
 pub struct ShardMap {
     shards: usize,
-    assign: BTreeMap<TxnId, usize>,
+    /// Each declared transaction's shard: indexed by id, since the router
+    /// of a sharded run looks one up per message it deals.
+    assign: IdWindow<usize>,
 }
 
 impl ShardMap {
@@ -71,7 +74,7 @@ impl ShardMap {
         }
         // Component membership per transaction.
         let mut comp_txns: BTreeMap<PartitionId, Vec<TxnId>> = BTreeMap::new();
-        let mut txn_comp: BTreeMap<TxnId, PartitionId> = BTreeMap::new();
+        let mut txn_comp: Vec<(TxnId, PartitionId)> = Vec::with_capacity(specs.len());
         for spec in specs {
             let root = spec
                 .partitions()
@@ -79,7 +82,7 @@ impl ShardMap {
                 .map(|&p| find(&mut parent, p))
                 .unwrap_or(PartitionId(u32::MAX));
             comp_txns.entry(root).or_default().push(spec.id);
-            txn_comp.insert(spec.id, root);
+            txn_comp.push((spec.id, root));
         }
         // Largest component first; ties by smallest member partition (the
         // BTreeMap key is already the canonical smallest-ish root, but the
@@ -119,10 +122,10 @@ impl ShardMap {
             }
             comp_shard.insert(root, target);
         }
-        let assign = txn_comp
-            .into_iter()
-            .map(|(txn, root)| (txn, comp_shard.get(&root).copied().unwrap_or(0)))
-            .collect();
+        let mut assign = IdWindow::new();
+        for (txn, root) in txn_comp {
+            assign.insert(txn, comp_shard.get(&root).copied().unwrap_or(0));
+        }
         ShardMap { shards, assign }
     }
 
@@ -133,7 +136,7 @@ impl ShardMap {
 
     /// The shard owning `txn`'s conflict component.
     pub fn shard_of(&self, txn: TxnId) -> usize {
-        self.assign.get(&txn).copied().unwrap_or(0)
+        self.assign.get(txn).copied().unwrap_or(0)
     }
 }
 
