@@ -11,8 +11,9 @@
 //!   (replayed against the real lock table, not just the event stream);
 //! - **deadlock freedom** — no grant closes a precedence cycle, and the
 //!   WTPG stays acyclic after every replayed grant;
-//! - **arena integrity** — [`Wtpg::check_invariants`] after every
-//!   structural step, plus version monotonicity across the whole run;
+//! - **arena integrity** — the slot-arena invariants of
+//!   [`Wtpg::check_invariants`] after every structural step, plus version
+//!   monotonicity across the whole run;
 //! - **chain form** ([`CertifyMode::Chain`]) — every admission leaves the
 //!   WTPG chain-form, CC1's structural admission constraint;
 //! - **K-conflict bound** ([`CertifyMode::KConflict`]) — every admission
@@ -36,18 +37,33 @@
 //! replay cleanly step by step: replayed holds are always a subset of
 //! ASL's actual holds, and ASL admits only conflict-free lock sets.
 //!
-//! Since the windowed-telemetry work, every check here is *incremental*:
-//! [`certify_history`] is a thin driver over
-//! [`StreamingCertifier`](crate::stream_certify::StreamingCertifier),
-//! which also certifies live runs event-by-event with prefix retirement
-//! (bounded memory on million-transaction open-loop cells). Strictness,
-//! lock exclusion and conflict serializability are folded into the
-//! per-event replay; the old end-of-run whole-history sweep is gone.
+//! Every check here is *incremental*: [`certify_history`] and
+//! [`StreamingCertifier`](crate::stream_certify::StreamingCertifier), which
+//! certifies live runs event by event, drive one replay, and both retire the
+//! certified prefix (bounded memory on million-transaction open-loop cells).
+//! Strictness, lock exclusion and conflict serializability are folded into
+//! the per-event replay; the old end-of-run whole-history sweep is gone.
+//!
+//! Each event also costs what it changed. Acyclicity, arena integrity and
+//! chain form are each checked on what the event touched — the grant's new
+//! edges, the touched slots, the admitted transaction's path — and backed by
+//! a whole-graph **oracle** ([`Wtpg::has_cycle`], [`Wtpg::check_invariants`],
+//! [`chain_components`](crate::chain::form::chain_components)) that runs on
+//! every event under `debug_assertions` and on a fixed stride of 128 events
+//! in release, with one more whole-arena check at the end of the run. The
+//! lock-exclusion ledger and the `E(q)` checks are exact on every event.
+//! The [`stream_certify`](crate::stream_certify) module docs tabulate which
+//! fast check runs for which rule.
+//!
+//! [`SchedCore`]: crate::sched::SchedCore
+//! [`Wtpg::check_invariants`]: crate::wtpg::Wtpg::check_invariants
+//! [`Wtpg::has_cycle`]: crate::wtpg::Wtpg::has_cycle
+//! [`eq_estimate_naive`]: crate::estimate::eq_estimate_naive
 
 use std::collections::BTreeMap;
 
 use crate::history::{Event, History};
-use crate::stream_certify::StreamingCertifier;
+use crate::stream_certify::{Checks, Replay, RETIRE_EVERY};
 use crate::time::Tick;
 use crate::txn::{TxnId, TxnSpec};
 
@@ -121,12 +137,16 @@ fn violation(at: usize, tick: Tick, what: impl Into<String>) -> CertifyViolation
 /// re-admissions after rejection reuse the same spec, mirroring the
 /// simulator's retry loop).
 ///
-/// This is a thin driver over [`StreamingCertifier`]: declare every spec,
-/// feed every event, finish. All checks — protocol shape, exclusion,
-/// deadlock freedom, strictness, incremental conflict-serializability —
-/// run per event, so violations always carry the index of the offending
-/// event (never the `usize::MAX` whole-history marker, which only the
-/// shard merge still uses).
+/// This is a thin driver over the replay behind [`StreamingCertifier`]:
+/// feed every event, handing each admission its spec from `specs` (borrowed,
+/// never copied), retire the certified prefix every [`RETIRE_EVERY`]
+/// events, finish. All checks — protocol shape, exclusion, deadlock
+/// freedom, strictness, incremental conflict-serializability — run per
+/// event, so violations always carry the index of the offending event
+/// (never the `usize::MAX` whole-history marker, which only the shard merge
+/// and the end-of-run arena check use).
+///
+/// [`StreamingCertifier`]: crate::stream_certify::StreamingCertifier
 ///
 /// # Errors
 /// The first [`CertifyViolation`] encountered.
@@ -135,14 +155,32 @@ pub fn certify_history(
     specs: &BTreeMap<TxnId, TxnSpec>,
     mode: CertifyMode,
 ) -> Result<CertifyReport, CertifyViolation> {
-    let mut sc = StreamingCertifier::new(mode);
-    for spec in specs.values() {
-        sc.declare(spec.clone());
+    certify_history_with(history, specs, mode, Checks::DEFAULT)
+}
+
+/// [`certify_history`] running `checks` (tests only; see [`Checks`]).
+///
+/// # Errors
+/// The first [`CertifyViolation`] encountered.
+#[doc(hidden)]
+pub fn certify_history_with(
+    history: &History,
+    specs: &BTreeMap<TxnId, TxnSpec>,
+    mode: CertifyMode,
+    checks: Checks,
+) -> Result<CertifyReport, CertifyViolation> {
+    let mut replay = Replay::new(mode, checks);
+    for (i, &(tick, event)) in history.events().iter().enumerate() {
+        let spec = match event {
+            Event::Admitted(t) => specs.get(&t),
+            _ => None,
+        };
+        replay.feed(tick, event, spec)?;
+        if (i + 1) % RETIRE_EVERY == 0 {
+            replay.retire_prefix(|_| {});
+        }
     }
-    for &(tick, event) in history.events() {
-        sc.feed(tick, event)?;
-    }
-    sc.finish()
+    replay.finish()
 }
 
 /// The transaction an event belongs to.

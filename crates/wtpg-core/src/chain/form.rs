@@ -149,14 +149,15 @@ fn build_component(wtpg: &Wtpg, nodes: Vec<TxnId>) -> ChainComponent {
 
 /// Slots adjacent to `s` in the undirected conflict structure. A pair
 /// carries at most one edge of any kind, so there are no repeats.
-fn neighbours(wtpg: &Wtpg, s: u32) -> impl Iterator<Item = u32> + '_ {
+pub(crate) fn neighbours(wtpg: &Wtpg, s: u32) -> impl Iterator<Item = u32> + '_ {
     let conf = wtpg.conf_of(s).iter().map(|e| e.slot);
     let out = wtpg.out_of(s).iter().map(|e| e.slot);
     let inc = wtpg.inc_of(s).iter().map(|e| e.slot);
     conf.chain(out).chain(inc)
 }
 
-fn degree(wtpg: &Wtpg, s: u32) -> usize {
+/// Conflict degree of slot `s`: its neighbours in the undirected structure.
+pub(crate) fn degree(wtpg: &Wtpg, s: u32) -> usize {
     wtpg.conf_of(s).len() + wtpg.out_of(s).len() + wtpg.inc_of(s).len()
 }
 

@@ -403,7 +403,20 @@ pub fn eq_estimate(wtpg: &Wtpg, txn: TxnId, implied: &[TxnId]) -> EqValue {
 /// implementation for differential tests and benchmarks — `eq_estimate_with`
 /// must agree with it on every input.
 pub fn eq_estimate_naive(wtpg: &Wtpg, txn: TxnId, implied: &[TxnId]) -> EqValue {
-    let mut overlay = wtpg.clone();
+    eq_estimate_naive_in(&mut Wtpg::new(), wtpg, txn, implied)
+}
+
+/// [`eq_estimate_naive`] on a copy the caller keeps: `overlay` is refilled
+/// from `wtpg` with `clone_from`, which reuses its allocations, so a caller
+/// estimating many requests (the replay certifier) copies without
+/// allocating. The algorithm is the same, step for step.
+pub fn eq_estimate_naive_in(
+    overlay: &mut Wtpg,
+    wtpg: &Wtpg,
+    txn: TxnId,
+    implied: &[TxnId],
+) -> EqValue {
+    overlay.clone_from(wtpg);
     // Step 1: apply the implied resolutions; any of them closing a directed
     // cycle (including contradicting an existing precedence edge) means the
     // grant would deadlock.
@@ -418,19 +431,30 @@ pub fn eq_estimate_naive(wtpg: &Wtpg, txn: TxnId, implied: &[TxnId]) -> EqValue 
             return EqValue::Infinite;
         }
     }
-    // Step 2: orders implied by transitivity through txn.
-    let before = overlay.before(txn);
-    let after = overlay.after(txn);
-    for (a, b, _, _) in overlay.conflict_edges() {
-        let (from, to) = if before.contains(&a) && after.contains(&b) {
-            (a, b)
-        } else if before.contains(&b) && after.contains(&a) {
-            (b, a)
-        } else {
-            continue;
-        };
-        if overlay.resolve(from, to).is_err() {
-            return EqValue::Infinite;
+    // Step 2: orders implied by transitivity through txn. Only a pair with
+    // one end on each side resolves, so when `txn` has no predecessor or no
+    // successor there is nothing to resolve.
+    let linked = overlay
+        .slot_of(txn)
+        .is_some_and(|s| !overlay.inc_of(s).is_empty() && !overlay.out_of(s).is_empty());
+    if linked {
+        let before = overlay.before(txn);
+        let after = overlay.after(txn);
+        let (is_before, is_after) = (
+            |t: &TxnId| before.binary_search(t).is_ok(),
+            |t: &TxnId| after.binary_search(t).is_ok(),
+        );
+        for (a, b, _, _) in overlay.conflict_edges() {
+            let (from, to) = if is_before(&a) && is_after(&b) {
+                (a, b)
+            } else if is_before(&b) && is_after(&a) {
+                (b, a)
+            } else {
+                continue;
+            };
+            if overlay.resolve(from, to).is_err() {
+                return EqValue::Infinite;
+            }
         }
     }
     // Step 3: remaining conflicting edges are ignored by critical_path().

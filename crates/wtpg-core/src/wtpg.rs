@@ -286,6 +286,21 @@ impl Wtpg {
         &self.slot(s).conf
     }
 
+    /// Pushes `txn`'s slot and its neighbours' slots (over every edge kind)
+    /// onto `out`: the slots an event on `txn` can have changed. Nothing
+    /// when `txn` is not live.
+    pub(crate) fn slot_and_neighbours(&self, txn: TxnId, out: &mut Vec<u32>) {
+        let Some(s) = self.slot_of(txn) else {
+            return;
+        };
+        out.push(s);
+        if let Some(slot) = self.slots.get(s as usize) {
+            out.extend(slot.conf.iter().map(|e| e.slot));
+            out.extend(slot.out.iter().map(|e| e.slot));
+            out.extend(slot.inc.iter().map(|e| e.slot));
+        }
+    }
+
     /// Adds a transaction node with its initial `w(T0 → Ti) = due(s_0)`.
     ///
     /// # Errors
@@ -664,21 +679,26 @@ impl Wtpg {
     /// True if adding the precedence edge `from → to` would create a cycle:
     /// the deadlock *prediction* primitive (C2PL, and `E(q) = ∞`). Runs a
     /// DFS from `to` that exits as soon as it reaches `from`.
-    // lint:allow(panic-safety) begin_mark sizes `mark` to slots.len(); slot ids are in range
     pub fn would_deadlock(&self, from: TxnId, to: TxnId) -> bool {
-        if from == to {
-            return true;
-        }
-        let (Some(sf), Some(st)) = (self.slot_of(from), self.slot_of(to)) else {
+        from == to || self.any_reaches(&[to], from)
+    }
+
+    /// True if some live transaction of `from` reaches `to` along
+    /// precedence edges (a transaction reaches itself) — whether edges
+    /// `to → f`, one for each `f` of `from`, close a cycle. One DFS from all
+    /// of `from` at once, so it costs what they reach, not the graph.
+    // lint:allow(panic-safety) begin_mark sizes `mark` to slots.len(); slot ids are in range
+    pub(crate) fn any_reaches(&self, from: &[TxnId], to: TxnId) -> bool {
+        let Some(st) = self.slot_of(to) else {
             return false;
         };
         let mut scratch = self.scratch.borrow_mut();
         let epoch = scratch.begin_mark(self.slots.len());
         let Scratch { mark, stack, .. } = &mut *scratch;
         stack.clear();
-        stack.extend(self.slot(st).out.iter().map(|e| e.slot));
+        stack.extend(from.iter().filter_map(|&f| self.slot_of(f)));
         while let Some(s) = stack.pop() {
-            if s == sf {
+            if s == st {
                 return true;
             }
             if mark[s as usize] != epoch {
@@ -846,78 +866,166 @@ impl Wtpg {
                 self.index.len()
             ));
         }
-        for (i, slot) in self.slots.iter().enumerate() {
-            let s = i as u32;
-            if !slot.live {
-                if !slot.out.is_empty() || !slot.inc.is_empty() || !slot.conf.is_empty() {
-                    return Err(format!("dead slot {s} has non-empty adjacency"));
-                }
-                continue;
-            }
-            let a = slot.id;
-            if !slot.out.windows(2).all(|w| w[0].id < w[1].id) {
-                return Err(format!("slot {s} ({a}) out-edges not strictly sorted"));
-            }
-            if !slot.inc.windows(2).all(|w| w[0].id < w[1].id) {
-                return Err(format!("slot {s} ({a}) inc-edges not strictly sorted"));
-            }
-            if !slot.conf.windows(2).all(|w| w[0].id < w[1].id) {
-                return Err(format!("slot {s} ({a}) conf-edges not strictly sorted"));
-            }
-            for e in &slot.out {
-                if e.id == a {
-                    return Err(format!("{a} has a precedence self-edge"));
-                }
-                let t = self
-                    .slots
-                    .get(e.slot as usize)
-                    .filter(|t| t.live && t.id == e.id);
-                if t.is_none() {
-                    return Err(format!("{a} → {} points at a stale slot", e.id));
-                }
-                let target = &self.slots[e.slot as usize];
-                if find_inc(&target.inc, a).is_err() {
-                    return Err(format!("{a} → {} missing the mirror inc entry", e.id));
-                }
-            }
-            for e in &slot.inc {
-                let p = self
-                    .slots
-                    .get(e.slot as usize)
-                    .filter(|p| p.live && p.id == e.id);
-                if p.is_none() {
-                    return Err(format!("{a} ← {} points at a stale slot", e.id));
-                }
-                if find_out(&self.slots[e.slot as usize].out, a).is_err() {
-                    return Err(format!("{a} ← {} missing the mirror out entry", e.id));
-                }
-            }
-            for e in &slot.conf {
-                if e.id == a {
-                    return Err(format!("{a} has a conflicting self-edge"));
-                }
-                let p = self
-                    .slots
-                    .get(e.slot as usize)
-                    .filter(|p| p.live && p.id == e.id);
-                if p.is_none() {
-                    return Err(format!("{a} ~ {} points at a stale slot", e.id));
-                }
-                let partner = &self.slots[e.slot as usize];
-                if find_conf(&partner.conf, a).is_err() {
-                    return Err(format!("{a} ~ {} missing the symmetric conf entry", e.id));
-                }
-                if find_out(&slot.out, e.id).is_ok() || find_out(&partner.out, a).is_ok() {
-                    return Err(format!(
-                        "{a} ~ {} is both conflicting and resolved",
-                        e.id
-                    ));
-                }
-            }
+        for s in 0..n {
+            self.check_slot(s as u32)?;
         }
         let scratch = self.scratch.borrow();
         if scratch.mark.iter().any(|&m| m > scratch.epoch) {
             return Err("scratch mark stamped past the current epoch".to_string());
+        }
+        Ok(())
+    }
+
+    /// The invariants of [`Wtpg::check_invariants`] that one slot carries:
+    /// a dead slot has empty adjacency; a live one is indexed under its id,
+    /// and its adjacency is sorted, self-loop-free, aimed at live slots with
+    /// matching ids, mirrored in its partners' lists, and never both
+    /// conflicting and resolved for one pair. Costs `O(d log d)` for a slot
+    /// of degree `d`: what the replay certifier checks on the slots an event
+    /// touched.
+    ///
+    /// # Errors
+    /// A description of the first violated invariant.
+    // lint:allow(panic-safety) indices are validated against slots.len() before use
+    pub(crate) fn check_slot(&self, s: u32) -> Result<(), String> {
+        let Some(slot) = self.slots.get(s as usize) else {
+            return Err(format!("slot {s} is out of bounds"));
+        };
+        if !slot.live {
+            if !slot.out.is_empty() || !slot.inc.is_empty() || !slot.conf.is_empty() {
+                return Err(format!("dead slot {s} has non-empty adjacency"));
+            }
+            return Ok(());
+        }
+        let a = slot.id;
+        if self.index.get(a) != Some(&s) {
+            return Err(format!(
+                "live slot {s} holds {a} but is not indexed under it"
+            ));
+        }
+        if !slot.out.windows(2).all(|w| w[0].id < w[1].id) {
+            return Err(format!("slot {s} ({a}) out-edges not strictly sorted"));
+        }
+        if !slot.inc.windows(2).all(|w| w[0].id < w[1].id) {
+            return Err(format!("slot {s} ({a}) inc-edges not strictly sorted"));
+        }
+        if !slot.conf.windows(2).all(|w| w[0].id < w[1].id) {
+            return Err(format!("slot {s} ({a}) conf-edges not strictly sorted"));
+        }
+        for e in &slot.out {
+            if e.id == a {
+                return Err(format!("{a} has a precedence self-edge"));
+            }
+            let t = self
+                .slots
+                .get(e.slot as usize)
+                .filter(|t| t.live && t.id == e.id);
+            if t.is_none() {
+                return Err(format!("{a} → {} points at a stale slot", e.id));
+            }
+            let target = &self.slots[e.slot as usize];
+            if find_inc(&target.inc, a).is_err() {
+                return Err(format!("{a} → {} missing the mirror inc entry", e.id));
+            }
+        }
+        for e in &slot.inc {
+            let p = self
+                .slots
+                .get(e.slot as usize)
+                .filter(|p| p.live && p.id == e.id);
+            if p.is_none() {
+                return Err(format!("{a} ← {} points at a stale slot", e.id));
+            }
+            if find_out(&self.slots[e.slot as usize].out, a).is_err() {
+                return Err(format!("{a} ← {} missing the mirror out entry", e.id));
+            }
+        }
+        for e in &slot.conf {
+            if e.id == a {
+                return Err(format!("{a} has a conflicting self-edge"));
+            }
+            let p = self
+                .slots
+                .get(e.slot as usize)
+                .filter(|p| p.live && p.id == e.id);
+            if p.is_none() {
+                return Err(format!("{a} ~ {} points at a stale slot", e.id));
+            }
+            let partner = &self.slots[e.slot as usize];
+            if find_conf(&partner.conf, a).is_err() {
+                return Err(format!("{a} ~ {} missing the symmetric conf entry", e.id));
+            }
+            if find_out(&slot.out, e.id).is_ok() || find_out(&partner.out, a).is_ok() {
+                return Err(format!(
+                    "{a} ~ {} is both conflicting and resolved",
+                    e.id
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// The invariants of [`Wtpg::check_invariants`] that an event on `txn`
+    /// can have broken. `touched` is `txn`'s slot, checked whole
+    /// ([`Wtpg::check_slot`]; dead and empty after a commit), then the
+    /// slots whose lists the event edited an entry for `txn` in: each must
+    /// still be sorted and free of self-edges, and its entry for `txn`,
+    /// if `txn` is live, mirrored in `txn`'s slot — or gone, if not. Costs
+    /// `txn`'s slot check plus `O(d)` per other slot of degree `d`, reading
+    /// no third slot.
+    ///
+    /// # Errors
+    /// A description of the first violated invariant.
+    // lint:allow(panic-safety) windows(2) yields two-element slices
+    pub(crate) fn check_around(&self, txn: TxnId, touched: &[u32]) -> Result<(), String> {
+        let Some((&own, others)) = touched.split_first() else {
+            return Ok(());
+        };
+        self.check_slot(own)?;
+        let own = self
+            .slot_of(txn)
+            .and_then(|s| self.slots.get(s as usize).map(|o| (s, o)));
+        for &n in others {
+            let slot = match self.slots.get(n as usize) {
+                Some(slot) if slot.live => slot,
+                _ => {
+                    self.check_slot(n)?;
+                    continue;
+                }
+            };
+            let a = slot.id;
+            let sorted = slot.out.windows(2).all(|w| w[0].id < w[1].id)
+                && slot.inc.windows(2).all(|w| w[0].id < w[1].id)
+                && slot.conf.windows(2).all(|w| w[0].id < w[1].id);
+            if !sorted {
+                return Err(format!("slot {n} ({a}) adjacency not strictly sorted"));
+            }
+            if find_out(&slot.out, a).is_ok() || find_conf(&slot.conf, a).is_ok() {
+                return Err(format!("{a} has a self-edge"));
+            }
+            let out = find_out(&slot.out, txn).ok().and_then(|i| slot.out.get(i));
+            let inc = find_inc(&slot.inc, txn).ok().and_then(|i| slot.inc.get(i));
+            let conf = find_conf(&slot.conf, txn)
+                .ok()
+                .and_then(|i| slot.conf.get(i));
+            let Some((s, o)) = own else {
+                if out.is_some() || inc.is_some() || conf.is_some() {
+                    return Err(format!("{a} still names the removed {txn}"));
+                }
+                continue;
+            };
+            if out.is_some_and(|e| e.slot != s || find_inc(&o.inc, a).is_err()) {
+                return Err(format!("{a} → {txn} missing the mirror inc entry"));
+            }
+            if inc.is_some_and(|e| e.slot != s || find_out(&o.out, a).is_err()) {
+                return Err(format!("{a} ← {txn} missing the mirror out entry"));
+            }
+            if conf.is_some_and(|e| e.slot != s || find_conf(&o.conf, a).is_err()) {
+                return Err(format!("{a} ~ {txn} missing the symmetric conf entry"));
+            }
+            if conf.is_some() && (out.is_some() || inc.is_some()) {
+                return Err(format!("{a} ~ {txn} is both conflicting and resolved"));
+            }
         }
         Ok(())
     }
@@ -930,6 +1038,43 @@ impl Wtpg {
         #[cfg(debug_assertions)]
         if let Err(what) = self.check_invariants() {
             panic!("WTPG invariant violated: {what}");
+        }
+    }
+
+    /// Test hook: corrupts `txn`'s slot with a conflicting self-edge, which
+    /// [`Wtpg::check_slot`] and [`Wtpg::check_invariants`] must both reject.
+    #[cfg(test)]
+    pub(crate) fn corrupt_slot(&mut self, txn: TxnId) {
+        if let Some(s) = self.slot_of(txn) {
+            self.slot_mut(s).conf.push(ConfEdge {
+                id: txn,
+                slot: s,
+                w: Work::ZERO,
+            });
+        }
+    }
+
+    /// Test hook: adds the precedence edge `from → to` with no checks at
+    /// all — how a seeded mutation makes a replayed grant close a cycle.
+    #[cfg(test)]
+    pub(crate) fn force_precedence(&mut self, from: TxnId, to: TxnId) {
+        let (Some(sf), Some(st)) = (self.slot_of(from), self.slot_of(to)) else {
+            return;
+        };
+        let out = &mut self.slot_mut(sf).out;
+        if let Err(i) = find_out(out, to) {
+            out.insert(
+                i,
+                OutEdge {
+                    id: to,
+                    slot: st,
+                    w: Work::ZERO,
+                },
+            );
+        }
+        let inc = &mut self.slot_mut(st).inc;
+        if let Err(i) = find_inc(inc, from) {
+            inc.insert(i, Neighbor { id: from, slot: sf });
         }
     }
 

@@ -56,6 +56,7 @@ use std::time::{Duration, Instant};
 
 use wtpg_core::certify::{certify_history, CertifyMode, CertifyReport, CertifyViolation};
 use wtpg_core::partition::Catalog;
+use wtpg_core::stream_certify::RETIRE_EVERY;
 use wtpg_core::txn::{AccessMode, TxnId, TxnSpec};
 use wtpg_core::StreamingCertifier;
 use wtpg_dur::Durability;
@@ -194,9 +195,6 @@ impl Default for NetConfig {
 /// [`STREAM_BLOCK`] items, so it holds `STREAM_DEPTH / STREAM_BLOCK` of
 /// them.
 const STREAM_DEPTH: usize = 1 << 16;
-
-/// Events between prefix-retirement sweeps on a streaming certifier.
-const RETIRE_EVERY: usize = 4096;
 
 /// One shard's certifier thread: blocks of declarations and linearized
 /// events in, a final [`CertifyReport`] (plus the events-fed tally) out.

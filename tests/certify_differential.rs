@@ -8,14 +8,19 @@
 //! * **sensitivity** — minimally corrupted versions of those same histories
 //!   (two conflicting grants swapped between transactions; a commit dropped
 //!   while a later conflicting grant exists) are rejected.
+//!
+//! On every history, clean or corrupted, the certifier's change-proportional
+//! checks alone and its whole-graph oracles alone reach the same verdict: the
+//! same report, or a violation at the same event.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use proptest::test_runner::Config;
 
-use wtpg::core::certify::{certify_history, CertifyMode};
+use wtpg::core::certify::{certify_history, certify_history_with, CertifyMode};
 use wtpg::core::history::{Event, History};
+use wtpg::core::stream_certify::Checks;
 use wtpg::core::txn::{AccessMode, TxnId, TxnSpec};
 use wtpg::core::PartitionId;
 use wtpg::sim::machine::Machine;
@@ -133,6 +138,19 @@ fn drop_conflicted_commit(h: &History) -> Option<History> {
     None
 }
 
+/// The fast checks with the oracles off and the oracles alone, on every
+/// event, give the same report or reject at the same event.
+fn fast_and_oracle_agree(
+    h: &History,
+    specs: &BTreeMap<TxnId, TxnSpec>,
+    mode: CertifyMode,
+) -> Result<(), TestCaseError> {
+    let [fast, oracle] = [Checks::FAST, Checks::ORACLE]
+        .map(|checks| certify_history_with(h, specs, mode, checks).map_err(|v| v.at));
+    prop_assert_eq!(fast, oracle);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(Config::with_cases(3))]
 
@@ -145,18 +163,21 @@ proptest! {
         let (h, specs) = certified_run(kind, seed, lambda);
         let mode = mode_of(kind, 2);
         prop_assert!(certify_history(&h, &specs, mode).is_ok());
+        fast_and_oracle_agree(&h, &specs, mode)?;
 
         if let Some(bad) = swap_conflicting_grants(&h) {
             prop_assert!(
                 certify_history(&bad, &specs, mode).is_err(),
                 "swapped conflicting grants must not certify"
             );
+            fast_and_oracle_agree(&bad, &specs, mode)?;
         }
         if let Some(bad) = drop_conflicted_commit(&h) {
             prop_assert!(
                 certify_history(&bad, &specs, mode).is_err(),
                 "dropped commit with a later conflicting grant must not certify"
             );
+            fast_and_oracle_agree(&bad, &specs, mode)?;
         }
     }
 
@@ -169,18 +190,21 @@ proptest! {
         let (h, specs) = certified_run(kind, seed, lambda);
         let mode = mode_of(kind, 2);
         prop_assert!(certify_history(&h, &specs, mode).is_ok());
+        fast_and_oracle_agree(&h, &specs, mode)?;
 
         if let Some(bad) = swap_conflicting_grants(&h) {
             prop_assert!(
                 certify_history(&bad, &specs, mode).is_err(),
                 "swapped conflicting grants must not certify"
             );
+            fast_and_oracle_agree(&bad, &specs, mode)?;
         }
         if let Some(bad) = drop_conflicted_commit(&h) {
             prop_assert!(
                 certify_history(&bad, &specs, mode).is_err(),
                 "dropped commit with a later conflicting grant must not certify"
             );
+            fast_and_oracle_agree(&bad, &specs, mode)?;
         }
     }
 }
