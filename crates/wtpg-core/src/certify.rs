@@ -63,6 +63,7 @@
 use std::collections::BTreeMap;
 
 use crate::history::{Event, History};
+use crate::partition::PartitionId;
 use crate::stream_certify::{Checks, Replay, RETIRE_EVERY};
 use crate::time::Tick;
 use crate::txn::{TxnId, TxnSpec};
@@ -191,6 +192,37 @@ fn event_txn(e: &Event) -> TxnId {
     }
 }
 
+/// The violation of a partition granted by two shards: `home`, the first
+/// to grant it, and `si`, at `tick`.
+fn partition_clash(partition: PartitionId, home: usize, si: usize, tick: Tick) -> CertifyViolation {
+    violation(usize::MAX, tick, format!("{partition} granted by shard {home} and shard {si}"))
+}
+
+/// The partition half of [`merge_shard_histories`]' disjointness check, on
+/// what each shard granted — every partition with the tick of the shard's
+/// first grant on it — rather than on its history: a streamed shard
+/// records none.
+///
+/// # Errors
+/// A [`CertifyViolation`] (`at == usize::MAX`) naming the first shard, in
+/// shard order, to grant a partition an earlier shard granted, at the
+/// earliest such grant — the one [`merge_shard_histories`] reports.
+pub fn check_shard_partitions(
+    shards: &[&BTreeMap<PartitionId, Tick>],
+) -> Result<(), CertifyViolation> {
+    let mut home: BTreeMap<PartitionId, usize> = BTreeMap::new();
+    for (si, granted) in shards.iter().enumerate() {
+        let clash = granted.iter().filter_map(|(p, &t)| Some((t, *p, *home.get(p)?))).min();
+        if let Some((t, p, h)) = clash {
+            return Err(partition_clash(p, h, si, t));
+        }
+        for &p in granted.keys() {
+            home.insert(p, si);
+        }
+    }
+    Ok(())
+}
+
 /// Merges per-shard histories into one globally ordered history.
 ///
 /// Sharded control planes split the WTPG by *conflict component*: a
@@ -214,7 +246,7 @@ pub fn merge_shard_histories(shards: &[&History]) -> Result<History, CertifyViol
         return Ok(shards[0].clone());
     }
     let mut txn_home: BTreeMap<TxnId, usize> = BTreeMap::new();
-    let mut part_home: BTreeMap<crate::partition::PartitionId, usize> = BTreeMap::new();
+    let mut part_home: BTreeMap<PartitionId, usize> = BTreeMap::new();
     let mut all: Vec<(Tick, usize, Event)> = Vec::new();
     for (si, h) in shards.iter().enumerate() {
         for &(t, e) in h.events() {
@@ -233,11 +265,7 @@ pub fn merge_shard_histories(shards: &[&History]) -> Result<History, CertifyViol
             if let Event::Granted { partition, .. } = e {
                 if let Some(&home) = part_home.get(&partition) {
                     if home != si {
-                        return Err(violation(
-                            usize::MAX,
-                            t,
-                            format!("{partition} granted by shard {home} and shard {si}"),
-                        ));
+                        return Err(partition_clash(partition, home, si, t));
                     }
                 } else {
                     part_home.insert(partition, si);
@@ -600,6 +628,49 @@ mod tests {
         let err =
             merge_shard_histories(&[&h1, &h2b]).expect_err("split txn must be rejected");
         assert!(err.what.contains("events on shard"), "{err}");
+    }
+
+    #[test]
+    fn shards_that_granted_one_partition_are_rejected_without_a_history() {
+        let granted = |ps: &[(u32, u64)]| -> BTreeMap<PartitionId, Tick> {
+            ps.iter().map(|&(p, t)| (PartitionId(p), Tick(t))).collect()
+        };
+        let (a, b) = (granted(&[(0, 2), (1, 5)]), granted(&[(2, 1), (3, 9)]));
+        check_shard_partitions(&[&a, &b]).expect("disjoint shards pass");
+        check_shard_partitions(&[&a]).expect("one shard is disjoint from none");
+        // Shard 2 granted partitions 3 (shard 1's) at tick 7 and 0 (shard
+        // 0's) at tick 4: the earliest clash is reported, as the history
+        // merge reports it.
+        let c = granted(&[(0, 4), (3, 7), (8, 1)]);
+        let err = check_shard_partitions(&[&a, &b, &c]).unwrap_err();
+        assert_eq!((err.at, err.tick), (usize::MAX, Tick(4)));
+        assert_eq!(err.what, "P0 granted by shard 0 and shard 2");
+
+        // The same message as the history merge's, on the same histories.
+        let (h1, _) = drive_component(
+            crate::sched::ChainScheduler::new(5000),
+            &component_specs(0, 1, 2),
+            0,
+        );
+        let (h2, _) = drive_component(
+            crate::sched::ChainScheduler::new(5000),
+            &component_specs(0, 100, 2),
+            0,
+        );
+        let firsts = |h: &History| {
+            let mut g = BTreeMap::new();
+            for &(t, e) in h.events() {
+                if let Event::Granted { partition, .. } = e {
+                    g.entry(partition).or_insert(t);
+                }
+            }
+            g
+        };
+        let (g1, g2) = (firsts(&h1), firsts(&h2));
+        assert_eq!(
+            check_shard_partitions(&[&g1, &g2]).unwrap_err(),
+            merge_shard_histories(&[&h1, &h2]).unwrap_err()
+        );
     }
 
     #[test]

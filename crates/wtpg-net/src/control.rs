@@ -1,10 +1,11 @@
 //! The control actor: an admission/lock-grant authority driven entirely by
 //! messages, pipelined so no client round-trips per step.
 //!
-//! Wraps `wtpg-rt`'s [`ControlNode`] — a scheduler, a history and a logical
-//! clock as one plain value — owned by this one actor: every
-//! protocol decision is a message handled in arrival order, so the recorded
-//! history is a linearization by construction.
+//! Wraps `wtpg-rt`'s [`ControlNode`] — a scheduler, a history (streamed: a
+//! live certifier) and a logical clock as one plain value — owned by this
+//! one actor: every protocol decision is a message handled in arrival
+//! order, so the recorded history is a linearization by construction, and a
+//! streamed shard certifies its decisions on its own step.
 //!
 //! **Pipelined protocol.** A client sends one `Submit` carrying the full
 //! declaration and then waits for the commit ack — two client messages per
@@ -74,7 +75,6 @@
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
-use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -90,7 +90,7 @@ use wtpg_mvcc::{gc_floor, ActiveSnapshots, CommitLog, GcWatermark, ReadObservati
 use wtpg_obs::window::metric;
 use wtpg_obs::{Counter, Gauge, HistHandle, MsgCounts, Registry};
 use wtpg_rt::backoff::Backoff;
-use wtpg_rt::control::{ControlAudit, ControlNode, StreamItem};
+use wtpg_rt::control::{ControlAudit, ControlNode};
 
 use crate::actor::{Actor, Flow};
 use crate::batch::Coalescer;
@@ -143,14 +143,14 @@ pub struct ControlParams<'a> {
     pub fault: FaultPlan,
     /// Where to persist periodic control checkpoints (`None` disables).
     pub ckpt: Option<PathBuf>,
-    /// Live certification stream: with a sender attached, the wrapped
-    /// [`ControlNode`] records no in-memory history — every event goes to
-    /// a per-shard [`StreamingCertifier`](wtpg_core::StreamingCertifier)
-    /// thread, in blocks, a partial one handed over at each quiet
-    /// [`POLL`]. Per-transaction state is retired at commit in every mode,
-    /// so with the history gone the actor's footprint is bounded by the
-    /// live population.
-    pub stream: Option<SyncSender<Vec<StreamItem>>>,
+    /// Live certification: on, the wrapped [`ControlNode`] records no
+    /// in-memory history — it feeds every event to the
+    /// [`StreamingCertifier`](wtpg_core::StreamingCertifier) it owns, as
+    /// the event is drawn, and the outcome's audit carries the verdict.
+    /// Per-transaction state is retired at commit in every mode, so with
+    /// the history gone the actor's footprint is bounded by the live
+    /// population.
+    pub stream: bool,
     /// The run's books: every count this shard observes lands here, under
     /// its [`metric`] name, and nowhere else.
     pub reg: &'a Registry,
@@ -168,7 +168,8 @@ pub struct ControlParams<'a> {
 pub struct ControlOutcome {
     /// The wrapped scheduler's display name ("CHAIN", "K2", …).
     pub name: String,
-    /// The linearized history, specs, counters, and final tick.
+    /// The linearized history (or, streamed, the live verdict), specs,
+    /// counters, granted partitions and final tick.
     pub audit: ControlAudit,
     /// The certification mode the scheduler claimed.
     pub mode: CertifyMode,
@@ -509,15 +510,13 @@ impl Actor for ControlActor<'_> {
     }
 
     /// What a [`POLL`] without a message does: the silence watchdog, due
-    /// re-sends, parked retries, backlog admissions, gauges, and the
-    /// certification stream's partial block.
+    /// re-sends, parked retries, backlog admissions and gauges.
     fn idle(&mut self, now: Instant) -> Result<Flow, NetError> {
         let last = *self.last_message.get_or_insert(now);
         if now.saturating_duration_since(last) > self.watchdog {
             let actor = format!("control shard {}", self.shard);
             return Err(NetError::RecvTimeout { actor });
         }
-        self.control.hand_over();
         self.resend(None, now)?;
         self.retry_parked(now)?;
         self.drain_backlog(now)?;

@@ -7,8 +7,8 @@
 //! communicate exclusively through typed messages ([`Msg`]) over a
 //! pluggable [`Transport`] — in-process queues ([`InProc`]) or one loopback
 //! TCP socket per node ([`Tcp`]), framed by a dependency-free byte-stable
-//! [`codec`] — and one executor steps every actor of a run on one thread,
-//! on either transport.
+//! [`codec`] — and one executor steps every actor of a run on the caller's
+//! thread, on either transport: a run starts no thread of its own.
 //!
 //! The paper's claims are re-proven in a harsher model than its own: a seeded
 //! [`FaultPlan`] delays and duplicates control ↔ data messages and
@@ -58,20 +58,6 @@ pub use report::{MsgBreakdown, NetReport};
 pub use runtime::{run_cell, run_cell_load, NetConfig, OpenLoop};
 pub use tcp::Tcp;
 pub use transport::{InProc, Transport};
-
-/// `std::thread::spawn` with a name. Every thread of a run besides the
-/// caller's, which steps every actor, carries its role (`certifier-0`), so
-/// `/proc/<pid>/task/*/comm` beside `schedstat` attributes on-CPU time by
-/// role from outside the process.
-pub(crate) fn spawn_named<T: Send + 'static>(
-    name: String,
-    f: impl FnOnce() -> T + Send + 'static,
-) -> std::thread::JoinHandle<T> {
-    std::thread::Builder::new()
-        .name(name)
-        .spawn(f)
-        .expect("invariant: the OS starts a thread (std::thread::spawn panics on the same failure)")
-}
 
 /// Publishes a tally bundle its owner kept privately while it ran (a
 /// `MsgCounts`, a `ByteCounts`, a scheduler's `ControlStats`): each nonzero

@@ -24,19 +24,19 @@
 //!    streams with one `Shutdown` each, each control shard exits once every
 //!    client has and nothing is live, and the *runtime* broadcasts
 //!    `Shutdown` to the data nodes once every shard is done, then tears the
-//!    plumbing down in the order that lets every thread be joined. One
-//!    executor steps every actor, a sharded run's router among them, on the
-//!    calling thread (`drive_stepped`), whatever the transport; its clock
-//!    waits on the run's sockets. The stream certifiers are the run's only
-//!    other threads, and none of them pushes mail. The teardown `Shutdown`
+//!    plumbing down. One executor steps every actor, a sharded run's router
+//!    among them, on the calling thread (`drive_stepped`), whatever the
+//!    transport; its clock waits on the run's sockets. A run starts no
+//!    thread: under streaming certification each control shard certifies
+//!    its own decisions as it makes them. The teardown `Shutdown`
 //!    goes straight onto each data link, after every control shard has
 //!    released what its links held: it meets no link fault.
 //! 4. **assemble** — the per-shard audits are merged ([`merge_audits`] —
-//!    the canonical cross-shard history merge, which refuses non-disjoint
-//!    shards), the merged history is replay-certified, and the data nodes'
-//!    store tallies are checked against the workload's declared write units
-//!    — the proofs hold under real message passing, batched frames, and
-//!    injected faults.
+//!    the canonical cross-shard history merge, which refuses shards that
+//!    are not disjoint), the merged history is replay-certified (or the
+//!    shards' live verdicts read), and the data nodes' store tallies are
+//!    checked against the workload's declared write units — the proofs hold
+//!    under real message passing, batched frames, and injected faults.
 //!
 //! **One set of books.** Every count a run observes is booked once, in the
 //! run's [`Registry`], under its [`metric`] catalogue name — live by the
@@ -49,26 +49,22 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
-use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use wtpg_core::certify::{certify_history, CertifyMode, CertifyReport, CertifyViolation};
+use wtpg_core::certify::certify_history;
 use wtpg_core::partition::Catalog;
-use wtpg_core::stream_certify::RETIRE_EVERY;
 use wtpg_core::txn::{AccessMode, TxnId, TxnSpec};
-use wtpg_core::StreamingCertifier;
 use wtpg_dur::Durability;
 use wtpg_mvcc::{certify_snapshots, CommitLog, GcWatermark, ReaderRecord};
 use wtpg_obs::window::metric;
 use wtpg_obs::{ByteCounts, MsgCounts, Observer, Registry};
 use wtpg_rt::backoff::Backoff;
-use wtpg_rt::control::{ControlAudit, STREAM_BLOCK};
+use wtpg_rt::control::ControlAudit;
 use wtpg_rt::SendScheduler;
 use wtpg_rt::metrics::LatencySummary;
 use wtpg_rt::shard::{merge_audits, ShardMap};
-use wtpg_rt::StreamItem;
 
 use crate::actor::{self, Actor, Flow, RealTime, Slot, Step};
 use crate::client::{ClientActor, ClientOutcome, OpenLoopPlan};
@@ -134,12 +130,13 @@ pub struct NetConfig {
     /// policy with Poisson arrivals at a fixed rate and sheds arrivals that
     /// find the in-flight bound full. `None` keeps the closed loop.
     pub open_loop: Option<OpenLoop>,
-    /// Certify on live per-shard event streams instead of replaying a
-    /// recorded history after the run: the control plane records nothing
-    /// in memory, every linearized event feeds a per-shard
-    /// [`StreamingCertifier`] thread as it happens, and certified prefixes
-    /// retire incrementally — the only way a multi-million-transaction
-    /// cell stays memory-bounded *and* certified.
+    /// Certify each control shard's decisions live instead of replaying a
+    /// recorded history after the run: the control plane records no history
+    /// in memory, each shard feeds every linearized event to the
+    /// [`StreamingCertifier`](wtpg_core::StreamingCertifier) it owns as the
+    /// event happens, and certified prefixes retire incrementally — the only
+    /// way a multi-million-transaction cell stays memory-bounded *and*
+    /// certified.
     pub stream_certify: bool,
     /// MVCC snapshot plane: read-only transactions bypass the scheduler
     /// (snapshot at admission, lock-free `SnapshotRead`s against
@@ -186,44 +183,6 @@ impl Default for NetConfig {
             mvcc: false,
         }
     }
-}
-
-/// Bound on each shard's certifier channel, in items: deep enough that the
-/// certifier thread never stalls a healthy control actor, bounded so a
-/// lagging certifier throttles the control plane instead of buffering the
-/// whole run in memory. The channel carries blocks of at most
-/// [`STREAM_BLOCK`] items, so it holds `STREAM_DEPTH / STREAM_BLOCK` of
-/// them.
-const STREAM_DEPTH: usize = 1 << 16;
-
-/// One shard's certifier thread: blocks of declarations and linearized
-/// events in, a final [`CertifyReport`] (plus the events-fed tally) out.
-/// The committed prefix retires every [`RETIRE_EVERY`] events, so the live
-/// graph tracks the in-flight population rather than the run length.
-fn certify_stream(
-    mode: CertifyMode,
-    rx: &Receiver<Vec<StreamItem>>,
-) -> Result<(CertifyReport, usize), CertifyViolation> {
-    let mut cert = StreamingCertifier::new(mode);
-    let mut since_retire = 0usize;
-    for item in rx.iter().flatten() {
-        match item {
-            StreamItem::Spec(spec) => cert.declare(spec),
-            StreamItem::Event(tick, ev) => {
-                // A violation drops `rx` on return, which makes the control
-                // side's sends fail fast (ignored there — the verdict
-                // surfaces when the runtime joins this thread).
-                cert.feed(tick, ev)?;
-                since_retire += 1;
-                if since_retire >= RETIRE_EVERY {
-                    since_retire = 0;
-                    cert.retire_prefix();
-                }
-            }
-        }
-    }
-    let fed = cert.events_fed();
-    Ok((cert.finish()?, fed))
 }
 
 /// The transaction a control-bound message belongs to (shard routing key).
@@ -358,8 +317,8 @@ pub fn run_cell(
 /// `reg`.
 ///
 /// # Errors
-/// As [`run_cell`], plus [`NetError::Certify`] when a streaming certifier
-/// rejects the live event stream (`cfg.stream_certify`).
+/// As [`run_cell`], plus [`NetError::Certify`] when a control shard's live
+/// certifier rejects one of its decisions (`cfg.stream_certify`).
 #[allow(clippy::too_many_arguments)]
 pub fn run_cell_load(
     cfg: &NetConfig,
@@ -383,14 +342,9 @@ pub fn run_cell_load(
     assemble(&plan, joined, &reg)
 }
 
-/// What one shard's certifier thread returns.
-type StreamVerdict = Result<(CertifyReport, usize), CertifyViolation>;
-
 /// Phase 2 of a run: everything the actors need, built from a validated
-/// plan and not yet running — the fabric, the certifier channels, each
-/// actor's parameters as plain values, and the executor's clock. The only
-/// threads alive are the stream certifiers, idle until a control shard
-/// sends them something.
+/// plan and not yet running — the fabric, each actor's parameters as plain
+/// values, and the executor's clock.
 pub(crate) struct ActorSet<'a> {
     /// One per control shard, with the inbox it reads.
     controls: Vec<ControlParams<'a>>,
@@ -411,9 +365,8 @@ pub(crate) struct ActorSet<'a> {
     /// The transport's own threads.
     service: Vec<JoinHandle<()>>,
     bytes: Arc<dyn Fn() -> ByteCounts + Send + Sync>,
-    certifiers: Vec<JoinHandle<StreamVerdict>>,
     /// The instant open-loop arrivals are due from, taken ahead of the
-    /// certifier threads and the executor's clock. `wall_ms` runs from
+    /// actors' parameters and the executor's clock. `wall_ms` runs from
     /// `drive`'s own stopwatch, a little later: what lay-out costs after
     /// this instant, an open loop's `wall_ms` does not see.
     run_wall: Instant,
@@ -460,42 +413,26 @@ impl<'a> ActorSet<'a> {
 
         let run_wall = Instant::now();
 
-        // Streaming certification: one certifier thread per shard, fed the
-        // shard's linearized events live over a bounded channel (the control
-        // node records nothing in memory). The senders travel into the control
-        // actors and drop when they exit, which is the certifiers' EOF.
-        let mut certifiers: Vec<JoinHandle<StreamVerdict>> = Vec::new();
         // One control actor per shard; the plan holds one checkpoint path
         // (or `None`) for each.
         let controls = plan
             .ckpts
             .iter()
             .enumerate()
-            .map(|(si, ckpt)| {
-                let sched = sched();
-                let stream = cfg.stream_certify.then(|| {
-                    let mode = sched.certify_mode();
-                    let (tx, rx) = mpsc::sync_channel(STREAM_DEPTH / STREAM_BLOCK);
-                    certifiers.push(crate::spawn_named(format!("certifier-{si}"), move || {
-                        certify_stream(mode, &rx)
-                    }));
-                    tx
-                });
-                ControlParams {
-                    sched,
-                    clients: plan.clients,
-                    retry: cfg.retry,
-                    watchdog: plan.watchdog,
-                    batch_max: cfg.batch_max,
-                    batch_window: Duration::from_micros(cfg.batch_window_us),
-                    admit_window: cfg.admit_window,
-                    shard: si,
-                    fault: *fault,
-                    ckpt: ckpt.clone(),
-                    stream,
-                    reg,
-                    mvcc: watermark.clone(),
-                }
+            .map(|(si, ckpt)| ControlParams {
+                sched: sched(),
+                clients: plan.clients,
+                retry: cfg.retry,
+                watchdog: plan.watchdog,
+                batch_max: cfg.batch_max,
+                batch_window: Duration::from_micros(cfg.batch_window_us),
+                admit_window: cfg.admit_window,
+                shard: si,
+                fault: *fault,
+                ckpt: ckpt.clone(),
+                stream: cfg.stream_certify,
+                reg,
+                mvcc: watermark.clone(),
             })
             .collect();
         let data = (0..plan.data_nodes)
@@ -526,7 +463,6 @@ impl<'a> ActorSet<'a> {
             to_clients: fabric.to_clients,
             service: fabric.service,
             bytes: fabric.bytes,
-            certifiers,
             run_wall,
             clock,
         })
@@ -538,7 +474,6 @@ struct Joined {
     controls: Vec<Result<ControlOutcome, NetError>>,
     data: Vec<Result<DataOutcome, NetError>>,
     clients: Vec<Result<ClientOutcome, NetError>>,
-    stream_certs: Vec<StreamVerdict>,
     wall: Duration,
 }
 
@@ -550,10 +485,9 @@ type Outcomes = (
 );
 
 /// Phase 3: runs every actor of `set` to completion on this thread
-/// ([`drive_stepped`]), broadcasts `Shutdown`, and tears the plumbing down in
-/// the one order that lets every thread be joined. The runtime's own tallies
-/// — its `Shutdown` broadcasts, the wire's byte counts — are published last,
-/// so on return `reg` holds the whole run.
+/// ([`drive_stepped`]), broadcasts `Shutdown`, and tears the plumbing down.
+/// The runtime's own tallies — its `Shutdown` broadcasts, the wire's byte
+/// counts — are published last, so on return `reg` holds the whole run.
 fn drive(set: ActorSet<'_>, plan: &RunPlan<'_>, reg: &Registry) -> Joined {
     let cfg = plan.cfg;
     let (catalog, units, specs) = (plan.catalog, cfg.chunk_units, plan.specs);
@@ -627,17 +561,6 @@ fn drive(set: ActorSet<'_>, plan: &RunPlan<'_>, reg: &Registry) -> Joined {
         svc.join()
             .expect("invariant: transport service threads exit once every sender is dropped");
     }
-    // Every stream sender travelled into a control actor and dropped when
-    // it returned (success or failure), so the certifiers have hit EOF and
-    // these joins cannot block.
-    let stream_certs = set
-        .certifiers
-        .into_iter()
-        .map(|h| {
-            h.join()
-                .expect("invariant: certifier threads return errors instead of panicking")
-        })
-        .collect();
     let runtime_tx = MsgCounts {
         shutdown: shutdowns,
         ..MsgCounts::default()
@@ -648,7 +571,6 @@ fn drive(set: ActorSet<'_>, plan: &RunPlan<'_>, reg: &Registry) -> Joined {
         controls: control_res,
         data: data_res,
         clients: client_res,
-        stream_certs,
         wall,
     }
 }
@@ -771,7 +693,7 @@ fn assemble(plan: &RunPlan<'_>, joined: Joined, reg: &Registry) -> Result<NetRep
         .first()
         .expect("invariant: shards >= 1, so at least one control outcome");
     let (name, mode, shards) = (head.name.clone(), head.mode, controls.len());
-    let (mut b, audit) = Books::merge(controls, clients_out, &data_out)?;
+    let (mut b, mut audit) = Books::merge(controls, clients_out, &data_out)?;
     let totals = reg.totals();
     let total = |name: &str| totals.get(name).copied().unwrap_or(0);
     let wire = |field: &str| total(&metric::wire(field));
@@ -785,18 +707,10 @@ fn assemble(plan: &RunPlan<'_>, joined: Joined, reg: &Registry) -> Result<NetRep
     // What actually entered the system — the open-loop commit target.
     let accepted = offered - shed;
 
-    // Streaming certification verdicts (empty when `stream_certify` is
-    // off). A violation outranks everything but an actor error: the run
-    // "completed" but its history was not admissible.
-    let mut stream_grants = 0usize;
-    let mut stream_eq_checks = 0usize;
-    let mut stream_events = 0usize;
-    for r in joined.stream_certs {
-        let (rep, fed) = r.map_err(NetError::Certify)?;
-        stream_grants += rep.grants;
-        stream_eq_checks += rep.eq_checks;
-        stream_events += fed;
-    }
+    // The shards' live verdict (`None` unless `stream_certify`). A
+    // violation outranks everything but an actor error and shards that are
+    // not disjoint: the run "completed" but its history was not admissible.
+    let streamed = audit.verdict.take().transpose().map_err(NetError::Certify)?;
 
     let counters = audit.counters;
     let wall = joined.wall.as_secs_f64();
@@ -829,11 +743,7 @@ fn assemble(plan: &RunPlan<'_>, joined: Joined, reg: &Registry) -> Result<NetRep
             b.reader_lats.iter().chain(&b.writer_lats).copied().collect(),
         ),
         data_rtt: LatencySummary::from_us(std::mem::take(&mut b.data_rtts)),
-        history_events: if cfg.stream_certify {
-            stream_events
-        } else {
-            audit.history.len()
-        },
+        history_events: streamed.map_or(audit.history.len(), |r| r.events),
         logical_ticks: audit.final_tick.millis(),
         messages_sent: totals
             .iter()
@@ -899,12 +809,12 @@ fn assemble(plan: &RunPlan<'_>, joined: Joined, reg: &Registry) -> Result<NetRep
         });
     }
 
-    if cfg.stream_certify {
+    if let Some(cert) = streamed {
         // Certified live, prefix by prefix, while the run was still going;
         // the replay below would see an (intentionally) empty history.
         report.certified = true;
-        report.certify_grants = stream_grants;
-        report.certify_eq_checks = stream_eq_checks;
+        report.certify_grants = cert.grants;
+        report.certify_eq_checks = cert.eq_checks;
     } else if cfg.certify {
         // Single shard: the control actor's history, untouched. Sharded:
         // the canonical merge built above.
@@ -938,6 +848,13 @@ mod tests {
     use crate::actor::{round_robin, step_all, Clock};
     use crate::plan::PlanError;
     use crate::transport::InProc;
+    use std::sync::mpsc;
+    use wtpg_core::certify::CertifyViolation;
+    use wtpg_core::error::CoreError;
+    use wtpg_core::sched::{Admission, CommitResult, ControlOps, LockOutcome, NodcScheduler, Scheduler};
+    use wtpg_core::time::Tick;
+    use wtpg_core::work::Work;
+    use wtpg_core::wtpg::Wtpg;
     use wtpg_rt::queue::PopResult;
     use wtpg_rt::sched_by_name;
     use wtpg_rt::workload::pattern_specs;
@@ -1208,6 +1125,81 @@ mod tests {
         assert_eq!(r.offered, 120);
         assert_eq!(r.committed, r.submitted as u64);
         assert!(r.certified && r.store_consistent, "{r:?}");
+    }
+
+    /// NODC's grant-everything decisions under the lock-based baseline's
+    /// claim ([`Scheduler::certify_mode`]'s default): its conflicting grants
+    /// break exclusion.
+    struct Lawless(NodcScheduler);
+
+    impl Scheduler for Lawless {
+        fn name(&self) -> &str {
+            "LAWLESS"
+        }
+        fn on_arrive(&mut self, s: &TxnSpec, now: Tick) -> Result<(Admission, ControlOps), CoreError> {
+            self.0.on_arrive(s, now)
+        }
+        fn on_request(
+            &mut self,
+            txn: TxnId,
+            step: usize,
+            now: Tick,
+        ) -> Result<(LockOutcome, ControlOps), CoreError> {
+            self.0.on_request(txn, step, now)
+        }
+        fn on_progress(&mut self, txn: TxnId, amount: Work) -> Result<(), CoreError> {
+            self.0.on_progress(txn, amount)
+        }
+        fn on_step_complete(&mut self, txn: TxnId, step: usize) -> Result<(), CoreError> {
+            self.0.on_step_complete(txn, step)
+        }
+        fn on_commit(&mut self, txn: TxnId, now: Tick) -> Result<CommitResult, CoreError> {
+            self.0.on_commit(txn, now)
+        }
+        fn on_abort(&mut self, txn: TxnId, now: Tick) -> Result<CommitResult, CoreError> {
+            self.0.on_abort(txn, now)
+        }
+        fn active_txns(&self) -> usize {
+            self.0.active_txns()
+        }
+        fn wtpg(&self) -> &Wtpg {
+            self.0.wtpg()
+        }
+    }
+
+    /// A [`Lawless`] run of `cfg` over `pattern`: it must end in
+    /// [`NetError::Certify`].
+    fn lawless(cfg: &NetConfig, pattern: Pattern, txns: usize) -> CertifyViolation {
+        let (catalog, specs) = pattern_specs(pattern, txns, 7);
+        let sched = || Box::new(Lawless(NodcScheduler::new())) as SendScheduler;
+        match run_cell(cfg, &sched, &catalog, &specs, &InProc, &FaultPlan::none()) {
+            Err(NetError::Certify(v)) => v,
+            other => panic!("a lawless run must fail certification: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_run_that_breaks_exclusion_fails_certification_replayed_or_streamed() {
+        let replayed = lawless(&NetConfig::default(), Pattern::One, 60);
+        let open = NetConfig {
+            open_loop: Some(OpenLoop {
+                lambda_tps: 1_000_000.0,
+                seed: 5,
+                inflight: 4,
+            }),
+            stream_certify: true,
+            ..NetConfig::default()
+        };
+        let streamed = lawless(&open, Pattern::One, 60);
+        let sharded = NetConfig {
+            shards: 2,
+            ..open
+        };
+        let clustered = Pattern::Clustered { groups: 2, hots_per_group: 4 };
+        let sharded = lawless(&sharded, clustered, 120);
+        for v in [replayed, streamed, sharded] {
+            assert!(v.what.contains("while blocked"), "an exclusion violation: {v}");
+        }
     }
 
     #[test]

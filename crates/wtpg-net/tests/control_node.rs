@@ -54,7 +54,7 @@ fn params<'a>(reg: &'a Registry, sched: &str, clients: usize) -> ControlParams<'
         shard: 0,
         fault: FaultPlan::none(),
         ckpt: None,
-        stream: None,
+        stream: false,
         reg,
         mvcc: None,
     }

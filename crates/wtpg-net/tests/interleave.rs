@@ -15,6 +15,10 @@
 //! stops, the run closes a router's inbox and sends each data node
 //! `Shutdown`, as the runtime does.
 //!
+//! A streamed run certifies live: each control shard feeds every decision to
+//! the certifier it owns as it makes it, so certification moves on the
+//! generator's pick too, and each shard must return a clean verdict.
+//!
 //! A faulted run puts `FaultPlan::flaky_links(seed)`'s link faults on every
 //! control ↔ data coalescer: frames are delayed and duplicated by a line
 //! seeded from the run's seed, due at instants of the same virtual clock,
@@ -70,24 +74,33 @@ struct Ran {
     delays: u64,
 }
 
+/// One of the `run_*seed` calls a failing seed is reported as.
+type Runner = fn(&str, u64, bool) -> Result<Ran, String>;
+
 /// Steps one whole unsharded run of `sched` in the order `seed` picks —
 /// with link faults seeded by `seed` too if `faulted` — then checks what it
 /// left behind (see [`run`]).
 fn run_seed(sched: &str, seed: u64, faulted: bool) -> Result<Ran, String> {
-    run(1, sched, seed, faulted)
+    run(1, sched, seed, faulted, false)
 }
 
 /// [`run_seed`] with two control shards and a router, over two conflict
 /// components.
 fn run_sharded_seed(sched: &str, seed: u64, faulted: bool) -> Result<Ran, String> {
-    run(2, sched, seed, faulted)
+    run(2, sched, seed, faulted, false)
+}
+
+/// [`run_sharded_seed`] with each shard certifying live.
+fn run_streamed_seed(sched: &str, seed: u64, faulted: bool) -> Result<Ran, String> {
+    run(2, sched, seed, faulted, true)
 }
 
 /// Steps one whole run of `sched` on `shards` control shards (1 or 2) in
 /// the order `seed` picks, then checks what it left behind: every
-/// transaction committed, the merged control audit replay-certified, and
+/// transaction committed, the shards disjoint, the merged control audit
+/// replay-certified — or, `stream`ed, every shard's live verdict clean — and
 /// every declared write unit in the stores.
-fn run(shards: usize, sched: &str, seed: u64, faulted: bool) -> Result<Ran, String> {
+fn run(shards: usize, sched: &str, seed: u64, faulted: bool, stream: bool) -> Result<Ran, String> {
     let pattern = if shards == 1 {
         Pattern::Two { num_hots: 4 }
     } else {
@@ -127,7 +140,7 @@ fn run(shards: usize, sched: &str, seed: u64, faulted: bool) -> Result<Ran, Stri
             shard: si,
             fault,
             ckpt: None,
-            stream: None,
+            stream,
             reg: &reg,
             mvcc: None,
         };
@@ -195,6 +208,11 @@ fn run(shards: usize, sched: &str, seed: u64, faulted: bool) -> Result<Ran, Stri
     let (mut audits, mut mode) = (Vec::new(), None);
     for (si, control) in controls.into_iter().enumerate() {
         let out = control.outcome().map_err(|e| format!("control {si}: {e}"))?;
+        match &out.audit.verdict {
+            Some(Ok(_)) if stream => {}
+            None if !stream => {}
+            v => return Err(format!("control {si}: live verdict {v:?}")),
+        }
         mode = Some(out.mode);
         audits.push(out.audit);
     }
@@ -203,8 +221,14 @@ fn run(shards: usize, sched: &str, seed: u64, faulted: bool) -> Result<Ran, Stri
         return Err(format!("{} of {} committed", audit.counters.commits, specs.len()));
     }
     let mode = mode.ok_or("no control shard")?;
-    certify_history(&audit.history, &audit.specs, mode)
-        .map_err(|v| format!("certification: {v:?}"))?;
+    let certified = match audit.verdict {
+        Some(verdict) => verdict,
+        None => certify_history(&audit.history, &audit.specs, mode),
+    };
+    let report = certified.map_err(|v| format!("certification: {v:?}"))?;
+    if report.commits != specs.len() {
+        return Err(format!("{} of {} commits certified", report.commits, specs.len()));
+    }
     let expected: u64 = specs
         .iter()
         .flat_map(|t| t.steps())
@@ -228,16 +252,27 @@ fn run(shards: usize, sched: &str, seed: u64, faulted: bool) -> Result<Ran, Stri
     })
 }
 
-/// Runs `seeds` seeds × {chain, k2} of `shards` shards; panics with the
-/// failing seeds' repro lines. Returns, per scheduler, how many distinct
-/// histories the seeds gave, and the faults met in all.
-fn explore(shards: usize, seeds: u64, faulted: bool) -> (Vec<(&'static str, usize)>, u64, u64) {
+/// Runs `seeds` seeds × {chain, k2} of `shards` shards, `stream`ed or not;
+/// panics with the failing seeds' repro lines. Returns, per scheduler, how
+/// many distinct histories the seeds gave (one, streamed: none is
+/// recorded), and the faults met in all.
+fn explore(
+    shards: usize,
+    seeds: u64,
+    faulted: bool,
+    stream: bool,
+) -> (Vec<(&'static str, usize)>, u64, u64) {
     let (mut failures, mut distinct, mut dups, mut delays) = (Vec::new(), Vec::new(), 0, 0);
-    let repro = if shards == 1 { "run_seed" } else { "run_sharded_seed" };
+    let (repro, runner): (&str, Runner) = match (shards, stream) {
+        (1, false) => ("run_seed", run_seed),
+        (2, false) => ("run_sharded_seed", run_sharded_seed),
+        (2, true) => ("run_streamed_seed", run_streamed_seed),
+        _ => unreachable!("no arm of {shards} shards, streamed {stream}"),
+    };
     for sched in ["chain", "k2"] {
         let mut histories = BTreeSet::new();
         for seed in 1..=seeds {
-            match run(shards, sched, seed, faulted) {
+            match runner(sched, seed, faulted) {
                 Ok(ran) => {
                     histories.insert(ran.history);
                     (dups, delays) = (dups + ran.dups, delays + ran.delays);
@@ -254,7 +289,7 @@ fn explore(shards: usize, seeds: u64, faulted: bool) -> (Vec<(&'static str, usiz
 
 #[test]
 fn seeded_interleavings_stop_certify_and_conserve() {
-    let (distinct, dups, delays) = explore(1, 200, false);
+    let (distinct, dups, delays) = explore(1, 200, false, false);
     assert_eq!((dups, delays), (0, 0), "no link faults without a plan");
     // The seed must steer the run: one schedule for every seed explores
     // nothing.
@@ -265,7 +300,7 @@ fn seeded_interleavings_stop_certify_and_conserve() {
 
 #[test]
 fn seeded_interleavings_under_link_faults_stop_certify_and_conserve() {
-    let (distinct, dups, delays) = explore(1, 200, true);
+    let (distinct, dups, delays) = explore(1, 200, true, false);
     assert!(dups > 0 && delays > 0, "{dups} duplicated and {delays} delayed frames");
     for (sched, n) in distinct {
         assert!(n >= 190, "{sched}: 200 faulted seeds gave only {n} distinct histories");
@@ -274,7 +309,7 @@ fn seeded_interleavings_under_link_faults_stop_certify_and_conserve() {
 
 #[test]
 fn sharded_interleavings_merge_certify_and_conserve() {
-    let (distinct, dups, delays) = explore(2, 100, false);
+    let (distinct, dups, delays) = explore(2, 100, false, false);
     assert_eq!((dups, delays), (0, 0), "no link faults without a plan");
     for (sched, n) in distinct {
         assert!(n >= 95, "{sched}: 100 sharded seeds gave only {n} distinct histories");
@@ -283,11 +318,23 @@ fn sharded_interleavings_merge_certify_and_conserve() {
 
 #[test]
 fn sharded_interleavings_under_link_faults_merge_certify_and_conserve() {
-    let (distinct, dups, delays) = explore(2, 100, true);
+    let (distinct, dups, delays) = explore(2, 100, true, false);
     assert!(dups > 0 && delays > 0, "{dups} duplicated and {delays} delayed frames");
     for (sched, n) in distinct {
         assert!(n >= 95, "{sched}: 100 faulted sharded seeds gave only {n} distinct histories");
     }
+}
+
+#[test]
+fn streamed_sharded_interleavings_certify_live_and_conserve() {
+    let (_, dups, delays) = explore(2, 100, false, true);
+    assert_eq!((dups, delays), (0, 0), "no link faults without a plan");
+}
+
+#[test]
+fn streamed_sharded_interleavings_under_link_faults_certify_live_and_conserve() {
+    let (_, dups, delays) = explore(2, 100, true, true);
+    assert!(dups > 0 && delays > 0, "{dups} duplicated and {delays} delayed frames");
 }
 
 /// One line per seed — `sched faulted seed digest` — over seeds 1–50 ×
@@ -332,7 +379,6 @@ fn seeded_interleavings_match_the_committed_digests() {
 
 #[test]
 fn a_faulted_seed_repeats_its_history_exactly() {
-    type Runner = fn(&str, u64, bool) -> Result<Ran, String>;
     let runners: [(&str, Runner); 2] =
         [("run_seed", run_seed), ("run_sharded_seed", run_sharded_seed)];
     for (name, runner) in runners {

@@ -12,17 +12,23 @@
 //! ([`wtpg_core::certify::certify_history`]) sound for real multi-threaded
 //! executions: the threads meet at the owner's mailbox, not here.
 //!
-//! **Streaming mode.** With a [`StreamItem`] channel attached
-//! ([`ControlNode::with_telemetry`]), the node records *nothing*: every
-//! event goes down the channel in linearization order (each spec once,
-//! before its first admission event), in blocks of at most [`STREAM_BLOCK`],
-//! so a [`StreamingCertifier`](wtpg_core::StreamingCertifier) thread can
-//! replay and prefix-retire the history live.
-//! [`into_audit`](ControlNode::into_audit) hands over the last block and
-//! returns an empty history — the control node's memory footprint no
-//! longer grows with run length, which is what makes million-transaction
-//! open-loop cells feasible. Committed specs are pruned for the same
-//! reason.
+//! **Streaming mode.** Built with streaming on
+//! ([`ControlNode::with_telemetry`]), the node records *no history*: it owns
+//! a [`StreamingCertifier`] and feeds it each declaration (once, before the
+//! first admission event that references it) and each linearized event as
+//! the event is drawn, retiring the certified prefix every [`RETIRE_EVERY`]
+//! events. The first [`CertifyViolation`] is latched and nothing more is
+//! fed; the node keeps answering its scheduler, and
+//! [`into_audit`](ControlNode::into_audit) hands the verdict over as
+//! [`ControlAudit::verdict`]. Certification thus steps with the node whose
+//! decisions it checks, on its owner's thread, and the node's memory no
+//! longer grows with run length — which is what makes million-transaction
+//! open-loop cells feasible. Committed specs are pruned for the same reason.
+//!
+//! In both modes the node keeps the partitions it granted, each with its
+//! first grant's tick: a set bounded by the catalog, from which
+//! [`merge_audits`](crate::shard::merge_audits) checks that shards are
+//! disjoint when there is no history to merge.
 //!
 //! **Windowed telemetry.** With a [`Registry`] attached, scheduler-level
 //! decisions bump the canonical `sched/*` counters
@@ -31,15 +37,16 @@
 //! path and never alter scheduling decisions or recorded histories.
 
 use std::collections::BTreeMap;
-use std::sync::mpsc::SyncSender;
 
 use wtpg_obs::window::metric;
 use wtpg_obs::{ControlStats, Counter, Registry};
 
+use wtpg_core::certify::{CertifyMode, CertifyReport, CertifyViolation};
 use wtpg_core::error::CoreError;
 use wtpg_core::history::{Event, History};
 use wtpg_core::partition::PartitionId;
 use wtpg_core::sched::{Admission, ControlOps, LockOutcome, Scheduler};
+use wtpg_core::stream_certify::{StreamingCertifier, RETIRE_EVERY};
 use wtpg_core::time::{LogicalClock, Tick};
 use wtpg_core::txn::{TxnId, TxnSpec};
 use wtpg_core::window::IdWindow;
@@ -64,22 +71,6 @@ pub struct ControlCounters {
     /// Scheduler-internal work (deadlock tests, `W` optimisations, `E(q)`
     /// evaluations), summed over the whole run.
     pub ops: ControlOps,
-}
-
-/// Items per block of the live certification stream: one channel send, and
-/// one wake-up of the certifier thread, per block.
-pub const STREAM_BLOCK: usize = 4096;
-
-/// One item of the control node's live certification stream, in
-/// linearization order. Consumed by a
-/// [`StreamingCertifier`](wtpg_core::StreamingCertifier) thread.
-#[derive(Clone, Debug)]
-pub enum StreamItem {
-    /// A transaction's declaration, sent once — before the first
-    /// `Admitted`/`Rejected` event that references it.
-    Spec(TxnSpec),
-    /// One linearized history event.
-    Event(Tick, Event),
 }
 
 /// Pre-resolved windowed-metric handles (one atomic add per decision).
@@ -111,13 +102,9 @@ pub struct ControlNode {
     /// lookup per arrival and per grant.
     live: IdWindow<TxnSpec>,
     clock: LogicalClock,
-    /// Streaming mode: events go down this channel instead of into the
-    /// in-memory history. A send failure means the certifier already died
-    /// on a violation; the node keeps running and the runtime surfaces the
-    /// verdict when it joins the certifier.
-    stream: Option<SyncSender<Vec<StreamItem>>>,
-    /// Streaming mode: the items not handed over yet.
-    block: Vec<StreamItem>,
+    /// Streaming mode: the live certifier every event is fed to instead of
+    /// the in-memory history, or the first violation it found.
+    stream: Option<Result<StreamingCertifier, CertifyViolation>>,
     /// Windowed scheduler counters (None disables).
     tel: Option<SchedTelemetry>,
 }
@@ -134,23 +121,30 @@ pub struct ControlAudit {
     pub final_tick: Tick,
     /// The scheduler's cumulative control-plane statistics.
     pub stats: ControlStats,
+    /// Every partition granted, with the tick of its first grant.
+    pub granted: BTreeMap<PartitionId, Tick>,
+    /// Streaming mode's verdict: the live certifier's report, or the first
+    /// violation it found. `None` in in-memory mode.
+    pub verdict: Option<Result<CertifyReport, CertifyViolation>>,
 }
 
 impl ControlNode {
     /// Wraps `sched` as the machine's control node, recording the history
     /// in memory.
     pub fn new(sched: Box<dyn Scheduler + Send>) -> ControlNode {
-        ControlNode::with_telemetry(sched, None, None)
+        ControlNode::with_telemetry(sched, None, false)
     }
 
     /// [`ControlNode::new`] with an optional windowed-metric registry
-    /// (scheduler decision counters) and an optional live certification
-    /// stream (see the module docs on streaming mode).
+    /// (scheduler decision counters), certifying live under the scheduler's
+    /// own [`CertifyMode`] if `stream` (see the module docs on streaming
+    /// mode).
     pub fn with_telemetry(
         sched: Box<dyn Scheduler + Send>,
         reg: Option<&Registry>,
-        stream: Option<SyncSender<Vec<StreamItem>>>,
+        stream: bool,
     ) -> ControlNode {
+        let mode = sched.certify_mode();
         ControlNode {
             sched,
             audit: ControlAudit {
@@ -159,38 +153,31 @@ impl ControlNode {
                 counters: ControlCounters::default(),
                 final_tick: Tick::ZERO,
                 stats: ControlStats::default(),
+                granted: BTreeMap::new(),
+                verdict: None,
             },
             live: IdWindow::new(),
             clock: LogicalClock::new(),
-            stream,
-            block: Vec::new(),
+            stream: stream.then(|| Ok(StreamingCertifier::new(mode))),
             tel: reg.map(SchedTelemetry::new),
         }
     }
 
-    /// Routes one linearized event: into the stream's block in streaming
-    /// mode, into the in-memory history otherwise.
+    /// Routes one linearized event: into the live certifier in streaming
+    /// mode, until it latches a violation, into the in-memory history
+    /// otherwise.
     fn record(&mut self, now: Tick, ev: Event) {
-        if self.stream.is_some() {
-            self.stream_item(StreamItem::Event(now, ev));
-        } else {
-            self.audit.history.push(now, ev);
-        }
-    }
-
-    /// Queues `item` for the certifier, handing the block over once full.
-    fn stream_item(&mut self, item: StreamItem) {
-        self.block.push(item);
-        if self.block.len() >= STREAM_BLOCK {
-            self.hand_over();
-        }
-    }
-
-    /// Streaming mode: hands the items queued so far to the certifier as one
-    /// block, as its owner does when it goes idle.
-    pub fn hand_over(&mut self) {
-        if let Some(tx) = self.stream.as_ref().filter(|_| !self.block.is_empty()) {
-            let _ = tx.send(std::mem::take(&mut self.block));
+        match &mut self.stream {
+            None => self.audit.history.push(now, ev),
+            Some(Ok(cert)) => match cert.feed(now, ev) {
+                Ok(()) if cert.events_fed() % RETIRE_EVERY == 0 => {
+                    cert.retire_prefix();
+                }
+                Ok(()) => {}
+                Err(v) => self.stream = Some(Err(v)),
+            },
+            // A violation is latched: nothing more is fed.
+            Some(Err(_)) => {}
         }
     }
 
@@ -206,8 +193,8 @@ impl ControlNode {
         // before either admission verdict (re-admission reuses the id).
         if !self.live.contains(spec.id) {
             self.live.insert(spec.id, spec.clone());
-            if self.stream.is_some() {
-                self.stream_item(StreamItem::Spec(spec.clone()));
+            if let Some(Ok(cert)) = &mut self.stream {
+                cert.declare(spec.clone());
             }
         }
         match admission {
@@ -246,6 +233,7 @@ impl ControlNode {
                     .and_then(|spec| spec.steps().get(step))
                     .copied()
                     .ok_or(CoreError::BadStep { txn, step })?;
+                self.audit.granted.entry(declared.partition).or_insert(now);
                 self.record(
                     now,
                     Event::Granted {
@@ -299,7 +287,7 @@ impl ControlNode {
         self.audit.counters.commits += 1;
         self.record(now, Event::Committed(txn));
         // A committed id never returns (ids are unique per run). Streaming
-        // mode keeps no spec past its commit — the certifier owns its copy
+        // mode keeps no spec past its commit — the certifier keeps its copy
         // until retirement — so the node's footprint is the live
         // population's.
         if let Some(spec) = self.live.remove(txn).filter(|_| self.stream.is_none()) {
@@ -322,7 +310,7 @@ impl ControlNode {
     }
 
     /// The certification mode the wrapped scheduler claims.
-    pub fn certify_mode(&self) -> wtpg_core::certify::CertifyMode {
+    pub fn certify_mode(&self) -> CertifyMode {
         self.sched.certify_mode()
     }
 
@@ -331,11 +319,12 @@ impl ControlNode {
         self.sched.active_txns()
     }
 
-    /// Consumes the control node (handing the stream's last block over),
-    /// releasing the recorded history, the spec log, and the counters.
-    pub fn into_audit(mut self) -> ControlAudit {
-        self.hand_over();
+    /// Consumes the control node, releasing the recorded history, the spec
+    /// log, the counters and — streaming mode — the live certifier's
+    /// verdict, after its last whole-arena check.
+    pub fn into_audit(self) -> ControlAudit {
         let mut audit = self.audit;
+        audit.verdict = self.stream.map(|s| s.and_then(StreamingCertifier::finish));
         audit.specs.extend(self.live.into_entries());
         audit.final_tick = self.clock.now();
         audit.stats = self.sched.obs_stats();
@@ -346,9 +335,10 @@ impl ControlNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wtpg_core::certify::{certify_history, CertifyMode};
-    use wtpg_core::sched::C2plScheduler;
+    use wtpg_core::certify::certify_history;
+    use wtpg_core::sched::{C2plScheduler, CommitResult, NodcScheduler};
     use wtpg_core::txn::StepSpec;
+    use wtpg_core::wtpg::Wtpg;
 
     fn spec(id: u64, steps: Vec<StepSpec>) -> TxnSpec {
         TxnSpec::new(TxnId(id), steps)
@@ -379,16 +369,11 @@ mod tests {
 
     #[test]
     fn streaming_mode_streams_the_linearization_and_records_nothing() {
-        use std::sync::mpsc;
-        use wtpg_core::StreamingCertifier;
-
         const TXNS: u64 = 1000;
-        let (tx, rx) = mpsc::sync_channel(1024);
         let reg = Registry::new();
-        let mut cn =
-            ControlNode::with_telemetry(Box::new(C2plScheduler::new()), Some(&reg), Some(tx));
-        // The same calls on a node that records: the linearization the
-        // stream must carry.
+        let mut cn = ControlNode::with_telemetry(Box::new(C2plScheduler::new()), Some(&reg), true);
+        // The same calls on a node that records: the history the inline
+        // certifier must judge as the replay does.
         let mut twin = ControlNode::new(Box::new(C2plScheduler::new()));
         for id in 1..=TXNS {
             for node in [&mut cn, &mut twin] {
@@ -399,53 +384,92 @@ mod tests {
                 node.step_complete(TxnId(id), 0).unwrap();
                 node.commit(TxnId(id)).unwrap();
             }
-            if id == 10 {
-                cn.hand_over(); // what an idle owner does with a partial block
-            }
         }
-        let audit = cn.into_audit(); // the last block, then the sender drops
-        assert_eq!(audit.history.len(), 0, "streaming mode records nothing");
+        // Five events per transaction: past one retirement.
+        let Some(Ok(cert)) = &cn.stream else { panic!("a clean run latches nothing") };
+        assert_eq!(cert.events_fed(), 5 * TXNS as usize);
+        assert!(cert.retired() > 0, "the certified prefix retires as the run goes");
+
+        let audit = cn.into_audit();
+        assert_eq!(audit.history.len(), 0, "streaming mode records no history");
         assert!(audit.specs.is_empty(), "committed specs are pruned");
         assert_eq!(audit.counters.commits, TXNS);
-
-        let blocks: Vec<Vec<StreamItem>> = rx.iter().collect();
-        let sizes: Vec<usize> = blocks.iter().map(Vec::len).collect();
-        // A spec and five events per transaction.
-        assert_eq!(sizes, [60, STREAM_BLOCK, 6 * TXNS as usize - 60 - STREAM_BLOCK]);
-        // Every event arrives once and in order, each spec before its
-        // transaction's first event.
-        let mut declared = std::collections::BTreeSet::new();
-        let mut streamed = Vec::new();
-        for item in blocks.iter().flatten() {
-            match item {
-                StreamItem::Spec(s) => assert!(declared.insert(s.id), "{:?} declared twice", s.id),
-                StreamItem::Event(t, e) => {
-                    if let Event::Admitted(id) = e {
-                        assert!(declared.contains(id), "{id:?} admitted before it was declared");
-                    }
-                    streamed.push((*t, *e));
-                }
-            }
-        }
-        assert_eq!(streamed, twin.into_audit().history.events());
-
-        // The channel carries the full linearization: replaying it through
-        // the streaming certifier proves the run exactly as the in-memory
-        // history would have.
-        let mut sc = StreamingCertifier::new(CertifyMode::General);
-        for item in blocks.into_iter().flatten() {
-            match item {
-                StreamItem::Spec(s) => sc.declare(s),
-                StreamItem::Event(t, e) => sc.feed(t, e).expect("clean run certifies"),
-            }
-        }
-        let report = sc.finish().expect("clean run certifies");
-        assert_eq!(report.commits, TXNS as usize);
-        assert_eq!(report.grants, TXNS as usize);
+        let twin = twin.into_audit();
+        assert_eq!(audit.granted, twin.granted, "both modes keep the granted partitions");
+        assert_eq!(audit.granted.len(), 64);
+        assert_eq!(twin.verdict, None, "in-memory mode leaves the verdict to the replay");
+        let replayed = certify_history(&twin.history, &twin.specs, CertifyMode::General)
+            .expect("clean run certifies");
+        assert_eq!(audit.verdict, Some(Ok(replayed)), "the inline verdict is the replay's");
 
         // Scheduler decision counters landed in the registry.
         let w = reg.flush_snapshot(1);
         assert_eq!(w.counter(wtpg_obs::window::metric::SCHED_GRANTS), TXNS);
+    }
+
+    /// NODC's grant-everything decisions under the lock-based baseline's
+    /// claim: its conflicting grants break exclusion.
+    struct Lawless(NodcScheduler);
+
+    impl Scheduler for Lawless {
+        fn name(&self) -> &str {
+            "LAWLESS"
+        }
+        fn on_arrive(&mut self, s: &TxnSpec, now: Tick) -> Result<(Admission, ControlOps), CoreError> {
+            self.0.on_arrive(s, now)
+        }
+        fn on_request(
+            &mut self,
+            txn: TxnId,
+            step: usize,
+            now: Tick,
+        ) -> Result<(LockOutcome, ControlOps), CoreError> {
+            self.0.on_request(txn, step, now)
+        }
+        fn on_progress(&mut self, txn: TxnId, amount: Work) -> Result<(), CoreError> {
+            self.0.on_progress(txn, amount)
+        }
+        fn on_step_complete(&mut self, txn: TxnId, step: usize) -> Result<(), CoreError> {
+            self.0.on_step_complete(txn, step)
+        }
+        fn on_commit(&mut self, txn: TxnId, now: Tick) -> Result<CommitResult, CoreError> {
+            self.0.on_commit(txn, now)
+        }
+        fn on_abort(&mut self, txn: TxnId, now: Tick) -> Result<CommitResult, CoreError> {
+            self.0.on_abort(txn, now)
+        }
+        fn active_txns(&self) -> usize {
+            self.0.active_txns()
+        }
+        fn wtpg(&self) -> &Wtpg {
+            self.0.wtpg()
+        }
+    }
+
+    #[test]
+    fn a_latched_violation_stops_the_feed_but_not_the_node() {
+        let mut cn = ControlNode::with_telemetry(Box::new(Lawless(NodcScheduler::new())), None, true);
+        assert_eq!(cn.certify_mode(), CertifyMode::General);
+        // Three writers of partition 0, all granted at once: the second
+        // grant (event 3) breaks exclusion, and so would the third.
+        for id in 1..=3 {
+            assert_eq!(cn.arrive(&spec(id, vec![StepSpec::write(0, 1.0)])).unwrap(), Admission::Admitted);
+            assert_eq!(cn.request(TxnId(id), 0).unwrap(), LockOutcome::Granted);
+            assert_eq!(matches!(cn.stream, Some(Err(_))), id > 1, "latched at the second grant");
+        }
+        // The node keeps answering its scheduler.
+        for id in 1..=3 {
+            cn.progress(TxnId(id), Work::from_objects(1)).unwrap();
+            cn.step_complete(TxnId(id), 0).unwrap();
+            cn.commit(TxnId(id)).unwrap();
+        }
+        assert_eq!(cn.active_txns(), 0);
+        let audit = cn.into_audit();
+        assert_eq!((audit.counters.grants, audit.counters.commits), (3, 3));
+        assert_eq!(audit.history.len(), 0);
+        assert_eq!(audit.granted.into_iter().collect::<Vec<_>>(), [(PartitionId(0), Tick(2))]);
+        let v = audit.verdict.expect("streaming mode").expect_err("exclusion is broken");
+        assert_eq!((v.at, v.tick), (3, Tick(4)), "the first violation, not a later one: {v}");
     }
 
     #[test]

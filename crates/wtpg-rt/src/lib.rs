@@ -76,7 +76,6 @@ pub mod shard;
 pub mod store;
 pub mod workload;
 
-pub use control::StreamItem;
 pub use shard::{merge_audits, ShardMap};
 
 use wtpg_core::sched::Scheduler;

@@ -20,13 +20,17 @@
 //!
 //! [`merge_audits`] is the inverse at run end: per-shard [`ControlAudit`]s
 //! merge into one — histories via the cross-shard certifier's canonical
-//! merge ([`merge_shard_histories`]), counters and stats by field-wise sum.
+//! merge ([`merge_shard_histories`]), counters and stats by field-wise sum —
+//! after checking on each shard's granted partitions that no two shards
+//! granted one ([`check_shard_partitions`]).
 //! A single-shard merge returns the audit untouched, so an unsharded run's
 //! history is exactly what its one control node recorded.
 
 use std::collections::BTreeMap;
 
-use wtpg_core::certify::{merge_shard_histories, CertifyViolation};
+use wtpg_core::certify::{
+    check_shard_partitions, merge_shard_histories, CertifyReport, CertifyViolation,
+};
 use wtpg_core::history::History;
 use wtpg_core::partition::PartitionId;
 use wtpg_core::time::Tick;
@@ -170,39 +174,57 @@ fn sum_counters(a: &ControlCounters, b: &ControlCounters) -> ControlCounters {
     }
 }
 
+fn sum_reports(a: &CertifyReport, b: &CertifyReport) -> CertifyReport {
+    CertifyReport {
+        events: a.events + b.events,
+        grants: a.grants + b.grants,
+        commits: a.commits + b.commits,
+        eq_checks: a.eq_checks + b.eq_checks,
+        eq_losses: a.eq_losses + b.eq_losses,
+    }
+}
+
 /// Merges per-shard audits into one run-level audit: histories through the
-/// canonical cross-shard merge, counters and stats by sum, final tick by
-/// sum (total logical instants drawn across shards). A one-element vector
-/// is returned untouched.
+/// canonical cross-shard merge, counters, stats and streamed reports by
+/// sum, final tick by sum (total logical instants drawn across shards). The
+/// merged verdict is the first shard's violation, if any shard latched one.
+/// A one-element vector is returned untouched.
 ///
 /// # Errors
-/// A [`CertifyViolation`] if the shard histories are not component-disjoint
-/// (see [`merge_shard_histories`]).
+/// A [`CertifyViolation`] if the shards are not component-disjoint (see
+/// [`merge_shard_histories`]): a transaction with events on two shards, or
+/// a partition granted by two — checked on what each shard granted, so a
+/// streamed shard, which records no history, is held to it too.
 pub fn merge_audits(mut audits: Vec<ControlAudit>) -> Result<ControlAudit, CertifyViolation> {
     if audits.len() == 1 {
         return Ok(audits.remove(0));
     }
     let hists: Vec<&History> = audits.iter().map(|a| &a.history).collect();
     let history = merge_shard_histories(&hists)?;
-    let mut specs = BTreeMap::new();
-    let mut counters = ControlCounters::default();
-    let mut stats = ControlStats::default();
-    let mut final_tick = Tick::ZERO;
-    for a in &audits {
-        for (id, spec) in &a.specs {
-            specs.insert(*id, spec.clone());
-        }
-        counters = sum_counters(&counters, &a.counters);
-        stats = sum_stats(&stats, &a.stats);
-        final_tick = Tick(final_tick.0 + a.final_tick.0);
-    }
-    Ok(ControlAudit {
+    let granted: Vec<_> = audits.iter().map(|a| &a.granted).collect();
+    check_shard_partitions(&granted)?;
+    let mut merged = ControlAudit {
         history,
-        specs,
-        counters,
-        final_tick,
-        stats,
-    })
+        specs: BTreeMap::new(),
+        counters: ControlCounters::default(),
+        final_tick: Tick::ZERO,
+        stats: ControlStats::default(),
+        granted: BTreeMap::new(),
+        verdict: None,
+    };
+    for a in audits {
+        merged.specs.extend(a.specs);
+        merged.counters = sum_counters(&merged.counters, &a.counters);
+        merged.stats = sum_stats(&merged.stats, &a.stats);
+        merged.final_tick = Tick(merged.final_tick.0 + a.final_tick.0);
+        merged.granted.extend(a.granted);
+        merged.verdict = match (merged.verdict, a.verdict) {
+            (Some(Ok(x)), Some(Ok(y))) => Some(Ok(sum_reports(&x, &y))),
+            (Some(Err(v)), _) | (_, Some(Err(v))) => Some(Err(v)),
+            (v, None) | (None, v) => v,
+        };
+    }
+    Ok(merged)
 }
 
 #[cfg(test)]
@@ -260,6 +282,35 @@ mod tests {
         for s in &specs {
             assert_eq!(map.shard_of(s.id), 0);
         }
+    }
+
+    #[test]
+    fn streamed_shards_that_granted_one_partition_do_not_merge() {
+        use crate::control::ControlNode;
+        use wtpg_core::sched::{Admission, C2plScheduler, LockOutcome};
+
+        // Two streamed nodes, each committing its transactions over `parts`.
+        let shard = |first: u64, parts: &[u32]| {
+            let mut cn = ControlNode::with_telemetry(Box::new(C2plScheduler::new()), None, true);
+            for (id, p) in (first..).zip(parts) {
+                assert_eq!(cn.arrive(&spec(id, &[*p])).unwrap(), Admission::Admitted);
+                assert_eq!(cn.request(TxnId(id), 0).unwrap(), LockOutcome::Granted);
+                cn.step_complete(TxnId(id), 0).unwrap();
+                cn.commit(TxnId(id)).unwrap();
+            }
+            cn.into_audit()
+        };
+        let merged = merge_audits(vec![shard(1, &[0, 1]), shard(10, &[2, 3])])
+            .expect("disjoint shards merge");
+        assert_eq!(merged.history.len(), 0, "streamed shards record no history");
+        assert_eq!(merged.granted.len(), 4);
+        let report = merged.verdict.expect("streamed").expect("both shards certify");
+        assert_eq!((report.commits, report.grants), (4, 4));
+
+        let err = merge_audits(vec![shard(1, &[0, 1]), shard(10, &[2, 1])])
+            .err()
+            .expect("partition 1 granted by both shards");
+        assert_eq!(err.what, "P1 granted by shard 0 and shard 1");
     }
 
     #[test]
