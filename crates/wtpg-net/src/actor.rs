@@ -10,16 +10,18 @@
 //! [`step_all`], the executor. Every actor, each in a [`Slot`] with its
 //! inbox, moves on the calling thread, and only an actor pushes into a
 //! queue inbox, so no mail arrives from outside but over a socket. A `pick`
-//! names which ready actor moves next ([`round_robin`] in a run); when none
-//! is ready, the [`Clock`] waits for the earliest wait to run out or for
-//! mail. In a run the clock is [`RealTime`]: its wait pushes out what TCP
-//! sends held, then is one `ppoll` over every link of the run's socket
-//! inboxes, then one `read` on each readable link. An in-process run is the
-//! same clock with no links. `tests/interleave.rs` gives the same executor a
-//! seeded pick and a virtual clock.
+//! names which ready actor moves next; when none is ready, the [`Clock`]
+//! waits for the earliest wait to run out or for mail. A run picks
+//! [`round_robin`] on [`RealTime`]: its wait pushes out what TCP sends held,
+//! then is one `ppoll` over every link of the run's socket inboxes, then
+//! one `read` on each readable link. An in-process run is the same clock
+//! with no links. An explored run (`runtime::explore_cell`) is the same
+//! run, picked by `seeded` on `VirtualTime`: a seed names one
+//! interleaving, and it repeats exactly.
 
 use std::time::{Duration, Instant};
 
+use wtpg_rt::backoff::XorShift;
 use wtpg_rt::queue::PopResult;
 
 use crate::error::NetError;
@@ -226,6 +228,41 @@ pub fn round_robin() -> impl FnMut(&[&mut dyn Step], Instant) -> Result<Option<u
             .find(|&i| slots.get(i).is_some_and(|s| s.ready(now)));
         at = next.unwrap_or(at);
         Ok(next)
+    }
+}
+
+/// An explored run's pick: a ready actor drawn by a `XorShift` seeded with
+/// `seed`. Past `steps` picks it refuses: the run does not end.
+pub(crate) fn seeded(
+    seed: u64,
+    steps: usize,
+) -> impl FnMut(&[&mut dyn Step], Instant) -> Result<Option<usize>, NetError> {
+    let (mut rng, mut asked) = (XorShift::new(seed), 0);
+    move |slots, now| {
+        asked += 1;
+        if asked > steps {
+            return Err(NetError::Protocol(format!("no end within {steps} steps")));
+        }
+        let ready: Vec<_> = slots.iter().zip(0..).filter(|(s, _)| s.ready(now)).collect();
+        let drawn = (!ready.is_empty()).then(|| rng.next_below(ready.len() as u64) as usize);
+        Ok(drawn.and_then(|k| ready.get(k)).map(|&(_, i)| i))
+    }
+}
+
+/// An explored run's clock: time that moves only when no actor can, to the
+/// earliest wait. A wait for mail is refused: nothing outside the executor
+/// sends any.
+pub(crate) struct VirtualTime(pub(crate) Instant);
+
+impl Clock for VirtualTime {
+    fn now(&mut self) -> Instant {
+        self.0
+    }
+
+    fn wait_until(&mut self, until: Option<Instant>) -> Result<(), NetError> {
+        let stuck = || NetError::Protocol("every actor sleeps until mail none sends".into());
+        self.0 = until.ok_or_else(stuck)?;
+        Ok(())
     }
 }
 

@@ -557,8 +557,8 @@ impl Actor for ControlActor<'_> {
             c.publish(reg);
         }
         let (name, mode) = (self.control.sched_name(), self.control.certify_mode());
+        crate::publish(reg, str::to_string, self.control.sched_stats().fields());
         let audit = self.control.into_audit();
-        crate::publish(reg, str::to_string, audit.stats.fields());
         Ok(ControlOutcome {
             name,
             mode,

@@ -3,7 +3,8 @@
 //!
 //! [`run_cell`] is the crate's entry point — one (scheduler, transport,
 //! fault plan) cell executed end to end in four phases, each with one
-//! caller ([`run_cell_load`]) and one owner of its concerns:
+//! owner of its concerns, run by [`run_cell_load`] on real time and by
+//! [`explore_cell`] on a virtual clock in an order a seed picks:
 //!
 //! 1. **plan** — [`RunPlan::new`] refuses the combinations that are not a
 //!    run and fixes every derived value (effective clients and shards, the
@@ -13,10 +14,9 @@
 //!    [`Transport`] wire the control plane, one data-node actor per catalog
 //!    node and the client actors into a star fabric, lays each actor's
 //!    parameters out as plain values — the [`FaultPlan`] among them: each
-//!    control ↔ data sender's coalescer delays and duplicates what it sends
-//!    — and builds the executor's clock over their inboxes.
+//!    control ↔ data sender's coalescer delays and duplicates what it sends.
 //!    With one effective shard the control actor reads the fabric inbox
-//!    directly (no router on the path); with `S > 1` a [`Router`] actor
+//!    directly (no router on the path); with `S > 1` a `Router` actor
 //!    deals inbound messages to `S` independent control actors, each
 //!    running its own scheduler over a disjoint slice of the WTPG.
 //! 3. **drive** — `drive` runs all actors to completion: clients submit
@@ -25,8 +25,9 @@
 //!    client has and nothing is live, and the *runtime* broadcasts
 //!    `Shutdown` to the data nodes once every shard is done, then tears the
 //!    plumbing down. One executor steps every actor, a sharded run's router
-//!    among them, on the calling thread (`drive_stepped`), whatever the
-//!    transport; its clock waits on the run's sockets. A run starts no
+//!    among them, on the calling thread, whatever the transport, on the
+//!    clock and pick it is handed ([`RealTime`] and round robin in a run).
+//!    A run starts no
 //!    thread: under streaming certification each control shard certifies
 //!    its own decisions as it makes them. The teardown `Shutdown`
 //!    goes straight onto each data link, after every control shard has
@@ -50,7 +51,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use wtpg_core::certify::certify_history;
@@ -66,7 +66,7 @@ use wtpg_rt::SendScheduler;
 use wtpg_rt::metrics::LatencySummary;
 use wtpg_rt::shard::{merge_audits, ShardMap};
 
-use crate::actor::{self, Actor, Flow, RealTime, Slot, Step};
+use crate::actor::{self, Actor, Clock, Flow, RealTime, Slot, Step};
 use crate::client::{ClientActor, ClientOutcome, OpenLoopPlan};
 use crate::control::{ControlActor, ControlOutcome, ControlParams};
 use crate::data::{DataActor, DataNodeParams, DataOutcome};
@@ -75,7 +75,7 @@ use crate::fault::FaultPlan;
 use crate::msg::Msg;
 use crate::plan::RunPlan;
 use crate::report::{MsgBreakdown, NetReport};
-use crate::transport::{Inbox, Mailbox, MsgTx, Transport};
+use crate::transport::{InProc, Inbox, Mailbox, MsgTx, Transport};
 
 /// Tuning knobs for one shared-nothing run.
 #[derive(Clone, Debug)]
@@ -203,8 +203,7 @@ fn msg_txn(m: &Msg) -> Option<TxnId> {
 /// several transactions, so inner messages route independently). It sleeps
 /// until mail, and stops once its inbox closes, which the runtime does when
 /// every shard has ended.
-#[doc(hidden)]
-pub struct Router<'a> {
+pub(crate) struct Router<'a> {
     map: &'a ShardMap,
     /// One per shard, in shard order.
     shards: &'a [Inbox],
@@ -216,7 +215,7 @@ pub struct Router<'a> {
 
 impl<'a> Router<'a> {
     /// A router dealing by `map` to `shards`, booking into `reg`.
-    pub fn new(map: &'a ShardMap, shards: &'a [Inbox], reg: &'a Registry) -> Self {
+    pub(crate) fn new(map: &'a ShardMap, shards: &'a [Inbox], reg: &'a Registry) -> Self {
         Router {
             map,
             shards,
@@ -334,17 +333,45 @@ pub fn run_cell_load(
     let private = reg.is_none();
     let reg = reg.unwrap_or_default();
     let set = ActorSet::lay_out(&plan, transport, sched, &reg)?;
-    let joined = drive(set, &plan, &reg);
+    // The shard inboxes are queues the router fills on the executor: the
+    // clock waits on the fabric's links alone.
+    let stepped = [&set.control_inbox].into_iter().chain(&set.data_inboxes);
+    let clock = RealTime::over(stepped.chain(&set.client_inboxes))?;
+    let joined = drive(set, &plan, &reg, clock, actor::round_robin());
     if let Some(obs) = obs.filter(|_| private) {
         let us = u64::try_from(joined.wall.as_micros()).unwrap_or(u64::MAX);
         obs.record(reg.flush(us, 0, us.max(1)));
     }
+    assemble(&plan, joined, &reg).map(|(report, _)| report)
+}
+
+/// [`run_cell`] in process on a virtual clock, in the order `seed` picks:
+/// one interleaving, which the seed repeats exactly. Returns the merged
+/// control audit beside the report.
+///
+/// # Errors
+/// As [`run_cell`], or [`NetError::Protocol`] if the run takes more than
+/// 125 steps per transaction, or every actor sleeps until mail.
+#[doc(hidden)]
+pub fn explore_cell(
+    cfg: &NetConfig,
+    sched: &(dyn Fn() -> SendScheduler + Sync),
+    catalog: &Catalog,
+    specs: &[TxnSpec],
+    fault: &FaultPlan,
+    seed: u64,
+) -> Result<(NetReport, ControlAudit), NetError> {
+    let plan = RunPlan::new(cfg, fault, &InProc, catalog, specs)?;
+    let reg = Registry::new();
+    let set = ActorSet::lay_out(&plan, &InProc, sched, &reg)?;
+    let clock = actor::VirtualTime(set.run_wall);
+    let joined = drive(set, &plan, &reg, clock, actor::seeded(seed, 125 * specs.len()));
     assemble(&plan, joined, &reg)
 }
 
 /// Phase 2 of a run: everything the actors need, built from a validated
-/// plan and not yet running — the fabric, each actor's parameters as plain
-/// values, and the executor's clock.
+/// plan and not yet running — the fabric and each actor's parameters as
+/// plain values.
 pub(crate) struct ActorSet<'a> {
     /// One per control shard, with the inbox it reads.
     controls: Vec<ControlParams<'a>>,
@@ -362,25 +389,21 @@ pub(crate) struct ActorSet<'a> {
     control_inbox: Inbox,
     to_data: Vec<Arc<dyn MsgTx>>,
     to_clients: Vec<Arc<dyn MsgTx>>,
-    /// The transport's own threads.
-    service: Vec<JoinHandle<()>>,
     bytes: Arc<dyn Fn() -> ByteCounts + Send + Sync>,
     /// The instant open-loop arrivals are due from, taken ahead of the
     /// actors' parameters and the executor's clock. `wall_ms` runs from
     /// `drive`'s own stopwatch, a little later: what lay-out costs after
     /// this instant, an open loop's `wall_ms` does not see.
     run_wall: Instant,
-    /// The executor's clock, over the fabric's inboxes.
-    clock: RealTime,
 }
 
 impl<'a> ActorSet<'a> {
-    /// Creates the WAL directory, the fabric, the actors' parameters and the
-    /// executor's clock.
+    /// Creates the WAL directory, the fabric and the actors' parameters.
     ///
     /// # Errors
-    /// [`NetError::Io`] if the directory, the transport's links or the
-    /// clock's descriptors cannot be created.
+    /// [`NetError::Io`] if the directory or the transport's links cannot be
+    /// created; [`NetError::Protocol`] if the transport brought a thread of
+    /// its own, which nothing would join (one executor steps every actor).
     // Not `build`: this reads the clock, and wtpg-lint's taint pass resolves
     // calls by bare name, so `ShardMap::build` in `plan.rs` would reach it.
     pub(crate) fn lay_out(
@@ -401,6 +424,9 @@ impl<'a> ActorSet<'a> {
         let watermark: Option<Arc<GcWatermark>> = cfg.mvcc.then(|| Arc::new(GcWatermark::new()));
 
         let fabric = transport.build(plan.data_nodes, plan.clients)?;
+        if !fabric.service.is_empty() {
+            return Err(NetError::Protocol("a transport brought service threads".into()));
+        }
 
         // One shard reads the fabric inbox directly (no router on the
         // path); S > 1 gets routed inboxes, unbounded like every in-process
@@ -446,10 +472,6 @@ impl<'a> ActorSet<'a> {
                 mvcc: watermark.clone(),
             })
             .collect();
-        // The shard inboxes are queues the router fills on the executor:
-        // the clock waits on the fabric's links alone.
-        let stepped = [&fabric.control_inbox].into_iter().chain(&fabric.data_inboxes);
-        let clock = RealTime::over(stepped.chain(&fabric.client_inboxes))?;
         Ok(ActorSet {
             controls,
             shard_inboxes,
@@ -461,10 +483,8 @@ impl<'a> ActorSet<'a> {
             control_inbox: fabric.control_inbox,
             to_data: fabric.to_data,
             to_clients: fabric.to_clients,
-            service: fabric.service,
             bytes: fabric.bytes,
             run_wall,
-            clock,
         })
     }
 }
@@ -477,18 +497,19 @@ struct Joined {
     wall: Duration,
 }
 
-/// What each actor of a run returned, by kind.
-type Outcomes = (
-    Vec<Result<ControlOutcome, NetError>>,
-    Vec<Result<DataOutcome, NetError>>,
-    Vec<Result<ClientOutcome, NetError>>,
-);
-
 /// Phase 3: runs every actor of `set` to completion on this thread
-/// ([`drive_stepped`]), broadcasts `Shutdown`, and tears the plumbing down.
-/// The runtime's own tallies — its `Shutdown` broadcasts, the wire's byte
-/// counts — are published last, so on return `reg` holds the whole run.
-fn drive(set: ActorSet<'_>, plan: &RunPlan<'_>, reg: &Registry) -> Joined {
+/// ([`actor::step_all`] on `clock`, moving the actor `pick` names),
+/// broadcasts `Shutdown` once every shard has stopped — or the executor
+/// failed, whose error becomes the first shard's outcome — and tears the
+/// plumbing down. The runtime's own tallies are published last, so on
+/// return `reg` holds the whole run.
+fn drive(
+    set: ActorSet<'_>,
+    plan: &RunPlan<'_>,
+    reg: &Registry,
+    mut clock: impl Clock,
+    pick: impl FnMut(&[&mut dyn Step], Instant) -> Result<Option<usize>, NetError>,
+) -> Joined {
     let cfg = plan.cfg;
     let (catalog, units, specs) = (plan.catalog, cfg.chunk_units, plan.specs);
     let (watchdog, depth, n) = (plan.watchdog, cfg.pipeline, plan.clients);
@@ -503,15 +524,14 @@ fn drive(set: ActorSet<'_>, plan: &RunPlan<'_>, reg: &Registry) -> Joined {
         });
     let open = open.as_ref();
     let (to_data, to_clients) = (&set.to_data, &set.to_clients);
-    let mut clock = set.clock;
     let mut shutdowns = 0u64;
     let started = Instant::now();
-    let sharded = set.controls.len() > 1;
+    let shards = set.controls.len();
     // Every shard is done (or failed): stop the router and tear the run
     // down — the runtime owns the Shutdown broadcast. A failed shard
     // releases the clients too: an ack they wait for will never come.
     let mut teardown = |failed: bool| {
-        if sharded {
+        if shards > 1 {
             set.control_inbox.close();
         }
         let clients: &[Arc<dyn MsgTx>] = if failed { to_clients } else { &[] };
@@ -519,9 +539,9 @@ fn drive(set: ActorSet<'_>, plan: &RunPlan<'_>, reg: &Registry) -> Joined {
             shutdowns += u64::from(tx.send(&Msg::Shutdown));
         }
     };
-    let router = sharded.then(|| Router::new(&plan.map, &set.shard_inboxes, reg));
-    let router = router.map(|r| Slot::new(Ok(r), &set.control_inbox));
-    let controls = set
+    let router = (shards > 1).then(|| Router::new(&plan.map, &set.shard_inboxes, reg));
+    let mut router = router.map(|r| Slot::new(Ok(r), &set.control_inbox));
+    let mut controls: Vec<_> = set
         .controls
         .into_iter()
         .zip(&set.shard_inboxes)
@@ -530,14 +550,14 @@ fn drive(set: ActorSet<'_>, plan: &RunPlan<'_>, reg: &Registry) -> Joined {
             Slot::new(Ok(shard), inbox)
         })
         .collect();
-    let data = set
+    let mut data: Vec<_> = set
         .data
         .into_iter()
         .zip(&set.data_inboxes)
         .zip(&set.data_to_control)
         .map(|((params, inbox), tx)| Slot::new(DataActor::start(params, tx), inbox))
         .collect();
-    let clients = (0u32..)
+    let mut clients: Vec<_> = (0u32..)
         .zip(&set.client_inboxes)
         .zip(&set.client_to_control)
         .map(|((c, inbox), tx)| {
@@ -545,51 +565,8 @@ fn drive(set: ActorSet<'_>, plan: &RunPlan<'_>, reg: &Registry) -> Joined {
             Slot::new(Ok(client), inbox)
         })
         .collect();
-    let (control_res, data_res, client_res) =
-        drive_stepped(&mut clock, controls, router, data, clients, &mut teardown);
-    let wall = started.elapsed();
-
-    // Teardown: dropping our sender handles — on TCP — FINs the writer
-    // sockets so every socket's reader sees EOF. Only then are whatever
-    // service threads a transport brought (neither of ours has any)
-    // joinable.
-    drop(set.to_data);
-    drop(set.data_to_control);
-    drop(set.to_clients);
-    drop(set.client_to_control);
-    for svc in set.service {
-        svc.join()
-            .expect("invariant: transport service threads exit once every sender is dropped");
-    }
-    let runtime_tx = MsgCounts {
-        shutdown: shutdowns,
-        ..MsgCounts::default()
-    };
-    crate::publish(reg, metric::msg_tx, runtime_tx.fields());
-    crate::publish(reg, metric::wire, (set.bytes)().fields());
-    Joined {
-        controls: control_res,
-        data: data_res,
-        clients: client_res,
-        wall,
-    }
-}
-
-/// Every actor of the run on this thread, moved by one executor
-/// ([`actor::step_all`] with [`actor::round_robin`]) on the real clock.
-/// `teardown` runs once every shard has stopped, told whether one failed;
-/// if the clock fails first, it runs then, as for a failed shard, and the
-/// first shard's outcome is the clock's error. The router, which only deals,
-/// stops when `teardown` closes its inbox, and returns nothing to judge.
-fn drive_stepped(
-    clock: &mut RealTime,
-    mut controls: Vec<Slot<'_, ControlActor<'_>>>,
-    mut router: Option<Slot<'_, Router<'_>>>,
-    mut data: Vec<Slot<'_, DataActor<'_>>>,
-    mut clients: Vec<Slot<'_, ClientActor<'_>>>,
-    teardown: &mut dyn FnMut(bool),
-) -> Outcomes {
-    let shards = controls.len();
+    // Control shards first, as the teardown reads them; then the router,
+    // the data nodes and the clients.
     let mut slots: Vec<&mut dyn Step> = controls
         .iter_mut()
         .map(|s| s as &mut dyn Step)
@@ -598,7 +575,7 @@ fn drive_stepped(
         .chain(clients.iter_mut().map(|s| s as &mut dyn Step))
         .collect();
     let mut torn_down = false;
-    let ran = actor::step_all(&mut slots, clock, actor::round_robin(), |slots| {
+    let ran = actor::step_all(&mut slots, &mut clock, pick, |slots| {
         let shards = || slots.iter().take(shards).map(|s| s.ended());
         if !torn_down && shards().all(|e| e.is_some()) {
             torn_down = true;
@@ -609,15 +586,32 @@ fn drive_stepped(
     if !torn_down {
         teardown(true);
     }
+    let wall = started.elapsed();
     let mut controls: Vec<_> = controls.into_iter().map(Slot::outcome).collect();
     if let (Err(e), Some(first)) = (ran, controls.first_mut()) {
         *first = Err(e);
     }
-    (
+    let data = data.into_iter().map(Slot::outcome).collect();
+    let clients = clients.into_iter().map(Slot::outcome).collect();
+
+    // Teardown: dropping our sender handles — on TCP — FINs the writer
+    // sockets so every socket's reader sees EOF.
+    drop(set.to_data);
+    drop(set.data_to_control);
+    drop(set.to_clients);
+    drop(set.client_to_control);
+    let runtime_tx = MsgCounts {
+        shutdown: shutdowns,
+        ..MsgCounts::default()
+    };
+    crate::publish(reg, metric::msg_tx, runtime_tx.fields());
+    crate::publish(reg, metric::wire, (set.bytes)().fields());
+    Joined {
         controls,
-        data.into_iter().map(Slot::outcome).collect(),
-        clients.into_iter().map(Slot::outcome).collect(),
-    )
+        data,
+        clients,
+        wall,
+    }
 }
 
 /// What the actors hand back beside the registry, folded together: nothing
@@ -679,10 +673,15 @@ impl Books {
     }
 }
 
-/// Phase 4: judges what the threads returned — actor errors first, then
+/// Phase 4: judges what the actors returned — actor errors first, then
 /// conservation and certification — and fills the report's counts from
-/// `reg`, which by now holds the whole run.
-fn assemble(plan: &RunPlan<'_>, joined: Joined, reg: &Registry) -> Result<NetReport, NetError> {
+/// `reg`, which by now holds the whole run. Hands the merged control audit
+/// back beside the report.
+fn assemble(
+    plan: &RunPlan<'_>,
+    joined: Joined,
+    reg: &Registry,
+) -> Result<(NetReport, ControlAudit), NetError> {
     let cfg = plan.cfg;
     // Error priority: a control shard's verdict names the root cause
     // (client/data failures usually cascade from it or into it).
@@ -839,13 +838,13 @@ fn assemble(plan: &RunPlan<'_>, joined: Joined, reg: &Registry) -> Result<NetRep
     }
     // Vacuously true without a snapshot plane.
     report.snapshot_certified = true;
-    Ok(report)
+    Ok((report, audit))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::actor::{round_robin, step_all, Clock};
+    use crate::actor::{round_robin, step_all, VirtualTime};
     use crate::plan::PlanError;
     use crate::transport::InProc;
     use std::sync::mpsc;
@@ -1495,22 +1494,6 @@ mod tests {
         assert_eq!(off.chain_appended, 0, "plane off: no chains at all");
     }
 
-    /// Time that jumps to the earliest wait, and refuses a wait for mail:
-    /// nothing outside the executor sends any.
-    struct Virtual(Instant);
-
-    impl Clock for Virtual {
-        fn now(&mut self) -> Instant {
-            self.0
-        }
-
-        fn wait_until(&mut self, until: Option<Instant>) -> Result<(), NetError> {
-            let stuck = || NetError::Protocol("asleep until mail none sends".into());
-            self.0 = until.ok_or_else(stuck)?;
-            Ok(())
-        }
-    }
-
     /// A two-shard map, and a transaction of each shard.
     fn two_shards() -> (ShardMap, TxnId, TxnId) {
         let groups = Pattern::Clustered { groups: 2, hots_per_group: 4 };
@@ -1539,7 +1522,7 @@ mod tests {
         mail.into_iter().for_each(|m| assert!(inbox.push(m)));
         inbox.close();
         let mut slot = Slot::new(Ok(Router::new(map, &shards, &reg)), &inbox);
-        let mut clock = Virtual(Instant::now());
+        let mut clock = VirtualTime(Instant::now());
         step_all(&mut [&mut slot], &mut clock, round_robin(), |_| {})
             .expect("a closed inbox stops the router");
         slot.outcome().expect("the router stops cleanly");
@@ -1594,7 +1577,7 @@ mod tests {
         let (reg, inbox) = (Registry::new(), Mailbox::queue());
         let shards = [Mailbox::queue(), Mailbox::queue()];
         let mut slot = Slot::new(Ok(Router::new(&map, &shards, &reg)), &inbox);
-        let mut clock = Virtual(Instant::now());
+        let mut clock = VirtualTime(Instant::now());
         assert!(inbox.push(submit(a)));
         // Once its inbox is empty it asks to sleep until mail: with no
         // sender left, the clock refuses and the router is still running.

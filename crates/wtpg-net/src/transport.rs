@@ -170,10 +170,10 @@ pub struct Fabric {
     pub data_to_control: Vec<Arc<dyn MsgTx>>,
     /// Each client's sender to control.
     pub client_to_control: Vec<Arc<dyn MsgTx>>,
-    /// Transport service threads, joined by the runtime after every actor
-    /// has exited and every sender is dropped. Neither [`InProc`] nor
+    /// Transport service threads. Neither [`InProc`] nor
     /// [`Tcp`](crate::tcp::Tcp) has any: every mailbox is read by the actor
-    /// it belongs to.
+    /// it belongs to, and a run refuses a fabric that brings one, as
+    /// nothing would join it.
     pub service: Vec<JoinHandle<()>>,
     /// Wire-traffic snapshot hook (all-zero for in-process transports).
     pub bytes: Arc<dyn Fn() -> ByteCounts + Send + Sync>,

@@ -1,296 +1,204 @@
-//! A whole run — one control shard, two data nodes, two clients — stepped
-//! single-threaded by the runtime's own executor (`actor::step_all`), with a
-//! seeded `XorShift` picking which ready actor moves next: seeded
-//! interleavings of the actor protocol. A sharded run adds a second control
-//! shard and the router that deals the shared control inbox to both, over a
-//! workload of two conflict components.
+//! Seeded interleavings of whole runs, explored through the runtime itself:
+//! `explore_cell` plans and lays a cell out as `run_cell` does, then
+//! steps every actor — the control shards, a sharded run's router, the data
+//! nodes and the clients — single-threaded on a virtual clock, with a seeded
+//! `XorShift` picking which ready actor moves next, and judges the run with
+//! `run_cell`'s own checks: replay (or, streamed, live) certification,
+//! snapshot certification, write-unit conservation.
 //!
-//! Every link is an in-process queue, and each actor moves as it does in a
-//! run: it takes its mail while it has some, runs `before_block` once its
-//! queue is empty, then sleeps until mail comes or its wait runs out. At each
-//! step the generator picks one actor that can move. When none can, a
-//! virtual clock jumps to the earliest wait and those actors can move, by
-//! `idle`. Nothing else moves the clock, and the flush window is an hour, so
-//! real time never changes how messages are framed. Once every control shard
-//! stops, the run closes a router's inbox and sends each data node
-//! `Shutdown`, as the runtime does.
-//!
-//! A streamed run certifies live: each control shard feeds every decision to
-//! the certifier it owns as it makes it, so certification moves on the
-//! generator's pick too, and each shard must return a clean verdict.
-//!
-//! A faulted run puts `FaultPlan::flaky_links(seed)`'s link faults on every
-//! control ↔ data coalescer: frames are delayed and duplicated by a line
-//! seeded from the run's seed, due at instants of the same virtual clock,
-//! so a faulted seed repeats its run exactly. A failing seed is reported as
-//! the `run_seed` call that repeats it.
+//! Every link is an in-process queue. The clock moves only when no actor
+//! can, to the earliest wait, and the flush window is an hour, so real time
+//! never changes how messages are framed. Link faults
+//! (`FaultPlan::flaky_links(seed)`) and crash and kill instants are seeded
+//! by the run's seed too and fall due on the same clock, so a seed repeats
+//! its run exactly. A failing seed is reported as the `run_*seed` call that
+//! repeats it.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use wtpg_core::certify::certify_history;
 use wtpg_core::partition::Catalog;
-use wtpg_core::txn::AccessMode;
-use wtpg_net::actor::{step_all, Clock, Slot, Step};
-use wtpg_net::client::ClientActor;
-use wtpg_net::control::{ControlActor, ControlParams};
-use wtpg_net::data::{DataActor, DataNodeParams};
-use wtpg_net::runtime::Router;
-use wtpg_net::transport::{Inbox, Mailbox};
-use wtpg_net::{FaultPlan, InProc, Msg, NetConfig, NetError, Transport};
-use wtpg_obs::window::metric;
-use wtpg_obs::Registry;
-use wtpg_rt::backoff::XorShift;
+use wtpg_net::runtime::explore_cell;
+use wtpg_net::{CrashPlan, Durability, FaultPlan, KillPlan, NetConfig};
 use wtpg_rt::sched_by_name;
-use wtpg_rt::shard::{merge_audits, ShardMap};
 use wtpg_rt::workload::pattern_specs;
-use wtpg_workload::Pattern;
+use wtpg_workload::{Pattern, ReadMix};
 
-/// Steps one run may take: several times what a run needs (a sharded,
-/// faulted run, the longest, takes under 1,200).
-const BUDGET: usize = 3_000;
-
-/// Time that moves only when every actor sleeps: to the earliest wait.
-struct Virtual(Instant);
-
-impl Clock for Virtual {
-    fn now(&mut self) -> Instant {
-        self.0
-    }
-
-    fn wait_until(&mut self, until: Option<Instant>) -> Result<(), NetError> {
-        let stuck = || NetError::Protocol("every actor sleeps until mail none sends".into());
-        self.0 = until.ok_or_else(stuck)?;
-        Ok(())
-    }
-}
-
-/// What a run left behind that tells seeds apart, and the link faults it
-/// met.
-struct Ran {
-    history: String,
+/// What a run met, summed over an arm's seeds.
+#[derive(Debug, Default, PartialEq)]
+struct Met {
     dups: u64,
     delays: u64,
+    recoveries: u64,
+    readers: u64,
+}
+
+/// What a run left behind that tells seeds apart, and what it met.
+struct Ran {
+    history: String,
+    met: Met,
 }
 
 /// One of the `run_*seed` calls a failing seed is reported as.
 type Runner = fn(&str, u64, bool) -> Result<Ran, String>;
 
-/// Steps one whole unsharded run of `sched` in the order `seed` picks —
-/// with link faults seeded by `seed` too if `faulted` — then checks what it
-/// left behind (see [`run`]).
-fn run_seed(sched: &str, seed: u64, faulted: bool) -> Result<Ran, String> {
-    run(1, sched, seed, faulted, false)
+/// The one cell every arm explores, on `shards` control shards (1 or 2): two
+/// clients six deep under a four-deep admission window, so the backlog is
+/// used, and eight-message frames, so a burst can split across frames.
+fn cell(shards: usize) -> NetConfig {
+    NetConfig {
+        clients: 2,
+        batch_max: 8,
+        batch_window_us: 3_600_000_000,
+        admit_window: 4,
+        pipeline: 6,
+        shards,
+        ..NetConfig::default()
+    }
 }
 
-/// [`run_seed`] with two control shards and a router, over two conflict
+/// Link faults seeded by `seed` if `faulted`, none otherwise.
+fn links(seed: u64, faulted: bool) -> FaultPlan {
+    if faulted {
+        FaultPlan::flaky_links(seed)
+    } else {
+        FaultPlan::none()
+    }
+}
+
+/// Explores one run of `cfg` under `sched` and `fault` in the order `seed`
+/// picks: 24 transactions of `Two { num_hots: 4 }` — of `Clustered { groups:
+/// 2, hots_per_group: 4 }` on two shards — over two data nodes, about half
+/// of them read-only on the snapshot plane if `cfg.mvcc`, logged to a fresh
+/// directory if `cfg.durability` keeps a log. Beside the runtime's own
+/// checks, every transaction must commit on the shards asked for.
+fn run(cfg: NetConfig, sched: &str, seed: u64, fault: FaultPlan) -> Result<Ran, String> {
+    static DIRS: AtomicU64 = AtomicU64::new(0);
+    let pattern = match cfg.shards {
+        1 => Pattern::Two { num_hots: 4 },
+        _ => Pattern::Clustered { groups: 2, hots_per_group: 4 },
+    };
+    let (paper, mut specs) = pattern_specs(pattern, 24, 11);
+    let catalog = Catalog::new(paper.partitions().map(|p| paper.size(p)).collect(), 2);
+    if cfg.mvcc {
+        // Two shards' readers scan the first group's five partitions only, so
+        // they join no two conflict components.
+        let scanned = if cfg.shards == 1 { catalog.num_parts() as usize } else { 5 };
+        let sizes = paper.partitions().take(scanned).map(|p| paper.size(p)).collect();
+        ReadMix::skewed(0.5, 0.0).apply(&Catalog::new(sizes, 2), &mut specs, 11);
+    }
+    let wal_dir = cfg.durability.requires_log().then(|| {
+        let n = DIRS.fetch_add(1, Ordering::Relaxed);
+        std::env::temp_dir().join(format!("wtpg-explore-{}-{n}", std::process::id()))
+    });
+    let cfg = NetConfig { wal_dir, ..cfg };
+    let sched = || sched_by_name(sched, 2, 2000).expect("a known scheduler");
+    let explored = explore_cell(&cfg, &sched, &catalog, &specs, &fault, seed);
+    if let Some(dir) = &cfg.wal_dir {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    let (r, audit) = explored.map_err(|e| e.to_string())?;
+    let n = specs.len() as u64;
+    if (r.committed, r.shards) != (n, cfg.shards) {
+        return Err(format!("{} of {n} committed on {} shards", r.committed, r.shards));
+    }
+    if !(r.certified && r.snapshot_certified && r.store_consistent) {
+        return Err(format!("not certified, snapshot-certified and conserved: {r:?}"));
+    }
+    let met = Met {
+        dups: r.dup_deliveries,
+        delays: r.delayed_deliveries,
+        recoveries: r.recoveries,
+        readers: r.reader_commits,
+    };
+    Ok(Ran { history: format!("{:?}", audit.history), met })
+}
+
+/// One unsharded run of `sched`, with link faults if `faulted`.
+fn run_seed(sched: &str, seed: u64, faulted: bool) -> Result<Ran, String> {
+    run(cell(1), sched, seed, links(seed, faulted))
+}
+
+/// [`run_seed`] on two control shards and a router, over two conflict
 /// components.
 fn run_sharded_seed(sched: &str, seed: u64, faulted: bool) -> Result<Ran, String> {
-    run(2, sched, seed, faulted, false)
+    run(cell(2), sched, seed, links(seed, faulted))
 }
 
 /// [`run_sharded_seed`] with each shard certifying live.
 fn run_streamed_seed(sched: &str, seed: u64, faulted: bool) -> Result<Ran, String> {
-    run(2, sched, seed, faulted, true)
+    let cfg = NetConfig { stream_certify: true, ..cell(2) };
+    run(cfg, sched, seed, links(seed, faulted))
 }
 
-/// Steps one whole run of `sched` on `shards` control shards (1 or 2) in
-/// the order `seed` picks, then checks what it left behind: every
-/// transaction committed, the shards disjoint, the merged control audit
-/// replay-certified — or, `stream`ed, every shard's live verdict clean — and
-/// every declared write unit in the stores.
-fn run(shards: usize, sched: &str, seed: u64, faulted: bool, stream: bool) -> Result<Ran, String> {
-    let pattern = if shards == 1 {
-        Pattern::Two { num_hots: 4 }
-    } else {
-        Pattern::Clustered { groups: 2, hots_per_group: 4 }
-    };
-    let (paper, specs) = pattern_specs(pattern, 24, 11);
-    let map = ShardMap::build(&specs, shards);
-    if map.shards() != shards {
-        return Err(format!("{} shards, not {shards}", map.shards()));
-    }
-    let catalog = Catalog::new(paper.partitions().map(|p| paper.size(p)).collect(), 2);
-    let cfg = NetConfig::default();
-    let watchdog = Duration::from_millis(cfg.watchdog_ms);
-    let reg = Registry::new();
-    let f = InProc.build(2, 2).map_err(|e| e.to_string())?;
-    let fault = if faulted { FaultPlan::flaky_links(seed) } else { FaultPlan::none() };
-    // One shard reads the fabric's control inbox; two read queues the
-    // router fills from it.
-    let shard_inboxes: Vec<Inbox> = if shards == 1 {
-        vec![Arc::clone(&f.control_inbox)]
-    } else {
-        (0..shards).map(|_| Mailbox::queue()).collect()
-    };
-
-    // A four-deep admission window under six-deep clients, and eight-message
-    // frames: the backlog is used and a burst can split across frames.
-    let mut controls = Vec::new();
-    for (si, inbox) in shard_inboxes.iter().enumerate() {
-        let params = ControlParams {
-            sched: sched_by_name(sched, 2, 2000).ok_or("unknown scheduler")?,
-            clients: 2,
-            retry: cfg.retry,
-            watchdog,
-            batch_max: 8,
-            batch_window: Duration::from_secs(3600),
-            admit_window: 4,
-            shard: si,
-            fault,
-            ckpt: None,
-            stream,
-            reg: &reg,
-            mvcc: None,
-        };
-        let shard =
-            ControlActor::start(params, &catalog, cfg.chunk_units, &f.to_data, &f.to_clients);
-        controls.push(Slot::new(Ok(shard), inbox));
-    }
-    let router = Router::new(&map, &shard_inboxes, &reg);
-    let mut router = (shards > 1).then(|| Slot::new(Ok(router), &f.control_inbox));
-    let mut data = [0, 1].map(|n: usize| {
-        let params = DataNodeParams {
-            catalog: &catalog,
-            node: n as u32,
-            fault,
-            batch_max: 8,
-            log: None,
-            reg: &reg,
-            mvcc: None,
-        };
-        Slot::new(DataActor::start(params, &f.data_to_control[n]), &f.data_inboxes[n])
-    });
-    let mut clients = [0, 1].map(|c: usize| {
-        let to_control = &f.client_to_control[c];
-        let client = ClientActor::start(c as u32, 2, &specs, None, to_control, watchdog, 6, &reg);
-        Slot::new(Ok(client), &f.client_inboxes[c])
-    });
-
-    let mut rng = XorShift::new(seed);
-    let mut steps = 0;
-    let pick = |slots: &[&mut dyn Step], now: Instant| {
-        steps += 1;
-        if steps > BUDGET {
-            return Err(NetError::Protocol(format!("no end within {BUDGET} steps")));
-        }
-        let ready: Vec<usize> = (0..slots.len()).filter(|&i| slots[i].ready(now)).collect();
-        Ok((!ready.is_empty()).then(|| ready[rng.next_below(ready.len() as u64) as usize]))
-    };
-    let mut shut_down = false;
-    let teardown = |slots: &[&mut dyn Step]| {
-        if !shut_down && slots[..shards].iter().all(|s| s.ended().is_some()) {
-            shut_down = true;
-            if shards > 1 {
-                f.control_inbox.close();
-            }
-            for tx in &f.to_data {
-                tx.send(&Msg::Shutdown);
-            }
-        }
-    };
-    {
-        // Control shards first, as the teardown reads them; then the router,
-        // the data nodes and the clients.
-        let mut slots: Vec<&mut dyn Step> = Vec::new();
-        slots.extend(controls.iter_mut().map(|s| s as &mut dyn Step));
-        slots.extend(router.iter_mut().map(|s| s as &mut dyn Step));
-        slots.extend(data.iter_mut().map(|s| s as &mut dyn Step));
-        slots.extend(clients.iter_mut().map(|s| s as &mut dyn Step));
-        let mut clock = Virtual(Instant::now());
-        step_all(&mut slots, &mut clock, pick, teardown).map_err(|e| e.to_string())?;
-    }
-
-    if let Some(router) = router {
-        router.outcome().map_err(|e| format!("router: {e}"))?;
-    }
-    let (mut audits, mut mode) = (Vec::new(), None);
-    for (si, control) in controls.into_iter().enumerate() {
-        let out = control.outcome().map_err(|e| format!("control {si}: {e}"))?;
-        match &out.audit.verdict {
-            Some(Ok(_)) if stream => {}
-            None if !stream => {}
-            v => return Err(format!("control {si}: live verdict {v:?}")),
-        }
-        mode = Some(out.mode);
-        audits.push(out.audit);
-    }
-    let audit = merge_audits(audits).map_err(|v| format!("merge: {v:?}"))?;
-    if audit.counters.commits != specs.len() as u64 {
-        return Err(format!("{} of {} committed", audit.counters.commits, specs.len()));
-    }
-    let mode = mode.ok_or("no control shard")?;
-    let certified = match audit.verdict {
-        Some(verdict) => verdict,
-        None => certify_history(&audit.history, &audit.specs, mode),
-    };
-    let report = certified.map_err(|v| format!("certification: {v:?}"))?;
-    if report.commits != specs.len() {
-        return Err(format!("{} of {} commits certified", report.commits, specs.len()));
-    }
-    let expected: u64 = specs
-        .iter()
-        .flat_map(|t| t.steps())
-        .filter(|st| st.mode == AccessMode::Write)
-        .map(|st| st.actual_cost.units())
-        .sum();
-    let (mut units, mut cells) = (0, 0);
-    for d in data {
-        let o = d.outcome().map_err(|e| format!("data node: {e}"))?;
-        (units, cells) = (units + o.write_units, cells + o.cell_sum);
-    }
-    if (units, cells) != (expected, expected) {
-        return Err(format!("stores hold {units} units, {cells} in cells; {expected} declared"));
-    }
-    let totals = reg.totals();
-    let count = |name| totals.get(name).copied().unwrap_or(0);
-    Ok(Ran {
-        history: format!("{:?}", audit.history),
-        dups: count(metric::FAULT_DUPS),
-        delays: count(metric::FAULT_DELAYS),
-    })
+/// [`run_seed`] with half the workload read-only on the snapshot plane.
+fn run_mvcc_seed(sched: &str, seed: u64, faulted: bool) -> Result<Ran, String> {
+    run(NetConfig { mvcc: true, ..cell(1) }, sched, seed, links(seed, faulted))
 }
 
-/// Runs `seeds` seeds × {chain, k2} of `shards` shards, `stream`ed or not;
+/// [`run_sharded_seed`] with half the workload read-only on the snapshot
+/// plane.
+fn run_mvcc_sharded_seed(sched: &str, seed: u64, faulted: bool) -> Result<Ran, String> {
+    run(NetConfig { mvcc: true, ..cell(2) }, sched, seed, links(seed, faulted))
+}
+
+/// One unsharded K2 run of durability `kind`: `wal` logs buffered, `crash`
+/// crashes a data node with no log, `kill` kills one from its buffered log,
+/// `cluster` kills both. The seed picks the node and the instants; link
+/// faults if `faulted`.
+fn run_durable_seed(kind: &str, seed: u64, faulted: bool) -> Result<Ran, String> {
+    let (node, after_msgs, down_ms) = ((seed % 2) as usize, 1 + seed % 40, 5 + seed % 30);
+    let kill = |node| Some(KillPlan { node, after_msgs, down_ms });
+    let (durability, crash, kill) = match kind {
+        "wal" => (Durability::Buffered, None, None),
+        "crash" => (Durability::None, Some(CrashPlan { node, after_msgs, down_ms }), None),
+        "kill" => (Durability::Buffered, None, kill(Some(node))),
+        "cluster" => (Durability::Buffered, None, kill(None)),
+        _ => return Err(format!("no durability kind {kind:?}")),
+    };
+    let fault = FaultPlan { crash, kill, ..links(seed, faulted) };
+    run(NetConfig { durability, ..cell(1) }, "k2", seed, fault)
+}
+
+/// Runs `seeds` seeds of each of `scheds` through `runner` (named `repro`);
 /// panics with the failing seeds' repro lines. Returns, per scheduler, how
 /// many distinct histories the seeds gave (one, streamed: none is
-/// recorded), and the faults met in all.
+/// recorded), and what the runs met in all.
 fn explore(
-    shards: usize,
+    repro: &str,
+    runner: Runner,
+    scheds: &[&'static str],
     seeds: u64,
     faulted: bool,
-    stream: bool,
-) -> (Vec<(&'static str, usize)>, u64, u64) {
-    let (mut failures, mut distinct, mut dups, mut delays) = (Vec::new(), Vec::new(), 0, 0);
-    let (repro, runner): (&str, Runner) = match (shards, stream) {
-        (1, false) => ("run_seed", run_seed),
-        (2, false) => ("run_sharded_seed", run_sharded_seed),
-        (2, true) => ("run_streamed_seed", run_streamed_seed),
-        _ => unreachable!("no arm of {shards} shards, streamed {stream}"),
-    };
-    for sched in ["chain", "k2"] {
+) -> (Vec<(&'static str, usize)>, Met) {
+    let (mut failures, mut distinct, mut met) = (Vec::new(), Vec::new(), Met::default());
+    for &sched in scheds {
         let mut histories = BTreeSet::new();
         for seed in 1..=seeds {
             match runner(sched, seed, faulted) {
                 Ok(ran) => {
                     histories.insert(ran.history);
-                    (dups, delays) = (dups + ran.dups, delays + ran.delays);
+                    met.dups += ran.met.dups;
+                    met.delays += ran.met.delays;
+                    met.recoveries += ran.met.recoveries;
+                    met.readers += ran.met.readers;
                 }
                 Err(e) => failures.push(format!("{repro}({sched:?}, {seed}, {faulted}): {e}")),
             }
         }
         distinct.push((sched, histories.len()));
     }
-    let n = 2 * seeds;
+    let n = scheds.len() as u64 * seeds;
     assert!(failures.is_empty(), "{} of {n} failed:\n{}", failures.len(), failures.join("\n"));
-    (distinct, dups, delays)
+    (distinct, met)
 }
+
+const BOTH: &[&str] = &["chain", "k2"];
 
 #[test]
 fn seeded_interleavings_stop_certify_and_conserve() {
-    let (distinct, dups, delays) = explore(1, 200, false, false);
-    assert_eq!((dups, delays), (0, 0), "no link faults without a plan");
+    let (distinct, met) = explore("run_seed", run_seed, BOTH, 200, false);
+    assert_eq!((met.dups, met.delays), (0, 0), "no link faults without a plan");
     // The seed must steer the run: one schedule for every seed explores
     // nothing.
     for (sched, n) in distinct {
@@ -300,8 +208,8 @@ fn seeded_interleavings_stop_certify_and_conserve() {
 
 #[test]
 fn seeded_interleavings_under_link_faults_stop_certify_and_conserve() {
-    let (distinct, dups, delays) = explore(1, 200, true, false);
-    assert!(dups > 0 && delays > 0, "{dups} duplicated and {delays} delayed frames");
+    let (distinct, met) = explore("run_seed", run_seed, BOTH, 200, true);
+    assert!(met.dups > 0 && met.delays > 0, "{met:?}");
     for (sched, n) in distinct {
         assert!(n >= 190, "{sched}: 200 faulted seeds gave only {n} distinct histories");
     }
@@ -309,8 +217,8 @@ fn seeded_interleavings_under_link_faults_stop_certify_and_conserve() {
 
 #[test]
 fn sharded_interleavings_merge_certify_and_conserve() {
-    let (distinct, dups, delays) = explore(2, 100, false, false);
-    assert_eq!((dups, delays), (0, 0), "no link faults without a plan");
+    let (distinct, met) = explore("run_sharded_seed", run_sharded_seed, BOTH, 100, false);
+    assert_eq!((met.dups, met.delays), (0, 0), "no link faults without a plan");
     for (sched, n) in distinct {
         assert!(n >= 95, "{sched}: 100 sharded seeds gave only {n} distinct histories");
     }
@@ -318,8 +226,8 @@ fn sharded_interleavings_merge_certify_and_conserve() {
 
 #[test]
 fn sharded_interleavings_under_link_faults_merge_certify_and_conserve() {
-    let (distinct, dups, delays) = explore(2, 100, true, false);
-    assert!(dups > 0 && delays > 0, "{dups} duplicated and {delays} delayed frames");
+    let (distinct, met) = explore("run_sharded_seed", run_sharded_seed, BOTH, 100, true);
+    assert!(met.dups > 0 && met.delays > 0, "{met:?}");
     for (sched, n) in distinct {
         assert!(n >= 95, "{sched}: 100 faulted sharded seeds gave only {n} distinct histories");
     }
@@ -327,14 +235,48 @@ fn sharded_interleavings_under_link_faults_merge_certify_and_conserve() {
 
 #[test]
 fn streamed_sharded_interleavings_certify_live_and_conserve() {
-    let (_, dups, delays) = explore(2, 100, false, true);
-    assert_eq!((dups, delays), (0, 0), "no link faults without a plan");
+    let (_, met) = explore("run_streamed_seed", run_streamed_seed, BOTH, 100, false);
+    assert_eq!((met.dups, met.delays), (0, 0), "no link faults without a plan");
 }
 
 #[test]
 fn streamed_sharded_interleavings_under_link_faults_certify_live_and_conserve() {
-    let (_, dups, delays) = explore(2, 100, true, true);
-    assert!(dups > 0 && delays > 0, "{dups} duplicated and {delays} delayed frames");
+    let (_, met) = explore("run_streamed_seed", run_streamed_seed, BOTH, 100, true);
+    assert!(met.dups > 0 && met.delays > 0, "{met:?}");
+}
+
+/// Readers commit on the snapshot plane beside CHAIN's writers, on one shard
+/// and on two: every snapshot read must see its committed prefix, and link
+/// faults fire exactly when `faulted`.
+fn explore_mvcc(faulted: bool) {
+    let one = explore("run_mvcc_seed", run_mvcc_seed, &["chain"], 100, faulted).1;
+    let two = explore("run_mvcc_sharded_seed", run_mvcc_sharded_seed, &["chain"], 100, faulted).1;
+    for met in [one, two] {
+        assert!(met.readers > 0, "no reader committed: {met:?}");
+        assert_eq!((met.dups > 0, met.delays > 0), (faulted, faulted), "{met:?}");
+    }
+}
+
+#[test]
+fn mvcc_interleavings_snapshot_certify_and_conserve() {
+    explore_mvcc(false);
+}
+
+#[test]
+fn mvcc_interleavings_under_link_faults_snapshot_certify_and_conserve() {
+    explore_mvcc(true);
+}
+
+/// A buffered log under link faults, a crash, a kill and a cluster kill:
+/// every run commits all and conserves, and the kills recover from the log
+/// (a reply that escaped before its record was logged would diverge).
+#[test]
+fn durable_interleavings_recover_and_conserve() {
+    let (_, wal) = explore("run_durable_seed", run_durable_seed, &["wal"], 60, true);
+    assert!(wal.dups > 0 && wal.delays > 0, "{wal:?}");
+    let kinds = &["crash", "kill", "cluster"];
+    let (_, down) = explore("run_durable_seed", run_durable_seed, kinds, 60, false);
+    assert!(down.recoveries > 0, "no kill recovered: {down:?}");
 }
 
 /// One line per seed — `sched faulted seed digest` — over seeds 1–50 ×
@@ -355,7 +297,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 fn seeded_interleavings_match_the_committed_digests() {
     let mut actual = String::new();
     for faulted in [false, true] {
-        for sched in ["chain", "k2"] {
+        for sched in BOTH {
             for seed in 1..=50 {
                 let ran = run_seed(sched, seed, faulted)
                     .unwrap_or_else(|e| panic!("run_seed({sched:?}, {seed}, {faulted}): {e}"));
@@ -379,16 +321,26 @@ fn seeded_interleavings_match_the_committed_digests() {
 
 #[test]
 fn a_faulted_seed_repeats_its_history_exactly() {
-    let runners: [(&str, Runner); 2] =
-        [("run_seed", run_seed), ("run_sharded_seed", run_sharded_seed)];
-    for (name, runner) in runners {
-        for sched in ["chain", "k2"] {
-            let run = || runner(sched, 17, true).unwrap_or_else(|e| panic!("{name} {sched}: {e}"));
-            let (first, again) = (run(), run());
-            let (a, b) = (&first.history, &again.history);
-            assert!(first.dups + first.delays > 0, "{name} {sched}: seed 17 met no fault");
-            assert_eq!(a, b, "{name} {sched}: seed 17 ran twice differently");
-            assert_eq!((first.dups, first.delays), (again.dups, again.delays));
-        }
+    let runners: [(&str, Runner, &str); 4] = [
+        ("run_seed", run_seed, "chain"),
+        ("run_seed", run_seed, "k2"),
+        ("run_sharded_seed", run_sharded_seed, "chain"),
+        ("run_sharded_seed", run_sharded_seed, "k2"),
+    ];
+    for (name, runner, sched) in runners {
+        let run = || runner(sched, 17, true).unwrap_or_else(|e| panic!("{name} {sched}: {e}"));
+        let (first, again) = (run(), run());
+        assert!(first.met.dups + first.met.delays > 0, "{name} {sched}: seed 17 met no fault");
+        assert_eq!(first.history, again.history, "{name} {sched}: seed 17 ran twice differently");
+        assert_eq!(first.met, again.met);
     }
+}
+
+#[test]
+fn a_killed_cluster_seed_repeats_its_history_exactly() {
+    let run = || run_durable_seed("cluster", 17, false).unwrap_or_else(|e| panic!("{e}"));
+    let (first, again) = (run(), run());
+    assert!(first.met.recoveries > 0, "seed 17 recovered nothing: {:?}", first.met);
+    assert_eq!(first.history, again.history, "seed 17 ran twice differently");
+    assert_eq!(first.met, again.met);
 }

@@ -91,16 +91,6 @@ impl ControlStats {
             h as f64 / (h + m) as f64
         }
     }
-
-    /// Total rejected admissions across causes.
-    pub fn aborts_total(&self) -> u64 {
-        self.aborts_non_chain + self.aborts_k_conflict + self.aborts_lock_denied
-    }
-
-    /// Total delayed requests across causes.
-    pub fn delays_total(&self) -> u64 {
-        self.delays_deadlock + self.delays_minimality
-    }
 }
 
 /// Emits one cumulative [`EventKind::Counter`](crate::event::EventKind)
@@ -139,8 +129,6 @@ mod tests {
         assert_eq!(s.cache_hits(), 8);
         assert_eq!(s.cache_misses(), 4);
         assert!((s.cache_hit_ratio() - 8.0 / 12.0).abs() < 1e-12);
-        assert_eq!(s.aborts_total(), 2);
-        assert_eq!(s.delays_total(), 4);
         assert_eq!(ControlStats::default().cache_hit_ratio(), 0.0);
     }
 

@@ -45,7 +45,7 @@ use wtpg_core::certify::{CertifyMode, CertifyReport, CertifyViolation};
 use wtpg_core::error::CoreError;
 use wtpg_core::history::{Event, History};
 use wtpg_core::partition::PartitionId;
-use wtpg_core::sched::{Admission, ControlOps, LockOutcome, Scheduler};
+use wtpg_core::sched::{Admission, LockOutcome, Scheduler};
 use wtpg_core::stream_certify::{StreamingCertifier, RETIRE_EVERY};
 use wtpg_core::time::{LogicalClock, Tick};
 use wtpg_core::txn::{TxnId, TxnSpec};
@@ -68,9 +68,6 @@ pub struct ControlCounters {
     pub delays: u64,
     /// Commits.
     pub commits: u64,
-    /// Scheduler-internal work (deadlock tests, `W` optimisations, `E(q)`
-    /// evaluations), summed over the whole run.
-    pub ops: ControlOps,
 }
 
 /// Pre-resolved windowed-metric handles (one atomic add per decision).
@@ -119,8 +116,6 @@ pub struct ControlAudit {
     pub counters: ControlCounters,
     /// The last logical instant issued.
     pub final_tick: Tick,
-    /// The scheduler's cumulative control-plane statistics.
-    pub stats: ControlStats,
     /// Every partition granted, with the tick of its first grant.
     pub granted: BTreeMap<PartitionId, Tick>,
     /// Streaming mode's verdict: the live certifier's report, or the first
@@ -152,7 +147,6 @@ impl ControlNode {
                 specs: BTreeMap::new(),
                 counters: ControlCounters::default(),
                 final_tick: Tick::ZERO,
-                stats: ControlStats::default(),
                 granted: BTreeMap::new(),
                 verdict: None,
             },
@@ -186,9 +180,7 @@ impl ControlNode {
     /// same id.
     pub fn arrive(&mut self, spec: &TxnSpec) -> Result<Admission, CoreError> {
         let now = self.clock.next();
-        let (admission, ops) = self.sched.on_arrive(spec, now)?;
-        let counters = &mut self.audit.counters;
-        counters.ops = counters.ops.merge(ops);
+        let (admission, _) = self.sched.on_arrive(spec, now)?;
         // First sight of this id: the certifier needs the declaration
         // before either admission verdict (re-admission reuses the id).
         if !self.live.contains(spec.id) {
@@ -218,9 +210,8 @@ impl ControlNode {
     /// simulator) and the caller retries later.
     pub fn request(&mut self, txn: TxnId, step: usize) -> Result<LockOutcome, CoreError> {
         let now = self.clock.next();
-        let (outcome, ops) = self.sched.on_request(txn, step, now)?;
+        let (outcome, _) = self.sched.on_request(txn, step, now)?;
         let counters = &mut self.audit.counters;
-        counters.ops = counters.ops.merge(ops);
         match outcome {
             LockOutcome::Granted => {
                 counters.grants += 1;
@@ -309,6 +300,11 @@ impl ControlNode {
         self.sched.name().to_string()
     }
 
+    /// The scheduler's cumulative control-plane statistics.
+    pub fn sched_stats(&self) -> ControlStats {
+        self.sched.obs_stats()
+    }
+
     /// The certification mode the wrapped scheduler claims.
     pub fn certify_mode(&self) -> CertifyMode {
         self.sched.certify_mode()
@@ -327,7 +323,6 @@ impl ControlNode {
         audit.verdict = self.stream.map(|s| s.and_then(StreamingCertifier::finish));
         audit.specs.extend(self.live.into_entries());
         audit.final_tick = self.clock.now();
-        audit.stats = self.sched.obs_stats();
         audit
     }
 }
@@ -336,7 +331,7 @@ impl ControlNode {
 mod tests {
     use super::*;
     use wtpg_core::certify::certify_history;
-    use wtpg_core::sched::{C2plScheduler, CommitResult, NodcScheduler};
+    use wtpg_core::sched::{C2plScheduler, CommitResult, ControlOps, NodcScheduler};
     use wtpg_core::txn::StepSpec;
     use wtpg_core::wtpg::Wtpg;
 

@@ -20,7 +20,7 @@
 //!
 //! [`merge_audits`] is the inverse at run end: per-shard [`ControlAudit`]s
 //! merge into one — histories via the cross-shard certifier's canonical
-//! merge ([`merge_shard_histories`]), counters and stats by field-wise sum —
+//! merge ([`merge_shard_histories`]), counters by field-wise sum —
 //! after checking on each shard's granted partitions that no two shards
 //! granted one ([`check_shard_partitions`]).
 //! A single-shard merge returns the audit untouched, so an unsharded run's
@@ -36,7 +36,6 @@ use wtpg_core::partition::PartitionId;
 use wtpg_core::time::Tick;
 use wtpg_core::txn::{TxnId, TxnSpec};
 use wtpg_core::window::IdWindow;
-use wtpg_obs::ControlStats;
 
 use crate::control::{ControlAudit, ControlCounters};
 
@@ -144,24 +143,6 @@ impl ShardMap {
     }
 }
 
-/// Field-wise sum of two [`ControlStats`].
-fn sum_stats(a: &ControlStats, b: &ControlStats) -> ControlStats {
-    ControlStats {
-        w_recomputes: a.w_recomputes + b.w_recomputes,
-        w_reuses: a.w_reuses + b.w_reuses,
-        eq_cache_hits: a.eq_cache_hits + b.eq_cache_hits,
-        eq_cache_misses: a.eq_cache_misses + b.eq_cache_misses,
-        eq_cache_invalidations: a.eq_cache_invalidations + b.eq_cache_invalidations,
-        dd_cache_hits: a.dd_cache_hits + b.dd_cache_hits,
-        dd_cache_misses: a.dd_cache_misses + b.dd_cache_misses,
-        aborts_non_chain: a.aborts_non_chain + b.aborts_non_chain,
-        aborts_k_conflict: a.aborts_k_conflict + b.aborts_k_conflict,
-        aborts_lock_denied: a.aborts_lock_denied + b.aborts_lock_denied,
-        delays_deadlock: a.delays_deadlock + b.delays_deadlock,
-        delays_minimality: a.delays_minimality + b.delays_minimality,
-    }
-}
-
 fn sum_counters(a: &ControlCounters, b: &ControlCounters) -> ControlCounters {
     ControlCounters {
         admissions: a.admissions + b.admissions,
@@ -170,7 +151,6 @@ fn sum_counters(a: &ControlCounters, b: &ControlCounters) -> ControlCounters {
         blocks: a.blocks + b.blocks,
         delays: a.delays + b.delays,
         commits: a.commits + b.commits,
-        ops: a.ops.merge(b.ops),
     }
 }
 
@@ -185,7 +165,7 @@ fn sum_reports(a: &CertifyReport, b: &CertifyReport) -> CertifyReport {
 }
 
 /// Merges per-shard audits into one run-level audit: histories through the
-/// canonical cross-shard merge, counters, stats and streamed reports by
+/// canonical cross-shard merge, counters and streamed reports by
 /// sum, final tick by sum (total logical instants drawn across shards). The
 /// merged verdict is the first shard's violation, if any shard latched one.
 /// A one-element vector is returned untouched.
@@ -208,14 +188,12 @@ pub fn merge_audits(mut audits: Vec<ControlAudit>) -> Result<ControlAudit, Certi
         specs: BTreeMap::new(),
         counters: ControlCounters::default(),
         final_tick: Tick::ZERO,
-        stats: ControlStats::default(),
         granted: BTreeMap::new(),
         verdict: None,
     };
     for a in audits {
         merged.specs.extend(a.specs);
         merged.counters = sum_counters(&merged.counters, &a.counters);
-        merged.stats = sum_stats(&merged.stats, &a.stats);
         merged.final_tick = Tick(merged.final_tick.0 + a.final_tick.0);
         merged.granted.extend(a.granted);
         merged.verdict = match (merged.verdict, a.verdict) {
