@@ -23,19 +23,6 @@ pub struct FigureSeries {
     pub tps_at_rt70: Vec<(String, Option<f64>)>,
 }
 
-impl FigureSeries {
-    /// TPS @ RT 70 s for a scheduler label, falling back to its max observed
-    /// throughput when it never saturated (a lower bound).
-    pub fn tps70_or_max(&self, label: &str) -> f64 {
-        let sweep = self
-            .sweeps
-            .iter()
-            .find(|s| s.scheduler == label)
-            .unwrap_or_else(|| panic!("no sweep for {label}"));
-        tps_at_rt(sweep, 70_000.0).unwrap_or_else(|| max_tps(sweep))
-    }
-}
-
 fn run_figure(title: &str, exp: &Experiment, opts: &RunOptions) -> FigureSeries {
     let sweeps: Vec<SweepResult> = exp
         .schedulers

@@ -787,27 +787,6 @@ impl Wtpg {
         Ok(g)
     }
 
-    /// If the precedence edges are cyclic, names one cycle — for diagnostics
-    /// only; the schedulers' grant checks keep live WTPGs acyclic.
-    pub fn find_precedence_cycle(&self) -> Option<Vec<TxnId>> {
-        let mut dg: wtpg_graph::DiGraph<TxnId, ()> = wtpg_graph::DiGraph::new();
-        let mut nodes = IdWindow::new();
-        for t in self.txn_ids() {
-            nodes.insert(t, dg.add_node(t));
-        }
-        for (a, b, _) in self.precedence_edges() {
-            if let Some((&na, &nb)) = nodes.get(a).zip(nodes.get(b)) {
-                dg.add_edge(na, nb, ());
-            }
-        }
-        wtpg_graph::find_cycle(&dg).map(|cycle| {
-            cycle
-                .into_iter()
-                .map(|n| *dg.node_weight(n).expect("invariant: cycle nodes come from dg"))
-                .collect()
-        })
-    }
-
     /// Deep structural self-check of the arena (DESIGN.md §10). Verifies:
     ///
     /// - index ↔ slot agreement: every indexed slot is in bounds, live, and
@@ -1310,28 +1289,6 @@ mod tests {
         assert_eq!(g.conflict_weights(TxnId(2), TxnId(3)), Some((w(4), w(2))));
         assert_eq!(g.t0_weight(TxnId(1)).unwrap(), w(5));
         assert!(Wtpg::from_declared(&[specs[0].clone(), specs[0].clone()]).is_err());
-    }
-
-    #[test]
-    fn find_precedence_cycle_names_the_participants() {
-        let mut g = Wtpg::new();
-        for i in 1..=3 {
-            g.add_txn(TxnId(i), w(1)).unwrap();
-        }
-        g.add_or_merge_conflict(TxnId(1), TxnId(2), w(1), w(1))
-            .unwrap();
-        g.add_or_merge_conflict(TxnId(2), TxnId(3), w(1), w(1))
-            .unwrap();
-        g.add_or_merge_conflict(TxnId(3), TxnId(1), w(1), w(1))
-            .unwrap();
-        g.resolve(TxnId(1), TxnId(2)).unwrap();
-        assert_eq!(g.find_precedence_cycle(), None);
-        g.resolve(TxnId(2), TxnId(3)).unwrap();
-        g.resolve(TxnId(3), TxnId(1)).unwrap();
-        let cycle = g.find_precedence_cycle().expect("cycle exists");
-        let mut sorted = cycle.clone();
-        sorted.sort();
-        assert_eq!(sorted, vec![TxnId(1), TxnId(2), TxnId(3)]);
     }
 
     #[test]

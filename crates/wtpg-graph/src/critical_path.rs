@@ -2,9 +2,8 @@
 //!
 //! The central quantity of the paper: in a WTPG resolved by a full SR-order,
 //! *"the length of its critical path from T0 to Tf is the earliest possible
-//! completion time of a total schedule"* (§3.2). Both schedulers minimise it;
-//! the `E(q)` estimator returns it. Weights are `u64` (the WTPG layer encodes
-//! fractional object counts as fixed-point milli-objects).
+//! completion time of a total schedule"* (§3.2). Weights are `u64` (the WTPG
+//! layer encodes fractional object counts as fixed-point milli-objects).
 
 use crate::digraph::{DiGraph, NodeId};
 use crate::topo::{topo_sort, TopoError};
@@ -12,38 +11,15 @@ use crate::topo::{topo_sort, TopoError};
 /// Result of a single-source longest-path computation.
 #[derive(Debug, Clone)]
 pub struct LongestPaths {
-    /// `dist[i]` is the longest-path distance to the node with arena index
-    /// `i`, or `None` when that node is unreachable from the source (or dead).
+    /// `dist[i]` is the longest-path distance to the node with index `i`, or
+    /// `None` when that node is unreachable from the source.
     dist: Vec<Option<u64>>,
-    /// Predecessor on one longest path, for reconstruction.
-    pred: Vec<Option<NodeId>>,
-    source: NodeId,
 }
 
 impl LongestPaths {
     /// Longest-path distance from the source to `node`, `None` if unreachable.
     pub fn distance(&self, node: NodeId) -> Option<u64> {
-        self.dist.get(node.index()).copied().flatten()
-    }
-
-    /// The source this computation started from.
-    pub fn source(&self) -> NodeId {
-        self.source
-    }
-
-    /// One longest path from the source to `node` (inclusive of both ends),
-    /// or `None` if `node` is unreachable.
-    pub fn path_to(&self, node: NodeId) -> Option<Vec<NodeId>> {
-        self.distance(node)?;
-        let mut path = vec![node];
-        let mut cur = node;
-        while cur != self.source {
-            let p = self.pred[cur.index()].expect("reachable non-source node has predecessor");
-            path.push(p);
-            cur = p;
-        }
-        path.reverse();
-        Some(path)
+        self.dist.get(node.0).copied().flatten()
     }
 }
 
@@ -58,90 +34,72 @@ pub fn longest_path<N, E>(
     mut edge_weight: impl FnMut(&E) -> u64,
 ) -> Result<LongestPaths, TopoError> {
     let order = topo_sort(graph)?;
-    let bound = graph.node_bound();
-    let mut dist: Vec<Option<u64>> = vec![None; bound];
-    let mut pred: Vec<Option<NodeId>> = vec![None; bound];
-    dist[source.index()] = Some(0);
+    let mut dist: Vec<Option<u64>> = vec![None; graph.node_count()];
+    dist[source.0] = Some(0);
     for n in order {
-        let Some(dn) = dist[n.index()] else { continue };
-        for e in graph.out_edges(n) {
-            let cand = dn + edge_weight(e.weight);
-            let slot = &mut dist[e.target.index()];
+        let Some(dn) = dist[n.0] else { continue };
+        for (t, w) in graph.out_edges(n) {
+            let cand = dn + edge_weight(w);
+            let slot = &mut dist[t.0];
             if slot.is_none_or(|d| cand > d) {
                 *slot = Some(cand);
-                pred[e.target.index()] = Some(n);
             }
         }
     }
-    Ok(LongestPaths { dist, pred, source })
-}
-
-/// Convenience: the longest-path distance from `source` to `target`.
-///
-/// Returns `Ok(None)` when `target` is unreachable, `Err` on a cyclic graph.
-pub fn longest_path_to<N, E>(
-    graph: &DiGraph<N, E>,
-    source: NodeId,
-    target: NodeId,
-    edge_weight: impl FnMut(&E) -> u64,
-) -> Result<Option<u64>, TopoError> {
-    Ok(longest_path(graph, source, edge_weight)?.distance(target))
+    Ok(LongestPaths { dist })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Paper Example 3.2 (Figure 2-(b)): T0 →5 T1 →1 T2, T0 →2 T3 →4 T2,
-    /// T0 →4 T2. Critical path T0→T1→T2 of length 6.
+    /// Paper Example 3.2: T0 →5 T1 →1 T2, T0 →2 T3, T0 →4 T2, and T3 →4 T2
+    /// (Figure 2-(b)) or, with `chain_of_blocking`, T2 →4 T3 (Figure 2-(c)).
+    fn figure2(chain_of_blocking: bool) -> (DiGraph<&'static str, u64>, Vec<NodeId>) {
+        let mut g = DiGraph::new();
+        let t: Vec<NodeId> = ["T0", "T1", "T2", "T3"]
+            .into_iter()
+            .map(|n| g.add_node(n))
+            .collect();
+        g.add_edge(t[0], t[1], 5);
+        g.add_edge(t[0], t[2], 4);
+        g.add_edge(t[0], t[3], 2);
+        g.add_edge(t[1], t[2], 1);
+        if chain_of_blocking {
+            g.add_edge(t[2], t[3], 4);
+        } else {
+            g.add_edge(t[3], t[2], 4);
+        }
+        (g, t)
+    }
+
+    /// Figure 2-(b): critical path T0→T1→T2 of length 6.
     #[test]
     fn paper_example_3_2_short_order() {
-        let mut g: DiGraph<&str, u64> = DiGraph::new();
-        let t0 = g.add_node("T0");
-        let t1 = g.add_node("T1");
-        let t2 = g.add_node("T2");
-        let t3 = g.add_node("T3");
-        g.add_edge(t0, t1, 5);
-        g.add_edge(t0, t2, 4);
-        g.add_edge(t0, t3, 2);
-        g.add_edge(t1, t2, 1);
-        g.add_edge(t3, t2, 4);
-        let lp = longest_path(&g, t0, |&w| w).unwrap();
-        assert_eq!(lp.distance(t2), Some(6));
-        assert_eq!(lp.path_to(t2), Some(vec![t0, t1, t2]));
+        let (g, t) = figure2(false);
+        let lp = longest_path(&g, t[0], |&w| w).unwrap();
+        assert_eq!(lp.distance(t[2]), Some(6));
     }
 
-    /// Paper Example 3.2 (Figure 2-(c)): chain of blocking T1→T2→T3 gives a
-    /// critical path of length 10.
+    /// Figure 2-(c): the chain of blocking T1→T2→T3 gives length 10.
     #[test]
     fn paper_example_3_2_chain_of_blocking() {
-        let mut g: DiGraph<&str, u64> = DiGraph::new();
-        let t0 = g.add_node("T0");
-        let t1 = g.add_node("T1");
-        let t2 = g.add_node("T2");
-        let t3 = g.add_node("T3");
-        g.add_edge(t0, t1, 5);
-        g.add_edge(t0, t2, 4);
-        g.add_edge(t0, t3, 2);
-        g.add_edge(t1, t2, 1);
-        g.add_edge(t2, t3, 4);
-        let lp = longest_path(&g, t0, |&w| w).unwrap();
-        let max = g.node_ids().filter_map(|n| lp.distance(n)).max().unwrap();
-        assert_eq!(max, 10); // T0 →5 T1 →1 T2 →4 T3
-        assert_eq!(lp.path_to(t3), Some(vec![t0, t1, t2, t3]));
+        let (g, t) = figure2(true);
+        let lp = longest_path(&g, t[0], |&w| w).unwrap();
+        assert_eq!(lp.distance(t[3]), Some(10));
     }
 
     #[test]
-    fn unreachable_nodes_have_no_distance() {
+    fn unreachable_nodes_have_no_distance_and_source_is_zero() {
         let mut g: DiGraph<(), u64> = DiGraph::new();
         let a = g.add_node(());
         let b = g.add_node(());
         let c = g.add_node(());
         g.add_edge(a, b, 7);
         let lp = longest_path(&g, a, |&w| w).unwrap();
+        assert_eq!(lp.distance(a), Some(0));
         assert_eq!(lp.distance(b), Some(7));
         assert_eq!(lp.distance(c), None);
-        assert_eq!(lp.path_to(c), None);
     }
 
     #[test]
@@ -152,46 +110,20 @@ mod tests {
         g.add_edge(a, b, 1);
         g.add_edge(b, a, 1);
         assert!(longest_path(&g, a, |&w| w).is_err());
-        assert!(longest_path_to(&g, a, b, |&w| w).is_err());
     }
 
     #[test]
-    fn takes_longest_not_shortest() {
+    fn takes_longest_route_and_heavier_parallel_edge() {
         let mut g: DiGraph<(), u64> = DiGraph::new();
         let a = g.add_node(());
         let b = g.add_node(());
         let c = g.add_node(());
         g.add_edge(a, c, 1); // short direct route
-        g.add_edge(a, b, 5);
-        g.add_edge(b, c, 5); // long route a→b→c = 10
-        assert_eq!(longest_path_to(&g, a, c, |&w| w).unwrap(), Some(10));
-    }
-
-    #[test]
-    fn parallel_edges_take_heavier_one() {
-        let mut g: DiGraph<(), u64> = DiGraph::new();
-        let a = g.add_node(());
-        let b = g.add_node(());
-        g.add_edge(a, b, 3);
         g.add_edge(a, b, 9);
-        assert_eq!(longest_path_to(&g, a, b, |&w| w).unwrap(), Some(9));
-    }
-
-    #[test]
-    fn zero_weight_edges() {
-        let mut g: DiGraph<(), u64> = DiGraph::new();
-        let a = g.add_node(());
-        let b = g.add_node(());
-        g.add_edge(a, b, 0);
-        assert_eq!(longest_path_to(&g, a, b, |&w| w).unwrap(), Some(0));
-    }
-
-    #[test]
-    fn source_distance_is_zero() {
-        let mut g: DiGraph<(), u64> = DiGraph::new();
-        let a = g.add_node(());
+        g.add_edge(a, b, 5); // lighter parallel edge
+        g.add_edge(b, c, 0);
         let lp = longest_path(&g, a, |&w| w).unwrap();
-        assert_eq!(lp.distance(a), Some(0));
-        assert_eq!(lp.path_to(a), Some(vec![a]));
+        assert_eq!(lp.distance(b), Some(9));
+        assert_eq!(lp.distance(c), Some(9));
     }
 }

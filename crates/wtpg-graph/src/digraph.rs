@@ -1,116 +1,25 @@
-//! A mutable directed multigraph with stable handles.
+//! An append-only directed multigraph.
 //!
-//! Nodes and edges live in slot arenas: removal leaves a hole that is recycled
-//! by later insertions, so [`NodeId`]s held elsewhere (e.g. the scheduler's
-//! transaction table) stay valid until *that* node is removed. Handles carry a
-//! generation counter so a stale handle to a recycled slot is detected rather
-//! than silently aliased.
+//! Nodes and edges are only ever added, so a [`NodeId`] is the node's
+//! insertion index and stays valid for the graph's lifetime.
 
-use std::fmt;
+/// Handle to a node of a [`DiGraph`]: its insertion index.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct NodeId(pub(crate) usize);
 
-/// Stable handle to a node in a [`DiGraph`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct NodeId {
-    index: u32,
-    generation: u32,
-}
-
-/// Stable handle to an edge in a [`DiGraph`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EdgeId {
-    index: u32,
-    generation: u32,
-}
-
-impl NodeId {
-    /// Arena index of this node (dense within the graph's lifetime).
-    #[inline]
-    pub fn index(self) -> usize {
-        self.index as usize
-    }
-}
-
-impl EdgeId {
-    /// Arena index of this edge.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.index as usize
-    }
-}
-
-impl fmt::Debug for NodeId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "n{}g{}", self.index, self.generation)
-    }
-}
-
-impl fmt::Debug for EdgeId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "e{}g{}", self.index, self.generation)
-    }
-}
-
-/// A borrowed view of one edge: endpoints, handle and weight reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EdgeRef<'a, E> {
-    /// Handle of the edge itself.
-    pub id: EdgeId,
-    /// Source node.
-    pub source: NodeId,
-    /// Target node.
-    pub target: NodeId,
-    /// Edge payload (weight, label, …).
-    pub weight: &'a E,
-}
-
-#[derive(Debug, Clone)]
-struct NodeSlot<N> {
-    generation: u32,
-    data: Option<NodeData<N>>,
-}
-
-#[derive(Debug, Clone)]
-struct NodeData<N> {
+#[derive(Debug)]
+struct Node<N, E> {
     weight: N,
-    out_edges: Vec<EdgeId>,
-    in_edges: Vec<EdgeId>,
+    out: Vec<(NodeId, E)>,
 }
 
-#[derive(Debug, Clone)]
-struct EdgeSlot<E> {
-    generation: u32,
-    data: Option<EdgeData<E>>,
-}
-
-#[derive(Debug, Clone)]
-struct EdgeData<E> {
-    source: NodeId,
-    target: NodeId,
-    weight: E,
-}
-
-/// A directed multigraph with stable node/edge handles and O(degree) removal.
+/// A directed multigraph that only grows.
 ///
-/// Parallel edges and self-loops are permitted at this layer; the WTPG layer
-/// above enforces its own invariants (at most one precedence edge per ordered
-/// pair, no self-conflicts).
-#[derive(Clone)]
+/// Parallel edges and self-loops are permitted; callers that need at most one
+/// edge per ordered pair deduplicate before adding.
+#[derive(Debug)]
 pub struct DiGraph<N, E> {
-    nodes: Vec<NodeSlot<N>>,
-    edges: Vec<EdgeSlot<E>>,
-    free_nodes: Vec<u32>,
-    free_edges: Vec<u32>,
-    node_count: usize,
-    edge_count: usize,
-}
-
-impl<N: fmt::Debug, E: fmt::Debug> fmt::Debug for DiGraph<N, E> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DiGraph")
-            .field("node_count", &self.node_count)
-            .field("edge_count", &self.edge_count)
-            .finish()
-    }
+    nodes: Vec<Node<N, E>>,
 }
 
 impl<N, E> Default for DiGraph<N, E> {
@@ -122,337 +31,51 @@ impl<N, E> Default for DiGraph<N, E> {
 impl<N, E> DiGraph<N, E> {
     /// Creates an empty graph.
     pub fn new() -> Self {
-        DiGraph {
-            nodes: Vec::new(),
-            edges: Vec::new(),
-            free_nodes: Vec::new(),
-            free_edges: Vec::new(),
-            node_count: 0,
-            edge_count: 0,
-        }
+        DiGraph { nodes: Vec::new() }
     }
 
-    /// Creates an empty graph with room for `nodes` nodes and `edges` edges.
-    pub fn with_capacity(nodes: usize, edges: usize) -> Self {
-        DiGraph {
-            nodes: Vec::with_capacity(nodes),
-            edges: Vec::with_capacity(edges),
-            free_nodes: Vec::new(),
-            free_edges: Vec::new(),
-            node_count: 0,
-            edge_count: 0,
-        }
-    }
-
-    /// Number of live nodes.
+    /// Number of nodes.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.node_count
-    }
-
-    /// Number of live edges.
-    #[inline]
-    pub fn edge_count(&self) -> usize {
-        self.edge_count
-    }
-
-    /// Upper bound (exclusive) on `NodeId::index` values ever handed out.
-    ///
-    /// Useful for sizing dense per-node scratch arrays in algorithms.
-    #[inline]
-    pub fn node_bound(&self) -> usize {
         self.nodes.len()
     }
 
-    /// Adds a node carrying `weight`; returns its stable handle.
+    /// Adds a node carrying `weight`; returns its handle.
     pub fn add_node(&mut self, weight: N) -> NodeId {
-        self.node_count += 1;
-        let data = NodeData {
+        self.nodes.push(Node {
             weight,
-            out_edges: Vec::new(),
-            in_edges: Vec::new(),
-        };
-        if let Some(index) = self.free_nodes.pop() {
-            let slot = &mut self.nodes[index as usize];
-            debug_assert!(slot.data.is_none());
-            slot.generation += 1;
-            slot.data = Some(data);
-            NodeId {
-                index,
-                generation: slot.generation,
-            }
-        } else {
-            let index = u32::try_from(self.nodes.len()).expect("node arena overflow");
-            self.nodes.push(NodeSlot {
-                generation: 0,
-                data: Some(data),
-            });
-            NodeId {
-                index,
-                generation: 0,
-            }
-        }
-    }
-
-    /// Returns true if `id` refers to a live node of this graph.
-    #[inline]
-    pub fn contains_node(&self, id: NodeId) -> bool {
-        self.node_slot(id).is_some()
-    }
-
-    /// Returns true if `id` refers to a live edge of this graph.
-    #[inline]
-    pub fn contains_edge(&self, id: EdgeId) -> bool {
-        self.edge_slot(id).is_some()
-    }
-
-    fn node_slot(&self, id: NodeId) -> Option<&NodeData<N>> {
-        self.nodes
-            .get(id.index as usize)
-            .filter(|s| s.generation == id.generation)
-            .and_then(|s| s.data.as_ref())
-    }
-
-    fn node_slot_mut(&mut self, id: NodeId) -> Option<&mut NodeData<N>> {
-        self.nodes
-            .get_mut(id.index as usize)
-            .filter(|s| s.generation == id.generation)
-            .and_then(|s| s.data.as_mut())
-    }
-
-    fn edge_slot(&self, id: EdgeId) -> Option<&EdgeData<E>> {
-        self.edges
-            .get(id.index as usize)
-            .filter(|s| s.generation == id.generation)
-            .and_then(|s| s.data.as_ref())
-    }
-
-    /// Borrow a node's payload.
-    #[inline]
-    pub fn node_weight(&self, id: NodeId) -> Option<&N> {
-        self.node_slot(id).map(|d| &d.weight)
-    }
-
-    /// Mutably borrow a node's payload.
-    #[inline]
-    pub fn node_weight_mut(&mut self, id: NodeId) -> Option<&mut N> {
-        self.node_slot_mut(id).map(|d| &mut d.weight)
-    }
-
-    /// Borrow an edge's payload.
-    #[inline]
-    pub fn edge_weight(&self, id: EdgeId) -> Option<&E> {
-        self.edge_slot(id).map(|d| &d.weight)
-    }
-
-    /// Mutably borrow an edge's payload.
-    #[inline]
-    pub fn edge_weight_mut(&mut self, id: EdgeId) -> Option<&mut E> {
-        self.edges
-            .get_mut(id.index as usize)
-            .filter(|s| s.generation == id.generation)
-            .and_then(|s| s.data.as_mut())
-            .map(|d| &mut d.weight)
-    }
-
-    /// Endpoints `(source, target)` of a live edge.
-    #[inline]
-    pub fn edge_endpoints(&self, id: EdgeId) -> Option<(NodeId, NodeId)> {
-        self.edge_slot(id).map(|d| (d.source, d.target))
+            out: Vec::new(),
+        });
+        NodeId(self.nodes.len() - 1)
     }
 
     /// Adds a directed edge `source → target` carrying `weight`.
     ///
     /// # Panics
-    /// Panics if either endpoint is not a live node.
-    pub fn add_edge(&mut self, source: NodeId, target: NodeId, weight: E) -> EdgeId {
+    /// Panics if either endpoint is not a node of this graph.
+    pub fn add_edge(&mut self, source: NodeId, target: NodeId, weight: E) {
+        let n = self.nodes.len();
         assert!(
-            self.contains_node(source),
-            "add_edge: dead source {source:?}"
+            source.0 < n && target.0 < n,
+            "add_edge: unknown endpoint in {source:?} → {target:?}"
         );
-        assert!(
-            self.contains_node(target),
-            "add_edge: dead target {target:?}"
-        );
-        self.edge_count += 1;
-        let data = EdgeData {
-            source,
-            target,
-            weight,
-        };
-        let id = if let Some(index) = self.free_edges.pop() {
-            let slot = &mut self.edges[index as usize];
-            debug_assert!(slot.data.is_none());
-            slot.generation += 1;
-            slot.data = Some(data);
-            EdgeId {
-                index,
-                generation: slot.generation,
-            }
-        } else {
-            let index = u32::try_from(self.edges.len()).expect("edge arena overflow");
-            self.edges.push(EdgeSlot {
-                generation: 0,
-                data: Some(data),
-            });
-            EdgeId {
-                index,
-                generation: 0,
-            }
-        };
-        self.node_slot_mut(source)
-            .expect("checked above")
-            .out_edges
-            .push(id);
-        self.node_slot_mut(target)
-            .expect("checked above")
-            .in_edges
-            .push(id);
-        id
+        self.nodes[source.0].out.push((target, weight));
     }
 
-    /// Removes an edge, returning its payload. Returns `None` for a stale handle.
-    pub fn remove_edge(&mut self, id: EdgeId) -> Option<E> {
-        let slot = self
-            .edges
-            .get_mut(id.index as usize)
-            .filter(|s| s.generation == id.generation)?;
-        let data = slot.data.take()?;
-        self.free_edges.push(id.index);
-        self.edge_count -= 1;
-        if let Some(src) = self.node_slot_mut(data.source) {
-            src.out_edges.retain(|&e| e != id);
-        }
-        if let Some(dst) = self.node_slot_mut(data.target) {
-            dst.in_edges.retain(|&e| e != id);
-        }
-        Some(data.weight)
+    /// Borrow a node's payload, `None` for a handle from another graph.
+    #[inline]
+    pub fn node_weight(&self, id: NodeId) -> Option<&N> {
+        self.nodes.get(id.0).map(|n| &n.weight)
     }
 
-    /// Removes a node and every edge incident to it, returning its payload.
-    pub fn remove_node(&mut self, id: NodeId) -> Option<N> {
-        // Detach incident edges first (collect to avoid aliasing the arena).
-        let incident: Vec<EdgeId> = {
-            let data = self.node_slot(id)?;
-            data.out_edges
-                .iter()
-                .chain(data.in_edges.iter())
-                .copied()
-                .collect()
-        };
-        for e in incident {
-            self.remove_edge(e);
-        }
-        let slot = self
-            .nodes
-            .get_mut(id.index as usize)
-            .filter(|s| s.generation == id.generation)?;
-        let data = slot.data.take()?;
-        self.free_nodes.push(id.index);
-        self.node_count -= 1;
-        Some(data.weight)
+    /// Every node handle, in insertion order.
+    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
+        (0..self.nodes.len()).map(NodeId)
     }
 
-    /// First live edge `source → target`, if any (ignores parallel duplicates).
-    pub fn find_edge(&self, source: NodeId, target: NodeId) -> Option<EdgeId> {
-        let data = self.node_slot(source)?;
-        data.out_edges
-            .iter()
-            .copied()
-            .find(|&e| self.edge_slot(e).map(|d| d.target) == Some(target))
-    }
-
-    /// Iterator over live node handles, in insertion order of their slots.
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes.iter().enumerate().filter_map(|(i, slot)| {
-            slot.data.as_ref().map(|_| NodeId {
-                index: i as u32,
-                generation: slot.generation,
-            })
-        })
-    }
-
-    /// Iterator over live edges.
-    pub fn edge_refs(&self) -> impl Iterator<Item = EdgeRef<'_, E>> + '_ {
-        self.edges.iter().enumerate().filter_map(|(i, slot)| {
-            slot.data.as_ref().map(|d| EdgeRef {
-                id: EdgeId {
-                    index: i as u32,
-                    generation: slot.generation,
-                },
-                source: d.source,
-                target: d.target,
-                weight: &d.weight,
-            })
-        })
-    }
-
-    /// Outgoing edges of `node` (empty iterator for a stale handle).
-    pub fn out_edges(&self, node: NodeId) -> impl Iterator<Item = EdgeRef<'_, E>> + '_ {
-        self.node_slot(node)
-            .map(|d| d.out_edges.as_slice())
-            .unwrap_or(&[])
-            .iter()
-            .filter_map(move |&e| {
-                self.edge_slot(e).map(|d| EdgeRef {
-                    id: e,
-                    source: d.source,
-                    target: d.target,
-                    weight: &d.weight,
-                })
-            })
-    }
-
-    /// Incoming edges of `node` (empty iterator for a stale handle).
-    pub fn in_edges(&self, node: NodeId) -> impl Iterator<Item = EdgeRef<'_, E>> + '_ {
-        self.node_slot(node)
-            .map(|d| d.in_edges.as_slice())
-            .unwrap_or(&[])
-            .iter()
-            .filter_map(move |&e| {
-                self.edge_slot(e).map(|d| EdgeRef {
-                    id: e,
-                    source: d.source,
-                    target: d.target,
-                    weight: &d.weight,
-                })
-            })
-    }
-
-    /// Successor nodes of `node` (with multiplicity for parallel edges).
-    pub fn successors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.out_edges(node).map(|e| e.target)
-    }
-
-    /// Predecessor nodes of `node` (with multiplicity for parallel edges).
-    pub fn predecessors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.in_edges(node).map(|e| e.source)
-    }
-
-    /// Out-degree of `node` (0 for a stale handle).
-    pub fn out_degree(&self, node: NodeId) -> usize {
-        self.node_slot(node).map_or(0, |d| d.out_edges.len())
-    }
-
-    /// In-degree of `node` (0 for a stale handle).
-    pub fn in_degree(&self, node: NodeId) -> usize {
-        self.node_slot(node).map_or(0, |d| d.in_edges.len())
-    }
-
-    /// Removes every node and edge, keeping allocated capacity.
-    pub fn clear(&mut self) {
-        for (i, slot) in self.nodes.iter_mut().enumerate() {
-            if slot.data.take().is_some() {
-                self.free_nodes.push(i as u32);
-            }
-        }
-        for (i, slot) in self.edges.iter_mut().enumerate() {
-            if slot.data.take().is_some() {
-                self.free_edges.push(i as u32);
-            }
-        }
-        self.node_count = 0;
-        self.edge_count = 0;
+    /// Outgoing edges of `node` as `(target, weight)`, in insertion order.
+    pub fn out_edges(&self, node: NodeId) -> impl Iterator<Item = (NodeId, &E)> + '_ {
+        self.nodes[node.0].out.iter().map(|(t, w)| (*t, w))
     }
 }
 
@@ -460,132 +83,36 @@ impl<N, E> DiGraph<N, E> {
 mod tests {
     use super::*;
 
-    fn triangle() -> (DiGraph<&'static str, u32>, NodeId, NodeId, NodeId) {
-        let mut g = DiGraph::new();
+    #[test]
+    fn handles_are_insertion_indices() {
+        let mut g: DiGraph<&str, u32> = DiGraph::new();
         let a = g.add_node("a");
         let b = g.add_node("b");
-        let c = g.add_node("c");
-        g.add_edge(a, b, 1);
-        g.add_edge(b, c, 2);
-        g.add_edge(a, c, 3);
-        (g, a, b, c)
-    }
-
-    #[test]
-    fn add_and_query_nodes() {
-        let (g, a, b, c) = triangle();
-        assert_eq!(g.node_count(), 3);
-        assert_eq!(g.edge_count(), 3);
-        assert_eq!(g.node_weight(a), Some(&"a"));
-        assert_eq!(g.node_weight(b), Some(&"b"));
-        assert_eq!(g.node_weight(c), Some(&"c"));
-    }
-
-    #[test]
-    fn degrees_and_adjacency() {
-        let (g, a, b, c) = triangle();
-        assert_eq!(g.out_degree(a), 2);
-        assert_eq!(g.in_degree(a), 0);
-        assert_eq!(g.in_degree(c), 2);
-        let succ: Vec<_> = g.successors(a).collect();
-        assert_eq!(succ, vec![b, c]);
-        let pred: Vec<_> = g.predecessors(c).collect();
-        assert_eq!(pred, vec![b, a]);
-    }
-
-    #[test]
-    fn find_edge_present_and_absent() {
-        let (g, a, b, c) = triangle();
-        assert!(g.find_edge(a, b).is_some());
-        assert!(g.find_edge(b, a).is_none());
-        assert!(g.find_edge(c, a).is_none());
-    }
-
-    #[test]
-    fn remove_edge_updates_adjacency() {
-        let (mut g, a, b, _c) = triangle();
-        let e = g.find_edge(a, b).unwrap();
-        assert_eq!(g.remove_edge(e), Some(1));
-        assert_eq!(g.edge_count(), 2);
-        assert_eq!(g.out_degree(a), 1);
-        assert_eq!(g.in_degree(b), 0);
-        // Double removal is a no-op.
-        assert_eq!(g.remove_edge(e), None);
-        assert_eq!(g.edge_count(), 2);
-    }
-
-    #[test]
-    fn remove_node_removes_incident_edges() {
-        let (mut g, a, b, c) = triangle();
-        assert_eq!(g.remove_node(b), Some("b"));
+        assert_eq!((a.0, b.0), (0, 1));
         assert_eq!(g.node_count(), 2);
-        assert_eq!(g.edge_count(), 1); // only a→c survives
-        assert!(g.find_edge(a, c).is_some());
-        assert!(!g.contains_node(b));
+        assert_eq!(g.node_weight(b), Some(&"b"));
+        assert_eq!(g.node_weight(NodeId(2)), None);
+        assert_eq!(g.node_ids().collect::<Vec<_>>(), vec![a, b]);
     }
 
     #[test]
-    fn stale_handles_are_rejected_after_recycling() {
-        let mut g: DiGraph<u8, ()> = DiGraph::new();
-        let a = g.add_node(1);
-        g.remove_node(a);
-        let b = g.add_node(2); // recycles slot 0 with a new generation
-        assert_eq!(b.index(), a.index());
-        assert_ne!(a, b);
-        assert!(!g.contains_node(a));
-        assert_eq!(g.node_weight(a), None);
-        assert_eq!(g.node_weight(b), Some(&2));
-    }
-
-    #[test]
-    fn parallel_edges_and_self_loops() {
+    fn parallel_edges_and_self_loops_keep_insertion_order() {
         let mut g: DiGraph<(), u32> = DiGraph::new();
         let a = g.add_node(());
         let b = g.add_node(());
         g.add_edge(a, b, 1);
-        g.add_edge(a, b, 2);
         g.add_edge(a, a, 3);
-        assert_eq!(g.edge_count(), 3);
-        assert_eq!(g.out_degree(a), 3);
-        assert_eq!(g.in_degree(a), 1);
-        assert_eq!(g.in_degree(b), 2);
+        g.add_edge(a, b, 2);
+        let out: Vec<_> = g.out_edges(a).map(|(t, &w)| (t, w)).collect();
+        assert_eq!(out, vec![(b, 1), (a, 3), (b, 2)]);
+        assert_eq!(g.out_edges(b).count(), 0);
     }
 
     #[test]
-    fn clear_keeps_graph_usable() {
-        let (mut g, ..) = triangle();
-        g.clear();
-        assert_eq!(g.node_count(), 0);
-        assert_eq!(g.edge_count(), 0);
-        let a = g.add_node("x");
-        let b = g.add_node("y");
-        g.add_edge(a, b, 9);
-        assert_eq!(g.node_count(), 2);
-        assert_eq!(g.edge_count(), 1);
-    }
-
-    #[test]
-    fn edge_refs_enumerates_live_edges() {
-        let (mut g, a, b, c) = triangle();
-        let e = g.find_edge(b, c).unwrap();
-        g.remove_edge(e);
-        let mut seen: Vec<(NodeId, NodeId, u32)> = g
-            .edge_refs()
-            .map(|r| (r.source, r.target, *r.weight))
-            .collect();
-        seen.sort_by_key(|&(_, _, w)| w);
-        assert_eq!(seen, vec![(a, b, 1), (a, c, 3)]);
-    }
-
-    #[test]
-    fn node_bound_is_monotone() {
+    #[should_panic(expected = "unknown endpoint")]
+    fn edge_to_a_foreign_node_panics() {
         let mut g: DiGraph<(), ()> = DiGraph::new();
         let a = g.add_node(());
-        let _b = g.add_node(());
-        assert_eq!(g.node_bound(), 2);
-        g.remove_node(a);
-        assert_eq!(g.node_bound(), 2);
-        let _c = g.add_node(()); // reuses slot 0
-        assert_eq!(g.node_bound(), 2);
+        g.add_edge(a, NodeId(5), ());
     }
 }

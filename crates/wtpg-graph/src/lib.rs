@@ -1,41 +1,30 @@
 //! # wtpg-graph
 //!
-//! Directed-graph substrate for the WTPG reproduction.
+//! A plain directed graph, kept as the independent reference the rest of the
+//! workspace checks itself against. The schedulers compute on `wtpg-core`'s
+//! own slot-arena `Wtpg`; this crate backs two oracles:
 //!
-//! The paper's data structure — the *Weighted Transaction Precedence Graph* —
-//! and both of its schedulers need a small set of graph operations: a mutable
-//! directed multigraph with stable node identities (transactions come and go as
-//! they start and commit), reachability queries (`before(T)` / `after(T)` in
-//! the `E(q)` estimator), cycle detection (deadlock prediction in C2PL and
-//! K-WTPG), topological sorting, and single-source longest path over a DAG
-//! (the critical-path length that every scheduler minimises).
+//! * `History::check_conflict_serializable` builds the committed history's
+//!   serialization graph and asks [`is_cyclic`];
+//! * `wtpg-core`'s property tests rebuild a WTPG's precedence edges here and
+//!   compare its critical path with [`longest_path`].
 //!
-//! The approved offline dependency set does not include `petgraph`, so this
-//! crate implements exactly the substrate the rest of the workspace needs:
+//! The surface is exactly what they call:
 //!
-//! * [`DiGraph`] — an arena/slot-map digraph with O(1) node/edge addition,
-//!   O(degree) removal, and stable [`NodeId`]/[`EdgeId`] handles.
-//! * [`traversal`] — DFS/BFS iterators and reachability sets.
-//! * [`topo`] — Kahn topological sort and cycle detection.
-//! * [`critical_path`] — longest path from a source over a DAG, with
-//!   predecessor reconstruction.
-//! * [`dot`] — Graphviz export for debugging and the examples.
+//! * [`DiGraph`] — an append-only directed multigraph whose [`NodeId`] is the
+//!   node's insertion index.
+//! * [`topo_sort`] / [`is_cyclic`] — Kahn's algorithm.
+//! * [`longest_path`] — single-source longest path over a DAG.
 //!
-//! All algorithms are deterministic: iteration order follows insertion order,
-//! which keeps the simulator reproducible under a fixed RNG seed.
+//! All algorithms are deterministic: iteration order follows insertion order.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod critical_path;
-pub mod digraph;
-pub mod dot;
-pub mod scc;
-pub mod topo;
-pub mod traversal;
+mod critical_path;
+mod digraph;
+mod topo;
 
-pub use critical_path::{longest_path, longest_path_to, LongestPaths};
-pub use digraph::{DiGraph, EdgeId, EdgeRef, NodeId};
-pub use scc::{find_cycle, tarjan_scc};
-pub use topo::{is_cyclic, topo_sort, would_create_cycle, TopoError};
-pub use traversal::{bfs_order, dfs_order, reachable_from, reaches};
+pub use critical_path::{longest_path, LongestPaths};
+pub use digraph::{DiGraph, NodeId};
+pub use topo::{is_cyclic, topo_sort, TopoError};

@@ -1,8 +1,8 @@
 //! Topological sorting and cycle detection (Kahn's algorithm).
 //!
-//! C2PL and the `E(q)` estimator both treat a cycle in the precedence graph
-//! as a (future) deadlock (paper §3.3 Step 1 and §4.1); the critical-path
-//! computation in [`crate::critical_path`] consumes the topological order.
+//! A cycle in a committed history's serialization graph means the history
+//! is not conflict-serializable; the critical-path computation in
+//! [`crate::critical_path`] consumes the topological order.
 
 use crate::digraph::{DiGraph, NodeId};
 
@@ -25,29 +25,26 @@ impl std::fmt::Display for TopoError {
 
 impl std::error::Error for TopoError {}
 
-/// Kahn topological sort over all live nodes.
+/// Kahn topological sort over all nodes.
 ///
 /// Returns the nodes in an order where every edge points forward, or a
 /// [`TopoError`] carrying one node stuck on a cycle. Deterministic: ties are
-/// broken by slot insertion order.
+/// broken by insertion order.
 pub fn topo_sort<N, E>(graph: &DiGraph<N, E>) -> Result<Vec<NodeId>, TopoError> {
-    let bound = graph.node_bound();
-    let mut indegree = vec![0usize; bound];
-    let mut live = vec![false; bound];
+    let mut indegree = vec![0usize; graph.node_count()];
     for n in graph.node_ids() {
-        live[n.index()] = true;
-        indegree[n.index()] = graph.in_degree(n);
+        for (t, _) in graph.out_edges(n) {
+            indegree[t.0] += 1;
+        }
     }
     // A FIFO over ready nodes keeps the order stable and roughly level-wise.
-    let mut queue: std::collections::VecDeque<NodeId> = graph
-        .node_ids()
-        .filter(|n| indegree[n.index()] == 0)
-        .collect();
+    let mut queue: std::collections::VecDeque<NodeId> =
+        graph.node_ids().filter(|n| indegree[n.0] == 0).collect();
     let mut order = Vec::with_capacity(graph.node_count());
     while let Some(n) = queue.pop_front() {
         order.push(n);
-        for s in graph.successors(n) {
-            let d = &mut indegree[s.index()];
+        for (s, _) in graph.out_edges(n) {
+            let d = &mut indegree[s.0];
             *d -= 1;
             if *d == 0 {
                 queue.push_back(s);
@@ -59,7 +56,7 @@ pub fn topo_sort<N, E>(graph: &DiGraph<N, E>) -> Result<Vec<NodeId>, TopoError> 
     } else {
         let witness = graph
             .node_ids()
-            .find(|n| live[n.index()] && indegree[n.index()] > 0)
+            .find(|n| indegree[n.0] > 0)
             .expect("some node must remain with positive in-degree");
         Err(TopoError { witness })
     }
@@ -68,18 +65,6 @@ pub fn topo_sort<N, E>(graph: &DiGraph<N, E>) -> Result<Vec<NodeId>, TopoError> 
 /// Returns true if the graph contains a directed cycle.
 pub fn is_cyclic<N, E>(graph: &DiGraph<N, E>) -> bool {
     topo_sort(graph).is_err()
-}
-
-/// Returns true if adding an edge `source → target` would create a cycle,
-/// without mutating the graph.
-///
-/// This is the primitive behind C2PL's deadlock *prediction*: an edge closes
-/// a cycle iff `source` is already reachable from `target`.
-pub fn would_create_cycle<N, E>(graph: &DiGraph<N, E>, source: NodeId, target: NodeId) -> bool {
-    if source == target {
-        return true;
-    }
-    crate::traversal::reachable_from(graph, target).contains(&source)
 }
 
 #[cfg(test)]
@@ -92,37 +77,41 @@ mod tests {
         let a = g.add_node(());
         let b = g.add_node(());
         let c = g.add_node(());
-        g.add_edge(a, b, ());
         g.add_edge(b, c, ());
+        g.add_edge(a, b, ());
         assert_eq!(topo_sort(&g).unwrap(), vec![a, b, c]);
     }
 
+    /// Insertion order is not topological here, so an order that falls back
+    /// to it fails.
     #[test]
     fn topo_sort_respects_all_edges() {
         let mut g: DiGraph<(), ()> = DiGraph::new();
         let nodes: Vec<NodeId> = (0..6).map(|_| g.add_node(())).collect();
-        g.add_edge(nodes[5], nodes[0], ());
-        g.add_edge(nodes[3], nodes[5], ());
-        g.add_edge(nodes[3], nodes[1], ());
-        g.add_edge(nodes[1], nodes[0], ());
+        let edges = [(5, 0), (3, 5), (3, 1), (1, 0)];
+        for &(s, t) in &edges {
+            g.add_edge(nodes[s], nodes[t], ());
+        }
         let order = topo_sort(&g).unwrap();
+        assert_eq!(order.len(), 6);
         let pos = |n: NodeId| order.iter().position(|&x| x == n).unwrap();
-        for e in g.edge_refs() {
-            assert!(pos(e.source) < pos(e.target));
+        for &(s, t) in &edges {
+            assert!(pos(nodes[s]) < pos(nodes[t]));
         }
     }
 
     #[test]
-    fn cycle_detected() {
+    fn cycle_detected_with_a_witness_on_it() {
         let mut g: DiGraph<(), ()> = DiGraph::new();
         let a = g.add_node(());
         let b = g.add_node(());
         let c = g.add_node(());
         g.add_edge(a, b, ());
         g.add_edge(b, c, ());
-        g.add_edge(c, a, ());
+        g.add_edge(c, b, ());
         assert!(is_cyclic(&g));
-        assert!(topo_sort(&g).is_err());
+        let witness = topo_sort(&g).unwrap_err().witness;
+        assert!(witness == b || witness == c);
     }
 
     #[test]
@@ -141,37 +130,5 @@ mod tests {
         g.add_node(());
         assert!(!is_cyclic(&g));
         assert_eq!(topo_sort(&g).unwrap().len(), 2);
-    }
-
-    #[test]
-    fn would_create_cycle_detection() {
-        let mut g: DiGraph<(), ()> = DiGraph::new();
-        let a = g.add_node(());
-        let b = g.add_node(());
-        let c = g.add_node(());
-        g.add_edge(a, b, ());
-        g.add_edge(b, c, ());
-        assert!(would_create_cycle(&g, c, a));
-        assert!(would_create_cycle(&g, b, a));
-        assert!(!would_create_cycle(&g, a, c));
-        assert!(would_create_cycle(&g, a, a));
-        // Graph untouched.
-        assert_eq!(g.edge_count(), 2);
-    }
-
-    #[test]
-    fn topo_after_node_removal() {
-        let mut g: DiGraph<(), ()> = DiGraph::new();
-        let a = g.add_node(());
-        let b = g.add_node(());
-        let c = g.add_node(());
-        g.add_edge(a, b, ());
-        g.add_edge(b, c, ());
-        g.add_edge(c, a, ()); // cycle
-        assert!(is_cyclic(&g));
-        g.remove_node(b); // breaks it
-        assert!(!is_cyclic(&g));
-        let order = topo_sort(&g).unwrap();
-        assert_eq!(order, vec![c, a]);
     }
 }

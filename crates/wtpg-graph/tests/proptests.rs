@@ -1,14 +1,13 @@
-//! Property-based tests for the graph substrate.
+//! Property-based tests for the graph oracles, checked against a reference
+//! walk that shares no code with them.
 
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::HashMap;
 
-use wtpg_graph::{
-    bfs_order, dfs_order, is_cyclic, longest_path, reachable_from, reaches, topo_sort,
-    would_create_cycle, DiGraph, NodeId,
-};
+use wtpg_graph::{is_cyclic, longest_path, topo_sort, DiGraph, NodeId};
 
 /// Strategy: a random digraph as (node count, list of (src, dst, weight)).
+/// Self-loops and parallel edges are drawn like any other edge.
 fn arb_graph(
     max_nodes: usize,
     max_edges: usize,
@@ -19,7 +18,9 @@ fn arb_graph(
     })
 }
 
-/// Strategy: a random DAG — edges only go from smaller to larger index.
+/// Strategy: a random DAG — edges go from smaller to larger rank, and the
+/// ranks are a random permutation of the node indices, so insertion order
+/// is usually not topological.
 fn arb_dag(
     max_nodes: usize,
     max_edges: usize,
@@ -29,7 +30,17 @@ fn arb_dag(
             (0..n - 1).prop_flat_map(move |s| (Just(s), s + 1..n, 0u64..100)),
             0..=max_edges,
         );
-        (Just(n), edges)
+        // Sorting the indices by random keys draws the permutation.
+        let keys = proptest::collection::vec(0u64..1 << 32, n);
+        (Just(n), edges, keys).prop_map(|(n, edges, keys)| {
+            let mut node_of_rank: Vec<usize> = (0..n).collect();
+            node_of_rank.sort_by_key(|&v| keys[v]);
+            let edges = edges
+                .into_iter()
+                .map(|(s, t, w)| (node_of_rank[s], node_of_rank[t], w))
+                .collect();
+            (n, edges)
+        })
     })
 }
 
@@ -42,178 +53,72 @@ fn build(n: usize, edges: &[(usize, usize, u64)]) -> (DiGraph<usize, u64>, Vec<N
     (g, ids)
 }
 
-proptest! {
-    #[test]
-    fn topo_sort_orders_every_edge((n, edges) in arb_dag(20, 60)) {
-        let (g, _) = build(n, &edges);
-        let order = topo_sort(&g).expect("DAG must sort");
-        prop_assert_eq!(order.len(), g.node_count());
-        let pos: std::collections::HashMap<NodeId, usize> =
-            order.iter().enumerate().map(|(i, &x)| (x, i)).collect();
-        for e in g.edge_refs() {
-            prop_assert!(pos[&e.source] < pos[&e.target]);
-        }
-    }
-
-    #[test]
-    fn dag_construction_is_acyclic((n, edges) in arb_dag(20, 60)) {
-        let (g, _) = build(n, &edges);
-        prop_assert!(!is_cyclic(&g));
-    }
-
-    #[test]
-    fn reachability_agrees_with_dfs((n, edges) in arb_graph(15, 40)) {
-        let (g, ids) = build(n, &edges);
-        for &start in ids.iter().take(3) {
-            let r = reachable_from(&g, start);
-            let dfs: HashSet<NodeId> = dfs_order(&g, start).into_iter().collect();
-            // dfs includes start; reachable_from includes it only on a cycle.
-            for x in &r {
-                prop_assert!(dfs.contains(x));
-            }
-            for x in &dfs {
-                if *x != start {
-                    prop_assert!(r.contains(x));
-                }
+/// Reference walk over the raw edge list: the nodes reachable from `start`
+/// by one or more edges (so `start` itself only if it lies on a cycle).
+fn walk(n: usize, edges: &[(usize, usize, u64)], start: usize) -> Vec<bool> {
+    let mut seen = vec![false; n];
+    let mut stack = vec![start];
+    while let Some(u) = stack.pop() {
+        for &(s, t, _) in edges {
+            if s == u && !seen[t] {
+                seen[t] = true;
+                stack.push(t);
             }
         }
     }
-
-    #[test]
-    fn forward_and_backward_reachability_are_adjoint((n, edges) in arb_graph(12, 30)) {
-        let (g, ids) = build(n, &edges);
-        for &a in &ids {
-            for b in reachable_from(&g, a) {
-                prop_assert!(reaches(&g, b).contains(&a));
-            }
-        }
-    }
-
-    #[test]
-    fn bfs_and_dfs_visit_same_set((n, edges) in arb_graph(15, 40)) {
-        let (g, ids) = build(n, &edges);
-        let b: HashSet<NodeId> = bfs_order(&g, ids[0]).into_iter().collect();
-        let d: HashSet<NodeId> = dfs_order(&g, ids[0]).into_iter().collect();
-        prop_assert_eq!(b, d);
-    }
-
-    #[test]
-    fn longest_path_dominates_every_edge_relaxation((n, edges) in arb_dag(15, 40)) {
-        let (g, ids) = build(n, &edges);
-        let lp = longest_path(&g, ids[0], |&w| w).unwrap();
-        // For every edge u→v with both ends reachable: dist(v) ≥ dist(u) + w.
-        for e in g.edge_refs() {
-            if let (Some(du), Some(dv)) = (lp.distance(e.source), lp.distance(e.target)) {
-                prop_assert!(dv >= du + *e.weight);
-            }
-        }
-    }
-
-    #[test]
-    fn longest_path_reconstruction_sums_correctly((n, edges) in arb_dag(15, 40)) {
-        let (g, ids) = build(n, &edges);
-        let lp = longest_path(&g, ids[0], |&w| w).unwrap();
-        for &t in &ids {
-            if let Some(path) = lp.path_to(t) {
-                // Walk the path taking the heaviest parallel edge at each hop,
-                // which is what the DP would have used.
-                let mut total = 0u64;
-                for win in path.windows(2) {
-                    let best = g
-                        .out_edges(win[0])
-                        .filter(|e| e.target == win[1])
-                        .map(|e| *e.weight)
-                        .max()
-                        .expect("path edge exists");
-                    total += best;
-                }
-                prop_assert_eq!(total, lp.distance(t).unwrap());
-            }
-        }
-    }
-
-    #[test]
-    fn would_create_cycle_matches_mutation((n, edges) in arb_graph(12, 30), s in 0usize..12, t in 0usize..12) {
-        let (g, ids) = build(n, &edges);
-        let s = s % n;
-        let t = t % n;
-        if is_cyclic(&g) {
-            return Ok(()); // predicate only meaningful on acyclic base graphs
-        }
-        let predicted = would_create_cycle(&g, ids[s], ids[t]);
-        let mut g2 = g.clone();
-        g2.add_edge(ids[s], ids[t], 0);
-        prop_assert_eq!(predicted, is_cyclic(&g2));
-    }
-
-    #[test]
-    fn node_removal_preserves_remaining_edges((n, edges) in arb_graph(12, 30), victim in 0usize..12) {
-        let (mut g, ids) = build(n, &edges);
-        let victim = ids[victim % n];
-        let expect_edges: usize = edges
-            .iter()
-            .filter(|&&(s, t, _)| ids[s] != victim && ids[t] != victim)
-            .count();
-        g.remove_node(victim);
-        prop_assert_eq!(g.edge_count(), expect_edges);
-        prop_assert_eq!(g.node_count(), n - 1);
-        for e in g.edge_refs() {
-            prop_assert!(e.source != victim && e.target != victim);
-        }
-    }
+    seen
 }
 
 proptest! {
-    /// Tarjan's components partition the node set, and the graph is cyclic
-    /// iff some component is non-trivial (or a self-loop exists).
     #[test]
-    fn scc_partitions_and_detects_cycles((n, edges) in arb_graph(15, 40)) {
-        let (g, _) = build(n, &edges);
-        let comps = wtpg_graph::tarjan_scc(&g);
-        let total: usize = comps.iter().map(Vec::len).sum();
-        prop_assert_eq!(total, g.node_count());
-        let mut seen = HashSet::new();
-        for c in &comps {
-            for &x in c {
-                prop_assert!(seen.insert(x), "node in two components");
-            }
-        }
-        let has_self_loop = g.edge_refs().any(|e| e.source == e.target);
-        let nontrivial = comps.iter().any(|c| c.len() > 1);
-        prop_assert_eq!(nontrivial || has_self_loop, is_cyclic(&g));
-    }
-
-    /// find_cycle returns an actual directed cycle exactly when the graph
-    /// is cyclic.
-    #[test]
-    fn find_cycle_is_sound_and_complete((n, edges) in arb_graph(12, 30)) {
-        let (g, _) = build(n, &edges);
-        match wtpg_graph::find_cycle(&g) {
-            Some(cycle) => {
-                prop_assert!(is_cyclic(&g));
-                prop_assert!(!cycle.is_empty());
-                for w in cycle.windows(2) {
-                    prop_assert!(g.find_edge(w[0], w[1]).is_some());
-                }
-                prop_assert!(g.find_edge(*cycle.last().unwrap(), cycle[0]).is_some());
-            }
-            None => prop_assert!(!is_cyclic(&g)),
+    fn topo_sort_orders_every_edge((n, edges) in arb_dag(20, 60)) {
+        let (g, ids) = build(n, &edges);
+        let order = topo_sort(&g).expect("DAG must sort");
+        prop_assert_eq!(order.len(), n);
+        let pos: HashMap<NodeId, usize> =
+            order.iter().enumerate().map(|(i, &x)| (x, i)).collect();
+        for &(s, t, _) in &edges {
+            prop_assert!(pos[&ids[s]] < pos[&ids[t]]);
         }
     }
 
-    /// Members of one SCC reach each other; members of different SCCs do
-    /// not mutually reach.
+    /// `is_cyclic` is true exactly when some node's walk reaches itself, and
+    /// `longest_path` refuses exactly the cyclic graphs.
     #[test]
-    fn scc_members_mutually_reachable((n, edges) in arb_graph(10, 25)) {
-        let (g, _) = build(n, &edges);
-        for comp in wtpg_graph::tarjan_scc(&g) {
-            if comp.len() < 2 { continue; }
-            let first = comp[0];
-            let reach = reachable_from(&g, first);
-            for &other in &comp[1..] {
-                prop_assert!(reach.contains(&other));
-                prop_assert!(reachable_from(&g, other).contains(&first));
+    fn is_cyclic_iff_some_walk_returns((n, edges) in arb_graph(15, 40)) {
+        let (g, ids) = build(n, &edges);
+        let returns = (0..n).any(|u| walk(n, &edges, u)[u]);
+        prop_assert_eq!(is_cyclic(&g), returns);
+        prop_assert_eq!(longest_path(&g, ids[0], |&w| w).is_err(), returns);
+    }
+
+    /// On a DAG, `longest_path` gives a distance to exactly the source and
+    /// the nodes its walk reaches; every edge relaxation between reached
+    /// nodes is dominated, and every reached node's distance is attained by
+    /// one of its in-edges.
+    #[test]
+    fn longest_path_covers_the_walk_and_dominates_every_relaxation(
+        (n, edges) in arb_dag(15, 40),
+        source in 0usize..15,
+    ) {
+        let source = source % n;
+        let (g, ids) = build(n, &edges);
+        let lp = longest_path(&g, ids[source], |&w| w).unwrap();
+        let reached = walk(n, &edges, source);
+        prop_assert_eq!(lp.distance(ids[source]), Some(0));
+        for v in (0..n).filter(|&v| v != source) {
+            prop_assert_eq!(lp.distance(ids[v]).is_some(), reached[v]);
+        }
+        for &(s, t, w) in &edges {
+            if let Some(ds) = lp.distance(ids[s]) {
+                prop_assert!(lp.distance(ids[t]).is_some_and(|dt| dt >= ds + w));
             }
+        }
+        for v in (0..n).filter(|&v| reached[v]) {
+            let attained = edges.iter().any(|&(s, t, w)| {
+                t == v && lp.distance(ids[s]).map(|ds| ds + w) == lp.distance(ids[v])
+            });
+            prop_assert!(attained, "node {} has a distance no edge attains", v);
         }
     }
 }

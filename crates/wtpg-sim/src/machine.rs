@@ -178,16 +178,6 @@ impl<W: Workload> Machine<W> {
         self.obs = Some(obs);
     }
 
-    /// Enables end-of-run certification (implies history recording). Also
-    /// switched on by `SimParams::certify` or the `WTPG_CERTIFY` environment
-    /// variable.
-    pub fn enable_certification(&mut self) {
-        self.certify = true;
-        if self.history.is_none() {
-            self.history = Some(History::new());
-        }
-    }
-
     /// The report of [`Machine::run`]'s end-of-run certification, if one ran
     /// (avoids replaying the history a second time just for the statistics).
     pub fn certify_report(&self) -> Option<CertifyReport> {

@@ -12,8 +12,8 @@
 //! * [`core`] (`wtpg-core`) — transaction model, partition lock table, the
 //!   WTPG, the chain optimisers (including the paper's appendix DP, with a
 //!   documented erratum), the `E(q)` estimator, and all seven schedulers.
-//! * [`graph`] (`wtpg-graph`) — the directed-graph substrate (arena digraph,
-//!   traversals, topological sort, DAG longest path).
+//! * [`graph`] (`wtpg-graph`) — the plain digraph the oracles check against
+//!   (topological sort, cycle check, DAG longest path).
 //! * [`sim`] (`wtpg-sim`) — the discrete-event shared-nothing machine and
 //!   the λ-sweep experiment runner.
 //! * [`workload`] (`wtpg-workload`) — the paper's transaction patterns,
