@@ -21,14 +21,9 @@ use std::sync::{Arc, Mutex};
 use serde::Serialize;
 use wtpg_net::{run_cell_load, FaultPlan, NetConfig, NetReport, OpenLoop};
 use wtpg_obs::slo::{evaluate, SloOutcome, SloSpec, WindowStats, WindowVerdict};
-use wtpg_obs::wall::WallClock;
-use wtpg_obs::wclock::{WindowFlusher, DEFAULT_WINDOW_MS};
-use wtpg_obs::{EventKind, ObsEvent, Observer, Registry};
+use wtpg_obs::{EventKind, ObsEvent, Observer};
 
 use crate::cell::{self, value};
-
-/// Observer track the load harness emits window records on.
-const WINDOW_TRACK: u32 = 9;
 
 /// Appends each event to a JSONL file as it is recorded, flushing per
 /// line, so `wtpg top` can follow the file while the run is still going.
@@ -265,7 +260,7 @@ pub(crate) fn run(args: &[String]) -> Result<(), String> {
         lambda: 2000.0,
         secs: 3.0,
         inflight: 32,
-        window_ms: DEFAULT_WINDOW_MS,
+        window_ms: NetConfig::default().window_ms,
         slo: "p99<50ms,abort<5%,sustain=4".into(),
         jsonl: None,
         out: None,
@@ -297,37 +292,26 @@ pub(crate) fn run(args: &[String]) -> Result<(), String> {
             seed: shared.seed,
             inflight: a.inflight,
         }),
+        window_ms: a.window_ms,
         ..cell.cfg.clone()
     };
 
     let tee = a.jsonl.as_deref().map(JsonlFileSink::create).transpose()?;
     let tap = Arc::new(WindowTap::new(tee));
-    // The flusher shares the run's own µs epoch only approximately (it
-    // starts its clock here, the runtime starts another inside); windows
-    // are judged on their own lengths, so a small epoch skew is harmless.
-    // The registry is the run's books; bringing it makes the flush cadence
-    // ours, and the final partial window carries what actors publish at
-    // exit (message tallies, the scheduler's cache statistics).
-    let reg = Arc::new(Registry::new());
-    let flusher = WindowFlusher::spawn(
-        Arc::clone(&reg),
-        Arc::clone(&tap) as Arc<dyn Observer>,
-        WallClock::start(),
-        a.window_ms,
-        WINDOW_TRACK,
-    );
-    let result = run_cell_load(
+    // The run flushes its books into the tap every `--window` ms; the
+    // final partial window carries what actors publish at exit (message
+    // tallies, the scheduler's cache statistics).
+    let report = run_cell_load(
         &cfg,
         &|| cell.sched.make(),
         &cell.catalog,
         &cell.specs,
         cell.transport,
         &cell.fault,
+        Some(Arc::clone(&tap) as Arc<dyn Observer>),
         None,
-        Some(reg),
-    );
-    flusher.stop();
-    let report = result.map_err(|e| e.to_string())?;
+    )
+    .map_err(|e| e.to_string())?;
     let (verdicts, outcome) = evaluate(&spec, &tap.stats());
 
     print_run(&report, a.lambda);

@@ -22,7 +22,7 @@ fn load_trace(path: &str) -> Result<Vec<ObsEvent>, String> {
 
 /// Wall-clock traces (`wtpg load --jsonl`) are in µs, simulator traces in
 /// ms ticks; Chrome's `ts` wants µs. A trace is wall-clock iff it holds a
-/// `Window` record: the `WindowFlusher` stamps µs by construction, and the
+/// `Window` record: a `wtpg-net` run stamps its windows in µs, and the
 /// simulator writes none — true of a file still being written, too.
 fn us_per_unit(events: &[ObsEvent]) -> u64 {
     if events.iter().any(|e| matches!(e.kind, EventKind::Window(_))) {

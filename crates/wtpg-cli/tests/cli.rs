@@ -167,14 +167,14 @@ fn simulate_trace_feeds_obs_summary_diff_and_chrome() {
 }
 
 /// A live `wtpg load --jsonl` file holds window records and nothing else;
-/// the flusher stamps them in µs, and Chrome's `ts` is µs, so the export
+/// the run stamps them in µs, and Chrome's `ts` is µs, so the export
 /// must not scale them as if they were the simulator's ms ticks.
 #[test]
 fn chrome_export_of_a_windows_only_trace_keeps_microseconds() {
     let reg = wtpg_obs::Registry::new();
     reg.counter(wtpg_obs::window::metric::COMMITS).add(7);
     let trace = std::env::temp_dir().join(format!("wtpg-cli-windows-{}.jsonl", std::process::id()));
-    std::fs::write(&trace, wtpg_obs::jsonl::encode(&[reg.flush(250_000, 9, 250_000)]))
+    std::fs::write(&trace, wtpg_obs::jsonl::encode(&[reg.flush(250_000, 0, 250_000)]))
         .expect("write trace");
     let (chrome, stderr, ok) = wtpg(&["obs", "chrome", trace.to_str().expect("utf-8")], None);
     std::fs::remove_file(&trace).ok();

@@ -12,10 +12,10 @@
 //!   platform-dependent), no `SystemTime`/`std::time::Instant`
 //!   (wall-clock reads), no ambient `thread_rng`. Applied to `wtpg-core`,
 //!   `wtpg-sim`, `wtpg-workload`, `wtpg-graph`, `wtpg-lint`, `wtpg-mvcc`,
-//!   `wtpg-obs` (minus `wall.rs`, the wall-clock epoch) and `wtpg-net`'s
-//!   protocol layer. An `Instant` token qualified by a non-`time` path — such as the
-//!   observer's `EventKind::Instant` trace phase — is recognized as not
-//!   being the clock type and does not fire.
+//!   `wtpg-obs` and `wtpg-net`'s protocol layer. An `Instant` token
+//!   qualified by a non-`time` path — such as the observer's
+//!   `EventKind::Instant` trace phase — is recognized as not being the
+//!   clock type and does not fire.
 //! - `panic-safety` — no `unwrap()`, undocumented `expect()`, panic-family
 //!   macros, or possibly-panicking slice indexing on the scheduler hot
 //!   path (`wtpg-core/src/wtpg.rs`, `estimate.rs`, `sched/*`) or anywhere
@@ -634,17 +634,13 @@ fn crate_of(path_slash: &str) -> Option<&str> {
 ///   `wtpg-graph` and `wtpg-lint` (the lint's own output must be
 ///   platform-stable) — but **not** `wtpg-rt`, whose wall clocks and
 ///   free-running threads are the point (its runs are checked by replay
-///   certification instead). `wtpg-obs` event/histogram/sink code is also
-///   held to determinism (traces of deterministic runs must be
-///   byte-deterministic); its sanctioned clock sources are `wall.rs` (the
-///   µs epoch the runtime stamps events with) and `wclock.rs` (the window
-///   flusher sleeping on that same epoch) — both exempt like the runtime
-///   they serve, and both only *producing* timestamps: the snapshot and
-///   merge code they feed stays under the determinism rule.
+///   certification instead). All of `wtpg-obs` is also held to determinism
+///   (traces of deterministic runs must be byte-deterministic): it reads no
+///   clock, and every timestamp it carries is its producer's.
 /// - `panic-safety`: `wtpg-core/src/wtpg.rs`, `estimate.rs`, `window.rs`
 ///   (the id-keyed window every per-transaction book sits on), `sched/*`, and
 ///   all of `wtpg-rt/src` (a panic on an actor thread poisons shared locks),
-///   `wtpg-obs/src` (observers are called from those same threads) and
+///   `wtpg-obs/src` (the executor bumps its handles for every actor) and
 ///   `wtpg-net/src` (a panicking actor deadlocks every peer waiting on it).
 /// - `api-docs`: all of `wtpg-core/src`, `wtpg-rt/src`, `wtpg-obs/src`,
 ///   `wtpg-net/src` and `wtpg-lint/src`.
@@ -683,11 +679,7 @@ pub fn rules_for(path: &Path) -> RuleSet {
             panic_safety: true,
             api_docs: true,
         },
-        "wtpg-obs" => RuleSet {
-            determinism: !(s.ends_with("/wall.rs") || s.ends_with("/wclock.rs")),
-            panic_safety: true,
-            api_docs: true,
-        },
+        "wtpg-obs" => RuleSet::ALL,
         "wtpg-net" => {
             let wall_clock = [
                 "/tcp.rs",

@@ -1,7 +1,7 @@
 //! Pass 3: call-graph determinism taint.
 //!
 //! The old determinism rule was a per-file deny list: exempt files
-//! (`wall.rs`, the net actor loops, `tcp.rs`) could do anything, and a
+//! (the net actor loops, `tcp.rs`) could do anything, and a
 //! protected file calling into them was invisible. This pass keeps the
 //! same *seeds* — `SystemTime`, clock `Instant`, `thread_rng`,
 //! hash-ordered collections — but propagates them along the approximate

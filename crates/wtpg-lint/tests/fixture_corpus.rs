@@ -119,23 +119,20 @@ fn obs_scope_fixture_is_clean_under_all_rules() {
 
 #[test]
 fn workspace_policy_scopes_wtpg_obs() {
-    // Event/histogram/sink code: all three rules.
+    // The crate reads no clock: every file is under all three rules, the
+    // old clock files' names included.
     for file in [
         "crates/wtpg-obs/src/event.rs",
         "crates/wtpg-obs/src/hist.rs",
         "crates/wtpg-obs/src/jsonl.rs",
+        "crates/wtpg-obs/src/observer.rs",
         "crates/wtpg-obs/src/summary.rs",
+        "crates/wtpg-obs/src/window.rs",
+        "crates/wtpg-obs/src/wall.rs",
+        "crates/wtpg-obs/src/wclock.rs",
     ] {
-        let r = rules_for(Path::new(file));
-        assert!(r.determinism, "{file}: determinism must be enforced");
-        assert!(r.panic_safety, "{file}: panic-safety must be enforced");
-        assert!(r.api_docs, "{file}: api-docs must be enforced");
+        assert_eq!(rules_for(Path::new(file)), RuleSet::ALL, "{file}");
     }
-    // The one sanctioned clock: wall.rs is determinism-exempt like the
-    // runtime it serves, but keeps panic-safety and api-docs.
-    let wall = rules_for(Path::new("crates/wtpg-obs/src/wall.rs"));
-    assert!(!wall.determinism, "wall.rs: determinism must be exempt");
-    assert!(wall.panic_safety && wall.api_docs);
 }
 
 #[test]

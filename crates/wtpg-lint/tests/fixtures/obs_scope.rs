@@ -5,8 +5,8 @@
 //! clock type; the v2 classifier recognizes an enum variant named `Instant`
 //! and any `Path::Instant` not qualified by `time` as *not* the clock, so
 //! no waiver is needed (v1 required one per occurrence). This fixture being
-//! clean with zero waivers proves the classification. Wall-clock reads are
-//! confined to `wall.rs`, which `rules_for` exempts from determinism —
+//! clean with zero waivers proves the classification. The crate reads no
+//! clock at all, and `rules_for` holds every file of it to determinism —
 //! asserted in fixture_corpus.rs.
 
 use std::collections::BTreeMap;

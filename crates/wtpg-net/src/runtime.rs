@@ -146,6 +146,10 @@ pub struct NetConfig {
     /// plane. Not combinable with kill faults
     /// ([`PlanError::MvccWithKill`](crate::plan::PlanError)).
     pub mvcc: bool,
+    /// Window length, ms, of a run handed an observer: every `window_ms` of
+    /// the run, the registry is flushed into it as one `Window` record (1
+    /// at least).
+    pub window_ms: u64,
 }
 
 /// Open-loop driver knobs (see [`NetConfig::open_loop`]).
@@ -181,6 +185,7 @@ impl Default for NetConfig {
             open_loop: None,
             stream_certify: false,
             mvcc: false,
+            window_ms: 250,
         }
     }
 }
@@ -278,6 +283,59 @@ impl Actor for Router<'_> {
     }
 }
 
+/// µs in `d`, saturating.
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
+
+/// The window flush of a run handed an observer, an actor on the executor
+/// on an inbox nothing feeds: it sleeps until its window ends, then flushes
+/// the run's registry into the observer as one `Window` on track 0, stamped
+/// in µs since the run's origin from the instant the executor hands it. The
+/// runtime closes its inbox once every other actor has stopped, and
+/// [`run_cell_load`] flushes the last, partial window.
+struct Windows<'a> {
+    reg: &'a Registry,
+    obs: &'a dyn Observer,
+    origin: Instant,
+    /// Window length, µs.
+    every: u64,
+    /// Where the last window flushed ended, µs since `origin`.
+    last: u64,
+}
+
+impl Windows<'_> {
+    fn at(&self, now: Instant) -> u64 {
+        micros(now.saturating_duration_since(self.origin))
+    }
+}
+
+impl Actor for Windows<'_> {
+    /// Where the last window flushed ended.
+    type Outcome = u64;
+
+    fn deliver(&mut self, _: Msg, _: Instant) -> Result<Flow, NetError> {
+        Ok(Flow::Continue)
+    }
+
+    fn idle(&mut self, now: Instant) -> Result<Flow, NetError> {
+        let at = self.at(now);
+        self.obs.record(self.reg.flush(at, 0, at - self.last));
+        self.last = at;
+        Ok(Flow::Continue)
+    }
+
+    fn before_block(&mut self, now: Instant) -> Result<Option<Duration>, NetError> {
+        let due = self.last.saturating_add(self.every);
+        let wait = due.saturating_sub(self.at(now));
+        Ok(Some(Duration::from_micros(wait)))
+    }
+
+    fn finish(self) -> Result<u64, NetError> {
+        Ok(self.last)
+    }
+}
+
 /// Runs one (scheduler, transport, fault plan) cell over `specs` and
 /// certifies the outcome. `sched` is a *factory* — a sharded control plane
 /// needs one scheduler instance per shard. See the module docs for the
@@ -305,15 +363,14 @@ pub fn run_cell(
 ///
 /// `reg` is the run's [`Registry`] — its only numeric books (see the module
 /// docs): every actor bumps its [`metric`] handles live and the report is
-/// read back from it, so it must be fresh, one per run. A caller that brings
-/// one owns the flush cadence (a `WindowFlusher` snapshotting on its own
-/// clock) and the runtime never flushes it. With `None` the runtime books
-/// in a private registry.
+/// read back from it, so it must be fresh, one per run. With `None` the
+/// runtime books in a private registry.
 ///
-/// `obs` receives that private registry, flushed exactly once when every
-/// actor has exited: one `Window` record on track 0 spanning the whole run,
-/// whose counters are the report's. It is not used when the caller brought
-/// `reg`.
+/// `obs` receives that registry as `Window` records on track 0, in µs since
+/// the run began: one every [`NetConfig::window_ms`] of the run, flushed by
+/// an actor on the executor, and the last, partial one once every actor has
+/// exited and the runtime's own tallies are in. Their counters sum to the
+/// report's.
 ///
 /// # Errors
 /// As [`run_cell`], plus [`NetError::Certify`] when a control shard's live
@@ -330,17 +387,17 @@ pub fn run_cell_load(
     reg: Option<Arc<Registry>>,
 ) -> Result<NetReport, NetError> {
     let plan = RunPlan::new(cfg, fault, transport, catalog, specs)?;
-    let private = reg.is_none();
     let reg = reg.unwrap_or_default();
     let set = ActorSet::lay_out(&plan, transport, sched, &reg)?;
     // The shard inboxes are queues the router fills on the executor: the
     // clock waits on the fabric's links alone.
     let stepped = [&set.control_inbox].into_iter().chain(&set.data_inboxes);
     let clock = RealTime::over(stepped.chain(&set.client_inboxes))?;
-    let joined = drive(set, &plan, &reg, clock, actor::round_robin());
-    if let Some(obs) = obs.filter(|_| private) {
-        let us = u64::try_from(joined.wall.as_micros()).unwrap_or(u64::MAX);
-        obs.record(reg.flush(us, 0, us.max(1)));
+    let pick = actor::round_robin();
+    let joined = drive(set, &plan, &reg, obs.as_deref(), clock, pick);
+    if let Some(obs) = obs {
+        let us = micros(joined.wall);
+        obs.record(reg.flush(us, 0, us.saturating_sub(joined.windowed).max(1)));
     }
     assemble(&plan, joined, &reg).map(|(report, _)| report)
 }
@@ -365,7 +422,8 @@ pub fn explore_cell(
     let reg = Registry::new();
     let set = ActorSet::lay_out(&plan, &InProc, sched, &reg)?;
     let clock = actor::VirtualTime(set.run_wall);
-    let joined = drive(set, &plan, &reg, clock, actor::seeded(seed, 125 * specs.len()));
+    let pick = actor::seeded(seed, 125 * specs.len());
+    let joined = drive(set, &plan, &reg, None, clock, pick);
     assemble(&plan, joined, &reg)
 }
 
@@ -495,18 +553,23 @@ struct Joined {
     data: Vec<Result<DataOutcome, NetError>>,
     clients: Vec<Result<ClientOutcome, NetError>>,
     wall: Duration,
+    /// Where the last window flushed into the observer ended, µs since the
+    /// run began (0: none was).
+    windowed: u64,
 }
 
 /// Phase 3: runs every actor of `set` to completion on this thread
 /// ([`actor::step_all`] on `clock`, moving the actor `pick` names),
 /// broadcasts `Shutdown` once every shard has stopped — or the executor
 /// failed, whose error becomes the first shard's outcome — and tears the
-/// plumbing down. The runtime's own tallies are published last, so on
-/// return `reg` holds the whole run.
+/// plumbing down. Given `obs`, a [`Windows`] actor flushes `reg` into it
+/// while any other actor runs. The runtime's own tallies are published
+/// last, so on return `reg` holds the whole run.
 fn drive(
     set: ActorSet<'_>,
     plan: &RunPlan<'_>,
     reg: &Registry,
+    obs: Option<&dyn Observer>,
     mut clock: impl Clock,
     pick: impl FnMut(&[&mut dyn Step], Instant) -> Result<Option<usize>, NetError>,
 ) -> Joined {
@@ -565,8 +628,20 @@ fn drive(
             Slot::new(Ok(client), inbox)
         })
         .collect();
+    let window_inbox = Mailbox::queue();
+    let mut windows = obs.map(|obs| {
+        let every = cfg.window_ms.max(1).saturating_mul(1000);
+        let windows = Windows {
+            reg,
+            obs,
+            origin: started,
+            every,
+            last: 0,
+        };
+        Slot::new(Ok(windows), &window_inbox)
+    });
     // Control shards first, as the teardown reads them; then the router,
-    // the data nodes and the clients.
+    // the data nodes, the clients and, last, the window flush.
     let mut slots: Vec<&mut dyn Step> = controls
         .iter_mut()
         .map(|s| s as &mut dyn Step)
@@ -574,12 +649,17 @@ fn drive(
         .chain(data.iter_mut().map(|s| s as &mut dyn Step))
         .chain(clients.iter_mut().map(|s| s as &mut dyn Step))
         .collect();
+    let actors = slots.len();
+    slots.extend(windows.iter_mut().map(|s| s as &mut dyn Step));
     let mut torn_down = false;
     let ran = actor::step_all(&mut slots, &mut clock, pick, |slots| {
         let shards = || slots.iter().take(shards).map(|s| s.ended());
         if !torn_down && shards().all(|e| e.is_some()) {
             torn_down = true;
             teardown(shards().any(|e| e == Some(false)));
+        }
+        if slots.iter().take(actors).all(|s| s.ended().is_some()) {
+            window_inbox.close();
         }
     });
     drop(slots);
@@ -593,6 +673,7 @@ fn drive(
     }
     let data = data.into_iter().map(Slot::outcome).collect();
     let clients = clients.into_iter().map(Slot::outcome).collect();
+    let windowed = windows.and_then(|w| w.outcome().ok()).unwrap_or(0);
 
     // Teardown: dropping our sender handles — on TCP — FINs the writer
     // sockets so every socket's reader sees EOF.
@@ -611,6 +692,7 @@ fn drive(
         data,
         clients,
         wall,
+        windowed,
     }
 }
 
@@ -711,7 +793,9 @@ fn assemble(
     // not disjoint: the run "completed" but its history was not admissible.
     let streamed = audit.verdict.take().transpose().map_err(NetError::Certify)?;
 
-    let counters = audit.counters;
+    // Writers commit through the scheduler, readers on the snapshot plane;
+    // a shard counts both kinds, as both are commits to the workload.
+    let committed: u64 = (0..shards).map(|k| total(&metric::shard_commits(k))).sum();
     let wall = joined.wall.as_secs_f64();
     let mut report = NetReport {
         scheduler: name,
@@ -724,16 +808,14 @@ fn assemble(
         submitted: accepted as usize,
         offered,
         shed,
-        // Readers commit on the snapshot plane, outside the scheduler's
-        // counters; both kinds are commits to the workload.
-        committed: counters.commits + reader_commits,
-        rejected_admissions: counters.rejections,
-        delayed_retries: counters.blocks + counters.delays,
+        committed,
+        rejected_admissions: total(metric::SCHED_ABORTS),
+        delayed_retries: total(metric::SCHED_DELAYS),
         max_retry_streak: u32::try_from(peak(metric::shard_max_retry_streak, shards))
             .unwrap_or(u32::MAX),
         wall_ms: wall * 1e3,
         throughput_tps: if wall > 0.0 {
-            (counters.commits + reader_commits) as f64 / wall
+            committed as f64 / wall
         } else {
             0.0
         },
@@ -1205,7 +1287,7 @@ mod tests {
     fn registry_sees_every_plane() {
         use wtpg_obs::Registry;
         let (catalog, specs) = pattern_specs(Pattern::One, 40, 7);
-        let reg = Arc::new(Registry::new());
+        let reg = Arc::<Registry>::default();
         let r = run_cell_load(
             &NetConfig::default(),
             &|| sched_by_name("chain", 2, 2000).expect("known scheduler"),
@@ -1232,15 +1314,20 @@ mod tests {
         assert_eq!(lat.count(), 40, "one latency sample per commit");
     }
 
-    /// A run given only `obs` books in a private registry and hands it over
-    /// as exactly one `Window`, whose counters are the report's.
+    /// A run given only `obs`, whose window outlasts it, books in a private
+    /// registry and hands it over as exactly one `Window`, whose counters
+    /// are the report's.
     #[test]
     fn observer_receives_the_private_registry_as_one_window() {
         use wtpg_obs::{EventKind, MemorySink};
         let (catalog, specs) = pattern_specs(Pattern::One, 20, 7);
         let sink = Arc::new(MemorySink::new());
+        let cfg = NetConfig {
+            window_ms: 3_600_000,
+            ..NetConfig::default()
+        };
         let r = run_cell_load(
-            &NetConfig::default(),
+            &cfg,
             &|| sched_by_name("c2pl", 2, 2000).expect("known scheduler"),
             &catalog,
             &specs,
@@ -1281,14 +1368,14 @@ mod tests {
     }
 
     /// What the run *computes* (commits, store contents, conservation,
-    /// certification) must be identical whether telemetry is absent, a
-    /// null sink, or a live windowed registry with a flusher snapshotting
-    /// concurrently — the observability plane reads, it never steers.
+    /// certification) must be identical whether telemetry is absent, a null
+    /// sink, or 1 ms windows flushed on the executor into the caller's
+    /// registry — the observability plane reads, it never steers. The
+    /// windows tile the run: `seq` counts up, `at` never goes back nor past
+    /// the run's end, and their counter deltas sum to the run's books.
     #[test]
     fn windowed_telemetry_does_not_change_the_trajectory() {
-        use wtpg_obs::wall::WallClock;
-        use wtpg_obs::wclock::WindowFlusher;
-        use wtpg_obs::{MemorySink, NullObserver, Registry};
+        use wtpg_obs::{EventKind, MemorySink, NullObserver, Registry};
         let project = |r: &NetReport| {
             (
                 r.committed,
@@ -1308,6 +1395,7 @@ mod tests {
             let cfg = NetConfig {
                 stream_certify: true,
                 certify: false,
+                window_ms: 1,
                 ..NetConfig::default()
             };
             run_cell_load(
@@ -1325,21 +1413,40 @@ mod tests {
         let bare = project(&run(None, None));
         let nulled = project(&run(Some(Arc::new(NullObserver)), None));
         assert_eq!(bare, nulled, "null observer changed the outcome");
-        let reg = Arc::new(Registry::new());
+        let reg = Arc::<Registry>::default();
         let sink = Arc::new(MemorySink::new());
-        let flusher = WindowFlusher::spawn(
-            Arc::clone(&reg),
-            Arc::clone(&sink) as Arc<dyn Observer>,
-            WallClock::start(),
-            1, // 1 ms windows: maximum flush pressure during the run
-            9,
-        );
-        let windowed = project(&run(
-            Some(Arc::clone(&sink) as Arc<dyn Observer>),
-            Some(Arc::clone(&reg)),
-        ));
-        flusher.stop();
-        assert_eq!(bare, windowed, "windowed telemetry changed the outcome");
+        let r = run(Some(sink.clone()), Some(Arc::clone(&reg)));
+        assert_eq!(bare, project(&r), "windowed telemetry changed the outcome");
+
+        let evs = sink.snapshot();
+        let n = evs.len();
+        assert!(n >= 2, "1 ms windows over a whole run: {n} windows");
+        let (mut at, mut sums, mut gauges) = (0, BTreeMap::<String, u64>::new(), BTreeSet::new());
+        for (seq, ev) in (0u64..).zip(&evs) {
+            let EventKind::Window(w) = &ev.kind else {
+                panic!("every record is a window: {ev:?}");
+            };
+            assert_eq!((w.seq, ev.track), (seq, 0));
+            assert!(ev.at >= at, "window {seq} ends at {} before {at}", ev.at);
+            at = ev.at;
+            for (name, delta) in &w.counters {
+                *sums.entry(name.to_string()).or_default() += delta;
+            }
+            gauges.extend(w.gauges.iter().map(|(name, _)| name.to_string()));
+        }
+        let end = r.wall_ms * 1e3 + 1.0;
+        assert!(at as f64 <= end, "window past the run's end: {at} µs");
+        let counted: BTreeMap<String, u64> = reg
+            .totals()
+            .into_iter()
+            .filter(|(name, v)| *v > 0 && !gauges.contains(name))
+            .collect();
+        assert_eq!(sums, counted, "the windows sum to the run's books");
+        let sum = |name: &str| sums.get(name).copied().unwrap_or(0);
+        assert_eq!(sum(&metric::shard_commits(0)), r.committed);
+        assert_eq!(sum(metric::OFFERED), r.offered);
+        let sent = sums.iter().filter(|(n, _)| n.starts_with("msg/tx/"));
+        assert_eq!(sent.map(|(_, v)| v).sum::<u64>(), r.messages_sent);
     }
 
     #[test]

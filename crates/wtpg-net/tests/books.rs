@@ -43,7 +43,7 @@ fn run(
     transport: &dyn Transport,
     fault: &FaultPlan,
 ) -> (NetReport, Arc<Registry>) {
-    let reg = Arc::new(Registry::new());
+    let reg = Arc::<Registry>::default();
     let report = run_cell_load(
         cfg,
         &|| sched_by_name(sched, 2, 2000).expect("known scheduler"),

@@ -372,9 +372,10 @@ fn the_run_ends_after_every_goodbye_and_the_last_commit_in_either_order() {
             assert_eq!(ctl.deliver(Msg::Shutdown, t0).unwrap(), Flow::Stop);
         }
         assert_eq!(acks(l.clients[1].take()), [1]);
-        let out = ctl.finish().expect("finishes");
+        ctl.finish().expect("finishes");
         assert_eq!(
-            out.audit.counters.commits, 1,
+            count(&reg, &metric::shard_commits(0)),
+            1,
             "goodbyes_first={goodbyes_first}"
         );
     }
@@ -558,7 +559,7 @@ fn ids_far_apart_are_driven_like_dense_ones() {
     assert_eq!(acks(l.clients[0].take()), ids);
     assert_eq!(ctl.deliver(Msg::Shutdown, t0).unwrap(), Flow::Stop);
     let out = ctl.finish().expect("finishes");
-    assert_eq!(out.audit.counters.commits, 3);
+    assert_eq!(count(&reg, &metric::shard_commits(0)), 3);
     assert_eq!(out.audit.specs.keys().map(|t| t.0).collect::<Vec<_>>(), ids);
 }
 

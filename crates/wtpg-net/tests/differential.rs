@@ -10,6 +10,7 @@
 //! loop's.
 
 use wtpg_core::certify::certify_history;
+use wtpg_core::history::Event;
 use wtpg_core::partition::Catalog;
 use wtpg_core::sched::{Admission, LockOutcome};
 use wtpg_core::txn::{AccessMode, TxnSpec};
@@ -80,7 +81,7 @@ fn serial_drive(sched: &str, catalog: &Catalog, specs: &[TxnSpec]) -> Serial {
     let store_write_units: u64 = stores.iter().map(NodeStore::write_units).sum();
     let cell_sum: u64 = stores.iter().map(NodeStore::cell_sum).sum();
     Serial {
-        committed: audit.counters.commits,
+        committed: audit.history.committed().len() as u64,
         history_events: audit.history.len(),
         logical_ticks: audit.final_tick.millis(),
         certify_grants: cert.grants,
@@ -88,7 +89,12 @@ fn serial_drive(sched: &str, catalog: &Catalog, specs: &[TxnSpec]) -> Serial {
         read_checksum,
         store_write_units,
         expected_write_units,
-        rejected_admissions: audit.counters.rejections,
+        rejected_admissions: audit
+            .history
+            .events()
+            .iter()
+            .filter(|(_, e)| matches!(e, Event::Rejected(_)))
+            .count() as u64,
         store_consistent: store_write_units == expected_write_units
             && cell_sum == expected_write_units,
     }

@@ -12,21 +12,20 @@
 //!
 //! The windowed-telemetry plane lives in [`window`] (a [`Registry`] of
 //! counters/gauges/streaming histograms, flushed snapshot-and-reset into
-//! [`EventKind::Window`] records), [`slo`] (declarative [`SloSpec`]
-//! thresholds evaluated per window into verdict streams) and [`wclock`]
-//! (the wall-driven flusher thread). For a `wtpg-net` run the registry is
-//! the only numeric book there is: every count has one name in
-//! [`window::metric`], one handle, and no second copy — the run report is
-//! read back from [`Registry::totals`], and [`net`] holds the two plain
-//! tally bundles actors publish into it at exit.
+//! [`EventKind::Window`] records) and [`slo`] (declarative [`SloSpec`]
+//! thresholds evaluated per window into verdict streams). For a `wtpg-net`
+//! run the registry is the only numeric book there is: every count has one
+//! name in [`window::metric`], one handle, and no second copy — the run
+//! report is read back from [`Registry::totals`], and [`net`] holds the two
+//! plain tally bundles actors publish into it at exit.
 //!
 //! # Determinism contract
 //!
 //! Events never read clocks; producers supply every timestamp. In
 //! `wtpg-core` and `wtpg-sim` timestamps are logical `Tick`s, so an
-//! instrumented run is byte-reproducible and the whole crate (minus the
-//! [`wall`] module, which only `wtpg-rt` may use, and [`wclock`], the
-//! window-flush clock boundary) passes wtpg-lint's determinism rule.
+//! instrumented run is byte-reproducible; a `wtpg-net` run stamps µs from
+//! the instants its executor hands its actors. The crate reads no clock and
+//! starts no thread, and all of it passes wtpg-lint's determinism rule.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,8 +39,6 @@ pub mod observer;
 pub mod slo;
 pub mod stats;
 pub mod summary;
-pub mod wall;
-pub mod wclock;
 pub mod window;
 
 pub use event::{EventKind, Name, ObsEvent};

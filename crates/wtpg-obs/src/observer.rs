@@ -11,7 +11,7 @@ use std::sync::Mutex;
 use crate::event::ObsEvent;
 
 /// A passive sink for trace events. Implementations must be thread-safe:
-/// actor threads record concurrently.
+/// simulator sweeps record from their worker threads concurrently.
 pub trait Observer: Send + Sync {
     /// Accepts one event. Must not block on anything scheduling-visible.
     fn record(&self, ev: ObsEvent);

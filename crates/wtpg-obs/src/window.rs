@@ -4,36 +4,37 @@
 //! single [`EventKind::Window`](crate::event::EventKind) record.
 //!
 //! The registry hands out cheap handles — [`Counter`] and [`Gauge`] are
-//! atomics, [`HistHandle`] a per-metric mutex — so producers pay one
-//! atomic add (or one uncontended lock) per observation and never touch
-//! the registry map again after setup. Flushing is the only consumer:
-//! [`Registry::flush`] snapshots every metric, resets the histograms,
-//! computes counter deltas against the previous flush, and returns a
-//! [`WindowSnapshot`] whose metric lists are name-sorted (the registry
-//! maps are `BTreeMap`s), keeping windowed traces byte-deterministic for
-//! a deterministic producer.
+//! shared cells, [`HistHandle`] a shared histogram — so producers pay one
+//! plain add per observation and never touch the registry map again after
+//! setup. A registry and its handles belong to one thread: every producer
+//! of a run and its flush are stepped by the one executor, so nothing here
+//! is locked. Flushing is the only consumer: [`Registry::flush`] snapshots
+//! every metric, resets the histograms, computes counter deltas against the
+//! previous flush, and returns a [`WindowSnapshot`] whose metric lists are
+//! name-sorted (the registry maps are `BTreeMap`s), keeping windowed traces
+//! byte-deterministic for a deterministic producer.
 //!
 //! This module is pure bookkeeping and carries the crate's determinism
-//! contract: nothing here reads a clock. Producers that flush on wall
-//! time use the [`crate::wclock::WindowFlusher`] thread, the crate's
-//! second sanctioned clock boundary next to `wall.rs`; logical-time
-//! producers call [`Registry::flush`] at their own window boundaries.
+//! contract: nothing here reads a clock. Every producer calls
+//! [`Registry::flush`] at its own window boundaries with the timestamps it
+//! supplies — a `wtpg-net` run from a window actor on its executor,
+//! logical-time producers on tick boundaries.
 
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use crate::event::{Name, ObsEvent};
 use crate::hist::Histogram;
 
 /// A cumulative counter handle. Cloning shares the underlying cell.
 #[derive(Clone, Debug)]
-pub struct Counter(Arc<AtomicU64>);
+pub struct Counter(Rc<Cell<u64>>);
 
 impl Counter {
     /// Adds `d` to the counter.
     pub fn add(&self, d: u64) {
-        self.0.fetch_add(d, Ordering::Relaxed);
+        self.0.set(self.0.get() + d);
     }
 
     /// Adds one.
@@ -43,66 +44,51 @@ impl Counter {
 
     /// The cumulative value.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.get()
     }
 }
 
 /// A level gauge handle (queue depth, backlog, lag). Cloning shares the
 /// underlying cell.
 #[derive(Clone, Debug)]
-pub struct Gauge(Arc<AtomicU64>);
+pub struct Gauge(Rc<Cell<u64>>);
 
 impl Gauge {
     /// Sets the level.
     pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
+        self.0.set(v);
     }
 
     /// Raises the level by `d`.
     pub fn add(&self, d: u64) {
-        self.0.fetch_add(d, Ordering::Relaxed);
+        self.0.set(self.0.get() + d);
     }
 
     /// Lowers the level by `d`, saturating at zero.
     pub fn sub(&self, d: u64) {
-        // fetch_update never fails with a Some-returning closure.
-        let _ = self
-            .0
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(d))
-            });
+        self.0.set(self.0.get().saturating_sub(d));
     }
 
     /// The current level.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.get()
     }
 }
 
-/// A streaming histogram handle. Recording takes a per-metric mutex that
-/// only the flusher ever contends with.
+/// A streaming histogram handle. Cloning shares the underlying histogram.
 #[derive(Clone, Debug)]
-pub struct HistHandle(Arc<Mutex<Histogram>>);
+pub struct HistHandle(Rc<RefCell<Histogram>>);
 
 impl HistHandle {
     /// Records one sample.
     pub fn record(&self, v: u64) {
-        lock_unpoisoned(&self.0).record(v);
+        self.0.borrow_mut().record(v);
     }
 
     /// Adds every sample of a finished histogram — how a tally an actor
     /// kept privately (a coalescer's flush sizes) is published at exit.
     pub fn merge(&self, other: &Histogram) {
-        lock_unpoisoned(&self.0).merge(other);
-    }
-}
-
-/// Locks a mutex, recovering the data from a poisoned lock (observability
-/// must never take the engine down with it).
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
+        self.0.borrow_mut().merge(other);
     }
 }
 
@@ -339,18 +325,19 @@ pub mod metric {
 
 #[derive(Default)]
 struct Inner {
-    counters: BTreeMap<String, Arc<AtomicU64>>,
-    gauges: BTreeMap<String, Arc<AtomicU64>>,
-    hists: BTreeMap<String, Arc<Mutex<Histogram>>>,
-    prev: BTreeMap<String, u64>,
+    /// Each counter's cell beside its value at the previous flush.
+    counters: BTreeMap<String, (Rc<Cell<u64>>, u64)>,
+    gauges: BTreeMap<String, Rc<Cell<u64>>>,
+    hists: BTreeMap<String, Rc<RefCell<Histogram>>>,
     seq: u64,
 }
 
 /// A registry of named windowed metrics. One per run, shared by every
-/// actor; see the module docs for the handle/flush split.
+/// actor on the run's one thread; see the module docs for the handle/flush
+/// split.
 #[derive(Default)]
 pub struct Registry {
-    inner: Mutex<Inner>,
+    inner: RefCell<Inner>,
 }
 
 /// True when `name` survives the window codec's flat packing.
@@ -367,26 +354,22 @@ impl Registry {
     /// The counter named `name`, created at zero on first use.
     pub fn counter(&self, name: &str) -> Counter {
         debug_assert!(name_ok(name), "bad metric name {name:?}");
-        let mut inner = lock_unpoisoned(&self.inner);
-        Counter(Arc::clone(
-            inner.counters.entry(name.to_string()).or_default(),
-        ))
+        let mut inner = self.inner.borrow_mut();
+        Counter(Rc::clone(&inner.counters.entry(name.to_string()).or_default().0))
     }
 
     /// The gauge named `name`, created at zero on first use.
     pub fn gauge(&self, name: &str) -> Gauge {
         debug_assert!(name_ok(name), "bad metric name {name:?}");
-        let mut inner = lock_unpoisoned(&self.inner);
-        Gauge(Arc::clone(inner.gauges.entry(name.to_string()).or_default()))
+        let mut inner = self.inner.borrow_mut();
+        Gauge(Rc::clone(inner.gauges.entry(name.to_string()).or_default()))
     }
 
     /// The histogram named `name`, created empty on first use.
     pub fn hist(&self, name: &str) -> HistHandle {
         debug_assert!(name_ok(name), "bad metric name {name:?}");
-        let mut inner = lock_unpoisoned(&self.inner);
-        HistHandle(Arc::clone(
-            inner.hists.entry(name.to_string()).or_default(),
-        ))
+        let mut inner = self.inner.borrow_mut();
+        HistHandle(Rc::clone(inner.hists.entry(name.to_string()).or_default()))
     }
 
     /// The run's cumulative books: every counter's value since creation
@@ -394,64 +377,43 @@ impl Registry {
     /// whoever flushed, and however often) and every gauge's current level,
     /// by name. Histograms are per-window state and are not included.
     pub fn totals(&self) -> BTreeMap<String, u64> {
-        let inner = lock_unpoisoned(&self.inner);
-        inner
-            .counters
-            .iter()
+        let inner = self.inner.borrow();
+        let counters = inner.counters.iter().map(|(name, (cell, _))| (name, cell));
+        counters
             .chain(&inner.gauges)
-            .map(|(name, cell)| (name.clone(), cell.load(Ordering::Relaxed)))
+            .map(|(name, cell)| (name.clone(), cell.get()))
             .collect()
     }
 
     /// Snapshots one window and resets the streaming state: counters
     /// report their delta since the previous flush (unchanged ones are
-    /// omitted), gauges report their level, histograms are swapped out
-    /// and reset (empty ones are omitted). `len` is the window length in
+    /// omitted), gauges report their level, histograms are taken and
+    /// reset (empty ones are omitted). `len` is the window length in
     /// the producer's timestamp unit.
-    // `mem::replace`, not `mem::take`: the lock-order pass resolves bare
-    // callee names, and `take` is also the sink-draining method that
-    // acquires the `obs-events` lock class.
-    #[allow(clippy::mem_replace_with_default)]
     pub fn flush_snapshot(&self, len: u64) -> WindowSnapshot {
-        let mut inner = lock_unpoisoned(&self.inner);
+        let mut inner = self.inner.borrow_mut();
         let seq = inner.seq;
         inner.seq += 1;
-        let mut counters = Vec::new();
-        let mut prev_updates = Vec::new();
-        for (name, cell) in &inner.counters {
-            let now = cell.load(Ordering::Relaxed);
-            let before = inner.prev.get(name).copied().unwrap_or(0);
-            if now != before {
-                counters.push((Name::Owned(name.clone()), now - before));
-                prev_updates.push((name.clone(), now));
-            }
-        }
-        for (name, now) in prev_updates {
-            inner.prev.insert(name, now);
-        }
+        let counters = inner
+            .counters
+            .iter_mut()
+            .filter_map(|(name, (cell, prev))| {
+                let (now, before) = (cell.get(), *prev);
+                *prev = now;
+                (now > before).then(|| (Name::Owned(name.clone()), now - before))
+            })
+            .collect();
         let gauges = inner
             .gauges
             .iter()
-            .map(|(name, cell)| (Name::Owned(name.clone()), cell.load(Ordering::Relaxed)))
+            .map(|(name, cell)| (Name::Owned(name.clone()), cell.get()))
             .collect();
-        // Swap histograms out cell by cell *after* releasing the registry
-        // lock — the cells are the innermost lock class, never nested
-        // under anything (recorders on the hot path take only their own
-        // cell, and so does the flusher here).
-        let hist_cells: Vec<(String, Arc<Mutex<Histogram>>)> = inner
+        let hists = inner
             .hists
             .iter()
-            .map(|(name, cell)| (name.clone(), Arc::clone(cell)))
+            .filter(|(_, cell)| !cell.borrow().is_empty())
+            .map(|(name, cell)| (Name::Owned(name.clone()), cell.take()))
             .collect();
-        drop(inner);
-        let mut hists = Vec::new();
-        for (name, cell) in hist_cells {
-            let mut h = lock_unpoisoned(&cell);
-            if !h.is_empty() {
-                let snap = std::mem::replace(&mut *h, Histogram::new());
-                hists.push((Name::Owned(name), snap));
-            }
-        }
         WindowSnapshot {
             seq,
             len,
@@ -581,33 +543,22 @@ mod tests {
     }
 
     #[test]
-    fn threaded_merge_is_byte_identical_to_serial() {
-        // REPLAY-style merge: each worker records its slice of the sample
-        // stream concurrently through a shared handle, and separately into
-        // a private histogram. Bucket increments are commutative, so the
-        // registry's combined histogram, a serial fold of the same
-        // samples, and any merge order of the private parts must all
-        // encode to identical bytes.
+    fn interleaved_merge_is_byte_identical_to_serial() {
+        // REPLAY-style merge: each of four producers records its slice of
+        // the sample stream through its own handle on the shared cell, the
+        // four interleaved sample by sample as actors on one executor are,
+        // and separately into a private histogram. Bucket increments are
+        // commutative, so the registry's combined histogram, a serial fold
+        // of the same samples, and any merge order of the private parts
+        // must all encode to identical bytes.
         let reg = Registry::new();
         let samples: Vec<u64> = (0..4000u64).map(|i| (i * 2654435761) % 1_000_000).collect();
         let workers = 4;
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                let h = reg.hist("lat/commit_us");
-                let slice: Vec<u64> = samples
-                    .iter()
-                    .copied()
-                    .skip(w)
-                    .step_by(workers)
-                    .collect();
-                s.spawn(move || {
-                    for v in slice {
-                        h.record(v);
-                    }
-                });
-            }
-        });
-        let concurrent = reg
+        let handles: Vec<HistHandle> = (0..workers).map(|_| reg.hist("lat/commit_us")).collect();
+        for (i, &v) in samples.iter().enumerate() {
+            handles[i % workers].record(v);
+        }
+        let interleaved = reg
             .flush_snapshot(1)
             .hist("lat/commit_us")
             .expect("recorded")
@@ -634,7 +585,7 @@ mod tests {
         for p in parts.iter().rev() {
             reverse.merge(p);
         }
-        assert_eq!(concurrent.encode(), serial.encode());
+        assert_eq!(interleaved.encode(), serial.encode());
         assert_eq!(forward.encode(), serial.encode());
         assert_eq!(reverse.encode(), serial.encode());
     }

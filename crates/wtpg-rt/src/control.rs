@@ -32,9 +32,10 @@
 //!
 //! **Windowed telemetry.** With a [`Registry`] attached, scheduler-level
 //! decisions bump the canonical `sched/*` counters
-//! ([`wtpg_obs::window::metric`]) so a window flusher can report grant,
-//! reject and delay rates live. Counter bumps are atomic adds on the hot
-//! path and never alter scheduling decisions or recorded histories.
+//! ([`wtpg_obs::window::metric`]) — the node's only decision counts — so a
+//! window flush can report grant, reject and delay rates live. Counter
+//! bumps are plain adds on the hot path and never alter scheduling
+//! decisions or recorded histories.
 
 use std::collections::BTreeMap;
 
@@ -52,25 +53,7 @@ use wtpg_core::txn::{TxnId, TxnSpec};
 use wtpg_core::window::IdWindow;
 use wtpg_core::work::Work;
 
-/// Counters of every control-node decision.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ControlCounters {
-    /// Successful admissions.
-    pub admissions: u64,
-    /// Rejected admissions (each is one abort-and-resubmit cycle).
-    pub rejections: u64,
-    /// Granted lock requests.
-    pub grants: u64,
-    /// Requests turned away because a conflicting lock was held.
-    pub blocks: u64,
-    /// Requests the scheduler chose to delay (W-inconsistency, lost `E(q)`
-    /// comparison, predicted deadlock).
-    pub delays: u64,
-    /// Commits.
-    pub commits: u64,
-}
-
-/// Pre-resolved windowed-metric handles (one atomic add per decision).
+/// Pre-resolved windowed-metric handles (one add per decision).
 struct SchedTelemetry {
     grants: Counter,
     rejects: Counter,
@@ -91,9 +74,9 @@ impl SchedTelemetry {
 pub struct ControlNode {
     sched: Box<dyn Scheduler + Send>,
     /// What the node records, kept as the audit it becomes: the history and
-    /// the counters, and — in-memory mode — the declarations of the
-    /// committed transactions, each moved there at its commit. The audit's
-    /// map is thus built once, as the run goes, and never copied.
+    /// — in-memory mode — the declarations of the committed transactions,
+    /// each moved there at its commit. The audit's map is thus built once,
+    /// as the run goes, and never copied.
     audit: ControlAudit,
     /// Declarations of the transactions not committed yet, by id: one
     /// lookup per arrival and per grant.
@@ -112,8 +95,6 @@ pub struct ControlAudit {
     pub history: History,
     /// Declarations of every transaction that was ever admitted.
     pub specs: BTreeMap<TxnId, TxnSpec>,
-    /// Decision counters.
-    pub counters: ControlCounters,
     /// The last logical instant issued.
     pub final_tick: Tick,
     /// Every partition granted, with the tick of its first grant.
@@ -145,7 +126,6 @@ impl ControlNode {
             audit: ControlAudit {
                 history: History::new(),
                 specs: BTreeMap::new(),
-                counters: ControlCounters::default(),
                 final_tick: Tick::ZERO,
                 granted: BTreeMap::new(),
                 verdict: None,
@@ -190,12 +170,8 @@ impl ControlNode {
             }
         }
         match admission {
-            Admission::Admitted => {
-                self.audit.counters.admissions += 1;
-                self.record(now, Event::Admitted(spec.id));
-            }
+            Admission::Admitted => self.record(now, Event::Admitted(spec.id)),
             Admission::Rejected => {
-                self.audit.counters.rejections += 1;
                 if let Some(t) = &self.tel {
                     t.rejects.inc();
                 }
@@ -211,10 +187,8 @@ impl ControlNode {
     pub fn request(&mut self, txn: TxnId, step: usize) -> Result<LockOutcome, CoreError> {
         let now = self.clock.next();
         let (outcome, _) = self.sched.on_request(txn, step, now)?;
-        let counters = &mut self.audit.counters;
         match outcome {
             LockOutcome::Granted => {
-                counters.grants += 1;
                 if let Some(t) = &self.tel {
                     t.grants.inc();
                 }
@@ -235,14 +209,7 @@ impl ControlNode {
                     },
                 );
             }
-            LockOutcome::Blocked => {
-                counters.blocks += 1;
-                if let Some(t) = &self.tel {
-                    t.delays.inc();
-                }
-            }
-            LockOutcome::Delayed => {
-                counters.delays += 1;
+            LockOutcome::Blocked | LockOutcome::Delayed => {
                 if let Some(t) = &self.tel {
                     t.delays.inc();
                 }
@@ -275,7 +242,6 @@ impl ControlNode {
     pub fn commit(&mut self, txn: TxnId) -> Result<(Tick, Vec<PartitionId>), CoreError> {
         let now = self.clock.next();
         let freed = self.sched.on_commit(txn, now)?.freed;
-        self.audit.counters.commits += 1;
         self.record(now, Event::Committed(txn));
         // A committed id never returns (ids are unique per run). Streaming
         // mode keeps no spec past its commit — the certifier keeps its copy
@@ -316,7 +282,7 @@ impl ControlNode {
     }
 
     /// Consumes the control node, releasing the recorded history, the spec
-    /// log, the counters and — streaming mode — the live certifier's
+    /// log and — streaming mode — the live certifier's
     /// verdict, after its last whole-arena check.
     pub fn into_audit(self) -> ControlAudit {
         let mut audit = self.audit;
@@ -352,9 +318,11 @@ mod tests {
         cn.commit(TxnId(1)).unwrap();
         assert_eq!(cn.active_txns(), 0);
         let audit = cn.into_audit();
-        assert_eq!(audit.counters.admissions, 1);
-        assert_eq!(audit.counters.grants, 2);
-        assert_eq!(audit.counters.commits, 1);
+        let events = audit.history.events();
+        let count = |f: fn(&Event) -> bool| events.iter().filter(|(_, e)| f(e)).count();
+        assert_eq!(count(|e| matches!(e, Event::Admitted(_))), 1);
+        assert_eq!(count(|e| matches!(e, Event::Granted { .. })), 2);
+        assert_eq!(audit.history.committed(), [TxnId(1)]);
         // 1 arrive + 2×(request+progress+complete) + 1 commit = 8 ticks.
         assert_eq!(audit.final_tick, Tick(8));
         let report = certify_history(&audit.history, &audit.specs, CertifyMode::General)
@@ -388,13 +356,13 @@ mod tests {
         let audit = cn.into_audit();
         assert_eq!(audit.history.len(), 0, "streaming mode records no history");
         assert!(audit.specs.is_empty(), "committed specs are pruned");
-        assert_eq!(audit.counters.commits, TXNS);
         let twin = twin.into_audit();
         assert_eq!(audit.granted, twin.granted, "both modes keep the granted partitions");
         assert_eq!(audit.granted.len(), 64);
         assert_eq!(twin.verdict, None, "in-memory mode leaves the verdict to the replay");
         let replayed = certify_history(&twin.history, &twin.specs, CertifyMode::General)
             .expect("clean run certifies");
+        assert_eq!(replayed.commits, TXNS as usize);
         assert_eq!(audit.verdict, Some(Ok(replayed)), "the inline verdict is the replay's");
 
         // Scheduler decision counters landed in the registry.
@@ -443,7 +411,9 @@ mod tests {
 
     #[test]
     fn a_latched_violation_stops_the_feed_but_not_the_node() {
-        let mut cn = ControlNode::with_telemetry(Box::new(Lawless(NodcScheduler::new())), None, true);
+        let reg = Registry::new();
+        let lawless = Box::new(Lawless(NodcScheduler::new()));
+        let mut cn = ControlNode::with_telemetry(lawless, Some(&reg), true);
         assert_eq!(cn.certify_mode(), CertifyMode::General);
         // Three writers of partition 0, all granted at once: the second
         // grant (event 3) breaks exclusion, and so would the third.
@@ -460,7 +430,7 @@ mod tests {
         }
         assert_eq!(cn.active_txns(), 0);
         let audit = cn.into_audit();
-        assert_eq!((audit.counters.grants, audit.counters.commits), (3, 3));
+        assert_eq!(reg.counter(wtpg_obs::window::metric::SCHED_GRANTS).get(), 3);
         assert_eq!(audit.history.len(), 0);
         assert_eq!(audit.granted.into_iter().collect::<Vec<_>>(), [(PartitionId(0), Tick(2))]);
         let v = audit.verdict.expect("streaming mode").expect_err("exclusion is broken");

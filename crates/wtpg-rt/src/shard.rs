@@ -20,7 +20,7 @@
 //!
 //! [`merge_audits`] is the inverse at run end: per-shard [`ControlAudit`]s
 //! merge into one — histories via the cross-shard certifier's canonical
-//! merge ([`merge_shard_histories`]), counters by field-wise sum —
+//! merge ([`merge_shard_histories`]), streamed reports by field-wise sum —
 //! after checking on each shard's granted partitions that no two shards
 //! granted one ([`check_shard_partitions`]).
 //! A single-shard merge returns the audit untouched, so an unsharded run's
@@ -37,7 +37,7 @@ use wtpg_core::time::Tick;
 use wtpg_core::txn::{TxnId, TxnSpec};
 use wtpg_core::window::IdWindow;
 
-use crate::control::{ControlAudit, ControlCounters};
+use crate::control::ControlAudit;
 
 /// A deterministic transaction → control-shard assignment.
 #[derive(Clone, Debug)]
@@ -143,17 +143,6 @@ impl ShardMap {
     }
 }
 
-fn sum_counters(a: &ControlCounters, b: &ControlCounters) -> ControlCounters {
-    ControlCounters {
-        admissions: a.admissions + b.admissions,
-        rejections: a.rejections + b.rejections,
-        grants: a.grants + b.grants,
-        blocks: a.blocks + b.blocks,
-        delays: a.delays + b.delays,
-        commits: a.commits + b.commits,
-    }
-}
-
 fn sum_reports(a: &CertifyReport, b: &CertifyReport) -> CertifyReport {
     CertifyReport {
         events: a.events + b.events,
@@ -165,8 +154,8 @@ fn sum_reports(a: &CertifyReport, b: &CertifyReport) -> CertifyReport {
 }
 
 /// Merges per-shard audits into one run-level audit: histories through the
-/// canonical cross-shard merge, counters and streamed reports by
-/// sum, final tick by sum (total logical instants drawn across shards). The
+/// canonical cross-shard merge, streamed reports and final ticks by sum
+/// (total logical instants drawn across shards). The
 /// merged verdict is the first shard's violation, if any shard latched one.
 /// A one-element vector is returned untouched.
 ///
@@ -186,14 +175,12 @@ pub fn merge_audits(mut audits: Vec<ControlAudit>) -> Result<ControlAudit, Certi
     let mut merged = ControlAudit {
         history,
         specs: BTreeMap::new(),
-        counters: ControlCounters::default(),
         final_tick: Tick::ZERO,
         granted: BTreeMap::new(),
         verdict: None,
     };
     for a in audits {
         merged.specs.extend(a.specs);
-        merged.counters = sum_counters(&merged.counters, &a.counters);
         merged.final_tick = Tick(merged.final_tick.0 + a.final_tick.0);
         merged.granted.extend(a.granted);
         merged.verdict = match (merged.verdict, a.verdict) {
