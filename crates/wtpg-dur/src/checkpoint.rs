@@ -1,15 +1,11 @@
 //! Checkpoints: the durable snapshots that bound replay to a log suffix.
 //!
-//! Two kinds, both single CRC-framed records in their own files, written
-//! atomically (temp file + rename) so a reader only ever sees a complete
-//! checkpoint or none:
-//!
-//! * [`NodeSnapshot`] — a data node's store cells, applied-marks, mid-step
-//!   progress and read checksum as of a log position. Recovery loads the
-//!   snapshot and replays only records with `lsn >= next_lsn`.
-//! * [`ControlCheckpoint`] — the control actor's certified-history cursor
-//!   (committed transactions and completed steps) plus per-node
-//!   applied-chunk watermarks, refreshed every few commits.
+//! A [`NodeSnapshot`] holds a data node's store cells, applied-marks,
+//! mid-step progress and read checksum as of a log position. It is one
+//! CRC-framed record in its own file, written atomically (temp file +
+//! rename) so a reader only ever sees a complete snapshot or none.
+//! Recovery loads the snapshot and replays only records with
+//! `lsn >= next_lsn`.
 
 use std::fs::File;
 use std::io::Read;
@@ -24,7 +20,6 @@ use crate::{DurError, Partial};
 pub const MAX_CHECKPOINT: usize = 1 << 28;
 
 const TAG_NODE_SNAPSHOT: u8 = 2;
-const TAG_CONTROL_CKPT: u8 = 3;
 
 /// A data node's durable state as of one log position.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -130,52 +125,6 @@ fn decode_snapshot(payload: &[u8]) -> Result<NodeSnapshot, DurError> {
     })
 }
 
-/// The control actor's durable progress cursor.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ControlCheckpoint {
-    /// Committed transactions — the certified-history cursor (every event
-    /// up to the `committed`-th commit is settled and will certify
-    /// identically on replay).
-    pub committed: u64,
-    /// Bulk steps fully completed across all nodes.
-    pub completed_steps: u64,
-    /// Per-node applied-chunk watermarks, indexed by data-node id: chunks
-    /// whose `StatsDelta` the control node has credited.
-    pub node_chunks: Vec<u64>,
-}
-
-fn encode_control(s: &ControlCheckpoint, out: &mut Vec<u8>) {
-    out.push(TAG_CONTROL_CKPT);
-    put_u64(out, s.committed);
-    put_u64(out, s.completed_steps);
-    put_u32(out, s.node_chunks.len() as u32);
-    for &w in &s.node_chunks {
-        put_u64(out, w);
-    }
-}
-
-fn decode_control(payload: &[u8]) -> Result<ControlCheckpoint, DurError> {
-    let mut c = Cur { b: payload, i: 0, at: 0 };
-    if c.u8()? != TAG_CONTROL_CKPT {
-        return Err(c.corrupt("not a control checkpoint"));
-    }
-    let committed = c.u64()?;
-    let completed_steps = c.u64()?;
-    let n = c.u32()? as usize;
-    let mut node_chunks = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        node_chunks.push(c.u64()?);
-    }
-    if c.i != payload.len() {
-        return Err(c.corrupt("trailing garbage inside checkpoint payload"));
-    }
-    Ok(ControlCheckpoint {
-        committed,
-        completed_steps,
-        node_chunks,
-    })
-}
-
 /// Atomically replaces the file at `path` with one CRC-framed `payload`.
 fn write_framed(path: &Path, payload: &[u8]) -> Result<(), DurError> {
     let mut framed = Vec::with_capacity(payload.len() + 8);
@@ -242,28 +191,6 @@ pub fn read_node_snapshot(path: &Path) -> Result<Option<NodeSnapshot>, DurError>
     }
 }
 
-/// Writes the control checkpoint atomically to `path`.
-///
-/// # Errors
-/// [`DurError::Io`] if the temp-file write or rename fails.
-pub fn write_control_checkpoint(path: &Path, ckpt: &ControlCheckpoint) -> Result<(), DurError> {
-    let mut payload = Vec::new();
-    encode_control(ckpt, &mut payload);
-    write_framed(path, &payload)
-}
-
-/// Reads the control checkpoint at `path`; `None` if never written.
-///
-/// # Errors
-/// [`DurError::Io`] on read failure; [`DurError::Corrupt`] on a torn,
-/// CRC-damaged, or malformed file.
-pub fn read_control_checkpoint(path: &Path) -> Result<Option<ControlCheckpoint>, DurError> {
-    match read_framed(path)? {
-        None => Ok(None),
-        Some(payload) => Ok(Some(decode_control(&payload)?)),
-    }
-}
-
 /// The file names the runtime uses under its `--wal-dir`.
 pub mod files {
     use std::path::{Path, PathBuf};
@@ -276,11 +203,6 @@ pub mod files {
     /// Data node `node`'s snapshot checkpoint.
     pub fn node_snapshot(dir: &Path, node: u32) -> PathBuf {
         dir.join(format!("node{node}.ckpt"))
-    }
-
-    /// The control actor's checkpoint.
-    pub fn control_ckpt(dir: &Path) -> PathBuf {
-        dir.join("control.ckpt")
     }
 }
 
@@ -343,26 +265,31 @@ mod tests {
     #[test]
     fn missing_checkpoints_read_as_none() {
         assert_eq!(read_node_snapshot(&temp_path("nope.ckpt")).unwrap(), None);
-        assert_eq!(read_control_checkpoint(&temp_path("nope2.ckpt")).unwrap(), None);
     }
 
     #[test]
-    fn control_checkpoint_round_trips_and_damage_fails_closed() {
-        let path = temp_path("control.ckpt");
-        let ckpt = ControlCheckpoint {
-            committed: 17,
-            completed_steps: 51,
-            node_chunks: vec![100, 90, 110],
+    fn node_snapshot_damage_fails_closed() {
+        let path = temp_path("damaged.ckpt");
+        let snap = NodeSnapshot {
+            next_lsn: 17,
+            parts: vec![(0, vec![100, 90, 110])],
+            ..NodeSnapshot::default()
         };
-        write_control_checkpoint(&path, &ckpt).unwrap();
-        assert_eq!(read_control_checkpoint(&path).unwrap(), Some(ckpt));
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xff;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            read_control_checkpoint(&path),
-            Err(DurError::Corrupt { .. })
-        ));
+        write_node_snapshot(&path, &snap).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        let torn = good[..good.len() - 1].to_vec();
+        let mut crc = good.clone();
+        *crc.last_mut().unwrap() ^= 0xff;
+        let mut trailing = good.clone();
+        trailing.push(0);
+        // A snapshot is renamed into place whole, so unlike a log tail a
+        // torn frame is damage too.
+        for (what, bytes) in [("torn", torn), ("crc", crc), ("trailing", trailing)] {
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(
+                matches!(read_node_snapshot(&path), Err(DurError::Corrupt { .. })),
+                "{what}"
+            );
+        }
     }
 }

@@ -9,15 +9,17 @@
 //! same partition, in the style of dependency logging (Yao et al.). A
 //! killed-and-restarted node rebuilds its [`wtpg_rt::store::NodeStore`] by
 //! replaying the log in dependency order: records of the same partition
-//! form a chain replayed serially, independent chains replay in parallel
-//! across worker threads — the DGCC dependency-graph execution shape.
+//! form a chain replayed serially, and independent chains may replay in
+//! parallel across worker threads — the DGCC dependency-graph execution
+//! shape. A run replays on its executor, one worker; [`recover`] keeps a
+//! worker count for offline callers.
 //!
 //! Three durability levels ([`Durability`]):
 //!
 //! * **None** — no log; a killed node cannot recover.
 //! * **Buffered** — group-commit batching: records accumulate in a
-//!   userspace buffer flushed to the file on size (and on actor idle, for
-//!   age); no fsync. A kill loses at most the unflushed *suffix* of the
+//!   userspace buffer flushed to the file on size and at the node's reply
+//!   barriers; no fsync. A kill loses at most the unflushed *suffix* of the
 //!   log — flushes are ordered — and redelivery heals the difference.
 //! * **Sync** — like Buffered, plus `fdatasync` barriers aligned with the
 //!   reply coalescer's flushes: no `StatsDelta`/`AccessDone` escapes the

@@ -4,12 +4,15 @@
 //! each record's `prev_lsn` points at the previous record of the same
 //! partition, and records of *different* partitions never conflict (a
 //! chunk touches exactly one partition). Replay therefore runs each chain
-//! serially, in LSN order, and independent chains in parallel across
-//! worker threads — the DGCC dependency-graph execution shape. Workers
-//! pull whole chains from a shared work queue (the crate's one lock,
-//! ranked in `lint-locks.toml`) and each rebuilds its partition's cells
-//! through [`NodeStore::chunk_into_cells`], so no store, mutex, or channel
-//! is shared per cell.
+//! serially, in LSN order, and independent chains may run in parallel
+//! across worker threads — the DGCC dependency-graph execution shape. A
+//! kill-restart replays on the run's executor with one worker, so a run
+//! starts no thread; the worker count is for offline callers (the
+//! benchmark package, and the serial-vs-parallel byte-identity test).
+//! Workers pull whole chains from a shared work queue (the crate's one
+//! lock, ranked in `lint-locks.toml`) and each rebuilds its partition's
+//! cells through [`NodeStore::chunk_into_cells`], so no store, mutex, or
+//! channel is shared per cell.
 //!
 //! Alongside the cells, a serial pre-pass reconstructs the actor's control
 //! state: applied-marks for completed steps, [`Partial`] progress for the

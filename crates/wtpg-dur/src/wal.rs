@@ -23,7 +23,6 @@ use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::Path;
-use std::time::{Duration, Instant};
 
 use wtpg_core::partition::PartitionId;
 use wtpg_core::txn::{AccessMode, TxnId};
@@ -35,8 +34,8 @@ pub const FRAME_HEADER: usize = 8;
 /// Upper bound on a log-record payload; longer lengths fail closed.
 pub const MAX_RECORD: usize = 1 << 16;
 /// Group-commit buffer threshold: the writer flushes to the file once this
-/// many buffered bytes accumulate (age-based flushing is the caller's idle
-/// path).
+/// many buffered bytes accumulate (the caller's reply barriers flush the
+/// rest).
 pub const GROUP_COMMIT_BYTES: usize = 8 * 1024;
 
 const TAG_CHUNK: u8 = 1;
@@ -268,11 +267,11 @@ pub struct WriterStats {
 /// The group-commit log writer owned by one data-node actor.
 ///
 /// Records buffer in userspace and reach the file when the buffer passes
-/// [`GROUP_COMMIT_BYTES`] or the caller flushes (the actor's idle path —
-/// the "age" half of group commit). Under [`Durability::Sync`] the caller
-/// additionally invokes [`WalWriter::sync`] before every reply-batch
-/// flush. Dropping the writer loses the buffer *by design*: that is
-/// exactly the kill semantics of [`Durability::Buffered`].
+/// [`GROUP_COMMIT_BYTES`] or the caller barriers with [`WalWriter::sync`]
+/// (which under [`Durability::Sync`] also `fdatasync`s). The caller
+/// barriers before every reply-batch flush, so no record waits past the
+/// reply that reports it. Dropping the writer loses the buffer *by
+/// design*: that is exactly the kill semantics of [`Durability::Buffered`].
 pub struct WalWriter {
     file: File,
     buf: Vec<u8>,
@@ -282,8 +281,6 @@ pub struct WalWriter {
     tails: BTreeMap<u32, u64>,
     /// File bytes written since the last fsync.
     dirty: bool,
-    /// When the oldest unflushed record was appended (None = buffer empty).
-    first_buffered_at: Option<Instant>,
     /// Counters for the run report.
     pub stats: WriterStats,
 }
@@ -310,7 +307,6 @@ impl WalWriter {
             next_lsn,
             tails,
             dirty: false,
-            first_buffered_at: None,
             stats: WriterStats::default(),
         })
     }
@@ -330,9 +326,6 @@ impl WalWriter {
         self.next_lsn += 1;
         let mut payload = Vec::with_capacity(CHUNK_PAYLOAD);
         encode_chunk(&rec, &mut payload);
-        if self.buf.is_empty() {
-            self.first_buffered_at = Some(Instant::now());
-        }
         frame_into(&mut self.buf, &payload);
         self.stats.records += 1;
         if self.buf.len() >= GROUP_COMMIT_BYTES {
@@ -355,25 +348,6 @@ impl WalWriter {
         self.stats.bytes += self.buf.len() as u64;
         self.buf.clear();
         self.dirty = true;
-        self.first_buffered_at = None;
-        Ok(())
-    }
-
-    /// Flushes only when the oldest buffered record has waited at least
-    /// `window` — the age half of group commit. An actor calls this before
-    /// blocking on its inbox, so records cannot linger in userspace
-    /// unboundedly, but a brief idle gap between bursts does not cost a
-    /// file write per gap.
-    ///
-    /// # Errors
-    /// [`DurError::Io`] if the triggered flush fails.
-    pub fn flush_aged(&mut self, window: Duration) -> Result<(), DurError> {
-        if self
-            .first_buffered_at
-            .is_some_and(|t| t.elapsed() >= window)
-        {
-            self.flush()?;
-        }
         Ok(())
     }
 

@@ -12,15 +12,16 @@
 //!   platform-dependent), no `SystemTime`/`std::time::Instant`
 //!   (wall-clock reads), no ambient `thread_rng`. Applied to `wtpg-core`,
 //!   `wtpg-sim`, `wtpg-workload`, `wtpg-graph`, `wtpg-lint`, `wtpg-mvcc`,
-//!   `wtpg-obs` and `wtpg-net`'s protocol layer. An `Instant` token
+//!   `wtpg-obs`, `wtpg-dur` and `wtpg-net`'s protocol layer. An `Instant` token
 //!   qualified by a non-`time` path — such as the observer's
 //!   `EventKind::Instant` trace phase — is recognized as not being the
 //!   clock type and does not fire.
 //! - `panic-safety` — no `unwrap()`, undocumented `expect()`, panic-family
 //!   macros, or possibly-panicking slice indexing on the scheduler hot
 //!   path (`wtpg-core/src/wtpg.rs`, `estimate.rs`, `sched/*`) or anywhere
-//!   in `wtpg-rt`/`wtpg-obs`/`wtpg-net` (an actor thread that panics poisons
-//!   the mailbox locks its peers share and wedges everyone waiting on it).
+//!   in `wtpg-rt`/`wtpg-obs`/`wtpg-dur`/`wtpg-net` (an actor thread that
+//!   panics poisons the mailbox locks its peers share and wedges everyone
+//!   waiting on it).
 //!   The accepted documented form is `expect("invariant: ...")`.
 //! - `api-docs` — every `pub fn` carries a doc comment.
 //!
@@ -636,21 +637,24 @@ fn crate_of(path_slash: &str) -> Option<&str> {
 ///   free-running threads are the point (its runs are checked by replay
 ///   certification instead). All of `wtpg-obs` is also held to determinism
 ///   (traces of deterministic runs must be byte-deterministic): it reads no
-///   clock, and every timestamp it carries is its producer's.
+///   clock, and every timestamp it carries is its producer's. So is all of
+///   `wtpg-dur`: its log, snapshots and replay read no clock, and a run's
+///   recovery is a function of the files it reads.
 /// - `panic-safety`: `wtpg-core/src/wtpg.rs`, `estimate.rs`, `window.rs`
 ///   (the id-keyed window every per-transaction book sits on), `sched/*`, and
 ///   all of `wtpg-rt/src` (a panic on an actor thread poisons shared locks),
-///   `wtpg-obs/src` (the executor bumps its handles for every actor) and
+///   `wtpg-obs/src` (the executor bumps its handles for every actor),
+///   `wtpg-dur/src` (a data node recovers inside its actor step) and
 ///   `wtpg-net/src` (a panicking actor deadlocks every peer waiting on it).
 /// - `api-docs`: all of `wtpg-core/src`, `wtpg-rt/src`, `wtpg-obs/src`,
-///   `wtpg-net/src` and `wtpg-lint/src`.
+///   `wtpg-dur/src`, `wtpg-net/src` and `wtpg-lint/src`.
 /// - `wtpg-net` splits on determinism: the pure protocol layer (`msg.rs`,
 ///   `codec.rs`, `fault.rs` decisions, the coalescer and its delay line in
 ///   `batch.rs`, `plan.rs`, `report.rs`) must be deterministic — the wire
 ///   format and fault schedules are replayable by seed, and the coalescer
 ///   runs on instants its actor hands in — while the actor loops
 ///   (`actor.rs`, `control.rs`, `client.rs`, `data.rs`, `runtime.rs`) and
-///   the socket transport (`tcp.rs`) run on wall clocks and OS threads by
+///   the socket transport (`tcp.rs`) run on the executor's wall clock by
 ///   design, certified by replay. The taint pass still reaches into the exempt
 ///   files: a protocol-layer function calling a tainted actor-side helper
 ///   is a finding.
@@ -679,7 +683,7 @@ pub fn rules_for(path: &Path) -> RuleSet {
             panic_safety: true,
             api_docs: true,
         },
-        "wtpg-obs" => RuleSet::ALL,
+        "wtpg-obs" | "wtpg-dur" => RuleSet::ALL,
         "wtpg-net" => {
             let wall_clock = [
                 "/tcp.rs",
@@ -702,13 +706,6 @@ pub fn rules_for(path: &Path) -> RuleSet {
             // cells are pure bookkeeping over seal sequences — no clocks,
             // no ambient randomness, everything replayable.
             determinism: true,
-            panic_safety: true,
-            api_docs: true,
-        },
-        "wtpg-dur" => RuleSet {
-            // The durability layer does real file I/O and wall-clock-free
-            // recovery; its replay workers are OS threads by design.
-            determinism: false,
             panic_safety: true,
             api_docs: true,
         },

@@ -136,6 +136,20 @@ fn workspace_policy_scopes_wtpg_obs() {
 }
 
 #[test]
+fn workspace_policy_scopes_wtpg_dur() {
+    // The log, its snapshots and replay read no clock: every file is under
+    // all three rules.
+    for file in [
+        "crates/wtpg-dur/src/lib.rs",
+        "crates/wtpg-dur/src/wal.rs",
+        "crates/wtpg-dur/src/checkpoint.rs",
+        "crates/wtpg-dur/src/replay.rs",
+    ] {
+        assert_eq!(rules_for(Path::new(file)), RuleSet::ALL, "{file}");
+    }
+}
+
+#[test]
 fn net_scope_fixture_is_clean_under_actor_rules_only() {
     // The actor-loop rule set: determinism off, panic-safety + api-docs on.
     let actor_rules = RuleSet {

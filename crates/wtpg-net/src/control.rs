@@ -52,10 +52,6 @@
 //!   everything outstanding on it is re-sent immediately and acknowledged
 //!   with [`Msg::RecoverAck`]. The receive watchdog still bounds a run
 //!   whose node is truly gone.
-//! * **Control checkpoints** — with a checkpoint path configured, the actor
-//!   periodically persists its commit count, completed-step count, and
-//!   per-node chunk-credit tallies, so post-run tooling can cross-check the
-//!   control plane's view against the data nodes' logs.
 //! * **Duplicate absorption** — a writer has at most one step in flight,
 //!   and that step's order, filed in the writer's own record, is its whole
 //!   dedup state: the order's chunk cursor filters in-flight `StatsDelta`
@@ -74,7 +70,6 @@
 //! re-driven in ascending id, redeliveries in ascending `(txn, step)`.
 
 use std::collections::VecDeque;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -85,7 +80,6 @@ use wtpg_core::time::Tick;
 use wtpg_core::txn::{AccessMode, TxnId, TxnSpec};
 use wtpg_core::window::IdWindow;
 use wtpg_core::work::Work;
-use wtpg_dur::checkpoint::{write_control_checkpoint, ControlCheckpoint};
 use wtpg_mvcc::{gc_floor, ActiveSnapshots, CommitLog, GcWatermark, ReadObservation, ReaderRecord};
 use wtpg_obs::window::metric;
 use wtpg_obs::{Counter, Gauge, HistHandle, MsgCounts, Registry};
@@ -111,14 +105,6 @@ const SCAN_EVERY: u32 = 64;
 /// ever being admitted (or granted its next step) aborts the run.
 const MAX_PARK_ATTEMPTS: u32 = 1_000_000;
 
-/// Commits between control-checkpoint writes. Each write is a
-/// create-tmp-then-rename pair — two metadata journal transactions on a
-/// real filesystem, ~300µs on ext4 — issued from the control actor's
-/// commit path, so a tight cadence stalls the whole pipeline. The
-/// checkpoint only *bounds replay* (teardown always writes a final one),
-/// so a sparse cadence costs nothing but a longer log suffix to scan.
-const CKPT_EVERY: u64 = 256;
-
 /// Tuning for one control-actor run.
 pub struct ControlParams<'a> {
     /// The wrapped admission/lock scheduler.
@@ -141,8 +127,6 @@ pub struct ControlParams<'a> {
     pub shard: usize,
     /// The run's fault plan: its link faults ride this shard's data links.
     pub fault: FaultPlan,
-    /// Where to persist periodic control checkpoints (`None` disables).
-    pub ckpt: Option<PathBuf>,
     /// Live certification: on, the wrapped [`ControlNode`] records no
     /// in-memory history — it feeds every event to the
     /// [`StreamingCertifier`](wtpg_core::StreamingCertifier) it owns, as
@@ -220,7 +204,6 @@ struct CtrlTel {
     max_retry_streak: Gauge,
     access_retries: Counter,
     node_unavailable: Counter,
-    checkpoints: Counter,
     data_rtt: HistHandle,
 }
 
@@ -234,7 +217,6 @@ impl CtrlTel {
             max_retry_streak: reg.gauge(&metric::shard_max_retry_streak(shard)),
             access_retries: reg.counter(metric::ACCESS_RETRIES),
             node_unavailable: reg.counter(metric::NODE_UNAVAILABLE),
-            checkpoints: reg.counter(metric::WAL_CHECKPOINTS),
             data_rtt: reg.hist(metric::DATA_RTT_US),
         }
     }
@@ -406,14 +388,6 @@ pub struct ControlActor<'a> {
     /// Transactions currently admitted and not yet committed or aborted.
     active: usize,
     admit_window: usize,
-    /// Chunk credits applied per data node (checkpoint cross-check datum).
-    node_chunks: Vec<u64>,
-    /// Control-checkpoint destination (`None` disables checkpointing).
-    ckpt: Option<PathBuf>,
-    /// Write-plane steps reported complete (checkpoint cross-check datum).
-    completed_steps: u64,
-    /// Writers committed (the checkpoint's count).
-    commits: u64,
     /// Committed writers and retired readers. A transaction's drive-state
     /// is retired when it finishes; this set absorbs its late duplicates.
     finished: IdWindow<()>,
@@ -467,10 +441,6 @@ impl<'a> ControlActor<'a> {
             backlog: VecDeque::new(),
             active: 0,
             admit_window: params.admit_window.max(1),
-            node_chunks: vec![0; to_data.len()],
-            ckpt: params.ckpt,
-            completed_steps: 0,
-            commits: 0,
             finished: IdWindow::new(),
             rx: MsgCounts::default(),
             tx: MsgCounts::default(),
@@ -534,8 +504,7 @@ impl Actor for ControlActor<'_> {
         Ok(Some(due.map_or(POLL, |t| t.saturating_duration_since(now).min(POLL))))
     }
 
-    /// Orderly exit: a final checkpoint, so the persisted cursor covers the
-    /// whole run, and a last flush that delivers whatever the links still
+    /// Orderly exit: a last flush that delivers whatever the links still
     /// hold. Refused while the exit rule does not hold: the inbox closed
     /// mid-run.
     fn finish(mut self) -> Result<ControlOutcome, NetError> {
@@ -543,7 +512,6 @@ impl Actor for ControlActor<'_> {
             let shard = self.shard;
             return Err(NetError::Protocol(format!("control shard {shard}: inbox closed mid-run")));
         }
-        self.write_ckpt()?;
         if let Some(node) = self.to_data.iter_mut().position(|c| !c.drain()) {
             return Err(self.vanished(node, "at exit"));
         }
@@ -708,10 +676,8 @@ impl ControlActor<'_> {
                 plane.publish_floors(state.spec.steps().iter().map(|s| s.partition.0).collect());
             }
             self.finished.insert(txn, ());
-            self.commits += 1;
             self.active = self.active.saturating_sub(1);
             self.tel.commits.inc();
-            self.maybe_checkpoint()?;
             // The transaction is over: retire its drive-state. Late
             // duplicates (Submit or data-plane replies) are absorbed by
             // the `finished` set.
@@ -970,9 +936,6 @@ impl ControlActor<'_> {
                     )));
                 }
                 o.next_chunk += 1;
-                if let Some(slot) = self.node_chunks.get_mut(o.node) {
-                    *slot += 1;
-                }
                 self.control.progress(txn, Work::from_units(units))?;
                 Ok(())
             }
@@ -982,7 +945,6 @@ impl ControlActor<'_> {
                 };
                 self.control.step_complete(txn, step as usize)?;
                 self.book_rtt(o.sent_at, now);
-                self.completed_steps += 1;
                 if let Some(Live::Writer(t)) = self.txns.get_mut(txn) {
                     t.next_step = step as usize + 1;
                 }
@@ -1165,30 +1127,6 @@ impl ControlActor<'_> {
             self.tel.access_retries.inc();
         }
         Ok(resent)
-    }
-
-    /// Persists a control checkpoint every [`CKPT_EVERY`] commits.
-    fn maybe_checkpoint(&mut self) -> Result<(), NetError> {
-        if self.ckpt.is_none() || !self.commits.is_multiple_of(CKPT_EVERY) {
-            return Ok(());
-        }
-        self.write_ckpt()
-    }
-
-    /// Persists the control plane's durable cross-check datum: commit and
-    /// completed-step counts plus per-node chunk credits.
-    fn write_ckpt(&mut self) -> Result<(), NetError> {
-        let Some(path) = self.ckpt.as_ref() else {
-            return Ok(());
-        };
-        let ckpt = ControlCheckpoint {
-            committed: self.commits,
-            completed_steps: self.completed_steps,
-            node_chunks: self.node_chunks.clone(),
-        };
-        write_control_checkpoint(path, &ckpt)?;
-        self.tel.checkpoints.inc();
-        Ok(())
     }
 
     /// Publishes the queue-depth gauges; `parked` counts every request

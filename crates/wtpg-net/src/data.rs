@@ -51,11 +51,12 @@
 //! control's redelivery watchdog heals what was lost. A kill
 //! destroyed the incarnation — store, marks, mid-step progress, buffered
 //! replies, the log writer's userspace buffer — so the node is rebuilt from
-//! disk by [`wtpg_dur::recover`] and announces [`Msg::Recover`], on which
-//! control re-sends its outstanding orders at once. The executor
-//! (`actor::step_all`) alone touches the inbox and reads the clock. Time that
-//! *steers* (windows, triggers, link faults) is an argument, so a test can
-//! own it; time only *measured* (group-commit age) is read where it is used.
+//! disk by [`wtpg_dur::recover`] — on the executor's own thread, one chain
+//! after another — and announces [`Msg::Recover`], on which control
+//! re-sends its outstanding orders at once. The executor
+//! (`actor::step_all`) alone touches the inbox and reads the clock; every
+//! instant the node acts on (windows, triggers, link faults) is an
+//! argument, so a test can own it.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -84,13 +85,6 @@ use crate::transport::MsgTx;
 /// (at 256 a buffered run spent more time checkpointing than logging);
 /// 4096 keeps replay bounded while the per-record cost stays the WAL's.
 pub const SNAPSHOT_EVERY: u64 = 4096;
-
-/// Replay worker-thread cap for kill-restart recoveries.
-const REPLAY_WORKERS: usize = 8;
-
-/// Group-commit age window: buffered records older than this are written
-/// at the next pre-block flush (see [`DataActor::wal_flush_idle`]).
-const WAL_AGE_WINDOW: Duration = Duration::from_millis(2);
 
 /// What one data node's store holds after the run — the conservation
 /// values the runtime checks against the workload's declarations. They are
@@ -349,11 +343,11 @@ impl Actor for DataActor<'_> {
     }
 
     /// What must happen before the loop may block on an empty inbox: the
-    /// log barrier (or, with nothing about to escape, the aged flush), the
-    /// GC poll, and the reply flush — control is never starved of a reply
-    /// the actor is sitting on. A down node neither writes nor speaks; what
-    /// a crashed one had buffered waits for the window's end, which is as
-    /// long as it blocks. An up node blocks until a message comes. Either
+    /// log barrier (when replies are about to escape), the GC poll, and the
+    /// reply flush — control is never starved of a reply the actor is
+    /// sitting on. A down node neither writes nor speaks; what a crashed
+    /// one had buffered waits for the window's end, which is as long as it
+    /// blocks. An up node blocks until a message comes. Either
     /// first releases the held replies now due, and wakes for the next.
     fn before_block(&mut self, now: Instant) -> Result<Option<Duration>, NetError> {
         if !self.replies.advance(now) {
@@ -366,7 +360,10 @@ impl Actor for DataActor<'_> {
         if self.replies.pending() > 0 {
             self.wal_barrier()?;
         } else {
-            self.wal_flush_aged()?;
+            // Every append is followed by a reply push, and every path by
+            // which replies leave barriers first: with none pending, the
+            // log has nothing buffered either.
+            debug_assert_eq!(self.wal.as_ref().map_or(0, WalWriter::buffered_bytes), 0);
         }
         self.gc_poll();
         Ok(self.replies.flush().then(|| self.replies.next_due().map_or(Duration::MAX, until)))
@@ -412,18 +409,15 @@ impl DataActor<'_> {
 
     /// Leaves `Down` (a no-op when up). A crashed node's store, marks and
     /// buffered replies survived: it just carries on. A killed node is
-    /// rebuilt from disk — the log's dependency chains replayed in
-    /// parallel — and, if anyone is left to hear it, announces `Recover`.
+    /// rebuilt from disk — the log's dependency chains replayed one after
+    /// another on this thread, the executor's — and, if anyone is left to
+    /// hear it, announces `Recover`.
     fn wake(&mut self, announce: bool) -> Result<Flow, NetError> {
         let killed = self.down.take().filter(|d| d.restart_from_log);
         let Some((_, (_, dir))) = killed.zip(self.cfg.log) else {
             return Ok(Flow::Continue);
         };
-        let workers = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .min(REPLAY_WORKERS);
-        let rec = recover(self.cfg.catalog, self.cfg.node, dir, workers)?;
+        let rec = recover(self.cfg.catalog, self.cfg.node, dir, 1)?;
         self.tel.recoveries.inc();
         self.tel.replayed_chunks.add(rec.replayed_chunks);
         self.tel.replayed_chains.add(rec.chains);
@@ -484,14 +478,6 @@ impl DataActor<'_> {
         }
         t.wal_lag.set(w.buffered_bytes() as u64);
         Ok(())
-    }
-
-    /// Pure-idle flush, for ticks where no replies are pending: nothing is
-    /// about to escape, so only records past the group-commit age window
-    /// are written — the age half of group commit, without paying a file
-    /// write for every brief gap between bursts.
-    fn wal_flush_aged(&mut self) -> Result<(), NetError> {
-        self.with_wal(|w| w.flush_aged(WAL_AGE_WINDOW))
     }
 
     /// Pushes a reply, placing a log barrier first whenever this push will

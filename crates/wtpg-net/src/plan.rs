@@ -6,9 +6,8 @@
 //! either returns a [`PlanError`] naming the one rule the combination
 //! breaks, or a plan holding every value the runtime derives before its
 //! first thread exists: the effective client and shard counts, the
-//! watchdog, the [`ShardMap`], per-shard checkpoint paths, the round-robin
-//! workload split and (open loop) the Poisson arrival schedule dealt the
-//! same way. Of the [`Transport`] it keeps only the report label.
+//! watchdog, the [`ShardMap`], the round-robin workload split and (open
+//! loop) the Poisson arrival schedule dealt the same way. Of the [`Transport`] it keeps only the report label.
 //!
 //! Building a plan has no side effect: it reads the WAL directory's
 //! listing and nothing else, so a rejected plan leaves no directory,
@@ -19,7 +18,6 @@ use std::time::Duration;
 
 use wtpg_core::partition::Catalog;
 use wtpg_core::txn::TxnSpec;
-use wtpg_dur::checkpoint::files as dur_files;
 use wtpg_rt::shard::ShardMap;
 use wtpg_workload::poisson_arrivals_us;
 
@@ -94,21 +92,19 @@ pub struct RunPlan<'a> {
     pub(crate) watchdog: Duration,
     /// Conflict components decide how many control shards actually run.
     pub(crate) map: ShardMap,
-    /// Where logs, snapshots and checkpoints go — `Some` exactly when the
-    /// durability level keeps a log.
+    /// Where the data nodes' logs and snapshots go — `Some` exactly when
+    /// the durability level keeps a log.
     pub(crate) wal_dir: Option<&'a Path>,
-    /// Each shard's control-checkpoint path (`None` without a log).
-    pub(crate) ckpts: Vec<Option<PathBuf>>,
     /// Open loop: one shared Poisson schedule, one arrival per spec. Client
     /// c of N takes every N-th from c of both (`client::share`), so arrival
     /// i still drives spec i.
     pub(crate) arrivals: Option<Vec<u64>>,
 }
 
-/// The first file in `dir` a previous run's data nodes or control shards
-/// would have written, if any. A directory that cannot be listed (missing,
-/// most often) holds nothing; if it is unusable for another reason, creating
-/// it in the build phase reports the real I/O error.
+/// The first log or snapshot in `dir` a previous run's data nodes would
+/// have written, if any. A directory that cannot be listed (missing, most
+/// often) holds nothing; if it is unusable for another reason, creating it
+/// in the build phase reports the real I/O error.
 fn leftover(dir: &Path) -> Option<String> {
     std::fs::read_dir(dir)
         .ok()?
@@ -157,14 +153,6 @@ impl<'a> RunPlan<'a> {
 
         let clients = cfg.clients.clamp(1, specs.len().max(1));
         let map = ShardMap::build(specs, cfg.shards.max(1));
-        let ckpts = (0..map.shards())
-            .map(|si| {
-                wal_dir.map(|d| match si {
-                    0 => dur_files::control_ckpt(d),
-                    _ => d.join(format!("control{si}.ckpt")),
-                })
-            })
-            .collect();
         let arrivals = cfg
             .open_loop
             .map(|ol| poisson_arrivals_us(specs.len(), ol.lambda_tps, ol.seed));
@@ -179,7 +167,6 @@ impl<'a> RunPlan<'a> {
             watchdog: Duration::from_millis(cfg.watchdog_ms.max(1)),
             map,
             wal_dir,
-            ckpts,
             arrivals,
         })
     }
@@ -239,7 +226,6 @@ mod tests {
         dealt.sort();
         assert_eq!(dealt, specs.iter().map(|s| s.id).collect::<Vec<_>>());
         assert_eq!(plan.wal_dir, None, "no log: the directory is dropped, not inspected");
-        assert_eq!(plan.ckpts, vec![None, None]);
 
         let logged = NetConfig {
             durability: Durability::Buffered,
@@ -247,7 +233,5 @@ mod tests {
         };
         let plan = RunPlan::new(&logged, &fault, &InProc, &catalog, &specs).expect("legal plan");
         assert_eq!(plan.wal_dir, logged.wal_dir.as_deref(), "a missing dir is fresh");
-        let ckpt = |name: &str| Some(PathBuf::from("/nonexistent/wtpg-plan-test").join(name));
-        assert_eq!(plan.ckpts, vec![ckpt("control.ckpt"), ckpt("control1.ckpt")]);
     }
 }

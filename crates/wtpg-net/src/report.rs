@@ -146,7 +146,7 @@ pub struct NetReport {
     pub wal_bytes: u64,
     /// Chunk records re-applied by recovery replays.
     pub wal_replayed_chunks: u64,
-    /// Node snapshots plus control checkpoints written.
+    /// Node snapshots the data nodes wrote.
     pub wal_checkpoints: u64,
     /// True when the recorded history was replay-certified.
     pub certified: bool,

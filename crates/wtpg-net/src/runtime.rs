@@ -8,8 +8,8 @@
 //!
 //! 1. **plan** — [`RunPlan::new`] refuses the combinations that are not a
 //!    run and fixes every derived value (effective clients and shards, the
-//!    conflict-component [`ShardMap`], checkpoint paths, the workload split
-//!    and arrival schedule). Nothing has been created yet.
+//!    conflict-component [`ShardMap`], the WAL directory, the workload
+//!    split and arrival schedule). Nothing has been created yet.
 //! 2. **build** — `ActorSet::lay_out` creates the WAL directory, has the
 //!    [`Transport`] wire the control plane, one data-node actor per catalog
 //!    node and the client actors into a star fabric, lays each actor's
@@ -118,12 +118,13 @@ pub struct NetConfig {
     /// replies can escape. `None` keeps the pre-durability behavior;
     /// `Buffered`/`Sync` require `wal_dir` and enable kill-restart faults.
     pub durability: Durability,
-    /// Directory for data-node logs, node snapshots, and control
-    /// checkpoints. Required whenever `durability` keeps a log (and ignored
-    /// otherwise); created if missing, never cleaned up (the artifacts are
-    /// the point). It must be *fresh* — missing, or existing but holding no
-    /// `node*.wal` / `*.ckpt` from an earlier run: logs open append-only and
-    /// recovery replays all it finds, so a used directory is refused
+    /// Directory for the data nodes' logs (`node{N}.wal`) and snapshots
+    /// (`node{N}.ckpt`) — what recovery reads, and nothing else. Required
+    /// whenever `durability` keeps a log (and ignored otherwise); created
+    /// if missing, never cleaned up (the artifacts are the point). It must
+    /// be *fresh* — missing, or existing but holding no `node*.wal` /
+    /// `*.ckpt` from an earlier run: logs open append-only and recovery
+    /// replays all it finds, so a used directory is refused
     /// ([`PlanError::WalDirNotFresh`](crate::plan::PlanError)).
     pub wal_dir: Option<PathBuf>,
     /// Open-loop arrival schedule: `Some` replaces the closed-loop arrival
@@ -497,13 +498,9 @@ impl<'a> ActorSet<'a> {
 
         let run_wall = Instant::now();
 
-        // One control actor per shard; the plan holds one checkpoint path
-        // (or `None`) for each.
-        let controls = plan
-            .ckpts
-            .iter()
-            .enumerate()
-            .map(|(si, ckpt)| ControlParams {
+        // One control actor per shard.
+        let controls = (0..shards)
+            .map(|si| ControlParams {
                 sched: sched(),
                 clients: plan.clients,
                 retry: cfg.retry,
@@ -513,7 +510,6 @@ impl<'a> ActorSet<'a> {
                 admit_window: cfg.admit_window,
                 shard: si,
                 fault: *fault,
-                ckpt: ckpt.clone(),
                 stream: cfg.stream_certify,
                 reg,
                 mvcc: watermark.clone(),

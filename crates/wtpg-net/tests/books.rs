@@ -2,14 +2,15 @@
 //! booked once, in the run's `Registry`, under a name of the
 //! `wtpg_obs::window::metric` catalogue.
 //!
-//! * **The catalogue is closed.** Three cells that between them switch on
+//! * **The catalogue is closed.** Four cells that between them switch on
 //!   every plane (TCP + faulty links + buffered WAL + a kill-restart past
 //!   the redelivery budget; in-proc + MVCC read mix + open loop with
-//!   shedding; two shards + sync WAL) leave nothing in the registry that is
-//!   not a `metric::` constant or a member of a documented family — and
-//!   every constant has a producer in at least one of them.
+//!   shedding; two shards + sync WAL; in-proc + buffered WAL long enough
+//!   for node snapshots + a kill after the first) leave nothing in the
+//!   registry that is not a `metric::` constant or a member of a documented
+//!   family — and every constant has a producer in at least one of them.
 //! * **The one book is right across incarnations.** For the kill-restart
-//!   cell, the totals read back from the registry are the report's fields,
+//!   cells, the totals read back from the registry are the report's fields,
 //!   and they agree with what the killed and the restarted incarnation left
 //!   on disk between them.
 
@@ -20,7 +21,8 @@ use std::sync::Arc;
 use wtpg_core::partition::Catalog;
 use wtpg_core::txn::TxnSpec;
 use wtpg_dur::checkpoint::files;
-use wtpg_dur::Durability;
+use wtpg_dur::{recover, Durability};
+use wtpg_net::data::SNAPSHOT_EVERY;
 use wtpg_net::fault::{FaultPlan, KillPlan};
 use wtpg_net::{run_cell_load, InProc, NetConfig, NetReport, OpenLoop, Tcp, Transport};
 use wtpg_obs::window::metric;
@@ -83,6 +85,50 @@ fn kill_restart_cell(dir: &Path) -> (NetConfig, (Catalog, Vec<TxnSpec>), FaultPl
     (cfg, pattern_specs(Pattern::One, 60, 17), fault)
 }
 
+/// Messages node 0 handles before the snapshot cell kills it.
+const SNAPSHOT_KILL_AFTER: u64 = 1024;
+
+/// In-process, buffered WAL, Pattern 2 over 4 hots, and node 0 killed once
+/// its first snapshot is on disk: the one cell that writes node snapshots.
+/// Every order node 0 handles before the kill is fresh — no link faults,
+/// and no redelivery is due within a second — and logs one record per chunk
+/// of its step, so by its [`SNAPSHOT_KILL_AFTER`]-th message it has logged
+/// at least [`SNAPSHOT_EVERY`] records (checked below against the
+/// workload's smallest step) and written its first snapshot.
+fn snapshot_kill_cell(dir: &Path) -> (NetConfig, (Catalog, Vec<TxnSpec>), FaultPlan) {
+    let cfg = NetConfig {
+        durability: Durability::Buffered,
+        wal_dir: Some(dir.to_path_buf()),
+        chunk_units: 250,
+        retry: Backoff {
+            base_us: 1_000_000,
+            ..NetConfig::default().retry
+        },
+        ..NetConfig::default()
+    };
+    let workload = pattern_specs(Pattern::Two { num_hots: 4 }, 4000, 3);
+    let fewest_chunks = workload
+        .1
+        .iter()
+        .flat_map(|t| t.steps())
+        .map(|s| s.actual_cost.units().div_ceil(cfg.chunk_units))
+        .min()
+        .expect("the workload has steps");
+    assert!(
+        SNAPSHOT_KILL_AFTER * fewest_chunks >= SNAPSHOT_EVERY,
+        "node 0 must reach its first snapshot before the kill"
+    );
+    let fault = FaultPlan {
+        kill: Some(KillPlan {
+            node: Some(0),
+            after_msgs: SNAPSHOT_KILL_AFTER,
+            down_ms: 30,
+        }),
+        ..FaultPlan::none()
+    };
+    (cfg, workload, fault)
+}
+
 /// Names that belong to one of the catalogue's documented families.
 fn in_a_family(name: &str, shards: usize, nodes: usize) -> bool {
     let msg_types: Vec<&str> = MsgCounts::default().fields().iter().map(|f| f.0).collect();
@@ -133,8 +179,12 @@ fn the_catalogue_is_closed_and_every_name_has_a_producer() {
     let sharded = run(&cfg, "c2pl", &clustered, &InProc, &FaultPlan::none());
     assert_eq!(sharded.0.shards, 2);
 
+    let snap_dir = wal_dir("closure-snapshot");
+    let (cfg, workload, fault) = snapshot_kill_cell(&snap_dir);
+    let snapshot = run(&cfg, "chain", &workload, &InProc, &fault);
+
     let mut produced = BTreeSet::new();
-    for (report, reg) in [&kill, &open, &sharded] {
+    for (report, reg) in [&kill, &open, &sharded, &snapshot] {
         // Counters and gauges the registry holds, and (never having been
         // flushed) every histogram that recorded anything.
         let window = reg.flush_snapshot(1);
@@ -162,6 +212,7 @@ fn the_catalogue_is_closed_and_every_name_has_a_producer() {
     }
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&sync_dir);
+    let _ = std::fs::remove_dir_all(&snap_dir);
 }
 
 #[test]
@@ -180,7 +231,6 @@ fn kill_restart_totals_are_the_report_and_survive_the_incarnation() {
         (r.wal_records, metric::WAL_RECORDS),
         (r.wal_flushes, metric::WAL_FLUSHES),
         (r.wal_bytes, metric::WAL_BYTES),
-        (r.wal_checkpoints, metric::WAL_CHECKPOINTS),
         (r.crash_drops, metric::CRASH_DROPS),
         (r.access_retries, metric::ACCESS_RETRIES),
         (r.node_unavailable, metric::NODE_UNAVAILABLE),
@@ -223,5 +273,26 @@ fn kill_restart_totals_are_the_report_and_survive_the_incarnation() {
     assert!(total(metric::DATA_UNITS) >= r.store_write_units);
     // What control handled covers what every data-node incarnation sent.
     assert!(total(&metric::msg_rx("stats_delta")) >= chunks);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn node_snapshots_are_booked_and_bound_the_kill_replay() {
+    let dir = wal_dir("snapshot-kill");
+    let (cfg, workload, fault) = snapshot_kill_cell(&dir);
+    let (r, reg) = run(&cfg, "chain", &workload, &InProc, &fault);
+    let totals = reg.totals();
+    let total = |name: &str| totals.get(name).copied().unwrap_or(0);
+
+    assert_eq!(r.recoveries, 1, "the kill fires once: {r:?}");
+    assert_eq!(r.committed, 4000, "{r:?}");
+    assert!(r.wal_checkpoints > 0, "{r:?}");
+    assert_eq!(r.wal_checkpoints, total(metric::WAL_CHECKPOINTS));
+    // The restart replayed the log suffix past node 0's snapshot, not the
+    // whole log.
+    assert!(r.wal_replayed_chunks < SNAPSHOT_EVERY, "{r:?}");
+    // What the run left on disk rebuilds through a snapshot too.
+    let node0 = recover(&workload.0, 0, &dir, 1).expect("node 0 recovers offline");
+    assert!(node0.from_snapshot);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -13,9 +13,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use common::Recorder;
+use wtpg_core::history::Event;
 use wtpg_core::partition::Catalog;
 use wtpg_core::txn::{StepSpec, TxnId, TxnSpec};
-use wtpg_dur::checkpoint::read_control_checkpoint;
 use wtpg_mvcc::GcWatermark;
 use wtpg_net::actor::{Actor, Flow};
 use wtpg_net::control::{ControlActor, ControlParams};
@@ -53,7 +53,6 @@ fn params<'a>(reg: &'a Registry, sched: &str, clients: usize) -> ControlParams<'
         admit_window: 4,
         shard: 0,
         fault: FaultPlan::none(),
-        ckpt: None,
         stream: false,
         reg,
         mvcc: None,
@@ -255,10 +254,7 @@ fn a_busy_inbox_still_redelivers_every_scan() {
 #[test]
 fn duplicates_are_absorbed_on_both_planes() {
     let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
-    let name = format!("wtpg-control-node-{}.ckpt", std::process::id());
-    let path = std::env::temp_dir().join(name);
     let mut p = params(&reg, "chain", 1);
-    p.ckpt = Some(path.clone());
     p.mvcc = Some(Arc::new(GcWatermark::new()));
     let mut ctl = start(p, &catalog, 500, &l);
     let t0 = Instant::now();
@@ -319,19 +315,31 @@ fn duplicates_are_absorbed_on_both_planes() {
     assert_eq!(ctl.deliver(Msg::Shutdown, t0).unwrap(), Flow::Stop);
     let out = ctl.finish().expect("finishes");
     assert_eq!(out.mvcc.expect("the plane was on").readers.len(), 1);
-    let ckpt = read_control_checkpoint(&path)
-        .expect("reads")
-        .expect("written at exit");
-    let _ = std::fs::remove_file(&path);
+    // What the history credited: each of the writer's three chunks once, its
+    // one step and its commit; the reader never reaches the scheduler.
+    let credits: Vec<_> = out
+        .audit
+        .history
+        .events()
+        .iter()
+        .filter_map(|&(_, e)| match e {
+            Event::Progress { txn, .. } => Some(("progress", txn)),
+            Event::StepCompleted { txn, .. } => Some(("step", txn)),
+            Event::Committed(txn) => Some(("commit", txn)),
+            _ => None,
+        })
+        .collect();
+    let t1 = TxnId(1);
     assert_eq!(
-        (ckpt.committed, ckpt.completed_steps),
-        (1, 1),
-        "writers only"
-    );
-    assert_eq!(
-        ckpt.node_chunks,
-        [3, 0],
-        "each chunk credited once, every node counted"
+        credits,
+        [
+            ("progress", t1),
+            ("progress", t1),
+            ("progress", t1),
+            ("step", t1),
+            ("commit", t1)
+        ],
+        "each chunk credited once, writers only"
     );
 }
 

@@ -209,7 +209,7 @@ pub mod metric {
     /// WAL bytes buffered in the writer but not yet flushed to the file —
     /// flush lag, what a kill would destroy right now (gauge).
     pub const WAL_LAG: &str = "wal/lag";
-    /// Node snapshots plus control checkpoints written (counter).
+    /// Node snapshots the data nodes wrote (counter).
     pub const WAL_CHECKPOINTS: &str = "wal/checkpoints";
     /// Kill-and-restart recoveries data nodes performed (counter).
     pub const WAL_RECOVERIES: &str = "wal/recoveries";
