@@ -146,9 +146,10 @@ impl LockTable {
     ///
     /// One entry is produced per conflicting (step, declaration) or
     /// (step, held-lock) pair; the WTPG aggregates them per transaction pair
-    /// with the paper's max rule.
-    pub fn arrival_conflicts(&self, spec: &TxnSpec) -> Vec<ArrivalConflict> {
-        let mut out = Vec::new();
+    /// with the paper's max rule. They are written into `out`, cleared
+    /// first: a caller that keeps the buffer allocates only while it grows.
+    pub fn arrival_conflicts(&self, spec: &TxnSpec, out: &mut Vec<ArrivalConflict>) {
+        out.clear();
         for (i, s) in spec.steps().iter().enumerate() {
             let Some(g) = self.granule(s.partition) else {
                 continue;
@@ -169,7 +170,6 @@ impl LockTable {
                 }
             }
         }
-        out
     }
 
     /// True if a request by `txn` for `mode` access on `p` conflicts with a
@@ -193,15 +193,21 @@ impl LockTable {
         p: PartitionId,
         mode: AccessMode,
     ) -> Vec<Declaration> {
-        self.granule(p)
-            .map(|g| {
-                g.decls
-                    .iter()
-                    .filter(|d| d.txn != txn && d.mode.conflicts_with(mode))
-                    .copied()
-                    .collect()
-            })
-            .unwrap_or_default()
+        self.conflicting(txn, p, mode).collect()
+    }
+
+    /// [`Self::conflicting_declarations`], read in place.
+    pub fn conflicting(
+        &self,
+        txn: TxnId,
+        p: PartitionId,
+        mode: AccessMode,
+    ) -> impl Iterator<Item = Declaration> + '_ {
+        let decls = self.granule(p).map_or(&[][..], |g| &g.decls[..]);
+        decls
+            .iter()
+            .filter(move |d| d.txn != txn && d.mode.conflicts_with(mode))
+            .copied()
     }
 
     /// Grants `txn`'s declared step `step` on `p`: the declaration becomes a
@@ -248,17 +254,15 @@ impl LockTable {
     }
 
     /// Releases every lock held by the transaction `spec` declares (commit
-    /// time) and returns the partitions that were freed, ascending — the
-    /// control node wakes requests blocked on them in that order. Any
-    /// leftover declarations of the transaction are dropped as well. Only the
-    /// granules `spec` names are visited: nothing else can hold its locks or
-    /// declarations.
-    pub fn release_all(&mut self, spec: &TxnSpec) -> Vec<PartitionId> {
+    /// time) and writes the partitions that were freed into `freed` (cleared
+    /// first), ascending — the control node wakes requests blocked on them
+    /// in that order. Any leftover declarations of the transaction are
+    /// dropped as well. Only the granules `spec` names are visited: nothing
+    /// else can hold its locks or declarations.
+    pub fn release_all(&mut self, spec: &TxnSpec, freed: &mut Vec<PartitionId>) {
         let txn = spec.id;
-        let mut parts = spec.partitions();
-        parts.sort_unstable();
-        let mut freed = Vec::new();
-        for p in parts {
+        freed.clear();
+        for p in spec.partitions() {
             let Some(g) = self.granules.get_mut(p.0 as usize) else {
                 continue;
             };
@@ -269,7 +273,7 @@ impl LockTable {
             }
             g.decls.retain(|d| d.txn != txn);
         }
-        freed
+        freed.sort_unstable();
     }
 
     /// Lock mode `txn` currently holds on `p`, if any.
@@ -313,10 +317,7 @@ impl LockTable {
     /// [`Self::arrival_keeps_k`] — what the schedulers ask — is tested against.
     pub fn k_constraint_ok(&self, spec: &TxnSpec, k: usize) -> bool {
         // Only granules the newcomer touches can have gained conflicts.
-        let mut parts = spec.partitions();
-        parts.sort_unstable();
-        parts.dedup();
-        for p in parts {
+        for p in spec.partitions() {
             let Some(g) = self.granule(p) else {
                 continue;
             };
@@ -373,6 +374,18 @@ impl LockTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn conflicts(lt: &LockTable, spec: &TxnSpec) -> Vec<ArrivalConflict> {
+        let mut out = Vec::new();
+        lt.arrival_conflicts(spec, &mut out);
+        out
+    }
+
+    fn release(lt: &mut LockTable, spec: &TxnSpec) -> Vec<PartitionId> {
+        let mut freed = Vec::new();
+        lt.release_all(spec, &mut freed);
+        freed
+    }
     use crate::txn::StepSpec;
 
     fn spec(id: u64, steps: Vec<StepSpec>) -> TxnSpec {
@@ -418,7 +431,7 @@ mod tests {
         let mut lt = LockTable::new();
         lt.declare(&t1);
         lt.declare(&t2);
-        let confs = lt.arrival_conflicts(&t2);
+        let confs = conflicts(&lt, &t2);
         // T2's w(A) conflicts with T1's r(A) (due 5) and w(A) (due 1).
         let mut dues: Vec<(Work, Work)> = confs
             .iter()
@@ -447,7 +460,7 @@ mod tests {
         lt.grant(TxnId(1), 0, PartitionId(0), AccessMode::Read)
             .unwrap();
         lt.declare(&t2);
-        let confs = lt.arrival_conflicts(&t2);
+        let confs = conflicts(&lt, &t2);
         // T2's w(A) sees T1's held S on A (resolved) AND T1's outstanding w(A) decl.
         assert!(confs.contains(&ArrivalConflict::Held {
             other: TxnId(1),
@@ -509,7 +522,7 @@ mod tests {
             .unwrap();
         lt.grant(TxnId(1), 1, PartitionId(1), AccessMode::Read)
             .unwrap();
-        let freed = lt.release_all(&t1);
+        let freed = release(&mut lt, &t1);
         assert_eq!(freed, vec![PartitionId(0), PartitionId(1)]);
         assert_eq!(lt.held_count(), 0);
         assert_eq!(lt.declaration_count(), 0);
@@ -600,10 +613,10 @@ mod tests {
         let w = spec(9, vec![StepSpec::write(0, 1.0)]);
         lt.declare(&w);
         assert!(lt.is_blocked(w.id, PartitionId(0), AccessMode::Write));
-        lt.release_all(&readers[0]);
-        lt.release_all(&readers[1]);
+        release(&mut lt, &readers[0]);
+        release(&mut lt, &readers[1]);
         assert!(lt.is_blocked(w.id, PartitionId(0), AccessMode::Write));
-        lt.release_all(&readers[2]);
+        release(&mut lt, &readers[2]);
         assert!(!lt.is_blocked(w.id, PartitionId(0), AccessMode::Write));
     }
 
@@ -619,7 +632,7 @@ mod tests {
         lt.grant(TxnId(1), 0, PartitionId(0), AccessMode::Read).unwrap();
         lt.declare(&r2);
         assert!(
-            lt.arrival_conflicts(&r2).is_empty(),
+            conflicts(&lt, &r2).is_empty(),
             "S over held S and declared S is conflict-free"
         );
         assert!(lt
@@ -628,7 +641,7 @@ mod tests {
         // Swap in a writer on the same granule: both kinds appear.
         let w = spec(3, vec![StepSpec::write(0, 1.0)]);
         lt.declare(&w);
-        let confs = lt.arrival_conflicts(&w);
+        let confs = conflicts(&lt, &w);
         assert!(confs
             .iter()
             .any(|c| matches!(c, ArrivalConflict::Held { other: TxnId(1), .. })));

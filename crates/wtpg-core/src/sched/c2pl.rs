@@ -143,9 +143,11 @@ impl Policy for C2plScheduler {
         };
         if dangerous {
             self.core.stats.delays_deadlock += 1;
+            self.core.recycle_implied(implied);
             return Ok((LockOutcome::Delayed, ops));
         }
         self.core.grant(txn, step, s, &implied)?;
+        self.core.recycle_implied(implied);
         self.granted_any = true;
         Ok((LockOutcome::Granted, ops))
     }

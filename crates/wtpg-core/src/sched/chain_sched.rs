@@ -125,9 +125,11 @@ impl Policy for ChainScheduler {
             .any(|&other| w.binary_search(&(txn, other)).is_err())
         {
             self.core.stats.delays_minimality += 1;
+            self.core.recycle_implied(implied);
             return Ok((LockOutcome::Delayed, ops));
         }
         self.core.grant(txn, step, s, &implied)?;
+        self.core.recycle_implied(implied);
         // The grant's resolutions all agree with W, so the cached order is
         // still the optimum: re-pin it to the post-grant version (§3.4 reuse).
         self.w_version = self.core.wtpg.version();

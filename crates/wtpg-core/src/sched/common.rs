@@ -52,6 +52,11 @@ pub(crate) struct ActiveTxn {
 /// transaction registry, with the paper's weight bookkeeping built in. The
 /// registry is an [`IdWindow`]: every request, progress report and step
 /// completion finds its transaction by index.
+///
+/// In the steady state the core does not allocate: an arrival's conflicts
+/// and a grant's implied resolutions are gathered into buffers it keeps,
+/// and a departed transaction's declaration is kept for the next arrival to
+/// be copied into.
 #[derive(Clone, Debug, Default)]
 pub struct SchedCore {
     pub(crate) locks: LockTable,
@@ -60,6 +65,13 @@ pub struct SchedCore {
     /// Cumulative control-plane statistics (cache behaviour, abort and delay
     /// causes) of the scheduler built on this core.
     pub(crate) stats: ControlStats,
+    /// The arrival under test's conflicts ([`Self::admit_under`]).
+    conflicts: Vec<ArrivalConflict>,
+    /// What [`Self::implied_resolutions`] hands out and
+    /// [`Self::recycle_implied`] takes back.
+    implied: Vec<TxnId>,
+    /// Declarations of departed transactions, for arrivals to copy into.
+    spare: Vec<TxnSpec>,
 }
 
 impl SchedCore {
@@ -83,17 +95,30 @@ impl SchedCore {
         }
         // Its own declarations never count, so this is also what the lock
         // table reports once `spec` is declared.
-        let conflicts = self.locks.arrival_conflicts(spec);
+        let mut conflicts = std::mem::take(&mut self.conflicts);
+        self.locks.arrival_conflicts(spec, &mut conflicts);
+        let admission = self.admit_if(spec, constraint, &conflicts);
+        self.conflicts = conflicts;
+        admission
+    }
+
+    /// The gate's verdict on `spec`, whose arrival conflicts are `conflicts`.
+    fn admit_if(
+        &mut self,
+        spec: &TxnSpec,
+        constraint: Constraint,
+        conflicts: &[ArrivalConflict],
+    ) -> Result<Admission, CoreError> {
         let holds = match constraint {
             Constraint::None => true,
-            Constraint::ChainForm => arrival_keeps_chain_form(&self.wtpg, &conflicts)?,
+            Constraint::ChainForm => arrival_keeps_chain_form(&self.wtpg, conflicts)?,
             Constraint::KConflict(k) => self.locks.arrival_keeps_k(spec, k),
             Constraint::LockAll => self.locks.can_lock_all(spec),
         };
         if !holds {
             return Ok(self.refuse(constraint));
         }
-        self.admit(spec, &conflicts)?;
+        self.admit(spec, conflicts)?;
         Ok(Admission::Admitted)
     }
 
@@ -113,10 +138,17 @@ impl SchedCore {
         self.locks.declare(spec);
         self.wtpg.add_txn(spec.id, spec.total_declared())?;
         self.wtpg.ingest_arrival(spec.id, conflicts)?;
+        let kept = match self.spare.pop() {
+            Some(mut kept) => {
+                kept.clone_from(spec);
+                kept
+            }
+            None => spec.clone(),
+        };
         self.txns.insert(
             spec.id,
             ActiveTxn {
-                spec: spec.clone(),
+                spec: kept,
                 next_step: 0,
                 current: None,
                 declared_progress: Work::ZERO,
@@ -147,22 +179,25 @@ impl SchedCore {
 
     /// Transactions whose outstanding declarations on `p` conflict with a
     /// `mode` access by `txn` — granting the request implies `txn → other`
-    /// for each of them. Deduplicated, ascending.
+    /// for each of them. Deduplicated, ascending, in the core's buffer:
+    /// hand it back with [`Self::recycle_implied`] once done.
     pub(crate) fn implied_resolutions(
-        &self,
+        &mut self,
         txn: TxnId,
         p: PartitionId,
         mode: crate::txn::AccessMode,
     ) -> Vec<TxnId> {
-        let mut v: Vec<TxnId> = self
-            .locks
-            .conflicting_declarations(txn, p, mode)
-            .into_iter()
-            .map(|d| d.txn)
-            .collect();
+        let mut v = std::mem::take(&mut self.implied);
+        v.clear();
+        v.extend(self.locks.conflicting(txn, p, mode).map(|d| d.txn));
         v.sort_unstable();
         v.dedup();
         v
+    }
+
+    /// Takes back what [`Self::implied_resolutions`] handed out.
+    pub(crate) fn recycle_implied(&mut self, implied: Vec<TxnId>) {
+        self.implied = implied;
     }
 
     /// True if applying the implied resolutions of a grant would close a
@@ -264,21 +299,22 @@ impl SchedCore {
     /// The transaction leaves — `finished` by a commit after its last step, or
     /// mid-flight by an abort, legal at any point of the step protocol.
     /// Outstanding declarations, held locks and WTPG edges all disappear;
-    /// partially resolved orders simply lose their constraints. Returns the
-    /// partitions it held.
+    /// partially resolved orders simply lose their constraints. Writes the
+    /// partitions it held into `freed`, ascending.
     pub(crate) fn remove(
         &mut self,
         txn: TxnId,
         finished: bool,
-    ) -> Result<Vec<PartitionId>, CoreError> {
+        freed: &mut Vec<PartitionId>,
+    ) -> Result<(), CoreError> {
         let a = self.txns.remove(txn).ok_or(CoreError::UnknownTxn(txn))?;
         debug_assert!(
             !finished || a.next_step == a.spec.len(),
             "{txn} committed before requesting every step"
         );
-        let freed = self.locks.release_all(&a.spec);
-        self.wtpg.remove_txn(txn)?;
-        Ok(freed)
+        self.locks.release_all(&a.spec, freed);
+        self.spare.push(a.spec);
+        self.wtpg.remove_txn(txn)
     }
 }
 
@@ -323,10 +359,26 @@ pub(crate) trait Policy {
 }
 
 /// `txn` commits (`finished`) or aborts: out of the core, then out of the
-/// policy's caches.
-fn depart<P: Policy>(p: &mut P, txn: TxnId, finished: bool) -> Result<CommitResult, CoreError> {
-    let freed = p.core_mut().remove(txn, finished)?;
+/// policy's caches. The partitions it held are written into `freed`.
+fn depart<P: Policy>(
+    p: &mut P,
+    txn: TxnId,
+    finished: bool,
+    freed: &mut Vec<PartitionId>,
+) -> Result<(), CoreError> {
+    p.core_mut().remove(txn, finished, freed)?;
     p.left(txn);
+    Ok(())
+}
+
+/// [`depart`] with the freed partitions in a list of their own.
+fn depart_listed<P: Policy>(
+    p: &mut P,
+    txn: TxnId,
+    finished: bool,
+) -> Result<CommitResult, CoreError> {
+    let mut freed = Vec::new();
+    depart(p, txn, finished, &mut freed)?;
     Ok(CommitResult {
         freed,
         ops: ControlOps::NONE,
@@ -373,11 +425,20 @@ impl<P: Policy> Scheduler for P {
     }
 
     fn on_commit(&mut self, txn: TxnId, _now: Tick) -> Result<CommitResult, CoreError> {
-        depart(self, txn, true)
+        depart_listed(self, txn, true)
+    }
+
+    fn on_commit_into(
+        &mut self,
+        txn: TxnId,
+        _now: Tick,
+        freed: &mut Vec<PartitionId>,
+    ) -> Result<ControlOps, CoreError> {
+        depart(self, txn, true, freed).map(|()| ControlOps::NONE)
     }
 
     fn on_abort(&mut self, txn: TxnId, _now: Tick) -> Result<CommitResult, CoreError> {
-        depart(self, txn, false)
+        depart_listed(self, txn, false)
     }
 
     fn active_txns(&self) -> usize {

@@ -127,9 +127,11 @@ impl Policy for GWtpgScheduler {
         };
         if implied.iter().any(|&other| !w.contains(&(txn, other))) {
             self.core.stats.delays_minimality += 1;
+            self.core.recycle_implied(implied);
             return Ok((LockOutcome::Delayed, ops));
         }
         self.core.grant(txn, step, s, &implied)?;
+        self.core.recycle_implied(implied);
         Ok((LockOutcome::Granted, ops))
     }
 

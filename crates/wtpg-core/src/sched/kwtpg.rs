@@ -38,6 +38,7 @@
 
 use crate::error::CoreError;
 use crate::estimate::{eq_estimate_with, EqScratch, EqValue};
+use crate::lock::Declaration;
 use crate::time::Tick;
 use crate::txn::{StepSpec, TxnId};
 use crate::window::IdWindow;
@@ -83,6 +84,10 @@ pub struct KWtpgScheduler {
     granted_edges: bool,
     /// Reusable overlay buffers for `eq_estimate_with`.
     scratch: EqScratch,
+    /// `C(q)` of the request being decided, gathered in place.
+    competitors: Vec<Declaration>,
+    /// Books of departed transactions, emptied, for arrivals to reuse.
+    spare_books: Vec<Vec<RequestBook>>,
 }
 
 impl KWtpgScheduler {
@@ -100,6 +105,8 @@ impl KWtpgScheduler {
             seen_version: 0,
             granted_edges: false,
             scratch: EqScratch::new(),
+            competitors: Vec::new(),
+            spare_books: Vec::new(),
         }
     }
 
@@ -110,7 +117,8 @@ impl KWtpgScheduler {
 
     /// The book of `txn`'s request for `step`, made on first use.
     fn book(&mut self, txn: TxnId, step: usize) -> &mut RequestBook {
-        let steps = self.books.get_or_insert_with(txn, Vec::new);
+        let spare = &mut self.spare_books;
+        let steps = self.books.get_or_insert_with(txn, || spare.pop().unwrap_or_default());
         if steps.len() <= step {
             steps.resize(step + 1, RequestBook::default());
         }
@@ -165,6 +173,7 @@ impl KWtpgScheduler {
         self.core.stats.eq_cache_misses += 1;
         let implied = self.core.implied_resolutions(txn, partition, mode);
         let v = eq_estimate_with(&mut self.scratch, &self.core.wtpg, txn, &implied);
+        self.core.recycle_implied(implied);
         if cached.is_none_or(|(e, _, _)| e != epoch) {
             self.cached += 1;
         }
@@ -223,11 +232,10 @@ impl Policy for KWtpgScheduler {
             .is_some_and(|b| b.starved >= STARVATION_LIMIT);
         let mut wins = true;
         if !starving {
-            let competitors = self
-                .core
-                .locks
-                .conflicting_declarations(txn, s.partition, s.mode);
-            for d in competitors {
+            let mut competitors = std::mem::take(&mut self.competitors);
+            competitors.clear();
+            competitors.extend(self.core.locks.conflicting(txn, s.partition, s.mode));
+            for d in &competitors {
                 let (their_eq, fresh) = self.eq_for(d.txn, d.step, s.partition, d.mode);
                 evals += fresh as u32;
                 if their_eq < my_eq {
@@ -235,6 +243,7 @@ impl Policy for KWtpgScheduler {
                     break;
                 }
             }
+            self.competitors = competitors;
         }
         let ops = ControlOps {
             eq_evals: evals,
@@ -255,6 +264,7 @@ impl Policy for KWtpgScheduler {
         let implied = self.core.implied_resolutions(txn, s.partition, s.mode);
         let new_edges = !implied.is_empty();
         self.core.grant(txn, step, s, &implied)?;
+        self.core.recycle_implied(implied);
         if new_edges {
             // §3.4 condition 3: the grant resolved conflicting edges into
             // precedence edges, invalidating cached E.
@@ -267,12 +277,16 @@ impl Policy for KWtpgScheduler {
         // The removal bumped the version (expiring survivors' entries); drop
         // the departed transaction's own books so the window doesn't grow.
         let epoch = self.epoch;
-        let steps = self.books.remove(txn).unwrap_or_default();
+        let Some(mut steps) = self.books.remove(txn) else {
+            return;
+        };
         let gone = steps
             .iter()
             .filter(|b| b.eq.is_some_and(|(e, _, _)| e == epoch))
             .count();
         self.cached = self.cached.saturating_sub(gone);
+        steps.clear();
+        self.spare_books.push(steps);
     }
 }
 

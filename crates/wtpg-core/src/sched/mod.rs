@@ -170,6 +170,20 @@ pub trait Scheduler {
     /// The transaction commits: release locks, drop it from the WTPG.
     fn on_commit(&mut self, txn: TxnId, now: Tick) -> Result<CommitResult, CoreError>;
 
+    /// [`on_commit`](Scheduler::on_commit) with the freed partitions written
+    /// into `freed` (cleared first) instead of a list of their own: a caller
+    /// that keeps the buffer allocates only while it grows.
+    fn on_commit_into(
+        &mut self,
+        txn: TxnId,
+        now: Tick,
+        freed: &mut Vec<PartitionId>,
+    ) -> Result<ControlOps, CoreError> {
+        let r = self.on_commit(txn, now)?;
+        *freed = r.freed;
+        Ok(r.ops)
+    }
+
     /// The transaction is cancelled mid-flight (user abort, node failure):
     /// release everything it holds and forget it. The paper's model never
     /// aborts a running BAT — "a bulk-operation is too expensive to abort" —

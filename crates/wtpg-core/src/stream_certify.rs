@@ -243,6 +243,9 @@ pub(crate) struct Replay {
     arena_oracle: Cadence,
     /// The partitions a committing transaction declared.
     declared: Vec<PartitionId>,
+    /// The partitions a replayed commit released (a buffer: the holds are
+    /// dropped per declared partition).
+    freed: Vec<PartitionId>,
     /// Seeded mutation: armed, the next grant that resolves an edge also
     /// gets the reverse one, closing a two-cycle, and records where.
     #[cfg(test)]
@@ -274,6 +277,7 @@ impl Replay {
             cycle_oracle: Cadence::new(checks.oracle_every),
             arena_oracle: Cadence::new(checks.oracle_every),
             declared: Vec::new(),
+            freed: Vec::new(),
             #[cfg(test)]
             reverse_armed: false,
             #[cfg(test)]
@@ -712,7 +716,7 @@ impl Replay {
             .extend(a.spec.steps().iter().map(|s| s.partition));
         self.core.wtpg.slot_and_neighbours(txn, &mut self.touched);
         self.core
-            .remove(txn, true)
+            .remove(txn, true, &mut self.freed)
             .map_err(|e| core_err(at, tick, "replaying commit", e))?;
         // A grant must name the partition its step declared, so the holds
         // to release are all on these.

@@ -110,7 +110,7 @@ impl fmt::Display for StepSpec {
 
 /// A fully declared bulk-access transaction: its id, ordered steps, and the
 /// precomputed `due` value of every step.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(PartialEq, Eq, Debug)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TxnSpec {
     /// Transaction identifier.
@@ -186,15 +186,12 @@ impl TxnSpec {
         self.steps.iter().all(|s| s.mode == AccessMode::Read)
     }
 
-    /// Distinct partitions accessed, in first-touch order.
-    pub fn partitions(&self) -> Vec<PartitionId> {
-        let mut seen = Vec::new();
-        for s in &self.steps {
-            if !seen.contains(&s.partition) {
-                seen.push(s.partition);
-            }
-        }
-        seen
+    /// Distinct partitions accessed, in first-touch order, read in place.
+    pub fn partitions(&self) -> impl Iterator<Item = PartitionId> + '_ {
+        let steps = &self.steps;
+        (0..steps.len())
+            .filter(|&i| !steps[..i].iter().any(|s| s.partition == steps[i].partition))
+            .map(|i| steps[i].partition)
     }
 
     /// Applies an error model to the *declared* costs, leaving actual costs
@@ -210,6 +207,24 @@ impl TxnSpec {
         }
         self.dues = compute_dues(&self.steps);
         self
+    }
+}
+
+impl Clone for TxnSpec {
+    fn clone(&self) -> TxnSpec {
+        TxnSpec {
+            id: self.id,
+            steps: self.steps.clone(),
+            dues: self.dues.clone(),
+        }
+    }
+
+    /// Takes `source`'s declaration into `self`'s buffers: a spec kept for
+    /// reuse allocates only for a declaration longer than any it held.
+    fn clone_from(&mut self, source: &TxnSpec) {
+        self.id = source.id;
+        self.steps.clone_from(&source.steps);
+        self.dues.clone_from(&source.dues);
     }
 }
 
@@ -299,9 +314,23 @@ mod tests {
     }
 
     #[test]
+    fn clone_from_takes_a_declaration_into_the_buffers_it_has() {
+        let long = t1();
+        let mut kept = long.clone();
+        let steps = kept.steps().as_ptr();
+        let short = TxnSpec::new(TxnId(9), vec![StepSpec::write(2, 4.0)]);
+        kept.clone_from(&short);
+        assert_eq!(kept, short);
+        assert_eq!(kept.steps().as_ptr(), steps, "no new step buffer");
+        kept.clone_from(&long);
+        assert_eq!(kept, long);
+        assert_eq!(kept.total_declared(), Work::from_objects(5));
+    }
+
+    #[test]
     fn partitions_in_first_touch_order() {
         let t = t1();
-        assert_eq!(t.partitions(), vec![PartitionId(0), PartitionId(1)]);
+        assert_eq!(t.partitions().collect::<Vec<_>>(), [PartitionId(0), PartitionId(1)]);
     }
 
     #[test]

@@ -775,13 +775,14 @@ impl Wtpg {
     pub fn from_declared(specs: &[crate::txn::TxnSpec]) -> Result<Wtpg, CoreError> {
         let mut locks = crate::lock::LockTable::new();
         let mut g = Wtpg::new();
+        let mut conflicts = Vec::new();
         for spec in specs {
             if g.contains(spec.id) {
                 return Err(CoreError::DuplicateTxn(spec.id));
             }
             locks.declare(spec);
             g.add_txn(spec.id, spec.total_declared())?;
-            let conflicts = locks.arrival_conflicts(spec);
+            locks.arrival_conflicts(spec, &mut conflicts);
             g.ingest_arrival(spec.id, &conflicts)?;
         }
         Ok(g)

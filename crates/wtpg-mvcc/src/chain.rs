@@ -189,14 +189,17 @@ impl VersionChain {
 
     /// Prunes every entry with sequence below `floor` and returns how many
     /// were dropped. The floor is monotonic: a stale (smaller) floor from a
-    /// redelivered message is a no-op.
+    /// redelivered message is a no-op. Entries leave from the front, one by
+    /// one: nothing is allocated.
     pub fn prune_below(&mut self, floor: u64) -> u64 {
         if floor <= self.floor {
             return 0;
         }
-        let keep = self.entries.split_off(&floor);
-        let dropped = self.entries.len() as u64;
-        self.entries = keep;
+        let mut dropped = 0;
+        while let Some(oldest) = self.entries.first_entry().filter(|e| *e.key() < floor) {
+            oldest.remove();
+            dropped += 1;
+        }
         self.floor = floor;
         self.pruned += dropped;
         dropped

@@ -43,6 +43,8 @@ pub struct Coalescer {
     inner: Arc<dyn MsgTx>,
     buf: Vec<Msg>,
     batch_max: usize,
+    /// The longest flush so far: the room a fresh buffer starts with.
+    widest: usize,
     /// The owner's latest step instant (`None` until it hands one in).
     now: Option<Instant>,
     /// When the oldest buffered message was pushed (None = buffer empty).
@@ -78,6 +80,7 @@ impl Coalescer {
             inner,
             buf: Vec::new(),
             batch_max: batch_max.max(1),
+            widest: 0,
             now: None,
             first_buffered_at: None,
             line: None,
@@ -136,38 +139,45 @@ impl Coalescer {
     }
 
     /// Sends everything buffered: one plain message, or one `Batch` frame
-    /// for two or more, through the delay line if the link has one. Returns
-    /// `false` once the peer is gone; an empty buffer is a successful
-    /// no-op.
+    /// for two or more, through the delay line if the link has one. The
+    /// frame is handed over, not copied ([`MsgTx::send_owned`]), and the
+    /// next buffer starts with room for as many messages as the longest
+    /// flush so far held (at most `batch_max`): a steady state allocates
+    /// one buffer per `Batch` frame and never regrows one.
+    /// Returns `false` once the peer is gone; an empty buffer is a
+    /// successful no-op.
     pub fn flush(&mut self) -> bool {
-        if self.buf.is_empty() {
+        let n = self.buf.len();
+        if n == 0 {
             return true;
         }
         self.first_buffered_at = None;
-        let n = self.buf.len();
         self.sizes.record(n as u64);
         let frame = if n == 1 {
             self.buf.pop().expect("invariant: n == 1 checked above")
         } else {
-            Msg::Batch(std::mem::take(&mut self.buf))
+            self.widest = self.widest.max(n);
+            Msg::Batch(std::mem::replace(&mut self.buf, Vec::with_capacity(self.widest)))
         };
         // A frame the line takes is on the wire: booked now, delivered when
-        // the line says.
-        let ok = self.line.is_some() || self.inner.send(&frame);
-        if ok {
-            frame.count(&mut self.tx);
-            if n > 1 {
-                self.batched_inner += n as u64;
-            }
+        // the line says. A frame sent at once is booked if the peer took it
+        // (counted before it moves, so the count is taken back if not).
+        let (booked, lined) = (self.tx, self.line.is_some());
+        frame.count(&mut self.tx);
+        let ok = self.hold(frame);
+        if ok || lined {
+            self.batched_inner += if n > 1 { n as u64 } else { 0 };
+        } else {
+            self.tx = booked;
         }
-        ok && self.hold(frame)
+        ok
     }
 
-    /// Queues `frame` on the delay line, if the link has one, with the fate
-    /// the line draws for it; then releases what is due.
+    /// Sends `frame`, or, on a link with a delay line, queues it there with
+    /// the fate the line draws for it and releases what is due.
     fn hold(&mut self, frame: Msg) -> bool {
         let Some(DelayLine { faults: f, rng, held }) = self.line.as_mut() else {
-            return true;
+            return self.inner.send_owned(frame);
         };
         let delay = (f.delay_prob_pct > 0 && rng.next_below(100) < u64::from(f.delay_prob_pct))
             .then(|| Duration::from_micros(rng.next_below(f.max_delay_us + 1)));
@@ -194,7 +204,8 @@ impl Coalescer {
             return true;
         };
         while let Some((_, frame, twice)) = line.held.pop_front_if(|(due, ..)| all || *due <= now) {
-            ok &= self.inner.send(&frame) && (!twice || self.inner.send(&frame));
+            // Only a frame the line duplicates is copied.
+            ok &= (!twice || self.inner.send(&frame)) && self.inner.send_owned(frame);
         }
         ok
     }
@@ -227,6 +238,7 @@ impl Coalescer {
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use wtpg_core::txn::TxnId;
     use wtpg_rt::queue::{BoundedQueue, PopResult};
 
@@ -426,6 +438,52 @@ mod tests {
         assert!(next.drain());
         assert_eq!(heard(&q), vec![1], "the held frame outlives its sender");
         assert_eq!((old.delayed, next.delayed), (1, 0), "each books its own");
+    }
+
+    /// A link that tells frames it was handed from frames it had to copy.
+    #[derive(Default)]
+    struct MoveTx {
+        moved: AtomicU64,
+        copied: AtomicU64,
+    }
+
+    impl MsgTx for MoveTx {
+        fn send(&self, _: &Msg) -> bool {
+            self.copied.fetch_add(1, Ordering::Relaxed);
+            true
+        }
+
+        fn send_owned(&self, _: Msg) -> bool {
+            self.moved.fetch_add(1, Ordering::Relaxed);
+            true
+        }
+    }
+
+    impl MoveTx {
+        fn seen(&self) -> (u64, u64) {
+            (self.moved.load(Ordering::Relaxed), self.copied.load(Ordering::Relaxed))
+        }
+    }
+
+    #[test]
+    fn a_flush_hands_its_frame_over_and_a_line_copies_only_a_duplicate() {
+        let tx = Arc::new(MoveTx::default());
+        let mut c = Coalescer::new(Arc::clone(&tx) as Arc<dyn MsgTx>, 8);
+        for i in 0..3 {
+            assert!(c.push(commit(i)));
+        }
+        assert!(c.flush() && c.push(commit(3)) && c.flush());
+        assert_eq!(tx.seen(), (2, 0), "a Batch and a plain frame, both moved");
+        assert!(c.buf.capacity() >= 3, "the next buffer has room for the widest flush");
+
+        let twice = LinkFaults {
+            delay_prob_pct: 0,
+            max_delay_us: 0,
+            dup_prob_pct: 100,
+        };
+        let mut c = Coalescer::new(Arc::clone(&tx) as Arc<dyn MsgTx>, 8).with_faults(twice, 1);
+        assert!(c.advance(Instant::now()) && c.push(commit(4)) && c.flush());
+        assert_eq!(tx.seen(), (3, 1), "the duplicate is the one copy");
     }
 
     #[test]

@@ -15,6 +15,18 @@
 //! transaction, on the reader or the writer ledger by the spec's declared
 //! steps.
 //!
+//! **One frame per firing.** Submissions go out through a [`Coalescer`]
+//! flushed at the end of each firing, so the arrivals a firing submits
+//! leave as one frame — a [`Msg::Batch`] for two or more — and acks come
+//! back the same way: the control actor coalesces them per client and
+//! flushes before it blocks, so a client unpacks a `Batch` of acks. Neither
+//! adds a wait: the executor moves no other actor before the firing's
+//! flush, and the control actor's flush comes before the executor next
+//! waits or reads a socket. That holds in a closed loop; an open loop's
+//! runs bound both links at one message per frame, since its arrivals stand
+//! for independent users and how many share a firing is the executor's
+//! lateness (the runtime's `client_batch_max`).
+//!
 //! **One state machine, two arrival policies.** [`ClientActor`] drives both
 //! load shapes; they differ only in when an arrival is due. In a closed loop the
 //! next arrival is due whenever the in-flight window has room, and is never
@@ -30,8 +42,9 @@
 //!
 //! The client books its counts in the run's [`Registry`] and nowhere else:
 //! offered/shed/submitted/commit counters, the in-flight gauge and the
-//! commit-latency histograms live, the per-type message tallies once at
-//! exit, under the [`metric`](wtpg_obs::window::metric) catalogue names.
+//! commit-latency histograms live, the per-type message tallies (its own
+//! and its coalescer's) once at exit, under the
+//! [`metric`](wtpg_obs::window::metric) catalogue names.
 //! What the outcome carries is what is not a count: the exact latency
 //! samples and the shed ids.
 
@@ -46,6 +59,7 @@ use wtpg_obs::window::metric;
 use wtpg_obs::{Counter, Gauge, HistHandle, MsgCounts, Registry};
 
 use crate::actor::{Actor, Flow};
+use crate::batch::Coalescer;
 use crate::error::NetError;
 use crate::msg::Msg;
 use crate::transport::MsgTx;
@@ -113,11 +127,11 @@ pub struct ClientActor<'a> {
     /// While acks are owed, the watchdog's origin: the later of the last
     /// message and the window last filling from empty (idle gaps owe nothing).
     owed_since: Option<Instant>,
-    to_control: &'a Arc<dyn MsgTx>,
+    /// The link to control, flushed at the end of every firing.
+    to_control: Coalescer,
     reg: &'a Registry,
     tel: ClientTel,
     rx: MsgCounts,
-    tx: MsgCounts,
     out: ClientOutcome,
 }
 
@@ -127,7 +141,8 @@ impl<'a> ClientActor<'a> {
     /// keeping up to `pipeline` transactions in flight, or open loop, under
     /// `open`'s arrival schedule and in-flight bound. `pipeline` is clamped
     /// to ≥ 1; 1 recovers the strict one-at-a-time stream whose history is
-    /// tick-identical to a serial drive of the control node. `reg` is the
+    /// tick-identical to a serial drive of the control node. A frame to
+    /// control carries at most `batch_max` messages. `reg` is the
     /// run's books. Read-only specs are booked on the reader latency ledger
     /// regardless of the plane they rode — with MVCC off they take the
     /// S-lock path, and the baseline reader tail is exactly what the
@@ -138,9 +153,10 @@ impl<'a> ClientActor<'a> {
         clients: usize,
         specs: &'a [TxnSpec],
         open: Option<&'a OpenLoopPlan<'a>>,
-        to_control: &'a Arc<dyn MsgTx>,
+        to_control: &Arc<dyn MsgTx>,
         watchdog: Duration,
         pipeline: usize,
+        batch_max: usize,
         reg: &'a Registry,
     ) -> ClientActor<'a> {
         ClientActor {
@@ -152,30 +168,23 @@ impl<'a> ClientActor<'a> {
             watchdog,
             inflight: IdWindow::new(),
             owed_since: None,
-            to_control,
+            to_control: Coalescer::new(Arc::clone(to_control), batch_max),
             reg,
             tel: ClientTel::new(reg),
             rx: MsgCounts::default(),
-            tx: MsgCounts::default(),
             out: ClientOutcome::default(),
         }
     }
 
-    fn send(&mut self, m: &Msg) -> Result<(), NetError> {
-        if !self.to_control.send(m) {
-            return Err(NetError::Protocol(format!(
-                "client {}: control node vanished",
-                self.client
-            )));
-        }
-        m.count(&mut self.tx);
-        Ok(())
+    /// The error for a link to control whose peer is gone.
+    fn vanished(&self) -> NetError {
+        NetError::Protocol(format!("client {}: control node vanished", self.client))
     }
 
     /// Fires every arrival that is due (see the module docs): closed loop,
     /// while the window has room; open loop, each whose instant has come —
     /// the schedule never waits for the system — shed if the window is
-    /// full. `now` stamps the submissions.
+    /// full. `now` stamps the submissions, which leave as one frame.
     fn fire(&mut self, now: Instant) -> Result<(), NetError> {
         let specs = self.specs;
         while let Some(&i) = self.due.peek() {
@@ -194,16 +203,22 @@ impl<'a> ClientActor<'a> {
                 self.tel.shed.inc();
                 continue;
             }
-            self.send(&Msg::Submit {
+            let submit = Msg::Submit {
                 client: self.client,
                 txn: spec.id,
                 step: None,
                 spec: Some(spec.clone()),
-            })?;
+            };
+            if !self.to_control.push(submit) {
+                return Err(self.vanished());
+            }
             self.inflight.insert(spec.id, (now, spec.is_read_only()));
             self.owed_since.get_or_insert(now);
             self.tel.submitted.inc();
             self.tel.inflight.add(1);
+        }
+        if !self.to_control.flush() {
+            return Err(self.vanished());
         }
         Ok(())
     }
@@ -234,11 +249,20 @@ impl Actor for ClientActor<'_> {
     /// Books one message, popped at `now`. A `Commit` ack retires its
     /// in-flight entry — an ack for a transaction not in flight is a
     /// duplicate delivery (flaky links re-send), tallied in `rx` and
-    /// otherwise ignored. Any other message, a control-side `Shutdown`
-    /// included, is a protocol error for a client still owed acks.
-    // lint:allow(protocol: Submit, Access, AccessDone, StatsDelta, Batch, Recover, RecoverAck, SnapshotRead, SnapshotReply) a client receives only Commit acks and Shutdown; the rest is control/data-plane, recovery, and snapshot traffic it never sees
+    /// otherwise ignored; a `Batch` of acks is booked ack by ack. Any other
+    /// message, a control-side `Shutdown` included, is a protocol error for
+    /// a client still owed acks.
+    // lint:allow(protocol: Submit, Access, AccessDone, StatsDelta, Recover, RecoverAck, SnapshotRead, SnapshotReply) a client receives only Commit acks (alone or batched) and Shutdown; the rest is control/data-plane, recovery, and snapshot traffic it never sees
     fn deliver(&mut self, m: Msg, now: Instant) -> Result<Flow, NetError> {
         match m {
+            Msg::Batch(acks) => {
+                self.rx.batch += 1;
+                for ack in acks {
+                    debug_assert!(!matches!(ack, Msg::Batch(_)), "codec rejects nesting");
+                    self.deliver(ack, now)?;
+                }
+                Ok(Flow::Continue)
+            }
             Msg::Commit { txn, .. } => {
                 m.count(&mut self.rx);
                 if let Some((sent, reader)) = self.inflight.remove(txn) {
@@ -291,9 +315,11 @@ impl Actor for ClientActor<'_> {
             let client = self.client;
             return Err(NetError::Protocol(format!("client {client}: link closed mid-run")));
         }
-        self.send(&Msg::Shutdown)?;
+        if !(self.to_control.push(Msg::Shutdown) && self.to_control.flush()) {
+            return Err(self.vanished());
+        }
         crate::publish(self.reg, metric::msg_rx, self.rx.fields());
-        crate::publish(self.reg, metric::msg_tx, self.tx.fields());
+        self.to_control.publish(self.reg);
         Ok(self.out)
     }
 }

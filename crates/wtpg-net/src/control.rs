@@ -30,14 +30,20 @@
 //! the `now` handed in, so a test can own it. One exit rule serves both load
 //! shapes (see `flow`).
 //!
-//! **Batched sends.** Orders to each data node flow through a
-//! [`Coalescer`], so bursts of `Access` orders for one node leave as a
-//! single [`Msg::Batch`] frame. Coalescers are flushed before the actor
-//! blocks on its inbox (deadlock avoidance) and when the flush window
-//! expires. Commit acks to clients are sent directly, one frame each: a
-//! client pipelines up to `pipeline` (16) submissions, but an ack is the
-//! end of the latency the client measures, so none waits for company. Link
-//! faults hold frames in the coalescers: due ones go out before each block.
+//! **Batched sends.** Every link out of the shard flows through a
+//! [`Coalescer`]: bursts of `Access` orders for one data node, and the
+//! commit acks of one client, leave as a single [`Msg::Batch`] frame.
+//! Coalescers are flushed before the actor blocks on its inbox (deadlock
+//! avoidance) and when the flush window expires. An ack is the end of the
+//! latency its client measures, yet waiting for company costs it nothing:
+//! the executor moves the shard until its inbox is empty, so the client
+//! could not have read the ack before the shard's `before_block` anyway,
+//! and that is where the acks are flushed — before the executor next waits,
+//! which is when a TCP peer's bytes are first read. An open loop's runs
+//! bound the client links at one message per frame
+//! ([`ControlParams::ack_batch_max`]): each ack then leaves as it is made.
+//! Link faults hold frames in the data links' coalescers: due ones go out
+//! before each block.
 //!
 //! Reliability duties on top of the protocol:
 //!
@@ -118,6 +124,10 @@ pub struct ControlParams<'a> {
     pub watchdog: Duration,
     /// Coalescer buffer bound for data-node links.
     pub batch_max: usize,
+    /// Coalescer buffer bound for client links: 1 sends every ack as its
+    /// own frame, as an open loop's runs do (see the runtime's
+    /// `client_batch_max`).
+    pub ack_batch_max: usize,
     /// Flush window: the longest a buffered message waits for company.
     pub batch_window: Duration,
     /// Concurrently admitted transactions this shard allows; submissions
@@ -243,6 +253,9 @@ struct MvccPlane {
     /// Published per-partition GC floors (data actors poll this for
     /// partitions no snapshot read ever visits).
     watermark: Arc<GcWatermark>,
+    /// The partitions whose floors the next [`Self::publish_floors`]
+    /// raises.
+    raise: Vec<u32>,
 }
 
 impl MvccPlane {
@@ -253,13 +266,17 @@ impl MvccPlane {
         floor
     }
 
-    /// Publishes the floor of each distinct partition of `parts`, once.
-    fn publish_floors(&mut self, mut parts: Vec<u32>) {
+    /// Publishes the floor of each distinct partition in `raise`, once, and
+    /// empties it.
+    fn publish_floors(&mut self) {
+        let mut parts = std::mem::take(&mut self.raise);
         parts.sort_unstable();
         parts.dedup();
-        for p in parts {
+        for &p in &parts {
             self.publish_floor(p);
         }
+        parts.clear();
+        self.raise = parts;
     }
 }
 
@@ -269,21 +286,28 @@ impl MvccPlane {
 struct ReaderState {
     client: u32,
     snapshot: Tick,
-    /// Partition of each step (fills observations from replies).
-    parts: Vec<u32>,
-    /// Per-step `SnapshotRead` order, until its first reply.
-    orders: Vec<Option<Outstanding>>,
-    /// Per-step observation, filled as `SnapshotReply`s land (any order).
-    obs: Vec<Option<ReadObservation>>,
+    /// One per step of the declaration.
+    steps: Vec<ReadStep>,
     /// Steps still awaiting their first reply.
     pending: usize,
 }
 
+/// One step of an in-flight read-only BAT.
+struct ReadStep {
+    /// The partition it scans (fills its observation from the reply).
+    partition: u32,
+    /// Its `SnapshotRead` order, until its first reply.
+    order: Option<Outstanding>,
+    /// Its observation, once its `SnapshotReply` landed (in any order).
+    obs: Option<ReadObservation>,
+}
+
 /// One writer's drive-state: where the control actor will pick it up the
-/// next time it is drivable, and the one step order it has in flight.
+/// next time it is drivable, and the one step order it has in flight. Its
+/// declaration is the control node's ([`ControlNode::spec`]), handed over
+/// on `Submit`.
 struct TxnState {
     client: u32,
-    spec: TxnSpec,
     /// Next step to request once admitted (== len ⇒ ready to commit).
     next_step: usize,
     admitted: bool,
@@ -307,7 +331,7 @@ impl Live {
     fn slot(&mut self, step: u32) -> Option<&mut Option<Outstanding>> {
         match self {
             Live::Writer(t) => Some(&mut t.order),
-            Live::Reader(r) => r.orders.get_mut(step as usize),
+            Live::Reader(r) => r.steps.get_mut(step as usize).map(|s| &mut s.order),
         }
     }
 
@@ -326,7 +350,7 @@ impl Live {
     fn orders_mut(&mut self) -> impl Iterator<Item = &mut Outstanding> {
         let (one, many) = match self {
             Live::Writer(t) => (t.order.as_mut(), None),
-            Live::Reader(r) => (None, Some(r.orders.iter_mut().flatten())),
+            Live::Reader(r) => (None, Some(r.steps.iter_mut().filter_map(|s| s.order.as_mut()))),
         };
         one.into_iter().chain(many.into_iter().flatten())
     }
@@ -359,7 +383,9 @@ pub struct ControlActor<'a> {
     reg: &'a Registry,
     retry: Backoff,
     to_data: Vec<Coalescer>,
-    to_clients: &'a [Arc<dyn MsgTx>],
+    /// One per client: in a closed loop the acks of one turn leave as one
+    /// frame.
+    to_clients: Vec<Coalescer>,
     batch_window: Duration,
     shard: usize,
     watchdog: Duration,
@@ -392,7 +418,6 @@ pub struct ControlActor<'a> {
     /// is retired when it finishes; this set absorbs its late duplicates.
     finished: IdWindow<()>,
     rx: MsgCounts,
-    tx: MsgCounts,
     data_rtts_us: Vec<u64>,
     /// Milli-objects per progress chunk, stamped on every `Access` order.
     chunk_units: u64,
@@ -402,6 +427,8 @@ pub struct ControlActor<'a> {
     done_clients: usize,
     /// Deliveries since the last busy scan.
     since_scan: u32,
+    /// The orders a reader's admission issues, gathered in place.
+    reads: Vec<(usize, u32, Msg)>,
     /// MVCC snapshot plane (`None` ⇒ fully off; see
     /// [`ControlParams::mvcc`]).
     mvcc: Option<MvccPlane>,
@@ -414,7 +441,7 @@ impl<'a> ControlActor<'a> {
         catalog: &'a Catalog,
         chunk_units: u64,
         to_data: &[Arc<dyn MsgTx>],
-        to_clients: &'a [Arc<dyn MsgTx>],
+        to_clients: &[Arc<dyn MsgTx>],
     ) -> ControlActor<'a> {
         let reg = params.reg;
         ControlActor {
@@ -429,7 +456,10 @@ impl<'a> ControlActor<'a> {
                     Coalescer::new(Arc::clone(tx), params.batch_max).with_faults(params.fault.link, seed)
                 })
                 .collect(),
-            to_clients,
+            to_clients: to_clients
+                .iter()
+                .map(|tx| Coalescer::new(Arc::clone(tx), params.ack_batch_max))
+                .collect(),
             batch_window: params.batch_window,
             shard: params.shard,
             watchdog: params.watchdog,
@@ -443,18 +473,19 @@ impl<'a> ControlActor<'a> {
             admit_window: params.admit_window.max(1),
             finished: IdWindow::new(),
             rx: MsgCounts::default(),
-            tx: MsgCounts::default(),
             data_rtts_us: Vec::new(),
             chunk_units,
             tel: CtrlTel::new(reg, params.shard),
             clients: params.clients,
             done_clients: 0,
             since_scan: 0,
+            reads: Vec::new(),
             mvcc: params.mvcc.map(|watermark| MvccPlane {
                 log: CommitLog::new(),
                 active: ActiveSnapshots::new(),
                 records: Vec::new(),
                 watermark,
+                raise: Vec::new(),
             }),
         }
     }
@@ -495,9 +526,9 @@ impl Actor for ControlActor<'_> {
     }
 
     /// What must happen before the loop blocks on an empty inbox: every
-    /// buffered order goes out, or the peers it starves never answer. The
-    /// loop then waits a [`POLL`] at most, less if a link holds a frame due
-    /// sooner.
+    /// buffered order and ack goes out, or the peers it starves never
+    /// answer. The loop then waits a [`POLL`] at most, less if a link holds
+    /// a frame due sooner.
     fn before_block(&mut self, now: Instant) -> Result<Option<Duration>, NetError> {
         self.flush_data(false, now)?;
         let due = self.to_data.iter().filter_map(Coalescer::next_due).min();
@@ -515,13 +546,16 @@ impl Actor for ControlActor<'_> {
         if let Some(node) = self.to_data.iter_mut().position(|c| !c.drain()) {
             return Err(self.vanished(node, "at exit"));
         }
-        // The tallies nobody reads live, published once: message counts (the
-        // shard's own and its coalescers') and the scheduler's cache / abort /
-        // delay statistics, under the bare names the simulator's trace uses.
+        if let Some(client) = self.to_clients.iter_mut().position(|c| !c.drain()) {
+            return Err(self.client_vanished(client));
+        }
+        // The tallies nobody reads live, published once: message counts (what
+        // the shard handled, and what its coalescers sent) and the
+        // scheduler's cache / abort / delay statistics, under the bare names
+        // the simulator's trace uses.
         let reg = self.reg;
         crate::publish(reg, metric::msg_rx, self.rx.fields());
-        crate::publish(reg, metric::msg_tx, self.tx.fields());
-        for c in &self.to_data {
+        for c in self.to_data.iter().chain(&self.to_clients) {
             c.publish(reg);
         }
         let (name, mode) = (self.control.sched_name(), self.control.certify_mode());
@@ -552,19 +586,21 @@ impl ControlActor<'_> {
         Flow::Stop
     }
 
-    fn send_to_client(&mut self, client: u32, m: &Msg) -> Result<(), NetError> {
-        let tx = self
+    /// Queues `txn`'s commit ack on its client's coalescer.
+    fn ack(&mut self, client: u32, txn: TxnId) -> Result<(), NetError> {
+        let c = self
             .to_clients
-            .get(client as usize)
+            .get_mut(client as usize)
             .ok_or_else(|| NetError::Protocol(format!("client {client} out of range")))?;
-        if !tx.send(m) {
-            return Err(NetError::Protocol(format!(
-                "control shard {}: client {client} vanished while sending {m:?}",
-                self.shard
-            )));
+        if !c.push(Msg::Commit { client, txn }) {
+            return Err(self.client_vanished(client as usize));
         }
-        m.count(&mut self.tx);
         Ok(())
+    }
+
+    /// The error for a client link whose peer is gone.
+    fn client_vanished(&self, client: usize) -> NetError {
+        NetError::Protocol(format!("control shard {}: client {client} vanished", self.shard))
     }
 
     /// The error for a data link whose peer is gone.
@@ -634,7 +670,7 @@ impl ControlActor<'_> {
                 self.backlog.push_back(txn);
                 return Ok(());
             }
-            match self.control.arrive(&state.spec)? {
+            match self.control.arrive_declared(txn)? {
                 Admission::Admitted => {
                     self.active += 1;
                     self.tel.admissions.inc();
@@ -657,9 +693,15 @@ impl ControlActor<'_> {
             }
         }
         let step = state.next_step;
-        let Some(declared) = state.spec.steps().get(step).copied() else {
+        let Some(steps) = self.control.spec(txn).map(TxnSpec::steps) else {
+            return Err(NetError::Protocol(format!("txn {} lost its declaration", txn.0)));
+        };
+        let Some(declared) = steps.get(step).copied() else {
             // Every step is done: commit.
             let client = state.client;
+            if let Some(plane) = self.mvcc.as_mut() {
+                plane.raise.extend(steps.iter().map(|s| s.partition.0));
+            }
             let (tick, freed) = self.control.commit(txn)?;
             // Wake the requests blocked on what the commit released; the
             // caller's `retry_parked` re-asks them.
@@ -673,7 +715,7 @@ impl ControlActor<'_> {
                 // and raise GC floors: committed-prefix writes below every
                 // active snapshot's horizon no longer need inversion data.
                 plane.log.note_commit(txn, tick);
-                plane.publish_floors(state.spec.steps().iter().map(|s| s.partition.0).collect());
+                plane.publish_floors();
             }
             self.finished.insert(txn, ());
             self.active = self.active.saturating_sub(1);
@@ -682,7 +724,7 @@ impl ControlActor<'_> {
             // duplicates (Submit or data-plane replies) are absorbed by
             // the `finished` set.
             self.txns.remove(txn);
-            return self.send_to_client(client, &Msg::Commit { client, txn });
+            return self.ack(client, txn);
         };
         match self.control.request(txn, step)? {
             LockOutcome::Granted => {
@@ -743,14 +785,14 @@ impl ControlActor<'_> {
         now: Instant,
     ) -> Result<(), NetError> {
         let snapshot = self.control.now();
-        let mut orders: Vec<(usize, u32, Msg)> = Vec::with_capacity(spec.len());
+        let mut orders = std::mem::take(&mut self.reads);
+        let mut steps = Vec::with_capacity(spec.len());
         {
             let plane = self
                 .mvcc
                 .as_mut()
                 .expect("invariant: admit_reader is only reached with the snapshot plane on");
             plane.active.begin(txn, snapshot);
-            let mut parts = Vec::with_capacity(spec.len());
             for (i, s) in spec.steps().iter().enumerate() {
                 let p = s.partition;
                 // The horizon pins the snapshot in seal-sequence space:
@@ -780,7 +822,11 @@ impl ControlActor<'_> {
                 let hold = exclude.first().copied().unwrap_or(horizon);
                 plane.active.observe(txn, p.0, hold);
                 let floor = plane.publish_floor(p.0);
-                parts.push(p.0);
+                steps.push(ReadStep {
+                    partition: p.0,
+                    order: None,
+                    obs: None,
+                });
                 orders.push((
                     self.catalog.node_of(p) as usize,
                     i as u32,
@@ -800,16 +846,15 @@ impl ControlActor<'_> {
                 Live::Reader(ReaderState {
                     client,
                     snapshot,
-                    parts,
-                    orders: vec![None; spec.len()],
-                    obs: vec![None; spec.len()],
+                    steps,
                     pending: spec.len(),
                 }),
             );
         }
-        for (node, step, order) in orders {
+        for (node, step, order) in orders.drain(..) {
             self.issue(txn, step, node, order, now)?;
         }
+        self.reads = orders;
         Ok(())
     }
 
@@ -904,11 +949,11 @@ impl ControlActor<'_> {
                 if self.mvcc.is_some() && spec.is_read_only() {
                     return self.admit_reader(client, txn, &spec, now);
                 }
+                self.control.declare(spec);
                 self.txns.insert(
                     txn,
                     Live::Writer(TxnState {
                         client,
-                        spec,
                         next_step: 0,
                         admitted: false,
                         attempts: 0,
@@ -1009,24 +1054,18 @@ impl ControlActor<'_> {
                         txn.0
                     )));
                 };
-                // `obs` and `parts` are built with one slot per step, so
-                // one range check covers both.
-                let Some((slot, &partition)) = r
-                    .obs
-                    .get_mut(step as usize)
-                    .zip(r.parts.get(step as usize))
-                else {
+                let Some(read) = r.steps.get_mut(step as usize) else {
                     return Err(NetError::Protocol(format!(
                         "SnapshotReply step {step} out of range for reader {}",
                         txn.0
                     )));
                 };
-                if slot.is_some() {
+                if read.obs.is_some() {
                     return Ok(()); // duplicate delivery (redelivery or dup fault)
                 }
-                *slot = Some(ReadObservation {
+                read.obs = Some(ReadObservation {
                     step,
-                    partition,
+                    partition: read.partition,
                     units,
                     checksum,
                 });
@@ -1045,14 +1084,12 @@ impl ControlActor<'_> {
                 plane.records.push(ReaderRecord {
                     txn,
                     snapshot: r.snapshot,
-                    reads: r.obs.into_iter().flatten().collect(),
+                    reads: r.steps.iter().filter_map(|s| s.obs).collect(),
                 });
-                plane.publish_floors(r.parts);
+                plane.raise.extend(r.steps.iter().map(|s| s.partition));
+                plane.publish_floors();
                 self.tel.commits.inc();
-                self.send_to_client(r.client, &Msg::Commit {
-                    client: r.client,
-                    txn,
-                })
+                self.ack(r.client, txn)
             }
             Msg::Recover { node: rejoined, .. } => {
                 // A killed data node restarted from its log and rejoined:
@@ -1148,17 +1185,20 @@ impl ControlActor<'_> {
         self.tel.data_rtt.record(us);
     }
 
-    /// Moves the data links' coalescers to `now`, releasing what their lines
-    /// hold due, and flushes all of them (before blocking on the inbox), or
-    /// only those whose oldest buffered message has waited past the window
-    /// (the mid-burst latency bound).
+    /// Moves the coalescers of the data links, then the client links, to
+    /// `now`, releasing what their lines hold due, and flushes all of them
+    /// (before blocking on the inbox), or only those whose oldest buffered
+    /// message has waited past the window (the mid-burst latency bound).
     fn flush_data(&mut self, only_overdue: bool, now: Instant) -> Result<(), NetError> {
         let window = self.batch_window;
-        let failed = self.to_data.iter_mut().position(|c| {
-            !(c.advance(now) && ((only_overdue && !c.overdue(window)) || c.flush()))
-        });
-        match failed {
-            Some(node) => Err(self.vanished(node, "at flush")),
+        let flushed = |c: &mut Coalescer| {
+            c.advance(now) && ((only_overdue && !c.overdue(window)) || c.flush())
+        };
+        if let Some(node) = self.to_data.iter_mut().position(|c| !flushed(c)) {
+            return Err(self.vanished(node, "at flush"));
+        }
+        match self.to_clients.iter_mut().position(|c| !flushed(c)) {
+            Some(client) => Err(self.client_vanished(client)),
             None => Ok(()),
         }
     }

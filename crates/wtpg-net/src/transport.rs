@@ -18,7 +18,9 @@
 //! outside any executor (`bench/`'s transport round trips).
 //!
 //! [`InProc`] wires queues directly: a sender handle is the receiving
-//! actor's queue, so messages are moved, never serialized.
+//! actor's queue, so messages are moved, never serialized — a sender that
+//! owns its frame hands it over with [`MsgTx::send_owned`], which a queue
+//! takes as is, without a copy.
 //! [`Tcp`](crate::tcp::Tcp) runs every link over a loopback socket framed
 //! by the [`codec`](crate::codec) — same protocol, real wire.
 //!
@@ -51,6 +53,13 @@ use crate::tcp::FanInRx;
 pub trait MsgTx: Send + Sync {
     /// Delivers `m` to the link's receiver. `false` = receiver gone.
     fn send(&self, m: &Msg) -> bool;
+
+    /// [`send`](MsgTx::send) for a sender done with `m`: a link that moves
+    /// messages takes it without a copy. By default it is sent by
+    /// reference, as a link that encodes its frames needs nothing more.
+    fn send_owned(&self, m: Msg) -> bool {
+        self.send(&m)
+    }
 }
 
 /// Where an actor's messages arrive (see the module docs for which actor
@@ -201,6 +210,10 @@ impl MsgTx for QueueTx {
     fn send(&self, m: &Msg) -> bool {
         self.q.push(m.clone())
     }
+
+    fn send_owned(&self, m: Msg) -> bool {
+        self.q.push(m)
+    }
 }
 
 /// The in-process transport: every link is a queue without a bound.
@@ -233,7 +246,7 @@ impl Transport for InProc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wtpg_core::txn::TxnId;
+    use wtpg_core::txn::{StepSpec, TxnId, TxnSpec};
 
     #[test]
     fn inproc_links_deliver_to_the_right_inbox() {
@@ -247,6 +260,29 @@ mod tests {
         assert!(f.to_clients[0].send(&m));
         assert_eq!(f.client_inboxes[0].try_pop(), PopResult::Item(m));
         assert_eq!((f.bytes)(), wtpg_obs::ByteCounts::default());
+    }
+
+    #[test]
+    fn an_owned_send_moves_the_frame_into_the_inbox() {
+        let f = InProc.build(1, 1).expect("inproc build is infallible");
+        let spec = TxnSpec::new(TxnId(3), vec![StepSpec::write(0, 1.0)]);
+        let submit = Msg::Submit { client: 0, txn: TxnId(3), step: None, spec: Some(spec) };
+        let steps = match &submit {
+            Msg::Submit { spec: Some(s), .. } => s.steps().as_ptr(),
+            _ => unreachable!("built as a Submit"),
+        };
+        assert!(f.client_to_control[0].send_owned(Msg::Batch(vec![submit])));
+        let PopResult::Item(Msg::Batch(mut inner)) = f.control_inbox.try_pop() else {
+            panic!("the frame arrives whole");
+        };
+        match inner.pop() {
+            Some(Msg::Submit { spec: Some(s), .. }) => {
+                assert_eq!(s.steps().as_ptr(), steps, "the declaration was moved, not copied");
+            }
+            other => panic!("expected the Submit, got {other:?}"),
+        }
+        f.control_inbox.close();
+        assert!(!f.client_to_control[0].send_owned(Msg::Shutdown));
     }
 
     #[test]

@@ -250,7 +250,10 @@ fn kill_restart_totals_are_the_report_and_survive_the_incarnation() {
             "msgs.{ty}"
         );
     }
-    assert_eq!((r.msgs.submit, r.msgs.commit), (60, 60));
+    // One Submit and one Commit ack per transaction, as messages handled:
+    // the client links coalesce, so a frame may carry several.
+    let heard = ["submit", "commit"].map(|ty| total(&metric::msg_rx(ty)));
+    assert_eq!(heard, [60, 60]);
     // A duplicated `Recover` delivery is acked again.
     assert!(r.msgs.recover == 1 && r.msgs.recover_ack >= 1, "{r:?}");
 

@@ -21,6 +21,9 @@ use wtpg_obs::Registry;
 
 const WATCHDOG: Duration = Duration::from_millis(250);
 
+/// Messages per frame to control.
+const BATCH_MAX: usize = 128;
+
 /// Transactions 1..=n, one write each.
 fn writes(n: u64) -> Vec<TxnSpec> {
     (1..=n)
@@ -88,7 +91,7 @@ impl Rig {
         open: Option<&'a OpenLoopPlan<'a>>,
         pipeline: usize,
     ) -> ClientActor<'a> {
-        ClientActor::start(0, 1, specs, open, &self.tx, WATCHDOG, pipeline, &self.reg)
+        ClientActor::start(0, 1, specs, open, &self.tx, WATCHDOG, pipeline, BATCH_MAX, &self.reg)
     }
 }
 
@@ -234,4 +237,51 @@ fn the_wait_is_the_watchdog_closed_and_the_next_arrival_open() {
     assert_eq!(c.before_block(t0 + us(1_000)).unwrap(), Some(us(200)));
     assert_eq!(c.before_block(t0 + us(1_200)).unwrap(), Some(WATCHDOG), "owed, none to come");
     assert_eq!(submitted(r.heard.take()), [1, 2]);
+}
+
+#[test]
+fn a_firing_of_n_arrivals_sends_one_frame() {
+    let (r, specs) = (rig(), writes(5));
+    let mut c = r.client(&specs, None, 4);
+    let t0 = Instant::now();
+    c.before_block(t0).unwrap();
+    let frames = r.heard.frames();
+    assert_eq!(frames.len(), 1, "four arrivals, one frame: {frames:?}");
+    let Some(Msg::Batch(inner)) = frames.first() else {
+        panic!("four submissions travel as a Batch: {frames:?}");
+    };
+    assert_eq!(submitted(inner.clone()), [1, 2, 3, 4]);
+    // One ack frees one slot: a firing of one sends it plain.
+    c.deliver(ack(2), t0 + ms(1)).unwrap();
+    c.before_block(t0 + ms(1)).unwrap();
+    let frames = r.heard.frames();
+    assert!(matches!(frames[..], [Msg::Submit { txn: TxnId(5), .. }]), "{frames:?}");
+    assert_eq!(count(&r.reg, &metric::msg_tx("batch")), 0, "books at exit");
+    for txn in [1, 3, 4, 5] {
+        c.deliver(ack(txn), t0 + ms(2)).unwrap();
+    }
+    assert_eq!(c.before_block(t0 + ms(2)).unwrap(), None);
+    c.finish().expect("finishes");
+    let sent = ["batch", "submit", "shutdown"].map(|ty| count(&r.reg, &metric::msg_tx(ty)));
+    assert_eq!(sent, [1, 1, 1], "frames, by type");
+    assert_eq!(count(&r.reg, metric::BATCHED_INNER), 4);
+}
+
+#[test]
+fn a_batch_of_acks_books_each_ack() {
+    let (r, specs) = (rig(), writes(3));
+    let mut c = r.client(&specs, None, 3);
+    let t0 = Instant::now();
+    c.before_block(t0).unwrap();
+    assert_eq!(submitted(r.heard.take()), [1, 2, 3]);
+    let acks = Msg::Batch(vec![ack(3), ack(1)]);
+    assert_eq!(c.deliver(acks, t0 + ms(2)).unwrap(), Flow::Continue);
+    assert_eq!(count(&r.reg, metric::COMMITS), 2, "both acks booked");
+    assert_eq!(count(&r.reg, metric::INFLIGHT), 1, "2 is still owed");
+    c.deliver(ack(2), t0 + ms(5)).unwrap();
+    assert_eq!(c.before_block(t0 + ms(5)).unwrap(), None);
+    let out = c.finish().expect("finishes");
+    assert_eq!(out.writer_latencies_us, [2000, 2000, 5000]);
+    let heard = ["batch", "commit"].map(|ty| count(&r.reg, &metric::msg_rx(ty)));
+    assert_eq!(heard, [1, 3], "one frame unpacked, three acks");
 }

@@ -49,6 +49,7 @@ fn params<'a>(reg: &'a Registry, sched: &str, clients: usize) -> ControlParams<'
         retry: RETRY,
         watchdog: Duration::from_secs(30),
         batch_max: 64,
+        ack_batch_max: 64,
         batch_window: Duration::from_secs(3600),
         admit_window: 4,
         shard: 0,
@@ -143,6 +144,37 @@ fn count(reg: &Registry, name: &str) -> u64 {
 
 fn us(n: u64) -> Duration {
     Duration::from_micros(n)
+}
+
+#[test]
+fn a_turn_that_commits_several_of_a_clients_transactions_sends_it_one_frame() {
+    let (catalog, reg, l) = (catalog(), Registry::new(), links(2));
+    let mut ctl = start(params(&reg, "chain", 2), &catalog, 1000, &l);
+    let t0 = Instant::now();
+    // Client 0 owns txns 1 and 2, client 1 owns txn 3: one partition each.
+    for (client, txn, partition) in [(0, 1, 0), (0, 2, 1), (1, 3, 2)] {
+        ctl.deliver(submit(client, txn, vec![StepSpec::write(partition, 1.0)]), t0)
+            .unwrap();
+    }
+    ctl.before_block(t0).unwrap();
+    let replies = Msg::Batch(vec![done(1, 1000), done(2, 1000), done(3, 1000)]);
+    ctl.deliver(replies, t0).unwrap();
+    assert!(l.clients[0].frames().is_empty(), "acks wait for the turn's end");
+    ctl.before_block(t0).unwrap();
+    let frames = l.clients[0].frames();
+    let [Msg::Batch(inner)] = &frames[..] else {
+        panic!("two acks, one frame: {frames:?}");
+    };
+    assert_eq!(acks(inner.clone()), [1, 2]);
+    let frames = l.clients[1].frames();
+    assert!(matches!(frames[..], [Msg::Commit { txn: TxnId(3), .. }]), "{frames:?}");
+    for _ in 0..2 {
+        ctl.deliver(Msg::Shutdown, t0).unwrap();
+    }
+    ctl.finish().expect("finishes");
+    let sent = ["batch", "commit"].map(|ty| count(&reg, &metric::msg_tx(ty)));
+    assert_eq!(sent, [1 + 1, 1], "an Access frame to node 0, the ack frame; one plain ack");
+    assert_eq!(count(&reg, &metric::msg_rx("commit")), 0, "control hears no acks");
 }
 
 #[test]
@@ -379,8 +411,8 @@ fn the_run_ends_after_every_goodbye_and_the_last_commit_in_either_order() {
             assert_eq!(one, Flow::Continue, "one client to go");
             assert_eq!(ctl.deliver(Msg::Shutdown, t0).unwrap(), Flow::Stop);
         }
-        assert_eq!(acks(l.clients[1].take()), [1]);
         ctl.finish().expect("finishes");
+        assert_eq!(acks(l.clients[1].take()), [1], "the ack leaves with the last flush");
         assert_eq!(
             count(&reg, &metric::shard_commits(0)),
             1,
@@ -456,12 +488,14 @@ fn the_silence_watchdog_counts_from_the_last_delivery() {
 /// writes and holds to its commit. Nothing before that commit re-asks them
 /// — not the step completions and commit of txn 3, on other partitions, not
 /// a quiet poll — and the commit grants both in the same delivery.
-/// `batch_max` 1 sends every order the moment it is issued.
+/// `batch_max` and `ack_batch_max` 1 send every order and every ack the
+/// moment it is issued.
 #[test]
 fn a_blocked_request_waits_for_the_commit_that_frees_its_partition() {
     let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
     let mut p = params(&reg, "c2pl", 1);
     p.batch_max = 1;
+    p.ack_batch_max = 1;
     let mut ctl = start(p, &catalog, 1000, &l);
     let t0 = Instant::now();
     for (txn, steps) in [

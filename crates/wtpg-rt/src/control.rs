@@ -30,6 +30,12 @@
 //! [`merge_audits`](crate::shard::merge_audits) checks that shards are
 //! disjoint when there is no history to merge.
 //!
+//! **Declarations are handed over, not copied.** An owner that is done with
+//! a transaction's declaration gives it to the node ([`ControlNode::declare`])
+//! and reads it back ([`ControlNode::spec`]); [`ControlNode::arrive`] with a
+//! borrowed one keeps a copy. A commit's freed partitions come back in a
+//! buffer the node keeps, so a steady-state commit allocates nothing here.
+//!
 //! **Windowed telemetry.** With a [`Registry`] attached, scheduler-level
 //! decisions bump the canonical `sched/*` counters
 //! ([`wtpg_obs::window::metric`]) — the node's only decision counts — so a
@@ -80,13 +86,21 @@ pub struct ControlNode {
     audit: ControlAudit,
     /// Declarations of the transactions not committed yet, by id: one
     /// lookup per arrival and per grant.
-    live: IdWindow<TxnSpec>,
+    live: IdWindow<Declared>,
+    /// The partitions the last commit freed.
+    freed: Vec<PartitionId>,
     clock: LogicalClock,
     /// Streaming mode: the live certifier every event is fed to instead of
     /// the in-memory history, or the first violation it found.
     stream: Option<Result<StreamingCertifier, CertifyViolation>>,
     /// Windowed scheduler counters (None disables).
     tel: Option<SchedTelemetry>,
+}
+
+/// A live transaction's declaration, and whether it has arrived yet.
+struct Declared {
+    spec: TxnSpec,
+    arrived: bool,
 }
 
 /// Everything the control node recorded, released when its owner is done.
@@ -131,6 +145,7 @@ impl ControlNode {
                 verdict: None,
             },
             live: IdWindow::new(),
+            freed: Vec::new(),
             clock: LogicalClock::new(),
             stream: stream.then(|| Ok(StreamingCertifier::new(mode))),
             tel: reg.map(SchedTelemetry::new),
@@ -155,27 +170,56 @@ impl ControlNode {
         }
     }
 
-    /// Submits a transaction's declarations. On rejection the scheduler has
-    /// rolled everything back; the caller resubmits the same spec under the
-    /// same id.
-    pub fn arrive(&mut self, spec: &TxnSpec) -> Result<Admission, CoreError> {
-        let now = self.clock.next();
-        let (admission, _) = self.sched.on_arrive(spec, now)?;
-        // First sight of this id: the certifier needs the declaration
-        // before either admission verdict (re-admission reuses the id).
+    /// Hands over `spec` ahead of its first arrival
+    /// ([`Self::arrive_declared`]): the node keeps the declaration itself
+    /// until the commit. A transaction already declared keeps its first.
+    pub fn declare(&mut self, spec: TxnSpec) {
         if !self.live.contains(spec.id) {
-            self.live.insert(spec.id, spec.clone());
+            self.live.insert(spec.id, Declared { spec, arrived: false });
+        }
+    }
+
+    /// The declaration of a transaction handed over or arrived and not yet
+    /// committed.
+    pub fn spec(&self, txn: TxnId) -> Option<&TxnSpec> {
+        self.live.get(txn).map(|d| &d.spec)
+    }
+
+    /// Submits a transaction's declarations, keeping a copy of `spec` on its
+    /// first arrival. On rejection the scheduler has rolled everything
+    /// back; the caller resubmits the same spec under the same id.
+    pub fn arrive(&mut self, spec: &TxnSpec) -> Result<Admission, CoreError> {
+        if !self.live.contains(spec.id) {
+            self.declare(spec.clone());
+        }
+        self.arrive_declared(spec.id)
+    }
+
+    /// [`Self::arrive`] for a transaction handed over with
+    /// [`Self::declare`].
+    ///
+    /// # Errors
+    /// [`CoreError::UnknownTxn`] if `txn` was never declared (or has
+    /// committed); whatever the scheduler refuses.
+    pub fn arrive_declared(&mut self, txn: TxnId) -> Result<Admission, CoreError> {
+        let now = self.clock.next();
+        let declared = self.live.get_mut(txn).ok_or(CoreError::UnknownTxn(txn))?;
+        let (admission, _) = self.sched.on_arrive(&declared.spec, now)?;
+        // First arrival of this id: the certifier needs the declaration
+        // before either admission verdict (re-admission reuses the id).
+        if !declared.arrived {
+            declared.arrived = true;
             if let Some(Ok(cert)) = &mut self.stream {
-                cert.declare(spec.clone());
+                cert.declare(declared.spec.clone());
             }
         }
         match admission {
-            Admission::Admitted => self.record(now, Event::Admitted(spec.id)),
+            Admission::Admitted => self.record(now, Event::Admitted(txn)),
             Admission::Rejected => {
                 if let Some(t) = &self.tel {
                     t.rejects.inc();
                 }
-                self.record(now, Event::Rejected(spec.id));
+                self.record(now, Event::Rejected(txn));
             }
         }
         Ok(admission)
@@ -193,8 +237,7 @@ impl ControlNode {
                     t.grants.inc();
                 }
                 let declared = self
-                    .live
-                    .get(txn)
+                    .spec(txn)
                     .and_then(|spec| spec.steps().get(step))
                     .copied()
                     .ok_or(CoreError::BadStep { txn, step })?;
@@ -237,20 +280,21 @@ impl ControlNode {
 
     /// Commits `txn`, releasing its locks. Returns the commit tick — the
     /// logical timestamp MVCC snapshot certification orders commits by —
-    /// and the partitions whose locks it released: the only partitions on
-    /// which a `Blocked` request can now be granted.
-    pub fn commit(&mut self, txn: TxnId) -> Result<(Tick, Vec<PartitionId>), CoreError> {
+    /// and the partitions whose locks it released, ascending: the only
+    /// partitions on which a `Blocked` request can now be granted.
+    pub fn commit(&mut self, txn: TxnId) -> Result<(Tick, &[PartitionId]), CoreError> {
         let now = self.clock.next();
-        let freed = self.sched.on_commit(txn, now)?.freed;
+        self.sched.on_commit_into(txn, now, &mut self.freed)?;
         self.record(now, Event::Committed(txn));
         // A committed id never returns (ids are unique per run). Streaming
         // mode keeps no spec past its commit — the certifier keeps its copy
         // until retirement — so the node's footprint is the live
         // population's.
-        if let Some(spec) = self.live.remove(txn).filter(|_| self.stream.is_none()) {
+        let retired = self.live.remove(txn).filter(|_| self.stream.is_none());
+        if let Some(Declared { spec, .. }) = retired {
             self.audit.specs.insert(txn, spec);
         }
-        Ok((now, freed))
+        Ok((now, &self.freed))
     }
 
     /// The logical clock's current reading, without advancing it. A
@@ -287,7 +331,8 @@ impl ControlNode {
     pub fn into_audit(self) -> ControlAudit {
         let mut audit = self.audit;
         audit.verdict = self.stream.map(|s| s.and_then(StreamingCertifier::finish));
-        audit.specs.extend(self.live.into_entries());
+        let arrived = self.live.into_entries().filter(|(_, d)| d.arrived);
+        audit.specs.extend(arrived.map(|(txn, d)| (txn, d.spec)));
         audit.final_tick = self.clock.now();
         audit
     }

@@ -52,67 +52,59 @@ impl ShardMap {
     /// Computes conflict components over `specs` and deals them across at
     /// most `requested` shards (clamped to ≥ 1 and to the component count).
     pub fn build(specs: &[TxnSpec], requested: usize) -> ShardMap {
-        // Union-find over partitions; each spec unions its partition set.
-        let mut parent: BTreeMap<PartitionId, PartitionId> = BTreeMap::new();
-        fn find(parent: &mut BTreeMap<PartitionId, PartitionId>, p: PartitionId) -> PartitionId {
-            let up = *parent.entry(p).or_insert(p);
-            if up == p {
-                return p;
-            }
-            let root = find(parent, up);
-            parent.insert(p, root);
-            root
-        }
+        // The partitions the specs name, ascending: a union-find over their
+        // ranks, in which each spec unions the partitions of its steps.
+        let mut ids: Vec<u32> =
+            specs.iter().flat_map(TxnSpec::steps).map(|s| s.partition.0).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let rank = |p: PartitionId| ids.binary_search(&p.0).unwrap_or_default();
+        let mut parent: Vec<usize> = (0..ids.len()).collect();
         for spec in specs {
-            let parts = spec.partitions();
-            if let Some((&first, rest)) = parts.split_first() {
+            let mut parts = spec.steps().iter().map(|s| rank(s.partition));
+            if let Some(first) = parts.next() {
                 let a = find(&mut parent, first);
-                for &p in rest {
+                for p in parts {
                     let b = find(&mut parent, p);
-                    parent.insert(b, a);
-                    // Keep `a` canonical for this spec's chain of unions.
-                    parent.insert(a, a);
+                    if let Some(up) = parent.get_mut(b) {
+                        *up = a;
+                    }
                 }
             }
         }
-        // Component membership per transaction.
-        let mut comp_txns: BTreeMap<PartitionId, Vec<TxnId>> = BTreeMap::new();
-        let mut txn_comp: Vec<(TxnId, PartitionId)> = Vec::with_capacity(specs.len());
-        for spec in specs {
-            let root = spec
-                .partitions()
-                .first()
-                .map(|&p| find(&mut parent, p))
-                .unwrap_or(PartitionId(u32::MAX));
-            comp_txns.entry(root).or_default().push(spec.id);
-            txn_comp.push((spec.id, root));
-        }
-        // Largest component first; ties by smallest member partition (the
-        // BTreeMap key is already the canonical smallest-ish root, but the
-        // root choice is union-order dependent, so order by explicit min).
-        let mut comp_min: BTreeMap<PartitionId, PartitionId> = BTreeMap::new();
-        for spec in specs {
-            for &p in &spec.partitions() {
-                let root = find(&mut parent, p);
-                let e = comp_min.entry(root).or_insert(p);
-                if p < *e {
-                    *e = p;
-                }
-            }
-        }
-        let mut order: Vec<(PartitionId, usize)> = comp_txns
+        // Per component (by root): its transactions and its smallest
+        // partition's rank. A spec without steps joins the one extra root,
+        // `ids.len()`, whose smallest partition sorts as `u32::MAX`.
+        let (mut txns, mut least) = (vec![0usize; ids.len() + 1], vec![usize::MAX; ids.len() + 1]);
+        let roots: Vec<usize> = specs
             .iter()
-            .map(|(&root, txns)| (root, txns.len()))
+            .map(|spec| {
+                let first = spec.steps().first();
+                let root = first.map_or(ids.len(), |s| find(&mut parent, rank(s.partition)));
+                for s in spec.steps() {
+                    let p = rank(s.partition);
+                    if let Some(l) = least.get_mut(find(&mut parent, p)) {
+                        *l = (*l).min(p);
+                    }
+                }
+                if let Some(n) = txns.get_mut(root) {
+                    *n += 1;
+                }
+                root
+            })
             .collect();
+        // Largest component first; ties by smallest member partition, which
+        // no two components share.
+        let mut order: Vec<(usize, usize)> =
+            txns.iter().copied().enumerate().filter(|&(_, n)| n > 0).collect();
         order.sort_by_key(|&(root, n)| {
-            (
-                usize::MAX - n,
-                comp_min.get(&root).copied().unwrap_or(root),
-            )
+            let smallest = least.get(root).and_then(|&l| ids.get(l)).copied();
+            (usize::MAX - n, smallest.unwrap_or(u32::MAX))
         });
         let shards = requested.max(1).min(order.len().max(1));
         let mut loads = vec![0u64; shards];
-        let mut comp_shard: BTreeMap<PartitionId, usize> = BTreeMap::new();
+        // The shard of each component, by root.
+        let mut comp_shard = vec![0usize; ids.len() + 1];
         for (root, n) in order {
             let target = loads
                 .iter()
@@ -123,11 +115,13 @@ impl ShardMap {
             if let Some(load) = loads.get_mut(target) {
                 *load += n as u64;
             }
-            comp_shard.insert(root, target);
+            if let Some(slot) = comp_shard.get_mut(root) {
+                *slot = target;
+            }
         }
         let mut assign = IdWindow::new();
-        for (txn, root) in txn_comp {
-            assign.insert(txn, comp_shard.get(&root).copied().unwrap_or(0));
+        for (spec, root) in specs.iter().zip(roots) {
+            assign.insert(spec.id, comp_shard.get(root).copied().unwrap_or(0));
         }
         ShardMap { shards, assign }
     }
@@ -141,6 +135,22 @@ impl ShardMap {
     pub fn shard_of(&self, txn: TxnId) -> usize {
         self.assign.get(txn).copied().unwrap_or(0)
     }
+}
+
+/// The root of `p`'s set in the union-find `parent`, halving the path on
+/// the way up.
+fn find(parent: &mut [usize], mut p: usize) -> usize {
+    while let Some(&up) = parent.get(p) {
+        if up == p {
+            break;
+        }
+        let grand = parent.get(up).copied().unwrap_or(up);
+        if let Some(slot) = parent.get_mut(p) {
+            *slot = grand;
+        }
+        p = grand;
+    }
+    p
 }
 
 fn sum_reports(a: &CertifyReport, b: &CertifyReport) -> CertifyReport {
