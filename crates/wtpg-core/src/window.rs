@@ -25,6 +25,9 @@ use crate::txn::TxnId;
 /// slots, so a small book never overflows.
 const DENSE_SPAN: u64 = 1024;
 
+/// Ring slots a window may hold beyond a small multiple of its span.
+const SLACK: usize = 64;
+
 /// Beyond [`DENSE_SPAN`], the ring covers at most this many slots per value
 /// it holds: a book one client in sixteen fills stays in the ring.
 const SPARSITY: u64 = 16;
@@ -205,7 +208,12 @@ impl<V> IdWindow<V> {
     }
 
     /// Trims the ring to its lowest and highest held ids, and gives back
-    /// memory once the ring uses under a quarter of what it holds.
+    /// memory once the ring holds more than four slots per covered id (and
+    /// a page's worth). What it keeps is twice the span plus that page: a
+    /// span that swings between a handful of ids and a few dozen — the
+    /// scheduler's books when read-only transactions, which never reach
+    /// it, take every other id — then swings inside the ring instead of
+    /// shrinking it on the way down and regrowing it on the way up.
     fn trim(&mut self) {
         while self.ring.front().is_some_and(Option::is_none) {
             self.ring.pop_front();
@@ -214,9 +222,9 @@ impl<V> IdWindow<V> {
         while self.ring.back().is_some_and(Option::is_none) {
             self.ring.pop_back();
         }
-        let cap = self.ring.capacity();
-        if cap > 64 && cap > 4 * self.ring.len() {
-            self.ring.shrink_to(2 * self.ring.len());
+        let len = self.ring.len();
+        if self.ring.capacity() > 4 * len + SLACK {
+            self.ring.shrink_to(2 * len + SLACK);
         }
     }
 

@@ -49,6 +49,8 @@ pub struct WireSchema {
     pub max_batch: u64,
     /// `codec::MAX_EXCLUDE`.
     pub max_exclude: u64,
+    /// `codec::MAX_FORGET`.
+    pub max_forget: u64,
     /// Variants in declaration order.
     pub msgs: Vec<MsgSchema>,
 }
@@ -61,6 +63,7 @@ struct SchemaLines {
     steps_line: usize,
     batch_line: usize,
     exclude_line: usize,
+    forget_line: usize,
 }
 
 /// Evaluates a const value expression: a plain integer or `a << b`.
@@ -142,12 +145,14 @@ fn extract(msg: &SourceFile, codec: &SourceFile) -> Result<(WireSchema, SchemaLi
     let (max_steps, steps_line) = const_of(codec, "MAX_STEPS")?;
     let (max_batch, batch_line) = const_of(codec, "MAX_BATCH")?;
     let (max_exclude, exclude_line) = const_of(codec, "MAX_EXCLUDE")?;
+    let (max_forget, forget_line) = const_of(codec, "MAX_FORGET")?;
     Ok((
         WireSchema {
             max_frame,
             max_steps,
             max_batch,
             max_exclude,
+            max_forget,
             msgs,
         },
         SchemaLines {
@@ -157,6 +162,7 @@ fn extract(msg: &SourceFile, codec: &SourceFile) -> Result<(WireSchema, SchemaLi
             steps_line,
             batch_line,
             exclude_line,
+            forget_line,
         },
     ))
 }
@@ -173,6 +179,7 @@ pub fn render(ws: &WireSchema) -> String {
     s.push_str(&format!("max_steps = {}\n", ws.max_steps));
     s.push_str(&format!("max_batch = {}\n", ws.max_batch));
     s.push_str(&format!("max_exclude = {}\n", ws.max_exclude));
+    s.push_str(&format!("max_forget = {}\n", ws.max_forget));
     for m in &ws.msgs {
         s.push_str(&format!("msg {} = {} [{}]\n", m.name, m.tag, m.fields.join(", ")));
     }
@@ -186,6 +193,7 @@ pub fn parse_lock(text: &str) -> Result<WireSchema, String> {
     let mut max_steps = None;
     let mut max_batch = None;
     let mut max_exclude = None;
+    let mut max_forget = None;
     let mut msgs = Vec::new();
     for (i, raw) in text.lines().enumerate() {
         let lno = i + 1;
@@ -232,6 +240,7 @@ pub fn parse_lock(text: &str) -> Result<WireSchema, String> {
             "max_steps" => max_steps = Some(v),
             "max_batch" => max_batch = Some(v),
             "max_exclude" => max_exclude = Some(v),
+            "max_forget" => max_forget = Some(v),
             other => return Err(format!("line {lno}: unknown key `{other}`")),
         }
     }
@@ -240,6 +249,7 @@ pub fn parse_lock(text: &str) -> Result<WireSchema, String> {
         max_steps: max_steps.ok_or("lock has no max_steps")?,
         max_batch: max_batch.ok_or("lock has no max_batch")?,
         max_exclude: max_exclude.ok_or("lock has no max_exclude")?,
+        max_forget: max_forget.ok_or("lock has no max_forget")?,
         msgs,
     })
 }
@@ -274,6 +284,7 @@ fn diff(
             locked.max_exclude,
             lines.exclude_line,
         ),
+        ("MAX_FORGET", cur.max_forget, locked.max_forget, lines.forget_line),
     ] {
         if cur_v != lock_v {
             out.push(finding(
@@ -401,7 +412,7 @@ mod tests {
     use super::*;
 
     const MSG: &str = "pub enum Msg {\n    Ping { a: u32, b: u32 },\n    Pong,\n    Batch(Vec<Msg>),\n}\nimpl Msg {\n    pub fn tag(&self) -> u8 {\n        match self {\n            Msg::Ping { .. } => 0,\n            Msg::Pong => 1,\n            Msg::Batch(_) => 2,\n        }\n    }\n}\n";
-    const CODEC: &str = "pub const MAX_FRAME: usize = 1 << 20;\npub const MAX_STEPS: u32 = 4096;\npub const MAX_BATCH: u32 = 4096;\npub const MAX_EXCLUDE: u32 = 65536;\n";
+    const CODEC: &str = "pub const MAX_FRAME: usize = 1 << 20;\npub const MAX_STEPS: u32 = 4096;\npub const MAX_BATCH: u32 = 4096;\npub const MAX_EXCLUDE: u32 = 65536;\npub const MAX_FORGET: u32 = 4096;\n";
 
     fn current() -> (WireSchema, SchemaLines) {
         let msg = SourceFile::parse(Path::new("x/msg.rs"), MSG);

@@ -8,3 +8,5 @@ pub const MAX_STEPS: u32 = 128;
 pub const MAX_BATCH: u32 = 64;
 /// Maximum snapshot-exclusion entries per read order.
 pub const MAX_EXCLUDE: u32 = 256;
+/// Maximum entries per list of a forget notice.
+pub const MAX_FORGET: u32 = 32;

@@ -15,7 +15,8 @@
 //! therefore never needs value copies: it is the current cells minus the
 //! effects of writes that are not part of the snapshot, in any order.
 //!
-//! Four pieces:
+//! Three pieces, each single-owner state (a control actor's log, a data
+//! actor's chains): nothing here is shared between actors.
 //!
 //! * [`chain`] — per-partition [`VersionChain`]s keyed by control-assigned
 //!   *seal sequence numbers*, plus the write-effect algebra and the
@@ -26,17 +27,13 @@
 //!   versions below the oldest active snapshot's horizon are pruned.
 //! * [`certify`] — the snapshot-consistency check: every read observed
 //!   exactly the committed-prefix state at its snapshot tick.
-//! * [`shared`] — the one cross-actor cell (the GC watermark, declared in
-//!   the workspace lock hierarchy, `lint-locks.toml`).
 
 #![forbid(unsafe_code)]
 
 pub mod certify;
 pub mod chain;
-pub mod shared;
 pub mod watermark;
 
 pub use certify::{certify_snapshots, ReadObservation, ReaderRecord, SnapshotError, SnapshotReport};
 pub use chain::{apply_write_effect, read_checksum, unapply_write_effect, SealedWrite, VersionChain};
-pub use shared::GcWatermark;
 pub use watermark::{gc_floor, ActiveSnapshots, CommitLog, SealEntry};

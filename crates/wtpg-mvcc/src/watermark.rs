@@ -25,9 +25,9 @@
 //! partition is `min(horizon, smallest excluded sequence)`, and the
 //! per-partition floor — `min(committed prefix, oldest active hold)` — is
 //! what [`VersionChain::prune_below`](crate::chain::VersionChain::prune_below)
-//! receives, piggybacked on snapshot reads and published through
-//! [`GcWatermark`](crate::shared::GcWatermark) for partitions no reader
-//! visits.
+//! receives, piggybacked on snapshot reads and carried to the partition's
+//! data node in control's `Forget` notices, for partitions no reader visits
+//! too.
 
 use std::collections::BTreeMap;
 
@@ -152,15 +152,28 @@ impl CommitLog {
 
 /// The registry of snapshots currently being read: snapshot tick and
 /// per-partition holds of every admitted, unfinished read-only BAT.
+///
+/// Few readers are in flight at once, so the live ones sit in a `Vec`, each
+/// with its holds in a small `Vec` that a retired reader hands on to the
+/// next one: a steady state allocates nothing. Each partition keeps the
+/// holds on it ascending, so its floor's cap is the first one, not a scan
+/// over every reader.
 #[derive(Clone, Debug, Default)]
 pub struct ActiveSnapshots {
-    readers: BTreeMap<TxnId, Reader>,
+    /// Live readers, in admission order.
+    readers: Vec<Reader>,
+    /// Per partition: `(hold, reader)` of every live hold, ascending.
+    holds: BTreeMap<u32, Vec<(u64, TxnId)>>,
+    /// Hold lists of retired readers, emptied, for the next ones.
+    spare: Vec<Vec<(u32, u64)>>,
 }
 
 #[derive(Clone, Debug)]
 struct Reader {
+    txn: TxnId,
     snapshot: Tick,
-    holds: BTreeMap<u32, u64>,
+    /// `(partition, hold)` per observed step.
+    holds: Vec<(u32, u64)>,
 }
 
 impl ActiveSnapshots {
@@ -171,13 +184,9 @@ impl ActiveSnapshots {
 
     /// Admits reader `txn` at snapshot tick `snapshot`.
     pub fn begin(&mut self, txn: TxnId, snapshot: Tick) {
-        self.readers.insert(
-            txn,
-            Reader {
-                snapshot,
-                holds: BTreeMap::new(),
-            },
-        );
+        self.end(txn);
+        let holds = self.spare.pop().unwrap_or_default();
+        self.readers.push(Reader { txn, snapshot, holds });
     }
 
     /// Records `txn`'s hold on `partition`: the smallest seal sequence its
@@ -187,30 +196,53 @@ impl ActiveSnapshots {
     /// from GC while its writer stays uncommitted, and the writer can
     /// commit while this read is still in flight.
     pub fn observe(&mut self, txn: TxnId, partition: u32, hold: u64) {
-        if let Some(r) = self.readers.get_mut(&txn) {
-            r.holds.insert(partition, hold);
+        let Some(reader) = self.readers.iter_mut().rev().find(|r| r.txn == txn) else {
+            return;
+        };
+        if let Some(entry) = reader.holds.iter_mut().find(|(p, _)| *p == partition) {
+            // A second step on the partition: the later hold replaces it.
+            let old = std::mem::replace(&mut entry.1, hold);
+            let on = self.holds.entry(partition).or_default();
+            if let Ok(at) = on.binary_search(&(old, txn)) {
+                on.remove(at);
+            }
+        } else {
+            reader.holds.push((partition, hold));
         }
+        let on = self.holds.entry(partition).or_default();
+        let at = on.partition_point(|&e| e <= (hold, txn));
+        on.insert(at, (hold, txn));
     }
 
     /// Retires reader `txn` (all replies received). Returns whether it was
     /// active.
     pub fn end(&mut self, txn: TxnId) -> bool {
-        self.readers.remove(&txn).is_some()
+        let Some(i) = self.readers.iter().position(|r| r.txn == txn) else {
+            return false;
+        };
+        let mut reader = self.readers.remove(i);
+        for &(p, hold) in &reader.holds {
+            if let Some(on) = self.holds.get_mut(&p) {
+                if let Ok(at) = on.binary_search(&(hold, txn)) {
+                    on.remove(at);
+                }
+            }
+        }
+        reader.holds.clear();
+        self.spare.push(reader.holds);
+        true
     }
 
     /// The oldest active snapshot tick — the run's GC watermark. `None`
     /// when no reader is active (everything committed is prunable).
     pub fn watermark(&self) -> Option<Tick> {
-        self.readers.values().map(|r| r.snapshot).min()
+        self.readers.iter().map(|r| r.snapshot).min()
     }
 
     /// The smallest hold any active reader has on `partition` — no chain
     /// entry at or above it may be pruned while that reader lives.
     pub fn min_hold(&self, partition: u32) -> Option<u64> {
-        self.readers
-            .values()
-            .filter_map(|r| r.holds.get(&partition).copied())
-            .min()
+        self.holds.get(&partition)?.first().map(|&(hold, _)| hold)
     }
 
     /// Active readers.
@@ -289,6 +321,32 @@ mod tests {
         assert!(!active.end(TxnId(9)));
         assert!(active.is_empty());
         assert_eq!(gc_floor(&mut log, &active, 0), 3);
+    }
+
+    /// Holds out of admission order, a step observed twice and a reader
+    /// retired from the middle: the floor's cap is always the smallest live
+    /// hold, and a retired reader's list is handed on, not reallocated.
+    #[test]
+    fn the_smallest_live_hold_caps_the_floor_whatever_order_readers_retire() {
+        let mut active = ActiveSnapshots::new();
+        for (txn, hold) in [(1u64, 4u64), (2, 2), (3, 7)] {
+            active.begin(TxnId(txn), Tick(txn));
+            active.observe(TxnId(txn), 0, hold);
+            active.observe(TxnId(txn), 1, hold + 10);
+        }
+        assert_eq!((active.min_hold(0), active.min_hold(1)), (Some(2), Some(12)));
+        active.observe(TxnId(2), 0, 5);
+        assert_eq!(active.min_hold(0), Some(4), "the later hold replaces the earlier");
+        assert!(active.end(TxnId(1)));
+        assert_eq!((active.min_hold(0), active.min_hold(1)), (Some(5), Some(12)));
+        assert_eq!(active.watermark(), Some(Tick(2)));
+        let spare = active.spare.last().map(Vec::capacity);
+        active.begin(TxnId(4), Tick(4));
+        assert!(active.spare.is_empty());
+        assert_eq!(active.readers.last().map(|r| r.holds.capacity()), spare);
+        assert!(active.end(TxnId(2)) && active.end(TxnId(3)) && active.end(TxnId(4)));
+        assert_eq!((active.min_hold(0), active.min_hold(2)), (None, None));
+        assert!(active.is_empty() && active.watermark().is_none());
     }
 
     /// The race the hold rule exists for: a reader excludes a

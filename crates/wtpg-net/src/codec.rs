@@ -38,6 +38,12 @@ pub const MAX_BATCH: u32 = 4096;
 /// which admission flow control keeps far below this.
 pub const MAX_EXCLUDE: u32 = 65536;
 
+/// Ceiling on each list of a [`Msg::Forget`] notice (retired transactions,
+/// raised floors), so a malformed count field cannot provoke a huge
+/// allocation. The control actor never puts more in one notice: what is
+/// left waits for the next order frame to the node.
+pub const MAX_FORGET: u32 = 4096;
+
 /// A malformed frame or payload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CodecError {
@@ -190,8 +196,13 @@ fn put_msg(b: &mut Vec<u8>, msg: &Msg) {
             put_u64(b, *last_lsn);
             put_u64(b, *replayed_chunks);
         }
-        Msg::RecoverAck { node, outstanding } => {
+        Msg::RecoverAck {
+            node,
+            shard,
+            outstanding,
+        } => {
             put_u32(b, *node);
+            put_u32(b, *shard);
             put_u32(b, *outstanding);
         }
         Msg::SnapshotRead {
@@ -230,6 +241,24 @@ fn put_msg(b: &mut Vec<u8>, msg: &Msg) {
             put_u32(b, *step);
             put_u64(b, *checksum);
             put_u64(b, *units);
+        }
+        Msg::Forget { txns, floors } => {
+            debug_assert!(
+                txns.len() <= MAX_FORGET as usize && floors.len() <= MAX_FORGET as usize,
+                "a notice of {} transactions and {} floors violates the wire bound the \
+                 decoder enforces (the control actor splits longer queues)",
+                txns.len(),
+                floors.len()
+            );
+            put_u32(b, txns.len() as u32);
+            for t in txns {
+                put_u64(b, t.0);
+            }
+            put_u32(b, floors.len() as u32);
+            for &(p, floor) in floors {
+                put_u32(b, p.0);
+                put_u64(b, floor);
+            }
         }
     }
 }
@@ -348,6 +377,15 @@ impl Cur<'_> {
             .ok_or(CodecError::Truncated)?;
         self.pos += 4;
         Ok(u32::from_le_bytes(bytes))
+    }
+
+    /// A list length, refused past `max`.
+    fn count(&mut self, max: u32) -> Result<usize, CodecError> {
+        let n = self.u32()?;
+        if n > max {
+            return Err(CodecError::Oversize(n as usize));
+        }
+        Ok(n as usize)
     }
 
     fn u64(&mut self) -> Result<u64, CodecError> {
@@ -485,6 +523,7 @@ fn read_msg(c: &mut Cur<'_>, allow_batch: bool) -> Result<Msg, CodecError> {
         }),
         12 => Ok(Msg::RecoverAck {
             node: c.u32()?,
+            shard: c.u32()?,
             outstanding: c.u32()?,
         }),
         13 => {
@@ -493,11 +532,8 @@ fn read_msg(c: &mut Cur<'_>, allow_batch: bool) -> Result<Msg, CodecError> {
             let partition = PartitionId(c.u32()?);
             let units = c.u64()?;
             let horizon = c.u64()?;
-            let count = c.u32()?;
-            if count > MAX_EXCLUDE {
-                return Err(CodecError::Oversize(count as usize));
-            }
-            let mut exclude = Vec::with_capacity(count as usize);
+            let count = c.count(MAX_EXCLUDE)?;
+            let mut exclude = Vec::with_capacity(count);
             for _ in 0..count {
                 exclude.push(c.u64()?);
             }
@@ -518,6 +554,19 @@ fn read_msg(c: &mut Cur<'_>, allow_batch: bool) -> Result<Msg, CodecError> {
             checksum: c.u64()?,
             units: c.u64()?,
         }),
+        15 => {
+            let count = c.count(MAX_FORGET)?;
+            let mut txns = Vec::with_capacity(count);
+            for _ in 0..count {
+                txns.push(TxnId(c.u64()?));
+            }
+            let count = c.count(MAX_FORGET)?;
+            let mut floors = Vec::with_capacity(count);
+            for _ in 0..count {
+                floors.push((PartitionId(c.u32()?), c.u64()?));
+            }
+            Ok(Msg::Forget { txns, floors })
+        }
         t => Err(CodecError::BadTag(t)),
     }
 }
@@ -598,6 +647,7 @@ mod tests {
             },
             Msg::RecoverAck {
                 node: 1,
+                shard: 2,
                 outstanding: 3,
             },
             Msg::SnapshotRead {
@@ -623,6 +673,14 @@ mod tests {
                 step: 0,
                 checksum: 0xabad_cafe,
                 units: 1200,
+            },
+            Msg::Forget {
+                txns: vec![TxnId(8), TxnId(3)],
+                floors: vec![(PartitionId(5), 2)],
+            },
+            Msg::Forget {
+                txns: vec![],
+                floors: vec![],
             },
         ]
     }
@@ -688,6 +746,7 @@ mod tests {
         );
         let ack = Msg::RecoverAck {
             node: 2,
+            shard: 1,
             outstanding: 5,
         };
         assert_eq!(
@@ -695,7 +754,23 @@ mod tests {
             vec![
                 12, // tag: RecoverAck
                 2, 0, 0, 0, // node u32 LE
+                1, 0, 0, 0, // shard u32 LE
                 5, 0, 0, 0, // outstanding u32 LE
+            ]
+        );
+        let forget = Msg::Forget {
+            txns: vec![TxnId(9)],
+            floors: vec![(PartitionId(3), 4)],
+        };
+        assert_eq!(
+            encode_payload(&forget),
+            vec![
+                15, // tag: Forget
+                1, 0, 0, 0, // one transaction
+                9, 0, 0, 0, 0, 0, 0, 0, // txns[0] u64 LE
+                1, 0, 0, 0, // one floor
+                3, 0, 0, 0, // partition u32 LE
+                4, 0, 0, 0, 0, 0, 0, 0, // floor u64 LE
             ]
         );
         let snap = Msg::SnapshotRead {
@@ -892,6 +967,20 @@ mod tests {
         assert_eq!(
             decode_payload(&b),
             Err(CodecError::Oversize(MAX_EXCLUDE as usize + 1))
+        );
+        // Oversized notice lists: the transactions, then the floors.
+        let mut b = vec![15u8];
+        b.extend_from_slice(&(MAX_FORGET + 1).to_le_bytes());
+        assert_eq!(
+            decode_payload(&b),
+            Err(CodecError::Oversize(MAX_FORGET as usize + 1))
+        );
+        let mut b = vec![15u8];
+        b.extend_from_slice(&0u32.to_le_bytes()); // no transactions
+        b.extend_from_slice(&(MAX_FORGET + 1).to_le_bytes());
+        assert_eq!(
+            decode_payload(&b),
+            Err(CodecError::Oversize(MAX_FORGET as usize + 1))
         );
     }
 

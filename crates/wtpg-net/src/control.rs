@@ -68,6 +68,18 @@
 //!   this, a duplicated delivery would double-count bulk progress and break
 //!   certification.
 //!
+//! **Forgetting by notice.** A data node keeps a mark for every step it
+//! applied, so that a redelivered order is answered, not re-applied. Once
+//! every order of a transaction is answered — a writer at its commit, a
+//! reader at its last `SnapshotReply` — none is sent again, and the shard
+//! queues the transaction's id for each node that served it, with the GC
+//! floors the commit or retirement raised for the partitions that node
+//! owns. The queue rides as one [`Msg::Forget`] behind an order in the
+//! next frame to that node — raised floors at once, retired transactions
+//! once [`NOTICE_AT`] have gathered: it never makes a frame of its own, and
+//! the link's FIFO order puts it behind every copy of the orders it
+//! retires. The shard shares nothing else with the nodes.
+//!
 //! **Indexed books.** Every per-transaction book — the live transactions
 //! with their orders in flight, the finished set — is an [`IdWindow`], and
 //! the blocked requests are one list per partition of the catalog: a
@@ -80,13 +92,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use wtpg_core::certify::CertifyMode;
-use wtpg_core::partition::Catalog;
+use wtpg_core::partition::{Catalog, PartitionId};
 use wtpg_core::sched::{Admission, LockOutcome, Scheduler};
 use wtpg_core::time::Tick;
 use wtpg_core::txn::{AccessMode, TxnId, TxnSpec};
 use wtpg_core::window::IdWindow;
 use wtpg_core::work::Work;
-use wtpg_mvcc::{gc_floor, ActiveSnapshots, CommitLog, GcWatermark, ReadObservation, ReaderRecord};
+use wtpg_mvcc::{gc_floor, ActiveSnapshots, CommitLog, ReadObservation, ReaderRecord};
 use wtpg_obs::window::metric;
 use wtpg_obs::{Counter, Gauge, HistHandle, MsgCounts, Registry};
 use wtpg_rt::backoff::Backoff;
@@ -94,7 +106,7 @@ use wtpg_rt::control::{ControlAudit, ControlNode};
 
 use crate::actor::{Actor, Flow};
 use crate::batch::Coalescer;
-use crate::codec::MAX_EXCLUDE;
+use crate::codec::{MAX_EXCLUDE, MAX_FORGET};
 use crate::error::NetError;
 use crate::fault::FaultPlan;
 use crate::msg::Msg;
@@ -106,6 +118,13 @@ const POLL: Duration = Duration::from_millis(2);
 
 /// Handled messages between redelivery/flush-window scans on a busy inbox.
 const SCAN_EVERY: u32 = 64;
+
+/// Retired transactions a node's notice gathers before they ride the next
+/// order frame to the node. Their list is one allocation, made by control
+/// and freed by the node, so this trades how long a node keeps what it may
+/// forget — at most this many transactions' books — against allocations
+/// per commit.
+pub const NOTICE_AT: usize = 16;
 
 /// Starvation bound: a transaction parked and retried this often without
 /// ever being admitted (or granted its next step) aborts the run.
@@ -148,13 +167,13 @@ pub struct ControlParams<'a> {
     /// The run's books: every count this shard observes lands here, under
     /// its [`metric`] name, and nowhere else.
     pub reg: &'a Registry,
-    /// MVCC snapshot plane. With the shared watermark attached, write
-    /// steps are sealed into a [`CommitLog`], read-only submissions bypass
-    /// the scheduler entirely (snapshot at admission, one `SnapshotRead`
-    /// per step, no locks), and GC floors are published. `None` keeps the
-    /// plane fully off: every submission takes the scheduler path and the
-    /// run is message-for-message identical to one without this field.
-    pub mvcc: Option<Arc<GcWatermark>>,
+    /// MVCC snapshot plane. On, write steps are sealed into a
+    /// [`CommitLog`], read-only submissions bypass the scheduler entirely
+    /// (snapshot at admission, one `SnapshotRead` per step, no locks), and
+    /// raised GC floors go to the data nodes in notices. Off, every
+    /// submission takes the scheduler path and the run is
+    /// message-for-message identical to one without the plane.
+    pub mvcc: bool,
 }
 
 /// What the control actor recorded that is not a count (those are in the
@@ -242,7 +261,7 @@ impl CtrlTel {
 /// Endurance cells that must stay memory-bounded should run the snapshot
 /// plane off (`--read-mix 0` keeps every byte identical to a plane-less
 /// run); the data-plane side stays bounded regardless (served-read memos
-/// are evicted once the GC floor proves their reader retired).
+/// go with the notice that retires their reader).
 struct MvccPlane {
     /// Seal order and commit ticks (the snapshot certifier's input).
     log: CommitLog,
@@ -250,34 +269,99 @@ struct MvccPlane {
     active: ActiveSnapshots,
     /// Certification records of retired readers.
     records: Vec<ReaderRecord>,
-    /// Published per-partition GC floors (data actors poll this for
-    /// partitions no snapshot read ever visits).
-    watermark: Arc<GcWatermark>,
+    /// Per partition of the catalog: the highest floor its node was sent
+    /// (queued in a notice or piggybacked on a `SnapshotRead`).
+    sent: Vec<u64>,
     /// The partitions whose floors the next [`Self::publish_floors`]
     /// raises.
     raise: Vec<u32>,
 }
 
 impl MvccPlane {
-    /// Recomputes and publishes `partition`'s GC floor.
-    fn publish_floor(&mut self, partition: u32) -> u64 {
+    /// Recomputes `partition`'s GC floor and books it as sent, and says
+    /// whether it rose past what the partition's node was last sent.
+    fn publish_floor(&mut self, partition: u32) -> (u64, bool) {
         let floor = gc_floor(&mut self.log, &self.active, partition);
-        self.watermark.publish(partition, floor);
-        floor
+        let Some(sent) = self.sent.get_mut(partition as usize) else {
+            return (floor, false);
+        };
+        let rose = floor > *sent;
+        *sent = floor.max(*sent);
+        (floor, rose)
     }
 
-    /// Publishes the floor of each distinct partition in `raise`, once, and
-    /// empties it.
-    fn publish_floors(&mut self) {
+    /// Recomputes the floor of each distinct partition in `raise`, once,
+    /// queues the ones that rose on the owning nodes' notices, and empties
+    /// `raise`.
+    fn publish_floors(&mut self, catalog: &Catalog, notices: &mut [Notice]) {
         let mut parts = std::mem::take(&mut self.raise);
         parts.sort_unstable();
         parts.dedup();
         for &p in &parts {
-            self.publish_floor(p);
+            if let (floor, true) = self.publish_floor(p) {
+                let node = catalog.node_of(PartitionId(p)) as usize;
+                if let Some(n) = notices.get_mut(node) {
+                    n.floor(PartitionId(p), floor);
+                }
+            }
         }
         parts.clear();
         self.raise = parts;
     }
+}
+
+/// What one data node may forget, gathered until an order to the node can
+/// carry it (see the module docs).
+#[derive(Default)]
+struct Notice {
+    txns: Vec<TxnId>,
+    floors: Vec<(PartitionId, u64)>,
+}
+
+impl Notice {
+    /// Names `txn`, once however many of its steps the node served (they
+    /// are named back to back).
+    fn retire(&mut self, txn: TxnId) {
+        if self.txns.last() != Some(&txn) {
+            self.txns.push(txn);
+        }
+    }
+
+    /// Raises `partition`'s floor to `floor`.
+    fn floor(&mut self, partition: PartitionId, floor: u64) {
+        match self.floors.iter_mut().find(|(p, _)| *p == partition) {
+            Some(entry) => entry.1 = floor,
+            None => self.floors.push((partition, floor)),
+        }
+    }
+
+    /// The notice to send, if one is due: raised floors go at once — they
+    /// keep the version chains as short as the snapshots allow — and
+    /// retired transactions once [`NOTICE_AT`] have gathered. At most
+    /// [`MAX_FORGET`] of each kind; the rest waits for the next one.
+    fn take(&mut self) -> Option<Msg> {
+        let txns = if self.txns.len() >= NOTICE_AT {
+            head(&mut self.txns, NOTICE_AT)
+        } else if self.floors.is_empty() {
+            return None;
+        } else {
+            Vec::new()
+        };
+        Some(Msg::Forget {
+            txns,
+            floors: head(&mut self.floors, 0),
+        })
+    }
+}
+
+/// `v`'s first [`MAX_FORGET`] entries, taken out: `v` keeps the rest, in
+/// a fresh list with room for `room`.
+fn head<T>(v: &mut Vec<T>, room: usize) -> Vec<T> {
+    let mut head = std::mem::replace(v, Vec::with_capacity(room));
+    if head.len() > MAX_FORGET as usize {
+        v.extend(head.drain(MAX_FORGET as usize..));
+    }
+    head
 }
 
 /// One in-flight read-only BAT: its snapshot, its orders and the replies
@@ -429,6 +513,9 @@ pub struct ControlActor<'a> {
     since_scan: u32,
     /// The orders a reader's admission issues, gathered in place.
     reads: Vec<(usize, u32, Msg)>,
+    /// Per data node, what it may forget (empty when a data link carries
+    /// one message per frame: no order frame could take a notice along).
+    notices: Vec<Notice>,
     /// MVCC snapshot plane (`None` ⇒ fully off; see
     /// [`ControlParams::mvcc`]).
     mvcc: Option<MvccPlane>,
@@ -480,11 +567,16 @@ impl<'a> ControlActor<'a> {
             done_clients: 0,
             since_scan: 0,
             reads: Vec::new(),
-            mvcc: params.mvcc.map(|watermark| MvccPlane {
+            notices: if params.batch_max > 1 {
+                to_data.iter().map(|_| Notice::default()).collect()
+            } else {
+                Vec::new()
+            },
+            mvcc: params.mvcc.then(|| MvccPlane {
                 log: CommitLog::new(),
                 active: ActiveSnapshots::new(),
                 records: Vec::new(),
-                watermark,
+                sent: vec![0; catalog.num_parts() as usize],
                 raise: Vec::new(),
             }),
         }
@@ -609,13 +701,22 @@ impl ControlActor<'_> {
     }
 
     /// Queues `order` on `node`'s coalescer at `now`, optionally forcing the
-    /// frame out immediately (redelivery path).
+    /// frame out immediately (redelivery path). An `Access` or
+    /// `SnapshotRead` the coalescer still holds takes the node's notice
+    /// along, when it is due: behind the order, in the order's frame.
     fn send_data(&mut self, node: usize, order: Msg, flush: bool, now: Instant) -> Result<(), NetError> {
         let c = self
             .to_data
             .get_mut(node)
             .ok_or_else(|| NetError::Protocol(format!("data node {node} out of range")))?;
-        if !(c.advance(now) && c.push(order) && (!flush || c.flush())) {
+        let carries = matches!(order, Msg::Access { .. } | Msg::SnapshotRead { .. });
+        let mut sent = c.advance(now) && c.push(order);
+        if sent && carries && c.pending() > 0 {
+            if let Some(notice) = self.notices.get_mut(node).and_then(Notice::take) {
+                sent = c.push(notice);
+            }
+        }
+        if !(sent && (!flush || c.flush())) {
             return Err(self.vanished(node, "mid-run"));
         }
         Ok(())
@@ -702,6 +803,12 @@ impl ControlActor<'_> {
             if let Some(plane) = self.mvcc.as_mut() {
                 plane.raise.extend(steps.iter().map(|s| s.partition.0));
             }
+            // Every order of the writer is answered: its nodes may forget it.
+            for s in steps {
+                if let Some(n) = self.notices.get_mut(self.catalog.node_of(s.partition) as usize) {
+                    n.retire(txn);
+                }
+            }
             let (tick, freed) = self.control.commit(txn)?;
             // Wake the requests blocked on what the commit released; the
             // caller's `retry_parked` re-asks them.
@@ -715,7 +822,7 @@ impl ControlActor<'_> {
                 // and raise GC floors: committed-prefix writes below every
                 // active snapshot's horizon no longer need inversion data.
                 plane.log.note_commit(txn, tick);
-                plane.publish_floors();
+                plane.publish_floors(self.catalog, &mut self.notices);
             }
             self.finished.insert(txn, ());
             self.active = self.active.saturating_sub(1);
@@ -821,7 +928,7 @@ impl ControlActor<'_> {
                 // even if its writer commits while the read is in flight.
                 let hold = exclude.first().copied().unwrap_or(horizon);
                 plane.active.observe(txn, p.0, hold);
-                let floor = plane.publish_floor(p.0);
+                let (floor, _) = plane.publish_floor(p.0);
                 steps.push(ReadStep {
                     partition: p.0,
                     order: None,
@@ -916,7 +1023,7 @@ impl ControlActor<'_> {
         )))
     }
 
-    // lint:allow(protocol: Access, SnapshotRead, Commit, RecoverAck) send-only for the control actor: it emits the accesses, snapshot-read orders, commit acks, and recovery acks
+    // lint:allow(protocol: Access, SnapshotRead, Commit, RecoverAck, Forget) send-only for the control actor: it emits the accesses, snapshot-read orders, commit acks, recovery acks and notices
     fn handle(&mut self, m: Msg, now: Instant) -> Result<(), NetError> {
         m.count(&mut self.rx);
         match m {
@@ -1087,7 +1194,15 @@ impl ControlActor<'_> {
                     reads: r.steps.iter().filter_map(|s| s.obs).collect(),
                 });
                 plane.raise.extend(r.steps.iter().map(|s| s.partition));
-                plane.publish_floors();
+                plane.publish_floors(self.catalog, &mut self.notices);
+                // Every order of the reader is answered: its nodes may
+                // forget it.
+                for s in &r.steps {
+                    let node = self.catalog.node_of(PartitionId(s.partition)) as usize;
+                    if let Some(n) = self.notices.get_mut(node) {
+                        n.retire(txn);
+                    }
+                }
                 self.tel.commits.inc();
                 self.ack(r.client, txn)
             }
@@ -1109,6 +1224,7 @@ impl ControlActor<'_> {
                 }
                 let ack = Msg::RecoverAck {
                     node: rejoined,
+                    shard: self.shard as u32,
                     outstanding: resent,
                 };
                 self.send_data(node, ack, true, now)

@@ -41,6 +41,20 @@
 //! completed-set absorb what it already credited, and the re-announced
 //! deltas heal what a kill destroyed in the reply buffer.
 //!
+//! **Forgetting by notice.** The books hold only what control may still ask
+//! about. A [`Msg::Forget`] notice names transactions whose every order is
+//! answered, and the node drops their marks, partials and memos; it carries
+//! raised GC floors, and the node prunes those partitions' version chains
+//! (a `SnapshotRead` piggybacks its partition's floor too). Notices ride
+//! behind orders on the FIFO link, so one never overtakes a copy of an
+//! order it retires. Nothing else tells the node anything: it shares no
+//! memory with control. A notice lost inside a crash window leaves its
+//! marks behind (a crash loses deliveries and keeps the books); a kill
+//! loses the books with the process, and replay brings back the marks of
+//! transactions retired long before — so after a kill the node keeps, once
+//! every control shard's [`Msg::RecoverAck`] is in, only the replayed marks
+//! an order re-sent ahead of those acks named.
+//!
 //! **A state machine behind the one loop.** [`DataActor`]'s [`Actor`] steps
 //! are its whole input: a message and the instant it arrived. Being down is a
 //! state: a crash or kill plan that comes due puts the node in `Down` until
@@ -58,7 +72,7 @@
 //! instant the node acts on (windows, triggers, link faults) is an
 //! argument, so a test can own it.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -68,7 +82,7 @@ use wtpg_core::txn::{AccessMode, TxnId};
 use wtpg_dur::checkpoint::{files, snapshot_from_state, write_node_snapshot};
 use wtpg_dur::wal::{ChunkRecord, WalWriter};
 use wtpg_dur::{recover, DurError, Durability, Partial};
-use wtpg_mvcc::{read_checksum, GcWatermark, VersionChain};
+use wtpg_mvcc::{read_checksum, VersionChain};
 use wtpg_obs::window::metric;
 use wtpg_obs::{Counter, Gauge, HistHandle, MsgCounts, Registry};
 use wtpg_rt::store::{chunks, NodeStore};
@@ -120,12 +134,15 @@ pub struct DataNodeParams<'a> {
     /// The run's books: every count this node observes lands here, under
     /// its [`metric`] name, and nowhere else.
     pub reg: &'a Registry,
-    /// Control-published GC floors. `Some` turns the MVCC layer on: write
-    /// steps carry seal sequences into per-partition version chains, and
-    /// `SnapshotRead` orders are served from them. Chains are in-memory
-    /// only, so kill plans are incompatible with the snapshot plane (the
-    /// runtime rejects that combination up front).
-    pub mvcc: Option<Arc<GcWatermark>>,
+    /// The MVCC layer: write steps carry seal sequences into per-partition
+    /// version chains, `SnapshotRead` orders are served from them, and
+    /// control's notices prune them. Chains are in-memory only, so kill
+    /// plans are incompatible with the snapshot plane (the runtime rejects
+    /// that combination up front).
+    pub mvcc: bool,
+    /// Control shards in the run: after a kill, each acks the node's
+    /// `Recover` once.
+    pub shards: usize,
 }
 
 /// Pre-resolved metric handles of one data node. They belong to the node,
@@ -134,6 +151,7 @@ pub struct DataNodeParams<'a> {
 struct DataTel {
     units: Counter,
     crash_drops: Counter,
+    books_left: Counter,
     snapshot_reads: Counter,
     wal_records: Counter,
     wal_flushes: Counter,
@@ -153,6 +171,7 @@ impl DataTel {
         DataTel {
             units: reg.counter(metric::DATA_UNITS),
             crash_drops: reg.counter(metric::CRASH_DROPS),
+            books_left: reg.counter(metric::DATA_BOOKS_LEFT),
             snapshot_reads: reg.counter(metric::SNAPSHOT_READS),
             wal_records: reg.counter(metric::WAL_RECORDS),
             wal_flushes: reg.counter(metric::WAL_FLUSHES),
@@ -206,6 +225,21 @@ impl<V: Copy> StepBook<V> {
         let i = self.find(key).ok()?;
         Some(self.0.remove(i).1)
     }
+
+    /// Keeps the entries whose key passes `keep`.
+    fn retain(&mut self, mut keep: impl FnMut((TxnId, u32)) -> bool) {
+        self.0.retain(|&(key, _)| keep(key));
+    }
+}
+
+/// A killed node's way back: until every control shard has acked its
+/// `Recover`, the steps that orders name, so the replayed marks nobody named
+/// can go at the last ack.
+struct Rejoin {
+    /// Per control shard: its `RecoverAck` is in.
+    acked: Vec<bool>,
+    /// Steps that orders delivered since the restart named.
+    named: Vec<(TxnId, u32)>,
 }
 
 /// Being down: until `until`, whatever is delivered is lost.
@@ -239,22 +273,17 @@ pub struct DataActor<'a> {
     read_checksum: u64,
     /// Write a node snapshot once the log reaches this LSN.
     snapshot_due: u64,
+    /// After a kill, until every shard acked the `Recover`.
+    rejoin: Option<Rejoin>,
     /// Per-partition version chains (empty while the snapshot plane is
     /// off: nothing inserts without a sealed write or a snapshot read).
     chains: BTreeMap<u32, VersionChain>,
     /// Served snapshot reads: `(txn, step) → (checksum, units)`. A
     /// redelivered `SnapshotRead` answers from here — the chain may have
     /// pruned past the original horizon by then, so recomputing could
-    /// diverge; the memo keeps redelivery byte-identical.
+    /// diverge; the memo keeps redelivery byte-identical until the notice
+    /// that retires the reader.
     snap_marks: StepBook<(u64, u64)>,
-    /// Eviction index over `snap_marks`: per partition, `(hold, txn, step)`
-    /// ordered by the read's hold (`min(horizon, smallest excluded seq)` —
-    /// the same value capping the control-side GC floor). The floor rising
-    /// *strictly above* a hold proves the reader is no longer active — the
-    /// floor is capped at or below every active hold — so control absorbed
-    /// all its replies and can never redeliver; `gc_poll` drops such memos,
-    /// keeping a sustained read mix from growing this map without bound.
-    snap_mark_holds: BTreeMap<u32, BTreeSet<(u64, TxnId, u32)>>,
 }
 
 fn open_writer(
@@ -290,9 +319,9 @@ impl<'a> DataActor<'a> {
             rx: MsgCounts::default(),
             read_checksum: 0,
             snapshot_due: SNAPSHOT_EVERY,
+            rejoin: None,
             chains: BTreeMap::new(),
             snap_marks: StepBook::default(),
-            snap_mark_holds: BTreeMap::new(),
             cfg,
         })
     }
@@ -343,9 +372,8 @@ impl Actor for DataActor<'_> {
     }
 
     /// What must happen before the loop may block on an empty inbox: the
-    /// log barrier (when replies are about to escape), the GC poll, and the
-    /// reply flush — control is never starved of a reply the actor is
-    /// sitting on. A down node neither writes nor speaks; what a crashed
+    /// log barrier (when replies are about to escape) and the reply flush —
+    /// control is never starved of a reply the actor is sitting on. A down node neither writes nor speaks; what a crashed
     /// one had buffered waits for the window's end, which is as long as it
     /// blocks. An up node blocks until a message comes. Either
     /// first releases the held replies now due, and wakes for the next.
@@ -365,7 +393,6 @@ impl Actor for DataActor<'_> {
             // log has nothing buffered either.
             debug_assert_eq!(self.wal.as_ref().map_or(0, WalWriter::buffered_bytes), 0);
         }
-        self.gc_poll();
         Ok(self.replies.flush().then(|| self.replies.next_due().map_or(Duration::MAX, until)))
     }
 
@@ -379,6 +406,8 @@ impl Actor for DataActor<'_> {
         self.wake(false)?;
         self.wal_barrier()?;
         self.replies.drain();
+        let books = self.marks.0.len() + self.partials.0.len() + self.snap_marks.0.len();
+        self.tel.books_left.add(books as u64);
         self.retire();
         Ok(DataOutcome {
             cell_sum: self.store.cell_sum(),
@@ -431,6 +460,10 @@ impl DataActor<'_> {
         self.partials = StepBook(rec.partials.into_iter().collect());
         self.read_checksum = rec.read_checksum;
         self.snapshot_due = rec.next_lsn + SNAPSHOT_EVERY;
+        self.rejoin = announce.then(|| Rejoin {
+            acked: vec![false; self.cfg.shards.max(1)],
+            named: Vec::new(),
+        });
         let announced = !announce
             || self.replies.push(Msg::Recover {
                 node: self.cfg.node,
@@ -517,30 +550,7 @@ impl DataActor<'_> {
         Ok(())
     }
 
-    /// Prunes every chain to the control-published GC floor, and drops
-    /// snapshot-read memos whose readers that floor proves retired (see
-    /// `snap_mark_holds`). Snapshot reads carry floors on the wire, but a
-    /// partition only writers touch would keep its chain forever without
-    /// this idle-time poll.
-    fn gc_poll(&mut self) {
-        let Some(w) = &self.cfg.mvcc else {
-            return;
-        };
-        for (p, chain) in self.chains.iter_mut() {
-            let floor = w.floor(*p);
-            chain.prune_below(floor);
-            if let Some(idx) = self.snap_mark_holds.get_mut(p) {
-                // Strictly below the floor: `hold < floor` is what proves
-                // retirement — an active reader caps the floor at its hold.
-                while let Some(&(_, txn, step)) = idx.first().filter(|&&(hold, ..)| hold < floor) {
-                    idx.pop_first();
-                    self.snap_marks.remove((txn, step));
-                }
-            }
-        }
-    }
-
-    // lint:allow(protocol: Submit, AccessDone, Commit, StatsDelta, Recover, SnapshotReply) a data node only receives Access/SnapshotRead/Batch/Shutdown/RecoverAck; the rest is control<->client traffic, and Recover/SnapshotReply are what it *sends*
+    // lint:allow(protocol: Submit, AccessDone, Commit, StatsDelta, Recover, SnapshotReply) a data node only receives Access/SnapshotRead/Forget/Batch/Shutdown/RecoverAck; the rest is control<->client traffic, and Recover/SnapshotReply are what it *sends*
     fn handle(&mut self, m: Msg) -> Result<Flow, NetError> {
         m.count(&mut self.rx);
         match m {
@@ -554,10 +564,43 @@ impl DataActor<'_> {
                 Ok(Flow::Continue)
             }
             Msg::Shutdown => Ok(Flow::Stop),
-            Msg::RecoverAck { node, .. } => {
+            Msg::RecoverAck { node, shard, .. } => {
                 debug_assert_eq!(node, self.cfg.node);
-                // Informational: outstanding orders are already being
-                // re-sent; the marks/partials make them idempotent.
+                // Outstanding orders are already being re-sent; the
+                // marks/partials make them idempotent. Once every shard's
+                // re-sends are in, a replayed mark no order named belongs to
+                // a transaction retired before the kill: nothing will ask.
+                let Some(rejoin) = self.rejoin.as_mut() else {
+                    return Ok(Flow::Continue); // a duplicate, or no kill
+                };
+                let Some(acked) = rejoin.acked.get_mut(shard as usize) else {
+                    return Err(NetError::Protocol(format!(
+                        "data node {} received RecoverAck from shard {shard} of {}",
+                        self.cfg.node,
+                        rejoin.acked.len()
+                    )));
+                };
+                *acked = true;
+                if rejoin.acked.iter().all(|&a| a) {
+                    let mut named = std::mem::take(&mut rejoin.named);
+                    named.sort_unstable();
+                    self.marks.retain(|key| named.binary_search(&key).is_ok());
+                    self.partials.retain(|key| named.binary_search(&key).is_ok());
+                    self.rejoin = None;
+                }
+                Ok(Flow::Continue)
+            }
+            Msg::Forget { mut txns, floors } => {
+                txns.sort_unstable();
+                let live = |(txn, _): (TxnId, u32)| txns.binary_search(&txn).is_err();
+                self.marks.retain(live);
+                self.partials.retain(live);
+                self.snap_marks.retain(live);
+                for (p, floor) in floors {
+                    if let Some(chain) = self.chains.get_mut(&p.0) {
+                        chain.prune_below(floor);
+                    }
+                }
                 Ok(Flow::Continue)
             }
             Msg::Access {
@@ -570,6 +613,9 @@ impl DataActor<'_> {
                 seal,
             } => {
                 debug_assert_eq!(self.cfg.catalog.node_of(partition), self.cfg.node);
+                if let Some(rejoin) = self.rejoin.as_mut() {
+                    rejoin.named.push((txn, step));
+                }
                 // How far the step already got: a mark is all of it (answer,
                 // don't re-apply), a recovered partial its durable prefix.
                 let marked = self.marks.get((txn, step));
@@ -580,7 +626,7 @@ impl DataActor<'_> {
                         (p.next_chunk, p.checksum)
                     }
                 };
-                if marked.is_none() && self.cfg.mvcc.is_some() && mode == AccessMode::Write {
+                if marked.is_none() && self.cfg.mvcc && mode == AccessMode::Write {
                     // Record the write in the partition's version chain
                     // under its control-assigned seal sequence. The whole
                     // step applies within this handle() call, so between
@@ -650,7 +696,7 @@ impl DataActor<'_> {
                 floor,
             } => {
                 debug_assert_eq!(self.cfg.catalog.node_of(partition), self.cfg.node);
-                if self.cfg.mvcc.is_none() {
+                if !self.cfg.mvcc {
                     return Err(NetError::Protocol(format!(
                         "data node {} received SnapshotRead with the snapshot plane off",
                         self.cfg.node
@@ -677,14 +723,6 @@ impl DataActor<'_> {
                     );
                     let fresh = (checksum, units);
                     self.snap_marks.insert((txn, step), fresh);
-                    // Same hold the control side registered for this read
-                    // (the exclusion list arrives sorted ascending): the memo
-                    // is evictable once the floor passes it.
-                    let hold = exclude.first().copied().unwrap_or(horizon);
-                    self.snap_mark_holds
-                        .entry(partition.0)
-                        .or_default()
-                        .insert((hold, txn, step));
                     self.tel.snapshot_reads.inc();
                     fresh
                 };
@@ -718,7 +756,6 @@ impl DataActor<'_> {
             .map(VersionChain::totals)
             .fold((0, 0, 0), |(a, p, peak), (da, dp, k)| (a + da, p + dp, k.max(peak)));
         self.snap_marks.0.clear();
-        self.snap_mark_holds.clear();
         crate::publish(
             reg,
             str::to_string,

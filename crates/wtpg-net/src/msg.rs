@@ -4,8 +4,8 @@
 //! shared mutable state to fall back on:
 //!
 //! ```text
-//!   client ──Submit(spec)──► control ──Access | SnapshotRead────► data node
-//!   client ◄─Commit ack────   control ◄─StatsDelta/AccessDone | SnapshotReply─
+//!   client ──Submit(spec)──► control ──Access | SnapshotRead [+ Forget]──► data node
+//!   client ◄─Commit ack────   control ◄─StatsDelta/AccessDone | SnapshotReply──
 //!                             control | runtime ──Shutdown──► data node
 //! ```
 //!
@@ -21,6 +21,15 @@
 //! history keeps the serial per-transaction call shape (arrive, request,
 //! progress × chunks, step-complete, commit) because only the control node
 //! ever talks to the scheduler.
+//!
+//! **Forgetting by notice.** A data node learns what it may drop the way
+//! it learns everything else: from control, on the wire. Once every order
+//! control sent for a transaction is answered — a writer at its commit, a
+//! reader at its last `SnapshotReply` — control queues the transaction's
+//! id, with the GC floors its end raised, as a [`Msg::Forget`] for each node
+//! that served it. A notice never makes a frame of its own: it rides behind
+//! an order in the next `Batch` control sends that node, and every link is
+//! FIFO, so it always arrives after every copy of the orders it retires.
 //!
 //! Wire tags 1, 2, 3 and 7 belonged to the retired per-step client protocol
 //! and stay unassigned: the codec rejects them as unknown tags.
@@ -132,10 +141,14 @@ pub enum Msg {
     },
     /// Control → data node: recovery acknowledged; `outstanding` orders
     /// were re-sent ahead of this ack (the node's applied-marks absorb any
-    /// the replay already covered).
+    /// the replay already covered). Once every control shard has acked, the
+    /// node drops the replayed marks no re-sent order named: their
+    /// transactions were retired before the kill.
     RecoverAck {
         /// The recovered data node.
         node: u32,
+        /// The acknowledging control shard.
+        shard: u32,
         /// `Access` orders control re-sent on the rejoin path.
         outstanding: u32,
     },
@@ -175,6 +188,17 @@ pub enum Msg {
         /// Units scanned, echoing the order.
         units: u64,
     },
+    /// Control → data node: what the node may forget. Every order control
+    /// sent for `txns` is answered and none will be sent again, so their
+    /// step marks, partials and snapshot-read memos go; each partition's
+    /// version chain is pruned below its floor in `floors`. Rides behind an
+    /// order, never as a frame of its own (see the module docs).
+    Forget {
+        /// Transactions retired since the last notice to this node.
+        txns: Vec<TxnId>,
+        /// Raised GC floors of partitions the node owns.
+        floors: Vec<(PartitionId, u64)>,
+    },
 }
 
 impl Msg {
@@ -193,6 +217,7 @@ impl Msg {
             Msg::RecoverAck { .. } => 12,
             Msg::SnapshotRead { .. } => 13,
             Msg::SnapshotReply { .. } => 14,
+            Msg::Forget { .. } => 15,
         }
     }
 
@@ -210,6 +235,7 @@ impl Msg {
             Msg::RecoverAck { .. } => counts.recover_ack += 1,
             Msg::SnapshotRead { .. } => counts.snapshot_read += 1,
             Msg::SnapshotReply { .. } => counts.snapshot_reply += 1,
+            Msg::Forget { .. } => counts.forget += 1,
         }
     }
 

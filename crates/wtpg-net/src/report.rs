@@ -32,6 +32,9 @@ pub struct MsgBreakdown {
     pub snapshot_read: u64,
     /// Completed snapshot reads (data node → control).
     pub snapshot_reply: u64,
+    /// Notices of what a data node may forget sent as frames of their own:
+    /// none, as every notice rides behind an order in a `Batch`.
+    pub forget: u64,
 }
 
 impl MsgBreakdown {
@@ -51,6 +54,7 @@ impl MsgBreakdown {
             recover_ack: sent("recover_ack"),
             snapshot_read: sent("snapshot_read"),
             snapshot_reply: sent("snapshot_reply"),
+            forget: sent("forget"),
         }
     }
 }

@@ -57,7 +57,7 @@ use wtpg_core::certify::certify_history;
 use wtpg_core::partition::Catalog;
 use wtpg_core::txn::{AccessMode, TxnId, TxnSpec};
 use wtpg_dur::Durability;
-use wtpg_mvcc::{certify_snapshots, CommitLog, GcWatermark, ReaderRecord};
+use wtpg_mvcc::{certify_snapshots, CommitLog, ReaderRecord};
 use wtpg_obs::window::metric;
 use wtpg_obs::{ByteCounts, MsgCounts, Observer, Registry};
 use wtpg_rt::backoff::Backoff;
@@ -478,10 +478,6 @@ impl<'a> ActorSet<'a> {
             std::fs::create_dir_all(dir)?;
         }
 
-        // One shared GC watermark per run: control shards publish floors into
-        // it, data nodes poll it. `None` keeps the plane off everywhere.
-        let watermark: Option<Arc<GcWatermark>> = cfg.mvcc.then(|| Arc::new(GcWatermark::new()));
-
         let fabric = transport.build(plan.data_nodes, plan.clients)?;
         if !fabric.service.is_empty() {
             return Err(NetError::Protocol("a transport brought service threads".into()));
@@ -513,7 +509,7 @@ impl<'a> ActorSet<'a> {
                 fault: *fault,
                 stream: cfg.stream_certify,
                 reg,
-                mvcc: watermark.clone(),
+                mvcc: cfg.mvcc,
             })
             .collect();
         let data = (0..plan.data_nodes)
@@ -524,7 +520,8 @@ impl<'a> ActorSet<'a> {
                 batch_max: cfg.batch_max,
                 log: plan.wal_dir.map(|dir| (cfg.durability, dir)),
                 reg,
-                mvcc: watermark.clone(),
+                mvcc: cfg.mvcc,
+                shards,
             })
             .collect();
         Ok(ActorSet {
@@ -1699,7 +1696,7 @@ mod tests {
     #[test]
     fn an_unroutable_message_is_counted_once_and_dropped() {
         let (map, a, _) = two_shards();
-        let stray = Msg::RecoverAck { node: 0, outstanding: 2 };
+        let stray = Msg::RecoverAck { node: 0, shard: 0, outstanding: 2 };
         let (dealt, reg) = deal(&map, vec![stray, submit(a)]);
         assert_eq!(dealt, vec![vec![submit(a)], vec![]]);
         let totals = reg.totals();

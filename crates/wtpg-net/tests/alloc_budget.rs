@@ -110,7 +110,7 @@ const CELLS: [Cell3; 3] = [
         read_mix: true,
         sched: "chain",
         txns: 2_000,
-        release: 10.0,
+        release: 9.0,
         debug: 11.0,
     },
 ];

@@ -8,7 +8,7 @@ use wtpg_core::txn::{AccessMode, StepSpec, TxnId, TxnSpec};
 use wtpg_core::work::Work;
 use wtpg_net::codec::{
     decode_frame, decode_payload, encode_frame, encode_frame_into, encode_payload, CodecError,
-    MAX_BATCH, MAX_FRAME,
+    MAX_BATCH, MAX_FORGET, MAX_FRAME,
 };
 use wtpg_net::Msg;
 
@@ -113,6 +113,22 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
                 units,
             }
         ),
+        (0u32..8, 0u32..4, 0u32..1_000).prop_map(|(node, shard, outstanding)| Msg::RecoverAck {
+            node,
+            shard,
+            outstanding,
+        }),
+        (
+            proptest::collection::vec(txn(), 0..40),
+            proptest::collection::vec((0u32..64, 0u64..u64::MAX), 0..6),
+        )
+            .prop_map(|(txns, floors)| Msg::Forget {
+                txns,
+                floors: floors
+                    .into_iter()
+                    .map(|(p, f)| (wtpg_core::partition::PartitionId(p), f))
+                    .collect(),
+            }),
         Just(Msg::Shutdown),
     ]
 }
@@ -257,6 +273,25 @@ proptest! {
             decode_payload(&payload),
             Err(CodecError::Oversize(count as usize))
         );
+    }
+
+    #[test]
+    fn oversize_notice_lists_are_rejected(
+        count in (MAX_FORGET + 1)..=u32::MAX,
+        txns in proptest::collection::vec(0u64..u64::MAX, 0..8),
+    ) {
+        // Either list claiming more than MAX_FORGET entries is refused from
+        // its count alone, before any entry is read.
+        let mut payload = vec![15u8];
+        payload.extend(count.to_le_bytes());
+        prop_assert_eq!(decode_payload(&payload), Err(CodecError::Oversize(count as usize)));
+        let mut payload = vec![15u8];
+        payload.extend((txns.len() as u32).to_le_bytes());
+        for t in &txns {
+            payload.extend(t.to_le_bytes());
+        }
+        payload.extend(count.to_le_bytes());
+        prop_assert_eq!(decode_payload(&payload), Err(CodecError::Oversize(count as usize)));
     }
 
     #[test]

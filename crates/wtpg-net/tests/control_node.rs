@@ -14,11 +14,10 @@ use std::time::{Duration, Instant};
 
 use common::Recorder;
 use wtpg_core::history::Event;
-use wtpg_core::partition::Catalog;
+use wtpg_core::partition::{Catalog, PartitionId};
 use wtpg_core::txn::{StepSpec, TxnId, TxnSpec};
-use wtpg_mvcc::GcWatermark;
 use wtpg_net::actor::{Actor, Flow};
-use wtpg_net::control::{ControlActor, ControlParams};
+use wtpg_net::control::{ControlActor, ControlParams, NOTICE_AT};
 use wtpg_net::transport::MsgTx;
 use wtpg_net::{FaultPlan, Msg, NetError};
 use wtpg_obs::window::metric;
@@ -56,7 +55,7 @@ fn params<'a>(reg: &'a Registry, sched: &str, clients: usize) -> ControlParams<'
         fault: FaultPlan::none(),
         stream: false,
         reg,
-        mvcc: None,
+        mvcc: false,
     }
 }
 
@@ -242,6 +241,7 @@ fn recover_resends_the_nodes_orders_as_one_frame_then_a_plain_ack() {
         ack,
         &Msg::RecoverAck {
             node: 0,
+            shard: 0,
             outstanding: 2
         }
     );
@@ -287,7 +287,7 @@ fn a_busy_inbox_still_redelivers_every_scan() {
 fn duplicates_are_absorbed_on_both_planes() {
     let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
     let mut p = params(&reg, "chain", 1);
-    p.mvcc = Some(Arc::new(GcWatermark::new()));
+    p.mvcc = true;
     let mut ctl = start(p, &catalog, 500, &l);
     let t0 = Instant::now();
 
@@ -323,9 +323,15 @@ fn duplicates_are_absorbed_on_both_planes() {
     ctl.deliver(submit(0, 7, vec![StepSpec::read(2, 1.0)]), t0)
         .unwrap();
     ctl.before_block(t0).unwrap();
+    // The writer's commit raised partition 0's floor: the notice rides
+    // behind the reader's order, in its frame.
+    let floor = Msg::Forget {
+        txns: vec![],
+        floors: vec![(PartitionId(0), 1)],
+    };
     assert!(matches!(
-        l.data[0].take()[..],
-        [Msg::SnapshotRead { txn: TxnId(7), .. }]
+        &l.data[0].frames()[..],
+        [Msg::Batch(inner)] if matches!(&inner[..], [Msg::SnapshotRead { txn: TxnId(7), .. }, f] if *f == floor)
     ));
     let reply = Msg::SnapshotReply {
         txn: TxnId(7),
@@ -621,4 +627,35 @@ fn a_submission_outside_the_catalog_is_a_protocol_error() {
         matches!(&err, NetError::Protocol(m) if m.contains("outside")),
         "{err:?}"
     );
+}
+
+/// A committed writer is named to the node that served it, and the names
+/// ride behind an order once `NOTICE_AT` have gathered: no frame of their
+/// own, nothing to a node the writers never touched.
+#[test]
+fn retired_writers_ride_behind_an_order_once_a_notice_is_due() {
+    let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
+    let mut ctl = start(params(&reg, "chain", 1), &catalog, 500, &l);
+    let t0 = Instant::now();
+    let writers = NOTICE_AT as u64;
+    for txn in 1..=writers + 1 {
+        ctl.deliver(submit(0, txn, vec![StepSpec::write(0, 1.0)]), t0).unwrap();
+        ctl.before_block(t0).unwrap();
+        if txn <= writers {
+            for m in [delta(txn, 0), delta(txn, 1), done(txn, 1000)] {
+                ctl.deliver(m, t0).unwrap();
+            }
+        }
+    }
+    let frames = l.data[0].frames();
+    assert_eq!(frames.len() as u64, writers + 1, "one frame per order: {frames:?}");
+    let (last, plain) = frames.split_last().expect("frames");
+    assert_eq!(accesses(plain.to_vec()), (1..=writers).collect::<Vec<_>>());
+    let Msg::Batch(inner) = last else {
+        panic!("the last order carries the notice: {last:?}");
+    };
+    let retired: Vec<TxnId> = (1..=writers).map(TxnId).collect();
+    let notice = Msg::Forget { txns: retired, floors: vec![] };
+    assert!(matches!(&inner[..], [Msg::Access { txn, .. }, n] if txn.0 == writers + 1 && *n == notice));
+    assert!(l.data[1].frames().is_empty(), "node 1 served nobody");
 }

@@ -18,7 +18,7 @@ use wtpg_core::txn::{AccessMode, TxnId};
 use wtpg_dur::checkpoint::files;
 use wtpg_dur::wal::{ChunkRecord, WalWriter};
 use wtpg_dur::{recover, Durability};
-use wtpg_mvcc::{apply_write_effect, read_checksum, GcWatermark};
+use wtpg_mvcc::{apply_write_effect, read_checksum};
 use wtpg_net::actor::{Actor, Flow};
 use wtpg_net::data::{DataActor, DataNodeParams};
 use wtpg_net::transport::MsgTx;
@@ -47,7 +47,8 @@ fn params<'a>(catalog: &'a Catalog, reg: &'a Registry, log: Option<&'a Path>) ->
         batch_max: 3,
         log: log.map(|dir| (Durability::Buffered, dir)),
         reg,
-        mvcc: None,
+        mvcc: false,
+        shards: 1,
     }
 }
 
@@ -344,8 +345,8 @@ fn sealed_write(txn: u64, units: u64, seal: u64) -> Msg {
     }
 }
 
-/// Delivers `m`, lets the node reach its pre-block point (the GC poll and
-/// the reply flush), and returns what it said.
+/// Delivers `m`, lets the node reach its pre-block point (the reply
+/// flush), and returns what it said.
 fn exchange(node: &mut DataActor<'_>, heard: &Recorder, m: Msg, now: Instant) -> Vec<Msg> {
     assert_eq!(node.deliver(m, now).unwrap(), Flow::Continue);
     assert_eq!(node.before_block(now).unwrap(), Some(Duration::MAX));
@@ -363,18 +364,25 @@ fn reply_over(txn: u64, writes: &[u64]) -> Msg {
     Msg::SnapshotReply { txn: TxnId(txn), step: 0, checksum, units: 2300 }
 }
 
+/// A notice: `txns` retired, `floors` raised on partition 0.
+fn forget(txns: &[u64], floors: &[u64]) -> Msg {
+    Msg::Forget {
+        txns: txns.iter().map(|&t| TxnId(t)).collect(),
+        floors: floors.iter().map(|&f| (PartitionId(0), f)).collect(),
+    }
+}
+
 /// A served snapshot read keeps answering byte-identically while its reader
 /// may still be redelivered to — across racing writes and a floor at its
-/// hold — and its memo goes at the first `before_block` after the floor
-/// passes the hold, while memos at or above the floor stay.
+/// hold — and its memo goes with the notice that names its reader, while
+/// the memos of readers it does not name stay.
 #[test]
-fn a_snapshot_memo_outlives_racing_writes_and_goes_once_the_floor_passes_its_hold() {
+fn a_snapshot_memo_outlives_racing_writes_and_goes_with_the_notice_naming_its_reader() {
     let (catalog, reg) = (catalog(), Registry::new());
     let heard = Arc::new(Recorder::default());
     let tx: Arc<dyn MsgTx> = heard.clone();
-    let watermark = Arc::new(GcWatermark::new());
     let mut p = params(&catalog, &reg, None);
-    p.mvcc = Some(Arc::clone(&watermark));
+    p.mvcc = true;
     let mut node = DataActor::start(p, &tx).expect("starts");
     let now = Instant::now();
     let reads = || reg.totals().get(metric::SNAPSHOT_READS).copied().unwrap_or(0);
@@ -398,25 +406,99 @@ fn a_snapshot_memo_outlives_racing_writes_and_goes_once_the_floor_passes_its_hol
     assert_eq!(ask(snapshot_read(10, 2, &[1])), first);
     assert_eq!(reads(), 2, "a redelivery is not a read");
 
-    // 3. A floor at reader 10's hold. Its redelivery is byte-identical, and
-    // the pre-block point after it drops seal 0 from the chain: a probe at
-    // horizon 0 un-applies every live entry, so it still sees seal 0.
-    watermark.publish(0, 1);
+    // 3. A floor at reader 10's hold drops seal 0 from the chain: a probe at
+    // horizon 0 un-applies every live entry, so it still sees seal 0. Reader
+    // 10's redelivery is byte-identical.
+    assert_eq!(ask(forget(&[], &[1])), vec![]);
     assert_eq!(ask(snapshot_read(10, 2, &[1])), first);
     assert_eq!(ask(snapshot_read(12, 0, &[])), vec![reply_over(12, &[2500])]);
     assert_eq!(reads(), 3);
 
-    // 4. The floor passes reader 10's hold. After the next pre-block point
-    // its memo is gone — a redelivery is read afresh, over a chain that no
-    // longer holds seal 1 — while reader 11's, at the floor, stays.
-    watermark.publish(0, 2);
+    // 4. The floor passes reader 10's hold and a notice retires it: its memo
+    // is gone — a redelivery, which control never sends after the notice,
+    // would be read afresh over a chain that no longer holds seal 1 — while
+    // reader 11's, which no notice named, stays.
+    assert_eq!(ask(forget(&[1, 2, 10], &[2])), vec![]);
     assert_eq!(ask(snapshot_read(11, 2, &[])), second);
     assert_eq!(ask(snapshot_read(10, 2, &[1])), vec![reply_over(10, &[2500, 700])]);
-    assert_eq!(reads(), 4, "the memo below the floor is gone");
+    assert_eq!(reads(), 4, "the named reader's memo is gone");
     assert_eq!(ask(snapshot_read(11, 2, &[])), second);
-    assert_eq!(reads(), 4, "the memo at the floor stays");
+    assert_eq!(reads(), 4, "an unnamed reader's memo stays");
     node.finish().expect("finishes");
     assert_eq!(reg.totals().get(metric::CHAIN_PRUNED), Some(&2));
+    // Marks of writers 3 and 4, memos of readers 10 (read afresh), 11, 12.
+    assert_eq!(reg.totals().get(metric::DATA_BOOKS_LEFT), Some(&5));
+}
+
+/// A notice drops the marks of the transactions it names and no other:
+/// an unnamed writer's redelivered order is still answered from its mark,
+/// not applied a second time.
+#[test]
+fn a_notice_drops_the_marks_it_names_and_no_other() {
+    let (catalog, reg) = (catalog(), Registry::new());
+    let heard = Arc::new(Recorder::default());
+    let tx: Arc<dyn MsgTx> = heard.clone();
+    let mut node = DataActor::start(params(&catalog, &reg, None), &tx).expect("starts");
+    let now = Instant::now();
+    let units = || reg.totals().get(metric::DATA_UNITS).copied().unwrap_or(0);
+    let write = |txn| access(txn, 0, AccessMode::Write, 1000, 1000);
+    for txn in [1, 2, 3] {
+        exchange(&mut node, &heard, write(txn), now);
+    }
+    assert_eq!(exchange(&mut node, &heard, forget(&[3, 1], &[]), now), vec![]);
+    let again = exchange(&mut node, &heard, write(2), now);
+    assert_eq!(done_of(&again), vec![2], "answered");
+    assert_eq!(units(), 3000, "from its mark, not applied again");
+    node.finish().expect("finishes");
+    assert_eq!(reg.totals().get(metric::DATA_BOOKS_LEFT), Some(&1), "writer 2's mark");
+}
+
+/// After a kill the replay brings back the marks of writers a notice
+/// retired before it; they go once every control shard acked the `Recover`,
+/// and only the marks an order re-sent ahead of the last ack named stay.
+#[test]
+fn a_killed_node_keeps_only_the_replayed_marks_a_resent_order_names() {
+    let (catalog, reg) = (catalog(), Registry::new());
+    let dir = fresh_dir("rejoin-books");
+    let heard = Arc::new(Recorder::default());
+    let tx: Arc<dyn MsgTx> = heard.clone();
+    let mut p = params(&catalog, &reg, Some(&dir));
+    p.shards = 2;
+    p.fault.kill = Some(KillPlan { node: Some(0), after_msgs: 4, down_ms: 5 });
+    let mut node = DataActor::start(p, &tx).expect("starts");
+    let t0 = Instant::now();
+    let units = || reg.totals().get(metric::DATA_UNITS).copied().unwrap_or(0);
+    let write = |txn| access(txn, 0, AccessMode::Write, 1000, 1000);
+    for txn in [1, 2, 3] {
+        exchange(&mut node, &heard, write(txn), t0);
+    }
+    exchange(&mut node, &heard, forget(&[1, 2], &[]), t0);
+    assert_eq!(node.deliver(write(4), t0).unwrap(), Flow::Continue, "trips and is lost");
+    assert_eq!(node.idle(t0 + ms(5)).unwrap(), Flow::Continue);
+    assert!(matches!(heard.take()[..], [Msg::Recover { node: 0, .. }]));
+    let ack = |shard| Msg::RecoverAck { node: 0, shard, outstanding: 1 };
+    // Shard 1 re-sends writer 3's order and acks; shard 0 has not acked
+    // yet, so writers 1 and 2's replayed marks stay for now.
+    assert_eq!(done_of(&exchange(&mut node, &heard, write(3), t0 + ms(5))), vec![3]);
+    exchange(&mut node, &heard, ack(1), t0 + ms(5));
+    exchange(&mut node, &heard, ack(1), t0 + ms(5));
+    assert_eq!(done_of(&exchange(&mut node, &heard, write(4), t0 + ms(5))), vec![4]);
+    exchange(&mut node, &heard, ack(0), t0 + ms(5));
+    assert_eq!(units(), 4000, "writer 3 answered from its replayed mark");
+    node.finish().expect("finishes");
+    assert_eq!(reg.totals().get(metric::DATA_BOOKS_LEFT), Some(&2), "writers 3 and 4");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The txns of the `AccessDone`s in `heard`.
+fn done_of(heard: &[Msg]) -> Vec<u64> {
+    heard
+        .iter()
+        .filter_map(|m| match m {
+            Msg::AccessDone { txn, .. } => Some(txn.0),
+            _ => None,
+        })
+        .collect()
 }
 
 #[test]

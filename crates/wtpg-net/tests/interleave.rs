@@ -137,9 +137,16 @@ fn run_mvcc_seed(sched: &str, seed: u64, faulted: bool) -> Result<Ran, String> {
 }
 
 /// [`run_sharded_seed`] with half the workload read-only on the snapshot
-/// plane.
+/// plane, and a data node crashed for a while: the seed picks the node and
+/// the instants, as [`run_durable_seed`]'s does. A snapshot read the window
+/// swallows is redelivered after what its reader's end and its writers'
+/// commits told the node — the one order in which a floor could reach the
+/// node ahead of a read it must not prune under.
 fn run_mvcc_sharded_seed(sched: &str, seed: u64, faulted: bool) -> Result<Ran, String> {
-    run(NetConfig { mvcc: true, ..cell(2) }, sched, seed, links(seed, faulted))
+    let (node, after_msgs, down_ms) = ((seed % 2) as usize, 1 + seed % 24, 5 + seed % 20);
+    let crash = CrashPlan { node, after_msgs, down_ms };
+    let fault = FaultPlan { crash: Some(crash), ..links(seed, faulted) };
+    run(NetConfig { mvcc: true, ..cell(2) }, sched, seed, fault)
 }
 
 /// One unsharded K2 run of durability `kind`: `wal` logs buffered, `crash`

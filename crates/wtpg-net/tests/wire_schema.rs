@@ -8,7 +8,7 @@
 use wtpg_core::partition::PartitionId;
 use wtpg_core::txn::{AccessMode, TxnId};
 use wtpg_lint::schema::parse_lock;
-use wtpg_net::codec::{MAX_BATCH, MAX_EXCLUDE, MAX_FRAME, MAX_STEPS};
+use wtpg_net::codec::{MAX_BATCH, MAX_EXCLUDE, MAX_FORGET, MAX_FRAME, MAX_STEPS};
 use wtpg_net::Msg;
 
 const LOCK: &str = include_str!("../../../wire-schema.lock");
@@ -76,6 +76,7 @@ fn exemplars() -> Vec<(&'static str, Msg)> {
             "RecoverAck",
             Msg::RecoverAck {
                 node: 0,
+                shard: 0,
                 outstanding: 0,
             },
         ),
@@ -98,6 +99,13 @@ fn exemplars() -> Vec<(&'static str, Msg)> {
                 step: 0,
                 checksum: 0,
                 units: 1,
+            },
+        ),
+        (
+            "Forget",
+            Msg::Forget {
+                txns: vec![],
+                floors: vec![],
             },
         ),
     ]
@@ -147,4 +155,5 @@ fn codec_ceilings_match_the_lock() {
     assert_eq!(MAX_STEPS as u64, lock.max_steps, "MAX_STEPS drifted");
     assert_eq!(MAX_BATCH as u64, lock.max_batch, "MAX_BATCH drifted");
     assert_eq!(MAX_EXCLUDE as u64, lock.max_exclude, "MAX_EXCLUDE drifted");
+    assert_eq!(MAX_FORGET as u64, lock.max_forget, "MAX_FORGET drifted");
 }

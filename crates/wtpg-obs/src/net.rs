@@ -40,11 +40,14 @@ pub struct MsgCounts {
     /// `SnapshotReply` — data node answers a snapshot scan with its
     /// checksum.
     pub snapshot_reply: u64,
+    /// `Forget` — control tells a data node which transactions are
+    /// answered for good and which GC floors rose.
+    pub forget: u64,
 }
 
 impl MsgCounts {
     /// The counters as `(name, value)` pairs, in wire-tag order.
-    pub fn fields(&self) -> [(&'static str, u64); 11] {
+    pub fn fields(&self) -> [(&'static str, u64); 12] {
         [
             ("submit", self.submit),
             ("access", self.access),
@@ -57,6 +60,7 @@ impl MsgCounts {
             ("recover_ack", self.recover_ack),
             ("snapshot_read", self.snapshot_read),
             ("snapshot_reply", self.snapshot_reply),
+            ("forget", self.forget),
         ]
     }
 
@@ -78,6 +82,7 @@ impl MsgCounts {
         self.recover_ack += other.recover_ack;
         self.snapshot_read += other.snapshot_read;
         self.snapshot_reply += other.snapshot_reply;
+        self.forget += other.forget;
     }
 }
 

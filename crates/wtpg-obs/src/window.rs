@@ -198,6 +198,10 @@ pub mod metric {
     pub const DATA_UNITS: &str = "data/units";
     /// Messages a crashed or killed data node discarded (counter).
     pub const CRASH_DROPS: &str = "data/crash_drops";
+    /// Step marks, partials and snapshot-read memos the data nodes still
+    /// held when they stopped: what control had not yet told them to
+    /// forget (counter).
+    pub const DATA_BOOKS_LEFT: &str = "data/books_left";
     /// WAL records appended (counter).
     pub const WAL_RECORDS: &str = "wal/records";
     /// WAL group-commit flushes (counter).
@@ -242,7 +246,7 @@ pub mod metric {
     /// [`ControlStats::fields`](crate::ControlStats::fields) (published per
     /// shard at exit under their bare names, as the simulator's trace
     /// spells them), complete the catalogue.
-    pub const ALL: [&str; 34] = [
+    pub const ALL: [&str; 35] = [
         OFFERED,
         SHED,
         SUBMITTED,
@@ -259,6 +263,7 @@ pub mod metric {
         DATA_RTT_US,
         DATA_UNITS,
         CRASH_DROPS,
+        DATA_BOOKS_LEFT,
         WAL_RECORDS,
         WAL_FLUSHES,
         WAL_FSYNCS,
