@@ -15,6 +15,14 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::panic,
+    clippy::disallowed_methods,
+    reason = "a measurement driver: it times its runs on the wall clock and fails loudly by design"
+)]
 
 use std::collections::BTreeMap;
 

@@ -168,7 +168,7 @@ pub(crate) struct SchedRecipe {
 }
 
 impl SchedRecipe {
-    pub fn make(&self) -> SendScheduler {
+    pub(crate) fn make(&self) -> SendScheduler {
         sched_by_name(&self.name, self.k, self.keeptime)
             .expect("scheduler name checked when the cell was built")
     }

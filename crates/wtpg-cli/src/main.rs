@@ -38,6 +38,11 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "panic safety covers the runtime and the scheduler hot path; the driver fails loudly by design"
+)]
 
 use std::io::Read as _;
 

@@ -1,5 +1,10 @@
 //! End-to-end tests of the `wtpg` binary.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test code: a failed check is a failed test"
+)]
+
 use std::io::Write as _;
 use std::process::{Command, Stdio};
 

@@ -107,7 +107,10 @@ impl EqScratch {
     }
 
     /// Clears the delta and sizes the per-slot arrays for `graph`.
-    // lint:allow(panic-safety) touched holds indices reset sized extra_head for
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "touched holds indices reset sized extra_head for"
+    )]
     fn reset(&mut self, graph: &Wtpg) {
         for &s in &self.touched {
             self.extra_head[s as usize] = NIL;
@@ -130,7 +133,10 @@ impl EqScratch {
         }
     }
 
-    // lint:allow(panic-safety) reset sized extra_head to slot_count; slot ids are in range
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "reset sized extra_head to slot_count; slot ids are in range"
+    )]
     fn add_extra(&mut self, from: u32, to: u32, w: Work) {
         let head = &mut self.extra_head[from as usize];
         if *head == NIL {
@@ -152,7 +158,10 @@ impl EqScratch {
 
     /// True if the overlay already has the precedence edge `from → to`
     /// (base arena or delta).
-    // lint:allow(panic-safety) extra_head entries index into extra by construction
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "extra_head entries index into extra by construction"
+    )]
     fn has_edge(&self, graph: &Wtpg, from: u32, to: u32) -> bool {
         let to_id = graph.slot_txn(to);
         if graph
@@ -174,7 +183,10 @@ impl EqScratch {
     }
 
     /// DFS over base + delta out-edges: can `start` reach `target`?
-    // lint:allow(panic-safety) mark is resized to slot_count; stack holds slot ids
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "mark is resized to slot_count; stack holds slot ids"
+    )]
     fn reaches(&mut self, graph: &Wtpg, start: u32, target: u32) -> bool {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
@@ -195,7 +207,10 @@ impl EqScratch {
         false
     }
 
-    // lint:allow(panic-safety) extra_head entries index into extra by construction
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "extra_head entries index into extra by construction"
+    )]
     fn push_successors(&mut self, graph: &Wtpg, s: u32) {
         for e in graph.out_of(s) {
             self.stack.push(e.slot);
@@ -216,7 +231,10 @@ impl EqScratch {
     /// point (step 1 adds `txn → other` only), and an extra edge extending
     /// `before(txn)` would close a cycle through `txn`, which step 1 just
     /// excluded.
-    // lint:allow(panic-safety) before/after/stack are sized to slot_count by reset
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "before/after/stack are sized to slot_count by reset"
+    )]
     fn stamp_before_after(&mut self, graph: &Wtpg, s_txn: u32) {
         self.ba_epoch = self.ba_epoch.wrapping_add(1);
         if self.ba_epoch == 0 {
@@ -249,7 +267,10 @@ impl EqScratch {
 
     /// Longest `T0 → Tf` path of the overlay (base + delta precedence
     /// edges), or `None` on a cycle. Mirrors [`Wtpg::critical_path`].
-    // lint:allow(panic-safety) indeg/dist are resized to slot_count; queue holds slot ids
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "indeg/dist are resized to slot_count; queue holds slot ids"
+    )]
     fn critical_path(&mut self, graph: &Wtpg) -> Option<Work> {
         let n = graph.slot_count();
         self.indeg.clear();
@@ -306,7 +327,10 @@ impl EqScratch {
 /// Computes `E(q)` with a reusable [`EqScratch`] — the hot-path entry point
 /// used by the schedulers. The WTPG itself is never mutated; hypothetical
 /// resolutions live in the scratch delta.
-// lint:allow(panic-safety) all indices are slot ids or Ok results of binary searches
+#[expect(
+    clippy::indexing_slicing,
+    reason = "all indices are slot ids or Ok results of binary searches"
+)]
 pub fn eq_estimate_with(
     scratch: &mut EqScratch,
     wtpg: &Wtpg,
@@ -369,6 +393,10 @@ pub fn eq_estimate_with(
                     (sa, sb, w_ab)
                 } else if b_before && a_after {
                     let back = wtpg.conf_of(sb);
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "invariant: conflict edges are symmetric"
+                    )]
                     let j = back
                         .binary_search_by(|x| x.id.cmp(&a))
                         .expect("invariant: conflict edges are symmetric");

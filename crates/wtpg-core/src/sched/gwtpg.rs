@@ -33,7 +33,7 @@ use super::{ControlOps, LockOutcome};
 /// K ≤ 2 *and* path-shaped) but keeps the planner's input bounded — an
 /// unbounded conflict graph makes the NP-hard optimisation intractable in
 /// overload, which is the very reason the paper constrains CHAIN.
-pub const DEFAULT_CONFLICT_BOUND: usize = 6;
+pub(crate) const DEFAULT_CONFLICT_BOUND: usize = 6;
 
 /// Above this many unresolved conflicting edges the local-search refinement
 /// is skipped and the greedy plan used directly.

@@ -48,7 +48,7 @@ use super::{ControlOps, LockOutcome};
 
 /// Consecutive lost `E` comparisons after which a deadlock-free request is
 /// granted regardless (liveness guard; see the module docs).
-pub const STARVATION_LIMIT: u32 = 16;
+pub(crate) const STARVATION_LIMIT: u32 = 16;
 
 /// What K-WTPG keeps on one request (a transaction's step).
 #[derive(Clone, Copy, Debug, Default)]
@@ -116,6 +116,10 @@ impl KWtpgScheduler {
     }
 
     /// The book of `txn`'s request for `step`, made on first use.
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: the steps were just extended past `step`"
+    )]
     fn book(&mut self, txn: TxnId, step: usize) -> &mut RequestBook {
         let spare = &mut self.spare_books;
         let steps = self.books.get_or_insert_with(txn, || spare.pop().unwrap_or_default());

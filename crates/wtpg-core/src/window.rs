@@ -147,6 +147,10 @@ impl<V> IdWindow<V> {
     }
 
     /// The value under `id`, holding `make()` there first if there is none.
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: a value was just held under this id"
+    )]
     pub fn get_or_insert_with(&mut self, id: TxnId, make: impl FnOnce() -> V) -> &mut V {
         if !self.contains(id) {
             self.insert(id, make());

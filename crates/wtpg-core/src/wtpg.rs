@@ -241,12 +241,18 @@ impl Wtpg {
         self.index.get(txn).copied().ok_or(CoreError::UnknownTxn(txn))
     }
 
-    // lint:allow(panic-safety) slot ids are minted by add_txn and always < slots.len()
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "slot ids are minted by add_txn and always < slots.len()"
+    )]
     fn slot(&self, s: u32) -> &Slot {
         &self.slots[s as usize]
     }
 
-    // lint:allow(panic-safety) slot ids are minted by add_txn and always < slots.len()
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "slot ids are minted by add_txn and always < slots.len()"
+    )]
     fn slot_mut(&mut self, s: u32) -> &mut Slot {
         &mut self.slots[s as usize]
     }
@@ -415,7 +421,10 @@ impl Wtpg {
     /// order was decided by an earlier grant or a held lock — the matching
     /// directed weight is merged into it instead (the other candidate weight
     /// is moot: a resolved pair stays resolved).
-    // lint:allow(panic-safety) every index is the Ok of a binary search on the same vec
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every index is the Ok of a binary search on the same vec"
+    )]
     pub fn add_or_merge_conflict(
         &mut self,
         a: TxnId,
@@ -458,7 +467,10 @@ impl Wtpg {
         Ok(())
     }
 
-    // lint:allow(panic-safety) every index is the Ok of a binary search on the same vec
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every index is the Ok of a binary search on the same vec"
+    )]
     fn add_or_merge_precedence(
         &mut self,
         from: TxnId,
@@ -503,7 +515,10 @@ impl Wtpg {
     /// Definition 1, item 2). Resolving an already-resolved pair in the same
     /// direction is a no-op; in the opposite direction it is a logic error
     /// caught in debug builds.
-    // lint:allow(panic-safety) conf index is the Ok of a binary search on the same vec
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "conf index is the Ok of a binary search on the same vec"
+    )]
     pub fn resolve(&mut self, from: TxnId, to: TxnId) -> Result<(), CoreError> {
         let sf = self.lookup(from)?;
         self.lookup(to)?;
@@ -547,7 +562,10 @@ impl Wtpg {
     }
 
     /// Weight of the precedence edge `from → to`, if that edge exists.
-    // lint:allow(panic-safety) out index is the Ok of a binary search on the same vec
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "out index is the Ok of a binary search on the same vec"
+    )]
     pub fn precedence_weight(&self, from: TxnId, to: TxnId) -> Option<Work> {
         let s = self.slot_of(from)?;
         find_out(&self.slot(s).out, to)
@@ -557,7 +575,10 @@ impl Wtpg {
 
     /// Weights `(w(a→b), w(b→a))` of the conflicting edge between `a` and
     /// `b`, if the pair is (still) unresolved.
-    // lint:allow(panic-safety) conf indices are the Ok of binary searches on the same vecs
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "conf indices are the Ok of binary searches on the same vecs"
+    )]
     pub fn conflict_weights(&self, a: TxnId, b: TxnId) -> Option<(Work, Work)> {
         let sa = self.slot_of(a)?;
         let sb = self.slot_of(b)?;
@@ -593,13 +614,20 @@ impl Wtpg {
 
     /// All unresolved conflicting edges as `(a, b, w(a→b), w(b→a))` with
     /// `a < b`, ascending.
-    // lint:allow(panic-safety) back[j] is the Ok of a binary search on back
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "back[j] is the Ok of a binary search on back"
+    )]
     pub fn conflict_edges(&self) -> Vec<(TxnId, TxnId, Work, Work)> {
         let mut out = Vec::new();
         for (a, &sa) in self.index.iter() {
             for e in &self.slot(sa).conf {
                 if a < e.id {
                     let back = &self.slot(e.slot).conf;
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "invariant: conflict edges are symmetric"
+                    )]
                     let j = find_conf(back, a).expect("invariant: conflict edges are symmetric");
                     out.push((a, e.id, e.w, back[j].w));
                 }
@@ -621,7 +649,10 @@ impl Wtpg {
 
     /// `before(txn)`: transactions that (transitively) precede `txn` along
     /// precedence edges (paper §3.3 Step 1), ascending.
-    // lint:allow(panic-safety) begin_mark sizes `mark` to slots.len(); slot ids are in range
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "begin_mark sizes `mark` to slots.len(); slot ids are in range"
+    )]
     pub fn before(&self, txn: TxnId) -> Vec<TxnId> {
         let mut seen = Vec::new();
         let Some(s0) = self.slot_of(txn) else {
@@ -646,7 +677,10 @@ impl Wtpg {
 
     /// `after(txn)`: transactions that `txn` (transitively) precedes,
     /// ascending.
-    // lint:allow(panic-safety) begin_mark sizes `mark` to slots.len(); slot ids are in range
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "begin_mark sizes `mark` to slots.len(); slot ids are in range"
+    )]
     pub fn after(&self, txn: TxnId) -> Vec<TxnId> {
         let mut seen = Vec::new();
         let Some(s0) = self.slot_of(txn) else {
@@ -687,7 +721,10 @@ impl Wtpg {
     /// precedence edges (a transaction reaches itself) — whether edges
     /// `to → f`, one for each `f` of `from`, close a cycle. One DFS from all
     /// of `from` at once, so it costs what they reach, not the graph.
-    // lint:allow(panic-safety) begin_mark sizes `mark` to slots.len(); slot ids are in range
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "begin_mark sizes `mark` to slots.len(); slot ids are in range"
+    )]
     pub(crate) fn any_reaches(&self, from: &[TxnId], to: TxnId) -> bool {
         let Some(st) = self.slot_of(to) else {
             return false;
@@ -717,7 +754,10 @@ impl Wtpg {
     /// and the critical path is `max over T of dist(T)` since every
     /// `w(T → Tf)` is zero. One Kahn pass over the arena, with the in-degree,
     /// distance and queue arrays reused across calls.
-    // lint:allow(panic-safety) indeg/dist are resized to slots.len(); queue holds slot ids
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "indeg/dist are resized to slots.len(); queue holds slot ids"
+    )]
     pub fn critical_path(&self) -> Option<Work> {
         if self.index.is_empty() {
             // Fast path: no live transactions, the schedule is just T0 → Tf.
@@ -805,7 +845,10 @@ impl Wtpg {
     ///
     /// # Errors
     /// A description of the first violated invariant.
-    // lint:allow(panic-safety) indices are validated against slots.len() before use
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "indices are validated against slots.len() before use"
+    )]
     pub fn check_invariants(&self) -> Result<(), String> {
         let n = self.slots.len();
         for (txn, &s) in self.index.iter() {
@@ -866,7 +909,10 @@ impl Wtpg {
     ///
     /// # Errors
     /// A description of the first violated invariant.
-    // lint:allow(panic-safety) indices are validated against slots.len() before use
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "indices are validated against slots.len() before use"
+    )]
     pub(crate) fn check_slot(&self, s: u32) -> Result<(), String> {
         let Some(slot) = self.slots.get(s as usize) else {
             return Err(format!("slot {s} is out of bounds"));
@@ -956,7 +1002,10 @@ impl Wtpg {
     ///
     /// # Errors
     /// A description of the first violated invariant.
-    // lint:allow(panic-safety) windows(2) yields two-element slices
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "windows(2) yields two-element slices"
+    )]
     pub(crate) fn check_around(&self, txn: TxnId, touched: &[u32]) -> Result<(), String> {
         let Some((&own, others)) = touched.split_first() else {
             return Ok(());
@@ -1012,7 +1061,10 @@ impl Wtpg {
 
     /// `debug_assert!`-level hook: panics on a broken invariant in debug
     /// builds, compiles to nothing in release.
-    // lint:allow(panic-safety) deliberate debug-only assertion, absent from release builds
+    #[expect(
+        clippy::panic,
+        reason = "deliberate debug-only assertion, absent from release builds"
+    )]
     #[inline]
     pub(crate) fn debug_validate(&self) {
         #[cfg(debug_assertions)]

@@ -3,6 +3,12 @@
 //! the WTPG holds only live transactions, and the surviving history stays
 //! serializable.
 
+#![expect(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    reason = "test code: a failed check is a failed test"
+)]
+
 use proptest::prelude::*;
 
 use wtpg_core::sched::{

@@ -8,6 +8,12 @@
 //! definitions, written for obviousness rather than speed — they only ever
 //! touch the public `Wtpg` API, so any divergence points at the arena.
 
+#![expect(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    reason = "test code: a failed check is a failed test"
+)]
+
 use std::collections::{BTreeMap, BTreeSet};
 
 use rand::rngs::StdRng;

@@ -1,6 +1,11 @@
 //! Property tests for the general-WTPG planner: heuristics against the
 //! exhaustive oracle on random (non-chain) conflict graphs.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "test code: a failed check is a failed test"
+)]
+
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 

@@ -7,6 +7,13 @@
 //! is the *protocol*: admission/rejection, blocking, delaying, retries,
 //! resolution bookkeeping, and commit wakeups.
 
+#![expect(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unwrap_used,
+    reason = "test code: a failed check is a failed test"
+)]
+
 use proptest::prelude::*;
 
 use wtpg_core::history::{Event, History};

@@ -1,6 +1,12 @@
 //! Property tests for the WTPG and the `E(q)` estimator, checked against
 //! straightforward reference implementations built on `wtpg-graph`.
 
+#![expect(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    reason = "test code: a failed check is a failed test"
+)]
+
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 

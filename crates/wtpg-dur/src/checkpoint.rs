@@ -69,6 +69,17 @@ fn encode_snapshot(s: &NodeSnapshot, out: &mut Vec<u8>) {
     }
 }
 
+/// A count of `n` records of `size` bytes each, refused unless the payload
+/// left holds that many: a count reserves memory only for bytes that are
+/// there, so a damaged count fails before it allocates.
+fn bounded(n: u64, c: &Cur<'_>, size: usize) -> Result<usize, DurError> {
+    let room = c.b.len().saturating_sub(c.i) / size;
+    usize::try_from(n)
+        .ok()
+        .filter(|&n| n <= room)
+        .ok_or_else(|| c.corrupt("record count exceeds the payload left"))
+}
+
 fn decode_snapshot(payload: &[u8]) -> Result<NodeSnapshot, DurError> {
     let mut c = Cur { b: payload, i: 0, at: 0 };
     if c.u8()? != TAG_NODE_SNAPSHOT {
@@ -77,22 +88,19 @@ fn decode_snapshot(payload: &[u8]) -> Result<NodeSnapshot, DurError> {
     let next_lsn = c.u64()?;
     let write_units = c.u64()?;
     let read_checksum = c.u64()?;
-    let nparts = c.u32()? as usize;
-    let mut parts = Vec::with_capacity(nparts.min(1 << 16));
+    let nparts = bounded(c.u32()?.into(), &c, 12)?;
+    let mut parts = Vec::with_capacity(nparts);
     for _ in 0..nparts {
         let p = c.u32()?;
-        let n = c.u64()? as usize;
-        if n > MAX_CHECKPOINT / 8 {
-            return Err(c.corrupt("partition cell count exceeds the payload bound"));
-        }
+        let n = bounded(c.u64()?, &c, 8)?;
         let mut cells = Vec::with_capacity(n);
         for _ in 0..n {
             cells.push(c.u64()?);
         }
         parts.push((p, cells));
     }
-    let nmarks = c.u32()? as usize;
-    let mut marks = Vec::with_capacity(nmarks.min(1 << 16));
+    let nmarks = bounded(c.u32()?.into(), &c, 28)?;
+    let mut marks = Vec::with_capacity(nmarks);
     for _ in 0..nmarks {
         let txn = TxnId(c.u64()?);
         let step = c.u32()?;
@@ -100,8 +108,8 @@ fn decode_snapshot(payload: &[u8]) -> Result<NodeSnapshot, DurError> {
         let units = c.u64()?;
         marks.push(((txn, step), (checksum, units)));
     }
-    let npartials = c.u32()? as usize;
-    let mut partials = Vec::with_capacity(npartials.min(1 << 16));
+    let npartials = bounded(c.u32()?.into(), &c, 36)?;
+    let mut partials = Vec::with_capacity(npartials);
     for _ in 0..npartials {
         let txn = TxnId(c.u64()?);
         let step = c.u32()?;
@@ -137,6 +145,10 @@ fn write_framed(path: &Path, payload: &[u8]) -> Result<(), DurError> {
 
 /// Reads the single CRC-framed payload at `path`; `None` if the file does
 /// not exist.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "read_frame only returns in-bounds offsets"
+)]
 fn read_framed(path: &Path) -> Result<Option<Vec<u8>>, DurError> {
     let bytes = match File::open(path) {
         Ok(mut f) => {
@@ -161,7 +173,6 @@ fn read_framed(path: &Path) -> Result<Option<Vec<u8>>, DurError> {
                     what: "bytes after the checkpoint frame".to_string(),
                 });
             }
-            // lint:allow(panic-safety) read_frame only returns in-bounds offsets
             Ok(Some(bytes[start..end].to_vec()))
         }
     }

@@ -32,7 +32,6 @@
 //! ([`checkpoint`]) bound replay to a log suffix.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod checkpoint;
 pub mod replay;
@@ -137,6 +136,7 @@ impl From<std::io::Error> for DurError {
 
 /// Byte-at-a-time CRC-32 lookup table, built at compile time from the
 /// reflected IEEE 802.3 polynomial.
+#[expect(clippy::indexing_slicing, reason = "i < 256 is the loop condition")]
 const CRC32_TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
     let mut i = 0usize;
@@ -148,7 +148,6 @@ const CRC32_TABLE: [u32; 256] = {
             crc = (crc >> 1) ^ (0xedb8_8320 & mask);
             bit += 1;
         }
-        // lint:allow(panic-safety) i < 256 is the loop condition
         table[i] = crc;
         i += 1;
     }
@@ -160,10 +159,10 @@ const CRC32_TABLE: [u32; 256] = {
 /// lookup table: the registry is vendored stand-ins only, so no checksum
 /// crate enters the trust base, and the table keeps the per-record cost
 /// off the bulk-apply hot path.
+#[expect(clippy::indexing_slicing, reason = "the index is masked to 0..=255")]
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xffff_ffffu32;
     for &b in bytes {
-        // lint:allow(panic-safety) the index is masked to 0..=255
         crc = CRC32_TABLE[((crc ^ u32::from(b)) & 0xff) as usize] ^ (crc >> 8);
     }
     !crc

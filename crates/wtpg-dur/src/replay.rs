@@ -68,6 +68,10 @@ pub struct Recovered {
 /// snapshot/chain invariants (a chunk out of order within its step, a
 /// record for a partition the catalog does not home on `node`, a chunk
 /// logged after its step's completion mark).
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: replay queue lock is never poisoned (no panics while held)"
+)]
 pub fn recover(
     catalog: &Catalog,
     node: u32,

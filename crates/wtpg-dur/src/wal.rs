@@ -211,11 +211,23 @@ pub(crate) fn read_frame(bytes: &[u8], offset: usize, max_len: usize) -> Result<
     if rest < FRAME_HEADER {
         return Ok(FrameStep::Torn(offset as u64));
     }
-    let hdr = &bytes[offset..offset + FRAME_HEADER]; // lint:allow(panic-safety) rest >= FRAME_HEADER checked above
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "rest >= FRAME_HEADER checked above"
+    )]
+    let hdr = &bytes[offset..offset + FRAME_HEADER];
     let mut a = [0u8; 4];
-    a.copy_from_slice(&hdr[..4]); // lint:allow(panic-safety) hdr is exactly FRAME_HEADER = 8 bytes
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "hdr is exactly FRAME_HEADER = 8 bytes"
+    )]
+    a.copy_from_slice(&hdr[..4]);
     let len = u32::from_le_bytes(a) as usize;
-    a.copy_from_slice(&hdr[4..]); // lint:allow(panic-safety) hdr is exactly FRAME_HEADER = 8 bytes
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "hdr is exactly FRAME_HEADER = 8 bytes"
+    )]
+    a.copy_from_slice(&hdr[4..]);
     let crc = u32::from_le_bytes(a);
     if len > max_len {
         // An oversize length with the whole frame "present" is corruption;
@@ -234,7 +246,11 @@ pub(crate) fn read_frame(bytes: &[u8], offset: usize, max_len: usize) -> Result<
     }
     let start = offset + FRAME_HEADER;
     let end = start + len;
-    let payload = &bytes[start..end]; // lint:allow(panic-safety) rest - FRAME_HEADER >= len checked above
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "rest - FRAME_HEADER >= len checked above"
+    )]
+    let payload = &bytes[start..end];
     if crc32(payload) != crc {
         // A complete frame with a bad CRC is only a *tail* phenomenon if
         // nothing follows it (the payload bytes themselves were torn and
@@ -430,7 +446,10 @@ pub fn read_log(path: &Path) -> Result<LogRead, DurError> {
                 break;
             }
             FrameStep::Frame { start, end, next } => {
-                // lint:allow(panic-safety) read_frame only returns in-bounds offsets
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "read_frame only returns in-bounds offsets"
+                )]
                 let rec = decode_chunk(&bytes[start..end], start as u64)?;
                 if last_lsn.is_some_and(|l| rec.lsn <= l) {
                     return Err(DurError::Corrupt {

@@ -6,6 +6,11 @@
 //! panic, never a silently partial chunk: every recovered record is exactly
 //! one of the originally appended records, in order.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "test code: a failed check is a failed test"
+)]
+
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;

@@ -1,6 +1,15 @@
 //! Property-based tests for the graph oracles, checked against a reference
 //! walk that shares no code with them.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "test code: a failed check is a failed test"
+)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "hash maps as test oracles; their order is never observed"
+)]
+
 use proptest::prelude::*;
 use std::collections::HashMap;
 

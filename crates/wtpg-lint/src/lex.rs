@@ -10,15 +10,13 @@
 //! and still dependency-free.
 
 /// One source line after lexing: executable code with strings/comments
-/// removed, the comment text (for waiver parsing), and the raw line.
+/// removed, and the comment text (for waiver parsing).
 #[derive(Debug)]
 pub struct LineInfo {
     /// Code with string literals collapsed and comments removed.
     pub code: String,
     /// The comment text of the line (waivers live here).
     pub comment: String,
-    /// The raw line as written.
-    pub raw: String,
     /// Inside a `#[cfg(test)]` region.
     pub in_test: bool,
 }
@@ -138,7 +136,6 @@ pub fn lex(source: &str) -> Vec<LineInfo> {
         out.push(LineInfo {
             code,
             comment,
-            raw: raw.to_string(),
             in_test: false,
         });
     }

@@ -1,31 +1,14 @@
-//! Repo-specific static analysis for the WTPG workspace.
+//! Repo-specific static analysis for the WTPG workspace: the checks no
+//! compiler lint can make.
 //!
-//! v2 is built around a dependency-free token stream ([`lex`]) and item
-//! outline ([`outline`]) — functions, enums, consts, match arms and call
-//! sites, no full AST — feeding an approximate intra-crate call graph
-//! ([`callgraph`]). On top of that sit three per-line rules and five
-//! workspace passes:
-//!
-//! Per-line rules (scoped per crate by [`rules_for`], see DESIGN.md §10/§15):
-//!
-//! - `determinism` — no `HashMap`/`HashSet` (iteration order is
-//!   platform-dependent), no `SystemTime`/`std::time::Instant`
-//!   (wall-clock reads), no ambient `thread_rng`. Applied to `wtpg-core`,
-//!   `wtpg-sim`, `wtpg-workload`, `wtpg-graph`, `wtpg-lint`, `wtpg-mvcc`,
-//!   `wtpg-obs`, `wtpg-dur` and `wtpg-net`'s protocol layer. An `Instant` token
-//!   qualified by a non-`time` path — such as the observer's
-//!   `EventKind::Instant` trace phase — is recognized as not being the
-//!   clock type and does not fire.
-//! - `panic-safety` — no `unwrap()`, undocumented `expect()`, panic-family
-//!   macros, or possibly-panicking slice indexing on the scheduler hot
-//!   path (`wtpg-core/src/wtpg.rs`, `estimate.rs`, `sched/*`) or anywhere
-//!   in `wtpg-rt`/`wtpg-obs`/`wtpg-dur`/`wtpg-net` (an actor thread that
-//!   panics poisons the mailbox locks its peers share and wedges everyone
-//!   waiting on it).
-//!   The accepted documented form is `expect("invariant: ...")`.
-//! - `api-docs` — every `pub fn` carries a doc comment.
-//!
-//! Workspace passes (run by [`lint_workspace`], each with its own module):
+//! What rustc and clippy can check, they do (see DESIGN.md §10.1): panic
+//! safety, API docs and the direct determinism bans are lints in the root
+//! `Cargo.toml`'s `[workspace.lints]` and in `clippy.toml`, and an
+//! exemption is an `#[expect(…, reason = "…")]` the compiler reports once
+//! it suppresses nothing. This crate keeps the cross-file passes, built on
+//! a dependency-free token stream ([`lex`]) and item outline
+//! ([`outline`]) — functions, enums, match arms and call sites, no full
+//! AST — feeding an approximate intra-crate call graph ([`callgraph`]):
 //!
 //! - [`locks`] — lock-order analysis against the checked-in
 //!   `lint-locks.toml` hierarchy (strictly increasing ranks: the mailbox
@@ -33,47 +16,44 @@
 //!   undeclared `.lock()` sites are findings (fail-closed).
 //! - [`protocol`] — `Msg` exhaustiveness, `Batch`-recursion guards and
 //!   dedup-before-side-effect checks for the `wtpg-net` actor loops.
-//! - [`taint`] — call-graph determinism taint replacing the old per-file
-//!   deny list: seeds (`SystemTime`, clock `Instant`, `thread_rng`,
-//!   hash-ordered collections) propagate along intra-crate calls, and a
-//!   determinism-protected function calling into a tainted exempt-file
-//!   function is a finding even though its own file is clean.
+//! - [`taint`] — call-graph determinism taint: a function in a file held
+//!   to clippy's determinism bans calling into a clock-reading function of
+//!   an exempt file is a finding, though its own file is clean.
 //! - [`unsafe_scope`] — the token `unsafe` appears in
-//!   `wtpg-net/src/poll.rs` and nowhere else, and every crate root carries
+//!   `wtpg-net/src/poll.rs` and nowhere else, every crate root carries
 //!   `#![forbid(unsafe_code)]` (`wtpg-net`'s: `deny`, so that one file can
-//!   opt out).
-//! - [`schema`] — wire-schema stability: `msg.rs`/`codec.rs` are parsed
-//!   and diffed against the checked-in `wire-schema.lock` (tags, field
-//!   order, `MAX_FRAME`/`MAX_STEPS`/`MAX_BATCH`); drift is a finding until
-//!   the lock is regenerated deliberately (`--write-schema-lock`).
+//!   opt out), and every member's `Cargo.toml` inherits the workspace
+//!   lints, so a new crate is under the whole policy from its first build.
 //!
 //! Findings are suppressed with an inline waiver comment carrying a reason:
 //!
 //! ```text
-//! let x = v[i]; // lint:allow(panic-safety) i < v.len() checked above
+//! let g = mailbox.lock(); // lint:allow(lock-order) held alone: nothing else is taken
 //! ```
 //!
 //! A waiver on its own line covers the *next* item: if that item opens a
-//! brace block (for example an `fn`), the waiver covers the whole block, so
-//! one waiver can cover an index-heavy function with a locally provable
-//! bound. A waiver may scope itself to specific findings with a detail
-//! list — `lint:allow(protocol: Access, Commit) reason` waives only those
-//! `Msg` variants. Waivers that suppress nothing are themselves findings —
-//! stale waivers must not accumulate. `schema` findings are deliberately
-//! not waivable: drift is fixed by regenerating the lock, never waived.
+//! brace block (for example an `fn`), the waiver covers the whole block. A
+//! waiver may scope itself to specific findings with a detail list —
+//! `lint:allow(protocol: Access, Commit) reason` waives only those `Msg`
+//! variants. Waivers that suppress nothing are themselves findings —
+//! stale waivers must not accumulate — and a waiver naming a rule this
+//! crate does not check (such as the retired `panic-safety`) is one too.
+//! `unsafe-scope` findings are not waivable.
 
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::indexing_slicing,
+    reason = "panic safety covers the runtime and the scheduler hot path; the lint is a build-time tool"
+)]
 
 pub mod callgraph;
 pub mod lex;
 pub mod locks;
 pub mod outline;
 pub mod protocol;
-pub mod schema;
 pub mod taint;
 pub mod unsafe_scope;
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -85,21 +65,17 @@ use outline::Outline;
 /// The rule a finding belongs to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Rule {
-    /// Platform-stable execution: no hash-ordered collections or clocks.
+    /// A determinism-protected function calling into a nondeterministic
+    /// function of an exempt file.
     Determinism,
-    /// No panics on the scheduler hot path.
-    PanicSafety,
-    /// Every `pub fn` documented.
-    ApiDocs,
     /// Lock acquisitions out of the declared `lint-locks.toml` order.
     LockOrder,
     /// Actor-loop protocol checks: `Msg` exhaustiveness, `Batch` recursion
     /// guards, dedup-before-side-effect for redeliverable messages.
     Protocol,
-    /// Wire-schema drift against `wire-schema.lock`. Not waivable.
-    Schema,
-    /// `unsafe` outside its one home, or a crate root without
-    /// `#![forbid(unsafe_code)]`. Not waivable.
+    /// `unsafe` outside its one home, a crate root without
+    /// `#![forbid(unsafe_code)]`, or a member that does not inherit the
+    /// workspace lints. Not waivable.
     UnsafeScope,
     /// Problems with the waiver mechanism itself (unknown rule, missing
     /// reason, waiver that suppresses nothing).
@@ -111,24 +87,18 @@ impl Rule {
     pub fn name(self) -> &'static str {
         match self {
             Rule::Determinism => "determinism",
-            Rule::PanicSafety => "panic-safety",
-            Rule::ApiDocs => "api-docs",
             Rule::LockOrder => "lock-order",
             Rule::Protocol => "protocol",
-            Rule::Schema => "schema",
             Rule::UnsafeScope => "unsafe-scope",
             Rule::Waiver => "waiver",
         }
     }
 
     /// Parses a waiver rule name. `waiver` itself is not waivable, and
-    /// neither are `schema` (drift is fixed by regenerating the lock) and
-    /// `unsafe-scope` (the boundary moves by editing the pass).
+    /// neither is `unsafe-scope` (the boundary moves by editing the pass).
     pub fn parse(name: &str) -> Option<Rule> {
         match name {
             "determinism" => Some(Rule::Determinism),
-            "panic-safety" => Some(Rule::PanicSafety),
-            "api-docs" => Some(Rule::ApiDocs),
             "lock-order" => Some(Rule::LockOrder),
             "protocol" => Some(Rule::Protocol),
             _ => None,
@@ -160,68 +130,6 @@ impl fmt::Display for Finding {
             self.message
         )
     }
-}
-
-/// Renders findings as a machine-readable JSON array for CI artifacts
-/// (`wtpg-lint --format json`). Dependency-free: the four fields are
-/// escaped by hand.
-pub fn findings_to_json(findings: &[Finding]) -> String {
-    let mut s = String::from("[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str("\n  {\"file\":\"");
-        s.push_str(&json_escape(&f.file.to_string_lossy().replace('\\', "/")));
-        s.push_str("\",\"line\":");
-        s.push_str(&f.line.to_string());
-        s.push_str(",\"rule\":\"");
-        s.push_str(f.rule.name());
-        s.push_str("\",\"message\":\"");
-        s.push_str(&json_escape(&f.message));
-        s.push_str("\"}");
-    }
-    if !findings.is_empty() {
-        s.push('\n');
-    }
-    s.push(']');
-    s
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Which per-line rules to apply to a file.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RuleSet {
-    /// Apply the `determinism` rule.
-    pub determinism: bool,
-    /// Apply the `panic-safety` rule.
-    pub panic_safety: bool,
-    /// Apply the `api-docs` rule.
-    pub api_docs: bool,
-}
-
-impl RuleSet {
-    /// All rules on — used for explicit path arguments and fixtures.
-    pub const ALL: RuleSet = RuleSet {
-        determinism: true,
-        panic_safety: true,
-        api_docs: true,
-    };
 }
 
 /// A parsed `lint:allow(...)` waiver.
@@ -438,164 +346,6 @@ impl SourceFile {
     }
 }
 
-/// Panic-family macros banned by the panic-safety rule.
-const PANIC_MACROS: &[&str] = &["panic!(", "unreachable!(", "todo!(", "unimplemented!("];
-
-/// True if `code` contains `ident[` — a possibly-panicking index expression.
-/// Array/slice *types* and attributes are not preceded by an identifier
-/// character, so they do not match.
-fn has_index_expr(code: &str) -> bool {
-    let chars: Vec<char> = code.chars().collect();
-    for i in 1..chars.len() {
-        if chars[i] == '[' {
-            let p = chars[i - 1];
-            if p.is_alphanumeric() || p == '_' || p == ')' || p == ']' {
-                return true;
-            }
-        }
-    }
-    false
-}
-
-/// Is this line the start of a `pub fn` item (not `pub(crate)`)?
-fn is_pub_fn(code: &str) -> bool {
-    let t = code.trim_start();
-    let Some(rest) = t.strip_prefix("pub ") else {
-        return false;
-    };
-    let rest = rest.trim_start();
-    for qual in ["fn ", "const fn ", "async fn ", "unsafe fn "] {
-        if rest.starts_with(qual) {
-            return true;
-        }
-    }
-    false
-}
-
-/// Does the `pub fn` at `lines[at]` have a doc comment (or `#[doc]`)
-/// directly above it, allowing intervening attribute lines?
-fn has_doc_above(lines: &[LineInfo], at: usize) -> bool {
-    let mut j = at;
-    while j > 0 {
-        j -= 1;
-        let raw = lines[j].raw.trim();
-        if raw.starts_with("#[doc") {
-            return true;
-        }
-        if raw.starts_with("///") || raw.starts_with("/**") || raw.ends_with("*/") {
-            return true;
-        }
-        // Attributes and plain comments between the doc and the item do not
-        // detach the doc comment.
-        if raw.starts_with("#[") || raw.starts_with("//") {
-            continue;
-        }
-        return false;
-    }
-    false
-}
-
-/// Runs the three per-line rules on one parsed file. The determinism rule
-/// is token-based (shared with the taint pass's seed classifier), so a
-/// qualified non-clock `Instant` — `EventKind::Instant` — does not fire.
-fn run_line_rules(sf: &mut SourceFile, rules: RuleSet, out: &mut Vec<Finding>) {
-    let mut seeds: BTreeMap<usize, Vec<String>> = BTreeMap::new();
-    if rules.determinism {
-        sf.mark_ran(Rule::Determinism);
-        for (line, tok) in taint::direct_seeds(&sf.tokens, &sf.outline) {
-            let v = seeds.entry(line).or_default();
-            if !v.contains(&tok) {
-                v.push(tok);
-            }
-        }
-    }
-    if rules.panic_safety {
-        sf.mark_ran(Rule::PanicSafety);
-    }
-    if rules.api_docs {
-        sf.mark_ran(Rule::ApiDocs);
-    }
-    let mut cands: Vec<(usize, Rule, String, String)> = Vec::new();
-    for (i, line) in sf.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        if let Some(toks) = seeds.get(&i) {
-            for t in toks {
-                cands.push((
-                    i,
-                    Rule::Determinism,
-                    t.clone(),
-                    format!("nondeterministic construct `{t}`"),
-                ));
-            }
-        }
-        if rules.panic_safety {
-            if line.code.contains(".unwrap()") {
-                cands.push((
-                    i,
-                    Rule::PanicSafety,
-                    String::new(),
-                    "call to unwrap() on the hot path".to_string(),
-                ));
-            }
-            if line.code.contains(".expect(") && !line.raw.contains(".expect(\"invariant:") {
-                cands.push((
-                    i,
-                    Rule::PanicSafety,
-                    String::new(),
-                    "expect() without an `invariant:` justification".to_string(),
-                ));
-            }
-            for mac in PANIC_MACROS {
-                if line.code.contains(mac) {
-                    cands.push((
-                        i,
-                        Rule::PanicSafety,
-                        String::new(),
-                        format!("panic-family macro `{}...`", mac),
-                    ));
-                }
-            }
-            if has_index_expr(&line.code) {
-                cands.push((
-                    i,
-                    Rule::PanicSafety,
-                    String::new(),
-                    "possibly-panicking slice index".to_string(),
-                ));
-            }
-        }
-        if rules.api_docs && is_pub_fn(&line.code) && !has_doc_above(&sf.lines, i) {
-            cands.push((
-                i,
-                Rule::ApiDocs,
-                String::new(),
-                "pub fn without a doc comment".to_string(),
-            ));
-        }
-    }
-    for (line, rule, key, msg) in cands {
-        sf.emit(out, line, rule, &key, msg);
-    }
-}
-
-/// Lints `source` with the per-line rules, reporting findings against
-/// `path`. Test code (`#[cfg(test)]` regions) is exempt from every rule.
-pub fn lint_source(path: &Path, source: &str, rules: RuleSet) -> Vec<Finding> {
-    let mut sf = SourceFile::parse(path, source);
-    let mut findings = Vec::new();
-    run_line_rules(&mut sf, rules, &mut findings);
-    sf.finish(&mut findings);
-    findings
-}
-
-/// Lints one file from disk with the per-line rules.
-pub fn lint_file(path: &Path, rules: RuleSet) -> io::Result<Vec<Finding>> {
-    let source = fs::read_to_string(path)?;
-    Ok(lint_source(path, &source, rules))
-}
-
 /// Recursively collects `.rs` files under `dir`, sorted for stable output.
 pub fn rust_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
@@ -617,114 +367,10 @@ pub fn rust_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-/// The crate a `crates/<name>/src/...` path belongs to, if any.
-fn crate_of(path_slash: &str) -> Option<&str> {
-    let i = path_slash.find("crates/")?;
-    let rest = &path_slash[i + "crates/".len()..];
-    let (name, tail) = rest.split_once('/')?;
-    tail.starts_with("src/").then_some(name)
-}
-
-/// The workspace policy: which per-line rules apply to which file.
-///
-/// Known crates carry an explicit policy; **unknown** crates under
-/// `crates/` get [`RuleSet::ALL`] (fail-closed — a new crate is fully
-/// linted until a policy is written for it, never silently skipped):
-///
-/// - `determinism`: all of `wtpg-core`, `wtpg-sim`, `wtpg-workload`,
-///   `wtpg-graph` and `wtpg-lint` (the lint's own output must be
-///   platform-stable) — but **not** `wtpg-rt`, whose wall clocks and
-///   free-running threads are the point (its runs are checked by replay
-///   certification instead). All of `wtpg-obs` is also held to determinism
-///   (traces of deterministic runs must be byte-deterministic): it reads no
-///   clock, and every timestamp it carries is its producer's. So is all of
-///   `wtpg-dur`: its log, snapshots and replay read no clock, and a run's
-///   recovery is a function of the files it reads.
-/// - `panic-safety`: `wtpg-core/src/wtpg.rs`, `estimate.rs`, `window.rs`
-///   (the id-keyed window every per-transaction book sits on), `sched/*`, and
-///   all of `wtpg-rt/src` (a panic on an actor thread poisons shared locks),
-///   `wtpg-obs/src` (the executor bumps its handles for every actor),
-///   `wtpg-dur/src` (a data node recovers inside its actor step) and
-///   `wtpg-net/src` (a panicking actor deadlocks every peer waiting on it).
-/// - `api-docs`: all of `wtpg-core/src`, `wtpg-rt/src`, `wtpg-obs/src`,
-///   `wtpg-dur/src`, `wtpg-net/src` and `wtpg-lint/src`.
-/// - `wtpg-net` splits on determinism: the pure protocol layer (`msg.rs`,
-///   `codec.rs`, `fault.rs` decisions, the coalescer and its delay line in
-///   `batch.rs`, `plan.rs`, `report.rs`) must be deterministic — the wire
-///   format and fault schedules are replayable by seed, and the coalescer
-///   runs on instants its actor hands in — while the actor loops
-///   (`actor.rs`, `control.rs`, `client.rs`, `data.rs`, `runtime.rs`) and
-///   the socket transport (`tcp.rs`) run on the executor's wall clock by
-///   design, certified by replay. The taint pass still reaches into the exempt
-///   files: a protocol-layer function calling a tainted actor-side helper
-///   is a finding.
-/// - `wtpg-bench` and `wtpg-cli` are measurement/driver tooling: they read
-///   wall clocks to time real runs and report through the CLI, so no
-///   per-line rule applies (their correctness is covered by tier-1 tests).
-pub fn rules_for(path: &Path) -> RuleSet {
-    let s = path.to_string_lossy().replace('\\', "/");
-    let Some(krate) = crate_of(&s) else {
-        return RuleSet::default();
-    };
-    match krate {
-        "wtpg-core" => RuleSet {
-            determinism: true,
-            panic_safety: ["/wtpg.rs", "/estimate.rs", "/window.rs"].iter().any(|f| s.ends_with(f))
-                || s.contains("/sched/"),
-            api_docs: true,
-        },
-        "wtpg-sim" | "wtpg-workload" | "wtpg-graph" => RuleSet {
-            determinism: true,
-            panic_safety: false,
-            api_docs: false,
-        },
-        "wtpg-rt" => RuleSet {
-            determinism: false,
-            panic_safety: true,
-            api_docs: true,
-        },
-        "wtpg-obs" | "wtpg-dur" => RuleSet::ALL,
-        "wtpg-net" => {
-            let wall_clock = [
-                "/tcp.rs",
-                "/actor.rs",
-                "/control.rs",
-                "/client.rs",
-                "/data.rs",
-                "/runtime.rs",
-            ]
-            .iter()
-            .any(|f| s.ends_with(f));
-            RuleSet {
-                determinism: !wall_clock,
-                panic_safety: true,
-                api_docs: true,
-            }
-        }
-        "wtpg-mvcc" => RuleSet {
-            // Version chains, snapshot certification, and the shared GC
-            // cells are pure bookkeeping over seal sequences — no clocks,
-            // no ambient randomness, everything replayable.
-            determinism: true,
-            panic_safety: true,
-            api_docs: true,
-        },
-        "wtpg-lint" => RuleSet {
-            determinism: true,
-            panic_safety: false,
-            api_docs: true,
-        },
-        "wtpg-bench" | "wtpg-cli" => RuleSet::default(),
-        // Fail closed: a crate without an explicit policy is fully linted.
-        _ => RuleSet::ALL,
-    }
-}
-
 /// Reads the workspace member list from `<root>/Cargo.toml`, expanding
 /// `<dir>/*` globs against the directory, so the lint's coverage derives
 /// from the same source of truth cargo uses: adding a crate to the
-/// workspace adds it to the lint, with [`RuleSet::ALL`] until a policy
-/// exists for it.
+/// workspace adds it to the lint.
 pub fn workspace_members(root: &Path) -> io::Result<Vec<String>> {
     let text = fs::read_to_string(root.join("Cargo.toml"))?;
     let mut entries: Vec<String> = Vec::new();
@@ -780,12 +426,9 @@ fn collect_quoted(s: &str, out: &mut Vec<String>) {
     }
 }
 
-/// Lints the whole workspace rooted at `root`: per-line rules under the
-/// [`rules_for`] policy, plus the five workspace passes — determinism
-/// taint (which owns the determinism rule here, adding call-graph
-/// propagation to the direct token scan), lock-order against
-/// `lint-locks.toml`, unsafe-scope, and the `wtpg-net` protocol and
-/// wire-schema passes.
+/// Lints the whole workspace rooted at `root`: per member, the manifest
+/// check and the unsafe-scope, determinism-taint and lock-order passes
+/// (against `lint-locks.toml`), and on `wtpg-net` the protocol pass.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
     let manifest_path = root.join("lint-locks.toml");
@@ -813,6 +456,8 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
         }
     };
     for member in workspace_members(root)? {
+        let cargo = root.join(&member).join("Cargo.toml");
+        unsafe_scope::check_manifest(&cargo, &fs::read_to_string(&cargo)?, &mut findings);
         let src = root.join(&member).join("src");
         if !src.is_dir() {
             continue;
@@ -821,21 +466,21 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
         for file in rust_files(&src)? {
             sfs.push(SourceFile::read(&file)?);
         }
-        for sf in &mut sfs {
-            let mut rules = rules_for(&sf.path);
-            // The taint pass owns determinism in workspace runs: it emits
-            // the same direct-seed findings plus call-graph propagation.
-            rules.determinism = false;
-            run_line_rules(sf, rules, &mut findings);
-        }
-        taint::check(&mut sfs, &|p| rules_for(p).determinism, &mut findings);
+        let crate_exempt = sfs.iter().any(|sf| {
+            (sf.path == src.join("lib.rs") || sf.path == src.join("main.rs")) && taint::opts_out(sf)
+        });
+        let exempt: Vec<PathBuf> = sfs
+            .iter()
+            .filter(|sf| crate_exempt || taint::opts_out(sf))
+            .map(|sf| sf.path.clone())
+            .collect();
+        taint::check(&mut sfs, &|p| !exempt.iter().any(|e| e == p), &mut findings);
         if let Some(m) = &manifest {
             locks::check(&mut sfs, m, &mut findings);
         }
         unsafe_scope::check(&mut sfs, &mut findings);
         if member.ends_with("wtpg-net") {
             protocol::check_net(&mut sfs, &mut findings);
-            schema::check_against_lock(&sfs, &root.join("wire-schema.lock"), &mut findings);
         }
         for sf in &mut sfs {
             sf.finish(&mut findings);
@@ -848,164 +493,63 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
 mod tests {
     use super::*;
 
-    fn lint(src: &str) -> Vec<Finding> {
-        lint_source(Path::new("test.rs"), src, RuleSet::ALL)
+    /// Parses `src` and reports its waiver findings after marking `ran`.
+    fn waiver_findings(src: &str, ran: Rule) -> Vec<Finding> {
+        let mut sf = SourceFile::parse(Path::new("test.rs"), src);
+        sf.mark_ran(ran);
+        let mut out = Vec::new();
+        sf.finish(&mut out);
+        out
     }
 
     #[test]
-    fn clean_source_has_no_findings() {
-        let src = "/// Doc.\npub fn f(x: Option<u32>) -> u32 {\n    x.unwrap_or(0)\n}\n";
-        assert!(lint(src).is_empty(), "{:?}", lint(src));
-    }
-
-    #[test]
-    fn determinism_tokens_fire() {
-        let f = lint("use std::collections::HashMap;\n");
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::Determinism);
-    }
-
-    #[test]
-    fn determinism_word_boundary() {
-        assert!(lint("struct HashMapLike;\n").is_empty());
-    }
-
-    #[test]
-    fn clock_instant_fires_but_trace_phase_instant_does_not() {
-        // Bare `Instant` and `std::time::Instant` are the clock type.
-        assert_eq!(lint("fn f() { let t = Instant::now(); }\n").len(), 1);
-        assert_eq!(lint("use std::time::Instant;\n").len(), 1);
-        // `EventKind::Instant` (qualified by a non-`time` path) is the
-        // observer's trace-phase marker, not a clock.
-        assert!(lint("fn f(k: EventKind) { if let EventKind::Instant { .. } = k {} }\n").is_empty());
-        // A variant *named* Instant declared in this file is not a clock.
-        assert!(lint("enum EventKind { Span, Instant { name: u32 } }\n").is_empty());
-    }
-
-    #[test]
-    fn tokens_in_strings_and_comments_ignored() {
-        assert!(lint("// HashMap is banned\nconst S: &str = \"HashMap\";\n").is_empty());
-    }
-
-    #[test]
-    fn unwrap_fires_and_waiver_suppresses() {
-        let f = lint("fn f() { x.unwrap(); }\n");
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::PanicSafety);
-        let w = lint("fn f() { x.unwrap(); } // lint:allow(panic-safety) x set above\n");
-        assert!(w.is_empty(), "{w:?}");
-    }
-
-    #[test]
-    fn invariant_expect_is_accepted() {
-        assert!(lint("fn f() { x.expect(\"invariant: set in new\"); }\n").is_empty());
-        let f = lint("fn f() { x.expect(\"oops\"); }\n");
-        assert_eq!(f.len(), 1);
-    }
-
-    #[test]
-    fn index_expression_fires() {
-        let f = lint("fn f() { let y = v[i]; }\n");
-        assert_eq!(f.len(), 1);
-        assert!(lint("fn f(v: &[u32; 4]) {}\n").is_empty());
-    }
-
-    #[test]
-    fn standalone_waiver_covers_whole_fn() {
-        let src = "// lint:allow(panic-safety) indices bounded by construction\n\
-                   fn f(v: &Vec<u32>) -> u32 {\n    v[0] + v[1]\n}\n";
-        assert!(lint(src).is_empty(), "{:?}", lint(src));
+    fn a_waiver_suppresses_a_finding_on_its_line_or_item() {
+        let src = "// lint:allow(lock-order) held alone\nfn f() {\n    let g = m.lock();\n}\n";
+        let mut sf = SourceFile::parse(Path::new("test.rs"), src);
+        let mut out = Vec::new();
+        sf.mark_ran(Rule::LockOrder);
+        sf.emit(&mut out, 2, Rule::LockOrder, "m", "undeclared".to_string());
+        sf.finish(&mut out);
+        assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]
     fn waiver_details_scope_to_finding_keys() {
-        // A detailed determinism waiver only covers the named token.
-        let src = "// lint:allow(determinism: HashSet) interned upstream\n\
-                   fn f() {\n    let s = HashSet::new();\n    let m = HashMap::new();\n}\n";
-        let f = lint(src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("HashMap"), "{f:?}");
+        let src = "// lint:allow(protocol: Access) send-only\nfn f() {}\n";
+        let mut sf = SourceFile::parse(Path::new("test.rs"), src);
+        let mut out = Vec::new();
+        sf.emit(&mut out, 1, Rule::Protocol, "Commit", "Commit unhandled".to_string());
+        sf.emit(&mut out, 1, Rule::Protocol, "Access", "Access unhandled".to_string());
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert!(out[0].message.contains("Commit"), "{out:?}");
     }
 
     #[test]
     fn unused_waiver_is_reported() {
-        let f = lint("// lint:allow(panic-safety) nothing here\nfn f() {}\n");
-        assert_eq!(f.len(), 1);
+        let f = waiver_findings("// lint:allow(lock-order) nothing here\nfn f() {}\n", Rule::LockOrder);
+        assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, Rule::Waiver);
     }
 
     #[test]
+    fn waivers_for_rules_the_compiler_checks_now_are_unknown() {
+        for rule in ["panic-safety", "api-docs", "schema"] {
+            let src = format!("fn f() {{ x.unwrap() }} // lint:allow({rule}) bounded\n");
+            let f = waiver_findings(&src, Rule::Determinism);
+            assert_eq!(f.len(), 1, "{f:?}");
+            assert!(f[0].message.contains("unknown rule"), "{f:?}");
+        }
+    }
+
+    #[test]
     fn doc_comments_quoting_waiver_syntax_are_not_waivers() {
-        // A rustdoc line quoting the waiver idiom must neither waive
-        // anything nor count as a malformed/unused waiver.
-        let src = "/// Suppress with `lint:allow(panic-safety)` inline.\n\
-                   //! Or even `lint:allow(bogus-rule)`.\n\
-                   fn f() { v.unwrap(); }\n";
-        let f = lint(src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, Rule::PanicSafety);
+        let src = "/// Suppress with `lint:allow(lock-order)` inline.\n//! Or even `lint:allow(bogus-rule)`.\nfn f() {}\n";
+        assert!(waiver_findings(src, Rule::LockOrder).is_empty());
     }
 
     #[test]
     fn waiver_without_reason_is_reported() {
-        let f = lint("fn f() { x.unwrap() } // lint:allow(panic-safety)\n");
-        assert!(f.iter().any(|f| f.rule == Rule::Waiver), "{f:?}");
-    }
-
-    #[test]
-    fn test_modules_are_exempt() {
-        let src = "#[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n    fn f() { x.unwrap(); }\n}\n";
-        assert!(lint(src).is_empty(), "{:?}", lint(src));
-    }
-
-    #[test]
-    fn pub_fn_without_doc_fires() {
-        let f = lint("pub fn undocumented() {}\n");
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::ApiDocs);
-        assert!(lint("/// Doc.\npub fn documented() {}\n").is_empty());
-        assert!(lint("pub(crate) fn internal() {}\n").is_empty());
-    }
-
-    #[test]
-    fn doc_above_attributes_counts() {
-        assert!(lint("/// Doc.\n#[inline]\npub fn f() {}\n").is_empty());
-    }
-
-    #[test]
-    fn raw_strings_are_stripped() {
-        assert!(lint("const S: &str = r#\"HashMap .unwrap()\"#;\n").is_empty());
-    }
-
-    #[test]
-    fn json_output_escapes_and_round_trips_shape() {
-        let f = vec![Finding {
-            file: PathBuf::from("a\\b.rs"),
-            line: 3,
-            rule: Rule::Schema,
-            message: "tag \"x\" drifted".to_string(),
-        }];
-        let j = findings_to_json(&f);
-        assert!(j.starts_with('[') && j.ends_with(']'), "{j}");
-        assert!(j.contains("\"rule\":\"schema\""), "{j}");
-        assert!(j.contains("tag \\\"x\\\" drifted"), "{j}");
-        assert_eq!(findings_to_json(&[]), "[]");
-    }
-
-    #[test]
-    fn unknown_crates_fail_closed() {
-        assert_eq!(
-            rules_for(Path::new("crates/wtpg-future/src/lib.rs")),
-            RuleSet::ALL
-        );
-        assert_eq!(
-            rules_for(Path::new("crates/wtpg-bench/src/lib.rs")),
-            RuleSet::default()
-        );
-        // Non-src paths (tests, fixtures) carry no per-line rules.
-        assert_eq!(
-            rules_for(Path::new("crates/wtpg-rt/tests/lock_order.rs")),
-            RuleSet::default()
-        );
+        let f = waiver_findings("fn f() {} // lint:allow(protocol)\n", Rule::Protocol);
+        assert!(f.iter().any(|f| f.message.contains("no reason")), "{f:?}");
     }
 }

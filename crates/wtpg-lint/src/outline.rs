@@ -2,10 +2,10 @@
 //!
 //! Not a full AST — just the shapes the passes need:
 //!
-//! * functions with their qualified name (`Type::name` inside an `impl`),
+//! * functions with their qualified name (`Type::name` inside an `impl`,
+//!   `Trait::name` inside a `trait`),
 //!   signature and body token ranges;
-//! * `enum` declarations with variant names, field order, and lines;
-//! * `const` items with their value token text;
+//! * `enum` declarations with their variant names;
 //! * `match` expressions inside a body, split into arms with pattern and
 //!   body token ranges.
 //!
@@ -20,7 +20,8 @@ use crate::lex::Tok;
 pub struct FnItem {
     /// Simple name.
     pub name: String,
-    /// `Type::name` for methods in an `impl` block, else the simple name.
+    /// `Type::name` for methods in an `impl` block (`Trait::name` in a
+    /// `trait` block), else the simple name.
     pub qual: String,
     /// 0-based line of the `fn` keyword.
     pub line: usize,
@@ -32,38 +33,13 @@ pub struct FnItem {
     pub body: (usize, usize),
 }
 
-/// One variant of an `enum`.
-#[derive(Debug)]
-pub struct EnumVariant {
-    /// Variant name.
-    pub name: String,
-    /// Field names in declaration order; tuple fields are `"0"`, `"1"`, …
-    pub fields: Vec<String>,
-    /// 0-based line of the variant name.
-    pub line: usize,
-}
-
 /// One `enum` item.
 #[derive(Debug)]
 pub struct EnumItem {
     /// Enum name.
     pub name: String,
-    /// Variants in declaration order.
-    pub variants: Vec<EnumVariant>,
-    /// Token range `[start, end)` strictly inside the enum's braces.
-    pub body: (usize, usize),
-}
-
-/// One `const` item (module- or impl-level; consts inside fn bodies are
-/// also collected, which is harmless for the passes that read these).
-#[derive(Debug)]
-pub struct ConstItem {
-    /// Const name.
-    pub name: String,
-    /// The value expression, tokens joined with single spaces.
-    pub value: String,
-    /// 0-based line of the name.
-    pub line: usize,
+    /// Variant names in declaration order.
+    pub variants: Vec<String>,
 }
 
 /// Everything the outline parser extracted from one file.
@@ -73,8 +49,6 @@ pub struct Outline {
     pub fns: Vec<FnItem>,
     /// Enums, in source order.
     pub enums: Vec<EnumItem>,
-    /// Consts, in source order.
-    pub consts: Vec<ConstItem>,
 }
 
 /// Index of the `}` matching the `{` at `open` (or the last token if the
@@ -136,11 +110,14 @@ impl Outline {
                     pending_impl = Some(impl_type_name(toks, i + 1));
                     i += 1;
                 }
+                // A trait's methods are qualified by the trait: `self.f()`
+                // may reach them, as it never reaches a free fn.
+                "trait" if toks.get(i + 1).is_some_and(Tok::is_word) => {
+                    pending_impl = toks.get(i + 1).map(|t| t.text.clone());
+                    i += 1;
+                }
                 "enum" => {
                     i = parse_enum(toks, i, &mut out);
-                }
-                "const" => {
-                    i = parse_const(toks, i, &mut out);
                 }
                 "fn" => {
                     i = parse_fn(toks, i, impl_stack.last().map(|(_, n)| n.as_str()), &mut out);
@@ -280,122 +257,21 @@ fn parse_enum(toks: &[Tok], enum_idx: usize, out: &mut Outline) -> usize {
             k += 1;
             continue;
         }
-        let vname = toks[k].text.clone();
-        let vline = toks[k].line;
-        let mut fields = Vec::new();
-        k += 1;
-        match toks.get(k).map(|t| t.text.as_str()) {
-            Some("{") => {
-                let vclose = match_brace(toks, k);
-                // Named fields: `ident :` at depth 1 of this brace.
-                let mut bd = 0i64;
-                let mut m = k;
-                while m < vclose {
-                    match toks[m].text.as_str() {
-                        "{" | "(" | "[" => bd += 1,
-                        "}" | ")" | "]" => bd -= 1,
-                        ":" if bd == 1 => {
-                            if let Some(prev) = toks.get(m - 1) {
-                                if prev.is_word() {
-                                    fields.push(prev.text.clone());
-                                }
-                            }
-                        }
-                        _ => {}
-                    }
-                    m += 1;
-                }
-                k = vclose + 1;
+        variants.push(toks[k].text.clone());
+        // Skip the variant's fields and discriminant, up to its comma.
+        let mut bd = 0i64;
+        while k < close {
+            match toks[k].text.as_str() {
+                "(" | "[" | "{" => bd += 1,
+                ")" | "]" | "}" => bd -= 1,
+                "," if bd == 0 => break,
+                _ => {}
             }
-            Some("(") => {
-                // Tuple fields: count comma-separated types at depth 1.
-                let mut bd = 0i64;
-                let mut count = 0usize;
-                let mut saw_any = false;
-                let mut m = k;
-                loop {
-                    match toks.get(m).map(|t| t.text.as_str()) {
-                        Some("(") | Some("[") | Some("{") => bd += 1,
-                        Some(")") | Some("]") | Some("}") => {
-                            bd -= 1;
-                            if bd == 0 {
-                                m += 1;
-                                break;
-                            }
-                        }
-                        Some(",") if bd == 1 => count += 1,
-                        Some(_) if bd == 1 => saw_any = true,
-                        None => break,
-                        _ => {}
-                    }
-                    m += 1;
-                }
-                if saw_any {
-                    count += 1;
-                }
-                for f in 0..count {
-                    fields.push(f.to_string());
-                }
-                k = m;
-            }
-            _ => {}
+            k += 1;
         }
-        variants.push(EnumVariant {
-            name: vname,
-            fields,
-            line: vline,
-        });
     }
-    out.enums.push(EnumItem {
-        name,
-        variants,
-        body: (j + 1, close),
-    });
+    out.enums.push(EnumItem { name, variants });
     close + 1
-}
-
-/// Parses `const NAME: Ty = value;` and returns the index past the `;`.
-fn parse_const(toks: &[Tok], const_idx: usize, out: &mut Outline) -> usize {
-    let Some(name_tok) = toks.get(const_idx + 1) else {
-        return const_idx + 1;
-    };
-    // `const fn` — not a const item.
-    if !name_tok.is_word() || name_tok.text == "fn" {
-        return const_idx + 1;
-    }
-    let name = name_tok.text.clone();
-    let line = name_tok.line;
-    let mut j = const_idx + 2;
-    // Skip to `=` at depth 0 (the type may contain brackets).
-    let mut bd = 0i64;
-    while j < toks.len() {
-        match toks[j].text.as_str() {
-            "(" | "[" | "{" => bd += 1,
-            ")" | "]" | "}" => bd -= 1,
-            "=" if bd == 0 => break,
-            ";" if bd == 0 => return j + 1, // associated const without value
-            _ => {}
-        }
-        j += 1;
-    }
-    let vstart = j + 1;
-    let mut k = vstart;
-    while k < toks.len() {
-        match toks[k].text.as_str() {
-            "(" | "[" | "{" => bd += 1,
-            ")" | "]" | "}" => bd -= 1,
-            ";" if bd == 0 => break,
-            _ => {}
-        }
-        k += 1;
-    }
-    let value = toks[vstart..k.min(toks.len())]
-        .iter()
-        .map(|t| t.text.as_str())
-        .collect::<Vec<_>>()
-        .join(" ");
-    out.consts.push(ConstItem { name, value, line });
-    k + 1
 }
 
 /// One arm of a `match`.
@@ -595,33 +471,19 @@ mod tests {
 
     #[test]
     fn fns_and_impls_are_qualified() {
-        let src = "fn free() { a(); }\nimpl Foo {\n    fn method(&self) -> u32 { 1 }\n}\nimpl Bar for Baz { fn trait_m(&self) {} }\n";
+        let src = "fn free() { a(); }\nimpl Foo {\n    fn method(&self) -> u32 { 1 }\n}\nimpl Bar for Baz { fn trait_m(&self) {} }\npub trait Step: Send { fn go(&self); fn twice(&self) { self.go(); } }\n";
         let (_, o) = outline(src);
         let quals: Vec<&str> = o.fns.iter().map(|f| f.qual.as_str()).collect();
-        assert_eq!(quals, ["free", "Foo::method", "Baz::trait_m"]);
+        assert_eq!(quals, ["free", "Foo::method", "Baz::trait_m", "Step::go", "Step::twice"]);
     }
 
     #[test]
-    fn enum_variants_and_fields_parse() {
-        let src = "pub enum Msg {\n    Submit { client: u32, txn: TxnId },\n    Shutdown,\n    Batch(Vec<Msg>),\n}\n";
+    fn enum_variants_parse() {
+        let src = "pub enum Msg {\n    Submit { client: u32, txn: TxnId },\n    Shutdown,\n    Batch(Vec<Msg>),\n    Tagged = 4,\n}\n";
         let (_, o) = outline(src);
         assert_eq!(o.enums.len(), 1);
-        let e = &o.enums[0];
-        assert_eq!(e.name, "Msg");
-        assert_eq!(e.variants.len(), 3);
-        assert_eq!(e.variants[0].name, "Submit");
-        assert_eq!(e.variants[0].fields, ["client", "txn"]);
-        assert_eq!(e.variants[1].name, "Shutdown");
-        assert!(e.variants[1].fields.is_empty());
-        assert_eq!(e.variants[2].fields, ["0"]);
-    }
-
-    #[test]
-    fn consts_capture_shift_expressions() {
-        let (_, o) = outline("pub const MAX_FRAME: usize = 1 << 20;\nconst N: u32 = 4096;\n");
-        assert_eq!(o.consts[0].name, "MAX_FRAME");
-        assert_eq!(o.consts[0].value, "1 << 20");
-        assert_eq!(o.consts[1].value, "4096");
+        assert_eq!(o.enums[0].name, "Msg");
+        assert_eq!(o.enums[0].variants, ["Submit", "Shutdown", "Batch", "Tagged"]);
     }
 
     #[test]

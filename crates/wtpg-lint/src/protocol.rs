@@ -95,7 +95,7 @@ pub fn check_net(files: &mut [SourceFile], out: &mut Vec<Finding>) {
         .find(|f| f.path.to_string_lossy().replace('\\', "/").ends_with("/msg.rs"))
         .and_then(|f| f.outline.enums.iter().find(|e| e.name == "Msg"))
     {
-        Some(e) => e.variants.iter().map(|v| v.name.clone()).collect(),
+        Some(e) => e.variants.clone(),
         None => return, // no protocol enum — nothing to check
     };
     check_actors(&variants, files, out);

@@ -1,23 +1,25 @@
-//! Pass 3: call-graph determinism taint.
+//! Call-graph determinism taint.
 //!
-//! The old determinism rule was a per-file deny list: exempt files
-//! (the net actor loops, `tcp.rs`) could do anything, and a
-//! protected file calling into them was invisible. This pass keeps the
-//! same *seeds* — `SystemTime`, clock `Instant`, `thread_rng`,
-//! hash-ordered collections — but propagates them along the approximate
-//! intra-crate call graph:
+//! Clippy bans the direct seeds — hash-ordered collections
+//! (`disallowed-types`), clock reads and `thread_rng`
+//! (`disallowed-methods`, both in `clippy.toml`) — wherever they are
+//! written. A file that must read the wall clock opts out with
+//! `#![expect(clippy::disallowed_methods, reason = "…")]`, or its crate
+//! root does for the whole crate: those are the *exempt* files, and
+//! every other file is *protected*. What clippy cannot see is a protected
+//! function calling into an exempt one, so this pass keeps the seeds
+//! (`SystemTime`, clock `Instant`, `thread_rng`, `HashMap`, `HashSet`) and
+//! propagates them along the approximate intra-crate call graph:
 //!
-//! 1. every seed token in a *protected* file is a direct finding (same
-//!    message the per-line rule used, so existing waivers keep working);
-//! 2. a function is *tainted* if its own tokens contain a seed or if it
+//! 1. a function is *tainted* if its own tokens contain a seed or if it
 //!    calls (by any resolvable form) a tainted function;
-//! 3. a protected function calling a tainted function that lives in an
-//!    *exempt* file is a finding at the call site — the leak the per-file
-//!    rule could never see.
+//! 2. a protected function calling a tainted function that lives in an
+//!    exempt file is a finding at the call site.
 //!
 //! Only the three resolvable call forms (`self.f(…)`, `f(…)`,
 //! `Path::f(…)`) propagate (see [`crate::outline::calls_in`]); general
-//! method calls would wire unrelated same-named methods together.
+//! method calls would wire unrelated same-named methods together, and a
+//! `self.f(…)` call never reaches a free function.
 //! Cross-crate calls are not modeled — each crate's protection boundary
 //! is checked within that crate.
 
@@ -28,50 +30,46 @@ use crate::lex::Tok;
 use crate::outline::{calls_in, Outline};
 use crate::{Finding, Rule, SourceFile};
 
-/// Tokens that seed determinism taint. Word-exact matched on the token
-/// stream; `Instant` is additionally path-qualified (see [`direct_seeds`]).
-pub const SEED_TOKENS: &[&str] = &["HashMap", "HashSet", "SystemTime", "Instant", "thread_rng"];
-
-/// Classifies the token at `i`: returns the canonical seed name if it is a
-/// determinism seed. `Instant` is the subtle one — the observer has an
-/// `EventKind::Instant` trace phase that is not a clock — so a qualified
-/// `X::Instant` seeds only when the path segment before it is `time`, and
-/// a bare `Instant` on the declaration line of an enum variant named
-/// `Instant` is the variant, not the type.
-fn seed_at(toks: &[Tok], i: usize, outline: &Outline) -> Option<&'static str> {
-    let text = toks[i].text.as_str();
-    let canon = SEED_TOKENS.iter().find(|s| **s == text)?;
-    if text == "Instant" {
-        if i >= 1 && toks[i - 1].text == "::" {
-            if i >= 2 && toks[i - 2].text == "time" {
-                return Some(canon);
-            }
-            return None;
+/// Classifies the token at `i`: returns the seed's name if the token is
+/// one of what clippy bans — a hash-ordered collection, `SystemTime`,
+/// `thread_rng`, or a clock read (`Instant::now`, `.elapsed()`). Naming
+/// the `Instant` type is no seed: the machines are handed their instants.
+fn seed_at(toks: &[Tok], i: usize) -> Option<&'static str> {
+    let word = |j: usize| toks.get(j).map(|t| t.text.as_str());
+    match word(i)? {
+        "HashMap" => Some("HashMap"),
+        "HashSet" => Some("HashSet"),
+        "SystemTime" => Some("SystemTime"),
+        "thread_rng" => Some("thread_rng"),
+        "now" if i >= 2 && word(i - 1) == Some("::") && word(i - 2) == Some("Instant") => {
+            Some("Instant::now")
         }
-        let line = toks[i].line;
-        let declared_variant = outline.enums.iter().any(|e| {
-            e.variants
-                .iter()
-                .any(|v| v.name == "Instant" && v.line == line)
-        });
-        if declared_variant {
-            return None;
-        }
+        "elapsed" if word(i + 1) == Some("(") => Some("elapsed"),
+        _ => None,
     }
-    Some(canon)
 }
 
-/// Every seed occurrence in the token stream, as `(0-based line, token)`.
-/// Shared with the per-line determinism rule so file-level and taint-level
-/// checks agree on what a seed is.
-pub fn direct_seeds(toks: &[Tok], outline: &Outline) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        if let Some(canon) = seed_at(toks, i, outline) {
-            out.push((toks[i].line, canon.to_string()));
+/// Does `sf` carry the inner attribute that exempts it from clippy's
+/// determinism bans: `#![expect(…clippy::disallowed_methods…)]` (or
+/// `disallowed_types`)?
+pub fn opts_out(sf: &SourceFile) -> bool {
+    let t = &sf.tokens;
+    let mut i = 0;
+    while i + 3 < t.len() {
+        let head = [&t[i].text, &t[i + 1].text, &t[i + 2].text, &t[i + 3].text];
+        if head == ["#", "!", "[", "expect"] {
+            let close = (i..t.len()).find(|&j| t[j].text == "]").unwrap_or(t.len());
+            if t[i..close]
+                .iter()
+                .any(|w| w.text == "disallowed_methods" || w.text == "disallowed_types")
+            {
+                return true;
+            }
+            i = close;
         }
+        i += 1;
     }
-    out
+    false
 }
 
 /// A tainted function's witness: where the seed actually is.
@@ -83,9 +81,9 @@ struct Witness {
 }
 
 /// Runs the taint pass over one crate's files. `protected` decides which
-/// files are determinism-protected (the workspace driver passes
-/// `rules_for(path).determinism`); the rest are exempt but still
-/// propagate taint.
+/// files are determinism-protected (the workspace driver passes "neither
+/// the file nor its crate root [`opts_out`]"); the rest are exempt but
+/// still propagate taint.
 pub fn check(files: &mut [SourceFile], protected: &dyn Fn(&Path) -> bool, out: &mut Vec<Finding>) {
     let prot: Vec<bool> = files.iter().map(|sf| protected(&sf.path)).collect();
     if !prot.iter().any(|&b| b) {
@@ -106,7 +104,7 @@ pub fn check(files: &mut [SourceFile], protected: &dyn Fn(&Path) -> bool, out: &
         let fun = &sf.outline.fns[node.fn_idx];
         for range in [fun.sig, fun.body] {
             for i in range.0..range.1.min(sf.tokens.len()) {
-                if let Some(canon) = seed_at(&sf.tokens, i, &sf.outline) {
+                if let Some(canon) = seed_at(&sf.tokens, i) {
                     tainted[ni] = Some(Witness {
                         file: node.file,
                         line: sf.tokens[i].line,
@@ -147,22 +145,7 @@ pub fn check(files: &mut [SourceFile], protected: &dyn Fn(&Path) -> bool, out: &
         if !prot[fi] {
             continue;
         }
-        // 1. Direct seeds anywhere in the protected file (module level
-        //    included), deduped per (line, token).
-        let mut seen: Vec<(usize, String)> = Vec::new();
-        for (line, tok) in direct_seeds(&sf.tokens, &sf.outline) {
-            if seen.contains(&(line, tok.clone())) {
-                continue;
-            }
-            seen.push((line, tok.clone()));
-            emits.push((
-                fi,
-                line,
-                tok.clone(),
-                format!("nondeterministic construct `{tok}`"),
-            ));
-        }
-        // 2. Calls from this file's fns into tainted fns of exempt files.
+        // Calls from this file's fns into tainted fns of exempt files.
         for (gi, fun) in sf.outline.fns.iter().enumerate() {
             if cg.node_at(fi, gi).is_none() {
                 continue;
@@ -173,8 +156,11 @@ pub fn check(files: &mut [SourceFile], protected: &dyn Fn(&Path) -> bool, out: &
                 };
                 for &t in targets {
                     let tn = &cg.nodes[t];
+                    if call.via_self && !tn.qual.contains("::") {
+                        continue; // a method call, and `tn` is a free fn
+                    }
                     if prot[tn.file] {
-                        continue; // its own direct finding covers it
+                        continue; // clippy bans its seeds where they are
                     }
                     if let Some(w) = &tainted[t] {
                         let wfile = files[w.file]
@@ -235,12 +221,43 @@ mod tests {
     }
 
     #[test]
-    fn direct_seed_in_protected_file_fires_once() {
+    fn direct_seeds_are_left_to_clippy() {
         let mut files = vec![sf("prot/a.rs", "fn f() { let t = Instant::now(); }\n")];
         let mut out = Vec::new();
         check(&mut files, &|_| true, &mut out);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert!(out[0].message.contains("Instant"));
+        assert!(out.is_empty(), "{out:?}");
+    }
+
+    #[test]
+    fn an_inner_expect_of_a_determinism_ban_opts_out() {
+        let multi = "//! Doc.\n#![expect(\n    clippy::disallowed_methods,\n    reason = \"x\"\n)]\nfn f() {}\n";
+        assert!(opts_out(&sf("a.rs", multi)));
+        assert!(opts_out(&sf("a.rs", "#![expect(clippy::disallowed_types, reason = \"x\")]\n")));
+        assert!(!opts_out(&sf("a.rs", "#![expect(clippy::indexing_slicing, reason = \"x\")]\n")));
+        // An outer attribute on one item, or a test module's, is not a file's opt-out.
+        let item = "#[expect(clippy::disallowed_methods, reason = \"x\")]\nfn f() {}\n";
+        assert!(!opts_out(&sf("a.rs", item)));
+    }
+
+    #[test]
+    fn clock_reads_seed_and_handed_in_instants_do_not() {
+        let seeds = |src: &str| {
+            let t = sf("a.rs", src).tokens;
+            (0..t.len()).filter_map(|i| seed_at(&t, i)).collect::<Vec<_>>()
+        };
+        assert!(seeds("fn f(now: Instant, k: EventKind) { g(now, EventKind::Instant) }\n").is_empty());
+        assert_eq!(seeds("fn f() -> Duration { Instant::now().elapsed() }\n"), ["Instant::now", "elapsed"]);
+        assert_eq!(seeds("fn f(m: HashMap<u32, u32>) { thread_rng(); }\n"), ["HashMap", "thread_rng"]);
+    }
+
+    #[test]
+    fn a_method_call_does_not_reach_a_free_fn_of_the_same_name() {
+        let exempt = "pub fn drive() -> u64 { Instant::now().elapsed().as_secs() }\n";
+        let user = "impl Ctl {\n    fn drive(&mut self) {}\n    fn step(&mut self) { self.drive(); }\n}\n";
+        let mut files = vec![sf("exempt/run.rs", exempt), sf("prot/ctl.rs", user)];
+        let mut out = Vec::new();
+        check(&mut files, &|p| p.to_string_lossy().contains("prot/"), &mut out);
+        assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Unsafe-scope pass: the keyword `unsafe` lives in one file.
+//! Crate-policy pass: the keyword `unsafe` lives in one file, and every
+//! crate inherits the workspace's lint policy.
 //!
 //! The workspace makes exactly one foreign call from library code —
 //! `ppoll(2)`, in `wtpg-net/src/poll.rs`, behind a safe function. Two checks
@@ -12,8 +13,15 @@
 //!   except `wtpg-net/src/lib.rs`, which must carry `#![deny(unsafe_code)]`
 //!   so that `poll.rs`, and nothing else without saying so, can opt out.
 //!
+//! A third check keeps the compiler-checked rules fail-closed: every
+//! member's `Cargo.toml` must say `[lints] workspace = true`, so a new
+//! crate is under the root manifest's `[workspace.lints]` (panic safety,
+//! `missing_docs`, `unreachable_pub`) from its first build.
+//!
 //! Findings of this pass are not waivable: moving the boundary is an edit
 //! to [`UNSAFE_HOME`], reviewed as such.
+
+use std::path::Path;
 
 use crate::{Finding, Rule, SourceFile};
 
@@ -63,6 +71,26 @@ pub fn check(files: &mut [SourceFile], out: &mut Vec<Finding>) {
     }
 }
 
+/// Fails a member manifest (`Cargo.toml` text at `path`) that does not
+/// inherit the workspace lints: a `[lints]` table saying `workspace = true`.
+pub fn check_manifest(path: &Path, text: &str, out: &mut Vec<Finding>) {
+    let mut in_lints = false;
+    for line in text.lines().map(|l| l.split('#').next().unwrap_or("").trim()) {
+        if line.starts_with('[') {
+            in_lints = line == "[lints]";
+        } else if in_lints && line.replace(' ', "") == "workspace=true" {
+            return;
+        }
+    }
+    out.push(Finding {
+        file: path.to_path_buf(),
+        line: 1,
+        rule: Rule::UnsafeScope,
+        message: "manifest does not inherit the workspace lints (`[lints] workspace = true`)"
+            .to_string(),
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,5 +117,19 @@ mod tests {
         for inner in ["crates/wtpg-net/src/tcp.rs", "crates/wtpg-core/src/sched/lib.rs", "lib.rs"] {
             assert!(!is_crate_root(inner), "{inner}");
         }
+    }
+
+    #[test]
+    fn a_manifest_must_inherit_the_workspace_lints() {
+        let fails = |text: &str| {
+            let mut out = Vec::new();
+            check_manifest(Path::new("crates/x/Cargo.toml"), text, &mut out);
+            !out.is_empty()
+        };
+        assert!(!fails("[package]\nname = \"x\"\n\n[lints]\nworkspace = true\n"));
+        assert!(fails("[package]\nname = \"x\"\n"));
+        assert!(fails("[lints]\n# workspace = true\n"));
+        assert!(fails("[lints.rust]\nworkspace = true\n"));
+        assert!(fails("[dependencies]\nworkspace = true\n"));
     }
 }

@@ -19,6 +19,11 @@
 //! run, picked by `seeded` on `VirtualTime`: a seed names one
 //! interleaving, and it repeats exactly.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the executor reads the wall clock: every machine it steps is handed its instants, and runs are certified by replay"
+)]
+
 use std::time::{Duration, Instant};
 
 use wtpg_rt::backoff::XorShift;

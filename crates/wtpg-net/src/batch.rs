@@ -26,7 +26,6 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-// lint:allow(determinism: Instant) an instant the owning actor hands in; nothing here reads a clock
 use std::time::{Duration, Instant};
 
 use wtpg_obs::window::metric;
@@ -38,7 +37,6 @@ use crate::msg::Msg;
 use crate::transport::MsgTx;
 
 /// A buffering wrapper around one directed link.
-// lint:allow(determinism: Instant) an instant the owning actor hands in; nothing here reads a clock
 pub struct Coalescer {
     inner: Arc<dyn MsgTx>,
     buf: Vec<Msg>,
@@ -65,14 +63,12 @@ pub struct Coalescer {
 /// A link's seeded delivery schedule: held frames in send order, each with
 /// its due instant (`None`: sent before the owner told the time, so due at
 /// once) and whether it goes twice.
-// lint:allow(determinism: Instant) an instant the owning actor hands in; nothing here reads a clock
 struct DelayLine {
     faults: LinkFaults,
     rng: XorShift,
     held: VecDeque<(Option<Instant>, Msg, bool)>,
 }
 
-// lint:allow(determinism: Instant) an instant the owning actor hands in; nothing here reads a clock
 impl Coalescer {
     /// Wraps `inner`, buffering at most `batch_max` messages (clamped ≥ 1).
     pub fn new(inner: Arc<dyn MsgTx>, batch_max: usize) -> Coalescer {
@@ -153,6 +149,7 @@ impl Coalescer {
         }
         self.first_buffered_at = None;
         self.sizes.record(n as u64);
+        #[expect(clippy::expect_used, reason = "invariant: n == 1 checked above")]
         let frame = if n == 1 {
             self.buf.pop().expect("invariant: n == 1 checked above")
         } else {
@@ -235,6 +232,10 @@ impl Coalescer {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the tests time real waits on the wall clock"
+)]
 mod tests {
     use super::*;
     use std::collections::BTreeMap;

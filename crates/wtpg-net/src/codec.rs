@@ -109,7 +109,11 @@ fn put_len_prefixed(b: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) {
     put_u32(b, 0);
     fill(b);
     let len = (b.len() - header - 4) as u32;
-    b[header..header + 4].copy_from_slice(&len.to_le_bytes()); // lint:allow(panic-safety) the four bytes at `header` were pushed just above
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the four bytes at `header` were pushed just above"
+    )]
+    b[header..header + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Appends `msg`'s payload encoding to `b` — the crate's one encoder.

@@ -895,6 +895,10 @@ impl ControlActor<'_> {
         let mut orders = std::mem::take(&mut self.reads);
         let mut steps = Vec::with_capacity(spec.len());
         {
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: admit_reader is only reached with the snapshot plane on"
+            )]
             let plane = self
                 .mvcc
                 .as_mut()

@@ -28,7 +28,6 @@
 // `deny`, not the workspace's `forbid`: `poll.rs` alone allows itself the one
 // foreign call a TCP actor's wait on its sockets needs.
 #![deny(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod actor;
 pub mod batch;

@@ -107,6 +107,10 @@ impl PollSet {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the tests time real waits on the wall clock"
+)]
 mod tests {
     use super::*;
     use std::io::Write;

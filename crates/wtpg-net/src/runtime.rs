@@ -48,6 +48,11 @@
 //! (the registry's histograms are log₂-bucketed) and the three conservation
 //! values, which are fault-detection values read off the stores.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a run's wall time and its executor's clock; runs are certified by replay"
+)]
+
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -463,8 +468,9 @@ impl<'a> ActorSet<'a> {
     /// [`NetError::Io`] if the directory or the transport's links cannot be
     /// created; [`NetError::Protocol`] if the transport brought a thread of
     /// its own, which nothing would join (one executor steps every actor).
-    // Not `build`: this reads the clock, and wtpg-lint's taint pass resolves
-    // calls by bare name, so `ShardMap::build` in `plan.rs` would reach it.
+    // Not `build`: this reads the clock (the file opts out of clippy's clock
+    // ban), and wtpg-lint's taint pass resolves a `Path::f` call by bare
+    // name, so `ShardMap::build` in `plan.rs` would reach it.
     pub(crate) fn lay_out(
         plan: &'a RunPlan<'_>,
         transport: &dyn Transport,
@@ -781,6 +787,10 @@ fn assemble(
     let controls = joined.controls.into_iter().collect::<Result<Vec<_>, _>>()?;
     let clients_out = joined.clients.into_iter().collect::<Result<Vec<_>, _>>()?;
     let data_out = joined.data.into_iter().collect::<Result<Vec<_>, _>>()?;
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: shards >= 1, so at least one control outcome"
+    )]
     let head = controls
         .first()
         .expect("invariant: shards >= 1, so at least one control outcome");

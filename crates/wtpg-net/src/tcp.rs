@@ -133,6 +133,10 @@ impl TcpTx {
         }))
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: socket lock is never poisoned (no panics while held)"
+    )]
     fn wire(&self) -> MutexGuard<'_, Wire> {
         self.wire
             .lock()
@@ -627,6 +631,10 @@ impl Transport for Tcp {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the tests time real waits on the wall clock"
+)]
 mod tests {
     use super::*;
     use crate::actor::{Clock, RealTime};

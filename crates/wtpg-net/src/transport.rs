@@ -84,6 +84,10 @@ pub enum Mailbox {
 /// An actor's mailbox.
 pub type Inbox = Arc<Mailbox>;
 
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: mailbox lock is never poisoned (no panics while held)"
+)]
 fn locked<T>(rx: &Mutex<T>) -> MutexGuard<'_, T> {
     rx.lock()
         .expect("invariant: mailbox lock is never poisoned (no panics while held)")
@@ -269,7 +273,7 @@ mod tests {
         let submit = Msg::Submit { client: 0, txn: TxnId(3), step: None, spec: Some(spec) };
         let steps = match &submit {
             Msg::Submit { spec: Some(s), .. } => s.steps().as_ptr(),
-            _ => unreachable!("built as a Submit"),
+            _ => panic!("built as a Submit"),
         };
         assert!(f.client_to_control[0].send_owned(Msg::Batch(vec![submit])));
         let PopResult::Item(Msg::Batch(mut inner)) = f.control_inbox.try_pop() else {

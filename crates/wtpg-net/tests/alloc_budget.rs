@@ -20,6 +20,12 @@
 //! cell has a debug budget beside the release one; the release budgets are
 //! the claim.
 
+#![expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test code: a failed check is a failed test"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 

@@ -14,6 +14,11 @@
 //!   and they agree with what the killed and the restarted incarnation left
 //!   on disk between them.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test code: a failed check is a failed test"
+)]
+
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;

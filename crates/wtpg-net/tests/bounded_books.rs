@@ -11,6 +11,12 @@
 //! a buffered-WAL cell whose node 0 is killed and replays its log, which
 //! brings back the marks of every transaction it ever served.
 
+#![expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test code: a failed check is a failed test"
+)]
+
 use std::path::PathBuf;
 use std::sync::Arc;
 

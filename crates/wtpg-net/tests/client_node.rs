@@ -5,6 +5,12 @@
 //! wait on — the one `Instant::now()` per test is the origin its own time is
 //! counted from.
 
+#![expect(clippy::panic, reason = "test code: a failed check is a failed test")]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the tests time real waits on the wall clock"
+)]
+
 mod common;
 
 use std::sync::Arc;

@@ -7,6 +7,16 @@
 //! an hour, so every frame seen here left at `before_block`, at a re-send,
 //! or at a rejoin.
 
+#![expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test code: a failed check is a failed test"
+)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the tests time real waits on the wall clock"
+)]
+
 mod common;
 
 use std::sync::Arc;

@@ -4,6 +4,17 @@
 //! sleeps, blocks or reads a clock to wait on — the one `Instant::now()` is
 //! the origin the test's own time is counted from.
 
+#![expect(
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unwrap_used,
+    reason = "test code: a failed check is a failed test"
+)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the tests time real waits on the wall clock"
+)]
+
 mod common;
 
 use std::collections::BTreeMap;

@@ -9,6 +9,12 @@
 //! that is a function of the committed workload must still equal the
 //! loop's.
 
+#![expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "test code: a failed check is a failed test"
+)]
+
 use wtpg_core::certify::certify_history;
 use wtpg_core::history::Event;
 use wtpg_core::partition::Catalog;

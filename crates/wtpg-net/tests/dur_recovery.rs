@@ -6,6 +6,11 @@
 //! node ended with, byte for byte, whether replayed serially or across
 //! parallel dependency chains.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test code: a failed check is a failed test"
+)]
+
 use std::path::{Path, PathBuf};
 
 use wtpg_dur::{recover, Durability};

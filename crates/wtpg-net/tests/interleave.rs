@@ -14,6 +14,11 @@
 //! its run exactly. A failing seed is reported as the `run_*seed` call that
 //! repeats it.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test code: a failed check is a failed test"
+)]
+
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 

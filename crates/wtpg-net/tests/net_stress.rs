@@ -2,6 +2,11 @@
 //! without injected faults, must commit everything, replay-certify, and
 //! conserve every committed milli-object — the issue's acceptance bar.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test code: a failed check is a failed test"
+)]
+
 use std::sync::mpsc;
 use std::time::Duration;
 

@@ -20,6 +20,13 @@
 //! certify, snapshot-certify, conserve its write units, and — on a clean
 //! TCP fabric — stay under 10 messages per commit.
 
+#![expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    reason = "test code: a failed check is a failed test"
+)]
+
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 

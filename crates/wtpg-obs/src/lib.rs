@@ -25,10 +25,10 @@
 //! `wtpg-core` and `wtpg-sim` timestamps are logical `Tick`s, so an
 //! instrumented run is byte-reproducible; a `wtpg-net` run stamps µs from
 //! the instants its executor hands its actors. The crate reads no clock and
-//! starts no thread, and all of it passes wtpg-lint's determinism rule.
+//! starts no thread, and clippy's determinism bans (no hash-ordered
+//! collection, no clock read) hold in all of it.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod chrome;
 pub mod event;

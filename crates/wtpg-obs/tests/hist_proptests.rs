@@ -6,6 +6,11 @@
 //! the exact order statistic at that rank — it lands in the same bucket,
 //! between that bucket's lower and upper bound, never outside it.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "test code: a failed check is a failed test"
+)]
+
 use proptest::prelude::*;
 
 use wtpg_obs::jsonl;

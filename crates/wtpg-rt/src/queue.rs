@@ -115,6 +115,10 @@ impl<T> BoundedQueue<T> {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: queue lock is never poisoned (no panics while held)"
+    )]
     fn locked(&self) -> MutexGuard<'_, QueueState<T>> {
         self.state
             .lock()
@@ -151,6 +155,10 @@ impl<T> BoundedQueue<T> {
 
     /// Pushes `item`, blocking while the queue is full. Returns `false` (and
     /// drops the item) if the queue was closed.
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: queue lock is never poisoned (no panics while held)"
+    )]
     pub fn push(&self, item: T) -> bool {
         let mut s = self.locked();
         while s.items.len() >= self.capacity && !s.closed {
@@ -180,6 +188,10 @@ impl<T> BoundedQueue<T> {
 
     /// Pops the next item, blocking while the queue is empty and open.
     /// Returns `None` once the queue is closed *and* drained.
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: queue lock is never poisoned (no panics while held)"
+    )]
     pub fn pop(&self) -> Option<T> {
         let mut s = self.locked();
         loop {

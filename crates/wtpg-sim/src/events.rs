@@ -112,7 +112,7 @@ mod tests {
         let order: Vec<u64> = std::iter::from_fn(|| q.pop())
             .map(|(_, e)| match e {
                 Event::Commit { txn } => txn.0,
-                _ => unreachable!(),
+                _ => panic!("not a commit"),
             })
             .collect();
         assert_eq!(order, vec![1, 2, 3]);
@@ -127,7 +127,7 @@ mod tests {
         let order: Vec<u64> = std::iter::from_fn(|| q.pop())
             .map(|(_, e)| match e {
                 Event::Commit { txn } => txn.0,
-                _ => unreachable!(),
+                _ => panic!("not a commit"),
             })
             .collect();
         assert_eq!(order, (0..10).collect::<Vec<_>>());

@@ -2,6 +2,11 @@
 //! conservation laws must hold for random workload shapes, arrival rates,
 //! and parameter settings.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "test code: a failed check is a failed test"
+)]
+
 use proptest::prelude::*;
 
 use wtpg_core::history::Event as HEvent;

@@ -165,6 +165,10 @@ pub fn promote_lock_modes(mut steps: Vec<StepSpec>) -> Vec<StepSpec> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "hash sets as test oracles; their order is never observed"
+)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
