@@ -171,6 +171,15 @@ impl<V> IdWindow<V> {
         Some(old)
     }
 
+    /// Removes every value held under an id below `id`.
+    pub fn remove_below(&mut self, id: TxnId) {
+        let cut = id.0.saturating_sub(self.base).min(self.ring.len() as u64) as usize;
+        self.in_ring -= self.ring.drain(..cut).filter(Option::is_some).count();
+        self.base += cut as u64;
+        self.trim();
+        self.far = self.far.split_off(&id.0);
+    }
+
     /// Widens the ring to cover `id` if that allocates no more than the
     /// window allows (see the module docs), moving the overflow's values the
     /// widened ring now covers into it. False leaves the ring as it was.
@@ -318,6 +327,23 @@ mod tests {
         assert_eq!((w.base, w.ring.len()), (4, 4), "trimmed to 4..=7");
         assert_eq!(w.remove(TxnId(6)), None);
         assert_eq!(w.get(TxnId(5)), Some(&50));
+    }
+
+    #[test]
+    fn remove_below_drops_the_ring_prefix_and_the_far_ids_under_the_cut() {
+        let mut w: IdWindow<u64> = IdWindow::new();
+        for id in [3, 4, 6, 9, 1 << 40] {
+            w.insert(TxnId(id), id);
+        }
+        w.remove_below(TxnId(5));
+        assert_eq!(w.keys().map(|id| id.0).collect::<Vec<_>>(), [6, 9, 1 << 40]);
+        assert_eq!((w.base, w.ring.len(), w.in_ring), (6, 4, 2));
+        w.remove_below(TxnId(2));
+        assert_eq!(w.len(), 3, "a cut below the ring removes nothing");
+        w.remove_below(TxnId(1 << 41));
+        assert!(w.is_empty() && w.ring.is_empty());
+        w.insert(TxnId(100), 1);
+        assert_eq!((w.base, w.get(TxnId(100))), (100, Some(&1)), "an emptied ring rebases");
     }
 
     #[test]

@@ -30,7 +30,7 @@ fn agree(ops: &[Op]) -> Result<(), TestCaseError> {
         let base = n as u64 / 3;
         let id = id_of(base, offset, far);
         let t = TxnId(id);
-        match kind % 5 {
+        match kind % 6 {
             0 | 1 => prop_assert_eq!(w.insert(t, n as u64), oracle.insert(id, n as u64)),
             2 => prop_assert_eq!(w.remove(t), oracle.remove(&id)),
             3 => {
@@ -41,10 +41,14 @@ fn agree(ops: &[Op]) -> Result<(), TestCaseError> {
                     *v += 1;
                 }
             }
-            _ => prop_assert_eq!(
+            4 => prop_assert_eq!(
                 *w.get_or_insert_with(t, || 7),
                 *oracle.entry(id).or_insert(7)
             ),
+            _ => {
+                w.remove_below(t);
+                oracle = oracle.split_off(&id);
+            }
         }
         prop_assert_eq!(w.get(t), oracle.get(&id));
         prop_assert_eq!(w.contains(t), oracle.contains_key(&id));
@@ -62,14 +66,14 @@ fn agree(ops: &[Op]) -> Result<(), TestCaseError> {
 
 fn arb_op() -> impl Strategy<Value = Op> {
     // One far id in sixteen, split between two far regions.
-    (0u8..5, 0u64..96, 0u8..16).prop_map(|(k, o, f)| (k, o, if f < 14 { 0 } else { f - 13 }))
+    (0u8..6, 0u64..96, 0u8..16).prop_map(|(k, o, f)| (k, o, if f < 14 { 0 } else { f - 13 }))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Insert, remove, get, get-or-insert and the ascending walk match a
-    /// `BTreeMap`, near a moving base and far from it.
+    /// Insert, remove, get, get-or-insert, remove-below and the ascending
+    /// walk match a `BTreeMap`, near a moving base and far from it.
     #[test]
     fn the_window_agrees_with_a_btreemap(ops in proptest::collection::vec(arb_op(), 1..400)) {
         agree(&ops)?;

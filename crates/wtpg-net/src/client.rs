@@ -252,7 +252,7 @@ impl Actor for ClientActor<'_> {
     /// otherwise ignored; a `Batch` of acks is booked ack by ack. Any other
     /// message, a control-side `Shutdown` included, is a protocol error for
     /// a client still owed acks.
-    // lint:allow(protocol: Submit, Access, AccessDone, StatsDelta, Recover, RecoverAck, SnapshotRead, SnapshotReply, Forget) a client receives only Commit acks (alone or batched) and Shutdown; the rest is control/data-plane, recovery, snapshot and notice traffic it never sees
+    // lint:allow(protocol: Submit, Access, AccessDone, StatsDelta, Recover, SnapshotRead, SnapshotReply, Forget) a client receives only Commit acks (alone or batched) and Shutdown; the rest is control/data-plane, recovery, snapshot and notice traffic it never sees
     fn deliver(&mut self, m: Msg, now: Instant) -> Result<Flow, NetError> {
         match m {
             Msg::Batch(acks) => {

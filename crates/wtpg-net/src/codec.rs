@@ -200,15 +200,6 @@ fn put_msg(b: &mut Vec<u8>, msg: &Msg) {
             put_u64(b, *last_lsn);
             put_u64(b, *replayed_chunks);
         }
-        Msg::RecoverAck {
-            node,
-            shard,
-            outstanding,
-        } => {
-            put_u32(b, *node);
-            put_u32(b, *shard);
-            put_u32(b, *outstanding);
-        }
         Msg::SnapshotRead {
             txn,
             step,
@@ -246,7 +237,12 @@ fn put_msg(b: &mut Vec<u8>, msg: &Msg) {
             put_u64(b, *checksum);
             put_u64(b, *units);
         }
-        Msg::Forget { txns, floors } => {
+        Msg::Forget {
+            shard,
+            below,
+            txns,
+            floors,
+        } => {
             debug_assert!(
                 txns.len() <= MAX_FORGET as usize && floors.len() <= MAX_FORGET as usize,
                 "a notice of {} transactions and {} floors violates the wire bound the \
@@ -254,6 +250,8 @@ fn put_msg(b: &mut Vec<u8>, msg: &Msg) {
                 txns.len(),
                 floors.len()
             );
+            put_u32(b, *shard);
+            put_u64(b, below.0);
             put_u32(b, txns.len() as u32);
             for t in txns {
                 put_u64(b, t.0);
@@ -525,11 +523,6 @@ fn read_msg(c: &mut Cur<'_>, allow_batch: bool) -> Result<Msg, CodecError> {
             last_lsn: c.u64()?,
             replayed_chunks: c.u64()?,
         }),
-        12 => Ok(Msg::RecoverAck {
-            node: c.u32()?,
-            shard: c.u32()?,
-            outstanding: c.u32()?,
-        }),
         13 => {
             let txn = TxnId(c.u64()?);
             let step = c.u32()?;
@@ -559,6 +552,8 @@ fn read_msg(c: &mut Cur<'_>, allow_batch: bool) -> Result<Msg, CodecError> {
             units: c.u64()?,
         }),
         15 => {
+            let shard = c.u32()?;
+            let below = TxnId(c.u64()?);
             let count = c.count(MAX_FORGET)?;
             let mut txns = Vec::with_capacity(count);
             for _ in 0..count {
@@ -569,7 +564,12 @@ fn read_msg(c: &mut Cur<'_>, allow_batch: bool) -> Result<Msg, CodecError> {
             for _ in 0..count {
                 floors.push((PartitionId(c.u32()?), c.u64()?));
             }
-            Ok(Msg::Forget { txns, floors })
+            Ok(Msg::Forget {
+                shard,
+                below,
+                txns,
+                floors,
+            })
         }
         t => Err(CodecError::BadTag(t)),
     }
@@ -649,11 +649,6 @@ mod tests {
                 last_lsn: 0x0102_0304_0506,
                 replayed_chunks: 42,
             },
-            Msg::RecoverAck {
-                node: 1,
-                shard: 2,
-                outstanding: 3,
-            },
             Msg::SnapshotRead {
                 txn: TxnId(8),
                 step: 0,
@@ -679,10 +674,14 @@ mod tests {
                 units: 1200,
             },
             Msg::Forget {
+                shard: 1,
+                below: TxnId(2),
                 txns: vec![TxnId(8), TxnId(3)],
                 floors: vec![(PartitionId(5), 2)],
             },
             Msg::Forget {
+                shard: 0,
+                below: TxnId(0),
                 txns: vec![],
                 floors: vec![],
             },
@@ -748,21 +747,9 @@ mod tests {
                 7, 0, 0, 0, 0, 0, 0, 0, // replayed_chunks u64 LE
             ]
         );
-        let ack = Msg::RecoverAck {
-            node: 2,
-            shard: 1,
-            outstanding: 5,
-        };
-        assert_eq!(
-            encode_payload(&ack),
-            vec![
-                12, // tag: RecoverAck
-                2, 0, 0, 0, // node u32 LE
-                1, 0, 0, 0, // shard u32 LE
-                5, 0, 0, 0, // outstanding u32 LE
-            ]
-        );
         let forget = Msg::Forget {
+            shard: 2,
+            below: TxnId(5),
             txns: vec![TxnId(9)],
             floors: vec![(PartitionId(3), 4)],
         };
@@ -770,6 +757,8 @@ mod tests {
             encode_payload(&forget),
             vec![
                 15, // tag: Forget
+                2, 0, 0, 0, // shard u32 LE
+                5, 0, 0, 0, 0, 0, 0, 0, // below u64 LE
                 1, 0, 0, 0, // one transaction
                 9, 0, 0, 0, 0, 0, 0, 0, // txns[0] u64 LE
                 1, 0, 0, 0, // one floor
@@ -974,12 +963,16 @@ mod tests {
         );
         // Oversized notice lists: the transactions, then the floors.
         let mut b = vec![15u8];
+        b.extend_from_slice(&0u32.to_le_bytes()); // shard
+        b.extend_from_slice(&1u64.to_le_bytes()); // below
         b.extend_from_slice(&(MAX_FORGET + 1).to_le_bytes());
         assert_eq!(
             decode_payload(&b),
             Err(CodecError::Oversize(MAX_FORGET as usize + 1))
         );
         let mut b = vec![15u8];
+        b.extend_from_slice(&0u32.to_le_bytes()); // shard
+        b.extend_from_slice(&1u64.to_le_bytes()); // below
         b.extend_from_slice(&0u32.to_le_bytes()); // no transactions
         b.extend_from_slice(&(MAX_FORGET + 1).to_le_bytes());
         assert_eq!(

@@ -55,9 +55,9 @@
 //!   orders are parked as node-unavailable (surfaced in the report) and
 //!   keep re-sending at the capped interval — a killed node restarts from
 //!   its log and answers. When a restarted node announces [`Msg::Recover`],
-//!   everything outstanding on it is re-sent immediately and acknowledged
-//!   with [`Msg::RecoverAck`]. The receive watchdog still bounds a run
-//!   whose node is truly gone.
+//!   everything outstanding on it is re-sent at once, as one frame that
+//!   ends with a notice. The receive watchdog still bounds a run whose node
+//!   is truly gone.
 //! * **Duplicate absorption** — a writer has at most one step in flight,
 //!   and that step's order, filed in the writer's own record, is its whole
 //!   dedup state: the order's chunk cursor filters in-flight `StatsDelta`
@@ -76,9 +76,13 @@
 //! floors the commit or retirement raised for the partitions that node
 //! owns. The queue rides as one [`Msg::Forget`] behind an order in the
 //! next frame to that node — raised floors at once, retired transactions
-//! once [`NOTICE_AT`] have gathered: it never makes a frame of its own, and
-//! the link's FIFO order puts it behind every copy of the orders it
-//! retires. The shard shares nothing else with the nodes.
+//! once [`NOTICE_AT`] have gathered: it makes a frame of its own only for
+//! a rejoined node with nothing outstanding (see `Msg::Recover`), and the
+//! link's FIFO order puts it behind every copy of the orders it retires. Every notice carries the shard's low-water mark (see `mark`),
+//! and the node forgets everything below it: what a notice lost in a crash
+//! window named, or a kill's replay brought back, goes with the next one.
+//! "Already retired?" reads the same mark, or the `finished` set above it.
+//! The shard shares nothing else with the nodes.
 //!
 //! **Indexed books.** Every per-transaction book — the live transactions
 //! with their orders in flight, the finished set — is an [`IdWindow`], and
@@ -254,10 +258,9 @@ impl CtrlTel {
 /// The control actor's MVCC state: seal/commit bookkeeping plus every
 /// in-flight read-only BAT.
 ///
-/// Memory note: `log` and `records` grow with run length (as does the
-/// actor's `finished` set, one byte per id) — they are the post-run snapshot certifier's
-/// input, which (unlike the writer history under `stream_certify`) is not
-/// yet certified as a stream.
+/// Memory note: `log` and `records` grow with run length — they are the
+/// post-run snapshot certifier's input, which (unlike the writer history
+/// under `stream_certify`) is not yet certified as a stream.
 /// Endurance cells that must stay memory-bounded should run the snapshot
 /// plane off (`--read-mix 0` keeps every byte identical to a plane-less
 /// run); the data-plane side stays bounded regardless (served-read memos
@@ -335,22 +338,27 @@ impl Notice {
         }
     }
 
-    /// The notice to send, if one is due: raised floors go at once — they
-    /// keep the version chains as short as the snapshots allow — and
-    /// retired transactions once [`NOTICE_AT`] have gathered. At most
-    /// [`MAX_FORGET`] of each kind; the rest waits for the next one.
-    fn take(&mut self) -> Option<Msg> {
+    /// Whether a notice is due: raised floors go at once — they keep the
+    /// version chains as short as the snapshots allow — and retired
+    /// transactions once [`NOTICE_AT`] have gathered.
+    fn due(&self) -> bool {
+        self.txns.len() >= NOTICE_AT || !self.floors.is_empty()
+    }
+
+    /// The notice from `shard`, whose mark is `below`: at most
+    /// [`MAX_FORGET`] of each kind, the rest waiting for the next one.
+    fn take(&mut self, shard: u32, below: TxnId) -> Msg {
         let txns = if self.txns.len() >= NOTICE_AT {
             head(&mut self.txns, NOTICE_AT)
-        } else if self.floors.is_empty() {
-            return None;
         } else {
             Vec::new()
         };
-        Some(Msg::Forget {
+        Msg::Forget {
+            shard,
+            below,
             txns,
             floors: head(&mut self.floors, 0),
-        })
+        }
     }
 }
 
@@ -498,9 +506,13 @@ pub struct ControlActor<'a> {
     /// Transactions currently admitted and not yet committed or aborted.
     active: usize,
     admit_window: usize,
-    /// Committed writers and retired readers. A transaction's drive-state
-    /// is retired when it finishes; this set absorbs its late duplicates.
+    /// Committed writers and retired readers at or above the mark. A
+    /// transaction's drive-state is retired when it finishes; this set and
+    /// the mark absorb its late duplicates.
     finished: IdWindow<()>,
+    /// Per client, the id after its last `Submit`: ids ascend per client,
+    /// so nothing it sends later is below it.
+    next_submit: Vec<TxnId>,
     rx: MsgCounts,
     data_rtts_us: Vec<u64>,
     /// Milli-objects per progress chunk, stamped on every `Access` order.
@@ -559,6 +571,7 @@ impl<'a> ControlActor<'a> {
             active: 0,
             admit_window: params.admit_window.max(1),
             finished: IdWindow::new(),
+            next_submit: vec![TxnId(0); params.clients],
             rx: MsgCounts::default(),
             data_rtts_us: Vec::new(),
             chunk_units,
@@ -678,6 +691,33 @@ impl ControlActor<'_> {
         Flow::Stop
     }
 
+    /// The shard's low-water mark: the least of its smallest live id and,
+    /// per client, the id after that client's last `Submit`. Ids ascend per
+    /// client, so no transaction below it is live or can still arrive.
+    fn mark(&self) -> TxnId {
+        let submitted = self.next_submit.iter().min().copied().unwrap_or(TxnId(0));
+        self.txns.keys().next().map_or(submitted, |live| live.min(submitted))
+    }
+
+    /// Whether `txn` finished here: below the mark, or booked since.
+    fn retired(&self, txn: TxnId) -> bool {
+        txn < self.mark() || self.finished.contains(txn)
+    }
+
+    /// Books `txn`, whose drive-state is gone, as finished, and forgets the
+    /// finished ids the mark has passed.
+    fn book_finished(&mut self, txn: TxnId) {
+        self.finished.insert(txn, ());
+        self.finished.remove_below(self.mark());
+    }
+
+    /// Slots the finished set holds (the ring's capacity and the ids
+    /// outside it): it spans the ids in flight, not the run.
+    #[doc(hidden)]
+    pub fn finished_slots(&self) -> usize {
+        self.finished.allocated()
+    }
+
     /// Queues `txn`'s commit ack on its client's coalescer.
     fn ack(&mut self, client: u32, txn: TxnId) -> Result<(), NetError> {
         let c = self
@@ -702,19 +742,20 @@ impl ControlActor<'_> {
 
     /// Queues `order` on `node`'s coalescer at `now`, optionally forcing the
     /// frame out immediately (redelivery path). An `Access` or
-    /// `SnapshotRead` the coalescer still holds takes the node's notice
-    /// along, when it is due: behind the order, in the order's frame.
+    /// `SnapshotRead` the coalescer still holds takes the node's notice,
+    /// stamped with the shard's mark, along when it is due: behind the
+    /// order, in the order's frame.
     fn send_data(&mut self, node: usize, order: Msg, flush: bool, now: Instant) -> Result<(), NetError> {
+        let carries = matches!(order, Msg::Access { .. } | Msg::SnapshotRead { .. });
+        let below = (carries && self.notices.get(node).is_some_and(Notice::due)).then(|| self.mark());
         let c = self
             .to_data
             .get_mut(node)
             .ok_or_else(|| NetError::Protocol(format!("data node {node} out of range")))?;
-        let carries = matches!(order, Msg::Access { .. } | Msg::SnapshotRead { .. });
         let mut sent = c.advance(now) && c.push(order);
-        if sent && carries && c.pending() > 0 {
-            if let Some(notice) = self.notices.get_mut(node).and_then(Notice::take) {
-                sent = c.push(notice);
-            }
+        let notice = self.notices.get_mut(node).zip(below);
+        if let (true, Some((notice, below))) = (sent && c.pending() > 0, notice) {
+            sent = c.push(notice.take(self.shard as u32, below));
         }
         if !(sent && (!flush || c.flush())) {
             return Err(self.vanished(node, "mid-run"));
@@ -824,13 +865,13 @@ impl ControlActor<'_> {
                 plane.log.note_commit(txn, tick);
                 plane.publish_floors(self.catalog, &mut self.notices);
             }
-            self.finished.insert(txn, ());
             self.active = self.active.saturating_sub(1);
             self.tel.commits.inc();
             // The transaction is over: retire its drive-state. Late
             // duplicates (Submit or data-plane replies) are absorbed by
-            // the `finished` set.
+            // the mark and the `finished` set.
             self.txns.remove(txn);
+            self.book_finished(txn);
             return self.ack(client, txn);
         };
         match self.control.request(txn, step)? {
@@ -1018,7 +1059,7 @@ impl ControlActor<'_> {
             Some(Live::Writer(t)) => t.next_step,
             _ => 0,
         };
-        if self.finished.contains(txn) || (step as usize) < next_step {
+        if self.retired(txn) || (step as usize) < next_step {
             return Ok(());
         }
         Err(NetError::Protocol(format!(
@@ -1027,7 +1068,7 @@ impl ControlActor<'_> {
         )))
     }
 
-    // lint:allow(protocol: Access, SnapshotRead, Commit, RecoverAck, Forget) send-only for the control actor: it emits the accesses, snapshot-read orders, commit acks, recovery acks and notices
+    // lint:allow(protocol: Access, SnapshotRead, Commit, Forget) send-only for the control actor: it emits the accesses, snapshot-read orders, commit acks and notices
     fn handle(&mut self, m: Msg, now: Instant) -> Result<(), NetError> {
         m.count(&mut self.rx);
         match m {
@@ -1044,12 +1085,16 @@ impl ControlActor<'_> {
                 step: None,
                 spec: Some(spec),
             } => {
-                if self.txns.contains(txn) || self.finished.contains(txn) {
+                if self.txns.contains(txn) || self.retired(txn) {
                     // Duplicate delivery of a submission already being
                     // driven (or already finished): ignore, or the txn
                     // would enter the backlog twice.
                     return Ok(());
                 }
+                let Some(next) = self.next_submit.get_mut(client as usize) else {
+                    return Err(NetError::Protocol(format!("client {client} out of range")));
+                };
+                *next = (*next).max(TxnId(txn.0.saturating_add(1)));
                 let parts = self.catalog.num_parts();
                 if let Some(s) = spec.steps().iter().find(|s| s.partition.0 >= parts) {
                     return Err(NetError::Protocol(format!(
@@ -1150,13 +1195,14 @@ impl ControlActor<'_> {
                         }
                     }
                 }
+                let retired = self.retired(txn);
                 let Some(plane) = self.mvcc.as_mut() else {
                     return Err(NetError::Protocol(format!(
                         "SnapshotReply for txn {} with the snapshot plane off",
                         txn.0
                     )));
                 };
-                if self.finished.contains(txn) {
+                if retired {
                     return Ok(()); // late duplicate after the reader retired
                 }
                 let Some(Live::Reader(r)) = self.txns.get_mut(txn) else {
@@ -1190,7 +1236,6 @@ impl ControlActor<'_> {
                 let Some(Live::Reader(r)) = self.txns.remove(txn) else {
                     return Err(NetError::Protocol(format!("reader {} vanished mid-reply", txn.0)));
                 };
-                self.finished.insert(txn, ());
                 plane.active.end(txn);
                 plane.records.push(ReaderRecord {
                     txn,
@@ -1207,31 +1252,29 @@ impl ControlActor<'_> {
                         n.retire(txn);
                     }
                 }
+                self.book_finished(txn);
                 self.tel.commits.inc();
                 self.ack(r.client, txn)
             }
             Msg::Recover { node: rejoined, .. } => {
                 // A killed data node restarted from its log and rejoined:
-                // re-send everything still outstanding on it right away
-                // (the replayed applied-marks and partials make re-sends
-                // idempotent) instead of waiting out redelivery deadlines,
-                // and un-park whatever went node-unavailable while it was
-                // dark.
+                // re-send everything still outstanding on it right away, as
+                // one frame (the replayed applied-marks and partials make
+                // re-sends idempotent) instead of waiting out redelivery
+                // deadlines, and un-park whatever went node-unavailable
+                // while it was dark. A notice with the mark closes the
+                // burst, a frame of its own if nothing was outstanding: the
+                // replay brought back books the mark has passed, and no
+                // later order may come to carry it.
                 let node = rejoined as usize;
-                let resent = self.resend(Some(node), now)?;
-                // Flush the re-send burst as its own frame first: the ack
-                // then leaves as a plain single-message frame, so the
-                // rejoin handshake stays visible per-type in the wire
-                // accounting instead of disappearing inside a `Batch`.
-                if !self.to_data.get_mut(node).is_none_or(Coalescer::flush) {
+                self.resend(Some(node), now)?;
+                let (shard, below) = (self.shard as u32, self.mark());
+                let notice = self.notices.get_mut(node).map(|n| n.take(shard, below));
+                let c = self.to_data.get_mut(node);
+                if !c.is_none_or(|c| notice.is_none_or(|n| c.push(n)) && c.flush()) {
                     return Err(self.vanished(node, "at rejoin"));
                 }
-                let ack = Msg::RecoverAck {
-                    node: rejoined,
-                    shard: self.shard as u32,
-                    outstanding: resent,
-                };
-                self.send_data(node, ack, true, now)
+                Ok(())
             }
             Msg::Shutdown => {
                 // A client's end-of-stream marker (see `flow`).
@@ -1244,12 +1287,11 @@ impl ControlActor<'_> {
         }
     }
 
-    /// Re-sends outstanding orders and says how many. With `rejoined`, every
-    /// order on that node, its redelivery budget and deadline reset and the
-    /// burst left in the coalescer for the caller to flush; without, every
-    /// order whose deadline has passed, an attempt charged and the frame
-    /// forced out.
-    fn resend(&mut self, rejoined: Option<usize>, now: Instant) -> Result<u32, NetError> {
+    /// Re-sends outstanding orders. With `rejoined`, every order on that
+    /// node, its redelivery budget and deadline reset and the burst left in
+    /// the coalescer for the caller to flush; without, every order whose
+    /// deadline has passed, an attempt charged and the frame forced out.
+    fn resend(&mut self, rejoined: Option<usize>, now: Instant) -> Result<(), NetError> {
         let mut resend = Vec::new();
         for o in self.txns.values_mut().flat_map(Live::orders_mut) {
             match rejoined {
@@ -1278,12 +1320,11 @@ impl ControlActor<'_> {
             o.deadline = now + Duration::from_micros(self.retry.delay_us(o.attempts));
             resend.push((o.node, o.msg.clone()));
         }
-        let resent = u32::try_from(resend.len()).unwrap_or(u32::MAX);
         for (node, msg) in resend {
             self.send_data(node, msg, rejoined.is_none(), now)?;
             self.tel.access_retries.inc();
         }
-        Ok(resent)
+        Ok(())
     }
 
     /// Publishes the queue-depth gauges; `parked` counts every request

@@ -42,18 +42,22 @@
 //! deltas heal what a kill destroyed in the reply buffer.
 //!
 //! **Forgetting by notice.** The books hold only what control may still ask
-//! about. A [`Msg::Forget`] notice names transactions whose every order is
-//! answered, and the node drops their marks, partials and memos; it carries
-//! raised GC floors, and the node prunes those partitions' version chains
-//! (a `SnapshotRead` piggybacks its partition's floor too). Notices ride
-//! behind orders on the FIFO link, so one never overtakes a copy of an
+//! about. A [`Msg::Forget`] notice carries its control shard's low-water
+//! mark — no transaction of the shard below it is live or can still arrive
+//! — and names transactions whose every order is answered. The node keeps
+//! the latest mark of each shard and drops the marks, partials and memos of
+//! every transaction below the least of them, and of those named; it
+//! prunes the version chains of the partitions whose GC floors the notice
+//! raises (a `SnapshotRead` piggybacks its partition's floor too). Notices
+//! ride behind orders on the FIFO link, so one never overtakes a copy of an
 //! order it retires. Nothing else tells the node anything: it shares no
-//! memory with control. A notice lost inside a crash window leaves its
-//! marks behind (a crash loses deliveries and keeps the books); a kill
-//! loses the books with the process, and replay brings back the marks of
-//! transactions retired long before — so after a kill the node keeps, once
-//! every control shard's [`Msg::RecoverAck`] is in, only the replayed marks
-//! an order re-sent ahead of those acks named.
+//! memory with control. One rule heals both faults: a notice lost inside a
+//! crash window (a crash loses deliveries and keeps the books) leaves its
+//! transactions behind only until the next notice's mark passes them, and
+//! the marks a kill's log replay brings back of transactions retired long
+//! before go once every shard has answered the node's `Recover` — each
+//! shard's re-sent orders end with a notice (the marks the node kept went
+//! with the process).
 //!
 //! **A state machine behind the one loop.** [`DataActor`]'s [`Actor`] steps
 //! are its whole input: a message and the instant it arrived. Being down is a
@@ -140,8 +144,8 @@ pub struct DataNodeParams<'a> {
     /// plans are incompatible with the snapshot plane (the runtime rejects
     /// that combination up front).
     pub mvcc: bool,
-    /// Control shards in the run: after a kill, each acks the node's
-    /// `Recover` once.
+    /// Control shards in the run: the node keeps each one's latest mark and
+    /// forgets below the least of them.
     pub shards: usize,
 }
 
@@ -232,16 +236,6 @@ impl<V: Copy> StepBook<V> {
     }
 }
 
-/// A killed node's way back: until every control shard has acked its
-/// `Recover`, the steps that orders name, so the replayed marks nobody named
-/// can go at the last ack.
-struct Rejoin {
-    /// Per control shard: its `RecoverAck` is in.
-    acked: Vec<bool>,
-    /// Steps that orders delivered since the restart named.
-    named: Vec<(TxnId, u32)>,
-}
-
 /// Being down: until `until`, whatever is delivered is lost.
 struct Down {
     until: Instant,
@@ -273,8 +267,9 @@ pub struct DataActor<'a> {
     read_checksum: u64,
     /// Write a node snapshot once the log reaches this LSN.
     snapshot_due: u64,
-    /// After a kill, until every shard acked the `Recover`.
-    rejoin: Option<Rejoin>,
+    /// Per control shard, the latest mark its notices carried (0 until
+    /// one is heard).
+    below: Vec<TxnId>,
     /// Per-partition version chains (empty while the snapshot plane is
     /// off: nothing inserts without a sealed write or a snapshot read).
     chains: BTreeMap<u32, VersionChain>,
@@ -319,7 +314,7 @@ impl<'a> DataActor<'a> {
             rx: MsgCounts::default(),
             read_checksum: 0,
             snapshot_due: SNAPSHOT_EVERY,
-            rejoin: None,
+            below: vec![TxnId(0); cfg.shards.max(1)],
             chains: BTreeMap::new(),
             snap_marks: StepBook::default(),
             cfg,
@@ -440,7 +435,8 @@ impl DataActor<'_> {
     /// buffered replies survived: it just carries on. A killed node is
     /// rebuilt from disk — the log's dependency chains replayed one after
     /// another on this thread, the executor's — and, if anyone is left to
-    /// hear it, announces `Recover`.
+    /// hear it, announces `Recover`. If nobody is, no order will come to ask
+    /// what its marks answer, so it keeps none.
     fn wake(&mut self, announce: bool) -> Result<Flow, NetError> {
         let killed = self.down.take().filter(|d| d.restart_from_log);
         let Some((_, (_, dir))) = killed.zip(self.cfg.log) else {
@@ -456,14 +452,11 @@ impl DataActor<'_> {
         }
         self.wal = open_writer(&self.cfg, rec.next_lsn, rec.tails)?;
         self.store = rec.store;
-        self.marks = StepBook(rec.marks.into_iter().collect());
-        self.partials = StepBook(rec.partials.into_iter().collect());
+        self.marks = StepBook(rec.marks.into_iter().filter(|_| announce).collect());
+        self.partials = StepBook(rec.partials.into_iter().filter(|_| announce).collect());
         self.read_checksum = rec.read_checksum;
         self.snapshot_due = rec.next_lsn + SNAPSHOT_EVERY;
-        self.rejoin = announce.then(|| Rejoin {
-            acked: vec![false; self.cfg.shards.max(1)],
-            named: Vec::new(),
-        });
+        self.below.fill(TxnId(0));
         let announced = !announce
             || self.replies.push(Msg::Recover {
                 node: self.cfg.node,
@@ -550,7 +543,7 @@ impl DataActor<'_> {
         Ok(())
     }
 
-    // lint:allow(protocol: Submit, AccessDone, Commit, StatsDelta, Recover, SnapshotReply) a data node only receives Access/SnapshotRead/Forget/Batch/Shutdown/RecoverAck; the rest is control<->client traffic, and Recover/SnapshotReply are what it *sends*
+    // lint:allow(protocol: Submit, AccessDone, Commit, StatsDelta, Recover, SnapshotReply) a data node only receives Access/SnapshotRead/Forget/Batch/Shutdown; the rest is control<->client traffic, and Recover/SnapshotReply are what it *sends*
     fn handle(&mut self, m: Msg) -> Result<Flow, NetError> {
         m.count(&mut self.rx);
         match m {
@@ -564,35 +557,23 @@ impl DataActor<'_> {
                 Ok(Flow::Continue)
             }
             Msg::Shutdown => Ok(Flow::Stop),
-            Msg::RecoverAck { node, shard, .. } => {
-                debug_assert_eq!(node, self.cfg.node);
-                // Outstanding orders are already being re-sent; the
-                // marks/partials make them idempotent. Once every shard's
-                // re-sends are in, a replayed mark no order named belongs to
-                // a transaction retired before the kill: nothing will ask.
-                let Some(rejoin) = self.rejoin.as_mut() else {
-                    return Ok(Flow::Continue); // a duplicate, or no kill
-                };
-                let Some(acked) = rejoin.acked.get_mut(shard as usize) else {
+            Msg::Forget {
+                shard,
+                below,
+                mut txns,
+                floors,
+            } => {
+                let shards = self.below.len();
+                let Some(mark) = self.below.get_mut(shard as usize) else {
                     return Err(NetError::Protocol(format!(
-                        "data node {} received RecoverAck from shard {shard} of {}",
-                        self.cfg.node,
-                        rejoin.acked.len()
+                        "data node {} received a notice from shard {shard} of {shards}",
+                        self.cfg.node
                     )));
                 };
-                *acked = true;
-                if rejoin.acked.iter().all(|&a| a) {
-                    let mut named = std::mem::take(&mut rejoin.named);
-                    named.sort_unstable();
-                    self.marks.retain(|key| named.binary_search(&key).is_ok());
-                    self.partials.retain(|key| named.binary_search(&key).is_ok());
-                    self.rejoin = None;
-                }
-                Ok(Flow::Continue)
-            }
-            Msg::Forget { mut txns, floors } => {
+                *mark = below.max(*mark);
+                let below = self.below.iter().min().copied().unwrap_or(TxnId(0));
                 txns.sort_unstable();
-                let live = |(txn, _): (TxnId, u32)| txns.binary_search(&txn).is_err();
+                let live = |(txn, _): (TxnId, u32)| txn >= below && txns.binary_search(&txn).is_err();
                 self.marks.retain(live);
                 self.partials.retain(live);
                 self.snap_marks.retain(live);
@@ -613,9 +594,6 @@ impl DataActor<'_> {
                 seal,
             } => {
                 debug_assert_eq!(self.cfg.catalog.node_of(partition), self.cfg.node);
-                if let Some(rejoin) = self.rejoin.as_mut() {
-                    rejoin.named.push((txn, step));
-                }
                 // How far the step already got: a mark is all of it (answer,
                 // don't re-apply), a recovered partial its durable prefix.
                 let marked = self.marks.get((txn, step));

@@ -41,22 +41,13 @@ pub enum NetError {
         /// Units tallied at write time.
         tallied: u64,
     },
-    /// A client's resubmit loop hit the backoff attempt cap — the
-    /// scheduler starved the transaction.
+    /// A control shard turned a transaction away (rejected its admission,
+    /// or blocked or delayed its next step) this many times in a row
+    /// without ever letting it on — the scheduler starved it.
     BackoffExhausted {
         /// The starved transaction.
         txn: TxnId,
-        /// Consecutive backoff sleeps performed before giving up.
-        attempts: u32,
-    },
-    /// The control node's redelivery watchdog gave up on an `Access` order
-    /// — the owning data node never answered.
-    RetriesExhausted {
-        /// The transaction whose step was lost.
-        txn: TxnId,
-        /// The unanswered step.
-        step: u32,
-        /// Redelivery attempts performed.
+        /// Consecutive failed attempts to admit it or grant its next step.
         attempts: u32,
     },
     /// An actor waited longer than its watchdog allows for a message that
@@ -91,16 +82,7 @@ impl std::fmt::Display for NetError {
             ),
             NetError::BackoffExhausted { txn, attempts } => write!(
                 f,
-                "txn {} starved: client backoff exhausted after {attempts} resubmits",
-                txn.0
-            ),
-            NetError::RetriesExhausted {
-                txn,
-                step,
-                attempts,
-            } => write!(
-                f,
-                "access order for txn {} step {step} unanswered after {attempts} redeliveries",
+                "txn {} starved: turned away {attempts} times in a row by the control shard",
                 txn.0
             ),
             NetError::RecvTimeout { actor } => {

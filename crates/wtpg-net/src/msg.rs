@@ -4,8 +4,9 @@
 //! shared mutable state to fall back on:
 //!
 //! ```text
-//!   client ──Submit(spec)──► control ──Access | SnapshotRead [+ Forget]──► data node
-//!   client ◄─Commit ack────   control ◄─StatsDelta/AccessDone | SnapshotReply──
+//!   client ──Submit(spec)──► control ──Access | SnapshotRead [+ Forget(below)]──► data node
+//!   client ◄─Commit ack────   control ◄─StatsDelta/AccessDone | SnapshotReply──────
+//!                             control ◄─Recover (a killed node rejoins)────────────
 //!                             control | runtime ──Shutdown──► data node
 //! ```
 //!
@@ -27,12 +28,19 @@
 //! control sent for a transaction is answered — a writer at its commit, a
 //! reader at its last `SnapshotReply` — control queues the transaction's
 //! id, with the GC floors its end raised, as a [`Msg::Forget`] for each node
-//! that served it. A notice never makes a frame of its own: it rides behind
-//! an order in the next `Batch` control sends that node, and every link is
-//! FIFO, so it always arrives after every copy of the orders it retires.
+//! that served it. Every notice also carries the shard's low-water mark:
+//! ids ascend per client, so no transaction below it is live or can still
+//! arrive, and the node forgets everything below the least mark of every
+//! shard — what a lost notice named goes with the next one, and what a
+//! replayed log brought back with the notice that answers the node's
+//! `Recover`. A notice rides behind an order in the next `Batch` control
+//! sends that node (only the answer to a `Recover` with nothing to re-send
+//! makes a frame of its own), and every link is FIFO, so it always arrives
+//! after every copy of the orders it retires.
 //!
-//! Wire tags 1, 2, 3 and 7 belonged to the retired per-step client protocol
-//! and stay unassigned: the codec rejects them as unknown tags.
+//! Wire tags 1, 2, 3 and 7 belonged to the retired per-step client protocol,
+//! tag 12 to the retired recovery acknowledgement; they stay unassigned: the
+//! codec rejects them as unknown tags.
 
 use wtpg_core::partition::PartitionId;
 use wtpg_core::txn::{AccessMode, TxnId, TxnSpec};
@@ -129,7 +137,7 @@ pub enum Msg {
     /// Data node → control: a killed-and-restarted node finished replaying
     /// its write-ahead log and is rejoining the run. Control re-sends the
     /// node's outstanding `Access` orders immediately (instead of waiting
-    /// out their redelivery deadlines) and answers [`Msg::RecoverAck`].
+    /// out their redelivery deadlines), followed by a [`Msg::Forget`].
     Recover {
         /// The recovered data node.
         node: u32,
@@ -138,19 +146,6 @@ pub enum Msg {
         last_lsn: u64,
         /// Chunk records the node re-applied from its log.
         replayed_chunks: u64,
-    },
-    /// Control → data node: recovery acknowledged; `outstanding` orders
-    /// were re-sent ahead of this ack (the node's applied-marks absorb any
-    /// the replay already covered). Once every control shard has acked, the
-    /// node drops the replayed marks no re-sent order named: their
-    /// transactions were retired before the kill.
-    RecoverAck {
-        /// The recovered data node.
-        node: u32,
-        /// The acknowledging control shard.
-        shard: u32,
-        /// `Access` orders control re-sent on the rejoin path.
-        outstanding: u32,
     },
     /// Control → data node: serve one step of a read-only BAT against the
     /// snapshot its exclusion set describes, without taking any lock. The
@@ -188,12 +183,19 @@ pub enum Msg {
         /// Units scanned, echoing the order.
         units: u64,
     },
-    /// Control → data node: what the node may forget. Every order control
-    /// sent for `txns` is answered and none will be sent again, so their
-    /// step marks, partials and snapshot-read memos go; each partition's
-    /// version chain is pruned below its floor in `floors`. Rides behind an
-    /// order, never as a frame of its own (see the module docs).
+    /// Control → data node: what the node may forget. No transaction of
+    /// `shard` below `below` is live or can still arrive, and every order
+    /// control sent for `txns` is answered; none of those will be sent an
+    /// order again, so their step marks, partials and snapshot-read memos
+    /// go once every shard's mark has passed them or a notice names them.
+    /// Each partition's version chain is pruned below its floor in
+    /// `floors`. Rides behind an order (see the module docs).
     Forget {
+        /// The control shard sending the notice.
+        shard: u32,
+        /// The shard's low-water mark: the least of its smallest live id
+        /// and, per client, the id after that client's last `Submit`.
+        below: TxnId,
         /// Transactions retired since the last notice to this node.
         txns: Vec<TxnId>,
         /// Raised GC floors of partitions the node owns.
@@ -214,7 +216,6 @@ impl Msg {
             Msg::Shutdown => 9,
             Msg::Batch(_) => 10,
             Msg::Recover { .. } => 11,
-            Msg::RecoverAck { .. } => 12,
             Msg::SnapshotRead { .. } => 13,
             Msg::SnapshotReply { .. } => 14,
             Msg::Forget { .. } => 15,
@@ -232,38 +233,9 @@ impl Msg {
             Msg::Shutdown => counts.shutdown += 1,
             Msg::Batch(_) => counts.batch += 1,
             Msg::Recover { .. } => counts.recover += 1,
-            Msg::RecoverAck { .. } => counts.recover_ack += 1,
             Msg::SnapshotRead { .. } => counts.snapshot_read += 1,
             Msg::SnapshotReply { .. } => counts.snapshot_reply += 1,
             Msg::Forget { .. } => counts.forget += 1,
         }
-    }
-
-    /// How many inner messages this message carries: `len()` for a
-    /// [`Msg::Batch`], 1 for everything else.
-    pub fn inner_len(&self) -> usize {
-        match self {
-            Msg::Batch(inner) => inner.len(),
-            _ => 1,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn inner_len_counts_batched_messages() {
-        assert_eq!(Msg::Shutdown.inner_len(), 1);
-        assert_eq!(Msg::Batch(vec![]).inner_len(), 0);
-        let b = Msg::Batch(vec![
-            Msg::Shutdown,
-            Msg::Commit {
-                client: 0,
-                txn: TxnId(1),
-            },
-        ]);
-        assert_eq!(b.inner_len(), 2);
     }
 }

@@ -17,7 +17,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use wtpg_core::partition::Catalog;
-use wtpg_core::txn::TxnSpec;
+use wtpg_core::txn::{TxnId, TxnSpec};
 use wtpg_rt::shard::ShardMap;
 use wtpg_workload::poisson_arrivals_us;
 
@@ -47,6 +47,16 @@ pub enum PlanError {
         /// The first offending file name found in it.
         found: String,
     },
+    /// The workload's transaction ids do not strictly ascend. Each client
+    /// strides the workload in order, and a control shard's low-water mark
+    /// rests on every client's ids ascending: an id below one already
+    /// submitted would read as long retired.
+    IdsNotAscending {
+        /// The id that should have been the larger.
+        prev: TxnId,
+        /// The id that follows it.
+        next: TxnId,
+    },
 }
 
 impl std::fmt::Display for PlanError {
@@ -68,6 +78,11 @@ impl std::fmt::Display for PlanError {
                 "wal dir {} already holds a run's state ({found}): \
                  use an empty or new directory",
                 dir.display()
+            ),
+            PlanError::IdsNotAscending { prev, next } => write!(
+                f,
+                "transaction ids must strictly ascend: txn {} follows txn {}",
+                next.0, prev.0
             ),
         }
     }
@@ -150,6 +165,9 @@ impl<'a> RunPlan<'a> {
                 Some(dir)
             }
         };
+        if let Some([a, b]) = specs.windows(2).find(|w| matches!(w, [a, b] if a.id >= b.id)) {
+            return Err(PlanError::IdsNotAscending { prev: a.id, next: b.id });
+        }
 
         let clients = cfg.clients.clamp(1, specs.len().max(1));
         let map = ShardMap::build(specs, cfg.shards.max(1));

@@ -26,14 +26,13 @@ pub struct MsgBreakdown {
     pub batch: u64,
     /// Recovery announcements from killed-and-restarted data nodes.
     pub recover: u64,
-    /// Recovery acknowledgements from the control plane.
-    pub recover_ack: u64,
     /// Lock-free snapshot-read orders to data nodes (read-only BATs).
     pub snapshot_read: u64,
     /// Completed snapshot reads (data node → control).
     pub snapshot_reply: u64,
     /// Notices of what a data node may forget sent as frames of their own:
-    /// none, as every notice rides behind an order in a `Batch`.
+    /// only the answer to a `Recover` with nothing to re-send; every other
+    /// notice rides behind an order in a `Batch`.
     pub forget: u64,
 }
 
@@ -51,7 +50,6 @@ impl MsgBreakdown {
             shutdown: sent("shutdown"),
             batch: sent("batch"),
             recover: sent("recover"),
-            recover_ack: sent("recover_ack"),
             snapshot_read: sent("snapshot_read"),
             snapshot_reply: sent("snapshot_reply"),
             forget: sent("forget"),

@@ -409,8 +409,8 @@ pub fn run_cell_load(
 }
 
 /// [`run_cell`] in process on a virtual clock, in the order `seed` picks:
-/// one interleaving, which the seed repeats exactly. Returns the merged
-/// control audit beside the report.
+/// one interleaving, which the seed repeats exactly. Books every count in
+/// `reg`, and returns the merged control audit beside the report.
 ///
 /// # Errors
 /// As [`run_cell`], or [`NetError::Protocol`] if the run takes more than
@@ -423,14 +423,14 @@ pub fn explore_cell(
     specs: &[TxnSpec],
     fault: &FaultPlan,
     seed: u64,
+    reg: &Registry,
 ) -> Result<(NetReport, ControlAudit), NetError> {
     let plan = RunPlan::new(cfg, fault, &InProc, catalog, specs)?;
-    let reg = Registry::new();
-    let set = ActorSet::lay_out(&plan, &InProc, sched, &reg)?;
+    let set = ActorSet::lay_out(&plan, &InProc, sched, reg)?;
     let clock = actor::VirtualTime(set.run_wall);
     let pick = actor::seeded(seed, 125 * specs.len());
-    let joined = drive(set, &plan, &reg, None, clock, pick);
-    assemble(&plan, joined, &reg)
+    let joined = drive(set, &plan, reg, None, clock, pick);
+    assemble(&plan, joined, reg)
 }
 
 /// Phase 2 of a run: everything the actors need, built from a validated
@@ -1706,11 +1706,11 @@ mod tests {
     #[test]
     fn an_unroutable_message_is_counted_once_and_dropped() {
         let (map, a, _) = two_shards();
-        let stray = Msg::RecoverAck { node: 0, shard: 0, outstanding: 2 };
+        let stray = Msg::Forget { shard: 0, below: TxnId(1), txns: vec![], floors: vec![] };
         let (dealt, reg) = deal(&map, vec![stray, submit(a)]);
         assert_eq!(dealt, vec![vec![submit(a)], vec![]]);
         let totals = reg.totals();
-        assert_eq!(totals.get(&metric::msg_rx("recover_ack")), Some(&1), "{totals:?}");
+        assert_eq!(totals.get(&metric::msg_rx("forget")), Some(&1), "{totals:?}");
         assert_eq!(totals.get(&metric::msg_rx("submit")), None, "a shard tallies those");
     }
 

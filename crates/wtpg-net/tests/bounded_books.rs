@@ -3,12 +3,14 @@
 //!
 //! A node keeps a mark per applied step, a partial per step a kill cut
 //! short and a memo per served snapshot read, and drops each on the notice
-//! that retires its transaction. What the nodes still hold when they stop
-//! (`data/books_left`) is then the transactions retired since each node's
-//! last notice — fewer than [`NOTICE_AT`] per node — and must read the same
-//! whether the run is one length or four times it. Three cells: P1 under
-//! CHAIN, the MVCC mix (half the stream read-only on the snapshot plane) and
-//! a buffered-WAL cell whose node 0 is killed and replays its log, which
+//! that names its transaction or whose control-shard mark has passed it.
+//! What the nodes still hold when they stop (`data/books_left`) is then the
+//! transactions retired since each node's last notice — fewer than
+//! [`NOTICE_AT`] per node — and must read the same whether the run is one
+//! length or four times it. Four cells: P1 under CHAIN, the MVCC mix (half
+//! the stream read-only on the snapshot plane), P1 with node 0 crashed for a
+//! while, which loses the notices delivered inside the window, and a
+//! buffered-WAL cell whose node 0 is killed and replays its log, which
 //! brings back the marks of every transaction it ever served.
 
 #![expect(
@@ -23,7 +25,7 @@ use std::sync::Arc;
 use wtpg_core::partition::Catalog;
 use wtpg_core::txn::TxnSpec;
 use wtpg_net::control::NOTICE_AT;
-use wtpg_net::{run_cell_load, Durability, FaultPlan, InProc, KillPlan, NetConfig};
+use wtpg_net::{run_cell_load, CrashPlan, Durability, FaultPlan, InProc, KillPlan, NetConfig};
 use wtpg_obs::window::metric;
 use wtpg_obs::Registry;
 use wtpg_rt::sched_by_name;
@@ -55,6 +57,7 @@ fn books_left(cell: &str, txns: usize) -> (u64, u64, usize) {
         ..NetConfig::default()
     };
     let fault = FaultPlan {
+        crash: (cell == "crash").then_some(CrashPlan { node: 0, after_msgs: 400, down_ms: 20 }),
         kill: dir.is_some().then_some(KillPlan { node: Some(0), after_msgs: 400, down_ms: 20 }),
         ..FaultPlan::none()
     };
@@ -84,10 +87,10 @@ fn books_left(cell: &str, txns: usize) -> (u64, u64, usize) {
 fn check(cell: &str) {
     let (short, nodes, steps) = books_left(cell, 2_000);
     let (long, ..) = books_left(cell, 8_000);
-    println!("{cell}: {short} books left at 1x, {long} at 4x");
     // Each node holds the books of fewer than NOTICE_AT retired
     // transactions, at most every step of each.
     let bound = nodes * NOTICE_AT as u64 * steps as u64;
+    println!("{cell}: {short} books left at 1x, {long} at 4x (bound {bound})");
     assert!(short <= bound && long <= bound, "{cell}: {short} and {long} books left, bound {bound}");
     assert!(long <= short + short / 2 + 64, "{cell}: {short} books left at 1x grew to {long} at 4x");
 }
@@ -100,6 +103,11 @@ fn p1_chain_books_do_not_grow_with_the_run() {
 #[test]
 fn mvcc_mix_books_do_not_grow_with_the_run() {
     check("mvcc");
+}
+
+#[test]
+fn a_crashed_nodes_books_do_not_grow_with_the_run() {
+    check("crash");
 }
 
 #[test]

@@ -113,16 +113,14 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
                 units,
             }
         ),
-        (0u32..8, 0u32..4, 0u32..1_000).prop_map(|(node, shard, outstanding)| Msg::RecoverAck {
-            node,
-            shard,
-            outstanding,
-        }),
         (
+            (0u32..u32::MAX, 0u64..u64::MAX),
             proptest::collection::vec(txn(), 0..40),
             proptest::collection::vec((0u32..64, 0u64..u64::MAX), 0..6),
         )
-            .prop_map(|(txns, floors)| Msg::Forget {
+            .prop_map(|((shard, below), txns, floors)| Msg::Forget {
+                shard,
+                below: TxnId(below),
                 txns,
                 floors: floors
                     .into_iter()
@@ -133,9 +131,10 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
     ]
 }
 
-/// Tags 1, 2, 3 and 7 carried the retired Grant/Reject/Delay/Abort messages:
-/// `[tag] ++ body`, bare or as the inner message of a batch, must decode to
-/// the unknown-tag error — never a panic, never a `Msg`.
+/// Tags 1, 2, 3 and 7 carried the retired Grant/Reject/Delay/Abort messages,
+/// tag 12 the retired `RecoverAck`: `[tag] ++ body`, bare or as the inner
+/// message of a batch, must decode to the unknown-tag error — never a panic,
+/// never a `Msg`.
 fn expect_unknown_tag(tag: u8, body: &[u8]) -> Result<(), TestCaseError> {
     let payload = [&[tag][..], body].concat();
     prop_assert_eq!(decode_payload(&payload), Err(CodecError::BadTag(tag)));
@@ -152,11 +151,13 @@ fn expect_unknown_tag(tag: u8, body: &[u8]) -> Result<(), TestCaseError> {
 fn retired_encodings_are_unknown_tags() {
     let txn = 7u64.to_le_bytes();
     let step = 1u32.to_le_bytes();
-    let old: [(u8, Vec<u8>); 4] = [
+    let ack = [2u32, 1, 5].map(u32::to_le_bytes).concat();
+    let old: [(u8, Vec<u8>); 5] = [
         (1, [&txn[..], &[1], &step[..]].concat()), // Grant { txn, step: Some(1) }
         (2, txn.to_vec()),                         // Reject { txn }
         (3, [&txn[..], &step[..]].concat()),       // Delay { txn, step }
         (7, [&2u32.to_le_bytes()[..], &txn[..]].concat()), // Abort { client, txn }
+        (12, ack),                                 // RecoverAck { node, shard, outstanding }
     ];
     for (tag, body) in old {
         expect_unknown_tag(tag, &body).expect("retired tag must not decode");
@@ -278,14 +279,19 @@ proptest! {
     #[test]
     fn oversize_notice_lists_are_rejected(
         count in (MAX_FORGET + 1)..=u32::MAX,
+        (shard, below) in (0u32..u32::MAX, 0u64..u64::MAX),
         txns in proptest::collection::vec(0u64..u64::MAX, 0..8),
     ) {
         // Either list claiming more than MAX_FORGET entries is refused from
-        // its count alone, before any entry is read.
-        let mut payload = vec![15u8];
+        // its count alone, before any entry is read; the shard and its mark
+        // come first.
+        let mut head = vec![15u8];
+        head.extend(shard.to_le_bytes());
+        head.extend(below.to_le_bytes());
+        let mut payload = head.clone();
         payload.extend(count.to_le_bytes());
         prop_assert_eq!(decode_payload(&payload), Err(CodecError::Oversize(count as usize)));
-        let mut payload = vec![15u8];
+        let mut payload = head;
         payload.extend((txns.len() as u32).to_le_bytes());
         for t in &txns {
             payload.extend(t.to_le_bytes());
@@ -366,11 +372,11 @@ proptest! {
 
     #[test]
     fn retired_tags_never_decode(
-        which in 0usize..4,
+        which in 0usize..5,
         body in proptest::collection::vec(0u8..=255, 0..32),
     ) {
         // Whatever follows a retired tag is never looked at.
-        let tag = [1u8, 2, 3, 7][which];
+        let tag = [1u8, 2, 3, 7, 12][which];
         expect_unknown_tag(tag, &body)?;
     }
 

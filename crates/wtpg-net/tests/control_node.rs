@@ -221,8 +221,11 @@ fn redelivery_follows_the_backoff_schedule_exactly() {
     assert!(l.data[1].take().is_empty());
 }
 
+/// A rejoined node's outstanding orders go out at once as one frame, closed
+/// by a notice with the shard's mark, due or not: the replay brought back
+/// books the mark has passed.
 #[test]
-fn recover_resends_the_nodes_orders_as_one_frame_then_a_plain_ack() {
+fn recover_resends_the_nodes_orders_as_one_frame_with_the_mark() {
     let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
     let mut ctl = start(params(&reg, "chain", 1), &catalog, 1000, &l);
     let t0 = Instant::now();
@@ -243,18 +246,16 @@ fn recover_resends_the_nodes_orders_as_one_frame_then_a_plain_ack() {
     };
     assert_eq!(ctl.deliver(recover, rejoin).unwrap(), Flow::Continue);
     let frames = l.data[0].frames();
-    let [Msg::Batch(burst), ack] = frames.as_slice() else {
-        panic!("expected the re-send burst and the ack as two frames: {frames:?}");
+    let [Msg::Batch(burst)] = frames.as_slice() else {
+        panic!("expected the re-send burst as one frame, and nothing else: {frames:?}");
     };
-    assert_eq!(accesses(burst.clone()), [1, 2]);
-    assert_eq!(
-        ack,
-        &Msg::RecoverAck {
-            node: 0,
-            shard: 0,
-            outstanding: 2
-        }
-    );
+    let [first, second, notice] = burst.as_slice() else {
+        panic!("two orders and a notice: {burst:?}");
+    };
+    assert_eq!(accesses(vec![first.clone(), second.clone()]), [1, 2]);
+    // Writer 1 is the oldest live transaction: the mark is 1.
+    let mark = Msg::Forget { shard: 0, below: TxnId(1), txns: vec![], floors: vec![] };
+    assert_eq!(notice, &mark);
     assert!(
         l.data[1].frames().is_empty(),
         "another node's orders stay put"
@@ -336,6 +337,8 @@ fn duplicates_are_absorbed_on_both_planes() {
     // The writer's commit raised partition 0's floor: the notice rides
     // behind the reader's order, in its frame.
     let floor = Msg::Forget {
+        shard: 0,
+        below: TxnId(7),
         txns: vec![],
         floors: vec![(PartitionId(0), 1)],
     };
@@ -665,7 +668,42 @@ fn retired_writers_ride_behind_an_order_once_a_notice_is_due() {
         panic!("the last order carries the notice: {last:?}");
     };
     let retired: Vec<TxnId> = (1..=writers).map(TxnId).collect();
-    let notice = Msg::Forget { txns: retired, floors: vec![] };
+    // Writer 17 is live and the client's next id is 18: the mark is 17.
+    let notice = Msg::Forget { shard: 0, below: TxnId(writers + 1), txns: retired, floors: vec![] };
     assert!(matches!(&inner[..], [Msg::Access { txn, .. }, n] if txn.0 == writers + 1 && *n == notice));
     assert!(l.data[1].frames().is_empty(), "node 1 served nobody");
+}
+
+/// The finished set spans the ids between the mark and the newest, not the
+/// run: a stream four times as long, committing out of order inside each
+/// window of four, leaves it holding as many slots.
+#[test]
+fn the_finished_set_holds_as_many_slots_however_long_the_run() {
+    let slots = |windows: u64| {
+        let (catalog, reg, l) = (catalog(), Registry::new(), links(2));
+        let mut ctl = start(params(&reg, "chain", 2), &catalog, 1000, &l);
+        let t0 = Instant::now();
+        for w in 0..windows {
+            let ids = [1, 2, 3, 4].map(|i| 4 * w + i);
+            for (i, txn) in (0u32..).zip(ids) {
+                ctl.deliver(submit(i % 2, txn, vec![StepSpec::write(i, 1.0)]), t0).unwrap();
+            }
+            ctl.before_block(t0).unwrap();
+            for i in [2, 0, 3, 1] {
+                ctl.deliver(done(ids[i], 1000), t0).unwrap();
+            }
+            ctl.before_block(t0).unwrap();
+        }
+        let slots = ctl.finished_slots();
+        for _ in 0..2 {
+            ctl.deliver(Msg::Shutdown, t0).unwrap();
+        }
+        ctl.finish().expect("finishes");
+        assert_eq!(count(&reg, &metric::shard_commits(0)), 4 * windows);
+        slots
+    };
+    let (short, long) = (slots(100), slots(400));
+    println!("finished slots: {short} at 1x, {long} at 4x");
+    assert!(short < 64, "{short} slots for four ids in flight");
+    assert_eq!(short, long, "the finished set grew with the run");
 }

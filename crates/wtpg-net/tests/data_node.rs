@@ -375,12 +375,20 @@ fn reply_over(txn: u64, writes: &[u64]) -> Msg {
     Msg::SnapshotReply { txn: TxnId(txn), step: 0, checksum, units: 2300 }
 }
 
-/// A notice: `txns` retired, `floors` raised on partition 0.
+/// A notice from shard 0 whose mark passes nothing: `txns` retired,
+/// `floors` raised on partition 0.
 fn forget(txns: &[u64], floors: &[u64]) -> Msg {
     Msg::Forget {
+        shard: 0,
+        below: TxnId(0),
         txns: txns.iter().map(|&t| TxnId(t)).collect(),
         floors: floors.iter().map(|&f| (PartitionId(0), f)).collect(),
     }
+}
+
+/// A notice from `shard` carrying its mark `below` and naming nothing.
+fn mark(shard: u32, below: u64) -> Msg {
+    Msg::Forget { shard, below: TxnId(below), txns: vec![], floors: vec![] }
 }
 
 /// A served snapshot read keeps answering byte-identically while its reader
@@ -464,41 +472,71 @@ fn a_notice_drops_the_marks_it_names_and_no_other() {
     assert_eq!(reg.totals().get(metric::DATA_BOOKS_LEFT), Some(&1), "writer 2's mark");
 }
 
-/// After a kill the replay brings back the marks of writers a notice
-/// retired before it; they go once every control shard acked the `Recover`,
-/// and only the marks an order re-sent ahead of the last ack named stay.
+/// After a kill the replay brings back the marks of writers retired before
+/// it, named or not. No handshake retires them: the node forgets below the
+/// least mark of every shard it has heard since the restart, so they go
+/// once both shards' next notices are in, and the marks at or above that
+/// mark stay until a notice names them.
 #[test]
-fn a_killed_node_keeps_only_the_replayed_marks_a_resent_order_names() {
+fn replayed_marks_below_every_shards_mark_go_with_the_next_notices() {
     let (catalog, reg) = (catalog(), Registry::new());
-    let dir = fresh_dir("rejoin-books");
+    let dir = fresh_dir("replayed-books");
     let heard = Arc::new(Recorder::default());
     let tx: Arc<dyn MsgTx> = heard.clone();
     let mut p = params(&catalog, &reg, Some(&dir));
     p.shards = 2;
-    p.fault.kill = Some(KillPlan { node: Some(0), after_msgs: 4, down_ms: 5 });
+    p.fault.kill = Some(KillPlan { node: Some(0), after_msgs: 5, down_ms: 5 });
     let mut node = DataActor::start(p, &tx).expect("starts");
     let t0 = Instant::now();
     let units = || reg.totals().get(metric::DATA_UNITS).copied().unwrap_or(0);
     let write = |txn| access(txn, 0, AccessMode::Write, 1000, 1000);
-    for txn in [1, 2, 3] {
+    for txn in [1, 2, 3, 4] {
         exchange(&mut node, &heard, write(txn), t0);
     }
     exchange(&mut node, &heard, forget(&[1, 2], &[]), t0);
-    assert_eq!(node.deliver(write(4), t0).unwrap(), Flow::Continue, "trips and is lost");
+    assert_eq!(node.deliver(write(5), t0).unwrap(), Flow::Continue, "trips and is lost");
     assert_eq!(node.idle(t0 + ms(5)).unwrap(), Flow::Continue);
     assert!(matches!(heard.take()[..], [Msg::Recover { node: 0, .. }]));
-    let ack = |shard| Msg::RecoverAck { node: 0, shard, outstanding: 1 };
-    // Shard 1 re-sends writer 3's order and acks; shard 0 has not acked
-    // yet, so writers 1 and 2's replayed marks stay for now.
-    assert_eq!(done_of(&exchange(&mut node, &heard, write(3), t0 + ms(5))), vec![3]);
-    exchange(&mut node, &heard, ack(1), t0 + ms(5));
-    exchange(&mut node, &heard, ack(1), t0 + ms(5));
-    assert_eq!(done_of(&exchange(&mut node, &heard, write(4), t0 + ms(5))), vec![4]);
-    exchange(&mut node, &heard, ack(0), t0 + ms(5));
-    assert_eq!(units(), 4000, "writer 3 answered from its replayed mark");
+    let later = t0 + ms(5);
+    // Writer 3's re-sent order is answered from its replayed mark.
+    assert_eq!(done_of(&exchange(&mut node, &heard, write(3), later)), vec![3]);
+    assert_eq!(units(), 4000, "not applied again");
+    // Shard 0's mark alone passes nothing: shard 1 may still ask.
+    assert_eq!(exchange(&mut node, &heard, mark(0, 4), later), vec![]);
+    assert_eq!(done_of(&exchange(&mut node, &heard, write(3), later)), vec![3]);
+    assert_eq!(units(), 4000, "writer 3's replayed mark is still held");
+    assert_eq!(done_of(&exchange(&mut node, &heard, write(5), later)), vec![5]);
+    assert_eq!(exchange(&mut node, &heard, mark(1, 6), later), vec![]);
     node.finish().expect("finishes");
-    assert_eq!(reg.totals().get(metric::DATA_BOOKS_LEFT), Some(&2), "writers 3 and 4");
+    assert_eq!(units(), 5000);
+    assert_eq!(reg.totals().get(metric::DATA_BOOKS_LEFT), Some(&2), "writers 4 and 5");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A notice delivered inside a crash window is lost with the rest of the
+/// window's deliveries; the transactions it named go with the next notice,
+/// whose mark has passed them.
+#[test]
+fn what_a_notice_lost_in_a_crash_window_named_goes_with_the_next_mark() {
+    let (catalog, reg) = (catalog(), Registry::new());
+    let heard = Arc::new(Recorder::default());
+    let tx: Arc<dyn MsgTx> = heard.clone();
+    let mut p = params(&catalog, &reg, None);
+    p.fault.crash = Some(CrashPlan { node: 0, after_msgs: 3, down_ms: 5 });
+    let mut node = DataActor::start(p, &tx).expect("starts");
+    let t0 = Instant::now();
+    let write = |txn| access(txn, 0, AccessMode::Write, 1000, 1000);
+    for txn in [1, 2, 3] {
+        exchange(&mut node, &heard, write(txn), t0);
+    }
+    let lost = Msg::Forget { shard: 0, below: TxnId(3), txns: vec![TxnId(1), TxnId(2)], floors: vec![] };
+    assert_eq!(node.deliver(lost, t0).unwrap(), Flow::Continue, "trips and is lost");
+    assert_eq!(node.idle(t0 + ms(5)).unwrap(), Flow::Continue);
+    assert_eq!(done_of(&exchange(&mut node, &heard, write(4), t0 + ms(5))), vec![4]);
+    exchange(&mut node, &heard, mark(0, 4), t0 + ms(5));
+    node.finish().expect("finishes");
+    assert_eq!(reg.totals().get(metric::CRASH_DROPS), Some(&1));
+    assert_eq!(reg.totals().get(metric::DATA_BOOKS_LEFT), Some(&1), "writer 4's mark");
 }
 
 /// The txns of the `AccessDone`s in `heard`.

@@ -60,7 +60,7 @@ fn single_node_kill_under_sync(transport: &dyn Transport, name: &str) {
     assert_eq!(r.durability, "sync");
     assert!(r.recoveries >= 1, "the kill must actually fire: {r:?}");
     assert!(r.msgs.recover >= 1, "restart must announce itself");
-    assert!(r.msgs.recover_ack >= 1, "control must ack the rejoin");
+    assert!(r.access_retries >= 1, "control must re-send the rejoined node's orders");
     assert!(r.wal_records > 0, "chunks must be logged");
     assert!(r.wal_fsyncs > 0, "sync durability must fsync");
     assert!(r.crash_drops > 0, "the down window must drop messages");

@@ -23,8 +23,12 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use wtpg_core::partition::Catalog;
+use wtpg_core::txn::TxnSpec;
+use wtpg_net::control::NOTICE_AT;
 use wtpg_net::runtime::explore_cell;
 use wtpg_net::{CrashPlan, Durability, FaultPlan, KillPlan, NetConfig};
+use wtpg_obs::window::metric;
+use wtpg_obs::Registry;
 use wtpg_rt::sched_by_name;
 use wtpg_rt::workload::pattern_specs;
 use wtpg_workload::{Pattern, ReadMix};
@@ -72,18 +76,27 @@ fn links(seed: u64, faulted: bool) -> FaultPlan {
 }
 
 /// Explores one run of `cfg` under `sched` and `fault` in the order `seed`
-/// picks: 24 transactions of `Two { num_hots: 4 }` — of `Clustered { groups:
+/// picks: [`TXNS`] transactions of `Two { num_hots: 4 }` — of `Clustered { groups:
 /// 2, hots_per_group: 4 }` on two shards — over two data nodes, about half
 /// of them read-only on the snapshot plane if `cfg.mvcc`, logged to a fresh
 /// directory if `cfg.durability` keeps a log. Beside the runtime's own
-/// checks, every transaction must commit on the shards asked for.
+/// checks, every transaction must commit on the shards asked for, and the
+/// data nodes' books at exit must stay within `bounded_books.rs`'s bound.
 fn run(cfg: NetConfig, sched: &str, seed: u64, fault: FaultPlan) -> Result<Ran, String> {
+    run_n(TXNS, cfg, sched, seed, fault)
+}
+
+/// Transactions in an explored run.
+const TXNS: usize = 24;
+
+/// [`run`] with `txns` transactions.
+fn run_n(txns: usize, cfg: NetConfig, sched: &str, seed: u64, fault: FaultPlan) -> Result<Ran, String> {
     static DIRS: AtomicU64 = AtomicU64::new(0);
     let pattern = match cfg.shards {
         1 => Pattern::Two { num_hots: 4 },
         _ => Pattern::Clustered { groups: 2, hots_per_group: 4 },
     };
-    let (paper, mut specs) = pattern_specs(pattern, 24, 11);
+    let (paper, mut specs) = pattern_specs(pattern, txns, 11);
     let catalog = Catalog::new(paper.partitions().map(|p| paper.size(p)).collect(), 2);
     if cfg.mvcc {
         // Two shards' readers scan the first group's five partitions only, so
@@ -98,7 +111,8 @@ fn run(cfg: NetConfig, sched: &str, seed: u64, fault: FaultPlan) -> Result<Ran, 
     });
     let cfg = NetConfig { wal_dir, ..cfg };
     let sched = || sched_by_name(sched, 2, 2000).expect("a known scheduler");
-    let explored = explore_cell(&cfg, &sched, &catalog, &specs, &fault, seed);
+    let reg = Registry::new();
+    let explored = explore_cell(&cfg, &sched, &catalog, &specs, &fault, seed, &reg);
     if let Some(dir) = &cfg.wal_dir {
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -116,6 +130,15 @@ fn run(cfg: NetConfig, sched: &str, seed: u64, fault: FaultPlan) -> Result<Ran, 
         recoveries: r.recoveries,
         readers: r.reader_commits,
     };
+    // What the nodes still hold is what they may yet be asked about: fewer
+    // than NOTICE_AT retired transactions per node since its last notice, at
+    // most every step of each — crash windows and kills included.
+    let steps = specs.iter().map(TxnSpec::len).max().unwrap_or(0) as u64;
+    let bound = r.data_nodes as u64 * NOTICE_AT as u64 * steps;
+    let left = reg.totals().get(metric::DATA_BOOKS_LEFT).copied().unwrap_or(0);
+    if left > bound {
+        return Err(format!("{left} books left at exit, bound {bound}"));
+    }
     Ok(Ran { history: format!("{:?}", audit.history), met })
 }
 
@@ -170,6 +193,19 @@ fn run_durable_seed(kind: &str, seed: u64, faulted: bool) -> Result<Ran, String>
     };
     let fault = FaultPlan { crash, kill, ..links(seed, faulted) };
     run(NetConfig { durability, ..cell(1) }, "k2", seed, fault)
+}
+
+/// A kill late in a four-times-longer K2 run: the node has served
+/// `NOTICE_AT` and more retired transactions, and notices have told it to
+/// forget them, when it dies; its replay brings their marks back, and the
+/// notice behind control's re-sent orders must retire them again, or the
+/// books at exit pass the bound. (On [`TXNS`] transactions the bound is
+/// above every step a run makes.)
+fn run_late_kill_seed(sched: &str, seed: u64, faulted: bool) -> Result<Ran, String> {
+    let (node, after_msgs, down_ms) = ((seed % 2) as usize, 100 + seed % 40, 5 + seed % 30);
+    let kill = KillPlan { node: Some(node), after_msgs, down_ms };
+    let fault = FaultPlan { kill: Some(kill), ..links(seed, faulted) };
+    run_n(4 * TXNS, NetConfig { durability: Durability::Buffered, ..cell(1) }, sched, seed, fault)
 }
 
 /// Runs `seeds` seeds of each of `scheds` through `runner` (named `repro`);
@@ -289,6 +325,12 @@ fn durable_interleavings_recover_and_conserve() {
     let kinds = &["crash", "kill", "cluster"];
     let (_, down) = explore("run_durable_seed", run_durable_seed, kinds, 60, false);
     assert!(down.recoveries > 0, "no kill recovered: {down:?}");
+}
+
+#[test]
+fn late_kill_interleavings_forget_the_replayed_books() {
+    let (_, met) = explore("run_late_kill_seed", run_late_kill_seed, &["k2"], 60, false);
+    assert!(met.recoveries > 0, "no kill recovered: {met:?}");
 }
 
 /// One line per seed — `sched faulted seed digest` — over seeds 1–50 ×

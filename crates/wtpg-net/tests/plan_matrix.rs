@@ -31,7 +31,7 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use wtpg_core::partition::Catalog;
-use wtpg_core::txn::TxnSpec;
+use wtpg_core::txn::{TxnId, TxnSpec};
 use wtpg_net::{
     run_cell, Durability, FaultPlan, InProc, NetConfig, NetError, NetReport, OpenLoop, PlanError,
     RunPlan, Tcp, Transport,
@@ -264,6 +264,7 @@ fn variant(e: &PlanError) -> &'static str {
         PlanError::KillWithoutLog => "KillWithoutLog",
         PlanError::LogWithoutDir => "LogWithoutDir",
         PlanError::WalDirNotFresh { .. } => "WalDirNotFresh",
+        PlanError::IdsNotAscending { .. } => "IdsNotAscending",
     }
 }
 
@@ -275,6 +276,9 @@ fn refuses(e: &PlanError) -> &'static str {
         PlanError::LogWithoutDir => "durability `buffered` or `sync` without a WAL directory",
         PlanError::WalDirNotFresh { .. } => {
             "a WAL directory that already holds `node*.wal` or `*.ckpt` files"
+        }
+        PlanError::IdsNotAscending { .. } => {
+            "a workload whose transaction ids do not strictly ascend"
         }
     }
 }
@@ -388,7 +392,7 @@ fn every_combination_is_a_plan_or_its_predicted_refusal() {
             }
         }
     }
-    assert_eq!(seen.len(), 4, "every variant must be reachable: {seen:?}");
+    assert_eq!(seen.len(), 4, "every variant an axis names must be reachable: {seen:?}");
     assert!(!fresh.exists(), "classifying plans creates nothing");
     println!("plan_matrix: classified {classified} plans ({refused} refused)");
 
@@ -415,6 +419,25 @@ fn every_combination_is_a_plan_or_its_predicted_refusal() {
     let _ = std::fs::remove_dir_all(&used);
 }
 
+/// No axis above reorders a workload: every generator numbers its
+/// transactions `1..=n`. A workload that does not ascend — two ids swapped,
+/// or one repeated — is refused, naming the pair, before anything exists.
+#[test]
+fn a_workload_whose_ids_do_not_ascend_is_refused() {
+    let (catalog, specs) = workload(Shape::One, false);
+    let cfg = NetConfig::default();
+    let fault = FaultPlan::none();
+    let plan = |specs: &[TxnSpec]| RunPlan::new(&cfg, &fault, &InProc, &catalog, specs).err();
+    assert_eq!(plan(&specs), None);
+    let mut swapped = specs.clone();
+    swapped.swap(3, 4);
+    let (a, b) = (specs[3].id, specs[4].id);
+    assert_eq!(plan(&swapped), Some(PlanError::IdsNotAscending { prev: b, next: a }));
+    let mut repeated = specs.clone();
+    repeated[5].id = repeated[4].id;
+    assert_eq!(plan(&repeated), Some(PlanError::IdsNotAscending { prev: b, next: b }));
+}
+
 /// README.md's "What a cell may combine" table is this list, rendered.
 #[test]
 fn the_readme_table_lists_every_refusal() {
@@ -426,6 +449,10 @@ fn the_readme_table_lists_every_refusal() {
         PlanError::WalDirNotFresh {
             dir: PathBuf::from("DIR"),
             found: "node0.wal".into(),
+        },
+        PlanError::IdsNotAscending {
+            prev: TxnId(2),
+            next: TxnId(1),
         },
     ];
     let rows: Vec<String> = variants

@@ -30,7 +30,6 @@ fn name(m: &Msg) -> &'static str {
         Msg::Shutdown => "Shutdown",
         Msg::Batch(_) => "Batch",
         Msg::Recover { .. } => "Recover",
-        Msg::RecoverAck { .. } => "RecoverAck",
         Msg::SnapshotRead { .. } => "SnapshotRead",
         Msg::SnapshotReply { .. } => "SnapshotReply",
         Msg::Forget { .. } => "Forget",
@@ -98,11 +97,6 @@ fn exemplars() -> Vec<Msg> {
             last_lsn: 62,
             replayed_chunks: 63,
         },
-        Msg::RecoverAck {
-            node: 71,
-            shard: 72,
-            outstanding: 73,
-        },
         Msg::SnapshotRead {
             txn: TxnId(81),
             step: 82,
@@ -119,8 +113,10 @@ fn exemplars() -> Vec<Msg> {
             units: 94,
         },
         Msg::Forget {
-            txns: vec![TxnId(101), TxnId(102)],
-            floors: vec![(PartitionId(103), 104)],
+            shard: 101,
+            below: TxnId(102),
+            txns: vec![TxnId(103), TxnId(104)],
+            floors: vec![(PartitionId(105), 106)],
         },
     ]
 }

@@ -31,9 +31,6 @@ pub struct MsgCounts {
     pub batch: u64,
     /// `Recover` — a restarted data node announces its replayed state.
     pub recover: u64,
-    /// `RecoverAck` — control acknowledges a recovery and re-sends the
-    /// node's outstanding orders.
-    pub recover_ack: u64,
     /// `SnapshotRead` — control orders a lock-free snapshot scan at a data
     /// node (read-only BATs under the MVCC layer).
     pub snapshot_read: u64,
@@ -47,7 +44,7 @@ pub struct MsgCounts {
 
 impl MsgCounts {
     /// The counters as `(name, value)` pairs, in wire-tag order.
-    pub fn fields(&self) -> [(&'static str, u64); 12] {
+    pub fn fields(&self) -> [(&'static str, u64); 11] {
         [
             ("submit", self.submit),
             ("access", self.access),
@@ -57,7 +54,6 @@ impl MsgCounts {
             ("shutdown", self.shutdown),
             ("batch", self.batch),
             ("recover", self.recover),
-            ("recover_ack", self.recover_ack),
             ("snapshot_read", self.snapshot_read),
             ("snapshot_reply", self.snapshot_reply),
             ("forget", self.forget),
@@ -67,22 +63,6 @@ impl MsgCounts {
     /// Total messages across all types.
     pub fn total(&self) -> u64 {
         self.fields().iter().map(|(_, v)| v).sum()
-    }
-
-    /// Adds every counter of `other` into `self` (merge after a join).
-    pub fn merge(&mut self, other: &MsgCounts) {
-        self.submit += other.submit;
-        self.access += other.access;
-        self.access_done += other.access_done;
-        self.commit += other.commit;
-        self.stats_delta += other.stats_delta;
-        self.shutdown += other.shutdown;
-        self.batch += other.batch;
-        self.recover += other.recover;
-        self.recover_ack += other.recover_ack;
-        self.snapshot_read += other.snapshot_read;
-        self.snapshot_reply += other.snapshot_reply;
-        self.forget += other.forget;
     }
 }
 
@@ -109,14 +89,6 @@ impl ByteCounts {
             ("frames_received", self.frames_received),
         ]
     }
-
-    /// Adds every counter of `other` into `self`.
-    pub fn merge(&mut self, other: &ByteCounts) {
-        self.bytes_sent += other.bytes_sent;
-        self.bytes_received += other.bytes_received;
-        self.frames_sent += other.frames_sent;
-        self.frames_received += other.frames_received;
-    }
 }
 
 #[cfg(test)]
@@ -124,71 +96,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn totals_and_merge() {
-        let mut a = MsgCounts {
+    fn fields_follow_the_wire_tags_and_total_sums_them() {
+        let counts = MsgCounts {
             submit: 2,
-            commit: 3,
-            ..MsgCounts::default()
-        };
-        let b = MsgCounts {
-            commit: 1,
-            shutdown: 4,
-            ..MsgCounts::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.submit, 2);
-        assert_eq!(a.commit, 4);
-        assert_eq!(a.shutdown, 4);
-        assert_eq!(a.total(), 10);
-        assert_eq!(MsgCounts::default().total(), 0);
-    }
-
-    #[test]
-    fn byte_counts_merge() {
-        let mut a = ByteCounts {
-            bytes_sent: 100,
-            frames_sent: 2,
-            ..ByteCounts::default()
-        };
-        a.merge(&ByteCounts {
-            bytes_sent: 50,
-            bytes_received: 7,
-            frames_received: 1,
-            ..ByteCounts::default()
-        });
-        assert_eq!(a.bytes_sent, 150);
-        assert_eq!(a.bytes_received, 7);
-        assert_eq!(a.frames_sent, 2);
-        assert_eq!(a.frames_received, 1);
-    }
-
-    #[test]
-    fn recover_counts_merge_into_totals() {
-        let mut a = MsgCounts {
             recover: 1,
+            forget: 3,
             ..MsgCounts::default()
         };
-        a.merge(&MsgCounts {
-            recover: 2,
-            recover_ack: 3,
-            ..MsgCounts::default()
-        });
-        assert_eq!(a.recover, 3);
-        assert_eq!(a.recover_ack, 3);
-        assert_eq!(a.total(), 6);
-    }
-
-    #[test]
-    fn batch_counts_merge() {
-        let mut a = MsgCounts {
-            batch: 2,
-            ..MsgCounts::default()
-        };
-        a.merge(&MsgCounts {
-            batch: 3,
-            ..MsgCounts::default()
-        });
-        assert_eq!(a.batch, 5);
-        assert_eq!(a.total(), 5);
+        let names = counts.fields().map(|(name, _)| name);
+        assert_eq!(names.first(), Some(&"submit"));
+        assert_eq!(names.last(), Some(&"forget"));
+        assert!(!names.contains(&"recover_ack"), "tag 12 is retired");
+        assert_eq!(counts.total(), 6);
+        assert_eq!(MsgCounts::default().total(), 0);
     }
 }
