@@ -17,8 +17,10 @@
 //!               [--durability none|buffered|sync] or a mid-run node kill
 //!               [--wal-dir DIR]         restarted from its write-ahead log
 //!               [--clients N] [--txns N] [--pattern 1|2|3|4] [--hots N]
-//!               [--seed N] [--chunk N] [--k N] [--keeptime MS]
-//!               [--no-certify] [--out FILE]
+//!               [--seed N] [--chunk N] [--k N] [--keeptime EVENTS]
+//!               [--no-certify] [--out FILE]  (--keeptime counts control-node
+//!                                       events — arrivals, lock requests,
+//!                                       step completions, commits — not ms)
 //! wtpg load     [--lambda TPS] [--secs F] open-loop Poisson load with
 //!               [--slo SPEC] [--jsonl F]  windowed SLO verdicts; takes the
 //!               [--out FILE]              cell flags of `wtpg net` too
@@ -102,10 +104,12 @@ fn print_help() {
            wtpg net      [--sched S] [--transport inproc|tcp] [--fault none|fault|crash|kill]\n\
                          [--durability none|buffered|sync] [--wal-dir DIR]\n\
                          [--clients N] [--txns N] [--pattern 1|2|3|4] [--hots N] [--groups N]\n\
-                         [--seed N] [--chunk N] [--k N] [--keeptime MS] [--shards N]\n\
+                         [--seed N] [--chunk N] [--k N] [--keeptime EVENTS] [--shards N]\n\
                          [--batch-max N] [--batch-window USEC] [--pipeline N]\n\
                          [--admit-window N] [--read-mix F] [--read-theta F] [--mvcc]\n\
                          [--no-certify] [--out FILE]\n\
+                         --keeptime counts control-node events (arrivals, lock\n\
+                         requests, step completions, commits), not ms\n\
            wtpg load     [--lambda TPS] [--secs F] [--inflight N] [--slo SPEC]\n\
                          [--window MS] [--jsonl FILE] [--out FILE]\n\
                          plus the cell flags of `wtpg net` (--sched … --mvcc):\n\

@@ -64,13 +64,12 @@ fn print_report(r: &NetReport, pattern: &str) {
     println!("  round trips: bulk-step p95 {:.2} ms", r.data_rtt.p95_ms);
     println!(
         "  messages   : {} sent ({:.1} per commit) — {} submits, {} commit acks, \
-         {} accesses, {} stats deltas",
+         {} accesses",
         r.messages_sent,
         r.msgs_per_commit(),
         r.msgs.submit,
         r.msgs.commit,
-        r.msgs.access,
-        r.msgs.stats_delta
+        r.msgs.access
     );
     println!(
         "  batching   : {} batch frames carrying {} coalesced messages",

@@ -30,7 +30,9 @@ use super::{ControlOps, LockOutcome};
 #[derive(Clone, Debug)]
 pub struct ChainScheduler {
     core: SchedCore,
-    /// Control-saving period, in ms (paper Table 1 `keeptime`).
+    /// Control-saving period (paper Table 1 `keeptime`), in ticks of the
+    /// `now` the scheduler is handed: simulated ms in `wtpg-sim`, control
+    /// node events in `wtpg-net` (see `KWtpgScheduler`'s field).
     keeptime: u64,
     /// The cached full SR-order: the oriented pairs `(from, to)`, sorted.
     w_order: Option<Vec<(TxnId, TxnId)>>,

@@ -65,7 +65,10 @@ struct RequestBook {
 pub struct KWtpgScheduler {
     core: SchedCore,
     k: usize,
-    /// Control-saving period, in ms.
+    /// Control-saving period, in ticks of the `now` the scheduler is
+    /// handed: simulated ms in `wtpg-sim`; in `wtpg-net`, steps of the
+    /// control node's logical clock, one per call it makes (arrival, lock
+    /// request, step completion, commit) — events, not ms.
     keeptime: u64,
     /// Per live transaction, its requests' books, indexed by step.
     books: IdWindow<Vec<RequestBook>>,
@@ -92,7 +95,8 @@ pub struct KWtpgScheduler {
 
 impl KWtpgScheduler {
     /// Creates a K-WTPG scheduler with conflict bound `k` and control-saving
-    /// period `keeptime` (ms).
+    /// period `keeptime` (ticks of `now`: simulated ms, or control-node
+    /// events in `wtpg-net`).
     pub fn new(k: usize, keeptime: u64) -> KWtpgScheduler {
         KWtpgScheduler {
             core: SchedCore::new(),

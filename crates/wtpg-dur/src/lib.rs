@@ -22,9 +22,9 @@
 //!   barriers; no fsync. A kill loses at most the unflushed *suffix* of the
 //!   log — flushes are ordered — and redelivery heals the difference.
 //! * **Sync** — like Buffered, plus `fdatasync` barriers aligned with the
-//!   reply coalescer's flushes: no `StatsDelta`/`AccessDone` escapes the
-//!   node before the record it reports is durable (group commit: one fsync
-//!   per reply batch, not per record).
+//!   reply coalescer's flushes: no `AccessDone` escapes the node before
+//!   the records of the step it reports are durable (group commit: one
+//!   fsync per reply batch, not per record).
 //!
 //! Torn tails **fail open at the tail only**: a final record cut mid-write
 //! recovers the clean prefix; a CRC mismatch or malformed record *before*

@@ -33,21 +33,13 @@ pub struct DedupRule {
 }
 
 /// Control actor: the in-flight step's order, filed in its transaction's
-/// record, gates `step_complete` (the reply takes it: `answered`) and, by
-/// the chunk cursor inside it, `progress` (`in_flight`; see
+/// record, gates `step_complete` (the reply takes it: `answered`; see
 /// `wtpg-net/src/control.rs`).
-const CONTROL_DEDUP: &[DedupRule] = &[
-    DedupRule {
-        variant: "AccessDone",
-        dedup: &["answered"],
-        effects: &["step_complete"],
-    },
-    DedupRule {
-        variant: "StatsDelta",
-        dedup: &["in_flight"],
-        effects: &["progress"],
-    },
-];
+const CONTROL_DEDUP: &[DedupRule] = &[DedupRule {
+    variant: "AccessDone",
+    dedup: &["answered"],
+    effects: &["step_complete"],
+}];
 
 /// Data actor: applied-marks gate chunk application.
 const DATA_DEDUP: &[DedupRule] = &[DedupRule {

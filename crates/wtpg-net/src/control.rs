@@ -12,7 +12,11 @@
 //! transaction. The control actor drives the whole lifecycle internally:
 //! admission, one `Access` order per granted step (issued the moment the
 //! previous step's `AccessDone` arrives), and the commit after the last
-//! step. A rejected admission queues in the FIFO admission backlog (a
+//! step. A data node applies a bulk step chunk by chunk but answers it
+//! once, and the step is booked on that `AccessDone` alone: `step_complete`
+//! sets the `T0` weight to what the remaining steps declare, and no
+//! per-chunk progress is booked (a `StatsDelta` is refused as a protocol
+//! error). A rejected admission queues in the FIFO admission backlog (a
 //! re-attempted head keeps its turn) and is re-attempted when a commit
 //! frees a slot. A step request *blocked* by a held lock waits on its
 //! partition until the commit that frees it, as the paper's CC1/CC2 Step 1
@@ -60,12 +64,10 @@
 //!   is truly gone.
 //! * **Duplicate absorption** — a writer has at most one step in flight,
 //!   and that step's order, filed in the writer's own record, is its whole
-//!   dedup state: the order's chunk cursor filters in-flight `StatsDelta`
-//!   duplicates, and the first `AccessDone` takes the order, so anything
-//!   that trails it (the fault layer duplicates whole batches, so a
-//!   duplicated `[StatsDelta…, AccessDone]` frame can follow the original's
-//!   completion, or even the commit) finds no order and is dropped. Without
-//!   this, a duplicated delivery would double-count bulk progress and break
+//!   dedup state: the first `AccessDone` takes the order, so a copy that
+//!   trails it (a duplicated frame, a redelivered order's second answer)
+//!   finds no order and is dropped, even after the commit. Without this, a
+//!   duplicated delivery would complete a step twice and break
 //!   certification.
 //!
 //! **Forgetting by notice.** A data node keeps a mark for every step it
@@ -101,7 +103,6 @@ use wtpg_core::sched::{Admission, LockOutcome, Scheduler};
 use wtpg_core::time::Tick;
 use wtpg_core::txn::{AccessMode, TxnId, TxnSpec};
 use wtpg_core::window::IdWindow;
-use wtpg_core::work::Work;
 use wtpg_mvcc::{gc_floor, ActiveSnapshots, CommitLog, ReadObservation, ReaderRecord};
 use wtpg_obs::window::metric;
 use wtpg_obs::{Counter, Gauge, HistHandle, MsgCounts, Registry};
@@ -218,9 +219,6 @@ struct Outstanding {
     /// When the order was first issued (data-plane RTT origin).
     sent_at: Instant,
     msg: Msg,
-    /// Next expected `StatsDelta` chunk index (data nodes report chunks in
-    /// order; anything below is a duplicate delivery).
-    next_chunk: u64,
     /// The owning node blew past the redelivery budget: the order is
     /// parked, still re-sending at the capped interval, waiting for the
     /// node to rejoin.
@@ -427,11 +425,6 @@ impl Live {
         }
     }
 
-    /// The order in flight for `step`.
-    fn in_flight(&mut self, step: u32) -> Option<&mut Outstanding> {
-        self.slot(step)?.as_mut().filter(|o| o.step == step)
-    }
-
     /// Takes the order in flight for `step`: its reply has come.
     fn answered(&mut self, step: u32) -> Option<Outstanding> {
         let slot = self.slot(step)?;
@@ -515,7 +508,8 @@ pub struct ControlActor<'a> {
     next_submit: Vec<TxnId>,
     rx: MsgCounts,
     data_rtts_us: Vec<u64>,
-    /// Milli-objects per progress chunk, stamped on every `Access` order.
+    /// Milli-objects per apply-and-log chunk, stamped on every `Access`
+    /// order.
     chunk_units: u64,
     tel: CtrlTel,
     /// Clients in the run, and the end-of-stream `Shutdown`s received.
@@ -791,7 +785,6 @@ impl ControlActor<'_> {
             deadline: now + Duration::from_micros(self.retry.delay_us(0)),
             sent_at: now,
             msg: order,
-            next_chunk: 0,
             unavailable: false,
         });
         Ok(())
@@ -1049,12 +1042,12 @@ impl ControlActor<'_> {
         Ok(())
     }
 
-    /// A write-plane reply that finds no order in flight under its key. A
+    /// An `AccessDone` that finds no order in flight under its key. A
     /// writer's only in-flight step is the one its record holds, so the
     /// reply either duplicates a step that already completed (or whose
     /// transaction already committed) and is dropped, or answers an order
     /// this actor never issued.
-    fn late_reply(&self, txn: TxnId, step: u32, what: &str) -> Result<(), NetError> {
+    fn late_reply(&self, txn: TxnId, step: u32) -> Result<(), NetError> {
         let next_step = match self.txns.get(txn) {
             Some(Live::Writer(t)) => t.next_step,
             _ => 0,
@@ -1063,12 +1056,12 @@ impl ControlActor<'_> {
             return Ok(());
         }
         Err(NetError::Protocol(format!(
-            "{what} for txn {} step {step}, which has no order in flight",
+            "AccessDone for txn {} step {step}, which has no order in flight",
             txn.0
         )))
     }
 
-    // lint:allow(protocol: Access, SnapshotRead, Commit, Forget) send-only for the control actor: it emits the accesses, snapshot-read orders, commit acks and notices
+    // lint:allow(protocol: Access, SnapshotRead, Commit, Forget, StatsDelta) send-only for the control actor: it emits the accesses, snapshot-read orders, commit acks and notices; a step answers once, with its AccessDone, so a StatsDelta is refused
     fn handle(&mut self, m: Msg, now: Instant) -> Result<(), NetError> {
         m.count(&mut self.rx);
         match m {
@@ -1118,31 +1111,9 @@ impl ControlActor<'_> {
                 );
                 self.drive(txn, now)
             }
-            Msg::StatsDelta {
-                txn,
-                step,
-                chunk,
-                units,
-            } => {
-                let Some(o) = self.txns.get_mut(txn).and_then(|t| t.in_flight(step)) else {
-                    return self.late_reply(txn, step, "StatsDelta");
-                };
-                if chunk < o.next_chunk {
-                    return Ok(()); // duplicate delivery: already applied
-                }
-                if chunk > o.next_chunk {
-                    return Err(NetError::Protocol(format!(
-                        "txn {} step {step}: chunk {chunk} arrived before chunk {}",
-                        txn.0, o.next_chunk
-                    )));
-                }
-                o.next_chunk += 1;
-                self.control.progress(txn, Work::from_units(units))?;
-                Ok(())
-            }
             Msg::AccessDone { txn, step, .. } => {
                 let Some(o) = self.txns.get_mut(txn).and_then(|t| t.answered(step)) else {
-                    return self.late_reply(txn, step, "AccessDone");
+                    return self.late_reply(txn, step);
                 };
                 self.control.step_complete(txn, step as usize)?;
                 self.book_rtt(o.sent_at, now);

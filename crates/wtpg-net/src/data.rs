@@ -3,43 +3,44 @@
 //! Shared-nothing means exactly this: the actor's store is a plain owned
 //! value — no mutex, no sharing — and the only way anything touches it is
 //! an `Access` order arriving in the actor's inbox. The actor applies the
-//! bulk operation chunk by chunk, streaming one `StatsDelta` per chunk back
-//! to the control node (the paper's per-object weight-adjustment message)
-//! and finishing with an `AccessDone` carrying the step's checksum.
+//! bulk operation chunk by chunk and answers once, with an `AccessDone`
+//! carrying the step's checksum. (The paper's per-object weight-adjustment
+//! messages would tell control how much of a running step is left; the
+//! whole step applies inside one delivery, so a per-chunk report could only
+//! reach control beside the `AccessDone`, which books the step anyway.)
 //!
-//! **Batched replies.** All replies flow through a [`Coalescer`], so a bulk
-//! step's `StatsDelta` stream and its `AccessDone` leave as one (or a few)
-//! `Batch` frames instead of one frame per chunk, and replies for
-//! back-to-back orders coalesce across steps. The coalescer is flushed
-//! before the actor blocks on an empty inbox, so the control node is never
-//! starved of a reply the actor is sitting on. Inbound `Batch` frames (the
-//! control side coalesces orders the same way) are unpacked and the inner
-//! orders applied in sequence. Under link faults the coalescer's delay line
-//! releases what it holds as it comes due, down or up, and the rest at exit.
+//! **Batched replies.** All replies flow through a [`Coalescer`], so the
+//! answers to back-to-back orders coalesce into one `Batch` frame. The
+//! coalescer is flushed before the actor blocks on an empty inbox, so the
+//! control node is never starved of a reply the actor is sitting on.
+//! Inbound `Batch` frames (the control side coalesces orders the same way)
+//! are unpacked and the inner orders applied in sequence. Under link
+//! faults the coalescer's delay line releases what it holds as it comes
+//! due, down or up, and the rest at exit.
 //!
 //! **Durability.** Under [`Durability::Buffered`]/[`Durability::Sync`] the
 //! actor owns a [`WalWriter`]: every applied chunk is logged (with its
-//! partition dependency edge) *before* its `StatsDelta` is pushed, and a
-//! log barrier precedes every reply flush — so nothing control hears about
-//! is absent from the durable log (group commit: one flush, and under
+//! partition dependency edge) *before* the step's `AccessDone` is pushed,
+//! and a log barrier precedes every reply flush — so nothing control hears
+//! about is absent from the durable log (group commit: one flush, and under
 //! `Sync` one fsync, per reply batch rather than per chunk). A node
 //! snapshot checkpoint is written every [`SNAPSHOT_EVERY`] records to bound
 //! replay to a log suffix.
 //!
-//! **One reply path per order.** An applied step leaves a mark (checksum
+//! **One answer per order.** An applied step leaves a mark (checksum
 //! and unit count); a step a kill cut short leaves a [`Partial`] in the log.
 //! Marks, partials and snapshot-read memos are [`StepBook`]s: one `Vec`
 //! sorted by `(txn, step)`, which orders arrive in nearly ascending — so a
 //! mark costs its 32 bytes, a lookup one binary search, an insert an append
 //! or a short shift — and which the node snapshot copies as it stands.
 //! An `Access` order looks up how far its step already got — a mark is all
-//! of it, a `Partial` its `next_chunk`, otherwise nothing — and walks the
-//! step's chunks once ([`wtpg_rt::store::chunks`]): chunks already applied
-//! are re-announced, the rest applied, logged and announced, and one
-//! `AccessDone` closes the stream. First delivery, redelivery and
-//! resume-after-kill are that one loop; control's chunk cursor and
-//! completed-set absorb what it already credited, and the re-announced
-//! deltas heal what a kill destroyed in the reply buffer.
+//! of it, a `Partial` its `next_chunk`, otherwise nothing. A marked step is
+//! answered again, nothing applied; otherwise the node walks the rest of
+//! the step's chunks once ([`wtpg_rt::store::chunks`]), applying and
+//! logging each. Either way one `AccessDone` answers the order. First
+//! delivery, redelivery and resume-after-kill are that one loop and say one
+//! checksum; control absorbs a second answer, and the answer to a
+//! redelivered order heals what a kill destroyed in the reply buffer.
 //!
 //! **Forgetting by notice.** The books hold only what control may still ask
 //! about. A [`Msg::Forget`] notice carries its control shard's low-water
@@ -594,8 +595,9 @@ impl DataActor<'_> {
                 seal,
             } => {
                 debug_assert_eq!(self.cfg.catalog.node_of(partition), self.cfg.node);
-                // How far the step already got: a mark is all of it (answer,
-                // don't re-apply), a recovered partial its durable prefix.
+                // How far the step already got: a mark is all of it (answer
+                // again, apply nothing), a recovered partial its durable
+                // prefix (apply the rest).
                 let marked = self.marks.get((txn, step));
                 let (applied_chunks, mut checksum) = match marked {
                     Some((checksum, _)) => (u64::MAX, checksum),
@@ -615,41 +617,28 @@ impl DataActor<'_> {
                         .or_default()
                         .record(seal, txn, units);
                 }
-                for (chunk, offset, len) in chunks(units, chunk_units) {
-                    if chunk >= applied_chunks {
-                        let sum = self.store.apply_chunk(partition, mode, offset, len)?;
-                        checksum = checksum.wrapping_add(sum);
-                        self.tel.units.add(len);
-                        // Log before the delta can leave: the record is in
-                        // the writer (and on any flush path, in the file)
-                        // before control can ever learn of the chunk.
-                        let record = ChunkRecord {
-                            lsn: 0,
-                            prev_lsn: 0,
-                            txn,
-                            step,
-                            chunk,
-                            partition,
-                            mode,
-                            start_unit: offset,
-                            units: len,
-                            checksum: sum,
-                            complete: offset + len >= units,
-                        };
-                        self.with_wal(|w| w.append(record).map(drop))?;
-                    }
-                    // Chunks already applied are only re-announced:
-                    // control's cursor drops the deltas it already credited
-                    // and applies the ones a kill destroyed.
-                    let delta = Msg::StatsDelta {
+                let rest = chunks(units, chunk_units).skip_while(|&(c, ..)| c < applied_chunks);
+                for (chunk, offset, len) in rest {
+                    let sum = self.store.apply_chunk(partition, mode, offset, len)?;
+                    checksum = checksum.wrapping_add(sum);
+                    self.tel.units.add(len);
+                    // Log before the answer can leave: the record is in the
+                    // writer (and on any flush path, in the file) before
+                    // control can ever learn of the step.
+                    let record = ChunkRecord {
+                        lsn: 0,
+                        prev_lsn: 0,
                         txn,
                         step,
                         chunk,
+                        partition,
+                        mode,
+                        start_unit: offset,
                         units: len,
+                        checksum: sum,
+                        complete: offset + len >= units,
                     };
-                    if let Flow::Stop = self.push_reply(delta)? {
-                        return Ok(Flow::Stop);
-                    }
+                    self.with_wal(|w| w.append(record).map(drop))?;
                 }
                 if marked.is_none() {
                     if mode == AccessMode::Read {
@@ -657,6 +646,7 @@ impl DataActor<'_> {
                     }
                     self.marks.insert((txn, step), (checksum, units));
                 }
+                // One answer, however far the step already got.
                 self.push_reply(Msg::AccessDone {
                     txn,
                     step,

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //!   client ──Submit(spec)──► control ──Access | SnapshotRead [+ Forget(below)]──► data node
-//!   client ◄─Commit ack────   control ◄─StatsDelta/AccessDone | SnapshotReply──────
+//!   client ◄─Commit ack────   control ◄─AccessDone | SnapshotReply─────────────────
 //!                             control ◄─Recover (a killed node rejoins)────────────
 //!                             control | runtime ──Shutdown──► data node
 //! ```
@@ -19,9 +19,11 @@
 //! frees capacity — is the control node's business and never crosses the
 //! client link: there is no grant, reject, delay or abort message. Bursty
 //! links coalesce messages into flat [`Msg::Batch`] frames. The recorded
-//! history keeps the serial per-transaction call shape (arrive, request,
-//! progress × chunks, step-complete, commit) because only the control node
-//! ever talks to the scheduler.
+//! history keeps the serial per-transaction call shape (arrive, then per
+//! step request and step-complete, then commit) because only the control
+//! node ever talks to the scheduler. A data node applies a bulk step chunk
+//! by chunk but answers it once, with one `AccessDone`: control books the
+//! step on that reply alone.
 //!
 //! **Forgetting by notice.** A data node learns what it may drop the way
 //! it learns everything else: from control, on the wire. Once every order
@@ -40,7 +42,8 @@
 //!
 //! Wire tags 1, 2, 3 and 7 belonged to the retired per-step client protocol,
 //! tag 12 to the retired recovery acknowledgement; they stay unassigned: the
-//! codec rejects them as unknown tags.
+//! codec rejects them as unknown tags. Tag 8, [`Msg::StatsDelta`], still
+//! decodes, but no actor sends one and control refuses one.
 
 use wtpg_core::partition::PartitionId;
 use wtpg_core::txn::{AccessMode, TxnId, TxnSpec};
@@ -79,7 +82,8 @@ pub enum Msg {
         mode: AccessMode,
         /// Total milli-object cells to touch.
         units: u64,
-        /// Progress-report granularity in milli-object cells.
+        /// Apply-and-log granularity in milli-object cells: the node applies
+        /// the step, and logs it, one chunk of this many cells at a time.
         chunk_units: u64,
         /// For write steps: the control-assigned per-partition seal
         /// sequence, under which the data node files the step in its
@@ -110,15 +114,17 @@ pub enum Msg {
         /// The transaction.
         txn: TxnId,
     },
-    /// Data node → control: one progress chunk of a bulk step was applied —
-    /// the paper's per-object weight-adjustment message.
+    /// One progress chunk of a bulk step was applied — the paper's
+    /// per-object weight-adjustment message. Retired from the protocol: a
+    /// data node answers a step once, with its [`Msg::AccessDone`], and
+    /// control refuses this as a protocol error. The variant and its codec
+    /// arms stay because the benchmark package builds and decodes it.
     StatsDelta {
         /// The transaction.
         txn: TxnId,
         /// The step being executed.
         step: u32,
-        /// Zero-based chunk index within the step (control de-duplicates by
-        /// expecting chunks in order).
+        /// Zero-based chunk index within the step.
         chunk: u64,
         /// Milli-object cells in this chunk.
         units: u64,

@@ -88,8 +88,9 @@ pub struct NetConfig {
     /// Client actors (each drives a slice of the workload, `pipeline`
     /// transactions in flight at a time).
     pub clients: usize,
-    /// Milli-objects per progress chunk (default: one object, the paper's
-    /// per-object weight-adjustment granularity).
+    /// Milli-objects per chunk a data node applies and logs at a time
+    /// (default: one object, the paper's per-object weight-adjustment
+    /// granularity); a step is answered once, whatever its chunk count.
     pub chunk_units: u64,
     /// Control-side redelivery schedule for unanswered `Access` orders.
     /// The base must comfortably exceed a step's normal round trip, or

@@ -32,8 +32,8 @@
 //! client has at most `pipeline` submissions (open loop: `inflight`)
 //! outstanding and is owed one ack for each; a control shard keeps at most
 //! `admit_window` transactions admitted, so a data node holds at most that
-//! many outstanding orders and answers each with a bounded burst of
-//! progress reports (≤ 2× under duplicate faults). Link faults hold frames
+//! many outstanding orders and answers each once (≤ 2× under duplicate
+//! faults). Link faults hold frames
 //! in the sender's coalescer (`crate::batch`), not in a queue of their own.
 
 use std::io::{PipeWriter, Write};

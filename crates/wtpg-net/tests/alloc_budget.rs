@@ -98,8 +98,8 @@ const CELLS: [Cell3; 3] = [
         read_mix: false,
         sched: "chain",
         txns: 2_000,
-        release: 8.0,
-        debug: 10.0,
+        release: 5.0,
+        debug: 7.0,
     },
     Cell3 {
         name: "P2 K2",
@@ -107,8 +107,8 @@ const CELLS: [Cell3; 3] = [
         read_mix: false,
         sched: "k2",
         txns: 2_000,
-        release: 10.0,
-        debug: 10.0,
+        release: 4.5,
+        debug: 6.5,
     },
     Cell3 {
         name: "MVCC mix",
@@ -116,8 +116,8 @@ const CELLS: [Cell3; 3] = [
         read_mix: true,
         sched: "chain",
         txns: 2_000,
-        release: 9.0,
-        debug: 11.0,
+        release: 8.0,
+        debug: 10.0,
     },
 ];
 

@@ -279,8 +279,10 @@ fn kill_restart_totals_are_the_report_and_survive_the_incarnation() {
         .sum();
     assert!(r.wal_records >= chunks, "{} records for {chunks} chunks", r.wal_records);
     assert!(total(metric::DATA_UNITS) >= r.store_write_units);
-    // What control handled covers what every data-node incarnation sent.
-    assert!(total(&metric::msg_rx("stats_delta")) >= chunks);
+    // A step answers once, with its `AccessDone`, whichever incarnation
+    // applied it: what control handled covers every step of the workload.
+    let steps: u64 = workload.1.iter().map(|t| t.len() as u64).sum();
+    assert!(total(&metric::msg_rx("access_done")) >= steps);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

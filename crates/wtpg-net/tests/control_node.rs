@@ -27,7 +27,7 @@ use wtpg_core::history::Event;
 use wtpg_core::partition::{Catalog, PartitionId};
 use wtpg_core::txn::{StepSpec, TxnId, TxnSpec};
 use wtpg_net::actor::{Actor, Flow};
-use wtpg_net::control::{ControlActor, ControlParams, NOTICE_AT};
+use wtpg_net::control::{ControlActor, ControlOutcome, ControlParams, NOTICE_AT};
 use wtpg_net::transport::MsgTx;
 use wtpg_net::{FaultPlan, Msg, NetError};
 use wtpg_obs::window::metric;
@@ -99,15 +99,6 @@ fn submit(client: u32, txn: u64, steps: Vec<StepSpec>) -> Msg {
         txn: TxnId(txn),
         step: None,
         spec: Some(TxnSpec::new(TxnId(txn), steps)),
-    }
-}
-
-fn delta(txn: u64, chunk: u64) -> Msg {
-    Msg::StatsDelta {
-        txn: TxnId(txn),
-        step: 0,
-        chunk,
-        units: 500,
     }
 }
 
@@ -294,6 +285,22 @@ fn a_busy_inbox_still_redelivers_every_scan() {
     );
 }
 
+/// What `out`'s history booked for writers past their arrival: step
+/// completions and commits, in order.
+fn credits(out: &ControlOutcome) -> Vec<(&'static str, TxnId)> {
+    out.audit
+        .history
+        .events()
+        .iter()
+        .filter_map(|&(_, e)| match e {
+            Event::Progress { txn, .. } => Some(("progress", txn)),
+            Event::StepCompleted { txn, .. } => Some(("step", txn)),
+            Event::Committed(txn) => Some(("commit", txn)),
+            _ => None,
+        })
+        .collect()
+}
+
 #[test]
 fn duplicates_are_absorbed_on_both_planes() {
     let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
@@ -302,31 +309,26 @@ fn duplicates_are_absorbed_on_both_planes() {
     let mut ctl = start(p, &catalog, 500, &l);
     let t0 = Instant::now();
 
-    // A writer of three chunks: a chunk below the cursor is dropped, and
-    // everything that trails the commit finds nothing to do.
-    ctl.deliver(submit(0, 1, vec![StepSpec::write(0, 1.5)]), t0)
-        .unwrap();
+    // A two-step writer: its first step's `AccessDone` twice (a duplicated
+    // frame), its second's after the commit it triggered, and its
+    // submission again — everything past the first copy finds nothing to do.
+    let steps = || vec![StepSpec::write(0, 1.5), StepSpec::write(2, 1.0)];
+    ctl.deliver(submit(0, 1, steps()), t0).unwrap();
     for m in [
-        delta(1, 0),
-        delta(1, 0),
-        delta(1, 1),
-        delta(1, 2),
-        done(1, 1500),
+        done_at(1, 0, 1500),
+        done_at(1, 0, 1500),
+        done_at(1, 1, 1000),
+        done_at(1, 1, 1000),
+        done_at(1, 0, 1500),
+        submit(0, 1, steps()),
     ] {
         assert_eq!(ctl.deliver(m, t0).unwrap(), Flow::Continue);
-    }
-    for late in [
-        delta(1, 2),
-        done(1, 1500),
-        submit(0, 1, vec![StepSpec::write(0, 1.5)]),
-    ] {
-        assert_eq!(ctl.deliver(late, t0).unwrap(), Flow::Continue);
     }
     ctl.before_block(t0).unwrap();
     assert_eq!(
         accesses(l.data[0].take()),
-        [1],
-        "one order, never re-issued"
+        [1, 1],
+        "one order per step, never re-issued"
     );
     assert_eq!(acks(l.clients[0].take()), [1], "one ack");
 
@@ -334,13 +336,13 @@ fn duplicates_are_absorbed_on_both_planes() {
     ctl.deliver(submit(0, 7, vec![StepSpec::read(2, 1.0)]), t0)
         .unwrap();
     ctl.before_block(t0).unwrap();
-    // The writer's commit raised partition 0's floor: the notice rides
-    // behind the reader's order, in its frame.
+    // The writer's commit raised the floors of partitions 0 and 2: the
+    // notice rides behind the reader's order, in its frame.
     let floor = Msg::Forget {
         shard: 0,
         below: TxnId(7),
         txns: vec![],
-        floors: vec![(PartitionId(0), 1)],
+        floors: vec![(PartitionId(0), 1), (PartitionId(2), 1)],
     };
     assert!(matches!(
         &l.data[0].frames()[..],
@@ -365,44 +367,44 @@ fn duplicates_are_absorbed_on_both_planes() {
 
     assert_eq!(ctl.deliver(Msg::Shutdown, t0).unwrap(), Flow::Stop);
     let out = ctl.finish().expect("finishes");
-    assert_eq!(out.mvcc.expect("the plane was on").readers.len(), 1);
-    // What the history credited: each of the writer's three chunks once, its
-    // one step and its commit; the reader never reaches the scheduler.
-    let credits: Vec<_> = out
-        .audit
-        .history
-        .events()
-        .iter()
-        .filter_map(|&(_, e)| match e {
-            Event::Progress { txn, .. } => Some(("progress", txn)),
-            Event::StepCompleted { txn, .. } => Some(("step", txn)),
-            Event::Committed(txn) => Some(("commit", txn)),
-            _ => None,
-        })
-        .collect();
+    assert_eq!(out.mvcc.as_ref().expect("the plane was on").readers.len(), 1);
+    // What the history booked: each of the writer's steps once, on its
+    // `AccessDone` alone, and its commit; the reader never reaches the
+    // scheduler.
     let t1 = TxnId(1);
     assert_eq!(
-        credits,
-        [
-            ("progress", t1),
-            ("progress", t1),
-            ("progress", t1),
-            ("step", t1),
-            ("commit", t1)
-        ],
-        "each chunk credited once, writers only"
+        credits(&out),
+        [("step", t1), ("step", t1), ("commit", t1)],
+        "each step booked once, writers only"
     );
 }
 
+/// A step answers once, with its `AccessDone`: a per-chunk `StatsDelta` is
+/// refused, whether or not its step is in flight, and books nothing.
 #[test]
-fn a_chunk_ahead_of_the_cursor_is_a_protocol_error() {
+fn a_stats_delta_is_a_protocol_error() {
     let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
     let mut ctl = start(params(&reg, "chain", 1), &catalog, 500, &l);
     let t0 = Instant::now();
     ctl.deliver(submit(0, 1, vec![StepSpec::write(0, 1.5)]), t0)
         .unwrap();
-    let err = ctl.deliver(delta(1, 1), t0).unwrap_err();
-    assert!(matches!(err, NetError::Protocol(_)), "{err:?}");
+    for txn in [1, 2] {
+        let delta = Msg::StatsDelta {
+            txn: TxnId(txn),
+            step: 0,
+            chunk: 0,
+            units: 500,
+        };
+        let err = ctl.deliver(delta, t0).unwrap_err();
+        assert!(
+            matches!(&err, NetError::Protocol(m) if m.contains("StatsDelta")),
+            "txn {txn}: {err:?}"
+        );
+    }
+    ctl.deliver(done(1, 1500), t0).unwrap();
+    assert_eq!(ctl.deliver(Msg::Shutdown, t0).unwrap(), Flow::Stop);
+    let out = ctl.finish().expect("finishes");
+    assert_eq!(credits(&out), [("step", TxnId(1)), ("commit", TxnId(1))]);
 }
 
 #[test]
@@ -655,9 +657,7 @@ fn retired_writers_ride_behind_an_order_once_a_notice_is_due() {
         ctl.deliver(submit(0, txn, vec![StepSpec::write(0, 1.0)]), t0).unwrap();
         ctl.before_block(t0).unwrap();
         if txn <= writers {
-            for m in [delta(txn, 0), delta(txn, 1), done(txn, 1000)] {
-                ctl.deliver(m, t0).unwrap();
-            }
+            ctl.deliver(done(txn, 1000), t0).unwrap();
         }
     }
     let frames = l.data[0].frames();

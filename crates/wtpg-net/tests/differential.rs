@@ -2,10 +2,10 @@
 //! *implementation detail*, not a semantic change. A single-client InProc
 //! run with nothing pipelined makes the control node see exactly the call
 //! sequence of a plain loop over the workload — arrive, then per step
-//! request / progress × chunks / step-complete, then commit — so the
-//! recorded history (and therefore the certified serialization order), the
-//! logical clock, and the bulk-read checksums must match that loop tick for
-//! tick. With real concurrency the interleavings differ, but everything
+//! request / step-complete, then commit (a data node applies a step chunk
+//! by chunk but answers it once) — so the recorded history (and therefore
+//! the certified serialization order), the logical clock, and the bulk-read
+//! checksums must match that loop tick for tick. With real concurrency the interleavings differ, but everything
 //! that is a function of the committed workload must still equal the
 //! loop's.
 
@@ -20,7 +20,6 @@ use wtpg_core::history::Event;
 use wtpg_core::partition::Catalog;
 use wtpg_core::sched::{Admission, LockOutcome};
 use wtpg_core::txn::{AccessMode, TxnSpec};
-use wtpg_core::work::Work;
 use wtpg_net::{run_cell, FaultPlan, InProc, NetConfig, NetReport};
 use wtpg_rt::control::ControlNode;
 use wtpg_rt::sched_by_name;
@@ -72,7 +71,6 @@ fn serial_drive(sched: &str, catalog: &Catalog, specs: &[TxnSpec]) -> Serial {
                 if step.mode == AccessMode::Read {
                     read_checksum = read_checksum.wrapping_add(sum);
                 }
-                control.progress(spec.id, Work::from_units(chunk)).expect("progress");
                 offset += chunk;
             }
             if step.mode == AccessMode::Write {

@@ -21,7 +21,9 @@ pub struct MsgCounts {
     pub access_done: u64,
     /// `Commit` — control node's commit ack to the client.
     pub commit: u64,
-    /// `StatsDelta` — data node's per-chunk progress report.
+    /// `StatsDelta` — a per-chunk progress report. No `wtpg-net` actor
+    /// sends one (a data node answers a step once, with `AccessDone`), so
+    /// this reads 0; the benchmark package still reads it.
     pub stats_delta: u64,
     /// `Shutdown` — orderly teardown.
     pub shutdown: u64,

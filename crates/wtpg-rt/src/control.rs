@@ -16,9 +16,9 @@
 //! ([`ControlNode::with_telemetry`]), the node records *no history*: it owns
 //! a [`StreamingCertifier`] and feeds it each declaration (once, before the
 //! first admission event that references it) and each linearized event as
-//! the event is drawn, retiring the certified prefix every [`RETIRE_EVERY`]
-//! events. The first [`CertifyViolation`] is latched and nothing more is
-//! fed; the node keeps answering its scheduler, and
+//! the event is drawn, retiring the certified prefix every
+//! `RETIRE_COMMITS` (128) commits. The first [`CertifyViolation`] is latched
+//! and nothing more is fed; the node keeps answering its scheduler, and
 //! [`into_audit`](ControlNode::into_audit) hands the verdict over as
 //! [`ControlAudit::verdict`]. Certification thus steps with the node whose
 //! decisions it checks, on its owner's thread, and the node's memory no
@@ -53,11 +53,20 @@ use wtpg_core::error::CoreError;
 use wtpg_core::history::{Event, History};
 use wtpg_core::partition::PartitionId;
 use wtpg_core::sched::{Admission, LockOutcome, Scheduler};
-use wtpg_core::stream_certify::{StreamingCertifier, RETIRE_EVERY};
+use wtpg_core::stream_certify::StreamingCertifier;
 use wtpg_core::time::{LogicalClock, Tick};
 use wtpg_core::txn::{TxnId, TxnSpec};
 use wtpg_core::window::IdWindow;
 use wtpg_core::work::Work;
+
+/// Commits between the live certifier's prefix retirements. What it keeps
+/// in between is per transaction, so the cadence counts transactions, not
+/// events: events per commit vary with the workload and the protocol, and
+/// at the replay's 4096-event cadence
+/// ([`RETIRE_EVERY`](wtpg_core::stream_certify::RETIRE_EVERY)) a window
+/// spans 210 Pattern 1 commits in `wtpg-net` at 19.5 events each, but 356
+/// at 11.5.
+const RETIRE_COMMITS: u64 = 128;
 
 /// Pre-resolved windowed-metric handles (one add per decision).
 struct SchedTelemetry {
@@ -90,6 +99,8 @@ pub struct ControlNode {
     /// The partitions the last commit freed.
     freed: Vec<PartitionId>,
     clock: LogicalClock,
+    /// Commits so far.
+    commits: u64,
     /// Streaming mode: the live certifier every event is fed to instead of
     /// the in-memory history, or the first violation it found.
     stream: Option<Result<StreamingCertifier, CertifyViolation>>,
@@ -147,6 +158,7 @@ impl ControlNode {
             live: IdWindow::new(),
             freed: Vec::new(),
             clock: LogicalClock::new(),
+            commits: 0,
             stream: stream.then(|| Ok(StreamingCertifier::new(mode))),
             tel: reg.map(SchedTelemetry::new),
         }
@@ -158,13 +170,11 @@ impl ControlNode {
     fn record(&mut self, now: Tick, ev: Event) {
         match &mut self.stream {
             None => self.audit.history.push(now, ev),
-            Some(Ok(cert)) => match cert.feed(now, ev) {
-                Ok(()) if cert.events_fed() % RETIRE_EVERY == 0 => {
-                    cert.retire_prefix();
+            Some(Ok(cert)) => {
+                if let Err(v) = cert.feed(now, ev) {
+                    self.stream = Some(Err(v));
                 }
-                Ok(()) => {}
-                Err(v) => self.stream = Some(Err(v)),
-            },
+            }
             // A violation is latched: nothing more is fed.
             Some(Err(_)) => {}
         }
@@ -286,6 +296,12 @@ impl ControlNode {
         let now = self.clock.next();
         self.sched.on_commit_into(txn, now, &mut self.freed)?;
         self.record(now, Event::Committed(txn));
+        self.commits += 1;
+        if let Some(Ok(cert)) = &mut self.stream {
+            if self.commits.is_multiple_of(RETIRE_COMMITS) {
+                cert.retire_prefix();
+            }
+        }
         // A committed id never returns (ids are unique per run). Streaming
         // mode keeps no spec past its commit — the certifier keeps its copy
         // until retirement — so the node's footprint is the live
@@ -393,7 +409,7 @@ mod tests {
                 node.commit(TxnId(id)).unwrap();
             }
         }
-        // Five events per transaction: past one retirement.
+        // Five events per transaction, and past several retirements.
         let Some(Ok(cert)) = &cn.stream else { panic!("a clean run latches nothing") };
         assert_eq!(cert.events_fed(), 5 * TXNS as usize);
         assert!(cert.retired() > 0, "the certified prefix retires as the run goes");
