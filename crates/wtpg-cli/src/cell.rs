@@ -29,7 +29,6 @@ pub(crate) struct CellArgs {
     pub groups: u32,
     pub seed: u64,
     pub transport: String,
-    pub chunk: u64,
     pub k: usize,
     pub keeptime: u64,
     pub shards: usize,
@@ -56,7 +55,6 @@ pub(crate) fn parse(
         groups: 4,
         seed: 42,
         transport: "inproc".into(),
-        chunk: 1000,
         k: 2,
         keeptime: 5000,
         shards: 1,
@@ -83,7 +81,6 @@ pub(crate) fn parse(
             "--groups" => a.groups = value(flag, take()?)?,
             "--seed" => a.seed = value(flag, take()?)?,
             "--transport" => a.transport = take()?,
-            "--chunk" => a.chunk = value(flag, take()?)?,
             "--k" => a.k = value(flag, take()?)?,
             "--keeptime" => a.keeptime = value(flag, take()?)?,
             "--shards" => a.shards = value(flag, take()?)?,
@@ -210,7 +207,6 @@ impl CellArgs {
         Ok(Cell {
             cfg: NetConfig {
                 clients: self.clients,
-                chunk_units: self.chunk,
                 shards: self.shards,
                 durability,
                 wal_dir,

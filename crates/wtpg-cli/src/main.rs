@@ -17,7 +17,7 @@
 //!               [--durability none|buffered|sync] or a mid-run node kill
 //!               [--wal-dir DIR]         restarted from its write-ahead log
 //!               [--clients N] [--txns N] [--pattern 1|2|3|4] [--hots N]
-//!               [--seed N] [--chunk N] [--k N] [--keeptime EVENTS]
+//!               [--seed N] [--k N] [--keeptime EVENTS]
 //!               [--no-certify] [--out FILE]  (--keeptime counts control-node
 //!                                       events — arrivals, lock requests,
 //!                                       step completions, commits — not ms)
@@ -104,7 +104,7 @@ fn print_help() {
            wtpg net      [--sched S] [--transport inproc|tcp] [--fault none|fault|crash|kill]\n\
                          [--durability none|buffered|sync] [--wal-dir DIR]\n\
                          [--clients N] [--txns N] [--pattern 1|2|3|4] [--hots N] [--groups N]\n\
-                         [--seed N] [--chunk N] [--k N] [--keeptime EVENTS] [--shards N]\n\
+                         [--seed N] [--k N] [--keeptime EVENTS] [--shards N]\n\
                          [--batch-max N] [--batch-window USEC] [--pipeline N]\n\
                          [--admit-window N] [--read-mix F] [--read-theta F] [--mvcc]\n\
                          [--no-certify] [--out FILE]\n\

@@ -16,7 +16,11 @@
 //! parsed in [`crate::cell`]; this file owns the fault plan, the closed-loop
 //! tuning knobs and the report.
 
-use wtpg_net::{run_cell, FaultPlan, NetConfig, NetReport};
+use std::sync::Arc;
+
+use wtpg_net::{run_cell_load, FaultPlan, NetConfig, NetReport};
+use wtpg_obs::window::metric;
+use wtpg_obs::Registry;
 
 use crate::cell::{self, value};
 
@@ -47,7 +51,10 @@ fn fault_of(name: &str, seed: u64) -> Result<FaultPlan, String> {
     }
 }
 
-fn print_report(r: &NetReport, pattern: &str) {
+/// Prints the report. `heard(ty)` is how many messages of type `ty` the
+/// run's actors handled — a batch's inner messages each count, where the
+/// report's [`MsgBreakdown`](wtpg_net::MsgBreakdown) counts frames.
+fn print_report(r: &NetReport, pattern: &str, heard: impl Fn(&str) -> u64) {
     println!(
         "{} | {} transport | {} faults | {} clients × {} data nodes × {} control shards \
          | {} | {} txns",
@@ -64,12 +71,12 @@ fn print_report(r: &NetReport, pattern: &str) {
     println!("  round trips: bulk-step p95 {:.2} ms", r.data_rtt.p95_ms);
     println!(
         "  messages   : {} sent ({:.1} per commit) — {} submits, {} commit acks, \
-         {} accesses",
+         {} accesses handled",
         r.messages_sent,
         r.msgs_per_commit(),
-        r.msgs.submit,
-        r.msgs.commit,
-        r.msgs.access
+        heard("submit"),
+        heard("commit"),
+        heard("access")
     );
     println!(
         "  batching   : {} batch frames carrying {} coalesced messages",
@@ -135,7 +142,7 @@ fn print_report(r: &NetReport, pattern: &str) {
     if r.durability != "none" {
         println!(
             "  durability : {} — {} wal records ({} flushes, {} fsyncs), \
-             {} recoveries replaying {} chunks, {} orders parked unavailable",
+             {} recoveries replaying {} records, {} orders parked unavailable",
             r.durability,
             r.wal_records,
             r.wal_flushes,
@@ -181,16 +188,21 @@ pub(crate) fn run(args: &[String]) -> Result<(), String> {
         admit_window: a.admit_window,
         ..cell.cfg.clone()
     };
-    let report = run_cell(
+    let reg = Arc::<Registry>::default();
+    let report = run_cell_load(
         &cfg,
         &|| cell.sched.make(),
         &cell.catalog,
         &cell.specs,
         cell.transport,
         &cell.fault,
+        None,
+        Some(Arc::clone(&reg)),
     )
     .map_err(|e| e.to_string())?;
-    print_report(&report, &cell.pattern.label());
+    let totals = reg.totals();
+    let heard = |ty: &str| totals.get(&metric::msg_rx(ty)).copied().unwrap_or(0);
+    print_report(&report, &cell.pattern.label(), heard);
     if let Some(path) = &a.out {
         let json = serde_json::to_string_pretty(&report)
             .map_err(|e| format!("cannot serialise report: {e}"))?;

@@ -281,10 +281,17 @@ const NO_TELEMETRY: &str = concat!("--no-", "telemetry");
 
 #[test]
 fn grid_mode_is_gone_like_any_unknown_flag() {
-    for cmd in ["net", "load"] {
-        let (_, stderr, ok) = wtpg(&[cmd, "--grid"], None);
-        assert!(!ok, "{cmd} --grid must fail");
-        assert!(stderr.contains("unknown option \"--grid\""), "{cmd}: {stderr}");
+    // A data node applies and logs a step whole: there is no chunk size.
+    for (cmd, flag) in [
+        ("net", "--grid"),
+        ("load", "--grid"),
+        ("net", "--chunk"),
+        ("load", "--chunk"),
+    ] {
+        let (_, stderr, ok) = wtpg(&[cmd, flag], None);
+        assert!(!ok, "{cmd} {flag} must fail");
+        let refused = format!("unknown option {flag:?}");
+        assert!(stderr.contains(&refused), "{cmd}: {stderr}");
     }
     for flag in ["--endurance-txns", "--bisect-iters", "--probe-secs"] {
         let (_, stderr, ok) = wtpg(&["load", flag, "1"], None);
@@ -331,7 +338,6 @@ fn net_and_load_accept_the_same_cell_flags() {
         &["--txns", "60"],
         &["--k", "2"],
         &["--keeptime", "2000"],
-        &["--chunk", "500"],
     ];
     let flags: Vec<&str> = shared.iter().flat_map(|f| f.iter().copied()).collect();
     for cmd in [&["net"][..], &["load", "--lambda", "20000"][..]] {
@@ -366,6 +372,7 @@ fn help_no_longer_mentions_the_retired_flags() {
         "--endurance-txns",
         "--bisect-iters",
         "--probe-secs",
+        "--chunk",
         NO_TELEMETRY,
     ] {
         assert!(!stderr.contains(gone), "help still mentions {gone}");
@@ -373,4 +380,21 @@ fn help_no_longer_mentions_the_retired_flags() {
     for kept in ["--lambda", "--slo", "--fault", "--wal-dir", "--mvcc"] {
         assert!(stderr.contains(kept), "help lost {kept}");
     }
+}
+
+/// The messages line counts what the actors handled, batched or not: a
+/// closed-loop run of 400 transactions prints 400 submits and 400 commit
+/// acks, however the client links coalesced them into frames.
+#[test]
+fn net_prints_the_true_submit_count() {
+    let args: Vec<&str> = "net --sched k2 --pattern 2 --hots 4 --clients 2 --txns 400"
+        .split(' ')
+        .collect();
+    let (stdout, stderr, ok) = wtpg(&args, None);
+    assert!(ok, "{stderr}");
+    let line = stdout
+        .lines()
+        .find(|l| l.trim_start().starts_with("messages"))
+        .unwrap_or_else(|| panic!("no messages line: {stdout}"));
+    assert!(line.contains("— 400 submits, 400 commit acks"), "{line}");
 }

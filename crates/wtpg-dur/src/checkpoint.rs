@@ -1,7 +1,8 @@
 //! Checkpoints: the durable snapshots that bound replay to a log suffix.
 //!
-//! A [`NodeSnapshot`] holds a data node's store cells, applied-marks,
-//! mid-step progress and read checksum as of a log position. It is one
+//! A [`NodeSnapshot`] holds a data node's store cells, applied-marks and
+//! read checksum as of a log position. The node writes one between
+//! deliveries, when every step it has logged is whole. It is one
 //! CRC-framed record in its own file, written atomically (temp file +
 //! rename) so a reader only ever sees a complete snapshot or none.
 //! Recovery loads the snapshot and replays only records with
@@ -14,7 +15,7 @@ use std::path::Path;
 use wtpg_core::txn::TxnId;
 
 use crate::wal::{frame_into, put_u32, put_u64, read_frame, Cur, FrameStep};
-use crate::{DurError, Partial};
+use crate::DurError;
 
 /// Upper bound on a checkpoint payload (snapshots carry whole partitions).
 pub const MAX_CHECKPOINT: usize = 1 << 28;
@@ -35,8 +36,6 @@ pub struct NodeSnapshot {
     pub parts: Vec<(u32, Vec<u64>)>,
     /// Applied-marks of completed steps: `(txn, step) -> (checksum, units)`.
     pub marks: Vec<Mark>,
-    /// Mid-step progress of incomplete steps.
-    pub partials: Vec<((TxnId, u32), Partial)>,
 }
 
 fn encode_snapshot(s: &NodeSnapshot, out: &mut Vec<u8>) {
@@ -58,14 +57,6 @@ fn encode_snapshot(s: &NodeSnapshot, out: &mut Vec<u8>) {
         put_u32(out, *step);
         put_u64(out, *checksum);
         put_u64(out, *units);
-    }
-    put_u32(out, s.partials.len() as u32);
-    for ((txn, step), p) in &s.partials {
-        put_u64(out, txn.0);
-        put_u32(out, *step);
-        put_u64(out, p.next_chunk);
-        put_u64(out, p.checksum);
-        put_u64(out, p.units_done);
     }
 }
 
@@ -108,18 +99,6 @@ fn decode_snapshot(payload: &[u8]) -> Result<NodeSnapshot, DurError> {
         let units = c.u64()?;
         marks.push(((txn, step), (checksum, units)));
     }
-    let npartials = bounded(c.u32()?.into(), &c, 36)?;
-    let mut partials = Vec::with_capacity(npartials);
-    for _ in 0..npartials {
-        let txn = TxnId(c.u64()?);
-        let step = c.u32()?;
-        let partial = Partial {
-            next_chunk: c.u64()?,
-            checksum: c.u64()?,
-            units_done: c.u64()?,
-        };
-        partials.push(((txn, step), partial));
-    }
     if c.i != payload.len() {
         return Err(c.corrupt("trailing garbage inside snapshot payload"));
     }
@@ -129,7 +108,6 @@ fn decode_snapshot(payload: &[u8]) -> Result<NodeSnapshot, DurError> {
         read_checksum,
         parts,
         marks,
-        partials,
     })
 }
 
@@ -221,15 +199,14 @@ pub mod files {
 pub type Mark = ((TxnId, u32), (u64, u64));
 
 /// Assembles a [`NodeSnapshot`] from live actor state — a convenience for
-/// the data actor's periodic checkpointing. `marks` and `partials` are the
-/// actor's books, ascending by key.
+/// the data actor's periodic checkpointing. `marks` is the actor's book,
+/// ascending by key.
 pub fn snapshot_from_state(
     next_lsn: u64,
     store_parts: Vec<(u32, Vec<u64>)>,
     write_units: u64,
     read_checksum: u64,
     marks: &[Mark],
-    partials: &[((TxnId, u32), Partial)],
 ) -> NodeSnapshot {
     NodeSnapshot {
         next_lsn,
@@ -237,7 +214,6 @@ pub fn snapshot_from_state(
         read_checksum,
         parts: store_parts,
         marks: marks.to_vec(),
-        partials: partials.to_vec(),
     }
 }
 
@@ -259,11 +235,7 @@ mod tests {
             write_units: 12345,
             read_checksum: 0xfeed,
             parts: vec![(0, vec![1, 2, 3]), (2, vec![9; 5])],
-            marks: vec![((TxnId(7), 1), (0xabc, 100))],
-            partials: vec![(
-                (TxnId(9), 0),
-                Partial { next_chunk: 3, checksum: 5, units_done: 3000 },
-            )],
+            marks: vec![((TxnId(7), 1), (0xabc, 100)), ((TxnId(9), 0), (5, 3000))],
         };
         write_node_snapshot(&path, &snap).unwrap();
         assert_eq!(read_node_snapshot(&path).unwrap(), Some(snap.clone()));

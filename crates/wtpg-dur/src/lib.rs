@@ -2,11 +2,12 @@
 //!
 //! The paper's BAT protocol assumes data nodes that survive; this crate
 //! makes process death honest. Each data-node actor appends every applied
-//! chunk to a private write-ahead log — CRC-framed, length-prefixed records
-//! in the wire codec's byte discipline — together with the chunk's
-//! transaction id, logical tick (the log sequence number) and its declared
-//! *partition dependency edge*: the LSN of the previous record touching the
-//! same partition, in the style of dependency logging (Yao et al.). A
+//! step to a private write-ahead log as one record — CRC-framed,
+//! length-prefixed, in the wire codec's byte discipline — together with the
+//! step's transaction id, logical tick (the log sequence number) and its
+//! declared *partition dependency edge*: the LSN of the previous record
+//! touching the same partition, in the style of dependency logging (Yao et
+//! al.). A
 //! killed-and-restarted node rebuilds its [`wtpg_rt::store::NodeStore`] by
 //! replaying the log in dependency order: records of the same partition
 //! form a chain replayed serially, and independent chains may replay in
@@ -20,7 +21,8 @@
 //! * **Buffered** — group-commit batching: records accumulate in a
 //!   userspace buffer flushed to the file on size and at the node's reply
 //!   barriers; no fsync. A kill loses at most the unflushed *suffix* of the
-//!   log — flushes are ordered — and redelivery heals the difference.
+//!   log — flushes are ordered and write whole records, so the log holds a
+//!   step whole or not at all — and redelivery heals the difference.
 //! * **Sync** — like Buffered, plus `fdatasync` barriers aligned with the
 //!   reply coalescer's flushes: no `AccessDone` escapes the node before
 //!   the records of the step it reports are durable (group commit: one
@@ -40,7 +42,7 @@ pub mod wal;
 pub use replay::{recover, Recovered};
 pub use wal::{ChunkRecord, LogRead, WalWriter};
 
-/// How hard a data node tries to make applied chunks survive a kill.
+/// How hard a data node tries to make applied steps survive a kill.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Durability {
     /// No write-ahead log at all. `--fault kill` cannot heal under this.
@@ -83,19 +85,6 @@ impl Durability {
             _ => None,
         }
     }
-}
-
-/// Progress of a bulk step that was mid-flight when the log ended: the
-/// chunks `0..next_chunk` are applied and logged; the step resumes from
-/// `next_chunk` when control redelivers the `Access` order.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Partial {
-    /// The next chunk index to apply.
-    pub next_chunk: u64,
-    /// Checksum folded over the applied chunks so far.
-    pub checksum: u64,
-    /// Units covered by the applied chunks so far.
-    pub units_done: u64,
 }
 
 /// A durability-layer failure.

@@ -15,10 +15,16 @@
 //! channel is shared per cell.
 //!
 //! Alongside the cells, a serial pre-pass reconstructs the actor's control
-//! state: applied-marks for completed steps, [`Partial`] progress for the
-//! step that was mid-flight at the kill, and the node's read checksum —
+//! state: applied-marks for completed steps and the node's read checksum —
 //! everything the restarted actor needs to make control-side `Access`
 //! redelivery idempotent again.
+//!
+//! A data node logs each step as one record, and the writer puts whole
+//! records in the file, so its log holds a step whole or not at all. The
+//! pre-pass still reads a step logged as several records in order (an
+//! offline writer may cut one, as the benchmark package does), but such a
+//! step must end in its completing record: one that never comes is damage,
+//! not a step to resume.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -30,7 +36,7 @@ use wtpg_rt::store::NodeStore;
 
 use crate::checkpoint::{files, read_node_snapshot};
 use crate::wal::{read_log, ChunkRecord};
-use crate::{DurError, Partial};
+use crate::DurError;
 
 /// Everything recovery reconstructed for one data node.
 pub struct Recovered {
@@ -38,8 +44,6 @@ pub struct Recovered {
     pub store: NodeStore,
     /// Applied-marks of completed steps: `(txn, step) -> (checksum, units)`.
     pub marks: BTreeMap<(TxnId, u32), (u64, u64)>,
-    /// Mid-step progress to resume from on `Access` redelivery.
-    pub partials: BTreeMap<(TxnId, u32), Partial>,
     /// Checksum folded over completed bulk reads.
     pub read_checksum: u64,
     /// The LSN the reopened writer must continue from.
@@ -67,7 +71,8 @@ pub struct Recovered {
 /// log damage, a damaged snapshot, or records that contradict the
 /// snapshot/chain invariants (a chunk out of order within its step, a
 /// record for a partition the catalog does not home on `node`, a chunk
-/// logged after its step's completion mark).
+/// logged after its step's completion mark, a step whose completing record
+/// never comes).
 #[expect(
     clippy::expect_used,
     reason = "invariant: replay queue lock is never poisoned (no panics while held)"
@@ -103,7 +108,7 @@ pub fn recover(
     let mut write_units = snap.write_units;
     let mut read_checksum = snap.read_checksum;
     let mut marks: BTreeMap<(TxnId, u32), (u64, u64)> = snap.marks.into_iter().collect();
-    let mut partials: BTreeMap<(TxnId, u32), Partial> = snap.partials.into_iter().collect();
+    let mut partials: BTreeMap<(TxnId, u32), Partial> = BTreeMap::new();
 
     // Writer seeds: the next LSN and the in-file dependency-edge tails,
     // taken over the *whole* log so the resumed writer chains correctly.
@@ -157,9 +162,7 @@ pub fn recover(
         p.checksum = p.checksum.wrapping_add(rec.checksum);
         p.units_done += rec.units;
         if rec.complete {
-            let done = partials
-                .remove(&key)
-                .unwrap_or_default();
+            let done = partials.remove(&key).unwrap_or_default();
             if rec.mode == AccessMode::Read {
                 read_checksum = read_checksum.wrapping_add(done.checksum);
             }
@@ -169,6 +172,16 @@ pub fn recover(
             write_units += rec.units;
             chains.entry(rec.partition.0).or_default().push(*rec);
         }
+    }
+
+    if let Some(((txn, step), p)) = partials.first_key_value() {
+        return Err(DurError::Corrupt {
+            offset: 0,
+            what: format!(
+                "txn {} step {} ends after {} chunks without its completing record",
+                txn.0, step, p.next_chunk
+            ),
+        });
     }
 
     // Parallel pass: replay each partition's chain against its cells.
@@ -226,7 +239,6 @@ pub fn recover(
     Ok(Recovered {
         store,
         marks,
-        partials,
         read_checksum,
         next_lsn,
         tails,
@@ -236,6 +248,18 @@ pub fn recover(
         torn_tail: log.torn_tail.is_some(),
         from_snapshot,
     })
+}
+
+/// How far a step logged as several records has got in the pre-pass: the
+/// chunks `0..next_chunk` are read. Whole once its completing record is.
+#[derive(Clone, Copy, Default)]
+struct Partial {
+    /// The chunk index the step's next record must carry.
+    next_chunk: u64,
+    /// Checksum folded over the chunks read so far.
+    checksum: u64,
+    /// Units covered by the chunks read so far.
+    units_done: u64,
 }
 
 /// Serial replay of one partition's dependency chain, in LSN order.
@@ -267,7 +291,6 @@ mod tests {
     use crate::wal::WalWriter;
     use crate::Durability;
     use wtpg_core::partition::PartitionId;
-    use wtpg_rt::store::chunks;
 
     fn temp_dir(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir()
@@ -277,8 +300,14 @@ mod tests {
         dir
     }
 
-    /// Applies one bulk step the way the data actor does — the store's chunk
-    /// walk with a record per chunk — against `store` and `wal`.
+    /// `units` cut into `(index, offset, len)` pieces of `size`: how an
+    /// offline writer may log one step as several records.
+    fn chunks(units: u64, size: u64) -> impl Iterator<Item = (u64, u64, u64)> {
+        (0..units.div_ceil(size)).map(move |i| (i, i * size, size.min(units - i * size)))
+    }
+
+    /// Applies one bulk step against `store` and logs it to `wal` as one
+    /// record per `chunk_units` piece (the data actor's is one piece).
     #[allow(clippy::too_many_arguments)]
     fn apply_step(
         store: &mut NodeStore,
@@ -330,7 +359,6 @@ mod tests {
             assert_eq!(rec.store.snapshot_parts(), store.snapshot_parts(), "workers={workers}");
             assert_eq!(rec.store.write_units(), store.write_units());
             assert_eq!(rec.marks.len(), 4);
-            assert!(rec.partials.is_empty());
             assert_eq!(rec.chains, 2, "two partitions -> two dependency chains");
             assert_eq!(rec.chain_sizes.iter().sum::<u64>(), 4 + 4 + 5);
             assert!(!rec.torn_tail);
@@ -355,7 +383,6 @@ mod tests {
             store.write_units(),
             0,
             &[],
-            &[],
         );
         write_node_snapshot(&files::node_snapshot(&dir, 0), &snap).unwrap();
         apply_step(&mut store, &mut wal, 2, 0, 1, AccessMode::Write, 750, 250);
@@ -369,63 +396,60 @@ mod tests {
     }
 
     #[test]
-    fn lost_buffer_recovers_the_flushed_prefix_with_partial_progress() {
+    fn a_lost_buffer_loses_whole_steps() {
         let catalog = Catalog::uniform(2, 1, 1);
-        let dir = temp_dir("partial");
+        let dir = temp_dir("lost-buffer");
         let mut store = NodeStore::for_node(&catalog, 0);
         let mut wal =
             WalWriter::open(&files::node_wal(&dir, 0), Durability::Buffered, 0, BTreeMap::new())
                 .unwrap();
-        apply_step(&mut store, &mut wal, 1, 0, 0, AccessMode::Write, 1000, 500);
+        apply_step(&mut store, &mut wal, 1, 0, 0, AccessMode::Write, 1000, 1000);
         wal.flush().unwrap();
-        // A step in flight: two of four chunks applied, then the flush...
-        let prefix_store_sum;
-        {
-            let s1 = store.apply_chunk(PartitionId(1), AccessMode::Write, 0, 250).unwrap();
-            let s2 = store.apply_chunk(PartitionId(1), AccessMode::Write, 250, 250).unwrap();
-            for (i, sum) in [s1, s2].into_iter().enumerate() {
-                wal.append(ChunkRecord {
-                    lsn: 0,
-                    prev_lsn: 0,
-                    txn: TxnId(2),
-                    step: 0,
-                    chunk: i as u64,
-                    partition: PartitionId(1),
-                    mode: AccessMode::Write,
-                    start_unit: i as u64 * 250,
-                    units: 250,
-                    checksum: sum,
-                    complete: false,
-                })
+        let flushed = store.snapshot_parts();
+        // The kill eats the buffer, and with it the second step whole.
+        apply_step(&mut store, &mut wal, 2, 0, 1, AccessMode::Write, 750, 750);
+        drop(wal);
+        let rec = recover(&catalog, 0, &dir, 2).unwrap();
+        assert_eq!(rec.store.snapshot_parts(), flushed);
+        assert_eq!(rec.marks.keys().copied().collect::<Vec<_>>(), vec![(TxnId(1), 0)]);
+        assert_eq!(rec.next_lsn, 1, "the lost step's LSN is handed out again");
+    }
+
+    #[test]
+    fn a_step_whose_completing_record_never_comes_reads_as_corrupt() {
+        let catalog = Catalog::uniform(2, 1, 1);
+        let dir = temp_dir("unfinished");
+        let mut store = NodeStore::for_node(&catalog, 0);
+        let mut wal =
+            WalWriter::open(&files::node_wal(&dir, 0), Durability::Buffered, 0, BTreeMap::new())
                 .unwrap();
-            }
-            wal.flush().unwrap();
-            prefix_store_sum = store.cell_sum();
-            // ...and two more applied but never flushed: the kill eats them.
-            store.apply_chunk(PartitionId(1), AccessMode::Write, 500, 250).unwrap();
+        apply_step(&mut store, &mut wal, 1, 0, 0, AccessMode::Write, 1000, 1000);
+        // Two of a step's three records, the completing one never written.
+        for (chunk, start_unit, len) in chunks(750, 250).take(2) {
+            let checksum =
+                store.apply_chunk(PartitionId(1), AccessMode::Write, start_unit, len).unwrap();
             wal.append(ChunkRecord {
                 lsn: 0,
                 prev_lsn: 0,
                 txn: TxnId(2),
                 step: 0,
-                chunk: 2,
+                chunk,
                 partition: PartitionId(1),
                 mode: AccessMode::Write,
-                start_unit: 500,
-                units: 250,
-                checksum: 0,
+                start_unit,
+                units: len,
+                checksum,
                 complete: false,
             })
             .unwrap();
-            drop(wal);
         }
-        let rec = recover(&catalog, 0, &dir, 2).unwrap();
-        assert_eq!(rec.store.cell_sum(), prefix_store_sum);
-        assert_eq!(rec.marks.len(), 1);
-        let partial = rec.partials.get(&(TxnId(2), 0)).copied().unwrap();
-        assert_eq!(partial.next_chunk, 2, "resume from chunk 2");
-        assert_eq!(partial.units_done, 500);
-        assert_eq!(rec.next_lsn, 4, "lost suffix records get fresh LSNs");
+        wal.flush().unwrap();
+        drop(wal);
+        match recover(&catalog, 0, &dir, 2) {
+            Err(DurError::Corrupt { what, .. }) => assert!(what.contains("txn 2 step 0"), "{what}"),
+            Err(e) => panic!("expected Corrupt, got {e}"),
+            Ok(_) => panic!("an unfinished step must not recover"),
+        }
     }
 
     #[test]
@@ -435,7 +459,7 @@ mod tests {
         let rec = recover(&catalog, 1, &dir, 2).unwrap();
         assert_eq!(rec.store.cell_sum(), 0);
         assert_eq!(rec.store.write_units(), 0);
-        assert!(rec.marks.is_empty() && rec.partials.is_empty());
+        assert!(rec.marks.is_empty());
         assert_eq!(rec.next_lsn, 0);
     }
 }

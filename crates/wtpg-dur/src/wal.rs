@@ -1,5 +1,8 @@
 //! The per-node write-ahead log: CRC-framed chunk records with partition
 //! dependency edges, a group-commit writer, and a torn-tail-aware reader.
+//! A data node logs each step as one record (`chunk` 0, `complete`); the
+//! record keeps its chunk fields so an offline writer can still cut a step
+//! into several.
 //!
 //! Byte discipline follows the wire codec: every record is a little-endian
 //! length-prefixed frame
@@ -43,8 +46,8 @@ const TAG_CHUNK: u8 = 1;
 const CHUNK_PAYLOAD: usize = 1 + 8 + 8 + 8 + 4 + 8 + 4 + 1 + 1 + 8 + 8 + 8;
 
 /// One applied chunk, as logged: enough to re-apply it against a zeroed
-/// store and to reconstruct the actor's applied-marks and mid-step
-/// progress.
+/// store and to reconstruct the actor's applied-marks. A data node's chunk
+/// is its whole step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChunkRecord {
     /// Log sequence number — the node's logical tick, strictly increasing.
@@ -291,6 +294,9 @@ pub struct WriterStats {
 pub struct WalWriter {
     file: File,
     buf: Vec<u8>,
+    /// The record being framed: encoded here, then copied into `buf`
+    /// behind its header, so an append allocates nothing.
+    payload: Vec<u8>,
     dur: Durability,
     next_lsn: u64,
     /// Last LSN per partition — the dependency-edge tails.
@@ -319,6 +325,7 @@ impl WalWriter {
         Ok(WalWriter {
             file,
             buf: Vec::with_capacity(GROUP_COMMIT_BYTES + CHUNK_PAYLOAD + FRAME_HEADER),
+            payload: Vec::with_capacity(CHUNK_PAYLOAD),
             dur,
             next_lsn,
             tails,
@@ -340,9 +347,9 @@ impl WalWriter {
             .insert(rec.partition.0, rec.lsn)
             .unwrap_or(u64::MAX);
         self.next_lsn += 1;
-        let mut payload = Vec::with_capacity(CHUNK_PAYLOAD);
-        encode_chunk(&rec, &mut payload);
-        frame_into(&mut self.buf, &payload);
+        self.payload.clear();
+        encode_chunk(&rec, &mut self.payload);
+        frame_into(&mut self.buf, &self.payload);
         self.stats.records += 1;
         if self.buf.len() >= GROUP_COMMIT_BYTES {
             self.flush()?;

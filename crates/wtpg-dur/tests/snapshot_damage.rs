@@ -19,7 +19,7 @@ use std::path::PathBuf;
 
 use wtpg_core::txn::TxnId;
 use wtpg_dur::checkpoint::{read_node_snapshot, write_node_snapshot, NodeSnapshot};
-use wtpg_dur::{crc32, DurError, Partial};
+use wtpg_dur::{crc32, DurError};
 
 /// The system allocator, remembering the calling thread's largest request.
 struct Widest;
@@ -118,15 +118,11 @@ fn every_truncation_and_every_byte_flip_reads_as_corrupt() {
         write_units: 12_345,
         read_checksum: 0xfeed,
         parts: vec![(0, vec![1, 2, 3]), (2, vec![9; 5])],
-        marks: vec![((TxnId(7), 1), (0xabc, 100)), ((TxnId(8), 0), (0xdef, 7))],
-        partials: vec![(
-            (TxnId(9), 0),
-            Partial {
-                next_chunk: 3,
-                checksum: 5,
-                units_done: 3000,
-            },
-        )],
+        marks: vec![
+            ((TxnId(7), 1), (0xabc, 100)),
+            ((TxnId(8), 0), (0xdef, 7)),
+            ((TxnId(9), 0), (5, 3000)),
+        ],
     };
     let path = temp_path("damage.ckpt");
     write_node_snapshot(&path, &snap).unwrap();

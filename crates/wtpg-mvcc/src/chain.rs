@@ -226,17 +226,24 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use wtpg_core::txn::AccessMode;
-    use wtpg_rt::store::{chunks, NodeStore};
+    use wtpg_rt::store::NodeStore;
 
-    /// The effect algebra must reproduce the store kernel's chunked writes:
-    /// a step of `units` applied chunk-by-chunk (offsets picking up where
-    /// the previous chunk ended) equals one `apply_write_effect` call.
+    /// The effect algebra must reproduce the store kernel's writes: a step
+    /// of `units` applied whole (as a data node does) or chunk by chunk
+    /// (offsets picking up where the previous chunk ended, as a replayed
+    /// multi-record step is) equals one `apply_write_effect` call.
     #[test]
     fn write_effect_matches_chunked_kernel_application() {
-        for (rows, units, chunk) in [(7usize, 23u64, 5u64), (100, 100, 1), (3, 1000, 17), (1, 5, 2)]
-        {
+        for (rows, units, chunk) in [
+            (7usize, 23u64, 5u64),
+            (100, 100, 1),
+            (3, 1000, 17),
+            (1, 5, 2),
+            (3, 1000, 1000),
+        ] {
             let mut kernel = vec![0u64; rows];
-            for (_, offset, n) in chunks(units, chunk) {
+            for offset in (0..units).step_by(chunk as usize) {
+                let n = chunk.min(units - offset);
                 NodeStore::chunk_into_cells(&mut kernel, AccessMode::Write, offset, n);
             }
             let mut effect = vec![0u64; rows];

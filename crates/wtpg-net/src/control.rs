@@ -12,7 +12,7 @@
 //! transaction. The control actor drives the whole lifecycle internally:
 //! admission, one `Access` order per granted step (issued the moment the
 //! previous step's `AccessDone` arrives), and the commit after the last
-//! step. A data node applies a bulk step chunk by chunk but answers it
+//! step. A data node applies and logs a bulk step whole and answers it
 //! once, and the step is booked on that `AccessDone` alone: `step_complete`
 //! sets the `T0` weight to what the remaining steps declare, and no
 //! per-chunk progress is booked (a `StatsDelta` is refused as a protocol
@@ -508,9 +508,6 @@ pub struct ControlActor<'a> {
     next_submit: Vec<TxnId>,
     rx: MsgCounts,
     data_rtts_us: Vec<u64>,
-    /// Milli-objects per apply-and-log chunk, stamped on every `Access`
-    /// order.
-    chunk_units: u64,
     tel: CtrlTel,
     /// Clients in the run, and the end-of-stream `Shutdown`s received.
     clients: usize,
@@ -532,7 +529,6 @@ impl<'a> ControlActor<'a> {
     pub fn start(
         params: ControlParams<'a>,
         catalog: &'a Catalog,
-        chunk_units: u64,
         to_data: &[Arc<dyn MsgTx>],
         to_clients: &[Arc<dyn MsgTx>],
     ) -> ControlActor<'a> {
@@ -568,7 +564,6 @@ impl<'a> ControlActor<'a> {
             next_submit: vec![TxnId(0); params.clients],
             rx: MsgCounts::default(),
             data_rtts_us: Vec::new(),
-            chunk_units,
             tel: CtrlTel::new(reg, params.shard),
             clients: params.clients,
             done_clients: 0,
@@ -885,13 +880,14 @@ impl ControlActor<'_> {
                     }
                     _ => 0,
                 };
+                let units = declared.actual_cost.units();
                 let order = Msg::Access {
                     txn,
                     step,
                     partition: declared.partition,
                     mode: declared.mode,
-                    units: declared.actual_cost.units(),
-                    chunk_units: self.chunk_units,
+                    units,
+                    chunk_units: units,
                     seal,
                 };
                 self.issue(txn, step, node, order, now)
@@ -1230,8 +1226,8 @@ impl ControlActor<'_> {
             Msg::Recover { node: rejoined, .. } => {
                 // A killed data node restarted from its log and rejoined:
                 // re-send everything still outstanding on it right away, as
-                // one frame (the replayed applied-marks and partials make
-                // re-sends idempotent) instead of waiting out redelivery
+                // one frame (the replayed applied-marks make re-sends
+                // idempotent) instead of waiting out redelivery
                 // deadlines, and un-park whatever went node-unavailable
                 // while it was dark. A notice with the mark closes the
                 // burst, a frame of its own if nothing was outstanding: the

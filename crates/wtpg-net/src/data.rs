@@ -3,11 +3,12 @@
 //! Shared-nothing means exactly this: the actor's store is a plain owned
 //! value — no mutex, no sharing — and the only way anything touches it is
 //! an `Access` order arriving in the actor's inbox. The actor applies the
-//! bulk operation chunk by chunk and answers once, with an `AccessDone`
-//! carrying the step's checksum. (The paper's per-object weight-adjustment
-//! messages would tell control how much of a running step is left; the
-//! whole step applies inside one delivery, so a per-chunk report could only
-//! reach control beside the `AccessDone`, which books the step anyway.)
+//! bulk operation whole, logs it as one record and answers once, with an
+//! `AccessDone` carrying the step's checksum. (The paper's per-object
+//! weight-adjustment messages would tell control how much of a running
+//! step is left; the whole step applies inside one delivery, so such a
+//! report could only reach control beside the `AccessDone`, which books
+//! the step anyway.)
 //!
 //! **Batched replies.** All replies flow through a [`Coalescer`], so the
 //! answers to back-to-back orders coalesce into one `Batch` frame. The
@@ -19,34 +20,34 @@
 //! due, down or up, and the rest at exit.
 //!
 //! **Durability.** Under [`Durability::Buffered`]/[`Durability::Sync`] the
-//! actor owns a [`WalWriter`]: every applied chunk is logged (with its
-//! partition dependency edge) *before* the step's `AccessDone` is pushed,
-//! and a log barrier precedes every reply flush — so nothing control hears
-//! about is absent from the durable log (group commit: one flush, and under
-//! `Sync` one fsync, per reply batch rather than per chunk). A node
-//! snapshot checkpoint is written every [`SNAPSHOT_EVERY`] records to bound
-//! replay to a log suffix.
+//! actor owns a [`WalWriter`]: every applied step is logged as one record
+//! (with its partition dependency edge) *before* its `AccessDone` is
+//! pushed, and a log barrier precedes every reply flush — so nothing
+//! control hears about is absent from the durable log (group commit: one
+//! flush, and under `Sync` one fsync, per reply batch rather than per
+//! step). The writer puts whole records in the file and a kill drops its
+//! buffer whole, so the log holds each step whole or not at all. A node
+//! snapshot checkpoint is written every [`SNAPSHOT_EVERY`] records (steps)
+//! to bound replay to a log suffix.
 //!
-//! **One answer per order.** An applied step leaves a mark (checksum
-//! and unit count); a step a kill cut short leaves a [`Partial`] in the log.
-//! Marks, partials and snapshot-read memos are [`StepBook`]s: one `Vec`
-//! sorted by `(txn, step)`, which orders arrive in nearly ascending — so a
-//! mark costs its 32 bytes, a lookup one binary search, an insert an append
-//! or a short shift — and which the node snapshot copies as it stands.
-//! An `Access` order looks up how far its step already got — a mark is all
-//! of it, a `Partial` its `next_chunk`, otherwise nothing. A marked step is
-//! answered again, nothing applied; otherwise the node walks the rest of
-//! the step's chunks once ([`wtpg_rt::store::chunks`]), applying and
-//! logging each. Either way one `AccessDone` answers the order. First
-//! delivery, redelivery and resume-after-kill are that one loop and say one
-//! checksum; control absorbs a second answer, and the answer to a
-//! redelivered order heals what a kill destroyed in the reply buffer.
+//! **One answer per order.** An applied step leaves a mark (checksum and
+//! unit count), in memory and, through its log record, on disk. Marks and
+//! snapshot-read memos are [`StepBook`]s: one `Vec` sorted by
+//! `(txn, step)`, which orders arrive in nearly ascending — so a mark costs
+//! its 32 bytes, a lookup one binary search, an insert an append or a short
+//! shift — and which the node snapshot copies as it stands. An `Access`
+//! order whose step is marked is answered again, nothing applied; otherwise
+//! the node applies and logs the step and marks it. Either way one
+//! `AccessDone` answers the order, with the step's one checksum, however
+//! often it is delivered and whether or not a kill came between;
+//! control absorbs a second answer, and the answer to a redelivered order
+//! heals what a kill destroyed in the reply buffer.
 //!
 //! **Forgetting by notice.** The books hold only what control may still ask
 //! about. A [`Msg::Forget`] notice carries its control shard's low-water
 //! mark — no transaction of the shard below it is live or can still arrive
 //! — and names transactions whose every order is answered. The node keeps
-//! the latest mark of each shard and drops the marks, partials and memos of
+//! the latest mark of each shard and drops the marks and memos of
 //! every transaction below the least of them, and of those named; it
 //! prunes the version chains of the partitions whose GC floors the notice
 //! raises (a `SnapshotRead` piggybacks its partition's floor too). Notices
@@ -68,8 +69,8 @@
 //! The plans differ only in how the window ends. A crash models durable
 //! state (store, marks) that outlives the process: nothing happens, and
 //! control's redelivery watchdog heals what was lost. A kill
-//! destroyed the incarnation — store, marks, mid-step progress, buffered
-//! replies, the log writer's userspace buffer — so the node is rebuilt from
+//! destroyed the incarnation — store, marks, buffered replies, the log
+//! writer's userspace buffer — so the node is rebuilt from
 //! disk by [`wtpg_dur::recover`] — on the executor's own thread, one chain
 //! after another — and announces [`Msg::Recover`], on which control
 //! re-sends its outstanding orders at once. The executor
@@ -86,11 +87,11 @@ use wtpg_core::partition::Catalog;
 use wtpg_core::txn::{AccessMode, TxnId};
 use wtpg_dur::checkpoint::{files, snapshot_from_state, write_node_snapshot};
 use wtpg_dur::wal::{ChunkRecord, WalWriter};
-use wtpg_dur::{recover, DurError, Durability, Partial};
+use wtpg_dur::{recover, DurError, Durability};
 use wtpg_mvcc::{read_checksum, VersionChain};
 use wtpg_obs::window::metric;
 use wtpg_obs::{Counter, Gauge, HistHandle, MsgCounts, Registry};
-use wtpg_rt::store::{chunks, NodeStore};
+use wtpg_rt::store::NodeStore;
 
 use crate::actor::{Actor, Flow};
 use crate::batch::Coalescer;
@@ -99,10 +100,11 @@ use crate::fault::FaultPlan;
 use crate::msg::Msg;
 use crate::transport::MsgTx;
 
-/// Log records between node snapshot checkpoints. Snapshots serialize the
-/// node's whole store, so a tight interval dominates the durability cost
-/// (at 256 a buffered run spent more time checkpointing than logging);
-/// 4096 keeps replay bounded while the per-record cost stays the WAL's.
+/// Log records — steps, one record each — between node snapshot
+/// checkpoints. Snapshots serialize the node's whole store, so a tight
+/// interval dominates the durability cost (at 256 a buffered run spent more
+/// time checkpointing than logging); 4096 keeps replay bounded while the
+/// per-record cost stays the WAL's.
 pub const SNAPSHOT_EVERY: u64 = 4096;
 
 /// What one data node's store holds after the run — the conservation
@@ -130,7 +132,7 @@ pub struct DataNodeParams<'a> {
     pub fault: FaultPlan,
     /// Reply-coalescer buffer bound.
     pub batch_max: usize,
-    /// The node's write-ahead log: how hard applied chunks are made durable
+    /// The node's write-ahead log: how hard applied steps are made durable
     /// (a level that keeps a log) and the directory holding the log and
     /// snapshot. `None` keeps no log; a `kill` plan restarts from one, so
     /// without it the plan never fires ([`RunPlan`](crate::RunPlan) refuses
@@ -226,11 +228,6 @@ impl<V: Copy> StepBook<V> {
         }
     }
 
-    fn remove(&mut self, key: (TxnId, u32)) -> Option<V> {
-        let i = self.find(key).ok()?;
-        Some(self.0.remove(i).1)
-    }
-
     /// Keeps the entries whose key passes `keep`.
     fn retain(&mut self, mut keep: impl FnMut((TxnId, u32)) -> bool) {
         self.0.retain(|&(key, _)| keep(key));
@@ -259,9 +256,6 @@ pub struct DataActor<'a> {
     store: NodeStore,
     /// Applied steps: `(txn, step) → (checksum, units)`.
     marks: StepBook<(u64, u64)>,
-    /// Mid-step progress recovered from the log: the next redelivered
-    /// `Access` for the key resumes from `next_chunk` instead of chunk 0.
-    partials: StepBook<Partial>,
     wal: Option<WalWriter>,
     replies: Coalescer,
     rx: MsgCounts,
@@ -309,7 +303,6 @@ impl<'a> DataActor<'a> {
             down: None,
             store: NodeStore::for_node(cfg.catalog, cfg.node),
             marks: StepBook::default(),
-            partials: StepBook::default(),
             wal: open_writer(&cfg, 0, BTreeMap::new())?,
             replies,
             rx: MsgCounts::default(),
@@ -402,7 +395,7 @@ impl Actor for DataActor<'_> {
         self.wake(false)?;
         self.wal_barrier()?;
         self.replies.drain();
-        let books = self.marks.0.len() + self.partials.0.len() + self.snap_marks.0.len();
+        let books = self.marks.0.len() + self.snap_marks.0.len();
         self.tel.books_left.add(books as u64);
         self.retire();
         Ok(DataOutcome {
@@ -454,7 +447,6 @@ impl DataActor<'_> {
         self.wal = open_writer(&self.cfg, rec.next_lsn, rec.tails)?;
         self.store = rec.store;
         self.marks = StepBook(rec.marks.into_iter().filter(|_| announce).collect());
-        self.partials = StepBook(rec.partials.into_iter().filter(|_| announce).collect());
         self.read_checksum = rec.read_checksum;
         self.snapshot_due = rec.next_lsn + SNAPSHOT_EVERY;
         self.below.fill(TxnId(0));
@@ -536,7 +528,6 @@ impl DataActor<'_> {
             self.store.write_units(),
             self.read_checksum,
             &self.marks.0,
-            &self.partials.0,
         );
         write_node_snapshot(&files::node_snapshot(dir, self.cfg.node), &snap)?;
         self.tel.checkpoints.inc();
@@ -576,7 +567,6 @@ impl DataActor<'_> {
                 txns.sort_unstable();
                 let live = |(txn, _): (TxnId, u32)| txn >= below && txns.binary_search(&txn).is_err();
                 self.marks.retain(live);
-                self.partials.retain(live);
                 self.snap_marks.retain(live);
                 for (p, floor) in floors {
                     if let Some(chain) = self.chains.get_mut(&p.0) {
@@ -591,37 +581,27 @@ impl DataActor<'_> {
                 partition,
                 mode,
                 units,
-                chunk_units,
                 seal,
+                ..
             } => {
                 debug_assert_eq!(self.cfg.catalog.node_of(partition), self.cfg.node);
-                // How far the step already got: a mark is all of it (answer
-                // again, apply nothing), a recovered partial its durable
-                // prefix (apply the rest).
-                let marked = self.marks.get((txn, step));
-                let (applied_chunks, mut checksum) = match marked {
-                    Some((checksum, _)) => (u64::MAX, checksum),
-                    None => {
-                        let p = self.partials.remove((txn, step)).unwrap_or_default();
-                        (p.next_chunk, p.checksum)
+                // A marked step is answered again, nothing applied.
+                let checksum = if let Some((checksum, _)) = self.marks.get((txn, step)) {
+                    checksum
+                } else {
+                    if self.cfg.mvcc && mode == AccessMode::Write {
+                        // Record the write in the partition's version chain
+                        // under its control-assigned seal sequence. The whole
+                        // step applies within this handle() call, so between
+                        // messages a chain entry ⟺ a fully applied write —
+                        // exactly the invariant snapshot reconstruction needs.
+                        self.chains
+                            .entry(partition.0)
+                            .or_default()
+                            .record(seal, txn, units);
                     }
-                };
-                if marked.is_none() && self.cfg.mvcc && mode == AccessMode::Write {
-                    // Record the write in the partition's version chain
-                    // under its control-assigned seal sequence. The whole
-                    // step applies within this handle() call, so between
-                    // messages a chain entry ⟺ a fully applied write —
-                    // exactly the invariant snapshot reconstruction needs.
-                    self.chains
-                        .entry(partition.0)
-                        .or_default()
-                        .record(seal, txn, units);
-                }
-                let rest = chunks(units, chunk_units).skip_while(|&(c, ..)| c < applied_chunks);
-                for (chunk, offset, len) in rest {
-                    let sum = self.store.apply_chunk(partition, mode, offset, len)?;
-                    checksum = checksum.wrapping_add(sum);
-                    self.tel.units.add(len);
+                    let checksum = self.store.apply_chunk(partition, mode, 0, units)?;
+                    self.tel.units.add(units);
                     // Log before the answer can leave: the record is in the
                     // writer (and on any flush path, in the file) before
                     // control can ever learn of the step.
@@ -630,23 +610,21 @@ impl DataActor<'_> {
                         prev_lsn: 0,
                         txn,
                         step,
-                        chunk,
+                        chunk: 0,
                         partition,
                         mode,
-                        start_unit: offset,
-                        units: len,
-                        checksum: sum,
-                        complete: offset + len >= units,
+                        start_unit: 0,
+                        units,
+                        checksum,
+                        complete: true,
                     };
                     self.with_wal(|w| w.append(record).map(drop))?;
-                }
-                if marked.is_none() {
                     if mode == AccessMode::Read {
                         self.read_checksum = self.read_checksum.wrapping_add(checksum);
                     }
                     self.marks.insert((txn, step), (checksum, units));
-                }
-                // One answer, however far the step already got.
+                    checksum
+                };
                 self.push_reply(Msg::AccessDone {
                     txn,
                     step,

@@ -21,8 +21,8 @@
 //! links coalesce messages into flat [`Msg::Batch`] frames. The recorded
 //! history keeps the serial per-transaction call shape (arrive, then per
 //! step request and step-complete, then commit) because only the control
-//! node ever talks to the scheduler. A data node applies a bulk step chunk
-//! by chunk but answers it once, with one `AccessDone`: control books the
+//! node ever talks to the scheduler. A data node applies and logs a bulk
+//! step whole and answers it once, with one `AccessDone`: control books the
 //! step on that reply alone.
 //!
 //! **Forgetting by notice.** A data node learns what it may drop the way
@@ -82,8 +82,9 @@ pub enum Msg {
         mode: AccessMode,
         /// Total milli-object cells to touch.
         units: u64,
-        /// Apply-and-log granularity in milli-object cells: the node applies
-        /// the step, and logs it, one chunk of this many cells at a time.
+        /// Retired: control stamps `units` here and the data node, which
+        /// applies and logs a step whole, does not read it. It stays on the
+        /// wire because the benchmark package builds the message.
         chunk_units: u64,
         /// For write steps: the control-assigned per-partition seal
         /// sequence, under which the data node files the step in its
@@ -192,10 +193,10 @@ pub enum Msg {
     /// Control → data node: what the node may forget. No transaction of
     /// `shard` below `below` is live or can still arrive, and every order
     /// control sent for `txns` is answered; none of those will be sent an
-    /// order again, so their step marks, partials and snapshot-read memos
-    /// go once every shard's mark has passed them or a notice names them.
-    /// Each partition's version chain is pruned below its floor in
-    /// `floors`. Rides behind an order (see the module docs).
+    /// order again, so their step marks and snapshot-read memos go once
+    /// every shard's mark has passed them or a notice names them. Each
+    /// partition's version chain is pruned below its floor in `floors`.
+    /// Rides behind an order (see the module docs).
     Forget {
         /// The control shard sending the notice.
         shard: u32,

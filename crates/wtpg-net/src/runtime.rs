@@ -88,10 +88,6 @@ pub struct NetConfig {
     /// Client actors (each drives a slice of the workload, `pipeline`
     /// transactions in flight at a time).
     pub clients: usize,
-    /// Milli-objects per chunk a data node applies and logs at a time
-    /// (default: one object, the paper's per-object weight-adjustment
-    /// granularity); a step is answered once, whatever its chunk count.
-    pub chunk_units: u64,
     /// Control-side redelivery schedule for unanswered `Access` orders.
     /// The base must comfortably exceed a step's normal round trip, or
     /// healthy steps get redelivered; the span `base × 2^attempts` must
@@ -120,7 +116,7 @@ pub struct NetConfig {
     /// submissions beyond it queue in the shard's FIFO backlog without
     /// touching the scheduler (admission flow control for deep pipelines).
     pub admit_window: usize,
-    /// Whether (and how hard) data nodes log applied chunks before their
+    /// Whether (and how hard) data nodes log applied steps before their
     /// replies can escape. `None` keeps the pre-durability behavior;
     /// `Buffered`/`Sync` require `wal_dir` and enable kill-restart faults.
     pub durability: Durability,
@@ -174,7 +170,6 @@ impl Default for NetConfig {
     fn default() -> NetConfig {
         NetConfig {
             clients: 4,
-            chunk_units: 1000,
             retry: Backoff {
                 base_us: 20_000,
                 cap_us: 200_000,
@@ -591,7 +586,7 @@ fn drive(
     pick: impl FnMut(&[&mut dyn Step], Instant) -> Result<Option<usize>, NetError>,
 ) -> Joined {
     let cfg = plan.cfg;
-    let (catalog, units, specs) = (plan.catalog, cfg.chunk_units, plan.specs);
+    let (catalog, specs) = (plan.catalog, plan.specs);
     let (watchdog, depth, n) = (plan.watchdog, cfg.pipeline, plan.clients);
     let open = plan
         .arrivals
@@ -626,7 +621,7 @@ fn drive(
         .into_iter()
         .zip(&set.shard_inboxes)
         .map(|(params, inbox)| {
-            let shard = ControlActor::start(params, catalog, units, to_data, to_clients);
+            let shard = ControlActor::start(params, catalog, to_data, to_clients);
             Slot::new(Ok(shard), inbox)
         })
         .collect();

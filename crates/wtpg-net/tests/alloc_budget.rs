@@ -5,13 +5,15 @@
 //! allocations made on the calling thread (reallocations included: a
 //! growing buffer is a fresh allocation). One whole [`run_cell`] — plan,
 //! lay-out, drive, assemble — runs in process with certification off, so
-//! the count is the runtime's own and not the replay certifier's, on three
+//! the count is the runtime's own and not the replay certifier's, on four
 //! cells:
 //!
 //! * **P1 CHAIN** — Pattern 1 under CHAIN, the benchmark's closed loop;
 //! * **P2 K2** — Pattern 2 with four hot partitions under K-WTPG;
 //! * **MVCC mix** — the same four hots with half the stream read-only on
-//!   the snapshot plane, CHAIN.
+//!   the snapshot plane, CHAIN;
+//! * **P2 K2 WAL** — P2 K2 with every step logged under
+//!   `Durability::Buffered`: a log append allocates nothing.
 //!
 //! Each cell runs at 1× and 4× its length: the count per commit must stay
 //! under the cell's budget at both lengths and must not grow with length —
@@ -31,7 +33,7 @@ use std::cell::Cell;
 
 use wtpg_core::partition::Catalog;
 use wtpg_core::txn::TxnSpec;
-use wtpg_net::{run_cell, FaultPlan, InProc, NetConfig};
+use wtpg_net::{run_cell, Durability, FaultPlan, InProc, NetConfig};
 use wtpg_rt::sched_by_name;
 use wtpg_rt::workload::pattern_specs;
 use wtpg_workload::{Pattern, ReadMix};
@@ -84,6 +86,8 @@ struct Cell3 {
     name: &'static str,
     pattern: Pattern,
     read_mix: bool,
+    /// Data nodes log every step (`Durability::Buffered`).
+    wal: bool,
     sched: &'static str,
     /// Transactions at 1×.
     txns: usize,
@@ -91,11 +95,12 @@ struct Cell3 {
     debug: f64,
 }
 
-const CELLS: [Cell3; 3] = [
+const CELLS: [Cell3; 4] = [
     Cell3 {
         name: "P1 CHAIN",
         pattern: Pattern::One,
         read_mix: false,
+        wal: false,
         sched: "chain",
         txns: 2_000,
         release: 5.0,
@@ -105,6 +110,7 @@ const CELLS: [Cell3; 3] = [
         name: "P2 K2",
         pattern: Pattern::Two { num_hots: 4 },
         read_mix: false,
+        wal: false,
         sched: "k2",
         txns: 2_000,
         release: 4.5,
@@ -114,10 +120,21 @@ const CELLS: [Cell3; 3] = [
         name: "MVCC mix",
         pattern: Pattern::Two { num_hots: 4 },
         read_mix: true,
+        wal: false,
         sched: "chain",
         txns: 2_000,
         release: 8.0,
         debug: 10.0,
+    },
+    Cell3 {
+        name: "P2 K2 WAL",
+        pattern: Pattern::Two { num_hots: 4 },
+        read_mix: false,
+        wal: true,
+        sched: "k2",
+        txns: 2_000,
+        release: 4.5,
+        debug: 6.5,
     },
 ];
 
@@ -133,10 +150,22 @@ impl Cell3 {
     /// Allocations per commit of one whole run of `txns` transactions.
     fn per_commit(&self, txns: usize) -> f64 {
         let (catalog, specs) = self.workload(txns);
+        let wal_dir = self.wal.then(|| {
+            let dir = std::env::temp_dir()
+                .join(format!("wtpg-alloc-budget-{}-{txns}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            dir
+        });
         let cfg = NetConfig {
             clients: 2,
             certify: false,
             mvcc: self.read_mix,
+            durability: if self.wal {
+                Durability::Buffered
+            } else {
+                Durability::None
+            },
+            wal_dir: wal_dir.clone(),
             ..NetConfig::default()
         };
         let sched = || sched_by_name(self.sched, 2, 5000).expect("known scheduler");
@@ -144,8 +173,12 @@ impl Cell3 {
         let r = run_cell(&cfg, &sched, &catalog, &specs, &InProc, &FaultPlan::none())
             .unwrap_or_else(|e| panic!("{}: {e}", self.name));
         let allocs = ALLOCS.with(Cell::get) - before;
+        if let Some(dir) = &wal_dir {
+            let _ = std::fs::remove_dir_all(dir);
+        }
         assert!(r.store_consistent && r.snapshot_certified, "{}: {r:?}", self.name);
         assert_eq!(r.committed, txns as u64, "{}", self.name);
+        assert_eq!(r.wal_records > 0, self.wal, "{}: {r:?}", self.name);
         drop(r);
         allocs as f64 / txns as f64
     }
@@ -188,4 +221,9 @@ fn p2_k2_allocates_within_its_budget_at_every_length() {
 #[test]
 fn the_mvcc_mix_allocates_within_its_budget_at_every_length() {
     CELLS[2].check();
+}
+
+#[test]
+fn p2_k2_with_a_wal_allocates_within_its_budget_at_every_length() {
+    CELLS[3].check();
 }

@@ -27,6 +27,7 @@ use wtpg_core::partition::Catalog;
 use wtpg_core::txn::TxnSpec;
 use wtpg_dur::checkpoint::files;
 use wtpg_dur::{recover, Durability};
+use wtpg_net::control::NOTICE_AT;
 use wtpg_net::data::SNAPSHOT_EVERY;
 use wtpg_net::fault::{FaultPlan, KillPlan};
 use wtpg_net::{run_cell_load, InProc, NetConfig, NetReport, OpenLoop, Tcp, Transport};
@@ -91,37 +92,43 @@ fn kill_restart_cell(dir: &Path) -> (NetConfig, (Catalog, Vec<TxnSpec>), FaultPl
 }
 
 /// Messages node 0 handles before the snapshot cell kills it.
-const SNAPSHOT_KILL_AFTER: u64 = 1024;
+const SNAPSHOT_KILL_AFTER: u64 = 4400;
 
 /// In-process, buffered WAL, Pattern 2 over 4 hots, and node 0 killed once
 /// its first snapshot is on disk: the one cell that writes node snapshots.
 /// Every order node 0 handles before the kill is fresh — no link faults,
-/// and no redelivery is due within a second — and logs one record per chunk
-/// of its step, so by its [`SNAPSHOT_KILL_AFTER`]-th message it has logged
-/// at least [`SNAPSHOT_EVERY`] records (checked below against the
-/// workload's smallest step) and written its first snapshot.
+/// and no redelivery is due within a second — and logs its step as one
+/// record. The other messages it handles are notices, at most one per
+/// [`NOTICE_AT`] transactions it served, so by its
+/// [`SNAPSHOT_KILL_AFTER`]-th message it has logged at least
+/// [`SNAPSHOT_EVERY`] records and written its first snapshot; the workload
+/// homes more steps than that on node 0, so the kill fires (both checked
+/// below).
 fn snapshot_kill_cell(dir: &Path) -> (NetConfig, (Catalog, Vec<TxnSpec>), FaultPlan) {
     let cfg = NetConfig {
         durability: Durability::Buffered,
         wal_dir: Some(dir.to_path_buf()),
-        chunk_units: 250,
         retry: Backoff {
             base_us: 1_000_000,
             ..NetConfig::default().retry
         },
         ..NetConfig::default()
     };
-    let workload = pattern_specs(Pattern::Two { num_hots: 4 }, 4000, 3);
-    let fewest_chunks = workload
+    let workload = pattern_specs(Pattern::Two { num_hots: 4 }, 8000, 3);
+    let notice_at = NOTICE_AT as u64;
+    assert!(
+        SNAPSHOT_KILL_AFTER * notice_at / (notice_at + 1) >= SNAPSHOT_EVERY,
+        "node 0 must reach its first snapshot before the kill"
+    );
+    let node0_steps = workload
         .1
         .iter()
         .flat_map(|t| t.steps())
-        .map(|s| s.actual_cost.units().div_ceil(cfg.chunk_units))
-        .min()
-        .expect("the workload has steps");
+        .filter(|s| workload.0.node_of(s.partition) == 0)
+        .count() as u64;
     assert!(
-        SNAPSHOT_KILL_AFTER * fewest_chunks >= SNAPSHOT_EVERY,
-        "node 0 must reach its first snapshot before the kill"
+        node0_steps > SNAPSHOT_KILL_AFTER,
+        "the kill must fire: {node0_steps} steps on node 0"
     );
     let fault = FaultPlan {
         kill: Some(KillPlan {
@@ -265,23 +272,18 @@ fn kill_restart_totals_are_the_report_and_survive_the_incarnation() {
     // Across the kill: the log is append-only and a kill destroys only the
     // writer's userspace buffer, so the bytes both incarnations of node 0
     // wrote (and every other node's) are exactly the files' sizes; and
-    // every chunk of the workload was logged at least once, which the
-    // second incarnation's tally alone would fall short of.
+    // every step of the workload was logged at least once, as one record,
+    // which the second incarnation's tally alone would fall short of.
     let on_disk: u64 = (0..r.data_nodes as u32)
         .map(|n| std::fs::metadata(files::node_wal(&dir, n)).expect("log exists").len())
         .sum();
     assert_eq!(r.wal_bytes, on_disk, "wal/bytes across incarnations");
-    let chunks: u64 = workload
-        .1
-        .iter()
-        .flat_map(|t| t.steps())
-        .map(|s| s.actual_cost.units().div_ceil(cfg.chunk_units))
-        .sum();
-    assert!(r.wal_records >= chunks, "{} records for {chunks} chunks", r.wal_records);
+    let steps: u64 = workload.1.iter().map(|t| t.len() as u64).sum();
+    let records = r.wal_records;
+    assert!(records >= steps, "{records} records for {steps} steps");
     assert!(total(metric::DATA_UNITS) >= r.store_write_units);
     // A step answers once, with its `AccessDone`, whichever incarnation
     // applied it: what control handled covers every step of the workload.
-    let steps: u64 = workload.1.iter().map(|t| t.len() as u64).sum();
     assert!(total(&metric::msg_rx("access_done")) >= steps);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -295,7 +297,7 @@ fn node_snapshots_are_booked_and_bound_the_kill_replay() {
     let total = |name: &str| totals.get(name).copied().unwrap_or(0);
 
     assert_eq!(r.recoveries, 1, "the kill fires once: {r:?}");
-    assert_eq!(r.committed, 4000, "{r:?}");
+    assert_eq!(r.committed, 8000, "{r:?}");
     assert!(r.wal_checkpoints > 0, "{r:?}");
     assert_eq!(r.wal_checkpoints, total(metric::WAL_CHECKPOINTS));
     // The restart replayed the log suffix past node 0's snapshot, not the

@@ -89,8 +89,8 @@ fn links(clients: usize) -> Links {
     }
 }
 
-fn start<'a>(p: ControlParams<'a>, cat: &'a Catalog, units: u64, l: &'a Links) -> ControlActor<'a> {
-    ControlActor::start(p, cat, units, &l.to_data, &l.to_clients)
+fn start<'a>(p: ControlParams<'a>, cat: &'a Catalog, l: &'a Links) -> ControlActor<'a> {
+    ControlActor::start(p, cat, &l.to_data, &l.to_clients)
 }
 
 fn submit(client: u32, txn: u64, steps: Vec<StepSpec>) -> Msg {
@@ -149,7 +149,7 @@ fn us(n: u64) -> Duration {
 #[test]
 fn a_turn_that_commits_several_of_a_clients_transactions_sends_it_one_frame() {
     let (catalog, reg, l) = (catalog(), Registry::new(), links(2));
-    let mut ctl = start(params(&reg, "chain", 2), &catalog, 1000, &l);
+    let mut ctl = start(params(&reg, "chain", 2), &catalog, &l);
     let t0 = Instant::now();
     // Client 0 owns txns 1 and 2, client 1 owns txn 3: one partition each.
     for (client, txn, partition) in [(0, 1, 0), (0, 2, 1), (1, 3, 2)] {
@@ -185,7 +185,7 @@ fn redelivery_follows_the_backoff_schedule_exactly() {
         "the schedule under test doubles, then caps"
     );
     let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
-    let mut ctl = start(params(&reg, "chain", 1), &catalog, 1000, &l);
+    let mut ctl = start(params(&reg, "chain", 1), &catalog, &l);
     let t0 = Instant::now();
     ctl.deliver(submit(0, 1, vec![StepSpec::write(0, 1.0)]), t0)
         .unwrap();
@@ -218,7 +218,7 @@ fn redelivery_follows_the_backoff_schedule_exactly() {
 #[test]
 fn recover_resends_the_nodes_orders_as_one_frame_with_the_mark() {
     let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
-    let mut ctl = start(params(&reg, "chain", 1), &catalog, 1000, &l);
+    let mut ctl = start(params(&reg, "chain", 1), &catalog, &l);
     let t0 = Instant::now();
     // Two orders on node 0 (partitions 0 and 2), one on node 1.
     for (txn, partition) in [(1, 0), (2, 2), (3, 1)] {
@@ -264,7 +264,7 @@ fn recover_resends_the_nodes_orders_as_one_frame_with_the_mark() {
 #[test]
 fn a_busy_inbox_still_redelivers_every_scan() {
     let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
-    let mut ctl = start(params(&reg, "chain", 1), &catalog, 1000, &l);
+    let mut ctl = start(params(&reg, "chain", 1), &catalog, &l);
     let t0 = Instant::now();
     let first = submit(0, 1, vec![StepSpec::write(0, 1.0)]);
     ctl.deliver(first.clone(), t0).unwrap();
@@ -306,7 +306,7 @@ fn duplicates_are_absorbed_on_both_planes() {
     let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
     let mut p = params(&reg, "chain", 1);
     p.mvcc = true;
-    let mut ctl = start(p, &catalog, 500, &l);
+    let mut ctl = start(p, &catalog, &l);
     let t0 = Instant::now();
 
     // A two-step writer: its first step's `AccessDone` twice (a duplicated
@@ -384,7 +384,7 @@ fn duplicates_are_absorbed_on_both_planes() {
 #[test]
 fn a_stats_delta_is_a_protocol_error() {
     let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
-    let mut ctl = start(params(&reg, "chain", 1), &catalog, 500, &l);
+    let mut ctl = start(params(&reg, "chain", 1), &catalog, &l);
     let t0 = Instant::now();
     ctl.deliver(submit(0, 1, vec![StepSpec::write(0, 1.5)]), t0)
         .unwrap();
@@ -411,7 +411,7 @@ fn a_stats_delta_is_a_protocol_error() {
 fn the_run_ends_after_every_goodbye_and_the_last_commit_in_either_order() {
     for goodbyes_first in [false, true] {
         let (catalog, reg, l) = (catalog(), Registry::new(), links(2));
-        let mut ctl = start(params(&reg, "chain", 2), &catalog, 1000, &l);
+        let mut ctl = start(params(&reg, "chain", 2), &catalog, &l);
         let t0 = Instant::now();
         let first = submit(1, 1, vec![StepSpec::write(0, 1.0)]);
         assert_eq!(ctl.deliver(first, t0).unwrap(), Flow::Continue);
@@ -442,7 +442,7 @@ fn the_run_ends_after_every_goodbye_and_the_last_commit_in_either_order() {
     }
     // A client with nothing to submit still says goodbye, and that ends it.
     let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
-    let mut ctl = start(params(&reg, "chain", 1), &catalog, 1000, &l);
+    let mut ctl = start(params(&reg, "chain", 1), &catalog, &l);
     assert_eq!(
         ctl.deliver(Msg::Shutdown, Instant::now()).unwrap(),
         Flow::Stop
@@ -456,7 +456,7 @@ fn the_run_ends_after_every_goodbye_and_the_last_commit_in_either_order() {
 #[test]
 fn a_fresh_rejection_queues_behind_an_older_one() {
     let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
-    let mut ctl = start(params(&reg, "asl", 1), &catalog, 1000, &l);
+    let mut ctl = start(params(&reg, "asl", 1), &catalog, &l);
     let t0 = Instant::now();
     for txn in 1..=3 {
         ctl.deliver(submit(0, txn, vec![StepSpec::write(0, 1.0)]), t0)
@@ -489,7 +489,7 @@ fn the_silence_watchdog_counts_from_the_last_delivery() {
     let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
     let p = params(&reg, "chain", 1);
     let watchdog = p.watchdog;
-    let mut ctl = start(p, &catalog, 1000, &l);
+    let mut ctl = start(p, &catalog, &l);
     let t0 = Instant::now();
     let first = submit(0, 1, vec![StepSpec::write(0, 1.0)]);
     ctl.deliver(first.clone(), t0).unwrap();
@@ -517,7 +517,7 @@ fn a_blocked_request_waits_for_the_commit_that_frees_its_partition() {
     let mut p = params(&reg, "c2pl", 1);
     p.batch_max = 1;
     p.ack_batch_max = 1;
-    let mut ctl = start(p, &catalog, 1000, &l);
+    let mut ctl = start(p, &catalog, &l);
     let t0 = Instant::now();
     for (txn, steps) in [
         (1, vec![StepSpec::write(0, 1.0)]),
@@ -567,7 +567,7 @@ fn a_delayed_request_is_re_asked_on_every_step_completion() {
     let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
     let mut p = params(&reg, "c2pl", 1);
     p.batch_max = 1;
-    let mut ctl = start(p, &catalog, 1000, &l);
+    let mut ctl = start(p, &catalog, &l);
     let t0 = Instant::now();
     for (txn, steps) in [
         (1, vec![StepSpec::write(0, 1.0), StepSpec::write(1, 1.0)]),
@@ -595,7 +595,7 @@ fn a_delayed_request_is_re_asked_on_every_step_completion() {
 #[test]
 fn ids_far_apart_are_driven_like_dense_ones() {
     let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
-    let mut ctl = start(params(&reg, "chain", 1), &catalog, 1000, &l);
+    let mut ctl = start(params(&reg, "chain", 1), &catalog, &l);
     let t0 = Instant::now();
     let ids = [3, 1 << 40, u64::MAX];
     for (txn, partition) in ids.into_iter().zip([0, 2, 0]) {
@@ -631,7 +631,7 @@ fn ids_far_apart_are_driven_like_dense_ones() {
 #[test]
 fn a_submission_outside_the_catalog_is_a_protocol_error() {
     let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
-    let mut ctl = start(params(&reg, "chain", 1), &catalog, 1000, &l);
+    let mut ctl = start(params(&reg, "chain", 1), &catalog, &l);
     let err = ctl
         .deliver(
             submit(0, 1, vec![StepSpec::write(u32::MAX, 1.0)]),
@@ -650,7 +650,7 @@ fn a_submission_outside_the_catalog_is_a_protocol_error() {
 #[test]
 fn retired_writers_ride_behind_an_order_once_a_notice_is_due() {
     let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
-    let mut ctl = start(params(&reg, "chain", 1), &catalog, 500, &l);
+    let mut ctl = start(params(&reg, "chain", 1), &catalog, &l);
     let t0 = Instant::now();
     let writers = NOTICE_AT as u64;
     for txn in 1..=writers + 1 {
@@ -681,7 +681,7 @@ fn retired_writers_ride_behind_an_order_once_a_notice_is_due() {
 fn the_finished_set_holds_as_many_slots_however_long_the_run() {
     let slots = |windows: u64| {
         let (catalog, reg, l) = (catalog(), Registry::new(), links(2));
-        let mut ctl = start(params(&reg, "chain", 2), &catalog, 1000, &l);
+        let mut ctl = start(params(&reg, "chain", 2), &catalog, &l);
         let t0 = Instant::now();
         for w in 0..windows {
             let ids = [1, 2, 3, 4].map(|i| 4 * w + i);

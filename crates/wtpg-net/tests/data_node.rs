@@ -27,7 +27,7 @@ use proptest::prelude::*;
 use wtpg_core::partition::{Catalog, PartitionId};
 use wtpg_core::txn::{AccessMode, TxnId};
 use wtpg_dur::checkpoint::files;
-use wtpg_dur::wal::{ChunkRecord, WalWriter};
+use wtpg_dur::wal::read_log;
 use wtpg_dur::{recover, Durability};
 use wtpg_mvcc::{apply_write_effect, read_checksum};
 use wtpg_net::actor::{Actor, Flow};
@@ -36,7 +36,6 @@ use wtpg_net::transport::MsgTx;
 use wtpg_net::{CrashPlan, FaultPlan, KillPlan, LinkFaults, Msg};
 use wtpg_obs::window::metric;
 use wtpg_obs::Registry;
-use wtpg_rt::store::{chunks, NodeStore};
 
 /// Two nodes, four 2-object partitions: node 0 homes partitions 0 and 2.
 fn catalog() -> Catalog {
@@ -63,14 +62,14 @@ fn params<'a>(catalog: &'a Catalog, reg: &'a Registry, log: Option<&'a Path>) ->
     }
 }
 
-fn access(txn: u64, partition: u32, mode: AccessMode, units: u64, chunk_units: u64) -> Msg {
+fn access(txn: u64, partition: u32, mode: AccessMode, units: u64) -> Msg {
     Msg::Access {
         txn: TxnId(txn),
         step: 0,
         partition: PartitionId(partition),
         mode,
         units,
-        chunk_units,
+        chunk_units: units,
         seal: 0,
     }
 }
@@ -88,7 +87,7 @@ fn a_dark_window_loses_and_counts_exactly_what_arrives_inside_it() {
     p.fault.crash = Some(CrashPlan { node: 0, after_msgs: 1, down_ms: 10 });
     let mut node = DataActor::start(p, &tx).expect("starts");
     let t0 = Instant::now();
-    let order = |txn| access(txn, 0, AccessMode::Write, 1500, 1500);
+    let order = |txn| access(txn, 0, AccessMode::Write, 1500);
     let drops = || reg.totals().get(metric::CRASH_DROPS).copied().unwrap_or(0);
 
     assert_eq!(node.deliver(order(1), t0).unwrap(), Flow::Continue);
@@ -136,7 +135,7 @@ fn a_shutdown_nested_in_a_lost_batch_stops_the_node() {
         }
         let mut node = DataActor::start(p, &tx).expect("starts");
         let t0 = Instant::now();
-        let order = |txn| access(txn, 2, AccessMode::Write, 700, 300);
+        let order = |txn| access(txn, 2, AccessMode::Write, 700);
         assert_eq!(node.deliver(order(1), t0).unwrap(), Flow::Continue);
         assert_eq!(node.before_block(t0).unwrap(), Some(Duration::MAX));
         assert_eq!(node.deliver(order(2), t0 + ms(1)).unwrap(), Flow::Continue);
@@ -165,84 +164,71 @@ fn answer(heard: &[Msg]) -> (u64, u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// A step answers once: first delivery, redelivery after completion,
-    /// and resume from a `Partial` at chunk `k` each say one `AccessDone`,
-    /// with the same checksum, however much of the step was already
-    /// durable.
+    /// A step is one log record and one answer: an `Access` of any size,
+    /// whatever its retired `chunk_units` field says, appends exactly one
+    /// WAL record and answers once; a redelivered order appends none and
+    /// answers with the same checksum, and so does one redelivered to a
+    /// node killed and rebuilt from that log.
     #[test]
-    fn one_answer_however_far_the_step_already_got(
+    fn a_step_is_one_record_and_one_answer(
         units in 0u64..6000,
         chunk_units in 0u64..1500,
-        k in 0u64..8,
         write in prop::bool::ANY,
     ) {
         let mode = if write { AccessMode::Write } else { AccessMode::Read };
         let catalog = catalog();
-        let order = access(9, 2, mode, units, chunk_units);
-        let steps = chunks(units, chunk_units).count() as u64;
+        let order = Msg::Access {
+            txn: TxnId(9),
+            step: 0,
+            partition: PartitionId(2),
+            mode,
+            units,
+            chunk_units,
+            seal: 0,
+        };
         let t0 = Instant::now();
-
+        let dir = fresh_dir("one-record");
         let reg = Registry::new();
+        let records = || reg.totals().get(metric::WAL_RECORDS).copied().unwrap_or(0);
         let heard = Arc::new(Recorder::default());
         let tx: Arc<dyn MsgTx> = heard.clone();
-        let mut node = DataActor::start(params(&catalog, &reg, None), &tx).expect("starts");
+        let mut p = params(&catalog, &reg, Some(&dir));
+        p.fault.kill = Some(KillPlan { node: Some(0), after_msgs: 2, down_ms: 5 });
+        let mut node = DataActor::start(p, &tx).expect("starts");
+
         node.deliver(order.clone(), t0).unwrap();
         node.before_block(t0).unwrap();
         let first = answer(&heard.take());
         prop_assert_eq!(first.1, units);
+        prop_assert_eq!(records(), 1, "one record for the whole step");
         node.deliver(order.clone(), t0).unwrap();
         node.before_block(t0).unwrap();
-        prop_assert_eq!(answer(&heard.take()), first, "redelivery after completion");
-        let whole = node.finish().expect("finishes");
+        prop_assert_eq!(answer(&heard.take()), first, "redelivery");
+        prop_assert_eq!(records(), 1, "a redelivered order appends nothing");
 
-        // The durable prefix a kill would leave behind: the step's first k
-        // chunks (but never all of them), logged and nothing else.
-        let k = k.min(steps.saturating_sub(1));
-        let dir = fresh_dir("resume");
-        let mut scratch = NodeStore::for_node(&catalog, 0);
-        let mut wal = WalWriter::open(&files::node_wal(&dir, 0), Durability::Buffered, 0, BTreeMap::new())
-            .expect("log opens");
-        for (chunk, start_unit, len) in chunks(units, chunk_units).take(k as usize) {
-            let checksum = scratch.apply_chunk(PartitionId(2), mode, start_unit, len).unwrap();
-            wal.append(ChunkRecord {
-                lsn: 0,
-                prev_lsn: 0,
-                txn: TxnId(9),
-                step: 0,
-                chunk,
-                partition: PartitionId(2),
-                mode,
-                start_unit,
-                units: len,
-                checksum,
-                complete: false,
-            })
-            .unwrap();
-        }
-        wal.flush().unwrap();
-        drop(wal);
-        let mut p = params(&catalog, &reg, Some(&dir));
-        p.fault.kill = Some(KillPlan { node: Some(0), after_msgs: 0, down_ms: 5 });
-        let mut node = DataActor::start(p, &tx).expect("starts");
-        prop_assert_eq!(node.deliver(order.clone(), t0).unwrap(), Flow::Continue);
-        prop_assert_eq!(node.idle(t0 + ms(4)).unwrap(), Flow::Continue);
-        prop_assert_eq!(heard.take(), vec![], "still down");
+        // The kill trips on the third delivery; the node comes back from
+        // the one record and answers the order from it.
+        node.deliver(order.clone(), t0).unwrap();
         prop_assert_eq!(node.idle(t0 + ms(5)).unwrap(), Flow::Continue);
         let rejoin = heard.take();
         prop_assert!(
-            matches!(rejoin[..], [Msg::Recover { node: 0, replayed_chunks, .. }] if replayed_chunks == k),
+            matches!(rejoin[..], [Msg::Recover { node: 0, replayed_chunks: 1, .. }]),
             "a restarted node announces itself: {:?}", rejoin
         );
         node.deliver(order, t0 + ms(6)).unwrap();
         node.before_block(t0 + ms(6)).unwrap();
-        prop_assert_eq!(answer(&heard.take()), first, "resume from chunk {}", k);
-        // The resume applied and logged only what the log did not hold.
-        prop_assert_eq!(reg.totals().get(metric::WAL_RECORDS).copied().unwrap_or(0), steps - k);
-        let resumed = node.finish().expect("finishes");
+        prop_assert_eq!(answer(&heard.take()), first, "redelivery after the kill");
+        prop_assert_eq!(records(), 1, "nor does one after the kill");
+        let out = node.finish().expect("finishes");
+        let log = read_log(&files::node_wal(&dir, 0)).unwrap();
+        prop_assert_eq!(log.records.len(), 1);
+        let rec = log.records[0];
         prop_assert_eq!(
-            (resumed.cell_sum, resumed.write_units, resumed.read_checksum),
-            (whole.cell_sum, whole.write_units, whole.read_checksum)
+            (rec.chunk, rec.start_unit, rec.units, rec.checksum, rec.complete),
+            (0, 0, units, first.0, true)
         );
+        let write_units = if write { units } else { 0 };
+        prop_assert_eq!((out.cell_sum, out.write_units), (write_units, write_units));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -295,7 +281,6 @@ fn run_script(script: &[Msg], kill_at: Option<u64>, name: &str) -> EndState {
     // the node's final durable state.
     let rec = recover(&catalog, 0, &dir, 1).expect("log replays");
     let _ = std::fs::remove_dir_all(&dir);
-    assert!(rec.partials.is_empty(), "every step ran to completion");
     assert_eq!(rec.store.cell_sum(), out.cell_sum, "memory and log agree");
     EndState {
         outcome: (out.cell_sum, out.write_units, out.read_checksum),
@@ -309,12 +294,12 @@ fn run_script(script: &[Msg], kill_at: Option<u64>, name: &str) -> EndState {
 fn a_kill_at_any_message_heals_to_the_unkilled_state() {
     use AccessMode::{Read, Write};
     let script = [
-        access(1, 0, Write, 2600, 500),
-        access(2, 2, Write, 900, 250),
-        access(3, 0, Read, 2000, 700),
-        access(4, 0, Write, 1200, 100),
-        access(5, 2, Read, 4100, 1000),
-        access(6, 2, Write, 333, 1000),
+        access(1, 0, Write, 2600),
+        access(2, 2, Write, 900),
+        access(3, 0, Read, 2000),
+        access(4, 0, Write, 1200),
+        access(5, 2, Read, 4100),
+        access(6, 2, Write, 333),
     ];
     let unkilled = run_script(&script, None, "unkilled");
     assert_eq!(unkilled.marks.len(), script.len());
@@ -345,7 +330,7 @@ fn sealed_write(txn: u64, units: u64, seal: u64) -> Msg {
         partition: PartitionId(0),
         mode: AccessMode::Write,
         units,
-        chunk_units: 1000,
+        chunk_units: units,
         seal,
     }
 }
@@ -454,7 +439,7 @@ fn a_notice_drops_the_marks_it_names_and_no_other() {
     let mut node = DataActor::start(params(&catalog, &reg, None), &tx).expect("starts");
     let now = Instant::now();
     let units = || reg.totals().get(metric::DATA_UNITS).copied().unwrap_or(0);
-    let write = |txn| access(txn, 0, AccessMode::Write, 1000, 1000);
+    let write = |txn| access(txn, 0, AccessMode::Write, 1000);
     for txn in [1, 2, 3] {
         exchange(&mut node, &heard, write(txn), now);
     }
@@ -483,7 +468,7 @@ fn replayed_marks_below_every_shards_mark_go_with_the_next_notices() {
     let mut node = DataActor::start(p, &tx).expect("starts");
     let t0 = Instant::now();
     let units = || reg.totals().get(metric::DATA_UNITS).copied().unwrap_or(0);
-    let write = |txn| access(txn, 0, AccessMode::Write, 1000, 1000);
+    let write = |txn| access(txn, 0, AccessMode::Write, 1000);
     for txn in [1, 2, 3, 4] {
         exchange(&mut node, &heard, write(txn), t0);
     }
@@ -519,7 +504,7 @@ fn what_a_notice_lost_in_a_crash_window_named_goes_with_the_next_mark() {
     p.fault.crash = Some(CrashPlan { node: 0, after_msgs: 3, down_ms: 5 });
     let mut node = DataActor::start(p, &tx).expect("starts");
     let t0 = Instant::now();
-    let write = |txn| access(txn, 0, AccessMode::Write, 1000, 1000);
+    let write = |txn| access(txn, 0, AccessMode::Write, 1000);
     for txn in [1, 2, 3] {
         exchange(&mut node, &heard, write(txn), t0);
     }
@@ -554,7 +539,7 @@ fn a_down_node_blocks_only_for_what_is_left_of_its_window() {
     let mut node = DataActor::start(p, &tx).expect("starts");
     let t0 = Instant::now();
     assert_eq!(node.before_block(t0).unwrap(), Some(Duration::MAX), "up: until a message");
-    let order = access(1, 0, AccessMode::Write, 1000, 1000);
+    let order = access(1, 0, AccessMode::Write, 1000);
     assert_eq!(node.deliver(order, t0).unwrap(), Flow::Continue, "trips and is lost");
     for left in [10, 7, 1] {
         assert_eq!(node.before_block(t0 + ms(10 - left)).unwrap(), Some(ms(left)));
@@ -596,7 +581,7 @@ fn held_then_tripped<'a>(
     p.fault.link = SLOW;
     p.fault.seed = 1;
     let mut node = DataActor::start(p, tx).expect("starts");
-    let order = |txn| access(txn, 0, AccessMode::Write, 1500, 1500);
+    let order = |txn| access(txn, 0, AccessMode::Write, 1500);
     assert_eq!(node.deliver(order(1), t0).unwrap(), Flow::Continue);
     let wait = node.before_block(t0).unwrap().expect("up");
     assert!(wait > Duration::ZERO && wait <= ms(1), "the reply frame is held: {wait:?}");

@@ -2,8 +2,8 @@
 //! *implementation detail*, not a semantic change. A single-client InProc
 //! run with nothing pipelined makes the control node see exactly the call
 //! sequence of a plain loop over the workload — arrive, then per step
-//! request / step-complete, then commit (a data node applies a step chunk
-//! by chunk but answers it once) — so the recorded history (and therefore
+//! request / step-complete, then commit (a data node applies a step whole
+//! and answers it once) — so the recorded history (and therefore
 //! the certified serialization order), the logical clock, and the bulk-read
 //! checksums must match that loop tick for tick. With real concurrency the interleavings differ, but everything
 //! that is a function of the committed workload must still equal the
@@ -29,7 +29,6 @@ use wtpg_workload::Pattern;
 
 /// The same three `plan_matrix.rs` ranges over.
 const SCHEDULERS: &[&str] = &["chain", "k2", "c2pl"];
-const CHUNK_UNITS: u64 = 1000;
 
 /// What the reference loop measured, under `NetReport`'s field names.
 struct Serial {
@@ -62,16 +61,11 @@ fn serial_drive(sched: &str, catalog: &Catalog, specs: &[TxnSpec]) -> Serial {
             assert_eq!(control.request(spec.id, i).expect("request"), LockOutcome::Granted);
             let store = &mut stores[catalog.node_of(step.partition) as usize];
             let units = step.actual_cost.units();
-            let mut offset = 0u64;
-            while offset < units {
-                let chunk = CHUNK_UNITS.min(units - offset);
-                let sum = store
-                    .apply_chunk(step.partition, step.mode, offset, chunk)
-                    .expect("partition is homed on its node");
-                if step.mode == AccessMode::Read {
-                    read_checksum = read_checksum.wrapping_add(sum);
-                }
-                offset += chunk;
+            let sum = store
+                .apply_chunk(step.partition, step.mode, 0, units)
+                .expect("partition is homed on its node");
+            if step.mode == AccessMode::Read {
+                read_checksum = read_checksum.wrapping_add(sum);
             }
             if step.mode == AccessMode::Write {
                 expected_write_units += units;
@@ -125,7 +119,6 @@ fn single_stream_runs_are_tick_identical_to_the_serial_drive() {
             sched,
             &NetConfig {
                 clients: 1,
-                chunk_units: CHUNK_UNITS,
                 // Strict one-at-a-time submission: the identity below only
                 // holds when the client never races its own transactions.
                 pipeline: 1,

@@ -198,9 +198,9 @@ pub mod metric {
     pub const DATA_UNITS: &str = "data/units";
     /// Messages a crashed or killed data node discarded (counter).
     pub const CRASH_DROPS: &str = "data/crash_drops";
-    /// Step marks, partials and snapshot-read memos the data nodes still
-    /// held when they stopped: what control had not yet told them to
-    /// forget (counter).
+    /// Step marks and snapshot-read memos the data nodes still held when
+    /// they stopped: what control had not yet told them to forget
+    /// (counter).
     pub const DATA_BOOKS_LEFT: &str = "data/books_left";
     /// WAL records appended (counter).
     pub const WAL_RECORDS: &str = "wal/records";

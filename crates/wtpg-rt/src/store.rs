@@ -18,23 +18,14 @@
 //!   sum over all cells of all nodes must equal the total declared write
 //!   units of the workload ([`NodeStore::cell_sum`]).
 //!
-//! Steps are applied in *chunks* (one object at a time by default), each
-//! followed by a progress report, exactly like the paper's per-object
-//! weight-adjustment messages.
+//! A data node applies a step whole, with one [`NodeStore::apply_chunk`]
+//! call, and answers it once: the paper's per-object weight-adjustment
+//! messages could only reach control beside that answer. Log replay
+//! re-applies what was logged the same way.
 
 use wtpg_core::error::CoreError;
 use wtpg_core::partition::{Catalog, PartitionId};
 use wtpg_core::txn::AccessMode;
-
-/// The one chunk rule: a bulk step of `units` milli-objects applied
-/// `chunk_units` at a time (clamped ≥ 1) is the chunks `(index, offset, len)`
-/// this yields, in order — every chunk full-sized except a short last one,
-/// none for an empty step. The data node's reply path, log replay's tests
-/// and anything else that must agree on where chunk `k` starts walk this.
-pub fn chunks(units: u64, chunk_units: u64) -> impl Iterator<Item = (u64, u64, u64)> {
-    let size = chunk_units.max(1);
-    (0..units.div_ceil(size)).map(move |i| (i, i * size, size.min(units - i * size)))
-}
 
 /// One data node's storage: the cells of every partition homed on it.
 ///
@@ -131,7 +122,11 @@ impl NodeStore {
     ///
     /// A chunk no longer than its partition — the partial pass alone — is
     /// one pass over the touched cells, a write incrementing and folding
-    /// each cell as it goes.
+    /// each cell as it goes. A longer one is one pass over the partition
+    /// plus two over the partial pass's cells: a write bumps those first,
+    /// then adds `full` to every cell and folds it in the same pass. (A
+    /// whole step longer than its partition, as the data node applies
+    /// one, would otherwise pay a second pass over the partition.)
     pub fn chunk_into_cells(
         cells: &mut [u64],
         mode: AccessMode,
@@ -154,25 +149,26 @@ impl NodeStore {
             let tail = tail.get_mut(..wrapped).unwrap_or(&mut []);
             for range in [head, tail] {
                 checksum = checksum.wrapping_add(match mode {
-                    AccessMode::Write => bump_and_fold(range),
+                    AccessMode::Write => add_and_fold(range, 1),
                     AccessMode::Read => fold(range),
                 });
             }
         } else {
             // Every cell is touched `full` times: the whole-partition fold
-            // sees the partial pass's increments too.
-            if mode == AccessMode::Write {
-                for cell in cells.iter_mut() {
-                    *cell = cell.wrapping_add(full);
+            // sees the partial pass's increments too, so they go first.
+            let whole = match mode {
+                AccessMode::Write => {
+                    for cell in cells.get_mut(start..head_end).unwrap_or(&mut []) {
+                        *cell = cell.wrapping_add(1);
+                    }
+                    for cell in cells.get_mut(..wrapped).unwrap_or(&mut []) {
+                        *cell = cell.wrapping_add(1);
+                    }
+                    add_and_fold(cells, full)
                 }
-                for cell in cells.get_mut(start..head_end).unwrap_or(&mut []) {
-                    *cell = cell.wrapping_add(1);
-                }
-                for cell in cells.get_mut(..wrapped).unwrap_or(&mut []) {
-                    *cell = cell.wrapping_add(1);
-                }
-            }
-            checksum = fold(cells).wrapping_mul(full);
+                AccessMode::Read => fold(cells),
+            };
+            checksum = whole.wrapping_mul(full);
             checksum = checksum.wrapping_add(fold(cells.get(start..head_end).unwrap_or(&[])));
             checksum = checksum.wrapping_add(fold(cells.get(..wrapped).unwrap_or(&[])));
         }
@@ -250,11 +246,11 @@ impl NodeStore {
     }
 }
 
-/// Increments every cell by one and folds the incremented values: the write
-/// kernel's partial pass, in one pass.
-fn bump_and_fold(cells: &mut [u64]) -> u64 {
+/// Adds `by` to every cell and folds the results: a write kernel's pass,
+/// increment and fold in one.
+fn add_and_fold(cells: &mut [u64], by: u64) -> u64 {
     cells.iter_mut().fold(0u64, |s, c| {
-        *c = c.wrapping_add(1);
+        *c = c.wrapping_add(by);
         s.wrapping_add(*c)
     })
 }
@@ -333,14 +329,6 @@ mod tests {
     fn store() -> NodeStore {
         // 4 partitions of 2 objects (2000 cells), all on one node.
         NodeStore::for_node(&Catalog::uniform(4, 2, 1), 0)
-    }
-
-    #[test]
-    fn chunks_tile_a_step_exactly() {
-        let tiled: Vec<_> = chunks(2500, 1000).collect();
-        assert_eq!(tiled, vec![(0, 0, 1000), (1, 1000, 1000), (2, 2000, 500)]);
-        assert_eq!(chunks(0, 1000).count(), 0, "an empty step has no chunks");
-        assert_eq!(chunks(2, 0).collect::<Vec<_>>(), vec![(0, 0, 1), (1, 1, 1)], "size clamps to 1");
     }
 
     #[test]
