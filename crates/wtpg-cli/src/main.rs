@@ -105,7 +105,7 @@ fn print_help() {
                          [--durability none|buffered|sync] [--wal-dir DIR]\n\
                          [--clients N] [--txns N] [--pattern 1|2|3|4] [--hots N] [--groups N]\n\
                          [--seed N] [--k N] [--keeptime EVENTS] [--shards N]\n\
-                         [--batch-max N] [--batch-window USEC] [--pipeline N]\n\
+                         [--batch-max N] [--pipeline N]\n\
                          [--admit-window N] [--read-mix F] [--read-theta F] [--mvcc]\n\
                          [--no-certify] [--out FILE]\n\
                          --keeptime counts control-node events (arrivals, lock\n\

@@ -28,7 +28,6 @@ use crate::cell::{self, value};
 struct NetArgs {
     fault: String,
     batch_max: usize,
-    batch_window: u64,
     pipeline: usize,
     admit_window: usize,
     certify: bool,
@@ -159,7 +158,6 @@ pub(crate) fn run(args: &[String]) -> Result<(), String> {
     let mut a = NetArgs {
         fault: "none".into(),
         batch_max: defaults.batch_max,
-        batch_window: defaults.batch_window_us,
         pipeline: defaults.pipeline,
         admit_window: defaults.admit_window,
         certify: true,
@@ -169,7 +167,6 @@ pub(crate) fn run(args: &[String]) -> Result<(), String> {
         match flag {
             "--fault" => a.fault = take()?,
             "--batch-max" => a.batch_max = value(flag, take()?)?,
-            "--batch-window" => a.batch_window = value(flag, take()?)?,
             "--pipeline" => a.pipeline = value(flag, take()?)?,
             "--admit-window" => a.admit_window = value(flag, take()?)?,
             "--no-certify" => a.certify = false,
@@ -183,7 +180,6 @@ pub(crate) fn run(args: &[String]) -> Result<(), String> {
     let cfg = NetConfig {
         certify: a.certify,
         batch_max: a.batch_max,
-        batch_window_us: a.batch_window,
         pipeline: a.pipeline,
         admit_window: a.admit_window,
         ..cell.cfg.clone()

@@ -54,7 +54,7 @@ pub(crate) fn run(args: &[String]) -> Result<(), String> {
     let label = sched.name().to_string();
     let workload = PatternWorkload::with_error(pattern, seed, ErrorModel::new(sigma));
     let mut machine = Machine::new(params, sched, workload);
-    let sink = trace.as_ref().map(|_| std::sync::Arc::new(wtpg_obs::MemorySink::new()));
+    let sink = trace.as_ref().map(|_| std::rc::Rc::new(wtpg_obs::MemorySink::new()));
     if let Some(s) = &sink {
         machine.set_observer(s.clone());
     }

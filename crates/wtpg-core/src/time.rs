@@ -1,9 +1,8 @@
 //! Simulated time, in integer milliseconds ("clocks", paper §4.1), plus the
-//! logical clock real concurrent drivers stamp their histories with.
+//! logical clock the message-passing plane stamps its histories with.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A point in simulated time. One tick is one millisecond — the paper's
 /// simulation clock ("1 clock = 1 ms").
@@ -79,43 +78,38 @@ impl fmt::Display for Tick {
     }
 }
 
-/// A monotone logical clock for drivers with *wall-clock* concurrency.
+/// A monotone logical clock for executions without a global virtual time.
 ///
-/// The simulator owns a global virtual time, but a real execution engine
-/// (`wtpg-rt`) has no such thing: worker threads race, and wall-clock reads
-/// are banned from recorded histories because [`crate::history::History`]
-/// demands non-decreasing event times and the certifier replays events in
-/// recorded order. Instead every control-node operation draws the next value
-/// from one shared `LogicalClock`; the resulting [`Tick`]s totally order the
+/// The simulator owns a global virtual time, but the message-passing plane
+/// (`wtpg-net`) has no such thing, and wall-clock reads are banned from
+/// recorded histories because [`crate::history::History`] demands
+/// non-decreasing event times and the certifier replays events in recorded
+/// order. Instead every control-node operation draws the next value from
+/// the node's own `LogicalClock`; the resulting [`Tick`]s totally order the
 /// history exactly as the control node serialized the decisions.
 ///
-/// The counter is atomic so progress reports and diagnostics may read it
-/// without synchronisation; drivers that must keep *recording* and *ticking*
-/// atomic with respect to each other (anything feeding one `History`) should
-/// call [`LogicalClock::next`] while holding their control-state lock.
+/// The clock is a plain counter advanced through `&mut self`: its one
+/// owner (`wtpg-rt`'s `ControlNode`) already holds `&mut self` at every
+/// tick, and every run steps its actors on one thread.
 #[derive(Debug, Default)]
-pub struct LogicalClock(AtomicU64);
+pub struct LogicalClock(u64);
 
 impl LogicalClock {
     /// A clock starting at time zero.
     pub const fn new() -> LogicalClock {
-        LogicalClock(AtomicU64::new(0))
+        LogicalClock(0)
     }
 
-    /// A clock whose next tick follows `t` — for resuming a recorded run.
-    pub const fn starting_after(t: Tick) -> LogicalClock {
-        LogicalClock(AtomicU64::new(t.0))
-    }
-
-    /// Advances the clock and returns the new instant. Strictly monotone
-    /// across all callers: no two `next` calls observe the same tick.
-    pub fn next(&self) -> Tick {
-        Tick(self.0.fetch_add(1, Ordering::Relaxed) + 1)
+    /// Advances the clock and returns the new instant. Strictly monotone:
+    /// no two `tick` calls return the same instant.
+    pub const fn tick(&mut self) -> Tick {
+        self.0 += 1;
+        Tick(self.0)
     }
 
     /// The most recently issued instant (time zero if none was issued).
-    pub fn now(&self) -> Tick {
-        Tick(self.0.load(Ordering::Relaxed))
+    pub const fn now(&self) -> Tick {
+        Tick(self.0)
     }
 }
 
@@ -140,27 +134,11 @@ mod tests {
 
     #[test]
     fn logical_clock_is_strictly_monotone() {
-        let c = LogicalClock::new();
+        let mut c = LogicalClock::new();
         assert_eq!(c.now(), Tick::ZERO);
-        let a = c.next();
-        let b = c.next();
+        let a = c.tick();
+        let b = c.tick();
         assert!(a < b);
         assert_eq!(c.now(), b);
-        let resumed = LogicalClock::starting_after(b);
-        assert!(resumed.next() > b);
-    }
-
-    #[test]
-    fn logical_clock_unique_across_threads() {
-        let c = LogicalClock::new();
-        let ticks: Vec<Tick> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4).map(|_| s.spawn(|| (0..100).map(|_| c.next()).collect::<Vec<_>>())).collect();
-            handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
-        });
-        let mut sorted = ticks.clone();
-        sorted.sort();
-        sorted.dedup();
-        assert_eq!(sorted.len(), ticks.len(), "no duplicate ticks");
-        assert_eq!(c.now(), Tick(400));
     }
 }

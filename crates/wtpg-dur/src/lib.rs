@@ -10,10 +10,10 @@
 //! al.). A
 //! killed-and-restarted node rebuilds its [`wtpg_rt::store::NodeStore`] by
 //! replaying the log in dependency order: records of the same partition
-//! form a chain replayed serially, and independent chains may replay in
-//! parallel across worker threads — the DGCC dependency-graph execution
-//! shape. A run replays on its executor, one worker; [`recover`] keeps a
-//! worker count for offline callers.
+//! form a chain replayed in LSN order, and independent chains never
+//! conflict — the DGCC dependency-graph execution shape. A run replays on
+//! its executor, chain after chain, so the crate starts no thread and
+//! locks nothing.
 //!
 //! Three durability levels ([`Durability`]):
 //!

@@ -1,18 +1,16 @@
-//! Dependency-ordered parallel replay: rebuilding a killed node from disk.
+//! Dependency-ordered replay: rebuilding a killed node from disk.
 //!
 //! The log's partition dependency edges induce one chain per partition —
 //! each record's `prev_lsn` points at the previous record of the same
 //! partition, and records of *different* partitions never conflict (a
 //! chunk touches exactly one partition). Replay therefore runs each chain
-//! serially, in LSN order, and independent chains may run in parallel
-//! across worker threads — the DGCC dependency-graph execution shape. A
-//! kill-restart replays on the run's executor with one worker, so a run
-//! starts no thread; the worker count is for offline callers (the
-//! benchmark package, and the serial-vs-parallel byte-identity test).
-//! Workers pull whole chains from a shared work queue (the crate's one
-//! lock, ranked in `lint-locks.toml`) and each rebuilds its partition's
-//! cells through [`NodeStore::chunk_into_cells`], so no store, mutex, or
-//! channel is shared per cell.
+//! in LSN order, one chain after another, on the caller's thread: a kill
+//! replays on the run's executor, and a run starts no thread. Each chain
+//! rebuilds its partition's cells through
+//! [`NodeStore::chunk_into_cells`]. The chains are independent, so a
+//! future executor with more than one thread could replay them apart (the
+//! DGCC dependency-graph execution shape); on one thread that would only
+//! add a lock.
 //!
 //! Alongside the cells, a serial pre-pass reconstructs the actor's control
 //! state: applied-marks for completed steps and the node's read checksum —
@@ -28,7 +26,6 @@
 
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::Mutex;
 
 use wtpg_core::partition::Catalog;
 use wtpg_core::txn::{AccessMode, TxnId};
@@ -64,7 +61,11 @@ pub struct Recovered {
 
 /// Rebuilds data node `node`'s durable state from its WAL (and snapshot
 /// checkpoint, if one exists) under `dir`, replaying the post-snapshot log
-/// suffix with up to `workers` threads.
+/// suffix chain by chain on the caller's thread.
+///
+/// `workers` is ignored: replay is serial, because every caller steps on
+/// one thread. The parameter stays so the benchmark package, which passes
+/// its client count, builds unchanged.
 ///
 /// # Errors
 /// [`DurError::Io`] on file failures; [`DurError::Corrupt`] on mid-file
@@ -73,15 +74,11 @@ pub struct Recovered {
 /// record for a partition the catalog does not home on `node`, a chunk
 /// logged after its step's completion mark, a step whose completing record
 /// never comes).
-#[expect(
-    clippy::expect_used,
-    reason = "invariant: replay queue lock is never poisoned (no panics while held)"
-)]
 pub fn recover(
     catalog: &Catalog,
     node: u32,
     dir: &Path,
-    workers: usize,
+    _workers: usize,
 ) -> Result<Recovered, DurError> {
     let snap = read_node_snapshot(&files::node_snapshot(dir, node))?;
     let log = read_log(&files::node_wal(dir, node))?;
@@ -184,51 +181,12 @@ pub fn recover(
         });
     }
 
-    // Parallel pass: replay each partition's chain against its cells.
+    // Replay each partition's chain against its cells.
     let chain_sizes: Vec<u64> = chains.values().map(|c| c.len() as u64).collect();
     let n_chains = chains.len() as u64;
     let replayed_chunks = suffix.len() as u64;
-    let mut work: Vec<(u32, Vec<u64>, Vec<ChunkRecord>)> = Vec::with_capacity(chains.len());
     for (p, chain) in chains {
-        let cells = parts.remove(&p).unwrap_or_default();
-        work.push((p, cells, chain));
-    }
-    let workers = workers.clamp(1, work.len().max(1));
-    if workers <= 1 {
-        for (p, mut cells, chain) in work {
-            replay_chain(&mut cells, &chain)?;
-            parts.insert(p, cells);
-        }
-    } else {
-        type ChainDone = Mutex<Vec<Result<(u32, Vec<u64>), DurError>>>;
-        let queue = Mutex::new(work);
-        let done: ChainDone = Mutex::new(Vec::new());
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    // Pop under the lock, replay outside it: chains are
-                    // independent, so the queue is the only shared state.
-                    let item = {
-                        let mut q = queue
-                            .lock()
-                            .expect("invariant: replay queue lock is never poisoned (no panics while held)");
-                        q.pop()
-                    };
-                    let Some((p, mut cells, chain)) = item else { break };
-                    let res = replay_chain(&mut cells, &chain).map(|()| (p, cells));
-                    done.lock()
-                        .expect("invariant: replay queue lock is never poisoned (no panics while held)")
-                        .push(res);
-                });
-            }
-        });
-        for res in done
-            .into_inner()
-            .expect("invariant: replay queue lock is never poisoned (no panics while held)")
-        {
-            let (p, cells) = res?;
-            parts.insert(p, cells);
-        }
+        replay_chain(parts.entry(p).or_default(), &chain)?;
     }
 
     let store = NodeStore::from_parts(catalog, node, parts.into_iter().collect(), write_units)
@@ -354,17 +312,15 @@ mod tests {
         apply_step(&mut store, &mut wal, 3, 0, 2, AccessMode::Write, 4100, 1000);
         wal.flush().unwrap();
         drop(wal);
-        for workers in [1, 4] {
-            let rec = recover(&catalog, 0, &dir, workers).unwrap();
-            assert_eq!(rec.store.snapshot_parts(), store.snapshot_parts(), "workers={workers}");
-            assert_eq!(rec.store.write_units(), store.write_units());
-            assert_eq!(rec.marks.len(), 4);
-            assert_eq!(rec.chains, 2, "two partitions -> two dependency chains");
-            assert_eq!(rec.chain_sizes.iter().sum::<u64>(), 4 + 4 + 5);
-            assert!(!rec.torn_tail);
-            assert!(!rec.from_snapshot);
-            assert_eq!(rec.next_lsn, 4 + 3 + 4 + 5);
-        }
+        let rec = recover(&catalog, 0, &dir, 1).unwrap();
+        assert_eq!(rec.store.snapshot_parts(), store.snapshot_parts());
+        assert_eq!(rec.store.write_units(), store.write_units());
+        assert_eq!(rec.marks.len(), 4);
+        assert_eq!(rec.chains, 2, "two partitions -> two dependency chains");
+        assert_eq!(rec.chain_sizes.iter().sum::<u64>(), 4 + 4 + 5);
+        assert!(!rec.torn_tail);
+        assert!(!rec.from_snapshot);
+        assert_eq!(rec.next_lsn, 4 + 3 + 4 + 5);
     }
 
     #[test]

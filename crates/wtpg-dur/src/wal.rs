@@ -54,7 +54,7 @@ pub struct ChunkRecord {
     pub lsn: u64,
     /// Dependency edge: the LSN of the previous record touching the same
     /// partition, or `u64::MAX` for the first. Records sharing a partition
-    /// form a chain replayed serially; disjoint chains replay in parallel.
+    /// form a chain replayed in order; disjoint chains never conflict.
     pub prev_lsn: u64,
     /// The transaction the chunk belongs to.
     pub txn: TxnId,

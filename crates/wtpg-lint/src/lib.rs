@@ -13,7 +13,8 @@
 //! - [`locks`] — lock-order analysis against the checked-in
 //!   `lint-locks.toml` hierarchy (strictly increasing ranks: the mailbox
 //!   queue, then the leaf classes), propagated through the call graph;
-//!   undeclared `.lock()` sites are findings (fail-closed).
+//!   undeclared `.lock()` sites and declared classes with no site are
+//!   findings (fail-closed both ways).
 //! - [`protocol`] — `Msg` exhaustiveness, `Batch`-recursion guards and
 //!   dedup-before-side-effect checks for the `wtpg-net` actor loops.
 //! - [`taint`] — call-graph determinism taint: a function in a file held
@@ -455,6 +456,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
             None
         }
     };
+    let mut acquired = Vec::new();
     for member in workspace_members(root)? {
         let cargo = root.join(&member).join("Cargo.toml");
         unsafe_scope::check_manifest(&cargo, &fs::read_to_string(&cargo)?, &mut findings);
@@ -476,7 +478,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
             .collect();
         taint::check(&mut sfs, &|p| !exempt.iter().any(|e| e == p), &mut findings);
         if let Some(m) = &manifest {
-            locks::check(&mut sfs, m, &mut findings);
+            acquired.extend(locks::check(&mut sfs, m, &mut findings));
         }
         unsafe_scope::check(&mut sfs, &mut findings);
         if member.ends_with("wtpg-net") {
@@ -485,6 +487,9 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
         for sf in &mut sfs {
             sf.finish(&mut findings);
         }
+    }
+    if let Some(m) = &manifest {
+        locks::unused(m, &acquired, &manifest_path, &mut findings);
     }
     Ok(findings)
 }

@@ -20,9 +20,13 @@
 //! is treated as an acquisition of its first acquired class at every call
 //! site.
 //!
-//! Fail-closed: a `.lock()` site that no manifest class covers is itself a
-//! finding — new mutexes must be declared (or waived with
-//! `lint:allow(lock-order)`).
+//! Fail-closed both ways: a `.lock()` site that no manifest class covers is
+//! itself a finding — new mutexes must be declared (or waived with
+//! `lint:allow(lock-order)`) — and so is a declared class that covers no
+//! `.lock()` site among the linted files ([`unused`]): a lock that goes
+//! takes its class with it.
+
+use std::path::Path;
 
 use crate::callgraph::CallGraph;
 use crate::lex::Tok;
@@ -41,6 +45,8 @@ pub struct LockClass {
     /// Receiver expression (`self.state`); empty matches any receiver in
     /// the file.
     pub recv: String,
+    /// The manifest line of its `[[lock]]` header (1-based).
+    pub line: usize,
 }
 
 /// The parsed manifest.
@@ -52,6 +58,7 @@ pub struct LockManifest {
 
 #[derive(Default)]
 struct ClassBuilder {
+    line: usize,
     name: Option<String>,
     rank: Option<u32>,
     file: Option<String>,
@@ -71,6 +78,7 @@ impl ClassBuilder {
                 .file
                 .ok_or(format!("[[lock]] before line {at_line} has no `file`"))?,
             recv: self.recv,
+            line: self.line,
         })
     }
 }
@@ -100,7 +108,7 @@ impl LockManifest {
                 if let Some(b) = cur.take() {
                     classes.push(b.build(lno)?);
                 }
-                cur = Some(ClassBuilder::default());
+                cur = Some(ClassBuilder { line: lno, ..ClassBuilder::default() });
                 continue;
             }
             let Some(b) = cur.as_mut() else {
@@ -244,8 +252,9 @@ fn chain_extends_to(toks: &[Tok], from: usize, to: usize) -> bool {
 /// One pending violation, pre-`emit`: `(file, line, key, message)`.
 type Emit = (usize, usize, String, String);
 
-/// Runs the lock-order pass over one crate's files.
-pub fn check(files: &mut [SourceFile], manifest: &LockManifest, out: &mut Vec<Finding>) {
+/// Runs the lock-order pass over one crate's files. Returns the classes
+/// some `.lock()` site among them acquires, for [`unused`].
+pub fn check(files: &mut [SourceFile], manifest: &LockManifest, out: &mut Vec<Finding>) -> Vec<usize> {
     let parts: Vec<(&[Tok], &Outline)> = files
         .iter()
         .map(|sf| (sf.tokens.as_slice(), &sf.outline))
@@ -316,6 +325,29 @@ pub fn check(files: &mut [SourceFile], manifest: &LockManifest, out: &mut Vec<Fi
     }
     for (fi, line, key, msg) in emits {
         files[fi].emit(out, line, Rule::LockOrder, &key, msg);
+    }
+    let mut acquired: Vec<usize> = direct.into_iter().flatten().collect();
+    acquired.sort_unstable();
+    acquired.dedup();
+    acquired
+}
+
+/// Reports, at its `[[lock]]` line of the manifest at `path`, every
+/// declared class that none of the `acquired` classes (what [`check`]
+/// returned for every linted crate) names.
+pub fn unused(manifest: &LockManifest, acquired: &[usize], path: &Path, out: &mut Vec<Finding>) {
+    for (i, c) in manifest.classes.iter().enumerate() {
+        if !acquired.contains(&i) {
+            out.push(Finding {
+                file: path.to_path_buf(),
+                line: c.line,
+                rule: Rule::LockOrder,
+                message: format!(
+                    "lock class `{}` covers no `.lock()` site in {} — remove it from the manifest",
+                    c.name, c.file
+                ),
+            });
+        }
     }
 }
 

@@ -62,7 +62,8 @@ fn run_pass(pass: &str, mut args: Vec<String>) -> Result<Vec<Finding>, String> {
                 .map_err(|e| format!("{manifest_path}: {e}"))?;
             let manifest = locks::LockManifest::parse(&text)?;
             let mut files = read_files(&args).map_err(|e| e.to_string())?;
-            locks::check(&mut files, &manifest, &mut findings);
+            let acquired = locks::check(&mut files, &manifest, &mut findings);
+            locks::unused(&manifest, &acquired, Path::new(&manifest_path), &mut findings);
             for sf in &mut files {
                 sf.finish(&mut findings);
             }

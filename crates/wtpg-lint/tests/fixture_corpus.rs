@@ -40,8 +40,19 @@ fn lock_order_fixture_fires_and_ordered_twin_is_clean() {
     assert!(out.contains("out of declared order"), "{out}");
     assert!(out.contains("call to `touch_ctl`"), "transitive inversion missing:\n{out}");
     assert!(out.contains("undeclared lock acquisition"), "{out}");
-    let (ok, out) = run_bin(&["--pass", "locks", "--manifest", &manifest, &fx("locks/ordered.rs")]);
+    let ordered = fx("locks/ordered-locks.toml");
+    let (ok, out) = run_bin(&["--pass", "locks", "--manifest", &ordered, &fx("locks/ordered.rs")]);
     assert!(ok, "rank-respecting fixture must pass:\n{out}");
+}
+
+#[test]
+fn lock_order_fixture_fires_on_a_declared_class_with_no_site() {
+    let stale = fx("locks/stale-locks.toml");
+    let (ok, out) = run_bin(&["--pass", "locks", "--manifest", &stale, &fx("locks/ordered.rs")]);
+    assert!(!ok, "a class no `.lock()` site acquires must fail the lint:\n{out}");
+    assert!(out.contains("stale-locks.toml:16:"), "the finding points at the class:\n{out}");
+    assert!(out.contains("lock class `gone` covers no `.lock()` site"), "{out}");
+    assert!(!out.contains("-ordered`"), "the used classes stay quiet:\n{out}");
 }
 
 #[test]

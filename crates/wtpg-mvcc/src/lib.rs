@@ -22,7 +22,7 @@
 //!   *seal sequence numbers*, plus the write-effect algebra and the
 //!   snapshot-reconstruction kernel data nodes run for `SnapshotRead`.
 //! * [`watermark`] — the control-side [`CommitLog`] (seal order + commit
-//!   ticks of the shared [`LogicalClock`](wtpg_core::time::LogicalClock))
+//!   ticks of the control node's [`LogicalClock`](wtpg_core::time::LogicalClock))
 //!   and [`ActiveSnapshots`] registry, which together yield the GC floor:
 //!   versions below the oldest active snapshot's horizon are pruned.
 //! * [`certify`] — the snapshot-consistency check: every read observed

@@ -4,7 +4,7 @@
 //! The control node *seals* a write step the moment it orders it at a data
 //! node: the step gets the next seal sequence of its partition, appended to
 //! the [`CommitLog`]. When the transaction later commits, the log records
-//! its commit tick from the shared [`LogicalClock`]
+//! its commit tick from the control node's [`LogicalClock`]
 //! (wtpg_core::time::LogicalClock). A snapshot taken "now" is then fully
 //! described per partition by two numbers and a set, all read off the log in
 //! one control-actor step:

@@ -89,6 +89,9 @@ pub trait Step {
     fn step(&mut self, clock: &mut dyn Clock, now: &mut Instant) -> bool;
     /// When its wait runs out, while it sleeps on one.
     fn wakes_at(&self) -> Option<Instant>;
+    /// Once it stopped in error, that error, taken out: the executor ends
+    /// the run with it. Its own outcome then says it stopped the run.
+    fn take_error(&mut self) -> Option<NetError>;
 }
 
 /// One actor on an executor: the machine, the inbox it reads, and what it
@@ -188,27 +191,43 @@ impl<A: Actor> Step for Slot<'_, A> {
     fn wakes_at(&self) -> Option<Instant> {
         self.asleep.flatten().filter(|_| self.actor.is_some())
     }
+
+    fn take_error(&mut self) -> Option<NetError> {
+        let Some(Err(_)) = self.out else { return None };
+        let stopped = Err(NetError::Protocol("an actor stopped the run".into()));
+        self.out.replace(stopped).and_then(Result::err)
+    }
 }
 
 /// The executor: moves every actor in `slots` on this thread until all have
-/// stopped. `pick` names the one to move, of those ready at the latest
+/// stopped, or until one stops in error or is found to have failed to
+/// start. `pick` names the one to move, of those ready at the latest
 /// reading of `clock`; with none ready, the clock waits for the earliest
-/// wait or for mail. `stopped` runs after each move that stopped an actor.
+/// wait or for mail. `stopped` runs after each move that stopped an actor
+/// cleanly.
 ///
 /// # Errors
-/// What `pick` or the clock refuses with.
+/// The first actor's error, at once: the others are left where they are
+/// (nothing they could still do would be reported); or what `pick` or the
+/// clock refuses with.
 pub fn step_all(
     slots: &mut [&mut dyn Step],
     clock: &mut dyn Clock,
     mut pick: impl FnMut(&[&mut dyn Step], Instant) -> Result<Option<usize>, NetError>,
     mut stopped: impl FnMut(&[&mut dyn Step]),
 ) -> Result<(), NetError> {
+    if let Some(e) = slots.iter_mut().find_map(|s| s.take_error()) {
+        return Err(e);
+    }
     let mut now = clock.now();
     let mut live = slots.iter().filter(|s| s.ended().is_none()).count();
     while live > 0 {
         match pick(slots, now)?.and_then(|i| slots.get_mut(i)) {
             Some(slot) => {
                 if slot.step(clock, &mut now) {
+                    if let Some(e) = slot.take_error() {
+                        return Err(e);
+                    }
                     live -= 1;
                     stopped(slots);
                 }
@@ -377,6 +396,49 @@ mod tests {
         assert!(woke >= slept + wait, "idle came {:?} early", slept + wait - woke);
         if let Some(ns) = cpu {
             assert!(ns < 5_000_000, "a 20 ms wait cost {ns} ns on-CPU: the executor spun");
+        }
+    }
+
+    /// Fails at its first move.
+    struct Fails;
+
+    fn toy_failure<T>() -> Result<T, NetError> {
+        Err(NetError::Protocol("the toy failed".into()))
+    }
+
+    impl Actor for Fails {
+        type Outcome = ();
+        fn deliver(&mut self, _: Msg, _: Instant) -> Result<Flow, NetError> {
+            toy_failure()
+        }
+        fn idle(&mut self, _: Instant) -> Result<Flow, NetError> {
+            toy_failure()
+        }
+        fn before_block(&mut self, _: Instant) -> Result<Option<Duration>, NetError> {
+            toy_failure()
+        }
+        fn finish(self) -> Result<(), NetError> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn the_first_actor_to_fail_ends_the_run() {
+        let cannot_start = || Err(NetError::Protocol("the toy cannot start".into()));
+        for (started, why) in [(Ok(Fails), "the toy failed"), (cannot_start(), "the toy cannot start")] {
+            let (nap_inbox, toy_inbox) = (Mailbox::queue(), Mailbox::queue());
+            let t0 = Instant::now();
+            let mut clock = VirtualTime(t0);
+            let nap = Nap { wait: Duration::from_secs(30), slept: None, woke: None };
+            let mut nap = Slot::new(Ok(nap), &nap_inbox);
+            let mut toy = Slot::new(started, &toy_inbox);
+            let ran = step_all(&mut [&mut nap, &mut toy], &mut clock, round_robin(), |_| {});
+            match ran {
+                Err(NetError::Protocol(e)) => assert_eq!(e, why),
+                other => panic!("the run must end with the toy's error, got {other:?}"),
+            }
+            assert_eq!(clock.0, t0, "nobody waited out the sleeper's 30 s");
+            assert_eq!(nap.ended(), None, "the sleeper is left asleep");
         }
     }
 

@@ -2,13 +2,14 @@
 //! faults a frame meets on its way.
 //!
 //! A [`Coalescer`] wraps one directed link and buffers outbound messages
-//! until one of three triggers flushes them as a single vectored frame:
-//! the buffer reaches `batch_max`, the owning actor goes idle (it must
+//! until one of two triggers flushes them as a single vectored frame: the
+//! buffer reaches `batch_max`, or the owning actor's turn ends (it must
 //! flush before blocking on its inbox, or the run deadlocks on buffered
-//! orders), or the oldest buffered message has waited past the flush
-//! window. A flush of one message sends it plain — the wire never carries
-//! a one-element `Batch` — so single-message traffic costs exactly what it
-//! did before batching existed.
+//! orders). The executor drains an actor's inbox before it moves another,
+//! so a buffered message waits at most one turn of its owner. A flush of
+//! one message sends it plain — the wire never carries a one-element
+//! `Batch` — so single-message traffic costs exactly what it did before
+//! batching existed.
 //!
 //! Accounting follows the protocol's contract: a sent `Batch` counts as
 //! *one* wire message (`tx.batch`), its payload size is recorded in the
@@ -20,9 +21,9 @@
 //! `Batch` is one fault unit) goes through a seeded delay line that delivers
 //! it now, holds it until `now + d`, or delivers it twice; a held frame holds
 //! everything behind it, so the link stays FIFO. Nothing here reads a clock:
-//! the flush window and the due times run on the instants the owner hands
-//! in (`advance`, which also releases what is due); the owner waits for
-//! `next_due` and `drain`s the line when it is done.
+//! the due times run on the instants the owner hands in (`advance`, which
+//! also releases what is due); the owner waits for `next_due` and `drain`s
+//! the line when it is done.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -45,8 +46,6 @@ pub struct Coalescer {
     widest: usize,
     /// The owner's latest step instant (`None` until it hands one in).
     now: Option<Instant>,
-    /// When the oldest buffered message was pushed (None = buffer empty).
-    first_buffered_at: Option<Instant>,
     /// The link's delay line (`None`: no fault can fire).
     line: Option<DelayLine>,
     /// Messages sent on the wire, by type (a flushed batch counts once).
@@ -78,7 +77,6 @@ impl Coalescer {
             batch_max: batch_max.max(1),
             widest: 0,
             now: None,
-            first_buffered_at: None,
             line: None,
             tx: MsgCounts::default(),
             batched_inner: 0,
@@ -104,9 +102,8 @@ impl Coalescer {
         Coalescer { now: self.now, line: self.line.take(), ..fresh }
     }
 
-    /// The owning actor's step instant is `now`: the flush window and the
-    /// delay line run on it. Releases the held frames now due; `false` once
-    /// the peer is gone.
+    /// The owning actor's step instant is `now`: the delay line runs on it.
+    /// Releases the held frames now due; `false` once the peer is gone.
     pub(crate) fn advance(&mut self, now: Instant) -> bool {
         self.now = Some(now);
         self.release(false)
@@ -124,9 +121,6 @@ impl Coalescer {
             !matches!(m, Msg::Batch(_)),
             "coalescers buffer plain messages; nesting batches is illegal"
         );
-        if self.buf.is_empty() {
-            self.first_buffered_at = self.now;
-        }
         self.buf.push(m);
         if self.buf.len() >= self.batch_max {
             return self.flush();
@@ -147,7 +141,6 @@ impl Coalescer {
         if n == 0 {
             return true;
         }
-        self.first_buffered_at = None;
         self.sizes.record(n as u64);
         #[expect(clippy::expect_used, reason = "invariant: n == 1 checked above")]
         let frame = if n == 1 {
@@ -205,14 +198,6 @@ impl Coalescer {
             ok &= (!twice || self.inner.send(&frame)) && self.inner.send_owned(frame);
         }
         ok
-    }
-
-    /// True when something is buffered and the oldest buffered message has
-    /// waited at least `window` by the owner's latest instant.
-    pub fn overdue(&self, window: Duration) -> bool {
-        self.first_buffered_at
-            .zip(self.now)
-            .is_some_and(|(t, now)| now.saturating_duration_since(t) >= window)
     }
 
     /// Messages currently buffered.
@@ -317,21 +302,6 @@ mod tests {
             PopResult::Item(Msg::Batch(inner)) => assert_eq!(inner.len(), 2),
             other => panic!("expected a Batch, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn overdue_runs_on_the_instants_the_owner_hands_in() {
-        let (mut c, _q) = wired(8);
-        let t0 = Instant::now();
-        assert!(c.advance(t0));
-        assert!(!c.overdue(Duration::ZERO), "empty buffer is never overdue");
-        c.push(Msg::Shutdown);
-        assert!(c.overdue(Duration::ZERO));
-        assert!(!c.overdue(Duration::from_secs(3600)));
-        assert!(c.advance(t0 + Duration::from_secs(3600)));
-        assert!(c.overdue(Duration::from_secs(3600)), "an hour passed by the owner's clock");
-        c.flush();
-        assert!(!c.overdue(Duration::ZERO), "flush clears the window");
     }
 
     #[test]

@@ -30,15 +30,17 @@
 //! steps — a popped message and its instant, a quiet [`POLL`] — are the
 //! actor's whole input; the executor (`actor::step_all`) alone touches the
 //! inbox and reads the clock. Time — redelivery deadlines, send times, the
-//! round trips booked, the coalescers' flush windows and link faults — is
-//! the `now` handed in, so a test can own it. One exit rule serves both load
-//! shapes (see `flow`).
+//! round trips booked, the coalescers' link faults — is the `now` handed
+//! in, so a test can own it. One exit rule serves both load shapes (see
+//! `flow`).
 //!
 //! **Batched sends.** Every link out of the shard flows through a
 //! [`Coalescer`]: bursts of `Access` orders for one data node, and the
 //! commit acks of one client, leave as a single [`Msg::Batch`] frame.
-//! Coalescers are flushed before the actor blocks on its inbox (deadlock
-//! avoidance) and when the flush window expires. An ack is the end of the
+//! Coalescers are flushed when the shard's turn ends, before the actor
+//! blocks on its inbox (deadlock avoidance): the executor drains an actor's
+//! inbox before it moves another, so no order waits longer than the turn
+//! that made it. An ack is the end of the
 //! latency its client measures, yet waiting for company costs it nothing:
 //! the executor moves the shard until its inbox is empty, so the client
 //! could not have read the ack before the shard's `before_block` anyway,
@@ -121,7 +123,7 @@ use crate::transport::MsgTx;
 /// parked transactions when its inbox is idle.
 const POLL: Duration = Duration::from_millis(2);
 
-/// Handled messages between redelivery/flush-window scans on a busy inbox.
+/// Handled messages between redelivery scans on a busy inbox.
 const SCAN_EVERY: u32 = 64;
 
 /// Retired transactions a node's notice gathers before they ride the next
@@ -152,8 +154,6 @@ pub struct ControlParams<'a> {
     /// own frame, as an open loop's runs do (see the runtime's
     /// `client_batch_max`).
     pub ack_batch_max: usize,
-    /// Flush window: the longest a buffered message waits for company.
-    pub batch_window: Duration,
     /// Concurrently admitted transactions this shard allows; submissions
     /// beyond it queue in a FIFO backlog without touching the scheduler.
     pub admit_window: usize,
@@ -471,7 +471,6 @@ pub struct ControlActor<'a> {
     /// One per client: in a closed loop the acks of one turn leave as one
     /// frame.
     to_clients: Vec<Coalescer>,
-    batch_window: Duration,
     shard: usize,
     watchdog: Duration,
     /// When the last message was popped: the silence watchdog's origin
@@ -549,7 +548,6 @@ impl<'a> ControlActor<'a> {
                 .iter()
                 .map(|tx| Coalescer::new(Arc::clone(tx), params.ack_batch_max))
                 .collect(),
-            batch_window: params.batch_window,
             shard: params.shard,
             watchdog: params.watchdog,
             last_message: None,
@@ -590,7 +588,7 @@ impl Actor for ControlActor<'_> {
 
     /// Handles one popped message, a `Batch` whole, popped at `now`; every
     /// [`SCAN_EVERY`] deliveries the busy scan runs too (due re-sends,
-    /// overdue flushes, gauges). `Stop` once the exit rule holds.
+    /// gauges). `Stop` once the exit rule holds.
     fn deliver(&mut self, m: Msg, now: Instant) -> Result<Flow, NetError> {
         self.last_message = Some(now);
         self.handle(m, now)?;
@@ -598,7 +596,6 @@ impl Actor for ControlActor<'_> {
         if self.since_scan >= SCAN_EVERY {
             self.since_scan = 0;
             self.resend(None, now)?;
-            self.flush_data(true, now)?;
             self.update_gauges();
         }
         Ok(self.flow())
@@ -624,7 +621,7 @@ impl Actor for ControlActor<'_> {
     /// answer. The loop then waits a [`POLL`] at most, less if a link holds
     /// a frame due sooner.
     fn before_block(&mut self, now: Instant) -> Result<Option<Duration>, NetError> {
-        self.flush_data(false, now)?;
+        self.flush_links(now)?;
         let due = self.to_data.iter().filter_map(Coalescer::next_due).min();
         Ok(Some(due.map_or(POLL, |t| t.saturating_duration_since(now).min(POLL))))
     }
@@ -1313,15 +1310,11 @@ impl ControlActor<'_> {
         self.tel.data_rtt.record(us);
     }
 
-    /// Moves the coalescers of the data links, then the client links, to
-    /// `now`, releasing what their lines hold due, and flushes all of them
-    /// (before blocking on the inbox), or only those whose oldest buffered
-    /// message has waited past the window (the mid-burst latency bound).
-    fn flush_data(&mut self, only_overdue: bool, now: Instant) -> Result<(), NetError> {
-        let window = self.batch_window;
-        let flushed = |c: &mut Coalescer| {
-            c.advance(now) && ((only_overdue && !c.overdue(window)) || c.flush())
-        };
+    /// The end of the shard's turn: moves the coalescers of the data links,
+    /// then the client links, to `now`, releasing what their lines hold
+    /// due, and sends what they buffer.
+    fn flush_links(&mut self, now: Instant) -> Result<(), NetError> {
+        let flushed = |c: &mut Coalescer| c.advance(now) && c.flush();
         if let Some(node) = self.to_data.iter_mut().position(|c| !flushed(c)) {
             return Err(self.vanished(node, "at flush"));
         }

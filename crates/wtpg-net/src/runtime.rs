@@ -101,11 +101,10 @@ pub struct NetConfig {
     /// workload's conflict-component count (1 for every paper pattern, so
     /// the default changes nothing there).
     pub shards: usize,
-    /// Coalescer buffer bound: at most this many messages per `Batch`.
+    /// Coalescer buffer bound: at most this many messages per `Batch`. A
+    /// coalescer also flushes when its owner's turn ends, before the
+    /// executor moves another actor, so no message waits on a clock.
     pub batch_max: usize,
-    /// Flush window, µs: the longest a buffered message waits for company
-    /// mid-burst before its coalescer is flushed anyway.
-    pub batch_window_us: u64,
     /// Transactions each client keeps in flight at once. `1` recovers the
     /// strict one-at-a-time submission stream (for a single client,
     /// tick-identical to a serial drive of the control node — pinned by
@@ -179,7 +178,6 @@ impl Default for NetConfig {
             watchdog_ms: 30_000,
             shards: 1,
             batch_max: 128,
-            batch_window_us: 100,
             pipeline: 16,
             admit_window: 32,
             durability: Durability::None,
@@ -505,7 +503,6 @@ impl<'a> ActorSet<'a> {
                 watchdog: plan.watchdog,
                 batch_max: cfg.batch_max,
                 ack_batch_max: client_batch_max(cfg),
-                batch_window: Duration::from_micros(cfg.batch_window_us),
                 admit_window: cfg.admit_window,
                 shard: si,
                 fault: *fault,
@@ -573,8 +570,9 @@ struct Joined {
 /// Phase 3: runs every actor of `set` to completion on this thread
 /// ([`actor::step_all`] on `clock`, moving the actor `pick` names),
 /// broadcasts `Shutdown` once every shard has stopped — or the executor
-/// failed, whose error becomes the first shard's outcome — and tears the
-/// plumbing down. Given `obs`, a [`Windows`] actor flushes `reg` into it
+/// stopped early, at the first actor to fail or at a refusal of its own,
+/// whose error becomes the first shard's outcome — and tears the plumbing
+/// down. Given `obs`, a [`Windows`] actor flushes `reg` into it
 /// while any other actor runs. The runtime's own tallies are published
 /// last, so on return `reg` holds the whole run.
 fn drive(
@@ -778,8 +776,9 @@ fn assemble(
     reg: &Registry,
 ) -> Result<(NetReport, ControlAudit), NetError> {
     let cfg = plan.cfg;
-    // Error priority: a control shard's verdict names the root cause
-    // (client/data failures usually cascade from it or into it).
+    // Error priority: the first shard's slot holds the executor's error —
+    // the first actor to fail, whichever it was — and otherwise a control
+    // shard's verdict names the root cause.
     let controls = joined.controls.into_iter().collect::<Result<Vec<_>, _>>()?;
     let clients_out = joined.clients.into_iter().collect::<Result<Vec<_>, _>>()?;
     let data_out = joined.data.into_iter().collect::<Result<Vec<_>, _>>()?;
@@ -1353,7 +1352,7 @@ mod tests {
     fn observer_receives_the_private_registry_as_one_window() {
         use wtpg_obs::{EventKind, MemorySink};
         let (catalog, specs) = pattern_specs(Pattern::One, 20, 7);
-        let sink = Arc::new(MemorySink::new());
+        let sink = Arc::<MemorySink>::default();
         let cfg = NetConfig {
             window_ms: 3_600_000,
             ..NetConfig::default()
@@ -1446,7 +1445,7 @@ mod tests {
         let nulled = project(&run(Some(Arc::new(NullObserver)), None));
         assert_eq!(bare, nulled, "null observer changed the outcome");
         let reg = Arc::<Registry>::default();
-        let sink = Arc::new(MemorySink::new());
+        let sink = Arc::<MemorySink>::default();
         let r = run(Some(sink.clone()), Some(Arc::clone(&reg)));
         assert_eq!(bare, project(&r), "windowed telemetry changed the outcome");
 

@@ -3,9 +3,8 @@
 //! `idle`) with a hand-advanced `now`, every order and ack comes out of a
 //! `MsgTx` that records. Nothing here pauses, blocks or reads a clock to
 //! wait on — the one `Instant::now()` per test is the origin its own time
-//! is counted from. The links are never flushed by age: the flush window is
-//! an hour, so every frame seen here left at `before_block`, at a re-send,
-//! or at a rejoin.
+//! is counted from. The links are never flushed by age: every frame seen
+//! here left at `before_block`, at a re-send, or at a rejoin.
 
 #![expect(
     clippy::expect_used,
@@ -59,7 +58,6 @@ fn params<'a>(reg: &'a Registry, sched: &str, clients: usize) -> ControlParams<'
         watchdog: Duration::from_secs(30),
         batch_max: 64,
         ack_batch_max: 64,
-        batch_window: Duration::from_secs(3600),
         admit_window: 4,
         shard: 0,
         fault: FaultPlan::none(),
@@ -283,6 +281,40 @@ fn a_busy_inbox_still_redelivers_every_scan() {
         [1],
         "the busy scan re-sent the due order"
     );
+}
+
+/// A turn longer than a busy scan, whose instant moves well past 100 µs,
+/// still leaves each node one frame at its end: the links flush when the
+/// shard's turn ends, not on a clock.
+#[test]
+fn a_long_turn_sends_each_node_its_orders_as_one_frame_at_its_end() {
+    let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
+    let mut ctl = start(params(&reg, "chain", 1), &catalog, &l);
+    let t0 = Instant::now();
+    // Node 0 homes partitions 0 and 2, node 1 partitions 1 and 3.
+    let first = submit(0, 1, vec![StepSpec::write(0, 1.0)]);
+    ctl.deliver(first.clone(), t0).unwrap();
+    ctl.deliver(submit(0, 2, vec![StepSpec::write(1, 1.0)]), t0).unwrap();
+    // Duplicates keep the inbox busy through the scan on the SCAN_EVERY-th
+    // delivery, 200 µs after the first orders were buffered.
+    let later = t0 + us(200);
+    for _ in 2..SCAN_EVERY {
+        ctl.deliver(first.clone(), later).unwrap();
+    }
+    ctl.deliver(submit(0, 3, vec![StepSpec::write(2, 1.0)]), later).unwrap();
+    ctl.deliver(submit(0, 4, vec![StepSpec::write(3, 1.0)]), later).unwrap();
+    assert!(
+        l.data.iter().all(|d| d.frames().is_empty()),
+        "nothing leaves before the turn ends"
+    );
+    ctl.before_block(later).unwrap();
+    for (node, want) in [(0, [1, 3]), (1, [2, 4])] {
+        let frames = l.data[node].frames();
+        let [Msg::Batch(inner)] = &frames[..] else {
+            panic!("node {node}: the turn's orders as one frame, got {frames:?}");
+        };
+        assert_eq!(accesses(inner.clone()), want, "node {node}");
+    }
 }
 
 /// What `out`'s history booked for writers past their arrival: step

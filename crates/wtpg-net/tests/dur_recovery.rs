@@ -3,8 +3,7 @@
 //! replies destroyed — restarted from its write-ahead log, and the run
 //! must still commit everything, certify, and conserve every write unit.
 //! After the run, the on-disk log must replay to the same state the live
-//! node ended with, byte for byte, whether replayed serially or across
-//! parallel dependency chains.
+//! node ended with.
 
 #![expect(
     clippy::expect_used,
@@ -123,21 +122,13 @@ fn full_cluster_kill_replays_every_node_byte_identically() {
     assert!(r.wal_replayed_chunks > 0, "replays must re-apply chunks");
 
     // Offline replay: the durable state each node left behind must
-    // rebuild the exact store the live run ended with — and the parallel
-    // dependency-chain replay must be byte-identical to the serial one.
+    // rebuild the exact store the live run ended with.
     let mut cells = 0u64;
     let mut units = 0u64;
     for node in 0..r.data_nodes as u32 {
-        let serial = recover(&catalog, node, &dir, 1).expect("serial recovery");
-        let parallel = recover(&catalog, node, &dir, 4).expect("parallel recovery");
-        assert_eq!(
-            serial.store.snapshot_parts(),
-            parallel.store.snapshot_parts(),
-            "node {node}: parallel replay diverged from serial"
-        );
-        assert_eq!(serial.store.write_units(), parallel.store.write_units());
-        cells += serial.store.cell_sum();
-        units += serial.store.write_units();
+        let rec = recover(&catalog, node, &dir, 1).expect("offline recovery");
+        cells += rec.store.cell_sum();
+        units += rec.store.write_units();
     }
     assert_eq!(cells, r.store_cell_sum, "offline replay lost cells");
     assert_eq!(units, r.store_write_units, "offline replay lost units");

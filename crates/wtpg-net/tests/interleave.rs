@@ -7,8 +7,9 @@
 //! snapshot certification, write-unit conservation.
 //!
 //! Every link is an in-process queue. The clock moves only when no actor
-//! can, to the earliest wait, and the flush window is an hour, so real time
-//! never changes how messages are framed. Link faults
+//! can, to the earliest wait, and a coalescer flushes only when full or
+//! when its owner's turn ends, so time never changes how messages are
+//! framed. Link faults
 //! (`FaultPlan::flaky_links(seed)`) and crash and kill instants are seeded
 //! by the run's seed too and fall due on the same clock, so a seed repeats
 //! its run exactly. A failing seed is reported as the `run_*seed` call that
@@ -58,7 +59,6 @@ fn cell(shards: usize) -> NetConfig {
     NetConfig {
         clients: 2,
         batch_max: 8,
-        batch_window_us: 3_600_000_000,
         admit_window: 4,
         pipeline: 6,
         shards,

@@ -24,8 +24,8 @@
 //! Events never read clocks; producers supply every timestamp. In
 //! `wtpg-core` and `wtpg-sim` timestamps are logical `Tick`s, so an
 //! instrumented run is byte-reproducible; a `wtpg-net` run stamps µs from
-//! the instants its executor hands its actors. The crate reads no clock and
-//! starts no thread, and clippy's determinism bans (no hash-ordered
+//! the instants its executor hands its actors. The crate reads no clock,
+//! starts no thread and locks nothing, and clippy's determinism bans (no hash-ordered
 //! collection, no clock read) hold in all of it.
 
 #![forbid(unsafe_code)]

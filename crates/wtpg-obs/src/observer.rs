@@ -5,14 +5,19 @@
 //! run with [`NullObserver`] (or no observer at all) takes the exact same
 //! trajectory as an uninstrumented run — the zero-cost-when-off contract
 //! the simulator's tests pin byte-for-byte.
+//!
+//! Observers are single-thread values: every recorder (`wtpg simulate
+//! --trace`'s machine, a `wtpg load` run's window flush, the benchmark's
+//! traced pass) records from the one thread that steps its run, so no sink
+//! locks anything.
 
-use std::sync::Mutex;
+use std::cell::RefCell;
 
 use crate::event::ObsEvent;
 
-/// A passive sink for trace events. Implementations must be thread-safe:
-/// simulator sweeps record from their worker threads concurrently.
-pub trait Observer: Send + Sync {
+/// A passive sink for trace events, recorded into from the one thread that
+/// steps its run.
+pub trait Observer {
     /// Accepts one event. Must not block on anything scheduling-visible.
     fn record(&self, ev: ObsEvent);
 }
@@ -29,7 +34,7 @@ impl Observer for NullObserver {
 /// Buffers events in memory for later export (JSONL, Chrome) or summary.
 #[derive(Debug, Default)]
 pub struct MemorySink {
-    events: Mutex<Vec<ObsEvent>>,
+    events: RefCell<Vec<ObsEvent>>,
 }
 
 impl MemorySink {
@@ -40,20 +45,17 @@ impl MemorySink {
 
     /// Clones the buffered events.
     pub fn snapshot(&self) -> Vec<ObsEvent> {
-        self.events
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone()
+        self.events.borrow().clone()
     }
 
     /// Drains the buffered events, leaving the sink empty.
     pub fn take(&self) -> Vec<ObsEvent> {
-        std::mem::take(&mut *self.events.lock().unwrap_or_else(|p| p.into_inner()))
+        self.events.take()
     }
 
     /// Number of buffered events.
     pub fn len(&self) -> usize {
-        self.events.lock().unwrap_or_else(|p| p.into_inner()).len()
+        self.events.borrow().len()
     }
 
     /// True when nothing was recorded.
@@ -64,7 +66,7 @@ impl MemorySink {
 
 impl Observer for MemorySink {
     fn record(&self, ev: ObsEvent) {
-        self.events.lock().unwrap_or_else(|p| p.into_inner()).push(ev);
+        self.events.borrow_mut().push(ev);
     }
 }
 

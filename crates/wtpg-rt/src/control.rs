@@ -9,8 +9,8 @@
 //! appends the outcome to a [`History`]. The recorded log is therefore a
 //! *linearization* of the run in exactly the order the scheduler saw it,
 //! which is what makes post-run replay certification
-//! ([`wtpg_core::certify::certify_history`]) sound for real multi-threaded
-//! executions: the threads meet at the owner's mailbox, not here.
+//! ([`wtpg_core::certify::certify_history`]) sound for the message-passing
+//! plane: the actors meet at the owner's mailbox, not here.
 //!
 //! **Streaming mode.** Built with streaming on
 //! ([`ControlNode::with_telemetry`]), the node records *no history*: it owns
@@ -212,7 +212,7 @@ impl ControlNode {
     /// [`CoreError::UnknownTxn`] if `txn` was never declared (or has
     /// committed); whatever the scheduler refuses.
     pub fn arrive_declared(&mut self, txn: TxnId) -> Result<Admission, CoreError> {
-        let now = self.clock.next();
+        let now = self.clock.tick();
         let declared = self.live.get_mut(txn).ok_or(CoreError::UnknownTxn(txn))?;
         let (admission, _) = self.sched.on_arrive(&declared.spec, now)?;
         // First arrival of this id: the certifier needs the declaration
@@ -239,7 +239,7 @@ impl ControlNode {
     /// event; blocked/delayed outcomes leave no trace (matching the
     /// simulator) and the caller retries later.
     pub fn request(&mut self, txn: TxnId, step: usize) -> Result<LockOutcome, CoreError> {
-        let now = self.clock.next();
+        let now = self.clock.tick();
         let (outcome, _) = self.sched.on_request(txn, step, now)?;
         match outcome {
             LockOutcome::Granted => {
@@ -274,7 +274,7 @@ impl ControlNode {
     /// Reports `amount` of bulk work done at a data node — the per-object
     /// weight-adjustment message.
     pub fn progress(&mut self, txn: TxnId, amount: Work) -> Result<(), CoreError> {
-        let now = self.clock.next();
+        let now = self.clock.tick();
         self.sched.on_progress(txn, amount)?;
         self.record(now, Event::Progress { txn, amount });
         Ok(())
@@ -282,7 +282,7 @@ impl ControlNode {
 
     /// Reports that `txn`'s step `step` finished all its declared work.
     pub fn step_complete(&mut self, txn: TxnId, step: usize) -> Result<(), CoreError> {
-        let now = self.clock.next();
+        let now = self.clock.tick();
         self.sched.on_step_complete(txn, step)?;
         self.record(now, Event::StepCompleted { txn, step });
         Ok(())
@@ -293,7 +293,7 @@ impl ControlNode {
     /// and the partitions whose locks it released, ascending: the only
     /// partitions on which a `Blocked` request can now be granted.
     pub fn commit(&mut self, txn: TxnId) -> Result<(Tick, &[PartitionId]), CoreError> {
-        let now = self.clock.next();
+        let now = self.clock.tick();
         self.sched.on_commit_into(txn, now, &mut self.freed)?;
         self.record(now, Event::Committed(txn));
         self.commits += 1;

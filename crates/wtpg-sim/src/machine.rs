@@ -2,7 +2,7 @@
 //! round-robin data nodes, Poisson arrivals, retry/wakeup plumbing.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -108,7 +108,7 @@ pub struct Machine<W: Workload> {
     /// Trace sink. Events are keyed by the simulated clock (`Tick` ms), so
     /// traces are byte-deterministic; the observer is passive and never
     /// influences the trajectory.
-    obs: Option<Arc<dyn Observer>>,
+    obs: Option<Rc<dyn Observer>>,
     /// Scheduler stats at the last delta emission.
     obs_last: ControlStats,
     /// First request attempt per (txn, step), for lock-wait durations.
@@ -174,7 +174,7 @@ impl<W: Workload> Machine<W> {
     /// clock, so two runs of the same configuration produce byte-identical
     /// traces, and a [`wtpg_obs::NullObserver`] (or no observer) leaves the
     /// trajectory untouched.
-    pub fn set_observer(&mut self, obs: Arc<dyn Observer>) {
+    pub fn set_observer(&mut self, obs: Rc<dyn Observer>) {
         self.obs = Some(obs);
     }
 
@@ -802,7 +802,7 @@ mod tests {
     #[test]
     fn observer_does_not_change_the_trajectory() {
         use wtpg_obs::{MemorySink, NullObserver};
-        let run = |obs: Option<Arc<dyn wtpg_obs::Observer>>| {
+        let run = |obs: Option<Rc<dyn wtpg_obs::Observer>>| {
             let params = tiny_params();
             let mut m = Machine::new(
                 params.clone(),
@@ -816,8 +816,8 @@ mod tests {
             (r.completed, r.grants, r.blocks, r.delays, r.mean_rt_ms as u64)
         };
         let bare = run(None);
-        assert_eq!(bare, run(Some(Arc::new(NullObserver))));
-        assert_eq!(bare, run(Some(Arc::new(MemorySink::new()))));
+        assert_eq!(bare, run(Some(Rc::new(NullObserver))));
+        assert_eq!(bare, run(Some(Rc::new(MemorySink::new()))));
     }
 
     #[test]
@@ -830,7 +830,7 @@ mod tests {
                 SchedKind::C2pl.build(&params),
                 one_part_workload(),
             );
-            let sink = Arc::new(MemorySink::new());
+            let sink = Rc::new(MemorySink::new());
             m.set_observer(sink.clone());
             m.run(0.3);
             wtpg_obs::jsonl::encode(&sink.snapshot())
@@ -844,7 +844,7 @@ mod tests {
         let summary_for = |kind: SchedKind, workload: FixedWorkload, lambda: f64| {
             let params = tiny_params();
             let mut m = Machine::new(params.clone(), kind.build(&params), workload);
-            let sink = Arc::new(MemorySink::new());
+            let sink = Rc::new(MemorySink::new());
             m.set_observer(sink.clone());
             m.run(lambda);
             TraceSummary::from_events(&sink.snapshot())
