@@ -37,6 +37,10 @@
 //! replay cleanly step by step: replayed holds are always a subset of
 //! ASL's actual holds, and ASL admits only conflict-free lock sets.
 //!
+//! **The spec source.** The replay borrows each admission's declaration
+//! from [`Declarations`]: a `wtpg-net` run's are the workload it was planned
+//! with, not what its control node received.
+//!
 //! Every check here is *incremental*: [`certify_history`] and
 //! [`StreamingCertifier`](crate::stream_certify::StreamingCertifier), which
 //! certifies live runs event by event, drive one replay, and both retire the
@@ -132,11 +136,30 @@ fn violation(at: usize, tick: Tick, what: impl Into<String>) -> CertifyViolation
     }
 }
 
+/// Where a replay finds each admitted transaction's declaration: a map by
+/// id, or a workload whose ids strictly ascend, by bisection. A miss fails
+/// certification (admitted without a spec).
+pub trait Declarations {
+    /// The declaration of `txn`, if there is one.
+    fn declaration(&self, txn: TxnId) -> Option<&TxnSpec>;
+}
+
+impl Declarations for BTreeMap<TxnId, TxnSpec> {
+    fn declaration(&self, txn: TxnId) -> Option<&TxnSpec> {
+        self.get(&txn)
+    }
+}
+
+impl Declarations for [TxnSpec] {
+    fn declaration(&self, txn: TxnId) -> Option<&TxnSpec> {
+        self.binary_search_by_key(&txn, |s| s.id).ok().map(|i| &self[i])
+    }
+}
+
 /// Replays `history` against a fresh [`SchedCore`](crate::sched::SchedCore)
 /// and checks the guarantees claimed by `mode`. `specs` must hold the
-/// declaration of every transaction the history admits (keyed by id;
-/// re-admissions after rejection reuse the same spec, mirroring the
-/// simulator's retry loop).
+/// declaration of every transaction the history admits (re-admissions after
+/// rejection reuse the same spec, mirroring the simulator's retry loop).
 ///
 /// This is a thin driver over the replay behind [`StreamingCertifier`]:
 /// feed every event, handing each admission its spec from `specs` (borrowed,
@@ -151,9 +174,9 @@ fn violation(at: usize, tick: Tick, what: impl Into<String>) -> CertifyViolation
 ///
 /// # Errors
 /// The first [`CertifyViolation`] encountered.
-pub fn certify_history(
+pub fn certify_history<D: Declarations + ?Sized>(
     history: &History,
-    specs: &BTreeMap<TxnId, TxnSpec>,
+    specs: &D,
     mode: CertifyMode,
 ) -> Result<CertifyReport, CertifyViolation> {
     certify_history_with(history, specs, mode, Checks::DEFAULT)
@@ -164,16 +187,16 @@ pub fn certify_history(
 /// # Errors
 /// The first [`CertifyViolation`] encountered.
 #[doc(hidden)]
-pub fn certify_history_with(
+pub fn certify_history_with<D: Declarations + ?Sized>(
     history: &History,
-    specs: &BTreeMap<TxnId, TxnSpec>,
+    specs: &D,
     mode: CertifyMode,
     checks: Checks,
 ) -> Result<CertifyReport, CertifyViolation> {
     let mut replay = Replay::new(mode, checks);
     for (i, &(tick, event)) in history.events().iter().enumerate() {
         let spec = match event {
-            Event::Admitted(t) => specs.get(&t),
+            Event::Admitted(t) => specs.declaration(t),
             _ => None,
         };
         replay.feed(tick, event, spec)?;
@@ -327,6 +350,17 @@ mod tests {
         let (h, specs, mode) = drive(crate::sched::C2plScheduler::new());
         assert_eq!(mode, CertifyMode::General);
         certify_history(&h, &specs, mode).expect("clean run certifies");
+    }
+
+    /// The workload's id-ascending slice certifies what the map does; an id
+    /// it does not hold fails closed, naming the transaction.
+    #[test]
+    fn an_ascending_slice_serves_as_the_declarations() {
+        let (h, specs, mode) = drive(crate::sched::ChainScheduler::new(5000));
+        let plan: Vec<TxnSpec> = specs.values().cloned().collect();
+        assert_eq!(certify_history(&h, &plan[..], mode), certify_history(&h, &specs, mode));
+        let v = certify_history(&h, &plan[1..], mode).expect_err("T1 has no declaration");
+        assert!(v.what.contains("T1 admitted without a spec"), "{v}");
     }
 
     #[test]

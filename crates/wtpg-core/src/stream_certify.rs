@@ -5,7 +5,9 @@
 //!
 //! [`StreamingCertifier`] accepts declarations ([`declare`]) and history
 //! events ([`feed`]) as they happen and maintains exactly the state the
-//! whole-history replay would have at that point:
+//! whole-history replay would have at that point (a caller that holds each
+//! declaration live, as a control node does, lends it at the admission
+//! instead: [`feed_declared`], and the spec window stays empty):
 //!
 //! - a fresh [`SchedCore`] replaying every admission/grant/progress/
 //!   commit, with the same per-event protocol, exclusion, deadlock,
@@ -68,7 +70,7 @@
 //! in-degree is zero no future cycle can route through it. Out-edges
 //! from retired nodes are dropped on sight for the same reason, so the
 //! frontiers forget retired transactions too.
-//! Retirement also releases the retired transactions' specs and
+//! Retirement also releases the retired transactions' declared specs and
 //! strictness entries, so the certifier's footprint is bounded by the
 //! *live* transaction population, not the run length — this is what
 //! makes million-transaction open-loop cells certifiable on the fly. Both
@@ -82,6 +84,7 @@
 //! [`certify_history`]: crate::certify::certify_history
 //! [`declare`]: StreamingCertifier::declare
 //! [`feed`]: StreamingCertifier::feed
+//! [`feed_declared`]: StreamingCertifier::feed_declared
 //! [`finish`]: StreamingCertifier::finish
 //! [`retire_prefix`]: StreamingCertifier::retire_prefix
 //! [`History::check_lock_exclusion`]: crate::history::History::check_lock_exclusion
@@ -212,8 +215,7 @@ struct Partition {
 }
 
 /// The replay both drivers share: everything but the declarations, which
-/// [`StreamingCertifier`] owns and
-/// [`certify_history`](crate::certify::certify_history) borrows.
+/// each driver lends it at the admissions.
 #[derive(Clone, Debug)]
 pub(crate) struct Replay {
     mode: CertifyMode,
@@ -886,7 +888,8 @@ impl StreamingCertifier {
     }
 
     /// Feeds one history event, running every per-event check the
-    /// whole-history replay would run at this position.
+    /// whole-history replay would run at this position; an `Admitted`
+    /// event reads its declaration from those [`declare`](Self::declare)d.
     ///
     /// # Errors
     /// The first [`CertifyViolation`], with `at` set to this event's index
@@ -896,6 +899,20 @@ impl StreamingCertifier {
             Event::Admitted(t) => self.specs.get(t),
             _ => None,
         };
+        self.replay.feed(tick, event, spec)
+    }
+
+    /// [`feed`](Self::feed) with an `Admitted` event's declaration lent by
+    /// a caller that holds it live, so the certifier keeps no copy.
+    ///
+    /// # Errors
+    /// As [`feed`](Self::feed), `spec` standing in for the declared one.
+    pub fn feed_declared(
+        &mut self,
+        tick: Tick,
+        event: Event,
+        spec: Option<&TxnSpec>,
+    ) -> Result<(), CertifyViolation> {
         self.replay.feed(tick, event, spec)
     }
 

@@ -913,10 +913,10 @@ fn assemble(
         report.certify_grants = cert.grants;
         report.certify_eq_checks = cert.eq_checks;
     } else if cfg.certify {
-        // Single shard: the control actor's history, untouched. Sharded:
-        // the canonical merge built above.
+        // The control actor's history (sharded: the merge built above),
+        // replayed against the workload's declarations, not control's copy.
         let cert =
-            certify_history(&audit.history, &audit.specs, mode).map_err(NetError::Certify)?;
+            certify_history(&audit.history, plan.specs, mode).map_err(NetError::Certify)?;
         report.certified = true;
         report.certify_grants = cert.grants;
         report.certify_eq_checks = cert.eq_checks;

@@ -22,6 +22,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use common::Recorder;
+use wtpg_core::certify::certify_history;
 use wtpg_core::history::Event;
 use wtpg_core::partition::{Catalog, PartitionId};
 use wtpg_core::txn::{StepSpec, TxnId, TxnSpec};
@@ -655,7 +656,42 @@ fn ids_far_apart_are_driven_like_dense_ones() {
     assert_eq!(ctl.deliver(Msg::Shutdown, t0).unwrap(), Flow::Stop);
     let out = ctl.finish().expect("finishes");
     assert_eq!(count(&reg, &metric::shard_commits(0)), 3);
-    assert_eq!(out.audit.specs.keys().map(|t| t.0).collect::<Vec<_>>(), ids);
+    assert!(out.audit.specs.is_empty(), "a declaration is dropped at its commit");
+}
+
+/// A run certifies against the workload's declarations, not against what
+/// control received: a shard handed a `Submit` whose declaration is not the
+/// plan's spec for that id schedules it as received, and the replay — the
+/// one `assemble` runs — fails, naming the transaction. Certified against
+/// what control received, the same history passes.
+#[test]
+fn certification_reads_the_workloads_declarations_not_controls_copy() {
+    let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
+    let mut ctl = start(params(&reg, "chain", 1), &catalog, &l);
+    let t0 = Instant::now();
+    let plan = [
+        TxnSpec::new(TxnId(1), vec![StepSpec::write(0, 1.0)]),
+        TxnSpec::new(TxnId(2), vec![StepSpec::write(1, 1.0)]),
+    ];
+    // T2 arrives declaring partition 3, where the plan has partition 1.
+    let sent = [plan[0].steps().to_vec(), vec![StepSpec::write(3, 1.0)]];
+    for (txn, steps) in (1..).zip(sent.clone()) {
+        ctl.deliver(submit(0, txn, steps), t0).unwrap();
+    }
+    ctl.before_block(t0).unwrap();
+    for txn in [1, 2] {
+        ctl.deliver(done(txn, 1000), t0).unwrap();
+    }
+    ctl.before_block(t0).unwrap();
+    assert_eq!(acks(l.clients[0].take()), [1, 2]);
+    assert_eq!(ctl.deliver(Msg::Shutdown, t0).unwrap(), Flow::Stop);
+    let history = ctl.finish().expect("finishes").audit.history;
+    let mode = sched_by_name("chain", 2, 2000).expect("known").certify_mode();
+    let v = certify_history(&history, &plan[..], mode).expect_err("T2 ran off its declaration");
+    assert!(v.what.contains("T2"), "the violation names the transaction: {v}");
+    let received: Vec<TxnSpec> =
+        (1..).zip(sent).map(|(id, steps)| TxnSpec::new(TxnId(id), steps)).collect();
+    certify_history(&history, &received[..], mode).expect("what control received certifies");
 }
 
 /// A submission naming a partition outside the catalog is refused as a

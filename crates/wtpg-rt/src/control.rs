@@ -14,16 +14,16 @@
 //!
 //! **Streaming mode.** Built with streaming on
 //! ([`ControlNode::with_telemetry`]), the node records *no history*: it owns
-//! a [`StreamingCertifier`] and feeds it each declaration (once, before the
-//! first admission event that references it) and each linearized event as
-//! the event is drawn, retiring the certified prefix every
+//! a [`StreamingCertifier`] and feeds it each linearized event as the event
+//! is drawn — an admission with the live declaration, lent, not copied —
+//! retiring the certified prefix every
 //! `RETIRE_COMMITS` (128) commits. The first [`CertifyViolation`] is latched
 //! and nothing more is fed; the node keeps answering its scheduler, and
 //! [`into_audit`](ControlNode::into_audit) hands the verdict over as
 //! [`ControlAudit::verdict`]. Certification thus steps with the node whose
 //! decisions it checks, on its owner's thread, and the node's memory no
 //! longer grows with run length — which is what makes million-transaction
-//! open-loop cells feasible. Committed specs are pruned for the same reason.
+//! open-loop cells feasible.
 //!
 //! In both modes the node keeps the partitions it granted, each with its
 //! first grant's tick: a set bounded by the catalog, from which
@@ -33,8 +33,13 @@
 //! **Declarations are handed over, not copied.** An owner that is done with
 //! a transaction's declaration gives it to the node ([`ControlNode::declare`])
 //! and reads it back ([`ControlNode::spec`]); [`ControlNode::arrive`] with a
-//! borrowed one keeps a copy. A commit's freed partitions come back in a
-//! buffer the node keeps, so a steady-state commit allocates nothing here.
+//! borrowed one keeps a copy. The live certifier borrows it at the
+//! admission, and the commit drops it in either mode: a run certifies
+//! against its workload's declarations
+//! ([`wtpg_core::certify::Declarations`]). Only [`ControlNode::new`]'s node
+//! logs them, in [`ControlAudit::specs`], for a serial drive to certify with.
+//! A commit's freed partitions come back in a buffer the node keeps, so a
+//! steady-state commit allocates nothing here.
 //!
 //! **Windowed telemetry.** With a [`Registry`] attached, scheduler-level
 //! decisions bump the canonical `sched/*` counters
@@ -89,13 +94,14 @@ impl SchedTelemetry {
 pub struct ControlNode {
     sched: Box<dyn Scheduler + Send>,
     /// What the node records, kept as the audit it becomes: the history and
-    /// — in-memory mode — the declarations of the committed transactions,
-    /// each moved there at its commit. The audit's map is thus built once,
-    /// as the run goes, and never copied.
+    /// — with the spec log on — each committed declaration, moved there at
+    /// its commit.
     audit: ControlAudit,
     /// Declarations of the transactions not committed yet, by id: one
-    /// lookup per arrival and per grant.
-    live: IdWindow<Declared>,
+    /// lookup per arrival, per admission and per grant.
+    live: IdWindow<TxnSpec>,
+    /// File committed declarations in the audit ([`ControlNode::new`]).
+    spec_log: bool,
     /// The partitions the last commit freed.
     freed: Vec<PartitionId>,
     clock: LogicalClock,
@@ -108,17 +114,13 @@ pub struct ControlNode {
     tel: Option<SchedTelemetry>,
 }
 
-/// A live transaction's declaration, and whether it has arrived yet.
-struct Declared {
-    spec: TxnSpec,
-    arrived: bool,
-}
-
 /// Everything the control node recorded, released when its owner is done.
 pub struct ControlAudit {
     /// The linearized event log.
     pub history: History,
-    /// Declarations of every transaction that was ever admitted.
+    /// The spec log of a node built with [`ControlNode::new`]: the
+    /// declaration of every transaction that arrived. Empty otherwise — a
+    /// run certifies against its workload's declarations.
     pub specs: BTreeMap<TxnId, TxnSpec>,
     /// The last logical instant issued.
     pub final_tick: Tick,
@@ -131,15 +133,18 @@ pub struct ControlAudit {
 
 impl ControlNode {
     /// Wraps `sched` as the machine's control node, recording the history
-    /// in memory.
+    /// and the spec log ([`ControlAudit::specs`]) in memory.
     pub fn new(sched: Box<dyn Scheduler + Send>) -> ControlNode {
-        ControlNode::with_telemetry(sched, None, false)
+        ControlNode {
+            spec_log: true,
+            ..ControlNode::with_telemetry(sched, None, false)
+        }
     }
 
-    /// [`ControlNode::new`] with an optional windowed-metric registry
-    /// (scheduler decision counters), certifying live under the scheduler's
-    /// own [`CertifyMode`] if `stream` (see the module docs on streaming
-    /// mode).
+    /// A control node with an optional windowed-metric registry (scheduler
+    /// decision counters) and no spec log, certifying live under the
+    /// scheduler's own [`CertifyMode`] if `stream` (see the module docs on
+    /// streaming mode) and recording the history otherwise.
     pub fn with_telemetry(
         sched: Box<dyn Scheduler + Send>,
         reg: Option<&Registry>,
@@ -156,6 +161,7 @@ impl ControlNode {
                 verdict: None,
             },
             live: IdWindow::new(),
+            spec_log: false,
             freed: Vec::new(),
             clock: LogicalClock::new(),
             commits: 0,
@@ -171,7 +177,11 @@ impl ControlNode {
         match &mut self.stream {
             None => self.audit.history.push(now, ev),
             Some(Ok(cert)) => {
-                if let Err(v) = cert.feed(now, ev) {
+                let spec = match ev {
+                    Event::Admitted(txn) => self.live.get(txn),
+                    _ => None,
+                };
+                if let Err(v) = cert.feed_declared(now, ev, spec) {
                     self.stream = Some(Err(v));
                 }
             }
@@ -185,14 +195,14 @@ impl ControlNode {
     /// until the commit. A transaction already declared keeps its first.
     pub fn declare(&mut self, spec: TxnSpec) {
         if !self.live.contains(spec.id) {
-            self.live.insert(spec.id, Declared { spec, arrived: false });
+            self.live.insert(spec.id, spec);
         }
     }
 
     /// The declaration of a transaction handed over or arrived and not yet
     /// committed.
     pub fn spec(&self, txn: TxnId) -> Option<&TxnSpec> {
-        self.live.get(txn).map(|d| &d.spec)
+        self.live.get(txn)
     }
 
     /// Submits a transaction's declarations, keeping a copy of `spec` on its
@@ -213,16 +223,8 @@ impl ControlNode {
     /// committed); whatever the scheduler refuses.
     pub fn arrive_declared(&mut self, txn: TxnId) -> Result<Admission, CoreError> {
         let now = self.clock.tick();
-        let declared = self.live.get_mut(txn).ok_or(CoreError::UnknownTxn(txn))?;
-        let (admission, _) = self.sched.on_arrive(&declared.spec, now)?;
-        // First arrival of this id: the certifier needs the declaration
-        // before either admission verdict (re-admission reuses the id).
-        if !declared.arrived {
-            declared.arrived = true;
-            if let Some(Ok(cert)) = &mut self.stream {
-                cert.declare(declared.spec.clone());
-            }
-        }
+        let spec = self.live.get(txn).ok_or(CoreError::UnknownTxn(txn))?;
+        let (admission, _) = self.sched.on_arrive(spec, now)?;
         match admission {
             Admission::Admitted => self.record(now, Event::Admitted(txn)),
             Admission::Rejected => {
@@ -302,12 +304,10 @@ impl ControlNode {
                 cert.retire_prefix();
             }
         }
-        // A committed id never returns (ids are unique per run). Streaming
-        // mode keeps no spec past its commit — the certifier keeps its copy
-        // until retirement — so the node's footprint is the live
-        // population's.
-        let retired = self.live.remove(txn).filter(|_| self.stream.is_none());
-        if let Some(Declared { spec, .. }) = retired {
+        // A committed id never returns (ids are unique per run), and nothing
+        // reads its declaration again: the node's footprint is the live
+        // population's, unless it keeps the spec log.
+        if let Some(spec) = self.live.remove(txn).filter(|_| self.spec_log) {
             self.audit.specs.insert(txn, spec);
         }
         Ok((now, &self.freed))
@@ -342,13 +342,14 @@ impl ControlNode {
     }
 
     /// Consumes the control node, releasing the recorded history, the spec
-    /// log and — streaming mode — the live certifier's
-    /// verdict, after its last whole-arena check.
+    /// log (with the live declarations) and — streaming mode — the live
+    /// certifier's verdict, after its last whole-arena check.
     pub fn into_audit(self) -> ControlAudit {
         let mut audit = self.audit;
         audit.verdict = self.stream.map(|s| s.and_then(StreamingCertifier::finish));
-        let arrived = self.live.into_entries().filter(|(_, d)| d.arrived);
-        audit.specs.extend(arrived.map(|(txn, d)| (txn, d.spec)));
+        if self.spec_log {
+            audit.specs.extend(self.live.into_entries());
+        }
         audit.final_tick = self.clock.now();
         audit
     }
@@ -416,7 +417,7 @@ mod tests {
 
         let audit = cn.into_audit();
         assert_eq!(audit.history.len(), 0, "streaming mode records no history");
-        assert!(audit.specs.is_empty(), "committed specs are pruned");
+        assert!(audit.specs.is_empty(), "no spec log: declarations drop at commit");
         let twin = twin.into_audit();
         assert_eq!(audit.granted, twin.granted, "both modes keep the granted partitions");
         assert_eq!(audit.granted.len(), 64);
@@ -429,6 +430,39 @@ mod tests {
         // Scheduler decision counters landed in the registry.
         let w = reg.flush_snapshot(1);
         assert_eq!(w.counter(wtpg_obs::window::metric::SCHED_GRANTS), TXNS);
+    }
+
+    /// Only [`ControlNode::new`] keeps a spec log; a node built for an
+    /// actor drops each declaration at its commit, recording or streaming,
+    /// and its history certifies against the workload's own slice.
+    #[test]
+    fn only_the_serial_drives_node_keeps_a_spec_log() {
+        let ts = [
+            spec(1, vec![StepSpec::write(0, 1.0)]),
+            spec(2, vec![StepSpec::write(1, 1.0)]),
+        ];
+        let c2pl = || Box::new(C2plScheduler::new());
+        for (mut cn, logged) in [
+            (ControlNode::new(c2pl()), 2),
+            (ControlNode::with_telemetry(c2pl(), None, false), 0),
+            (ControlNode::with_telemetry(c2pl(), None, true), 0),
+        ] {
+            for t in &ts {
+                assert_eq!(cn.arrive(t).unwrap(), Admission::Admitted);
+            }
+            assert_eq!(cn.request(TxnId(1), 0).unwrap(), LockOutcome::Granted);
+            cn.step_complete(TxnId(1), 0).unwrap();
+            cn.commit(TxnId(1)).unwrap();
+            assert_eq!(cn.spec(TxnId(1)), None, "dropped at its commit");
+            assert_eq!(cn.spec(TxnId(2)), Some(&ts[1]), "live until its commit");
+            let audit = cn.into_audit();
+            assert_eq!(audit.specs.len(), logged, "committed and live, logged");
+            if audit.verdict.is_none() {
+                let report = certify_history(&audit.history, &ts[..], CertifyMode::General)
+                    .expect("certifies against the workload");
+                assert_eq!(report.commits, 1);
+            }
+        }
     }
 
     /// NODC's grant-everything decisions under the lock-based baseline's

@@ -165,9 +165,9 @@ fn sum_reports(a: &CertifyReport, b: &CertifyReport) -> CertifyReport {
 
 /// Merges per-shard audits into one run-level audit: histories through the
 /// canonical cross-shard merge, streamed reports and final ticks by sum
-/// (total logical instants drawn across shards). The
-/// merged verdict is the first shard's violation, if any shard latched one.
-/// A one-element vector is returned untouched.
+/// (total logical instants drawn across shards), no spec map (a shard keeps
+/// none). The merged verdict is the first shard's violation, if any shard
+/// latched one. A one-element vector is returned untouched.
 ///
 /// # Errors
 /// A [`CertifyViolation`] if the shards are not component-disjoint (see
@@ -190,7 +190,6 @@ pub fn merge_audits(mut audits: Vec<ControlAudit>) -> Result<ControlAudit, Certi
         verdict: None,
     };
     for a in audits {
-        merged.specs.extend(a.specs);
         merged.final_tick = Tick(merged.final_tick.0 + a.final_tick.0);
         merged.granted.extend(a.granted);
         merged.verdict = match (merged.verdict, a.verdict) {
