@@ -12,6 +12,10 @@
     clippy::unwrap_used,
     reason = "test code: a failed check is a failed test"
 )]
+#![expect(
+    unsafe_code,
+    reason = "a recording global allocator implements the unsafe GlobalAlloc trait"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

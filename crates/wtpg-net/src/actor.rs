@@ -12,17 +12,16 @@
 //! queue inbox, so no mail arrives from outside but over a socket. A `pick`
 //! names which ready actor moves next; when none is ready, the [`Clock`]
 //! waits for the earliest wait to run out or for mail. A run picks
-//! [`round_robin`] on [`RealTime`]: its wait pushes out what TCP sends held,
-//! then is one `ppoll` over every link of the run's socket inboxes, then
-//! one `read` on each readable link. An in-process run is the same clock
-//! with no links. An explored run (`runtime::explore_cell`) is the same
-//! run, picked by `seeded` on `VirtualTime`: a seed names one
-//! interleaving, and it repeats exactly.
-
-#![expect(
-    clippy::disallowed_methods,
-    reason = "the executor reads the wall clock: every machine it steps is handed its instants, and runs are certified by replay"
-)]
+//! [`round_robin`] on the runtime's real-time clock: its wait pushes out
+//! what TCP sends held, then is one `ppoll` over every link of the run's
+//! socket inboxes, then one `read` on each readable link. An in-process run
+//! is the same clock with no links. An explored run
+//! (`runtime::explore_cell`) is the same run, picked by `seeded` on
+//! `VirtualTime`: a seed names one interleaving, and it repeats exactly.
+//!
+//! Nothing here reads the clock: the only [`Clock`] that does is private to
+//! `runtime`, the one module outside tests that opts out of clippy's clock
+//! ban, so no actor can name it.
 
 use std::time::{Duration, Instant};
 
@@ -31,8 +30,7 @@ use wtpg_rt::queue::PopResult;
 
 use crate::error::NetError;
 use crate::msg::Msg;
-use crate::tcp::Sockets;
-use crate::transport::{Inbox, Mailbox};
+use crate::transport::Mailbox;
 
 /// What one step asks of the loop.
 #[doc(hidden)]
@@ -290,47 +288,15 @@ impl Clock for VirtualTime {
     }
 }
 
-/// The executor's clock in a run: `Instant::now`, and a wait that ends at
-/// its deadline or on a frame on any link of a fan-in it steps.
-#[doc(hidden)]
-pub struct RealTime {
-    /// Every link of the fan-ins it steps.
-    sockets: Sockets,
-}
-
-impl RealTime {
-    /// A clock for an executor that steps the actors reading `inboxes`.
-    ///
-    /// # Errors
-    /// [`NetError::Io`] if a descriptor for a link cannot be had.
-    pub fn over<'i>(inboxes: impl IntoIterator<Item = &'i Inbox>) -> Result<RealTime, NetError> {
-        Ok(RealTime {
-            sockets: Sockets::of(inboxes)?,
-        })
-    }
-}
-
-impl Clock for RealTime {
-    fn now(&mut self) -> Instant {
-        Instant::now()
-    }
-
-    /// Pushes out what sends held, then makes one `ppoll` over every link
-    /// until `until`, then one `read` on each readable link. A wait for mail
-    /// with no link open is refused: nothing but a link brings mail while
-    /// the executor waits, so it would never end.
-    fn wait_until(&mut self, until: Option<Instant>) -> Result<(), NetError> {
-        if until.is_none() && self.sockets.is_empty() {
-            let stuck = "every actor sleeps until mail no link can bring";
-            return Err(NetError::Protocol(stuck.into()));
-        }
-        Ok(self.sockets.wait(until.map(|t| t.saturating_duration_since(Instant::now())))?)
-    }
-}
-
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the tests time real waits on the wall clock"
+)]
 mod tests {
     use super::*;
+    use crate::runtime::real_time;
+    use crate::transport::Inbox;
     use std::sync::{mpsc, Arc};
 
     /// Sleeps once for `wait`, then stops at its first wake-up, by mail or by
@@ -374,7 +340,7 @@ mod tests {
     fn nap_on_executor(wait: Duration, inbox: &Inbox) -> mpsc::Receiver<Napped> {
         let (tx, rx) = mpsc::channel();
         let inbox = Arc::clone(inbox);
-        let mut clock = RealTime::over([&inbox]).expect("no link to clone");
+        let mut clock = real_time(&[&inbox]).expect("no link to clone");
         std::thread::spawn(move || {
             let cpu = cpu_ns();
             let nap = Nap { wait, slept: None, woke: None };

@@ -48,13 +48,16 @@
 //! What the outcome carries is what is not a count: the exact latency
 //! samples and the shed ids.
 
+// Every message the actor can be handed is named in its handler, so a new
+// `Msg` variant does not compile until the actor places it.
+#![deny(clippy::wildcard_enum_match_arm)]
+
 use std::iter::{Peekable, StepBy};
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use wtpg_core::txn::{TxnId, TxnSpec};
-use wtpg_core::window::IdWindow;
 use wtpg_obs::window::metric;
 use wtpg_obs::{Counter, Gauge, HistHandle, MsgCounts, Registry};
 
@@ -63,6 +66,8 @@ use crate::batch::Coalescer;
 use crate::error::NetError;
 use crate::msg::Msg;
 use crate::transport::MsgTx;
+
+use owed::{Acked, Owed};
 
 /// What one client actor measured that the registry cannot hold.
 #[derive(Default)]
@@ -108,6 +113,70 @@ impl ClientTel {
     }
 }
 
+/// The in-flight window, apart from the actor so that nothing else can make
+/// its witness.
+mod owed {
+    use std::time::Instant;
+
+    use wtpg_core::txn::TxnId;
+    use wtpg_core::window::IdWindow;
+
+    /// Submissions awaiting their ack: when each was sent, and whether it is
+    /// read-only (which latency ledger it lands on).
+    pub(super) struct Owed(IdWindow<(Instant, bool)>);
+
+    /// The first ack of a submission still owed: the witness booking a
+    /// commit takes. Only [`Owed::take`] makes one, by retiring the entry,
+    /// so a duplicate ack, which finds none, gets none.
+    pub(super) struct Acked {
+        sent: Instant,
+        reader: bool,
+    }
+
+    impl Acked {
+        /// When the submission was sent.
+        #[inline]
+        pub(super) fn sent(&self) -> Instant {
+            self.sent
+        }
+
+        /// Whether it is read-only.
+        #[inline]
+        pub(super) fn reader(&self) -> bool {
+            self.reader
+        }
+    }
+
+    impl Owed {
+        pub(super) fn new() -> Owed {
+            Owed(IdWindow::new())
+        }
+
+        /// Owes an ack for `txn`, sent at `sent`.
+        #[inline]
+        pub(super) fn insert(&mut self, txn: TxnId, sent: Instant, reader: bool) {
+            self.0.insert(txn, (sent, reader));
+        }
+
+        /// Retires `txn`'s entry: its first ack has come.
+        #[inline]
+        pub(super) fn take(&mut self, txn: TxnId) -> Option<Acked> {
+            let (sent, reader) = self.0.remove(txn)?;
+            Some(Acked { sent, reader })
+        }
+
+        #[inline]
+        pub(super) fn len(&self) -> usize {
+            self.0.len()
+        }
+
+        #[inline]
+        pub(super) fn is_empty(&self) -> bool {
+            self.0.is_empty()
+        }
+    }
+}
+
 /// One client as a state machine (see the module docs); public for tests.
 #[doc(hidden)]
 pub struct ClientActor<'a> {
@@ -121,9 +190,8 @@ pub struct ClientActor<'a> {
     /// In-flight bound.
     depth: usize,
     watchdog: Duration,
-    /// Submissions awaiting their ack: when each was sent, and whether it
-    /// is read-only (which latency ledger it lands on).
-    inflight: IdWindow<(Instant, bool)>,
+    /// Submissions awaiting their ack.
+    inflight: Owed,
     /// While acks are owed, the watchdog's origin: the later of the last
     /// message and the window last filling from empty (idle gaps owe nothing).
     owed_since: Option<Instant>,
@@ -166,7 +234,7 @@ impl<'a> ClientActor<'a> {
             open,
             depth: open.map_or(pipeline, |p| p.inflight).max(1),
             watchdog,
-            inflight: IdWindow::new(),
+            inflight: Owed::new(),
             owed_since: None,
             to_control: Coalescer::new(Arc::clone(to_control), batch_max),
             reg,
@@ -212,7 +280,7 @@ impl<'a> ClientActor<'a> {
             if !self.to_control.push(submit) {
                 return Err(self.vanished());
             }
-            self.inflight.insert(spec.id, (now, spec.is_read_only()));
+            self.inflight.insert(spec.id, now, spec.is_read_only());
             self.owed_since.get_or_insert(now);
             self.tel.submitted.inc();
             self.tel.inflight.add(1);
@@ -223,9 +291,11 @@ impl<'a> ClientActor<'a> {
         Ok(())
     }
 
-    /// Books one commit ack, `latency` after its submission: latency series
-    /// (split reader/writer by the spec's declared steps), counters, gauge.
-    fn book_commit(&mut self, latency: Duration, reader: bool) {
+    /// Books one commit ack, popped at `now`: latency series (split
+    /// reader/writer by the spec's declared steps), counters, gauge. It
+    /// needs the in-flight window's witness: a duplicate ack books nothing.
+    fn book_commit(&mut self, acked: Acked, now: Instant) {
+        let (latency, reader) = (now.saturating_duration_since(acked.sent()), acked.reader());
         let us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
         if reader {
             self.out.reader_latencies_us.push(us);
@@ -241,45 +311,56 @@ impl<'a> ClientActor<'a> {
             t.reader_lat.record(us);
         }
     }
-}
 
-impl Actor for ClientActor<'_> {
-    type Outcome = ClientOutcome;
-
-    /// Books one message, popped at `now`. A `Commit` ack retires its
-    /// in-flight entry — an ack for a transaction not in flight is a
-    /// duplicate delivery (flaky links re-send), tallied in `rx` and
-    /// otherwise ignored; a `Batch` of acks is booked ack by ack. Any other
-    /// message, a control-side `Shutdown` included, is a protocol error for
-    /// a client still owed acks.
-    // lint:allow(protocol: Submit, Access, AccessDone, StatsDelta, Recover, SnapshotRead, SnapshotReply, Forget) a client receives only Commit acks (alone or batched) and Shutdown; the rest is control/data-plane, recovery, snapshot and notice traffic it never sees
-    fn deliver(&mut self, m: Msg, now: Instant) -> Result<Flow, NetError> {
+    /// Handles one message of a frame. A `Commit` ack retires its in-flight
+    /// entry — an ack for a transaction not in flight is a duplicate
+    /// delivery (flaky links re-send), tallied in `rx` and otherwise
+    /// ignored. Any other message, a control-side `Shutdown` and a `Batch`
+    /// inside a batch included, is a protocol error for a client still owed
+    /// acks: the rest is control ↔ data, recovery, snapshot and notice
+    /// traffic it never sees.
+    fn handle(&mut self, m: Msg, now: Instant) -> Result<(), NetError> {
         match m {
-            Msg::Batch(acks) => {
-                self.rx.batch += 1;
-                for ack in acks {
-                    debug_assert!(!matches!(ack, Msg::Batch(_)), "codec rejects nesting");
-                    self.deliver(ack, now)?;
-                }
-                Ok(Flow::Continue)
-            }
             Msg::Commit { txn, .. } => {
                 m.count(&mut self.rx);
-                if let Some((sent, reader)) = self.inflight.remove(txn) {
-                    self.book_commit(now.saturating_duration_since(sent), reader);
+                if let Some(acked) = self.inflight.take(txn) {
+                    self.book_commit(acked, now);
                 }
                 self.owed_since = (!self.inflight.is_empty()).then_some(now);
-                Ok(Flow::Continue)
+                Ok(())
             }
             Msg::Shutdown => Err(NetError::Protocol(format!(
                 "client {}: control node shut the run down with acks still owed",
                 self.client
             ))),
-            other => Err(NetError::Protocol(format!(
+            Msg::Batch(_) => Err(NetError::Protocol(format!(
+                "client {}: received a batch inside a batch",
+                self.client
+            ))),
+            other @ (Msg::Submit { .. }
+            | Msg::Access { .. }
+            | Msg::AccessDone { .. }
+            | Msg::StatsDelta { .. }
+            | Msg::Recover { .. }
+            | Msg::SnapshotRead { .. }
+            | Msg::SnapshotReply { .. }
+            | Msg::Forget { .. }) => Err(NetError::Protocol(format!(
                 "client {}: expected a Commit ack, got {other:?}",
                 self.client
             ))),
         }
+    }
+}
+
+impl Actor for ClientActor<'_> {
+    type Outcome = ClientOutcome;
+
+    /// Books one frame, popped at `now`: a `Batch` of acks ack by ack.
+    fn deliver(&mut self, frame: Msg, now: Instant) -> Result<Flow, NetError> {
+        for m in frame.unpack(&mut self.rx) {
+            self.handle(m, now)?;
+        }
+        Ok(Flow::Continue)
     }
 
     /// The starvation guard, only while something is actually owed.

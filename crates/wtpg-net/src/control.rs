@@ -70,7 +70,8 @@
 //!   trails it (a duplicated frame, a redelivered order's second answer)
 //!   finds no order and is dropped, even after the commit. Without this, a
 //!   duplicated delivery would complete a step twice and break
-//!   certification.
+//!   certification; so taking the order is the only way to get the
+//!   `Answered` witness that completing a step takes.
 //!
 //! **Forgetting by notice.** A data node keeps a mark for every step it
 //! applied, so that a redelivered order is answered, not re-applied. Once
@@ -95,6 +96,10 @@
 //! a decision, the walk is the one the ordered maps gave: parked requests
 //! re-driven in ascending id, redeliveries in ascending `(txn, step)`.
 
+// Every message the actor can be handed is named in its handler, so a new
+// `Msg` variant does not compile until the actor places it.
+#![deny(clippy::wildcard_enum_match_arm)]
+
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -118,6 +123,8 @@ use crate::error::NetError;
 use crate::fault::FaultPlan;
 use crate::msg::Msg;
 use crate::transport::MsgTx;
+
+use dedup::Answered;
 
 /// How often the control loop wakes to scan redelivery deadlines and retry
 /// parked transactions when its inbox is idle.
@@ -223,6 +230,43 @@ struct Outstanding {
     /// parked, still re-sending at the capped interval, waiting for the
     /// node to rejoin.
     unavailable: bool,
+}
+
+/// The dedup of replies (module docs, "Duplicate absorption"), apart from
+/// the actor so that nothing else can make its witness.
+mod dedup {
+    use super::{Outstanding, TxnId};
+
+    /// A reply that is the first to its order: the witness every effect of a
+    /// reply takes. Only [`Answered::take`] makes one, by taking the order
+    /// out of the slot it was filed in, so a trailing copy of the reply —
+    /// which finds the slot empty — gets none.
+    pub(super) struct Answered {
+        txn: TxnId,
+        order: Outstanding,
+    }
+
+    impl Answered {
+        /// Takes the order for `txn`'s `step` out of `slot`, if that is the
+        /// step it holds.
+        #[inline]
+        pub(super) fn take(txn: TxnId, slot: &mut Option<Outstanding>, step: u32) -> Option<Answered> {
+            let order = slot.take_if(|o| o.step == step)?;
+            Some(Answered { txn, order })
+        }
+
+        /// The answered transaction.
+        #[inline]
+        pub(super) fn txn(&self) -> TxnId {
+            self.txn
+        }
+
+        /// The order the reply answers.
+        #[inline]
+        pub(super) fn order(&self) -> &Outstanding {
+            &self.order
+        }
+    }
 }
 
 /// Pre-resolved metric handles of one control shard.
@@ -425,10 +469,9 @@ impl Live {
         }
     }
 
-    /// Takes the order in flight for `step`: its reply has come.
-    fn answered(&mut self, step: u32) -> Option<Outstanding> {
-        let slot = self.slot(step)?;
-        slot.take_if(|o| o.step == step)
+    /// Takes the order in flight for `txn`'s `step`: its reply has come.
+    fn answered(&mut self, txn: TxnId, step: u32) -> Option<Answered> {
+        Answered::take(txn, self.slot(step)?, step)
     }
 
     /// Every order in flight, ascending by step.
@@ -586,12 +629,14 @@ impl<'a> ControlActor<'a> {
 impl Actor for ControlActor<'_> {
     type Outcome = ControlOutcome;
 
-    /// Handles one popped message, a `Batch` whole, popped at `now`; every
-    /// [`SCAN_EVERY`] deliveries the busy scan runs too (due re-sends,
-    /// gauges). `Stop` once the exit rule holds.
-    fn deliver(&mut self, m: Msg, now: Instant) -> Result<Flow, NetError> {
+    /// Handles one popped frame, a `Batch` message by message, popped at
+    /// `now`; every [`SCAN_EVERY`] deliveries the busy scan runs too (due
+    /// re-sends, gauges). `Stop` once the exit rule holds.
+    fn deliver(&mut self, frame: Msg, now: Instant) -> Result<Flow, NetError> {
         self.last_message = Some(now);
-        self.handle(m, now)?;
+        for m in frame.unpack(&mut self.rx) {
+            self.handle(m, now)?;
+        }
         self.since_scan += 1;
         if self.since_scan >= SCAN_EVERY {
             self.since_scan = 0;
@@ -889,7 +934,7 @@ impl ControlActor<'_> {
                 };
                 self.issue(txn, step, node, order, now)
             }
-            outcome => {
+            outcome @ (LockOutcome::Blocked | LockOutcome::Delayed) => {
                 state.charge_attempt(txn, &self.tel.max_retry_streak)?;
                 if outcome == LockOutcome::Blocked {
                     // In the catalog: `Submit` refuses any other partition.
@@ -1054,16 +1099,14 @@ impl ControlActor<'_> {
         )))
     }
 
-    // lint:allow(protocol: Access, SnapshotRead, Commit, Forget, StatsDelta) send-only for the control actor: it emits the accesses, snapshot-read orders, commit acks and notices; a step answers once, with its AccessDone, so a StatsDelta is refused
+    /// Handles one message of a frame. What control only sends — orders,
+    /// acks and notices — and a `StatsDelta` (a step answers once, with its
+    /// `AccessDone`) are protocol errors, as is a `Batch` inside a batch.
     fn handle(&mut self, m: Msg, now: Instant) -> Result<(), NetError> {
         m.count(&mut self.rx);
         match m {
-            Msg::Batch(inner) => {
-                for sub in inner {
-                    debug_assert!(!matches!(sub, Msg::Batch(_)), "codec rejects nesting");
-                    self.handle(sub, now)?;
-                }
-                Ok(())
+            Msg::Batch(_) => {
+                Err(NetError::Protocol("control received a batch inside a batch".into()))
             }
             Msg::Submit {
                 client,
@@ -1105,14 +1148,10 @@ impl ControlActor<'_> {
                 self.drive(txn, now)
             }
             Msg::AccessDone { txn, step, .. } => {
-                let Some(o) = self.txns.get_mut(txn).and_then(|t| t.answered(step)) else {
+                let Some(done) = self.txns.get_mut(txn).and_then(|t| t.answered(txn, step)) else {
                     return self.late_reply(txn, step);
                 };
-                self.control.step_complete(txn, step as usize)?;
-                self.book_rtt(o.sent_at, now);
-                if let Some(Live::Writer(t)) = self.txns.get_mut(txn) {
-                    t.next_step = step as usize + 1;
-                }
+                self.complete_step(done, now)?;
                 // Pipeline: request the next step (or commit) immediately,
                 // then re-drive the parked requests. The completion itself
                 // releases nothing — every lock is held to commit — but it
@@ -1139,7 +1178,8 @@ impl ControlActor<'_> {
                 checksum,
                 units,
             } => {
-                if let Some(o) = self.txns.get_mut(txn).and_then(|t| t.answered(step)) {
+                if let Some(done) = self.txns.get_mut(txn).and_then(|t| t.answered(txn, step)) {
+                    let o = done.order();
                     self.book_rtt(o.sent_at, now);
                     // The certifier's expected checksum is computed with the
                     // unit count the *reply* echoes, so a node that scanned
@@ -1245,10 +1285,30 @@ impl ControlActor<'_> {
                 self.done_clients += 1;
                 Ok(())
             }
-            other => Err(NetError::Protocol(format!(
+            // A `Submit` of any other shape, and what control only sends.
+            other @ (Msg::Submit { .. }
+            | Msg::Access { .. }
+            | Msg::Commit { .. }
+            | Msg::StatsDelta { .. }
+            | Msg::SnapshotRead { .. }
+            | Msg::Forget { .. }) => Err(NetError::Protocol(format!(
                 "control received {other:?}, which the pipelined protocol never routes here"
             ))),
         }
+    }
+
+    /// Books a writer's step on its first `AccessDone`: the scheduler's step
+    /// completion, the round trip, and the step to request next. The one
+    /// caller of `ControlNode::step_complete`, and it needs the dedup's
+    /// witness: a duplicate reply cannot complete a step twice.
+    fn complete_step(&mut self, done: Answered, now: Instant) -> Result<(), NetError> {
+        let (txn, o) = (done.txn(), done.order());
+        self.control.step_complete(txn, o.step as usize)?;
+        self.book_rtt(o.sent_at, now);
+        if let Some(Live::Writer(t)) = self.txns.get_mut(txn) {
+            t.next_step = o.step as usize + 1;
+        }
+        Ok(())
     }
 
     /// Re-sends outstanding orders. With `rejoined`, every order on that

@@ -78,12 +78,16 @@
 //! instant the node acts on (windows, triggers, link faults) is an
 //! argument, so a test can own it.
 
+// Every message the actor can be handed is named in its handler, so a new
+// `Msg` variant does not compile until the actor places it.
+#![deny(clippy::wildcard_enum_match_arm)]
+
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use wtpg_core::partition::Catalog;
+use wtpg_core::partition::{Catalog, PartitionId};
 use wtpg_core::txn::{AccessMode, TxnId};
 use wtpg_dur::checkpoint::{files, snapshot_from_state, write_node_snapshot};
 use wtpg_dur::wal::{ChunkRecord, WalWriter};
@@ -99,6 +103,8 @@ use crate::error::NetError;
 use crate::fault::FaultPlan;
 use crate::msg::Msg;
 use crate::transport::MsgTx;
+
+use book::{Fresh, StepBook};
 
 /// Log records — steps, one record each — between node snapshot
 /// checkpoints. Snapshots serialize the node's whole store, so a tight
@@ -195,42 +201,80 @@ impl DataTel {
     }
 }
 
-/// A per-step book: `(txn, step) → V`, one `Vec` sorted by key (see the
-/// module docs).
-#[derive(Default)]
-struct StepBook<V>(Vec<((TxnId, u32), V)>);
+/// The per-step books, apart from the actor so that nothing else can make
+/// their witness.
+mod book {
+    use wtpg_core::txn::TxnId;
 
-impl<V: Copy> StepBook<V> {
-    /// Where `key` is, or would go; keys at or past the last are one
-    /// comparison.
-    fn find(&self, key: (TxnId, u32)) -> Result<usize, usize> {
-        match self.0.last() {
-            None => Err(0),
-            Some(&(last, _)) if last < key => Err(self.0.len()),
-            Some(&(last, _)) if last == key => Ok(self.0.len() - 1),
-            Some(_) => self.0.binary_search_by(|(k, _)| k.cmp(&key)),
+    /// A per-step book: `(txn, step) → V`, one `Vec` sorted by key (see the
+    /// data node's module docs, "One answer per order").
+    #[derive(Default)]
+    pub(super) struct StepBook<V>(Vec<((TxnId, u32), V)>);
+
+    /// A step its book holds nothing for: the witness the step's effects
+    /// take. Only [`StepBook::answer`] makes one, and [`StepBook::insert`]
+    /// takes it back, so a step is applied (or scanned) only after its book
+    /// was asked, and a redelivered order, which finds its entry, gets none.
+    pub(super) struct Fresh((TxnId, u32));
+
+    impl Fresh {
+        /// The step it names.
+        #[inline]
+        pub(super) fn key(&self) -> (TxnId, u32) {
+            self.0
         }
     }
 
-    fn get(&self, key: (TxnId, u32)) -> Option<V> {
-        let i = self.find(key).ok()?;
-        self.0.get(i).map(|&(_, v)| v)
-    }
+    impl<V: Copy> StepBook<V> {
+        /// A book holding `entries`, sorted by key.
+        pub(super) fn new(entries: Vec<((TxnId, u32), V)>) -> Self {
+            StepBook(entries)
+        }
 
-    fn insert(&mut self, key: (TxnId, u32), value: V) {
-        match self.find(key) {
-            Ok(i) => {
-                if let Some(entry) = self.0.get_mut(i) {
-                    entry.1 = value;
-                }
+        /// Where `key` is, or would go; keys at or past the last are one
+        /// comparison.
+        fn find(&self, key: (TxnId, u32)) -> Result<usize, usize> {
+            match self.0.last() {
+                None => Err(0),
+                Some(&(last, _)) if last < key => Err(self.0.len()),
+                Some(&(last, _)) if last == key => Ok(self.0.len() - 1),
+                Some(_) => self.0.binary_search_by(|(k, _)| k.cmp(&key)),
             }
-            Err(i) => self.0.insert(i, (key, value)),
         }
-    }
 
-    /// Keeps the entries whose key passes `keep`.
-    fn retain(&mut self, mut keep: impl FnMut((TxnId, u32)) -> bool) {
-        self.0.retain(|&(key, _)| keep(key));
+        /// What the book holds for `key`, or the witness that it holds
+        /// nothing.
+        pub(super) fn answer(&self, key: (TxnId, u32)) -> Result<V, Fresh> {
+            let i = self.find(key).map_err(|_| Fresh(key))?;
+            self.0.get(i).map(|&(_, v)| v).ok_or(Fresh(key))
+        }
+
+        /// Books `value` for the step `fresh` names.
+        pub(super) fn insert(&mut self, Fresh(key): Fresh, value: V) {
+            match self.find(key) {
+                Ok(i) => {
+                    if let Some(entry) = self.0.get_mut(i) {
+                        entry.1 = value;
+                    }
+                }
+                Err(i) => self.0.insert(i, (key, value)),
+            }
+        }
+
+        /// Keeps the entries whose key passes `keep`.
+        pub(super) fn retain(&mut self, mut keep: impl FnMut((TxnId, u32)) -> bool) {
+            self.0.retain(|&(key, _)| keep(key));
+        }
+
+        /// Every entry, sorted by key.
+        pub(super) fn entries(&self) -> &[((TxnId, u32), V)] {
+            &self.0
+        }
+
+        /// Drops every entry.
+        pub(super) fn clear(&mut self) {
+            self.0.clear();
+        }
     }
 }
 
@@ -341,11 +385,13 @@ impl Actor for DataActor<'_> {
         // weighs its payload, so a kill or crash scheduled "after N
         // messages" fires however the coalescers grouped them.
         self.processed += if let Msg::Batch(inner) = &m { inner.len().max(1) as u64 } else { 1 };
-        let flow = self.handle(m)?;
-        if flow == Flow::Continue {
-            self.maybe_snapshot()?;
+        for m in m.unpack(&mut self.rx) {
+            if self.handle(m)? == Flow::Stop {
+                return Ok(Flow::Stop);
+            }
         }
-        Ok(flow)
+        self.maybe_snapshot()?;
+        Ok(Flow::Continue)
     }
 
     /// Releases the replies the link holds due by `now`, and ends the dark
@@ -395,7 +441,7 @@ impl Actor for DataActor<'_> {
         self.wake(false)?;
         self.wal_barrier()?;
         self.replies.drain();
-        let books = self.marks.0.len() + self.snap_marks.0.len();
+        let books = self.marks.entries().len() + self.snap_marks.entries().len();
         self.tel.books_left.add(books as u64);
         self.retire();
         Ok(DataOutcome {
@@ -446,7 +492,7 @@ impl DataActor<'_> {
         }
         self.wal = open_writer(&self.cfg, rec.next_lsn, rec.tails)?;
         self.store = rec.store;
-        self.marks = StepBook(rec.marks.into_iter().filter(|_| announce).collect());
+        self.marks = StepBook::new(rec.marks.into_iter().filter(|_| announce).collect());
         self.read_checksum = rec.read_checksum;
         self.snapshot_due = rec.next_lsn + SNAPSHOT_EVERY;
         self.below.fill(TxnId(0));
@@ -527,7 +573,7 @@ impl DataActor<'_> {
             self.store.snapshot_parts(),
             self.store.write_units(),
             self.read_checksum,
-            &self.marks.0,
+            self.marks.entries(),
         );
         write_node_snapshot(&files::node_snapshot(dir, self.cfg.node), &snap)?;
         self.tel.checkpoints.inc();
@@ -535,19 +581,17 @@ impl DataActor<'_> {
         Ok(())
     }
 
-    // lint:allow(protocol: Submit, AccessDone, Commit, StatsDelta, Recover, SnapshotReply) a data node only receives Access/SnapshotRead/Forget/Batch/Shutdown; the rest is control<->client traffic, and Recover/SnapshotReply are what it *sends*
+    /// Handles one message of a frame. A data node receives orders, notices
+    /// and `Shutdown`; the rest — control ↔ client traffic, and `Recover`
+    /// and `SnapshotReply`, which it sends — is a protocol error, as is a
+    /// `Batch` inside a batch.
     fn handle(&mut self, m: Msg) -> Result<Flow, NetError> {
         m.count(&mut self.rx);
         match m {
-            Msg::Batch(inner) => {
-                for sub in inner {
-                    debug_assert!(!matches!(sub, Msg::Batch(_)), "codec rejects nesting");
-                    if let Flow::Stop = self.handle(sub)? {
-                        return Ok(Flow::Stop);
-                    }
-                }
-                Ok(Flow::Continue)
-            }
+            Msg::Batch(_) => Err(NetError::Protocol(format!(
+                "data node {} received a batch inside a batch",
+                self.cfg.node
+            ))),
             Msg::Shutdown => Ok(Flow::Stop),
             Msg::Forget {
                 shard,
@@ -586,44 +630,9 @@ impl DataActor<'_> {
             } => {
                 debug_assert_eq!(self.cfg.catalog.node_of(partition), self.cfg.node);
                 // A marked step is answered again, nothing applied.
-                let checksum = if let Some((checksum, _)) = self.marks.get((txn, step)) {
-                    checksum
-                } else {
-                    if self.cfg.mvcc && mode == AccessMode::Write {
-                        // Record the write in the partition's version chain
-                        // under its control-assigned seal sequence. The whole
-                        // step applies within this handle() call, so between
-                        // messages a chain entry ⟺ a fully applied write —
-                        // exactly the invariant snapshot reconstruction needs.
-                        self.chains
-                            .entry(partition.0)
-                            .or_default()
-                            .record(seal, txn, units);
-                    }
-                    let checksum = self.store.apply_chunk(partition, mode, 0, units)?;
-                    self.tel.units.add(units);
-                    // Log before the answer can leave: the record is in the
-                    // writer (and on any flush path, in the file) before
-                    // control can ever learn of the step.
-                    let record = ChunkRecord {
-                        lsn: 0,
-                        prev_lsn: 0,
-                        txn,
-                        step,
-                        chunk: 0,
-                        partition,
-                        mode,
-                        start_unit: 0,
-                        units,
-                        checksum,
-                        complete: true,
-                    };
-                    self.with_wal(|w| w.append(record).map(drop))?;
-                    if mode == AccessMode::Read {
-                        self.read_checksum = self.read_checksum.wrapping_add(checksum);
-                    }
-                    self.marks.insert((txn, step), (checksum, units));
-                    checksum
+                let checksum = match self.marks.answer((txn, step)) {
+                    Ok((checksum, _)) => checksum,
+                    Err(fresh) => self.apply_step(fresh, partition, mode, units, seal)?,
                 };
                 self.push_reply(Msg::AccessDone {
                     txn,
@@ -648,29 +657,29 @@ impl DataActor<'_> {
                         self.cfg.node
                     )));
                 }
-                let (checksum, units) = if let Some(memo) = self.snap_marks.get((txn, step)) {
-                    memo // Redelivery: answer from the memo (see `snap_marks`).
-                } else {
-                    let chain = self.chains.entry(partition.0).or_default();
-                    // The piggybacked floor lets the chain shed entries no
-                    // active snapshot can need, before reconstructing this one.
-                    chain.prune_below(floor);
-                    let current = self.store.cells(partition).ok_or_else(|| {
-                        NetError::Protocol(format!(
-                            "data node {} owns no cells for partition {}",
-                            self.cfg.node, partition.0
-                        ))
-                    })?;
-                    let checksum = chain.snapshot_checksum(current, horizon, &exclude, units);
-                    debug_assert_eq!(
-                        checksum,
-                        read_checksum(&chain.snapshot_cells(current, horizon, &exclude), units),
-                        "the closed form is the oracle's checksum"
-                    );
-                    let fresh = (checksum, units);
-                    self.snap_marks.insert((txn, step), fresh);
-                    self.tel.snapshot_reads.inc();
-                    fresh
+                let (checksum, units) = match self.snap_marks.answer((txn, step)) {
+                    Ok(memo) => memo, // Redelivery: answer from the memo (see `snap_marks`).
+                    Err(fresh) => {
+                        let chain = self.chains.entry(partition.0).or_default();
+                        // The piggybacked floor lets the chain shed entries no
+                        // active snapshot can need, before reconstructing this one.
+                        chain.prune_below(floor);
+                        let current = self.store.cells(partition).ok_or_else(|| {
+                            NetError::Protocol(format!(
+                                "data node {} owns no cells for partition {}",
+                                self.cfg.node, partition.0
+                            ))
+                        })?;
+                        let checksum = chain.snapshot_checksum(current, horizon, &exclude, units);
+                        debug_assert_eq!(
+                            checksum,
+                            read_checksum(&chain.snapshot_cells(current, horizon, &exclude), units),
+                            "the closed form is the oracle's checksum"
+                        );
+                        self.snap_marks.insert(fresh, (checksum, units));
+                        self.tel.snapshot_reads.inc();
+                        (checksum, units)
+                    }
                 };
                 self.push_reply(Msg::SnapshotReply {
                     txn,
@@ -679,11 +688,65 @@ impl DataActor<'_> {
                     units,
                 })
             }
-            other => Err(NetError::Protocol(format!(
+            other @ (Msg::Submit { .. }
+            | Msg::AccessDone { .. }
+            | Msg::Commit { .. }
+            | Msg::StatsDelta { .. }
+            | Msg::Recover { .. }
+            | Msg::SnapshotReply { .. }) => Err(NetError::Protocol(format!(
                 "data node {} received {other:?}, which it never handles",
                 self.cfg.node
             ))),
         }
+    }
+
+    /// Applies an order's step whole and logs it as one record, then marks
+    /// it: the version-chain entry (a sealed write under the snapshot
+    /// plane), the store's bulk operation, the log record, the read
+    /// checksum. The one caller of `NodeStore::apply_chunk`, and it needs
+    /// the marks' witness: a marked step is never applied again. Returns the
+    /// step's checksum.
+    fn apply_step(
+        &mut self,
+        fresh: Fresh,
+        partition: PartitionId,
+        mode: AccessMode,
+        units: u64,
+        seal: u64,
+    ) -> Result<u64, NetError> {
+        let (txn, step) = fresh.key();
+        if self.cfg.mvcc && mode == AccessMode::Write {
+            // Record the write in the partition's version chain under its
+            // control-assigned seal sequence. The whole step applies within
+            // one handle() call, so between messages a chain entry ⟺ a fully
+            // applied write — exactly the invariant snapshot reconstruction
+            // needs.
+            self.chains.entry(partition.0).or_default().record(seal, txn, units);
+        }
+        let checksum = self.store.apply_chunk(partition, mode, 0, units)?;
+        self.tel.units.add(units);
+        // Log before the answer can leave: the record is in the writer (and
+        // on any flush path, in the file) before control can ever learn of
+        // the step.
+        let record = ChunkRecord {
+            lsn: 0,
+            prev_lsn: 0,
+            txn,
+            step,
+            chunk: 0,
+            partition,
+            mode,
+            start_unit: 0,
+            units,
+            checksum,
+            complete: true,
+        };
+        self.with_wal(|w| w.append(record).map(drop))?;
+        if mode == AccessMode::Read {
+            self.read_checksum = self.read_checksum.wrapping_add(checksum);
+        }
+        self.marks.insert(fresh, (checksum, units));
+        Ok(checksum)
     }
 
     /// Publishes the tallies this incarnation kept privately — message
@@ -701,7 +764,7 @@ impl DataActor<'_> {
             .values()
             .map(VersionChain::totals)
             .fold((0, 0, 0), |(a, p, peak), (da, dp, k)| (a + da, p + dp, k.max(peak)));
-        self.snap_marks.0.clear();
+        self.snap_marks.clear();
         crate::publish(
             reg,
             str::to_string,
@@ -720,6 +783,14 @@ fn contains_shutdown(m: &Msg) -> bool {
     match m {
         Msg::Shutdown => true,
         Msg::Batch(inner) => inner.iter().any(|im| matches!(im, Msg::Shutdown)),
-        _ => false,
+        Msg::Submit { .. }
+        | Msg::Access { .. }
+        | Msg::AccessDone { .. }
+        | Msg::Commit { .. }
+        | Msg::StatsDelta { .. }
+        | Msg::Recover { .. }
+        | Msg::SnapshotRead { .. }
+        | Msg::SnapshotReply { .. }
+        | Msg::Forget { .. } => false,
     }
 }

@@ -25,10 +25,6 @@
 //!   client C ─┘   history)      └─ data node N
 //! ```
 
-// `deny`, not the workspace's `forbid`: `poll.rs` alone allows itself the one
-// foreign call a TCP actor's wait on its sockets needs.
-#![deny(unsafe_code)]
-
 pub mod actor;
 pub mod batch;
 pub mod client;

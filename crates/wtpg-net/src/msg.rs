@@ -229,6 +229,22 @@ impl Msg {
         }
     }
 
+    /// The messages one delivered frame carries, in order: a `Batch`'s inner
+    /// messages, counted as one `batch` in `rx`, or the frame itself. An
+    /// actor hands each to its handler, which refuses a `Batch` (the codec
+    /// rejects nesting, and dispatch does not recurse).
+    #[inline]
+    pub(crate) fn unpack(self, rx: &mut MsgCounts) -> impl Iterator<Item = Msg> {
+        let (one, many) = match self {
+            Msg::Batch(inner) => {
+                rx.batch += 1;
+                (None, inner)
+            }
+            m => (Some(m), Vec::new()),
+        };
+        one.into_iter().chain(many)
+    }
+
     /// Bumps the counter of this message's type in `counts`.
     pub fn count(&self, counts: &mut MsgCounts) {
         match self {

@@ -26,7 +26,7 @@
 //!    `Shutdown` to the data nodes once every shard is done, then tears the
 //!    plumbing down. One executor steps every actor, a sharded run's router
 //!    among them, on the calling thread, whatever the transport, on the
-//!    clock and pick it is handed ([`RealTime`] and round robin in a run).
+//!    clock and pick it is handed (`RealTime` and round robin in a run).
 //!    A run starts no
 //!    thread: under streaming certification each control shard certifies
 //!    its own decisions as it makes them. The teardown `Shutdown`
@@ -71,7 +71,7 @@ use wtpg_rt::SendScheduler;
 use wtpg_rt::metrics::LatencySummary;
 use wtpg_rt::shard::{merge_audits, ShardMap};
 
-use crate::actor::{self, Actor, Clock, Flow, RealTime, Slot, Step};
+use crate::actor::{self, Actor, Clock, Flow, Slot, Step};
 use crate::client::{ClientActor, ClientOutcome, OpenLoopPlan};
 use crate::control::{ControlActor, ControlOutcome, ControlParams};
 use crate::data::{DataActor, DataNodeParams, DataOutcome};
@@ -80,6 +80,7 @@ use crate::fault::FaultPlan;
 use crate::msg::Msg;
 use crate::plan::RunPlan;
 use crate::report::{MsgBreakdown, NetReport};
+use crate::tcp::Sockets;
 use crate::transport::{InProc, Inbox, Mailbox, MsgTx, Transport};
 
 /// Tuning knobs for one shared-nothing run.
@@ -255,15 +256,9 @@ impl<'a> Router<'a> {
 impl Actor for Router<'_> {
     type Outcome = ();
 
-    fn deliver(&mut self, m: Msg, _: Instant) -> Result<Flow, NetError> {
-        match m {
-            Msg::Batch(inner) => {
-                self.rx.batch += 1;
-                for sub in inner {
-                    self.route(sub);
-                }
-            }
-            m => self.route(m),
+    fn deliver(&mut self, frame: Msg, _: Instant) -> Result<Flow, NetError> {
+        for m in frame.unpack(&mut self.rx) {
+            self.route(m);
         }
         Ok(Flow::Continue)
     }
@@ -430,7 +425,7 @@ pub fn explore_cell(
 /// Phase 2 of a run: everything the actors need, built from a validated
 /// plan and not yet running — the fabric and each actor's parameters as
 /// plain values.
-pub(crate) struct ActorSet<'a> {
+struct ActorSet<'a> {
     /// One per control shard, with the inbox it reads.
     controls: Vec<ControlParams<'a>>,
     shard_inboxes: Vec<Inbox>,
@@ -462,10 +457,7 @@ impl<'a> ActorSet<'a> {
     /// [`NetError::Io`] if the directory or the transport's links cannot be
     /// created; [`NetError::Protocol`] if the transport brought a thread of
     /// its own, which nothing would join (one executor steps every actor).
-    // Not `build`: this reads the clock (the file opts out of clippy's clock
-    // ban), and wtpg-lint's taint pass resolves a `Path::f` call by bare
-    // name, so `ShardMap::build` in `plan.rs` would reach it.
-    pub(crate) fn lay_out(
+    fn lay_out(
         plan: &'a RunPlan<'_>,
         transport: &dyn Transport,
         sched: &(dyn Fn() -> SendScheduler + Sync),
@@ -537,6 +529,45 @@ impl<'a> ActorSet<'a> {
             bytes: fabric.bytes,
             run_wall,
         })
+    }
+}
+
+/// The executor's clock in a run: `Instant::now`, and a wait that ends at
+/// its deadline or on a frame on any link of a fan-in it steps. Private to
+/// this module, as everything here that reads the clock is: no actor can
+/// name it.
+struct RealTime {
+    /// Every link of the fan-ins it steps.
+    sockets: Sockets,
+}
+
+impl RealTime {
+    /// A clock for an executor that steps the actors reading `inboxes`.
+    ///
+    /// # Errors
+    /// [`NetError::Io`] if a descriptor for a link cannot be had.
+    fn over<'i>(inboxes: impl IntoIterator<Item = &'i Inbox>) -> Result<RealTime, NetError> {
+        Ok(RealTime {
+            sockets: Sockets::of(inboxes)?,
+        })
+    }
+}
+
+impl Clock for RealTime {
+    fn now(&mut self) -> Instant {
+        Instant::now()
+    }
+
+    /// Pushes out what sends held, then makes one `ppoll` over every link
+    /// until `until`, then one `read` on each readable link. A wait for mail
+    /// with no link open is refused: nothing but a link brings mail while
+    /// the executor waits, so it would never end.
+    fn wait_until(&mut self, until: Option<Instant>) -> Result<(), NetError> {
+        if until.is_none() && self.sockets.is_empty() {
+            let stuck = "every actor sleeps until mail no link can bring";
+            return Err(NetError::Protocol(stuck.into()));
+        }
+        Ok(self.sockets.wait(until.map(|t| t.saturating_duration_since(Instant::now())))?)
     }
 }
 
@@ -937,6 +968,13 @@ fn assemble(
     // Vacuously true without a snapshot plane.
     report.snapshot_certified = true;
     Ok((report, audit))
+}
+
+/// A run's clock over `inboxes`, for the executor's and the transport's
+/// tests.
+#[cfg(test)]
+pub(crate) fn real_time(inboxes: &[&Inbox]) -> Result<impl Clock + Send, NetError> {
+    RealTime::over(inboxes.iter().copied())
 }
 
 #[cfg(test)]
@@ -1403,7 +1441,10 @@ mod tests {
     /// sink, or 1 ms windows flushed on the executor into the caller's
     /// registry — the observability plane reads, it never steers. The
     /// windows tile the run: `seq` counts up, `at` never goes back nor past
-    /// the run's end, and their counter deltas sum to the run's books.
+    /// the run's end, and their counter deltas sum to the run's books. The
+    /// run cannot end inside its first window: its arrivals are an open
+    /// loop's, the last due past two windows, with room in flight for every
+    /// one of them, so none is shed.
     #[test]
     fn windowed_telemetry_does_not_change_the_trajectory() {
         use wtpg_obs::{EventKind, MemorySink, NullObserver, Registry};
@@ -1423,10 +1464,16 @@ mod tests {
         };
         let run = |obs: Option<Arc<dyn Observer>>, reg: Option<Arc<Registry>>| {
             let (catalog, specs) = pattern_specs(Pattern::Two { num_hots: 4 }, 60, 11);
+            let open_loop = OpenLoop {
+                lambda_tps: 5_000.0,
+                seed: 11,
+                inflight: specs.len(),
+            };
             let cfg = NetConfig {
                 stream_certify: true,
                 certify: false,
                 window_ms: 1,
+                open_loop: Some(open_loop),
                 ..NetConfig::default()
             };
             run_cell_load(
@@ -1441,6 +1488,8 @@ mod tests {
             )
             .expect("run completes cleanly")
         };
+        let last_arrival = wtpg_workload::poisson_arrivals_us(60, 5_000.0, 11).last().copied();
+        assert!(last_arrival >= Some(2_000), "arrivals span two windows: {last_arrival:?} µs");
         let bare = project(&run(None, None));
         let nulled = project(&run(Some(Arc::new(NullObserver)), None));
         assert_eq!(bare, nulled, "null observer changed the outcome");

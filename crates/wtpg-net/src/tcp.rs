@@ -53,7 +53,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
 use std::time::Duration;
 
 use wtpg_obs::ByteCounts;
-use wtpg_rt::queue::PopResult;
+use wtpg_rt::queue::{LockClass, PopResult, Ranked};
 
 use crate::codec::{decode_payload, encode_frame_into, MAX_FRAME};
 use crate::error::NetError;
@@ -111,9 +111,16 @@ struct Wire {
     sent: usize,
 }
 
+/// A TCP writer's class in the lock order (`wtpg_rt::queue`'s module
+/// docs): a send, the flush a wait makes before it polls and a writer's
+/// drop take it alone or under a [`MAILBOX`](crate::transport::MAILBOX)
+/// lock, and take nothing under it.
+pub(crate) const STREAM: LockClass = LockClass { name: "net-stream", rank: 4 };
+
 /// A sender handle writing frames to one socket; it never blocks (module
 /// docs, "Sends never block").
 struct TcpTx {
+    /// Locked as [`STREAM`].
     wire: Mutex<Wire>,
     counters: Arc<Counters>,
 }
@@ -137,9 +144,9 @@ impl TcpTx {
         clippy::expect_used,
         reason = "invariant: socket lock is never poisoned (no panics while held)"
     )]
-    fn wire(&self) -> MutexGuard<'_, Wire> {
-        self.wire
-            .lock()
+    fn wire(&self) -> Ranked<MutexGuard<'_, Wire>> {
+        STREAM
+            .lock(&self.wire)
             .expect("invariant: socket lock is never poisoned (no panics while held)")
     }
 
@@ -182,7 +189,7 @@ impl Drop for TcpTx {
         // writer cannot wait for the rest — then the FIN: this socket's
         // reader holds its own clone of the descriptor, so merely dropping
         // the writer would never EOF the peer (module docs, "Teardown").
-        if let Ok(mut w) = self.wire.lock() {
+        if let Some(mut w) = STREAM.lock(&self.wire) {
             self.push_held(&mut w);
             let _ = w.stream.shutdown(Shutdown::Write);
         }
@@ -637,8 +644,9 @@ impl Transport for Tcp {
 )]
 mod tests {
     use super::*;
-    use crate::actor::{Clock, RealTime};
+    use crate::actor::Clock;
     use crate::codec::encode_frame;
+    use crate::runtime::real_time;
     use proptest::prelude::*;
     use std::time::Instant;
     use wtpg_core::partition::PartitionId;
@@ -649,7 +657,7 @@ mod tests {
 
     /// Pops as the executor does — a frame already read, else one wait of a
     /// run's clock — until `within` has passed.
-    fn pop_within(clock: &mut RealTime, inbox: &Inbox, within: Duration) -> PopResult<Msg> {
+    fn pop_within(clock: &mut impl Clock, inbox: &Inbox, within: Duration) -> PopResult<Msg> {
         let deadline = Instant::now() + within;
         loop {
             match inbox.try_pop() {
@@ -661,8 +669,28 @@ mod tests {
         }
     }
 
-    fn clock_over(inboxes: &[&Inbox]) -> RealTime {
-        RealTime::over(inboxes.iter().copied()).expect("descriptors")
+    fn clock_over(inboxes: &[&Inbox]) -> impl Clock {
+        real_time(inboxes).expect("descriptors")
+    }
+
+    /// The lock order holds at run time: a mailbox lock taken under a
+    /// writer's is a panic that names both classes, and leaves the thread's
+    /// books as they were. Release builds compile the check away.
+    #[test]
+    #[cfg(debug_assertions)]
+    fn a_mailbox_lock_under_a_stream_lock_panics_naming_both() {
+        use crate::transport::MAILBOX;
+        let (wire, rx) = (Mutex::new(()), Mutex::new(()));
+        let writer = STREAM.lock(&wire).expect("a fresh lock");
+        let nested = std::panic::catch_unwind(|| MAILBOX.lock(&rx).map(drop));
+        let why = nested.expect_err("the order is checked");
+        let why = why.downcast_ref::<String>().expect("a formatted message");
+        assert!(why.contains("takes net-mailbox (rank 3) while holding net-stream (rank 4)"), "{why}");
+        drop(writer);
+        // The legal nesting: a writer under a mailbox, as a wait pushes out.
+        let mailbox = MAILBOX.lock(&rx).expect("untouched by the panic");
+        drop(STREAM.lock(&wire).expect("a stream lock under a mailbox lock"));
+        drop(mailbox);
     }
 
     #[test]

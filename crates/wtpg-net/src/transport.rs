@@ -41,7 +41,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use wtpg_obs::ByteCounts;
-use wtpg_rt::queue::{BoundedQueue, PopResult};
+use wtpg_rt::queue::{BoundedQueue, LockClass, PopResult, Ranked};
 
 use crate::error::NetError;
 use crate::msg::Msg;
@@ -73,7 +73,8 @@ pub enum Mailbox {
     /// the `read`s; under it only the fabric's writers are locked, to push
     /// out what they hold.
     FanIn {
-        /// The links and what has been read off them.
+        /// The links and what has been read off them, locked as
+        /// [`MAILBOX`].
         rx: Mutex<FanInRx>,
         /// Write end of the pipe in `rx`'s poll set: how [`Mailbox::close`]
         /// reaches a taker blocked in `ppoll`, without the lock.
@@ -84,12 +85,18 @@ pub enum Mailbox {
 /// An actor's mailbox.
 pub type Inbox = Arc<Mailbox>;
 
+/// A TCP mailbox's class in the lock order (`wtpg_rt::queue`'s module
+/// docs): one at a time, and under it only the writers feeding its links
+/// ([`STREAM`](crate::tcp::STREAM)), which a wait pushes out.
+pub(crate) const MAILBOX: LockClass = LockClass { name: "net-mailbox", rank: 3 };
+
 #[expect(
     clippy::expect_used,
     reason = "invariant: mailbox lock is never poisoned (no panics while held)"
 )]
-fn locked<T>(rx: &Mutex<T>) -> MutexGuard<'_, T> {
-    rx.lock()
+fn locked<T>(rx: &Mutex<T>) -> Ranked<MutexGuard<'_, T>> {
+    MAILBOX
+        .lock(rx)
         .expect("invariant: mailbox lock is never poisoned (no panics while held)")
 }
 

@@ -35,6 +35,10 @@
     clippy::panic,
     reason = "test code: a failed check is a failed test"
 )]
+#![expect(
+    unsafe_code,
+    reason = "a counting global allocator implements the unsafe GlobalAlloc trait"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

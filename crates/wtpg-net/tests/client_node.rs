@@ -291,3 +291,20 @@ fn a_batch_of_acks_books_each_ack() {
     let heard = ["batch", "commit"].map(|ty| count(&r.reg, &metric::msg_rx(ty)));
     assert_eq!(heard, [1, 3], "one frame unpacked, three acks");
 }
+
+/// A batch nested in a batch is a protocol error, though the acks it
+/// carries are owed: dispatch does not recurse, and nothing is booked.
+#[test]
+fn a_nested_batch_is_a_protocol_error() {
+    let (r, specs) = (rig(), writes(1));
+    let mut c = r.client(&specs, None, 1);
+    let t0 = Instant::now();
+    c.before_block(t0).unwrap();
+    assert_eq!(submitted(r.heard.take()), [1]);
+    let nested = Msg::Batch(vec![Msg::Batch(vec![ack(1)])]);
+    match c.deliver(nested, t0 + ms(1)) {
+        Err(NetError::Protocol(why)) => assert!(why.contains("batch inside a batch"), "{why}"),
+        other => panic!("a nested batch must be refused, got {other:?}"),
+    }
+    assert_eq!(count(&r.reg, metric::COMMITS), 0, "the inner ack is not booked");
+}

@@ -412,26 +412,64 @@ fn duplicates_are_absorbed_on_both_planes() {
     );
 }
 
-/// A step answers once, with its `AccessDone`: a per-chunk `StatsDelta` is
-/// refused, whether or not its step is in flight, and books nothing.
+/// A second copy of a step's `AccessDone` that lands while the writer's
+/// next request is blocked — the one moment no newer order sits in its
+/// slot — finds the step answered and completes nothing: its first copy
+/// took the order, and with it the only witness completing a step takes.
 #[test]
-fn a_stats_delta_is_a_protocol_error() {
+fn a_duplicate_reply_while_the_next_request_waits_completes_nothing() {
+    let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
+    let mut ctl = start(params(&reg, "c2pl", 1), &catalog, &l);
+    let t0 = Instant::now();
+    // Txn 1 writes partition 0 and holds it to its commit; txn 2's second
+    // step writes it too, so that request is blocked until then.
+    ctl.deliver(submit(0, 1, vec![StepSpec::write(0, 1.0)]), t0)
+        .unwrap();
+    let steps = vec![StepSpec::write(1, 1.0), StepSpec::write(0, 1.0)];
+    ctl.deliver(submit(0, 2, steps), t0).unwrap();
+    for _ in 0..2 {
+        assert_eq!(ctl.deliver(done_at(2, 0, 1000), t0).unwrap(), Flow::Continue);
+    }
+    ctl.deliver(done(1, 1000), t0).unwrap();
+    ctl.deliver(done_at(2, 1, 1000), t0).unwrap();
+    ctl.before_block(t0).unwrap();
+    assert_eq!(accesses(l.data[1].take()), [2], "one order for txn 2's first step");
+    assert_eq!(accesses(l.data[0].take()), [1, 2]);
+    assert_eq!(acks(l.clients[0].take()), [1, 2]);
+    assert_eq!(ctl.deliver(Msg::Shutdown, t0).unwrap(), Flow::Stop);
+    let out = ctl.finish().expect("finishes");
+    let t2 = TxnId(2);
+    let second: Vec<_> = credits(&out).into_iter().filter(|&(_, txn)| txn == t2).collect();
+    assert_eq!(second, [("step", t2), ("step", t2), ("commit", t2)], "each step booked once");
+}
+
+/// A step answers once, with its `AccessDone`: a per-chunk `StatsDelta` is
+/// refused, whether or not its step is in flight, and books nothing. So is
+/// a batch nested in a batch, though what it carries is well-formed:
+/// dispatch does not recurse.
+#[test]
+fn a_stats_delta_or_a_nested_batch_is_a_protocol_error() {
     let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
     let mut ctl = start(params(&reg, "chain", 1), &catalog, &l);
     let t0 = Instant::now();
     ctl.deliver(submit(0, 1, vec![StepSpec::write(0, 1.5)]), t0)
         .unwrap();
-    for txn in [1, 2] {
-        let delta = Msg::StatsDelta {
-            txn: TxnId(txn),
-            step: 0,
-            chunk: 0,
-            units: 500,
-        };
-        let err = ctl.deliver(delta, t0).unwrap_err();
+    let delta = |txn| Msg::StatsDelta {
+        txn: TxnId(txn),
+        step: 0,
+        chunk: 0,
+        units: 500,
+    };
+    let nested = Msg::Batch(vec![Msg::Batch(vec![done(1, 1500)])]);
+    for (m, why) in [
+        (delta(1), "StatsDelta"),
+        (delta(2), "StatsDelta"),
+        (nested, "batch inside a batch"),
+    ] {
+        let err = ctl.deliver(m, t0).unwrap_err();
         assert!(
-            matches!(&err, NetError::Protocol(m) if m.contains("StatsDelta")),
-            "txn {txn}: {err:?}"
+            matches!(&err, NetError::Protocol(m) if m.contains(why)),
+            "{why}: {err:?}"
         );
     }
     ctl.deliver(done(1, 1500), t0).unwrap();

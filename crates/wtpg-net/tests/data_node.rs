@@ -33,7 +33,7 @@ use wtpg_mvcc::{apply_write_effect, read_checksum};
 use wtpg_net::actor::{Actor, Flow};
 use wtpg_net::data::{DataActor, DataNodeParams};
 use wtpg_net::transport::MsgTx;
-use wtpg_net::{CrashPlan, FaultPlan, KillPlan, LinkFaults, Msg};
+use wtpg_net::{CrashPlan, FaultPlan, KillPlan, LinkFaults, Msg, NetError};
 use wtpg_obs::window::metric;
 use wtpg_obs::Registry;
 
@@ -626,4 +626,24 @@ fn a_crashed_node_releases_a_due_frame_during_its_window() {
     assert_eq!(reg.totals().get(metric::FAULT_DELAYS), None, "booked when the coalescer retires");
     node.finish().expect("finishes");
     assert_eq!(reg.totals().get(metric::FAULT_DELAYS), Some(&1));
+}
+
+/// A batch nested in a batch is a protocol error, though the order it
+/// carries is well-formed: dispatch does not recurse, and nothing is
+/// applied.
+#[test]
+fn a_nested_batch_is_a_protocol_error() {
+    let (catalog, reg) = (catalog(), Registry::new());
+    let heard = Arc::new(Recorder::default());
+    let tx: Arc<dyn MsgTx> = heard.clone();
+    let mut node = DataActor::start(params(&catalog, &reg, None), &tx).expect("starts");
+    let t0 = Instant::now();
+    let nested = Msg::Batch(vec![Msg::Batch(vec![access(1, 0, AccessMode::Write, 1500)])]);
+    match node.deliver(nested, t0) {
+        Err(NetError::Protocol(why)) => assert!(why.contains("batch inside a batch"), "{why}"),
+        other => panic!("a nested batch must be refused, got {other:?}"),
+    }
+    assert_eq!(node.before_block(t0).unwrap(), Some(Duration::MAX));
+    assert_eq!(heard.take(), vec![], "nothing was answered");
+    assert_eq!(node.finish().expect("finishes").write_units, 0, "nothing was applied");
 }

@@ -13,7 +13,9 @@
 //!   [`wtpg_core::certify::certify_history`] can replay.
 //! * [`queue::BoundedQueue`] — the MPMC queue behind every in-proc
 //!   mailbox, built there without a bound (a full bounded one blocks the
-//!   sender).
+//!   sender); and [`queue::LockClass`], the workspace's lock order, which
+//!   every lock of the message path is taken through and which debug builds
+//!   check on every acquisition.
 //! * [`store::NodeStore`] — one data node's partitions (`node = partition
 //!   mod NumNodes`): real bulk scans / updates over `costof(s)` milli-object
 //!   cells, with the conservation invariant every run checks.
@@ -27,7 +29,8 @@
 //!   shares.
 //!
 //! The crate reads no clock: clippy's determinism bans hold in all of it,
-//! as do the panic-safety and API-doc lints (DESIGN.md §10.1). Its queue
+//! as do the panic-safety, API-doc and `unsafe_code` lints (DESIGN.md
+//! §10.1). Its queue
 //! blocks on condition variables, so runs built from these parts are *not*
 //! reproducible interleavings; their correctness argument is the certifier,
 //! not replayability.

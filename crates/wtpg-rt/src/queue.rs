@@ -21,9 +21,128 @@
 //! another.
 //!
 //! The queue is generic and free of protocol types.
+//!
+//! **Lock order.** The workspace locks on the message path alone, at four
+//! sites: this queue ([`QUEUE`], rank 1), and in `wtpg-net` a TCP mailbox's
+//! read halves (`net-mailbox`, rank 3) and a TCP writer's socket
+//! (`net-stream`, rank 4), taken in `Drop` too. A thread may take a lock
+//! only of a rank above every one it holds: each site takes its lock
+//! through its [`LockClass`], and in debug builds a thread-local records
+//! the highest rank the thread holds and panics, naming both classes, on a
+//! lock of that rank or lower. Release builds compile the check away.
 
 use std::collections::VecDeque;
+use std::ops::{Deref, DerefMut};
 use std::sync::{Condvar, Mutex, MutexGuard};
+
+/// A class of lock in the workspace's lock order (see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LockClass {
+    /// Its name, as a violation names it.
+    pub name: &'static str,
+    /// Its place in the order: a thread holding a lock takes only higher
+    /// ranks.
+    pub rank: u8,
+}
+
+/// The bounded queue's class: nothing is locked under it.
+pub const QUEUE: LockClass = LockClass { name: "queue", rank: 1 };
+
+#[cfg(debug_assertions)]
+thread_local! {
+    /// The class of the highest-ranked lock this thread holds.
+    static HELD: std::cell::Cell<Option<LockClass>> = const { std::cell::Cell::new(None) };
+}
+
+/// A lock's place on its thread's books while it is held (debug builds);
+/// on drop, the class held before it is restored. Locks are released in
+/// the reverse of the order they were taken.
+struct Rank {
+    #[cfg(debug_assertions)]
+    below: Option<LockClass>,
+}
+
+impl Rank {
+    /// Books `class` as held, after checking that this thread holds no lock
+    /// of its rank or higher.
+    #[cfg_attr(
+        not(debug_assertions),
+        expect(unused_variables, reason = "checked in debug builds")
+    )]
+    #[inline]
+    fn enter(class: LockClass) -> Rank {
+        #[cfg(debug_assertions)]
+        {
+            let below = HELD.with(|held| held.replace(Some(class)));
+            if let Some(held) = below.filter(|held| held.rank >= class.rank) {
+                HELD.with(|h| h.set(below));
+                #[expect(clippy::panic, reason = "a lock-order violation is a bug to stop at")]
+                {
+                    panic!(
+                        "lock order: takes {} (rank {}) while holding {} (rank {})",
+                        class.name, class.rank, held.name, held.rank
+                    );
+                }
+            }
+            Rank { below }
+        }
+        #[cfg(not(debug_assertions))]
+        Rank {}
+    }
+}
+
+#[cfg(debug_assertions)]
+impl Drop for Rank {
+    fn drop(&mut self) {
+        HELD.with(|held| held.set(self.below));
+    }
+}
+
+/// A held lock of some [`LockClass`]: the lock's guard `G`, dereferencing
+/// to what it guards, and the lock's place on its thread's books until it
+/// drops (the guard first).
+pub struct Ranked<G> {
+    guard: G,
+    _rank: Rank,
+}
+
+impl<G: Deref> Deref for Ranked<G> {
+    type Target = G::Target;
+
+    fn deref(&self) -> &G::Target {
+        &self.guard
+    }
+}
+
+impl<G: DerefMut> DerefMut for Ranked<G> {
+    fn deref_mut(&mut self) -> &mut G::Target {
+        &mut self.guard
+    }
+}
+
+impl<G> Ranked<G> {
+    /// The guard `f` makes of this one's, still holding its rank: a
+    /// condition variable's wait, which hands the lock back re-taken.
+    pub fn map<H>(self, f: impl FnOnce(G) -> H) -> Ranked<H> {
+        Ranked {
+            guard: f(self.guard),
+            _rank: self._rank,
+        }
+    }
+}
+
+impl LockClass {
+    /// Takes `lock`, a lock of this class; `None` if it is poisoned. Debug
+    /// builds first check the lock order (see the module docs) and panic,
+    /// naming both classes, if this thread holds a lock of this rank or
+    /// higher.
+    #[inline]
+    pub fn lock<T>(self, lock: &Mutex<T>) -> Option<Ranked<MutexGuard<'_, T>>> {
+        let rank = Rank::enter(self);
+        let guard = lock.lock().ok()?;
+        Some(Ranked { guard, _rank: rank })
+    }
+}
 
 /// Outcome of a non-blocking pop.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -91,8 +210,12 @@ struct QueueState<T> {
     pushers: Sleepers,
 }
 
+/// The queue's state, locked.
+type Locked<'a, T> = Ranked<MutexGuard<'a, QueueState<T>>>;
+
 /// A bounded multi-producer / multi-consumer queue.
 pub struct BoundedQueue<T> {
+    /// Locked as [`QUEUE`].
     state: Mutex<QueueState<T>>,
     not_full: Condvar,
     not_empty: Condvar,
@@ -119,15 +242,16 @@ impl<T> BoundedQueue<T> {
         clippy::expect_used,
         reason = "invariant: queue lock is never poisoned (no panics while held)"
     )]
-    fn locked(&self) -> MutexGuard<'_, QueueState<T>> {
-        self.state
-            .lock()
+    #[inline]
+    fn locked(&self) -> Locked<'_, T> {
+        QUEUE
+            .lock(&self.state)
             .expect("invariant: queue lock is never poisoned (no panics while held)")
     }
 
     /// Appends `item` and releases the lock, waking one sleeping popper if
     /// one still needs it.
-    fn put(&self, mut s: MutexGuard<'_, QueueState<T>>, item: T) {
+    fn put(&self, mut s: Locked<'_, T>, item: T) {
         s.items.push_back(item);
         let wake = s.poppers.claim_wake();
         drop(s);
@@ -138,10 +262,7 @@ impl<T> BoundedQueue<T> {
 
     /// Takes the front item, if any, and releases the lock, waking one
     /// blocked pusher if one still needs it. An empty queue hands the guard back.
-    fn take<'a>(
-        &self,
-        mut s: MutexGuard<'a, QueueState<T>>,
-    ) -> Result<T, MutexGuard<'a, QueueState<T>>> {
+    fn take<'a>(&self, mut s: Locked<'a, T>) -> Result<T, Locked<'a, T>> {
         let Some(item) = s.items.pop_front() else {
             return Err(s);
         };
@@ -163,10 +284,11 @@ impl<T> BoundedQueue<T> {
         let mut s = self.locked();
         while s.items.len() >= self.capacity && !s.closed {
             s.pushers.enter();
-            s = self
-                .not_full
-                .wait(s)
-                .expect("invariant: queue lock is never poisoned (no panics while held)");
+            s = s.map(|g| {
+                self.not_full
+                    .wait(g)
+                    .expect("invariant: queue lock is never poisoned (no panics while held)")
+            });
             s.pushers.leave();
         }
         if s.closed {
@@ -203,10 +325,11 @@ impl<T> BoundedQueue<T> {
                 return None;
             }
             s.poppers.enter();
-            s = self
-                .not_empty
-                .wait(s)
-                .expect("invariant: queue lock is never poisoned (no panics while held)");
+            s = s.map(|g| {
+                self.not_empty
+                    .wait(g)
+                    .expect("invariant: queue lock is never poisoned (no panics while held)")
+            });
             s.poppers.leave();
         }
     }
