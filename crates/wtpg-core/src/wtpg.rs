@@ -1061,9 +1061,12 @@ impl Wtpg {
 
     /// `debug_assert!`-level hook: panics on a broken invariant in debug
     /// builds, compiles to nothing in release.
-    #[expect(
-        clippy::panic,
-        reason = "deliberate debug-only assertion, absent from release builds"
+    #[cfg_attr(
+        debug_assertions,
+        expect(
+            clippy::panic,
+            reason = "deliberate debug-only assertion, absent from release builds"
+        )
     )]
     #[inline]
     pub(crate) fn debug_validate(&self) {

@@ -19,6 +19,14 @@
 //! (`runtime::explore_cell`) is the same run, picked by `seeded` on
 //! `VirtualTime`: a seed names one interleaving, and it repeats exactly.
 //!
+//! **A wedge is seen, not timed.** No actor keeps a timer to guess that the
+//! run is stuck: each sleeps until mail or until a deadline it holds. When
+//! every running actor sleeps until mail — a background actor's deadline,
+//! the window flush's, keeps no run alive — and the clock can tell that no
+//! link will bring any, it refuses the wait with [`NetError::Wedged`], and
+//! the executor stops every running actor and ends the run with what each
+//! refused to finish on: what it was still owed.
+//!
 //! Nothing here reads the clock: the only [`Clock`] that does is private to
 //! `runtime`, the one module outside tests that opts out of clippy's clock
 //! ban, so no actor can name it.
@@ -69,7 +77,8 @@ pub trait Clock {
     /// once it has come, or mail has.
     ///
     /// # Errors
-    /// A clock that can tell nothing will ever come may refuse.
+    /// [`NetError::Wedged`], saying how it knows, when it can tell that no
+    /// mail will come to end a wait for mail.
     fn wait_until(&mut self, until: Option<Instant>) -> Result<(), NetError>;
 }
 
@@ -87,6 +96,12 @@ pub trait Step {
     fn step(&mut self, clock: &mut dyn Clock, now: &mut Instant) -> bool;
     /// When its wait runs out, while it sleeps on one.
     fn wakes_at(&self) -> Option<Instant>;
+    /// Whether it runs in the background: its deadline wakes it, but keeps
+    /// no run alive (see the module docs).
+    fn in_background(&self) -> bool;
+    /// Stops it where it is, as a closed inbox would: `finish`, which
+    /// refuses if it is still owed something.
+    fn stop(&mut self);
     /// Once it stopped in error, that error, taken out: the executor ends
     /// the run with it. Its own outcome then says it stopped the run.
     fn take_error(&mut self) -> Option<NetError>;
@@ -103,6 +118,8 @@ pub struct Slot<'i, A: Actor> {
     asleep: Option<Option<Instant>>,
     /// What `finish` returned, or the error that stopped the actor.
     out: Option<Result<A::Outcome, NetError>>,
+    /// See [`Step::in_background`].
+    background: bool,
 }
 
 impl<'i, A: Actor> Slot<'i, A> {
@@ -118,6 +135,16 @@ impl<'i, A: Actor> Slot<'i, A> {
             inbox,
             asleep: None,
             out,
+            background: false,
+        }
+    }
+
+    /// [`Slot::new`] for an actor that runs in the background (see
+    /// [`Step::in_background`]).
+    pub fn background(started: Result<A, NetError>, inbox: &'i Mailbox) -> Self {
+        Slot {
+            background: true,
+            ..Slot::new(started, inbox)
         }
     }
 
@@ -190,6 +217,16 @@ impl<A: Actor> Step for Slot<'_, A> {
         self.asleep.flatten().filter(|_| self.actor.is_some())
     }
 
+    fn in_background(&self) -> bool {
+        self.background
+    }
+
+    fn stop(&mut self) {
+        if let Some(actor) = self.actor.take() {
+            self.out = Some(actor.finish());
+        }
+    }
+
     fn take_error(&mut self) -> Option<NetError> {
         let Some(Err(_)) = self.out else { return None };
         let stopped = Err(NetError::Protocol("an actor stopped the run".into()));
@@ -201,13 +238,14 @@ impl<A: Actor> Step for Slot<'_, A> {
 /// stopped, or until one stops in error or is found to have failed to
 /// start. `pick` names the one to move, of those ready at the latest
 /// reading of `clock`; with none ready, the clock waits for the earliest
-/// wait or for mail. `stopped` runs after each move that stopped an actor
-/// cleanly.
+/// wait of an actor not in the background, or for mail if none holds one.
+/// `stopped` runs after each move that stopped an actor cleanly.
 ///
 /// # Errors
 /// The first actor's error, at once: the others are left where they are
-/// (nothing they could still do would be reported); or what `pick` or the
-/// clock refuses with.
+/// (nothing they could still do would be reported); what `pick` or the
+/// clock refuses with; or, once the clock sees a wedge, [`NetError::Wedged`]
+/// with every running actor stopped and its refusal named.
 pub fn step_all(
     slots: &mut [&mut dyn Step],
     clock: &mut dyn Clock,
@@ -231,12 +269,35 @@ pub fn step_all(
                 }
             }
             None => {
-                clock.wait_until(slots.iter().filter_map(|s| s.wakes_at()).min())?;
+                let wakes = |bg: bool| {
+                    let sleepers = slots.iter().filter(|s| s.in_background() == bg);
+                    sleepers.filter_map(|s| s.wakes_at()).min()
+                };
+                let until = wakes(false).map(|t| wakes(true).map_or(t, |b| b.min(t)));
+                match clock.wait_until(until) {
+                    Err(NetError::Wedged(why)) => return Err(wedged(slots, why)),
+                    waited => waited?,
+                }
                 now = clock.now();
             }
         }
     }
     Ok(())
+}
+
+/// The error of a wedged run: `why` the clock knows, then each running
+/// actor's refusal to finish, as it is stopped.
+fn wedged(slots: &mut [&mut dyn Step], why: String) -> NetError {
+    let mut owed = why;
+    for slot in slots.iter_mut().filter(|s| s.ended().is_none()) {
+        slot.stop();
+        match slot.take_error() {
+            Some(NetError::Protocol(refusal)) => owed.push_str(&format!("; {refusal}")),
+            Some(other) => owed.push_str(&format!("; {other}")),
+            None => {}
+        }
+    }
+    NetError::Wedged(owed)
 }
 
 /// The executor's pick in a run: the actor that moved last, for as long as
@@ -282,7 +343,7 @@ impl Clock for VirtualTime {
     }
 
     fn wait_until(&mut self, until: Option<Instant>) -> Result<(), NetError> {
-        let stuck = || NetError::Protocol("every actor sleeps until mail none sends".into());
+        let stuck = || NetError::Wedged("every actor sleeps until mail none sends".into());
         self.0 = until.ok_or_else(stuck)?;
         Ok(())
     }
@@ -300,7 +361,8 @@ mod tests {
     use std::sync::{mpsc, Arc};
 
     /// Sleeps once for `wait`, then stops at its first wake-up, by mail or by
-    /// `idle`; returns when it fell asleep and when (and how) it woke.
+    /// `idle`; returns when it fell asleep and when (and how) it woke, and
+    /// refuses to finish before it woke.
     struct Nap {
         wait: Duration,
         slept: Option<Instant>,
@@ -322,9 +384,19 @@ mod tests {
             Ok(Some(self.wait))
         }
         fn finish(self) -> Result<Self::Outcome, NetError> {
-            let (woke, mail) = self.woke.expect("stopped by a wake-up");
-            Ok((self.slept.expect("slept first"), woke, mail))
+            let ((woke, mail), Some(slept)) = (self.woke.ok_or_else(owed)?, self.slept) else {
+                return Err(owed());
+            };
+            Ok((slept, woke, mail))
         }
+    }
+
+    fn owed() -> NetError {
+        NetError::Protocol("the nap is owed a wake-up".into())
+    }
+
+    fn nap(wait: Duration) -> Nap {
+        Nap { wait, slept: None, woke: None }
     }
 
     /// This thread's on-CPU ns so far (`None` where /proc does not say).
@@ -343,8 +415,7 @@ mod tests {
         let mut clock = real_time(&[&inbox]).expect("no link to clone");
         std::thread::spawn(move || {
             let cpu = cpu_ns();
-            let nap = Nap { wait, slept: None, woke: None };
-            let mut slot = Slot::new(Ok(nap), &inbox);
+            let mut slot = Slot::new(Ok(nap(wait)), &inbox);
             let ran = step_all(&mut [&mut slot], &mut clock, round_robin(), |_| {});
             let spent = cpu.zip(cpu_ns()).map(|(a, b)| b - a);
             let _ = tx.send((ran.and_then(|()| slot.outcome()), spent));
@@ -395,8 +466,7 @@ mod tests {
             let (nap_inbox, toy_inbox) = (Mailbox::queue(), Mailbox::queue());
             let t0 = Instant::now();
             let mut clock = VirtualTime(t0);
-            let nap = Nap { wait: Duration::from_secs(30), slept: None, woke: None };
-            let mut nap = Slot::new(Ok(nap), &nap_inbox);
+            let mut nap = Slot::new(Ok(nap(Duration::from_secs(30))), &nap_inbox);
             let mut toy = Slot::new(started, &toy_inbox);
             let ran = step_all(&mut [&mut nap, &mut toy], &mut clock, round_robin(), |_| {});
             match ran {
@@ -415,8 +485,42 @@ mod tests {
         let rx = nap_on_executor(Duration::MAX, &Mailbox::queue());
         let (out, _) = rx.recv_timeout(Duration::from_secs(20)).expect("the refusal returns");
         match out {
-            Err(NetError::Protocol(why)) => assert!(why.contains("no link"), "{why}"),
+            Err(NetError::Wedged(why)) => assert_eq!(
+                why,
+                "every actor sleeps until mail no link can bring; the nap is owed a wake-up"
+            ),
             other => panic!("a wait no mail can end must be refused, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_background_deadline_keeps_no_wedged_run_alive() {
+        // The foreground nap sleeps until mail none sends; the background
+        // one holds a 20 ms deadline. The run is wedged at once, both naps
+        // are stopped, and each names what it was owed.
+        let (fg_inbox, bg_inbox) = (Mailbox::queue(), Mailbox::queue());
+        let t0 = Instant::now();
+        let mut clock = VirtualTime(t0);
+        let mut fg = Slot::new(Ok(nap(Duration::MAX)), &fg_inbox);
+        let mut bg = Slot::background(Ok(nap(Duration::from_millis(20))), &bg_inbox);
+        let ran = step_all(&mut [&mut fg, &mut bg], &mut clock, round_robin(), |_| {});
+        match ran {
+            Err(NetError::Wedged(why)) => assert_eq!(
+                why,
+                "every actor sleeps until mail none sends; \
+                 the nap is owed a wake-up; the nap is owed a wake-up"
+            ),
+            other => panic!("the run must be wedged, got {other:?}"),
+        }
+        assert_eq!(clock.0, t0, "nobody waited out the background's 20 ms");
+        assert_eq!((fg.ended(), bg.ended()), (Some(false), Some(false)));
+        // With a foreground deadline too, the background one still wakes
+        // its own actor first.
+        let (fg_inbox, bg_inbox) = (Mailbox::queue(), Mailbox::queue());
+        let mut fg = Slot::new(Ok(nap(Duration::from_millis(50))), &fg_inbox);
+        let mut bg = Slot::background(Ok(nap(Duration::from_millis(20))), &bg_inbox);
+        step_all(&mut [&mut fg, &mut bg], &mut clock, round_robin(), |_| {}).expect("both wake");
+        let woke = |s: Slot<'_, Nap>| s.outcome().map(|(_, woke, _)| woke - t0).expect("woke");
+        assert_eq!((woke(fg), woke(bg)), (Duration::from_millis(50), Duration::from_millis(20)));
     }
 }

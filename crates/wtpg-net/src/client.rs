@@ -40,6 +40,12 @@
 //! `Shutdown` to the control plane as its end-of-stream marker: a control
 //! shard stops once every client has sent one and nothing is live.
 //!
+//! **No timer of its own.** A client sleeps until its next arrival is due,
+//! or — a closed loop, or an open loop past its last arrival — until mail.
+//! An ack that never comes is not the client's to guess at: the run wedges,
+//! and the executor ends it with the acks each client is owed (see
+//! `finish`).
+//!
 //! The client books its counts in the run's [`Registry`] and nowhere else:
 //! offered/shed/submitted/commit counters, the in-flight gauge and the
 //! commit-latency histograms live, the per-type message tallies (its own
@@ -174,6 +180,11 @@ mod owed {
         pub(super) fn is_empty(&self) -> bool {
             self.0.is_empty()
         }
+
+        /// The transactions whose acks are owed, ascending.
+        pub(super) fn txns(&self) -> impl Iterator<Item = TxnId> + '_ {
+            self.0.keys()
+        }
     }
 }
 
@@ -189,12 +200,8 @@ pub struct ClientActor<'a> {
     open: Option<&'a OpenLoopPlan<'a>>,
     /// In-flight bound.
     depth: usize,
-    watchdog: Duration,
     /// Submissions awaiting their ack.
     inflight: Owed,
-    /// While acks are owed, the watchdog's origin: the later of the last
-    /// message and the window last filling from empty (idle gaps owe nothing).
-    owed_since: Option<Instant>,
     /// The link to control, flushed at the end of every firing.
     to_control: Coalescer,
     reg: &'a Registry,
@@ -222,7 +229,6 @@ impl<'a> ClientActor<'a> {
         specs: &'a [TxnSpec],
         open: Option<&'a OpenLoopPlan<'a>>,
         to_control: &Arc<dyn MsgTx>,
-        watchdog: Duration,
         pipeline: usize,
         batch_max: usize,
         reg: &'a Registry,
@@ -233,9 +239,7 @@ impl<'a> ClientActor<'a> {
             due: share(specs.len(), client, clients).peekable(),
             open,
             depth: open.map_or(pipeline, |p| p.inflight).max(1),
-            watchdog,
             inflight: Owed::new(),
-            owed_since: None,
             to_control: Coalescer::new(Arc::clone(to_control), batch_max),
             reg,
             tel: ClientTel::new(reg),
@@ -281,7 +285,6 @@ impl<'a> ClientActor<'a> {
                 return Err(self.vanished());
             }
             self.inflight.insert(spec.id, now, spec.is_read_only());
-            self.owed_since.get_or_insert(now);
             self.tel.submitted.inc();
             self.tel.inflight.add(1);
         }
@@ -326,7 +329,6 @@ impl<'a> ClientActor<'a> {
                 if let Some(acked) = self.inflight.take(txn) {
                     self.book_commit(acked, now);
                 }
-                self.owed_since = (!self.inflight.is_empty()).then_some(now);
                 Ok(())
             }
             Msg::Shutdown => Err(NetError::Protocol(format!(
@@ -363,20 +365,17 @@ impl Actor for ClientActor<'_> {
         Ok(Flow::Continue)
     }
 
-    /// The starvation guard, only while something is actually owed.
-    fn idle(&mut self, now: Instant) -> Result<Flow, NetError> {
-        if self.owed_since.is_some_and(|t| now.saturating_duration_since(t) >= self.watchdog) {
-            let actor = format!("client {}", self.client);
-            return Err(NetError::RecvTimeout { actor });
-        }
+    /// The next arrival is due: `before_block` fires it.
+    fn idle(&mut self, _: Instant) -> Result<Flow, NetError> {
         Ok(Flow::Continue)
     }
 
     /// Fires what is due at `now` — the inbox drained first, so an arrival is
     /// only shed when the window is genuinely still full — then says how long
     /// to wait, or `None` once nothing is left to arrive or owed: until the
-    /// next arrival is due, at most the watchdog. A closed loop's arrivals
-    /// are due on acks, not at an instant, so it waits the watchdog.
+    /// next arrival is due. A closed loop's arrivals are due on acks, not at
+    /// an instant, so it waits until mail, as an open loop does past its
+    /// last arrival.
     fn before_block(&mut self, now: Instant) -> Result<Option<Duration>, NetError> {
         self.fire(now)?;
         let next = self.due.peek().copied();
@@ -384,17 +383,23 @@ impl Actor for ClientActor<'_> {
             return Ok(None);
         }
         let due_at = next.and_then(|i| self.open?.arrival(i));
-        Ok(Some(due_at.map_or(self.watchdog, |at| {
-            at.saturating_duration_since(now).min(self.watchdog)
-        })))
+        Ok(Some(due_at.map_or(Duration::MAX, |at| at.saturating_duration_since(now))))
     }
 
     /// Sends the end-of-stream `Shutdown` and publishes the message tallies.
-    /// Refused while arrivals or acks are left: the link closed mid-run.
+    /// Refused while arrivals or acks are left — the link closed mid-run, or
+    /// the run wedged — with the acks the client is owed.
     fn finish(mut self) -> Result<ClientOutcome, NetError> {
         if self.due.peek().is_some() || !self.inflight.is_empty() {
-            let client = self.client;
-            return Err(NetError::Protocol(format!("client {client}: link closed mid-run")));
+            let (client, owed) = (self.client, self.inflight.len());
+            let named: Vec<String> = self.inflight.txns().take(OWED_LISTED).map(|t| t.0.to_string()).collect();
+            let more = owed.saturating_sub(OWED_LISTED);
+            let more = if more > 0 { format!(" (+{more} more)") } else { String::new() };
+            let left = self.due.len();
+            return Err(NetError::Protocol(format!(
+                "client {client} is owed {owed} commit ack(s), txns {}{more}; {left} arrival(s) to come",
+                named.join(", ")
+            )));
         }
         if !(self.to_control.push(Msg::Shutdown) && self.to_control.flush()) {
             return Err(self.vanished());
@@ -404,6 +409,9 @@ impl Actor for ClientActor<'_> {
         Ok(self.out)
     }
 }
+
+/// The owed acks a client's refusal names before it only counts the rest.
+const OWED_LISTED: usize = 8;
 
 /// The indices of client `client`'s share of a run-wide sequence of `len`
 /// items dealt round-robin over `clients` actors: `client`,

@@ -22,17 +22,19 @@
 //! partition until the commit that frees it, as the paper's CC1/CC2 Step 1
 //! and the simulator have it: no lock is released before commit, so an
 //! earlier re-ask could only be blocked again. A *delayed* one is parked
-//! and re-asked on every step completion, commit and quiet poll, the
-//! events that move the scheduler's `W` / `E(q)` inputs. Event-driven
-//! retries, no client-side backoff sleeps.
+//! and re-asked on every step completion and commit, the events that move
+//! the scheduler's `W` / `E(q)` inputs. Event-driven retries, no
+//! client-side backoff sleeps, and no timer: a quiet shard re-asks nothing
+//! (see `Msg::AccessDone`'s arm for what a verdict can wait on).
 //!
 //! **A state machine behind the one loop.** [`ControlActor`]'s [`Actor`]
-//! steps — a popped message and its instant, a quiet [`POLL`] — are the
-//! actor's whole input; the executor (`actor::step_all`) alone touches the
-//! inbox and reads the clock. Time — redelivery deadlines, send times, the
-//! round trips booked, the coalescers' link faults — is the `now` handed
-//! in, so a test can own it. One exit rule serves both load shapes (see
-//! `flow`).
+//! steps — a popped message and its instant, a re-send deadline come due —
+//! are the actor's whole input; the executor (`actor::step_all`) alone
+//! touches the inbox and reads the clock. Time — redelivery deadlines, send
+//! times, the round trips booked, the coalescers' link faults — is the
+//! `now` handed in, so a test can own it. With no order outstanding and no
+//! frame held, the shard sleeps until mail. One exit rule serves both load
+//! shapes (see `flow`).
 //!
 //! **Batched sends.** Every link out of the shard flows through a
 //! [`Coalescer`]: bursts of `Access` orders for one data node, and the
@@ -56,14 +58,16 @@
 //! * **Access redelivery** — every `Access` order sent to a data node is
 //!   filed in its transaction's record; if the matching `AccessDone` does not
 //!   arrive before a [`Backoff`]-scheduled deadline, the order is re-sent
-//!   (the data node's applied-marks make redelivery idempotent). A node
-//!   that blows past the redelivery budget does *not* fail the run: its
-//!   orders are parked as node-unavailable (surfaced in the report) and
-//!   keep re-sending at the capped interval — a killed node restarts from
-//!   its log and answers. When a restarted node announces [`Msg::Recover`],
-//!   everything outstanding on it is re-sent at once, as one frame that
-//!   ends with a notice. The receive watchdog still bounds a run whose node
-//!   is truly gone.
+//!   (the data node's applied-marks make redelivery idempotent). The
+//!   deadlines sit in one min-heap, so the shard finds the next one without
+//!   walking its transactions. An order whose node blows past the
+//!   redelivery budget does *not* fail the run: it is parked as
+//!   node-unavailable (surfaced in the report) and re-sent no more, waiting
+//!   for the node's [`Msg::Recover`] — a killed node restarts from its log
+//!   and announces itself, and then everything outstanding on it is re-sent
+//!   at once, as one frame that ends with a notice. A node that never comes
+//!   back leaves the shard with nothing due: the run wedges, and the
+//!   executor ends it with what the shard is owed (see `finish`).
 //! * **Duplicate absorption** — a writer has at most one step in flight,
 //!   and that step's order, filed in the writer's own record, is its whole
 //!   dedup state: the first `AccessDone` takes the order, so a copy that
@@ -94,13 +98,16 @@
 //! the blocked requests are one list per partition of the catalog: a
 //! message finds its transaction by index, not by search. Where order feeds
 //! a decision, the walk is the one the ordered maps gave: parked requests
-//! re-driven in ascending id, redeliveries in ascending `(txn, step)`.
+//! re-driven in ascending id, the redeliveries due at one instant in
+//! ascending `(txn, step)`.
 
 // Every message the actor can be handed is named in its handler, so a new
 // `Msg` variant does not compile until the actor places it.
 #![deny(clippy::wildcard_enum_match_arm)]
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
+use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -126,12 +133,9 @@ use crate::transport::MsgTx;
 
 use dedup::Answered;
 
-/// How often the control loop wakes to scan redelivery deadlines and retry
-/// parked transactions when its inbox is idle.
-const POLL: Duration = Duration::from_millis(2);
-
-/// Handled messages between redelivery scans on a busy inbox.
-const SCAN_EVERY: u32 = 64;
+/// The least heap length at which `ControlActor::defer` sweeps stale
+/// re-send deadlines.
+const SWEEP_FLOOR: usize = 64;
 
 /// Retired transactions a node's notice gathers before they ride the next
 /// order frame to the node. Their list is one allocation, made by control
@@ -151,10 +155,9 @@ pub struct ControlParams<'a> {
     /// Clients in the run, each of which ends its stream with one `Shutdown`
     /// (shed arrivals never reach control: no commit target is knowable).
     pub clients: usize,
-    /// Redelivery schedule for unanswered `Access` orders.
+    /// Redelivery schedule for unanswered `Access` orders: past
+    /// `max_attempts` re-sends, an order waits for its node's `Recover`.
     pub retry: Backoff,
-    /// Give up after this long without any inbound message.
-    pub watchdog: Duration,
     /// Coalescer buffer bound for data-node links.
     pub batch_max: usize,
     /// Coalescer buffer bound for client links: 1 sends every ack as its
@@ -227,9 +230,21 @@ struct Outstanding {
     sent_at: Instant,
     msg: Msg,
     /// The owning node blew past the redelivery budget: the order is
-    /// parked, still re-sending at the capped interval, waiting for the
-    /// node to rejoin.
+    /// parked, re-sent no more, waiting for the node to rejoin.
     unavailable: bool,
+}
+
+/// A re-send deadline in the shard's heap: when `(txn, step)`'s order falls
+/// due, earliest on top. An entry whose order was answered, re-sent or
+/// parked since is stale: it is dropped when it reaches the top, or when
+/// the heap doubles past what a sweep last left (see
+/// `ControlActor::defer`).
+type Due = Reverse<(Instant, TxnId, u32)>;
+
+/// Whether `txns` still has `(txn, step)`'s order outstanding, due at `at`.
+fn due_at(txns: &IdWindow<Live>, at: Instant, txn: TxnId, step: u32) -> bool {
+    let order = txns.get(txn).and_then(|t| t.order(step));
+    order.is_some_and(|o| !o.unavailable && o.deadline == at)
 }
 
 /// The dedup of replies (module docs, "Duplicate absorption"), apart from
@@ -404,6 +419,26 @@ impl Notice {
     }
 }
 
+/// The ids of one kind an error lists before it only counts the rest.
+const OWED_LISTED: usize = 8;
+
+/// Appends `"; {what}: a, b, … (+n more)"` to `s` when `items` is not
+/// empty, naming at most [`OWED_LISTED`] of them.
+fn listed(s: &mut String, what: &str, items: impl Iterator<Item = String>) {
+    let mut n = 0;
+    for item in items {
+        let sep = if n == 0 { "; " } else { ", " };
+        if n < OWED_LISTED {
+            let head = if n == 0 { format!("{what}: ") } else { String::new() };
+            let _ = write!(s, "{sep}{head}{item}");
+        }
+        n += 1;
+    }
+    if n > OWED_LISTED {
+        let _ = write!(s, " (+{} more)", n - OWED_LISTED);
+    }
+}
+
 /// `v`'s first [`MAX_FORGET`] entries, taken out: `v` keeps the rest, in
 /// a fresh list with room for `room`.
 fn head<T>(v: &mut Vec<T>, room: usize) -> Vec<T> {
@@ -474,6 +509,23 @@ impl Live {
         Answered::take(txn, self.slot(step)?, step)
     }
 
+    /// The order in flight for `step`, if one is.
+    fn order(&self, step: u32) -> Option<&Outstanding> {
+        match self {
+            Live::Writer(t) => t.order.as_ref().filter(|o| o.step == step),
+            Live::Reader(r) => r.steps.get(step as usize)?.order.as_ref(),
+        }
+    }
+
+    /// Every order in flight, ascending by step.
+    fn orders(&self) -> impl Iterator<Item = &Outstanding> {
+        let (one, many) = match self {
+            Live::Writer(t) => (t.order.as_ref(), None),
+            Live::Reader(r) => (None, Some(r.steps.iter().filter_map(|s| s.order.as_ref()))),
+        };
+        one.into_iter().chain(many.into_iter().flatten())
+    }
+
     /// Every order in flight, ascending by step.
     fn orders_mut(&mut self) -> impl Iterator<Item = &mut Outstanding> {
         let (one, many) = match self {
@@ -515,16 +567,19 @@ pub struct ControlActor<'a> {
     /// frame.
     to_clients: Vec<Coalescer>,
     shard: usize,
-    watchdog: Duration,
-    /// When the last message was popped: the silence watchdog's origin
-    /// (the first idle wake-up, until one is).
-    last_message: Option<Instant>,
     /// Every live transaction, writers and readers, with its orders in
     /// flight.
     txns: IdWindow<Live>,
-    /// Delayed requests, re-asked on every step completion, commit and
-    /// quiet poll; a freeing commit moves its partitions' waiters here too.
-    /// Re-driven in ascending id, once each.
+    /// The re-send deadlines of the orders in flight (see [`Due`]).
+    deadlines: BinaryHeap<Due>,
+    /// The length at which the next push sweeps `deadlines` of its stale
+    /// entries: the oldest order in flight keeps everything pushed after it
+    /// below the top, so without a sweep the heap holds every order of the
+    /// last redelivery interval.
+    sweep_at: usize,
+    /// Delayed requests, re-asked on every step completion and commit; a
+    /// freeing commit moves its partitions' waiters here too. Re-driven in
+    /// ascending id, once each.
     parked: Vec<TxnId>,
     /// The buffer `retry_parked` walks while `parked` fills afresh: the two
     /// swap, so no retry allocates.
@@ -533,6 +588,8 @@ pub struct ControlActor<'a> {
     /// list per partition of the catalog), in arrival order: nothing but a
     /// commit frees a lock, so nothing else re-asks them.
     blocked: Vec<Vec<TxnId>>,
+    /// How many requests `blocked` holds, over every partition.
+    blocked_len: usize,
     /// Admission flow control: submissions beyond `admit_window`
     /// concurrently-admitted transactions queue here (FIFO) without ever
     /// touching the scheduler, so pipelined clients cannot flood the WTPG
@@ -554,8 +611,6 @@ pub struct ControlActor<'a> {
     /// Clients in the run, and the end-of-stream `Shutdown`s received.
     clients: usize,
     done_clients: usize,
-    /// Deliveries since the last busy scan.
-    since_scan: u32,
     /// The orders a reader's admission issues, gathered in place.
     reads: Vec<(usize, u32, Msg)>,
     /// Per data node, what it may forget (empty when a data link carries
@@ -592,12 +647,13 @@ impl<'a> ControlActor<'a> {
                 .map(|tx| Coalescer::new(Arc::clone(tx), params.ack_batch_max))
                 .collect(),
             shard: params.shard,
-            watchdog: params.watchdog,
-            last_message: None,
             txns: IdWindow::new(),
+            deadlines: BinaryHeap::new(),
+            sweep_at: SWEEP_FLOOR,
             parked: Vec::new(),
             retrying: Vec::new(),
             blocked: vec![Vec::new(); catalog.num_parts() as usize],
+            blocked_len: 0,
             backlog: VecDeque::new(),
             active: 0,
             admit_window: params.admit_window.max(1),
@@ -608,7 +664,6 @@ impl<'a> ControlActor<'a> {
             tel: CtrlTel::new(reg, params.shard),
             clients: params.clients,
             done_clients: 0,
-            since_scan: 0,
             reads: Vec::new(),
             notices: if params.batch_max > 1 {
                 to_data.iter().map(|_| Notice::default()).collect()
@@ -630,54 +685,43 @@ impl Actor for ControlActor<'_> {
     type Outcome = ControlOutcome;
 
     /// Handles one popped frame, a `Batch` message by message, popped at
-    /// `now`; every [`SCAN_EVERY`] deliveries the busy scan runs too (due
-    /// re-sends, gauges). `Stop` once the exit rule holds.
+    /// `now`, then sends the re-sends it finds due: a busy inbox reaches
+    /// no `idle`. `Stop` once the exit rule holds.
     fn deliver(&mut self, frame: Msg, now: Instant) -> Result<Flow, NetError> {
-        self.last_message = Some(now);
         for m in frame.unpack(&mut self.rx) {
             self.handle(m, now)?;
         }
-        self.since_scan += 1;
-        if self.since_scan >= SCAN_EVERY {
-            self.since_scan = 0;
-            self.resend(None, now)?;
-            self.update_gauges();
+        if self.next_deadline().is_some_and(|t| t <= now) {
+            self.resend_due(now)?;
         }
         Ok(self.flow())
     }
 
-    /// What a [`POLL`] without a message does: the silence watchdog, due
-    /// re-sends, parked retries, backlog admissions and gauges.
+    /// A re-send deadline came due: the due re-sends, and nothing else.
     fn idle(&mut self, now: Instant) -> Result<Flow, NetError> {
-        let last = *self.last_message.get_or_insert(now);
-        if now.saturating_duration_since(last) > self.watchdog {
-            let actor = format!("control shard {}", self.shard);
-            return Err(NetError::RecvTimeout { actor });
-        }
-        self.resend(None, now)?;
-        self.retry_parked(now)?;
-        self.drain_backlog(now)?;
-        self.update_gauges();
+        self.resend_due(now)?;
         Ok(self.flow())
     }
 
     /// What must happen before the loop blocks on an empty inbox: every
     /// buffered order and ack goes out, or the peers it starves never
-    /// answer. The loop then waits a [`POLL`] at most, less if a link holds
-    /// a frame due sooner.
+    /// answer, and the gauges take the levels. The loop then waits for the
+    /// earlier of a held frame's release and the next re-send deadline;
+    /// with neither, until mail.
     fn before_block(&mut self, now: Instant) -> Result<Option<Duration>, NetError> {
         self.flush_links(now)?;
-        let due = self.to_data.iter().filter_map(Coalescer::next_due).min();
-        Ok(Some(due.map_or(POLL, |t| t.saturating_duration_since(now).min(POLL))))
+        self.update_gauges();
+        let held = self.to_data.iter().filter_map(Coalescer::next_due).min();
+        let wake = held.into_iter().chain(self.next_deadline()).min();
+        Ok(Some(wake.map_or(Duration::MAX, |t| t.saturating_duration_since(now))))
     }
 
     /// Orderly exit: a last flush that delivers whatever the links still
-    /// hold. Refused while the exit rule does not hold: the inbox closed
-    /// mid-run.
+    /// hold. Refused while the exit rule does not hold — the inbox closed
+    /// mid-run, or the run wedged — with what the shard is still owed.
     fn finish(mut self) -> Result<ControlOutcome, NetError> {
         if self.flow() == Flow::Continue {
-            let shard = self.shard;
-            return Err(NetError::Protocol(format!("control shard {shard}: inbox closed mid-run")));
+            return Err(NetError::Protocol(self.owed()));
         }
         if let Some(node) = self.to_data.iter_mut().position(|c| !c.drain()) {
             return Err(self.vanished(node, "at exit"));
@@ -740,6 +784,12 @@ impl ControlActor<'_> {
     fn book_finished(&mut self, txn: TxnId) {
         self.finished.insert(txn, ());
         self.finished.remove_below(self.mark());
+    }
+
+    /// The control node's logical clock, which every scheduler call ticks.
+    #[doc(hidden)]
+    pub fn tick(&self) -> Tick {
+        self.control.now()
     }
 
     /// Slots the finished set holds (the ring's capacity and the ids
@@ -815,15 +865,17 @@ impl ControlActor<'_> {
                     txn.0
                 ))
             })?;
+        let deadline = now + Duration::from_micros(self.retry.delay_us(0));
         *slot = Some(Outstanding {
             step,
             node,
             attempts: 0,
-            deadline: now + Duration::from_micros(self.retry.delay_us(0)),
+            deadline,
             sent_at: now,
             msg: order,
             unavailable: false,
         });
+        self.defer(deadline, txn, step);
         Ok(())
     }
 
@@ -885,6 +937,7 @@ impl ControlActor<'_> {
             // caller's `retry_parked` re-asks them.
             for p in freed {
                 if let Some(waiters) = self.blocked.get_mut(p.0 as usize) {
+                    self.blocked_len -= waiters.len();
                     self.parked.append(waiters);
                 }
             }
@@ -940,6 +993,7 @@ impl ControlActor<'_> {
                     // In the catalog: `Submit` refuses any other partition.
                     if let Some(waiters) = self.blocked.get_mut(declared.partition.0 as usize) {
                         waiters.push(txn);
+                        self.blocked_len += 1;
                     }
                 } else {
                     self.parked.push(txn);
@@ -1043,9 +1097,9 @@ impl ControlActor<'_> {
 
     /// Re-drives every parked transaction once, in id order: the delayed
     /// requests and the blocked ones a commit just woke. Called after step
-    /// completions and commits (the events that change what the scheduler
-    /// will answer) and on the idle poll. What the re-drives park again
-    /// waits in the other buffer for the next round.
+    /// completions and commits, the events that change what the scheduler
+    /// will answer. What the re-drives park again waits in the other buffer
+    /// for the next round.
     fn retry_parked(&mut self, now: Instant) -> Result<(), NetError> {
         if self.parked.is_empty() {
             return Ok(());
@@ -1160,10 +1214,11 @@ impl ControlActor<'_> {
                 // (which releases, waking the requests blocked on what it
                 // held) or is granted: a declaration becomes a held lock and
                 // its conflicting edges are resolved, so the `W` / `E(q)`
-                // inputs of the delayed requests moved. An
-                // admission verdict only changes at commit or abort, so the
-                // backlog is drained only when this round of driving
-                // actually freed an admission slot.
+                // inputs of the delayed requests moved. The backlog is
+                // drained only when this round of driving freed an admission
+                // slot. A bounced head's verdict can move sooner — a grant
+                // takes a declaration out of K-WTPG's K-conflict count — but
+                // it is re-asked at the next freed slot, not on a timer.
                 let active_before = self.active;
                 self.drive(txn, now)?;
                 self.retry_parked(now)?;
@@ -1271,7 +1326,7 @@ impl ControlActor<'_> {
                 // replay brought back books the mark has passed, and no
                 // later order may come to carry it.
                 let node = rejoined as usize;
-                self.resend(Some(node), now)?;
+                self.rejoin(node, now)?;
                 let (shard, below) = (self.shard as u32, self.mark());
                 let notice = self.notices.get_mut(node).map(|n| n.take(shard, below));
                 let c = self.to_data.get_mut(node);
@@ -1311,54 +1366,119 @@ impl ControlActor<'_> {
         Ok(())
     }
 
-    /// Re-sends outstanding orders. With `rejoined`, every order on that
-    /// node, its redelivery budget and deadline reset and the burst left in
-    /// the coalescer for the caller to flush; without, every order whose
-    /// deadline has passed, an attempt charged and the frame forced out.
-    fn resend(&mut self, rejoined: Option<usize>, now: Instant) -> Result<(), NetError> {
-        let mut resend = Vec::new();
-        for o in self.txns.values_mut().flat_map(Live::orders_mut) {
-            match rejoined {
-                Some(node) if o.node == node => {
-                    o.attempts = 0;
-                    o.unavailable = false;
-                }
-                None if o.deadline <= now => {
-                    o.attempts = o.attempts.saturating_add(1);
-                    if o.attempts >= self.retry.max_attempts {
-                        // The owning node blew past the redelivery budget.
-                        // Don't fail the run: park the order as
-                        // node-unavailable and keep re-sending at the capped
-                        // interval — a killed node restarts from its log and
-                        // answers. The receive watchdog still bounds a run
-                        // whose node is truly gone.
-                        o.attempts = self.retry.max_attempts;
-                        if !o.unavailable {
-                            o.unavailable = true;
-                            self.tel.node_unavailable.inc();
-                        }
-                    }
-                }
-                _ => continue,
+    /// Files `(txn, step)`'s re-send deadline `at`. A push that finds the
+    /// heap at its sweep length first drops every stale entry, and the
+    /// next sweep waits for the heap to double: amortised, a push costs
+    /// O(log n), and the heap holds at most twice the orders in flight.
+    fn defer(&mut self, at: Instant, txn: TxnId, step: u32) {
+        if self.deadlines.len() >= self.sweep_at {
+            let txns = &self.txns;
+            self.deadlines.retain(|&Reverse((at, txn, step))| due_at(txns, at, txn, step));
+            self.sweep_at = (2 * self.deadlines.len()).max(SWEEP_FLOOR);
+        }
+        self.deadlines.push(Reverse((at, txn, step)));
+    }
+
+    /// The earliest re-send deadline of an order in flight, the stale
+    /// entries above it dropped.
+    fn next_deadline(&mut self) -> Option<Instant> {
+        while let Some(&Reverse((at, txn, step))) = self.deadlines.peek() {
+            if due_at(&self.txns, at, txn, step) {
+                return Some(at);
+            }
+            self.deadlines.pop();
+        }
+        None
+    }
+
+    /// Re-sends every order whose deadline has passed, in ascending
+    /// `(txn, step)`, an attempt charged and each frame forced out. An
+    /// order past the redelivery budget is re-sent no more: it is parked
+    /// as node-unavailable until its node's `Recover`.
+    fn resend_due(&mut self, now: Instant) -> Result<(), NetError> {
+        let mut due = Vec::new();
+        while self.next_deadline().is_some_and(|at| at <= now) {
+            if let Some(Reverse((_, txn, step))) = self.deadlines.pop() {
+                due.push((txn, step));
+            }
+        }
+        due.sort_unstable();
+        due.dedup();
+        for (txn, step) in due {
+            let slot = self.txns.get_mut(txn).and_then(|t| t.slot(step));
+            let Some(o) = slot.and_then(|o| o.as_mut()).filter(|o| o.step == step) else {
+                continue;
+            };
+            o.attempts = o.attempts.saturating_add(1);
+            if o.attempts > self.retry.max_attempts {
+                o.unavailable = true;
+                self.tel.node_unavailable.inc();
+                continue;
             }
             o.deadline = now + Duration::from_micros(self.retry.delay_us(o.attempts));
-            resend.push((o.node, o.msg.clone()));
+            let (deadline, node, msg) = (o.deadline, o.node, o.msg.clone());
+            self.defer(deadline, txn, step);
+            self.send_data(node, msg, true, now)?;
+            self.tel.access_retries.inc();
         }
-        for (node, msg) in resend {
-            self.send_data(node, msg, rejoined.is_none(), now)?;
+        Ok(())
+    }
+
+    /// Re-sends every order outstanding on the rejoined `node`, its
+    /// redelivery budget and deadline reset, parked ones included, and
+    /// leaves the burst in the coalescer for the caller to flush.
+    fn rejoin(&mut self, node: usize, now: Instant) -> Result<(), NetError> {
+        let deadline = now + Duration::from_micros(self.retry.delay_us(0));
+        let mut resend = Vec::new();
+        for (txn, live) in self.txns.iter_mut() {
+            for o in live.orders_mut().filter(|o| o.node == node) {
+                o.attempts = 0;
+                o.unavailable = false;
+                o.deadline = deadline;
+                resend.push((txn, o.step, o.msg.clone()));
+            }
+        }
+        for (txn, step, msg) in resend {
+            self.defer(deadline, txn, step);
+            self.send_data(node, msg, false, now)?;
             self.tel.access_retries.inc();
         }
         Ok(())
     }
 
     /// Publishes the queue-depth gauges; `parked` counts every request
-    /// waiting, delayed or blocked. Called at the periodic-scan cadence, not
-    /// per message: a window flush samples levels, so sub-scan churn is
+    /// waiting, delayed or blocked. Called before each block, not per
+    /// message: a window flush samples levels, so the churn of a turn is
     /// invisible anyway.
     fn update_gauges(&self) {
         self.tel.backlog.set(self.backlog.len() as u64);
-        let blocked: usize = self.blocked.iter().map(Vec::len).sum();
-        self.tel.parked.set((self.parked.len() + blocked) as u64);
+        self.tel.parked.set((self.parked.len() + self.blocked_len) as u64);
+    }
+
+    /// What the shard is still owed, for its refusal to finish: each node's
+    /// orders in flight (those past the redelivery budget marked), the
+    /// parked and blocked requests, the backlog and the clients still
+    /// streaming. At most [`OWED_LISTED`] ids of each list are named.
+    fn owed(&self) -> String {
+        let name = |t: &TxnId| format!("txn {}", t.0);
+        let mut s = format!("control shard {} is owed", self.shard);
+        for node in 0..self.to_data.len() {
+            let orders = self.txns.iter().flat_map(|(txn, live)| {
+                live.orders().filter(move |o| o.node == node).map(move |o| {
+                    let parked = if o.unavailable { " (past the redelivery budget)" } else { "" };
+                    format!("txn {} step {}{parked}", txn.0, o.step)
+                })
+            });
+            listed(&mut s, &format!("replies from data node {node}"), orders);
+        }
+        listed(&mut s, "delayed requests", self.parked.iter().map(name));
+        listed(&mut s, "blocked requests", self.blocked.iter().flatten().map(name));
+        listed(&mut s, "admissions from the backlog", self.backlog.iter().map(name));
+        let streaming = self.clients.saturating_sub(self.done_clients);
+        if streaming > 0 {
+            let _ = write!(s, "; the end of {streaming} of {} client streams", self.clients);
+        }
+        s
     }
 
     /// Books one order-to-reply round trip, sent to popped: the exact

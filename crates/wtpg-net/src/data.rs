@@ -64,11 +64,12 @@
 //! **A state machine behind the one loop.** [`DataActor`]'s [`Actor`] steps
 //! are its whole input: a message and the instant it arrived. Being down is a
 //! state: a crash or kill plan that comes due puts the node in `Down` until
-//! an instant, and until then every delivery — the triggering one included,
-//! a batch whole — is lost and counted; a lost `Shutdown` stops the node.
-//! The plans differ only in how the window ends. A crash models durable
-//! state (store, marks) that outlives the process: nothing happens, and
-//! control's redelivery watchdog heals what was lost. A kill
+//! an instant (or for good, [`CrashPlan::FOREVER`]), and until
+//! then every delivery — the triggering one included, a batch whole — is
+//! lost and counted; a lost `Shutdown` stops the node. The plans differ
+//! only in how the window ends. A crash models durable state (store, marks)
+//! that outlives the process: nothing happens, and control's redelivery
+//! heals what was lost. A kill
 //! destroyed the incarnation — store, marks, buffered replies, the log
 //! writer's userspace buffer — so the node is rebuilt from
 //! disk by [`wtpg_dur::recover`] — on the executor's own thread, one chain
@@ -100,7 +101,7 @@ use wtpg_rt::store::NodeStore;
 use crate::actor::{Actor, Flow};
 use crate::batch::Coalescer;
 use crate::error::NetError;
-use crate::fault::FaultPlan;
+use crate::fault::{CrashPlan, FaultPlan};
 use crate::msg::Msg;
 use crate::transport::MsgTx;
 
@@ -280,7 +281,9 @@ mod book {
 
 /// Being down: until `until`, whatever is delivered is lost.
 struct Down {
-    until: Instant,
+    /// `None`: a window that never ends ([`CrashPlan::FOREVER`]), so the
+    /// node never comes back.
+    until: Option<Instant>,
     /// A kill destroyed the incarnation, so the window's end rebuilds the
     /// node from its log and announces `Recover`; a crash window just ends.
     restart_from_log: bool,
@@ -401,24 +404,27 @@ impl Actor for DataActor<'_> {
             return Ok(Flow::Stop);
         }
         match self.down {
-            Some(Down { until, .. }) if now >= until => self.wake(true),
+            Some(Down { until: Some(until), .. }) if now >= until => self.wake(true),
             _ => Ok(Flow::Continue),
         }
     }
 
     /// What must happen before the loop may block on an empty inbox: the
     /// log barrier (when replies are about to escape) and the reply flush —
-    /// control is never starved of a reply the actor is sitting on. A down node neither writes nor speaks; what a crashed
-    /// one had buffered waits for the window's end, which is as long as it
-    /// blocks. An up node blocks until a message comes. Either
-    /// first releases the held replies now due, and wakes for the next.
+    /// control is never starved of a reply the actor is sitting on. A down
+    /// node neither writes nor speaks; what a crashed one had buffered waits
+    /// for the window's end, which is as long as it blocks (until mail, if
+    /// the window never ends). An up node blocks until a message comes.
+    /// Either first releases the held replies now due, and wakes for the
+    /// next.
     fn before_block(&mut self, now: Instant) -> Result<Option<Duration>, NetError> {
         if !self.replies.advance(now) {
             return Ok(None);
         }
         let until = |t: Instant| t.saturating_duration_since(now);
         if let Some(d) = &self.down {
-            return Ok(Some(until(self.replies.next_due().map_or(d.until, |t| t.min(d.until)))));
+            let wake = self.replies.next_due().into_iter().chain(d.until).min();
+            return Ok(Some(wake.map_or(Duration::MAX, until)));
         }
         if self.replies.pending() > 0 {
             self.wal_barrier()?;
@@ -467,7 +473,9 @@ impl DataActor<'_> {
             self.retire();
             self.wal = None;
         }
-        let until = now + Duration::from_millis(down_ms);
+        let until = now
+            .checked_add(Duration::from_millis(down_ms))
+            .filter(|_| down_ms != CrashPlan::FOREVER);
         Some(Down { until, restart_from_log })
     }
 

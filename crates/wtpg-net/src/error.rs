@@ -50,12 +50,11 @@ pub enum NetError {
         /// Consecutive failed attempts to admit it or grant its next step.
         attempts: u32,
     },
-    /// An actor waited longer than its watchdog allows for a message that
-    /// never came.
-    RecvTimeout {
-        /// Which actor timed out ("client 3", "control").
-        actor: String,
-    },
+    /// The run wedged: every actor still running slept until mail that no
+    /// link could bring, so nothing could ever move again. Says why the
+    /// executor knew, then what each running actor was still owed (its
+    /// refusal to finish), one per `; `-separated clause.
+    Wedged(String),
     /// The durability layer failed: a write-ahead-log or checkpoint I/O
     /// error, or corrupt durable state.
     Dur(String),
@@ -85,9 +84,7 @@ impl std::fmt::Display for NetError {
                 "txn {} starved: turned away {attempts} times in a row by the control shard",
                 txn.0
             ),
-            NetError::RecvTimeout { actor } => {
-                write!(f, "{actor} timed out waiting for a message")
-            }
+            NetError::Wedged(why) => write!(f, "run wedged: {why}"),
             NetError::Dur(e) => write!(f, "durability failure: {e}"),
         }
     }

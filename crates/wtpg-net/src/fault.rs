@@ -10,7 +10,7 @@
 //!   de-duplicate via applied-marks and completed-sets);
 //! * **crash/restart** — one data node discards everything it receives for
 //!   a window, modelled inside the data actor ([`CrashPlan`]); the control
-//!   node's redelivery watchdog re-sends unanswered `Access` orders.
+//!   node's redelivery re-sends unanswered `Access` orders.
 //!
 //! Faults apply only to control ↔ data links. Client ↔ control links stay
 //! reliable: the paper's clients are terminals on the same machine, and
@@ -61,8 +61,15 @@ pub struct CrashPlan {
     /// The crash fires when the node is about to process its
     /// `after_msgs`-th message (that message is lost too).
     pub after_msgs: u64,
-    /// How long the node stays down, milliseconds.
+    /// How long the node stays down, milliseconds; [`CrashPlan::FOREVER`]
+    /// never lifts.
     pub down_ms: u64,
+}
+
+impl CrashPlan {
+    /// A `down_ms` that never lifts: the node drops everything for good,
+    /// a node that never answers again.
+    pub const FOREVER: u64 = u64::MAX;
 }
 
 /// A real process-death simulation: unlike [`CrashPlan`] (which merely

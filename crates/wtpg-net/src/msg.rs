@@ -68,9 +68,9 @@ pub enum Msg {
         spec: Option<TxnSpec>,
     },
     /// Control → data node: run one bulk step against the owned partition.
-    /// Redelivered verbatim by the control node's retry watchdog until the
-    /// matching [`Msg::AccessDone`] arrives; the data node's applied-marks
-    /// make redelivery idempotent.
+    /// Redelivered verbatim at the control node's re-send deadlines until
+    /// the matching [`Msg::AccessDone`] arrives; the data node's
+    /// applied-marks make redelivery idempotent.
     Access {
         /// The transaction.
         txn: TxnId,
@@ -158,8 +158,9 @@ pub enum Msg {
     /// snapshot its exclusion set describes, without taking any lock. The
     /// node folds the snapshot's read checksum in closed form (current cells
     /// less writes sealed at or above `horizon` and applied `exclude` entries)
-    /// and answers [`Msg::SnapshotReply`]. Redelivered verbatim by the retry
-    /// watchdog; the node's snapshot-marks replay the original reply.
+    /// and answers [`Msg::SnapshotReply`]. Redelivered verbatim at the
+    /// control node's re-send deadlines; the node's snapshot-marks replay the
+    /// original reply.
     SnapshotRead {
         /// The read-only transaction.
         txn: TxnId,

@@ -6,15 +6,14 @@
 //! either returns a [`PlanError`] naming the one rule the combination
 //! breaks, or a plan holding every value the runtime derives before its
 //! first thread exists: the effective client and shard counts, the
-//! watchdog, the [`ShardMap`], the round-robin workload split and (open
-//! loop) the Poisson arrival schedule dealt the same way. Of the [`Transport`] it keeps only the report label.
+//! [`ShardMap`], the round-robin workload split and (open loop) the Poisson
+//! arrival schedule dealt the same way. Of the [`Transport`] it keeps only the report label.
 //!
 //! Building a plan has no side effect: it reads the WAL directory's
 //! listing and nothing else, so a rejected plan leaves no directory,
 //! socket, thread or scheduler behind.
 
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 use wtpg_core::partition::Catalog;
 use wtpg_core::txn::{TxnId, TxnSpec};
@@ -104,7 +103,6 @@ pub struct RunPlan<'a> {
     pub(crate) data_nodes: usize,
     /// Effective client count: never more clients than transactions.
     pub(crate) clients: usize,
-    pub(crate) watchdog: Duration,
     /// Conflict components decide how many control shards actually run.
     pub(crate) map: ShardMap,
     /// Where the data nodes' logs and snapshots go — `Some` exactly when
@@ -182,7 +180,6 @@ impl<'a> RunPlan<'a> {
             transport: transport.name(),
             data_nodes: catalog.num_nodes() as usize,
             clients,
-            watchdog: Duration::from_millis(cfg.watchdog_ms.max(1)),
             map,
             wal_dir,
             arrivals,
@@ -217,7 +214,6 @@ mod tests {
         let cfg = NetConfig {
             clients: 64,
             shards: 8,
-            watchdog_ms: 0,
             wal_dir: Some(PathBuf::from("/nonexistent/wtpg-plan-test")),
             open_loop: Some(OpenLoop {
                 lambda_tps: 1000.0,
@@ -230,7 +226,6 @@ mod tests {
         let plan = RunPlan::new(&cfg, &fault, &InProc, &catalog, &specs).expect("legal plan");
         assert_eq!(plan.clients(), 10, "never more clients than transactions");
         assert_eq!(plan.shards(), 2, "never more shards than conflict components");
-        assert_eq!(plan.watchdog, Duration::from_millis(1));
         // Nothing is dealt out: each client strides the one workload and the
         // one schedule, and between them they cover every index once.
         let arrivals = plan.arrivals.as_deref().expect("open loop has a schedule");

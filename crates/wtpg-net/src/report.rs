@@ -127,7 +127,8 @@ pub struct NetReport {
     pub dup_deliveries: u64,
     /// Deliveries the fault layer held back.
     pub delayed_deliveries: u64,
-    /// `Access` orders re-sent by the control node's redelivery watchdog.
+    /// `Access` orders re-sent at the control node's redelivery deadlines
+    /// or at a node's rejoin.
     pub access_retries: u64,
     /// Messages discarded by the simulated data-node crash.
     pub crash_drops: u64,

@@ -91,13 +91,13 @@ pub struct NetConfig {
     pub clients: usize,
     /// Control-side redelivery schedule for unanswered `Access` orders.
     /// The base must comfortably exceed a step's normal round trip, or
-    /// healthy steps get redelivered; the span `base × 2^attempts` must
-    /// cover a crash window, or a crashed node is reported dead.
+    /// healthy steps get redelivered; the budget's span, the delays of
+    /// `max_attempts` re-sends, must cover a crash window: past it an order
+    /// waits for its node's `Recover`, and a node that never sends one
+    /// wedges the run, which then ends with the node's orders named.
     pub retry: Backoff,
     /// Replay-certify the recorded (merged) history after the run.
     pub certify: bool,
-    /// Per-actor silence tolerance before a run is declared wedged, ms.
-    pub watchdog_ms: u64,
     /// Control shards requested. The effective count never exceeds the
     /// workload's conflict-component count (1 for every paper pattern, so
     /// the default changes nothing there).
@@ -170,13 +170,15 @@ impl Default for NetConfig {
     fn default() -> NetConfig {
         NetConfig {
             clients: 4,
+            // Re-sends after 20, 40, 80, 160 ms, then every 200 ms: the
+            // budget spans 27.7 s, so a node that never answers ends the
+            // run within 30 s.
             retry: Backoff {
                 base_us: 20_000,
                 cap_us: 200_000,
-                max_attempts: 500,
+                max_attempts: 140,
             },
             certify: true,
-            watchdog_ms: 30_000,
             shards: 1,
             batch_max: 128,
             pipeline: 16,
@@ -283,11 +285,12 @@ fn micros(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
-/// The window flush of a run handed an observer, an actor on the executor
-/// on an inbox nothing feeds: it sleeps until its window ends, then flushes
-/// the run's registry into the observer as one `Window` on track 0, stamped
-/// in µs since the run's origin from the instant the executor hands it. The
-/// runtime closes its inbox once every other actor has stopped, and
+/// The window flush of a run handed an observer, an actor in the executor's
+/// background on an inbox nothing feeds: it sleeps until its window ends,
+/// then flushes the run's registry into the observer as one `Window` on
+/// track 0, stamped in µs since the run's origin from the instant the
+/// executor hands it. Its deadline keeps no wedged run alive. The runtime
+/// closes its inbox once every other actor has stopped, and
 /// [`run_cell_load`] flushes the last, partial window.
 struct Windows<'a> {
     reg: &'a Registry,
@@ -492,7 +495,6 @@ impl<'a> ActorSet<'a> {
                 sched: sched(),
                 clients: plan.clients,
                 retry: cfg.retry,
-                watchdog: plan.watchdog,
                 batch_max: cfg.batch_max,
                 ack_batch_max: client_batch_max(cfg),
                 admit_window: cfg.admit_window,
@@ -532,6 +534,14 @@ impl<'a> ActorSet<'a> {
     }
 }
 
+/// How long a wait for mail on TCP links lasts before the run is declared
+/// wedged. Every byte a link can bring was written by an actor on the same
+/// executor, and the wait pushes out what the writers held before it
+/// polls, so on loopback it is readable at once; the grace covers only a
+/// kernel that defers delivering it. A healthy wait for mail ends long
+/// before: the grace is reached only by a run that can no longer move.
+const WEDGE_GRACE: Duration = Duration::from_secs(1);
+
 /// The executor's clock in a run: `Instant::now`, and a wait that ends at
 /// its deadline or on a frame on any link of a fan-in it steps. Private to
 /// this module, as everything here that reads the clock is: no actor can
@@ -559,15 +569,28 @@ impl Clock for RealTime {
     }
 
     /// Pushes out what sends held, then makes one `ppoll` over every link
-    /// until `until`, then one `read` on each readable link. A wait for mail
-    /// with no link open is refused: nothing but a link brings mail while
-    /// the executor waits, so it would never end.
+    /// until `until`, then one `read` on each readable link. Nothing but a
+    /// link brings mail while the executor waits, and every link's writer
+    /// is an actor on this executor, asleep: a wait for mail is refused at
+    /// once with no link open, and with links open once one grace
+    /// [`WEDGE_GRACE`] long has found none readable.
     fn wait_until(&mut self, until: Option<Instant>) -> Result<(), NetError> {
-        if until.is_none() && self.sockets.is_empty() {
-            let stuck = "every actor sleeps until mail no link can bring";
-            return Err(NetError::Protocol(stuck.into()));
-        }
-        Ok(self.sockets.wait(until.map(|t| t.saturating_duration_since(Instant::now())))?)
+        let Some(until) = until else {
+            if self.sockets.is_empty() {
+                let stuck = "every actor sleeps until mail no link can bring";
+                return Err(NetError::Wedged(stuck.into()));
+            }
+            let grace = Instant::now() + WEDGE_GRACE;
+            while !self.sockets.wait(Some(grace.saturating_duration_since(Instant::now())))? {
+                if Instant::now() >= grace {
+                    let stuck = format!("every actor sleeps until mail, and no link brought any in {WEDGE_GRACE:?}");
+                    return Err(NetError::Wedged(stuck));
+                }
+            }
+            return Ok(());
+        };
+        self.sockets.wait(Some(until.saturating_duration_since(Instant::now())))?;
+        Ok(())
     }
 }
 
@@ -616,7 +639,7 @@ fn drive(
 ) -> Joined {
     let cfg = plan.cfg;
     let (catalog, specs) = (plan.catalog, plan.specs);
-    let (watchdog, depth, n) = (plan.watchdog, cfg.pipeline, plan.clients);
+    let (depth, n) = (cfg.pipeline, plan.clients);
     let open = plan
         .arrivals
         .as_deref()
@@ -666,7 +689,7 @@ fn drive(
         .zip(&set.client_to_control)
         .map(|((c, inbox), tx)| {
             let batch_max = client_batch_max(cfg);
-            let client = ClientActor::start(c, n, specs, open, tx, watchdog, depth, batch_max, reg);
+            let client = ClientActor::start(c, n, specs, open, tx, depth, batch_max, reg);
             Slot::new(Ok(client), inbox)
         })
         .collect();
@@ -680,7 +703,7 @@ fn drive(
             every,
             last: 0,
         };
-        Slot::new(Ok(windows), &window_inbox)
+        Slot::background(Ok(windows), &window_inbox)
     });
     // Control shards first, as the teardown reads them; then the router,
     // the data nodes, the clients and, last, the window flush.
@@ -1767,11 +1790,15 @@ mod tests {
         let mut clock = VirtualTime(Instant::now());
         assert!(inbox.push(submit(a)));
         // Once its inbox is empty it asks to sleep until mail: with no
-        // sender left, the clock refuses and the router is still running.
+        // sender left, the run is wedged, and the router, owed nothing,
+        // finishes cleanly when the executor stops it.
         let asleep = step_all(&mut [&mut slot], &mut clock, round_robin(), |_| {});
-        assert!(matches!(asleep, Err(NetError::Protocol(_))), "{asleep:?}");
+        assert!(matches!(&asleep, Err(NetError::Wedged(why)) if !why.contains(';')), "{asleep:?}");
         assert_eq!(drain(&shards[0]), vec![submit(a)]);
-        assert!(slot.ended().is_none(), "mail alone never stops it");
+        assert_eq!(slot.ended(), Some(true), "stopped by the wedge, owing nothing");
+        let inbox = Mailbox::queue();
+        let mut slot = Slot::new(Ok(Router::new(&map, &shards, &reg)), &inbox);
+        assert!(inbox.push(submit(a)));
         inbox.close();
         step_all(&mut [&mut slot], &mut clock, round_robin(), |_| {})
             .expect("the close wakes and stops it");

@@ -220,8 +220,8 @@ const READ_BUF: usize = 8 * 1024;
 /// The stream is down for good (`Closed`) on EOF, on an I/O error, on a
 /// header announcing more than [`MAX_FRAME`], or on a payload that does not
 /// decode: a malformed frame means the stream is desynchronized and there
-/// is no resync point, so the link is dropped (the peer's watchdog or the
-/// control retry layer surfaces the failure).
+/// is no resync point, so the link is dropped (control's redelivery, or
+/// the executor's wedge rule once nothing can move, surfaces the failure).
 pub(crate) struct FrameReader<R> {
     src: R,
     /// `buf[start..end]` holds bytes read and not yet consumed. Grows to
@@ -506,24 +506,25 @@ impl Sockets {
     /// every open link for at most `timeout` (`None`: until something is
     /// readable); then one `read` on each readable link, one mailbox lock at
     /// a time. A link that went down leaves the set. With no link, a zero
-    /// wait makes no syscall.
+    /// wait makes no syscall. Whether any link was readable.
     ///
     /// # Errors
     /// What `ppoll` fails with.
-    pub(crate) fn wait(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
+    pub(crate) fn wait(&mut self, timeout: Option<Duration>) -> std::io::Result<bool> {
         self.fabrics.iter().for_each(|c| c.flush());
         if self.links.is_empty() && timeout == Some(Duration::ZERO) {
-            return Ok(());
+            return Ok(false);
         }
         let fds = self.links.iter().map(|(fd, ..)| Some(fd.as_fd()));
         self.polled.wait(fds, timeout)?;
-        let (polled, mut k) = (&self.polled, 0);
+        let (polled, mut k, mut read) = (&self.polled, 0, false);
         self.links.retain(|(_, inbox, at)| {
-            let open = !polled.readable(k) || inbox.with_links(|rx| rx.refill(*at)) == Some(true);
+            let readable = polled.readable(k);
+            read |= readable;
             k += 1;
-            open
+            !readable || inbox.with_links(|rx| rx.refill(*at)) == Some(true)
         });
-        Ok(())
+        Ok(read)
     }
 }
 

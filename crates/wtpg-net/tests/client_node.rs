@@ -25,7 +25,8 @@ use wtpg_net::{Msg, NetError};
 use wtpg_obs::window::metric;
 use wtpg_obs::Registry;
 
-const WATCHDOG: Duration = Duration::from_millis(250);
+/// What `before_block` returns to sleep until mail.
+const UNTIL_MAIL: Option<Duration> = Some(Duration::MAX);
 
 /// Messages per frame to control.
 const BATCH_MAX: usize = 128;
@@ -68,10 +69,6 @@ fn ms(n: u64) -> Duration {
     Duration::from_millis(n)
 }
 
-fn is_timeout(r: Result<Flow, NetError>) -> bool {
-    matches!(r, Err(NetError::RecvTimeout { actor }) if actor == "client 0")
-}
-
 /// A client's link to control, and the books it keeps.
 struct Rig {
     reg: Registry,
@@ -97,7 +94,7 @@ impl Rig {
         open: Option<&'a OpenLoopPlan<'a>>,
         pipeline: usize,
     ) -> ClientActor<'a> {
-        ClientActor::start(0, 1, specs, open, &self.tx, WATCHDOG, pipeline, BATCH_MAX, &self.reg)
+        ClientActor::start(0, 1, specs, open, &self.tx, pipeline, BATCH_MAX, &self.reg)
     }
 }
 
@@ -106,7 +103,7 @@ fn a_closed_loop_refills_one_per_ack_and_says_goodbye_once() {
     let (r, specs) = (rig(), writes(5));
     let mut c = r.client(&specs, None, 2);
     let t0 = Instant::now();
-    assert_eq!(c.before_block(t0).unwrap(), Some(WATCHDOG));
+    assert_eq!(c.before_block(t0).unwrap(), UNTIL_MAIL);
     assert_eq!(submitted(r.heard.take()), [1, 2], "pipeline-deep at once");
     // Acks come back in any order; each frees exactly one slot.
     let script = [
@@ -122,7 +119,7 @@ fn a_closed_loop_refills_one_per_ack_and_says_goodbye_once() {
         let wait = c.before_block(now).unwrap();
         assert_eq!(submitted(r.heard.take()), refill, "after the ack of {txn}");
         assert_eq!(count(&r.reg, metric::INFLIGHT), inflight);
-        assert_eq!(wait, (inflight > 0).then_some(WATCHDOG), "stop after the last ack");
+        assert_eq!(wait, (inflight > 0).then_some(Duration::MAX), "stop after the last ack");
     }
     let out = c.finish().expect("finishes");
     assert_eq!(r.heard.take(), [Msg::Shutdown], "one goodbye, after the last ack");
@@ -181,7 +178,7 @@ fn a_duplicate_ack_is_tallied_and_ignored() {
     for k in 1..=2 {
         assert_eq!(c.deliver(ack(1), t0 + ms(k)).unwrap(), Flow::Continue);
     }
-    assert_eq!(c.before_block(t0 + ms(2)).unwrap(), Some(WATCHDOG), "2 is still owed");
+    assert_eq!(c.before_block(t0 + ms(2)).unwrap(), UNTIL_MAIL, "2 is still owed");
     c.deliver(ack(2), t0 + ms(3)).unwrap();
     assert_eq!(c.before_block(t0 + ms(3)).unwrap(), None);
     let out = c.finish().expect("finishes");
@@ -190,47 +187,32 @@ fn a_duplicate_ack_is_tallied_and_ignored() {
     assert_eq!(count(&r.reg, &metric::msg_rx("commit")), 3, "heard thrice");
 }
 
+/// Owed acks hold no deadline: a closed loop sleeps until mail however
+/// long they take, and across any silence an idle wake-up does nothing.
 #[test]
-fn the_watchdog_counts_only_silence_while_acks_are_owed() {
-    // Closed loop: from the last message, exactly `WATCHDOG` of silence.
-    let (r, specs) = (rig(), writes(2));
-    let mut c = r.client(&specs, None, 2);
-    let t0 = Instant::now();
-    c.before_block(t0).unwrap();
-    c.deliver(ack(1), t0 + ms(100)).unwrap();
-    let last = t0 + ms(100);
-    assert_eq!(c.idle(last + WATCHDOG - us(1)).unwrap(), Flow::Continue);
-    assert!(is_timeout(c.idle(last + WATCHDOG)));
-
-    // Open loop: nothing is owed across a gap longer than the watchdog, and
-    // the next arrival's clock starts when it is submitted.
-    let (r, specs) = (rig(), writes(2));
-    let arrivals = [0, 10_000_000];
-    let plan = OpenLoopPlan {
-        arrivals_us: &arrivals,
-        inflight: 4,
-        origin: t0,
-    };
-    let mut c = r.client(&specs, Some(&plan), 16);
-    c.before_block(t0).unwrap();
-    c.deliver(ack(1), t0 + ms(1)).unwrap();
-    assert_eq!(c.idle(t0 + ms(5_000)).unwrap(), Flow::Continue, "nothing owed");
-    let sent = t0 + ms(10_000);
-    c.before_block(sent).unwrap();
-    assert_eq!(submitted(r.heard.take()), [1, 2]);
-    assert_eq!(c.idle(sent + WATCHDOG - us(1)).unwrap(), Flow::Continue);
-    assert!(is_timeout(c.idle(sent + WATCHDOG)));
-}
-
-#[test]
-fn the_wait_is_the_watchdog_closed_and_the_next_arrival_open() {
+fn a_closed_loop_owed_acks_sleeps_until_mail() {
     let (r, specs) = (rig(), writes(2));
     let mut c = r.client(&specs, None, 1);
     let t0 = Instant::now();
-    assert_eq!(c.before_block(t0).unwrap(), Some(WATCHDOG));
-    assert_eq!(c.before_block(t0 + ms(1)).unwrap(), Some(WATCHDOG), "a full window");
+    assert_eq!(c.before_block(t0).unwrap(), UNTIL_MAIL);
+    assert_eq!(submitted(r.heard.take()), [1]);
+    assert_eq!(c.before_block(t0 + ms(1)).unwrap(), UNTIL_MAIL, "a full window");
+    let late = t0 + Duration::from_secs(3_600);
+    assert_eq!(c.idle(late).unwrap(), Flow::Continue);
+    assert_eq!(c.before_block(late).unwrap(), UNTIL_MAIL, "an hour of silence is no error");
+    assert!(r.heard.take().is_empty());
+    c.deliver(ack(1), late).unwrap();
+    assert_eq!(c.before_block(late).unwrap(), UNTIL_MAIL, "txn 2 sent, its ack owed");
+    assert_eq!(submitted(r.heard.take()), [2]);
+}
 
+/// An open loop sleeps exactly until its next arrival, and after the last
+/// until mail while acks are owed; owing nothing and with nothing to come,
+/// it stops.
+#[test]
+fn an_open_loop_sleeps_until_its_next_arrival_then_until_mail() {
     let (r, specs) = (rig(), writes(2));
+    let t0 = Instant::now();
     let arrivals = [1_000, 1_200];
     let plan = OpenLoopPlan {
         arrivals_us: &arrivals,
@@ -241,8 +223,29 @@ fn the_wait_is_the_watchdog_closed_and_the_next_arrival_open() {
     assert_eq!(c.before_block(t0).unwrap(), Some(ms(1)), "until the first arrival");
     assert_eq!(c.before_block(t0 + us(700)).unwrap(), Some(us(300)));
     assert_eq!(c.before_block(t0 + us(1_000)).unwrap(), Some(us(200)));
-    assert_eq!(c.before_block(t0 + us(1_200)).unwrap(), Some(WATCHDOG), "owed, none to come");
+    assert_eq!(c.before_block(t0 + us(1_200)).unwrap(), UNTIL_MAIL, "owed, none to come");
     assert_eq!(submitted(r.heard.take()), [1, 2]);
+    c.deliver(ack(1), t0 + ms(2)).unwrap();
+    c.deliver(ack(2), t0 + ms(2)).unwrap();
+    assert_eq!(c.before_block(t0 + ms(2)).unwrap(), None, "nothing owed, nothing to come");
+}
+
+/// A client stopped while acks are owed — its link closed, or the run
+/// wedged — refuses to finish, naming each owed transaction and what is
+/// still to arrive.
+#[test]
+fn a_client_stopped_owing_acks_names_them() {
+    let (r, specs) = (rig(), writes(3));
+    let mut c = r.client(&specs, None, 2);
+    let t0 = Instant::now();
+    c.before_block(t0).unwrap();
+    c.deliver(ack(1), t0).unwrap();
+    c.before_block(t0).unwrap();
+    assert_eq!(submitted(r.heard.take()), [1, 2, 3]);
+    let Err(NetError::Protocol(why)) = c.finish() else {
+        panic!("a client owed acks must refuse to finish");
+    };
+    assert_eq!(why, "client 0 is owed 2 commit ack(s), txns 2, 3; 0 arrival(s) to come");
 }
 
 #[test]

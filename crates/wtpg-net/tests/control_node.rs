@@ -1,6 +1,6 @@
 //! The control actor as a state machine, driven single-threaded: every
-//! message goes in through `ControlActor::deliver` (or a quiet poll through
-//! `idle`) with a hand-advanced `now`, every order and ack comes out of a
+//! message goes in through `ControlActor::deliver` (or a re-send deadline
+//! come due through `idle`) with a hand-advanced `now`, every order and ack comes out of a
 //! `MsgTx` that records. Nothing here pauses, blocks or reads a clock to
 //! wait on — the one `Instant::now()` per test is the origin its own time
 //! is counted from. The links are never flushed by age: every frame seen
@@ -35,16 +35,16 @@ use wtpg_obs::Registry;
 use wtpg_rt::backoff::Backoff;
 use wtpg_rt::sched_by_name;
 
-/// Redelivery: 1 ms, doubling to a 4 ms cap; the fourth unanswered re-send
-/// declares the node unavailable.
+/// Redelivery: 1 ms, doubling to a 4 ms cap; an order still unanswered at
+/// the deadline after its fourth re-send waits for its node's `Recover`.
 const RETRY: Backoff = Backoff {
     base_us: 1_000,
     cap_us: 4_000,
     max_attempts: 4,
 };
 
-/// Deliveries between busy scans (`control.rs`'s `SCAN_EVERY`).
-const SCAN_EVERY: usize = 64;
+/// What `before_block` returns to sleep until mail.
+const UNTIL_MAIL: Option<Duration> = Some(Duration::MAX);
 
 /// Two nodes, four 2-object partitions: node 0 homes partitions 0 and 2.
 fn catalog() -> Catalog {
@@ -56,7 +56,6 @@ fn params<'a>(reg: &'a Registry, sched: &str, clients: usize) -> ControlParams<'
         sched: sched_by_name(sched, 2, 2000).expect("known scheduler"),
         clients,
         retry: RETRY,
-        watchdog: Duration::from_secs(30),
         batch_max: 64,
         ack_batch_max: 64,
         admit_window: 4,
@@ -191,7 +190,7 @@ fn redelivery_follows_the_backoff_schedule_exactly() {
     ctl.before_block(t0).unwrap();
     assert_eq!(accesses(l.data[0].take()), [1]);
     let mut deadline = t0 + us(RETRY.delay_us(0));
-    for attempt in 1..=6u32 {
+    for attempt in 1..=RETRY.max_attempts {
         assert_eq!(ctl.idle(deadline - us(1)).unwrap(), Flow::Continue);
         assert_eq!(
             accesses(l.data[0].take()),
@@ -201,14 +200,31 @@ fn redelivery_follows_the_backoff_schedule_exactly() {
         ctl.idle(deadline).unwrap();
         assert_eq!(accesses(l.data[0].take()), [1], "due at attempt {attempt}");
         assert_eq!(count(&reg, metric::ACCESS_RETRIES), u64::from(attempt));
-        assert_eq!(
-            count(&reg, metric::NODE_UNAVAILABLE),
-            u64::from(attempt >= RETRY.max_attempts),
-            "the node is declared unavailable once, at the budget (attempt {attempt})"
-        );
-        deadline += us(RETRY.delay_us(attempt.min(RETRY.max_attempts)));
+        deadline += us(RETRY.delay_us(attempt));
+        assert_eq!(ctl.before_block(deadline - us(7)).unwrap(), Some(us(7)));
     }
+    // Past the budget: no re-send, the order parked as node-unavailable,
+    // and nothing left to wake for.
+    assert_eq!(count(&reg, metric::NODE_UNAVAILABLE), 0);
+    ctl.idle(deadline).unwrap();
+    assert!(l.data[0].take().is_empty(), "no re-send past the budget");
+    assert_eq!(count(&reg, metric::NODE_UNAVAILABLE), 1);
+    assert_eq!(ctl.before_block(deadline).unwrap(), UNTIL_MAIL);
+    ctl.idle(deadline + Duration::from_secs(3_600)).unwrap();
+    assert!(l.data[0].take().is_empty(), "none an hour later either");
+    assert_eq!(count(&reg, metric::ACCESS_RETRIES), u64::from(RETRY.max_attempts));
     assert!(l.data[1].take().is_empty());
+
+    // The node's `Recover` re-sends the parked order, its schedule restarted.
+    let rejoin = deadline + Duration::from_secs(3_600);
+    let recover = Msg::Recover { node: 0, last_lsn: 0, replayed_chunks: 0 };
+    ctl.deliver(recover, rejoin).unwrap();
+    let frames = l.data[0].frames();
+    let [Msg::Batch(burst)] = frames.as_slice() else {
+        panic!("the parked order and a notice, as one frame: {frames:?}");
+    };
+    assert_eq!(accesses(burst[..1].to_vec()), [1]);
+    assert_eq!(ctl.before_block(rejoin).unwrap(), Some(us(RETRY.delay_us(0))));
 }
 
 /// A rejoined node's outstanding orders go out at once as one frame, closed
@@ -261,7 +277,7 @@ fn recover_resends_the_nodes_orders_as_one_frame_with_the_mark() {
 }
 
 #[test]
-fn a_busy_inbox_still_redelivers_every_scan() {
+fn a_busy_inbox_still_redelivers_at_the_first_delivery_past_the_deadline() {
     let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
     let mut ctl = start(params(&reg, "chain", 1), &catalog, &l);
     let t0 = Instant::now();
@@ -269,24 +285,26 @@ fn a_busy_inbox_still_redelivers_every_scan() {
     ctl.deliver(first.clone(), t0).unwrap();
     ctl.before_block(t0).unwrap();
     assert_eq!(accesses(l.data[0].take()), [1]);
-    // Past the deadline, but never idle: duplicate submissions keep the
-    // inbox busy, and only the scan on the SCAN_EVERY-th delivery re-sends.
-    let late = t0 + us(RETRY.delay_us(0));
-    for _ in 2..SCAN_EVERY {
-        ctl.deliver(first.clone(), late).unwrap();
+    // Never idle: duplicate submissions keep the inbox busy, and the first
+    // one popped at the deadline re-sends.
+    let deadline = t0 + us(RETRY.delay_us(0));
+    for _ in 0..64 {
+        ctl.deliver(first.clone(), deadline - us(1)).unwrap();
     }
     assert_eq!(accesses(l.data[0].take()), [0u64; 0]);
-    ctl.deliver(first, late).unwrap();
+    ctl.deliver(first.clone(), deadline).unwrap();
     assert_eq!(
         accesses(l.data[0].take()),
         [1],
-        "the busy scan re-sent the due order"
+        "the delivery at the deadline re-sent the due order"
     );
+    ctl.deliver(first, deadline).unwrap();
+    assert_eq!(accesses(l.data[0].take()), [0u64; 0], "once");
 }
 
-/// A turn longer than a busy scan, whose instant moves well past 100 µs,
-/// still leaves each node one frame at its end: the links flush when the
-/// shard's turn ends, not on a clock.
+/// A turn of 66 deliveries, whose instant moves well past 100 µs, still
+/// leaves each node one frame at its end: the links flush when the shard's
+/// turn ends, not on a clock.
 #[test]
 fn a_long_turn_sends_each_node_its_orders_as_one_frame_at_its_end() {
     let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
@@ -296,10 +314,10 @@ fn a_long_turn_sends_each_node_its_orders_as_one_frame_at_its_end() {
     let first = submit(0, 1, vec![StepSpec::write(0, 1.0)]);
     ctl.deliver(first.clone(), t0).unwrap();
     ctl.deliver(submit(0, 2, vec![StepSpec::write(1, 1.0)]), t0).unwrap();
-    // Duplicates keep the inbox busy through the scan on the SCAN_EVERY-th
-    // delivery, 200 µs after the first orders were buffered.
+    // Duplicates keep the inbox busy 200 µs after the first orders were
+    // buffered.
     let later = t0 + us(200);
-    for _ in 2..SCAN_EVERY {
+    for _ in 0..62 {
         ctl.deliver(first.clone(), later).unwrap();
     }
     ctl.deliver(submit(0, 3, vec![StepSpec::write(2, 1.0)]), later).unwrap();
@@ -521,65 +539,143 @@ fn the_run_ends_after_every_goodbye_and_the_last_commit_in_either_order() {
 }
 
 /// ASL admits a transaction only if every lock it declares is free, so with
-/// txn 1 holding partition 0, txns 2 and 3 (both on partition 0) are
+/// txn 1 holding partition 0, txns 3 and 4 (both on partition 0) are
 /// rejected, in that order. The older rejection keeps its turn: a fresh one
-/// queues behind it, and a re-attempted head bounces back to the front.
+/// queues behind it, and a re-attempted head — at the slot txn 2's commit
+/// frees — bounces back to the front.
 #[test]
 fn a_fresh_rejection_queues_behind_an_older_one() {
     let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
     let mut ctl = start(params(&reg, "asl", 1), &catalog, &l);
     let t0 = Instant::now();
-    for txn in 1..=3 {
-        ctl.deliver(submit(0, txn, vec![StepSpec::write(0, 1.0)]), t0)
+    for (txn, partition) in [(1, 0), (2, 1), (3, 0), (4, 0)] {
+        ctl.deliver(submit(0, txn, vec![StepSpec::write(partition, 1.0)]), t0)
             .unwrap();
     }
-    ctl.idle(t0).unwrap(); // re-attempts the head, which bounces
     ctl.before_block(t0).unwrap();
-    assert_eq!(
-        accesses(l.data[0].take()),
-        [1],
-        "2 and 3 wait in the backlog"
-    );
+    assert_eq!(accesses(l.data[0].take()), [1], "3 and 4 wait in the backlog");
+    assert_eq!(accesses(l.data[1].take()), [2]);
+    assert_eq!(count(&reg, metric::SCHED_ABORTS), 2);
+    ctl.deliver(done(2, 1000), t0).unwrap();
+    ctl.before_block(t0).unwrap();
+    assert_eq!(acks(l.clients[0].take()), [2]);
+    assert_eq!(count(&reg, metric::SCHED_ABORTS), 3, "the freed slot re-attempts 3 alone");
     ctl.deliver(done(1, 1000), t0).unwrap();
     ctl.before_block(t0).unwrap();
     assert_eq!(acks(l.clients[0].take()), [1]);
     assert_eq!(
         accesses(l.data[0].take()),
-        [2],
+        [3],
         "the older rejection goes first"
     );
-    ctl.deliver(done(2, 1000), t0).unwrap();
+    ctl.deliver(done(3, 1000), t0).unwrap();
     ctl.before_block(t0).unwrap();
-    assert_eq!(accesses(l.data[0].take()), [3]);
+    assert_eq!(accesses(l.data[0].take()), [4]);
 }
 
-/// Silence counts from the last delivery, duplicates included: a whole
-/// watchdog of it passes, a microsecond more is a wedged run.
+/// A quiet shard re-asks nothing: while a delayed request (C2PL's predicted
+/// deadlock) or a bounced backlog head (ASL's held lock) waits, `idle`
+/// issues no order and makes no scheduler call — the control node's
+/// logical clock, which every call ticks, does not move.
 #[test]
-fn the_silence_watchdog_counts_from_the_last_delivery() {
+fn idle_re_asks_neither_a_delayed_request_nor_a_bounced_backlog_head() {
+    type Cell<'a> = (&'a str, &'a [(u64, Vec<StepSpec>)]);
+    let cells: [Cell<'_>; 2] = [
+        (
+            "c2pl",
+            &[
+                (1, vec![StepSpec::write(0, 1.0), StepSpec::write(1, 1.0)]),
+                (2, vec![StepSpec::write(1, 1.0), StepSpec::write(0, 1.0)]),
+            ],
+        ),
+        ("asl", &[(1, vec![StepSpec::write(0, 1.0)]), (2, vec![StepSpec::write(0, 1.0)])]),
+    ];
+    for (sched, txns) in cells {
+        let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
+        let mut ctl = start(params(&reg, sched, 1), &catalog, &l);
+        let t0 = Instant::now();
+        for (txn, steps) in txns {
+            ctl.deliver(submit(0, *txn, steps.clone()), t0).unwrap();
+        }
+        ctl.before_block(t0).unwrap();
+        assert_eq!(accesses(l.data[0].take()), [1], "{sched}: txn 2 waits");
+        let turned_away = || count(&reg, metric::SCHED_DELAYS) + count(&reg, metric::SCHED_ABORTS);
+        let (tick, asked) = (ctl.tick(), turned_away());
+        assert_eq!(asked, 1, "{sched}: txn 2 asked once");
+        for later in [us(1), us(RETRY.delay_us(0) - 1)] {
+            assert_eq!(ctl.idle(t0 + later).unwrap(), Flow::Continue);
+        }
+        assert!(l.data.iter().all(|d| d.take().is_empty()), "{sched}: no order");
+        assert_eq!((ctl.tick(), turned_away()), (tick, asked), "{sched}: no scheduler call");
+    }
+}
+
+/// The shard's wait is a deadline it holds, or until mail: with nothing in
+/// flight it sleeps until mail; with an order outstanding, until exactly
+/// that order's re-send deadline; with a frame a link fault holds, until
+/// the frame falls due, if that is sooner.
+#[test]
+fn the_wait_is_the_next_deadline_held_or_until_mail() {
     let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
-    let p = params(&reg, "chain", 1);
-    let watchdog = p.watchdog;
-    let mut ctl = start(p, &catalog, &l);
+    let mut ctl = start(params(&reg, "chain", 1), &catalog, &l);
     let t0 = Instant::now();
-    let first = submit(0, 1, vec![StepSpec::write(0, 1.0)]);
-    ctl.deliver(first.clone(), t0).unwrap();
-    assert_eq!(ctl.idle(t0 + watchdog).unwrap(), Flow::Continue);
-    let last = t0 + watchdog;
-    ctl.deliver(first, last).unwrap();
-    assert_eq!(ctl.idle(last + watchdog).unwrap(), Flow::Continue);
-    let err = ctl.idle(last + watchdog + us(1)).unwrap_err();
-    assert!(
-        matches!(&err, NetError::RecvTimeout { actor } if actor == "control shard 0"),
-        "{err:?}"
+    assert_eq!(ctl.before_block(t0).unwrap(), UNTIL_MAIL, "nothing outstanding");
+    ctl.deliver(submit(0, 1, vec![StepSpec::write(0, 1.0)]), t0).unwrap();
+    let (at, deadline) = (t0 + us(300), us(RETRY.delay_us(0)));
+    assert_eq!(ctl.before_block(at).unwrap(), Some(deadline - us(300)), "the order's deadline");
+    ctl.deliver(submit(0, 2, vec![StepSpec::write(1, 1.0)]), at).unwrap();
+    assert_eq!(ctl.before_block(at).unwrap(), Some(deadline - us(300)), "the earlier of two");
+    ctl.deliver(done(1, 1000), at).unwrap();
+    assert_eq!(ctl.before_block(at).unwrap(), Some(deadline), "txn 2's, once 1 is answered");
+    ctl.deliver(done(2, 1000), at).unwrap();
+    assert_eq!(ctl.before_block(at).unwrap(), UNTIL_MAIL, "every order answered");
+    assert_eq!(acks(l.clients[0].take()), [1, 2]);
+
+    // Every message on the data links delayed by up to 50 µs: a held
+    // frame's release comes before the order's 1 ms deadline.
+    let (reg, l) = (Registry::new(), links(1));
+    let mut p = params(&reg, "chain", 1);
+    p.fault = FaultPlan {
+        link: wtpg_net::LinkFaults { delay_prob_pct: 100, max_delay_us: 50, dup_prob_pct: 0 },
+        ..FaultPlan::none()
+    };
+    let mut ctl = start(p, &catalog, &l);
+    ctl.deliver(submit(0, 1, vec![StepSpec::write(0, 1.0)]), t0).unwrap();
+    let wait = ctl.before_block(t0).unwrap().expect("a wait");
+    assert!(wait <= us(50), "the held frame's release: {wait:?}");
+    assert!(l.data[0].frames().is_empty(), "the frame is held");
+    ctl.idle(t0 + wait).unwrap();
+    assert_eq!(ctl.before_block(t0 + wait).unwrap(), Some(us(RETRY.delay_us(0)) - wait));
+    assert_eq!(accesses(l.data[0].take()), [1], "released at its due time");
+}
+
+/// A shard stopped while it is owed something — its inbox closed, or the
+/// run wedged — refuses to finish, naming each node's orders in flight and
+/// every request waiting.
+#[test]
+fn a_shard_stopped_owing_names_what_it_waits_for() {
+    let (catalog, reg, l) = (catalog(), Registry::new(), links(1));
+    let mut ctl = start(params(&reg, "asl", 1), &catalog, &l);
+    let t0 = Instant::now();
+    for (txn, partition) in [(1, 0), (2, 1), (3, 0)] {
+        ctl.deliver(submit(0, txn, vec![StepSpec::write(partition, 1.0)]), t0).unwrap();
+    }
+    let Err(NetError::Protocol(why)) = ctl.finish() else {
+        panic!("a shard owed replies must refuse to finish");
+    };
+    assert_eq!(
+        why,
+        "control shard 0 is owed; replies from data node 0: txn 1 step 0; \
+         replies from data node 1: txn 2 step 0; admissions from the backlog: txn 3; \
+         the end of 1 of 1 client streams"
     );
 }
 
 /// C2PL never rejects an admission, so every turn-away here is a step
 /// request's: readers 2 and 4 are `Blocked` on partition 0, which txn 1
 /// writes and holds to its commit. Nothing before that commit re-asks them
-/// — not the step completions and commit of txn 3, on other partitions, not
-/// a quiet poll — and the commit grants both in the same delivery.
+/// — not the step completions and commit of txn 3, on other partitions —
+/// and the commit grants both in the same delivery.
 /// `batch_max` and `ack_batch_max` 1 send every order and every ack the
 /// moment it is issued.
 #[test]
@@ -604,7 +700,7 @@ fn a_blocked_request_waits_for_the_commit_that_frees_its_partition() {
 
     ctl.deliver(done_at(3, 0, 1000), t0).unwrap();
     assert_eq!(accesses(l.data[1].take()), [3]);
-    ctl.idle(t0).unwrap();
+    ctl.before_block(t0).unwrap();
     assert_eq!(
         count(&reg, &metric::shard_parked(0)),
         2,
@@ -626,7 +722,7 @@ fn a_blocked_request_waits_for_the_commit_that_frees_its_partition() {
         "the freeing commit grants every waiter in the same delivery"
     );
     assert_eq!(count(&reg, metric::SCHED_DELAYS), 2);
-    ctl.idle(t0).unwrap();
+    ctl.before_block(t0).unwrap();
     assert_eq!(count(&reg, &metric::shard_parked(0)), 0);
 }
 

@@ -256,16 +256,12 @@ fn open_loop_under_a_wal_commits_every_writer() {
 /// killed in the second run would replay both runs' records — recovery is
 /// only sound over the log of this run — so the plan is refused before any
 /// thread, socket or file exists. (Before the plan existed this wedged
-/// until the control watchdog fired.)
+/// until a silence watchdog fired.)
 #[test]
 fn a_used_wal_dir_is_refused_before_the_run_starts() {
     let (catalog, specs) = pattern_specs(Pattern::One, 60, 7);
     let dir = wal_dir("reused");
-    // Short watchdog: the wedge this guards against costs < 2 s to show.
-    let cfg = NetConfig {
-        watchdog_ms: 1_500,
-        ..dur_cfg(Durability::Sync, &dir)
-    };
+    let cfg = dur_cfg(Durability::Sync, &dir);
     let sched = || sched_by_name("chain", 2, 2000).expect("known scheduler");
     let first = run_cell(&cfg, &sched, &catalog, &specs, &InProc, &FaultPlan::none())
         .expect("first run into a fresh directory completes cleanly");

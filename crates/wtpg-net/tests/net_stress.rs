@@ -4,16 +4,22 @@
 
 #![expect(
     clippy::expect_used,
+    clippy::panic,
     reason = "test code: a failed check is a failed test"
+)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the wedge tests time how soon a run ends on the wall clock"
 )]
 
 use std::sync::mpsc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use wtpg_net::{
-    run_cell, CrashPlan, Durability, FaultPlan, InProc, KillPlan, LinkFaults, NetConfig,
-    NetReport, OpenLoop, Tcp, Transport,
+    run_cell, run_cell_load, CrashPlan, Durability, FaultPlan, InProc, KillPlan, LinkFaults,
+    NetConfig, NetError, NetReport, OpenLoop, Tcp, Transport,
 };
+use wtpg_rt::backoff::Backoff;
 use wtpg_rt::sched_by_name;
 use wtpg_rt::workload::pattern_specs;
 use wtpg_workload::{poisson_arrivals_us, Pattern};
@@ -131,16 +137,15 @@ fn tcp_open_loop_commits_everything_it_offers() {
 }
 
 /// Sixteen clients share a slow Poisson stream, so each one's window sits
-/// empty far longer than the watchdog between its own arrivals, while the
-/// run-wide stream keeps control hearing from someone well inside it. Nothing
-/// is owed across such a gap: a client's watchdog counts from the later of
-/// its last message and its window last going from empty to non-empty. At
-/// `404fc55` it counted from the last message alone, so the first arrival
-/// after a long gap tripped it unless its ack came back before the client's
-/// next wake-up; delaying every control ↔ data message up to 5 ms makes sure
-/// none does.
+/// empty for over 250 ms between its own arrivals, and control often has
+/// nothing in flight between the run's: every actor may sleep until mail
+/// while a client sleeps until its next arrival. That is no wedge — a
+/// client's arrival is a deadline it holds — so the run must end clean.
+/// (A silence watchdog once tripped across such gaps unless each ack came
+/// back before the client's next wake-up; delaying every control ↔ data
+/// message up to 5 ms makes sure none does.)
 #[test]
-fn a_sparse_open_loop_client_does_not_trip_its_watchdog() {
+fn a_sparse_open_loop_client_finds_no_false_wedge() {
     let (txns, clients, lambda_tps, seed) = (64, 16, 40.0, 9);
     let arrivals = poisson_arrivals_us(txns, lambda_tps, seed);
     let gaps = |step: usize, from: usize| -> Vec<u64> {
@@ -152,7 +157,6 @@ fn a_sparse_open_loop_client_does_not_trip_its_watchdog() {
     let (catalog, specs) = pattern_specs(Pattern::One, txns, 11);
     let cfg = NetConfig {
         clients,
-        watchdog_ms: 250,
         open_loop: Some(OpenLoop {
             lambda_tps,
             seed,
@@ -244,4 +248,56 @@ fn crash_window_opening_on_shutdown_does_not_wedge_tcp() {
 #[test]
 fn kill_window_opening_on_shutdown_does_not_wedge_tcp() {
     window_opens_on_shutdown(true, true);
+}
+
+/// A run whose data node 0 drops everything for good, after its fifth
+/// message, under a 3-attempt redelivery budget (1 + 2 + 4 + 4 ms): control
+/// parks the node's orders past the budget, nothing is due anywhere, and
+/// the run is wedged. Returns the error and how long the run took.
+fn dead_node_run(
+    transport: &dyn Transport,
+    obs: Option<std::sync::Arc<dyn wtpg_obs::Observer>>,
+) -> (NetError, Duration) {
+    let (catalog, specs) = pattern_specs(Pattern::One, 40, 11);
+    let cfg = NetConfig {
+        retry: Backoff { base_us: 1_000, cap_us: 4_000, max_attempts: 3 },
+        window_ms: 1,
+        ..NetConfig::default()
+    };
+    let dead = FaultPlan {
+        crash: Some(CrashPlan { node: 0, after_msgs: 5, down_ms: CrashPlan::FOREVER }),
+        ..FaultPlan::none()
+    };
+    let sched = || sched_by_name("chain", 2, 2000).expect("known scheduler");
+    let t0 = Instant::now();
+    let ran = run_cell_load(&cfg, &sched, &catalog, &specs, transport, &dead, obs, None);
+    (ran.expect_err("a dead node must end the run"), t0.elapsed())
+}
+
+/// The wedge is the executor's to see, at once, and its error names what
+/// each actor is owed: control, the dead node's orders; each client, its
+/// acks. A run handed an observer, whose window flush holds a deadline of
+/// its own, is wedged as soon.
+fn a_dead_node_wedges_the_run_at_once(transport: &dyn Transport, within: Duration) {
+    let sink = std::sync::Arc::<wtpg_obs::MemorySink>::default();
+    for obs in [None, Some(sink as std::sync::Arc<dyn wtpg_obs::Observer>)] {
+        let (err, took) = dead_node_run(transport, obs);
+        let NetError::Wedged(why) = err else {
+            panic!("a dead node must wedge the run, got {err}");
+        };
+        assert!(took < within, "{:?} to see the wedge: {why}", took);
+        assert!(why.contains("control shard 0 is owed; replies from data node 0: txn "), "{why}");
+        assert!(why.contains("(past the redelivery budget)"), "{why}");
+        assert!(why.contains("client 3 is owed 10 commit ack(s), txns 4, 8, "), "{why}");
+    }
+}
+
+#[test]
+fn a_dead_node_wedges_an_in_process_run_at_once() {
+    a_dead_node_wedges_the_run_at_once(&InProc, Duration::from_secs(2));
+}
+
+#[test]
+fn a_dead_node_wedges_a_tcp_run_within_the_grace() {
+    a_dead_node_wedges_the_run_at_once(&Tcp, Duration::from_secs(4));
 }

@@ -186,8 +186,6 @@ impl Cell {
             }),
             certify: !open,
             stream_certify: open,
-            // No cell may wedge past this.
-            watchdog_ms: 10_000,
             ..NetConfig::default()
         }
     }
@@ -598,7 +596,6 @@ fn the_contention_grid_runs_clean_cell_for_cell() {
                 let r = run_cell(
                     &NetConfig {
                         clients,
-                        watchdog_ms: 10_000,
                         ..NetConfig::default()
                     },
                     &|| sched_by_name(sched, 2, 5000).expect("known scheduler"),

@@ -185,8 +185,8 @@ pub mod metric {
     pub const SCHED_ABORTS: &str = "sched/aborts";
     /// Scheduler delays, control-side (counter).
     pub const SCHED_DELAYS: &str = "sched/delays";
-    /// `Access` / `SnapshotRead` orders re-sent by a control shard's
-    /// redelivery watchdog or at a node's rejoin (counter).
+    /// `Access` / `SnapshotRead` orders re-sent at a control shard's
+    /// redelivery deadlines or at a node's rejoin (counter).
     pub const ACCESS_RETRIES: &str = "ctrl/access_retries";
     /// Orders parked as node-unavailable after their node blew past the
     /// redelivery budget (counter).

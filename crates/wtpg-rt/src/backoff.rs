@@ -5,8 +5,8 @@
 //! with redeliveries. Delays double per attempt up to a cap
 //! ([`Backoff::delay_us`]); `max_attempts` is the budget after which the
 //! caller stops treating silence as slowness (`wtpg-net`'s control actor
-//! then parks the node's orders as node-unavailable and keeps re-sending at
-//! the cap). [`XorShift`] is the deterministic generator the fault layer
+//! then parks the node's orders as node-unavailable and re-sends them only
+//! when the node announces it rejoined). [`XorShift`] is the deterministic generator the fault layer
 //! seeds per link, so injected faults need no `rand` thread-local state.
 
 /// Backoff policy: delays double from `base_us` up to `cap_us`, for at most
